@@ -14,7 +14,7 @@
 
 use parfact_bench::{fmt_bytes, fmt_time, scaling_matrices, suite, Problem, Table};
 use parfact_core::baseline::fanout;
-use parfact_core::dist::{prepare, run_distributed_prepared, run_distributed_prepared_traced};
+use parfact_core::dist::{prepare, run_distributed_prepared, DistRun};
 use parfact_core::mapping::MapStrategy;
 use parfact_core::smp::{resolve_threads, SmpOpts};
 use parfact_core::solver::{Engine, FactorOpts, SparseCholesky};
@@ -82,20 +82,13 @@ impl Ctx {
             for &r in &self.ranks() {
                 // Traced run: event recording never touches the virtual
                 // clocks, so timings are identical to an untraced run.
-                let out = run_distributed_prepared_traced(
-                    r,
-                    CostModel::bluegene_p(),
-                    &ap,
-                    &sym,
-                    &perm,
-                    MapStrategy::default(),
-                    false,
-                    Some(&b),
-                    1,
-                    true,
-                    true,
-                )
-                .expect("SPD");
+                let run = DistRun {
+                    b: Some(&b),
+                    timeline: true,
+                    comm: true,
+                    ..DistRun::new(r, CostModel::bluegene_p(), &ap, &sym, &perm)
+                };
+                let out = run.run().expect("SPD").outcome;
                 let profile = parfact_trace::profile::analyze(
                     &sym.tree.parent,
                     &out.merged_events(),
@@ -940,20 +933,11 @@ fn exp_a7(ctx: &Ctx) {
                 None,
             )
             .expect("SPD");
-            let evd = run_distributed_prepared_traced(
-                r,
-                CostModel::bluegene_p(),
-                &ap,
-                &sym,
-                &perm,
-                MapStrategy::default(),
-                false,
-                None,
-                1,
-                true,
-                false,
-            )
-            .expect("SPD");
+            let evd = DistRun {
+                timeline: true,
+                ..DistRun::new(r, CostModel::bluegene_p(), &ap, &sym, &perm)
+            };
+            let evd = evd.run().expect("SPD").outcome;
             let profile = parfact_trace::profile::analyze(
                 &sym.tree.parent,
                 &evd.merged_events(),

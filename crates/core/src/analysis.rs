@@ -107,19 +107,6 @@ pub fn equilibrate(a: &CscMatrix) -> (Vec<f64>, CscMatrix) {
     (d, scaled)
 }
 
-/// Solve `A x = b` through an equilibrated factorization:
-/// `(D A D)(D⁻¹ x) = D b`, i.e. `x = D · solve(D b)`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use SparseCholesky::solve_with with SolveOpts::new().equilibrate(d); \
-            it also batches, refines and feeds the solve report"
-)]
-pub fn solve_equilibrated(factor: &Factor, d: &[f64], b: &[f64]) -> Vec<f64> {
-    let db: Vec<f64> = b.iter().zip(d).map(|(&bi, &di)| bi * di).collect();
-    let y = factor.solve(&db);
-    y.iter().zip(d).map(|(&yi, &di)| yi * di).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +177,23 @@ mod tests {
             .unwrap()
             .solve(&b);
         let chol_s = SparseCholesky::factorize(&scaled, &FactorOpts::default()).unwrap();
-        #[allow(deprecated)]
-        let via_eq = solve_equilibrated(chol_s.factor(), &d, &b);
-        for (x, y) in direct.iter().zip(&via_eq) {
-            assert!((x - y).abs() < 1e-9);
-        }
-        // The facade route is bitwise identical to the deprecated helper.
-        let via_opts = chol_s
+        // `(D A D)(D⁻¹ x) = D b`: the equilibrated solve returns
+        // `x = D · solve(D b)`, the solution of the original system.
+        let via_eq = chol_s
             .solve_with(
                 RhsBlock::single(&b),
                 &SolveOpts::new().equilibrate(d.clone()),
             )
-            .unwrap();
-        for (x, y) in via_eq.iter().zip(&via_opts.x) {
-            assert_eq!(x.to_bits(), y.to_bits());
+            .unwrap()
+            .x;
+        for (x, y) in direct.iter().zip(&via_eq) {
+            assert!((x - y).abs() < 1e-9);
+        }
+        // Bitwise what scaling by hand around a plain solve gives.
+        let db: Vec<f64> = b.iter().zip(&d).map(|(bi, di)| bi * di).collect();
+        let by_hand = chol_s.solve(&db);
+        for ((x, y), di) in via_eq.iter().zip(&by_hand).zip(&d) {
+            assert_eq!(x.to_bits(), (y * di).to_bits());
         }
     }
 

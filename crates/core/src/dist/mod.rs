@@ -1,9 +1,11 @@
 //! Distributed-memory multifrontal factorization on the machine simulator.
 //!
 //! Every rank runs [`factorize_rank`] (SPMD). Supernodes mapped to a single
-//! rank (the local subtrees produced by subtree-to-subcube mapping) are
-//! factored with the sequential kernel; supernodes mapped to a rank group
-//! are factored as block-cyclic [`front::DistFront`]s. Between fronts, the
+//! rank (the local subtrees produced by subtree-to-subcube mapping) go
+//! through the engines' shared front kernel
+//! ([`crate::frontal::factor_front`]), charged to the rank's virtual clock;
+//! supernodes mapped to a rank group are factored as block-cyclic
+//! [`front::DistFront`]s. Between fronts, the
 //! **parallel extend-add** routes every Schur-complement entry from the
 //! ranks that computed it to the ranks that own its position in the parent
 //! front, as point-to-point messages.
@@ -18,11 +20,12 @@ pub mod solve;
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{assemble_front, extract_panel, extract_update, FrontScatter, UpdateMatrix};
-use crate::mapping::RankSchedule;
-use crate::mapping::{Layout, Mapping};
+use crate::frontal::{factor_front, Buf, FrontMeter, UpdateMatrix};
+use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
+use crate::workspace::FrontWorkspace;
 use front::DistFront;
 use parfact_dense::chol;
+use parfact_mpsim::model::CostModel;
 use parfact_mpsim::{FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
@@ -76,11 +79,30 @@ impl RankFactor {
 /// only**, in the canonical enumeration order both sides can regenerate.
 type ExtBuf = Vec<f64>;
 
-/// Mutable per-rank state threaded through the supernode processors.
+/// How a rank ships extend-add contributions to remote owners.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sends {
+    /// Blocking sends and no panel lookahead: the strict-postorder
+    /// schedule (the EXP-A7 ablation baseline).
+    Blocking,
+    /// Nonblocking sends ([`Rank::isend`]): the event-driven schedule.
+    Nonblocking,
+    /// Checkpoint mode: sends destined to a distributed parent are
+    /// buffered in [`RankState::pending`], keyed by the *destination*
+    /// supernode, and flushed when this rank itself reaches that front.
+    /// Deferring the send to the epoch that consumes it means a completed
+    /// epoch never has messages in flight — which is what makes a set of
+    /// per-rank snapshots at the same epoch a consistent global state.
+    Deferred,
+}
+
+/// The restartable per-rank state.
 ///
 /// `Clone` is the checkpoint mechanism: a snapshot of this struct (plus the
 /// local-schedule cursor) after a completed distributed front is everything
-/// a rank needs to resume from that epoch.
+/// a rank needs to resume from that epoch. Scratch that carries nothing
+/// from one front to the next (the front arena) lives in [`RankRun`]
+/// instead, outside the snapshot.
 #[derive(Clone)]
 struct RankState {
     out: RankFactor,
@@ -88,34 +110,21 @@ struct RankState {
     local_updates: HashMap<usize, UpdateMatrix>,
     /// Extend-add contributions this rank stashed for itself (dest == self).
     self_stash: HashMap<u64, ExtBuf>,
-    scatter: FrontScatter,
-    front_buf: Vec<f64>,
-    /// Checkpoint mode only: extend-add sends destined to a distributed
-    /// parent are buffered here, keyed by the *destination* supernode, and
-    /// flushed when this rank itself reaches that front ([`flush_pending`]).
-    /// Deferring the send to the epoch that consumes it means a completed
-    /// epoch never has messages in flight — which is what makes a set of
-    /// per-rank snapshots at the same epoch a consistent global state.
+    /// Deferred sends `(dst, tag, values)` by consuming front
+    /// ([`Sends::Deferred`] only).
     pending: HashMap<usize, Vec<(usize, u64, ExtBuf)>>,
-    /// True when sends must be deferred into `pending` (checkpoint mode).
-    defer: bool,
+    sends: Sends,
 }
 
-impl RankState {
-    fn new(sym: &Symbolic) -> Self {
-        RankState {
-            out: RankFactor {
-                local_panels: BTreeMap::new(),
-                dist_blocks: BTreeMap::new(),
-            },
-            local_updates: HashMap::new(),
-            self_stash: HashMap::new(),
-            scatter: FrontScatter::new(sym.n),
-            front_buf: Vec::new(),
-            pending: HashMap::new(),
-            defer: false,
-        }
-    }
+/// One rank's run of the SPMD program: the machine handle, the replicated
+/// problem, the restartable state and the front arena.
+struct RankRun<'a> {
+    rank: &'a mut Rank,
+    ap: &'a CscMatrix,
+    sym: &'a Symbolic,
+    map: &'a Mapping,
+    st: RankState,
+    wst: FrontWorkspace,
 }
 
 /// The SPMD factorization program. All ranks call this with identical
@@ -132,44 +141,90 @@ impl RankState {
 /// update runs, and is otherwise free to fill the gaps while extend-add
 /// messages for the next distributed front are still in flight. Sends go
 /// out nonblocking ([`Rank::isend`]) so their modelled transfer time hides
-/// under that compute. Factors are **bitwise identical** either way:
-/// message matching stays `(src, tag)` and extend-add contributions are
-/// accumulated in canonical (child ascending, source-rank ascending) order
-/// no matter when they arrived.
+/// under that compute.
+///
+/// With a `store` (event-driven schedule only) the run checkpoints: sends
+/// to distributed parents are deferred until the sender itself reaches the
+/// consuming front ([`Sends::Deferred`]) and the rank state is snapshotted
+/// into the store after every completed distributed front. On entry the
+/// rank restores the latest snapshot the store holds for it (the driver has
+/// already rewound the store to a consistent cut) and resumes from the
+/// epoch after it — so a restarted machine re-executes only the epochs past
+/// the cut.
+///
+/// Factors are **bitwise identical** in every mode: message matching stays
+/// `(src, tag)` and extend-add contributions are accumulated in canonical
+/// (child ascending, source-rank ascending) order no matter when they
+/// travelled or arrived.
 pub fn factorize_rank(
     rank: &mut Rank,
     ap: &CscMatrix,
     sym: &Symbolic,
     map: &Mapping,
     sync: bool,
+    store: Option<&CheckpointStore>,
 ) -> Result<RankFactor, FactorError> {
+    debug_assert!(
+        !(sync && store.is_some()),
+        "checkpoints need deferred sends"
+    );
     let me = rank.rank();
-    let nsuper = sym.nsuper();
-    let mut st = RankState::new(sym);
+    let sends = match (sync, store) {
+        (true, _) => Sends::Blocking,
+        (false, None) => Sends::Nonblocking,
+        (false, Some(_)) => Sends::Deferred,
+    };
+    let mut run = RankRun {
+        rank,
+        ap,
+        sym,
+        map,
+        st: RankState {
+            out: RankFactor {
+                local_panels: BTreeMap::new(),
+                dist_blocks: BTreeMap::new(),
+            },
+            local_updates: HashMap::new(),
+            self_stash: HashMap::new(),
+            pending: HashMap::new(),
+            sends,
+        },
+        wst: FrontWorkspace::new(),
+    };
+    run.wst.scatter.ensure(sym.n);
 
     if sync {
-        for s in 0..nsuper {
-            if !map.participates(s, me) {
-                continue;
-            }
+        for s in (0..sym.nsuper()).filter(|&s| map.participates(s, me)) {
             match map.layout[s] {
-                Layout::Local => do_local(rank, ap, sym, map, s, sync, &mut st)?,
-                Layout::Grid { .. } => do_grid(rank, ap, sym, map, s, sync, &mut st, None)?,
+                Layout::Local => run.do_local(s)?,
+                Layout::Grid { .. } => run.do_grid(s, None)?,
             }
         }
-        return Ok(st.out);
+        return Ok(run.st.out);
     }
 
     let sched = map.rank_schedule(sym, me);
     let mut next = 0usize; // next unprocessed entry of sched.local
-    for (gi, &g) in sched.grid.iter().enumerate() {
+    let mut start = 0usize; // first unprocessed entry of sched.grid
+    if let Some((pos, snap)) = store.and_then(|cs| cs.restore(me, &sched)) {
+        (run.st, next, start) = (snap.st, snap.next_local, pos + 1);
+    }
+    for (gi, &g) in sched.grid.iter().enumerate().skip(start) {
         // Local subtrees due at this distributed front must finish first:
         // peer ranks of the group block on their extend-add contributions,
         // and entering the front's collectives while they still wait would
         // deadlock the group.
         while next < sched.local.len() && sched.local[next].0 <= gi {
-            do_local(rank, ap, sym, map, sched.local[next].1, sync, &mut st)?;
+            run.do_local(sched.local[next].1)?;
             next += 1;
+        }
+        // Deferred sends into this front go out before any blocking probe
+        // — every participant flushes before it waits, so the group cannot
+        // deadlock on its own deferred messages.
+        if let Some(deferred) = run.st.pending.remove(&g) {
+            for (dst, tag, buf) in deferred {
+                run.rank.isend(dst, tag, buf);
+            }
         }
         // Probe the extend-add messages this front expects. `probe_all`
         // waits (physically) until every header is posted but leaves the
@@ -177,14 +232,14 @@ pub fn factorize_rank(
         // front cannot start before, so any local subtree whose estimated
         // cost fits below it runs for free, hidden under the wait.
         let expected = expected_ext_keys(sym, map, g, me);
-        let arrivals = rank.probe_all(&expected);
-        let horizon = arrivals.iter().fold(rank.clock(), |m, &a| m.max(a));
+        let arrivals = run.rank.probe_all(&expected);
+        let horizon = arrivals.iter().fold(run.rank.clock(), |m, &a| m.max(a));
         while next < sched.local.len() {
             let s = sched.local[next].1;
-            if rank.clock() + local_cost_estimate(sym, s, rank.model()) > horizon {
+            if run.rank.clock() + local_cost_estimate(sym, s, run.rank.model()) > horizon {
                 break;
             }
-            do_local(rank, ap, sym, map, s, sync, &mut st)?;
+            run.do_local(s)?;
             next += 1;
         }
         // Drain the messages in virtual-arrival order, then let `do_grid`
@@ -192,18 +247,21 @@ pub fn factorize_rank(
         let mut bufs: HashMap<(usize, u64), ExtBuf> = HashMap::new();
         let mut keys = expected;
         while !keys.is_empty() {
-            let (i, buf) = rank.wait_any::<ExtBuf>(&keys);
+            let (i, buf) = run.rank.wait_any::<ExtBuf>(&keys);
             bufs.insert(keys[i], buf);
             keys.swap_remove(i);
         }
-        do_grid(rank, ap, sym, map, g, sync, &mut st, Some(bufs))?;
+        run.do_grid(g, Some(bufs))?;
+        if let Some(cs) = store {
+            cs.record(me, g, &run.st, next);
+        }
     }
     // Local subtrees nothing distributed ever consumes (they end at roots).
     while next < sched.local.len() {
-        do_local(rank, ap, sym, map, sched.local[next].1, sync, &mut st)?;
+        run.do_local(sched.local[next].1)?;
         next += 1;
     }
-    Ok(st.out)
+    Ok(run.st.out)
 }
 
 /// One rank's restartable frontier: the full mutable state after a
@@ -219,14 +277,14 @@ struct RankSnapshot {
 /// restarted machine can resume from the last epoch every rank completed.
 ///
 /// An **epoch** is the global postorder index of a distributed (grid)
-/// front. Under the deferred-send discipline of [`factorize_rank_ckpt`], a
-/// rank that has completed front `g` has consumed every message any front
-/// `<= g` needed and has *sent nothing* any front `> g` consumes (those
-/// sends sit in `RankState::pending`, inside the snapshot). A cut at the
-/// minimum completed epoch across ranks is therefore consistent: restoring
-/// every rank to its largest snapshot at-or-below the cut re-creates a
-/// machine state with no in-flight messages, from which a fresh run
-/// replays to a bitwise-identical factor.
+/// front. Under the deferred-send discipline of a checkpointing
+/// [`factorize_rank`], a rank that has completed front `g` has consumed
+/// every message any front `<= g` needed and has *sent nothing* any front
+/// `> g` consumes (those sends sit in `RankState::pending`, inside the
+/// snapshot). A cut at the minimum completed epoch across ranks is
+/// therefore consistent: restoring every rank to its largest snapshot
+/// at-or-below the cut re-creates a machine state with no in-flight
+/// messages, from which a fresh run replays to a bitwise-identical factor.
 pub struct CheckpointStore {
     slots: Vec<Mutex<BTreeMap<usize, RankSnapshot>>>,
 }
@@ -237,11 +295,6 @@ impl CheckpointStore {
         CheckpointStore {
             slots: (0..p).map(|_| Mutex::new(BTreeMap::new())).collect(),
         }
-    }
-
-    /// Number of snapshots currently held for rank `r` (diagnostics).
-    pub fn epochs(&self, r: usize) -> usize {
-        self.slots[r].lock().unwrap().len()
     }
 
     fn record(&self, me: usize, g: usize, st: &RankState, next_local: usize) {
@@ -292,207 +345,232 @@ impl CheckpointStore {
     }
 }
 
-/// Flush deferred extend-add sends destined to front `s` (checkpoint mode).
-fn flush_pending(rank: &mut Rank, st: &mut RankState, s: usize) {
-    if let Some(list) = st.pending.remove(&s) {
-        for (dst, tag, buf) in list {
-            rank.isend(dst, tag, buf);
+/// What a simulated rank is charged for a locally-factored front: the
+/// front and the panel are tracked rank memory, assembly and the partial
+/// factorization advance the virtual clock by their modelled flops
+/// ([`assembly_flops`], [`front::flops_partial`]). Update matrices in
+/// flight between local fronts are not tracked.
+impl FrontMeter for Rank {
+    type Tick = ();
+
+    fn start(&mut self) {}
+
+    fn assembled(&mut self, (): (), sym: &Symbolic, s: usize, _: u64) {
+        self.compute_as(assembly_flops(sym, s), Phase::ExtendAdd, Some(s));
+    }
+
+    fn factored(&mut self, s: usize, flops: f64) {
+        self.compute_as(flops, Phase::Panel, Some(s));
+    }
+
+    fn hold(&mut self, buf: Buf, bytes: usize) {
+        if buf != Buf::Update {
+            self.alloc(bytes);
+        }
+    }
+
+    fn release(&mut self, buf: Buf, bytes: usize) {
+        if buf != Buf::Update {
+            self.free(bytes);
         }
     }
 }
 
-/// [`factorize_rank`] with epoch checkpointing: the event-driven schedule,
-/// but extend-add sends to distributed parents are deferred until the
-/// sender itself reaches the consuming front, and the full rank state is
-/// snapshotted into `store` after every completed distributed front.
-///
-/// On entry the rank restores the latest snapshot the store holds for it
-/// (the recovery driver has already rewound the store to a consistent cut)
-/// and resumes from the epoch after it — so a restarted machine re-executes
-/// only the epochs past the cut. The factor is **bitwise identical** to the
-/// fault-free [`factorize_rank`] runs: deferral changes only *when*
-/// messages travel, never the canonical accumulation order.
-pub fn factorize_rank_ckpt(
-    rank: &mut Rank,
-    ap: &CscMatrix,
-    sym: &Symbolic,
-    map: &Mapping,
-    store: &CheckpointStore,
-) -> Result<RankFactor, FactorError> {
-    let me = rank.rank();
-    let sched = map.rank_schedule(sym, me);
-    let (mut st, mut next, start) = match store.restore(me, &sched) {
-        Some((pos, snap)) => (snap.st, snap.next_local, pos + 1),
-        None => (RankState::new(sym), 0, 0),
-    };
-    st.defer = true;
-    for (gi, &g) in sched.grid.iter().enumerate().skip(start) {
-        // Due local subtrees first (their updates may feed this front),
-        // then flush this front's deferred sends before any blocking probe
-        // — every participant flushes before it waits, so the group cannot
-        // deadlock on its own deferred messages.
-        while next < sched.local.len() && sched.local[next].0 <= gi {
-            do_local(rank, ap, sym, map, sched.local[next].1, false, &mut st)?;
-            next += 1;
+impl RankRun<'_> {
+    /// Factor one single-rank supernode (sequential kernel) and route its
+    /// update toward the parent.
+    fn do_local(&mut self, s: usize) -> Result<(), FactorError> {
+        let sym = self.sym;
+        // Children of a local supernode are local on this rank.
+        let updates = &mut self.st.local_updates;
+        self.wst.stage(
+            sym.tree.children[s]
+                .iter()
+                .map(|c| updates.remove(c).expect("local child update")),
+        );
+        let mut panel = vec![0.0; sym.front_order(s) * sym.sn_width(s)];
+        let update = factor_front(
+            self.ap,
+            sym,
+            s,
+            &mut self.wst,
+            self.rank,
+            &mut panel,
+            |_, f, w, front, _| chol::partial_potrf(f, w, front, f),
+        )?;
+        self.st.out.local_panels.insert(s, panel);
+        if let Some(upd) = update {
+            self.route_update(s, upd);
         }
-        flush_pending(rank, &mut st, g);
-        let expected = expected_ext_keys(sym, map, g, me);
-        let arrivals = rank.probe_all(&expected);
-        let horizon = arrivals.iter().fold(rank.clock(), |m, &a| m.max(a));
-        while next < sched.local.len() {
-            let s = sched.local[next].1;
-            if rank.clock() + local_cost_estimate(sym, s, rank.model()) > horizon {
-                break;
-            }
-            do_local(rank, ap, sym, map, s, false, &mut st)?;
-            next += 1;
-        }
-        let mut bufs: HashMap<(usize, u64), ExtBuf> = HashMap::new();
-        let mut keys = expected;
-        while !keys.is_empty() {
-            let (i, buf) = rank.wait_any::<ExtBuf>(&keys);
-            bufs.insert(keys[i], buf);
-            keys.swap_remove(i);
-        }
-        do_grid(rank, ap, sym, map, g, false, &mut st, Some(bufs))?;
-        store.record(me, g, &st, next);
+        Ok(())
     }
-    while next < sched.local.len() {
-        do_local(rank, ap, sym, map, sched.local[next].1, false, &mut st)?;
-        next += 1;
-    }
-    Ok(st.out)
-}
 
-/// Factor one single-rank supernode (sequential kernel) and route its
-/// update toward the parent.
-fn do_local(
-    rank: &mut Rank,
-    ap: &CscMatrix,
-    sym: &Symbolic,
-    map: &Mapping,
-    s: usize,
-    sync: bool,
-    st: &mut RankState,
-) -> Result<(), FactorError> {
-    let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-    let w = c1 - c0;
-    let f = sym.front_order(s);
-    let parent = sym.tree.parent[s];
-    // Children of a local supernode are local on this rank.
-    let child_updates: Vec<UpdateMatrix> = sym.tree.children[s]
-        .iter()
-        .map(|&c| st.local_updates.remove(&c).expect("local child update"))
-        .collect();
-    rank.alloc(f * f * 8);
-    assemble_front(
-        ap,
-        sym,
-        s,
-        &mut st.scatter,
-        &child_updates,
-        &mut st.front_buf,
-    );
-    rank.compute_as(
-        assembly_flops(sym, &child_updates),
-        Phase::ExtendAdd,
-        Some(s),
-    );
-    chol::partial_potrf(f, w, &mut st.front_buf, f).map_err(|e| FactorError::from_dense(e, c0))?;
-    rank.compute_as(front::flops_partial(f, w), Phase::Panel, Some(s));
-    let panel = extract_panel(&st.front_buf, f, w);
-    rank.alloc(panel.len() * 8);
-    st.out.local_panels.insert(s, panel);
-    if f > w {
-        let upd = extract_update(sym, s, &st.front_buf, f);
-        route_update(rank, sym, map, s, parent, upd, sync, st);
-    }
-    rank.free(f * f * 8);
-    Ok(())
-}
-
-/// Factor one distributed supernode: assemble A entries and extend-add
-/// contributions (from `bufs` when the event-driven scheduler pre-drained
-/// them, from blocking receives otherwise), run the block-cyclic partial
-/// factorization, and ship the Schur complement to the parent.
-#[allow(clippy::too_many_arguments)]
-fn do_grid(
-    rank: &mut Rank,
-    ap: &CscMatrix,
-    sym: &Symbolic,
-    map: &Mapping,
-    s: usize,
-    sync: bool,
-    st: &mut RankState,
-    mut bufs: Option<HashMap<(usize, u64), ExtBuf>>,
-) -> Result<(), FactorError> {
-    let me = rank.rank();
-    let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-    let w = c1 - c0;
-    let f = sym.front_order(s);
-    let parent = sym.tree.parent[s];
-    let Layout::Grid { pr, pc, nb } = map.layout[s] else {
-        unreachable!("do_grid on a local supernode");
-    };
-    let lo = map.group[s].0;
-    let mut df = DistFront::new(s, f, w, pr, pc, nb, lo, rank);
-    // Assemble my share of the original-matrix entries.
-    st.scatter.set(sym, s);
-    let mut nassemble = 0usize;
-    for c in c0..c1 {
-        let (rows, vals) = ap.col(c);
-        let lj = c - c0;
-        for (&r, &v) in rows.iter().zip(vals) {
-            let li = st.scatter.local(r);
-            if df.owns_entry(li, lj) {
-                df.add(li, lj, v);
-                nassemble += 1;
-            }
-        }
-    }
-    rank.compute_as(nassemble as f64, Phase::ExtendAdd, Some(s));
-    // Fold extend-add contributions: one message from every rank of every
-    // child's group, accumulated children-ascending, sources in group
-    // order — the canonical order both schedules share.
-    for &c in &sym.tree.children[s] {
-        let (clo, chi) = map.group[c];
-        let plocal = parent_local_map(sym, s, &sym.sn_rows[c], w, c0);
-        for q in clo..chi {
-            let vals = if q == me {
-                st.self_stash.remove(&ext_tag(c)).unwrap_or_default()
-            } else if let Some(bufs) = bufs.as_mut() {
-                bufs.remove(&(q, ext_tag(c)))
-                    .expect("pre-drained extend-add buffer")
-            } else {
-                rank.recv::<ExtBuf>(q, ext_tag(c))
-            };
-            // Walk q's canonical coordinate stream; my share of the values
-            // arrives in exactly that order.
-            let mut next = 0usize;
-            enumerate_child_schur_coords(sym, map, c, q, |i_idx, j_idx| {
-                // plocal is monotone, so i_idx >= j_idx keeps (gi, gj) in
-                // the lower triangle.
-                let (gi, gj) = (plocal[i_idx], plocal[j_idx]);
-                if df.owns_entry(gi, gj) {
-                    df.add(gi, gj, vals[next]);
-                    next += 1;
+    /// Factor one distributed supernode: assemble A entries and extend-add
+    /// contributions (from `bufs` when the event-driven scheduler
+    /// pre-drained them, from blocking receives otherwise), run the
+    /// block-cyclic partial factorization, and ship the Schur complement to
+    /// the parent.
+    fn do_grid(
+        &mut self,
+        s: usize,
+        mut bufs: Option<HashMap<(usize, u64), ExtBuf>>,
+    ) -> Result<(), FactorError> {
+        let (sym, map) = (self.sym, self.map);
+        let me = self.rank.rank();
+        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
+        let w = c1 - c0;
+        let f = sym.front_order(s);
+        let Layout::Grid { pr, pc, nb } = map.layout[s] else {
+            unreachable!("do_grid on a local supernode");
+        };
+        let lo = map.group[s].0;
+        let mut df = DistFront::new(s, f, w, pr, pc, nb, lo, self.rank);
+        // Assemble my share of the original-matrix entries.
+        let scatter = &mut self.wst.scatter;
+        scatter.set(sym, s);
+        let mut nassemble = 0usize;
+        for c in c0..c1 {
+            let (rows, vals) = self.ap.col(c);
+            let lj = c - c0;
+            for (&r, &v) in rows.iter().zip(vals) {
+                let li = scatter.local(r);
+                if df.owns_entry(li, lj) {
+                    df.add(li, lj, v);
+                    nassemble += 1;
                 }
-            });
-            debug_assert_eq!(next, vals.len(), "extend-add stream mismatch");
-            rank.compute_as(vals.len() as f64, Phase::ExtendAdd, Some(s));
+            }
+        }
+        self.rank
+            .compute_as(nassemble as f64, Phase::ExtendAdd, Some(s));
+        // Fold extend-add contributions: one message from every rank of every
+        // child's group, accumulated children-ascending, sources in group
+        // order — the canonical order both schedules share.
+        for &c in &sym.tree.children[s] {
+            let (clo, chi) = map.group[c];
+            let plocal = parent_local_map(sym, s, &sym.sn_rows[c]);
+            for q in clo..chi {
+                let vals = if q == me {
+                    self.st.self_stash.remove(&ext_tag(c)).unwrap_or_default()
+                } else if let Some(bufs) = bufs.as_mut() {
+                    bufs.remove(&(q, ext_tag(c)))
+                        .expect("pre-drained extend-add buffer")
+                } else {
+                    self.rank.recv::<ExtBuf>(q, ext_tag(c))
+                };
+                // Walk q's canonical coordinate stream; my share of the values
+                // arrives in exactly that order.
+                let mut next = 0usize;
+                enumerate_child_schur_coords(sym, map, c, q, |i_idx, j_idx| {
+                    // plocal is monotone, so i_idx >= j_idx keeps (gi, gj) in
+                    // the lower triangle.
+                    let (gi, gj) = (plocal[i_idx], plocal[j_idx]);
+                    if df.owns_entry(gi, gj) {
+                        df.add(gi, gj, vals[next]);
+                        next += 1;
+                    }
+                });
+                debug_assert_eq!(next, vals.len(), "extend-add stream mismatch");
+                self.rank
+                    .compute_as(vals.len() as f64, Phase::ExtendAdd, Some(s));
+            }
+        }
+        // Distributed partial factorization (panel lookahead unless the
+        // schedule is the blocking one).
+        df.factorize(self.rank, c0, self.st.sends != Sends::Blocking)?;
+        // Ship the Schur complement to the parent.
+        if f > w && sym.tree.parent[s] != NONE {
+            self.send_dist_update(s, &df);
+        }
+        // Retain pivot blocks; release pure-Schur blocks.
+        let released = release_schur_blocks(&mut df);
+        self.rank.free(released);
+        self.st.out.dist_blocks.insert(s, df);
+        Ok(())
+    }
+
+    /// Route a locally-computed update matrix toward the parent supernode.
+    fn route_update(&mut self, s: usize, upd: UpdateMatrix) {
+        let (sym, map) = (self.sym, self.map);
+        let parent = sym.tree.parent[s];
+        debug_assert_ne!(parent, NONE);
+        match map.layout[parent] {
+            Layout::Local => {
+                // Parent runs on this same rank (nested ranges).
+                self.st.local_updates.insert(s, upd);
+            }
+            Layout::Grid { pr, pc, nb } => {
+                let plocal = parent_local_map(sym, parent, upd.rows(sym));
+                // Per-destination-rank slices of the update (Vec indexed by
+                // relative grid rank, so the emission order is fixed).
+                let mut parts: Vec<ExtBuf> = vec![Default::default(); pr * pc];
+                let r = upd.order(sym);
+                // Canonical order for a local child: column-major lower.
+                for j in 0..r {
+                    let lj = plocal[j];
+                    for i in j..r {
+                        let li = plocal[i];
+                        let (bi, bj) = (li / nb, lj / nb);
+                        let rel = (bi % pr) * pc + (bj % pc);
+                        parts[rel].push(upd.data[j * r + i]);
+                    }
+                }
+                self.ship(s, parent, parts);
+            }
         }
     }
-    // Distributed partial factorization (panel lookahead when async).
-    df.factorize(rank, c0, !sync)?;
-    // Ship the Schur complement to the parent.
-    if f > w && parent != NONE {
-        send_dist_update(rank, sym, map, s, parent, &df, sync, st);
+
+    /// Send a distributed front's Schur entries to the parent's owners.
+    fn send_dist_update(&mut self, s: usize, df: &DistFront) {
+        let sym = self.sym;
+        let parent = sym.tree.parent[s];
+        let w = df.w;
+        let plocal = parent_local_map(sym, parent, &sym.sn_rows[s]);
+        let Layout::Grid { pr, pc, nb } = self.map.layout[parent] else {
+            // Nested rank groups make this impossible: a parent's group
+            // contains the child's, so it cannot be smaller.
+            unreachable!("a distributed front cannot have a single-rank parent");
+        };
+        // Per-destination-rank slices, indexed by relative grid rank.
+        let mut parts: Vec<ExtBuf> = vec![Default::default(); pr * pc];
+        for_each_schur_entry(df, w, |li, lj, v| {
+            let (gi, gj) = (plocal[li - w], plocal[lj - w]);
+            let (bi, bj) = (gi / nb, gj / nb);
+            let rel = (bi % pr) * pc + (bj % pc);
+            parts[rel].push(v);
+        });
+        self.ship(s, parent, parts);
     }
-    // Retain pivot blocks; release pure-Schur blocks.
-    let released = release_schur_blocks(&mut df);
-    rank.free(released);
-    st.out.dist_blocks.insert(s, df);
-    Ok(())
+
+    /// Hand child `s`'s extend-add contributions to the owners of its
+    /// distributed `parent`: `parts[rel]` goes to the `rel`-th rank of the
+    /// parent's group.
+    ///
+    /// Extend-add messages carry **values only**: the coordinate stream is
+    /// deterministic (canonical enumeration order shared by sender and
+    /// receiver), so indices never go on the wire, and receivers expect
+    /// exactly one message per child rank — so a buffer goes to every
+    /// destination, empty if this rank computed nothing for it. The
+    /// event-driven schedule sends them nonblocking — the receiver matches
+    /// by `(src, tag)` whenever it gets there, and the modelled transfer
+    /// hides under the sender's subsequent compute.
+    fn ship(&mut self, s: usize, parent: usize, parts: Vec<ExtBuf>) {
+        let plo = self.map.group[parent].0;
+        for (rel, buf) in parts.into_iter().enumerate() {
+            let dst = plo + rel;
+            if dst == self.rank.rank() {
+                self.st.self_stash.insert(ext_tag(s), buf);
+                continue;
+            }
+            match self.st.sends {
+                Sends::Blocking => self.rank.send(dst, ext_tag(s), buf),
+                Sends::Nonblocking => drop(self.rank.isend(dst, ext_tag(s), buf)),
+                Sends::Deferred => {
+                    let list = self.st.pending.entry(parent).or_default();
+                    list.push((dst, ext_tag(s), buf));
+                }
+            }
+        }
+    }
 }
 
 /// The `(src, tag)` keys of every extend-add message distributed supernode
@@ -510,149 +588,22 @@ fn expected_ext_keys(sym: &Symbolic, map: &Mapping, s: usize, me: usize) -> Vec<
     keys
 }
 
+/// Modelled cost of assembling local supernode `s`: one add per entry of
+/// its children's update matrices.
+fn assembly_flops(sym: &Symbolic, s: usize) -> f64 {
+    let adds = sym.tree.children[s].iter().map(|&c| {
+        let r = sym.sn_rows[c].len();
+        (r * (r + 1) / 2) as f64
+    });
+    adds.sum()
+}
+
 /// Modelled seconds a local supernode's factorization will take — the
-/// greedy-fill budget check of the event-driven scheduler. Mirrors the
-/// `compute` charges of [`do_local`] (assembly + partial factorization).
-fn local_cost_estimate(sym: &Symbolic, s: usize, model: &parfact_mpsim::model::CostModel) -> f64 {
-    let f = sym.front_order(s);
-    let w = sym.sn_width(s);
-    let mut fl = front::flops_partial(f, w);
-    for &c in &sym.tree.children[s] {
-        let r = sym.front_order(c) - sym.sn_width(c);
-        fl += (r * (r + 1) / 2) as f64;
-    }
+/// greedy-fill budget check of the event-driven scheduler: exactly what
+/// `impl FrontMeter for Rank` will charge for it.
+fn local_cost_estimate(sym: &Symbolic, s: usize, model: &CostModel) -> f64 {
+    let fl = front::flops_partial(sym.front_order(s), sym.sn_width(s)) + assembly_flops(sym, s);
     fl * model.flop_time_s
-}
-
-/// Approximate assembly cost: one add per update entry.
-fn assembly_flops(sym: &Symbolic, updates: &[UpdateMatrix]) -> f64 {
-    updates
-        .iter()
-        .map(|u| {
-            let r = u.order(sym);
-            (r * (r + 1) / 2) as f64
-        })
-        .sum()
-}
-
-/// Route a locally-computed update matrix toward the parent supernode.
-///
-/// Extend-add messages carry **values only**: the coordinate stream is
-/// deterministic (canonical enumeration order shared by sender and
-/// receiver), so indices never go on the wire. The async schedule sends
-/// them nonblocking — the receiver matches by `(src, tag)` whenever it
-/// gets there, and the modelled transfer hides under the sender's
-/// subsequent compute.
-#[allow(clippy::too_many_arguments)]
-fn route_update(
-    rank: &mut Rank,
-    sym: &Symbolic,
-    map: &Mapping,
-    s: usize,
-    parent: usize,
-    upd: UpdateMatrix,
-    sync: bool,
-    st: &mut RankState,
-) {
-    debug_assert_ne!(parent, NONE);
-    match map.layout[parent] {
-        Layout::Local => {
-            // Parent runs on this same rank (nested ranges).
-            st.local_updates.insert(s, upd);
-        }
-        Layout::Grid { pr, pc, nb } => {
-            let (plo, _) = map.group[parent];
-            let plocal = parent_local_map(
-                sym,
-                parent,
-                upd.rows(sym),
-                sym.sn_width(parent),
-                sym.sn_ptr[parent],
-            );
-            let np = pr * pc;
-            // Per-destination-rank slices of the update (Vec indexed by
-            // relative grid rank, so the emission order below is fixed).
-            let mut parts: Vec<ExtBuf> = vec![Default::default(); np];
-            let r = upd.order(sym);
-            // Canonical order for a local child: column-major lower.
-            for j in 0..r {
-                let lj = plocal[j];
-                for i in j..r {
-                    let li = plocal[i];
-                    let (bi, bj) = (li / nb, lj / nb);
-                    let rel = (bi % pr) * pc + (bj % pc);
-                    parts[rel].push(upd.data[j * r + i]);
-                }
-            }
-            for (rel, buf) in parts.into_iter().enumerate() {
-                let dst = plo + rel;
-                if dst == rank.rank() {
-                    st.self_stash.insert(ext_tag(s), buf);
-                } else if st.defer {
-                    st.pending
-                        .entry(parent)
-                        .or_default()
-                        .push((dst, ext_tag(s), buf));
-                } else if sync {
-                    rank.send(dst, ext_tag(s), buf);
-                } else {
-                    rank.isend(dst, ext_tag(s), buf);
-                }
-            }
-        }
-    }
-}
-
-/// Send a distributed front's Schur entries to the parent's owners
-/// (values only; coordinates are regenerated by the receiver).
-#[allow(clippy::too_many_arguments)]
-fn send_dist_update(
-    rank: &mut Rank,
-    sym: &Symbolic,
-    map: &Mapping,
-    s: usize,
-    parent: usize,
-    df: &DistFront,
-    sync: bool,
-    st: &mut RankState,
-) {
-    let w = df.w;
-    let rows = &sym.sn_rows[s];
-    let plocal = parent_local_map(sym, parent, rows, sym.sn_width(parent), sym.sn_ptr[parent]);
-    match map.layout[parent] {
-        Layout::Local => {
-            // Nested rank groups make this impossible: a parent's group
-            // contains the child's, so it cannot be smaller.
-            unreachable!("a distributed front cannot have a single-rank parent");
-        }
-        Layout::Grid { pr, pc, nb } => {
-            let (plo, _) = map.group[parent];
-            let np = pr * pc;
-            // Per-destination-rank slices, indexed by relative grid rank.
-            let mut parts: Vec<ExtBuf> = vec![Default::default(); np];
-            for_each_schur_entry(df, w, |li, lj, v| {
-                let (gi, gj) = (plocal[li - w], plocal[lj - w]);
-                let (bi, bj) = (gi / nb, gj / nb);
-                let rel = (bi % pr) * pc + (bj % pc);
-                parts[rel].push(v);
-            });
-            for (rel, buf) in parts.into_iter().enumerate() {
-                let dst = plo + rel;
-                if dst == rank.rank() {
-                    st.self_stash.insert(ext_tag(s), buf);
-                } else if st.defer {
-                    st.pending
-                        .entry(parent)
-                        .or_default()
-                        .push((dst, ext_tag(s), buf));
-                } else if sync {
-                    rank.send(dst, ext_tag(s), buf);
-                } else {
-                    rank.isend(dst, ext_tag(s), buf);
-                }
-            }
-        }
-    }
 }
 
 /// Enumerate the canonical Schur coordinate stream of a *child* as held by
@@ -714,9 +665,7 @@ fn enumerate_child_schur_coords(
 }
 
 /// Enumerate a distributed front's Schur entries (`li, lj >= w`) in
-/// deterministic (block-sorted, column-major) order. Extend-add receivers
-/// expect exactly one message per child rank, so senders always emit a
-/// buffer for every destination — empty if this rank computed nothing.
+/// deterministic (block-sorted, column-major) order.
 fn for_each_schur_entry(df: &DistFront, w: usize, mut f: impl FnMut(usize, usize, f64)) {
     let nb = df.nb;
     for (&(bi, bj), blk) in &df.blocks {
@@ -744,13 +693,8 @@ fn for_each_schur_entry(df: &DistFront, w: usize, mut f: impl FnMut(usize, usize
 }
 
 /// Map child rows to parent-front-local indices.
-fn parent_local_map(
-    sym: &Symbolic,
-    parent: usize,
-    rows: &[usize],
-    pw: usize,
-    pc0: usize,
-) -> Vec<usize> {
+fn parent_local_map(sym: &Symbolic, parent: usize, rows: &[usize]) -> Vec<usize> {
+    let (pc0, pw) = (sym.sn_ptr[parent], sym.sn_width(parent));
     rows.iter()
         .map(|&r| {
             if r < pc0 + pw {
@@ -785,6 +729,34 @@ fn release_schur_blocks(df: &mut DistFront) -> usize {
 /// Indexed triplet buffer used only by the verification gather.
 type GatherBuf = (Vec<u32>, Vec<f64>);
 
+/// This rank's share of a distributed supernode's factor panel (the pivot
+/// columns of `df`) as `(li, lj)` index pairs plus values.
+fn pack_pivot_blocks(df: &DistFront) -> GatherBuf {
+    let (nb, w) = (df.nb, df.w);
+    let mut buf: GatherBuf = Default::default();
+    for (&(bi, bj), blk) in &df.blocks {
+        if bj * nb >= w {
+            continue;
+        }
+        let m_bi = df.mrows(bi);
+        let n_bj = df.mrows(bj);
+        for jc in 0..n_bj.min(w - bj * nb) {
+            let lj = bj * nb + jc;
+            let i0 = if bi == bj { jc } else { 0 };
+            for i in i0..m_bi {
+                let li = bi * nb + i;
+                if li < lj {
+                    continue;
+                }
+                buf.0.push(li as u32);
+                buf.0.push(lj as u32);
+                buf.1.push(blk[jc * m_bi + i]);
+            }
+        }
+    }
+    buf
+}
+
 /// Gather a distributed factor onto machine rank 0 as an ordinary
 /// [`Factor`] (verification and solve-on-root). Returns `Some` on rank 0.
 pub fn gather_factor(
@@ -798,41 +770,11 @@ pub fn gather_factor(
     let me = rank.rank();
     let nsuper = sym.nsuper();
     if me != 0 {
-        for s in 0..nsuper {
-            if !map.participates(s, me) {
-                continue;
-            }
+        for s in (0..nsuper).filter(|&s| map.participates(s, me)) {
+            let tag = front::tag(s, TAG_GATHER);
             match map.layout[s] {
-                Layout::Local => {
-                    let panel = &rf.local_panels[&s];
-                    rank.send(0, front::tag(s, TAG_GATHER), panel.clone());
-                }
-                Layout::Grid { nb, .. } => {
-                    let df = &rf.dist_blocks[&s];
-                    let w = sym.sn_width(s);
-                    let mut buf: GatherBuf = Default::default();
-                    for (&(bi, bj), blk) in &df.blocks {
-                        if bj * nb >= w {
-                            continue;
-                        }
-                        let m_bi = df.mrows(bi);
-                        let n_bj = df.mrows(bj);
-                        for jc in 0..n_bj.min(w - bj * nb) {
-                            let lj = bj * nb + jc;
-                            let i0 = if bi == bj { jc } else { 0 };
-                            for i in i0..m_bi {
-                                let li = bi * nb + i;
-                                if li < lj {
-                                    continue;
-                                }
-                                buf.0.push(li as u32);
-                                buf.0.push(lj as u32);
-                                buf.1.push(blk[jc * m_bi + i]);
-                            }
-                        }
-                    }
-                    rank.send(0, front::tag(s, TAG_GATHER), buf);
-                }
+                Layout::Local => rank.send(0, tag, rf.local_panels[&s].clone()),
+                Layout::Grid { .. } => rank.send(0, tag, pack_pivot_blocks(&rf.dist_blocks[&s])),
             }
         }
         return None;
@@ -841,48 +783,19 @@ pub fn gather_factor(
     let mut factor = Factor::allocate(sym, FactorKind::Llt, perm);
     for s in 0..nsuper {
         let f = sym.front_order(s);
-        let w = sym.sn_width(s);
+        let tag = front::tag(s, TAG_GATHER);
+        let panel = factor.panel_mut(s);
         match map.layout[s] {
-            Layout::Local => {
-                let owner = map.group[s].0;
-                if owner == 0 {
-                    factor.panel_mut(s).copy_from_slice(&rf.local_panels[&s]);
-                } else {
-                    let p = rank.recv::<Vec<f64>>(owner, front::tag(s, TAG_GATHER));
-                    factor.panel_mut(s).copy_from_slice(&p);
-                }
-            }
+            Layout::Local => match map.group[s].0 {
+                0 => panel.copy_from_slice(&rf.local_panels[&s]),
+                owner => panel.copy_from_slice(&rank.recv::<Vec<f64>>(owner, tag)),
+            },
             Layout::Grid { .. } => {
                 let (lo, hi) = map.group[s];
-                let panel = factor.panel_mut(s);
                 for q in lo..hi {
-                    let (idx, vals) = if q == 0 {
-                        let df = &rf.dist_blocks[&s];
-                        let mut buf: GatherBuf = Default::default();
-                        let nb = df.nb;
-                        for (&(bi, bj), blk) in &df.blocks {
-                            if bj * nb >= w {
-                                continue;
-                            }
-                            let m_bi = df.mrows(bi);
-                            let n_bj = df.mrows(bj);
-                            for jc in 0..n_bj.min(w - bj * nb) {
-                                let lj = bj * nb + jc;
-                                let i0 = if bi == bj { jc } else { 0 };
-                                for i in i0..m_bi {
-                                    let li = bi * nb + i;
-                                    if li < lj {
-                                        continue;
-                                    }
-                                    buf.0.push(li as u32);
-                                    buf.0.push(lj as u32);
-                                    buf.1.push(blk[jc * m_bi + i]);
-                                }
-                            }
-                        }
-                        buf
-                    } else {
-                        rank.recv::<GatherBuf>(q, front::tag(s, TAG_GATHER))
+                    let (idx, vals) = match q {
+                        0 => pack_pivot_blocks(&rf.dist_blocks[&s]),
+                        _ => rank.recv::<GatherBuf>(q, tag),
                     };
                     for (k, &v) in vals.iter().enumerate() {
                         panel[idx[2 * k + 1] as usize * f + idx[2 * k] as usize] = v;
@@ -910,15 +823,15 @@ pub struct DistOutcome {
     pub stats: Vec<parfact_mpsim::RankStats>,
     /// The src x dst x tag-class communication matrix, snapshotted with
     /// `stats` (gather excluded). `Some` iff the run recorded it — see
-    /// [`run_distributed_prepared_traced`]'s `comm` flag.
+    /// [`DistRun::comm`].
     pub comm: Option<parfact_trace::CommMatrixReport>,
     /// Max per-rank factor bytes held at the end.
     pub max_factor_bytes: usize,
     /// Total flops across ranks during factorization.
     pub total_flops: f64,
     /// Per-rank recorded events, virtual timestamps (empty unless the run
-    /// was traced — see [`run_distributed_prepared_traced`]). Like `stats`,
-    /// the verification gather is excluded.
+    /// was traced — see [`DistRun::timeline`]). Like `stats`, the
+    /// verification gather is excluded.
     pub events: Vec<Vec<SpanEvent>>,
 }
 
@@ -977,11 +890,11 @@ impl DistOutcome {
 /// [`FactorError::NotPositiveDefinite`] like the host engines.
 pub fn run_distributed(
     p: usize,
-    model: parfact_mpsim::model::CostModel,
+    model: CostModel,
     a: &CscMatrix,
     ordering: parfact_order::Method,
     amalg: &parfact_symbolic::AmalgOpts,
-    strategy: crate::mapping::MapStrategy,
+    strategy: MapStrategy,
     b: Option<&[f64]>,
 ) -> Result<DistOutcome, FactorError> {
     let (sym, ap, total_perm) = prepare(a, ordering, amalg);
@@ -1001,83 +914,242 @@ pub fn prepare(
     (Arc::new(sym), ap, total_perm)
 }
 
-/// Factor (and optionally solve) a prepared problem on a simulated
-/// `p`-rank machine. See [`run_distributed`]. `sync_schedule` selects the
-/// strict-postorder blocking schedule (the EXP-A7 ablation baseline)
-/// instead of the event-driven one; factors are bitwise identical either
-/// way.
-///
-/// A rank that hits a numeric error (e.g. a non-SPD pivot) returns it
-/// through [`parfact_mpsim::Machine::run_result`]: its peers are unblocked
-/// by the simulator and the first error (lowest rank) comes back as `Err`
-/// — no panic, no hang.
+/// Factor (and optionally solve for the single right-hand side `b`) a
+/// prepared problem on a simulated `p`-rank machine: the positional
+/// shorthand for an untraced, fault-free [`DistRun`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_prepared(
     p: usize,
-    model: parfact_mpsim::model::CostModel,
+    model: CostModel,
     ap: &CscMatrix,
     sym: &Arc<Symbolic>,
     total_perm: &Perm,
-    strategy: crate::mapping::MapStrategy,
+    strategy: MapStrategy,
     sync_schedule: bool,
     b: Option<&[f64]>,
 ) -> Result<DistOutcome, FactorError> {
-    run_distributed_prepared_traced(
-        p,
-        model,
-        ap,
-        sym,
-        total_perm,
+    let run = DistRun {
         strategy,
         sync_schedule,
         b,
-        1,
-        false,
-        false,
-    )
+        ..DistRun::new(p, model, ap, sym, total_perm)
+    };
+    Ok(run.run()?.outcome)
 }
 
-/// [`run_distributed_prepared`] with optional event tracing and batched
-/// right-hand sides: `b` is an `n x nrhs` column-major block (`nrhs = 1`
-/// recovers the single-vector behavior). When `timeline` is set, every
-/// rank records compute spans (attributed to supernodes and phases) plus
-/// communication/wait spans with virtual timestamps, returned per rank in
-/// [`DistOutcome::events`]; the trace covers the factorization *and* the
-/// solve (per-rank solve lanes), excluding only the verification gather.
-/// Tracing never touches the virtual clocks, so traced runs stay bitwise
-/// identical to untraced ones.
+/// One factorization (and optional solve) of a prepared problem on the
+/// simulated machine — the single driver behind every distributed entry
+/// point. Build with [`DistRun::new`] and override fields by name:
 ///
-/// `comm` additionally records the src x dst x tag-class communication
-/// matrix ([`DistOutcome::comm`]). Like span tracing, the recording is
-/// pure counter arithmetic on the send path and never reads or writes a
-/// virtual clock, so factors and makespans stay bitwise identical with it
-/// on or off (pinned by the scalability test suite).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_prepared_traced(
-    p: usize,
-    model: parfact_mpsim::model::CostModel,
-    ap: &CscMatrix,
-    sym: &Arc<Symbolic>,
-    total_perm: &Perm,
-    strategy: crate::mapping::MapStrategy,
-    sync_schedule: bool,
-    b: Option<&[f64]>,
-    nrhs: usize,
-    timeline: bool,
-    comm: bool,
-) -> Result<DistOutcome, FactorError> {
-    let map = crate::mapping::map_tree(sym, p, strategy);
-    assert!(map.validate(sym), "invalid mapping");
-    let bp = permuted_rhs(b, sym.n, nrhs, total_perm);
-    let mut machine = Machine::new(p, model).trace_events(timeline);
-    if comm {
-        machine = machine.comm_matrix(&front::COMM_CLASSES, front::comm_class);
+/// ```
+/// # use parfact_core::dist::{prepare, DistRun};
+/// # use parfact_mpsim::model::CostModel;
+/// # let a = parfact_sparse::gen::laplace2d(8, 8, parfact_sparse::gen::Stencil2d::FivePoint);
+/// let (sym, ap, perm) = prepare(&a, Default::default(), &Default::default());
+/// let run = DistRun {
+///     comm: true,
+///     ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+/// };
+/// let out = run.run().unwrap().outcome;
+/// assert!(out.comm.is_some());
+/// ```
+pub struct DistRun<'a> {
+    /// Number of simulated ranks.
+    pub ranks: usize,
+    /// Machine cost model for the virtual clocks.
+    pub model: CostModel,
+    /// The permuted matrix, its symbolic analysis and the total
+    /// permutation (see [`prepare`]), replicated on every rank.
+    pub ap: &'a CscMatrix,
+    pub sym: &'a Arc<Symbolic>,
+    pub total_perm: &'a Perm,
+    /// Assembly-tree-to-rank mapping strategy.
+    pub strategy: MapStrategy,
+    /// Strict-postorder blocking schedule (the EXP-A7 ablation baseline)
+    /// instead of the event-driven one; factors are bitwise identical
+    /// either way. Incompatible with `checkpoint` (deferred sends need the
+    /// event-driven loop): the combination is [`FactorError::Unsupported`].
+    pub sync_schedule: bool,
+    /// Right-hand sides to solve for after factoring: an `n x nrhs`
+    /// column-major block in the original index space (any `nrhs >= 1`).
+    pub b: Option<&'a [f64]>,
+    /// Record per-rank compute spans (attributed to supernodes and phases)
+    /// and communication/wait spans with virtual timestamps into
+    /// [`DistOutcome::events`]; the trace covers the factorization *and*
+    /// the solve (per-rank solve lanes), excluding only the verification
+    /// gather.
+    pub timeline: bool,
+    /// Record the src x dst x tag-class communication matrix
+    /// ([`DistOutcome::comm`]). Like span tracing, the recording is pure
+    /// counter arithmetic on the send path and never reads or writes a
+    /// virtual clock, so factors and makespans stay bitwise identical with
+    /// it on or off (pinned by the scalability test suite).
+    pub comm: bool,
+    /// Deterministic fault plan; empty for a fault-free run.
+    pub faults: FaultPlan,
+    /// Machine-wide receive deadline in virtual seconds. `None` derives a
+    /// generous one from the cost model when the plan injects faults (a
+    /// lost message then surfaces as [`FactorError::TimedOut`] with full
+    /// `(rank, src, tag, waited)` context), and leaves timeouts off
+    /// otherwise.
+    pub recv_timeout_s: Option<f64>,
+    /// Snapshot every rank after each distributed front so a restart
+    /// resumes from the [`CheckpointStore`]'s consistent cut instead of
+    /// from scratch.
+    pub checkpoint: bool,
+    /// Restarts allowed after a fault verdict before it surfaces as the
+    /// typed [`FactorError`].
+    pub max_restarts: usize,
+}
+
+/// What a distributed run reports on top of its [`DistOutcome`]: the
+/// fault-injection and recovery record (all zero for a fault-free run).
+pub struct FaultRun {
+    /// The successful attempt's outcome (factor, solution, per-rank stats).
+    pub outcome: DistOutcome,
+    /// Injected-fault activity accumulated over every attempt.
+    pub counts: FaultCounts,
+    /// Restarts performed before the run completed.
+    pub restarts: u64,
+    /// Sum of every attempt's virtual makespan — the end-to-end cost of the
+    /// run *including* the crashed attempts, for recovery-overhead studies.
+    pub total_makespan_s: f64,
+}
+
+impl<'a> DistRun<'a> {
+    /// An untraced, fault-free, event-driven, factor-only run with the
+    /// default mapping.
+    pub fn new(
+        ranks: usize,
+        model: CostModel,
+        ap: &'a CscMatrix,
+        sym: &'a Arc<Symbolic>,
+        total_perm: &'a Perm,
+    ) -> Self {
+        DistRun {
+            ranks,
+            model,
+            ap,
+            sym,
+            total_perm,
+            strategy: MapStrategy::default(),
+            sync_schedule: false,
+            b: None,
+            timeline: false,
+            comm: false,
+            faults: FaultPlan::new(),
+            recv_timeout_s: None,
+            checkpoint: false,
+            max_restarts: 0,
+        }
     }
-    let report = machine.run_result(|rank| -> Result<RankOut, FactorError> {
-        let rf = factorize_rank(rank, ap, sym, &map, sync_schedule)?;
-        finish_rank(rank, sym, &map, total_perm, rf, bp.as_deref(), nrhs)
-    })?;
-    assemble_outcome(report.results, report.events)
+
+    /// Run the machine, restarting after fault verdicts. Each attempt runs
+    /// under [`Machine::run_verdict`]:
+    ///
+    /// - **Completed** — per-rank results are folded into the outcome.
+    /// - A rank returning a numeric error ([`FactorError`], e.g. a non-SPD
+    ///   pivot) ends the run with the lowest such rank's error immediately
+    ///   — its peers are unwound by the simulator, no panic, no hang —
+    ///   and degenerate inputs are never retried.
+    /// - **RankFailed / TimedOut / Deadlocked** — the machine restarts with
+    ///   the crash faults removed from the plan
+    ///   ([`FaultPlan::without_crashes`]; link delay/duplication faults
+    ///   persist), from the checkpoint store's consistent cut when
+    ///   checkpointing. After `max_restarts` restarts the verdict surfaces
+    ///   as the typed [`FactorError`] — never a hang, never a panic.
+    ///
+    /// Tracing never touches the virtual clocks and the recovered factor is
+    /// **bitwise identical** to a fault-free run's — the properties the
+    /// timeline and fault-recovery test suites pin down.
+    pub fn run(&self) -> Result<FaultRun, FactorError> {
+        let (p, sym) = (self.ranks, self.sym);
+        if self.sync_schedule && self.checkpoint {
+            return Err(FactorError::Unsupported(
+                "checkpointing defers sends, which needs the event-driven schedule; \
+                 drop sync_schedule or checkpoint"
+                    .to_string(),
+            ));
+        }
+        let map = crate::mapping::map_tree(sym, p, self.strategy);
+        assert!(map.validate(sym), "invalid mapping");
+        let bp = permuted_rhs(self.b, sym.n, self.total_perm);
+        let store = self.checkpoint.then(|| CheckpointStore::new(p));
+        let timeout = self.recv_timeout_s.or_else(|| {
+            (!self.faults.is_empty()).then(|| {
+                // Generous machine-wide deadline: the whole factorization's
+                // flops and a factor's worth of traffic, with the model's 4x
+                // safety margin on top. Virtual-time generosity costs nothing
+                // physically — a receive whose source provably died times out
+                // immediately.
+                let flops = sym.factor_flops();
+                let bytes = 8.0 * sym.factor_nnz() as f64 * p as f64;
+                self.model.recv_timeout_for(flops, bytes)
+            })
+        });
+        let mut attempt_plan = self.faults.clone();
+        let mut counts = FaultCounts::default();
+        let mut restarts = 0u64;
+        let mut total_makespan_s = 0.0f64;
+        loop {
+            let mut machine = Machine::new(p, self.model)
+                .trace_events(self.timeline)
+                .fault_plan(attempt_plan.clone());
+            if self.comm {
+                machine = machine.comm_matrix(&front::COMM_CLASSES, front::comm_class);
+            }
+            if let Some(t) = timeout {
+                machine = machine.recv_timeout(t);
+            }
+            let vr = machine.run_verdict(|rank| -> Result<RankOut, FactorError> {
+                let rf =
+                    factorize_rank(rank, self.ap, sym, &map, self.sync_schedule, store.as_ref())?;
+                finish_rank(rank, sym, &map, self.total_perm, rf, bp.as_deref())
+            });
+            counts.merge(&vr.fault_counts);
+            total_makespan_s += vr.makespan_s;
+            // A numeric error outranks fault verdicts: an indefinite matrix is
+            // a property of the input, not of the machine, and is not retried.
+            if let Some(e) = vr
+                .results
+                .iter()
+                .flatten()
+                .find_map(|r| r.as_ref().err().cloned())
+            {
+                return Err(e);
+            }
+            match vr.verdict {
+                RunVerdict::Completed => {
+                    let results = vr
+                        .results
+                        .into_iter()
+                        .map(|r| r.and_then(Result::ok))
+                        .collect::<Option<Vec<RankOut>>>()
+                        .ok_or(FactorError::Internal(
+                            "completed verdict with a missing rank result",
+                        ))?;
+                    return Ok(FaultRun {
+                        outcome: assemble_outcome(results, vr.events)?,
+                        counts,
+                        restarts,
+                        total_makespan_s,
+                    });
+                }
+                verdict => {
+                    if restarts >= self.max_restarts as u64 {
+                        return Err(verdict_error(verdict));
+                    }
+                    restarts += 1;
+                    // Crash faults fired; keep link faults (delay/dup) live so
+                    // the retry exercises the same wire conditions.
+                    attempt_plan = attempt_plan.without_crashes();
+                    if let Some(cs) = &store {
+                        cs.rewind_to_consistent_cut(sym, &map);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Per-rank return value of the distributed programs: factor/solve
@@ -1094,14 +1166,11 @@ struct RankOut {
 }
 
 /// Apply the total permutation to an `n x nrhs` right-hand-side block.
-fn permuted_rhs(b: Option<&[f64]>, n: usize, nrhs: usize, total_perm: &Perm) -> Option<Vec<f64>> {
+fn permuted_rhs(b: Option<&[f64]>, n: usize, total_perm: &Perm) -> Option<Vec<f64>> {
     b.map(|b| {
-        assert_eq!(b.len(), n * nrhs, "rhs block must be n x nrhs");
-        let mut bp = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            bp[r * n..(r + 1) * n].copy_from_slice(&total_perm.apply_vec(&b[r * n..(r + 1) * n]));
-        }
-        bp
+        assert_eq!(b.len() % n.max(1), 0, "rhs block must be n x nrhs");
+        let cols = b.chunks(n.max(1));
+        cols.flat_map(|col| total_perm.apply_vec(col)).collect()
     })
 }
 
@@ -1115,16 +1184,15 @@ fn finish_rank(
     total_perm: &Perm,
     rf: RankFactor,
     bp: Option<&[f64]>,
-    nrhs: usize,
 ) -> Result<RankOut, FactorError> {
-    let n = sym.n;
+    let n = sym.n.max(1);
     let t_factor = rank.clock();
     // The solve is traced too (per-rank solve lanes): its compute spans
     // carry `Phase::Solve`, which the critical-path profiler filters out —
     // the profile models the factorization's child-before-parent
     // dependencies, which the backward solve traverses in the opposite
     // direction.
-    let xp = bp.and_then(|bp| solve::solve_rank(rank, sym, map, &rf, bp, nrhs));
+    let xp = bp.and_then(|bp| solve::solve_rank(rank, sym, map, &rf, bp, bp.len() / n));
     let t_solve = rank.clock() - t_factor;
     // The verification gather stays out of the trace, mirroring what the
     // stats snapshot excludes. The comm-matrix row is snapshotted at the
@@ -1136,12 +1204,8 @@ fn finish_rank(
     let fbytes = rf.factor_bytes(sym);
     let factor = gather_factor(rank, sym, map, &rf, total_perm.clone());
     let x = xp.map(|xp| {
-        let mut x = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            x[r * n..(r + 1) * n]
-                .copy_from_slice(&total_perm.apply_inv_vec(&xp[r * n..(r + 1) * n]));
-        }
-        x
+        let cols = xp.chunks(n);
+        cols.flat_map(|col| total_perm.apply_inv_vec(col)).collect()
     });
     Ok(RankOut {
         t_factor,
@@ -1210,139 +1274,6 @@ fn assemble_outcome(
     })
 }
 
-/// What a fault-injected (and possibly restarted) distributed run reports
-/// on top of its [`DistOutcome`].
-pub struct FaultRun {
-    /// The successful attempt's outcome (factor, solution, per-rank stats).
-    pub outcome: DistOutcome,
-    /// Injected-fault activity accumulated over every attempt.
-    pub counts: FaultCounts,
-    /// Restarts performed before the run completed.
-    pub restarts: u64,
-    /// Sum of every attempt's virtual makespan — the end-to-end cost of the
-    /// run *including* the crashed attempts, for recovery-overhead studies.
-    pub total_makespan_s: f64,
-}
-
-/// Factor (and optionally solve) under a deterministic fault plan, with
-/// checkpoint/restart recovery. See [`run_distributed_prepared_traced`] for
-/// the fault-free arguments.
-///
-/// Each attempt runs the whole machine under [`Machine::run_verdict`]:
-///
-/// - **Completed** — results are assembled exactly like a fault-free run.
-/// - A rank returning a numeric error ([`FactorError`]) ends the run with
-///   that error immediately: degenerate inputs are never retried.
-/// - **RankFailed / TimedOut / Deadlocked** — the machine restarts with the
-///   crash faults removed from the plan ([`FaultPlan::without_crashes`];
-///   link delay/duplication faults persist). With `checkpoint` set, ranks
-///   resume from the [`CheckpointStore`]'s consistent cut instead of from
-///   scratch. After `max_restarts` restarts the verdict surfaces as the
-///   typed [`FactorError`] — never a hang, never a panic.
-///
-/// `recv_timeout_s` arms the machine-wide receive deadline; `None` derives
-/// a generous one from the cost model when the plan injects faults (a lost
-/// message then surfaces as [`FactorError::TimedOut`] with full `(rank,
-/// src, tag, waited)` context), and leaves timeouts off otherwise.
-///
-/// The recovered factor is **bitwise identical** to a fault-free run's —
-/// the property the fault-recovery test suite pins down.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_faulty(
-    p: usize,
-    model: parfact_mpsim::model::CostModel,
-    ap: &CscMatrix,
-    sym: &Arc<Symbolic>,
-    total_perm: &Perm,
-    strategy: crate::mapping::MapStrategy,
-    b: Option<&[f64]>,
-    nrhs: usize,
-    timeline: bool,
-    plan: &FaultPlan,
-    recv_timeout_s: Option<f64>,
-    checkpoint: bool,
-    max_restarts: usize,
-) -> Result<FaultRun, FactorError> {
-    let map = crate::mapping::map_tree(sym, p, strategy);
-    assert!(map.validate(sym), "invalid mapping");
-    let bp = permuted_rhs(b, sym.n, nrhs, total_perm);
-    let store = checkpoint.then(|| CheckpointStore::new(p));
-    let timeout = recv_timeout_s.or_else(|| {
-        (!plan.is_empty()).then(|| {
-            // Generous machine-wide deadline: the whole factorization's
-            // flops and a factor's worth of traffic, with the model's 4x
-            // safety margin on top. Virtual-time generosity costs nothing
-            // physically — a receive whose source provably died times out
-            // immediately.
-            let flops = sym.factor_flops();
-            let bytes = 8.0 * sym.factor_nnz() as f64 * p as f64;
-            model.recv_timeout_for(flops, bytes)
-        })
-    });
-    let mut attempt_plan = plan.clone();
-    let mut counts = FaultCounts::default();
-    let mut restarts = 0u64;
-    let mut total_makespan_s = 0.0f64;
-    loop {
-        let mut machine = Machine::new(p, model)
-            .trace_events(timeline)
-            .fault_plan(attempt_plan.clone());
-        if let Some(t) = timeout {
-            machine = machine.recv_timeout(t);
-        }
-        let vr = machine.run_verdict(|rank| -> Result<RankOut, FactorError> {
-            let rf = match &store {
-                Some(cs) => factorize_rank_ckpt(rank, ap, sym, &map, cs)?,
-                None => factorize_rank(rank, ap, sym, &map, false)?,
-            };
-            finish_rank(rank, sym, &map, total_perm, rf, bp.as_deref(), nrhs)
-        });
-        counts.merge(&vr.fault_counts);
-        total_makespan_s += vr.makespan_s;
-        // A numeric error outranks fault verdicts: an indefinite matrix is
-        // a property of the input, not of the machine, and is not retried.
-        if let Some(e) = vr
-            .results
-            .iter()
-            .flatten()
-            .find_map(|r| r.as_ref().err().cloned())
-        {
-            return Err(e);
-        }
-        match vr.verdict {
-            RunVerdict::Completed => {
-                let results = vr
-                    .results
-                    .into_iter()
-                    .map(|r| r.and_then(Result::ok))
-                    .collect::<Option<Vec<RankOut>>>()
-                    .ok_or(FactorError::Internal(
-                        "completed verdict with a missing rank result",
-                    ))?;
-                let outcome = assemble_outcome(results, vr.events)?;
-                return Ok(FaultRun {
-                    outcome,
-                    counts,
-                    restarts,
-                    total_makespan_s,
-                });
-            }
-            verdict => {
-                if restarts >= max_restarts as u64 {
-                    return Err(verdict_error(verdict));
-                }
-                restarts += 1;
-                // Crash faults fired; keep link faults (delay/dup) live so
-                // the retry exercises the same wire conditions.
-                attempt_plan = attempt_plan.without_crashes();
-                if let Some(cs) = &store {
-                    cs.rewind_to_consistent_cut(sym, &map);
-                }
-            }
-        }
-    }
-}
-
 /// Map a terminal machine verdict onto the factorization error taxonomy.
 fn verdict_error(v: RunVerdict) -> FactorError {
     match v {
@@ -1383,21 +1314,19 @@ mod tests {
         (f, ap)
     }
 
+    /// [`run_distributed`] of an SPD `a` on the Blue Gene/P model, default
+    /// ordering and amalgamation.
+    fn bgp(p: usize, a: &CscMatrix, strategy: MapStrategy, b: Option<&[f64]>) -> DistOutcome {
+        let (ordering, amalg) = (Method::default(), AmalgOpts::default());
+        run_distributed(p, CostModel::bluegene_p(), a, ordering, &amalg, strategy, b).unwrap()
+    }
+
     #[test]
     fn dist_matches_seq_bitwise_across_rank_counts() {
         let a = gen::laplace2d(14, 12, gen::Stencil2d::FivePoint);
         let (fseq, ap) = seq_reference(&a, Method::default());
         for p in [1usize, 2, 3, 4, 6, 8] {
-            let out = run_distributed(
-                p,
-                CostModel::bluegene_p(),
-                &a,
-                Method::default(),
-                &AmalgOpts::default(),
-                MapStrategy::default(),
-                None,
-            )
-            .unwrap();
+            let out = bgp(p, &a, MapStrategy::default(), None);
             assert_eq!(
                 out.factor.max_abs_diff(&fseq),
                 0.0,
@@ -1411,19 +1340,15 @@ mod tests {
     fn dist_1d_layout_matches_too() {
         let a = gen::laplace3d(4, 4, 4, gen::Stencil3d::SevenPoint);
         let (fseq, _) = seq_reference(&a, Method::default());
-        let out = run_distributed(
+        let out = bgp(
             4,
-            CostModel::bluegene_p(),
             &a,
-            Method::default(),
-            &AmalgOpts::default(),
             MapStrategy::Proportional {
                 use_2d: false,
                 nb: parfact_dense::chol::NB,
             },
             None,
-        )
-        .unwrap();
+        );
         assert_eq!(out.factor.max_abs_diff(&fseq), 0.0);
     }
 
@@ -1431,19 +1356,15 @@ mod tests {
     fn dist_flat_mapping_matches() {
         let a = gen::laplace2d(10, 10, gen::Stencil2d::FivePoint);
         let (fseq, _) = seq_reference(&a, Method::default());
-        let out = run_distributed(
+        let out = bgp(
             4,
-            CostModel::bluegene_p(),
             &a,
-            Method::default(),
-            &AmalgOpts::default(),
             MapStrategy::Flat {
                 use_2d: true,
                 nb: parfact_dense::chol::NB,
             },
             None,
-        )
-        .unwrap();
+        );
         assert_eq!(out.factor.max_abs_diff(&fseq), 0.0);
     }
 
@@ -1480,16 +1401,7 @@ mod tests {
         let mut b = vec![0.0; n];
         a.sym_spmv(&xstar, &mut b);
         for p in [1usize, 3, 4] {
-            let out = run_distributed(
-                p,
-                CostModel::bluegene_p(),
-                &a,
-                Method::default(),
-                &AmalgOpts::default(),
-                MapStrategy::default(),
-                Some(&b),
-            )
-            .unwrap();
+            let out = bgp(p, &a, MapStrategy::default(), Some(&b));
             let x = out.x.expect("solution requested");
             assert!(
                 ops::sym_residual_inf(&a, &x, &b) < 1e-12,
@@ -1505,28 +1417,8 @@ mod tests {
         // (Needs a problem big enough that flops dominate latency; the
         // simulated times are build-profile independent.)
         let a = gen::laplace3d(16, 16, 16, gen::Stencil3d::SevenPoint);
-        let t1 = run_distributed(
-            1,
-            CostModel::bluegene_p(),
-            &a,
-            Method::default(),
-            &AmalgOpts::default(),
-            MapStrategy::default(),
-            None,
-        )
-        .unwrap()
-        .factor_time_s;
-        let t8 = run_distributed(
-            8,
-            CostModel::bluegene_p(),
-            &a,
-            Method::default(),
-            &AmalgOpts::default(),
-            MapStrategy::default(),
-            None,
-        )
-        .unwrap()
-        .factor_time_s;
+        let t1 = bgp(1, &a, MapStrategy::default(), None).factor_time_s;
+        let t8 = bgp(8, &a, MapStrategy::default(), None).factor_time_s;
         assert!(
             t8 < t1 / 1.8,
             "8 ranks must beat 1 rank by ~2x: t1={t1:.6} t8={t8:.6}"
@@ -1538,19 +1430,8 @@ mod tests {
         // Needs a problem whose fronts dwarf the block-tile padding, or the
         // per-rank tile overhead hides the distribution savings.
         let a = gen::laplace3d(10, 10, 10, gen::Stencil3d::SevenPoint);
-        let run = |p| {
-            run_distributed(
-                p,
-                CostModel::bluegene_p(),
-                &a,
-                Method::default(),
-                &AmalgOpts::default(),
-                MapStrategy::default(),
-                None,
-            )
-        };
-        let m1 = run(1).unwrap().max_factor_bytes;
-        let m8 = run(8).unwrap().max_factor_bytes;
+        let m1 = bgp(1, &a, MapStrategy::default(), None).max_factor_bytes;
+        let m8 = bgp(8, &a, MapStrategy::default(), None).max_factor_bytes;
         assert!(m8 < m1, "per-rank factor memory must shrink: {m1} -> {m8}");
     }
 
@@ -1578,20 +1459,13 @@ mod tests {
         let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
         let b = vec![1.0; a.nrows()];
         let run = |timeline| {
-            run_distributed_prepared_traced(
-                4,
-                CostModel::bluegene_p(),
-                &ap,
-                &sym,
-                &perm,
-                MapStrategy::default(),
-                false,
-                Some(&b),
-                1,
+            let run = DistRun {
+                b: Some(&b),
                 timeline,
-                timeline,
-            )
-            .unwrap()
+                comm: timeline,
+                ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+            };
+            run.run().unwrap().outcome
         };
         let plain = run(false);
         assert!(plain.events.iter().all(Vec::is_empty));

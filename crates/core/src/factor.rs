@@ -271,24 +271,6 @@ impl Factor {
         }
     }
 
-    /// Iterative refinement: solve, then apply `iters` correction steps
-    /// `x += A⁻¹ (b − A x)`. Returns `(x, final residual ∞-norm)`.
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64], iters: usize) -> (Vec<f64>, f64) {
-        let mut x = self.solve(b);
-        for _ in 0..iters {
-            let r = parfact_sparse::ops::sym_residual(a, &x, b);
-            if parfact_sparse::ops::norm_inf(&r) == 0.0 {
-                break;
-            }
-            let dx = self.solve(&r);
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
-        }
-        let r = parfact_sparse::ops::sym_residual(a, &x, b);
-        (x, parfact_sparse::ops::norm_inf(&r))
-    }
-
     /// Reconstruct the factor as an explicit sparse lower-triangular matrix
     /// in the permuted index space (validation/debug; includes padding
     /// zeros as explicit entries).

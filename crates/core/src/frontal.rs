@@ -8,9 +8,23 @@
 //! matrices** (Schur complements) of the children, then partially factored;
 //! the leading `width` columns become factor panel `s`, the trailing block
 //! becomes this front's own update matrix.
+//!
+//! That life-cycle is spelled out exactly once, in [`factor_front`]. The
+//! engines (`seq`, both `smp` phases, the local subtrees of `dist`) are
+//! schedulers around it: they decide which supernode runs next, where its
+//! children's updates come from and where its own update goes. What a
+//! front costs is charged through a [`FrontMeter`] — wall-clock ticks and
+//! tracked bytes on the host engines, virtual compute time and rank memory
+//! on the simulated machine.
 
+use crate::dist::front::flops_partial;
+use crate::error::FactorError;
+use crate::factor::FactorKind;
+use crate::workspace::FrontWorkspace;
+use parfact_dense::{chol, DenseError};
 use parfact_sparse::csc::CscMatrix;
 use parfact_symbolic::Symbolic;
+use parfact_trace::{LocalRecorder, Phase, Tick};
 
 /// A child's contribution to its parent: the Schur complement over the
 /// child's below-pivot rows (dense lower storage).
@@ -187,18 +201,133 @@ pub fn extract_update_into(sym: &Symbolic, s: usize, front: &[f64], f: usize, da
     }
 }
 
-/// Allocating convenience wrapper around [`extract_update_into`].
-pub fn extract_update(sym: &Symbolic, s: usize, front: &[f64], f: usize) -> UpdateMatrix {
-    let mut data = Vec::new();
-    extract_update_into(sym, s, front, f, &mut data);
-    UpdateMatrix { src: s, data }
+/// The buffers a front's life-cycle holds, as far as memory accounting
+/// tells them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Buf {
+    /// The dense `f x f` front being assembled and factored.
+    Front,
+    /// The `f x w` factor panel kept for the solves.
+    Panel,
+    /// An update matrix travelling from a child to its parent.
+    Update,
 }
 
-/// Extract the factor panel (leading `w` columns, all `f` rows) of a
-/// factored front. Row layout: pivot block first, below rows after — the
-/// storage format of [`crate::factor::Factor`].
-pub fn extract_panel(front: &[f64], f: usize, w: usize) -> Vec<f64> {
-    front[..f * w].to_vec()
+/// Where [`factor_front`] charges the time, flops and memory of a front.
+/// The hooks fire in a fixed order — `hold(Front)`, `start`, `assembled`,
+/// `release(Update)` per child, (dense kernel), `factored`, `hold(Panel)`,
+/// `hold(Update)`, `release(Front)` — which is what keeps memory
+/// high-water marks and virtual clocks reproducible.
+pub(crate) trait FrontMeter {
+    /// An in-flight assembly timing.
+    type Tick;
+    /// Assembly of a front begins.
+    fn start(&mut self) -> Self::Tick;
+    /// Supernode `s` is assembled from the matrix and all its children's
+    /// updates: `entries` values were scattered or added into its front.
+    fn assembled(&mut self, tick: Self::Tick, sym: &Symbolic, s: usize, entries: u64);
+    /// The dense partial factorization of supernode `s` took `flops`.
+    fn factored(&mut self, s: usize, flops: f64);
+    /// `bytes` of `buf` became live.
+    fn hold(&mut self, buf: Buf, bytes: usize);
+    /// `bytes` of `buf` were released.
+    fn release(&mut self, buf: Buf, bytes: usize);
+}
+
+/// Host engines: assembly is wall-timed as [`Phase::ExtendAdd`] (the dense
+/// kernel times itself, see [`panel_kernel`]), every buffer is tracked.
+impl FrontMeter for LocalRecorder<'_> {
+    type Tick = Tick;
+
+    fn start(&mut self) -> Tick {
+        LocalRecorder::start(self)
+    }
+
+    fn assembled(&mut self, tick: Tick, _: &Symbolic, s: usize, entries: u64) {
+        self.stop(tick, Phase::ExtendAdd, Some(s));
+        self.add_assembled_entries(entries);
+    }
+
+    fn factored(&mut self, _: usize, flops: f64) {
+        self.add_flops(flops);
+        self.front_done();
+    }
+
+    fn hold(&mut self, _: Buf, bytes: usize) {
+        self.mem_alloc(bytes);
+    }
+
+    fn release(&mut self, _: Buf, bytes: usize) {
+        self.mem_free(bytes);
+    }
+}
+
+/// The sequential dense kernel of `kind` on an assembled `f x f` front
+/// with `w` pivots, wall-timed as [`Phase::Panel`]. `d` receives the LDLᵀ
+/// pivots (unused for LLᵀ).
+pub(crate) fn panel_kernel(
+    kind: FactorKind,
+    s: usize,
+    rec: &mut LocalRecorder<'_>,
+    f: usize,
+    w: usize,
+    front: &mut [f64],
+    d: &mut [f64],
+) -> Result<(), DenseError> {
+    let tick = rec.start();
+    match kind {
+        FactorKind::Llt => chol::partial_potrf(f, w, front, f)?,
+        FactorKind::Ldlt => chol::partial_ldlt(f, w, front, f, d)?,
+    }
+    rec.stop(tick, Phase::Panel, Some(s));
+    Ok(())
+}
+
+/// The life of one front. The caller has staged the children's updates in
+/// `wst.children`; this assembles the front of supernode `s`, runs
+/// `kernel(meter, f, w, front, scratch)` — the caller's choice of dense
+/// partial factorization, which also writes any LDLᵀ pivots — copies the
+/// factor panel into `panel`, and returns the front's own update matrix
+/// (drawn from the arena's pool; `None` for a root) after recycling the
+/// children's buffers. With a warm `wst` nothing here touches the heap.
+pub(crate) fn factor_front<M: FrontMeter>(
+    ap: &CscMatrix,
+    sym: &Symbolic,
+    s: usize,
+    wst: &mut FrontWorkspace,
+    meter: &mut M,
+    panel: &mut [f64],
+    kernel: impl FnOnce(&mut M, usize, usize, &mut [f64], &mut Vec<f64>) -> Result<(), DenseError>,
+) -> Result<Option<UpdateMatrix>, FactorError> {
+    let c0 = sym.sn_ptr[s];
+    let w = sym.sn_width(s);
+    let f = sym.front_order(s);
+    wst.note_front(f * f);
+    meter.hold(Buf::Front, f * f * 8);
+    let tick = meter.start();
+    let (_, entries) = assemble_front(ap, sym, s, &mut wst.scatter, &wst.children, &mut wst.front);
+    meter.assembled(tick, sym, s, entries);
+    for u in &wst.children {
+        meter.release(Buf::Update, u.data.len() * 8);
+    }
+    kernel(meter, f, w, &mut wst.front, &mut wst.scratch)
+        .map_err(|e| FactorError::from_dense(e, c0))?;
+    meter.factored(s, flops_partial(f, w));
+    panel.copy_from_slice(&wst.front[..f * w]);
+    meter.hold(Buf::Panel, f * w * 8);
+    let update = (f > w).then(|| {
+        let r = f - w;
+        let mut data = wst.take_buf(r * r);
+        extract_update_into(sym, s, &wst.front, f, &mut data);
+        meter.hold(Buf::Update, data.len() * 8);
+        UpdateMatrix { src: s, data }
+    });
+    meter.release(Buf::Front, f * f * 8);
+    // Children are assembled; recycle their buffers for later fronts.
+    while let Some(u) = wst.children.pop() {
+        wst.recycle(u.data);
+    }
+    Ok(update)
 }
 
 #[cfg(test)]
@@ -307,19 +436,21 @@ mod tests {
                 front[j * fo + i] = (100 * i + j) as f64;
             }
         }
-        let upd = extract_update(&sym, s, &front, fo);
+        // A recycled buffer of the wrong size with stale contents: the
+        // extraction must resize it and zero the upper triangle.
+        let mut upd = vec![f64::NAN; 3];
+        extract_update_into(&sym, s, &front, fo, &mut upd);
         let r = fo - wo;
+        assert_eq!(upd.len(), r * r);
         for j in 0..r {
-            for i in j..r {
-                assert_eq!(upd.data[j * r + i], (100 * (i + wo) + (j + wo)) as f64);
+            for i in 0..r {
+                let want = if i >= j {
+                    (100 * (i + wo) + (j + wo)) as f64
+                } else {
+                    0.0
+                };
+                assert_eq!(upd[j * r + i], want);
             }
         }
-    }
-
-    #[test]
-    fn extract_panel_takes_leading_columns() {
-        let front: Vec<f64> = (0..20).map(|x| x as f64).collect(); // 4x5, f=4
-        let panel = extract_panel(&front, 4, 3);
-        assert_eq!(panel, (0..12).map(|x| x as f64).collect::<Vec<_>>());
     }
 }

@@ -2,18 +2,24 @@
 //! the system of *"Sparse matrix factorization on massively parallel
 //! computers"* (SC 2009), rebuilt in Rust.
 //!
-//! Three engines factor the same symbolic problem:
+//! One front kernel, three schedulers. The life of a front — assemble it
+//! from the matrix and the children's update matrices, partially factor
+//! it, keep the panel, hand the Schur complement up — is
+//! [`frontal::factor_front`], and the engines only decide which supernode
+//! runs next, where its children's updates come from and where its own
+//! goes:
 //!
-//! - [`seq`] — the sequential supernodal multifrontal kernel (also the
-//!   per-rank engine of the distributed code, and the correctness oracle);
+//! - [`seq`] — postorder on one thread; the correctness oracle;
 //! - [`smp`] — shared-memory parallel: work-stealing over the assembly
 //!   tree with real threads (real wall-clock speedups on this machine),
 //!   with the matching tree-parallel solve in [`smp_solve`];
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
-//!   [`parfact_mpsim::Machine`], block-cyclic 1-D/2-D distributed fronts
-//!   with pipelined panel broadcasts, and parallel extend-add. This is the
-//!   paper's contribution.
+//!   [`parfact_mpsim::Machine`]. Each rank runs its local subtrees through
+//!   the same front kernel, charged to its virtual clock; the fronts above
+//!   them are block-cyclic 1-D/2-D distributed fronts with pipelined panel
+//!   broadcasts, fed by the parallel extend-add. This is the paper's
+//!   contribution.
 //!
 //! Baselines the paper's method is measured against live in [`baseline`]:
 //! the classic *fan-out* distributed column-Cholesky and a left-looking

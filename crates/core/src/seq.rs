@@ -1,15 +1,15 @@
-//! Sequential supernodal multifrontal factorization — the per-node engine
-//! and the correctness oracle for the parallel ones.
+//! Sequential supernodal multifrontal factorization: the postorder
+//! scheduler over [`factor_front`], and the correctness oracle for the
+//! parallel engines.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{assemble_front, extract_update_into, UpdateMatrix};
+use crate::frontal::{factor_front, panel_kernel};
 use crate::workspace::Workspace;
-use parfact_dense::chol;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
-use parfact_trace::{Collector, Phase};
+use parfact_trace::Collector;
 use std::sync::Arc;
 
 /// Factor an already-permuted matrix (the output of
@@ -23,29 +23,18 @@ pub fn factorize_seq(
     kind: FactorKind,
     perm: Perm,
 ) -> Result<Factor, FactorError> {
-    factorize_seq_traced(ap, sym, kind, perm, &Collector::disabled())
-}
-
-/// [`factorize_seq`] with instrumentation recorded into `tr`. With a
-/// disabled collector every hook is a single branch, so this *is* the
-/// uninstrumented engine.
-pub fn factorize_seq_traced(
-    ap: &CscMatrix,
-    sym: &Arc<Symbolic>,
-    kind: FactorKind,
-    perm: Perm,
-    tr: &Collector,
-) -> Result<Factor, FactorError> {
     let mut factor = Factor::allocate(sym, kind, perm);
     let mut ws = Workspace::new();
-    factorize_seq_into(ap, sym, tr, &mut ws, &mut factor)?;
+    factorize_seq_into(ap, sym, &Collector::disabled(), &mut ws, &mut factor)?;
     Ok(factor)
 }
 
 /// The in-place sequential engine: overwrite `factor`'s slab (allocated
-/// with the same `sym`) using the arenas in `ws`. With a warm workspace
-/// the steady state performs **no per-supernode heap allocation** — fronts,
-/// scatter maps and update matrices all come from reused buffers.
+/// with the same `sym`) using the arenas in `ws`, recording into `tr` (with
+/// a disabled collector every hook is a single branch, so this *is* the
+/// uninstrumented engine). With a warm workspace the steady state performs
+/// **no per-supernode heap allocation** — fronts, scatter maps and update
+/// matrices all come from reused buffers.
 ///
 /// On error the panels written so far are left behind; callers that reuse
 /// factors across calls (refactorize) must treat a failed factor as
@@ -70,48 +59,20 @@ pub(crate) fn factorize_seq_into(
 
     for s in 0..nsuper {
         // Children precede parents (postorder), so their updates are ready.
-        wst.children.clear();
-        for &c in &sym.tree.children[s] {
-            wst.children
-                .push(slots[c].take().expect("child update missing"));
-        }
-        let tick = rec.start();
-        let fo = sym.front_order(s);
-        wst.note_front(fo * fo);
-        let (f, entries) =
-            assemble_front(ap, sym, s, &mut wst.scatter, &wst.children, &mut wst.front);
-        rec.stop(tick, Phase::ExtendAdd, Some(s));
-        rec.add_assembled_entries(entries);
-        rec.mem_alloc(f * f * 8);
-        for u in &wst.children {
-            rec.mem_free(u.data.len() * 8);
-        }
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        let w = c1 - c0;
-        let tick = rec.start();
-        match kind {
-            FactorKind::Llt => chol::partial_potrf(f, w, &mut wst.front, f)
-                .map_err(|e| FactorError::from_dense(e, c0))?,
-            FactorKind::Ldlt => chol::partial_ldlt(f, w, &mut wst.front, f, &mut factor.d[c0..c1])
-                .map_err(|e| FactorError::from_dense(e, c0))?,
-        }
-        rec.stop(tick, Phase::Panel, Some(s));
-        rec.add_flops(crate::dist::front::flops_partial(f, w));
-        rec.front_done();
-        factor.panel_mut(s).copy_from_slice(&wst.front[..f * w]);
-        rec.mem_alloc(f * w * 8);
-        if f > w {
-            let r = f - w;
-            let mut data = wst.take_buf(r * r);
-            extract_update_into(sym, s, &wst.front, f, &mut data);
-            rec.mem_alloc(data.len() * 8);
-            slots[s] = Some(UpdateMatrix { src: s, data });
-        }
-        rec.mem_free(f * f * 8);
-        // Children are assembled; recycle their buffers for later fronts.
-        while let Some(u) = wst.children.pop() {
-            wst.recycle(u.data);
-        }
+        let children = &sym.tree.children[s];
+        wst.stage(
+            children
+                .iter()
+                .map(|&c| slots[c].take().expect("child update missing")),
+        );
+        let panel = &mut factor.panels[factor.panel_ptr[s]..factor.panel_ptr[s + 1]];
+        let d = match kind {
+            FactorKind::Llt => &mut [][..],
+            FactorKind::Ldlt => &mut factor.d[sym.sn_ptr[s]..sym.sn_ptr[s + 1]],
+        };
+        slots[s] = factor_front(ap, sym, s, wst, &mut rec, panel, |rec, f, w, front, _| {
+            panel_kernel(kind, s, rec, f, w, front, d)
+        })?;
     }
     Ok(())
 }
@@ -222,15 +183,6 @@ mod tests {
         for (xi, xc) in x.iter().zip(&xcg) {
             assert!((xi - xc).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn refined_solve_tightens_residual() {
-        let a = gen::random_spd(80, 6, 42);
-        let b = vec![1.0; 80];
-        let (f, _) = pipeline(&a, FactorKind::Llt);
-        let (_, r) = f.solve_refined(&a, &b, 2);
-        assert!(r < 1e-10);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::backoff::Backoff;
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{assemble_front, extract_update_into, UpdateMatrix};
+use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
 use crate::workspace::{FrontWorkspace, Workspace};
 use crossbeam_deque::{Injector, Steal};
 use parfact_dense::blas::{gemm_nt, syrk_ln, trsm_right_lt};
@@ -73,30 +73,18 @@ pub fn factorize_smp(
     perm: Perm,
     opts: &SmpOpts,
 ) -> Result<Factor, FactorError> {
-    factorize_smp_traced(ap, sym, kind, perm, opts, &Collector::disabled())
-}
-
-/// [`factorize_smp`] with instrumentation recorded into `tr`. Each phase-1
-/// worker accumulates into a private recorder (keyed by worker id) that
-/// merges into the collector when the worker exits; phase 2 records as
-/// worker 0.
-pub fn factorize_smp_traced(
-    ap: &CscMatrix,
-    sym: &Arc<Symbolic>,
-    kind: FactorKind,
-    perm: Perm,
-    opts: &SmpOpts,
-    tr: &Collector,
-) -> Result<Factor, FactorError> {
     let mut factor = Factor::allocate(sym, kind, perm);
     let mut ws = Workspace::new();
-    factorize_smp_into(ap, sym, opts, tr, &mut ws, &mut factor)?;
+    factorize_smp_into(ap, sym, opts, &Collector::disabled(), &mut ws, &mut factor)?;
     Ok(factor)
 }
 
 /// The in-place SMP engine: overwrite `factor`'s slab (allocated with the
-/// same `sym`) using the per-worker arenas in `ws`. See
-/// [`crate::seq::factorize_seq_into`] for the error-state contract.
+/// same `sym`) using the per-worker arenas in `ws`. Each phase-1 worker
+/// accumulates into a private recorder of `tr` (keyed by worker id) that
+/// merges into the collector when the worker exits; phase 2 records as
+/// worker 0. See [`crate::seq::factorize_seq_into`] for the error-state
+/// contract.
 pub(crate) fn factorize_smp_into(
     ap: &CscMatrix,
     sym: &Arc<Symbolic>,
@@ -110,7 +98,6 @@ pub(crate) fn factorize_smp_into(
     if nthreads <= 1 || nsuper <= 1 {
         return crate::seq::factorize_seq_into(ap, sym, tr, ws, factor);
     }
-    let kind = factor.kind;
 
     // Upward-closed "big" set.
     let mut big = vec![false; nsuper];
@@ -120,7 +107,6 @@ pub(crate) fn factorize_smp_into(
         }
     }
 
-    let updates: Vec<Mutex<Option<UpdateMatrix>>> = (0..nsuper).map(|_| Mutex::new(None)).collect();
     let pending: Vec<AtomicUsize> = (0..nsuper)
         .map(|s| AtomicUsize::new(sym.tree.children[s].len()))
         .collect();
@@ -128,7 +114,13 @@ pub(crate) fn factorize_smp_into(
     let completed = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
-    let writer = FactorWriter::new(factor);
+    let fronts = Fronts {
+        ap,
+        sym,
+        kind: factor.kind,
+        updates: (0..nsuper).map(|_| Mutex::new(None)).collect(),
+        writer: FactorWriter::new(factor),
+    };
 
     // ---- Phase 1: tree-parallel over small supernodes. ----
     let injector = Injector::new();
@@ -142,7 +134,7 @@ pub(crate) fn factorize_smp_into(
         let arenas = &mut ws.threads[..nthreads];
         std::thread::scope(|scope| {
             for (wid, wst) in arenas.iter_mut().enumerate() {
-                let (updates, pending, big, writer) = (&updates, &pending, &big, &writer);
+                let (fronts, pending, big) = (&fronts, &pending, &big);
                 let (injector, completed, failed, error) = (&injector, &completed, &failed, &error);
                 scope.spawn(move || {
                     wst.scatter.ensure(sym.n);
@@ -163,9 +155,7 @@ pub(crate) fn factorize_smp_into(
                             }
                         };
                         backoff.reset();
-                        let result =
-                            process_supernode(ap, sym, kind, s, wst, writer, updates, &mut rec);
-                        if let Err(e) = result {
+                        if let Err(e) = fronts.run(s, wst, &mut rec, 1) {
                             *error.lock() = Some(e);
                             failed.store(true, Ordering::SeqCst);
                             break;
@@ -188,68 +178,66 @@ pub(crate) fn factorize_smp_into(
     let wst = &mut ws.threads[0];
     wst.scatter.ensure(sym.n);
     let mut rec = tr.local(0);
-    for s in 0..nsuper {
-        if !big[s] {
-            continue;
-        }
-        wst.children.clear();
-        for &c in &sym.tree.children[s] {
-            wst.children
-                .push(updates[c].lock().take().expect("child update missing"));
-        }
-        let tick = rec.start();
-        let fo = sym.front_order(s);
-        wst.note_front(fo * fo);
-        let (f, entries) =
-            assemble_front(ap, sym, s, &mut wst.scatter, &wst.children, &mut wst.front);
-        rec.stop(tick, Phase::ExtendAdd, Some(s));
-        rec.add_assembled_entries(entries);
-        rec.mem_alloc(f * f * 8);
-        for u in &wst.children {
-            rec.mem_free(u.data.len() * 8);
-        }
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        let w = c1 - c0;
-        match kind {
-            FactorKind::Llt => parallel_partial_potrf_traced(
-                f,
-                w,
-                &mut wst.front,
-                nthreads,
-                &mut wst.scratch,
-                &mut rec,
-                Some(s),
-            )
-            .map_err(|e| FactorError::from_dense(e, c0))?,
-            FactorKind::Ldlt => {
-                // LDLt fronts keep the sequential kernel (they only arise in
-                // quasi-definite runs where the SPD fast path is off anyway).
-                let tick = rec.start();
-                // SAFETY: phase 2 is single-threaded; segment owned by `s`.
-                let dseg = unsafe { writer.d_mut(c0, w) };
-                chol::partial_ldlt(f, w, &mut wst.front, f, dseg)
-                    .map_err(|e| FactorError::from_dense(e, c0))?;
-                rec.stop(tick, Phase::Panel, Some(s));
-            }
-        }
-        rec.add_flops(crate::dist::front::flops_partial(f, w));
-        rec.front_done();
-        // SAFETY: phase 2 is single-threaded and each panel written once.
-        unsafe { writer.panel_mut(s) }.copy_from_slice(&wst.front[..f * w]);
-        rec.mem_alloc(f * w * 8);
-        if f > w {
-            let r = f - w;
-            let mut data = wst.take_buf(r * r);
-            extract_update_into(sym, s, &wst.front, f, &mut data);
-            rec.mem_alloc(data.len() * 8);
-            *updates[s].lock() = Some(UpdateMatrix { src: s, data });
-        }
-        rec.mem_free(f * f * 8);
-        while let Some(u) = wst.children.pop() {
-            wst.recycle(u.data);
-        }
+    for s in (0..nsuper).filter(|&s| big[s]) {
+        fronts.run(s, wst, &mut rec, nthreads)?;
     }
     Ok(())
+}
+
+/// What every worker shares: the problem, the factor being written and the
+/// per-supernode update hand-off slots (mutexes for the cross-thread
+/// hand-off; each is locked once by the producer and once by the parent).
+struct Fronts<'a> {
+    ap: &'a CscMatrix,
+    sym: &'a Symbolic,
+    kind: FactorKind,
+    updates: Vec<Mutex<Option<UpdateMatrix>>>,
+    writer: FactorWriter<'a>,
+}
+
+impl Fronts<'_> {
+    /// Run supernode `s` on the calling worker. `threads > 1` splits the
+    /// trailing update of an LLᵀ front across that many threads (phase 2);
+    /// LDLᵀ fronts keep the sequential kernel (they only arise in
+    /// quasi-definite runs where the SPD fast path is off anyway).
+    fn run(
+        &self,
+        s: usize,
+        wst: &mut FrontWorkspace,
+        rec: &mut LocalRecorder<'_>,
+        threads: usize,
+    ) -> Result<(), FactorError> {
+        let (sym, kind) = (self.sym, self.kind);
+        wst.stage(sym.tree.children[s].iter().map(|&c| {
+            let update = self.updates[c].lock().take();
+            update.expect("child update missing")
+        }));
+        // SAFETY: the schedule hands supernode `s` to exactly one worker,
+        // and panels / `d` segments of distinct supernodes are disjoint.
+        let panel = unsafe { self.writer.panel_mut(s) };
+        let d = match kind {
+            FactorKind::Llt => &mut [][..],
+            // SAFETY: as above.
+            FactorKind::Ldlt => unsafe { self.writer.d_mut(sym.sn_ptr[s], sym.sn_width(s)) },
+        };
+        let update = factor_front(
+            self.ap,
+            sym,
+            s,
+            wst,
+            rec,
+            panel,
+            |rec, f, w, front, scratch| {
+                if threads > 1 && kind == FactorKind::Llt {
+                    parallel_partial_potrf_traced(f, w, front, threads, scratch, rec, Some(s))
+                } else {
+                    panel_kernel(kind, s, rec, f, w, front, d)
+                }
+            },
+        )?;
+        *self.updates[s].lock() = update;
+        Ok(())
+    }
 }
 
 /// Raw-pointer view of a [`Factor`]'s output arrays for disjoint
@@ -306,88 +294,16 @@ impl<'a> FactorWriter<'a> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_supernode(
-    ap: &CscMatrix,
-    sym: &Symbolic,
-    kind: FactorKind,
-    s: usize,
-    wst: &mut FrontWorkspace,
-    writer: &FactorWriter<'_>,
-    updates: &[Mutex<Option<UpdateMatrix>>],
-    rec: &mut LocalRecorder<'_>,
-) -> Result<(), FactorError> {
-    wst.children.clear();
-    for &c in &sym.tree.children[s] {
-        wst.children
-            .push(updates[c].lock().take().expect("child update missing"));
-    }
-    let tick = rec.start();
-    let fo = sym.front_order(s);
-    wst.note_front(fo * fo);
-    let (f, entries) = assemble_front(ap, sym, s, &mut wst.scatter, &wst.children, &mut wst.front);
-    rec.stop(tick, Phase::ExtendAdd, Some(s));
-    rec.add_assembled_entries(entries);
-    rec.mem_alloc(f * f * 8);
-    for u in &wst.children {
-        rec.mem_free(u.data.len() * 8);
-    }
-    let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-    let w = c1 - c0;
-    let tick = rec.start();
-    match kind {
-        FactorKind::Llt => chol::partial_potrf(f, w, &mut wst.front, f)
-            .map_err(|e| FactorError::from_dense(e, c0))?,
-        FactorKind::Ldlt => {
-            // SAFETY: supernode `s` is processed by exactly one worker.
-            let dseg = unsafe { writer.d_mut(c0, w) };
-            chol::partial_ldlt(f, w, &mut wst.front, f, dseg)
-                .map_err(|e| FactorError::from_dense(e, c0))?;
-        }
-    }
-    rec.stop(tick, Phase::Panel, Some(s));
-    rec.add_flops(crate::dist::front::flops_partial(f, w));
-    rec.front_done();
-    // SAFETY: supernode `s` is processed by exactly one worker; panels are
-    // disjoint slab ranges.
-    unsafe { writer.panel_mut(s) }.copy_from_slice(&wst.front[..f * w]);
-    rec.mem_alloc(f * w * 8);
-    if f > w {
-        let r = f - w;
-        let mut data = wst.take_buf(r * r);
-        extract_update_into(sym, s, &wst.front, f, &mut data);
-        rec.mem_alloc(data.len() * 8);
-        *updates[s].lock() = Some(UpdateMatrix { src: s, data });
-    }
-    rec.mem_free(f * f * 8);
-    while let Some(u) = wst.children.pop() {
-        wst.recycle(u.data);
-    }
-    Ok(())
-}
-
 /// Partial blocked Cholesky with the trailing update of each panel split
 /// across `nthreads` threads. Arithmetic is identical to the sequential
 /// kernel (same panels, same per-entry accumulation order — see the
 /// determinism contract in `parfact_dense::pack`), so results match
 /// [`chol::partial_potrf`] bitwise.
-pub fn parallel_partial_potrf(
-    nf: usize,
-    npiv: usize,
-    f: &mut [f64],
-    nthreads: usize,
-) -> Result<(), parfact_dense::DenseError> {
-    let tr = Collector::disabled();
-    let mut rec = tr.local(0);
-    let mut scratch = Vec::new();
-    parallel_partial_potrf_traced(nf, npiv, f, nthreads, &mut scratch, &mut rec, None)
-}
-
-/// [`parallel_partial_potrf`] with phase timing: the panel section
-/// (diagonal factor + TRSM) accumulates as [`Phase::Panel`], the threaded
-/// trailing update as [`Phase::Gemm`]. `scratch` stages the panel copy the
-/// workers read (reused across panels and fronts by the caller's arena).
-#[allow(clippy::too_many_arguments)]
+///
+/// Phase timing: the panel section (diagonal factor + TRSM) accumulates as
+/// [`Phase::Panel`], the threaded trailing update as [`Phase::Gemm`].
+/// `scratch` stages the panel copy the workers read (reused across panels
+/// and fronts by the caller's arena).
 pub fn parallel_partial_potrf_traced(
     nf: usize,
     npiv: usize,
@@ -568,7 +484,18 @@ mod tests {
             let mut f1 = a.clone();
             chol::partial_potrf(n, npiv, f1.as_mut_slice(), n).unwrap();
             let mut f2 = a.clone();
-            parallel_partial_potrf(n, npiv, f2.as_mut_slice(), 4).unwrap();
+            let tr = Collector::disabled();
+            let (mut scratch, mut rec) = (Vec::new(), tr.local(0));
+            parallel_partial_potrf_traced(
+                n,
+                npiv,
+                f2.as_mut_slice(),
+                4,
+                &mut scratch,
+                &mut rec,
+                None,
+            )
+            .unwrap();
             // Same panel boundaries and accumulation order: bitwise equal
             // on the lower triangle.
             for j in 0..n {

@@ -30,7 +30,8 @@ pub struct DistOpts {
     /// Run the strict-postorder blocking schedule instead of the default
     /// event-driven one (the EXP-A7 ablation baseline). The factor is
     /// bitwise identical either way; only the simulated clocks differ.
-    /// Ignored under fault injection, which always runs event-driven.
+    /// Combined with `checkpoint` (whose deferred sends need the
+    /// event-driven loop) the run is [`FactorError::Unsupported`].
     pub sync_schedule: bool,
     /// Deterministic fault-injection plan for the simulated machine (see
     /// [`FaultPlan::parse`] for the `crash:`/`delay:`/`dup:` grammar).
@@ -436,64 +437,40 @@ impl SparseCholesky {
         let sym = Arc::new(sym);
         // lint:allow(R1) phase timers: report wall time of real host work
         let t2 = Instant::now();
-        let analysis_counters = atr.snapshot();
-        let analysis_spans = atr.take_spans();
-        let mut ws = Workspace::new();
-        let EngineRun {
-            factor,
-            counters,
-            ranks,
-            mut spans,
-            faults,
-            scalability,
-        } = run_engine(
-            &ap,
-            &sym,
-            opts.kind,
-            total_perm,
-            &opts.engine,
-            opts.trace,
-            &mut ws,
-        )?;
-        let numeric_s = t2.elapsed().as_secs_f64();
-        // Analysis spans join the numeric stream unshifted: they render in
-        // their own timeline lane (`LaneKind::Analysis`), and each phase
-        // keeps its own clock origin — shifting virtual-clock dist spans by
-        // a wall-clock offset would break their exact adjacency.
-        if !analysis_spans.is_empty() {
-            let mut merged = analysis_spans;
-            merged.append(&mut spans);
-            spans = merged;
-        }
-        let profile = timeline_profile(&sym, opts.trace, &spans, &ranks);
         let analysis = (alevel != TraceLevel::Off).then(|| {
-            parfact_trace::AnalysisReport::from_counters(&analysis_counters, analysis_threads)
+            parfact_trace::AnalysisReport::from_counters(&atr.snapshot(), analysis_threads)
         });
         let mut report = FactorReport {
-            engine: opts.engine.name().to_string(),
+            engine: String::new(),
             n: sym.n,
             nnz_a: ap.nnz(),
-            factor_nnz: factor.nnz(),
+            factor_nnz: sym.factor_nnz(),
             nsuper: sym.nsuper(),
             predicted_flops: sym.factor_flops(),
             refactorizations: 0,
             ordering_s: (t1 - t0).as_secs_f64(),
             symbolic_s: (t2 - t1).as_secs_f64(),
-            numeric_s,
-            counters,
-            ranks,
-            spans,
-            profile,
+            numeric_s: 0.0,
+            counters: Counters::default(),
+            ranks: Vec::new(),
+            spans: Vec::new(),
+            profile: None,
             analysis,
             solve: None,
-            faults,
-            scalability,
+            faults: None,
+            scalability: None,
         };
-        if matches!(opts.engine, Engine::Dist(_)) {
-            // The simulator counts traffic per rank, not fronts; every
-            // supernode is factored exactly once across the machine.
-            report.counters.fronts_factored = sym.nsuper() as u64;
-        }
+        let mut ws = Workspace::new();
+        let mut factor = Factor::allocate(&sym, opts.kind, total_perm);
+        numeric_phase(
+            &ap,
+            &opts.engine,
+            opts.trace,
+            atr.take_spans(),
+            &mut ws,
+            &mut factor,
+            &mut report,
+        )?;
         Ok(SparseCholesky {
             factor,
             report,
@@ -510,7 +487,9 @@ impl SparseCholesky {
     /// Host engines (`Sequential`, `Smp`) overwrite the stored factor **in
     /// place** through the solver's retained [`Workspace`] arenas, so a
     /// steady-state refactorization performs no per-supernode heap
-    /// allocation. Consequence of in-place operation: if this returns
+    /// allocation (the distributed engine gathers a fresh factor from the
+    /// simulated machine and replaces the stored one wholesale).
+    /// Consequence of in-place operation: if this returns
     /// `Err` (e.g. the new values are not positive definite), the stored
     /// factor is partially overwritten and numerically invalid — call
     /// `refactorize` again with good values (or rebuild with
@@ -523,60 +502,16 @@ impl SparseCholesky {
     /// numeric phase has been redone.
     pub fn refactorize(&mut self, a: &CscMatrix, engine: Engine) -> Result<(), FactorError> {
         let ap_new = self.factor.perm.apply_sym_lower(a);
-        let sym = Arc::clone(&self.factor.sym);
-        // lint:allow(R1) numeric-phase timer: reports wall time of real host work
-        let t0 = Instant::now();
-        let (counters, ranks, spans, faults, scalability) = match &engine {
-            Engine::Sequential => {
-                let tr = Collector::new(self.trace);
-                crate::seq::factorize_seq_into(&ap_new, &sym, &tr, &mut self.ws, &mut self.factor)?;
-                let ranks = worker_ranks(&tr);
-                let scalability = host_scalability(&sym, &ranks);
-                (tr.snapshot(), ranks, tr.take_spans(), None, scalability)
-            }
-            Engine::Smp(smp) => {
-                let tr = Collector::new(self.trace);
-                crate::smp::factorize_smp_into(
-                    &ap_new,
-                    &sym,
-                    smp,
-                    &tr,
-                    &mut self.ws,
-                    &mut self.factor,
-                )?;
-                let ranks = worker_ranks(&tr);
-                let scalability = host_scalability(&sym, &ranks);
-                (tr.snapshot(), ranks, tr.take_spans(), None, scalability)
-            }
-            Engine::Dist(_) => {
-                // The distributed engine gathers a fresh factor from the
-                // simulated machine; it replaces the stored one wholesale.
-                let kind = self.factor.kind;
-                let perm = self.factor.perm.clone();
-                let run = run_engine(&ap_new, &sym, kind, perm, &engine, self.trace, &mut self.ws)?;
-                self.factor = run.factor;
-                (
-                    run.counters,
-                    run.ranks,
-                    run.spans,
-                    run.faults,
-                    run.scalability,
-                )
-            }
-        };
+        numeric_phase(
+            &ap_new,
+            &engine,
+            self.trace,
+            Vec::new(),
+            &mut self.ws,
+            &mut self.factor,
+            &mut self.report,
+        )?;
         self.ap = ap_new;
-        self.report.engine = engine.name().to_string();
-        self.report.numeric_s = t0.elapsed().as_secs_f64();
-        self.report.counters = counters;
-        if matches!(engine, Engine::Dist(_)) {
-            self.report.counters.fronts_factored = sym.nsuper() as u64;
-        }
-        self.report.ranks = ranks;
-        self.report.spans = spans;
-        self.report.faults = faults;
-        self.report.scalability = scalability;
-        self.report.profile =
-            timeline_profile(&sym, self.trace, &self.report.spans, &self.report.ranks);
         self.report.refactorizations += 1;
         Ok(())
     }
@@ -592,8 +527,7 @@ impl SparseCholesky {
     }
 
     /// Solve `A X = B` for a right-hand-side block under [`SolveOpts`]:
-    /// the unified entry point the legacy `solve`/`solve_refined`/
-    /// `solve_equilibrated` surface funnels into.
+    /// the unified entry point (batching, refinement, equilibration).
     ///
     /// All `nrhs` columns stream through the factor panels together
     /// (BLAS-3 blocked sweeps), and every column's floating-point operation
@@ -715,18 +649,6 @@ impl SparseCholesky {
             pending: Vec::new(),
             solved: Vec::new(),
         }
-    }
-
-    /// Solve with iterative refinement; returns `(x, final residual ∞-norm)`.
-    /// Needs the original matrix to compute residuals — pass the same `a`
-    /// given to `factorize`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use solve_with(RhsBlock::single(b), &SolveOpts::new().refine(iters)); \
-                it refines against the stored factored matrix, so no `a` argument"
-    )]
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64], iters: usize) -> (Vec<f64>, f64) {
-        self.factor.solve_refined(a, b, iters)
     }
 
     /// The factorization record enriched with the solve phase: a
@@ -898,18 +820,6 @@ fn timeline_profile(
     ))
 }
 
-/// One engine run's output: the factor plus the instrumentation it
-/// produced (`faults` reports injected-fault activity — `Some` only for
-/// fault-injected distributed runs).
-struct EngineRun {
-    factor: Factor,
-    counters: Counters,
-    ranks: Vec<parfact_trace::RankReport>,
-    spans: Vec<parfact_trace::SpanEvent>,
-    faults: Option<parfact_trace::FaultReport>,
-    scalability: Option<parfact_trace::ScalabilityReport>,
-}
-
 /// Per-worker rows for the host engines, in the shared rank-report schema:
 /// `rank` is the worker id, `clock_s` stays zero (host workers have no
 /// virtual clock — [`parfact_trace::FactorReport::sim_makespan_s`] treats
@@ -958,135 +868,110 @@ fn host_scalability(
     })
 }
 
-/// Dispatch one numeric factorization.
-fn run_engine(
+/// One numeric factorization of `ap` into `factor` (allocated under the
+/// symbolic analysis it carries), timed and recorded into `report` — the
+/// single dispatch and report-assembly path behind
+/// [`SparseCholesky::factorize`] and [`SparseCholesky::refactorize`].
+/// `engine`, `numeric_s`, `counters`, `ranks`, `spans` (the analysis-phase
+/// spans passed in, then this run's), `faults` (`Some` only for
+/// fault-injected distributed runs), `scalability` and `profile` describe
+/// this run; the rest of the report is left alone, and all of it on error.
+///
+/// Host engines overwrite the factor's slab in place through the arenas in
+/// `ws`; the distributed engine gathers a fresh factor from the simulated
+/// machine and replaces `*factor` wholesale.
+fn numeric_phase(
     ap: &CscMatrix,
-    sym: &Arc<Symbolic>,
-    kind: FactorKind,
-    perm: parfact_sparse::perm::Perm,
     engine: &Engine,
     trace: TraceLevel,
+    mut spans: Vec<SpanEvent>,
     ws: &mut Workspace,
-) -> Result<EngineRun, FactorError> {
-    match engine {
-        Engine::Sequential => {
-            let tr = Collector::new(trace);
-            let mut factor = Factor::allocate(sym, kind, perm);
-            crate::seq::factorize_seq_into(ap, sym, &tr, ws, &mut factor)?;
-            let ranks = worker_ranks(&tr);
-            let scalability = host_scalability(sym, &ranks);
-            Ok(EngineRun {
-                factor,
-                counters: tr.snapshot(),
-                ranks,
-                spans: tr.take_spans(),
-                faults: None,
-                scalability,
-            })
+    factor: &mut Factor,
+    report: &mut FactorReport,
+) -> Result<(), FactorError> {
+    let sym = Arc::clone(&factor.sym);
+    // lint:allow(R1) numeric-phase timer: reports wall time of real host work
+    let t0 = Instant::now();
+    if let Engine::Dist(d) = engine {
+        if factor.kind != FactorKind::Llt {
+            return Err(FactorError::Unsupported(
+                "the distributed engine factors LLt only; use Sequential or Smp for LDLt"
+                    .to_string(),
+            ));
         }
-        Engine::Smp(smp) => {
-            let tr = Collector::new(trace);
-            let mut factor = Factor::allocate(sym, kind, perm);
-            crate::smp::factorize_smp_into(ap, sym, smp, &tr, ws, &mut factor)?;
-            let ranks = worker_ranks(&tr);
-            let scalability = host_scalability(sym, &ranks);
-            Ok(EngineRun {
-                factor,
-                counters: tr.snapshot(),
-                ranks,
-                spans: tr.take_spans(),
-                faults: None,
-                scalability,
-            })
+        // Rank statistics come from the simulator and are always collected;
+        // span events (compute, comm, wait lanes in virtual time) are
+        // recorded only at `TraceLevel::Timeline`, the comm matrix whenever
+        // tracing is on.
+        let run = dist::DistRun {
+            strategy: d.strategy,
+            sync_schedule: d.sync_schedule,
+            timeline: trace.timeline(),
+            comm: trace.enabled(),
+            faults: d.faults.clone(),
+            recv_timeout_s: d.recv_timeout_s,
+            checkpoint: d.checkpoint,
+            max_restarts: d.max_restarts,
+            ..dist::DistRun::new(d.ranks, d.model, ap, &sym, &factor.perm)
         }
-        Engine::Dist(d) => {
-            if kind != FactorKind::Llt {
-                return Err(FactorError::Unsupported(
-                    "the distributed engine factors LLt only; use Sequential or Smp for LDLt"
-                        .to_string(),
-                ));
-            }
-            // Rank statistics come from the simulator and are always
-            // collected; span events (compute, comm, wait lanes in virtual
-            // time) are recorded only at `TraceLevel::Timeline`.
-            let faulty = !d.faults.is_empty() || d.checkpoint || d.recv_timeout_s.is_some();
-            let (out, faults) = if faulty {
-                let fr = dist::run_distributed_faulty(
-                    d.ranks,
-                    d.model,
-                    ap,
-                    sym,
-                    &perm,
-                    d.strategy,
-                    None,
-                    1,
-                    trace.timeline(),
-                    &d.faults,
-                    d.recv_timeout_s,
-                    d.checkpoint,
-                    d.max_restarts,
-                )?;
-                let faults = parfact_trace::FaultReport {
-                    crashes: fr.counts.crashes,
-                    timeouts: fr.counts.timeouts,
-                    delayed_msgs: fr.counts.delayed_msgs,
-                    duplicated_msgs: fr.counts.duplicated_msgs,
-                    restarts: fr.restarts,
-                    total_makespan_s: fr.total_makespan_s,
-                };
-                (fr.outcome, Some(faults))
-            } else {
-                let out = dist::run_distributed_prepared_traced(
-                    d.ranks,
-                    d.model,
-                    ap,
-                    sym,
-                    &perm,
-                    d.strategy,
-                    d.sync_schedule,
-                    None,
-                    1,
-                    trace.timeline(),
-                    trace.enabled(),
-                )?;
-                (out, None)
+        .run()?;
+        let out = run.outcome;
+        let faulty = !d.faults.is_empty() || d.checkpoint || d.recv_timeout_s.is_some();
+        report.faults = faulty.then_some(parfact_trace::FaultReport {
+            crashes: run.counts.crashes,
+            timeouts: run.counts.timeouts,
+            delayed_msgs: run.counts.delayed_msgs,
+            duplicated_msgs: run.counts.duplicated_msgs,
+            restarts: run.restarts,
+            total_makespan_s: run.total_makespan_s,
+        });
+        report.counters = out.fold_counters();
+        // The simulator counts traffic per rank, not fronts; every
+        // supernode is factored exactly once across the machine.
+        report.counters.fronts_factored = sym.nsuper() as u64;
+        report.ranks = out.rank_reports();
+        spans.extend(out.merged_events());
+        // Predicted-vs-measured per rank: the model needs only the symbolic
+        // structure and the mapping (recomputed here — it is deterministic
+        // and cheap relative to the factorization).
+        report.scalability = trace.enabled().then(|| {
+            let map = crate::mapping::map_tree(&sym, d.ranks, d.strategy);
+            let pred = crate::scalability::predict(&sym, &map);
+            let row = |(r, s): (usize, &parfact_mpsim::RankStats)| parfact_trace::RankScalability {
+                rank: r,
+                measured_bytes: s.bytes_sent,
+                predicted_bytes: pred.bytes[r],
+                measured_mem_peak: s.mem_peak,
+                predicted_mem_peak: pred.mem[r],
             };
-            let counters = out.fold_counters();
-            let ranks = out.rank_reports();
-            let spans = out.merged_events();
-            // Predicted-vs-measured per rank: the model needs only the
-            // symbolic structure and the mapping (recomputed here — it is
-            // deterministic and cheap relative to the factorization).
-            let scalability = trace.enabled().then(|| {
-                let map = crate::mapping::map_tree(sym, d.ranks, d.strategy);
-                let pred = crate::scalability::predict(sym, &map);
-                parfact_trace::ScalabilityReport {
-                    nranks: d.ranks,
-                    ranks: out
-                        .stats
-                        .iter()
-                        .enumerate()
-                        .map(|(r, s)| parfact_trace::RankScalability {
-                            rank: r,
-                            measured_bytes: s.bytes_sent,
-                            predicted_bytes: pred.bytes[r],
-                            measured_mem_peak: s.mem_peak,
-                            predicted_mem_peak: pred.mem[r],
-                        })
-                        .collect(),
-                    comm: out.comm.clone(),
-                }
-            });
-            Ok(EngineRun {
-                factor: out.factor,
-                counters,
-                ranks,
-                spans,
-                faults,
-                scalability,
-            })
+            parfact_trace::ScalabilityReport {
+                nranks: d.ranks,
+                ranks: out.stats.iter().enumerate().map(row).collect(),
+                comm: out.comm,
+            }
+        });
+        *factor = out.factor;
+    } else {
+        let tr = Collector::new(trace);
+        match engine {
+            Engine::Smp(smp) => crate::smp::factorize_smp_into(ap, &sym, smp, &tr, ws, factor)?,
+            _ => crate::seq::factorize_seq_into(ap, &sym, &tr, ws, factor)?,
         }
+        report.faults = None;
+        report.counters = tr.snapshot();
+        report.ranks = worker_ranks(&tr);
+        spans.extend(tr.take_spans());
+        report.scalability = host_scalability(&sym, &report.ranks);
     }
+    report.numeric_s = t0.elapsed().as_secs_f64();
+    report.engine = engine.name().to_string();
+    // Analysis spans lead the numeric stream unshifted: they render in
+    // their own timeline lane (`LaneKind::Analysis`), and each phase keeps
+    // its own clock origin — shifting virtual-clock dist spans by a
+    // wall-clock offset would break their exact adjacency.
+    report.spans = spans;
+    report.profile = timeline_profile(&sym, trace, &report.spans, &report.ranks);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1571,11 +1456,6 @@ mod tests {
             .unwrap();
         assert!(out.residual.unwrap() < 1e-12);
         assert!(ops::sym_residual_inf(&a, &out.x, &b) < 1e-13);
-        // The deprecated shim still works and agrees.
-        #[allow(deprecated)]
-        let (x, r) = chol.solve_refined(&a, &b, 2);
-        assert!(r < 1e-12);
-        assert!(ops::sym_residual_inf(&a, &x, &b) < 1e-13);
     }
 
     #[test]

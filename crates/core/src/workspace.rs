@@ -24,8 +24,9 @@ pub struct FrontWorkspace {
     pub(crate) front: Vec<f64>,
     /// Global-to-local scatter map, sized to the matrix order.
     pub(crate) scatter: FrontScatter,
-    /// Child updates taken out of the hand-off slots for assembly; drained
-    /// back into `pool` after each front.
+    /// Child updates staged for assembly by the engine
+    /// ([`FrontWorkspace::stage`]); drained back into `pool` after each
+    /// front.
     pub(crate) children: Vec<UpdateMatrix>,
     /// Panel-copy scratch for the parallel trailing update.
     pub(crate) scratch: Vec<f64>,
@@ -42,6 +43,13 @@ pub struct FrontWorkspace {
 impl FrontWorkspace {
     pub(crate) fn new() -> Self {
         FrontWorkspace::default()
+    }
+
+    /// Stage the child updates the next front assembles (dropping any a
+    /// front that failed mid-way left behind).
+    pub(crate) fn stage(&mut self, updates: impl Iterator<Item = UpdateMatrix>) {
+        self.children.clear();
+        self.children.extend(updates);
     }
 
     /// Grab a buffer for an update matrix of `len` entries; counts a growth

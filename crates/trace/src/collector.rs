@@ -338,8 +338,8 @@ impl AtomicF64 {
 /// The shared sink every engine records into.
 ///
 /// Construct one per factorization with [`Collector::new`], hand it to an
-/// engine (`factorize_seq_traced` & co.), then [`Collector::snapshot`] /
-/// [`Collector::take_spans`] feed the report. A `Collector::disabled()`
+/// engine, then [`Collector::snapshot`] / [`Collector::take_spans`] feed
+/// the report. A `Collector::disabled()`
 /// collector is free to pass around: every hook is one branch.
 pub struct Collector {
     level: TraceLevel,

@@ -16,7 +16,9 @@
 //!   --ordering <m>      nd | amd | rcm | natural         (default nd)
 //!   --analysis-threads <t>  worker threads for the analysis phase
 //!                       (default: inherit; result is bitwise identical)
-//!   --sync              strict-postorder blocking schedule (EXP-A7 baseline)
+//!   --sync              strict-postorder blocking schedule (EXP-A7 baseline;
+//!                       not with --inject, whose checkpoints need the
+//!                       event-driven schedule)
 //!   --inject <spec>     fault plan for the distributed run: crash:<r>@t=<s>
 //!                       | crash:<r>@send=<k> | delay:<src>-<dst>:<alphas>
 //!                       | dup:<src>-<dst> (comma-separated); checkpointed

@@ -3,7 +3,7 @@
 //! sequential engine), and numeric failure on any simulated rank surfaces
 //! as an `Err` — never a panic, never a hang.
 
-use parfact::core::dist::{prepare, run_distributed, run_distributed_prepared};
+use parfact::core::dist::{prepare, run_distributed, run_distributed_prepared, DistRun};
 use parfact::core::mapping::MapStrategy;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
 use parfact::core::FactorError;
@@ -56,10 +56,10 @@ fn facade_dist_engine_propagates_indefinite() {
     }
 }
 
-/// The sync-schedule ablation toggle changes only simulated clocks: both
-/// schedules produce factors bitwise equal to each other and to the
-/// sequential engine, across rank counts that exercise local subtrees,
-/// 1-D groups, and 2-D grids.
+/// The sync-schedule ablation toggle and checkpoint mode (deferred sends,
+/// no faults) change only simulated clocks: all three produce factors
+/// bitwise equal to each other and to the sequential engine, across rank
+/// counts that exercise local subtrees, 1-D groups, and 2-D grids.
 #[test]
 fn schedules_agree_bitwise_across_rank_counts() {
     let a = gen::laplace3d(7, 6, 5, gen::Stencil3d::SevenPoint);
@@ -81,10 +81,20 @@ fn schedules_agree_bitwise_across_rank_counts() {
         };
         let evd = run(false);
         let sync = run(true);
+        let ckpt = DistRun {
+            checkpoint: true,
+            ..DistRun::new(p, CostModel::bluegene_p(), &ap, &sym, &perm)
+        };
+        let ckpt = ckpt.run().expect("SPD").outcome;
         assert_eq!(
             evd.factor.max_abs_diff(&sync.factor),
             0.0,
             "p={p}: event-driven vs sync schedule"
+        );
+        assert_eq!(
+            evd.factor.max_abs_diff(&ckpt.factor),
+            0.0,
+            "p={p}: event-driven vs checkpointing schedule"
         );
         assert_eq!(
             evd.factor.max_abs_diff(seq.factor()),
@@ -94,19 +104,26 @@ fn schedules_agree_bitwise_across_rank_counts() {
     }
 }
 
-/// The façade toggle is wired through: `sync_schedule: true` still solves.
+/// The façade toggle is wired through: `sync_schedule: true` still solves,
+/// is honoured next to the fault options too, and the one combination that
+/// cannot run (checkpointing defers sends, which needs the event-driven
+/// loop) is a typed error instead of a silent fallback.
 #[test]
 fn facade_sync_schedule_solves() {
     let a = gen::laplace2d(24, 24, gen::Stencil2d::FivePoint);
-    let chol = SparseCholesky::factorize(
-        &a,
-        &FactorOpts::new().engine(Engine::Dist(DistOpts {
-            ranks: 4,
-            sync_schedule: true,
-            ..DistOpts::default()
-        })),
-    )
-    .unwrap();
+    let factor = |sync_schedule, recv_timeout_s, checkpoint| {
+        SparseCholesky::factorize(
+            &a,
+            &FactorOpts::new().engine(Engine::Dist(DistOpts {
+                ranks: 4,
+                sync_schedule,
+                recv_timeout_s,
+                checkpoint,
+                ..DistOpts::default()
+            })),
+        )
+    };
+    let chol = factor(true, None, false).unwrap();
     let xstar: Vec<f64> = (0..a.nrows()).map(|i| (i % 11) as f64 - 5.0).collect();
     let mut b = vec![0.0; a.nrows()];
     a.sym_spmv(&xstar, &mut b);
@@ -114,4 +131,20 @@ fn facade_sync_schedule_solves() {
     for (xi, xs) in x.iter().zip(&xstar) {
         assert!((xi - xs).abs() < 1e-8);
     }
+    // Arming a (never-hit) receive deadline leaves the schedule alone: the
+    // virtual clocks are the blocking schedule's, not the event-driven one's.
+    let clocks = |c: &SparseCholesky| -> Vec<u64> {
+        let ranks = &c.report().ranks;
+        ranks.iter().map(|r| r.clock_s.to_bits()).collect()
+    };
+    let armed = factor(true, Some(1e3), false).unwrap();
+    assert_eq!(clocks(&armed), clocks(&chol));
+    assert_ne!(
+        clocks(&armed),
+        clocks(&factor(false, Some(1e3), false).unwrap())
+    );
+    assert!(matches!(
+        factor(true, None, true),
+        Err(FactorError::Unsupported(_))
+    ));
 }

@@ -14,9 +14,7 @@
 //!
 //! Everything here is deterministic: same plan, same seed, same bits.
 
-use parfact::core::dist::{
-    prepare, run_distributed_faulty, run_distributed_prepared, DistOutcome, FaultRun,
-};
+use parfact::core::dist::{prepare, run_distributed_prepared, DistOutcome, DistRun, FaultRun};
 use parfact::core::mapping::MapStrategy;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
 use parfact::core::FactorError;
@@ -60,23 +58,18 @@ fn fault_free(p: usize, pr: &Prepared) -> DistOutcome {
     .unwrap()
 }
 
-fn recover(p: usize, pr: &Prepared, plan: FaultPlan, checkpoint: bool) -> FaultRun {
-    run_distributed_faulty(
-        p,
-        CostModel::bluegene_p(),
-        &pr.ap,
-        &pr.sym,
-        &pr.perm,
-        MapStrategy::default(),
-        None,
-        1,
-        false,
-        &plan,
-        None,
+/// The fault-injected run of `plan` on `p` ranks, two restarts allowed.
+fn faulty(p: usize, pr: &Prepared, plan: FaultPlan, checkpoint: bool) -> DistRun<'_> {
+    DistRun {
+        faults: plan,
         checkpoint,
-        2,
-    )
-    .unwrap()
+        max_restarts: 2,
+        ..DistRun::new(p, CostModel::bluegene_p(), &pr.ap, &pr.sym, &pr.perm)
+    }
+}
+
+fn recover(p: usize, pr: &Prepared, plan: FaultPlan, checkpoint: bool) -> FaultRun {
+    faulty(p, pr, plan, checkpoint).run().unwrap()
 }
 
 #[test]
@@ -223,21 +216,12 @@ fn unrecovered_crash_is_a_typed_rank_failure_not_a_hang() {
     let pr = prep(&a);
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
-        let err = run_distributed_faulty(
-            p,
-            CostModel::bluegene_p(),
-            &pr.ap,
-            &pr.sym,
-            &pr.perm,
-            MapStrategy::default(),
-            None,
-            1,
-            false,
-            &FaultPlan::new().crash_at(1, plain.factor_time_s * 0.3),
-            None,
-            true,
-            0,
-        )
+        let plan = FaultPlan::new().crash_at(1, plain.factor_time_s * 0.3);
+        let err = DistRun {
+            max_restarts: 0,
+            ..faulty(p, &pr, plan, true)
+        }
+        .run()
         .err()
         .expect("run must fail");
         match err {
@@ -264,21 +248,12 @@ fn lost_messages_surface_as_typed_timeouts_never_spurious_deadlock() {
         for q in 1..p {
             plan = plan.delay_link(q, 0, 1e12);
         }
-        let err = run_distributed_faulty(
-            p,
-            CostModel::bluegene_p(),
-            &pr.ap,
-            &pr.sym,
-            &pr.perm,
-            MapStrategy::default(),
-            None,
-            1,
-            false,
-            &plan,
-            Some(plain.factor_time_s * 4.0),
-            false,
-            1,
-        )
+        let err = DistRun {
+            recv_timeout_s: Some(plain.factor_time_s * 4.0),
+            max_restarts: 1,
+            ..faulty(p, &pr, plan, false)
+        }
+        .run()
         .err()
         .expect("run must fail");
         match err {
@@ -306,21 +281,11 @@ fn numeric_errors_outrank_fault_verdicts_and_are_not_retried() {
     // numeric error, not as a fault verdict or a retry loop.
     let a = gen::indefinite(60, 7);
     let pr = prep(&a);
-    let err = run_distributed_faulty(
-        4,
-        CostModel::zero_cost(),
-        &pr.ap,
-        &pr.sym,
-        &pr.perm,
-        MapStrategy::default(),
-        None,
-        1,
-        false,
-        &FaultPlan::new().crash_at(3, 1e30),
-        None,
-        true,
-        2,
-    )
+    let err = DistRun {
+        model: CostModel::zero_cost(),
+        ..faulty(4, &pr, FaultPlan::new().crash_at(3, 1e30), true)
+    }
+    .run()
     .err()
     .expect("run must fail");
     assert!(
@@ -347,21 +312,11 @@ fn solve_after_recovery_matches_fault_free_solution_bitwise() {
     )
     .unwrap();
     let t = plain.factor_time_s;
-    let run = run_distributed_faulty(
-        4,
-        CostModel::bluegene_p(),
-        &pr.ap,
-        &pr.sym,
-        &pr.perm,
-        MapStrategy::default(),
-        Some(&b),
-        1,
-        false,
-        &FaultPlan::new().crash_at(2, t * 0.5),
-        None,
-        true,
-        2,
-    )
+    let run = DistRun {
+        b: Some(&b),
+        ..faulty(4, &pr, FaultPlan::new().crash_at(2, t * 0.5), true)
+    }
+    .run()
     .unwrap();
     let xf = plain.x.unwrap();
     let xr = run.outcome.x.expect("recovered run solves too");

@@ -4,12 +4,12 @@
 //! paper's predicted communication volume brackets the measured volume,
 //! and the metrics export round-trips through its own parser.
 
-use parfact::core::dist::{prepare, run_distributed_prepared_traced};
+use parfact::core::dist::{prepare, DistRun};
 use parfact::core::mapping::{map_tree, MapStrategy};
 use parfact::core::scalability::predict;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
 use parfact::mpsim::model::CostModel;
-use parfact::mpsim::Machine;
+use parfact::mpsim::{FaultPlan, Machine};
 use parfact::order::Method;
 use parfact::sparse::gen;
 use parfact::symbolic::AmalgOpts;
@@ -26,20 +26,12 @@ fn comm_matrix_recording_is_bitwise_non_perturbing() {
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
         let run = |comm: bool| {
-            run_distributed_prepared_traced(
-                ranks,
-                CostModel::bluegene_p(),
-                &ap,
-                &sym,
-                &perm,
-                MapStrategy::default(),
-                false,
-                Some(&b),
-                1,
-                false,
+            let run = DistRun {
+                b: Some(&b),
                 comm,
-            )
-            .unwrap()
+                ..DistRun::new(ranks, CostModel::bluegene_p(), &ap, &sym, &perm)
+            };
+            run.run().unwrap().outcome
         };
         let plain = run(false);
         let recorded = run(true);
@@ -156,30 +148,47 @@ fn report_prediction_matches_standalone_predictor() {
 
 /// `--metrics-out` payload: the Prometheus exposition built from a real
 /// distributed report parses back and re-renders byte-identically, and
-/// carries the scalability section.
+/// carries the scalability section — comm matrix included, reconciled
+/// with the rank counters — with or without a fault plan on the machine.
 #[test]
 fn metrics_exposition_from_real_run_round_trips() {
     let a = gen::laplace3d(7, 6, 5, gen::Stencil3d::SevenPoint);
-    let opts = FactorOpts::new()
-        .engine(Engine::Dist(DistOpts {
-            ranks: 4,
-            ..DistOpts::default()
-        }))
-        .trace(TraceLevel::Counters);
-    let chol = SparseCholesky::factorize(&a, &opts).unwrap();
-    let reg = Registry::from_report(chol.report());
-    let text = reg.to_prometheus();
-    for needle in [
-        "parfact_phase_seconds{phase=\"numeric\"}",
-        "parfact_mem_peak_bytes",
-        "parfact_volume_model_ratio",
-        "parfact_comm_bytes_total{",
-        "parfact_rank_stat{rank=\"0\",stat=\"bytes_sent\"}",
-    ] {
-        assert!(text.contains(needle), "missing {needle} in exposition");
+    for faults in ["", "delay:0-1:10"] {
+        let opts = FactorOpts::new()
+            .engine(Engine::Dist(DistOpts {
+                ranks: 4,
+                faults: FaultPlan::parse(faults).unwrap(),
+                ..DistOpts::default()
+            }))
+            .trace(TraceLevel::Counters);
+        let chol = SparseCholesky::factorize(&a, &opts).unwrap();
+        let sc = chol.report().scalability.as_ref().expect("scalability");
+        let m = sc.comm.as_ref().expect("comm matrix recorded");
+        for row in &sc.ranks {
+            assert_eq!(
+                m.sent_bytes(row.rank),
+                row.measured_bytes,
+                "faults={faults:?}: row {} sum != bytes_sent",
+                row.rank
+            );
+        }
+        let reg = Registry::from_report(chol.report());
+        let text = reg.to_prometheus();
+        for needle in [
+            "parfact_phase_seconds{phase=\"numeric\"}",
+            "parfact_mem_peak_bytes",
+            "parfact_volume_model_ratio",
+            "parfact_comm_bytes_total{",
+            "parfact_rank_stat{rank=\"0\",stat=\"bytes_sent\"}",
+        ] {
+            assert!(
+                text.contains(needle),
+                "faults={faults:?}: missing {needle} in exposition"
+            );
+        }
+        let back = Registry::parse_prometheus(&text).unwrap();
+        assert_eq!(back.to_prometheus(), text, "round trip not byte-identical");
     }
-    let back = Registry::parse_prometheus(&text).unwrap();
-    assert_eq!(back.to_prometheus(), text, "round trip not byte-identical");
 }
 
 /// One scripted message in a random exchange plan.

@@ -3,8 +3,7 @@
 //! block size, all engines agree on the same block, dimension errors are
 //! typed (never panics), and sessions batch without changing answers.
 
-use parfact::core::dist::{prepare, run_distributed_prepared_traced};
-use parfact::core::mapping::MapStrategy;
+use parfact::core::dist::{prepare, DistRun};
 use parfact::core::smp_solve;
 use parfact::core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
 use parfact::core::FactorError;
@@ -116,20 +115,11 @@ fn seq_smp_dist_multi_rhs_parity() {
     }
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
-        let out = run_distributed_prepared_traced(
-            ranks,
-            CostModel::bluegene_p(),
-            &ap,
-            &sym,
-            &perm,
-            MapStrategy::default(),
-            false,
-            Some(&b),
-            nrhs,
-            false,
-            false,
-        )
-        .unwrap();
+        let run = DistRun {
+            b: Some(&b),
+            ..DistRun::new(ranks, CostModel::bluegene_p(), &ap, &sym, &perm)
+        };
+        let out = run.run().unwrap().outcome;
         let xd = out.x.expect("rank 0 gathers the solution block");
         assert_eq!(xd.len(), n * nrhs);
         for (d, s) in xd.iter().zip(&seq.x) {
