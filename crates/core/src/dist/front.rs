@@ -13,12 +13,12 @@
 //! default) and per-entry accumulation order is preserved, so a distributed
 //! factor matches the sequential factor **bitwise**.
 
-use parfact_dense::blas::trsm_right_lt;
+use parfact_dense::blas::{gemm_nt, gemm_nt_ln, trsm_right_lt};
 use parfact_dense::chol;
 use parfact_mpsim::collective::{bcast, ibcast, Group};
+use parfact_mpsim::payload::Payload;
 use parfact_mpsim::Rank;
 use parfact_trace::Phase;
-use std::collections::BTreeMap;
 
 use crate::error::FactorError;
 
@@ -56,7 +56,30 @@ pub const PHASE_GATHER_X: u64 = 13;
 /// Exclusive upper bound of the phase sub-namespace.
 pub const PHASE_LIMIT: u64 = 16;
 
+/// Block-cyclic home of front index `g` along one grid dimension of `np`
+/// positions: `(owning position, index within the owner's stacked blocks)`.
+/// Every block but the last is `nb` long, so the owner's `k`-th block starts
+/// at `k * nb` whatever the front order.
+#[inline]
+pub fn cyclic(g: usize, nb: usize, np: usize) -> (usize, usize) {
+    let b = g / nb;
+    (b % np, (b / np) * nb + g % nb)
+}
+
+/// Total extent of blocks `first, first + step, ...` of an order-`f` front.
+fn stacked_len(f: usize, nb: usize, first: usize, step: usize) -> usize {
+    let blocks = (first..f.div_ceil(nb)).step_by(step);
+    blocks.map(|b| nb.min(f - b * nb)).sum()
+}
+
 /// A front distributed block-cyclically over a process grid.
+///
+/// A rank's share is stored the way ScaLAPACK stores a local array, lower
+/// blocks only: its block rows are stacked into `mloc` **local rows**, and
+/// each owned block column is one column-major **strip** over the local rows
+/// at or below that column's diagonal. A block is a window of its strip
+/// (same leading dimension), so the dense kernels run on a whole strip at a
+/// time and an extend-add addresses an entry as `strip column + local row`.
 #[derive(Clone)]
 pub struct DistFront {
     /// Supernode id (tag namespace).
@@ -71,8 +94,11 @@ pub struct DistFront {
     pub lo: usize,
     /// This rank's grid position.
     pub my: (usize, usize),
-    /// Owned lower blocks, keyed `(bi, bj)`, column-major `m_bi x n_bj`.
-    pub blocks: BTreeMap<(usize, usize), Vec<f64>>,
+    /// Front rows in this rank's block rows.
+    mloc: usize,
+    /// `strips[k]` is block column `my.1 + k * pc`: local rows
+    /// `row_start(bj)..mloc` by the block's columns, column-major.
+    strips: Vec<Vec<f64>>,
 }
 
 impl DistFront {
@@ -93,21 +119,7 @@ impl DistFront {
         debug_assert!(me >= lo && me < lo + pr * pc);
         let rel = me - lo;
         let my = (rel / pc, rel % pc);
-        let nblk = f.div_ceil(nb);
-        let mut blocks = BTreeMap::new();
-        let mut bytes = 0usize;
-        for bi in 0..nblk {
-            for bj in 0..=bi {
-                if (bi % pr, bj % pc) == my {
-                    let m = nb.min(f - bi * nb);
-                    let n = nb.min(f - bj * nb);
-                    blocks.insert((bi, bj), vec![0.0f64; m * n]);
-                    bytes += m * n * 8;
-                }
-            }
-        }
-        rank.alloc(bytes);
-        DistFront {
+        let mut df = DistFront {
             s,
             f,
             w,
@@ -116,8 +128,15 @@ impl DistFront {
             nb,
             lo,
             my,
-            blocks,
-        }
+            mloc: stacked_len(f, nb, my.0, pr),
+            strips: Vec::new(),
+        };
+        let owned_cols = (my.1..df.nblk()).step_by(pc);
+        df.strips = owned_cols
+            .map(|bj| vec![0.0f64; (df.mloc - df.row_start(bj)) * df.mrows(bj)])
+            .collect();
+        rank.alloc(df.bytes());
+        df
     }
 
     /// Number of block rows/cols.
@@ -142,27 +161,77 @@ impl DistFront {
 
     /// Total bytes currently held in owned blocks.
     pub fn bytes(&self) -> usize {
-        self.blocks.values().map(|b| b.len() * 8).sum()
+        self.strips.iter().map(|s| s.len() * 8).sum()
     }
 
-    /// Add `v` into front-local entry `(li, lj)` (must be owned and lower).
-    #[inline]
-    pub fn add(&mut self, li: usize, lj: usize, v: f64) {
-        debug_assert!(li >= lj && li < self.f);
-        let (bi, bj) = (li / self.nb, lj / self.nb);
-        let m = self.mrows(bi);
-        let blk = self
-            .blocks
-            .get_mut(&(bi, bj))
-            .expect("add() to unowned block");
-        blk[(lj - bj * self.nb) * m + (li - bi * self.nb)] += v;
+    /// First local row belonging to a block row at or below `b` (`mloc`
+    /// when this rank has none).
+    fn row_start(&self, b: usize) -> usize {
+        (b.saturating_sub(self.my.0).div_ceil(self.pr) * self.nb).min(self.mloc)
     }
 
-    /// True when this rank owns the block containing `(li, lj)`.
-    #[inline]
-    pub fn owns_entry(&self, li: usize, lj: usize) -> bool {
-        let (bi, bj) = (li / self.nb, lj / self.nb);
-        (bi % self.pr, bj % self.pc) == self.my
+    /// The strip of owned block column `bj`: `(first local row, leading
+    /// dimension, data)`.
+    fn strip_mut(&mut self, bj: usize) -> (usize, usize, &mut [f64]) {
+        debug_assert_eq!(bj % self.pc, self.my.1, "strip of an unowned block column");
+        let r0 = self.row_start(bj);
+        (r0, self.mloc - r0, &mut self.strips[bj / self.pc])
+    }
+
+    /// Where local column `lc` lives: `(strip, first local row the strip
+    /// stores, the column's span within the strip)`.
+    fn locate_col(&self, lc: usize) -> (usize, usize, std::ops::Range<usize>) {
+        let (k, jc) = (lc / self.nb, lc % self.nb);
+        let r0 = self.row_start(self.my.1 + k * self.pc);
+        let ld = self.mloc - r0;
+        (k, r0, jc * ld..(jc + 1) * ld)
+    }
+
+    /// Local column `lc` (the second half of [`cyclic`] along the grid
+    /// columns) as `(first local row it stores, the column)`: local row `lr`
+    /// of the front sits at `column[lr - first]`.
+    pub fn col(&self, lc: usize) -> (usize, &[f64]) {
+        let (k, r0, span) = self.locate_col(lc);
+        (r0, &self.strips[k][span])
+    }
+
+    /// Mutable [`DistFront::col`].
+    pub fn col_mut(&mut self, lc: usize) -> (usize, &mut [f64]) {
+        let (k, r0, span) = self.locate_col(lc);
+        (r0, &mut self.strips[k][span])
+    }
+
+    /// Drop the strips that hold no pivot column (pure Schur blocks) once
+    /// the update has been shipped; returns the released bytes.
+    pub fn release_schur(&mut self) -> usize {
+        let before = self.bytes();
+        let pivot_cols = (self.my.1..self.w.div_ceil(self.nb)).step_by(self.pc);
+        self.strips.truncate(pivot_cols.len());
+        before - self.bytes()
+    }
+
+    /// The lower-triangle entries this rank holds in the pivot columns, as
+    /// column segments `cb(lj, rows, values)` — one per owned pivot column
+    /// and block row.
+    fn for_each_pivot_segment(&self, mut cb: impl FnMut(usize, std::ops::Range<usize>, &[f64])) {
+        let (nb, pr) = (self.nb, self.pr);
+        for lj in (0..self.w).filter(|lj| (lj / nb) % self.pc == self.my.1) {
+            let (r0, col) = self.col(cyclic(lj, nb, self.pc).1);
+            for bi in (lj / nb..self.nblk()).filter(|bi| bi % pr == self.my.0) {
+                let rows = lj.max(bi * nb)..bi * nb + self.mrows(bi);
+                let lr = cyclic(rows.start, nb, pr).1 - r0;
+                cb(lj, rows.clone(), &col[lr..lr + rows.len()]);
+            }
+        }
+    }
+
+    /// Write this rank's share of the factor panel into the `f x w`
+    /// column-major `panel` of the supernode.
+    pub fn scatter_pivots(&self, panel: &mut [f64]) {
+        let f = self.f;
+        self.for_each_pivot_segment(|lj, rows, vals| {
+            panel[lj * f + rows.start..lj * f + rows.end].copy_from_slice(vals);
+        });
     }
 
     /// Distributed right-looking partial Cholesky of the leading `w`
@@ -193,29 +262,38 @@ impl DistFront {
         col_base: usize,
         overlap: bool,
     ) -> Result<(), FactorError> {
-        let (nb, pr, pc, w) = (self.nb, self.pr, self.pc, self.w);
+        let (s, nb, pr, pc, w, f, my) =
+            (self.s, self.nb, self.pr, self.pc, self.w, self.f, self.my);
         let nblk = self.nblk();
         let npanels = w.div_ceil(nb);
-        let t_l11 = tag(self.s, PHASE_L11);
-        let t_row = tag(self.s, PHASE_ROWCAST);
-        let t_col = tag(self.s, PHASE_COLCAST);
-        let cast = |rank: &mut Rank, group: &Group, root: usize, v: Option<Vec<f64>>, t: u64| {
-            if overlap {
+        let mrows = |b: usize| nb.min(f - b * nb);
+        let t_l11 = tag(s, PHASE_L11);
+        let t_row = tag(s, PHASE_ROWCAST);
+        let t_col = tag(s, PHASE_COLCAST);
+        // Broadcast a `len`-value piece. The three streams reuse one tag
+        // per supernode, so a message duplicated by an injected link fault
+        // puts a stream out of step: a typed error, not an index panic.
+        let cast = |rank: &mut Rank, group: &Group, root, v: Option<Vec<f64>>, t, len| {
+            let piece = if overlap {
                 ibcast(rank, group, root, v, t)
             } else {
                 bcast(rank, group, root, v, t)
-            }
+            };
+            let in_step = piece.len() == len;
+            in_step.then_some(piece).ok_or(FactorError::Internal(
+                "panel broadcast out of step: a piece of the wrong size",
+            ))
         };
         // Binomial-tree communicators along my grid row and column.
-        let my_row_group = Group::new((0..pc).map(|gc| self.rank_at(self.my.0, gc)).collect());
-        let my_col_group = Group::new((0..pr).map(|gr| self.rank_at(gr, self.my.1)).collect());
+        let my_row_group = Group::new((0..pc).map(|gc| self.rank_at(my.0, gc)).collect());
+        let my_col_group = Group::new((0..pr).map(|gr| self.rank_at(gr, my.1)).collect());
         // The not-yet-drained previous panel (lookahead window of 1).
         let mut pending: Option<PanelPieces> = None;
         for bk in 0..npanels {
             let k0 = bk * nb;
             let jb = nb.min(w - k0);
             let (br, bc) = (bk % pr, bk % pc);
-            let m_bk = self.mrows(bk);
+            let m_bk = mrows(bk);
 
             // --- A. Bring this panel's block column current. (Eager
             // draining keeps `pending` empty here; with `overlap` this is
@@ -224,85 +302,66 @@ impl DistFront {
                 self.apply_panel(p, rank, |bj| bj == bk);
             }
 
-            // --- B1. Diagonal block: factor its leading jb columns, then
-            // broadcast L11 down the panel's grid column. ---
+            // --- B1. Diagonal block (it heads its strip): factor its
+            // leading jb columns, then broadcast L11 down the panel's grid
+            // column. ---
             let mut l11: Vec<f64> = Vec::new();
-            if self.my == (br, bc) {
-                let blk = self.blocks.get_mut(&(bk, bk)).expect("diag block");
-                chol::partial_potrf(m_bk, jb, blk, m_bk)
+            if my == (br, bc) {
+                let (_, ld, blk) = self.strip_mut(bk);
+                chol::partial_potrf(m_bk, jb, blk, ld)
                     .map_err(|e| FactorError::from_dense(e, col_base + k0))?;
-                rank.compute_as(flops_partial(m_bk, jb), Phase::Panel, Some(self.s));
+                rank.compute_as(flops_partial(m_bk, jb), Phase::Panel, Some(s));
                 // Compact copy of the jb x jb lower L11.
                 l11 = vec![0.0; jb * jb];
                 for t in 0..jb {
-                    for i in t..jb {
-                        l11[t * jb + i] = blk[t * m_bk + i];
-                    }
+                    l11[t * jb + t..(t + 1) * jb].copy_from_slice(&blk[t * ld + t..t * ld + jb]);
                 }
             }
-            if self.my.1 == bc && pr > 1 {
-                let root = if self.my == (br, bc) { Some(l11) } else { None };
-                l11 = cast(rank, &my_col_group, br, root, t_l11);
+            if my.1 == bc && pr > 1 {
+                let root = if my == (br, bc) { Some(l11) } else { None };
+                l11 = cast(rank, &my_col_group, br, root, t_l11, jb * jb)?;
             }
 
             // --- B2. Panel scaling: L21 = A21 L11^{-T} on grid column bc. ---
-            if self.my.1 == bc {
-                for bi in bk + 1..nblk {
-                    if bi % pr != self.my.0 {
-                        continue;
-                    }
-                    let m = self.mrows(bi);
-                    let blk = self.blocks.get_mut(&(bi, bk)).expect("panel block");
-                    trsm_right_lt(m, jb, &l11, jb, blk, m);
-                    rank.compute_as((m * jb * jb) as f64, Phase::Panel, Some(self.s));
+            if my.1 == bc {
+                let (r0, ld, strip) = self.strip_mut(bk);
+                for bi in (bk + 1..nblk).filter(|bi| bi % pr == my.0) {
+                    let m = mrows(bi);
+                    trsm_right_lt(m, jb, &l11, jb, &mut strip[(bi / pr) * nb - r0..], ld);
+                    rank.compute_as((m * jb * jb) as f64, Phase::Panel, Some(s));
                 }
             }
 
             // --- B3. Row-wise broadcast of panel pieces (binomial within
-            // each grid row): arows[bi - bk] = first jb columns of block
-            // (bi, bk), for every block row bi congruent to my grid row. ---
-            let mut arows: Vec<Option<Vec<f64>>> = vec![None; nblk - bk];
-            for bi in bk..nblk {
-                if bi % pr != self.my.0 {
-                    continue;
-                }
-                let piece = if pc == 1 {
-                    let m = self.mrows(bi);
-                    let blk = self.blocks.get(&(bi, bk)).expect("panel block");
-                    blk[..jb * m].to_vec()
-                } else {
-                    let root = if self.my.1 == bc {
-                        let m = self.mrows(bi);
-                        let blk = self.blocks.get(&(bi, bk)).expect("panel block");
-                        Some(blk[..jb * m].to_vec())
-                    } else {
-                        None
-                    };
-                    cast(rank, &my_row_group, bc, root, t_row)
+            // each grid row): the first jb columns of block (bi, bk), for
+            // every block row bi congruent to my grid row, land stacked in
+            // `a` — my local rows from block row bk down, by jb. ---
+            let a_r0 = self.row_start(bk);
+            let lda = self.mloc - a_r0;
+            let mut a = vec![0.0f64; lda * jb];
+            for bi in (bk..nblk).filter(|bi| bi % pr == my.0) {
+                let (m, off) = (mrows(bi), (bi / pr) * nb - a_r0);
+                // On grid column bc the strip of bk starts at a_r0 too.
+                let mine = (my.1 == bc).then(|| rows_of(&self.strips[bk / pc], lda, off, m, jb));
+                let piece = match mine {
+                    Some(piece) if pc == 1 => piece,
+                    root => cast(rank, &my_row_group, bc, root, t_row, m * jb)?,
                 };
-                arows[bi - bk] = Some(piece);
+                set_rows(&mut a, lda, off, m, &piece);
             }
 
             // --- B4. Column-wise broadcast of transposed operands (binomial
-            // within each grid column): bops[bj - bk] = panel piece of block
-            // row bj, for grid column bj % pc. ---
-            let mut bops: Vec<Option<Vec<f64>>> = vec![None; nblk - bk];
-            for bj in bk..nblk {
-                let (sr, sc) = (bj % pr, bj % pc);
-                if self.my.1 != sc {
-                    continue;
-                }
-                let piece = if pr == 1 {
-                    arows[bj - bk].clone().expect("source lacks panel piece")
-                } else {
-                    let root = if self.my.0 == sr {
-                        Some(arows[bj - bk].clone().expect("source lacks panel piece"))
-                    } else {
-                        None
-                    };
-                    cast(rank, &my_col_group, sr, root, t_col)
-                };
-                bops[bj - bk] = Some(piece);
+            // within each grid column): the panel piece of block row bj, for
+            // every block column bj congruent to my grid column, is one
+            // entry of `b`: each strip multiplies by its own piece only. ---
+            let mut b = Vec::new();
+            for bj in (bk..nblk).filter(|bj| bj % pc == my.1) {
+                let (m, sr) = (mrows(bj), bj % pr);
+                let mine = (my.0 == sr).then(|| rows_of(&a, lda, (bj / pr) * nb - a_r0, m, jb));
+                b.push(match mine {
+                    Some(piece) if pr == 1 => piece,
+                    root => cast(rank, &my_col_group, sr, root, t_col, m * jb)?,
+                });
             }
 
             // --- C. Drain. Without overlap: apply this panel eagerly.
@@ -310,12 +369,7 @@ impl DistFront {
             // bk, which step A already brought current) now that panel bk's
             // broadcasts are in flight, and keep panel bk pending — its
             // transfer time hides under this compute. ---
-            let current = PanelPieces {
-                bk,
-                jb,
-                arows,
-                bops,
-            };
+            let current = PanelPieces { bk, jb, a, b };
             if overlap {
                 if let Some(p) = pending.take() {
                     self.apply_panel(&p, rank, |bj| bj != bk);
@@ -332,62 +386,96 @@ impl DistFront {
         Ok(())
     }
 
-    /// Apply one panel's trailing update to every owned block whose block
-    /// column satisfies `keep` (and is at or right of the panel). The panel
-    /// block-column only updates its columns beyond the pivot part; the
-    /// diagonal block of the panel was already updated inside its
-    /// `partial_potrf`.
+    /// Apply one panel's trailing update to every owned block column that
+    /// satisfies `keep` (and is at or right of the panel): one packed
+    /// lower-triangle update on the diagonal block when this rank owns it,
+    /// one packed `C -= A Bᵀ` on all the local rows below. The panel's own
+    /// block column only updates its columns beyond the pivot part, and its
+    /// diagonal block was already updated inside its `partial_potrf`.
+    ///
+    /// `k = jb <= nb <= pack::KC`, so every entry is one ascending dot over
+    /// the panel's pivots subtracted once — the packed microkernel's
+    /// accumulation contract (see `parfact_dense::pack`), which keeps
+    /// distributed results bitwise equal to sequential. The flops charged
+    /// are the entries updated times `2 jb` (a diagonal block only counts
+    /// its lower triangle), by formula — not whatever the kernel's tiles
+    /// happen to compute.
     fn apply_panel(&mut self, p: &PanelPieces, rank: &mut Rank, keep: impl Fn(usize) -> bool) {
-        let (nb, f) = (self.nb, self.f);
-        let bk = p.bk;
-        let jb = p.jb;
+        let (pr, pc, my, mloc) = (self.pr, self.pc, self.my, self.mloc);
+        let (bk, jb) = (p.bk, p.jb);
+        let a_r0 = self.row_start(bk);
+        let lda = mloc - a_r0;
         let mut flops = 0usize;
-        for (&(bi, bj), blk) in self.blocks.iter_mut() {
-            if bj < bk || !keep(bj) {
-                continue;
-            }
-            if bi == bk && bj == bk {
-                continue; // handled inside the diagonal partial_potrf
-            }
-            let m_bi = nb.min(f - bi * nb);
-            let n_bj = nb.min(f - bj * nb);
-            let m_bj = n_bj;
+        let my_cols = (bk..self.nblk()).filter(|bj| bj % pc == my.1);
+        for (bj, bop) in my_cols.zip(&p.b).filter(|&(bj, _)| keep(bj)) {
+            // `bop` is the piece of block row bj: n_bj x jb, compact.
+            let n_bj = self.mrows(bj);
             let jc0 = if bj == bk { jb } else { 0 };
             if jc0 >= n_bj {
                 continue;
             }
-            let a = p.arows[bi - bk].as_deref().expect("missing A operand");
-            let b = p.bops[bj - bk].as_deref().expect("missing B operand");
-            for jc in jc0..n_bj {
-                // Row start: lower triangle within diagonal blocks.
-                let i0 = if bi == bj { jc } else { 0 };
-                let col = &mut blk[jc * m_bi..(jc + 1) * m_bi];
-                // Per-entry dot over the panel's jb pivots in ascending
-                // order, subtracted once — the packed microkernel's
-                // accumulation contract (see `parfact_dense::pack`), which
-                // keeps distributed results bitwise equal to sequential.
-                for i in i0..m_bi {
-                    let mut acc = 0.0f64;
-                    for t in 0..jb {
-                        acc += a[t * m_bi + i] * b[t * m_bj + jc];
-                    }
-                    col[i] -= acc;
+            let (r0, ld, strip) = self.strip_mut(bj);
+            // First local row below the diagonal block.
+            let mut below = r0;
+            if bj % pr == my.0 {
+                if bj != bk {
+                    gemm_nt_ln(n_bj, jb, -1.0, &p.a[r0 - a_r0..], lda, bop, n_bj, strip, ld);
+                    flops += jb * n_bj * (n_bj + 1);
                 }
-                // Charge per column so diagonal blocks (which only compute
-                // their lower triangle) are not overcounted.
-                flops += 2 * (m_bi - i0) * jb;
+                below += n_bj;
+            }
+            let (m, n) = (mloc - below, n_bj - jc0);
+            if m > 0 {
+                let (aop, bop) = (&p.a[below - a_r0..], &bop[jc0..]);
+                let c = &mut strip[jc0 * ld + below - r0..];
+                gemm_nt(m, n, jb, -1.0, aop, lda, bop, n_bj, 1.0, c, ld);
+                flops += 2 * m * n * jb;
             }
         }
         rank.compute_as(flops as f64, Phase::Gemm, Some(self.s));
     }
 }
 
-/// One panel's broadcast pieces, kept alive by the lookahead window.
+/// A factored front travels whole to whoever assembles the supernode's
+/// panel — rank 0 in the factor gather, the group leader in a solve — and is
+/// read there with [`DistFront::scatter_pivots`]. On the modelled wire it is
+/// its pivot entries as `(li, lj, value)` triplets, two `u32` and an `f64`
+/// each, whatever the host moves.
+impl Payload for DistFront {
+    fn nbytes(&self) -> usize {
+        let mut entries = 0;
+        self.for_each_pivot_segment(|_, rows, _| entries += rows.len());
+        16 * entries
+    }
+}
+
+/// One panel's broadcast pieces, kept alive by the lookahead window: the
+/// first `jb` columns of the panel's blocks in this rank's block rows,
+/// stacked column-major over the local rows from block row `bk` down (`a`),
+/// and one compact piece per block column of this rank from `bk` right
+/// (`b`, the piece of the block *row* of that number).
 struct PanelPieces {
     bk: usize,
     jb: usize,
-    arows: Vec<Option<Vec<f64>>>,
-    bops: Vec<Option<Vec<f64>>>,
+    a: Vec<f64>,
+    b: Vec<Vec<f64>>,
+}
+
+/// Rows `off..off + m` of the first `n` columns of a column-major matrix
+/// with leading dimension `ld`, compacted to `m x n`.
+fn rows_of(src: &[f64], ld: usize, off: usize, m: usize, n: usize) -> Vec<f64> {
+    let mut piece = Vec::with_capacity(m * n);
+    for j in 0..n {
+        piece.extend_from_slice(&src[j * ld + off..j * ld + off + m]);
+    }
+    piece
+}
+
+/// Inverse of [`rows_of`]: write the compact `m`-row `piece` back.
+fn set_rows(dst: &mut [f64], ld: usize, off: usize, m: usize, piece: &[f64]) {
+    for (j, col) in piece.chunks_exact(m).enumerate() {
+        dst[j * ld + off..j * ld + off + m].copy_from_slice(col);
+    }
 }
 
 /// Tag for `(supernode, phase)` — phases within a supernode are disjoint,

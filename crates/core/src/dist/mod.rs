@@ -23,7 +23,7 @@ use crate::factor::{Factor, FactorKind};
 use crate::frontal::{factor_front, Buf, FrontMeter, UpdateMatrix};
 use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
 use crate::workspace::FrontWorkspace;
-use front::DistFront;
+use front::{cyclic, DistFront};
 use parfact_dense::chol;
 use parfact_mpsim::model::CostModel;
 use parfact_mpsim::{FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
@@ -56,22 +56,12 @@ pub struct RankFactor {
 }
 
 impl RankFactor {
-    /// Bytes of factor data held by this rank (pivot columns only for
-    /// distributed supernodes).
-    pub fn factor_bytes(&self, sym: &Symbolic) -> usize {
-        let mut b = 0usize;
-        for p in self.local_panels.values() {
-            b += p.len() * 8;
-        }
-        for (s, df) in &self.dist_blocks {
-            let w = sym.sn_width(*s);
-            for (&(_, bj), blk) in &df.blocks {
-                if bj * df.nb < w {
-                    b += blk.len() * 8;
-                }
-            }
-        }
-        b
+    /// Bytes of factor data held by this rank (a distributed supernode
+    /// retains its pivot columns only).
+    pub fn factor_bytes(&self) -> usize {
+        let local: usize = self.local_panels.values().map(|p| p.len() * 8).sum();
+        let dist: usize = self.dist_blocks.values().map(DistFront::bytes).sum();
+        local + dist
     }
 }
 
@@ -425,17 +415,23 @@ impl RankRun<'_> {
         };
         let lo = map.group[s].0;
         let mut df = DistFront::new(s, f, w, pr, pc, nb, lo, self.rank);
-        // Assemble my share of the original-matrix entries.
+        let my = df.my;
+        // Assemble my share of the original-matrix entries: my columns only,
+        // and of those the rows in my block rows.
         let scatter = &mut self.wst.scatter;
         scatter.set(sym, s);
         let mut nassemble = 0usize;
         for c in c0..c1 {
+            let (gc, lc) = cyclic(c - c0, nb, pc);
+            if gc != my.1 {
+                continue;
+            }
+            let (r0, col) = df.col_mut(lc);
             let (rows, vals) = self.ap.col(c);
-            let lj = c - c0;
             for (&r, &v) in rows.iter().zip(vals) {
-                let li = scatter.local(r);
-                if df.owns_entry(li, lj) {
-                    df.add(li, lj, v);
+                let (gr, lr) = cyclic(scatter.local(r), nb, pr);
+                if gr == my.0 {
+                    col[lr - r0] += v;
                     nassemble += 1;
                 }
             }
@@ -447,7 +443,8 @@ impl RankRun<'_> {
         // order — the canonical order both schedules share.
         for &c in &sym.tree.children[s] {
             let (clo, chi) = map.group[c];
-            let plocal = parent_local_map(sym, s, &sym.sn_rows[c]);
+            let em = ExtMap::new(sym, map, s, c);
+            let (own, own_before) = em.rows_owned_by(my.0);
             for q in clo..chi {
                 let vals = if q == me {
                     self.st.self_stash.remove(&ext_tag(c)).unwrap_or_default()
@@ -457,19 +454,25 @@ impl RankRun<'_> {
                 } else {
                     self.rank.recv::<ExtBuf>(q, ext_tag(c))
                 };
-                // Walk q's canonical coordinate stream; my share of the values
-                // arrives in exactly that order.
-                let mut next = 0usize;
-                enumerate_child_schur_coords(sym, map, c, q, |i_idx, j_idx| {
-                    // plocal is monotone, so i_idx >= j_idx keeps (gi, gj) in
-                    // the lower triangle.
-                    let (gi, gj) = (plocal[i_idx], plocal[j_idx]);
-                    if df.owns_entry(gi, gj) {
-                        df.add(gi, gj, vals[next]);
-                        next += 1;
+                // Walk q's canonical segment stream; my share of the values
+                // arrives in exactly that order: nothing for a column that is
+                // not mine, else one value per row of the segment in my
+                // block rows, all into one column of one strip.
+                let mut rest = &vals[..];
+                for_each_update_segment(sym, map, c, q, |j, rows| {
+                    let (gc, lc) = em.col[j];
+                    if gc != my.1 {
+                        return;
                     }
+                    let (r0, col) = df.col_mut(lc);
+                    let own = &own[own_before[rows.start]..own_before[rows.end]];
+                    let (seg, tail) = rest.split_at(own.len());
+                    for (&lr, &v) in own.iter().zip(seg) {
+                        col[lr - r0] += v;
+                    }
+                    rest = tail;
                 });
-                debug_assert_eq!(next, vals.len(), "extend-add stream mismatch");
+                debug_assert!(rest.is_empty(), "extend-add stream mismatch");
                 self.rank
                     .compute_as(vals.len() as f64, Phase::ExtendAdd, Some(s));
             }
@@ -479,10 +482,14 @@ impl RankRun<'_> {
         df.factorize(self.rank, c0, self.st.sends != Sends::Blocking)?;
         // Ship the Schur complement to the parent.
         if f > w && sym.tree.parent[s] != NONE {
-            self.send_dist_update(s, &df);
+            self.send_update(s, |j, rows| {
+                let (r0, col) = df.col(cyclic(w + j, nb, pc).1);
+                let lr = cyclic(w + rows.start, nb, pr).1;
+                &col[lr - r0..lr - r0 + rows.len()]
+            });
         }
         // Retain pivot blocks; release pure-Schur blocks.
-        let released = release_schur_blocks(&mut df);
+        let released = df.release_schur();
         self.rank.free(released);
         self.st.out.dist_blocks.insert(s, df);
         Ok(())
@@ -490,53 +497,47 @@ impl RankRun<'_> {
 
     /// Route a locally-computed update matrix toward the parent supernode.
     fn route_update(&mut self, s: usize, upd: UpdateMatrix) {
-        let (sym, map) = (self.sym, self.map);
-        let parent = sym.tree.parent[s];
+        let parent = self.sym.tree.parent[s];
         debug_assert_ne!(parent, NONE);
-        match map.layout[parent] {
+        match self.map.layout[parent] {
             Layout::Local => {
                 // Parent runs on this same rank (nested ranges).
                 self.st.local_updates.insert(s, upd);
             }
-            Layout::Grid { pr, pc, nb } => {
-                let plocal = parent_local_map(sym, parent, upd.rows(sym));
-                // Per-destination-rank slices of the update (Vec indexed by
-                // relative grid rank, so the emission order is fixed).
-                let mut parts: Vec<ExtBuf> = vec![Default::default(); pr * pc];
-                let r = upd.order(sym);
-                // Canonical order for a local child: column-major lower.
-                for j in 0..r {
-                    let lj = plocal[j];
-                    for i in j..r {
-                        let li = plocal[i];
-                        let (bi, bj) = (li / nb, lj / nb);
-                        let rel = (bi % pr) * pc + (bj % pc);
-                        parts[rel].push(upd.data[j * r + i]);
-                    }
-                }
-                self.ship(s, parent, parts);
+            Layout::Grid { .. } => {
+                let r = upd.order(self.sym);
+                self.send_update(s, |j, rows| &upd.data[j * r + rows.start..j * r + rows.end]);
             }
         }
     }
 
-    /// Send a distributed front's Schur entries to the parent's owners.
-    fn send_dist_update(&mut self, s: usize, df: &DistFront) {
-        let sym = self.sym;
+    /// Split child `s`'s update among the owners of its distributed parent
+    /// and ship the pieces. `segment(j, rows)` is this rank's stored slice
+    /// of update column `j` over `rows`, for every segment
+    /// [`for_each_update_segment`] names; a whole segment goes to one grid
+    /// column, each entry to the grid row of its row.
+    fn send_update<'d>(
+        &mut self,
+        s: usize,
+        segment: impl Fn(usize, std::ops::Range<usize>) -> &'d [f64],
+    ) {
+        let (sym, map) = (self.sym, self.map);
         let parent = sym.tree.parent[s];
-        let w = df.w;
-        let plocal = parent_local_map(sym, parent, &sym.sn_rows[s]);
-        let Layout::Grid { pr, pc, nb } = self.map.layout[parent] else {
+        let Layout::Grid { pr, pc, .. } = map.layout[parent] else {
             // Nested rank groups make this impossible: a parent's group
             // contains the child's, so it cannot be smaller.
             unreachable!("a distributed front cannot have a single-rank parent");
         };
-        // Per-destination-rank slices, indexed by relative grid rank.
+        let em = ExtMap::new(sym, map, parent, s);
+        // Per-destination-rank slices, indexed by relative grid rank (so the
+        // emission order is fixed).
         let mut parts: Vec<ExtBuf> = vec![Default::default(); pr * pc];
-        for_each_schur_entry(df, w, |li, lj, v| {
-            let (gi, gj) = (plocal[li - w], plocal[lj - w]);
-            let (bi, bj) = (gi / nb, gj / nb);
-            let rel = (bi % pr) * pc + (bj % pc);
-            parts[rel].push(v);
+        for_each_update_segment(sym, map, s, self.rank.rank(), |j, rows| {
+            let gc = em.col[j].0;
+            let vals = segment(j, rows.clone());
+            for (&(gr, _), &v) in em.row[rows].iter().zip(vals) {
+                parts[gr * pc + gc].push(v);
+            }
         });
         self.ship(s, parent, parts);
     }
@@ -606,57 +607,41 @@ fn local_cost_estimate(sym: &Symbolic, s: usize, model: &CostModel) -> f64 {
     fl * model.flop_time_s
 }
 
-/// Enumerate the canonical Schur coordinate stream of a *child* as held by
-/// machine rank `q` — the receiver-side mirror of the senders above. Emits
-/// indices into the child's `sn_rows` (so `(i_idx, j_idx)` with
-/// `i_idx >= j_idx`).
-fn enumerate_child_schur_coords(
+/// The canonical order of the update (Schur complement) entries of
+/// supernode `child` held by machine rank `q`, as column segments: `cb(j,
+/// rows)` stands for entries `(i, j)`, `i` ascending over `rows`, both
+/// indexing the child's `sn_rows`. Sender and receiver both walk this —
+/// the sender to cut its update into per-owner value lists, the receiver to
+/// regenerate the coordinates of the values it was sent — which is why
+/// extend-add messages carry no indices.
+///
+/// A single-rank child holds the whole lower triangle column by column; a
+/// rank of a distributed child holds its blocks in `(bi, bj)` order, each
+/// column-major, clipped to the update part (`>= w`) and, on diagonal
+/// blocks, to the lower triangle.
+fn for_each_update_segment(
     sym: &Symbolic,
     map: &Mapping,
     child: usize,
     q: usize,
-    mut cb: impl FnMut(usize, usize),
+    mut cb: impl FnMut(usize, std::ops::Range<usize>),
 ) {
     let w = sym.sn_width(child);
     let f = sym.front_order(child);
     match map.layout[child] {
-        Layout::Local => {
-            let r = f - w;
-            for j in 0..r {
-                for i in j..r {
-                    cb(i, j);
-                }
-            }
-        }
+        Layout::Local => (0..f - w).for_each(|j| cb(j, j..f - w)),
         Layout::Grid { pr, pc, nb } => {
-            let lo = map.group[child].0;
-            let rel = q - lo;
+            let rel = q - map.group[child].0;
             let my = (rel / pc, rel % pc);
-            let nblk = f.div_ceil(nb);
-            for bi in 0..nblk {
-                for bj in 0..=bi {
-                    if (bi % pr, bj % pc) != my {
-                        continue;
-                    }
-                    let m_bi = nb.min(f - bi * nb);
-                    let n_bj = nb.min(f - bj * nb);
-                    let (r0, c0) = (bi * nb, bj * nb);
-                    if r0 + m_bi <= w {
-                        continue;
-                    }
-                    for jc in 0..n_bj {
-                        let lj = c0 + jc;
-                        if lj < w {
-                            continue;
-                        }
-                        let i0 = if bi == bj { jc } else { 0 };
-                        for i in i0..m_bi {
-                            let li = r0 + i;
-                            if li < w {
-                                continue;
-                            }
-                            cb(li - w, lj - w);
-                        }
+            for bi in (my.0..f.div_ceil(nb)).step_by(pr) {
+                let row_end = f.min((bi + 1) * nb);
+                let my_cols = (my.1..=bi).step_by(pc);
+                for lj in my_cols.flat_map(|bj| bj * nb..f.min((bj + 1) * nb)) {
+                    // `lj <= li` is the lower-triangle clip of a diagonal
+                    // block and no clip at all below the diagonal.
+                    let row_start = w.max(bi * nb).max(lj);
+                    if lj >= w && row_start < row_end {
+                        cb(lj - w, row_start - w..row_end - w);
                     }
                 }
             }
@@ -664,97 +649,54 @@ fn enumerate_child_schur_coords(
     }
 }
 
-/// Enumerate a distributed front's Schur entries (`li, lj >= w`) in
-/// deterministic (block-sorted, column-major) order.
-fn for_each_schur_entry(df: &DistFront, w: usize, mut f: impl FnMut(usize, usize, f64)) {
-    let nb = df.nb;
-    for (&(bi, bj), blk) in &df.blocks {
-        let m_bi = df.mrows(bi);
-        let n_bj = df.mrows(bj);
-        let (r0, c0) = (bi * nb, bj * nb);
-        if r0 + m_bi <= w {
-            continue; // entirely in the pivot region (li < w)
-        }
-        for jc in 0..n_bj {
-            let lj = c0 + jc;
-            if lj < w {
-                continue;
-            }
-            let i0 = if bi == bj { jc } else { 0 };
-            for i in i0..m_bi {
-                let li = r0 + i;
-                if li < w {
-                    continue;
-                }
-                f(li, lj, blk[jc * m_bi + i]);
-            }
-        }
-    }
+/// Where a child's update lands in its block-cyclic parent front, decided
+/// once per child row — not per entry: for child row `i` (an index into the
+/// child's `sn_rows`), `row[i]` is the grid row owning the parent-front row
+/// it maps to and that row's local index there, `col[i]` the same along the
+/// grid columns (see [`front::cyclic`]). Entry `(i, j)` of the update
+/// belongs to grid position `(row[i].0, col[j].0)`. The sender reads the
+/// owners, the receiver the local indices of what it owns.
+struct ExtMap {
+    row: Vec<(usize, usize)>,
+    col: Vec<(usize, usize)>,
 }
 
-/// Map child rows to parent-front-local indices.
-fn parent_local_map(sym: &Symbolic, parent: usize, rows: &[usize]) -> Vec<usize> {
-    let (pc0, pw) = (sym.sn_ptr[parent], sym.sn_width(parent));
-    rows.iter()
-        .map(|&r| {
+impl ExtMap {
+    fn new(sym: &Symbolic, map: &Mapping, parent: usize, child: usize) -> Self {
+        let Layout::Grid { pr, pc, nb } = map.layout[parent] else {
+            unreachable!("extend-add into a single-rank parent is a local assembly");
+        };
+        let (pc0, pw) = (sym.sn_ptr[parent], sym.sn_width(parent));
+        // Child rows as parent-front indices: pivot columns first, then
+        // the parent's own row structure.
+        let plocal = sym.sn_rows[child].iter().map(|&r| {
             if r < pc0 + pw {
                 debug_assert!(r >= pc0);
                 r - pc0
             } else {
-                pw + sym.sn_rows[parent]
-                    .binary_search(&r)
-                    .expect("child row missing from parent structure")
+                let below = sym.sn_rows[parent].binary_search(&r);
+                pw + below.expect("child row missing from parent structure")
             }
-        })
-        .collect()
-}
-
-/// Drop blocks that contain no pivot column (pure Schur blocks) after the
-/// update has been shipped; returns released bytes.
-fn release_schur_blocks(df: &mut DistFront) -> usize {
-    let w = df.w;
-    let nb = df.nb;
-    let mut released = 0usize;
-    df.blocks.retain(|&(_bi, bj), blk| {
-        if bj * nb >= w {
-            released += blk.len() * 8;
-            false
-        } else {
-            true
-        }
-    });
-    released
-}
-
-/// Indexed triplet buffer used only by the verification gather.
-type GatherBuf = (Vec<u32>, Vec<f64>);
-
-/// This rank's share of a distributed supernode's factor panel (the pivot
-/// columns of `df`) as `(li, lj)` index pairs plus values.
-fn pack_pivot_blocks(df: &DistFront) -> GatherBuf {
-    let (nb, w) = (df.nb, df.w);
-    let mut buf: GatherBuf = Default::default();
-    for (&(bi, bj), blk) in &df.blocks {
-        if bj * nb >= w {
-            continue;
-        }
-        let m_bi = df.mrows(bi);
-        let n_bj = df.mrows(bj);
-        for jc in 0..n_bj.min(w - bj * nb) {
-            let lj = bj * nb + jc;
-            let i0 = if bi == bj { jc } else { 0 };
-            for i in i0..m_bi {
-                let li = bi * nb + i;
-                if li < lj {
-                    continue;
-                }
-                buf.0.push(li as u32);
-                buf.0.push(lj as u32);
-                buf.1.push(blk[jc * m_bi + i]);
-            }
-        }
+        });
+        let (row, col): (Vec<_>, Vec<_>) = plocal
+            .map(|g| (cyclic(g, nb, pr), cyclic(g, nb, pc)))
+            .unzip();
+        ExtMap { row, col }
     }
-    buf
+
+    /// The child rows that land in the block rows of grid row `gr`, as
+    /// local rows there in child-row order, and how many of them precede
+    /// each child row — so the owned part of child rows `a..b` is
+    /// `own[before[a]..before[b]]`.
+    fn rows_owned_by(&self, gr: usize) -> (Vec<usize>, Vec<usize>) {
+        let mine = self.row.iter().filter(|&&(g, _)| g == gr);
+        let own = mine.map(|&(_, lr)| lr).collect();
+        let mut before = vec![0usize; self.row.len() + 1];
+        for (i, &(g, _)) in self.row.iter().enumerate() {
+            before[i + 1] = before[i] + usize::from(g == gr);
+        }
+        (own, before)
+    }
 }
 
 /// Gather a distributed factor onto machine rank 0 as an ordinary
@@ -763,7 +705,7 @@ pub fn gather_factor(
     rank: &mut Rank,
     sym: &Arc<Symbolic>,
     map: &Mapping,
-    rf: &RankFactor,
+    mut rf: RankFactor,
     perm: Perm,
 ) -> Option<Factor> {
     const TAG_GATHER: u64 = front::PHASE_GATHER;
@@ -773,8 +715,14 @@ pub fn gather_factor(
         for s in (0..nsuper).filter(|&s| map.participates(s, me)) {
             let tag = front::tag(s, TAG_GATHER);
             match map.layout[s] {
-                Layout::Local => rank.send(0, tag, rf.local_panels[&s].clone()),
-                Layout::Grid { .. } => rank.send(0, tag, pack_pivot_blocks(&rf.dist_blocks[&s])),
+                Layout::Local => {
+                    let panel = rf.local_panels.remove(&s).expect("local panel");
+                    rank.send(0, tag, panel)
+                }
+                Layout::Grid { .. } => {
+                    let share = rf.dist_blocks.remove(&s).expect("distributed share");
+                    rank.send(0, tag, share)
+                }
             }
         }
         return None;
@@ -782,7 +730,6 @@ pub fn gather_factor(
     // Rank 0: assemble every panel straight into the factor slab.
     let mut factor = Factor::allocate(sym, FactorKind::Llt, perm);
     for s in 0..nsuper {
-        let f = sym.front_order(s);
         let tag = front::tag(s, TAG_GATHER);
         let panel = factor.panel_mut(s);
         match map.layout[s] {
@@ -793,12 +740,9 @@ pub fn gather_factor(
             Layout::Grid { .. } => {
                 let (lo, hi) = map.group[s];
                 for q in lo..hi {
-                    let (idx, vals) = match q {
-                        0 => pack_pivot_blocks(&rf.dist_blocks[&s]),
-                        _ => rank.recv::<GatherBuf>(q, tag),
-                    };
-                    for (k, &v) in vals.iter().enumerate() {
-                        panel[idx[2 * k + 1] as usize * f + idx[2 * k] as usize] = v;
+                    match q {
+                        0 => rf.dist_blocks[&s].scatter_pivots(panel),
+                        _ => rank.recv::<DistFront>(q, tag).scatter_pivots(panel),
                     }
                 }
             }
@@ -1071,6 +1015,14 @@ impl<'a> DistRun<'a> {
                     .to_string(),
             ));
         }
+        let (MapStrategy::Proportional { nb, .. } | MapStrategy::Flat { nb, .. }) = self.strategy;
+        // One rank never tiles a front, so only there is `nb` free.
+        if p == 0 || (nb == 0 && p > 1) {
+            return Err(FactorError::Unsupported(format!(
+                "a distributed run needs at least one rank, and a positive block size \
+                 to tile a front over several (got ranks = {p}, nb = {nb})"
+            )));
+        }
         let map = crate::mapping::map_tree(sym, p, self.strategy);
         assert!(map.validate(sym), "invalid mapping");
         let bp = permuted_rhs(self.b, sym.n, self.total_perm);
@@ -1201,8 +1153,8 @@ fn finish_rank(
     rank.set_trace_events(false);
     let stats = rank.stats();
     let comm = rank.comm_row();
-    let fbytes = rf.factor_bytes(sym);
-    let factor = gather_factor(rank, sym, map, &rf, total_perm.clone());
+    let fbytes = rf.factor_bytes();
+    let factor = gather_factor(rank, sym, map, rf, total_perm.clone());
     let x = xp.map(|xp| {
         let cols = xp.chunks(n);
         cols.flat_map(|col| total_perm.apply_inv_vec(col)).collect()

@@ -15,7 +15,8 @@
 //! `nrhs` — batched solves amortize the latency-bound tree walk across
 //! the whole block.
 
-use crate::dist::{front, RankFactor};
+use crate::dist::front::{self, DistFront};
+use crate::dist::RankFactor;
 use crate::mapping::{Layout, Mapping};
 use parfact_dense::solve as dsolve;
 use parfact_mpsim::Rank;
@@ -29,40 +30,9 @@ use front::{
     PHASE_GATHER_X as PH_GATHER_X,
 };
 
-/// Pivot-column entries of this rank's blocks of supernode `s`, as a
-/// triplet buffer in front-local coordinates.
-fn pivot_pieces(sym: &Symbolic, rf: &RankFactor, s: usize) -> (Vec<u32>, Vec<f64>) {
-    let df = &rf.dist_blocks[&s];
-    let w = sym.sn_width(s);
-    let nb = df.nb;
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    for (&(bi, bj), blk) in &df.blocks {
-        if bj * nb >= w {
-            continue;
-        }
-        let m_bi = df.mrows(bi);
-        let n_bj = df.mrows(bj);
-        for jc in 0..n_bj.min(w - bj * nb) {
-            let lj = bj * nb + jc;
-            let i0 = if bi == bj { jc } else { 0 };
-            for i in i0..m_bi {
-                let li = bi * nb + i;
-                if li < lj {
-                    continue;
-                }
-                idx.push(li as u32);
-                idx.push(lj as u32);
-                vals.push(blk[jc * m_bi + i]);
-            }
-        }
-    }
-    (idx, vals)
-}
-
 /// Assemble the full `f x w` panel of supernode `s` on the leader,
-/// receiving pieces from every other group member (they must be executing
-/// [`send_panel_pieces`] for the same `s` and `phase`).
+/// receiving the pivot pieces every other group member sends it under the
+/// same `s` and `phase`.
 fn gather_panel(
     rank: &mut Rank,
     sym: &Symbolic,
@@ -77,30 +47,14 @@ fn gather_panel(
     let mut panel = vec![0.0f64; f * w];
     rank.alloc(panel.len() * 8);
     for q in lo..hi {
-        let (idx, vals) = if q == rank.rank() {
-            pivot_pieces(sym, rf, s)
+        if q == rank.rank() {
+            rf.dist_blocks[&s].scatter_pivots(&mut panel);
         } else {
-            rank.recv::<(Vec<u32>, Vec<f64>)>(q, front::tag(s, phase))
-        };
-        for (k, &v) in vals.iter().enumerate() {
-            panel[idx[2 * k + 1] as usize * f + idx[2 * k] as usize] = v;
+            let share = rank.recv::<DistFront>(q, front::tag(s, phase));
+            share.scatter_pivots(&mut panel);
         }
     }
     panel
-}
-
-/// Non-leader group members: ship pivot pieces to the leader.
-fn send_panel_pieces(
-    rank: &mut Rank,
-    sym: &Symbolic,
-    map: &Mapping,
-    rf: &RankFactor,
-    s: usize,
-    phase: u64,
-) {
-    let lead = map.leader(s);
-    let buf = pivot_pieces(sym, rf, s);
-    rank.send(lead, front::tag(s, phase), buf);
 }
 
 /// SPMD distributed solve (`L Lᵀ X = B`, permuted space). Every rank calls
@@ -132,7 +86,8 @@ pub fn solve_rank(
         let is_dist = matches!(map.layout[s], Layout::Grid { .. });
         if me != lead {
             if is_dist {
-                send_panel_pieces(rank, sym, map, rf, s, PH_FWD_PANEL);
+                let share = rf.dist_blocks[&s].clone();
+                rank.send(lead, front::tag(s, PH_FWD_PANEL), share);
             }
             continue;
         }
@@ -209,7 +164,8 @@ pub fn solve_rank(
         let is_dist = matches!(map.layout[s], Layout::Grid { .. });
         if me != lead {
             if is_dist {
-                send_panel_pieces(rank, sym, map, rf, s, PH_BWD_PANEL);
+                let share = rf.dist_blocks[&s].clone();
+                rank.send(lead, front::tag(s, PH_BWD_PANEL), share);
             }
             continue;
         }

@@ -1139,12 +1139,21 @@ impl Rank {
 
     fn pop_head(&mut self, src: usize, tag: u64) -> (Box<dyn Any + Send>, f64) {
         let msg = {
+            use std::collections::hash_map::Entry;
             let mut q = self.shared.boxes[self.rank].queues.lock();
-            let msg = q
-                .map
-                .get_mut(&(src, tag))
-                .and_then(|d| d.pop_front())
-                .expect("message head vanished between wait and pop");
+            let Entry::Occupied(mut queue) = q.map.entry((src, tag)) else {
+                panic!("message head vanished between wait and pop");
+            };
+            let msg = queue
+                .get_mut()
+                .pop_front()
+                .expect("queued keys are never empty");
+            // An empty queue means what an absent one does; dropping it keeps
+            // the table the size of what is queued, not of every `(src,
+            // tag)` ever received (the dist engine uses each tag once).
+            if queue.get().is_empty() {
+                queue.remove();
+            }
             q.depth -= 1;
             msg
         };
@@ -1915,6 +1924,35 @@ mod tests {
         });
         assert_eq!(r.results, vec![0]);
         assert_eq!(r.stats[0].flops, 1000.0);
+    }
+
+    /// A mailbox's table holds what is queued, not every `(src, tag)` the
+    /// rank ever received: once a rank has drained everything sent to it,
+    /// the table is empty again.
+    #[test]
+    fn drained_mailboxes_hold_no_entries() {
+        let (p, tags) = (4usize, 5u64);
+        let r = Machine::new(p, CostModel::zero_cost()).run(|rank| {
+            let me = rank.rank();
+            let peers = (0..p).filter(|&q| q != me);
+            for q in peers.clone() {
+                for t in 0..tags {
+                    rank.isend(q, t, vec![me as f64; 3]);
+                    rank.isend(q, t, me as u64);
+                }
+            }
+            for t in 0..tags {
+                for q in peers.clone() {
+                    assert_eq!(rank.recv::<Vec<f64>>(q, t), vec![q as f64; 3]);
+                    assert_eq!(rank.recv::<u64>(q, t), q as u64);
+                }
+            }
+            // Everything addressed to this rank has been consumed, so no
+            // peer can add to its mailbox any more.
+            let mailbox = rank.shared.boxes[me].queues.lock();
+            (mailbox.map.len(), mailbox.depth)
+        });
+        assert_eq!(r.results, vec![(0, 0); p]);
     }
 
     #[test]

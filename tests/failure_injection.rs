@@ -186,6 +186,42 @@ fn dist_rejects_indefinite_at_2_4_8_ranks() {
     }
 }
 
+/// A machine of no ranks and a block size of zero are option errors, not
+/// engine invariants: both used to die inside the mapping (an `assert!`)
+/// and the front tiling (a division by zero).
+#[test]
+fn dist_rejects_zero_ranks_and_zero_block_size_at_2_4_8_ranks() {
+    let a = gen::laplace2d(8, 8, gen::Stencil2d::FivePoint);
+    let unsupported = |opts: DistOpts, what: &str| {
+        let r = SparseCholesky::factorize(&a, &FactorOpts::new().engine(Engine::Dist(opts)));
+        assert!(
+            matches!(r, Err(FactorError::Unsupported(_))),
+            "{what}: expected Unsupported, got ok={}",
+            r.is_ok()
+        );
+    };
+    let no_ranks = DistOpts {
+        ranks: 0,
+        ..DistOpts::default()
+    };
+    unsupported(no_ranks, "ranks = 0");
+    for ranks in [2, 4, 8] {
+        for use_2d in [true, false] {
+            for strategy in [
+                MapStrategy::Proportional { use_2d, nb: 0 },
+                MapStrategy::Flat { use_2d, nb: 0 },
+            ] {
+                let opts = DistOpts {
+                    ranks,
+                    strategy,
+                    ..DistOpts::default()
+                };
+                unsupported(opts, &format!("ranks = {ranks}, {strategy:?}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn dist_rejects_zero_matrix_at_2_4_8_ranks() {
     // All-zero diagonal over enough columns that every rank count gets a
