@@ -22,6 +22,7 @@ use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
 use crate::frontal::{factor_front, Buf, FrontMeter, UpdateMatrix};
 use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
+use crate::sweep;
 use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
 use parfact_dense::chol;
@@ -1023,9 +1024,18 @@ impl<'a> DistRun<'a> {
                  to tile a front over several (got ranks = {p}, nb = {nb})"
             )));
         }
+        // A right-hand-side block is whole columns of length n.
+        let n = sym.n;
+        let nrhs = self.b.map_or(0, |b| b.len().checked_div(n).unwrap_or(0));
+        if let Some(b) = self.b.filter(|b| b.len() != n * nrhs) {
+            return Err(FactorError::DimensionMismatch {
+                expected: n * b.len().div_ceil(n.max(1)),
+                got: b.len(),
+            });
+        }
         let map = crate::mapping::map_tree(sym, p, self.strategy);
         assert!(map.validate(sym), "invalid mapping");
-        let bp = permuted_rhs(self.b, sym.n, self.total_perm);
+        let bp = self.b.map(|b| sweep::permute_in(self.total_perm, b, nrhs));
         let store = self.checkpoint.then(|| CheckpointStore::new(p));
         let timeout = self.recv_timeout_s.or_else(|| {
             (!self.faults.is_empty()).then(|| {
@@ -1056,7 +1066,7 @@ impl<'a> DistRun<'a> {
             let vr = machine.run_verdict(|rank| -> Result<RankOut, FactorError> {
                 let rf =
                     factorize_rank(rank, self.ap, sym, &map, self.sync_schedule, store.as_ref())?;
-                finish_rank(rank, sym, &map, self.total_perm, rf, bp.as_deref())
+                finish_rank(rank, sym, &map, self.total_perm, rf, bp.as_deref(), nrhs)
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;
@@ -1117,15 +1127,6 @@ struct RankOut {
     x: Option<Vec<f64>>,
 }
 
-/// Apply the total permutation to an `n x nrhs` right-hand-side block.
-fn permuted_rhs(b: Option<&[f64]>, n: usize, total_perm: &Perm) -> Option<Vec<f64>> {
-    b.map(|b| {
-        assert_eq!(b.len() % n.max(1), 0, "rhs block must be n x nrhs");
-        let cols = b.chunks(n.max(1));
-        cols.flat_map(|col| total_perm.apply_vec(col)).collect()
-    })
-}
-
 /// Epilogue of a rank's program after its factorization finished: solve
 /// (when a right-hand side was given), snapshot statistics, and gather the
 /// factor to rank 0.
@@ -1136,15 +1137,15 @@ fn finish_rank(
     total_perm: &Perm,
     rf: RankFactor,
     bp: Option<&[f64]>,
+    nrhs: usize,
 ) -> Result<RankOut, FactorError> {
-    let n = sym.n.max(1);
     let t_factor = rank.clock();
     // The solve is traced too (per-rank solve lanes): its compute spans
     // carry `Phase::Solve`, which the critical-path profiler filters out —
     // the profile models the factorization's child-before-parent
     // dependencies, which the backward solve traverses in the opposite
     // direction.
-    let xp = bp.and_then(|bp| solve::solve_rank(rank, sym, map, &rf, bp, bp.len() / n));
+    let xp = bp.and_then(|bp| solve::solve_rank(rank, sym, map, &rf, bp, nrhs));
     let t_solve = rank.clock() - t_factor;
     // The verification gather stays out of the trace, mirroring what the
     // stats snapshot excludes. The comm-matrix row is snapshotted at the
@@ -1155,10 +1156,7 @@ fn finish_rank(
     let comm = rank.comm_row();
     let fbytes = rf.factor_bytes();
     let factor = gather_factor(rank, sym, map, rf, total_perm.clone());
-    let x = xp.map(|xp| {
-        let cols = xp.chunks(n);
-        cols.flat_map(|col| total_perm.apply_inv_vec(col)).collect()
-    });
+    let x = xp.map(|xp| sweep::permute_out(total_perm, &xp, nrhs));
     Ok(RankOut {
         t_factor,
         t_solve,

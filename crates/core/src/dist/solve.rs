@@ -9,19 +9,22 @@
 //! scales worse than factorization — a shape the experiments reproduce
 //! (EXP-F4).
 //!
-//! Right-hand sides travel as column-major blocks: contribution and
-//! x-row messages carry `rows x nrhs` flattened buffers, so the message
-//! count stays flat while the payload (and the per-front flops) scale with
-//! `nrhs` — batched solves amortize the latency-bound tree walk across
-//! the whole block.
+//! Right-hand sides travel as interleaved blocks (`rows x nrhs`, a row's
+//! values contiguous): contribution and x-row messages carry one flattened
+//! buffer per tree edge, so the message count stays flat while the payload
+//! (and the per-front flops) scale with `nrhs` — batched solves amortize
+//! the latency-bound tree walk across the whole block. The arithmetic of a
+//! front is `sweep::Sweep`'s, the step the host solves run; this module
+//! places it on leaders, moves its blocks and charges the virtual clock.
 
 use crate::dist::front::{self, DistFront};
 use crate::dist::RankFactor;
 use crate::mapping::{Layout, Mapping};
-use parfact_dense::solve as dsolve;
+use crate::sweep::Sweep;
 use parfact_mpsim::Rank;
 use parfact_symbolic::{Symbolic, NONE};
 use parfact_trace::Phase;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use front::{
@@ -30,36 +33,76 @@ use front::{
     PHASE_GATHER_X as PH_GATHER_X,
 };
 
-/// Assemble the full `f x w` panel of supernode `s` on the leader,
-/// receiving the pivot pieces every other group member sends it under the
-/// same `s` and `phase`.
-fn gather_panel(
+/// The full `f x w` panel of supernode `s` if this rank is its leader
+/// (`None` otherwise). A distributed front's pivot pieces are gathered
+/// under `phase`: every other group member sends its share, the leader
+/// assembles an owned panel (tracked until the caller [`release`]s it).
+fn leader_panel<'a>(
     rank: &mut Rank,
     sym: &Symbolic,
     map: &Mapping,
-    rf: &RankFactor,
+    rf: &'a RankFactor,
     s: usize,
     phase: u64,
-) -> Vec<f64> {
-    let f = sym.front_order(s);
-    let w = sym.sn_width(s);
+) -> Option<Cow<'a, [f64]>> {
+    let me = rank.rank();
+    if !map.participates(s, me) {
+        return None;
+    }
+    let lead = map.leader(s);
+    if !matches!(map.layout[s], Layout::Grid { .. }) {
+        return (me == lead).then(|| Cow::Borrowed(&rf.local_panels[&s][..]));
+    }
+    if me != lead {
+        rank.send(lead, front::tag(s, phase), rf.dist_blocks[&s].clone());
+        return None;
+    }
     let (lo, hi) = map.group[s];
-    let mut panel = vec![0.0f64; f * w];
+    let mut panel = vec![0.0f64; sym.front_order(s) * sym.sn_width(s)];
     rank.alloc(panel.len() * 8);
     for q in lo..hi {
-        if q == rank.rank() {
+        if q == me {
             rf.dist_blocks[&s].scatter_pivots(&mut panel);
         } else {
             let share = rank.recv::<DistFront>(q, front::tag(s, phase));
             share.scatter_pivots(&mut panel);
         }
     }
-    panel
+    Some(Cow::Owned(panel))
+}
+
+/// Stop tracking a gathered panel once its step is done.
+fn release(rank: &mut Rank, panel: Cow<'_, [f64]>) {
+    if let Cow::Owned(p) = panel {
+        rank.free(p.len() * 8);
+    }
+}
+
+/// Leader-to-leader transfers that stay on this rank, by tag.
+type Stash = HashMap<u64, Vec<f64>>;
+
+/// Hand `block` to the leader `to` under `tag`: stashed when that is this
+/// rank, sent otherwise. [`take`] is the receiving end.
+fn give(rank: &mut Rank, stash: &mut Stash, to: usize, tag: u64, block: Vec<f64>) {
+    if to == rank.rank() {
+        stash.insert(tag, block);
+    } else {
+        rank.send(to, tag, block);
+    }
+}
+
+fn take(rank: &mut Rank, stash: &mut Stash, from: usize, tag: u64) -> Vec<f64> {
+    if from == rank.rank() {
+        let block = stash.remove(&tag);
+        block.expect("a same-rank leader stashed this block earlier in the sweep")
+    } else {
+        rank.recv::<Vec<f64>>(from, tag)
+    }
 }
 
 /// SPMD distributed solve (`L Lᵀ X = B`, permuted space). Every rank calls
 /// this with the (replicated) permuted right-hand-side block (`n x nrhs`
-/// column-major); rank 0 returns the full solution block.
+/// interleaved); rank 0 returns the full solution block in the same layout.
 pub fn solve_rank(
     rank: &mut Rank,
     sym: &Symbolic,
@@ -69,191 +112,78 @@ pub fn solve_rank(
     nrhs: usize,
 ) -> Option<Vec<f64>> {
     let me = rank.rank();
-    let n = sym.n;
-    debug_assert_eq!(bp.len(), n * nrhs);
+    debug_assert_eq!(bp.len(), sym.n * nrhs);
     let nsuper = sym.nsuper();
+    let sw = Sweep::new(sym, nrhs, false);
     let mut x = bp.to_vec();
-    // Leader-to-leader stashes for same-rank transfers.
-    let mut fwd_stash: HashMap<u64, Vec<f64>> = HashMap::new();
-    let mut bwd_stash: HashMap<u64, Vec<f64>> = HashMap::new();
+    let mut stash = Stash::new();
+    // What a front's `trsm` and (when it has below rows) `gemm` charge.
+    let solve_flops = |s: usize| {
+        let (w, m) = (sym.sn_width(s), sym.sn_rows[s].len());
+        let gemm = (m > 0).then_some((2 * m * w * nrhs) as f64);
+        ((w * w * nrhs) as f64, gemm)
+    };
 
     // ---- Forward sweep. ----
     for s in 0..nsuper {
-        if !map.participates(s, me) {
+        let Some(panel) = leader_panel(rank, sym, map, rf, s, PH_FWD_PANEL) else {
             continue;
-        }
-        let lead = map.leader(s);
-        let is_dist = matches!(map.layout[s], Layout::Grid { .. });
-        if me != lead {
-            if is_dist {
-                let share = rf.dist_blocks[&s].clone();
-                rank.send(lead, front::tag(s, PH_FWD_PANEL), share);
-            }
-            continue;
-        }
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        let w = c1 - c0;
-        let f = sym.front_order(s);
-        let m = f - w;
-        let panel: std::borrow::Cow<'_, [f64]> = if is_dist {
-            std::borrow::Cow::Owned(gather_panel(rank, sym, map, rf, s, PH_FWD_PANEL))
-        } else {
-            std::borrow::Cow::Borrowed(&rf.local_panels[&s])
         };
-        // RHS front: pivot block then below-rows block, column-major.
-        let mut ypiv = vec![0.0f64; w * nrhs];
-        let mut ybelow = vec![0.0f64; m * nrhs];
-        for r in 0..nrhs {
-            ypiv[r * w..(r + 1) * w].copy_from_slice(&x[r * n + c0..r * n + c1]);
-        }
-        // Children contributions.
+        let mut ybelow = vec![0.0f64; sw.below_len(s)];
         for &c in &sym.tree.children[s] {
-            let clead = map.leader(c);
-            let contrib = if clead == me {
-                fwd_stash
-                    .remove(&front::tag(c, PH_FWD_CONTRIB))
-                    .expect("missing stashed forward contribution")
-            } else {
-                rank.recv::<Vec<f64>>(clead, front::tag(c, PH_FWD_CONTRIB))
-            };
-            let mc = sym.sn_rows[c].len();
-            for (k, &r_row) in sym.sn_rows[c].iter().enumerate() {
-                let pos = if r_row < c1 {
-                    r_row - c0
-                } else {
-                    w + sym.sn_rows[s].binary_search(&r_row).expect("containment")
-                };
-                for r in 0..nrhs {
-                    if pos < w {
-                        ypiv[r * w + pos] += contrib[r * mc + k];
-                    } else {
-                        ybelow[r * m + (pos - w)] += contrib[r * mc + k];
-                    }
-                }
-            }
+            let tag = front::tag(c, PH_FWD_CONTRIB);
+            let contrib = take(rank, &mut stash, map.leader(c), tag);
+            sw.fold_child(s, c, &contrib, &mut x[sw.pivot_range(s)], &mut ybelow);
         }
-        dsolve::trsm_ln(w, nrhs, &panel, f, &mut ypiv, w, false);
-        rank.compute_as((w * w * nrhs) as f64, Phase::Solve, Some(s));
-        if m > 0 {
-            dsolve::gemm_block_sub(m, w, nrhs, &panel[w..], f, &ypiv, w, &mut ybelow, m);
-            rank.compute_as((2 * m * w * nrhs) as f64, Phase::Solve, Some(s));
-        }
-        for r in 0..nrhs {
-            x[r * n + c0..r * n + c1].copy_from_slice(&ypiv[r * w..(r + 1) * w]);
+        sw.forward(s, &panel, &mut x[sw.pivot_range(s)], &mut ybelow);
+        let (trsm, gemm) = solve_flops(s);
+        rank.compute_as(trsm, Phase::Solve, Some(s));
+        if let Some(gemm) = gemm {
+            rank.compute_as(gemm, Phase::Solve, Some(s));
         }
         let parent = sym.tree.parent[s];
         if parent != NONE {
-            let plead = map.leader(parent);
-            if plead == me {
-                fwd_stash.insert(front::tag(s, PH_FWD_CONTRIB), ybelow);
-            } else {
-                rank.send(plead, front::tag(s, PH_FWD_CONTRIB), ybelow);
-            }
+            let tag = front::tag(s, PH_FWD_CONTRIB);
+            give(rank, &mut stash, map.leader(parent), tag, ybelow);
         }
-        if is_dist {
-            rank.free(f * w * 8);
-        }
+        release(rank, panel);
     }
 
     // ---- Backward sweep. ----
     for s in (0..nsuper).rev() {
-        if !map.participates(s, me) {
+        let Some(panel) = leader_panel(rank, sym, map, rf, s, PH_BWD_PANEL) else {
             continue;
-        }
-        let lead = map.leader(s);
-        let is_dist = matches!(map.layout[s], Layout::Grid { .. });
-        if me != lead {
-            if is_dist {
-                let share = rf.dist_blocks[&s].clone();
-                rank.send(lead, front::tag(s, PH_BWD_PANEL), share);
-            }
-            continue;
-        }
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        let w = c1 - c0;
-        let f = sym.front_order(s);
-        let m = f - w;
-        let panel: std::borrow::Cow<'_, [f64]> = if is_dist {
-            std::borrow::Cow::Owned(gather_panel(rank, sym, map, rf, s, PH_BWD_PANEL))
-        } else {
-            std::borrow::Cow::Borrowed(&rf.local_panels[&s])
         };
-        // x at this supernode's below rows (`m x nrhs`), provided by the
-        // parent's leader.
+        // x at this supernode's below rows, provided by the parent's
+        // leader (a root has none).
         let parent = sym.tree.parent[s];
-        let xrows: Vec<f64> = if parent == NONE {
-            vec![0.0f64; m * nrhs]
-        } else {
-            let plead = map.leader(parent);
-            if plead == me {
-                bwd_stash
-                    .remove(&front::tag(s, PH_BWD_XROWS))
-                    .expect("missing stashed backward x-rows")
-            } else {
-                rank.recv::<Vec<f64>>(plead, front::tag(s, PH_BWD_XROWS))
-            }
+        let tag = front::tag(s, PH_BWD_XROWS);
+        let xbelow = match parent {
+            NONE => Vec::new(),
+            _ => take(rank, &mut stash, map.leader(parent), tag),
         };
-        if m > 0 {
-            dsolve::gemm_block_t_sub(m, w, nrhs, &panel[w..], f, &xrows, m, &mut x[c0..], n);
-            rank.compute_as((2 * m * w * nrhs) as f64, Phase::Solve, Some(s));
+        sw.backward(s, &panel, &mut x[sw.pivot_range(s)], &xbelow);
+        let (trsm, gemm) = solve_flops(s);
+        if let Some(gemm) = gemm {
+            rank.compute_as(gemm, Phase::Solve, Some(s));
         }
-        dsolve::trsm_lt(w, nrhs, &panel, f, &mut x[c0..], n, false);
-        rank.compute_as((w * w * nrhs) as f64, Phase::Solve, Some(s));
-        // Provide x-rows to every child's leader. A child's rows live in my
-        // columns or in my own x-rows (containment invariant).
+        rank.compute_as(trsm, Phase::Solve, Some(s));
         for &c in &sym.tree.children[s] {
-            let mc = sym.sn_rows[c].len();
-            let mut vals = vec![0.0f64; mc * nrhs];
-            for (k, &r_row) in sym.sn_rows[c].iter().enumerate() {
-                if r_row < c1 {
-                    for r in 0..nrhs {
-                        vals[r * mc + k] = x[r * n + r_row];
-                    }
-                } else {
-                    let k2 = sym.sn_rows[s].binary_search(&r_row).expect("containment");
-                    for r in 0..nrhs {
-                        vals[r * mc + k] = xrows[r * m + k2];
-                    }
-                }
-            }
-            let clead = map.leader(c);
-            if clead == me {
-                bwd_stash.insert(front::tag(c, PH_BWD_XROWS), vals);
-            } else {
-                rank.send(clead, front::tag(c, PH_BWD_XROWS), vals);
-            }
+            let vals = sw.cut_child(s, c, &x[sw.pivot_range(s)], &xbelow);
+            let tag = front::tag(c, PH_BWD_XROWS);
+            give(rank, &mut stash, map.leader(c), tag, vals);
         }
-        if is_dist {
-            rank.free(f * w * 8);
-        }
+        release(rank, panel);
     }
 
     // ---- Gather solution segments to rank 0. ----
-    if me == 0 {
-        for s in 0..nsuper {
-            let lead = map.leader(s);
-            if lead != 0 {
-                let seg = rank.recv::<Vec<f64>>(lead, front::tag(s, PH_GATHER_X));
-                let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-                let w = c1 - c0;
-                for r in 0..nrhs {
-                    x[r * n + c0..r * n + c1].copy_from_slice(&seg[r * w..(r + 1) * w]);
-                }
-            }
+    for s in (0..nsuper).filter(|&s| map.leader(s) != 0) {
+        if me == 0 {
+            let seg = rank.recv::<Vec<f64>>(map.leader(s), front::tag(s, PH_GATHER_X));
+            x[sw.pivot_range(s)].copy_from_slice(&seg);
+        } else if map.leader(s) == me {
+            rank.send(0, front::tag(s, PH_GATHER_X), x[sw.pivot_range(s)].to_vec());
         }
-        Some(x)
-    } else {
-        for s in 0..nsuper {
-            if map.leader(s) == me {
-                let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-                let w = c1 - c0;
-                let mut seg = vec![0.0f64; w * nrhs];
-                for r in 0..nrhs {
-                    seg[r * w..(r + 1) * w].copy_from_slice(&x[r * n + c0..r * n + c1]);
-                }
-                rank.send(0, front::tag(s, PH_GATHER_X), seg);
-            }
-        }
-        None
     }
+    (me == 0).then_some(x)
 }

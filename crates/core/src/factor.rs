@@ -1,14 +1,14 @@
 //! The assembled factor and its triangular solves.
 //!
 //! The solve phase is blocked: every entry point (single vector included)
-//! funnels into [`Factor::solve_many_permuted_in_place`], which streams
-//! each supernode panel once through the packed `dense` crate's
-//! `trsm`/`gemm` kernels over an `n x nrhs` column-major block. The
-//! kernels process each column in an order independent of `nrhs`, so the
-//! blocked solve is bitwise identical to `nrhs` single-RHS solves.
+//! funnels into one postorder sweep that streams each supernode panel once
+//! through the shared supernode step (`sweep::Sweep`, the `dense` crate's
+//! interleaved `trsm`/`gemm` kernels) for all `nrhs` columns. The kernels
+//! process each column in an order independent of `nrhs`, so the blocked
+//! solve is bitwise identical to `nrhs` single-RHS solves.
 
 use crate::error::FactorError;
-use parfact_dense::solve as dsolve;
+use crate::sweep::{self, Sweep};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
@@ -135,17 +135,9 @@ impl Factor {
                 got: b.len(),
             });
         }
-        let mut x = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            x[r * n..(r + 1) * n].copy_from_slice(&self.perm.apply_vec(&b[r * n..(r + 1) * n]));
-        }
-        self.solve_many_permuted_in_place(&mut x, nrhs);
-        let mut out = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            out[r * n..(r + 1) * n]
-                .copy_from_slice(&self.perm.apply_inv_vec(&x[r * n..(r + 1) * n]));
-        }
-        Ok(out)
+        let mut xi = sweep::permute_in(&self.perm, b, nrhs);
+        self.sweep_interleaved(&mut xi, nrhs);
+        Ok(sweep::permute_out(&self.perm, &xi, nrhs))
     }
 
     /// Multi-RHS sweeps in the permuted space, blocked: per supernode the
@@ -157,9 +149,6 @@ impl Factor {
     /// bitwise equal to per-column solves through this same path.
     pub fn solve_many_permuted_in_place(&self, x: &mut [f64], nrhs: usize) {
         let n = self.sym.n;
-        if nrhs == 0 || n == 0 {
-            return;
-        }
         if nrhs == 1 {
             // A single column is already "interleaved".
             self.sweep_interleaved(x, 1);
@@ -180,65 +169,39 @@ impl Factor {
     }
 
     /// The blocked triangular sweep on an interleaved `n x nrhs` block
-    /// (`xi[i*nrhs + r]`). The scattered ancestor rows are gathered into a
-    /// contiguous `m x nrhs` scratch block around each off-diagonal apply
-    /// — whole-row copies in this layout, exact by construction.
+    /// (`xi[i*nrhs + r]`): the supernode steps in postorder, with the
+    /// scattered ancestor rows gathered into a contiguous `m x nrhs`
+    /// scratch block around each one — whole-row copies in this layout,
+    /// exact by construction.
     fn sweep_interleaved(&self, xi: &mut [f64], nrhs: usize) {
+        if nrhs == 0 {
+            return;
+        }
         let sym = &self.sym;
-        let unit = self.kind == FactorKind::Ldlt;
+        let sw = Sweep::new(sym, nrhs, self.kind == FactorKind::Ldlt);
         let nsuper = sym.nsuper();
-        let maxm = (0..nsuper)
-            .map(|s| sym.front_order(s) - sym.sn_width(s))
-            .max()
-            .unwrap_or(0);
-        let mut scratch = vec![0.0f64; maxm * nrhs];
+        let maxm = (0..nsuper).map(|s| sw.below_len(s)).max().unwrap_or(0);
+        let mut scratch = vec![0.0f64; maxm];
+        let gather = |xi: &[f64], s: usize, below: &mut [f64]| {
+            for (dst, &row) in below.chunks_exact_mut(nrhs).zip(&sym.sn_rows[s]) {
+                dst.copy_from_slice(&xi[row * nrhs..(row + 1) * nrhs]);
+            }
+        };
         // Forward: L Y = B.
         for s in 0..nsuper {
-            let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-            let w = c1 - c0;
-            let f = sym.front_order(s);
-            let blk = self.panel(s);
-            dsolve::trsm_ln_rm(w, nrhs, blk, f, &mut xi[c0 * nrhs..c1 * nrhs], unit);
-            if f > w {
-                let m = f - w;
-                let rows = &sym.sn_rows[s];
-                let below = &mut scratch[..m * nrhs];
-                for (k, &row) in rows.iter().enumerate() {
-                    below[k * nrhs..(k + 1) * nrhs]
-                        .copy_from_slice(&xi[row * nrhs..(row + 1) * nrhs]);
-                }
-                dsolve::gemm_block_sub_rm(m, w, nrhs, &blk[w..], f, &xi[c0 * nrhs..], below);
-                for (k, &row) in rows.iter().enumerate() {
-                    xi[row * nrhs..(row + 1) * nrhs]
-                        .copy_from_slice(&below[k * nrhs..(k + 1) * nrhs]);
-                }
+            let below = &mut scratch[..sw.below_len(s)];
+            gather(xi, s, below);
+            sw.forward(s, self.panel(s), &mut xi[sw.pivot_range(s)], below);
+            for (src, &row) in below.chunks_exact(nrhs).zip(&sym.sn_rows[s]) {
+                xi[row * nrhs..(row + 1) * nrhs].copy_from_slice(src);
             }
         }
-        // Diagonal scaling for LDLt.
-        if unit {
-            for (i, &di) in self.d.iter().enumerate() {
-                for v in xi[i * nrhs..(i + 1) * nrhs].iter_mut() {
-                    *v /= di;
-                }
-            }
-        }
+        sw.diag_scale(&self.d, xi);
         // Backward: Lᵀ Z = Y.
         for s in (0..nsuper).rev() {
-            let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-            let w = c1 - c0;
-            let f = sym.front_order(s);
-            let blk = self.panel(s);
-            if f > w {
-                let m = f - w;
-                let rows = &sym.sn_rows[s];
-                let below = &mut scratch[..m * nrhs];
-                for (k, &row) in rows.iter().enumerate() {
-                    below[k * nrhs..(k + 1) * nrhs]
-                        .copy_from_slice(&xi[row * nrhs..(row + 1) * nrhs]);
-                }
-                dsolve::gemm_block_t_sub_rm(m, w, nrhs, &blk[w..], f, below, &mut xi[c0 * nrhs..]);
-            }
-            dsolve::trsm_lt_rm(w, nrhs, blk, f, &mut xi[c0 * nrhs..c1 * nrhs], unit);
+            let below = &mut scratch[..sw.below_len(s)];
+            gather(xi, s, below);
+            sw.backward(s, self.panel(s), &mut xi[sw.pivot_range(s)], below);
         }
     }
 

@@ -11,8 +11,7 @@
 //!
 //! - [`seq`] — postorder on one thread; the correctness oracle;
 //! - [`smp`] — shared-memory parallel: work-stealing over the assembly
-//!   tree with real threads (real wall-clock speedups on this machine),
-//!   with the matching tree-parallel solve in [`smp_solve`];
+//!   tree with real threads (real wall-clock speedups on this machine);
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
 //!   [`parfact_mpsim::Machine`]. Each rank runs its local subtrees through
@@ -20,6 +19,14 @@
 //!   them are block-cyclic 1-D/2-D distributed fronts with pipelined panel
 //!   broadcasts, fed by the parallel extend-add. This is the paper's
 //!   contribution.
+//!
+//! The solve phase has the same shape: one supernode step (the private
+//! `sweep` module: forward and backward `trsm` + block `gemm` on
+//! interleaved right-hand-side blocks, the child-row bookkeeping, the fused
+//! permute-and-interleave) and three schedulers over it: the postorder
+//! sweep in [`factor`], the tree-parallel [`smp_solve`] (on the private
+//! `tree_pool`, the work-stealing tree walk it shares with [`smp`]) and the
+//! leader-per-front `dist::solve`.
 //!
 //! Baselines the paper's method is measured against live in [`baseline`]:
 //! the classic *fan-out* distributed column-Cholesky and a left-looking
@@ -56,6 +63,8 @@ pub mod seq;
 pub mod smp;
 pub mod smp_solve;
 pub mod solver;
+mod sweep;
+mod tree_pool;
 pub mod workspace;
 
 pub use error::FactorError;

@@ -17,23 +17,22 @@
 //! Workers write factor panels straight into the [`Factor`] slab (disjoint
 //! per supernode) and draw fronts/update buffers from their
 //! [`FrontWorkspace`] arenas, so the steady state allocates nothing per
-//! supernode; idle workers wait with a spin-then-park [`Backoff`] instead
-//! of burning a core on `yield_now`.
+//! supernode; idle workers wait with a spin-then-park
+//! [`crate::backoff::Backoff`] instead of burning a core on `yield_now`.
 
-use crate::backoff::Backoff;
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
 use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
+use crate::tree_pool::{walk_tree, Walk};
 use crate::workspace::{FrontWorkspace, Workspace};
-use crossbeam_deque::{Injector, Steal};
 use parfact_dense::blas::{gemm_nt, syrk_ln, trsm_right_lt};
 use parfact_dense::chol;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
-use parfact_symbolic::{Symbolic, NONE};
+use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder, Phase};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Options for the SMP engine.
@@ -107,13 +106,6 @@ pub(crate) fn factorize_smp_into(
         }
     }
 
-    let pending: Vec<AtomicUsize> = (0..nsuper)
-        .map(|s| AtomicUsize::new(sym.tree.children[s].len()))
-        .collect();
-    let small_total = big.iter().filter(|&&b| !b).count();
-    let completed = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<FactorError>> = Mutex::new(None);
     let fronts = Fronts {
         ap,
         sym,
@@ -123,60 +115,22 @@ pub(crate) fn factorize_smp_into(
     };
 
     // ---- Phase 1: tree-parallel over small supernodes. ----
-    let injector = Injector::new();
-    for s in 0..nsuper {
-        if !big[s] && sym.tree.children[s].is_empty() {
-            injector.push(s);
-        }
-    }
     ws.ensure_threads(nthreads);
-    {
-        let arenas = &mut ws.threads[..nthreads];
-        std::thread::scope(|scope| {
-            for (wid, wst) in arenas.iter_mut().enumerate() {
-                let (fronts, pending, big) = (&fronts, &pending, &big);
-                let (injector, completed, failed, error) = (&injector, &completed, &failed, &error);
-                scope.spawn(move || {
-                    wst.scatter.ensure(sym.n);
-                    let mut rec = tr.local(wid);
-                    let mut backoff = Backoff::new();
-                    loop {
-                        if failed.load(Ordering::Relaxed)
-                            || completed.load(Ordering::Relaxed) >= small_total
-                        {
-                            break;
-                        }
-                        let s = match injector.steal() {
-                            Steal::Success(s) => s,
-                            Steal::Retry => continue,
-                            Steal::Empty => {
-                                backoff.snooze();
-                                continue;
-                            }
-                        };
-                        backoff.reset();
-                        if let Err(e) = fronts.run(s, wst, &mut rec, 1) {
-                            *error.lock() = Some(e);
-                            failed.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                        completed.fetch_add(1, Ordering::SeqCst);
-                        let p = sym.tree.parent[s];
-                        if p != NONE && !big[p] && pending[p].fetch_sub(1, Ordering::SeqCst) == 1 {
-                            injector.push(p);
-                        }
-                    }
-                });
-            }
-        });
+    let arenas = &mut ws.threads[..nthreads];
+    for wst in arenas.iter_mut() {
+        wst.scatter.ensure(sym.n);
     }
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
+    walk_tree(
+        &sym.tree,
+        Walk::Up,
+        |s| !big[s],
+        arenas.iter_mut(),
+        tr,
+        |s, wst, rec| fronts.run(s, wst, rec, 1),
+    )?;
 
     // ---- Phase 2: kernel-parallel over big supernodes, in postorder. ----
     let wst = &mut ws.threads[0];
-    wst.scatter.ensure(sym.n);
     let mut rec = tr.local(0);
     for s in (0..nsuper).filter(|&s| big[s]) {
         fronts.run(s, wst, &mut rec, nthreads)?;

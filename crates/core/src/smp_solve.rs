@@ -11,42 +11,34 @@
 //! serial top of the tree, which is why parallel solves gain less than
 //! factorizations (cf. EXP-F4 on the distributed engine).
 //!
-//! All right-hand sides move as one `n x nrhs` column-major block: each
-//! supernode panel is loaded once and applied to every column through the
-//! batched `dense::solve` kernels, so the parallel solve keeps the BLAS-3
-//! shape of the sequential blocked sweep.
+//! All right-hand sides move as one interleaved block: the per-supernode
+//! step is `sweep::Sweep`'s, shared with the other two solve paths, and
+//! this module only schedules it over the `tree_pool`. Contributions are
+//! folded into a parent in the fixed order of `tree.children`, so the
+//! solution does not depend on the thread count or the run, and is
+//! bit-equal to the distributed solve's at any rank count.
 
-use crate::backoff::Backoff;
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
 use crate::smp::resolve_threads;
-use crossbeam_deque::{Injector, Steal};
-use parfact_dense::solve as dsolve;
-use parfact_symbolic::NONE;
-use parfact_trace::{Collector, Phase, TraceLevel};
+use crate::sweep::{self, Sweep};
+use crate::tree_pool::{walk_tree, Walk};
+use parfact_trace::{Collector, LocalRecorder, Phase};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Solve `A x = b` with tree-parallel sweeps on `threads` OS threads
-/// (0 = available parallelism). Results match [`Factor::solve`] to
-/// floating-point roundoff (the parent-side accumulation order of child
-/// contributions differs from the sequential sweep's global-vector order).
-///
-/// **Panics** if `b.len() != n`; use [`solve_smp_many`] for the checked
-/// multi-RHS variant.
-pub fn solve_smp(factor: &Factor, b: &[f64], threads: usize) -> Vec<f64> {
-    solve_smp_many(factor, b, 1, threads).expect("solve_smp")
-}
-
-/// Multi-RHS tree-parallel solve: `b` is `n x nrhs` column-major.
-/// Checked — a wrong `b.len()` returns [`FactorError::DimensionMismatch`].
+/// Multi-RHS tree-parallel solve of `A X = B` on `threads` OS threads
+/// (0 = available parallelism): `b` is `n x nrhs` column-major. Results
+/// match [`Factor::try_solve_many`] to floating-point roundoff (the
+/// parent-side accumulation order of child contributions differs from the
+/// sequential sweep's global-vector order). Checked: a wrong `b.len()`
+/// returns [`FactorError::DimensionMismatch`].
 pub fn solve_smp_many(
     factor: &Factor,
     b: &[f64],
     nrhs: usize,
     threads: usize,
 ) -> Result<Vec<f64>, FactorError> {
-    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::new(TraceLevel::Off))
+    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::disabled())
 }
 
 /// [`solve_smp_many`] with instrumentation: per-worker `Phase::Solve`
@@ -60,10 +52,9 @@ pub fn solve_smp_many_traced(
     tr: &Collector,
 ) -> Result<Vec<f64>, FactorError> {
     let sym = &factor.sym;
-    let n = sym.n;
-    if b.len() != n * nrhs {
+    if b.len() != sym.n * nrhs {
         return Err(FactorError::DimensionMismatch {
-            expected: n * nrhs,
+            expected: sym.n * nrhs,
             got: b.len(),
         });
     }
@@ -73,224 +64,49 @@ pub fn solve_smp_many_traced(
         // identical to `Factor::try_solve_many`.
         return factor.try_solve_many(b, nrhs);
     }
-    let unit = factor.kind == FactorKind::Ldlt;
-    let mut bp = vec![0.0f64; n * nrhs];
-    for r in 0..nrhs {
-        bp[r * n..(r + 1) * n].copy_from_slice(&factor.perm.apply_vec(&b[r * n..(r + 1) * n]));
-    }
-    let bp = bp;
-    let nsuper = sym.nsuper();
-
-    // ---- Forward sweep (leaves to roots). ----
-    // Per-supernode pivot solution block (w x nrhs) and upward
-    // contribution block ((f - w) x nrhs), both column-major.
-    let xseg: Vec<Mutex<Vec<f64>>> = (0..nsuper).map(|_| Mutex::new(Vec::new())).collect();
-    let contrib: Vec<Mutex<Vec<f64>>> = (0..nsuper).map(|_| Mutex::new(Vec::new())).collect();
-    {
-        let pending: Vec<AtomicUsize> = (0..nsuper)
-            .map(|s| AtomicUsize::new(sym.tree.children[s].len()))
+    let sw = Sweep::new(sym, nrhs, factor.kind == FactorKind::Ldlt);
+    let mut x = sweep::permute_in(&factor.perm, b, nrhs);
+    // What travels along a tree edge: the child's contribution block going
+    // up, the x at the child's below-pivot rows coming back down.
+    let edge: Vec<Mutex<Vec<f64>>> = (0..sym.nsuper()).map(|_| Mutex::new(Vec::new())).collect();
+    for dir in [Walk::Up, Walk::Down] {
+        // Each task owns its supernode's pivot rows of `x`.
+        let mut rest = x.as_mut_slice();
+        let pivots: Vec<Mutex<&mut [f64]>> = (0..sym.nsuper())
+            .map(|s| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(sw.pivot_range(s).len());
+                rest = tail;
+                Mutex::new(head)
+            })
             .collect();
-        let done = AtomicUsize::new(0);
-        let injector = Injector::new();
-        for s in 0..nsuper {
-            if sym.tree.children[s].is_empty() {
-                injector.push(s);
+        let step = |s: usize, _: &mut usize, rec: &mut LocalRecorder<'_>| {
+            let tick = rec.start();
+            let mut xpiv = pivots[s].lock();
+            let children = &sym.tree.children[s];
+            if dir == Walk::Up {
+                let mut ybelow = vec![0.0f64; sw.below_len(s)];
+                for &c in children {
+                    let contrib = std::mem::take(&mut *edge[c].lock());
+                    sw.fold_child(s, c, &contrib, &mut xpiv, &mut ybelow);
+                }
+                sw.forward(s, factor.panel(s), &mut xpiv, &mut ybelow);
+                *edge[s].lock() = ybelow;
+            } else {
+                let xbelow = std::mem::take(&mut *edge[s].lock());
+                sw.backward(s, factor.panel(s), &mut xpiv, &xbelow);
+                for &c in children {
+                    *edge[c].lock() = sw.cut_child(s, c, &xpiv, &xbelow);
+                }
             }
-        }
-        std::thread::scope(|scope| {
-            for wid in 0..nthreads {
-                let (pending, done, injector) = (&pending, &done, &injector);
-                let (xseg, contrib, bp) = (&xseg, &contrib, &bp);
-                scope.spawn(move || {
-                    let mut rec = tr.local(wid);
-                    let mut backoff = Backoff::new();
-                    loop {
-                        if done.load(Ordering::Relaxed) >= nsuper {
-                            break;
-                        }
-                        let s = match injector.steal() {
-                            Steal::Success(s) => s,
-                            Steal::Retry => continue,
-                            Steal::Empty => {
-                                backoff.snooze();
-                                continue;
-                            }
-                        };
-                        backoff.reset();
-                        let tick = rec.start();
-                        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-                        let w = c1 - c0;
-                        let f = sym.front_order(s);
-                        let m = f - w;
-                        let blk = factor.panel(s);
-                        // RHS front: pivot block + below-rows block.
-                        let mut ypiv = vec![0.0f64; w * nrhs];
-                        let mut ybelow = vec![0.0f64; m * nrhs];
-                        for r in 0..nrhs {
-                            ypiv[r * w..(r + 1) * w].copy_from_slice(&bp[r * n + c0..r * n + c1]);
-                        }
-                        for &c in &sym.tree.children[s] {
-                            let cv = contrib[c].lock();
-                            let mc = sym.sn_rows[c].len();
-                            for (k, &r_row) in sym.sn_rows[c].iter().enumerate() {
-                                let pos = if r_row < c1 {
-                                    r_row - c0
-                                } else {
-                                    w + sym.sn_rows[s].binary_search(&r_row).expect("containment")
-                                };
-                                for r in 0..nrhs {
-                                    if pos < w {
-                                        ypiv[r * w + pos] += cv[r * mc + k];
-                                    } else {
-                                        ybelow[r * m + (pos - w)] += cv[r * mc + k];
-                                    }
-                                }
-                            }
-                        }
-                        dsolve::trsm_ln(w, nrhs, blk, f, &mut ypiv, w, unit);
-                        if m > 0 {
-                            dsolve::gemm_block_sub(
-                                m,
-                                w,
-                                nrhs,
-                                &blk[w..],
-                                f,
-                                &ypiv,
-                                w,
-                                &mut ybelow,
-                                m,
-                            );
-                        }
-                        *contrib[s].lock() = ybelow;
-                        *xseg[s].lock() = ypiv;
-                        rec.stop(tick, Phase::Solve, Some(s));
-                        done.fetch_add(1, Ordering::SeqCst);
-                        let p = sym.tree.parent[s];
-                        if p != NONE && pending[p].fetch_sub(1, Ordering::SeqCst) == 1 {
-                            injector.push(p);
-                        }
-                    }
-                });
-            }
-        });
-    }
-    let mut x = vec![0.0f64; n * nrhs];
-    for s in 0..nsuper {
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        let w = c1 - c0;
-        let seg = xseg[s].lock();
-        for r in 0..nrhs {
-            x[r * n + c0..r * n + c1].copy_from_slice(&seg[r * w..(r + 1) * w]);
+            rec.stop(tick, Phase::Solve, Some(s));
+            Ok::<(), FactorError>(())
+        };
+        walk_tree(&sym.tree, dir, |_| true, 0..nthreads, tr, step)?;
+        if dir == Walk::Up {
+            sw.diag_scale(&factor.d, &mut x);
         }
     }
-    if unit {
-        for r in 0..nrhs {
-            let xr = &mut x[r * n..(r + 1) * n];
-            for (xi, &di) in xr.iter_mut().zip(&factor.d) {
-                *xi /= di;
-            }
-        }
-    }
-
-    // ---- Backward sweep (roots to leaves). ----
-    // Each finished supernode publishes its final x block; a child reads
-    // the x values at its own below rows from ancestors' published
-    // blocks. Publish order guarantees parents complete first.
-    {
-        let xcell: Vec<Mutex<Vec<f64>>> = (0..nsuper).map(|_| Mutex::new(Vec::new())).collect();
-        let xrows_of: Vec<Mutex<Vec<f64>>> = (0..nsuper).map(|_| Mutex::new(Vec::new())).collect();
-        let done = AtomicUsize::new(0);
-        let injector = Injector::new();
-        for &r in &sym.tree.roots {
-            injector.push(r);
-        }
-        std::thread::scope(|scope| {
-            for wid in 0..nthreads {
-                let (done, injector) = (&done, &injector);
-                let (xcell, xrows_of, x) = (&xcell, &xrows_of, &x);
-                scope.spawn(move || {
-                    let mut rec = tr.local(wid);
-                    let mut backoff = Backoff::new();
-                    loop {
-                        if done.load(Ordering::Relaxed) >= nsuper {
-                            break;
-                        }
-                        let s = match injector.steal() {
-                            Steal::Success(s) => s,
-                            Steal::Retry => continue,
-                            Steal::Empty => {
-                                backoff.snooze();
-                                continue;
-                            }
-                        };
-                        backoff.reset();
-                        let tick = rec.start();
-                        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-                        let w = c1 - c0;
-                        let f = sym.front_order(s);
-                        let m = f - w;
-                        let blk = factor.panel(s);
-                        let xrows = xrows_of[s].lock().clone();
-                        let mut xs = vec![0.0f64; w * nrhs];
-                        for r in 0..nrhs {
-                            xs[r * w..(r + 1) * w].copy_from_slice(&x[r * n + c0..r * n + c1]);
-                        }
-                        if m > 0 {
-                            dsolve::gemm_block_t_sub(
-                                m,
-                                w,
-                                nrhs,
-                                &blk[w..],
-                                f,
-                                &xrows,
-                                m,
-                                &mut xs,
-                                w,
-                            );
-                        }
-                        dsolve::trsm_lt(w, nrhs, blk, f, &mut xs, w, unit);
-                        // Publish, then release children: each child's xrows are
-                        // a subset of (my cols ∪ my xrows).
-                        for &c in &sym.tree.children[s] {
-                            let mc = sym.sn_rows[c].len();
-                            let mut vals = vec![0.0f64; mc * nrhs];
-                            for (k, &r_row) in sym.sn_rows[c].iter().enumerate() {
-                                if r_row < c1 {
-                                    for r in 0..nrhs {
-                                        vals[r * mc + k] = xs[r * w + (r_row - c0)];
-                                    }
-                                } else {
-                                    let k2 =
-                                        sym.sn_rows[s].binary_search(&r_row).expect("containment");
-                                    for r in 0..nrhs {
-                                        vals[r * mc + k] = xrows[r * m + k2];
-                                    }
-                                }
-                            }
-                            *xrows_of[c].lock() = vals;
-                            injector.push(c);
-                        }
-                        *xcell[s].lock() = xs;
-                        rec.stop(tick, Phase::Solve, Some(s));
-                        done.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        for s in 0..nsuper {
-            let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-            let w = c1 - c0;
-            let cell = xcell[s].lock();
-            for r in 0..nrhs {
-                x[r * n + c0..r * n + c1].copy_from_slice(&cell[r * w..(r + 1) * w]);
-            }
-        }
-    }
-    let mut out = vec![0.0f64; n * nrhs];
-    for r in 0..nrhs {
-        out[r * n..(r + 1) * n].copy_from_slice(&factor.perm.apply_inv_vec(&x[r * n..(r + 1) * n]));
-    }
-    Ok(out)
+    Ok(sweep::permute_out(&factor.perm, &x, nrhs))
 }
 
 #[cfg(test)]
@@ -316,7 +132,7 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
             let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
             let x_seq = chol.solve(&b);
-            let x_par = solve_smp(chol.factor(), &b, 4);
+            let x_par = solve_smp_many(chol.factor(), &b, 1, 4).unwrap();
             assert!(
                 max_rel_diff(&x_par, &x_seq) < 1e-12,
                 "parallel solve diverged"
@@ -340,7 +156,7 @@ mod tests {
                 .collect();
             let xblk = solve_smp_many(chol.factor(), &b, nrhs, 4).unwrap();
             for r in 0..nrhs {
-                let xcol = solve_smp(chol.factor(), &b[r * n..(r + 1) * n], 4);
+                let xcol = solve_smp_many(chol.factor(), &b[r * n..(r + 1) * n], 1, 4).unwrap();
                 for (bq, cq) in xblk[r * n..(r + 1) * n].iter().zip(&xcol) {
                     assert_eq!(bq.to_bits(), cq.to_bits(), "nrhs={nrhs} col={r}");
                 }
@@ -355,7 +171,7 @@ mod tests {
         let b: Vec<f64> = (0..80).map(|i| (i % 7) as f64 - 3.0).collect();
         let chol =
             SparseCholesky::factorize(&a, &FactorOpts::new().kind(FactorKind::Ldlt)).unwrap();
-        let x_par = solve_smp(chol.factor(), &b, 3);
+        let x_par = solve_smp_many(chol.factor(), &b, 1, 3).unwrap();
         assert!(ops::sym_residual_inf(&a, &x_par, &b) < 1e-10);
     }
 
@@ -364,7 +180,7 @@ mod tests {
         let a = gen::tridiagonal(30);
         let b = vec![1.0; 30];
         let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
-        let x1 = solve_smp(chol.factor(), &b, 1);
+        let x1 = solve_smp_many(chol.factor(), &b, 1, 1).unwrap();
         let x2 = chol.solve(&b);
         assert_eq!(x1, x2); // fallback is literally the sequential path
     }
@@ -399,7 +215,7 @@ mod tests {
         let a = coo.to_csc();
         let b = vec![2.0; 20];
         let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
-        let x = solve_smp(chol.factor(), &b, 4);
+        let x = solve_smp_many(chol.factor(), &b, 1, 4).unwrap();
         assert!(ops::sym_residual_inf(&a, &x, &b) < 1e-13);
     }
 }

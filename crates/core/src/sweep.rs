@@ -1,0 +1,204 @@
+//! The one supernode solve step, shared by the three solve paths.
+//!
+//! What [`crate::frontal::factor_front`] is to the factorization, this
+//! module is to the triangular sweeps: the per-supernode arithmetic and the
+//! row bookkeeping around it, on **interleaved** blocks (`v[i*nrhs + r]`:
+//! row `i`'s `nrhs` values are contiguous, so a supernode's pivot rows are
+//! one slice of the whole block). The solve paths only schedule it:
+//!
+//! - [`crate::factor`] walks the supernodes in postorder and keeps every
+//!   below-pivot row in the global block, gathered and scattered around
+//!   each step;
+//! - [`crate::smp_solve`] walks the tree with the [`crate::tree_pool`] and
+//!   hands contribution / x-row blocks from task to task;
+//! - [`crate::dist::solve`] runs each step on the supernode's leader rank
+//!   and ships the same blocks as messages.
+//!
+//! The last two fold a child's block into the parent's front
+//! ([`Sweep::fold_child`]) and cut it back out ([`Sweep::cut_child`]) in the
+//! order of `tree.children`, so their solutions are bit-equal to each other
+//! at any thread or rank count; the sequential sweep accumulates in global
+//! row order instead and agrees with them to rounding.
+
+use parfact_dense::solve as dsolve;
+use parfact_sparse::perm::Perm;
+use parfact_symbolic::Symbolic;
+use std::ops::Range;
+
+/// The solve step of every supernode of `sym`, for `nrhs` right-hand sides
+/// and a unit (`LDLᵀ`) or non-unit (`LLᵀ`) lower factor.
+pub(crate) struct Sweep<'a> {
+    sym: &'a Symbolic,
+    nrhs: usize,
+    unit: bool,
+}
+
+impl<'a> Sweep<'a> {
+    pub(crate) fn new(sym: &'a Symbolic, nrhs: usize, unit: bool) -> Self {
+        Sweep { sym, nrhs, unit }
+    }
+
+    /// Where the pivot rows of supernode `s` sit in an interleaved
+    /// `n x nrhs` block.
+    pub(crate) fn pivot_range(&self, s: usize) -> Range<usize> {
+        self.sym.sn_ptr[s] * self.nrhs..self.sym.sn_ptr[s + 1] * self.nrhs
+    }
+
+    /// Length of the below-pivot block of supernode `s`.
+    pub(crate) fn below_len(&self, s: usize) -> usize {
+        self.sym.sn_rows[s].len() * self.nrhs
+    }
+
+    /// Forward step with the `f x w` panel of supernode `s`:
+    /// `ypiv <- L11^-1 ypiv`, then `ybelow -= L21 ypiv`.
+    pub(crate) fn forward(&self, s: usize, panel: &[f64], ypiv: &mut [f64], ybelow: &mut [f64]) {
+        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
+        dsolve::trsm_ln_rm(w, self.nrhs, panel, f, ypiv, self.unit);
+        if f > w {
+            dsolve::gemm_block_sub_rm(f - w, w, self.nrhs, &panel[w..], f, ypiv, ybelow);
+        }
+    }
+
+    /// Backward step: `xpiv -= L21' xbelow`, then `xpiv <- L11^-T xpiv`.
+    pub(crate) fn backward(&self, s: usize, panel: &[f64], xpiv: &mut [f64], xbelow: &[f64]) {
+        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
+        if f > w {
+            dsolve::gemm_block_t_sub_rm(f - w, w, self.nrhs, &panel[w..], f, xbelow, xpiv);
+        }
+        dsolve::trsm_lt_rm(w, self.nrhs, panel, f, xpiv, self.unit);
+    }
+
+    /// `LDLᵀ` diagonal solve between the sweeps: row `i` of `v` over `d[i]`
+    /// (`d` is empty for `LLᵀ`).
+    pub(crate) fn diag_scale(&self, d: &[f64], v: &mut [f64]) {
+        for (i, &di) in d.iter().enumerate() {
+            for x in &mut v[i * self.nrhs..(i + 1) * self.nrhs] {
+                *x /= di;
+            }
+        }
+    }
+
+    /// Position in the front of `s` of each below-pivot row of its child
+    /// `c`, in the child's row order: `p < w` is pivot row `p`, `p >= w` is
+    /// below row `p - w` (a child's rows are contained in the parent's
+    /// columns and rows).
+    fn child_positions(&self, s: usize, c: usize) -> impl Iterator<Item = usize> + '_ {
+        let (c0, c1) = (self.sym.sn_ptr[s], self.sym.sn_ptr[s + 1]);
+        let rows = &self.sym.sn_rows[s];
+        self.sym.sn_rows[c].iter().map(move |&r| {
+            if r < c1 {
+                r - c0
+            } else {
+                let k = rows.binary_search(&r);
+                c1 - c0 + k.expect("a child's rows are contained in its parent's front")
+            }
+        })
+    }
+
+    /// Add child `c`'s forward contribution block into the front of `s`.
+    pub(crate) fn fold_child(
+        &self,
+        s: usize,
+        c: usize,
+        contrib: &[f64],
+        ypiv: &mut [f64],
+        ybelow: &mut [f64],
+    ) {
+        let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
+        for (k, pos) in self.child_positions(s, c).enumerate() {
+            let dst = match pos.checked_sub(w) {
+                None => &mut ypiv[pos * nrhs..(pos + 1) * nrhs],
+                Some(q) => &mut ybelow[q * nrhs..(q + 1) * nrhs],
+            };
+            for (d, v) in dst.iter_mut().zip(&contrib[k * nrhs..(k + 1) * nrhs]) {
+                *d += v;
+            }
+        }
+    }
+
+    /// The solved x at child `c`'s below-pivot rows, cut out of the front
+    /// of `s` once its backward step is done.
+    pub(crate) fn cut_child(&self, s: usize, c: usize, xpiv: &[f64], xbelow: &[f64]) -> Vec<f64> {
+        let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
+        let mut vals = Vec::with_capacity(self.below_len(c));
+        for pos in self.child_positions(s, c) {
+            vals.extend_from_slice(match pos.checked_sub(w) {
+                None => &xpiv[pos * nrhs..(pos + 1) * nrhs],
+                Some(q) => &xbelow[q * nrhs..(q + 1) * nrhs],
+            });
+        }
+        vals
+    }
+}
+
+/// Permute and interleave in one pass: the `n x nrhs` column-major block
+/// `b` in the original index space becomes `v[new*nrhs + r]`.
+pub(crate) fn permute_in(perm: &Perm, b: &[f64], nrhs: usize) -> Vec<f64> {
+    let n = perm.len();
+    let mut v = vec![0.0f64; n * nrhs];
+    for (new, &old) in perm.perm().iter().enumerate() {
+        for r in 0..nrhs {
+            v[new * nrhs + r] = b[r * n + old];
+        }
+    }
+    v
+}
+
+/// Inverse of [`permute_in`]: de-interleave and un-permute in one pass.
+pub(crate) fn permute_out(perm: &Perm, v: &[f64], nrhs: usize) -> Vec<f64> {
+    let n = perm.len();
+    let mut out = vec![0.0f64; n * nrhs];
+    for (new, &old) in perm.perm().iter().enumerate() {
+        for r in 0..nrhs {
+            out[r * n + old] = v[new * nrhs + r];
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parfact_sparse::gen;
+    use parfact_symbolic::{analyze, AmalgOpts};
+
+    #[test]
+    fn permute_in_and_out_are_per_column_apply_vec_and_inverse() {
+        let perm = Perm::from_vec(vec![2, 0, 3, 1]);
+        let (n, nrhs) = (4, 3);
+        let b: Vec<f64> = (0..n * nrhs).map(|i| i as f64).collect();
+        let v = permute_in(&perm, &b, nrhs);
+        for r in 0..nrhs {
+            let col = perm.apply_vec(&b[r * n..(r + 1) * n]);
+            for i in 0..n {
+                assert_eq!(v[i * nrhs + r], col[i]);
+            }
+        }
+        assert_eq!(permute_out(&perm, &v, nrhs), b);
+        assert!(permute_in(&perm, &[], 0).is_empty());
+    }
+
+    #[test]
+    fn cut_child_reads_the_rows_fold_child_writes() {
+        // Folding a child block of ones into a zero front and cutting the
+        // child's rows back out returns the ones; every other row stays 0.
+        let a = gen::laplace2d(9, 9, gen::Stencil2d::FivePoint);
+        let (sym, _) = analyze(&a, &AmalgOpts::default());
+        let nrhs = 2;
+        let sw = Sweep::new(&sym, nrhs, false);
+        let mut checked = 0;
+        for s in 0..sym.nsuper() {
+            for &c in &sym.tree.children[s] {
+                let ones = vec![1.0; sw.below_len(c)];
+                let mut piv = vec![0.0; sw.pivot_range(s).len()];
+                let mut below = vec![0.0; sw.below_len(s)];
+                sw.fold_child(s, c, &ones, &mut piv, &mut below);
+                assert_eq!(sw.cut_child(s, c, &piv, &below), ones);
+                let touched: f64 = piv.iter().chain(&below).sum();
+                assert_eq!(touched, ones.len() as f64);
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+}

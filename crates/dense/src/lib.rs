@@ -17,7 +17,10 @@
 //!   Schur complement of the rest;
 //! - [`bunch_kaufman`] — fully pivoted dense `LDLᵀ` (1×1/2×2 blocks) for
 //!   general symmetric indefinite systems, with inertia computation;
-//! - [`trsv`] — dense triangular solves used by the sparse solve phase;
+//! - [`solve`] — the blocked multi-right-hand-side `trsm`/`gemm` kernels
+//!   of the sparse solve phase (one interleaved layout);
+//! - [`trsv`] — scalar single-vector triangular sweeps (small dense
+//!   solves, and the reference [`solve`] is tested against);
 //! - [`matrix`] — a small column-major matrix type for assembling fronts.
 //!
 //! All kernels work on **column-major** storage with an explicit leading

@@ -1,8 +1,8 @@
 //! Batched (multi-right-hand-side) triangular-solve kernels.
 //!
-//! The solve phase streams every factor panel once and applies it to an
-//! `n x nrhs` column-major block, so the per-panel work has the BLAS-3
-//! shape `TRSM` + `GEMM` instead of `nrhs` scalar `trsv`/`gemv` sweeps.
+//! The solve phase streams every factor panel once and applies it to all
+//! `nrhs` right-hand sides, so the per-panel work has the BLAS-3 shape
+//! `TRSM` + `GEMM` instead of `nrhs` scalar `trsv`/`gemv` sweeps.
 //!
 //! ## Bitwise contract
 //!
@@ -14,24 +14,19 @@
 //! to `nrhs` independent single-column solves — the property the solver's
 //! cross-`nrhs` determinism tests pin down.
 //!
-//! ## Two layouts
+//! ## One layout
 //!
-//! There are two kernel families. The column-major family (`trsm_ln`,
-//! `gemm_block_sub`, ...) takes the RHS block as `nrhs` stride-`ld`
-//! columns and is used where the data already lives that way (the
-//! distributed engine's message blocks, the SMP tree solve). The
-//! interleaved family (`*_rm`) takes row `i`'s `nrhs` values contiguously
-//! at `b[i*nrhs..]`, which lets SIMD run *across* RHS columns while each
-//! column keeps a fixed op order — reductions over `i` stay per-lane and
-//! are never reassociated. Both families are nrhs-independent per column,
-//! but they order the panel updates differently (pure column sweeps vs
-//! 4-column panels), so results *between* families agree to rounding, not
-//! bit for bit.
-
-/// How many RHS columns the block-apply kernels advance per outer step.
-/// Each loaded `L21` column is reused across the group, which is where the
-/// batched solve earns its bandwidth advantage.
-const RHS_UNROLL: usize = 4;
+//! A block holds row `i`'s `nrhs` values contiguously at `b[i*nrhs..]`
+//! (*interleaved*; a single column is already in this form). SIMD then runs
+//! *across* RHS columns while each column keeps a fixed op order —
+//! reductions over `i` stay per-lane and are never reassociated — and a
+//! supernode's pivot rows are one contiguous slice of the whole block.
+//! Every solve path (sequential, SMP, distributed) runs these four kernels
+//! through the one supernode step in `parfact_core`, so any two of them
+//! that fold the same inputs in the same order agree bit for bit. The
+//! per-column [`crate::trsv`] sweeps order the updates differently (pure
+//! column sweeps vs 4-column panels); they are the independent reference
+//! the tests below hold this family against, to rounding.
 
 /// How many `L21` columns the micro-kernels chain per row visit. Chained
 /// updates stay in ascending-`j` order per RHS column (subtraction is not
@@ -39,306 +34,6 @@ const RHS_UNROLL: usize = 4;
 /// `Y` element is loaded and stored once per group of four `L` columns
 /// instead of once per column.
 const COL_UNROLL: usize = 4;
-
-/// Solve `L X = B` in place (`B <- L^-1 B`), `L` lower `n x n` (`ldl`),
-/// `B` `n x nrhs` (`ldb`). RHS columns are processed four at a time so
-/// each loaded `L` column serves the whole group; per column the update
-/// sequence (divide, then subtract down the column, skipping when the
-/// pivot value is exactly zero) is identical to the scalar
-/// [`crate::blas::trsm_left_ln`] sweep, so results are bitwise equal to a
-/// per-column loop for every `nrhs`.
-pub fn trsm_ln(
-    n: usize,
-    nrhs: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-    unit: bool,
-) {
-    debug_assert!(ldl >= n.max(1) && ldb >= n.max(1));
-    let at = |i: usize, j: usize| j * ldl + i;
-    let mut r = 0;
-    while r + RHS_UNROLL <= nrhs {
-        let (c0, rest) = b[r * ldb..].split_at_mut(ldb);
-        let (c1, rest) = rest.split_at_mut(ldb);
-        let (c2, c3) = rest.split_at_mut(ldb);
-        let (c0, c1, c2, c3) = (&mut c0[..n], &mut c1[..n], &mut c2[..n], &mut c3[..n]);
-        for j in 0..n {
-            let (mut x0, mut x1, mut x2, mut x3) = (c0[j], c1[j], c2[j], c3[j]);
-            if !unit {
-                let d = l[at(j, j)];
-                x0 /= d;
-                x1 /= d;
-                x2 /= d;
-                x3 /= d;
-            }
-            c0[j] = x0;
-            c1[j] = x1;
-            c2[j] = x2;
-            c3[j] = x3;
-            let lc = &l[at(j + 1, j)..at(n, j)];
-            if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
-                for (i, &lv) in lc.iter().enumerate() {
-                    c0[j + 1 + i] -= lv * x0;
-                    c1[j + 1 + i] -= lv * x1;
-                    c2[j + 1 + i] -= lv * x2;
-                    c3[j + 1 + i] -= lv * x3;
-                }
-            } else {
-                // A zero pivot value: fall back to per-column skips so the
-                // scalar sweep's behaviour is reproduced exactly.
-                for (xv, col) in [(x0, &mut *c0), (x1, c1), (x2, c2), (x3, c3)] {
-                    if xv != 0.0 {
-                        for (bv, &lv) in col[j + 1..].iter_mut().zip(lc) {
-                            *bv -= lv * xv;
-                        }
-                    }
-                }
-            }
-        }
-        r += RHS_UNROLL;
-    }
-    for r in r..nrhs {
-        crate::blas::trsm_left_ln(n, 1, l, ldl, &mut b[r * ldb..r * ldb + n], ldb.max(1), unit);
-    }
-}
-
-/// Solve `L' X = B` in place, blocked over RHS like [`trsm_ln`]. Per
-/// column the dot products accumulate with `i` ascending exactly like the
-/// scalar [`crate::blas::trsm_left_lt`] sweep.
-pub fn trsm_lt(
-    n: usize,
-    nrhs: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-    unit: bool,
-) {
-    debug_assert!(ldl >= n.max(1) && ldb >= n.max(1));
-    let at = |i: usize, j: usize| j * ldl + i;
-    let mut r = 0;
-    while r + RHS_UNROLL <= nrhs {
-        let (c0, rest) = b[r * ldb..].split_at_mut(ldb);
-        let (c1, rest) = rest.split_at_mut(ldb);
-        let (c2, c3) = rest.split_at_mut(ldb);
-        let (c0, c1, c2, c3) = (&mut c0[..n], &mut c1[..n], &mut c2[..n], &mut c3[..n]);
-        for j in (0..n).rev() {
-            let lc = &l[at(j + 1, j)..at(n, j)];
-            let (mut a0, mut a1, mut a2, mut a3) = (c0[j], c1[j], c2[j], c3[j]);
-            for (i, &lv) in lc.iter().enumerate() {
-                a0 -= lv * c0[j + 1 + i];
-                a1 -= lv * c1[j + 1 + i];
-                a2 -= lv * c2[j + 1 + i];
-                a3 -= lv * c3[j + 1 + i];
-            }
-            if !unit {
-                let d = l[at(j, j)];
-                a0 /= d;
-                a1 /= d;
-                a2 /= d;
-                a3 /= d;
-            }
-            c0[j] = a0;
-            c1[j] = a1;
-            c2[j] = a2;
-            c3[j] = a3;
-        }
-        r += RHS_UNROLL;
-    }
-    for r in r..nrhs {
-        crate::blas::trsm_left_lt(n, 1, l, ldl, &mut b[r * ldb..r * ldb + n], ldb.max(1), unit);
-    }
-}
-
-/// Off-diagonal forward apply: `Y <- Y - L21 * X`.
-///
-/// `l21` is `m x k` column-major with leading dimension `ldl`; `X` is
-/// `k x nrhs` with leading dimension `ldx`; `Y` is `m x nrhs` with leading
-/// dimension `ldy`. Per RHS column the update order matches the scalar
-/// sweep (`j` ascending over `L` columns, `i` ascending over rows), with
-/// no zero-skip, so results do not depend on how columns are grouped.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_block_sub(
-    m: usize,
-    k: usize,
-    nrhs: usize,
-    l21: &[f64],
-    ldl: usize,
-    x: &[f64],
-    ldx: usize,
-    y: &mut [f64],
-    ldy: usize,
-) {
-    debug_assert!(ldl >= m.max(1) && ldy >= m.max(1) && ldx >= k.max(1));
-    if m == 0 || k == 0 {
-        return;
-    }
-    let mut r = 0;
-    while r + RHS_UNROLL <= nrhs {
-        // Split the Y group into four distinct columns so the compiler can
-        // keep all four live without aliasing checks.
-        let (y0, rest) = y[r * ldy..].split_at_mut(ldy);
-        let (y1, rest) = rest.split_at_mut(ldy);
-        let (y2, y3) = rest.split_at_mut(ldy);
-        let (y0, y1, y2, y3) = (&mut y0[..m], &mut y1[..m], &mut y2[..m], &mut y3[..m]);
-        let mut j = 0;
-        while j + COL_UNROLL <= k {
-            // 4 RHS x 4 L-column register block: each Y element takes the
-            // four chained updates in ascending-j order, exactly as the
-            // per-j loop below would apply them one at a time.
-            let ca = &l21[j * ldl..j * ldl + m];
-            let cb = &l21[(j + 1) * ldl..(j + 1) * ldl + m];
-            let cc = &l21[(j + 2) * ldl..(j + 2) * ldl + m];
-            let cd = &l21[(j + 3) * ldl..(j + 3) * ldl + m];
-            let xr = |t: usize, jj: usize| x[(r + t) * ldx + j + jj];
-            let (xa0, xb0, xc0, xd0) = (xr(0, 0), xr(0, 1), xr(0, 2), xr(0, 3));
-            let (xa1, xb1, xc1, xd1) = (xr(1, 0), xr(1, 1), xr(1, 2), xr(1, 3));
-            let (xa2, xb2, xc2, xd2) = (xr(2, 0), xr(2, 1), xr(2, 2), xr(2, 3));
-            let (xa3, xb3, xc3, xd3) = (xr(3, 0), xr(3, 1), xr(3, 2), xr(3, 3));
-            for i in 0..m {
-                let (a, b, c, d) = (ca[i], cb[i], cc[i], cd[i]);
-                y0[i] = (((y0[i] - a * xa0) - b * xb0) - c * xc0) - d * xd0;
-                y1[i] = (((y1[i] - a * xa1) - b * xb1) - c * xc1) - d * xd1;
-                y2[i] = (((y2[i] - a * xa2) - b * xb2) - c * xc2) - d * xd2;
-                y3[i] = (((y3[i] - a * xa3) - b * xb3) - c * xc3) - d * xd3;
-            }
-            j += COL_UNROLL;
-        }
-        for j in j..k {
-            let col = &l21[j * ldl..j * ldl + m];
-            let x0 = x[r * ldx + j];
-            let x1 = x[(r + 1) * ldx + j];
-            let x2 = x[(r + 2) * ldx + j];
-            let x3 = x[(r + 3) * ldx + j];
-            for (i, &lv) in col.iter().enumerate() {
-                y0[i] -= lv * x0;
-                y1[i] -= lv * x1;
-                y2[i] -= lv * x2;
-                y3[i] -= lv * x3;
-            }
-        }
-        r += RHS_UNROLL;
-    }
-    for r in r..nrhs {
-        let yr = &mut y[r * ldy..r * ldy + m];
-        for j in 0..k {
-            let col = &l21[j * ldl..j * ldl + m];
-            let xj = x[r * ldx + j];
-            for (yi, &lv) in yr.iter_mut().zip(col) {
-                *yi -= lv * xj;
-            }
-        }
-    }
-}
-
-/// Off-diagonal backward apply: `X <- X - L21' * Y`.
-///
-/// Shapes as in [`gemm_block_sub`]: `l21` is `m x k` (`ldl`), `Y` is
-/// `m x nrhs` (`ldy`), `X` is `k x nrhs` (`ldx`). Per column the dot
-/// products accumulate with `i` ascending, matching the scalar backward
-/// sweep exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_block_t_sub(
-    m: usize,
-    k: usize,
-    nrhs: usize,
-    l21: &[f64],
-    ldl: usize,
-    y: &[f64],
-    ldy: usize,
-    x: &mut [f64],
-    ldx: usize,
-) {
-    debug_assert!(ldl >= m.max(1) && ldy >= m.max(1) && ldx >= k.max(1));
-    if m == 0 || k == 0 {
-        return;
-    }
-    let mut r = 0;
-    while r + RHS_UNROLL <= nrhs {
-        let y0 = &y[r * ldy..r * ldy + m];
-        let y1 = &y[(r + 1) * ldy..(r + 1) * ldy + m];
-        let y2 = &y[(r + 2) * ldy..(r + 2) * ldy + m];
-        let y3 = &y[(r + 3) * ldy..(r + 3) * ldy + m];
-        let mut j = 0;
-        while j + COL_UNROLL <= k {
-            // 4 RHS x 4 L-column block: 16 independent dot products, each
-            // accumulating with i ascending exactly like the scalar sweep.
-            let ca = &l21[j * ldl..j * ldl + m];
-            let cb = &l21[(j + 1) * ldl..(j + 1) * ldl + m];
-            let cc = &l21[(j + 2) * ldl..(j + 2) * ldl + m];
-            let cd = &l21[(j + 3) * ldl..(j + 3) * ldl + m];
-            let (mut a00, mut a01, mut a02, mut a03) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut a10, mut a11, mut a12, mut a13) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut a20, mut a21, mut a22, mut a23) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut a30, mut a31, mut a32, mut a33) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for i in 0..m {
-                let (a, b, c, d) = (ca[i], cb[i], cc[i], cd[i]);
-                let (v0, v1, v2, v3) = (y0[i], y1[i], y2[i], y3[i]);
-                a00 += a * v0;
-                a01 += b * v0;
-                a02 += c * v0;
-                a03 += d * v0;
-                a10 += a * v1;
-                a11 += b * v1;
-                a12 += c * v1;
-                a13 += d * v1;
-                a20 += a * v2;
-                a21 += b * v2;
-                a22 += c * v2;
-                a23 += d * v2;
-                a30 += a * v3;
-                a31 += b * v3;
-                a32 += c * v3;
-                a33 += d * v3;
-            }
-            x[r * ldx + j] -= a00;
-            x[r * ldx + j + 1] -= a01;
-            x[r * ldx + j + 2] -= a02;
-            x[r * ldx + j + 3] -= a03;
-            x[(r + 1) * ldx + j] -= a10;
-            x[(r + 1) * ldx + j + 1] -= a11;
-            x[(r + 1) * ldx + j + 2] -= a12;
-            x[(r + 1) * ldx + j + 3] -= a13;
-            x[(r + 2) * ldx + j] -= a20;
-            x[(r + 2) * ldx + j + 1] -= a21;
-            x[(r + 2) * ldx + j + 2] -= a22;
-            x[(r + 2) * ldx + j + 3] -= a23;
-            x[(r + 3) * ldx + j] -= a30;
-            x[(r + 3) * ldx + j + 1] -= a31;
-            x[(r + 3) * ldx + j + 2] -= a32;
-            x[(r + 3) * ldx + j + 3] -= a33;
-            j += COL_UNROLL;
-        }
-        for j in j..k {
-            let col = &l21[j * ldl..j * ldl + m];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for (i, &lv) in col.iter().enumerate() {
-                a0 += lv * y0[i];
-                a1 += lv * y1[i];
-                a2 += lv * y2[i];
-                a3 += lv * y3[i];
-            }
-            x[r * ldx + j] -= a0;
-            x[(r + 1) * ldx + j] -= a1;
-            x[(r + 2) * ldx + j] -= a2;
-            x[(r + 3) * ldx + j] -= a3;
-        }
-        r += RHS_UNROLL;
-    }
-    for r in r..nrhs {
-        let yr = &y[r * ldy..r * ldy + m];
-        for j in 0..k {
-            let col = &l21[j * ldl..j * ldl + m];
-            let mut acc = 0.0f64;
-            for (&lv, &yv) in col.iter().zip(yr) {
-                acc += lv * yv;
-            }
-            x[r * ldx + j] -= acc;
-        }
-    }
-}
 
 /// Forward apply, interleaved layout: `Y <- Y - L21 * X` where `X` holds
 /// `k` rows of `nrhs` contiguous lane values (`x[j*nrhs + r]`) and `Y`
@@ -480,7 +175,7 @@ pub fn gemm_block_t_sub_rm(
 /// triangle is processed in 4-column panels: solve the small diagonal
 /// block, then rank-4-update the rows below through
 /// [`gemm_block_sub_rm`]. Per lane the order is fixed and independent of
-/// `nrhs`; there is no zero-skip (unlike the column-major [`trsm_ln`]).
+/// `nrhs`; there is no zero-skip (unlike the scalar [`crate::trsv::trsv_ln`]).
 pub fn trsm_ln_rm(n: usize, nrhs: usize, l: &[f64], ldl: usize, b: &mut [f64], unit: bool) {
     debug_assert!(ldl >= n.max(1) && b.len() >= n * nrhs);
     let at = |i: usize, j: usize| j * ldl + i;
@@ -647,6 +342,11 @@ mod tests {
         }
     }
 
+    /// Extract lane `r` of an interleaved block into its own nrhs=1 block.
+    fn lane(b: &[f64], rows: usize, nrhs: usize, r: usize) -> Vec<f64> {
+        (0..rows).map(|i| b[i * nrhs + r]).collect()
+    }
+
     #[test]
     fn block_applies_match_per_column_reference_bitwise() {
         let mut r = det_rng(7);
@@ -663,58 +363,23 @@ mod tests {
             let x: Vec<f64> = (0..k * nrhs).map(|_| r()).collect();
             let y: Vec<f64> = (0..m * nrhs).map(|_| r()).collect();
 
-            // Forward apply.
             let mut yb = y.clone();
-            gemm_block_sub(m, k, nrhs, &l21, ldl, &x, k, &mut yb, m);
+            gemm_block_sub_rm(m, k, nrhs, &l21, ldl, &x, &mut yb);
+            let mut xb = x.clone();
+            gemm_block_t_sub_rm(m, k, nrhs, &l21, ldl, &y, &mut xb);
             for c in 0..nrhs {
-                let mut yr: Vec<f64> = y[c * m..(c + 1) * m].to_vec();
-                gemm_sub_ref(m, k, &l21, ldl, &x[c * k..(c + 1) * k], &mut yr);
-                for (a, b) in yb[c * m..(c + 1) * m].iter().zip(&yr) {
+                let mut yr = lane(&y, m, nrhs, c);
+                gemm_sub_ref(m, k, &l21, ldl, &lane(&x, k, nrhs, c), &mut yr);
+                for (a, b) in lane(&yb, m, nrhs, c).iter().zip(&yr) {
                     assert_eq!(a.to_bits(), b.to_bits(), "fwd m={m} k={k} nrhs={nrhs}");
                 }
-            }
-
-            // Backward apply.
-            let mut xb = x.clone();
-            gemm_block_t_sub(m, k, nrhs, &l21, ldl, &y, m, &mut xb, k);
-            for c in 0..nrhs {
-                let mut xr: Vec<f64> = x[c * k..(c + 1) * k].to_vec();
-                gemm_t_sub_ref(m, k, &l21, ldl, &y[c * m..(c + 1) * m], &mut xr);
-                for (a, b) in xb[c * k..(c + 1) * k].iter().zip(&xr) {
+                let mut xr = lane(&x, k, nrhs, c);
+                gemm_t_sub_ref(m, k, &l21, ldl, &lane(&y, m, nrhs, c), &mut xr);
+                for (a, b) in lane(&xb, k, nrhs, c).iter().zip(&xr) {
                     assert_eq!(a.to_bits(), b.to_bits(), "bwd m={m} k={k} nrhs={nrhs}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn strided_blocks_only_touch_their_rows() {
-        // ldx/ldy larger than the logical block: rows past `m`/`k` must
-        // survive untouched (the solver passes whole-vector strides).
-        let mut r = det_rng(11);
-        let (m, k, nrhs, ldx, ldy) = (4usize, 3usize, 5usize, 10usize, 9usize);
-        let l21: Vec<f64> = (0..m * k).map(|_| r()).collect();
-        let x: Vec<f64> = (0..ldx * nrhs).map(|_| r()).collect();
-        let mut y: Vec<f64> = (0..ldy * nrhs).map(|_| r()).collect();
-        let y0 = y.clone();
-        gemm_block_sub(m, k, nrhs, &l21, m, &x, ldx, &mut y, ldy);
-        for c in 0..nrhs {
-            for i in m..ldy {
-                assert_eq!(y[c * ldy + i], y0[c * ldy + i]);
-            }
-        }
-        let mut x2 = x.clone();
-        gemm_block_t_sub(m, k, nrhs, &l21, m, &y, ldy, &mut x2, ldx);
-        for c in 0..nrhs {
-            for j in k..ldx {
-                assert_eq!(x2[c * ldx + j], x[c * ldx + j]);
-            }
-        }
-    }
-
-    /// Extract lane `r` of an interleaved block into its own nrhs=1 block.
-    fn lane(b: &[f64], rows: usize, nrhs: usize, r: usize) -> Vec<f64> {
-        (0..rows).map(|i| b[i * nrhs + r]).collect()
     }
 
     #[test]
@@ -791,72 +456,35 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_trsm_agrees_with_column_major_to_rounding() {
-        // Panel blocking changes the op order, so the two families agree
-        // numerically (same triangular system), not bit for bit.
-        let mut r = det_rng(31);
-        let n = 10;
-        let ld = n;
-        let mut l = vec![0.0; ld * n];
-        for j in 0..n {
-            for i in j..n {
-                l[j * ld + i] = r();
-            }
-            l[j * ld + j] = 3.0 + r().abs();
-        }
-        let nrhs = 5;
-        let b: Vec<f64> = (0..n * nrhs).map(|_| r()).collect();
-        // Column-major reference.
-        let mut cm = b.clone();
-        // Re-pack interleaved b into column-major.
-        for c in 0..nrhs {
-            for i in 0..n {
-                cm[c * n + i] = b[i * nrhs + c];
-            }
-        }
-        trsm_ln(n, nrhs, &l, ld, &mut cm, n, false);
-        trsm_lt(n, nrhs, &l, ld, &mut cm, n, false);
-        let mut il = b.clone();
-        trsm_ln_rm(n, nrhs, &l, ld, &mut il, false);
-        trsm_lt_rm(n, nrhs, &l, ld, &mut il, false);
-        for c in 0..nrhs {
-            for i in 0..n {
-                let (u, v) = (cm[c * n + i], il[i * nrhs + c]);
-                assert!(
-                    (u - v).abs() <= 1e-12 * v.abs().max(1.0),
-                    "col {c} row {i}: {u} vs {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trsm_reexports_solve_triangular_blocks() {
-        // L (unit or not) forward+backward through the re-exported TRSMs
-        // reproduces per-column trsv bitwise.
+    fn interleaved_trsm_agrees_with_per_column_trsv_to_rounding() {
+        // Panel blocking changes the op order, so the interleaved solves
+        // agree with the scalar per-column sweeps numerically (same
+        // triangular system), not bit for bit.
         use crate::trsv;
-        let mut r = det_rng(3);
-        let n = 7;
-        let ld = n + 1;
-        let mut l = vec![0.0; ld * n];
-        for j in 0..n {
-            for i in j..n {
-                l[j * ld + i] = r();
+        let mut r = det_rng(31);
+        for (n, ld, nrhs) in [(10usize, 10usize, 5usize), (7, 8, 6)] {
+            let mut l = vec![0.0; ld * n];
+            for j in 0..n {
+                for i in j..n {
+                    l[j * ld + i] = r();
+                }
+                l[j * ld + j] = 3.0 + r().abs();
             }
-            l[j * ld + j] = 2.0 + r().abs();
-        }
-        for unit in [false, true] {
-            let nrhs = 6;
-            let b: Vec<f64> = (0..ld * nrhs).map(|_| r()).collect();
-            let mut blk = b.clone();
-            trsm_ln(n, nrhs, &l, ld, &mut blk, ld, unit);
-            trsm_lt(n, nrhs, &l, ld, &mut blk, ld, unit);
-            for c in 0..nrhs {
-                let mut col: Vec<f64> = b[c * ld..c * ld + n].to_vec();
-                trsv::trsv_ln(n, &l, ld, &mut col, unit);
-                trsv::trsv_lt(n, &l, ld, &mut col, unit);
-                for (a, bq) in blk[c * ld..c * ld + n].iter().zip(&col) {
-                    assert_eq!(a.to_bits(), bq.to_bits(), "unit={unit}");
+            for unit in [false, true] {
+                let b: Vec<f64> = (0..n * nrhs).map(|_| r()).collect();
+                let mut il = b.clone();
+                trsm_ln_rm(n, nrhs, &l, ld, &mut il, unit);
+                trsm_lt_rm(n, nrhs, &l, ld, &mut il, unit);
+                for c in 0..nrhs {
+                    let mut col = lane(&b, n, nrhs, c);
+                    trsv::trsv_ln(n, &l, ld, &mut col, unit);
+                    trsv::trsv_lt(n, &l, ld, &mut col, unit);
+                    for (u, v) in col.iter().zip(lane(&il, n, nrhs, c)) {
+                        assert!(
+                            (u - v).abs() <= 1e-12 * v.abs().max(1.0),
+                            "n={n} unit={unit} col {c}: {u} vs {v}"
+                        );
+                    }
                 }
             }
         }

@@ -1,5 +1,6 @@
-//! Dense triangular solves on vectors — the kernels behind the sparse
-//! solve phase, operating on per-supernode blocks of the factor.
+//! Dense triangular solves on one vector: the scalar column sweeps behind
+//! the small dense solves of `schur`, and the independent per-column
+//! reference the blocked [`crate::solve`] kernels are tested against.
 
 #[inline]
 fn at(ld: usize, i: usize, j: usize) -> usize {
@@ -35,37 +36,6 @@ pub fn trsv_lt(n: usize, l: &[f64], ldl: usize, x: &mut [f64], unit: bool) {
             acc -= l[lc + i] * x[i];
         }
         x[j] = if unit { acc } else { acc / l[lc + j] };
-    }
-}
-
-/// `y -= L21 * x` where `L21` is `m x n` (the subdiagonal panel of a
-/// supernode), `x` has length `n`, `y` length `m`. Used during the forward
-/// sweep to push a supernode's contribution into its ancestors.
-pub fn gemv_sub(m: usize, n: usize, l21: &[f64], ld: usize, x: &[f64], y: &mut [f64]) {
-    debug_assert!(x.len() >= n && y.len() >= m);
-    for j in 0..n {
-        let xj = x[j];
-        if xj == 0.0 {
-            continue;
-        }
-        let lc = j * ld;
-        for i in 0..m {
-            y[i] -= l21[lc + i] * xj;
-        }
-    }
-}
-
-/// `x -= L21ᵀ * y` with the same shapes as [`gemv_sub`]. Used during the
-/// backward sweep to pull ancestor values back into a supernode.
-pub fn gemv_t_sub(m: usize, n: usize, l21: &[f64], ld: usize, y: &[f64], x: &mut [f64]) {
-    debug_assert!(y.len() >= m && x.len() >= n);
-    for j in 0..n {
-        let lc = j * ld;
-        let mut acc = 0.0;
-        for i in 0..m {
-            acc += l21[lc + i] * y[i];
-        }
-        x[j] -= acc;
     }
 }
 
@@ -133,34 +103,6 @@ mod tests {
         trsv_ln(n, l.as_slice(), n, &mut b, true);
         for (a, e) in b.iter().zip(&x0) {
             assert!((a - e).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemv_sub_matches_matvec() {
-        let (m, n) = (6, 4);
-        let l21 = DMat::from_fn(m, n, |i, j| (i + j) as f64);
-        let x: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-        let mut y = vec![100.0; m];
-        gemv_sub(m, n, l21.as_slice(), m, &x, &mut y);
-        let expect = l21.matmul(&DMat::from_colmajor(n, 1, x.clone()));
-        for i in 0..m {
-            assert!((y[i] - (100.0 - expect[(i, 0)])).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemv_t_sub_matches_transposed_matvec() {
-        let (m, n) = (5, 3);
-        let l21 = DMat::from_fn(m, n, |i, j| (2 * i + 3 * j) as f64);
-        let y: Vec<f64> = (0..m).map(|i| i as f64 - 2.0).collect();
-        let mut x = vec![7.0; n];
-        gemv_t_sub(m, n, l21.as_slice(), m, &y, &mut x);
-        let expect = l21
-            .transpose()
-            .matmul(&DMat::from_colmajor(m, 1, y.clone()));
-        for j in 0..n {
-            assert!((x[j] - (7.0 - expect[(j, 0)])).abs() < 1e-12);
         }
     }
 }

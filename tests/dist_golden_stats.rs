@@ -133,3 +133,54 @@ fn lap3d10_virtual_statistics_are_pinned() {
         }
     }
 }
+
+/// Solve-inclusive rows: `(p, solve_time_s bits, Σ bytes_sent, Σ msgs_sent)`
+/// of factor + solve with a 3-column right-hand side. The solve's charges
+/// are formulas too (`w²·nrhs` and `2·m·w·nrhs` flops per front, one
+/// `rows x nrhs` payload per tree edge), so which host kernel runs the
+/// supernode step must not move them.
+const GOLDEN_SOLVE: &[(usize, u64, u64, u64)] = &[
+    (4, 0x3f446dd329f0d209, 679600, 197),
+    (8, 0x3f3f81ac59562408, 1302208, 365),
+];
+
+#[test]
+fn lap3d10_solve_statistics_are_pinned() {
+    let a = gen::laplace3d(10, 10, 10, gen::Stencil3d::SevenPoint);
+    let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+    let nrhs = 3;
+    let b: Vec<f64> = (0..sym.n * nrhs)
+        .map(|i| ((i * 7 + 3) % 23) as f64 - 11.0)
+        .collect();
+    let print = std::env::var_os("PARFACT_PRINT_GOLDEN").is_some();
+    for &(p, solve_time_bits, want_bytes, want_msgs) in GOLDEN_SOLVE {
+        let out = run_distributed_prepared(
+            p,
+            CostModel::bluegene_p(),
+            &ap,
+            &sym,
+            &perm,
+            MapStrategy::default(),
+            false,
+            Some(&b),
+        )
+        .expect("SPD");
+        let bytes_sent: u64 = out.stats.iter().map(|s| s.bytes_sent).sum();
+        let msgs_sent: u64 = out.stats.iter().map(|s| s.msgs_sent).sum();
+        if print {
+            println!(
+                "    ({p}, {:#018x}, {bytes_sent}, {msgs_sent}),",
+                out.solve_time_s.to_bits()
+            );
+            continue;
+        }
+        assert_eq!(
+            out.solve_time_s.to_bits(),
+            solve_time_bits,
+            "p={p}: solve makespan {} moved",
+            out.solve_time_s
+        );
+        assert_eq!(bytes_sent, want_bytes, "p={p}: bytes sent");
+        assert_eq!(msgs_sent, want_msgs, "p={p}: messages sent");
+    }
+}

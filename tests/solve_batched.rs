@@ -6,7 +6,7 @@
 use parfact::core::dist::{prepare, DistRun};
 use parfact::core::smp_solve;
 use parfact::core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
-use parfact::core::FactorError;
+use parfact::core::{FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::order::Method;
 use parfact::sparse::{gen, ops};
@@ -51,10 +51,50 @@ fn blocked_solve_is_bitwise_identical_to_per_column_loop() {
             for (p, q) in batched.x[col * n..(col + 1) * n].iter().zip(&one) {
                 assert_eq!(p.to_bits(), q.to_bits(), "seq nrhs={nrhs} col={col}");
             }
-            let one_smp = smp_solve::solve_smp(chol.factor(), bcol, 4);
+            let one_smp = smp_solve::solve_smp_many(chol.factor(), bcol, 1, 4).unwrap();
             for (p, q) in smp_batched.x[col * n..(col + 1) * n].iter().zip(&one_smp) {
                 assert_eq!(p.to_bits(), q.to_bits(), "smp nrhs={nrhs} col={col}");
             }
+        }
+    }
+}
+
+/// FNV-1a over the `to_bits()` of every entry.
+fn bits_hash(x: &[f64]) -> u64 {
+    x.iter().fold(0xcbf29ce484222325u64, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// Golden bits of the *sequential* solve on lap3d-6: `(kind, nrhs, hash)`.
+/// Captured at the commit before the three solve paths were collapsed onto
+/// one supernode step, and unchanged by it: the sequential sweep's data
+/// flow and kernel call order are part of its contract. A change that means
+/// to move them re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test
+/// solve_batched sequential_solve_bits -- --nocapture`.
+const SEQ_SOLVE_GOLDEN: &[(FactorKind, usize, u64)] = &[
+    (FactorKind::Llt, 1, 0x505f489b6892f0b7),
+    (FactorKind::Llt, 5, 0x3ac4c7231db2ed9e),
+    (FactorKind::Ldlt, 1, 0xf56528bbc810936e),
+    (FactorKind::Ldlt, 5, 0x64073e34545d5d42),
+];
+
+#[test]
+fn sequential_solve_bits_are_pinned() {
+    let a = gen::laplace3d(6, 6, 6, gen::Stencil3d::SevenPoint);
+    let n = a.nrows();
+    let print = std::env::var_os("PARFACT_PRINT_GOLDEN").is_some();
+    for &(kind, nrhs, want) in SEQ_SOLVE_GOLDEN {
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::new().kind(kind)).unwrap();
+        let b = rhs_block(n, nrhs, 0x601d);
+        let got = bits_hash(&chol.factor().try_solve_many(&b, nrhs).unwrap());
+        if print {
+            println!("    (FactorKind::{kind:?}, {nrhs}, {got:#018x}),");
+        } else {
+            assert_eq!(
+                got, want,
+                "{kind:?} nrhs={nrhs}: sequential solve bits moved"
+            );
         }
     }
 }
@@ -82,10 +122,11 @@ proptest! {
     }
 }
 
-/// Multi-RHS parity across all three engines at several rank counts: the
-/// distributed solve ships RHS blocks through the simulated machine and
-/// must agree with the host sweeps to rounding (its leader-gather fold
-/// order differs, so the comparison is a tolerance, not bits).
+/// Multi-RHS parity across all three engines. SMP and dist run the same
+/// supernode step and fold child blocks in the same order, so they are
+/// bit-equal to each other at every thread and rank count; the sequential
+/// sweep accumulates in global row order, so against it the comparison is
+/// a tolerance, not bits.
 #[test]
 fn seq_smp_dist_multi_rhs_parity() {
     let a = gen::laplace3d(5, 5, 4, gen::Stencil3d::SevenPoint);
@@ -96,12 +137,6 @@ fn seq_smp_dist_multi_rhs_parity() {
     let seq = chol
         .solve_with(RhsBlock::new(&b, nrhs), &SolveOpts::new())
         .unwrap();
-    let smp = chol
-        .solve_with(
-            RhsBlock::new(&b, nrhs),
-            &SolveOpts::new().engine(SolveEngine::Smp { threads: 4 }),
-        )
-        .unwrap();
     for col in 0..nrhs {
         let r = ops::sym_residual_inf(
             &a,
@@ -110,8 +145,14 @@ fn seq_smp_dist_multi_rhs_parity() {
         );
         assert!(r < 1e-11, "seq col={col}: residual {r}");
     }
-    for (s, p) in seq.x.iter().zip(&smp.x) {
+    let smp = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, 2).unwrap();
+    for (s, p) in seq.x.iter().zip(&smp) {
         assert!((s - p).abs() / s.abs().max(1.0) < 1e-12);
+    }
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for threads in [3usize, 4, 8] {
+        let again = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, threads).unwrap();
+        assert_eq!(bits(&again), bits(&smp), "threads={threads}: smp moved");
     }
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
@@ -119,15 +160,13 @@ fn seq_smp_dist_multi_rhs_parity() {
             b: Some(&b),
             ..DistRun::new(ranks, CostModel::bluegene_p(), &ap, &sym, &perm)
         };
-        let out = run.run().unwrap().outcome;
-        let xd = out.x.expect("rank 0 gathers the solution block");
-        assert_eq!(xd.len(), n * nrhs);
-        for (d, s) in xd.iter().zip(&seq.x) {
-            assert!(
-                (d - s).abs() / s.abs().max(1.0) < 1e-11,
-                "ranks={ranks}: dist diverged from seq"
-            );
-        }
+        let xd = run.run().unwrap().outcome.x;
+        let xd = xd.expect("rank 0 gathers the solution block");
+        assert_eq!(
+            bits(&xd),
+            bits(&smp),
+            "ranks={ranks}: dist differs from smp"
+        );
     }
 }
 
@@ -150,6 +189,28 @@ fn wrong_lengths_are_typed_errors_not_panics() {
     assert!(matches!(
         smp_solve::solve_smp_many(chol.factor(), &b, 2, 4),
         Err(FactorError::DimensionMismatch { .. })
+    ));
+    // The distributed driver rejects a ragged block before the machine
+    // starts, and a non-empty one for an empty system.
+    let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+    let ragged = vec![1.0; 2 * n - 1];
+    let run = DistRun {
+        b: Some(&ragged),
+        ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+    };
+    assert!(matches!(
+        run.run().map(|_| ()),
+        Err(FactorError::DimensionMismatch { expected, got }) if expected == 2 * n && got == 2 * n - 1
+    ));
+    let empty = parfact::sparse::coo::CooMatrix::new(0, 0).to_csc();
+    let (sym, ap, perm) = prepare(&empty, Method::default(), &AmalgOpts::default());
+    let run = DistRun {
+        b: Some(&b),
+        ..DistRun::new(2, CostModel::bluegene_p(), &ap, &sym, &perm)
+    };
+    assert!(matches!(
+        run.run().map(|_| ()),
+        Err(FactorError::DimensionMismatch { expected: 0, got }) if got == n
     ));
 }
 
