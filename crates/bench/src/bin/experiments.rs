@@ -176,6 +176,12 @@ fn main() {
         [] | ["all"] => all.to_vec(),
         ids => ids.to_vec(),
     };
+    // Every Gflop/s figure below was produced by this register tile.
+    println!(
+        "host: {} threads, {} dense microkernel\n",
+        resolve_threads(0),
+        parfact_dense::kernel_name()
+    );
     for id in run {
         let t = Instant::now();
         match id {

@@ -21,6 +21,7 @@ use parfact_mpsim::Rank;
 use parfact_trace::Phase;
 
 use crate::error::FactorError;
+use crate::frontal::flops_partial;
 
 // ---------------------------------------------------------------------------
 // Message-tag namespace.
@@ -419,7 +420,8 @@ impl DistFront {
             let mut below = r0;
             if bj % pr == my.0 {
                 if bj != bk {
-                    gemm_nt_ln(n_bj, jb, -1.0, &p.a[r0 - a_r0..], lda, bop, n_bj, strip, ld);
+                    let aop = &p.a[r0 - a_r0..];
+                    gemm_nt_ln(n_bj, n_bj, jb, -1.0, aop, lda, bop, n_bj, strip, ld);
                     flops += jb * n_bj * (n_bj + 1);
                 }
                 below += n_bj;
@@ -507,16 +509,4 @@ pub fn comm_class(t: u64) -> usize {
         | PHASE_GATHER_X => 2,
         _ => 3,
     }
-}
-
-/// Flop count of a partial factorization of `npiv` columns in an
-/// `m`-order block: `Σ_k (m-k)²`, the classic LAPACK convention that counts
-/// multiplies and adds separately (`n³/3` for full dense Cholesky).
-pub fn flops_partial(m: usize, npiv: usize) -> f64 {
-    let mut fl = 0.0;
-    for k in 0..npiv {
-        let len = m - k;
-        fl += (len * len) as f64;
-    }
-    fl
 }

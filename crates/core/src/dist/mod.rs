@@ -20,7 +20,7 @@ pub mod solve;
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{factor_front, Buf, FrontMeter, UpdateMatrix};
+use crate::frontal::{factor_front, flops_partial, Buf, FrontMeter, UpdateMatrix};
 use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
 use crate::sweep;
 use crate::workspace::FrontWorkspace;
@@ -339,7 +339,7 @@ impl CheckpointStore {
 /// What a simulated rank is charged for a locally-factored front: the
 /// front and the panel are tracked rank memory, assembly and the partial
 /// factorization advance the virtual clock by their modelled flops
-/// ([`assembly_flops`], [`front::flops_partial`]). Update matrices in
+/// ([`assembly_flops`], [`flops_partial`]). Update matrices in
 /// flight between local fronts are not tracked.
 impl FrontMeter for Rank {
     type Tick = ();
@@ -387,7 +387,7 @@ impl RankRun<'_> {
             &mut self.wst,
             self.rank,
             &mut panel,
-            |_, f, w, front, _| chol::partial_potrf(f, w, front, f),
+            |_, f, w, panel, schur| chol::partial_potrf_split(f, w, panel, f, schur, f - w),
         )?;
         self.st.out.local_panels.insert(s, panel);
         if let Some(upd) = update {
@@ -604,7 +604,7 @@ fn assembly_flops(sym: &Symbolic, s: usize) -> f64 {
 /// greedy-fill budget check of the event-driven scheduler: exactly what
 /// `impl FrontMeter for Rank` will charge for it.
 fn local_cost_estimate(sym: &Symbolic, s: usize, model: &CostModel) -> f64 {
-    let fl = front::flops_partial(sym.front_order(s), sym.sn_width(s)) + assembly_flops(sym, s);
+    let fl = flops_partial(sym.front_order(s), sym.sn_width(s)) + assembly_flops(sym, s);
     fl * model.flop_time_s
 }
 

@@ -9,6 +9,11 @@
 //! the leading `width` columns become factor panel `s`, the trailing block
 //! becomes this front's own update matrix.
 //!
+//! A front is never stored as one `f x f` matrix: its pivot columns are
+//! assembled and factored in the factor panel they stay in (leading
+//! dimension `f`), its trailing block in the buffer that then travels to
+//! the parent as the update matrix (leading dimension `f - width`).
+//!
 //! That life-cycle is spelled out exactly once, in [`factor_front`]. The
 //! engines (`seq`, both `smp` phases, the local subtrees of `dist`) are
 //! schedulers around it: they decide which supernode runs next, where its
@@ -17,7 +22,6 @@
 //! tracked bytes on the host engines, virtual compute time and rank memory
 //! on the simulated machine.
 
-use crate::dist::front::flops_partial;
 use crate::error::FactorError;
 use crate::factor::FactorKind;
 use crate::workspace::FrontWorkspace;
@@ -113,27 +117,31 @@ impl FrontScatter {
     }
 }
 
-/// Assemble the front of supernode `s`: zero the buffer, scatter the pivot
-/// columns of `ap`, then extend-add every child update. `front` must have
-/// room for `f*f` entries and is fully overwritten.
+/// Assemble the front of supernode `s` where it will be factored: zero
+/// `panel` (the `f x w` pivot columns) and `schur` (resized to the `r x r`
+/// trailing block, `r = f - w`), scatter the pivot columns of `ap`, then
+/// extend-add every child update staged in `wst`.
 ///
-/// Returns `(f, entries)` — the front order and the number of entries
-/// scattered or added into the front (original-matrix entries plus applied
-/// extend-add contributions), which instrumentation converts to assembly
-/// byte counts.
-pub fn assemble_front(
+/// Returns the number of entries scattered or added into the front
+/// (original-matrix entries plus applied extend-add contributions), which
+/// instrumentation converts to assembly byte counts.
+pub(crate) fn assemble_front(
     ap: &CscMatrix,
     sym: &Symbolic,
     s: usize,
-    scatter: &mut FrontScatter,
-    children_updates: &[UpdateMatrix],
-    front: &mut Vec<f64>,
-) -> (usize, u64) {
+    wst: &mut FrontWorkspace,
+    panel: &mut [f64],
+    schur: &mut Vec<f64>,
+) -> u64 {
+    let scatter = &mut wst.scatter;
     let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
     let w = c1 - c0;
     let f = w + sym.sn_rows[s].len();
-    front.clear();
-    front.resize(f * f, 0.0);
+    panel.fill(0.0);
+    // clear + resize zeroes the whole buffer (even a recycled one) while
+    // keeping its capacity.
+    schur.clear();
+    schur.resize((f - w) * (f - w), 0.0);
     scatter.set(sym, s);
     let mut entries = 0u64;
     // Original matrix entries of the pivot columns (lower part only).
@@ -144,37 +152,47 @@ pub fn assemble_front(
         for (&r, &v) in rows.iter().zip(vals) {
             debug_assert!(r >= c);
             let lr = scatter.local(r);
-            front[lc * f + lr] = v;
+            panel[lc * f + lr] = v;
         }
     }
     // Extend-add children updates.
-    for upd in children_updates {
-        entries += extend_add(upd.rows(sym), &upd.data, scatter, front, f);
+    for upd in &wst.children {
+        entries += extend_add(upd.rows(sym), &upd.data, scatter, panel, schur, f, w);
     }
-    (f, entries)
+    entries
 }
 
 /// Scatter-add one update matrix (`rows.len() x rows.len()` column-major
-/// `data`, lower triangle valid) into a front through the scatter map.
-/// The map is monotone (both index lists are sorted), so the child's lower
-/// triangle lands in the parent's lower triangle. Returns the number of
-/// (nonzero) entries added.
+/// `data`, lower triangle valid) into a front of order `f` with `w` pivots
+/// through the scatter map: a column that maps below `w` lands in `panel`,
+/// one at or beyond it in `schur` (both as [`assemble_front`] lays them
+/// out). The map is monotone (both index lists are sorted), so the child's
+/// lower triangle lands in the parent's lower triangle. Returns the number
+/// of (nonzero) entries added.
 pub fn extend_add(
     rows: &[usize],
     data: &[f64],
     scatter: &FrontScatter,
-    front: &mut [f64],
+    panel: &mut [f64],
+    schur: &mut [f64],
     f: usize,
+    w: usize,
 ) -> u64 {
     let r = rows.len();
+    let rs = f - w;
     let mut added = 0u64;
     for j in 0..r {
         let lj = scatter.local(rows[j]);
+        // The front column's rows, and the front row its first entry is.
+        let (col, top) = if lj < w {
+            (&mut panel[lj * f..(lj + 1) * f], 0)
+        } else {
+            (&mut schur[(lj - w) * rs..(lj - w + 1) * rs], w)
+        };
         let src = &data[j * r..j * r + r];
         for (i, &v) in src.iter().enumerate().skip(j) {
             if v != 0.0 {
-                let li = scatter.local(rows[i]);
-                front[lj * f + li] += v;
+                col[scatter.local(rows[i]) - top] += v;
                 added += 1;
             }
         }
@@ -182,30 +200,20 @@ pub fn extend_add(
     added
 }
 
-/// Extract the trailing `r x r` lower block of a partially-factored front
-/// into `data` (resized to fit, upper triangle zeroed) as the update
-/// matrix for the parent. The buffer typically comes from a
-/// [`crate::workspace::FrontWorkspace`] pool.
-pub fn extract_update_into(sym: &Symbolic, s: usize, front: &[f64], f: usize, data: &mut Vec<f64>) {
-    let w = sym.sn_width(s);
-    let r = f - w;
-    // clear + resize zeroes the whole buffer (even a recycled one) while
-    // keeping its capacity.
-    data.clear();
-    data.resize(r * r, 0.0);
-    for j in 0..r {
-        let src = &front[(w + j) * f + w..(w + j) * f + f];
-        let dst = &mut data[j * r..(j + 1) * r];
-        // Lower triangle only.
-        dst[j..].copy_from_slice(&src[j..]);
-    }
+/// Flop count of a partial factorization of `npiv` columns in an
+/// `m`-order block: `Σ_k (m-k)²`, the classic LAPACK convention that counts
+/// multiplies and adds separately (`n³/3` for full dense Cholesky).
+pub fn flops_partial(m: usize, npiv: usize) -> f64 {
+    (0..npiv).map(|k| ((m - k) * (m - k)) as f64).sum()
 }
 
 /// The buffers a front's life-cycle holds, as far as memory accounting
 /// tells them apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Buf {
-    /// The dense `f x f` front being assembled and factored.
+    /// The dense `f x f` front the machine model assembles and factors. On
+    /// the host it does not exist — a front lives in its `Panel` and its
+    /// `Update` — and costs nothing.
     Front,
     /// The `f x w` factor panel kept for the solves.
     Panel,
@@ -214,10 +222,10 @@ pub(crate) enum Buf {
 }
 
 /// Where [`factor_front`] charges the time, flops and memory of a front.
-/// The hooks fire in a fixed order — `hold(Front)`, `start`, `assembled`,
-/// `release(Update)` per child, (dense kernel), `factored`, `hold(Panel)`,
-/// `hold(Update)`, `release(Front)` — which is what keeps memory
-/// high-water marks and virtual clocks reproducible.
+/// The hooks fire in a fixed order — `hold(Front)`, `hold(Update)`,
+/// `start`, `assembled`, `release(Update)` per child, (dense kernel),
+/// `factored`, `hold(Panel)`, `release(Front)` — which is what keeps
+/// memory high-water marks and virtual clocks reproducible.
 pub(crate) trait FrontMeter {
     /// An in-flight assembly timing.
     type Tick;
@@ -235,7 +243,8 @@ pub(crate) trait FrontMeter {
 }
 
 /// Host engines: assembly is wall-timed as [`Phase::ExtendAdd`] (the dense
-/// kernel times itself, see [`panel_kernel`]), every buffer is tracked.
+/// kernel times itself, see [`panel_kernel`]), every buffer that exists is
+/// tracked.
 impl FrontMeter for LocalRecorder<'_> {
     type Tick = Tick;
 
@@ -253,43 +262,50 @@ impl FrontMeter for LocalRecorder<'_> {
         self.front_done();
     }
 
-    fn hold(&mut self, _: Buf, bytes: usize) {
-        self.mem_alloc(bytes);
+    fn hold(&mut self, buf: Buf, bytes: usize) {
+        if buf != Buf::Front {
+            self.mem_alloc(bytes);
+        }
     }
 
-    fn release(&mut self, _: Buf, bytes: usize) {
-        self.mem_free(bytes);
+    fn release(&mut self, buf: Buf, bytes: usize) {
+        if buf != Buf::Front {
+            self.mem_free(bytes);
+        }
     }
 }
 
-/// The sequential dense kernel of `kind` on an assembled `f x f` front
-/// with `w` pivots, wall-timed as [`Phase::Panel`]. `d` receives the LDLᵀ
-/// pivots (unused for LLᵀ).
+/// The sequential dense kernel of `kind` on an assembled front of order
+/// `f` with `w` pivots, stored as [`assemble_front`] leaves it, wall-timed
+/// as [`Phase::Panel`]. `d` receives the LDLᵀ pivots (unused for LLᵀ).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn panel_kernel(
     kind: FactorKind,
     s: usize,
     rec: &mut LocalRecorder<'_>,
     f: usize,
     w: usize,
-    front: &mut [f64],
+    panel: &mut [f64],
+    schur: &mut [f64],
     d: &mut [f64],
 ) -> Result<(), DenseError> {
     let tick = rec.start();
     match kind {
-        FactorKind::Llt => chol::partial_potrf(f, w, front, f)?,
-        FactorKind::Ldlt => chol::partial_ldlt(f, w, front, f, d)?,
+        FactorKind::Llt => chol::partial_potrf_split(f, w, panel, f, schur, f - w)?,
+        FactorKind::Ldlt => chol::partial_ldlt_split(f, w, panel, f, schur, f - w, d)?,
     }
     rec.stop(tick, Phase::Panel, Some(s));
     Ok(())
 }
 
 /// The life of one front. The caller has staged the children's updates in
-/// `wst.children`; this assembles the front of supernode `s`, runs
-/// `kernel(meter, f, w, front, scratch)` — the caller's choice of dense
-/// partial factorization, which also writes any LDLᵀ pivots — copies the
-/// factor panel into `panel`, and returns the front's own update matrix
-/// (drawn from the arena's pool; `None` for a root) after recycling the
-/// children's buffers. With a warm `wst` nothing here touches the heap.
+/// `wst.children`; this assembles the front of supernode `s` into `panel`
+/// (its `f x w` slice of the factor) and an update buffer drawn from the
+/// arena's pool, runs `kernel(meter, f, w, panel, schur)` on them
+/// in place — the caller's choice of dense partial factorization, which
+/// also writes any LDLᵀ pivots — and returns the update matrix (`None` for
+/// a root) after recycling the children's buffers. With a warm `wst`
+/// nothing here touches the heap, and no entry of the front is copied.
 pub(crate) fn factor_front<M: FrontMeter>(
     ap: &CscMatrix,
     sym: &Symbolic,
@@ -297,37 +313,35 @@ pub(crate) fn factor_front<M: FrontMeter>(
     wst: &mut FrontWorkspace,
     meter: &mut M,
     panel: &mut [f64],
-    kernel: impl FnOnce(&mut M, usize, usize, &mut [f64], &mut Vec<f64>) -> Result<(), DenseError>,
+    kernel: impl FnOnce(&mut M, usize, usize, &mut [f64], &mut [f64]) -> Result<(), DenseError>,
 ) -> Result<Option<UpdateMatrix>, FactorError> {
     let c0 = sym.sn_ptr[s];
     let w = sym.sn_width(s);
     let f = sym.front_order(s);
-    wst.note_front(f * f);
+    let r = f - w;
     meter.hold(Buf::Front, f * f * 8);
+    // The trailing block is born in the buffer that carries it upward.
+    let mut data = if r > 0 {
+        meter.hold(Buf::Update, r * r * 8);
+        wst.take_buf(r * r)
+    } else {
+        Vec::new()
+    };
     let tick = meter.start();
-    let (_, entries) = assemble_front(ap, sym, s, &mut wst.scatter, &wst.children, &mut wst.front);
+    let entries = assemble_front(ap, sym, s, wst, panel, &mut data);
     meter.assembled(tick, sym, s, entries);
     for u in &wst.children {
         meter.release(Buf::Update, u.data.len() * 8);
     }
-    kernel(meter, f, w, &mut wst.front, &mut wst.scratch)
-        .map_err(|e| FactorError::from_dense(e, c0))?;
+    kernel(meter, f, w, panel, &mut data).map_err(|e| FactorError::from_dense(e, c0))?;
     meter.factored(s, flops_partial(f, w));
-    panel.copy_from_slice(&wst.front[..f * w]);
     meter.hold(Buf::Panel, f * w * 8);
-    let update = (f > w).then(|| {
-        let r = f - w;
-        let mut data = wst.take_buf(r * r);
-        extract_update_into(sym, s, &wst.front, f, &mut data);
-        meter.hold(Buf::Update, data.len() * 8);
-        UpdateMatrix { src: s, data }
-    });
     meter.release(Buf::Front, f * f * 8);
     // Children are assembled; recycle their buffers for later fronts.
     while let Some(u) = wst.children.pop() {
         wst.recycle(u.data);
     }
-    Ok(update)
+    Ok((r > 0).then_some(UpdateMatrix { src: s, data }))
 }
 
 #[cfg(test)]
@@ -374,46 +388,41 @@ mod tests {
         }
     }
 
+    /// Assemble supernode `s` without children into buffers with stale
+    /// contents (assembly must overwrite every entry); the workspace is
+    /// left with the front's scatter map installed.
+    fn assemble_alone(
+        ap: &CscMatrix,
+        sym: &Symbolic,
+        s: usize,
+    ) -> (FrontWorkspace, Vec<f64>, Vec<f64>, u64) {
+        let mut wst = FrontWorkspace::new();
+        wst.scatter.ensure(sym.n);
+        let mut panel = vec![f64::NAN; sym.front_order(s) * sym.sn_width(s)];
+        let mut schur = vec![f64::NAN; 3];
+        let entries = assemble_front(ap, sym, s, &mut wst, &mut panel, &mut schur);
+        (wst, panel, schur, entries)
+    }
+
     #[test]
     fn assemble_places_matrix_entries() {
         let (sym, ap) = small_problem();
-        let mut sc = FrontScatter::new(sym.n);
-        let mut front = Vec::new();
         let s = 0;
-        let (f, entries) = assemble_front(&ap, &sym, s, &mut sc, &[], &mut front);
-        assert_eq!(f, sym.front_order(s));
-        // No children: the entry count is exactly the pivot columns' nnz.
+        let (_, panel, schur, entries) = assemble_alone(&ap, &sym, s);
+        // No children: the entry count is exactly the pivot columns' nnz,
+        // and the trailing block is a zeroed square of the right order.
         let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
         let nnz: usize = (c0..c1).map(|c| ap.col(c).0.len()).sum();
         assert_eq!(entries, nnz as u64);
+        let r = sym.sn_rows[s].len();
+        assert_eq!(schur, vec![0.0; r * r]);
         // Diagonal of the first pivot column must be the matrix diagonal.
-        assert_eq!(front[0], ap.get(c0, c0).unwrap());
+        assert_eq!(panel[0], ap.get(c0, c0).unwrap());
+        assert!(panel.iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    fn extend_add_accumulates_symmetrically_mapped_entries() {
-        let (sym, ap) = small_problem();
-        // Use the root supernode and synthesize an update over a subset of
-        // its index space.
-        let s = sym.nsuper() - 1;
-        let mut sc = FrontScatter::new(sym.n);
-        let mut front = Vec::new();
-        let (f, _) = assemble_front(&ap, &sym, s, &mut sc, &[], &mut front);
-        let before = front.clone();
-        let cols: Vec<usize> = sym.sn_cols(s).collect();
-        assert!(cols.len() >= 2, "root supernode too small for this test");
-        let rows = vec![cols[0], cols[1]];
-        let data = vec![10.0, 20.0, 0.0, 30.0]; // lower 2x2
-        let added = extend_add(&rows, &data, &sc, &mut front, f);
-        assert_eq!(added, 3, "three nonzero lower entries");
-        let (l0, l1) = (sc.local(rows[0]), sc.local(rows[1]));
-        assert_eq!(front[l0 * f + l0], before[l0 * f + l0] + 10.0);
-        assert_eq!(front[l0 * f + l1], before[l0 * f + l1] + 20.0);
-        assert_eq!(front[l1 * f + l1], before[l1 * f + l1] + 30.0);
-    }
-
-    #[test]
-    fn extract_update_is_lower_trailing_block() {
+    fn extend_add_splits_columns_at_the_pivot_boundary() {
         // Strict supernodes guarantee a non-root supernode with below rows.
         let a = gen::laplace2d(4, 4, gen::Stencil2d::FivePoint);
         let (sym, ap) = analyze(
@@ -424,33 +433,33 @@ mod tests {
             },
         );
         let s = (0..sym.nsuper())
-            .find(|&s| !sym.sn_rows[s].is_empty() && sym.front_order(s) >= 3)
+            .find(|&s| sym.sn_rows[s].len() >= 2)
             .unwrap();
-        let mut sc = FrontScatter::new(sym.n);
-        let mut front = Vec::new();
-        let (fo, _) = assemble_front(&ap, &sym, s, &mut sc, &[], &mut front);
-        // Stamp recognizable values in the trailing block.
-        let wo = sym.sn_width(s);
-        for j in wo..fo {
-            for i in j..fo {
-                front[j * fo + i] = (100 * i + j) as f64;
-            }
-        }
-        // A recycled buffer of the wrong size with stale contents: the
-        // extraction must resize it and zero the upper triangle.
-        let mut upd = vec![f64::NAN; 3];
-        extract_update_into(&sym, s, &front, fo, &mut upd);
-        let r = fo - wo;
-        assert_eq!(upd.len(), r * r);
-        for j in 0..r {
-            for i in 0..r {
-                let want = if i >= j {
-                    (100 * (i + wo) + (j + wo)) as f64
-                } else {
-                    0.0
-                };
-                assert_eq!(upd[j * r + i], want);
-            }
-        }
+        let (f, w) = (sym.front_order(s), sym.sn_width(s));
+        let r = f - w;
+        let (wst, mut panel, mut schur, _) = assemble_alone(&ap, &sym, s);
+        let sc = &wst.scatter;
+        let (panel0, schur0) = (panel.clone(), schur.clone());
+        // An update over the last pivot column and the first two below
+        // rows: one column lands in the panel, two in the trailing block.
+        let rows = vec![sym.sn_ptr[s + 1] - 1, sym.sn_rows[s][0], sym.sn_rows[s][1]];
+        #[rustfmt::skip]
+        let data = vec![
+            1.0, 2.0, 3.0,
+            0.0, 4.0, 0.0, // an exact zero is skipped, not counted
+            0.0, 0.0, 6.0,
+        ];
+        let added = extend_add(&rows, &data, sc, &mut panel, &mut schur, f, w);
+        assert_eq!(added, 5, "five nonzero lower entries");
+        let mut want_panel = panel0;
+        let lc = w - 1;
+        want_panel[lc * f + lc] += 1.0;
+        want_panel[lc * f + w] += 2.0;
+        want_panel[lc * f + w + 1] += 3.0;
+        assert_eq!(panel, want_panel);
+        let mut want_schur = schur0;
+        want_schur[0] += 4.0;
+        want_schur[r + 1] += 6.0;
+        assert_eq!(schur, want_schur);
     }
 }

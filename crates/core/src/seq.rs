@@ -33,8 +33,9 @@ pub fn factorize_seq(
 /// with the same `sym`) using the arenas in `ws`, recording into `tr` (with
 /// a disabled collector every hook is a single branch, so this *is* the
 /// uninstrumented engine). With a warm workspace the steady state performs
-/// **no per-supernode heap allocation** — fronts, scatter maps and update
-/// matrices all come from reused buffers.
+/// **no per-supernode heap allocation** — scatter maps and update matrices
+/// come from reused buffers, and a front's pivot columns are assembled and
+/// factored in `factor`'s own slab.
 ///
 /// On error the panels written so far are left behind; callers that reuse
 /// factors across calls (refactorize) must treat a failed factor as
@@ -70,9 +71,15 @@ pub(crate) fn factorize_seq_into(
             FactorKind::Llt => &mut [][..],
             FactorKind::Ldlt => &mut factor.d[sym.sn_ptr[s]..sym.sn_ptr[s + 1]],
         };
-        slots[s] = factor_front(ap, sym, s, wst, &mut rec, panel, |rec, f, w, front, _| {
-            panel_kernel(kind, s, rec, f, w, front, d)
-        })?;
+        slots[s] = factor_front(
+            ap,
+            sym,
+            s,
+            wst,
+            &mut rec,
+            panel,
+            |rec, f, w, panel, schur| panel_kernel(kind, s, rec, f, w, panel, schur, d),
+        )?;
     }
     Ok(())
 }

@@ -14,8 +14,8 @@
 //! The boundary between regimes is the `big_front` threshold, closed upward
 //! (a parent of a big front is big) so phase 2 never waits on phase 1.
 //!
-//! Workers write factor panels straight into the [`Factor`] slab (disjoint
-//! per supernode) and draw fronts/update buffers from their
+//! Workers assemble and factor panels straight in the [`Factor`] slab
+//! (disjoint per supernode) and draw update buffers from their
 //! [`FrontWorkspace`] arenas, so the steady state allocates nothing per
 //! supernode; idle workers wait with a spin-then-park
 //! [`crate::backoff::Backoff`] instead of burning a core on `yield_now`.
@@ -25,7 +25,7 @@ use crate::factor::{Factor, FactorKind};
 use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
 use crate::tree_pool::{walk_tree, Walk};
 use crate::workspace::{FrontWorkspace, Workspace};
-use parfact_dense::blas::{gemm_nt, syrk_ln, trsm_right_lt};
+use parfact_dense::blas::{gemm_nt, syrk_ln};
 use parfact_dense::chol;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
@@ -181,11 +181,11 @@ impl Fronts<'_> {
             wst,
             rec,
             panel,
-            |rec, f, w, front, scratch| {
+            |rec, f, w, panel, schur| {
                 if threads > 1 && kind == FactorKind::Llt {
-                    parallel_partial_potrf_traced(f, w, front, threads, scratch, rec, Some(s))
+                    parallel_partial_potrf_traced(f, w, panel, schur, f - w, threads, rec, Some(s))
                 } else {
-                    panel_kernel(kind, s, rec, f, w, front, d)
+                    panel_kernel(kind, s, rec, f, w, panel, schur, d)
                 }
             },
         )?;
@@ -249,159 +249,145 @@ impl<'a> FactorWriter<'a> {
 }
 
 /// Partial blocked Cholesky with the trailing update of each panel split
-/// across `nthreads` threads. Arithmetic is identical to the sequential
+/// across `nthreads` threads, on a front stored as
+/// [`chol::partial_potrf_split`] takes it: the `nf x npiv` pivot columns
+/// in `panel` (leading dimension `nf`), the trailing block in `schur`
+/// (leading dimension `lds`). Arithmetic is identical to the sequential
 /// kernel (same panels, same per-entry accumulation order — see the
-/// determinism contract in `parfact_dense::pack`), so results match
-/// [`chol::partial_potrf`] bitwise.
+/// determinism contract in `parfact_dense::pack`), so results match it
+/// bitwise.
 ///
 /// Phase timing: the panel section (diagonal factor + TRSM) accumulates as
 /// [`Phase::Panel`], the threaded trailing update as [`Phase::Gemm`].
-/// `scratch` stages the panel copy the workers read (reused across panels
-/// and fronts by the caller's arena).
+#[allow(clippy::too_many_arguments)]
 pub fn parallel_partial_potrf_traced(
     nf: usize,
     npiv: usize,
-    f: &mut [f64],
+    panel: &mut [f64],
+    schur: &mut [f64],
+    lds: usize,
     nthreads: usize,
-    scratch: &mut Vec<f64>,
     rec: &mut LocalRecorder<'_>,
     supernode: Option<usize>,
 ) -> Result<(), parfact_dense::DenseError> {
-    let nb = chol::NB;
-    let ldf = nf;
-    let mut j = 0usize;
-    while j < npiv {
-        let jb = nb.min(npiv - j);
-        let rest = nf - j - jb;
+    for j in (0..npiv).step_by(chol::NB) {
+        let jb = chol::NB.min(npiv - j);
+        let col0 = j + jb;
+        let rest = nf - col0;
         let tick = rec.start();
-        // Panel: factor diagonal block + scale the rows below it.
-        {
-            let djj = j * ldf + j;
-            let (_, tail) = f.split_at_mut(djj);
-            // Unblocked factor of the jb x jb diagonal block.
-            chol::partial_potrf(jb, jb, &mut tail[..(jb - 1) * ldf + jb], ldf).map_err(
-                |e| match e {
-                    parfact_dense::DenseError::NotPositiveDefinite { index, value } => {
-                        parfact_dense::DenseError::NotPositiveDefinite {
-                            index: index + j,
-                            value,
-                        }
-                    }
-                    other => other,
-                },
-            )?;
+        // Panel: factor the diagonal block and scale the rows below it.
+        chol::potrf_panel(nf - j, jb, &mut panel[j * nf + j..], nf, j)?;
+        rec.stop(tick, Phase::Panel, supernode);
+        if rest == 0 {
+            break;
         }
-        if rest > 0 {
-            let mut l11_buf = [0.0f64; chol::NB * chol::NB];
-            let l11 = &mut l11_buf[..jb * jb];
-            for t in 0..jb {
-                for i in t..jb {
-                    l11[t * jb + i] = f[(j + t) * ldf + j + i];
-                }
-            }
-            {
-                let a21 = j * ldf + j + jb;
-                let (_, tail) = f.split_at_mut(a21);
-                trsm_right_lt(rest, jb, l11, jb, tail, ldf);
-            }
-            rec.stop(tick, Phase::Panel, supernode);
-            let tick = rec.start();
-            // Trailing update split by column chunks, each processed with
-            // the packed kernels. Per the determinism contract every entry
-            // accumulates as one ascending-k chain regardless of chunking,
-            // so this matches the sequential whole-trailing syrk bitwise.
-            let panel_start = j * ldf + j + jb;
-            let trail_col0 = j + jb;
-            // Copy the panel (L21, rest x jb, ld = rest) so worker threads
-            // can read it while the trailing area is mutated.
-            scratch.clear();
-            scratch.resize(jb * rest, 0.0);
-            for t in 0..jb {
-                scratch[t * rest..(t + 1) * rest]
-                    .copy_from_slice(&f[panel_start + t * ldf..panel_start + t * ldf + rest]);
-            }
-            let panel: &[f64] = scratch;
-            // Partition trailing columns into chunks of decreasing width so
-            // the triangular work is balanced.
-            let nchunks = (nthreads * 4).min(rest.max(1));
-            let counter = AtomicUsize::new(0);
-            let fptr = SendPtr(f.as_mut_ptr());
-            std::thread::scope(|scope| {
-                for _ in 0..nthreads.min(nchunks) {
-                    scope.spawn(|| {
-                        let fptr = &fptr;
-                        loop {
-                            let c = counter.fetch_add(1, Ordering::Relaxed);
-                            if c >= nchunks {
-                                break;
-                            }
-                            // Chunk c owns trailing columns [a, b).
-                            let a = c * rest / nchunks;
-                            let b = (c + 1) * rest / nchunks;
-                            if b <= a {
+        let tick = rec.start();
+        // The workers read L21 (rows col0.. of the panel's columns) while
+        // they write the trailing columns `col0..nf`, which lie past it in
+        // `panel` and in `schur`. Those are split into chunks, each
+        // updated with the packed kernels: per the determinism contract
+        // every entry accumulates as one ascending-k chain regardless of
+        // chunking, so this matches the sequential trailing update bitwise.
+        let (done, ahead) = panel.split_at_mut((col0 * nf).min(panel.len()));
+        let l21 = &done[j * nf + col0..];
+        let trailing = Trailing {
+            ahead: ahead.as_mut_ptr(),
+            schur: schur.as_mut_ptr(),
+            col0,
+            nf,
+            npiv,
+            lds,
+        };
+        let nchunks = (nthreads * 4).min(rest);
+        let counter = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..nthreads.min(nchunks) {
+                scope.spawn(|| {
+                    let trailing = &trailing;
+                    loop {
+                        let c = counter.fetch_add(1, Ordering::Relaxed);
+                        if c >= nchunks {
+                            break;
+                        }
+                        // Chunk c owns trailing columns [a, b); where it
+                        // straddles the pivot boundary its two halves live
+                        // in different buffers.
+                        let (a, b) = (col0 + c * rest / nchunks, col0 + (c + 1) * rest / nchunks);
+                        for (a, b) in [(a, b.min(npiv)), (a.max(npiv), b)] {
+                            if a >= b {
                                 continue;
                             }
                             let cw = b - a;
-                            // Diagonal part: rows [a, b) of the chunk's
-                            // columns — a cw x cw syrk on the lower triangle.
                             // SAFETY: each trailing column is written by
-                            // exactly one chunk, and the two views below are
-                            // used strictly one after the other.
-                            let tri_base = (trail_col0 + a) * ldf + trail_col0 + a;
-                            let tri: &mut [f64] = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    fptr.0.add(tri_base),
-                                    (cw - 1) * ldf + cw,
-                                )
-                            };
-                            syrk_ln(cw, jb, -1.0, &panel[a..], rest, 1.0, tri, ldf);
-                            // Below-diagonal part: rows [b, rest) — a gemm.
-                            if b < rest {
-                                let rect_base = (trail_col0 + a) * ldf + trail_col0 + b;
-                                // SAFETY: same disjointness argument as the
-                                // `tri` view above — columns [a, b) belong to
-                                // this chunk alone, and `tri` is dead by now.
-                                let rect: &mut [f64] = unsafe {
-                                    std::slice::from_raw_parts_mut(
-                                        fptr.0.add(rect_base),
-                                        (cw - 1) * ldf + (rest - b),
-                                    )
-                                };
-                                gemm_nt(
-                                    rest - b,
-                                    cw,
-                                    jb,
-                                    -1.0,
-                                    &panel[b..],
-                                    rest,
-                                    &panel[a..],
-                                    rest,
-                                    1.0,
-                                    rect,
-                                    ldf,
-                                );
+                            // exactly one chunk, and the views are used
+                            // strictly one after the other.
+                            let (tri, ld) = unsafe { trailing.cols(a, cw, a) };
+                            // Diagonal part: rows [a, b) — a cw x cw syrk
+                            // on the lower triangle.
+                            let la = &l21[a - col0..];
+                            syrk_ln(cw, jb, -1.0, la, nf, 1.0, tri, ld);
+                            // Below-diagonal part: rows [b, nf) — a gemm.
+                            if b < nf {
+                                // SAFETY: as above; `tri` is dead by now.
+                                let (rect, ld) = unsafe { trailing.cols(a, cw, b) };
+                                let lb = &l21[b - col0..];
+                                gemm_nt(nf - b, cw, jb, -1.0, lb, nf, la, nf, 1.0, rect, ld);
                             }
                         }
-                    });
-                }
-            });
-            rec.stop(tick, Phase::Gemm, supernode);
-        } else {
-            rec.stop(tick, Phase::Panel, supernode);
-        }
-        j += jb;
+                    }
+                });
+            }
+        });
+        rec.stop(tick, Phase::Gemm, supernode);
     }
     Ok(())
 }
 
-struct SendPtr(*mut f64);
-// SAFETY: SendPtr only ferries the trailing-matrix base pointer into the
-// worker closures above; each worker carves disjoint column chunks out of
-// it (see the SAFETY notes at the `tri`/`rect` views), so sharing the
-// address across threads is sound.
-unsafe impl Send for SendPtr {}
-// SAFETY: see Send above.
-unsafe impl Sync for SendPtr {}
+/// Raw view of the trailing columns `col0..nf` of a split front — those
+/// still in the panel (`ahead`, from column `col0` on) and the Schur block
+/// — for the disjoint column chunks of the threaded trailing update.
+struct Trailing {
+    ahead: *mut f64,
+    schur: *mut f64,
+    col0: usize,
+    nf: usize,
+    npiv: usize,
+    lds: usize,
+}
+
+// SAFETY: Trailing only ferries the two base pointers into the worker
+// closures above; each worker carves disjoint column chunks out of them
+// (see the SAFETY notes at the `cols` calls), so sharing the addresses
+// across threads is sound.
+unsafe impl Sync for Trailing {}
+
+impl Trailing {
+    /// Rows `row0..nf` of front columns `col..col + ncols` as `(view,
+    /// leading dimension)`; the columns lie on one side of the pivot
+    /// boundary and `col0 <= col <= row0`.
+    ///
+    /// # Safety
+    /// The caller must be the unique user of those columns while the view
+    /// lives.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn cols(&self, col: usize, ncols: usize, row0: usize) -> (&mut [f64], usize) {
+        let (nf, npiv) = (self.nf, self.npiv);
+        debug_assert!(self.col0 <= col && col <= row0 && row0 < nf);
+        debug_assert!(col + ncols <= npiv || col >= npiv);
+        let (base, ld, start) = if col < npiv {
+            (self.ahead, nf, (col - self.col0) * nf + row0)
+        } else {
+            (self.schur, self.lds, (col - npiv) * self.lds + row0 - npiv)
+        };
+        let len = (ncols - 1) * ld + nf - row0;
+        // SAFETY: the view ends at the last row of its last column, inside
+        // the buffer; uniqueness is the caller's contract (see `# Safety`).
+        (
+            unsafe { std::slice::from_raw_parts_mut(base.add(start), len) },
+            ld,
+        )
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -437,26 +423,32 @@ mod tests {
             });
             let mut f1 = a.clone();
             chol::partial_potrf(n, npiv, f1.as_mut_slice(), n).unwrap();
-            let mut f2 = a.clone();
+            // The front as the engines store it: pivot columns and the
+            // trailing block in separate, tightly packed buffers.
+            let r = n - npiv;
+            let mut panel = a.as_slice()[..n * npiv].to_vec();
+            let mut schur = vec![0.0; r * r];
+            for j in 0..r {
+                for i in j..r {
+                    schur[j * r + i] = a[(npiv + i, npiv + j)];
+                }
+            }
             let tr = Collector::disabled();
-            let (mut scratch, mut rec) = (Vec::new(), tr.local(0));
-            parallel_partial_potrf_traced(
-                n,
-                npiv,
-                f2.as_mut_slice(),
-                4,
-                &mut scratch,
-                &mut rec,
-                None,
-            )
-            .unwrap();
+            let mut rec = tr.local(0);
+            parallel_partial_potrf_traced(n, npiv, &mut panel, &mut schur, r, 4, &mut rec, None)
+                .unwrap();
             // Same panel boundaries and accumulation order: bitwise equal
             // on the lower triangle.
             for j in 0..n {
                 for i in j..n {
+                    let got = if j < npiv {
+                        panel[j * n + i]
+                    } else {
+                        schur[(j - npiv) * r + i - npiv]
+                    };
                     assert_eq!(
                         f1[(i, j)].to_bits(),
-                        f2[(i, j)].to_bits(),
+                        got.to_bits(),
                         "mismatch at ({i},{j}) n={n} npiv={npiv}"
                     );
                 }

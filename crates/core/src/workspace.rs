@@ -1,8 +1,9 @@
 //! Reusable numeric-factorization workspaces.
 //!
 //! Steady-state factorization (and especially [`crate::solver::SparseCholesky::refactorize`])
-//! should not pay one heap allocation per supernode for fronts, update
-//! matrices and packing scratch. A [`FrontWorkspace`] owns every buffer a
+//! should not pay one heap allocation per supernode for update matrices,
+//! scatter maps and packing scratch (a front's pivot columns are factored
+//! in the factor slab itself). A [`FrontWorkspace`] owns every buffer a
 //! worker needs to process a supernode; a [`Workspace`] holds one per
 //! worker thread plus the engine-level update hand-off slots. Buffers only
 //! ever grow, so after the first factorization of a given structure every
@@ -16,20 +17,17 @@
 use crate::frontal::{FrontScatter, UpdateMatrix};
 use std::collections::HashMap;
 
-/// Per-worker arena: front buffer, scatter map, child-update staging and a
-/// pool of recycled update-matrix buffers.
+/// Per-worker arena: scatter map, child-update staging and a pool of
+/// recycled update-matrix buffers (a front's trailing block is assembled
+/// and factored in the buffer that then carries it to the parent).
 #[derive(Default)]
 pub struct FrontWorkspace {
-    /// Dense front buffer (order² of the largest front seen so far).
-    pub(crate) front: Vec<f64>,
     /// Global-to-local scatter map, sized to the matrix order.
     pub(crate) scatter: FrontScatter,
     /// Child updates staged for assembly by the engine
     /// ([`FrontWorkspace::stage`]); drained back into `pool` after each
     /// front.
     pub(crate) children: Vec<UpdateMatrix>,
-    /// Panel-copy scratch for the parallel trailing update.
-    pub(crate) scratch: Vec<f64>,
     /// Recycled update-matrix buffers, keyed by length. Update sizes are a
     /// function of the symbolic structure, so in steady state every request
     /// is matched by a buffer recycled at exactly that size — a plain LIFO
@@ -66,13 +64,6 @@ impl FrontWorkspace {
     /// its size class).
     pub(crate) fn recycle(&mut self, buf: Vec<f64>) {
         self.pool.entry(buf.len()).or_default().push(buf);
-    }
-
-    /// Record whether the front buffer is about to grow past its capacity.
-    pub(crate) fn note_front(&mut self, need: usize) {
-        if self.front.capacity() < need {
-            self.growth_events += 1;
-        }
     }
 }
 

@@ -4,10 +4,14 @@
 //! matrix of order `nf` has its first `npiv` variables eliminated, leaving
 //! the Schur complement of the remaining `nf - npiv` in the trailing block.
 //! Storage is column-major lower triangle; the strict upper triangle is
-//! never read or written.
+//! never read or written. Each partial kernel takes the front either as
+//! one contiguous block or split into its pivot columns and its trailing
+//! block, wherever the caller keeps the two.
 
 use crate::blas::{gemm_nt_ln, syrk_ln, trsm_right_lt};
 use crate::error::DenseError;
+use crate::pack::{self, Isa};
+use std::cell::RefCell;
 
 /// Panel width for the blocked algorithms.
 pub const NB: usize = 48;
@@ -17,12 +21,75 @@ fn at(ld: usize, i: usize, j: usize) -> usize {
     j * ld + i
 }
 
-/// Unblocked right-looking Cholesky of the leading `n x n` lower block.
+/// A diagonal block copied out of its front: column-major with leading
+/// dimension [`NB`], only the lower triangle of the leading `n x n` block
+/// meaningful. The extra column lets a full [`NB`]-lane load start at any
+/// lower entry; what such a load reads past the end of its column is
+/// never stored to a meaningful entry.
+type Compact = [f64; NB * (NB + 1)];
+
+thread_local! {
+    // Lives here rather than on the stack so that a ten-row front does not
+    // pay for initialising 19 KB; its contents carry nothing from one
+    // panel to the next.
+    static L11: RefCell<Compact> = const { RefCell::new([0.0; NB * (NB + 1)]) };
+}
+
+/// Unblocked Cholesky of the leading `n x n` lower block of a [`Compact`]
+/// buffer on the instruction set `isa` (which the host must support).
 /// `base` is added to pivot indices in errors (so blocked callers report
 /// global positions).
-fn potf2(n: usize, a: &mut [f64], lda: usize, base: usize) -> Result<(), DenseError> {
+fn potf2(isa: Isa, n: usize, a: &mut Compact, base: usize) -> Result<(), DenseError> {
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(n: usize, a: &mut Compact, base: usize) -> Result<(), DenseError> {
+        potf2_columns(n, a, base)
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn avx(n: usize, a: &mut Compact, base: usize) -> Result<(), DenseError> {
+        potf2_columns(n, a, base)
+    }
+    debug_assert!(isa <= pack::isa());
+    match isa {
+        // SAFETY: the caller only names instruction sets the host has.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512(n, a, base) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx => unsafe { avx(n, a, base) },
+        _ => potf2_columns(n, a, base),
+    }
+}
+
+/// Column-by-column Cholesky: column `j` is held in registers — all [`NB`]
+/// lanes, those past row `n` computing on whatever lies there — while the
+/// columns left of it are subtracted, then scaled by its pivot. Per entry
+/// this is the right-looking sweep's arithmetic in the same order
+/// (subtract `l[i][t] · l[j][t]` for ascending `t`, skipping
+/// `l[j][t] == 0`, then multiply by `1 / l[j][j]`), so the bits are the
+/// same; what changes is that an entry is stored once instead of once per
+/// earlier column.
+#[inline(always)]
+fn potf2_columns(n: usize, a: &mut Compact, base: usize) -> Result<(), DenseError> {
+    assert!(n <= NB);
+    let lanes = |a: &Compact, i: usize, j: usize| -> [f64; NB] {
+        let o = at(NB, i, j);
+        a[o..o + NB].try_into().expect("NB lanes")
+    };
     for j in 0..n {
-        let ajj = a[at(lda, j, j)];
+        let mut acc = lanes(a, j, j);
+        for t in 0..j {
+            let ljt = a[at(NB, j, t)];
+            if ljt == 0.0 {
+                continue;
+            }
+            let lt = lanes(a, j, t);
+            for p in 0..NB {
+                acc[p] -= lt[p] * ljt;
+            }
+        }
+        let ajj = acc[0];
         if ajj <= 0.0 || !ajj.is_finite() {
             return Err(DenseError::NotPositiveDefinite {
                 index: base + j,
@@ -30,24 +97,26 @@ fn potf2(n: usize, a: &mut [f64], lda: usize, base: usize) -> Result<(), DenseEr
             });
         }
         let root = ajj.sqrt();
-        a[at(lda, j, j)] = root;
         let inv = 1.0 / root;
-        for i in j + 1..n {
-            a[at(lda, i, j)] *= inv;
+        for v in &mut acc {
+            *v *= inv;
         }
-        // Rank-1 update of the trailing lower triangle.
-        for l in j + 1..n {
-            let alj = a[at(lda, l, j)];
-            if alj == 0.0 {
-                continue;
-            }
-            let (cstart, jstart) = (l * lda, j * lda);
-            for i in l..n {
-                a[cstart + i] -= a[jstart + i] * alj;
-            }
-        }
+        acc[0] = root;
+        // All lanes go back, a fixed-size store: the ones past row `n`
+        // land on entries nothing reads as data.
+        let djj = at(NB, j, j);
+        a[djj..djj + NB].copy_from_slice(&acc);
     }
     Ok(())
+}
+
+/// Split a contiguous lower-stored front at its pivot boundary into the
+/// `(panel, schur)` pair of the split kernels: the `npiv` pivot columns,
+/// and the trailing block from entry `(npiv, npiv)` on, both with leading
+/// dimension `ldf`.
+fn split_front(f: &mut [f64], ldf: usize, npiv: usize) -> (&mut [f64], &mut [f64]) {
+    let mid = at(ldf, npiv, npiv).min(f.len());
+    f.split_at_mut(mid)
 }
 
 /// Partial blocked Cholesky: factor the first `npiv` columns of the `nf x nf`
@@ -61,48 +130,81 @@ fn potf2(n: usize, a: &mut [f64], lda: usize, base: usize) -> Result<(), DenseEr
 pub fn partial_potrf(nf: usize, npiv: usize, f: &mut [f64], ldf: usize) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
-    let mut j = 0;
-    while j < npiv {
+    let (panel, schur) = split_front(f, ldf, npiv);
+    partial_potrf_split(nf, npiv, panel, ldf, schur, ldf)
+}
+
+/// [`partial_potrf`] on a front stored where its two halves are kept: the
+/// `nf x npiv` pivot columns in `panel` (leading dimension `ldp`) and the
+/// trailing `(nf-npiv)`-order lower block in `schur` (leading dimension
+/// `lds`), anywhere in memory. The multifrontal engines hand it the factor
+/// slab and the update buffer, so a front is factored in place and never
+/// copied. Every entry sees the arithmetic of the contiguous form — the
+/// trailing update of a panel is cut at the pivot boundary, and the packed
+/// kernels' entry chain does not depend on how a block is cut — so the two
+/// forms agree bit for bit.
+pub fn partial_potrf_split(
+    nf: usize,
+    npiv: usize,
+    panel: &mut [f64],
+    ldp: usize,
+    schur: &mut [f64],
+    lds: usize,
+) -> Result<(), DenseError> {
+    assert!(npiv <= nf);
+    let r = nf - npiv;
+    assert!(ldp >= nf.max(1) && lds >= r);
+    for j in (0..npiv).step_by(NB) {
         let jb = NB.min(npiv - j);
-        let rest = nf - j - jb;
-        // Split so the three regions can be borrowed disjointly: everything
-        // is addressed inside `f` with offsets, single mutable borrow.
-        // 1. Factor the diagonal block.
-        {
-            let djj = at(ldf, j, j);
-            let (_, tail) = f.split_at_mut(djj);
-            potf2(jb, tail, ldf, j)?;
+        let j1 = j + jb;
+        let rest = nf - j1;
+        potrf_panel(nf - j, jb, &mut panel[at(ldp, j, j)..], ldp, j)?;
+        if rest == 0 {
+            break;
         }
-        if rest > 0 {
-            // 2. Panel: L21 = A21 L11^{-T}. L11 and A21 interleave within the
-            // same columns, so copy the (small) factored diagonal block into a
-            // compact stack buffer instead of reaching for unsafe aliasing.
-            let mut l11_buf = [0.0f64; NB * NB];
-            let l11 = &mut l11_buf[..jb * jb];
-            for t in 0..jb {
-                for i in t..jb {
-                    l11[t * jb + i] = f[at(ldf, j + i, j + t)];
-                }
-            }
-            let a21 = at(ldf, j + jb, j);
-            let (_, tail) = f.split_at_mut(a21);
-            trsm_right_lt(rest, jb, l11, jb, tail, ldf);
-            // 3. Trailing update: A22 -= L21 L21^T (lower).
-            let (panel, trailing) = f.split_at_mut(at(ldf, j + jb, j + jb));
-            syrk_ln(
-                rest,
-                jb,
-                -1.0,
-                &panel[at(ldf, j + jb, j)..],
-                ldf,
-                1.0,
-                trailing,
-                ldf,
-            );
+        // Trailing update A22 -= L21 L21^T (lower): the pivot columns
+        // still to come run down the whole front, the rest is the Schur
+        // block.
+        let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
+        let l21 = &done[at(ldp, j1, j)..];
+        gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp);
+        if r > 0 {
+            syrk_ln(r, jb, -1.0, &l21[npiv - j1..], ldp, 1.0, schur, lds);
         }
-        j += jb;
     }
     Ok(())
+}
+
+/// The panel step of the blocked algorithm on an `m x jb` block of columns
+/// (`jb <= NB`, leading dimension `ld`, starting at its diagonal entry):
+/// factor the `jb x jb` diagonal block, then scale the `m - jb` rows below
+/// it, `L21 = A21 L11⁻ᵀ`. What is left of a partial factorization after
+/// this is the trailing update, which callers may cut up as they like.
+/// `base` is added to pivot indices in errors.
+pub fn potrf_panel(
+    m: usize,
+    jb: usize,
+    cols: &mut [f64],
+    ld: usize,
+    base: usize,
+) -> Result<(), DenseError> {
+    assert!(jb <= NB && jb <= m && ld >= m.max(1));
+    L11.with(|cell| {
+        // Factor the diagonal block in a compact copy, which then is the
+        // triangle the rows below are solved against.
+        let l11 = &mut *cell.borrow_mut();
+        for t in 0..jb {
+            l11[at(NB, t, t)..at(NB, jb, t)].copy_from_slice(&cols[at(ld, t, t)..at(ld, jb, t)]);
+        }
+        potf2(pack::isa(), jb, l11, base)?;
+        for t in 0..jb {
+            cols[at(ld, t, t)..at(ld, jb, t)].copy_from_slice(&l11[at(NB, t, t)..at(NB, jb, t)]);
+        }
+        if m > jb {
+            trsm_right_lt(m - jb, jb, &l11[..], NB, &mut cols[jb..], ld);
+        }
+        Ok(())
+    })
 }
 
 /// Full blocked Cholesky (`LLᵀ`) of an `n x n` lower-stored matrix.
@@ -119,12 +221,6 @@ pub const LDLT_PIVOT_TOL: f64 = 1e-300;
 /// `d[0..npiv]` holds the (possibly negative) pivots, and the trailing
 /// block holds the Schur complement.
 ///
-/// Blocked right-looking: each [`NB`]-wide panel is factored with an
-/// unblocked sweep whose rank-1 updates stay inside the panel, then the
-/// trailing lower triangle absorbs the whole panel at once as
-/// `C ← C − L₂₁ (L₂₁ D)ᵀ` through the packed [`gemm_nt_ln`] kernel (with
-/// `W = L₂₁ D` staged in thread-local scratch).
-///
 /// Without pivoting this is only numerically safe for quasi-definite or
 /// diagonally dominant symmetric matrices; a vanishing pivot is reported
 /// as [`DenseError::ZeroPivot`] rather than silently producing infinities.
@@ -137,16 +233,40 @@ pub fn partial_ldlt(
 ) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
+    let (panel, schur) = split_front(f, ldf, npiv);
+    partial_ldlt_split(nf, npiv, panel, ldf, schur, ldf, d)
+}
+
+/// [`partial_ldlt`] on a front split into its pivot columns and its
+/// trailing block, as [`partial_potrf_split`] — same storage, same bits as
+/// the contiguous form.
+///
+/// Blocked right-looking: each [`NB`]-wide panel is factored with an
+/// unblocked sweep whose rank-1 updates stay inside the panel, then
+/// everything right of it absorbs the whole panel at once as
+/// `C ← C − L₂₁ (L₂₁ D)ᵀ` through the packed [`gemm_nt_ln`] kernel (with
+/// `W = L₂₁ D` staged in thread-local scratch).
+pub fn partial_ldlt_split(
+    nf: usize,
+    npiv: usize,
+    panel: &mut [f64],
+    ldp: usize,
+    schur: &mut [f64],
+    lds: usize,
+    d: &mut [f64],
+) -> Result<(), DenseError> {
+    assert!(npiv <= nf);
+    let r = nf - npiv;
+    assert!(ldp >= nf.max(1) && lds >= r);
     assert!(d.len() >= npiv);
-    let mut j0 = 0;
-    while j0 < npiv {
+    for j0 in (0..npiv).step_by(NB) {
         let jb = NB.min(npiv - j0);
         let j1 = j0 + jb;
         // Unblocked factorization of the panel; rank-1 updates are applied
         // only to columns inside the panel, the rest waits for the blocked
         // trailing update below.
         for j in j0..j1 {
-            let dj = f[at(ldf, j, j)];
+            let dj = panel[at(ldp, j, j)];
             if dj.abs() <= LDLT_PIVOT_TOL || !dj.is_finite() {
                 return Err(DenseError::ZeroPivot { index: j });
             }
@@ -154,46 +274,42 @@ pub fn partial_ldlt(
             let inv = 1.0 / dj;
             // Scale column j to unit-lower L.
             for i in j + 1..nf {
-                f[at(ldf, i, j)] *= inv;
+                panel[at(ldp, i, j)] *= inv;
             }
             // A[i, l] -= L[i, j] * d_j * L[l, j]  (i >= l, j < l < j1).
             for l in j + 1..j1 {
-                let w = f[at(ldf, l, j)] * dj;
+                let w = panel[at(ldp, l, j)] * dj;
                 if w == 0.0 {
                     continue;
                 }
-                let (lcol, jcol) = (l * ldf, j * ldf);
+                let (lcol, jcol) = (l * ldp, j * ldp);
                 for i in l..nf {
-                    f[lcol + i] -= f[jcol + i] * w;
+                    panel[lcol + i] -= panel[jcol + i] * w;
                 }
             }
         }
-        // Blocked trailing update over columns j1..nf.
+        // Blocked trailing update over columns j1..nf, cut at the pivot
+        // boundary.
         let rest = nf - j1;
-        if rest > 0 {
-            crate::pack::with_scratch(rest * jb, |w| {
-                for (t, wcol) in w.chunks_exact_mut(rest).enumerate() {
-                    let dj = d[j0 + t];
-                    let src = at(ldf, j1, j0 + t);
-                    for (wv, &lv) in wcol.iter_mut().zip(&f[src..src + rest]) {
-                        *wv = lv * dj;
-                    }
-                }
-                let (panel, trailing) = f.split_at_mut(at(ldf, j1, j1));
-                gemm_nt_ln(
-                    rest,
-                    jb,
-                    -1.0,
-                    &panel[at(ldf, j1, j0)..],
-                    ldf,
-                    w,
-                    rest,
-                    trailing,
-                    ldf,
-                );
-            });
+        if rest == 0 {
+            break;
         }
-        j0 = j1;
+        pack::with_scratch(rest * jb, |w| {
+            for (t, wcol) in w.chunks_exact_mut(rest).enumerate() {
+                let dj = d[j0 + t];
+                let src = at(ldp, j1, j0 + t);
+                for (wv, &lv) in wcol.iter_mut().zip(&panel[src..src + rest]) {
+                    *wv = lv * dj;
+                }
+            }
+            let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
+            let l21 = &done[at(ldp, j1, j0)..];
+            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, w, rest, ahead, ldp);
+            if r > 0 {
+                let (l22, w2) = (&l21[npiv - j1..], &w[npiv - j1..]);
+                gemm_nt_ln(r, r, jb, -1.0, l22, ldp, w2, rest, schur, lds);
+            }
+        });
     }
     Ok(())
 }
@@ -206,17 +322,8 @@ pub fn ldlt(n: usize, a: &mut [f64], lda: usize, d: &mut [f64]) -> Result<(), De
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::det_rng;
     use crate::matrix::DMat;
-
-    fn det_rng(seed: u64) -> impl FnMut() -> f64 {
-        let mut s = seed.max(1);
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 2000) as f64 / 1000.0 - 1.0
-        }
-    }
 
     fn reconstruct_lower(l: &DMat) -> DMat {
         let mut ll = l.clone();
@@ -428,9 +535,131 @@ mod tests {
         }
     }
 
+    /// The right-looking sweep `potf2` used to be: scale a column, then
+    /// rank-1 update everything right of it.
+    fn potf2_right_looking(n: usize, a: &mut [f64], lda: usize) {
+        for j in 0..n {
+            let root = a[at(lda, j, j)].sqrt();
+            a[at(lda, j, j)] = root;
+            let inv = 1.0 / root;
+            for i in j + 1..n {
+                a[at(lda, i, j)] *= inv;
+            }
+            for l in j + 1..n {
+                let alj = a[at(lda, l, j)];
+                if alj == 0.0 {
+                    continue;
+                }
+                for i in l..n {
+                    a[at(lda, i, l)] -= a[at(lda, i, j)] * alj;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potf2_columns_equal_the_right_looking_sweep_bit_for_bit() {
+        let isas = Isa::supported();
+        println!("potf2 kernels exercised on this host: {isas:?}");
+        for n in [1usize, 2, 7, 8, 9, 31, NB - 1, NB] {
+            let mut r = det_rng(n as u64 + 40);
+            let mut a = DMat::random_spd(n, &mut r);
+            if n > 3 {
+                // An exact zero below the diagonal exercises the skip.
+                a[(2, 0)] = 0.0;
+                a[(n - 1, 0)] = 0.0;
+            }
+            let mut want = a.clone();
+            potf2_right_looking(n, want.as_mut_slice(), n);
+            for &isa in &isas {
+                // Stale contents everywhere but the block's lower triangle.
+                let mut c: Compact = [f64::NAN; NB * (NB + 1)];
+                for t in 0..n {
+                    c[at(NB, t, t)..at(NB, n, t)]
+                        .copy_from_slice(&a.as_slice()[t * n + t..(t + 1) * n]);
+                }
+                potf2(isa, n, &mut c, 0).unwrap();
+                for j in 0..n {
+                    for i in j..n {
+                        let (got, want) = (c[at(NB, i, j)], want[(i, j)]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{isa:?} n={n} ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Factor `a` (order `nf`, `npiv` pivots) once contiguously and once
+    /// with the pivot columns and the trailing block in separate, tightly
+    /// packed buffers; every lower entry must agree bit for bit.
+    fn assert_split_equals_contiguous(nf: usize, npiv: usize) {
+        let mut r = det_rng((nf * 1000 + npiv) as u64);
+        let a = DMat::random_spd(nf, &mut r);
+        let rr = nf - npiv;
+        let split_of = |a: &DMat| {
+            let panel: Vec<f64> = a.as_slice()[..nf * npiv].to_vec();
+            let mut schur = vec![0.0; rr * rr];
+            for j in 0..rr {
+                for i in j..rr {
+                    schur[j * rr + i] = a[(npiv + i, npiv + j)];
+                }
+            }
+            (panel, schur)
+        };
+        let check = |what: &str, f: &DMat, panel: &[f64], schur: &[f64]| {
+            for j in 0..nf {
+                for i in j..nf {
+                    let got = if j < npiv {
+                        panel[j * nf + i]
+                    } else {
+                        schur[(j - npiv) * rr + (i - npiv)]
+                    };
+                    assert_eq!(
+                        f[(i, j)].to_bits(),
+                        got.to_bits(),
+                        "{what} nf={nf} npiv={npiv} at ({i},{j})"
+                    );
+                }
+            }
+        };
+        let mut f = a.clone();
+        partial_potrf(nf, npiv, f.as_mut_slice(), nf).unwrap();
+        let (mut panel, mut schur) = split_of(&a);
+        partial_potrf_split(nf, npiv, &mut panel, nf, &mut schur, rr).unwrap();
+        check("llt", &f, &panel, &schur);
+        let mut f = a.clone();
+        let mut d = vec![0.0; npiv];
+        partial_ldlt(nf, npiv, f.as_mut_slice(), nf, &mut d).unwrap();
+        let (mut panel, mut schur) = split_of(&a);
+        let mut d2 = vec![0.0; npiv];
+        partial_ldlt_split(nf, npiv, &mut panel, nf, &mut schur, rr, &mut d2).unwrap();
+        check("ldlt", &f, &panel, &schur);
+        assert_eq!(d, d2);
+    }
+
+    #[test]
+    // The larger fronts are too many interpreted flops for Miri; the
+    // small ones walk the same code.
+    #[cfg_attr(miri, ignore)]
+    fn split_storage_equals_contiguous_bit_for_bit() {
+        // w < NB, w = NB + 1, w = f (r = 0), several panels, tiny.
+        for (nf, npiv) in [
+            (30usize, 7usize),
+            (90, NB + 1),
+            (NB + 1, NB + 1),
+            (130, 130),
+            (200, 2 * NB + 5),
+            (1, 1),
+            (5, 0),
+        ] {
+            assert_split_equals_contiguous(nf, npiv);
+        }
+    }
+
     #[test]
     fn empty_matrix_is_fine() {
         potrf(0, &mut [], 1).unwrap();
         partial_potrf(0, 0, &mut [], 1).unwrap();
+        partial_potrf_split(0, 0, &mut [], 1, &mut [], 1).unwrap();
     }
 }

@@ -9,12 +9,15 @@
 //!   `trsm` variants the factorization needs, built on the packed
 //!   register-blocked core in [`pack`];
 //! - [`pack`] — BLIS-style packing + microkernel layer (MC/KC/NC cache
-//!   blocks, `MR x NR` register tiles, thread-local packing arenas);
+//!   blocks, one driver over per-instruction-set `MR x NR` register tiles
+//!   picked by CPU detection — [`kernel_name`] says which — and
+//!   thread-local packing arenas);
 //! - [`naive`] — the pre-packing reference kernels, kept as correctness
 //!   oracle and performance baseline;
 //! - [`chol`] — blocked full and **partial** Cholesky (`LLᵀ`) and `LDLᵀ`
 //!   factorizations of a front: factor the first `npiv` columns, form the
-//!   Schur complement of the rest;
+//!   Schur complement of the rest — contiguous, or split into the pivot
+//!   columns and the trailing block wherever the caller keeps them;
 //! - [`bunch_kaufman`] — fully pivoted dense `LDLᵀ` (1×1/2×2 blocks) for
 //!   general symmetric indefinite systems, with inertia computation;
 //! - [`solve`] — the blocked multi-right-hand-side `trsm`/`gemm` kernels
@@ -42,3 +45,16 @@ pub mod trsv;
 
 pub use error::DenseError;
 pub use matrix::DMat;
+pub use pack::kernel_name;
+
+/// Deterministic xorshift stream in `[-1, 1)` for the unit tests.
+#[cfg(test)]
+pub(crate) fn det_rng(seed: u64) -> impl FnMut() -> f64 {
+    let mut s = seed.max(1);
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % 2000) as f64 / 1000.0 - 1.0
+    }
+}

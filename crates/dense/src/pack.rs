@@ -3,14 +3,13 @@
 //! Layering (innermost first):
 //!
 //! - **microkernel** — an `MR x NR` register tile accumulated over a packed
-//!   `k`-slice. The accumulator lives entirely in registers / stack; the
-//!   inner loop is a rank-1 broadcast update with unit-stride loads from
-//!   both packed panels. On x86-64 a runtime-dispatched AVX variant runs
-//!   the same chains at double vector width (separate mul/add, no FMA —
-//!   see the determinism contract); elsewhere LLVM auto-vectorizes the
-//!   portable loop.
-//! - **packing** — `A` is repacked into `MR`-row panels (`pack_a`), the
-//!   `B` operand of `C ← A Bᵀ` into `NR`-row panels (`pack_b`). Panels are
+//!   `k`-slice: a rank-1 broadcast update per step with unit-stride loads
+//!   from both packed panels. The tile is chosen per instruction set —
+//!   `16 x 8` in `zmm` registers with AVX-512, `8 x 4` in `ymm` registers
+//!   with AVX, `8 x 4` left to the auto-vectorizer elsewhere — always as
+//!   separate multiply and add, never FMA (see the determinism contract).
+//! - **packing** — `A` is repacked into `MR`-row panels, the `B` operand of
+//!   `C ← A Bᵀ` into `NR`-row panels (`pack_panels`). Panels are
 //!   zero-padded in the `m`/`n` direction only, never in `k`, so padded
 //!   lanes contribute exact zeros and edge tiles run the same microkernel
 //!   as full tiles.
@@ -18,7 +17,15 @@
 //!   blocks of packed `A` keep the working set resident while the macro
 //!   loops sweep the `C` tile grid.
 //!
-//! Packing buffers live in a thread-local arena (`PACK_BUFS`) so
+//! One driver (`gemm_tiled`) is generic over the tile; [`gemm_packed`]
+//! detects the CPU once per call and enters the copy of the driver
+//! compiled for that instruction set, so packing, microkernel and
+//! writeback all run at the host's vector width. Detection is the only
+//! selector: there is no option, environment variable or cargo feature,
+//! and [`kernel_name`] says which tile a run used.
+//!
+//! Packing buffers live in a thread-local arena (`PACK_BUFS`), 64-byte
+//! aligned so a packed `k`-slice never straddles a cache line, and
 //! steady-state factorization does zero packing allocation after warm-up.
 //!
 //! # Determinism contract
@@ -34,38 +41,113 @@
 //!
 //! The accumulator chain for an entry never crosses entries, so the result
 //! is independent of which tile the entry lands in and of how callers
-//! slice the output into row/column chunks. With `k <= KC` there is a
-//! single `k`-block and the whole operation satisfies the contract; the
-//! factorization path always has `k` equal to a panel width
-//! `<= chol::NB <= KC`. Changing [`KC`], the accumulation order, or the
-//! writeback formula breaks cross-engine bitwise parity.
+//! slice the output into row/column chunks. **The tile shape is a property
+//! of the instruction set; the chain is not**: every microkernel runs the
+//! scalar chain above in each lane, so AVX-512, AVX and portable hosts
+//! produce the same bits and a factor computed on one can be compared
+//! with a golden file captured on another. That is also why the wider
+//! kernels still round the product before adding it — a fused
+//! multiply-add rounds once and would fork the bits by host (lint R4).
+//! With `k <= KC` there is a single `k`-block and the whole operation
+//! satisfies the contract; the factorization path always has `k` equal to
+//! a panel width `<= chol::NB <= KC`. Changing [`KC`], the accumulation
+//! order, or the writeback formula breaks cross-engine bitwise parity.
+//!
+//! A 512-bit tile is not always the faster one: an `m x n` update is
+//! rounded up to whole tiles, so fronts much smaller than `16 x 8` pay
+//! for padded lanes, and some older AVX-512 parts lower their clock under
+//! sustained 512-bit arithmetic. On the hosts measured the wide tile wins
+//! from fronts of a few dozen rows upward and is a wash below; the choice
+//! is left to detection rather than a knob because a knob would have to
+//! be tuned per host and would not change a single bit of the result.
 
 use std::cell::RefCell;
 
-/// Microkernel register-tile rows.
-pub const MR: usize = 8;
-/// Microkernel register-tile columns.
-pub const NR: usize = 4;
 /// Cache-block size along the shared `k` dimension. Must stay `>=`
 /// `chol::NB` to keep factorization-path calls in a single `k`-block
 /// (see the determinism contract above).
 pub const KC: usize = 256;
-/// Cache-block rows of packed `A` (multiple of `MR`).
+/// Cache-block rows of packed `A` (a multiple of every tile's `MR`).
 pub const MC: usize = 64;
-/// Cache-block columns of packed `B` (multiple of `NR`).
+/// Cache-block columns of packed `B` (a multiple of every tile's `NR`).
 pub const NC: usize = 512;
+
+/// The instruction sets the kernels of this crate are compiled for, in
+/// ascending vector width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Isa {
+    Portable,
+    Avx,
+    Avx512,
+}
+
+impl Isa {
+    /// Every instruction set this host can run, narrowest first (the
+    /// parity tests walk this list).
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Isa> {
+        let all = [Isa::Portable, Isa::Avx, Isa::Avx512];
+        all.into_iter().filter(|&i| i <= isa()).collect()
+    }
+}
+
+/// The widest instruction set the host supports (`std` caches the CPUID
+/// probe, so this is a couple of atomic loads).
+pub(crate) fn isa() -> Isa {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512;
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            return Isa::Avx;
+        }
+    }
+    Isa::Portable
+}
+
+/// Which microkernel this host's dense kernels run on — `"portable"`,
+/// `"avx"` or `"avx512"` — so a Gflop/s figure can say what produced it.
+pub fn kernel_name() -> &'static str {
+    match isa() {
+        Isa::Portable => "portable",
+        Isa::Avx => "avx",
+        Isa::Avx512 => "avx512",
+    }
+}
+
+/// Grow-only `f64` buffer that hands out slices starting on a 64-byte
+/// boundary.
+struct AlignedBuf(Vec<f64>);
+
+impl AlignedBuf {
+    /// `f64`s per 64-byte cache line.
+    const LINE: usize = 8;
+
+    /// A cache-line-aligned slice of `len` entries (contents unspecified).
+    fn slice(&mut self, len: usize) -> &mut [f64] {
+        if self.0.len() < len + Self::LINE {
+            self.0.resize(len + Self::LINE, 0.0);
+        }
+        // `align_offset` may decline (Miri); alignment only buys speed —
+        // every kernel uses unaligned loads.
+        let off = self.0.as_ptr().align_offset(64);
+        let off = if off < Self::LINE { off } else { 0 };
+        &mut self.0[off..off + len]
+    }
+}
 
 /// Thread-local packing buffers, reused across calls.
 struct PackBufs {
-    a: Vec<f64>,
-    b: Vec<f64>,
+    a: AlignedBuf,
+    b: AlignedBuf,
 }
 
 thread_local! {
     static PACK_BUFS: RefCell<PackBufs> = const {
         RefCell::new(PackBufs {
-            a: Vec::new(),
-            b: Vec::new(),
+            a: AlignedBuf(Vec::new()),
+            b: AlignedBuf(Vec::new()),
         })
     };
 }
@@ -95,71 +177,43 @@ fn at(ld: usize, i: usize, j: usize) -> usize {
     j * ld + i
 }
 
-/// Pack `mc x kc` of `A` (rows `i0..`, k-columns `l0..`) into `MR`-row
-/// panels: element `(p, l)` of panel `pan` lands at
-/// `pan * MR * kc + l * MR + p`. Rows past `mc` are zero.
-fn pack_a(buf: &mut Vec<f64>, a: &[f64], lda: usize, i0: usize, mc: usize, l0: usize, kc: usize) {
-    let npan = mc.div_ceil(MR);
-    let need = npan * MR * kc;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
-    for pan in 0..npan {
-        let r0 = pan * MR;
-        let rows = MR.min(mc - r0);
-        let dst0 = pan * MR * kc;
-        for l in 0..kc {
-            let src = at(lda, i0 + r0, l0 + l);
-            let d = &mut buf[dst0 + l * MR..dst0 + (l + 1) * MR];
-            d[..rows].copy_from_slice(&a[src..src + rows]);
-            d[rows..].fill(0.0);
+/// Pack `rows x kc` of a column-major operand (rows `r0..`, k-columns
+/// `l0..`) into `R`-row panels: element `(p, l)` of panel `pan` lands at
+/// `pan * R * kc + l * R + p`. Rows past `rows` are zero. `buf` holds
+/// exactly the `rows.div_ceil(R)` panels.
+#[inline(always)]
+fn pack_panels<const R: usize>(
+    buf: &mut [f64],
+    src: &[f64],
+    ld: usize,
+    r0: usize,
+    rows: usize,
+    l0: usize,
+    kc: usize,
+) {
+    debug_assert_eq!(buf.len(), rows.div_ceil(R) * R * kc);
+    for (pan, panel) in buf.chunks_exact_mut(R * kc).enumerate() {
+        let p0 = pan * R;
+        let live = R.min(rows - p0);
+        for (l, d) in panel.chunks_exact_mut(R).enumerate() {
+            let s = at(ld, r0 + p0, l0 + l);
+            d[..live].copy_from_slice(&src[s..s + live]);
+            d[live..].fill(0.0);
         }
     }
 }
 
-/// Pack `nc x kc` of `B` (rows `j0..`, k-columns `l0..`) into `NR`-row
-/// panels, same layout as [`pack_a`] with `NR` in place of `MR`.
-fn pack_b(buf: &mut Vec<f64>, b: &[f64], ldb: usize, j0: usize, nc: usize, l0: usize, kc: usize) {
-    let npan = nc.div_ceil(NR);
-    let need = npan * NR * kc;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
-    for pan in 0..npan {
-        let r0 = pan * NR;
-        let rows = NR.min(nc - r0);
-        let dst0 = pan * NR * kc;
-        for l in 0..kc {
-            let src = at(ldb, j0 + r0, l0 + l);
-            let d = &mut buf[dst0 + l * NR..dst0 + (l + 1) * NR];
-            d[..rows].copy_from_slice(&b[src..src + rows]);
-            d[rows..].fill(0.0);
-        }
-    }
-}
-
-/// `MR x NR` register microkernel: `acc[q][p] += Σ_l ap[l][p] * bp[l][q]`
-/// over one packed `k`-slice. Dispatches to the AVX path when the CPU has
-/// it (detection result is cached by `std`), else runs the portable loop.
+/// Portable microkernel: `acc[q][p] = Σ_l ap[l][p] * bp[l][q]` over one
+/// packed `k`-slice, ascending `l`. Both loads are unit-stride; the `p`
+/// loop is the vector lane for the auto-vectorizer.
 #[inline(always)]
-fn microkernel(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the `avx` feature was just detected at runtime.
-        unsafe { microkernel_avx(kc, ap, bp, acc) };
-        return;
-    }
-    microkernel_portable(kc, ap, bp, acc);
-}
-
-/// Portable microkernel: both loads are unit-stride; the `p` loop is the
-/// vector lane for the auto-vectorizer.
-#[inline(always)]
-fn microkernel_portable(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
-    for l in 0..kc {
-        let av = &ap[l * MR..(l + 1) * MR];
-        let bv = &bp[l * NR..(l + 1) * NR];
+fn microkernel_portable<const MR: usize, const NR: usize>(
+    ap: &[f64],
+    bp: &[f64],
+    acc: &mut [[f64; MR]; NR],
+) {
+    *acc = [[0.0; MR]; NR];
+    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for q in 0..NR {
             let bq = bv[q];
             let accq = &mut acc[q];
@@ -171,43 +225,77 @@ fn microkernel_portable(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR];
 }
 
 /// AVX microkernel: the 8 rows of the tile live in two 4-lane vectors per
-/// column, so one `l` step is a broadcast plus 8 `vmulpd`/`vaddpd` pairs —
-/// double the width of the SSE2 baseline the portable loop compiles to.
+/// column, so one `l` step is a broadcast plus 8 `vmulpd`/`vaddpd` pairs.
 ///
 /// Arithmetic is deliberately separate multiply-then-add, **not** FMA:
 /// each accumulator lane performs exactly the scalar chain of
 /// [`microkernel_portable`] in the same `l` order, so the two paths are
 /// bitwise identical and the determinism contract above is preserved.
-/// Fused rounding would break cross-engine parity.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn microkernel_avx(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
+fn microkernel_avx(ap: &[f64], bp: &[f64], acc: &mut [[f64; 8]; 4]) {
     use std::arch::x86_64::*;
-    const {
-        assert!(MR == 8 && NR == 4, "tile shape is baked into this kernel");
-    }
-    // SAFETY: callers checked `ap`/`bp` hold `kc` packed slices; loads stay
-    // in bounds and `acc` is a plain `f64` array with room for 2 vectors
-    // per column.
-    unsafe {
-        let mut lo = [_mm256_setzero_pd(); NR];
-        let mut hi = [_mm256_setzero_pd(); NR];
-        let apt = ap.as_ptr();
-        let bpt = bp.as_ptr();
-        for l in 0..kc {
-            let a0 = _mm256_loadu_pd(apt.add(l * MR));
-            let a1 = _mm256_loadu_pd(apt.add(l * MR + 4));
-            for q in 0..NR {
-                let bq = _mm256_broadcast_sd(&*bpt.add(l * NR + q));
-                lo[q] = _mm256_add_pd(lo[q], _mm256_mul_pd(a0, bq));
-                hi[q] = _mm256_add_pd(hi[q], _mm256_mul_pd(a1, bq));
-            }
+    let mut lo = [_mm256_setzero_pd(); 4];
+    let mut hi = [_mm256_setzero_pd(); 4];
+    for (av, bv) in ap.chunks_exact(8).zip(bp.chunks_exact(4)) {
+        // SAFETY: `av` is a slice of exactly 8 values, two 4-lane loads.
+        let (a0, a1) = unsafe {
+            (
+                _mm256_loadu_pd(av.as_ptr()),
+                _mm256_loadu_pd(av.as_ptr().add(4)),
+            )
+        };
+        for q in 0..4 {
+            let bq = _mm256_set1_pd(bv[q]);
+            lo[q] = _mm256_add_pd(lo[q], _mm256_mul_pd(a0, bq));
+            hi[q] = _mm256_add_pd(hi[q], _mm256_mul_pd(a1, bq));
         }
-        for q in 0..NR {
-            let p = acc[q].as_mut_ptr();
-            _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo[q]));
-            let p4 = p.add(4);
-            _mm256_storeu_pd(p4, _mm256_add_pd(_mm256_loadu_pd(p4), hi[q]));
+    }
+    for q in 0..4 {
+        let p = acc[q].as_mut_ptr();
+        // SAFETY: a column of `acc` is 8 values, room for both halves.
+        unsafe {
+            _mm256_storeu_pd(p, lo[q]);
+            _mm256_storeu_pd(p.add(4), hi[q]);
+        }
+    }
+}
+
+/// AVX-512 microkernel: a `16 x 8` tile, two 8-lane vectors per column —
+/// 16 of the 32 `zmm` registers hold accumulators, one `l` step is two
+/// loads of `A`, eight broadcasts of `B` and 16 `vmulpd`/`vaddpd` pairs.
+/// Four times the entries of the AVX tile per step, hence half the packed
+/// loads per flop.
+///
+/// Same separate multiply-then-add as [`microkernel_avx`], for the same
+/// reason: the lane chain is the scalar chain, the bits do not depend on
+/// the host.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; 16]; 8]) {
+    use std::arch::x86_64::*;
+    let mut lo = [_mm512_setzero_pd(); 8];
+    let mut hi = [_mm512_setzero_pd(); 8];
+    for (av, bv) in ap.chunks_exact(16).zip(bp.chunks_exact(8)) {
+        // SAFETY: `av` is a slice of exactly 16 values, two 8-lane loads.
+        let (a0, a1) = unsafe {
+            (
+                _mm512_loadu_pd(av.as_ptr()),
+                _mm512_loadu_pd(av.as_ptr().add(8)),
+            )
+        };
+        for q in 0..8 {
+            let bq = _mm512_set1_pd(bv[q]);
+            lo[q] = _mm512_add_pd(lo[q], _mm512_mul_pd(a0, bq));
+            hi[q] = _mm512_add_pd(hi[q], _mm512_mul_pd(a1, bq));
+        }
+    }
+    for q in 0..8 {
+        let p = acc[q].as_mut_ptr();
+        // SAFETY: a column of `acc` is 16 values, room for both halves.
+        unsafe {
+            _mm512_storeu_pd(p, lo[q]);
+            _mm512_storeu_pd(p.add(8), hi[q]);
         }
     }
 }
@@ -218,8 +306,8 @@ fn microkernel_avx(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR])
 /// results touch `C`, so full and remainder tiles share one rounding
 /// behaviour.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn store_tile(
+#[inline(always)]
+fn store_tile<const MR: usize, const NR: usize>(
     c: &mut [f64],
     ldc: usize,
     i0: usize,
@@ -244,10 +332,122 @@ fn store_tile(
     }
 }
 
+/// The operands of one `C ← C + alpha * A Bᵀ` call (see [`gemm_packed`]).
+struct Gemm<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &'a [f64],
+    lda: usize,
+    b: &'a [f64],
+    ldb: usize,
+    c: &'a mut [f64],
+    ldc: usize,
+    lower: bool,
+}
+
+/// The packed driver, generic over the register tile: cache-block, pack,
+/// and sweep `kernel` over the `MR x NR` tile grid of `C`. Inlined into
+/// one entry point per instruction set so that everything around the
+/// microkernel is compiled at that width too.
+#[inline(always)]
+fn gemm_tiled<const MR: usize, const NR: usize>(
+    g: Gemm<'_>,
+    kernel: impl Fn(&[f64], &[f64], &mut [[f64; MR]; NR]),
+) {
+    const {
+        assert!(
+            MC.is_multiple_of(MR) && NC.is_multiple_of(NR),
+            "cache blocks hold whole tiles"
+        );
+    }
+    let Gemm {
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        lower,
+    } = g;
+    PACK_BUFS.with(|cell| {
+        let PackBufs { a: abuf, b: bbuf } = &mut *cell.borrow_mut();
+        let mut acc = [[0.0f64; MR]; NR];
+        for l0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - l0);
+            for j0 in (0..n).step_by(NC) {
+                if lower && j0 >= m {
+                    // Every entry of this column block is strictly upper.
+                    break;
+                }
+                let nc = NC.min(n - j0);
+                let bpack = bbuf.slice(nc.div_ceil(NR) * NR * kc);
+                pack_panels::<NR>(bpack, b, ldb, j0, nc, l0, kc);
+                for i0 in (0..m).step_by(MC) {
+                    let mc = MC.min(m - i0);
+                    if lower && i0 + mc <= j0 {
+                        // Row block sits entirely above the diagonal.
+                        continue;
+                    }
+                    let apack = abuf.slice(mc.div_ceil(MR) * MR * kc);
+                    pack_panels::<MR>(apack, a, lda, i0, mc, l0, kc);
+                    for (jr, bp) in bpack.chunks_exact(NR * kc).enumerate() {
+                        let gj = j0 + jr * NR;
+                        let nre = NR.min(n - gj);
+                        for (ir, ap) in apack.chunks_exact(MR * kc).enumerate() {
+                            let gi = i0 + ir * MR;
+                            let mre = MR.min(m - gi);
+                            if lower && gi + mre <= gj {
+                                continue;
+                            }
+                            kernel(ap, bp, &mut acc);
+                            store_tile(c, ldc, gi, gj, mre, nre, alpha, &acc, lower);
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// [`gemm_tiled`] compiled for AVX: the `8 x 4` `ymm` tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn gemm_avx(g: Gemm<'_>) {
+    gemm_tiled::<8, 4>(g, |ap, bp, acc| microkernel_avx(ap, bp, acc));
+}
+
+/// [`gemm_tiled`] compiled for AVX-512: the `16 x 8` `zmm` tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(g: Gemm<'_>) {
+    gemm_tiled::<16, 8>(g, |ap, bp, acc| microkernel_avx512(ap, bp, acc));
+}
+
+/// Run the packed driver on the tile of `isa`, which the host must
+/// support ([`isa`] returns the widest such).
+fn gemm_on(isa: Isa, g: Gemm<'_>) {
+    debug_assert!(isa <= self::isa());
+    match isa {
+        // SAFETY: the caller only names instruction sets the host has.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { gemm_avx512(g) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx => unsafe { gemm_avx(g) },
+        _ => gemm_tiled::<8, 4>(g, microkernel_portable),
+    }
+}
+
 /// Packed driver for `C ← C + alpha * A Bᵀ` (`A` is `m x k`, `B` is
 /// `n x k`, `C` is `m x n`, column-major). With `lower`, only entries
-/// `C[i][j]` with `i >= j` are written (callers guarantee `C` is the
-/// square lower-triangular target, e.g. `syrk_ln`).
+/// `C[i][j]` with `i >= j` are written (`m >= n`: the lower triangle or,
+/// with `m > n`, the lower trapezoid of a tall block).
 ///
 /// `beta` scaling is the caller's job — the driver is purely accumulating
 /// so that the per-entry determinism contract holds.
@@ -269,117 +469,139 @@ pub(crate) fn gemm_packed(
         return;
     }
     debug_assert!(lda >= m && ldb >= n && ldc >= m);
-    PACK_BUFS.with(|cell| {
-        let bufs = &mut *cell.borrow_mut();
-        let PackBufs { a: abuf, b: bbuf } = bufs;
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            for j0 in (0..n).step_by(NC) {
-                if lower && j0 >= m {
-                    // Every entry of this column block is strictly upper.
-                    break;
-                }
-                let nc = NC.min(n - j0);
-                pack_b(bbuf, b, ldb, j0, nc, l0, kc);
-                for i0 in (0..m).step_by(MC) {
-                    let mc = MC.min(m - i0);
-                    if lower && i0 + mc <= j0 {
-                        // Row block sits entirely above the diagonal.
-                        continue;
-                    }
-                    pack_a(abuf, a, lda, i0, mc, l0, kc);
-                    for jr in (0..nc).step_by(NR) {
-                        let nre = NR.min(nc - jr);
-                        let gj = j0 + jr;
-                        let bp = &bbuf[(jr / NR) * NR * kc..];
-                        for ir in (0..mc).step_by(MR) {
-                            let mre = MR.min(mc - ir);
-                            let gi = i0 + ir;
-                            if lower && gi + mre <= gj {
-                                continue;
-                            }
-                            let ap = &abuf[(ir / MR) * MR * kc..];
-                            let mut acc = [[0.0f64; MR]; NR];
-                            microkernel(kc, ap, bp, &mut acc);
-                            store_tile(c, ldc, gi, gj, mre, nre, alpha, &acc, lower);
-                        }
-                    }
-                }
-            }
-        }
-    });
+    let g = Gemm {
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        lower,
+    };
+    gemm_on(isa(), g);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::det_rng;
 
     #[test]
-    fn pack_a_pads_partial_panels_with_zeros() {
-        // 5x3 A inside a lda=7 allocation.
-        let (m, k, lda) = (5usize, 3usize, 7usize);
-        let a: Vec<f64> = (0..lda * k).map(|v| v as f64 + 1.0).collect();
-        let mut buf = Vec::new();
-        pack_a(&mut buf, &a, lda, 0, m, 0, k);
-        assert_eq!(buf.len(), MR * k);
-        for l in 0..k {
-            for p in 0..MR {
-                let want = if p < m { a[at(lda, p, l)] } else { 0.0 };
-                assert_eq!(buf[l * MR + p], want, "l={l} p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn pack_b_pads_partial_panels_with_zeros() {
-        let (n, k, ldb) = (6usize, 2usize, 9usize);
-        let b: Vec<f64> = (0..ldb * k).map(|v| v as f64 * 0.5 - 3.0).collect();
-        let mut buf = Vec::new();
-        pack_b(&mut buf, &b, ldb, 0, n, 0, k);
-        let npan = n.div_ceil(NR);
-        assert_eq!(buf.len(), npan * NR * k);
+    fn pack_pads_partial_panels_with_zeros() {
+        // 6x2 operand inside an ld = 9 allocation, 4-row panels.
+        let (n, k, ld) = (6usize, 2usize, 9usize);
+        let b: Vec<f64> = (0..ld * k).map(|v| v as f64 * 0.5 - 3.0).collect();
+        let npan = n.div_ceil(4);
+        let mut buf = vec![f64::NAN; npan * 4 * k];
+        pack_panels::<4>(&mut buf, &b, ld, 0, n, 0, k);
         for pan in 0..npan {
             for l in 0..k {
-                for q in 0..NR {
-                    let j = pan * NR + q;
-                    let want = if j < n { b[at(ldb, j, l)] } else { 0.0 };
-                    assert_eq!(buf[pan * NR * k + l * NR + q], want);
+                for q in 0..4 {
+                    let j = pan * 4 + q;
+                    let want = if j < n { b[at(ld, j, l)] } else { 0.0 };
+                    assert_eq!(buf[pan * 4 * k + l * 4 + q], want);
                 }
             }
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    // Miri cannot execute AVX intrinsics; the portable path is covered by
-    // the other packing tests.
-    #[cfg_attr(miri, ignore)]
-    fn avx_microkernel_is_bitwise_equal_to_portable() {
-        if !std::arch::is_x86_feature_detected!("avx") {
-            return;
+    fn pack_buffers_are_cache_line_aligned() {
+        let mut buf = AlignedBuf(Vec::new());
+        for len in [1usize, 7, 64, 1000] {
+            let s = buf.slice(len);
+            assert_eq!(s.len(), len);
+            // Miri may decline `align_offset`; the slice is then unaligned
+            // and still correct.
+            if !cfg!(miri) {
+                assert_eq!(s.as_ptr() as usize % 64, 0, "len {len}");
+            }
         }
-        for kc in [1usize, 7, 48, 255, 256] {
-            let mut s = 0x9e37_79b9_u64.wrapping_mul(kc as u64 + 1);
-            let mut r = || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s % 2000) as f64 / 1000.0 - 1.0
-            };
-            let ap: Vec<f64> = (0..kc * MR).map(|_| r()).collect();
-            let bp: Vec<f64> = (0..kc * NR).map(|_| r()).collect();
-            let mut want = [[0.0; MR]; NR];
-            let mut got = [[0.0; MR]; NR];
-            microkernel_portable(kc, &ap, &bp, &mut want);
-            // SAFETY: guarded by the feature check above.
-            unsafe { microkernel_avx(kc, &ap, &bp, &mut got) };
-            for q in 0..NR {
-                for p in 0..MR {
-                    assert_eq!(
-                        want[q][p].to_bits(),
-                        got[q][p].to_bits(),
-                        "kc={kc} q={q} p={p}"
-                    );
+    }
+
+    /// Every microkernel the host supports, through the *full* packed
+    /// driver, against the portable tile: ragged shapes around every tile
+    /// and cache-block edge, `lower` on and off, padded leading
+    /// dimensions. Prints what it exercised, so a CI log shows a runner
+    /// without `avx512f` instead of passing silently.
+    #[test]
+    // Miri runs neither AVX nor AVX-512 intrinsics (detection reports the
+    // portable tile there, which the other tests cover) and the shapes
+    // that cross MC/NC/KC are too many interpreted flops.
+    #[cfg_attr(miri, ignore)]
+    fn every_microkernel_matches_the_portable_tile_bit_for_bit() {
+        let isas = Isa::supported();
+        println!("microkernels exercised on this host: {isas:?}");
+        // (m, n, k): around MR/NR of every tile, then across MC, NC, KC.
+        let shapes = [
+            (1, 1, 1),
+            (7, 3, 5),
+            (8, 4, 48),
+            (9, 5, 47),
+            (16, 8, 48),
+            (17, 9, 49),
+            (31, 33, 2),
+            (MC - 1, 15, 48),
+            (MC + 17, 23, 48),
+            (2 * MC + 3, NC + 9, 7),
+            (40, 40, KC + 1),
+            (150, 150, 48),
+            (NC + 25, NC + 25, 3),
+        ];
+        for (case, &(m, n, k)) in shapes.iter().enumerate() {
+            for lower in [false, true] {
+                // `lower` addresses C as a tall block: needs m >= n.
+                if lower && m < n {
+                    continue;
+                }
+                let mut r = det_rng(case as u64 + 11);
+                let (lda, ldb, ldc) = (m + 3, n + 1, m + 5);
+                let a: Vec<f64> = (0..lda * k).map(|_| r()).collect();
+                let b: Vec<f64> = (0..ldb * k).map(|_| r()).collect();
+                let c0: Vec<f64> = (0..ldc * n).map(|_| r()).collect();
+                let run = |isa: Isa| {
+                    let mut c = c0.clone();
+                    let g = Gemm {
+                        m,
+                        n,
+                        k,
+                        alpha: -1.0,
+                        a: &a,
+                        lda,
+                        b: &b,
+                        ldb,
+                        c: &mut c,
+                        ldc,
+                        lower,
+                    };
+                    gemm_on(isa, g);
+                    c
+                };
+                let want = run(Isa::Portable);
+                for &isa in &isas[1..] {
+                    let got = run(isa);
+                    for (idx, (w, g)) in want.iter().zip(&got).enumerate() {
+                        assert_eq!(
+                            w.to_bits(),
+                            g.to_bits(),
+                            "{isa:?} m={m} n={n} k={k} lower={lower} at ({}, {})",
+                            idx % ldc,
+                            idx / ldc
+                        );
+                    }
+                }
+                // Padding rows of C and, under `lower`, the strict upper
+                // triangle are never written.
+                for j in 0..n {
+                    for i in 0..ldc {
+                        if i >= m || (lower && i < j) {
+                            assert_eq!(want[j * ldc + i].to_bits(), c0[j * ldc + i].to_bits());
+                        }
+                    }
                 }
             }
         }

@@ -665,6 +665,52 @@ mod tests {
     }
 
     #[test]
+    fn r4_fires_on_the_avx512_fused_intrinsics() {
+        // The 512-bit kernels are where an FMA is most tempting: one
+        // instruction instead of two on the critical resource.
+        for fused in ["_mm512_fmadd_pd", "_mm512_fnmadd_pd"] {
+            let src = format!(
+                "fn f(a: __m512d, b: __m512d, c: __m512d) -> __m512d {{ {fused}(a, b, c) }}\n"
+            );
+            assert_eq!(findings("crates/dense/src/pack.rs", &src), vec![("R4", 1)]);
+        }
+        let split = "fn f(a: __m512d, b: __m512d, c: __m512d) -> __m512d { _mm512_add_pd(c, _mm512_mul_pd(a, b)) }\n";
+        assert!(findings("crates/dense/src/pack.rs", split).is_empty());
+    }
+
+    #[test]
+    fn the_shipped_simd_kernels_pass_r3_and_r4() {
+        // Not a fixture: the real kernel sources, so an intrinsic block
+        // added without its SAFETY note (or with an FMA) fails here as
+        // well as in `parfact-lint --deny-all`.
+        let kernels = [
+            (
+                "crates/dense/src/pack.rs",
+                include_str!("../../dense/src/pack.rs"),
+            ),
+            (
+                "crates/dense/src/blas.rs",
+                include_str!("../../dense/src/blas.rs"),
+            ),
+            (
+                "crates/dense/src/chol.rs",
+                include_str!("../../dense/src/chol.rs"),
+            ),
+        ];
+        for (path, src) in kernels {
+            assert!(
+                src.contains("unsafe"),
+                "{path}: expected an unsafe dispatch or intrinsic block"
+            );
+            assert_eq!(findings(path, src), vec![], "{path}");
+        }
+        assert!(
+            kernels[0].1.contains("_mm512_mul_pd"),
+            "the AVX-512 microkernel moved"
+        );
+    }
+
+    #[test]
     fn r5_tag_position_analysis() {
         let raw = "fn f(rank: &mut Rank) { rank.send(0, 42, payload); }\n";
         assert_eq!(findings("crates/core/src/dist/x.rs", raw), vec![("R5", 1)]);

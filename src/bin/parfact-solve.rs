@@ -301,14 +301,15 @@ fn main() -> ExitCode {
         None => String::new(),
     };
     println!(
-        "factor: nnz(L) = {} ({:.2}x), {:.3} Gflop | ordering {:.0} ms, symbolic {:.0} ms, numeric {:.0} ms ({:.2} GF/s{kernel})",
+        "factor: nnz(L) = {} ({:.2}x), {:.3} Gflop | ordering {:.0} ms, symbolic {:.0} ms, numeric {:.0} ms ({:.2} GF/s{kernel}, {} microkernel)",
         chol.factor_nnz(),
         chol.factor_nnz() as f64 / a.nnz() as f64,
         chol.factor_flops() / 1e9,
         r.ordering_s * 1e3,
         r.symbolic_s * 1e3,
         r.numeric_s * 1e3,
-        r.factor_gflops()
+        r.factor_gflops(),
+        parfact::dense::kernel_name()
     );
     if let Some(f) = &r.faults {
         println!(

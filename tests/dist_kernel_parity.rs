@@ -13,6 +13,8 @@
 use parfact::core::dist::{prepare, run_distributed_prepared};
 use parfact::core::mapping::MapStrategy;
 use parfact::core::seq::factorize_seq;
+use parfact::core::smp::{factorize_smp, SmpOpts};
+use parfact::core::solver::{Engine, FactorOpts, SparseCholesky};
 use parfact::core::{Factor, FactorKind};
 use parfact::dense::chol;
 use parfact::mpsim::model::CostModel;
@@ -44,6 +46,8 @@ fn assert_bitwise(got: &Factor, want: &Factor, what: &str) {
             "{what}: factor slab entry {k} differs: {x:e} vs {y:e}"
         );
     }
+    let d = |f: &Factor| f.d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(d(got), d(want), "{what}: LDLᵀ pivots");
 }
 
 /// A prepared problem and its sequential factor.
@@ -108,6 +112,68 @@ fn lap3d12_multi_block_fronts_are_bitwise() {
 #[test]
 fn elas6_multi_block_fronts_are_bitwise() {
     check_matrix("elas-6", &gen::elasticity3d(6, 6, 6));
+}
+
+/// One front kernel, three schedulers, and the front is factored where it
+/// is stored: the sequential postorder loop, both SMP phases (tree pool
+/// below `big_front`, threaded trailing update above) and the local path
+/// of the distributed engine on one rank must leave the same bits in the
+/// factor slab — and so must a refactorization, which assembles into a
+/// slab still holding the previous factor.
+#[test]
+fn seq_smp_and_one_rank_dist_share_every_factor_bit() {
+    let smp_opts = SmpOpts {
+        threads: 3,
+        big_front: 96,
+    };
+    let matrices = [
+        (
+            "lap3d-12",
+            gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint),
+        ),
+        ("elas-6", gen::elasticity3d(6, 6, 6)),
+    ];
+    for (name, a) in &matrices {
+        let Problem { sym, ap, perm, seq } = &Problem::new(a);
+        let smp = factorize_smp(ap, sym, FactorKind::Llt, perm.clone(), &smp_opts).expect("SPD");
+        assert_bitwise(&smp, seq, &format!("{name}: smp vs seq"));
+        let strategy = MapStrategy::Proportional {
+            use_2d: true,
+            nb: chol::NB,
+        };
+        let model = CostModel::bluegene_p();
+        let dist1 = run_distributed_prepared(1, model, ap, sym, perm, strategy, false, None);
+        let dist1 = dist1.expect("SPD").factor;
+        assert_bitwise(&dist1, seq, &format!("{name}: dist p=1 vs seq"));
+
+        // Refactorize with other values and back: the second pass writes
+        // over a slab full of the first one's factor.
+        let mut chol = SparseCholesky::factorize(a, &FactorOpts::default()).expect("SPD");
+        let mut scaled = a.clone();
+        scaled.values_mut().iter_mut().for_each(|v| *v *= 3.0);
+        for engine in [Engine::Sequential, Engine::Smp(smp_opts)] {
+            chol.refactorize(&scaled, engine.clone()).expect("SPD");
+            chol.refactorize(a, engine.clone()).expect("SPD");
+            let what = format!("{name}: {} refactorize vs seq", engine.name());
+            assert_bitwise(chol.factor(), seq, &what);
+        }
+    }
+
+    // LDLᵀ (not a distributed kernel): an indefinite matrix on the two
+    // host schedulers, pivots included.
+    let a = gen::indefinite(400, 7);
+    let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+    let seq = factorize_seq(&ap, &sym, FactorKind::Ldlt, perm.clone()).expect("quasi-definite");
+    assert!(
+        seq.d.iter().any(|&d| d < 0.0),
+        "the case must be indefinite"
+    );
+    let small_fronts = SmpOpts {
+        threads: 3,
+        big_front: 24,
+    };
+    let smp = factorize_smp(&ap, &sym, FactorKind::Ldlt, perm, &small_fronts);
+    assert_bitwise(&smp.expect("quasi-definite"), &seq, "ldlt: smp vs seq");
 }
 
 proptest! {
