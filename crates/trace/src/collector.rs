@@ -1,5 +1,5 @@
-//! The metrics engine: a shared [`Collector`] holding atomic counters and
-//! span events, fed by per-thread / per-rank [`LocalRecorder`]s.
+//! The metrics engine: a shared [`Collector`] holding the merged counters
+//! and span events, fed by per-thread / per-rank [`LocalRecorder`]s.
 //!
 //! Design constraints, in order:
 //!
@@ -9,7 +9,7 @@
 //!    instrumented engines bench identically to the uninstrumented seed.
 //! 2. **No cross-thread contention while recording.** Worker threads
 //!    accumulate into a private [`LocalRecorder`] (plain fields) and merge
-//!    into the collector's atomics once, when the recorder drops. The only
+//!    into the collector once, under its lock, when the recorder drops. The only
 //!    shared-at-record-time state is the memory high-water mark, which must
 //!    be global to mean anything under concurrency — and is touched per
 //!    front, not per entry.
@@ -18,6 +18,8 @@
 //!    simulator's per-rank statistics into the report (see
 //!    [`crate::report`]).
 
+use crate::fields::{record, wire_enum, Wire};
+use crate::json::Json;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,97 +61,68 @@ impl TraceLevel {
     }
 }
 
-/// Instrumented phases of the numeric factorization.
-///
-/// `Panel` covers the partial dense factorization of a front; for engines
-/// whose kernel fuses the trailing update into the panel loop (the
-/// sequential path) it includes that update, while the SMP big-front path
-/// reports the threaded trailing update separately as `Gemm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Front assembly: scatter of original-matrix entries plus extend-add
-    /// of children update matrices.
-    ExtendAdd,
-    /// Partial dense factorization of the pivot block (POTRF/LDLᵀ + TRSM).
-    Panel,
-    /// Trailing (Schur) update, where it runs as a distinct stage.
-    Gemm,
-    /// Triangular solves.
-    Solve,
-    /// Time a rank's virtual clock was occupied sending (α + β·bytes for a
-    /// blocking send, α alone for a nonblocking one). Distributed engine at
-    /// [`TraceLevel::Timeline`] only.
-    Comm,
-    /// Time a rank's virtual clock sat blocked for a message that had not
-    /// yet arrived. Distributed engine at [`TraceLevel::Timeline`] only.
-    Wait,
-    /// Analysis: graph coarsening (heavy-edge matching + contraction)
-    /// inside a multilevel bisection.
-    Coarsen,
-    /// Analysis: initial partition and projection of a multilevel
-    /// bisection, plus separator extraction.
-    Bisect,
-    /// Analysis: boundary Fiduccia–Mattheyses refinement passes.
-    Refine,
-    /// Analysis: minimum-degree ordering of leaf subgraphs below the
-    /// nested-dissection cutoff.
-    Mindeg,
-    /// Analysis: elimination tree construction, postorder and matrix
-    /// permutation.
-    Etree,
-    /// Analysis: factor column counts (Gilbert–Ng–Peyton sweeps).
-    Colcount,
-    /// Analysis: supernode partition and per-supernode row structure.
-    Structure,
-    /// An injected-fault marker (crash or receive timeout) from the
-    /// simulator's fault plan: a zero-duration instant stamped at the
-    /// rank's virtual clock. Distributed engine at
-    /// [`TraceLevel::Timeline`] under fault injection only.
-    Fault,
+wire_enum! {
+    /// Instrumented phases of the numeric factorization, each with its
+    /// stable wire name.
+    ///
+    /// `Panel` covers the partial dense factorization of a front; for engines
+    /// whose kernel fuses the trailing update into the panel loop (the
+    /// sequential path) it includes that update, while the SMP big-front path
+    /// reports the threaded trailing update separately as `Gemm`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Phase {
+        /// Front assembly: scatter of original-matrix entries plus extend-add
+        /// of children update matrices.
+        ExtendAdd = "extend_add",
+        /// Partial dense factorization of the pivot block (POTRF/LDLᵀ + TRSM).
+        Panel = "panel",
+        /// Trailing (Schur) update, where it runs as a distinct stage.
+        Gemm = "gemm",
+        /// Triangular solves.
+        Solve = "solve",
+        /// Time a rank's virtual clock was occupied sending (α + β·bytes for a
+        /// blocking send, α alone for a nonblocking one). Distributed engine at
+        /// [`TraceLevel::Timeline`] only.
+        Comm = "comm",
+        /// Time a rank's virtual clock sat blocked for a message that had not
+        /// yet arrived. Distributed engine at [`TraceLevel::Timeline`] only.
+        Wait = "wait",
+        /// Analysis: graph coarsening (heavy-edge matching + contraction)
+        /// inside a multilevel bisection.
+        Coarsen = "coarsen",
+        /// Analysis: initial partition and projection of a multilevel
+        /// bisection, plus separator extraction.
+        Bisect = "bisect",
+        /// Analysis: boundary Fiduccia–Mattheyses refinement passes.
+        Refine = "refine",
+        /// Analysis: minimum-degree ordering of leaf subgraphs below the
+        /// nested-dissection cutoff.
+        Mindeg = "mindeg",
+        /// Analysis: elimination tree construction, postorder and matrix
+        /// permutation.
+        Etree = "etree",
+        /// Analysis: factor column counts (Gilbert–Ng–Peyton sweeps).
+        Colcount = "colcount",
+        /// Analysis: supernode partition and per-supernode row structure.
+        Structure = "structure",
+        /// An injected-fault marker (crash or receive timeout) from the
+        /// simulator's fault plan: a zero-duration instant stamped at the
+        /// rank's virtual clock. Distributed engine at
+        /// [`TraceLevel::Timeline`] under fault injection only.
+        Fault = "fault",
+    }
+}
+
+impl Wire for Phase {
+    fn to_json(&self) -> Json {
+        Json::str(self.name())
+    }
+    fn from_json(j: &Json) -> Option<Phase> {
+        Phase::from_name(j.as_str()?)
+    }
 }
 
 impl Phase {
-    /// Stable wire name (used in JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::ExtendAdd => "extend_add",
-            Phase::Panel => "panel",
-            Phase::Gemm => "gemm",
-            Phase::Solve => "solve",
-            Phase::Comm => "comm",
-            Phase::Wait => "wait",
-            Phase::Coarsen => "coarsen",
-            Phase::Bisect => "bisect",
-            Phase::Refine => "refine",
-            Phase::Mindeg => "mindeg",
-            Phase::Etree => "etree",
-            Phase::Colcount => "colcount",
-            Phase::Structure => "structure",
-            Phase::Fault => "fault",
-        }
-    }
-
-    /// Inverse of [`Phase::name`].
-    pub fn from_name(name: &str) -> Option<Phase> {
-        match name {
-            "extend_add" => Some(Phase::ExtendAdd),
-            "panel" => Some(Phase::Panel),
-            "gemm" => Some(Phase::Gemm),
-            "solve" => Some(Phase::Solve),
-            "comm" => Some(Phase::Comm),
-            "wait" => Some(Phase::Wait),
-            "coarsen" => Some(Phase::Coarsen),
-            "bisect" => Some(Phase::Bisect),
-            "refine" => Some(Phase::Refine),
-            "mindeg" => Some(Phase::Mindeg),
-            "etree" => Some(Phase::Etree),
-            "colcount" => Some(Phase::Colcount),
-            "structure" => Some(Phase::Structure),
-            "fault" => Some(Phase::Fault),
-            _ => None,
-        }
-    }
-
     /// True for the phases of the analysis front-end (ordering + symbolic).
     /// The critical-path profile excludes them the way it excludes `Solve`:
     /// its readiness model describes the numeric factorization only.
@@ -167,18 +140,20 @@ impl Phase {
     }
 }
 
-/// One timed event: `who` (thread or rank) spent `dur_s` in `phase`,
-/// optionally attributed to a supernode, starting `start_s` seconds after
-/// the collector was created.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    pub phase: Phase,
-    /// Supernode the work belonged to, if attributable.
-    pub supernode: Option<usize>,
-    /// Recording thread (SMP) or rank (distributed).
-    pub who: usize,
-    pub start_s: f64,
-    pub dur_s: f64,
+record! {
+    /// One timed event: `who` (thread or rank) spent `dur_s` in `phase`,
+    /// optionally attributed to a supernode, starting `start_s` seconds after
+    /// the collector was created.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanEvent {
+        phase: Phase = required;
+        /// Supernode the work belonged to, if attributable.
+        supernode: Option<usize> = required;
+        /// Recording thread (SMP) or rank (distributed).
+        who: usize = required;
+        start_s: f64 = required;
+        dur_s: f64 = required;
+    }
 }
 
 /// Canonical span order: by start time, ties broken by recorder id
@@ -194,89 +169,49 @@ pub fn sort_spans(spans: &mut [SpanEvent]) {
     });
 }
 
-/// A plain snapshot of every counter. This is both the merge unit (what a
-/// [`LocalRecorder`] accumulates) and the report payload.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Counters {
-    /// Frontal matrices factored.
-    pub fronts_factored: u64,
-    /// Floating-point operations of the partial factorizations (the LAPACK
-    /// multiply-and-add-counted-separately convention; `n³/3` dense).
-    pub flops: f64,
-    /// Bytes scattered into fronts during assembly (original entries +
-    /// extend-add contributions actually applied).
-    pub bytes_assembled: u64,
-    /// Payload bytes sent between ranks (distributed engine only).
-    pub bytes_sent: u64,
-    /// Messages sent between ranks (distributed engine only).
-    pub msgs_sent: u64,
-    /// Seconds spent assembling fronts (scatter + extend-add).
-    pub extend_add_s: f64,
-    /// Seconds spent in partial dense factorization kernels.
-    pub panel_s: f64,
-    /// Seconds spent in distinct trailing-update (GEMM-like) stages.
-    pub gemm_s: f64,
-    /// Seconds spent in triangular solves.
-    pub solve_s: f64,
-    /// Analysis seconds: multilevel coarsening.
-    pub coarsen_s: f64,
-    /// Analysis seconds: initial partition + projection + separator.
-    pub bisect_s: f64,
-    /// Analysis seconds: FM refinement.
-    pub refine_s: f64,
-    /// Analysis seconds: minimum-degree on leaf subgraphs.
-    pub mindeg_s: f64,
-    /// Analysis seconds: elimination tree + postorder + permutation.
-    pub etree_s: f64,
-    /// Analysis seconds: column counts.
-    pub colcount_s: f64,
-    /// Analysis seconds: supernode partition + row structure.
-    pub structure_s: f64,
-    /// High-water mark of tracked working memory (fronts, panels, update
-    /// matrices), bytes.
-    pub mem_peak_bytes: u64,
-}
-
-impl Counters {
-    fn add_phase(&mut self, phase: Phase, dur_s: f64) {
-        match phase {
-            Phase::ExtendAdd => self.extend_add_s += dur_s,
-            Phase::Panel => self.panel_s += dur_s,
-            Phase::Gemm => self.gemm_s += dur_s,
-            Phase::Solve => self.solve_s += dur_s,
-            Phase::Coarsen => self.coarsen_s += dur_s,
-            Phase::Bisect => self.bisect_s += dur_s,
-            Phase::Refine => self.refine_s += dur_s,
-            Phase::Mindeg => self.mindeg_s += dur_s,
-            Phase::Etree => self.etree_s += dur_s,
-            Phase::Colcount => self.colcount_s += dur_s,
-            Phase::Structure => self.structure_s += dur_s,
-            // Communication time is accounted by the simulator's per-rank
-            // statistics (`RankReport::comm_s`); fault markers are
-            // zero-duration instants. Span events only.
-            Phase::Comm | Phase::Wait | Phase::Fault => {}
-        }
-    }
-
-    /// Element-wise accumulate (memory peak takes the max).
-    pub fn merge(&mut self, other: &Counters) {
-        self.fronts_factored += other.fronts_factored;
-        self.flops += other.flops;
-        self.bytes_assembled += other.bytes_assembled;
-        self.bytes_sent += other.bytes_sent;
-        self.msgs_sent += other.msgs_sent;
-        self.extend_add_s += other.extend_add_s;
-        self.panel_s += other.panel_s;
-        self.gemm_s += other.gemm_s;
-        self.solve_s += other.solve_s;
-        self.coarsen_s += other.coarsen_s;
-        self.bisect_s += other.bisect_s;
-        self.refine_s += other.refine_s;
-        self.mindeg_s += other.mindeg_s;
-        self.etree_s += other.etree_s;
-        self.colcount_s += other.colcount_s;
-        self.structure_s += other.structure_s;
-        self.mem_peak_bytes = self.mem_peak_bytes.max(other.mem_peak_bytes);
+record! {
+    /// A plain snapshot of every counter. This is both the merge unit (what a
+    /// [`LocalRecorder`] accumulates) and the report payload. The per-phase
+    /// times from `solve_s` on postdate the first schema revision.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct Counters {
+        /// Frontal matrices factored.
+        fronts_factored: u64 = required, sum;
+        /// Floating-point operations of the partial factorizations (the LAPACK
+        /// multiply-and-add-counted-separately convention; `n³/3` dense).
+        flops: f64 = required, sum;
+        /// Bytes scattered into fronts during assembly (original entries +
+        /// extend-add contributions actually applied).
+        bytes_assembled: u64 = required, sum;
+        /// Payload bytes sent between ranks (distributed engine only).
+        bytes_sent: u64 = required, sum;
+        /// Messages sent between ranks (distributed engine only).
+        msgs_sent: u64 = required, sum;
+        /// Seconds spent assembling fronts (scatter + extend-add).
+        extend_add_s: f64 = required, sum <- ExtendAdd;
+        /// Seconds spent in partial dense factorization kernels.
+        panel_s: f64 = required, sum <- Panel;
+        /// Seconds spent in distinct trailing-update (GEMM-like) stages.
+        gemm_s: f64 = required, sum <- Gemm;
+        /// Seconds spent in triangular solves.
+        solve_s: f64 = default, sum <- Solve;
+        /// Analysis seconds: multilevel coarsening.
+        coarsen_s: f64 = default, sum <- Coarsen;
+        /// Analysis seconds: initial partition + projection + separator.
+        bisect_s: f64 = default, sum <- Bisect;
+        /// Analysis seconds: FM refinement.
+        refine_s: f64 = default, sum <- Refine;
+        /// Analysis seconds: minimum-degree on leaf subgraphs.
+        mindeg_s: f64 = default, sum <- Mindeg;
+        /// Analysis seconds: elimination tree + postorder + permutation.
+        etree_s: f64 = default, sum <- Etree;
+        /// Analysis seconds: column counts.
+        colcount_s: f64 = default, sum <- Colcount;
+        /// Analysis seconds: supernode partition + row structure.
+        structure_s: f64 = default, sum <- Structure;
+        /// High-water mark of tracked working memory (fronts, panels, update
+        /// matrices), bytes.
+        mem_peak_bytes: u64 = required, max;
     }
 }
 
@@ -301,40 +236,6 @@ pub struct WorkerSummary {
     pub mem_peak_bytes: u64,
 }
 
-/// Atomic f64 accumulator (bit-cast CAS loop; contention is one merge per
-/// thread per factorization, so the loop never spins in practice).
-#[derive(Default)]
-struct AtomicF64(AtomicU64);
-
-impl AtomicF64 {
-    fn add(&self, v: f64) {
-        if v == 0.0 {
-            return;
-        }
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = f64::from_bits(cur) + v;
-            match self.0.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
 /// The shared sink every engine records into.
 ///
 /// Construct one per factorization with [`Collector::new`], hand it to an
@@ -344,22 +245,9 @@ impl AtomicF64 {
 pub struct Collector {
     level: TraceLevel,
     epoch: Instant,
-    fronts: AtomicU64,
-    flops: AtomicF64,
-    bytes_assembled: AtomicU64,
-    bytes_sent: AtomicU64,
-    msgs_sent: AtomicU64,
-    extend_add_s: AtomicF64,
-    panel_s: AtomicF64,
-    gemm_s: AtomicF64,
-    solve_s: AtomicF64,
-    coarsen_s: AtomicF64,
-    bisect_s: AtomicF64,
-    refine_s: AtomicF64,
-    mindeg_s: AtomicF64,
-    etree_s: AtomicF64,
-    colcount_s: AtomicF64,
-    structure_s: AtomicF64,
+    /// Everything the recorders flushed so far (its `mem_peak_bytes` is
+    /// unused: the high-water mark is the atomic below).
+    counters: Mutex<Counters>,
     mem_cur: AtomicU64,
     mem_peak: AtomicU64,
     spans: Mutex<Vec<SpanEvent>>,
@@ -373,22 +261,7 @@ impl Collector {
             level,
             // lint:allow(R1) span-timestamp epoch: wall-clock origin for traces, never feeds virtual time
             epoch: Instant::now(),
-            fronts: AtomicU64::new(0),
-            flops: AtomicF64::default(),
-            bytes_assembled: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            msgs_sent: AtomicU64::new(0),
-            extend_add_s: AtomicF64::default(),
-            panel_s: AtomicF64::default(),
-            gemm_s: AtomicF64::default(),
-            solve_s: AtomicF64::default(),
-            coarsen_s: AtomicF64::default(),
-            bisect_s: AtomicF64::default(),
-            refine_s: AtomicF64::default(),
-            mindeg_s: AtomicF64::default(),
-            etree_s: AtomicF64::default(),
-            colcount_s: AtomicF64::default(),
-            structure_s: AtomicF64::default(),
+            counters: Mutex::new(Counters::default()),
             mem_cur: AtomicU64::new(0),
             mem_peak: AtomicU64::new(0),
             spans: Mutex::new(Vec::new()),
@@ -459,42 +332,16 @@ impl Collector {
         }
     }
 
-    /// Fold a finished recorder's counters in (called from `Drop`).
-    fn absorb(&self, c: &Counters, spans: &mut Vec<SpanEvent>) {
-        self.fronts.fetch_add(c.fronts_factored, Ordering::Relaxed);
-        self.flops.add(c.flops);
-        self.bytes_assembled
-            .fetch_add(c.bytes_assembled, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(c.bytes_sent, Ordering::Relaxed);
-        self.msgs_sent.fetch_add(c.msgs_sent, Ordering::Relaxed);
-        self.extend_add_s.add(c.extend_add_s);
-        self.panel_s.add(c.panel_s);
-        self.gemm_s.add(c.gemm_s);
-        self.solve_s.add(c.solve_s);
-        self.coarsen_s.add(c.coarsen_s);
-        self.bisect_s.add(c.bisect_s);
-        self.refine_s.add(c.refine_s);
-        self.mindeg_s.add(c.mindeg_s);
-        self.etree_s.add(c.etree_s);
-        self.colcount_s.add(c.colcount_s);
-        self.structure_s.add(c.structure_s);
+    /// The single merge point: fold a recorder's counters, spans and
+    /// per-worker contribution in (called from [`LocalRecorder::flush`],
+    /// once per recorder, enabled collectors only). Seconds and flops of a
+    /// worker accumulate — an engine may open several recorders for the
+    /// same `who` — and its memory peak takes the max.
+    fn absorb(&self, c: &Counters, spans: &mut Vec<SpanEvent>, s: WorkerSummary) {
+        self.counters.lock().unwrap().merge(c);
         if !spans.is_empty() {
             self.spans.lock().unwrap().append(spans);
         }
-    }
-
-    /// Merge an externally-built counter set (e.g. folded from simulator
-    /// rank statistics).
-    pub fn merge_counters(&self, c: &Counters) {
-        self.absorb(c, &mut Vec::new());
-        self.mem_peak.fetch_max(c.mem_peak_bytes, Ordering::Relaxed);
-    }
-
-    /// Fold a worker's contribution into its per-worker summary (called
-    /// from [`LocalRecorder::flush`]). Seconds and flops accumulate —
-    /// an engine may open several recorders for the same `who` — and the
-    /// memory peak takes the max.
-    fn note_worker(&self, s: WorkerSummary) {
         let mut map = self.workers.lock().unwrap();
         let e = map.entry(s.who).or_insert(WorkerSummary {
             who: s.who,
@@ -515,23 +362,8 @@ impl Collector {
     /// Snapshot every counter.
     pub fn snapshot(&self) -> Counters {
         Counters {
-            fronts_factored: self.fronts.load(Ordering::Relaxed),
-            flops: self.flops.get(),
-            bytes_assembled: self.bytes_assembled.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            extend_add_s: self.extend_add_s.get(),
-            panel_s: self.panel_s.get(),
-            gemm_s: self.gemm_s.get(),
-            solve_s: self.solve_s.get(),
-            coarsen_s: self.coarsen_s.get(),
-            bisect_s: self.bisect_s.get(),
-            refine_s: self.refine_s.get(),
-            mindeg_s: self.mindeg_s.get(),
-            etree_s: self.etree_s.get(),
-            colcount_s: self.colcount_s.get(),
-            structure_s: self.structure_s.get(),
             mem_peak_bytes: self.mem_peak.load(Ordering::Relaxed),
+            ..*self.counters.lock().unwrap()
         }
     }
 
@@ -547,22 +379,7 @@ impl Collector {
     /// Zero every counter and drop recorded spans (refactorize reuses the
     /// collector; the new numeric run starts from a clean slate).
     pub fn reset(&self) {
-        self.fronts.store(0, Ordering::Relaxed);
-        self.flops.reset();
-        self.bytes_assembled.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.extend_add_s.reset();
-        self.panel_s.reset();
-        self.gemm_s.reset();
-        self.solve_s.reset();
-        self.coarsen_s.reset();
-        self.bisect_s.reset();
-        self.refine_s.reset();
-        self.mindeg_s.reset();
-        self.etree_s.reset();
-        self.colcount_s.reset();
-        self.structure_s.reset();
+        *self.counters.lock().unwrap() = Counters::default();
         self.mem_cur.store(0, Ordering::Relaxed);
         self.mem_peak.store(0, Ordering::Relaxed);
         self.spans.lock().unwrap().clear();
@@ -690,17 +507,19 @@ impl LocalRecorder<'_> {
             .set(self.mem_cur.get().saturating_sub(bytes as u64));
     }
 
-    /// Merge into the parent collector now (drop does this implicitly).
+    /// Merge into the parent collector now (drop does this implicitly). A
+    /// disabled recorder holds nothing and takes no lock.
     pub fn flush(&mut self) {
-        self.tr.absorb(&self.c, &mut self.spans);
-        if self.enabled() {
-            self.tr.note_worker(WorkerSummary {
-                who: self.who,
-                compute_s: self.c.extend_add_s + self.c.panel_s + self.c.gemm_s + self.c.solve_s,
-                flops: self.c.flops,
-                mem_peak_bytes: self.mem_peak.get(),
-            });
+        if !self.enabled() {
+            return;
         }
+        let summary = WorkerSummary {
+            who: self.who,
+            compute_s: self.c.extend_add_s + self.c.panel_s + self.c.gemm_s + self.c.solve_s,
+            flops: self.c.flops,
+            mem_peak_bytes: self.mem_peak.get(),
+        };
+        self.tr.absorb(&self.c, &mut self.spans, summary);
         self.c = Counters::default();
     }
 }

@@ -8,7 +8,7 @@
 //! those claims need, shared by all three engines (sequential, SMP,
 //! simulated-distributed):
 //!
-//! - [`Collector`] — the shared sink: atomic counters (flops, bytes
+//! - [`Collector`] — the shared sink: merged counters (flops, bytes
 //!   assembled/sent, messages, fronts factored, per-phase time), memory
 //!   high-water tracking, and span events.
 //! - [`LocalRecorder`] — a per-thread / per-rank buffer that records with
@@ -18,6 +18,8 @@
 //!   + simulator communication events + the post-run profile).
 //! - [`FactorReport`] / [`RankReport`] — the serializable run record,
 //!   with JSON round-tripping via the dependency-free [`json`] module.
+//!   Each report type is one field table (`fields.rs`) that generates the
+//!   struct, its encoder and its decoder.
 //! - [`timeline`] — per-rank/per-worker lanes (compute/comm/wait) built
 //!   from the merged span stream, with Chrome Trace Event Format export
 //!   for Perfetto / `chrome://tracing`.
@@ -30,6 +32,7 @@
 //! slice for the same reason.)
 
 pub mod collector;
+mod fields;
 pub mod json;
 pub mod metrics;
 pub mod profile;

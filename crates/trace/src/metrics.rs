@@ -4,17 +4,16 @@
 //! Engines publish what a run measured — phase timings, kernel rates,
 //! communication matrices, memory high-water marks — into a [`Registry`] of
 //! counters, gauges and histograms, which renders to the Prometheus text
-//! exposition format (scrape-ready) or to the hand-rolled JSON tree.
-//! [`Registry::from_report`] builds the whole surface from a finished
-//! [`FactorReport`], so both CLIs can emit metrics without threading a
-//! registry through the engines.
+//! exposition format (scrape-ready). [`Registry::from_report`] builds the
+//! whole surface from a finished [`FactorReport`], so both CLIs can emit
+//! metrics without threading a registry through the engines.
 //!
 //! The exposition writer is paired with a minimal parser
 //! ([`Registry::parse_prometheus`]) used by the golden round-trip tests:
 //! `parse(render(r)) == r` bit-for-bit on every sample value.
 
-use crate::json::Json;
 use crate::report::FactorReport;
+use std::collections::HashMap;
 
 /// Metric family kind, mirroring the Prometheus `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +108,11 @@ pub struct Family {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     families: Vec<Family>,
+    /// Family name → its position in `families`. This index and the next
+    /// are for lookups only: render order is insertion order.
+    by_name: HashMap<String, usize>,
+    /// Per family, label set → the sample's position in `Family::samples`.
+    by_labels: Vec<HashMap<Vec<(String, String)>, usize>>,
 }
 
 /// Labels are passed as `&[("rank", "3")]` slices.
@@ -125,71 +129,83 @@ impl Registry {
         &self.families
     }
 
-    fn family_mut(&mut self, name: &str, help: &str, kind: Kind) -> &mut Family {
-        if let Some(i) = self.families.iter().position(|f| f.name == name) {
-            assert_eq!(
-                self.families[i].kind, kind,
-                "metric '{name}' re-registered with a different kind"
-            );
-            return &mut self.families[i];
+    /// Find-or-insert of the family `name`, by position; `help` and `kind`
+    /// apply on first touch.
+    fn family_pos(&mut self, name: &str, help: &str, kind: Kind) -> usize {
+        if let Some(&pos) = self.by_name.get(name) {
+            return pos;
         }
+        self.by_name.insert(name.to_string(), self.families.len());
+        self.by_labels.push(HashMap::new());
         self.families.push(Family {
             name: name.to_string(),
             help: help.to_string(),
             kind,
             samples: Vec::new(),
         });
-        self.families.last_mut().expect("just pushed")
+        self.families.len() - 1
     }
 
-    fn upsert(&mut self, name: &str, help: &str, kind: Kind, labels: Labels, value: f64) {
-        let fam = self.family_mut(name, help, kind);
-        let labels: Vec<(String, String)> = labels
+    /// Find-or-insert of the sample `labels` in the family at `pos`; a new
+    /// sample is a histogram over `bounds` when given.
+    fn sample_mut(
+        &mut self,
+        pos: usize,
+        labels: Vec<(String, String)>,
+        bounds: Option<&[f64]>,
+    ) -> &mut Sample {
+        let samples = &mut self.families[pos].samples;
+        let at = match self.by_labels[pos].get(&labels) {
+            Some(&at) => at,
+            None => {
+                self.by_labels[pos].insert(labels.clone(), samples.len());
+                samples.push(Sample {
+                    labels,
+                    value: 0.0,
+                    hist: bounds.map(Histogram::new),
+                });
+                samples.len() - 1
+            }
+        };
+        &mut samples[at]
+    }
+
+    /// The one find-or-insert behind `counter`, `gauge` and `observe`.
+    fn upsert(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: Kind,
+        labels: Labels,
+        bounds: Option<&[f64]>,
+    ) -> &mut Sample {
+        let pos = self.family_pos(name, help, kind);
+        assert_eq!(
+            self.families[pos].kind, kind,
+            "metric '{name}' re-registered with a different kind"
+        );
+        let labels = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        if let Some(s) = fam.samples.iter_mut().find(|s| s.labels == labels) {
-            s.value = value;
-        } else {
-            fam.samples.push(Sample {
-                labels,
-                value,
-                hist: None,
-            });
-        }
+        self.sample_mut(pos, labels, bounds)
     }
 
     /// Set a counter sample (monotonic totals; by convention the name ends
     /// in `_total`).
     pub fn counter(&mut self, name: &str, help: &str, labels: Labels, value: f64) {
-        self.upsert(name, help, Kind::Counter, labels, value);
+        self.upsert(name, help, Kind::Counter, labels, None).value = value;
     }
 
     /// Set a gauge sample (point-in-time values).
     pub fn gauge(&mut self, name: &str, help: &str, labels: Labels, value: f64) {
-        self.upsert(name, help, Kind::Gauge, labels, value);
+        self.upsert(name, help, Kind::Gauge, labels, None).value = value;
     }
 
     /// Record an observation into a histogram sample, creating it over
     /// `bounds` on first touch.
     pub fn observe(&mut self, name: &str, help: &str, labels: Labels, bounds: &[f64], v: f64) {
-        let fam = self.family_mut(name, help, Kind::Histogram);
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        let sample = match fam.samples.iter_mut().find(|s| s.labels == labels) {
-            Some(s) => s,
-            None => {
-                fam.samples.push(Sample {
-                    labels,
-                    value: 0.0,
-                    hist: Some(Histogram::new(bounds)),
-                });
-                fam.samples.last_mut().expect("just pushed")
-            }
-        };
-        sample
+        self.upsert(name, help, Kind::Histogram, labels, Some(bounds))
             .hist
             .as_mut()
             .expect("histogram family sample without histogram")
@@ -202,7 +218,7 @@ impl Registry {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for f in &self.families {
-            out.push_str(&format!("# HELP {} {}\n", f.name, escape_help(&f.help)));
+            out.push_str(&format!("# HELP {} {}\n", f.name, escape(&f.help, false)));
             out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind.name()));
             for s in &f.samples {
                 match &s.hist {
@@ -248,61 +264,6 @@ impl Registry {
         out
     }
 
-    /// Render to a JSON tree (families → samples, histograms inline).
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.families
-                .iter()
-                .map(|f| {
-                    let samples = f
-                        .samples
-                        .iter()
-                        .map(|s| {
-                            let mut fields = vec![(
-                                "labels".to_string(),
-                                Json::Obj(
-                                    s.labels
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::str(v)))
-                                        .collect(),
-                                ),
-                            )];
-                            match &s.hist {
-                                None => fields.push(("value".to_string(), Json::num_f64(s.value))),
-                                Some(h) => {
-                                    fields.push((
-                                        "buckets".to_string(),
-                                        Json::Arr(
-                                            h.bounds
-                                                .iter()
-                                                .zip(&h.counts)
-                                                .map(|(&b, &c)| {
-                                                    Json::Arr(vec![
-                                                        Json::num_f64(b),
-                                                        Json::num_u64(c),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ));
-                                    fields.push(("sum".to_string(), Json::num_f64(h.sum)));
-                                    fields.push(("count".to_string(), Json::num_u64(h.count)));
-                                }
-                            }
-                            Json::Obj(fields)
-                        })
-                        .collect();
-                    Json::Obj(vec![
-                        ("name".to_string(), Json::str(&f.name)),
-                        ("help".to_string(), Json::str(&f.help)),
-                        ("type".to_string(), Json::str(f.kind.name())),
-                        ("samples".to_string(), Json::Arr(samples)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
     /// Parse text previously produced by [`Registry::to_prometheus`].
     /// Supports exactly the subset that writer emits (HELP/TYPE headers,
     /// labeled samples, histogram expansion); used by the golden
@@ -316,34 +277,17 @@ impl Registry {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("# HELP ") {
-                let (name, help) = rest
-                    .split_once(' ')
-                    .map(|(n, h)| (n, unescape_help(h)))
-                    .unwrap_or((rest, String::new()));
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
                 // Kind is patched by the TYPE line that follows.
-                match reg.families.iter_mut().find(|f| f.name == name) {
-                    Some(f) => f.help = help,
-                    None => reg.families.push(Family {
-                        name: name.to_string(),
-                        help,
-                        kind: Kind::Gauge,
-                        samples: Vec::new(),
-                    }),
-                }
+                let pos = reg.family_pos(name, "", Kind::Gauge);
+                reg.families[pos].help = unescape(help).map_err(&err)?;
                 continue;
             }
             if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let (name, kind) = rest.split_once(' ').ok_or_else(|| err("bad TYPE"))?;
                 let kind = Kind::from_name(kind).ok_or_else(|| err("unknown kind"))?;
-                match reg.families.iter_mut().find(|f| f.name == name) {
-                    Some(f) => f.kind = kind,
-                    None => reg.families.push(Family {
-                        name: name.to_string(),
-                        help: String::new(),
-                        kind,
-                        samples: Vec::new(),
-                    }),
-                }
+                let pos = reg.family_pos(name, "", kind);
+                reg.families[pos].kind = kind;
                 continue;
             }
             if line.starts_with('#') {
@@ -351,10 +295,10 @@ impl Registry {
             }
             // Sample line: name{labels} value
             let (head, value) = line.rsplit_once(' ').ok_or_else(|| err("no value"))?;
-            let (name, labels) = match head.split_once('{') {
+            let (name, mut labels) = match head.split_once('{') {
                 Some((n, rest)) => {
                     let body = rest.strip_suffix('}').ok_or_else(|| err("unclosed {"))?;
-                    (n, parse_labels(body).map_err(|m| err(&m))?)
+                    (n, parse_labels(body).map_err(&err)?)
                 }
                 None => (head, Vec::new()),
             };
@@ -366,61 +310,36 @@ impl Registry {
                 }
             };
             // Histogram sub-series attach to their base family.
-            if let Some(base) = name.strip_suffix("_bucket") {
-                if let Some(fam) = reg.families.iter_mut().find(|f| f.name == base) {
-                    let le = labels
-                        .iter()
-                        .find(|(k, _)| k == "le")
-                        .ok_or_else(|| err("bucket without le"))?
-                        .1
-                        .clone();
-                    let rest: Vec<(String, String)> =
-                        labels.iter().filter(|(k, _)| k != "le").cloned().collect();
-                    let count = num(value)? as u64;
-                    let s = find_or_insert_hist(fam, rest);
-                    let h = s.hist.as_mut().expect("hist sample");
-                    if le == "+Inf" {
-                        h.count = count;
-                    } else {
-                        h.bounds.push(num(&le)?);
-                        h.counts.push(count);
+            let sub_series = ["_bucket", "_sum", "_count"].into_iter().find_map(|part| {
+                let pos = *reg.by_name.get(name.strip_suffix(part)?)?;
+                (reg.families[pos].kind == Kind::Histogram).then_some((pos, part))
+            });
+            if let Some((pos, part)) = sub_series {
+                let le = match part {
+                    "_bucket" => {
+                        let at = labels.iter().position(|(k, _)| k == "le");
+                        Some(labels.remove(at.ok_or_else(|| err("bucket without le"))?).1)
                     }
-                    continue;
+                    _ => None,
+                };
+                let h = reg.sample_mut(pos, labels, Some(&[])).hist.as_mut();
+                let h = h.ok_or_else(|| err("not a histogram sample"))?;
+                match (part, le.as_deref()) {
+                    ("_sum", _) => h.sum = num(value)?,
+                    ("_count", _) | (_, Some("+Inf")) => h.count = num(value)? as u64,
+                    (_, le) => {
+                        h.bounds.push(num(le.expect("a bucket has le"))?);
+                        h.counts.push(num(value)? as u64);
+                    }
                 }
-            }
-            if let Some(base) = name.strip_suffix("_sum") {
-                if let Some(fam) = reg
-                    .families
-                    .iter_mut()
-                    .find(|f| f.name == base && f.kind == Kind::Histogram)
-                {
-                    let s = find_or_insert_hist(fam, labels);
-                    s.hist.as_mut().expect("hist sample").sum = num(value)?;
-                    continue;
-                }
-            }
-            if let Some(base) = name.strip_suffix("_count") {
-                if let Some(fam) = reg
-                    .families
-                    .iter_mut()
-                    .find(|f| f.name == base && f.kind == Kind::Histogram)
-                {
-                    let s = find_or_insert_hist(fam, labels);
-                    s.hist.as_mut().expect("hist sample").count = num(value)? as u64;
-                    continue;
-                }
+                continue;
             }
             let v = num(value)?;
-            let fam = reg
-                .families
-                .iter_mut()
-                .find(|f| f.name == name)
+            let pos = *reg
+                .by_name
+                .get(name)
                 .ok_or_else(|| err("sample before TYPE"))?;
-            fam.samples.push(Sample {
-                labels,
-                value: v,
-                hist: None,
-            });
+            reg.sample_mut(pos, labels, None).value = v;
         }
         Ok(reg)
     }
@@ -458,17 +377,12 @@ impl Registry {
                 secs,
             );
         }
-        for (kernel, secs) in [
-            ("extend_add", r.counters.extend_add_s),
-            ("panel", r.counters.panel_s),
-            ("gemm", r.counters.gemm_s),
-            ("solve", r.counters.solve_s),
-        ] {
-            if secs > 0.0 {
+        for (phase, secs) in r.counters.phase_seconds() {
+            if secs > 0.0 && !phase.is_analysis() {
                 m.gauge(
                     "parfact_kernel_seconds",
                     "Attributed seconds per numeric kernel phase (summed across workers).",
-                    &[("kernel", kernel)],
+                    &[("kernel", phase.name())],
                     secs,
                 );
             }
@@ -562,12 +476,8 @@ impl Registry {
         if let Some(s) = &r.scalability {
             for rk in &s.ranks {
                 let rs = rk.rank.to_string();
-                for (stat, v) in [
-                    ("measured_bytes", rk.measured_bytes as f64),
-                    ("predicted_bytes", rk.predicted_bytes),
-                    ("measured_mem_peak", rk.measured_mem_peak as f64),
-                    ("predicted_mem_peak", rk.predicted_mem_peak),
-                ] {
+                // Every field but the `rank` key, which is the label.
+                for (stat, v) in rk.gauges().filter(|(stat, _)| *stat != "rank") {
                     m.gauge(
                         "parfact_scalability_rank",
                         "Predicted-vs-measured per-rank comm volume and peak memory.",
@@ -644,40 +554,18 @@ impl Registry {
             );
         }
         if let Some(f) = &r.faults {
-            for (kind, v) in [
-                ("crashes", f.crashes),
-                ("timeouts", f.timeouts),
-                ("delayed_msgs", f.delayed_msgs),
-                ("duplicated_msgs", f.duplicated_msgs),
-                ("restarts", f.restarts),
-            ] {
+            // Every field but the one that is not an event count.
+            for (kind, v) in f.gauges().filter(|(kind, _)| *kind != "total_makespan_s") {
                 m.counter(
                     "parfact_fault_events_total",
                     "Injected-fault and recovery events by kind.",
                     &[("kind", kind)],
-                    v as f64,
+                    v,
                 );
             }
         }
         m
     }
-}
-
-fn find_or_insert_hist(fam: &mut Family, labels: Vec<(String, String)>) -> &mut Sample {
-    if let Some(i) = fam.samples.iter().position(|s| s.labels == labels) {
-        return &mut fam.samples[i];
-    }
-    fam.samples.push(Sample {
-        labels,
-        value: 0.0,
-        hist: Some(Histogram {
-            bounds: Vec::new(),
-            counts: Vec::new(),
-            sum: 0.0,
-            count: 0,
-        }),
-    });
-    fam.samples.last_mut().expect("just pushed")
 }
 
 /// Render `{k="v",...}`, optionally with a trailing `le` label (histogram
@@ -688,7 +576,7 @@ fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
     }
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape(v, true)))
         .collect();
     if let Some(le) = le {
         parts.push(format!("le=\"{le}\""));
@@ -708,46 +596,55 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// Escape for the exposition format: `\` and newline always, `"` inside
+/// label values only (HELP text keeps its quotes bare).
+fn escape(v: &str, quotes: bool) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '"' if quotes => out.push_str("\\\""),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
-fn escape_help(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('\n', "\\n")
+/// Inverse of [`escape`], in one pass: `\n` is a newline, any other
+/// escaped character is itself.
+fn unescape(v: &str) -> Result<String, &'static str> {
+    let mut out = String::with_capacity(v.len());
+    let mut chars = v.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => match chars.next() {
+                Some('n') => out.push('\n'),
+                Some(e) => out.push(e),
+                None => return Err("dangling escape"),
+            },
+            c => out.push(c),
+        }
+    }
+    Ok(out)
 }
 
-fn unescape_help(v: &str) -> String {
-    v.replace("\\n", "\n").replace("\\\\", "\\")
-}
-
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
+fn parse_labels(body: &str) -> Result<Vec<(String, String)>, &'static str> {
     let mut out = Vec::new();
     let mut rest = body;
     while !rest.is_empty() {
         let eq = rest.find("=\"").ok_or("label without =\"")?;
         let key = rest[..eq].trim_start_matches(',').to_string();
         rest = &rest[eq + 2..];
-        let mut val = String::new();
-        let mut chars = rest.char_indices();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => val.push('\n'),
-                    Some((_, e)) => val.push(e),
-                    None => return Err("dangling escape".to_string()),
-                },
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => val.push(c),
-            }
-        }
+        // The value runs to the first quote that no backslash escapes.
+        let mut escaped = false;
+        let end = rest.find(|c| {
+            let closes = c == '"' && !escaped;
+            escaped = c == '\\' && !escaped;
+            closes
+        });
         let end = end.ok_or("unterminated label value")?;
-        out.push((key, val));
+        out.push((key, unescape(&rest[..end])?));
         rest = &rest[end + 1..];
     }
     Ok(out)
@@ -814,7 +711,15 @@ latency_seconds_count{path=\"/solve\"} 4
 
     #[test]
     fn exposition_round_trips_through_parser() {
-        let reg = sample_registry();
+        let mut reg = sample_registry();
+        // A backslash followed by `n` is not a newline; a label value may
+        // hold every character the format escapes.
+        reg.gauge(
+            "install_dir",
+            "path C:\\new",
+            &[("path", "C:\\new \"x\"\nline two")],
+            1.0,
+        );
         let text = reg.to_prometheus();
         let back = Registry::parse_prometheus(&text).expect("parse");
         assert_eq!(back, reg);
@@ -830,18 +735,21 @@ latency_seconds_count{path=\"/solve\"} 4
         m.gauge("g", "h", &[("a", "2")], 3.0);
         assert_eq!(m.families()[0].samples.len(), 2);
         assert_eq!(m.families()[0].samples[0].value, 2.0);
-    }
-
-    #[test]
-    fn json_export_has_families_and_histograms() {
-        let j = sample_registry().to_json();
-        let arr = j.as_arr().unwrap();
-        assert_eq!(arr.len(), 4);
-        let hist = &arr[3];
-        assert_eq!(hist.get("type").unwrap().as_str().unwrap(), "histogram");
-        let s = &hist.get("samples").unwrap().as_arr().unwrap()[0];
-        assert_eq!(s.get("count").unwrap().as_u64().unwrap(), 4);
-        assert_eq!(s.get("buckets").unwrap().as_arr().unwrap().len(), 3);
+        // The label-set index stays consistent as a family grows: 10 000
+        // distinct sets land in insertion order, and overwriting the first
+        // finds it again.
+        let mut m = Registry::new();
+        for i in 0..10_000 {
+            m.gauge("g", "h", &[("a", &i.to_string())], i as f64);
+        }
+        m.gauge("g", "h", &[("a", "0")], -1.0);
+        let samples = &m.families()[0].samples;
+        assert_eq!(samples.len(), 10_000);
+        assert_eq!(samples[0].value, -1.0);
+        assert!(samples[1..]
+            .iter()
+            .enumerate()
+            .all(|(i, s)| { s.labels[0].1 == (i + 1).to_string() && s.value == (i + 1) as f64 }));
     }
 
     #[test]

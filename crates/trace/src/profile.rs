@@ -27,63 +27,69 @@
 //! of the makespan the rank spent neither computing nor sending.
 
 use crate::collector::{Phase, SpanEvent};
-use crate::json::Json;
+use crate::fields::record;
 use crate::report::RankReport;
 use crate::timeline::{LaneKind, Timeline};
 
-/// A dependency edge on which a supernode sat waiting.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BlockingEdge {
-    /// The last-finishing child (the blocker); `None` when the wait was not
-    /// attributable to a child (e.g. queueing on the owning rank).
-    pub blocker: Option<usize>,
-    /// The supernode that waited.
-    pub waiter: usize,
-    /// Seconds between the waiter becoming ready and starting.
-    pub wait_s: f64,
+record! {
+    /// A dependency edge on which a supernode sat waiting.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct BlockingEdge {
+        /// The last-finishing child (the blocker); `None` when the wait was not
+        /// attributable to a child (e.g. queueing on the owning rank).
+        blocker: Option<usize> = optional;
+        /// The supernode that waited.
+        waiter: usize = required;
+        /// Seconds between the waiter becoming ready and starting.
+        wait_s: f64 = default;
+    }
 }
 
-/// One rank's (or worker's) share of the makespan.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RankActivity {
-    pub who: usize,
-    /// Compute-lane span time.
-    pub busy_s: f64,
-    /// Comm-lane span time (virtual-clock send occupancy).
-    pub comm_s: f64,
-    /// Wait-lane span time (virtual-clock stalls).
-    pub wait_s: f64,
-    /// `1 − (busy + comm) / makespan`, clamped to `[0, 1]`.
-    pub idle_frac: f64,
+record! {
+    /// One rank's (or worker's) share of the makespan.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RankActivity {
+        who: usize = required;
+        /// Compute-lane span time.
+        busy_s: f64 = default;
+        /// Comm-lane span time (virtual-clock send occupancy).
+        comm_s: f64 = default;
+        /// Wait-lane span time (virtual-clock stalls).
+        wait_s: f64 = default;
+        /// `1 − (busy + comm) / makespan`, clamped to `[0, 1]`.
+        idle_frac: f64 = default;
+    }
 }
 
-/// The profiler's summary, embedded in
-/// [`FactorReport`](crate::report::FactorReport) at
-/// [`TraceLevel::Timeline`](crate::collector::TraceLevel::Timeline).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProfileReport {
-    /// Active time along the critical path: each supernode contributes its
-    /// envelope clipped to start no earlier than its critical child's
-    /// finish, so overlapping envelopes (per-rank clock skew lets a grid
-    /// parent's earliest span precede its child's latest) are not
-    /// double-counted. Together with [`critical_path_wait_s`] this is
-    /// bounded by the makespan.
-    ///
-    /// [`critical_path_wait_s`]: ProfileReport::critical_path_wait_s
-    pub critical_path_s: f64,
-    /// Sum of waits along the critical path (schedulable slack).
-    pub critical_path_wait_s: f64,
-    /// Supernodes on the critical path.
-    pub critical_path_len: usize,
-    /// End of the last span (distributed: the virtual makespan).
-    pub makespan_s: f64,
-    /// Per-rank/per-worker breakdown, ascending by `who`.
-    pub ranks: Vec<RankActivity>,
-    /// Largest waits, descending (at most the requested top-k).
-    pub blocking_edges: Vec<BlockingEdge>,
-    /// Rank with the deepest receive-queue high-water mark, when per-rank
-    /// simulator stats are available and any queueing happened.
-    pub congested_rank: Option<usize>,
+record! {
+    /// The profiler's summary, embedded in
+    /// [`FactorReport`](crate::report::FactorReport) at
+    /// [`TraceLevel::Timeline`](crate::collector::TraceLevel::Timeline).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ProfileReport {
+        /// Active time along the critical path: each supernode contributes its
+        /// envelope clipped to start no earlier than its critical child's
+        /// finish, so overlapping envelopes (per-rank clock skew lets a grid
+        /// parent's earliest span precede its child's latest) are not
+        /// double-counted. Together with [`critical_path_wait_s`] this is
+        /// bounded by the makespan.
+        ///
+        /// [`critical_path_wait_s`]: ProfileReport::critical_path_wait_s
+        critical_path_s: f64 = default;
+        /// Sum of waits along the critical path (schedulable slack).
+        critical_path_wait_s: f64 = default;
+        /// Supernodes on the critical path.
+        critical_path_len: usize = default;
+        /// End of the last span (distributed: the virtual makespan).
+        makespan_s: f64 = default;
+        /// Per-rank/per-worker breakdown, ascending by `who`.
+        ranks: Vec<RankActivity> = default;
+        /// Largest waits, descending (at most the requested top-k).
+        blocking_edges: Vec<BlockingEdge> = default;
+        /// Rank with the deepest receive-queue high-water mark, when per-rank
+        /// simulator stats are available and any queueing happened.
+        congested_rank: Option<usize> = optional;
+    }
 }
 
 impl ProfileReport {
@@ -250,102 +256,6 @@ pub fn analyze(
 }
 
 impl ProfileReport {
-    /// JSON for the report payload (see [`crate::report`]).
-    pub fn to_json(&self) -> Json {
-        let mut obj = vec![
-            (
-                "critical_path_s".into(),
-                Json::num_f64(self.critical_path_s),
-            ),
-            (
-                "critical_path_wait_s".into(),
-                Json::num_f64(self.critical_path_wait_s),
-            ),
-            (
-                "critical_path_len".into(),
-                Json::num_usize(self.critical_path_len),
-            ),
-            ("makespan_s".into(), Json::num_f64(self.makespan_s)),
-            (
-                "ranks".into(),
-                Json::Arr(
-                    self.ranks
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("who".into(), Json::num_usize(r.who)),
-                                ("busy_s".into(), Json::num_f64(r.busy_s)),
-                                ("comm_s".into(), Json::num_f64(r.comm_s)),
-                                ("wait_s".into(), Json::num_f64(r.wait_s)),
-                                ("idle_frac".into(), Json::num_f64(r.idle_frac)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "blocking_edges".into(),
-                Json::Arr(
-                    self.blocking_edges
-                        .iter()
-                        .map(|e| {
-                            let mut o = Vec::new();
-                            if let Some(b) = e.blocker {
-                                o.push(("blocker".into(), Json::num_usize(b)));
-                            }
-                            o.push(("waiter".into(), Json::num_usize(e.waiter)));
-                            o.push(("wait_s".into(), Json::num_f64(e.wait_s)));
-                            Json::Obj(o)
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(r) = self.congested_rank {
-            obj.push(("congested_rank".into(), Json::num_usize(r)));
-        }
-        Json::Obj(obj)
-    }
-
-    /// Inverse of [`ProfileReport::to_json`]; unknown fields are ignored,
-    /// missing ones default.
-    pub fn from_json(j: &Json) -> Option<ProfileReport> {
-        let f = |k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        let mut p = ProfileReport {
-            critical_path_s: f("critical_path_s"),
-            critical_path_wait_s: f("critical_path_wait_s"),
-            critical_path_len: j
-                .get("critical_path_len")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
-            makespan_s: f("makespan_s"),
-            congested_rank: j.get("congested_rank").and_then(Json::as_usize),
-            ..ProfileReport::default()
-        };
-        if let Some(arr) = j.get("ranks").and_then(Json::as_arr) {
-            for r in arr {
-                let g = |k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-                p.ranks.push(RankActivity {
-                    who: r.get("who").and_then(Json::as_usize)?,
-                    busy_s: g("busy_s"),
-                    comm_s: g("comm_s"),
-                    wait_s: g("wait_s"),
-                    idle_frac: g("idle_frac"),
-                });
-            }
-        }
-        if let Some(arr) = j.get("blocking_edges").and_then(Json::as_arr) {
-            for e in arr {
-                p.blocking_edges.push(BlockingEdge {
-                    blocker: e.get("blocker").and_then(Json::as_usize),
-                    waiter: e.get("waiter").and_then(Json::as_usize)?,
-                    wait_s: e.get("wait_s").and_then(Json::as_f64).unwrap_or(0.0),
-                });
-            }
-        }
-        Some(p)
-    }
-
     /// Human-readable summary block (used by the CLI tools).
     pub fn render(&self, out: &mut String) {
         use std::fmt::Write;
@@ -406,6 +316,7 @@ impl ProfileReport {
 mod tests {
     use super::*;
     use crate::collector::Phase;
+    use crate::fields::Wire;
 
     const NONE: usize = usize::MAX;
 

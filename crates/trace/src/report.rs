@@ -7,54 +7,62 @@
 //! from the JSON tree in [`crate::json`], so reports can be written to disk
 //! by experiment harnesses and read back by analysis tooling.
 
-use crate::collector::{Counters, Phase, SpanEvent};
+use crate::collector::{Counters, SpanEvent};
+use crate::fields::{record, Wire};
 use crate::json::{Json, JsonError};
 use crate::profile::ProfileReport;
 
-/// Per-rank statistics for a distributed (simulated-MPI) run. Mirrors the
-/// simulator's `RankStats` so those fold into the report without loss.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RankReport {
-    pub rank: usize,
-    /// Simulated virtual clock at completion (seconds).
-    pub clock_s: f64,
-    /// Simulated compute time (seconds).
-    pub compute_s: f64,
-    /// Simulated communication time (seconds).
-    pub comm_s: f64,
-    /// Modelled transfer time hidden under compute by nonblocking sends
-    /// (seconds): β·bytes that never occupied the sender's clock.
-    pub comm_hidden_s: f64,
-    /// Peak number of messages queued at this rank's mailbox at once.
-    pub queue_peak: u64,
-    /// Modelled floating-point operations executed by this rank.
-    pub flops: f64,
-    /// Payload bytes this rank sent.
-    pub bytes_sent: u64,
-    /// Messages this rank sent.
-    pub msgs_sent: u64,
-    /// Payload bytes this rank received (consumed from its mailbox).
-    pub bytes_recv: u64,
-    /// Messages this rank received.
-    pub msgs_recv: u64,
-    /// Peak tracked memory on this rank, bytes.
-    pub mem_peak_bytes: u64,
+record! {
+    /// Per-rank statistics for a distributed (simulated-MPI) run. Mirrors the
+    /// simulator's `RankStats` so those fold into the report without loss.
+    /// The overlap fields postdate the first schema revision (reports written
+    /// before nonblocking communication existed lack them), the receive
+    /// counters the comm-matrix revision.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RankReport {
+        rank: usize = required;
+        /// Simulated virtual clock at completion (seconds).
+        clock_s: f64 = required;
+        /// Simulated compute time (seconds).
+        compute_s: f64 = required;
+        /// Simulated communication time (seconds).
+        comm_s: f64 = required;
+        /// Modelled transfer time hidden under compute by nonblocking sends
+        /// (seconds): β·bytes that never occupied the sender's clock.
+        comm_hidden_s: f64 = default;
+        /// Peak number of messages queued at this rank's mailbox at once.
+        queue_peak: u64 = default;
+        /// Modelled floating-point operations executed by this rank.
+        flops: f64 = required;
+        /// Payload bytes this rank sent.
+        bytes_sent: u64 = required;
+        /// Messages this rank sent.
+        msgs_sent: u64 = required;
+        /// Payload bytes this rank received (consumed from its mailbox).
+        bytes_recv: u64 = default;
+        /// Messages this rank received.
+        msgs_recv: u64 = default;
+        /// Peak tracked memory on this rank, bytes.
+        mem_peak_bytes: u64 = required;
+    }
 }
 
-/// Aggregated record of the triangular solves performed against a factor.
-/// Accumulated across calls (a `SolveSession` flush and an explicit
-/// `solve_with` both add to it), so `rhs` counts right-hand-side *columns*,
-/// not calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolveReport {
-    /// Solve invocations (one blocked sweep each, any nrhs).
-    pub solves: u64,
-    /// Total right-hand-side columns processed.
-    pub rhs: u64,
-    /// Wall-clock seconds across all solves (including refinement sweeps).
-    pub seconds: f64,
-    /// Triangular-solve flops: `4 * nnz(L) * rhs` plus refinement work.
-    pub flops: f64,
+record! {
+    /// Aggregated record of the triangular solves performed against a factor.
+    /// Accumulated across calls (a `SolveSession` flush and an explicit
+    /// `solve_with` both add to it), so `rhs` counts right-hand-side *columns*,
+    /// not calls.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct SolveReport {
+        /// Solve invocations (one blocked sweep each, any nrhs).
+        solves: u64 = required;
+        /// Total right-hand-side columns processed.
+        rhs: u64 = required;
+        /// Wall-clock seconds across all solves (including refinement sweeps).
+        seconds: f64 = required;
+        /// Triangular-solve flops: `4 * nnz(L) * rhs` plus refinement work.
+        flops: f64 = required;
+    }
 }
 
 impl SolveReport {
@@ -68,27 +76,29 @@ impl SolveReport {
     }
 }
 
-/// Per-stage breakdown of the analysis front-end (ordering + symbolic).
-/// Stage times are summed across analysis workers, so on a multithreaded
-/// run their total can exceed the `ordering_s + symbolic_s` wall clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AnalysisReport {
-    /// Worker threads the analysis phase ran with.
-    pub threads: usize,
-    /// Seconds in multilevel coarsening (matching + contraction).
-    pub coarsen_s: f64,
-    /// Seconds in initial partitioning, projection and separator extraction.
-    pub bisect_s: f64,
-    /// Seconds in FM refinement passes.
-    pub refine_s: f64,
-    /// Seconds ordering leaf subgraphs by minimum degree.
-    pub mindeg_s: f64,
-    /// Seconds building the elimination tree, postorder and permutation.
-    pub etree_s: f64,
-    /// Seconds computing factor column counts.
-    pub colcount_s: f64,
-    /// Seconds computing supernode row structure.
-    pub structure_s: f64,
+record! {
+    /// Per-stage breakdown of the analysis front-end (ordering + symbolic).
+    /// Stage times are summed across analysis workers, so on a multithreaded
+    /// run their total can exceed the `ordering_s + symbolic_s` wall clock.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct AnalysisReport {
+        /// Worker threads the analysis phase ran with.
+        threads: usize = required;
+        /// Seconds in multilevel coarsening (matching + contraction).
+        coarsen_s: f64 = required;
+        /// Seconds in initial partitioning, projection and separator extraction.
+        bisect_s: f64 = required;
+        /// Seconds in FM refinement passes.
+        refine_s: f64 = required;
+        /// Seconds ordering leaf subgraphs by minimum degree.
+        mindeg_s: f64 = required;
+        /// Seconds building the elimination tree, postorder and permutation.
+        etree_s: f64 = required;
+        /// Seconds computing factor column counts.
+        colcount_s: f64 = required;
+        /// Seconds computing supernode row structure.
+        structure_s: f64 = required;
+    }
 }
 
 impl AnalysisReport {
@@ -127,25 +137,28 @@ impl AnalysisReport {
     }
 }
 
-/// Injected-fault and recovery activity of a distributed run. Only present
-/// when a run executed under a fault plan, a receive deadline, or
-/// checkpointed recovery; a fault-free run omits the section entirely.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultReport {
-    /// Ranks that crashed under the injected plan (across all attempts).
-    pub crashes: u64,
-    /// Receives that hit their deadline.
-    pub timeouts: u64,
-    /// Messages delayed by an injected link fault.
-    pub delayed_msgs: u64,
-    /// Duplicate message copies injected.
-    pub duplicated_msgs: u64,
-    /// Checkpoint restarts the recovery driver performed.
-    pub restarts: u64,
-    /// Sum of every attempt's simulated makespan, crashed attempts
-    /// included — the end-to-end virtual cost of the recovered run, for
-    /// recovery-overhead comparisons against a fault-free makespan.
-    pub total_makespan_s: f64,
+record! {
+    /// Injected-fault and recovery activity of a distributed run. Only present
+    /// when a run executed under a fault plan, a receive deadline, or
+    /// checkpointed recovery; a fault-free run omits the section entirely.
+    /// Every field defaults: the section only ever grows.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct FaultReport {
+        /// Ranks that crashed under the injected plan (across all attempts).
+        crashes: u64 = default;
+        /// Receives that hit their deadline.
+        timeouts: u64 = default;
+        /// Messages delayed by an injected link fault.
+        delayed_msgs: u64 = default;
+        /// Duplicate message copies injected.
+        duplicated_msgs: u64 = default;
+        /// Checkpoint restarts the recovery driver performed.
+        restarts: u64 = default;
+        /// Sum of every attempt's simulated makespan, crashed attempts
+        /// included — the end-to-end virtual cost of the recovered run, for
+        /// recovery-overhead comparisons against a fault-free makespan.
+        total_makespan_s: f64 = default;
+    }
 }
 
 /// Src×dst traffic matrix of a distributed run, broken down by tag class
@@ -208,10 +221,17 @@ impl CommMatrixReport {
     pub fn total_msgs(&self) -> u64 {
         self.msgs.iter().sum()
     }
+}
 
+/// Largest `nranks² · classes` a decoded matrix may have: 8192 ranks (the
+/// paper's largest machine) × 4 tag classes, 2 GiB per dense array. The
+/// size comes from the file, so it is bounded before anything is allocated.
+const MAX_COMM_CELLS: usize = 1 << 28;
+
+/// Sparse triplet encoding: `[src, dst, class, bytes, msgs]` for nonzero
+/// links only. A p=128 matrix is mostly zeros.
+impl Wire for CommMatrixReport {
     fn to_json(&self) -> Json {
-        // Sparse triplet encoding: [src, dst, class, bytes, msgs] for
-        // nonzero links only. A p=128 matrix is mostly zeros.
         let nc = self.nclasses();
         let mut entries = Vec::new();
         for src in 0..self.nranks {
@@ -220,40 +240,36 @@ impl CommMatrixReport {
                     let (b, m) = self.at(src, dst, class);
                     if b != 0 || m != 0 {
                         entries.push(Json::Arr(vec![
-                            Json::num_usize(src),
-                            Json::num_usize(dst),
-                            Json::num_usize(class),
-                            Json::num_u64(b),
-                            Json::num_u64(m),
+                            src.to_json(),
+                            dst.to_json(),
+                            class.to_json(),
+                            b.to_json(),
+                            m.to_json(),
                         ]));
                     }
                 }
             }
         }
         Json::Obj(vec![
-            ("nranks".to_string(), Json::num_usize(self.nranks)),
-            (
-                "classes".to_string(),
-                Json::Arr(self.class_names.iter().map(|s| Json::str(s)).collect()),
-            ),
+            ("nranks".to_string(), self.nranks.to_json()),
+            ("classes".to_string(), self.class_names.to_json()),
             ("entries".to_string(), Json::Arr(entries)),
         ])
     }
 
     fn from_json(j: &Json) -> Option<CommMatrixReport> {
-        let nranks = j.get("nranks")?.as_usize()?;
-        let class_names: Vec<String> = j
-            .get("classes")?
-            .as_arr()?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string))
-            .collect::<Option<_>>()?;
+        let nranks = usize::from_json(j.get("nranks")?)?;
+        let class_names = Vec::<String>::from_json(j.get("classes")?)?;
         let nc = class_names.len();
+        let cells = nranks
+            .checked_mul(nranks)
+            .and_then(|n| n.checked_mul(nc))
+            .filter(|&n| n <= MAX_COMM_CELLS)?;
         let mut m = CommMatrixReport {
             nranks,
             class_names,
-            bytes: vec![0; nranks * nranks * nc],
-            msgs: vec![0; nranks * nranks * nc],
+            bytes: vec![0; cells],
+            msgs: vec![0; cells],
         };
         for e in j.get("entries")?.as_arr()? {
             let e = e.as_arr()?;
@@ -272,31 +288,36 @@ impl CommMatrixReport {
     }
 }
 
-/// One rank's predicted-vs-measured scalability record.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RankScalability {
-    pub rank: usize,
-    /// Payload bytes this rank actually sent during factorization.
-    pub measured_bytes: u64,
-    /// Bytes the analytical model predicts this rank sends.
-    pub predicted_bytes: f64,
-    /// Measured peak tracked working memory, bytes.
-    pub measured_mem_peak: u64,
-    /// Peak working memory the model predicts, bytes.
-    pub predicted_mem_peak: f64,
+record! {
+    /// One rank's predicted-vs-measured scalability record.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RankScalability {
+        rank: usize = required;
+        /// Payload bytes this rank actually sent during factorization.
+        measured_bytes: u64 = required;
+        /// Bytes the analytical model predicts this rank sends.
+        predicted_bytes: f64 = required;
+        /// Measured peak tracked working memory, bytes.
+        measured_mem_peak: u64 = required;
+        /// Peak working memory the model predicts, bytes.
+        predicted_mem_peak: f64 = required;
+    }
 }
 
-/// Predicted-vs-measured communication volume and peak working memory of a
-/// run — the paper's scalability diagnostic: does measured per-process
-/// comm volume and memory track the analytical model as p grows?
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScalabilityReport {
-    /// Ranks (or workers) the run executed on.
-    pub nranks: usize,
-    /// Per-rank predicted and measured terms.
-    pub ranks: Vec<RankScalability>,
-    /// Measured src×dst×class traffic matrix (distributed runs only).
-    pub comm: Option<CommMatrixReport>,
+record! {
+    /// Predicted-vs-measured communication volume and peak working memory of a
+    /// run — the paper's scalability diagnostic: does measured per-process
+    /// comm volume and memory track the analytical model as p grows?
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ScalabilityReport {
+        /// Ranks (or workers) the run executed on.
+        nranks: usize = required;
+        /// Per-rank predicted and measured terms.
+        ranks: Vec<RankScalability> = required;
+    } + {
+        /// Measured src×dst×class traffic matrix (distributed runs only).
+        comm: Option<CommMatrixReport>;
+    }
 }
 
 impl ScalabilityReport {
@@ -355,46 +376,18 @@ impl ScalabilityReport {
         let mean = vals.sum::<f64>() / n as f64;
         (mean > 0.0).then(|| max / mean)
     }
+}
 
+impl Wire for ScalabilityReport {
     fn to_json(&self) -> Json {
-        let ranks = self
-            .ranks
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("rank".to_string(), Json::num_usize(r.rank)),
-                    (
-                        "measured_bytes".to_string(),
-                        Json::num_u64(r.measured_bytes),
-                    ),
-                    (
-                        "predicted_bytes".to_string(),
-                        Json::num_f64(r.predicted_bytes),
-                    ),
-                    (
-                        "measured_mem_peak".to_string(),
-                        Json::num_u64(r.measured_mem_peak),
-                    ),
-                    (
-                        "predicted_mem_peak".to_string(),
-                        Json::num_f64(r.predicted_mem_peak),
-                    ),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("nranks".to_string(), Json::num_usize(self.nranks)),
-            ("ranks".to_string(), Json::Arr(ranks)),
-        ];
+        let mut fields = self.fields_to_json();
         // Derived ratios, written for tooling, ignored on read.
-        if let Some(r) = self.volume_model_ratio() {
-            fields.push(("volume_model_ratio".to_string(), Json::num_f64(r)));
-        }
-        if let Some(b) = self.volume_balance() {
-            fields.push(("volume_balance".to_string(), Json::num_f64(b)));
-        }
-        if let Some(b) = self.memory_balance() {
-            fields.push(("memory_balance".to_string(), Json::num_f64(b)));
+        for (name, ratio) in [
+            ("volume_model_ratio", self.volume_model_ratio()),
+            ("volume_balance", self.volume_balance()),
+            ("memory_balance", self.memory_balance()),
+        ] {
+            fields.extend(ratio.map(|r| (name.to_string(), r.to_json())));
         }
         if let Some(c) = &self.comm {
             fields.push(("comm_matrix".to_string(), c.to_json()));
@@ -403,76 +396,62 @@ impl ScalabilityReport {
     }
 
     fn from_json(j: &Json) -> Option<ScalabilityReport> {
-        let ranks = j
-            .get("ranks")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(RankScalability {
-                    rank: r.get("rank")?.as_usize()?,
-                    measured_bytes: r.get("measured_bytes")?.as_u64()?,
-                    predicted_bytes: r.get("predicted_bytes")?.as_f64()?,
-                    measured_mem_peak: r.get("measured_mem_peak")?.as_u64()?,
-                    predicted_mem_peak: r.get("predicted_mem_peak")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(ScalabilityReport {
-            nranks: j.get("nranks")?.as_usize()?,
-            ranks,
-            comm: match j.get("comm_matrix") {
-                Some(c) => Some(CommMatrixReport::from_json(c)?),
-                None => None,
-            },
-        })
+        let mut s = ScalabilityReport::fields_from_json(j).ok()?;
+        if let Some(c) = j.get("comm_matrix") {
+            s.comm = Some(CommMatrixReport::from_json(c)?);
+        }
+        Some(s)
     }
 }
 
-/// The full record of one factorization.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FactorReport {
-    /// Engine that produced the factor: `"sequential"`, `"smp"`, `"dist"`.
-    pub engine: String,
-    /// Matrix order.
-    pub n: usize,
-    /// Structural nonzeros in the lower triangle of A (as analyzed).
-    pub nnz_a: usize,
-    /// Nonzeros in the computed factor L.
-    pub factor_nnz: usize,
-    /// Supernodes in the assembly tree.
-    pub nsuper: usize,
-    /// Flops predicted by symbolic analysis (`factor_flops()`).
-    pub predicted_flops: f64,
-    /// Number of `refactorize` calls performed on this factor object.
-    pub refactorizations: u64,
-    /// Wall-clock seconds spent ordering.
-    pub ordering_s: f64,
-    /// Wall-clock seconds spent in symbolic analysis.
-    pub symbolic_s: f64,
-    /// Wall-clock seconds of the most recent numeric factorization.
-    pub numeric_s: f64,
-    /// Aggregated counters from the collector (summed across threads or
-    /// folded from ranks).
-    pub counters: Counters,
-    /// Per-rank breakdown (distributed engine only; empty otherwise).
-    pub ranks: Vec<RankReport>,
-    /// Span events (only at `TraceLevel::Full` and above; empty otherwise).
-    pub spans: Vec<SpanEvent>,
-    /// Timeline profile: critical path, per-rank idle breakdown, blocking
-    /// edges (only at `TraceLevel::Timeline`; `None` otherwise).
-    pub profile: Option<ProfileReport>,
-    /// Solve-phase aggregate (only when the facade performed solves and the
-    /// report was enriched via `report_with_solve`; `None` otherwise).
-    pub solve: Option<SolveReport>,
-    /// Analysis-phase breakdown (only when analysis tracing was on;
-    /// `None` otherwise).
-    pub analysis: Option<AnalysisReport>,
-    /// Injected-fault / recovery activity (only when the run used fault
-    /// injection or checkpointed recovery; `None` otherwise).
-    pub faults: Option<FaultReport>,
-    /// Predicted-vs-measured comm volume and peak memory (only when the
-    /// run recorded them, i.e. tracing on; `None` otherwise).
-    pub scalability: Option<ScalabilityReport>,
+record! {
+    /// The full record of one factorization.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct FactorReport {
+        /// Engine that produced the factor: `"sequential"`, `"smp"`, `"dist"`.
+        engine: String = required;
+        /// Matrix order.
+        n: usize = required;
+        /// Structural nonzeros in the lower triangle of A (as analyzed).
+        nnz_a: usize = default;
+        /// Nonzeros in the computed factor L.
+        factor_nnz: usize = default;
+        /// Supernodes in the assembly tree.
+        nsuper: usize = default;
+        /// Flops predicted by symbolic analysis (`factor_flops()`).
+        predicted_flops: f64 = default;
+        /// Number of `refactorize` calls performed on this factor object.
+        refactorizations: u64 = default;
+        /// Wall-clock seconds spent ordering.
+        ordering_s: f64 = default;
+        /// Wall-clock seconds spent in symbolic analysis.
+        symbolic_s: f64 = default;
+        /// Wall-clock seconds of the most recent numeric factorization.
+        numeric_s: f64 = default;
+    } + {
+        /// Aggregated counters from the collector (summed across threads or
+        /// folded from ranks).
+        counters: Counters;
+        /// Per-rank breakdown (distributed engine only; empty otherwise).
+        ranks: Vec<RankReport>;
+        /// Span events (only at `TraceLevel::Full` and above; empty otherwise).
+        spans: Vec<SpanEvent>;
+        /// Timeline profile: critical path, per-rank idle breakdown, blocking
+        /// edges (only at `TraceLevel::Timeline`; `None` otherwise).
+        profile: Option<ProfileReport>;
+        /// Solve-phase aggregate (only when the facade performed solves and the
+        /// report was enriched via `report_with_solve`; `None` otherwise).
+        solve: Option<SolveReport>;
+        /// Analysis-phase breakdown (only when analysis tracing was on;
+        /// `None` otherwise).
+        analysis: Option<AnalysisReport>;
+        /// Injected-fault / recovery activity (only when the run used fault
+        /// injection or checkpointed recovery; `None` otherwise).
+        faults: Option<FaultReport>;
+        /// Predicted-vs-measured comm volume and peak memory (only when the
+        /// run recorded them, i.e. tracing on; `None` otherwise).
+        scalability: Option<ScalabilityReport>;
+    }
 }
 
 impl FactorReport {
@@ -541,62 +520,40 @@ impl FactorReport {
         }
     }
 
-    /// Serialize to a JSON tree.
+    /// Serialize to a JSON tree. Sections a run did not produce are left
+    /// out.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("engine".to_string(), Json::str(&self.engine)),
-            ("n".to_string(), Json::num_usize(self.n)),
-            ("nnz_a".to_string(), Json::num_usize(self.nnz_a)),
-            ("factor_nnz".to_string(), Json::num_usize(self.factor_nnz)),
-            ("nsuper".to_string(), Json::num_usize(self.nsuper)),
-            (
-                "predicted_flops".to_string(),
-                Json::num_f64(self.predicted_flops),
-            ),
-            (
-                "refactorizations".to_string(),
-                Json::num_u64(self.refactorizations),
-            ),
-            ("ordering_s".to_string(), Json::num_f64(self.ordering_s)),
-            ("symbolic_s".to_string(), Json::num_f64(self.symbolic_s)),
-            ("numeric_s".to_string(), Json::num_f64(self.numeric_s)),
-            // Derived rates, written for downstream tooling but never read
-            // back (from_json ignores them), so round-trips stay exact.
-            (
-                "factor_gflops".to_string(),
-                Json::num_f64(self.factor_gflops()),
-            ),
-            ("counters".to_string(), counters_to_json(&self.counters)),
-        ];
+        let mut fields = self.fields_to_json();
+        let mut put = |name: &str, v: Json| fields.push((name.to_string(), v));
+        // Derived rates, written for downstream tooling but never read
+        // back (from_json ignores them), so round-trips stay exact.
+        put("factor_gflops", self.factor_gflops().to_json());
+        put("counters", self.counters.to_json());
         if let Some(kg) = self.kernel_gflops() {
-            fields.push(("kernel_gflops".to_string(), Json::num_f64(kg)));
+            put("kernel_gflops", kg.to_json());
         }
         if !self.ranks.is_empty() {
-            fields.push((
-                "ranks".to_string(),
-                Json::Arr(self.ranks.iter().map(rank_to_json).collect()),
-            ));
+            put("ranks", self.ranks.to_json());
         }
         if !self.spans.is_empty() {
-            fields.push((
-                "spans".to_string(),
-                Json::Arr(self.spans.iter().map(span_to_json).collect()),
-            ));
+            put("spans", self.spans.to_json());
         }
         if let Some(p) = &self.profile {
-            fields.push(("profile".to_string(), p.to_json()));
+            put("profile", p.to_json());
         }
         if let Some(s) = &self.solve {
-            fields.push(("solve".to_string(), solve_to_json(s)));
+            let mut solve = s.fields_to_json();
+            solve.push(("solve_gflops".to_string(), s.gflops().to_json()));
+            put("solve", Json::Obj(solve));
         }
         if let Some(a) = &self.analysis {
-            fields.push(("analysis".to_string(), analysis_to_json(a)));
+            put("analysis", a.to_json());
         }
         if let Some(f) = &self.faults {
-            fields.push(("faults".to_string(), faults_to_json(f)));
+            put("faults", f.to_json());
         }
         if let Some(s) = &self.scalability {
-            fields.push(("scalability".to_string(), s.to_json()));
+            put("scalability", s.to_json());
         }
         Json::Obj(fields)
     }
@@ -614,68 +571,26 @@ impl FactorReport {
     /// Deserialize from a JSON tree. Unknown fields are ignored; missing
     /// fields default (so reports stay readable across schema growth).
     pub fn from_json(j: &Json) -> Result<FactorReport, JsonError> {
-        let mut r = FactorReport::default();
         let field_err = |name: &str| JsonError {
             pos: 0,
             msg: format!("bad or missing report field '{name}'"),
         };
-        r.engine = j
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field_err("engine"))?
-            .to_string();
-        r.n = j
-            .get("n")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| field_err("n"))?;
-        r.nnz_a = j.get("nnz_a").and_then(Json::as_usize).unwrap_or(0);
-        r.factor_nnz = j.get("factor_nnz").and_then(Json::as_usize).unwrap_or(0);
-        r.nsuper = j.get("nsuper").and_then(Json::as_usize).unwrap_or(0);
-        r.predicted_flops = j
-            .get("predicted_flops")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        r.refactorizations = j
-            .get("refactorizations")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        r.ordering_s = j.get("ordering_s").and_then(Json::as_f64).unwrap_or(0.0);
-        r.symbolic_s = j.get("symbolic_s").and_then(Json::as_f64).unwrap_or(0.0);
-        r.numeric_s = j.get("numeric_s").and_then(Json::as_f64).unwrap_or(0.0);
-        if let Some(c) = j.get("counters") {
-            r.counters = counters_from_json(c).ok_or_else(|| field_err("counters"))?;
-        }
-        if let Some(ranks) = j.get("ranks").and_then(Json::as_arr) {
-            r.ranks = ranks
-                .iter()
-                .map(rank_from_json)
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| field_err("ranks"))?;
-        }
-        if let Some(spans) = j.get("spans").and_then(Json::as_arr) {
-            r.spans = spans
-                .iter()
-                .map(span_from_json)
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| field_err("spans"))?;
-        }
-        if let Some(p) = j.get("profile") {
-            r.profile = Some(ProfileReport::from_json(p).ok_or_else(|| field_err("profile"))?);
-        }
-        if let Some(s) = j.get("solve") {
-            r.solve = Some(solve_from_json(s).ok_or_else(|| field_err("solve"))?);
-        }
-        if let Some(a) = j.get("analysis") {
-            r.analysis = Some(analysis_from_json(a).ok_or_else(|| field_err("analysis"))?);
-        }
-        if let Some(f) = j.get("faults") {
-            r.faults = Some(faults_from_json(f).ok_or_else(|| field_err("faults"))?);
-        }
-        if let Some(s) = j.get("scalability") {
-            r.scalability =
-                Some(ScalabilityReport::from_json(s).ok_or_else(|| field_err("scalability"))?);
-        }
-        Ok(r)
+        // The sections decode by the table's modes: absent reads as the
+        // default, present must decode.
+        let decode = || {
+            Ok(FactorReport {
+                counters: record!(@get default, j, "counters"),
+                ranks: record!(@get default, j, "ranks"),
+                spans: record!(@get default, j, "spans"),
+                profile: record!(@get optional, j, "profile"),
+                solve: record!(@get optional, j, "solve"),
+                analysis: record!(@get optional, j, "analysis"),
+                faults: record!(@get optional, j, "faults"),
+                scalability: record!(@get optional, j, "scalability"),
+                ..FactorReport::fields_from_json(j)?
+            })
+        };
+        decode().map_err(field_err)
     }
 
     /// Deserialize from JSON text.
@@ -684,214 +599,10 @@ impl FactorReport {
     }
 }
 
-fn counters_to_json(c: &Counters) -> Json {
-    Json::Obj(vec![
-        (
-            "fronts_factored".to_string(),
-            Json::num_u64(c.fronts_factored),
-        ),
-        ("flops".to_string(), Json::num_f64(c.flops)),
-        (
-            "bytes_assembled".to_string(),
-            Json::num_u64(c.bytes_assembled),
-        ),
-        ("bytes_sent".to_string(), Json::num_u64(c.bytes_sent)),
-        ("msgs_sent".to_string(), Json::num_u64(c.msgs_sent)),
-        ("extend_add_s".to_string(), Json::num_f64(c.extend_add_s)),
-        ("panel_s".to_string(), Json::num_f64(c.panel_s)),
-        ("gemm_s".to_string(), Json::num_f64(c.gemm_s)),
-        ("solve_s".to_string(), Json::num_f64(c.solve_s)),
-        ("coarsen_s".to_string(), Json::num_f64(c.coarsen_s)),
-        ("bisect_s".to_string(), Json::num_f64(c.bisect_s)),
-        ("refine_s".to_string(), Json::num_f64(c.refine_s)),
-        ("mindeg_s".to_string(), Json::num_f64(c.mindeg_s)),
-        ("etree_s".to_string(), Json::num_f64(c.etree_s)),
-        ("colcount_s".to_string(), Json::num_f64(c.colcount_s)),
-        ("structure_s".to_string(), Json::num_f64(c.structure_s)),
-        (
-            "mem_peak_bytes".to_string(),
-            Json::num_u64(c.mem_peak_bytes),
-        ),
-    ])
-}
-
-fn counters_from_json(j: &Json) -> Option<Counters> {
-    // Analysis-stage times postdate the first schema revision: default when
-    // reading reports written before the analysis phase was instrumented.
-    let opt = |name: &str| j.get(name).and_then(Json::as_f64).unwrap_or(0.0);
-    Some(Counters {
-        fronts_factored: j.get("fronts_factored")?.as_u64()?,
-        flops: j.get("flops")?.as_f64()?,
-        bytes_assembled: j.get("bytes_assembled")?.as_u64()?,
-        bytes_sent: j.get("bytes_sent")?.as_u64()?,
-        msgs_sent: j.get("msgs_sent")?.as_u64()?,
-        extend_add_s: j.get("extend_add_s")?.as_f64()?,
-        panel_s: j.get("panel_s")?.as_f64()?,
-        gemm_s: j.get("gemm_s")?.as_f64()?,
-        solve_s: opt("solve_s"),
-        coarsen_s: opt("coarsen_s"),
-        bisect_s: opt("bisect_s"),
-        refine_s: opt("refine_s"),
-        mindeg_s: opt("mindeg_s"),
-        etree_s: opt("etree_s"),
-        colcount_s: opt("colcount_s"),
-        structure_s: opt("structure_s"),
-        mem_peak_bytes: j.get("mem_peak_bytes")?.as_u64()?,
-    })
-}
-
-fn analysis_to_json(a: &AnalysisReport) -> Json {
-    Json::Obj(vec![
-        ("threads".to_string(), Json::num_usize(a.threads)),
-        ("coarsen_s".to_string(), Json::num_f64(a.coarsen_s)),
-        ("bisect_s".to_string(), Json::num_f64(a.bisect_s)),
-        ("refine_s".to_string(), Json::num_f64(a.refine_s)),
-        ("mindeg_s".to_string(), Json::num_f64(a.mindeg_s)),
-        ("etree_s".to_string(), Json::num_f64(a.etree_s)),
-        ("colcount_s".to_string(), Json::num_f64(a.colcount_s)),
-        ("structure_s".to_string(), Json::num_f64(a.structure_s)),
-    ])
-}
-
-fn analysis_from_json(j: &Json) -> Option<AnalysisReport> {
-    Some(AnalysisReport {
-        threads: j.get("threads")?.as_usize()?,
-        coarsen_s: j.get("coarsen_s")?.as_f64()?,
-        bisect_s: j.get("bisect_s")?.as_f64()?,
-        refine_s: j.get("refine_s")?.as_f64()?,
-        mindeg_s: j.get("mindeg_s")?.as_f64()?,
-        etree_s: j.get("etree_s")?.as_f64()?,
-        colcount_s: j.get("colcount_s")?.as_f64()?,
-        structure_s: j.get("structure_s")?.as_f64()?,
-    })
-}
-
-fn faults_to_json(f: &FaultReport) -> Json {
-    Json::Obj(vec![
-        ("crashes".to_string(), Json::num_u64(f.crashes)),
-        ("timeouts".to_string(), Json::num_u64(f.timeouts)),
-        ("delayed_msgs".to_string(), Json::num_u64(f.delayed_msgs)),
-        (
-            "duplicated_msgs".to_string(),
-            Json::num_u64(f.duplicated_msgs),
-        ),
-        ("restarts".to_string(), Json::num_u64(f.restarts)),
-        (
-            "total_makespan_s".to_string(),
-            Json::num_f64(f.total_makespan_s),
-        ),
-    ])
-}
-
-fn faults_from_json(j: &Json) -> Option<FaultReport> {
-    // Every field defaults: the section only ever grows.
-    let opt = |name: &str| j.get(name).and_then(Json::as_u64).unwrap_or(0);
-    Some(FaultReport {
-        crashes: opt("crashes"),
-        timeouts: opt("timeouts"),
-        delayed_msgs: opt("delayed_msgs"),
-        duplicated_msgs: opt("duplicated_msgs"),
-        restarts: opt("restarts"),
-        total_makespan_s: j
-            .get("total_makespan_s")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-    })
-}
-
-fn solve_to_json(s: &SolveReport) -> Json {
-    Json::Obj(vec![
-        ("solves".to_string(), Json::num_u64(s.solves)),
-        ("rhs".to_string(), Json::num_u64(s.rhs)),
-        ("seconds".to_string(), Json::num_f64(s.seconds)),
-        ("flops".to_string(), Json::num_f64(s.flops)),
-        // Derived rate, written for tooling, ignored on read.
-        ("solve_gflops".to_string(), Json::num_f64(s.gflops())),
-    ])
-}
-
-fn solve_from_json(j: &Json) -> Option<SolveReport> {
-    Some(SolveReport {
-        solves: j.get("solves")?.as_u64()?,
-        rhs: j.get("rhs")?.as_u64()?,
-        seconds: j.get("seconds")?.as_f64()?,
-        flops: j.get("flops")?.as_f64()?,
-    })
-}
-
-fn rank_to_json(r: &RankReport) -> Json {
-    Json::Obj(vec![
-        ("rank".to_string(), Json::num_usize(r.rank)),
-        ("clock_s".to_string(), Json::num_f64(r.clock_s)),
-        ("compute_s".to_string(), Json::num_f64(r.compute_s)),
-        ("comm_s".to_string(), Json::num_f64(r.comm_s)),
-        ("comm_hidden_s".to_string(), Json::num_f64(r.comm_hidden_s)),
-        ("queue_peak".to_string(), Json::num_u64(r.queue_peak)),
-        ("flops".to_string(), Json::num_f64(r.flops)),
-        ("bytes_sent".to_string(), Json::num_u64(r.bytes_sent)),
-        ("msgs_sent".to_string(), Json::num_u64(r.msgs_sent)),
-        ("bytes_recv".to_string(), Json::num_u64(r.bytes_recv)),
-        ("msgs_recv".to_string(), Json::num_u64(r.msgs_recv)),
-        (
-            "mem_peak_bytes".to_string(),
-            Json::num_u64(r.mem_peak_bytes),
-        ),
-    ])
-}
-
-fn rank_from_json(j: &Json) -> Option<RankReport> {
-    Some(RankReport {
-        rank: j.get("rank")?.as_usize()?,
-        clock_s: j.get("clock_s")?.as_f64()?,
-        compute_s: j.get("compute_s")?.as_f64()?,
-        comm_s: j.get("comm_s")?.as_f64()?,
-        // Overlap fields postdate the first schema revision: default when
-        // reading reports written before nonblocking communication existed.
-        comm_hidden_s: j.get("comm_hidden_s").and_then(Json::as_f64).unwrap_or(0.0),
-        queue_peak: j.get("queue_peak").and_then(Json::as_u64).unwrap_or(0),
-        flops: j.get("flops")?.as_f64()?,
-        bytes_sent: j.get("bytes_sent")?.as_u64()?,
-        msgs_sent: j.get("msgs_sent")?.as_u64()?,
-        // Receive counters postdate the comm-matrix revision: default when
-        // reading reports written before receives were accounted.
-        bytes_recv: j.get("bytes_recv").and_then(Json::as_u64).unwrap_or(0),
-        msgs_recv: j.get("msgs_recv").and_then(Json::as_u64).unwrap_or(0),
-        mem_peak_bytes: j.get("mem_peak_bytes")?.as_u64()?,
-    })
-}
-
-fn span_to_json(s: &SpanEvent) -> Json {
-    Json::Obj(vec![
-        ("phase".to_string(), Json::str(s.phase.name())),
-        (
-            "supernode".to_string(),
-            match s.supernode {
-                Some(sn) => Json::num_usize(sn),
-                None => Json::Null,
-            },
-        ),
-        ("who".to_string(), Json::num_usize(s.who)),
-        ("start_s".to_string(), Json::num_f64(s.start_s)),
-        ("dur_s".to_string(), Json::num_f64(s.dur_s)),
-    ])
-}
-
-fn span_from_json(j: &Json) -> Option<SpanEvent> {
-    Some(SpanEvent {
-        phase: Phase::from_name(j.get("phase")?.as_str()?)?,
-        supernode: match j.get("supernode")? {
-            Json::Null => None,
-            other => Some(other.as_usize()?),
-        },
-        who: j.get("who")?.as_usize()?,
-        start_s: j.get("start_s")?.as_f64()?,
-        dur_s: j.get("dur_s")?.as_f64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::Phase;
 
     fn sample_report() -> FactorReport {
         FactorReport {
@@ -1183,6 +894,17 @@ mod tests {
         assert_eq!(r.engine, "smp");
         assert_eq!(r.n, 5);
         assert_eq!(r.counters, Counters::default());
+        // A comm matrix sizes its dense arrays from the file: a rank count
+        // whose square overflows, or fits but is beyond the cap, is an
+        // error — not a panic, not an allocation.
+        for nranks in ["4294967296", "3000000"] {
+            let text = format!(
+                "{{\"engine\":\"dist\",\"n\":4,\"scalability\":{{\"nranks\":2,\"ranks\":[],\
+                 \"comm_matrix\":{{\"nranks\":{nranks},\"classes\":[\"extadd\"],\"entries\":[]}}}}}}"
+            );
+            let e = FactorReport::from_json_str(&text).unwrap_err();
+            assert!(e.msg.contains("scalability"), "{e}");
+        }
     }
 
     #[test]
