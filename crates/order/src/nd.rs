@@ -7,12 +7,11 @@
 //! subtree-to-subcube mapping in `parfact-core` exploits.
 
 use crate::mindeg::min_degree;
-use crate::partition::{bisect_with, PartOpts, WGraph};
+use crate::partition::{bisect_side, PartOpts, WGraph};
 use parfact_sparse::graph::AdjGraph;
 use parfact_sparse::perm::Perm;
 use parfact_trace::{Collector, LocalRecorder, Phase};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Nested-dissection options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,10 +35,18 @@ impl Default for NdOpts {
 /// boundary of whichever side has the smaller boundary. Removing it leaves
 /// no edge between the remaining parts of side 0 and side 1.
 pub fn vertex_separator(g: &AdjGraph, side: &[u8]) -> Vec<bool> {
-    let n = g.nvert();
+    separator(g.xadj(), g.adjncy(), side)
+}
+
+/// [`vertex_separator`] of the graph `(xadj, adjncy)`.
+fn separator(xadj: &[usize], adjncy: &[usize], side: &[u8]) -> Vec<bool> {
+    let n = xadj.len() - 1;
     let mut b: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
     for v in 0..n {
-        if g.neighbors(v).iter().any(|&u| side[u] != side[v]) {
+        if adjncy[xadj[v]..xadj[v + 1]]
+            .iter()
+            .any(|&u| side[u] != side[v])
+        {
             b[side[v] as usize].push(v);
         }
     }
@@ -84,7 +91,8 @@ struct Task {
     /// Position of this subproblem's block in the final order: fixed at
     /// the parent's bisection time, independent of completion order.
     offset: usize,
-    sub: AdjGraph,
+    /// Unit-weight subgraph with sorted adjacency lists.
+    sub: WGraph,
     /// Global vertex ids, parallel to `sub`'s local numbering.
     ids: Vec<usize>,
     depth: usize,
@@ -108,53 +116,124 @@ fn run_task(
         depth,
     } = task;
     let sn = sub.nvert();
-    let mindeg_leaf = |rec: &mut LocalRecorder<'_>, done: &mut Vec<(usize, Vec<usize>)>| {
+    let mindeg_leaf = |sub: WGraph, rec: &mut LocalRecorder<'_>, done: &mut Vec<_>| {
         let t = rec.start();
-        let p = min_degree(&sub);
+        let p = min_degree(&AdjGraph::from_parts(sub.xadj, sub.adjncy));
         rec.stop(t, Phase::Mindeg, Some(path));
         done.push((offset, p.perm().iter().map(|&l| ids[l]).collect()));
     };
     if sn <= opts.cutoff || depth > 64 {
-        mindeg_leaf(rec, done);
+        mindeg_leaf(sub, rec, done);
         return;
     }
     let mut popts = opts.part;
     popts.seed = subgraph_seed(opts.part.seed, depth, &ids);
-    let b = bisect_with(&WGraph::from_adj(&sub), &popts, rec, Some(path));
+    let side = bisect_side(&sub, &popts, rec, Some(path));
     let t = rec.start();
-    let in_sep = vertex_separator(&sub, &b.side);
-    let mut part: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-    let mut sep_globals = Vec::new();
-    for v in 0..sn {
-        if in_sep[v] {
-            sep_globals.push(ids[v]);
-        } else {
-            part[b.side[v] as usize].push(v);
-        }
+    let in_sep = separator(&sub.xadj, &sub.adjncy, &side);
+    // Index of each non-separator vertex within its half.
+    let mut local = vec![usize::MAX; sn];
+    let mut size = [0usize; 2];
+    for v in (0..sn).filter(|&v| !in_sep[v]) {
+        let h = side[v] as usize;
+        local[v] = size[h];
+        size[h] += 1;
     }
     // Degenerate split (e.g. a clique): separator swallowed a side. Fall
     // back to minimum degree to guarantee progress.
-    if part[0].is_empty() || part[1].is_empty() {
+    if size[0] == 0 || size[1] == 0 {
         rec.stop(t, Phase::Bisect, Some(path));
-        mindeg_leaf(rec, done);
+        mindeg_leaf(sub, rec, done);
         return;
     }
     // Children are ordered before their separator; their block positions
     // follow from the split sizes alone.
-    let (n0, n1) = (part[0].len(), part[1].len());
-    done.push((offset + n0 + n1, sep_globals));
-    for (half, child_offset) in [(0usize, offset), (1, offset + n0)] {
-        let (sg, _) = sub.subgraph(&part[half]);
-        let ids_h: Vec<usize> = part[half].iter().map(|&l| ids[l]).collect();
+    let sep_globals = (0..sn).filter(|&v| in_sep[v]).map(|v| ids[v]).collect();
+    done.push((offset + size[0] + size[1], sep_globals));
+    for (half, child_offset) in [(0u8, offset), (1, offset + size[0])] {
+        // A non-separator vertex has all its non-separator neighbours on
+        // its own side, and `local` increases with `v` within a side, so
+        // the rows come out sorted.
+        let len = size[half as usize];
+        let verts = (0..sn).filter(|&v| side[v] == half && !in_sep[v]);
+        let mut xadj = Vec::with_capacity(len + 1);
+        xadj.push(0);
+        let mut adjncy =
+            Vec::with_capacity(verts.clone().map(|v| sub.xadj[v + 1] - sub.xadj[v]).sum());
+        let mut ids_h = Vec::with_capacity(len);
+        for v in verts {
+            let nbrs = &sub.adjncy[sub.xadj[v]..sub.xadj[v + 1]];
+            adjncy.extend(nbrs.iter().filter(|&&u| !in_sep[u]).map(|&u| local[u]));
+            xadj.push(adjncy.len());
+            ids_h.push(ids[v]);
+        }
+        let adjwgt = vec![1; adjncy.len()];
         spawn(Task {
-            path: path.wrapping_mul(2).wrapping_add(half),
+            path: path.wrapping_mul(2).wrapping_add(half as usize),
             offset: child_offset,
-            sub: sg,
+            sub: WGraph {
+                xadj,
+                adjncy,
+                adjwgt,
+                vwgt: vec![1; len],
+            },
             ids: ids_h,
             depth: depth + 1,
         });
     }
     rec.stop(t, Phase::Bisect, Some(path));
+}
+
+/// Why a pool lock can fail: another worker panicked holding it.
+const POISONED: &str = "nested-dissection worker panicked";
+
+/// The shared LIFO task pool of the multi-threaded ordering.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when tasks are pushed and when `pending` reaches zero.
+    wake: Condvar,
+}
+
+struct PoolState {
+    queue: Vec<Task>,
+    /// Unfinished tasks: children are registered before their parent
+    /// retires, so this reaches zero only when the whole recursion tree is
+    /// done and idle workers may exit.
+    pending: usize,
+}
+
+impl Pool {
+    /// The next task, sleeping while the queue is empty and tasks are
+    /// still running; `None` once all are done.
+    fn next(&self) -> Option<Task> {
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            if let Some(task) = st.queue.pop() {
+                return Some(task);
+            }
+            if st.pending == 0 {
+                return None;
+            }
+            st = self.wake.wait(st).expect(POISONED);
+        }
+    }
+
+    /// Retire a finished task after queueing the children it `created`.
+    fn retire(&self, created: &mut Vec<Task>) {
+        let spawned = created.len();
+        let mut st = self.state.lock().expect(POISONED);
+        st.pending = st.pending + spawned - 1;
+        st.queue.append(created);
+        let finished = st.pending == 0;
+        drop(st);
+        if finished {
+            self.wake.notify_all();
+        } else {
+            for _ in 0..spawned {
+                self.wake.notify_one();
+            }
+        }
+    }
 }
 
 /// Nested-dissection ordering of a graph.
@@ -177,7 +256,7 @@ pub fn nested_dissection_with(g: &AdjGraph, opts: &NdOpts, threads: usize, tr: &
     let root = Task {
         path: 1,
         offset: 0,
-        sub: g.clone(),
+        sub: WGraph::from_adj(g),
         ids: (0..n).collect(),
         depth: 0,
     };
@@ -189,37 +268,24 @@ pub fn nested_dissection_with(g: &AdjGraph, opts: &NdOpts, threads: usize, tr: &
             run_task(task, opts, &mut rec, &mut chunks, &mut |t| stack.push(t));
         }
     } else {
-        // LIFO shared pool. `pending` counts unfinished tasks: children are
-        // registered before their parent retires, so it only reaches zero
-        // when the whole recursion tree is done and idle workers may exit.
-        let queue = Mutex::new(vec![root]);
-        let pending = AtomicUsize::new(1);
+        let pool = Pool {
+            state: Mutex::new(PoolState {
+                queue: vec![root],
+                pending: 1,
+            }),
+            wake: Condvar::new(),
+        };
         let results: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for w in 0..threads {
-                let (queue, pending, results) = (&queue, &pending, &results);
+                let (pool, results) = (&pool, &results);
                 scope.spawn(move || {
                     let mut rec = tr.local(w);
                     let mut done: Vec<(usize, Vec<usize>)> = Vec::new();
-                    loop {
-                        let task = queue.lock().unwrap().pop();
-                        match task {
-                            Some(task) => {
-                                let mut created = Vec::new();
-                                run_task(task, opts, &mut rec, &mut done, &mut |t| created.push(t));
-                                if !created.is_empty() {
-                                    pending.fetch_add(created.len(), Ordering::SeqCst);
-                                    queue.lock().unwrap().append(&mut created);
-                                }
-                                pending.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            None => {
-                                if pending.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
+                    let mut created = Vec::new();
+                    while let Some(task) = pool.next() {
+                        run_task(task, opts, &mut rec, &mut done, &mut |t| created.push(t));
+                        pool.retire(&mut created);
                     }
                     results.lock().unwrap().append(&mut done);
                 });

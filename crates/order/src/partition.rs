@@ -10,6 +10,8 @@
 //!
 //! Vertices carry weights (they represent contracted sets), edges carry
 //! multiplicities; balance is measured in vertex weight.
+//!
+//! Refinement keeps its gains and boundary incrementally ([`Refine`]).
 
 use parfact_sparse::graph::AdjGraph;
 use parfact_trace::{Collector, LocalRecorder, Phase};
@@ -101,8 +103,11 @@ impl Default for PartOpts {
     }
 }
 
-/// Heavy-edge matching. Returns `(match_of, nmatched_pairs)`; unmatched
-/// vertices map to themselves.
+/// Empty slot of the index arrays below.
+const NONE: usize = usize::MAX;
+
+/// Heavy-edge matching: unmatched vertices map to themselves, so a vertex
+/// is matched iff its mate is another vertex.
 fn heavy_edge_matching(g: &WGraph, rng: &mut StdRng) -> Vec<usize> {
     let n = g.nvert();
     let mut mate: Vec<usize> = (0..n).collect();
@@ -112,22 +117,19 @@ fn heavy_edge_matching(g: &WGraph, rng: &mut StdRng) -> Vec<usize> {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
     }
-    let mut matched = vec![false; n];
     for &v in &order {
-        if matched[v] {
+        if mate[v] != v {
             continue;
         }
-        let mut best = usize::MAX;
+        let mut best = NONE;
         let mut bestw = i64::MIN;
         for (u, w) in g.neighbors(v) {
-            if !matched[u] && u != v && w > bestw {
+            if mate[u] == u && u != v && w > bestw {
                 bestw = w;
                 best = u;
             }
         }
-        if best != usize::MAX {
-            matched[v] = true;
-            matched[best] = true;
+        if best != NONE {
             mate[v] = best;
             mate[best] = v;
         }
@@ -136,44 +138,45 @@ fn heavy_edge_matching(g: &WGraph, rng: &mut StdRng) -> Vec<usize> {
 }
 
 /// Contract matched pairs into a coarser graph. Returns the coarse graph
-/// and the fine→coarse vertex map.
+/// and the fine→coarse vertex map. Coarse vertex `c` is the `c`-th pair
+/// `(v, mate[v])` with `v <= mate[v]`, so one walk over the pairs builds
+/// the graph row by row.
 fn contract(g: &WGraph, mate: &[usize]) -> (WGraph, Vec<usize>) {
     let n = g.nvert();
-    let mut cmap = vec![usize::MAX; n];
+    let mut cmap = vec![NONE; n];
     let mut nc = 0usize;
     for v in 0..n {
-        if cmap[v] != usize::MAX {
+        let m = mate[v];
+        debug_assert_eq!(mate[m], v, "matching must be symmetric");
+        if m >= v {
+            cmap[v] = nc;
+            cmap[m] = nc;
+            nc += 1;
+        }
+    }
+    // Contraction never adds edges, so the fine count bounds the coarse one.
+    let mut xadj = Vec::with_capacity(nc + 1);
+    let mut adjncy = Vec::with_capacity(g.adjncy.len());
+    let mut adjwgt = Vec::with_capacity(g.adjncy.len());
+    let mut vwgt = Vec::with_capacity(nc);
+    xadj.push(0);
+    let mut pos = vec![NONE; nc]; // coarse neighbor -> index in current row
+    for v in 0..n {
+        let m = mate[v];
+        if m < v {
             continue;
         }
-        cmap[v] = nc;
-        let m = mate[v];
-        if m != v {
-            cmap[m] = nc;
-        }
-        nc += 1;
-    }
-    let mut vwgt = vec![0i64; nc];
-    for v in 0..n {
-        vwgt[cmap[v]] += g.vwgt[v];
-    }
-    // Build coarse adjacency with a dense scatter buffer.
-    let mut xadj = vec![0usize];
-    let mut adjncy = Vec::new();
-    let mut adjwgt = Vec::new();
-    let mut pos = vec![usize::MAX; nc]; // coarse neighbor -> index in current row
-    let mut fine_of: Vec<Vec<usize>> = vec![Vec::new(); nc];
-    for v in 0..n {
-        fine_of[cmap[v]].push(v);
-    }
-    for c in 0..nc {
+        let c = vwgt.len();
         let row_start = adjncy.len();
-        for &v in &fine_of[c] {
-            for (u, w) in g.neighbors(v) {
+        let pair = [v, m];
+        let pair = &pair[..1 + usize::from(m != v)];
+        for &x in pair {
+            for (u, w) in g.neighbors(x) {
                 let cu = cmap[u];
                 if cu == c {
                     continue;
                 }
-                if pos[cu] == usize::MAX || pos[cu] < row_start {
+                if pos[cu] == NONE || pos[cu] < row_start {
                     pos[cu] = adjncy.len();
                     adjncy.push(cu);
                     adjwgt.push(w);
@@ -182,6 +185,7 @@ fn contract(g: &WGraph, mate: &[usize]) -> (WGraph, Vec<usize>) {
                 }
             }
         }
+        vwgt.push(pair.iter().map(|&x| g.vwgt[x]).sum());
         xadj.push(adjncy.len());
     }
     (
@@ -256,84 +260,266 @@ fn grow_partition(g: &WGraph, rng: &mut StdRng) -> Vec<u8> {
     side
 }
 
-/// One boundary-FM refinement sweep: tentatively move vertices in gain
-/// order (respecting balance), then roll back to the best prefix.
-fn fm_pass(g: &WGraph, side: &mut [u8], eps: f64) -> i64 {
-    use std::collections::BinaryHeap;
-    let n = g.nvert();
-    let total = g.total_vwgt();
-    let maxside = ((1.0 + eps) * (total as f64) / 2.0) as i64;
+/// Indexed binary max-heap of vertices keyed `(gain, vertex)`; the vertex
+/// breaks ties the way the pair compares.
+///
+/// A key is stored with its entry when [`GainQueue::set`] is called, never
+/// read from the live gains: a move changes every neighbour's gain before
+/// the loop that repairs their entries has reached them, and sifting one
+/// entry against live values of the others would compare keys the heap is
+/// not yet ordered by.
+#[derive(Default)]
+struct GainQueue {
+    heap: Vec<(i64, usize)>,
+    /// Index of each vertex's entry in `heap`, or [`NONE`].
+    slot: Vec<usize>,
+}
 
-    let mut wgt = [0i64; 2];
-    for v in 0..n {
-        wgt[side[v] as usize] += g.vwgt[v];
+impl GainQueue {
+    /// Insert `v` with key `gain`, or re-key its entry.
+    fn set(&mut self, v: usize, gain: i64) {
+        match self.slot[v] {
+            NONE => {
+                self.heap.push((gain, v));
+                self.sift_up(self.heap.len() - 1);
+            }
+            i => {
+                let old = self.heap[i].0;
+                self.heap[i].0 = gain;
+                if gain > old {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+        }
     }
-    // gain(v) = external - internal edge weight.
-    let gain = |g: &WGraph, side: &[u8], v: usize| -> i64 {
+
+    /// Remove and return the entry with the largest key.
+    fn pop(&mut self) -> Option<(i64, usize)> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            None => last,
+            Some(&top) => {
+                self.heap[0] = last;
+                self.sift_down(0);
+                top
+            }
+        };
+        self.slot[top.1] = NONE;
+        Some(top)
+    }
+
+    fn clear(&mut self) {
+        for &(_, v) in &self.heap {
+            self.slot[v] = NONE;
+        }
+        self.heap.clear();
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if self.heap[p] > e {
+                break;
+            }
+            self.heap[i] = self.heap[p];
+            self.slot[self.heap[i].1] = i;
+            i = p;
+        }
+        self.heap[i] = e;
+        self.slot[e.1] = i;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.heap[c + 1] > self.heap[c] {
+                c += 1;
+            }
+            if self.heap[c] < e {
+                break;
+            }
+            self.heap[i] = self.heap[c];
+            self.slot[self.heap[i].1] = i;
+            i = c;
+        }
+        self.heap[i] = e;
+        self.slot[e.1] = i;
+    }
+}
+
+/// Boundary Fiduccia–Mattheyses state of one level, kept incrementally.
+///
+/// `ext[v]` is the weight of `v`'s edges to the other side and `wdeg[v]`
+/// that of all its edges, so moving `v` lowers the cut by
+/// `gain = 2·ext − wdeg`. `bnd` lists the vertices with `ext > 0` in no
+/// particular order and `bpos` places them in it; with positive edge
+/// weights these are exactly the vertices with a neighbour across the cut.
+/// [`Refine::build`] sets it all up once per level, [`Refine::flip`] keeps
+/// it current in O(deg) per move or rollback.
+#[derive(Default)]
+struct Refine {
+    ext: Vec<i64>,
+    wdeg: Vec<i64>,
+    bnd: Vec<usize>,
+    bpos: Vec<usize>,
+    /// Vertex weight on each side.
+    wgt: [i64; 2],
+    /// `locked[v] == pass` once `v` left the queue in the current pass.
+    locked: Vec<usize>,
+    pass: usize,
+    moves: Vec<usize>,
+    queue: GainQueue,
+}
+
+impl Refine {
+    fn build(&mut self, g: &WGraph, side: &[u8]) {
+        let n = g.nvert();
+        self.ext.clear();
+        self.wdeg.clear();
+        self.bnd.clear();
+        self.bpos.clear();
+        self.bpos.resize(n, NONE);
+        self.wgt = [0; 2];
+        for v in 0..n {
+            let (mut ext, mut wdeg) = (0, 0);
+            for (u, w) in g.neighbors(v) {
+                wdeg += w;
+                if side[u] != side[v] {
+                    ext += w;
+                }
+            }
+            self.ext.push(ext);
+            self.wdeg.push(wdeg);
+            self.wgt[side[v] as usize] += g.vwgt[v];
+            if ext > 0 {
+                self.bpos[v] = self.bnd.len();
+                self.bnd.push(v);
+            }
+        }
+        // Stamps only grow, so stale entries from other levels never match.
+        if self.locked.len() < n {
+            self.locked.resize(n, 0);
+            self.queue.slot.resize(n, NONE);
+        }
+    }
+
+    fn gain(&self, v: usize) -> i64 {
+        2 * self.ext[v] - self.wdeg[v]
+    }
+
+    /// Put `v` on the boundary list iff `ext[v] > 0`.
+    fn sync(&mut self, v: usize) {
+        let at = self.bpos[v];
+        if self.ext[v] > 0 {
+            if at == NONE {
+                self.bpos[v] = self.bnd.len();
+                self.bnd.push(v);
+            }
+        } else if at != NONE {
+            self.bnd.swap_remove(at);
+            if let Some(&moved) = self.bnd.get(at) {
+                self.bpos[moved] = at;
+            }
+            self.bpos[v] = NONE;
+        }
+    }
+
+    /// Move `v` to the other side, updating side weights, the gains of `v`
+    /// and its neighbours, and their boundary membership.
+    fn flip(&mut self, g: &WGraph, side: &mut [u8], v: usize) {
+        let to = side[v] ^ 1;
+        side[v] = to;
+        self.wgt[to as usize] += g.vwgt[v];
+        self.wgt[(to ^ 1) as usize] -= g.vwgt[v];
         let mut ext = 0;
-        let mut int = 0;
         for (u, w) in g.neighbors(v) {
-            if side[u] != side[v] {
-                ext += w;
+            if side[u] == to {
+                self.ext[u] -= w;
             } else {
-                int += w;
+                self.ext[u] += w;
+                ext += w;
+            }
+            self.sync(u);
+        }
+        self.ext[v] = ext;
+        self.sync(v);
+    }
+
+    /// One boundary-FM sweep: tentatively move vertices in `(gain, vertex)`
+    /// order while the receiving side stays within `maxside`, then roll back
+    /// to the best prefix. Returns the cut reduction kept.
+    fn pass(&mut self, g: &WGraph, side: &mut [u8], maxside: i64) -> i64 {
+        self.pass += 1;
+        for &v in &self.bnd {
+            self.queue.set(v, self.gain(v));
+        }
+        self.moves.clear();
+        let mut cur_delta = 0i64;
+        let mut best_delta = 0i64;
+        let mut best_len = 0usize;
+        while let Some((gv, v)) = self.queue.pop() {
+            self.locked[v] = self.pass;
+            let to = (side[v] ^ 1) as usize;
+            if self.wgt[to] + g.vwgt[v] > maxside {
+                continue; // would break balance; lock in place
+            }
+            self.flip(g, side, v);
+            self.moves.push(v);
+            cur_delta += gv;
+            if cur_delta > best_delta {
+                best_delta = cur_delta;
+                best_len = self.moves.len();
+            }
+            for (u, _) in g.neighbors(v) {
+                if self.locked[u] != self.pass {
+                    self.queue.set(u, self.gain(u));
+                }
+            }
+            // Bail out of hopeless tails.
+            if self.moves.len() > best_len + 64 {
+                break;
             }
         }
-        ext - int
-    };
-    let mut heap: BinaryHeap<(i64, usize)> = BinaryHeap::new();
-    for v in 0..n {
-        let is_boundary = g.neighbors(v).any(|(u, _)| side[u] != side[v]);
-        if is_boundary {
-            heap.push((gain(g, side, v), v));
+        self.queue.clear();
+        // Roll back moves beyond the best prefix.
+        for i in best_len..self.moves.len() {
+            let v = self.moves[i];
+            self.flip(g, side, v);
         }
+        best_delta
     }
-    let mut locked = vec![false; n];
-    let mut moves: Vec<usize> = Vec::new();
-    let mut cur_delta = 0i64;
-    let mut best_delta = 0i64;
-    let mut best_len = 0usize;
-    while let Some((gv, v)) = heap.pop() {
-        if locked[v] {
-            continue;
-        }
-        let g_now = gain(g, side, v);
-        if g_now != gv {
-            heap.push((g_now, v)); // stale entry: reinsert with fresh gain
-            continue;
-        }
-        let from = side[v] as usize;
-        let to = 1 - from;
-        if wgt[to] + g.vwgt[v] > maxside {
-            locked[v] = true; // would break balance; lock in place
-            continue;
-        }
-        // Commit the tentative move.
-        side[v] = to as u8;
-        wgt[from] -= g.vwgt[v];
-        wgt[to] += g.vwgt[v];
-        locked[v] = true;
-        moves.push(v);
-        cur_delta += g_now;
-        if cur_delta > best_delta {
-            best_delta = cur_delta;
-            best_len = moves.len();
-        }
-        for (u, _) in g.neighbors(v) {
-            if !locked[u] {
-                heap.push((gain(g, side, u), u));
+}
+
+/// Run up to `opts.fm_passes` refinement passes on one level, stopping at
+/// the first that does not lower the cut.
+fn refine(
+    g: &WGraph,
+    side: &mut [u8],
+    opts: &PartOpts,
+    r: &mut Refine,
+    rec: &mut LocalRecorder<'_>,
+    tag: Option<usize>,
+) {
+    let t = rec.start();
+    if opts.fm_passes > 0 {
+        r.build(g, side);
+        let total = r.wgt[0] + r.wgt[1];
+        let maxside = ((1.0 + opts.eps) * (total as f64) / 2.0) as i64;
+        for _ in 0..opts.fm_passes {
+            if r.pass(g, side, maxside) <= 0 {
+                break;
             }
         }
-        // Bail out of hopeless tails.
-        if moves.len() > best_len + 64 {
-            break;
-        }
     }
-    // Roll back moves beyond the best prefix.
-    for &v in &moves[best_len..] {
-        side[v] ^= 1;
-    }
-    best_delta
+    rec.stop(t, Phase::Refine, tag);
 }
 
 /// Multilevel bisection of a weighted graph.
@@ -354,53 +540,9 @@ pub fn bisect_with(
     rec: &mut LocalRecorder<'_>,
     tag: Option<usize>,
 ) -> Bisection {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    bisect_inner(g, opts, &mut rng, 0, rec, tag)
-}
-
-fn bisect_inner(
-    g: &WGraph,
-    opts: &PartOpts,
-    rng: &mut StdRng,
-    depth: usize,
-    rec: &mut LocalRecorder<'_>,
-    tag: Option<usize>,
-) -> Bisection {
-    let n = g.nvert();
-    let mut side;
-    if n <= opts.coarsen_to || depth > 60 {
-        let t = rec.start();
-        side = grow_partition(g, rng);
-        rec.stop(t, Phase::Bisect, tag);
-    } else {
-        let t = rec.start();
-        let mate = heavy_edge_matching(g, rng);
-        let (cg, cmap) = contract(g, &mate);
-        rec.stop(t, Phase::Coarsen, tag);
-        // Coarsening stalled (e.g. star graphs): fall back to direct growth.
-        if cg.nvert() as f64 > 0.95 * n as f64 {
-            let t = rec.start();
-            side = grow_partition(g, rng);
-            rec.stop(t, Phase::Bisect, tag);
-        } else {
-            let coarse = bisect_inner(&cg, opts, rng, depth + 1, rec, tag);
-            let t = rec.start();
-            side = vec![0u8; n];
-            for v in 0..n {
-                side[v] = coarse.side[cmap[v]];
-            }
-            rec.stop(t, Phase::Bisect, tag);
-        }
-    }
-    let t = rec.start();
-    for _ in 0..opts.fm_passes {
-        if fm_pass(g, &mut side, opts.eps) <= 0 {
-            break;
-        }
-    }
-    rec.stop(t, Phase::Refine, tag);
+    let side = bisect_side(g, opts, rec, tag);
     let mut wgt = [0i64; 2];
-    for v in 0..n {
+    for v in 0..g.nvert() {
         wgt[side[v] as usize] += g.vwgt[v];
     }
     Bisection {
@@ -410,15 +552,71 @@ fn bisect_inner(
     }
 }
 
+/// [`bisect_with`] without the cut and side weights: the side of every
+/// vertex of `g` (empty for an empty graph).
+pub(crate) fn bisect_side(
+    g: &WGraph,
+    opts: &PartOpts,
+    rec: &mut LocalRecorder<'_>,
+    tag: Option<usize>,
+) -> Vec<u8> {
+    if g.nvert() == 0 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    // `levels[k]` is the graph `k + 1` contractions below `g`, with the
+    // map into it from the level above.
+    let mut levels: Vec<(WGraph, Vec<usize>)> = Vec::new();
+    loop {
+        let cur = levels.last().map_or(g, |(cg, _)| cg);
+        if cur.nvert() <= opts.coarsen_to || levels.len() > 60 {
+            break;
+        }
+        let t = rec.start();
+        let mate = heavy_edge_matching(cur, &mut rng);
+        let (cg, cmap) = contract(cur, &mate);
+        rec.stop(t, Phase::Coarsen, tag);
+        // Coarsening stalled (e.g. star graphs): partition this level.
+        if cg.nvert() as f64 > 0.95 * cur.nvert() as f64 {
+            break;
+        }
+        levels.push((cg, cmap));
+    }
+    let coarsest = levels.last().map_or(g, |(cg, _)| cg);
+    let t = rec.start();
+    let mut side = grow_partition(coarsest, &mut rng);
+    rec.stop(t, Phase::Bisect, tag);
+    // One refinement state serves every level of this bisection.
+    let mut r = Refine::default();
+    refine(coarsest, &mut side, opts, &mut r, rec, tag);
+    for k in (0..levels.len()).rev() {
+        let fine = levels[..k].last().map_or(g, |(cg, _)| cg);
+        let t = rec.start();
+        side = levels[k].1.iter().map(|&c| side[c]).collect();
+        rec.stop(t, Phase::Bisect, tag);
+        refine(fine, &mut side, opts, &mut r, rec, tag);
+    }
+    side
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use parfact_sparse::gen;
     use parfact_sparse::graph::AdjGraph;
+    use proptest::prelude::*;
 
     fn grid_graph(nx: usize, ny: usize) -> WGraph {
         let a = gen::laplace2d(nx, ny, gen::Stencil2d::FivePoint);
         WGraph::from_adj(&AdjGraph::from_sym_lower(&a))
+    }
+
+    fn matching(g: &WGraph, seed: u64) -> Vec<usize> {
+        heavy_edge_matching(g, &mut StdRng::seed_from_u64(seed))
+    }
+
+    fn contracted(g: &WGraph, seed: u64) -> (WGraph, Vec<usize>) {
+        contract(g, &matching(g, seed))
     }
 
     #[test]
@@ -432,8 +630,7 @@ mod tests {
     #[test]
     fn matching_is_symmetric_and_disjoint() {
         let g = grid_graph(6, 6);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mate = heavy_edge_matching(&g, &mut rng);
+        let mate = matching(&g, 1);
         for v in 0..g.nvert() {
             assert_eq!(mate[mate[v]], v);
         }
@@ -442,9 +639,7 @@ mod tests {
     #[test]
     fn contract_preserves_total_weight_and_edges() {
         let g = grid_graph(6, 6);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mate = heavy_edge_matching(&g, &mut rng);
-        let (cg, cmap) = contract(&g, &mate);
+        let (cg, cmap) = contracted(&g, 2);
         assert_eq!(cg.total_vwgt(), g.total_vwgt());
         assert!(cg.nvert() < g.nvert());
         // Every fine edge is either internal to a coarse vertex or present
@@ -494,6 +689,20 @@ mod tests {
     }
 
     #[test]
+    fn bisect_empty_graph() {
+        let g = WGraph {
+            xadj: vec![0],
+            adjncy: Vec::new(),
+            adjwgt: Vec::new(),
+            vwgt: Vec::new(),
+        };
+        let b = bisect(&g, &PartOpts::default());
+        assert!(b.side.is_empty());
+        assert_eq!(b.cut, 0);
+        assert_eq!(b.wgt, [0, 0]);
+    }
+
+    #[test]
     fn bisect_disconnected_graph() {
         // Two disjoint 4x4 grids glued into one vertex set.
         let a = gen::laplace2d(4, 4, gen::Stencil2d::FivePoint);
@@ -513,5 +722,193 @@ mod tests {
         let b = bisect(&g, &PartOpts::default());
         // Perfect split exists with zero cut; accept near-perfect.
         assert!(b.cut <= 4, "cut {}", b.cut);
+    }
+
+    /// The boundary-FM sweep as it stood before the incremental
+    /// [`Refine`] state, verbatim: the oracle the new pass must reproduce
+    /// move for move.
+    fn fm_pass(g: &WGraph, side: &mut [u8], eps: f64) -> i64 {
+        use std::collections::BinaryHeap;
+        let n = g.nvert();
+        let total = g.total_vwgt();
+        let maxside = ((1.0 + eps) * (total as f64) / 2.0) as i64;
+
+        let mut wgt = [0i64; 2];
+        for v in 0..n {
+            wgt[side[v] as usize] += g.vwgt[v];
+        }
+        // gain(v) = external - internal edge weight.
+        let gain = |g: &WGraph, side: &[u8], v: usize| -> i64 {
+            let mut ext = 0;
+            let mut int = 0;
+            for (u, w) in g.neighbors(v) {
+                if side[u] != side[v] {
+                    ext += w;
+                } else {
+                    int += w;
+                }
+            }
+            ext - int
+        };
+        let mut heap: BinaryHeap<(i64, usize)> = BinaryHeap::new();
+        for v in 0..n {
+            let is_boundary = g.neighbors(v).any(|(u, _)| side[u] != side[v]);
+            if is_boundary {
+                heap.push((gain(g, side, v), v));
+            }
+        }
+        let mut locked = vec![false; n];
+        let mut moves: Vec<usize> = Vec::new();
+        let mut cur_delta = 0i64;
+        let mut best_delta = 0i64;
+        let mut best_len = 0usize;
+        while let Some((gv, v)) = heap.pop() {
+            if locked[v] {
+                continue;
+            }
+            let g_now = gain(g, side, v);
+            if g_now != gv {
+                heap.push((g_now, v)); // stale entry: reinsert with fresh gain
+                continue;
+            }
+            let from = side[v] as usize;
+            let to = 1 - from;
+            if wgt[to] + g.vwgt[v] > maxside {
+                locked[v] = true; // would break balance; lock in place
+                continue;
+            }
+            // Commit the tentative move.
+            side[v] = to as u8;
+            wgt[from] -= g.vwgt[v];
+            wgt[to] += g.vwgt[v];
+            locked[v] = true;
+            moves.push(v);
+            cur_delta += g_now;
+            if cur_delta > best_delta {
+                best_delta = cur_delta;
+                best_len = moves.len();
+            }
+            for (u, _) in g.neighbors(v) {
+                if !locked[u] {
+                    heap.push((gain(g, side, u), u));
+                }
+            }
+            // Bail out of hopeless tails.
+            if moves.len() > best_len + 64 {
+                break;
+            }
+        }
+        // Roll back moves beyond the best prefix.
+        for &v in &moves[best_len..] {
+            side[v] ^= 1;
+        }
+        best_delta
+    }
+
+    /// A graph to refine: a random sparse pattern or a grid (many gain
+    /// ties), with symmetric edge weights 1–4 and vertex weights 1–3 when
+    /// `weighted`, then contracted `levels` times.
+    fn test_graph(
+        grid: bool,
+        n: usize,
+        k: usize,
+        seed: u64,
+        weighted: bool,
+        levels: usize,
+    ) -> WGraph {
+        let a = if grid {
+            gen::laplace2d(4 + n % 20, 3 + n / 20 + k, gen::Stencil2d::NinePoint)
+        } else {
+            gen::random_spd(n, k, seed)
+        };
+        let mut g = WGraph::from_adj(&AdjGraph::from_sym_lower(&a));
+        if weighted {
+            for v in 0..g.nvert() {
+                g.vwgt[v] = 1 + ((v as u64 * 7 + seed % 5) % 3) as i64;
+                for e in g.xadj[v]..g.xadj[v + 1] {
+                    g.adjwgt[e] = 1 + ((v ^ g.adjncy[e]) % 4) as i64;
+                }
+            }
+        }
+        for l in 0..levels {
+            g = contracted(&g, seed ^ l as u64).0;
+        }
+        g
+    }
+
+    fn random_side(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0..2u32) as u8).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The incremental pass makes the same moves, keeps the same
+        /// prefix and reports the same gain as the original sweep, pass
+        /// after pass, on unit, weighted and contracted graphs.
+        #[test]
+        fn refinement_matches_the_original_fm_pass(
+            grid in any::<bool>(),
+            n in 8usize..120,
+            k in 1usize..6,
+            seed in any::<u64>(),
+            weighted in any::<bool>(),
+            levels in 0usize..3,
+            eps_i in 0usize..4,
+            grown in any::<bool>(),
+        ) {
+            let g = test_graph(grid, n, k, seed, weighted, levels);
+            let eps = [0.0, 0.03, 0.15, 0.5][eps_i];
+            let mut side = if grown {
+                grow_partition(&g, &mut StdRng::seed_from_u64(seed))
+            } else {
+                random_side(g.nvert(), seed)
+            };
+            let mut oracle = side.clone();
+            let mut r = Refine::default();
+            r.build(&g, &side);
+            let maxside = ((1.0 + eps) * (g.total_vwgt() as f64) / 2.0) as i64;
+            for pass in 0..6 {
+                let want = fm_pass(&g, &mut oracle, eps);
+                let got = r.pass(&g, &mut side, maxside);
+                prop_assert_eq!(got, want, "pass {}", pass);
+                prop_assert_eq!(&side, &oracle, "pass {}", pass);
+            }
+        }
+
+        /// After any sequence of flips the incremental degrees, boundary
+        /// and side weights equal a recount from scratch.
+        #[test]
+        fn incremental_state_matches_a_recount(
+            grid in any::<bool>(),
+            n in 8usize..120,
+            k in 1usize..6,
+            seed in any::<u64>(),
+            weighted in any::<bool>(),
+            levels in 0usize..3,
+            nflips in 1usize..200,
+        ) {
+            let g = test_graph(grid, n, k, seed, weighted, levels);
+            let mut side = random_side(g.nvert(), seed);
+            let mut r = Refine::default();
+            r.build(&g, &side);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            for _ in 0..nflips {
+                r.flip(&g, &mut side, rng.gen_range(0..g.nvert()));
+            }
+            let mut fresh = Refine::default();
+            fresh.build(&g, &side);
+            prop_assert_eq!(&r.ext, &fresh.ext);
+            prop_assert_eq!(&r.wdeg, &fresh.wdeg);
+            prop_assert_eq!(r.wgt, fresh.wgt);
+            let mut bnd = r.bnd.clone();
+            bnd.sort_unstable();
+            prop_assert_eq!(&bnd, &fresh.bnd);
+            for (i, &v) in r.bnd.iter().enumerate() {
+                prop_assert_eq!(r.bpos[v], i);
+            }
+            prop_assert_eq!(r.bpos.iter().filter(|&&p| p != NONE).count(), r.bnd.len());
+        }
     }
 }

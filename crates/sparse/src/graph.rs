@@ -224,6 +224,15 @@ mod tests {
     }
 
     #[test]
+    fn subgraph_of_unsorted_vertices_has_sorted_rows() {
+        let g = path_graph(6);
+        let (sg, map) = g.subgraph(&[3, 1, 2]);
+        assert_eq!(map, vec![3, 1, 2]);
+        assert_eq!(sg.neighbors(2), &[0, 1]); // vertex 2 connects to 3 and 1
+        assert!(sg.validate());
+    }
+
+    #[test]
     fn subgraph_drops_external_edges() {
         let g = path_graph(6);
         let (sg, _) = g.subgraph(&[0, 5]); // not adjacent
