@@ -182,7 +182,6 @@ pub fn factorize_rank(
         },
         wst: FrontWorkspace::new(),
     };
-    run.wst.scatter.ensure(sym.n);
 
     if sync {
         for s in (0..sym.nsuper()).filter(|&s| map.participates(s, me)) {
@@ -419,8 +418,6 @@ impl RankRun<'_> {
         let my = df.my;
         // Assemble my share of the original-matrix entries: my columns only,
         // and of those the rows in my block rows.
-        let scatter = &mut self.wst.scatter;
-        scatter.set(sym, s);
         let mut nassemble = 0usize;
         for c in c0..c1 {
             let (gc, lc) = cyclic(c - c0, nb, pc);
@@ -428,9 +425,9 @@ impl RankRun<'_> {
                 continue;
             }
             let (r0, col) = df.col_mut(lc);
-            let (rows, vals) = self.ap.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                let (gr, lr) = cyclic(scatter.local(r), nb, pr);
+            let k = self.ap.colptr()[c]..self.ap.colptr()[c + 1];
+            for (&p, &v) in sym.a_pos[k.clone()].iter().zip(&self.ap.values()[k]) {
+                let (gr, lr) = cyclic(p as usize, nb, pr);
                 if gr == my.0 {
                     col[lr - r0] += v;
                     nassemble += 1;
@@ -653,10 +650,11 @@ fn for_each_update_segment(
 /// Where a child's update lands in its block-cyclic parent front, decided
 /// once per child row — not per entry: for child row `i` (an index into the
 /// child's `sn_rows`), `row[i]` is the grid row owning the parent-front row
-/// it maps to and that row's local index there, `col[i]` the same along the
-/// grid columns (see [`front::cyclic`]). Entry `(i, j)` of the update
-/// belongs to grid position `(row[i].0, col[j].0)`. The sender reads the
-/// owners, the receiver the local indices of what it owns.
+/// it maps to (the child's relative index `sym.sn_rel[child][i]`) and that
+/// row's local index there, `col[i]` the same along the grid columns (see
+/// [`front::cyclic`]). Entry `(i, j)` of the update belongs to grid position
+/// `(row[i].0, col[j].0)`. The sender reads the owners, the receiver the
+/// local indices of what it owns.
 struct ExtMap {
     row: Vec<(usize, usize)>,
     col: Vec<(usize, usize)>,
@@ -667,20 +665,9 @@ impl ExtMap {
         let Layout::Grid { pr, pc, nb } = map.layout[parent] else {
             unreachable!("extend-add into a single-rank parent is a local assembly");
         };
-        let (pc0, pw) = (sym.sn_ptr[parent], sym.sn_width(parent));
-        // Child rows as parent-front indices: pivot columns first, then
-        // the parent's own row structure.
-        let plocal = sym.sn_rows[child].iter().map(|&r| {
-            if r < pc0 + pw {
-                debug_assert!(r >= pc0);
-                r - pc0
-            } else {
-                let below = sym.sn_rows[parent].binary_search(&r);
-                pw + below.expect("child row missing from parent structure")
-            }
-        });
-        let (row, col): (Vec<_>, Vec<_>) = plocal
-            .map(|g| (cyclic(g, nb, pr), cyclic(g, nb, pc)))
+        let (row, col) = sym.sn_rel[child]
+            .iter()
+            .map(|&g| (cyclic(g as usize, nb, pr), cyclic(g as usize, nb, pc)))
             .unzip();
         ExtMap { row, col }
     }

@@ -34,9 +34,9 @@ use parfact_trace::{LocalRecorder, Phase, Tick};
 /// child's below-pivot rows (dense lower storage).
 ///
 /// The global row indices it spans are not stored — they are exactly
-/// `sym.sn_rows[src]`, resolved through [`UpdateMatrix::rows`]. Dropping
-/// the owned index vector lets the workspace arenas recycle update
-/// buffers without cloning row lists per supernode.
+/// `sym.sn_rows[src]`, and where they land in the parent's front is
+/// `sym.sn_rel[src]`. Dropping the owned index vector lets the workspace
+/// arenas recycle update buffers without cloning row lists per supernode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateMatrix {
     /// Supernode whose elimination produced this update.
@@ -47,93 +47,29 @@ pub struct UpdateMatrix {
 }
 
 impl UpdateMatrix {
-    /// Global row indices this update spans (the source's `sn_rows`).
-    #[inline]
-    pub fn rows<'a>(&self, sym: &'a Symbolic) -> &'a [usize] {
-        &sym.sn_rows[self.src]
-    }
-
     /// Order of the update matrix.
     #[inline]
     pub fn order(&self, sym: &Symbolic) -> usize {
-        self.rows(sym).len()
-    }
-}
-
-/// Scatter map from global indices into a front's local index space.
-/// Reused across fronts to avoid repeated allocation.
-#[derive(Clone, Default)]
-pub struct FrontScatter {
-    loc: Vec<usize>,
-    touched: Vec<usize>,
-}
-
-impl FrontScatter {
-    /// Workspace for matrices of order `n`.
-    pub fn new(n: usize) -> Self {
-        FrontScatter {
-            loc: vec![usize::MAX; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Grow the map to cover matrices of order `n` (no-op when already
-    /// large enough; lets a default-constructed map be sized lazily).
-    pub fn ensure(&mut self, n: usize) {
-        if self.loc.len() < n {
-            self.loc.resize(n, usize::MAX);
-        }
-    }
-
-    /// Install the map for supernode `s`: pivot columns get `0..w`, below
-    /// rows get `w..f`.
-    pub fn set(&mut self, sym: &Symbolic, s: usize) {
-        self.clear();
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        for (k, c) in (c0..c1).enumerate() {
-            self.loc[c] = k;
-            self.touched.push(c);
-        }
-        let w = c1 - c0;
-        for (k, &r) in sym.sn_rows[s].iter().enumerate() {
-            self.loc[r] = w + k;
-            self.touched.push(r);
-        }
-    }
-
-    /// Local index of global index `g` (must be inside the current front).
-    #[inline]
-    pub fn local(&self, g: usize) -> usize {
-        let l = self.loc[g];
-        debug_assert_ne!(l, usize::MAX, "global index {g} not in front");
-        l
-    }
-
-    fn clear(&mut self) {
-        for &t in &self.touched {
-            self.loc[t] = usize::MAX;
-        }
-        self.touched.clear();
+        sym.sn_rows[self.src].len()
     }
 }
 
 /// Assemble the front of supernode `s` where it will be factored: zero
 /// `panel` (the `f x w` pivot columns) and `schur` (resized to the `r x r`
-/// trailing block, `r = f - w`), scatter the pivot columns of `ap`, then
-/// extend-add every child update staged in `wst`.
+/// trailing block, `r = f - w`), place the pivot columns of `ap` at their
+/// A positions (`sym.a_pos`), then extend-add every child update.
 ///
-/// Returns the number of entries scattered or added into the front
+/// Returns the number of entries placed or added into the front
 /// (original-matrix entries plus applied extend-add contributions), which
 /// instrumentation converts to assembly byte counts.
 pub(crate) fn assemble_front(
     ap: &CscMatrix,
     sym: &Symbolic,
     s: usize,
-    wst: &mut FrontWorkspace,
+    children: &[UpdateMatrix],
     panel: &mut [f64],
     schur: &mut Vec<f64>,
 ) -> u64 {
-    let scatter = &mut wst.scatter;
     let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
     let w = c1 - c0;
     let f = w + sym.sn_rows[s].len();
@@ -142,47 +78,42 @@ pub(crate) fn assemble_front(
     // keeping its capacity.
     schur.clear();
     schur.resize((f - w) * (f - w), 0.0);
-    scatter.set(sym, s);
     let mut entries = 0u64;
     // Original matrix entries of the pivot columns (lower part only).
-    for c in c0..c1 {
-        let (rows, vals) = ap.col(c);
-        let lc = c - c0;
-        entries += rows.len() as u64;
-        for (&r, &v) in rows.iter().zip(vals) {
-            debug_assert!(r >= c);
-            let lr = scatter.local(r);
-            panel[lc * f + lr] = v;
+    for (c, col) in (c0..c1).zip(panel.chunks_exact_mut(f)) {
+        let k = ap.colptr()[c]..ap.colptr()[c + 1];
+        entries += k.len() as u64;
+        for (&p, &v) in sym.a_pos[k.clone()].iter().zip(&ap.values()[k]) {
+            col[p as usize] = v;
         }
     }
-    // Extend-add children updates.
-    for upd in &wst.children {
-        entries += extend_add(upd.rows(sym), &upd.data, scatter, panel, schur, f, w);
+    for upd in children {
+        let rel = &sym.sn_rel[upd.src];
+        entries += extend_add(rel, &upd.data, panel, schur, f, w);
     }
     entries
 }
 
-/// Scatter-add one update matrix (`rows.len() x rows.len()` column-major
-/// `data`, lower triangle valid) into a front of order `f` with `w` pivots
-/// through the scatter map: a column that maps below `w` lands in `panel`,
-/// one at or beyond it in `schur` (both as [`assemble_front`] lays them
-/// out). The map is monotone (both index lists are sorted), so the child's
-/// lower triangle lands in the parent's lower triangle. Returns the number
-/// of (nonzero) entries added.
+/// Add one update matrix (`rel.len() x rel.len()` column-major `data`,
+/// lower triangle valid) into a front of order `f` with `w` pivots, where
+/// `rel[i]` is the front position of the update's row `i`: a column at a
+/// position below `w` lands in `panel`, one at or beyond it in `schur` (both
+/// as [`assemble_front`] lays them out). The positions are increasing (both
+/// index lists are sorted), so the child's lower triangle lands in the
+/// parent's lower triangle. Returns the number of (nonzero) entries added.
 pub fn extend_add(
-    rows: &[usize],
+    rel: &[u32],
     data: &[f64],
-    scatter: &FrontScatter,
     panel: &mut [f64],
     schur: &mut [f64],
     f: usize,
     w: usize,
 ) -> u64 {
-    let r = rows.len();
+    let r = rel.len();
     let rs = f - w;
     let mut added = 0u64;
     for j in 0..r {
-        let lj = scatter.local(rows[j]);
+        let lj = rel[j] as usize;
         // The front column's rows, and the front row its first entry is.
         let (col, top) = if lj < w {
             (&mut panel[lj * f..(lj + 1) * f], 0)
@@ -192,7 +123,7 @@ pub fn extend_add(
         let src = &data[j * r..j * r + r];
         for (i, &v) in src.iter().enumerate().skip(j) {
             if v != 0.0 {
-                col[scatter.local(rows[i]) - top] += v;
+                col[rel[i] as usize - top] += v;
                 added += 1;
             }
         }
@@ -328,7 +259,7 @@ pub(crate) fn factor_front<M: FrontMeter>(
         Vec::new()
     };
     let tick = meter.start();
-    let entries = assemble_front(ap, sym, s, wst, panel, &mut data);
+    let entries = assemble_front(ap, sym, s, &wst.children, panel, &mut data);
     meter.assembled(tick, sym, s, entries);
     for u in &wst.children {
         meter.release(Buf::Update, u.data.len() * 8);
@@ -355,60 +286,20 @@ mod tests {
         analyze(&a, &AmalgOpts::default())
     }
 
-    #[test]
-    fn scatter_maps_cols_then_rows() {
-        let (sym, _) = small_problem();
-        let mut sc = FrontScatter::new(sym.n);
-        let s = 0;
-        sc.set(&sym, s);
-        let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-        for (k, c) in (c0..c1).enumerate() {
-            assert_eq!(sc.local(c), k);
-        }
-        for (k, &r) in sym.sn_rows[s].iter().enumerate() {
-            assert_eq!(sc.local(r), (c1 - c0) + k);
-        }
-    }
-
-    #[test]
-    fn scatter_reuse_clears_previous_front() {
-        let (sym, _) = small_problem();
-        let mut sc = FrontScatter::new(sym.n);
-        sc.set(&sym, 0);
-        let first_cols = sym.sn_cols(0);
-        sc.set(&sym, sym.nsuper() - 1);
-        // Indices of supernode 0 that are not part of the root front must be
-        // unmapped now (debug_assert fires in local()); check via raw array.
-        for c in first_cols {
-            let in_root = sym.sn_cols(sym.nsuper() - 1).contains(&c)
-                || sym.sn_rows[sym.nsuper() - 1].contains(&c);
-            if !in_root {
-                assert_eq!(sc.loc[c], usize::MAX);
-            }
-        }
-    }
-
     /// Assemble supernode `s` without children into buffers with stale
-    /// contents (assembly must overwrite every entry); the workspace is
-    /// left with the front's scatter map installed.
-    fn assemble_alone(
-        ap: &CscMatrix,
-        sym: &Symbolic,
-        s: usize,
-    ) -> (FrontWorkspace, Vec<f64>, Vec<f64>, u64) {
-        let mut wst = FrontWorkspace::new();
-        wst.scatter.ensure(sym.n);
+    /// contents (assembly must overwrite every entry).
+    fn assemble_alone(ap: &CscMatrix, sym: &Symbolic, s: usize) -> (Vec<f64>, Vec<f64>, u64) {
         let mut panel = vec![f64::NAN; sym.front_order(s) * sym.sn_width(s)];
         let mut schur = vec![f64::NAN; 3];
-        let entries = assemble_front(ap, sym, s, &mut wst, &mut panel, &mut schur);
-        (wst, panel, schur, entries)
+        let entries = assemble_front(ap, sym, s, &[], &mut panel, &mut schur);
+        (panel, schur, entries)
     }
 
     #[test]
     fn assemble_places_matrix_entries() {
         let (sym, ap) = small_problem();
         let s = 0;
-        let (_, panel, schur, entries) = assemble_alone(&ap, &sym, s);
+        let (panel, schur, entries) = assemble_alone(&ap, &sym, s);
         // No children: the entry count is exactly the pivot columns' nnz,
         // and the trailing block is a zeroed square of the right order.
         let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
@@ -437,19 +328,18 @@ mod tests {
             .unwrap();
         let (f, w) = (sym.front_order(s), sym.sn_width(s));
         let r = f - w;
-        let (wst, mut panel, mut schur, _) = assemble_alone(&ap, &sym, s);
-        let sc = &wst.scatter;
+        let (mut panel, mut schur, _) = assemble_alone(&ap, &sym, s);
         let (panel0, schur0) = (panel.clone(), schur.clone());
         // An update over the last pivot column and the first two below
         // rows: one column lands in the panel, two in the trailing block.
-        let rows = vec![sym.sn_ptr[s + 1] - 1, sym.sn_rows[s][0], sym.sn_rows[s][1]];
+        let rel = [w as u32 - 1, w as u32, w as u32 + 1];
         #[rustfmt::skip]
         let data = vec![
             1.0, 2.0, 3.0,
             0.0, 4.0, 0.0, // an exact zero is skipped, not counted
             0.0, 0.0, 6.0,
         ];
-        let added = extend_add(&rows, &data, sc, &mut panel, &mut schur, f, w);
+        let added = extend_add(&rel, &data, &mut panel, &mut schur, f, w);
         assert_eq!(added, 5, "five nonzero lower entries");
         let mut want_panel = panel0;
         let lc = w - 1;

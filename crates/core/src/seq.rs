@@ -33,9 +33,9 @@ pub fn factorize_seq(
 /// with the same `sym`) using the arenas in `ws`, recording into `tr` (with
 /// a disabled collector every hook is a single branch, so this *is* the
 /// uninstrumented engine). With a warm workspace the steady state performs
-/// **no per-supernode heap allocation** — scatter maps and update matrices
-/// come from reused buffers, and a front's pivot columns are assembled and
-/// factored in `factor`'s own slab.
+/// **no per-supernode heap allocation** — update matrices come from reused
+/// buffers, and a front's pivot columns are assembled and factored in
+/// `factor`'s own slab.
 ///
 /// On error the panels written so far are left behind; callers that reuse
 /// factors across calls (refactorize) must treat a failed factor as
@@ -55,7 +55,6 @@ pub(crate) fn factorize_seq_into(
     ws.slots.resize_with(nsuper, || None);
     let Workspace { threads, slots } = ws;
     let wst = &mut threads[0];
-    wst.scatter.ensure(sym.n);
     let mut rec = tr.local(0);
 
     for s in 0..nsuper {

@@ -117,9 +117,6 @@ pub(crate) fn factorize_smp_into(
     // ---- Phase 1: tree-parallel over small supernodes. ----
     ws.ensure_threads(nthreads);
     let arenas = &mut ws.threads[..nthreads];
-    for wst in arenas.iter_mut() {
-        wst.scatter.ensure(sym.n);
-    }
     walk_tree(
         &sym.tree,
         Walk::Up,
@@ -560,7 +557,7 @@ mod tests {
         factorize_smp_into(&ap, &sym, &opts, &tr, &mut ws, &mut factor).unwrap();
         // Work stealing makes the supernode-to-worker assignment
         // nondeterministic, so a warm run may still grow a pool buffer —
-        // but the front/scatter arenas are stable, so growth must at least
+        // but the per-worker arenas are stable, so growth must at least
         // taper off rather than repeat per supernode.
         let second = ws.growth_events() - first;
         assert!(

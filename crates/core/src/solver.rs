@@ -13,6 +13,7 @@ use parfact_mpsim::model::CostModel;
 use parfact_mpsim::FaultPlan;
 use parfact_order::Method;
 use parfact_sparse::csc::CscMatrix;
+use parfact_sparse::SparseError;
 use parfact_symbolic::{analyze_with, AmalgOpts, Symbolic};
 use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanEvent, TraceLevel};
 use std::sync::{Arc, Mutex};
@@ -484,15 +485,23 @@ impl SparseCholesky {
     /// Refactorize with the same symbolic analysis (new values, same
     /// pattern) — the production pattern for time-stepping simulations.
     ///
+    /// The analysis placed every stored entry of the matrix in its front
+    /// (`Symbolic::a_pos`), so `a` must have exactly the pattern that was
+    /// analyzed. Input is checked before any engine runs, and a rejected
+    /// call leaves the stored factor untouched: a matrix that is not
+    /// symmetric-lower, or of another order, is
+    /// [`FactorError::BadStructure`]; one with another pattern is
+    /// [`FactorError::Unsupported`] (call [`SparseCholesky::factorize`]).
+    ///
     /// Host engines (`Sequential`, `Smp`) overwrite the stored factor **in
     /// place** through the solver's retained [`Workspace`] arenas, so a
     /// steady-state refactorization performs no per-supernode heap
     /// allocation (the distributed engine gathers a fresh factor from the
     /// simulated machine and replaces the stored one wholesale).
-    /// Consequence of in-place operation: if this returns
-    /// `Err` (e.g. the new values are not positive definite), the stored
-    /// factor is partially overwritten and numerically invalid — call
-    /// `refactorize` again with good values (or rebuild with
+    /// Consequence of in-place operation: if the factorization itself fails
+    /// (e.g. the new values are not positive definite), the stored factor is
+    /// partially overwritten and numerically invalid — call `refactorize`
+    /// again with good values (or rebuild with
     /// [`SparseCholesky::factorize`]) before trusting `solve`.
     ///
     /// Report semantics: `ordering_s` and `symbolic_s` keep the one-time
@@ -501,7 +510,22 @@ impl SparseCholesky {
     /// numeric factorization; `refactorizations` counts how many times the
     /// numeric phase has been redone.
     pub fn refactorize(&mut self, a: &CscMatrix, engine: Engine) -> Result<(), FactorError> {
+        a.check_sym_lower()?;
+        let n = self.factor.sym.n;
+        if a.ncols() != n {
+            return Err(SparseError::DimMismatch {
+                expected: n,
+                got: a.ncols(),
+            }
+            .into());
+        }
         let ap_new = self.factor.perm.apply_sym_lower(a);
+        if ap_new.colptr() != self.ap.colptr() || ap_new.rowind() != self.ap.rowind() {
+            return Err(FactorError::Unsupported(
+                "refactorize needs the analyzed sparsity pattern; factorize a new pattern"
+                    .to_string(),
+            ));
+        }
         numeric_phase(
             &ap_new,
             &engine,
@@ -1405,6 +1429,59 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let x = chol.solve(&b);
         assert!(ops::sym_residual_inf(&a, &x, &b) < 1e-12);
+    }
+
+    #[test]
+    fn rejected_refactorize_leaves_the_factor_untouched() {
+        let a = gen::laplace2d(10, 10, gen::Stencil2d::FivePoint);
+        let n = a.nrows();
+        let with = |extra: (usize, usize)| {
+            let mut coo = parfact_sparse::coo::CooMatrix::new(n, n);
+            for c in 0..n {
+                for (&r, &v) in a.col(c).0.iter().zip(a.col(c).1) {
+                    coo.push(r, c, v);
+                }
+            }
+            coo.push(extra.0, extra.1, 0.5);
+            coo.to_csc()
+        };
+        // An entry outside the analyzed pattern, an upper-triangle entry and
+        // a matrix of another order.
+        let outside = with((n - 1, 0));
+        let upper = with((0, n - 1));
+        let small = gen::laplace2d(9, 9, gen::Stencil2d::FivePoint);
+        let b = vec![1.0; n];
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for engine in [
+            Engine::Sequential,
+            Engine::Smp(SmpOpts {
+                threads: 2,
+                big_front: 16,
+            }),
+            Engine::Dist(DistOpts::default()),
+        ] {
+            let opts = FactorOpts::new().engine(engine.clone());
+            let mut chol = SparseCholesky::factorize(&a, &opts).unwrap();
+            let before = bits(chol.solve(&b));
+            let r = chol.refactorize(&outside, engine.clone());
+            assert!(matches!(r, Err(FactorError::Unsupported(_))), "{r:?}");
+            let r = chol.refactorize(&upper, engine.clone());
+            assert!(
+                matches!(
+                    r,
+                    Err(FactorError::BadStructure(SparseError::NotLower { .. }))
+                ),
+                "{r:?}"
+            );
+            let r = chol.refactorize(&small, engine.clone());
+            let dim = SparseError::DimMismatch {
+                expected: n,
+                got: small.nrows(),
+            };
+            assert_eq!(r, Err(FactorError::BadStructure(dim)));
+            assert_eq!(bits(chol.solve(&b)), before, "{}", engine.name());
+            assert_eq!(chol.report().refactorizations, 0);
+        }
     }
 
     #[test]

@@ -78,24 +78,9 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Position in the front of `s` of each below-pivot row of its child
-    /// `c`, in the child's row order: `p < w` is pivot row `p`, `p >= w` is
-    /// below row `p - w` (a child's rows are contained in the parent's
-    /// columns and rows).
-    fn child_positions(&self, s: usize, c: usize) -> impl Iterator<Item = usize> + '_ {
-        let (c0, c1) = (self.sym.sn_ptr[s], self.sym.sn_ptr[s + 1]);
-        let rows = &self.sym.sn_rows[s];
-        self.sym.sn_rows[c].iter().map(move |&r| {
-            if r < c1 {
-                r - c0
-            } else {
-                let k = rows.binary_search(&r);
-                c1 - c0 + k.expect("a child's rows are contained in its parent's front")
-            }
-        })
-    }
-
-    /// Add child `c`'s forward contribution block into the front of `s`.
+    /// Add child `c`'s forward contribution block into the front of `s`: the
+    /// block's row `k` goes to front position `sn_rel[c][k]`, a pivot row of
+    /// `s` below `w` and a below row of `s` from `w` on.
     pub(crate) fn fold_child(
         &self,
         s: usize,
@@ -105,7 +90,8 @@ impl<'a> Sweep<'a> {
         ybelow: &mut [f64],
     ) {
         let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
-        for (k, pos) in self.child_positions(s, c).enumerate() {
+        for (k, &pos) in self.sym.sn_rel[c].iter().enumerate() {
+            let pos = pos as usize;
             let dst = match pos.checked_sub(w) {
                 None => &mut ypiv[pos * nrhs..(pos + 1) * nrhs],
                 Some(q) => &mut ybelow[q * nrhs..(q + 1) * nrhs],
@@ -121,7 +107,8 @@ impl<'a> Sweep<'a> {
     pub(crate) fn cut_child(&self, s: usize, c: usize, xpiv: &[f64], xbelow: &[f64]) -> Vec<f64> {
         let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
         let mut vals = Vec::with_capacity(self.below_len(c));
-        for pos in self.child_positions(s, c) {
+        for &pos in &self.sym.sn_rel[c] {
+            let pos = pos as usize;
             vals.extend_from_slice(match pos.checked_sub(w) {
                 None => &xpiv[pos * nrhs..(pos + 1) * nrhs],
                 Some(q) => &xbelow[q * nrhs..(q + 1) * nrhs],

@@ -1,9 +1,11 @@
 //! Reusable numeric-factorization workspaces.
 //!
 //! Steady-state factorization (and especially [`crate::solver::SparseCholesky::refactorize`])
-//! should not pay one heap allocation per supernode for update matrices,
-//! scatter maps and packing scratch (a front's pivot columns are factored
-//! in the factor slab itself). A [`FrontWorkspace`] owns every buffer a
+//! should not pay one heap allocation per supernode for update matrices
+//! and packing scratch (a front's pivot columns are factored in the factor
+//! slab itself, and where every value lands in a front is the analysis'
+//! assembly map, `Symbolic::sn_rel` and `Symbolic::a_pos`, which needs no
+//! per-worker state). A [`FrontWorkspace`] owns every buffer a
 //! worker needs to process a supernode; a [`Workspace`] holds one per
 //! worker thread plus the engine-level update hand-off slots. Buffers only
 //! ever grow, so after the first factorization of a given structure every
@@ -14,16 +16,14 @@
 //! (The packing buffers of the dense microkernels are thread-local inside
 //! `parfact-dense` and follow the same grow-once discipline.)
 
-use crate::frontal::{FrontScatter, UpdateMatrix};
+use crate::frontal::UpdateMatrix;
 use std::collections::HashMap;
 
-/// Per-worker arena: scatter map, child-update staging and a pool of
-/// recycled update-matrix buffers (a front's trailing block is assembled
-/// and factored in the buffer that then carries it to the parent).
+/// Per-worker arena: child-update staging and a pool of recycled
+/// update-matrix buffers (a front's trailing block is assembled and
+/// factored in the buffer that then carries it to the parent).
 #[derive(Default)]
 pub struct FrontWorkspace {
-    /// Global-to-local scatter map, sized to the matrix order.
-    pub(crate) scatter: FrontScatter,
     /// Child updates staged for assembly by the engine
     /// ([`FrontWorkspace::stage`]); drained back into `pool` after each
     /// front.

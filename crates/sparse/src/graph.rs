@@ -121,32 +121,6 @@ impl AdjGraph {
         true
     }
 
-    /// Extract the vertex-induced subgraph on `verts` (which need not be
-    /// sorted). Returns the subgraph and the `local → global` map (which is
-    /// just `verts`, copied in order).
-    pub fn subgraph(&self, verts: &[usize]) -> (AdjGraph, Vec<usize>) {
-        let mut global_to_local = vec![usize::MAX; self.nvert()];
-        for (local, &g) in verts.iter().enumerate() {
-            global_to_local[g] = local;
-        }
-        let mut xadj = vec![0usize; verts.len() + 1];
-        let mut adjncy = Vec::new();
-        for (local, &g) in verts.iter().enumerate() {
-            let mut nb: Vec<usize> = self
-                .neighbors(g)
-                .iter()
-                .filter_map(|&u| {
-                    let lu = global_to_local[u];
-                    (lu != usize::MAX).then_some(lu)
-                })
-                .collect();
-            nb.sort_unstable();
-            adjncy.extend_from_slice(&nb);
-            xadj[local + 1] = adjncy.len();
-        }
-        (AdjGraph { xadj, adjncy }, verts.to_vec())
-    }
-
     /// Connected components; returns `(component id per vertex, count)`.
     pub fn connected_components(&self) -> (Vec<usize>, usize) {
         let n = self.nvert();
@@ -210,33 +184,6 @@ mod tests {
         let g = AdjGraph::from_sym_lower(&a.to_csc());
         assert_eq!(g.nedges(), 0);
         assert!(g.validate());
-    }
-
-    #[test]
-    fn subgraph_of_path() {
-        let g = path_graph(6);
-        let (sg, map) = g.subgraph(&[1, 2, 3]);
-        assert_eq!(map, vec![1, 2, 3]);
-        assert_eq!(sg.nvert(), 3);
-        assert_eq!(sg.nedges(), 2);
-        assert_eq!(sg.neighbors(1), &[0, 2]); // vertex 2 connects to 1 and 3
-        assert!(sg.validate());
-    }
-
-    #[test]
-    fn subgraph_of_unsorted_vertices_has_sorted_rows() {
-        let g = path_graph(6);
-        let (sg, map) = g.subgraph(&[3, 1, 2]);
-        assert_eq!(map, vec![3, 1, 2]);
-        assert_eq!(sg.neighbors(2), &[0, 1]); // vertex 2 connects to 3 and 1
-        assert!(sg.validate());
-    }
-
-    #[test]
-    fn subgraph_drops_external_edges() {
-        let g = path_graph(6);
-        let (sg, _) = g.subgraph(&[0, 5]); // not adjacent
-        assert_eq!(sg.nedges(), 0);
     }
 
     #[test]

@@ -124,16 +124,6 @@ fn coo_iter_matches_pushes() {
 }
 
 #[test]
-fn graph_subgraph_of_everything_is_identity() {
-    let a = gen::laplace2d(4, 4, gen::Stencil2d::FivePoint);
-    let g = AdjGraph::from_sym_lower(&a);
-    let all: Vec<usize> = (0..g.nvert()).collect();
-    let (sg, map) = g.subgraph(&all);
-    assert_eq!(sg, g);
-    assert_eq!(map, all);
-}
-
-#[test]
 fn cg_on_singular_matrix_fails_gracefully() {
     // Zero matrix with unit diagonal removed -> singular; cg must return
     // None rather than produce NaN panics.

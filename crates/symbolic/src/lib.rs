@@ -11,7 +11,9 @@
 //! - [`structure`] — per-supernode row structure of `L`, factor nnz and
 //!   flop predictions;
 //! - [`atree`] — the assembly (task) tree over supernodes that the
-//!   parallel engines schedule.
+//!   parallel engines schedule;
+//! - the assembly map — where each child-update row and each matrix entry
+//!   lands in its front ([`Symbolic::sn_rel`], [`Symbolic::a_pos`]).
 //!
 //! The entry point is [`analyze`], which chains all of the above and
 //! returns a [`Symbolic`] object. The input matrix must already carry the
@@ -23,6 +25,7 @@
 // iterator rewrites obscure the subscript math.
 #![allow(clippy::needless_range_loop)]
 
+mod assembly;
 pub mod atree;
 pub mod colcount;
 pub mod etree;
@@ -78,6 +81,15 @@ pub struct Symbolic {
     pub sn_rows: Vec<Vec<usize>>,
     /// Assembly tree over supernodes.
     pub tree: atree::AssemblyTree,
+    /// Relative indices, parallel to `sn_rows`: `sn_rel[s][i]` is the
+    /// position of row `sn_rows[s][i]` in the front of `tree.parent[s]`
+    /// (pivot columns first, then the parent's `sn_rows`). Empty at roots.
+    pub sn_rel: Vec<Vec<u32>>,
+    /// A positions, parallel to the row indices of the postordered matrix
+    /// [`analyze`] returns: stored entry `k` of column `c` sits at position
+    /// `a_pos[k]` of the front of `sn_of[c]`. A matrix with another pattern
+    /// cannot be factored under this analysis.
+    pub a_pos: Vec<u32>,
 }
 
 impl Symbolic {
@@ -188,9 +200,10 @@ pub fn analyze_with(
     // 5. Row structures per supernode (subtree-parallel).
     let sn_rows = structure::supernode_rows_par(&ap, &sn_ptr, &sn_of, &parent, threads, tr);
 
-    // 6. Assembly tree.
+    // 6. Assembly tree and map.
     let t = rec.start();
     let tree = atree::AssemblyTree::build(&sn_ptr, &sn_of, &sn_rows);
+    let (sn_rel, a_pos) = assembly::assembly_map(&ap, &sn_ptr, &sn_rows, &tree.children);
     rec.stop(t, Phase::Structure, None);
 
     let sym = Symbolic {
@@ -202,6 +215,8 @@ pub fn analyze_with(
         sn_of,
         sn_rows,
         tree,
+        sn_rel,
+        a_pos,
     };
     (sym, ap)
 }
@@ -275,23 +290,30 @@ mod tests {
 
     #[test]
     fn structure_containment_invariant() {
-        // Below-pivot rows of a supernode must be contained in the parent's
-        // columns ∪ below rows — the invariant extend-add relies on.
+        // Every relative index and every A position names a slot of the
+        // front whose global row is the row it was computed for — the
+        // invariant extend-add and matrix assembly rely on.
         let a = gen::laplace3d(5, 5, 5, gen::Stencil3d::SevenPoint);
-        let (sym, _) = analyze(&a, &AmalgOpts::default());
+        let (sym, ap) = analyze(&a, &AmalgOpts::default());
+        let global = |s: usize, pos: u32| {
+            let (pos, w) = (pos as usize, sym.sn_width(s));
+            match pos.checked_sub(w) {
+                None => sym.sn_ptr[s] + pos,
+                Some(k) => sym.sn_rows[s][k],
+            }
+        };
         for s in 0..sym.nsuper() {
             let p = sym.tree.parent[s];
-            if p == NONE {
-                assert!(sym.sn_rows[s].is_empty());
-                continue;
+            assert_eq!(sym.sn_rel[s].len(), sym.sn_rows[s].len());
+            for (&r, &pos) in sym.sn_rows[s].iter().zip(&sym.sn_rel[s]) {
+                assert_eq!(global(p, pos), r, "row {r} of supernode {s}");
             }
-            for &r in &sym.sn_rows[s] {
-                let in_cols = sym.sn_cols(p).contains(&r);
-                let in_rows = sym.sn_rows[p].binary_search(&r).is_ok();
-                assert!(
-                    in_cols || in_rows,
-                    "row {r} of supernode {s} not covered by parent {p}"
-                );
+        }
+        assert_eq!(sym.a_pos.len(), ap.nnz());
+        for c in 0..sym.n {
+            let k = ap.colptr()[c]..ap.colptr()[c + 1];
+            for (&r, &pos) in ap.rowind()[k.clone()].iter().zip(&sym.a_pos[k]) {
+                assert_eq!(global(sym.sn_of[c], pos), r, "entry ({r}, {c})");
             }
         }
     }
@@ -314,6 +336,8 @@ mod tests {
                 assert_eq!(par.sn_of, seq.sn_of, "threads {threads}");
                 assert_eq!(par.sn_rows, seq.sn_rows, "threads {threads}");
                 assert_eq!(par.tree.parent, seq.tree.parent, "threads {threads}");
+                assert_eq!(par.sn_rel, seq.sn_rel, "threads {threads}");
+                assert_eq!(par.a_pos, seq.a_pos, "threads {threads}");
                 assert_eq!(ap_par.nnz(), ap_seq.nnz(), "threads {threads}");
             }
         }

@@ -6,9 +6,11 @@
 use parfact::core::dist::{prepare, DistRun};
 use parfact::core::smp_solve;
 use parfact::core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
+use parfact::core::FactorKind::{Ldlt, Llt};
 use parfact::core::{FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::order::Method;
+use parfact::sparse::csc::CscMatrix;
 use parfact::sparse::{gen, ops};
 use parfact::symbolic::AmalgOpts;
 use parfact::TraceLevel;
@@ -66,35 +68,110 @@ fn bits_hash(x: &[f64]) -> u64 {
     })
 }
 
-/// Golden bits of the *sequential* solve on lap3d-6: `(kind, nrhs, hash)`.
-/// Captured at the commit before the three solve paths were collapsed onto
-/// one supernode step, and unchanged by it: the sequential sweep's data
-/// flow and kernel call order are part of its contract. A change that means
-/// to move them re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test
+/// What a golden row pins.
+#[derive(Debug, Clone, Copy)]
+enum Pin {
+    /// Hash of the sequential solve of an `nrhs` block.
+    Seq(usize),
+    /// Hash of the SMP solve (2 threads) of an `nrhs` block.
+    Smp(usize),
+    /// Hash of every factor panel bit, then the LDLᵀ pivots.
+    Panels,
+    /// `counters.bytes_assembled` of the factorization (a count).
+    BytesAssembled,
+}
+
+fn golden_matrix(name: &str) -> CscMatrix {
+    match name {
+        "lap3d-6" => gen::laplace3d(6, 6, 6, gen::Stencil3d::SevenPoint),
+        "lap2d-40" => gen::laplace2d(40, 40, gen::Stencil2d::FivePoint),
+        "elas-5" => gen::elasticity3d(5, 5, 5),
+        _ => unreachable!("no golden matrix {name}"),
+    }
+}
+
+/// Golden factor and solve bits: `(matrix, kind, pin, value)`. The lap3d-6
+/// sequential-solve rows were captured before the three solve paths were
+/// collapsed onto one supernode step; the rest before front assembly moved
+/// onto the analysis' relative indices. Both changes left every row alone:
+/// the factor's per-entry assembly order and the sweeps' data flow and
+/// kernel call order are part of the contract. A change that means to move
+/// them re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test
 /// solve_batched sequential_solve_bits -- --nocapture`.
-const SEQ_SOLVE_GOLDEN: &[(FactorKind, usize, u64)] = &[
-    (FactorKind::Llt, 1, 0x505f489b6892f0b7),
-    (FactorKind::Llt, 5, 0x3ac4c7231db2ed9e),
-    (FactorKind::Ldlt, 1, 0xf56528bbc810936e),
-    (FactorKind::Ldlt, 5, 0x64073e34545d5d42),
+const GOLDEN: &[(&str, FactorKind, Pin, u64)] = &[
+    ("lap3d-6", Llt, Pin::Seq(1), 0x505f489b6892f0b7),
+    ("lap3d-6", Llt, Pin::Seq(5), 0x3ac4c7231db2ed9e),
+    ("lap3d-6", Llt, Pin::Smp(1), 0x0b5d35a704fae23c),
+    ("lap3d-6", Llt, Pin::Smp(5), 0x2453165d45a9e8db),
+    ("lap3d-6", Llt, Pin::Panels, 0x238356cd8af01599),
+    ("lap3d-6", Llt, Pin::BytesAssembled, 41384),
+    ("lap3d-6", Ldlt, Pin::Seq(1), 0xf56528bbc810936e),
+    ("lap3d-6", Ldlt, Pin::Seq(5), 0x64073e34545d5d42),
+    ("lap3d-6", Ldlt, Pin::Smp(1), 0xac7f7f0de71be505),
+    ("lap3d-6", Ldlt, Pin::Smp(5), 0x20adec1c4f19eb91),
+    ("lap3d-6", Ldlt, Pin::Panels, 0x66ab6cadb1c6dd45),
+    ("lap3d-6", Ldlt, Pin::BytesAssembled, 41384),
+    ("lap2d-40", Llt, Pin::Seq(1), 0x20cf112b7b9e3b5a),
+    ("lap2d-40", Llt, Pin::Seq(5), 0x955883ca4d808471),
+    ("lap2d-40", Llt, Pin::Smp(1), 0xbc3c51c54df37f9a),
+    ("lap2d-40", Llt, Pin::Smp(5), 0x24ef84b72ec12d02),
+    ("lap2d-40", Llt, Pin::Panels, 0x0ce33525e3a0d6fb),
+    ("lap2d-40", Llt, Pin::BytesAssembled, 293360),
+    ("lap2d-40", Ldlt, Pin::Seq(1), 0xe134df888d0b979f),
+    ("lap2d-40", Ldlt, Pin::Seq(5), 0xe908afe775dbbebe),
+    ("lap2d-40", Ldlt, Pin::Smp(1), 0x315c0c4348be7964),
+    ("lap2d-40", Ldlt, Pin::Smp(5), 0xb3fa0e4c9a78799f),
+    ("lap2d-40", Ldlt, Pin::Panels, 0xc7e025dc9fddd934),
+    ("lap2d-40", Ldlt, Pin::BytesAssembled, 293360),
+    ("elas-5", Llt, Pin::Seq(1), 0xd501a461ca39c3ad),
+    ("elas-5", Llt, Pin::Seq(5), 0x6052bcef91d8d739),
+    ("elas-5", Llt, Pin::Smp(1), 0x7832b2175b4c2369),
+    ("elas-5", Llt, Pin::Smp(5), 0x193ba44ca8e2618f),
+    ("elas-5", Llt, Pin::Panels, 0xc9dba9dd469c95c6),
+    ("elas-5", Llt, Pin::BytesAssembled, 413200),
+    ("elas-5", Ldlt, Pin::Seq(1), 0x7b49d8957c687cc8),
+    ("elas-5", Ldlt, Pin::Seq(5), 0xd3cdf777f61765bd),
+    ("elas-5", Ldlt, Pin::Smp(1), 0xaa67045a88409d57),
+    ("elas-5", Ldlt, Pin::Smp(5), 0xec8ed537ed47cdb2),
+    ("elas-5", Ldlt, Pin::Panels, 0xe6304fcfd94c5d83),
+    ("elas-5", Ldlt, Pin::BytesAssembled, 413200),
 ];
 
 #[test]
 fn sequential_solve_bits_are_pinned() {
-    let a = gen::laplace3d(6, 6, 6, gen::Stencil3d::SevenPoint);
-    let n = a.nrows();
     let print = std::env::var_os("PARFACT_PRINT_GOLDEN").is_some();
-    for &(kind, nrhs, want) in SEQ_SOLVE_GOLDEN {
-        let chol = SparseCholesky::factorize(&a, &FactorOpts::new().kind(kind)).unwrap();
-        let b = rhs_block(n, nrhs, 0x601d);
-        let got = bits_hash(&chol.factor().try_solve_many(&b, nrhs).unwrap());
+    let mut cur: Option<(&str, FactorKind, SparseCholesky)> = None;
+    for &(name, kind, pin, want) in GOLDEN {
+        if !matches!(&cur, Some((m, k, _)) if *m == name && *k == kind) {
+            let opts = FactorOpts::new().kind(kind).trace(TraceLevel::Counters);
+            let chol = SparseCholesky::factorize(&golden_matrix(name), &opts).unwrap();
+            cur = Some((name, kind, chol));
+        }
+        let chol = &cur.as_ref().unwrap().2;
+        let n = chol.factor().sym.n;
+        let got = match pin {
+            Pin::Seq(nrhs) => {
+                let b = rhs_block(n, nrhs, 0x601d);
+                bits_hash(&chol.factor().try_solve_many(&b, nrhs).unwrap())
+            }
+            Pin::Smp(nrhs) => {
+                let b = rhs_block(n, nrhs, 0x601d);
+                bits_hash(&smp_solve::solve_smp_many(chol.factor(), &b, nrhs, 2).unwrap())
+            }
+            Pin::Panels => {
+                let f = chol.factor();
+                bits_hash(&[&f.panels[..], &f.d[..]].concat())
+            }
+            Pin::BytesAssembled => chol.report().counters.bytes_assembled,
+        };
         if print {
-            println!("    (FactorKind::{kind:?}, {nrhs}, {got:#018x}),");
+            let got = match pin {
+                Pin::BytesAssembled => got.to_string(),
+                _ => format!("{got:#018x}"),
+            };
+            println!("    ({name:?}, {kind:?}, Pin::{pin:?}, {got}),");
         } else {
-            assert_eq!(
-                got, want,
-                "{kind:?} nrhs={nrhs}: sequential solve bits moved"
-            );
+            assert_eq!(got, want, "{name} {kind:?} {pin:?}: bits moved");
         }
     }
 }
