@@ -27,7 +27,7 @@ use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
 use parfact_dense::chol;
 use parfact_mpsim::model::CostModel;
-use parfact_mpsim::{FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
+use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::{Symbolic, NONE};
@@ -562,7 +562,7 @@ impl RankRun<'_> {
             }
             match self.st.sends {
                 Sends::Blocking => self.rank.send(dst, ext_tag(s), buf),
-                Sends::Nonblocking => drop(self.rank.isend(dst, ext_tag(s), buf)),
+                Sends::Nonblocking => self.rank.isend(dst, ext_tag(s), buf),
                 Sends::Deferred => {
                     let list = self.st.pending.entry(parent).or_default();
                     list.push((dst, ext_tag(s), buf));
@@ -1011,6 +1011,20 @@ impl<'a> DistRun<'a> {
                  to tile a front over several (got ranks = {p}, nb = {nb})"
             )));
         }
+        // A fault the machine cannot apply would otherwise be ignored.
+        for fault in &self.faults.faults {
+            let (src, dst) = match *fault {
+                Fault::CrashAt { rank, .. } | Fault::CrashOnSend { rank, .. } => (rank, None),
+                Fault::DelayLink { src, dst, .. } | Fault::DuplicateLink { src, dst } => {
+                    (src, Some(dst))
+                }
+            };
+            if src.max(dst.unwrap_or(0)) >= p || dst == Some(src) {
+                return Err(FactorError::Unsupported(format!(
+                    "fault {fault:?} names a rank outside 0..{p} or a link from a rank to itself"
+                )));
+            }
+        }
         // A right-hand-side block is whole columns of length n.
         let n = sym.n;
         let nrhs = self.b.map_or(0, |b| b.len().checked_div(n).unwrap_or(0));
@@ -1028,9 +1042,8 @@ impl<'a> DistRun<'a> {
             (!self.faults.is_empty()).then(|| {
                 // Generous machine-wide deadline: the whole factorization's
                 // flops and a factor's worth of traffic, with the model's 4x
-                // safety margin on top. Virtual-time generosity costs nothing
-                // physically — a receive whose source provably died times out
-                // immediately.
+                // margin. It costs nothing physically: the scanner fires it
+                // at quiescence, in no host time.
                 let flops = sym.factor_flops();
                 let bytes = 8.0 * sym.factor_nnz() as f64 * p as f64;
                 self.model.recv_timeout_for(flops, bytes)
@@ -1167,27 +1180,11 @@ fn assemble_outcome(
     let total_flops = stats.iter().map(|s| s.flops).sum();
     // Assemble the comm matrix from the per-rank row snapshots (taken
     // before the verification gather, consistent with `stats`).
-    let nranks = results.len();
     let comm = results
         .iter()
         .map(|r| r.comm.as_ref())
         .collect::<Option<Vec<_>>>()
-        .map(|rows| {
-            let nc = rows.first().map_or(0, |r| r.nclasses);
-            let mut m = parfact_trace::CommMatrixReport {
-                nranks,
-                class_names: front::COMM_CLASSES.iter().map(|s| s.to_string()).collect(),
-                bytes: vec![0; nranks * nranks * nc],
-                msgs: vec![0; nranks * nranks * nc],
-            };
-            for (src, row) in rows.iter().enumerate() {
-                debug_assert_eq!(row.nclasses, nc);
-                let base = src * nranks * nc;
-                m.bytes[base..base + row.bytes.len()].copy_from_slice(&row.bytes);
-                m.msgs[base..base + row.msgs.len()].copy_from_slice(&row.msgs);
-            }
-            m
-        });
+        .map(|rows| parfact_mpsim::comm_report(&front::COMM_CLASSES, &rows));
     let mut factor = None;
     let mut x = None;
     for r in results {

@@ -15,6 +15,9 @@ pub enum FactorError {
     ZeroPivot { col: usize },
     /// The input matrix violates the symmetric-lower storage convention.
     BadStructure(SparseError),
+    /// The input matrix stores a NaN or an infinity at `(row, col)`, in the
+    /// caller's numbering: the first such entry in column-major order.
+    NonFinite { row: usize, col: usize },
     /// The requested engine/option combination is not implemented (e.g.
     /// LDLᵀ on the distributed engine).
     Unsupported(String),
@@ -84,6 +87,7 @@ impl fmt::Display for FactorError {
             ),
             FactorError::ZeroPivot { col } => write!(f, "zero pivot at column {col}"),
             FactorError::BadStructure(e) => write!(f, "bad matrix structure: {e}"),
+            FactorError::NonFinite { row, col } => write!(f, "non-finite input entry ({row}, {col})"),
             FactorError::Unsupported(what) => write!(f, "unsupported: {what}"),
             FactorError::DimensionMismatch { expected, got } => write!(
                 f,

@@ -108,14 +108,6 @@ impl Factor {
         self.try_solve_many(b, 1)
     }
 
-    /// Solve in the permuted index space (both sweeps), in place. The
-    /// single vector runs through the blocked multi-RHS path with
-    /// `nrhs = 1`, so single and batched solves share one code path (and
-    /// one floating-point operation order).
-    pub fn solve_permuted_in_place(&self, x: &mut [f64]) {
-        self.solve_many_permuted_in_place(x, 1);
-    }
-
     /// Solve `A X = B` for multiple right-hand sides stored column-major in
     /// `b` (`n x nrhs`). Sweeps run per supernode across all columns, so the
     /// factor panels are traversed once regardless of `nrhs`.

@@ -60,11 +60,6 @@ impl Prediction {
     pub fn total_bytes(&self) -> f64 {
         self.bytes.iter().sum()
     }
-
-    /// Predicted max per-rank memory.
-    pub fn max_mem(&self) -> f64 {
-        self.mem.iter().fold(0.0f64, |m, &v| m.max(v))
-    }
 }
 
 /// Predict per-rank comm volume and peak memory for `sym` under `map`.
@@ -176,8 +171,11 @@ mod tests {
     #[test]
     fn predicted_memory_per_rank_shrinks_with_p() {
         let sym = sym_for(20, 20);
-        let m1 = predict(&sym, &map_tree(&sym, 1, MapStrategy::default())).max_mem();
-        let m8 = predict(&sym, &map_tree(&sym, 8, MapStrategy::default())).max_mem();
+        let max_mem = |p| {
+            let pred = predict(&sym, &map_tree(&sym, p, MapStrategy::default()));
+            pred.mem.iter().fold(0.0f64, |m, &v| m.max(v))
+        };
+        let (m1, m8) = (max_mem(1), max_mem(8));
         // Not 8x (the top fronts replicate panel traffic), but clearly down.
         assert!(m8 < m1, "per-rank memory should drop with p: {m8} !< {m1}");
     }

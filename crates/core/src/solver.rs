@@ -389,6 +389,18 @@ impl SolveStats {
     }
 }
 
+/// The first stored NaN or infinity of `a` (column-major), as a typed error.
+fn check_finite(a: &CscMatrix) -> Result<(), FactorError> {
+    let Some(k) = a.values().iter().position(|v| !v.is_finite()) else {
+        return Ok(());
+    };
+    let col = a.colptr().partition_point(|&p| p <= k) - 1;
+    Err(FactorError::NonFinite {
+        row: a.rowind()[k],
+        col,
+    })
+}
+
 /// A factorized sparse symmetric system.
 pub struct SparseCholesky {
     factor: Factor,
@@ -407,13 +419,15 @@ pub struct SparseCholesky {
 impl SparseCholesky {
     /// Order, analyze and factor `a` (symmetric-lower CSC).
     ///
-    /// All engines share one error contract: a matrix that is not positive
-    /// definite returns [`FactorError::NotPositiveDefinite`]. Under
+    /// All engines share one error contract: a stored NaN or infinity is
+    /// [`FactorError::NonFinite`], a matrix that is not positive definite
+    /// [`FactorError::NotPositiveDefinite`]. Under
     /// [`Engine::Dist`] the failing simulated rank reports the error and
     /// the machine unblocks its peers — no panic, no hang. `Dist` +
     /// [`FactorKind::Ldlt`] returns [`FactorError::Unsupported`].
     pub fn factorize(a: &CscMatrix, opts: &FactorOpts) -> Result<Self, FactorError> {
         a.check_sym_lower()?;
+        check_finite(a)?;
         // The analysis phase records into its own collector so its stage
         // counters and spans never mix with a numeric engine's. Span
         // recording follows the session level; below `Timeline` only the
@@ -490,7 +504,8 @@ impl SparseCholesky {
     /// analyzed. Input is checked before any engine runs, and a rejected
     /// call leaves the stored factor untouched: a matrix that is not
     /// symmetric-lower, or of another order, is
-    /// [`FactorError::BadStructure`]; one with another pattern is
+    /// [`FactorError::BadStructure`]; one that stores a NaN or an infinity
+    /// is [`FactorError::NonFinite`]; one with another pattern is
     /// [`FactorError::Unsupported`] (call [`SparseCholesky::factorize`]).
     ///
     /// Host engines (`Sequential`, `Smp`) overwrite the stored factor **in
@@ -511,6 +526,7 @@ impl SparseCholesky {
     /// numeric phase has been redone.
     pub fn refactorize(&mut self, a: &CscMatrix, engine: Engine) -> Result<(), FactorError> {
         a.check_sym_lower()?;
+        check_finite(a)?;
         let n = self.factor.sym.n;
         if a.ncols() != n {
             return Err(SparseError::DimMismatch {
@@ -733,11 +749,6 @@ impl SparseCholesky {
     /// Predicted factorization flops.
     pub fn factor_flops(&self) -> f64 {
         self.factor.sym.factor_flops()
-    }
-
-    /// The permuted matrix the factor refers to (testing/diagnostics).
-    pub fn permuted_matrix(&self) -> &CscMatrix {
-        &self.ap
     }
 
     /// How many times the retained numeric workspace had to grow a buffer

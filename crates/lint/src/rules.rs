@@ -427,10 +427,6 @@ const MSG_PRIMITIVES: &[&str] = &[
     ".isend::<",
     ".recv(",
     ".recv::<",
-    ".try_recv(",
-    ".try_recv::<",
-    ".probe(",
-    ".recv_deadline(",
     ".ibcast(",
     ".ibcast::<",
 ];

@@ -1,12 +1,12 @@
-//! Collective operations over rank *groups*, built from point-to-point
-//! messages with binomial-tree algorithms — their cost emerges from the
-//! α–β model rather than being special-cased.
+//! The two collectives the distributed factorization uses: broadcasts over
+//! a rank [`Group`], blocking ([`bcast`]) and pipelined ([`ibcast`]), both
+//! binomial trees built from point-to-point messages — their cost emerges
+//! from the α–β model rather than being special-cased.
 //!
-//! All collectives operate on a [`Group`]: an ordered subset of machine
-//! ranks. The subtree-to-subcube mapping in the factorization constantly
-//! works on nested subsets, so groups are first-class here. Every member of
-//! the group must call the collective (SPMD discipline); tags are caller-
-//! supplied so concurrent collectives on disjoint groups cannot collide.
+//! A [`Group`] is an ordered subset of machine ranks: a front's process
+//! grid row or column. Every member of the group must call the broadcast
+//! (SPMD discipline); tags are caller-supplied so concurrent broadcasts on
+//! disjoint groups cannot collide.
 
 use crate::payload::Payload;
 use crate::Rank;
@@ -18,13 +18,6 @@ pub struct Group {
 }
 
 impl Group {
-    /// The whole machine.
-    pub fn world(nranks: usize) -> Self {
-        Group {
-            ranks: (0..nranks).collect(),
-        }
-    }
-
     /// An explicit rank list (must be non-empty, duplicates forbidden).
     pub fn new(ranks: Vec<usize>) -> Self {
         assert!(!ranks.is_empty());
@@ -35,20 +28,12 @@ impl Group {
         Group { ranks }
     }
 
-    /// A contiguous range of ranks.
-    pub fn range(lo: usize, hi: usize) -> Self {
-        assert!(lo < hi);
-        Group {
-            ranks: (lo..hi).collect(),
-        }
-    }
-
     /// Group size.
     pub fn len(&self) -> usize {
         self.ranks.len()
     }
 
-    /// True when the group has one member.
+    /// True when the group has no members (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.ranks.is_empty()
     }
@@ -58,30 +43,9 @@ impl Group {
         self.ranks[i]
     }
 
-    /// All members.
-    pub fn members(&self) -> &[usize] {
-        &self.ranks
-    }
-
     /// Index of machine rank `r` in this group, if present.
     pub fn index_of(&self, r: usize) -> Option<usize> {
         self.ranks.iter().position(|&x| x == r)
-    }
-
-    /// Split into `k` contiguous sub-groups of near-equal size.
-    pub fn split(&self, k: usize) -> Vec<Group> {
-        assert!(k >= 1 && k <= self.len());
-        let n = self.len();
-        let mut out = Vec::with_capacity(k);
-        let mut start = 0usize;
-        for i in 0..k {
-            let len = n / k + usize::from(i < n % k);
-            out.push(Group {
-                ranks: self.ranks[start..start + len].to_vec(),
-            });
-            start += len;
-        }
-        out
     }
 }
 
@@ -159,154 +123,6 @@ fn bcast_impl<T: Payload + Clone>(
     v
 }
 
-/// Reduce element-wise with `combine` onto group member `root_idx`
-/// (binomial tree). Returns `Some(result)` on the root, `None` elsewhere.
-pub fn reduce<T, F>(
-    rank: &mut Rank,
-    group: &Group,
-    root_idx: usize,
-    mut value: T,
-    tag: u64,
-    mut combine: F,
-) -> Option<T>
-where
-    T: Payload + Clone,
-    F: FnMut(T, T) -> T,
-{
-    let p = group.len();
-    let me = group
-        .index_of(rank.rank())
-        .expect("caller not in collective group");
-    let vr = (me + p - root_idx) % p;
-    let mut mask = 1usize;
-    while mask < p {
-        if vr & mask == 0 {
-            let peer_vr = vr | mask;
-            if peer_vr < p {
-                let src = group.member((peer_vr + root_idx) % p);
-                let other = rank.recv::<T>(src, tag);
-                // Fixed combine order (lower vr on the left): deterministic
-                // floating-point results.
-                value = combine(value, other);
-            }
-        } else {
-            let dst_vr = vr & !mask;
-            let dst = group.member((dst_vr + root_idx) % p);
-            rank.send(dst, tag, value.clone());
-            return None;
-        }
-        mask <<= 1;
-    }
-    Some(value)
-}
-
-/// All-reduce: reduce to member 0, then broadcast. Deterministic combine
-/// order; every member returns the result.
-pub fn allreduce<T, F>(rank: &mut Rank, group: &Group, value: T, tag: u64, combine: F) -> T
-where
-    T: Payload + Clone,
-    F: FnMut(T, T) -> T,
-{
-    let reduced = reduce(rank, group, 0, value, tag, combine);
-    bcast(rank, group, 0, reduced, tag.wrapping_add(1))
-}
-
-/// Barrier: zero-byte all-reduce.
-pub fn barrier(rank: &mut Rank, group: &Group, tag: u64) {
-    allreduce(rank, group, 0u8, tag, |a, _| a);
-}
-
-/// Gather each member's vector to the root (concatenated in group order).
-/// Returns `Some(vec of per-member payloads)` on the root.
-pub fn gather<T: Send + Copy + 'static>(
-    rank: &mut Rank,
-    group: &Group,
-    root_idx: usize,
-    value: Vec<T>,
-    tag: u64,
-) -> Option<Vec<Vec<T>>> {
-    let me = group
-        .index_of(rank.rank())
-        .expect("caller not in collective group");
-    if me == root_idx {
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(group.len());
-        for i in 0..group.len() {
-            if i == root_idx {
-                out.push(value.clone());
-            } else {
-                out.push(rank.recv::<Vec<T>>(group.member(i), tag));
-            }
-        }
-        Some(out)
-    } else {
-        rank.send(group.member(root_idx), tag, value);
-        None
-    }
-}
-
-/// All-gather: every member contributes a vector and receives every
-/// member's contribution, ordered by group position. Implemented as a
-/// gather to member 0 followed by a broadcast of the concatenation — the
-/// simple algorithm whose cost the model exposes honestly.
-pub fn allgather<T: Send + Copy + 'static>(
-    rank: &mut Rank,
-    group: &Group,
-    value: Vec<T>,
-    tag: u64,
-) -> Vec<Vec<T>> {
-    let gathered = gather(rank, group, 0, value, tag);
-    // Flatten with lengths so a single bcast payload carries everything.
-    let packed: Option<(Vec<usize>, Vec<T>)> = gathered.map(|parts| {
-        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        let flat: Vec<T> = parts.into_iter().flatten().collect();
-        (lens, flat)
-    });
-    let (lens, flat) = bcast(rank, group, 0, packed, tag.wrapping_add(1));
-    let mut out = Vec::with_capacity(lens.len());
-    let mut off = 0usize;
-    for l in lens {
-        out.push(flat[off..off + l].to_vec());
-        off += l;
-    }
-    out
-}
-
-/// Personalized all-to-all: `sends[i]` goes to group member `i`; returns
-/// the vector received from each member (by group position). `sends` must
-/// have one entry per group member; the entry for self is moved to the
-/// output directly.
-pub fn alltoallv<T: Send + Copy + 'static>(
-    rank: &mut Rank,
-    group: &Group,
-    mut sends: Vec<Vec<T>>,
-    tag: u64,
-) -> Vec<Vec<T>> {
-    let p = group.len();
-    assert_eq!(sends.len(), p, "one send buffer per group member");
-    let me = group
-        .index_of(rank.rank())
-        .expect("caller not in collective group");
-    // Round r: exchange with peer (me XOR r) when valid — a latency-even
-    // schedule for power-of-two groups, correct for any size. To stay
-    // deadlock-free with blocking receives, the lower index sends first.
-    let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    out[me] = std::mem::take(&mut sends[me]);
-    for peer in 0..p {
-        if peer == me {
-            continue;
-        }
-        let peer_rank = group.member(peer);
-        if me < peer {
-            rank.send(peer_rank, tag, std::mem::take(&mut sends[peer]));
-            out[peer] = rank.recv::<Vec<T>>(peer_rank, tag);
-        } else {
-            out[peer] = rank.recv::<Vec<T>>(peer_rank, tag);
-            rank.send(peer_rank, tag, std::mem::take(&mut sends[peer]));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,23 +130,12 @@ mod tests {
     use crate::Machine;
 
     #[test]
-    fn group_split_covers_members() {
-        let g = Group::world(10);
-        let parts = g.split(3);
-        assert_eq!(parts.len(), 3);
-        let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-        let all: Vec<usize> = parts.iter().flat_map(|p| p.members().to_vec()).collect();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn bcast_reaches_everyone_for_all_sizes_and_roots() {
         for p in 1..=9usize {
             let m = Machine::new(p, CostModel::bluegene_p());
             for root in [0, p / 2, p - 1] {
                 let r = m.run(|rank| {
-                    let g = Group::world(rank.nranks());
+                    let g = Group::new((0..rank.nranks()).collect());
                     let v = if g.index_of(rank.rank()) == Some(root) {
                         Some(vec![root as f64, 2.5])
                     } else {
@@ -349,7 +154,7 @@ mod tests {
     fn bcast_on_subgroup_leaves_others_alone() {
         let m = Machine::new(6, CostModel::zero_cost());
         let r = m.run(|rank| {
-            let g = Group::range(2, 5); // ranks 2, 3, 4
+            let g = Group::new(vec![2, 3, 4]);
             if g.index_of(rank.rank()).is_some() {
                 let v = if rank.rank() == 2 { Some(7u64) } else { None };
                 bcast(rank, &g, 0, v, 5)
@@ -358,147 +163,6 @@ mod tests {
             }
         });
         assert_eq!(r.results, vec![0, 0, 7, 7, 7, 0]);
-    }
-
-    #[test]
-    fn reduce_sums_vectors() {
-        for p in 1..=8usize {
-            let m = Machine::new(p, CostModel::bluegene_p());
-            let r = m.run(|rank| {
-                let g = Group::world(rank.nranks());
-                let v = vec![rank.rank() as f64; 4];
-                reduce(rank, &g, 0, v, 9, |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                })
-            });
-            let expect: f64 = (0..p).map(|i| i as f64).sum();
-            assert_eq!(r.results[0].as_ref().unwrap(), &vec![expect; 4]);
-            for other in &r.results[1..] {
-                assert!(other.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_agrees_everywhere() {
-        let m = Machine::new(7, CostModel::bluegene_p());
-        let r = m.run(|rank| {
-            let g = Group::world(rank.nranks());
-            allreduce(rank, &g, rank.rank() as f64, 21, |a, b| a.max(b))
-        });
-        assert!(r.results.iter().all(|&v| v == 6.0));
-    }
-
-    #[test]
-    fn allreduce_is_deterministic_in_fp() {
-        // Sum of values with wildly different magnitudes: the combine order
-        // must be fixed, so repeated runs agree bitwise.
-        let run = || {
-            Machine::new(8, CostModel::bluegene_p()).run(|rank| {
-                let g = Group::world(rank.nranks());
-                let x = 10f64.powi(rank.rank() as i32 * 2) * 1.234567;
-                allreduce(rank, &g, x, 3, |a, b| a + b)
-            })
-        };
-        let a = run();
-        let b = run();
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn barrier_synchronizes_clocks() {
-        let m = CostModel {
-            alpha_s: 1.0,
-            beta_s_per_byte: 0.0,
-            flop_time_s: 1.0,
-        };
-        let r = Machine::new(4, m).run(|rank| {
-            // Rank 3 computes for 100 s; everyone then barriers.
-            if rank.rank() == 3 {
-                rank.compute(100.0);
-            }
-            let g = Group::world(rank.nranks());
-            barrier(rank, &g, 40);
-            rank.clock()
-        });
-        // After the barrier no clock can be below the slow rank's 100 s.
-        for &c in &r.results {
-            assert!(c >= 100.0, "clock {c}");
-        }
-    }
-
-    #[test]
-    fn gather_concatenates_in_group_order() {
-        let m = Machine::new(4, CostModel::zero_cost());
-        let r = m.run(|rank| {
-            let g = Group::world(rank.nranks());
-            gather(rank, &g, 0, vec![rank.rank() as u64; rank.rank() + 1], 11)
-        });
-        let got = r.results[0].as_ref().unwrap();
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(v, &vec![i as u64; i + 1]);
-        }
-    }
-
-    #[test]
-    fn allgather_everyone_sees_everything() {
-        for p in 1..=6usize {
-            let m = Machine::new(p, CostModel::bluegene_p());
-            let r = m.run(|rank| {
-                let g = Group::world(rank.nranks());
-                allgather(rank, &g, vec![rank.rank() as u64; rank.rank() + 1], 30)
-            });
-            for res in &r.results {
-                assert_eq!(res.len(), p);
-                for (i, part) in res.iter().enumerate() {
-                    assert_eq!(part, &vec![i as u64; i + 1]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_delivers_personalized_buffers() {
-        for p in 1..=6usize {
-            let m = Machine::new(p, CostModel::bluegene_p());
-            let r = m.run(|rank| {
-                let g = Group::world(rank.nranks());
-                let me = rank.rank();
-                // Send to each peer a vector encoding (me, peer).
-                let sends: Vec<Vec<u64>> = (0..p)
-                    .map(|peer| vec![(me * 100 + peer) as u64; peer + 1])
-                    .collect();
-                alltoallv(rank, &g, sends, 31)
-            });
-            for (me, res) in r.results.iter().enumerate() {
-                for (src, part) in res.iter().enumerate() {
-                    assert_eq!(part, &vec![(src * 100 + me) as u64; me + 1]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_on_subgroup() {
-        let m = Machine::new(5, CostModel::zero_cost());
-        let r = m.run(|rank| {
-            let g = Group::new(vec![1, 3, 4]);
-            if let Some(me) = g.index_of(rank.rank()) {
-                let sends: Vec<Vec<u64>> =
-                    (0..3).map(|peer| vec![(me * 10 + peer) as u64]).collect();
-                let got = alltoallv(rank, &g, sends, 9);
-                got.iter().map(|v| v[0]).collect::<Vec<_>>()
-            } else {
-                Vec::new()
-            }
-        });
-        assert_eq!(r.results[3], vec![1, 11, 21]); // member index 1 receives x1 from each
-        assert!(r.results[0].is_empty());
     }
 
     #[test]
@@ -512,7 +176,7 @@ mod tests {
         let run = |overlap: bool| {
             let payload = payload.clone();
             Machine::new(8, m).run(move |rank| {
-                let g = Group::world(rank.nranks());
+                let g = Group::new((0..rank.nranks()).collect());
                 let v = if rank.rank() == 0 {
                     Some(payload.clone())
                 } else {
@@ -558,7 +222,7 @@ mod tests {
         let time_for = |p: usize| {
             Machine::new(p, m)
                 .run(|rank| {
-                    let g = Group::world(rank.nranks());
+                    let g = Group::new((0..rank.nranks()).collect());
                     let v = if rank.rank() == 0 { Some(1u8) } else { None };
                     bcast(rank, &g, 0, v, 1);
                 })

@@ -13,16 +13,21 @@
 //! same flop/byte/message counts that determine wall-clock time on real
 //! hardware, which is what the scaling experiments measure.
 //!
-//! # Nonblocking communication
+//! # Communication primitives
+//!
+//! The surface is what the distributed factorization uses: two sends, a
+//! blocking receive, a probe and a wait-any, plus the binomial-tree
+//! broadcasts in [`collective`].
 //!
 //! [`Rank::send`] models an eager blocking send: the sender is occupied for
 //! the full `α + bytes·β`. [`Rank::isend`] models a nonblocking send whose
 //! transfer is pipelined by the network: the sender pays only `α`, the
 //! `bytes·β` transfer proceeds in the background (counted in
 //! `comm_hidden_s`), and the message arrives at the receiver at
-//! `clock_after_α + bytes·β`. On the receive side, [`Rank::probe`],
-//! [`Rank::try_recv`] and [`Rank::wait_any`] let a schedule react to what
-//! has *virtually* arrived.
+//! `clock_after_α + bytes·β`. On the receive side, [`Rank::recv`] takes one
+//! `(source, tag)` message; [`Rank::probe_all`] reports the virtual arrival
+//! times of several without consuming them, and [`Rank::wait_any`] takes
+//! the earliest, so a schedule can react to what has *virtually* arrived.
 //!
 //! Determinism is preserved by a strict rule: every nonblocking decision is
 //! a function of **virtual** arrival times, never of host-thread timing.
@@ -33,6 +38,14 @@
 //! waiter; genuine protocol errors are caught by all-ranks-blocked deadlock
 //! detection, which aborts the run with a per-rank diagnostic instead of
 //! hanging.
+//!
+//! # Runs and verdicts
+//!
+//! [`Machine::run_verdict`] runs a program under an optional [`FaultPlan`]
+//! and machine-wide receive deadline ([`Machine::recv_timeout`]) and
+//! returns how it ended: completed, a crashed rank, a timed-out receive, or
+//! a protocol deadlock. [`Machine::run`] is the same run for programs that
+//! expect to complete, and panics on any other verdict.
 //!
 //! ```
 //! use parfact_mpsim::{Machine, model::CostModel};
@@ -58,43 +71,14 @@ pub mod payload;
 pub use fault::{Fault, FaultCounts, FaultPlan};
 
 use model::CostModel;
-use parfact_trace::{Phase, SpanEvent};
+use parfact_trace::{CommMatrixReport, Phase, SpanEvent};
 use parking_lot::{Condvar, Mutex};
 use payload::Payload;
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Typed failure of a deadline-aware receive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecvError {
-    /// No matching message became available within the deadline: either the
-    /// head arrival lies past it, or the source rank crashed/finished
-    /// without posting one. `waited` is the virtual seconds spent waiting
-    /// (the timeout); the caller's clock has been advanced past them.
-    TimedOut {
-        /// Source rank the receive was matching.
-        src: usize,
-        /// Message tag the receive was matching.
-        tag: u64,
-        /// Virtual seconds waited in vain.
-        waited: f64,
-    },
-}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::TimedOut { src, tag, waited } => write!(
-                f,
-                "receive timed out after {waited:.6}s waiting on (src={src}, tag={tag})"
-            ),
-        }
-    }
-}
 
 /// A message in flight.
 struct Msg {
@@ -130,25 +114,21 @@ struct Mailbox {
     signal: Condvar,
 }
 
-/// Deadlock-detection registry: which ranks are parked in a blocking
-/// receive (and on which keys), which have finished their program, and
-/// which have crashed under an injected fault — finished and crashed ranks
-/// can never send again.
-#[derive(Default)]
 /// One parked rank's registration: what it waits for, and the absolute
 /// virtual deadline of the wait (if any). Deadline-bearing waits are
 /// resolved *at quiescence* by the scanner, which elects the earliest
 /// deadline to fire — never by rank threads racing each other on host time.
 struct Blocked {
     keys: Vec<(usize, u64)>,
-    /// Absolute virtual deadline (wait-start clock + timeout), if any.
+    /// Absolute virtual deadline (wait-start clock + the machine-wide
+    /// receive timeout), if the machine has one.
     deadline: Option<f64>,
-    /// True for a per-call [`Rank::recv_deadline`] (the caller handles the
-    /// timeout and resumes); false for the machine-wide receive timeout
-    /// (a fired timeout aborts the whole run).
-    call: bool,
 }
 
+/// Deadlock-detection registry: which ranks are parked in a blocking
+/// receive (and on which keys), which have finished their program, and
+/// which have crashed under an injected fault — finished and crashed ranks
+/// can never send again.
 struct WaitState {
     blocked: Vec<Option<Blocked>>,
     done: Vec<bool>,
@@ -210,15 +190,11 @@ impl Shared {
     /// *here*, at quiescence, where every parked clock is frozen and the
     /// state is a deterministic function of the program and fault plan:
     ///
-    /// 1. a per-call-deadline waiter on a crashed/finished source resolves
-    ///    itself (its own gone-check fires on the next poll) — wait;
-    /// 2. else elect the earliest per-call deadline to fire its timeout
-    ///    (the caller fails over and the run continues);
-    /// 3. else, with a crashed rank in the picture, abort as a rank
-    ///    failure — the precise verdict, without burning receive deadlines;
-    /// 4. else elect the earliest machine-wide deadline to fire (the rank
-    ///    aborts the run with a typed timeout);
-    /// 5. else record a protocol deadlock.
+    /// 1. with a crashed rank in the picture, abort as a rank failure — the
+    ///    precise verdict, without burning receive deadlines;
+    /// 2. else elect the earliest receive deadline to fire (the rank aborts
+    ///    the run with a typed timeout);
+    /// 3. else record a protocol deadlock.
     ///
     /// Rank threads never resolve machine-wide deadlines on their own —
     /// that would race the abort against still-running peers and make
@@ -227,7 +203,7 @@ impl Shared {
     /// Lock order: `waiting` before any mailbox `queues`; waiters never
     /// hold their own `queues` lock while taking `waiting`.
     fn deadlock_scan(&self, w: &mut WaitState) {
-        // A run that already failed (peer panic or error) aborts through
+        // A run that already failed (peer panic or timeout) aborts through
         // the failure flag; a deadlock verdict now would be spurious and
         // could mask the real panic.
         if self.failed.load(Ordering::SeqCst) {
@@ -258,45 +234,22 @@ impl Shared {
         if live {
             return;
         }
-        // Per-call waiters on a gone source unstick themselves via the
-        // gone-check in `wait_heads`; let them.
-        let self_resolving = w.blocked.iter().any(|e| {
-            e.as_ref().is_some_and(|b| {
-                b.call
-                    && b.deadline.is_some()
-                    && b.keys.iter().any(|&(s, _)| w.done[s] || w.crashed[s])
-            })
-        });
-        if self_resolving {
-            return;
-        }
-        // Earliest-deadline election among parked ranks of the given kind.
-        // Deadlines are virtual, so the choice is deterministic; ties break
-        // by rank number.
-        let elect = |w: &WaitState, call: bool| -> Option<usize> {
+        let any_crashed = w.crashed.iter().any(|&c| c);
+        // A crashed rank explains the blockage outright: abort with the
+        // rank-failure verdict instead of electing a timeout that would burn
+        // the full deadline first. Otherwise the earliest deadline fires;
+        // deadlines are virtual, so the choice is deterministic, and ties
+        // break by rank number.
+        let winner = if any_crashed {
+            None
+        } else {
             w.blocked
                 .iter()
                 .enumerate()
-                .filter_map(|(r, e)| {
-                    e.as_ref()
-                        .filter(|b| b.call == call)
-                        .and_then(|b| b.deadline)
-                        .map(|d| (d, r))
-                })
+                .filter_map(|(r, e)| e.as_ref().and_then(|b| b.deadline).map(|d| (d, r)))
                 .min_by(|a, b| a.partial_cmp(b).expect("NaN deadline"))
                 .map(|(_, r)| r)
         };
-        let any_crashed = w.crashed.iter().any(|&c| c);
-        let winner = elect(w, true).or_else(|| {
-            if any_crashed {
-                // A crashed rank explains the blockage outright: abort with
-                // the rank-failure verdict instead of electing a machine-
-                // wide timeout that would burn the full deadline first.
-                None
-            } else {
-                elect(w, false)
-            }
-        });
         if let Some(r) = winner {
             w.elected = Some(r);
             self.boxes[r].signal.notify_all();
@@ -383,14 +336,12 @@ fn install_sentinel_panic_filter() {
     });
 }
 
-/// Panic payload used to abort ranks that are blocked on a peer which
-/// panicked or returned an error. Filtered out when the machine picks which
-/// panic to propagate.
+/// Panic payload used to abort ranks once a peer panicked or timed out.
+/// Filtered out when the machine picks which panic to propagate.
 struct PeerAborted;
 
 /// Panic payload used to unwind ranks parked in a genuine deadlock; the
-/// machine converts it back into the legacy `String` diagnostic panic (or a
-/// [`RunVerdict::Deadlocked`] under `run_verdict`).
+/// machine reports the run as [`RunVerdict::Deadlocked`].
 struct DeadlockAbort;
 
 /// Panic payload used to unwind ranks that are provably blocked on a
@@ -405,8 +356,9 @@ struct RankCrashed {
 }
 
 /// Panic payload raised by a blocking receive that exceeded the
-/// machine-wide [`Machine::recv_timeout`]. Caught by the machine and turned
-/// into a [`RunVerdict::TimedOut`].
+/// machine-wide [`Machine::recv_timeout`], on the `(src, tag)` it was
+/// matching and the virtual seconds it waited. Caught by the machine and
+/// turned into a [`RunVerdict::TimedOut`].
 struct TimeoutAbort {
     src: usize,
     tag: u64,
@@ -488,97 +440,32 @@ impl CommRow {
             msgs: vec![0; nranks * nclasses],
         }
     }
-
-    /// Total payload bytes this rank sent.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Total messages this rank sent.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
 }
 
-/// Full src×dst×class traffic matrix of a run, assembled from the per-rank
-/// [`CommRow`]s. Row `src` holds what `src` sent; column sums therefore
-/// count what was *posted to* a rank (drained or not).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommMatrix {
-    /// Number of ranks.
-    pub nranks: usize,
-    /// Tag-class names, indexed by class.
-    pub class_names: Vec<String>,
-    /// Payload bytes, indexed `(src * nranks + dst) * nclasses + class`.
-    pub bytes: Vec<u64>,
-    /// Message counts, same indexing.
-    pub msgs: Vec<u64>,
-}
-
-impl CommMatrix {
-    fn new(nranks: usize, class_names: Vec<String>) -> Self {
-        let n = nranks * nranks * class_names.len();
-        CommMatrix {
-            nranks,
-            class_names,
-            bytes: vec![0; n],
-            msgs: vec![0; n],
-        }
+/// The src×dst×class traffic matrix of a run, row `src` being `rows[src]`:
+/// what `src` sent, so a column sum counts what was *posted to* a rank
+/// (drained or not). The one place a matrix is built from [`CommRow`]s —
+/// the machine's whole-run matrix and a program's own snapshot alike.
+pub fn comm_report(class_names: &[impl AsRef<str>], rows: &[&CommRow]) -> CommMatrixReport {
+    let (nranks, nclasses) = (rows.len(), class_names.len());
+    let mut m = CommMatrixReport {
+        nranks,
+        class_names: class_names.iter().map(|s| s.as_ref().to_string()).collect(),
+        bytes: Vec::with_capacity(nranks * nranks * nclasses),
+        msgs: Vec::with_capacity(nranks * nranks * nclasses),
+    };
+    // A row is indexed `dst * nclasses + class`, so the rows laid end to
+    // end are the matrix's `(src * nranks + dst) * nclasses + class`.
+    for row in rows {
+        assert_eq!(
+            (row.nranks, row.nclasses),
+            (nranks, nclasses),
+            "ragged comm row"
+        );
+        m.bytes.extend_from_slice(&row.bytes);
+        m.msgs.extend_from_slice(&row.msgs);
     }
-
-    /// Number of tag classes.
-    pub fn nclasses(&self) -> usize {
-        self.class_names.len()
-    }
-
-    /// `(bytes, msgs)` on the `src → dst` link in `class`.
-    pub fn at(&self, src: usize, dst: usize, class: usize) -> (u64, u64) {
-        let i = (src * self.nranks + dst) * self.nclasses() + class;
-        (self.bytes[i], self.msgs[i])
-    }
-
-    /// Bytes sent by `src` (row sum over destinations and classes).
-    pub fn sent_bytes(&self, src: usize) -> u64 {
-        let nc = self.nclasses();
-        let row = src * self.nranks * nc;
-        self.bytes[row..row + self.nranks * nc].iter().sum()
-    }
-
-    /// Messages sent by `src` (row sum).
-    pub fn sent_msgs(&self, src: usize) -> u64 {
-        let nc = self.nclasses();
-        let row = src * self.nranks * nc;
-        self.msgs[row..row + self.nranks * nc].iter().sum()
-    }
-
-    /// Bytes posted to `dst` (column sum over sources and classes).
-    pub fn posted_bytes(&self, dst: usize) -> u64 {
-        (0..self.nranks)
-            .flat_map(|s| (0..self.nclasses()).map(move |c| self.at(s, dst, c).0))
-            .sum()
-    }
-
-    /// Messages posted to `dst` (column sum).
-    pub fn posted_msgs(&self, dst: usize) -> u64 {
-        (0..self.nranks)
-            .flat_map(|s| (0..self.nclasses()).map(move |c| self.at(s, dst, c).1))
-            .sum()
-    }
-
-    /// Total bytes in tag class `class` across all links.
-    pub fn class_bytes(&self, class: usize) -> u64 {
-        self.bytes.iter().skip(class).step_by(self.nclasses()).sum()
-    }
-
-    /// Total bytes across all links and classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Total messages across all links and classes.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
+    m
 }
 
 /// Per-rank execution statistics (virtual time and counters).
@@ -632,16 +519,6 @@ impl RankStats {
     }
 }
 
-/// Handle returned by [`Rank::isend`]. The payload is already en route; the
-/// handle records when the modelled transfer completes so a sender that
-/// must reuse the "buffer" can [`Rank::wait_send`] for it.
-#[derive(Debug, Clone, Copy)]
-pub struct SendReq {
-    /// Virtual time at which the transfer is complete (equals the
-    /// receiver-side arrival time).
-    pub complete_at: f64,
-}
-
 /// Handle a rank's program uses to talk to the machine.
 pub struct Rank {
     rank: usize,
@@ -665,10 +542,9 @@ pub struct Rank {
     /// When on, communication ops and [`Rank::compute_as`] append
     /// [`SpanEvent`]s (virtual timestamps, `who = rank`). Recording never
     /// touches the clocks, so traced and untraced runs are bitwise
-    /// identical. `RefCell` because `probe`/`probe_all` take `&self`; the
-    /// `Rank` never leaves its own thread.
+    /// identical.
     trace: bool,
-    events: RefCell<Vec<SpanEvent>>,
+    events: Vec<SpanEvent>,
     /// Compiled view of the machine's fault plan for this rank.
     faults: RankFaults,
     /// Machine-wide default receive deadline (virtual seconds), applied by
@@ -725,20 +601,15 @@ impl Rank {
         self.trace = on;
     }
 
-    /// Is event recording currently on?
-    pub fn trace_events_enabled(&self) -> bool {
-        self.trace
-    }
-
     /// Drain the recorded events (chronological for this rank).
     pub fn take_events(&mut self) -> Vec<SpanEvent> {
-        std::mem::take(&mut *self.events.borrow_mut())
+        std::mem::take(&mut self.events)
     }
 
     #[inline]
-    fn push_span(&self, phase: Phase, supernode: Option<usize>, start_s: f64, dur_s: f64) {
+    fn push_span(&mut self, phase: Phase, supernode: Option<usize>, start_s: f64, dur_s: f64) {
         if self.trace {
-            self.events.borrow_mut().push(SpanEvent {
+            self.events.push(SpanEvent {
                 phase,
                 supernode,
                 who: self.rank,
@@ -760,7 +631,7 @@ impl Rank {
     /// the current virtual clock. Called at operation boundaries, so the
     /// crash point is a deterministic function of virtual time.
     #[inline]
-    fn maybe_crash(&self) {
+    fn maybe_crash(&mut self) {
         if let Some(t) = self.faults.crash_at {
             if self.clock >= t {
                 self.crash_now();
@@ -783,7 +654,7 @@ impl Rank {
     /// (so the blockage scanner can attribute stalls to it), wake every
     /// parked peer, and unwind with the crash sentinel. The rank's already
     /// posted messages stay deliverable — a crash loses future sends only.
-    fn crash_now(&self) -> ! {
+    fn crash_now(&mut self) -> ! {
         self.shared.faults.crashes.fetch_add(1, Ordering::Relaxed);
         self.push_span(Phase::Fault, None, self.clock, 0.0);
         {
@@ -827,10 +698,10 @@ impl Rank {
     /// Post `payload` applying this rank's outgoing link faults: per-link
     /// in-network delay shifts the arrival (the sender's clock is
     /// untouched), and a duplicated link posts a second copy at the same
-    /// arrival. Returns the (possibly delayed) arrival time and the number
-    /// of copies posted (2 on a duplicated link) so the sender's byte and
-    /// message counters can account every copy that actually entered the
-    /// network — the receiver drains (or leaves queued) exactly that many.
+    /// arrival. Returns the number of copies posted (2 on a duplicated
+    /// link) so the sender's byte and message counters can account every
+    /// copy that actually entered the network — the receiver drains (or
+    /// leaves queued) exactly that many.
     fn deliver<T: Payload>(
         &self,
         dst: usize,
@@ -838,7 +709,7 @@ impl Rank {
         payload: T,
         arrival: f64,
         bytes: usize,
-    ) -> (f64, u64) {
+    ) -> u64 {
         let mut arrival = arrival;
         if let Some(&extra) = self.faults.delay_out.get(&dst) {
             if extra > 0.0 {
@@ -859,7 +730,7 @@ impl Rank {
                 .fetch_add(1, Ordering::Relaxed);
         }
         self.post(dst, tag, Box::new(payload), arrival, bytes);
-        (arrival, copies)
+        copies
     }
 
     /// Account `copies` posted copies of a `bytes`-byte message to `dst`
@@ -893,12 +764,11 @@ impl Rank {
         self.maybe_crash();
         self.note_send_attempt();
         let bytes = payload.nbytes();
-        let m = &self.shared.model;
-        let dt = m.alpha_s + bytes as f64 * m.beta_s_per_byte;
+        let dt = self.shared.model.msg_time(bytes);
         self.push_span(Phase::Comm, None, self.clock, dt);
         self.clock += dt;
         self.comm_s += dt;
-        let (_, copies) = self.deliver(dst, tag, payload, self.clock, bytes);
+        let copies = self.deliver(dst, tag, payload, self.clock, bytes);
         self.note_posted(dst, tag, bytes, copies);
     }
 
@@ -906,37 +776,21 @@ impl Rank {
     /// transfer is pipelined by the modelled network and charged to
     /// [`RankStats::comm_hidden_s`] instead of the clock. The message
     /// arrives at the receiver at `clock_after_α + bytes·β`.
-    pub fn isend<T: Payload>(&mut self, dst: usize, tag: u64, payload: T) -> SendReq {
+    pub fn isend<T: Payload>(&mut self, dst: usize, tag: u64, payload: T) {
         assert!(dst < self.nranks, "isend to rank {dst} of {}", self.nranks);
         assert_ne!(dst, self.rank, "self-sends are not modelled; restructure");
         self.maybe_crash();
         self.note_send_attempt();
         let bytes = payload.nbytes();
-        let m = &self.shared.model;
-        let transfer = bytes as f64 * m.beta_s_per_byte;
-        self.push_span(Phase::Comm, None, self.clock, m.alpha_s);
-        self.clock += m.alpha_s;
-        self.comm_s += m.alpha_s;
+        let (alpha_s, beta_s_per_byte) =
+            (self.shared.model.alpha_s, self.shared.model.beta_s_per_byte);
+        let transfer = bytes as f64 * beta_s_per_byte;
+        self.push_span(Phase::Comm, None, self.clock, alpha_s);
+        self.clock += alpha_s;
+        self.comm_s += alpha_s;
         self.comm_hidden_s += transfer;
-        let (arrival, copies) = self.deliver(dst, tag, payload, self.clock + transfer, bytes);
+        let copies = self.deliver(dst, tag, payload, self.clock + transfer, bytes);
         self.note_posted(dst, tag, bytes, copies);
-        SendReq {
-            complete_at: arrival,
-        }
-    }
-
-    /// Wait for an [`Rank::isend`] transfer to complete: advances the clock
-    /// to `complete_at` if it lies in the future. The exposed portion of
-    /// the wait is moved from `comm_hidden_s` back to `comm_s` so the
-    /// hidden counter stays honest.
-    pub fn wait_send(&mut self, req: SendReq) {
-        if req.complete_at > self.clock {
-            let exposed = req.complete_at - self.clock;
-            self.push_span(Phase::Wait, None, self.clock, exposed);
-            self.clock = req.complete_at;
-            self.comm_s += exposed;
-            self.comm_hidden_s = (self.comm_hidden_s - exposed).max(0.0);
-        }
     }
 
     /// Receive the next message from `src` with `tag`, blocking until it is
@@ -944,146 +798,45 @@ impl Rank {
     /// arrival time. Matching is strictly by `(src, tag)` — there is no
     /// wildcard receive, which keeps execution and floating point
     /// deterministic.
+    ///
+    /// Past the machine-wide receive deadline (the head arrives later, or
+    /// the scanner fires this rank's deadline) the rank has waited until
+    /// the deadline — its clock advances there — and the run aborts with
+    /// [`RunVerdict::TimedOut`].
     pub fn recv<T: Payload>(&mut self, src: usize, tag: u64) -> T {
         self.maybe_crash();
-        match self.recv_with_deadline(src, tag, self.recv_timeout, false) {
-            Ok(v) => v,
-            Err(RecvError::TimedOut { src, tag, waited }) => {
-                // Machine-wide deadline exceeded: abort the whole run with
-                // the timeout sentinel; the machine reports a structured
-                // `RunVerdict::TimedOut`.
-                std::panic::panic_any(TimeoutAbort {
-                    src,
-                    tag,
-                    waited_s: waited,
-                })
-            }
-        }
-    }
-
-    /// [`Rank::recv`] with an explicit per-call deadline: if no matching
-    /// message is available within `timeout_s` virtual seconds (the head
-    /// arrival lies past the deadline, or the source crashed/finished
-    /// without posting one), return [`RecvError::TimedOut`] instead of
-    /// relying on the deadlock detector. The clock advances to the deadline
-    /// — the rank did wait that long — so callers can retry or fail over
-    /// deterministically.
-    pub fn recv_deadline<T: Payload>(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout_s: f64,
-    ) -> Result<T, RecvError> {
-        self.maybe_crash();
-        self.recv_with_deadline(src, tag, Some(timeout_s), true)
-    }
-
-    fn recv_with_deadline<T: Payload>(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<f64>,
-        call: bool,
-    ) -> Result<T, RecvError> {
-        let deadline = timeout.map(|t| self.clock + t);
-        let arrival = match self.wait_heads(std::slice::from_ref(&(src, tag)), deadline, call) {
-            Ok(arrivals) => arrivals[0],
-            Err(e) => return Err(self.note_timeout(e, deadline.expect("timeout without deadline"))),
+        let deadline = self.deadline();
+        let late = match self.wait_heads(&[(src, tag)], deadline) {
+            Ok(arrivals) => deadline.filter(|&d| arrivals[0] > d).map(|d| TimeoutAbort {
+                src,
+                tag,
+                waited_s: d - self.clock,
+            }),
+            Err(t) => Some(t),
         };
-        if let Some(d) = deadline {
-            if arrival > d {
-                let e = RecvError::TimedOut {
-                    src,
-                    tag,
-                    waited: d - self.clock,
-                };
-                return Err(self.note_timeout(e, d));
-            }
+        if let Some(t) = late {
+            self.wait_until(deadline.expect("a timeout needs a deadline"));
+            self.timeout_abort(t);
         }
-        let (data, arrival) = self.pop_head(src, tag);
-        if arrival > self.clock {
-            self.push_span(Phase::Wait, None, self.clock, arrival - self.clock);
-            self.comm_s += arrival - self.clock;
-            self.clock = arrival;
-        }
-        Ok(self.downcast(data, src, tag))
-    }
-
-    /// Account a timed-out wait: the rank virtually waited until the
-    /// deadline, so the clock advances there (as a recorded wait), a fault
-    /// marker lands on the timeline, and the machine-wide tally is bumped.
-    fn note_timeout(&mut self, e: RecvError, deadline: f64) -> RecvError {
-        self.shared.faults.timeouts.fetch_add(1, Ordering::Relaxed);
-        if deadline > self.clock {
-            let waited = deadline - self.clock;
-            self.push_span(Phase::Wait, None, self.clock, waited);
-            self.comm_s += waited;
-            self.clock = deadline;
-        }
-        self.push_span(Phase::Fault, None, self.clock, 0.0);
-        e
-    }
-
-    /// Block (physically, without advancing the virtual clock) until a
-    /// message from `(src, tag)` is posted; return its virtual arrival time
-    /// without consuming it.
-    pub fn probe(&self, src: usize, tag: u64) -> f64 {
-        self.maybe_crash();
-        let deadline = self.recv_timeout.map(|t| self.clock + t);
-        let arrival = match self.wait_heads(std::slice::from_ref(&(src, tag)), deadline, false) {
-            Ok(arrivals) => arrivals[0],
-            Err(e) => self.timeout_abort(e),
-        };
-        // Zero-duration marker at the probed arrival: probes consume no
-        // virtual time, but the trace shows what the scheduler saw coming.
-        self.push_span(Phase::Wait, None, arrival, 0.0);
-        arrival
-    }
-
-    /// Abort the run on a machine-wide receive deadline from a `&self`
-    /// context (probe paths): tally it and unwind with the sentinel.
-    fn timeout_abort(&self, e: RecvError) -> ! {
-        self.shared.faults.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.push_span(Phase::Fault, None, self.clock, 0.0);
-        let RecvError::TimedOut { src, tag, waited } = e;
-        std::panic::panic_any(TimeoutAbort {
-            src,
-            tag,
-            waited_s: waited,
-        })
+        self.take(src, tag)
     }
 
     /// Block (physically, without advancing the virtual clock) until every
     /// key in `keys` has a message at the head of its queue; return the head
-    /// arrival times in `keys` order. This is the primitive that event-
-    /// driven schedulers use to make decisions from virtual time only.
-    pub fn probe_all(&self, keys: &[(usize, u64)]) -> Vec<f64> {
+    /// arrival times in `keys` order, consuming nothing. This is the
+    /// primitive that event-driven schedulers use to make decisions from
+    /// virtual time only.
+    pub fn probe_all(&mut self, keys: &[(usize, u64)]) -> Vec<f64> {
         self.maybe_crash();
-        let deadline = self.recv_timeout.map(|t| self.clock + t);
-        let arrivals = match self.wait_heads(keys, deadline, false) {
-            Ok(arrivals) => arrivals,
-            Err(e) => self.timeout_abort(e),
-        };
+        let arrivals = self
+            .wait_heads(keys, self.deadline())
+            .unwrap_or_else(|t| self.timeout_abort(t));
         if let Some(next) = arrivals.iter().copied().reduce(f64::min) {
             // One marker per poll, at the nearest head arrival (the
             // scheduler's event horizon).
             self.push_span(Phase::Wait, None, next, 0.0);
         }
         arrivals
-    }
-
-    /// Receive from `(src, tag)` only if the message has already arrived in
-    /// *virtual* time (head arrival ≤ current clock). The decision depends
-    /// on virtual time only, never on host-thread scheduling, so control
-    /// flow stays deterministic; the OS thread blocks until the head is
-    /// posted so the arrival time is known.
-    pub fn try_recv<T: Payload>(&mut self, src: usize, tag: u64) -> Option<T> {
-        let arrival = self.probe(src, tag);
-        if arrival > self.clock {
-            return None;
-        }
-        let (data, _) = self.pop_head(src, tag);
-        Some(self.downcast(data, src, tag))
     }
 
     /// Wait until the earliest (in virtual time) of the pending messages in
@@ -1094,11 +847,10 @@ impl Rank {
     pub fn wait_any<T: Payload>(&mut self, keys: &[(usize, u64)]) -> (usize, T) {
         assert!(!keys.is_empty(), "wait_any on an empty key set");
         self.maybe_crash();
-        let deadline = self.recv_timeout.map(|t| self.clock + t);
-        let arrivals = match self.wait_heads(keys, deadline, false) {
-            Ok(arrivals) => arrivals,
-            Err(e) => self.timeout_abort(e),
-        };
+        let deadline = self.deadline();
+        let arrivals = self
+            .wait_heads(keys, deadline)
+            .unwrap_or_else(|t| self.timeout_abort(t));
         let mut best = 0usize;
         for i in 1..keys.len() {
             let better =
@@ -1108,36 +860,42 @@ impl Rank {
             }
         }
         let (src, tag) = keys[best];
-        if let Some(d) = deadline {
-            if arrivals[best] > d {
-                self.timeout_abort(RecvError::TimedOut {
-                    src,
-                    tag,
-                    waited: d - self.clock,
-                });
-            }
+        if let Some(d) = deadline.filter(|&d| arrivals[best] > d) {
+            self.timeout_abort(TimeoutAbort {
+                src,
+                tag,
+                waited_s: d - self.clock,
+            });
         }
-        let (data, arrival) = self.pop_head(src, tag);
-        if arrival > self.clock {
-            self.push_span(Phase::Wait, None, self.clock, arrival - self.clock);
-            self.comm_s += arrival - self.clock;
-            self.clock = arrival;
-        }
-        (best, self.downcast(data, src, tag))
+        (best, self.take(src, tag))
     }
 
-    fn downcast<T: Payload>(&self, data: Box<dyn Any + Send>, src: usize, tag: u64) -> T {
-        match data.downcast::<T>() {
-            Ok(b) => *b,
-            Err(_) => panic!(
-                "rank {}: type mismatch receiving (src={src}, tag={tag}): expected {}",
-                self.rank,
-                std::any::type_name::<T>()
-            ),
+    /// The machine-wide deadline of a receive that starts now, if any.
+    fn deadline(&self) -> Option<f64> {
+        self.recv_timeout.map(|t| self.clock + t)
+    }
+
+    /// Abort the run on the machine-wide receive deadline: tally it, mark
+    /// the timeline, and unwind with the sentinel.
+    fn timeout_abort(&mut self, t: TimeoutAbort) -> ! {
+        self.shared.faults.timeouts.fetch_add(1, Ordering::Relaxed);
+        self.push_span(Phase::Fault, None, self.clock, 0.0);
+        std::panic::panic_any(t)
+    }
+
+    /// Advance the clock to `t` if it lies in the future, as a recorded
+    /// wait.
+    fn wait_until(&mut self, t: f64) {
+        if t > self.clock {
+            self.push_span(Phase::Wait, None, self.clock, t - self.clock);
+            self.comm_s += t - self.clock;
+            self.clock = t;
         }
     }
 
-    fn pop_head(&mut self, src: usize, tag: u64) -> (Box<dyn Any + Send>, f64) {
+    /// Consume the head message of `(src, tag)`, which [`Rank::wait_heads`]
+    /// saw posted, and wait until its arrival.
+    fn take<T: Payload>(&mut self, src: usize, tag: u64) -> T {
         let msg = {
             use std::collections::hash_map::Entry;
             let mut q = self.shared.boxes[self.rank].queues.lock();
@@ -1162,7 +920,15 @@ impl Rank {
         // (like `queue_peak`) could race host scheduling.
         self.bytes_recv += msg.bytes as u64;
         self.msgs_recv += 1;
-        (msg.data, msg.arrival)
+        self.wait_until(msg.arrival);
+        match msg.data.downcast::<T>() {
+            Ok(b) => *b,
+            Err(_) => panic!(
+                "rank {}: type mismatch receiving (src={src}, tag={tag}): expected {}",
+                self.rank,
+                std::any::type_name::<T>()
+            ),
+        }
     }
 
     /// Abort this rank because the run failed elsewhere: re-raise the
@@ -1184,23 +950,17 @@ impl Rank {
     /// clock is untouched. All blocking receives funnel through here so the
     /// deadlock detector sees every parked rank.
     ///
-    /// A *per-call* deadline (`call == true`) fails fast: a missing head
-    /// whose source rank has crashed or finished (and whose queue is empty)
-    /// is provably never coming, so the wait returns
-    /// [`RecvError::TimedOut`] immediately — the caller fails over and the
-    /// outcome is virtually deterministic (the clock jumps to the fixed
-    /// deadline either way). A *machine-wide* deadline never self-resolves:
-    /// the rank parks and the deadlock scanner decides at quiescence, when
-    /// every parked clock is frozen — otherwise the abort would race
-    /// still-running peers and the failed attempt's clocks (and makespan)
-    /// would depend on host timing. A rank elected by the scanner returns
-    /// [`RecvError::TimedOut`] on its smallest missing `(src, tag)` key.
+    /// A deadline never resolves on this thread: the rank parks and the
+    /// deadlock scanner decides at quiescence, when every parked clock is
+    /// frozen — otherwise the abort would race still-running peers and the
+    /// failed attempt's clocks (and makespan) would depend on host timing.
+    /// A rank elected by the scanner returns the timeout on its smallest
+    /// missing `(src, tag)` key.
     fn wait_heads(
         &self,
         keys: &[(usize, u64)],
         deadline: Option<f64>,
-        call: bool,
-    ) -> Result<Vec<f64>, RecvError> {
+    ) -> Result<Vec<f64>, TimeoutAbort> {
         for &(src, _) in keys {
             assert!(src < self.nranks, "recv from rank {src} of {}", self.nranks);
         }
@@ -1233,35 +993,14 @@ impl Rank {
                 };
                 if elected {
                     let &(src, tag) = missing.iter().min().expect("elected with no missing key");
-                    return Err(RecvError::TimedOut {
+                    return Err(TimeoutAbort {
                         src,
                         tag,
-                        waited: d - self.clock,
+                        waited_s: d - self.clock,
                     });
                 }
             }
-            if let (Some(d), true) = (deadline, call) {
-                // Read the gone flags first: a post that happened before
-                // the source stopped is visible once the flag is.
-                let gone: Vec<bool> = {
-                    let w = self.shared.waiting.lock();
-                    missing
-                        .iter()
-                        .map(|&(s, _)| w.done[s] || w.crashed[s])
-                        .collect()
-                };
-                let q = mbox.queues.lock();
-                for (k, &g) in missing.iter().zip(&gone) {
-                    if g && q.head_arrival(k).is_none() {
-                        return Err(RecvError::TimedOut {
-                            src: k.0,
-                            tag: k.1,
-                            waited: d - self.clock,
-                        });
-                    }
-                }
-            }
-            self.register_blocked(&missing, deadline, call);
+            self.register_blocked(&missing, deadline);
             {
                 let mut q = mbox.queues.lock();
                 let still_missing = missing.iter().any(|k| q.head_arrival(k).is_none());
@@ -1280,12 +1019,11 @@ impl Rank {
     /// and unregistering a rank sends nothing, so if the scan finds no
     /// satisfying message the blockage cannot resolve — fail the run with a
     /// per-rank diagnostic instead of hanging.
-    fn register_blocked(&self, missing: &[(usize, u64)], deadline: Option<f64>, call: bool) {
+    fn register_blocked(&self, missing: &[(usize, u64)], deadline: Option<f64>) {
         let mut w = self.shared.waiting.lock();
         w.blocked[self.rank] = Some(Blocked {
             keys: missing.to_vec(),
             deadline,
-            call,
         });
         self.shared.deadlock_scan(&mut w);
     }
@@ -1336,7 +1074,7 @@ pub struct RunReport<R> {
     pub fault_counts: FaultCounts,
     /// Full src×dst×class traffic matrix (`None` unless
     /// [`Machine::comm_matrix`] installed a tag classifier).
-    pub comm: Option<CommMatrix>,
+    pub comm: Option<CommMatrixReport>,
 }
 
 impl<R> RunReport<R> {
@@ -1431,7 +1169,7 @@ pub struct VerdictReport<R> {
     pub makespan_s: f64,
     /// Full src×dst×class traffic matrix (`None` unless
     /// [`Machine::comm_matrix`] installed a tag classifier).
-    pub comm: Option<CommMatrix>,
+    pub comm: Option<CommMatrixReport>,
 }
 
 /// A simulated message-passing machine with a fixed rank count and cost
@@ -1446,9 +1184,8 @@ pub struct Machine {
 }
 
 /// How one rank's program ended.
-enum RankEnd<R, E> {
+enum RankEnd<R> {
     Done(R),
-    Errored(E),
     Crashed {
         at_s: f64,
     },
@@ -1461,22 +1198,11 @@ enum RankEnd<R, E> {
     Stalled,
 }
 
-struct RankSlot<R, E> {
-    end: RankEnd<R, E>,
+struct RankSlot<R> {
+    end: RankEnd<R>,
     stats: RankStats,
     events: Vec<SpanEvent>,
     comm: Option<CommRow>,
-}
-
-/// Everything `run_inner` learns about a run, before any policy (panic
-/// vs. error vs. verdict) is applied.
-struct InnerRun<R, E> {
-    slots: Vec<RankSlot<R, E>>,
-    /// First real (non-sentinel) panic, to be propagated.
-    panic: Option<Box<dyn Any + Send>>,
-    abort: Option<AbortReason>,
-    counts: FaultCounts,
-    comm: Option<CommMatrix>,
 }
 
 impl Machine {
@@ -1522,7 +1248,7 @@ impl Machine {
     /// Apply a [`FaultPlan`] to every run on this machine. Faults fire at
     /// deterministic virtual points, so repeated runs reproduce bitwise.
     /// Use [`Machine::run_verdict`] to observe the structured outcome;
-    /// under `run`/`run_result` an injected crash or timeout panics with a
+    /// under [`Machine::run`] an injected crash or timeout panics with a
     /// diagnostic message.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
@@ -1543,93 +1269,48 @@ impl Machine {
         self
     }
 
-    /// Run an SPMD program: `f` is executed once per rank, each on its own
-    /// OS thread. Panics in any rank abort the whole run (peers unblock and
-    /// re-panic) and the panic is propagated to the caller.
+    /// Run an SPMD program that is expected to complete: `f` is executed
+    /// once per rank, each on its own OS thread. This is
+    /// [`Machine::run_verdict`] with every other verdict turned into a
+    /// panic: a protocol deadlock panics with its per-rank diagnostic
+    /// string as the payload, and an injected crash or timeout (only
+    /// possible with a [`FaultPlan`] or [`Machine::recv_timeout`]) panics
+    /// with a message pointing at `run_verdict`. A panic in any rank aborts
+    /// the whole run (peers unblock) and is propagated to the caller.
     pub fn run<R, F>(&self, f: F) -> RunReport<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
-        match self.run_result::<R, std::convert::Infallible, _>(|rank| Ok(f(rank))) {
-            Ok(rep) => rep,
-            Err(e) => match e {},
-        }
-    }
-
-    /// Run an SPMD program whose ranks can fail with a typed error. When a
-    /// rank returns `Err`, peers blocked on its messages are unwound
-    /// internally (their partial results are discarded) and the
-    /// lowest-numbered rank's error is returned. Real panics still
-    /// propagate as panics, and a protocol deadlock panics with its
-    /// diagnostic string. Injected crashes and timeouts (only possible with
-    /// a [`FaultPlan`] or [`Machine::recv_timeout`]) also panic — use
-    /// [`Machine::run_verdict`] for fault-injection runs.
-    pub fn run_result<R, E, F>(&self, f: F) -> Result<RunReport<R>, E>
-    where
-        R: Send,
-        E: Send,
-        F: Fn(&mut Rank) -> Result<R, E> + Send + Sync,
-    {
-        let inner = self.run_inner(f);
-        if let Some(p) = inner.panic {
-            std::panic::resume_unwind(p);
-        }
-        if let Some(AbortReason::Deadlock(diag)) = inner.abort {
-            // Legacy contract: deadlocks abort with the diagnostic string
-            // as the panic payload.
-            std::panic::panic_any(diag);
-        }
-        let mut out = Vec::with_capacity(self.nranks);
-        let mut stats = Vec::with_capacity(self.nranks);
-        let mut events = Vec::with_capacity(self.nranks);
-        let mut first_err: Option<E> = None;
-        let mut fault_note: Option<String> = None;
-        for (r, slot) in inner.slots.into_iter().enumerate() {
-            match slot.end {
-                RankEnd::Done(v) => {
-                    out.push(v);
-                    stats.push(slot.stats);
-                    events.push(slot.events);
-                }
-                RankEnd::Errored(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                RankEnd::Crashed { at_s } => {
-                    fault_note.get_or_insert(format!(
-                        "rank {r} crashed at t={at_s:.6}s under the injected fault plan"
-                    ));
-                }
-                RankEnd::TimedOut { src, tag, waited_s } => {
-                    fault_note.get_or_insert(format!(
-                        "rank {r} timed out after {waited_s:.6}s waiting on (src={src}, tag={tag})"
-                    ));
-                }
-                RankEnd::Stalled => {}
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if let Some(note) = fault_note {
+        let v = self.run_verdict(f);
+        let fault = match v.verdict {
+            RunVerdict::Completed => None,
+            RunVerdict::Deadlocked { detail } => std::panic::panic_any(detail),
+            RunVerdict::RankFailed { detail, .. } => Some(detail.trim_end().to_string()),
+            RunVerdict::TimedOut {
+                rank,
+                src,
+                tag,
+                waited_s,
+            } => Some(format!(
+                "rank {rank} timed out after {waited_s:.6}s waiting on (src={src}, tag={tag})"
+            )),
+        };
+        if let Some(note) = fault {
             panic!("mpsim run aborted by injected fault: {note}; use Machine::run_verdict for fault-injection runs");
         }
-        assert_eq!(
-            out.len(),
-            self.nranks,
-            "rank finished without result despite no panic or error"
-        );
-        let makespan = stats.iter().fold(0.0f64, |m, s| m.max(s.clock_s));
-        Ok(RunReport {
-            results: out,
-            stats,
-            events,
-            makespan_s: makespan,
-            fault_counts: inner.counts,
-            comm: inner.comm,
-        })
+        RunReport {
+            results: v
+                .results
+                .into_iter()
+                .map(|r| r.expect("a completed run has every rank's result"))
+                .collect(),
+            stats: v.stats,
+            events: v.events,
+            makespan_s: v.makespan_s,
+            fault_counts: v.fault_counts,
+            comm: v.comm,
+        }
     }
 
     /// Run an SPMD program under the machine's fault plan and receive
@@ -1638,82 +1319,13 @@ impl Machine {
     /// exceeded deadlines [`RunVerdict::TimedOut`], unresolvable blockage
     /// with no crashed rank [`RunVerdict::Deadlocked`]. Real panics in the
     /// program still propagate.
+    ///
+    /// Each rank runs on its own OS thread; statistics and events are
+    /// collected for every rank, including crashed and unwound ones.
     pub fn run_verdict<R, F>(&self, f: F) -> VerdictReport<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
-    {
-        let inner = self.run_inner::<R, std::convert::Infallible, _>(|rank| Ok(f(rank)));
-        if let Some(p) = inner.panic {
-            std::panic::resume_unwind(p);
-        }
-        let mut results = Vec::with_capacity(self.nranks);
-        let mut stats = Vec::with_capacity(self.nranks);
-        let mut events = Vec::with_capacity(self.nranks);
-        let mut crashed: Vec<usize> = Vec::new();
-        let mut crash_detail = String::new();
-        let mut timeout: Option<(usize, usize, u64, f64)> = None;
-        for (r, slot) in inner.slots.into_iter().enumerate() {
-            stats.push(slot.stats);
-            events.push(slot.events);
-            match slot.end {
-                RankEnd::Done(v) => results.push(Some(v)),
-                RankEnd::Errored(e) => match e {},
-                RankEnd::Crashed { at_s } => {
-                    use std::fmt::Write;
-                    crashed.push(r);
-                    let _ = writeln!(crash_detail, "rank {r} crashed at t={at_s:.6}s");
-                    results.push(None);
-                }
-                RankEnd::TimedOut { src, tag, waited_s } => {
-                    if timeout.is_none() {
-                        timeout = Some((r, src, tag, waited_s));
-                    }
-                    results.push(None);
-                }
-                RankEnd::Stalled => results.push(None),
-            }
-        }
-        let verdict = if !crashed.is_empty() {
-            if let Some(AbortReason::RankFailure(diag)) = &inner.abort {
-                crash_detail.push_str(diag);
-            }
-            RunVerdict::RankFailed {
-                ranks: crashed,
-                detail: crash_detail,
-            }
-        } else if let Some((rank, src, tag, waited_s)) = timeout {
-            RunVerdict::TimedOut {
-                rank,
-                src,
-                tag,
-                waited_s,
-            }
-        } else if let Some(AbortReason::Deadlock(detail)) = inner.abort {
-            RunVerdict::Deadlocked { detail }
-        } else {
-            RunVerdict::Completed
-        };
-        let makespan = stats.iter().fold(0.0f64, |m, s| m.max(s.clock_s));
-        VerdictReport {
-            verdict,
-            results,
-            stats,
-            events,
-            fault_counts: inner.counts,
-            makespan_s: makespan,
-            comm: inner.comm,
-        }
-    }
-
-    /// The shared runner: spawn one OS thread per rank, classify how each
-    /// rank ended, and collect statistics/events for every rank — policy
-    /// (panic, `Err`, or verdict) is applied by the public entry points.
-    fn run_inner<R, E, F>(&self, f: F) -> InnerRun<R, E>
-    where
-        R: Send,
-        E: Send,
-        F: Fn(&mut Rank) -> Result<R, E> + Send + Sync,
     {
         install_sentinel_panic_filter();
         let shared = Arc::new(Shared {
@@ -1735,7 +1347,7 @@ impl Machine {
                 b.signal.notify_all();
             }
         };
-        let mut slots: Vec<Option<RankSlot<R, E>>> = (0..self.nranks).map(|_| None).collect();
+        let mut slots: Vec<Option<RankSlot<R>>> = (0..self.nranks).map(|_| None).collect();
         let fref = &f;
         let mut first_panic: Option<Box<dyn Any + Send>> = None;
         std::thread::scope(|scope| {
@@ -1767,7 +1379,7 @@ impl Machine {
                                     (Arc::clone(s), CommRow::new(self.nranks, s.names.len()))
                                 }),
                                 trace: self.trace,
-                                events: RefCell::new(Vec::new()),
+                                events: Vec::new(),
                                 faults: RankFaults::compile(&self.plan, r, &self.model),
                                 recv_timeout: self.recv_timeout,
                             };
@@ -1776,17 +1388,12 @@ impl Machine {
                                     fref(&mut rank)
                                 }));
                             let end = match out {
-                                Ok(Ok(v)) => {
+                                Ok(v) => {
                                     // This rank will never send again; peers
                                     // blocked on it may now be provably
                                     // deadlocked.
                                     shared.mark_done(r);
                                     RankEnd::Done(v)
-                                }
-                                Ok(Err(e)) => {
-                                    abort(&shared);
-                                    shared.mark_done(r);
-                                    RankEnd::Errored(e)
                                 }
                                 Err(p) => {
                                     if let Some(c) = p.downcast_ref::<RankCrashed>() {
@@ -1836,78 +1443,121 @@ impl Machine {
                 }
             }
         });
-        let abort_reason = shared.abort_reason.lock().clone();
-        let counts = shared.faults.snapshot();
-        let slots: Vec<RankSlot<R, E>> = slots
+        if let Some(p) = first_panic {
+            std::panic::resume_unwind(p);
+        }
+        // Without a real panic every rank filled its slot.
+        let slots: Vec<RankSlot<R>> = slots
             .into_iter()
-            .map(|s| {
-                s.unwrap_or(RankSlot {
-                    end: RankEnd::Stalled,
-                    stats: RankStats::default(),
-                    events: Vec::new(),
-                    comm: None,
-                })
-            })
+            .map(|s| s.expect("rank ended without a slot"))
             .collect();
         let comm = self.comm.as_ref().map(|spec| {
-            let mut m = CommMatrix::new(self.nranks, spec.names.clone());
-            let nc = spec.names.len();
-            for (src, slot) in slots.iter().enumerate() {
-                if let Some(row) = &slot.comm {
-                    let base = src * self.nranks * nc;
-                    m.bytes[base..base + row.bytes.len()].copy_from_slice(&row.bytes);
-                    m.msgs[base..base + row.msgs.len()].copy_from_slice(&row.msgs);
-                }
-            }
-            // Reconciliation (debug builds): the matrix must agree with the
-            // per-rank counters exactly — row sums with what each rank sent,
-            // column sums with what each rank drained plus what is still
-            // queued at its mailbox (crashed receivers and fault-injected
-            // duplicates leave messages behind). Skipped when a real panic
-            // lost a rank's row — its sends were posted but not captured.
-            if cfg!(debug_assertions) && first_panic.is_none() {
-                for (r, slot) in slots.iter().enumerate() {
-                    debug_assert_eq!(
-                        m.sent_bytes(r),
-                        slot.stats.bytes_sent,
-                        "rank {r}: comm-matrix row bytes disagree with bytes_sent"
-                    );
-                    debug_assert_eq!(
-                        m.sent_msgs(r),
-                        slot.stats.msgs_sent,
-                        "rank {r}: comm-matrix row msgs disagree with msgs_sent"
-                    );
-                    let q = shared.boxes[r].queues.lock();
-                    // lint:allow(R2) commutative u64 sums over undrained queues — order-free, debug accounting only
-                    let leftover_bytes: u64 = q
-                        .map
-                        .values()
-                        .flat_map(|d| d.iter())
-                        .map(|msg| msg.bytes as u64)
-                        .sum();
-                    // lint:allow(R2) commutative u64 sum over undrained queues — order-free, debug accounting only
-                    let leftover_msgs: u64 = q.map.values().map(|d| d.len() as u64).sum();
-                    debug_assert_eq!(
-                        m.posted_bytes(r),
-                        slot.stats.bytes_recv + leftover_bytes,
-                        "rank {r}: comm-matrix column bytes disagree with bytes_recv + queued"
-                    );
-                    debug_assert_eq!(
-                        m.posted_msgs(r),
-                        slot.stats.msgs_recv + leftover_msgs,
-                        "rank {r}: comm-matrix column msgs disagree with msgs_recv + queued"
-                    );
-                }
+            let rows: Vec<&CommRow> = slots
+                .iter()
+                .map(|s| s.comm.as_ref().expect("rank ended without its comm row"))
+                .collect();
+            let m = comm_report(&spec.names, &rows);
+            if cfg!(debug_assertions) {
+                reconcile(&m, &slots, &shared);
             }
             m
         });
-        InnerRun {
-            slots,
-            panic: first_panic,
-            abort: abort_reason,
-            counts,
+        let abort_reason = shared.abort_reason.lock().clone();
+        let mut results = Vec::with_capacity(self.nranks);
+        let mut stats = Vec::with_capacity(self.nranks);
+        let mut events = Vec::with_capacity(self.nranks);
+        let mut crashed: Vec<usize> = Vec::new();
+        let mut crash_detail = String::new();
+        let mut timeout: Option<(usize, usize, u64, f64)> = None;
+        for (r, slot) in slots.into_iter().enumerate() {
+            stats.push(slot.stats);
+            events.push(slot.events);
+            match slot.end {
+                RankEnd::Done(v) => results.push(Some(v)),
+                RankEnd::Crashed { at_s } => {
+                    use std::fmt::Write;
+                    crashed.push(r);
+                    let _ = writeln!(crash_detail, "rank {r} crashed at t={at_s:.6}s");
+                    results.push(None);
+                }
+                RankEnd::TimedOut { src, tag, waited_s } => {
+                    if timeout.is_none() {
+                        timeout = Some((r, src, tag, waited_s));
+                    }
+                    results.push(None);
+                }
+                RankEnd::Stalled => results.push(None),
+            }
+        }
+        let verdict = if !crashed.is_empty() {
+            if let Some(AbortReason::RankFailure(diag)) = &abort_reason {
+                crash_detail.push_str(diag);
+            }
+            RunVerdict::RankFailed {
+                ranks: crashed,
+                detail: crash_detail,
+            }
+        } else if let Some((rank, src, tag, waited_s)) = timeout {
+            RunVerdict::TimedOut {
+                rank,
+                src,
+                tag,
+                waited_s,
+            }
+        } else if let Some(AbortReason::Deadlock(detail)) = abort_reason {
+            RunVerdict::Deadlocked { detail }
+        } else {
+            RunVerdict::Completed
+        };
+        let makespan = stats.iter().fold(0.0f64, |m, s| m.max(s.clock_s));
+        VerdictReport {
+            verdict,
+            results,
+            stats,
+            events,
+            fault_counts: shared.faults.snapshot(),
+            makespan_s: makespan,
             comm,
         }
+    }
+}
+
+/// Debug-build reconciliation: the traffic matrix must agree with the
+/// per-rank counters exactly — row sums with what each rank sent, column
+/// sums with what each rank drained plus what is still queued at its
+/// mailbox (crashed receivers and fault-injected duplicates leave messages
+/// behind).
+fn reconcile<R>(m: &CommMatrixReport, slots: &[RankSlot<R>], shared: &Shared) {
+    let (n, nc) = (m.nranks, m.nclasses());
+    let (mut sent, mut posted) = (vec![(0u64, 0u64); n], vec![(0u64, 0u64); n]);
+    for (i, (&b, &k)) in m.bytes.iter().zip(&m.msgs).enumerate() {
+        // Cell `i` is `(src * n + dst) * nc + class`.
+        let (src, dst) = (i / (n * nc), i / nc % n);
+        sent[src] = (sent[src].0 + b, sent[src].1 + k);
+        posted[dst] = (posted[dst].0 + b, posted[dst].1 + k);
+    }
+    for (r, slot) in slots.iter().enumerate() {
+        let s = &slot.stats;
+        assert_eq!(
+            sent[r],
+            (s.bytes_sent, s.msgs_sent),
+            "rank {r}: comm-matrix row disagrees with (bytes_sent, msgs_sent)"
+        );
+        let q = shared.boxes[r].queues.lock();
+        // lint:allow(R2) commutative u64 sums over undrained queues — order-free, debug accounting only
+        let leftover_bytes: u64 = q
+            .map
+            .values()
+            .flat_map(|d| d.iter())
+            .map(|msg| msg.bytes as u64)
+            .sum();
+        // lint:allow(R2) commutative u64 sum over undrained queues — order-free, debug accounting only
+        let leftover_msgs: u64 = q.map.values().map(|d| d.len() as u64).sum();
+        assert_eq!(
+            posted[r],
+            (s.bytes_recv + leftover_bytes, s.msgs_recv + leftover_msgs),
+            "rank {r}: comm-matrix column disagrees with (bytes, msgs) received + queued"
+        );
     }
 }
 
@@ -2125,11 +1775,9 @@ mod tests {
         let r = Machine::new(2, m).run(|rank| {
             if rank.rank() == 0 {
                 // 8 bytes: α = 1 occupies the sender, β·8 = 4 is pipelined.
-                let req = rank.isend(1, 1, 42u64);
+                rank.isend(1, 1, 42u64);
                 assert_eq!(rank.clock(), 1.0);
-                assert_eq!(req.complete_at, 5.0);
                 rank.compute(6.0); // clock 7: transfer fully hidden
-                rank.wait_send(req); // already past complete_at: no-op
                 assert_eq!(rank.clock(), 7.0);
             } else {
                 let x: u64 = rank.recv(0, 1);
@@ -2145,30 +1793,11 @@ mod tests {
         assert_eq!(r.stats[0].clock_s, 7.0);
     }
 
+    /// What the dist scheduler relies on: a probe reports the *virtual*
+    /// arrival, so "has it arrived yet?" is decided against the clock, never
+    /// against whether the message is physically posted.
     #[test]
-    fn wait_send_exposes_unfinished_transfer() {
-        let m = CostModel {
-            alpha_s: 1.0,
-            beta_s_per_byte: 0.5,
-            flop_time_s: 1.0,
-        };
-        let r = Machine::new(2, m).run(|rank| {
-            if rank.rank() == 0 {
-                let req = rank.isend(1, 1, 7u64); // clock 1, complete at 5
-                rank.compute(1.0); // clock 2
-                rank.wait_send(req); // exposes 3 s of the 4 s transfer
-                assert_eq!(rank.clock(), 5.0);
-            } else {
-                let _: u64 = rank.recv(0, 1);
-            }
-            0
-        });
-        assert_eq!(r.stats[0].comm_hidden_s, 1.0);
-        assert_eq!(r.stats[0].comm_s, 1.0 + 3.0);
-    }
-
-    #[test]
-    fn try_recv_decides_by_virtual_time_only() {
+    fn probe_all_decides_by_virtual_time_only() {
         let m = CostModel {
             alpha_s: 1.0,
             beta_s_per_byte: 0.0,
@@ -2179,15 +1808,17 @@ mod tests {
                 rank.send(1, 4, 9u64); // arrival at virtual t = 1
                 0
             } else {
-                // Even though the message is (or will be) physically posted,
-                // at virtual t = 0.5 it has not arrived yet.
+                // The probe returns only once the message is physically
+                // posted, yet at virtual t = 0.5 it has not arrived.
                 rank.advance(0.5);
-                assert!(rank.try_recv::<u64>(0, 4).is_none());
-                assert_eq!(rank.clock(), 0.5); // try_recv never advances time
+                let t = rank.probe_all(&[(0, 4)])[0];
+                assert!(t > rank.clock());
+                assert_eq!(rank.clock(), 0.5); // probing never advances time
                 rank.advance(1.0);
-                let got = rank.try_recv::<u64>(0, 4);
-                assert_eq!(got, Some(9));
-                assert_eq!(rank.clock(), 1.5);
+                assert!(rank.probe_all(&[(0, 4)])[0] <= rank.clock());
+                let got: (usize, u64) = rank.wait_any(&[(0, 4)]);
+                assert_eq!(got, (0, 9));
+                assert_eq!(rank.clock(), 1.5); // already arrived: no wait
                 1
             }
         });
@@ -2231,7 +1862,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_reports_arrival_without_consuming() {
+    fn probe_all_reports_arrivals_without_consuming() {
         let m = CostModel {
             alpha_s: 2.0,
             beta_s_per_byte: 0.0,
@@ -2239,15 +1870,22 @@ mod tests {
         };
         let r = Machine::new(2, m).run(|rank| {
             if rank.rank() == 0 {
-                rank.send(1, 6, 5u64);
+                rank.send(1, 6, 5u64); // arrives at 2
+                rank.send(1, 7, 6u64); // arrives at 4
                 0
             } else {
-                let t = rank.probe(0, 6);
-                assert_eq!(t, 2.0);
-                assert_eq!(rank.clock(), 0.0); // probe does not advance time
+                let keys = [(0usize, 7u64), (0usize, 6u64)];
+                assert_eq!(rank.probe_all(&keys), vec![4.0, 2.0]);
+                // Probing neither advances time nor consumes: a second probe
+                // sees the same heads.
+                assert_eq!(rank.clock(), 0.0);
+                assert_eq!(rank.probe_all(&keys), vec![4.0, 2.0]);
                 let x: u64 = rank.recv(0, 6);
                 assert_eq!(x, 5);
                 assert_eq!(rank.clock(), 2.0);
+                let (i, y): (usize, u64) = rank.wait_any(&keys[..1]);
+                assert_eq!((i, y), (0, 6));
+                assert_eq!(rank.clock(), 4.0);
                 1
             }
         });
@@ -2304,57 +1942,6 @@ mod tests {
     }
 
     #[test]
-    fn run_result_propagates_error_and_unblocks_peers() {
-        let r: Result<RunReport<u64>, &str> =
-            Machine::new(3, CostModel::zero_cost()).run_result(|rank| {
-                if rank.rank() == 1 {
-                    return Err("bad pivot");
-                }
-                // Peers block on rank 1 forever; the error must unwind them.
-                let _: u64 = rank.recv(1, 3);
-                Ok(0)
-            });
-        assert_eq!(r.unwrap_err(), "bad pivot");
-    }
-
-    #[test]
-    fn run_result_returns_lowest_rank_error() {
-        let r: Result<RunReport<u64>, usize> =
-            Machine::new(4, CostModel::zero_cost()).run_result(|rank| {
-                if rank.rank() >= 2 {
-                    return Err(rank.rank());
-                }
-                let _: u64 = rank.recv(3, 1);
-                Ok(0)
-            });
-        assert_eq!(r.unwrap_err(), 2);
-    }
-
-    #[test]
-    fn run_result_ok_matches_run() {
-        let r = Machine::new(2, CostModel::bluegene_p())
-            .run_result::<_, (), _>(|rank| {
-                rank.compute(3.4e9);
-                Ok(rank.rank())
-            })
-            .unwrap();
-        assert_eq!(r.results, vec![0, 1]);
-        assert!((r.gflops() - 6.8).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom in result mode")]
-    fn run_result_still_propagates_real_panics() {
-        let _ = Machine::new(2, CostModel::zero_cost()).run_result::<u64, (), _>(|rank| {
-            if rank.rank() == 0 {
-                panic!("boom in result mode");
-            }
-            let _: u64 = rank.recv(0, 9);
-            Ok(0)
-        });
-    }
-
-    #[test]
     fn events_off_by_default_and_never_perturb_clocks() {
         let program = |rank: &mut Rank| {
             if rank.rank() == 0 {
@@ -2386,11 +1973,10 @@ mod tests {
             if rank.rank() == 0 {
                 rank.compute_as(2.0, Phase::Panel, Some(5)); // [0, 2]
                 rank.send(1, 1, 42u64); // comm [2, 7]: α + 8·β
-                let req = rank.isend(1, 2, 7u64); // comm [7, 8]: α only
-                rank.wait_send(req); // wait [8, 12]: exposed transfer
+                rank.isend(1, 2, 7u64); // comm [7, 8]: α only, arrives at 12
             } else {
-                let t = rank.probe(0, 1); // marker at arrival 7
-                assert_eq!(t, 7.0);
+                let t = rank.probe_all(&[(0, 1)]); // marker at arrival 7
+                assert_eq!(t, vec![7.0]);
                 let _: u64 = rank.recv(0, 1); // wait [0, 7]
                 let _: (usize, u64) = rank.wait_any(&[(0, 2)]); // wait [7, 12]
             }
@@ -2405,7 +1991,6 @@ mod tests {
                 (Phase::Panel, 0.0, 2.0),
                 (Phase::Comm, 2.0, 5.0),
                 (Phase::Comm, 7.0, 1.0),
-                (Phase::Wait, 8.0, 4.0),
             ]
         );
         assert_eq!(ev0[0].supernode, Some(5));
@@ -2646,29 +2231,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_deadline_returns_typed_timeout_without_aborting() {
-        let v = Machine::new(2, CostModel::zero_cost()).run_verdict(|rank| {
-            if rank.rank() == 0 {
-                // Rank 1 never sends on tag 5: typed timeout, then continue.
-                let got = rank.recv_deadline::<u64>(1, 5, 3.0);
-                assert_eq!(
-                    got,
-                    Err(RecvError::TimedOut {
-                        src: 1,
-                        tag: 5,
-                        waited: 3.0
-                    })
-                );
-                // The deadline advanced our clock deterministically.
-                assert_eq!(rank.clock(), 3.0);
-            }
-            rank.rank()
-        });
-        assert!(v.verdict.is_completed());
-        assert_eq!(v.fault_counts.timeouts, 1);
-    }
-
-    #[test]
     fn machine_recv_timeout_yields_timed_out_verdict() {
         let v = Machine::new(2, CostModel::zero_cost())
             .recv_timeout(2.0)
@@ -2710,7 +2272,7 @@ mod tests {
                     rank.compute(1e4 * (r + 1) as f64);
                     rank.send((r + 1) % rank.nranks(), 1, vec![r as f64; 32]);
                     let from = (r + rank.nranks() - 1) % rank.nranks();
-                    let _ = rank.recv_deadline::<Vec<f64>>(from, 1, 5e-4);
+                    let _: Vec<f64> = rank.recv(from, 1);
                     rank.clock()
                 })
         };
@@ -2739,6 +2301,18 @@ mod tests {
             });
     }
 
+    #[test]
+    #[should_panic(expected = "rank 0 timed out after 2.000000s waiting on (src=1, tag=7)")]
+    fn run_panics_descriptively_on_timeout() {
+        let _ = Machine::new(2, CostModel::zero_cost())
+            .recv_timeout(2.0)
+            .run(|rank| {
+                if rank.rank() == 0 {
+                    let _: u64 = rank.recv(1, 7); // never sent
+                }
+            });
+    }
+
     // ---- communication matrix ----
 
     /// Classifier used by the matrix tests: even tags class 0, odd class 1.
@@ -2754,7 +2328,7 @@ mod tests {
                 if rank.rank() == 0 {
                     rank.send(1, 2, vec![1.0f64; 4]); // 32 B, class 0
                     rank.send(2, 3, vec![1.0f64; 2]); // 16 B, class 1
-                    let _req = rank.isend(2, 5, 7u64); // 8 B, class 1
+                    rank.isend(2, 5, 7u64); // 8 B, class 1
                 } else if rank.rank() == 1 {
                     let _: Vec<f64> = rank.recv(0, 2);
                 } else {
@@ -2785,8 +2359,7 @@ mod tests {
             if rank.rank() == 0 {
                 rank.compute(1e6);
                 rank.send(1, 4, vec![2.0f64; 128]);
-                let req = rank.isend(1, 5, vec![3.0f64; 64]);
-                rank.wait_send(req);
+                rank.isend(1, 5, vec![3.0f64; 64]);
             } else {
                 let _: Vec<f64> = rank.recv(0, 4);
                 let _: Vec<f64> = rank.recv(0, 5);
@@ -2862,7 +2435,7 @@ mod tests {
         let r = Machine::new(4, CostModel::bluegene_p())
             .comm_matrix(&["even", "odd"], parity)
             .run(|rank| {
-                let world = collective::Group::world(rank.nranks());
+                let world = collective::Group::new((0..rank.nranks()).collect());
                 let seed = (rank.rank() == 0).then(|| vec![1.0f64; 16]);
                 let v = collective::bcast(rank, &world, 0, seed, 6);
                 assert_eq!(v.len(), 16);

@@ -61,12 +61,6 @@ impl CostModel {
         self.alpha_s + bytes as f64 * self.beta_s_per_byte
     }
 
-    /// Machine balance: flops one could execute in the time one byte takes
-    /// to transfer. Higher means communication is relatively costlier.
-    pub fn flops_per_byte(&self) -> f64 {
-        self.beta_s_per_byte / self.flop_time_s
-    }
-
     /// Derive a receive deadline that dominates every legitimate wait in a
     /// run bounded by `horizon_flops` floating-point operations and
     /// `horizon_bytes` payload bytes: a blocked rank can legitimately wait
@@ -105,9 +99,11 @@ mod tests {
         // Flops wasted per message latency.
         let waste = |m: &CostModel| m.alpha_s / m.flop_time_s;
         assert!(waste(&mc) > waste(&bg));
-        // But per byte, Blue Gene's slow cores make bandwidth relatively
-        // cheaper on the modern machine.
-        assert!(mc.flops_per_byte() < bg.flops_per_byte());
+        // But per byte (flops one could run while a byte transfers), Blue
+        // Gene's slow cores make bandwidth relatively cheaper on the modern
+        // machine.
+        let balance = |m: &CostModel| m.beta_s_per_byte / m.flop_time_s;
+        assert!(balance(&mc) < balance(&bg));
     }
 
     #[test]

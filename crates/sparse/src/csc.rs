@@ -165,10 +165,7 @@ impl CscMatrix {
             match rows.first() {
                 Some(&r0) if r0 == c => {}
                 Some(&r0) if r0 < c => return Err(SparseError::NotLower { row: r0, col: c }),
-                _ => {
-                    // Missing diagonal: report as a structure violation at (c, c).
-                    return Err(SparseError::NotLower { row: c, col: c });
-                }
+                _ => return Err(SparseError::MissingDiagonal { col: c }),
             }
         }
         Ok(())
@@ -354,7 +351,21 @@ mod tests {
         a.push(0, 0, 1.0);
         a.push(1, 0, 2.0);
         let csc = a.to_csc();
-        assert!(csc.check_sym_lower().is_err());
+        assert_eq!(
+            csc.check_sym_lower(),
+            Err(SparseError::MissingDiagonal { col: 1 })
+        );
+        // An empty column and one with only below-diagonal entries alike.
+        let mut b = CooMatrix::new(3, 3);
+        b.push(1, 1, 1.0);
+        b.push(2, 0, 1.0);
+        b.push(2, 2, 1.0);
+        let err = b.to_csc().check_sym_lower().unwrap_err();
+        assert_eq!(err, SparseError::MissingDiagonal { col: 0 });
+        assert_eq!(
+            err.to_string(),
+            "diagonal entry (0, 0) is not stored; store it, as an explicit zero if need be"
+        );
     }
 
     #[test]

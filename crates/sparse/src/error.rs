@@ -16,6 +16,9 @@ pub enum SparseError {
     NotSquare { nrows: usize, ncols: usize },
     /// Operation requires a symmetric-lower matrix but an upper entry was found.
     NotLower { row: usize, col: usize },
+    /// Symmetric-lower storage needs every diagonal entry stored; column
+    /// `col` has none.
+    MissingDiagonal { col: usize },
     /// Dimension mismatch between operands.
     DimMismatch { expected: usize, got: usize },
     /// Malformed Matrix Market input.
@@ -42,6 +45,10 @@ impl fmt::Display for SparseError {
             SparseError::NotLower { row, col } => write!(
                 f,
                 "symmetric-lower storage violated by upper-triangle entry ({row}, {col})"
+            ),
+            SparseError::MissingDiagonal { col } => write!(
+                f,
+                "diagonal entry ({col}, {col}) is not stored; store it, as an explicit zero if need be"
             ),
             SparseError::DimMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")

@@ -163,8 +163,8 @@ record! {
 
 /// Src×dst traffic matrix of a distributed run, broken down by tag class
 /// (`extadd` / `panel` / `solve` / `control` for the multifrontal engine).
-/// Mirrors the simulator's `CommMatrix`; serialized sparsely (only nonzero
-/// links) so large rank counts stay compact.
+/// The simulator builds it from per-rank rows (`parfact_mpsim::comm_report`);
+/// serialized sparsely (only nonzero links) so large rank counts stay compact.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommMatrixReport {
     /// Number of ranks (matrix is nranks×nranks×classes).

@@ -8,6 +8,7 @@ use parfact::core::smp::SmpOpts;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
 use parfact::core::{FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
+use parfact::mpsim::FaultPlan;
 use parfact::order::Method;
 use parfact::sparse::coo::CooMatrix;
 use parfact::sparse::{gen, io};
@@ -45,24 +46,60 @@ fn zero_matrix_is_rejected_not_nan() {
     assert!(matches!(r2, Err(FactorError::ZeroPivot { .. })));
 }
 
+/// A stored NaN or infinity, on or off the diagonal, has its own verdict in
+/// the caller's numbering on every engine and both factor kinds. It is
+/// checked before any engine runs, so it also wins over the distributed
+/// engine's LDLᵀ `Unsupported`.
 #[test]
 fn nan_and_inf_inputs_are_rejected() {
-    let mut coo = CooMatrix::new(3, 3);
-    coo.push(0, 0, 1.0);
-    coo.push(1, 1, f64::NAN);
-    coo.push(2, 2, 1.0);
-    let a = coo.to_csc();
-    let r = SparseCholesky::factorize(&a, &FactorOpts::default());
-    assert!(matches!(r, Err(FactorError::NotPositiveDefinite { .. })));
-
-    let mut coo = CooMatrix::new(2, 2);
-    coo.push(0, 0, f64::INFINITY);
-    coo.push(1, 1, 1.0);
-    let a = coo.to_csc();
-    // An infinite pivot is "positive": the factorization may accept it but
-    // must not crash, and the solve must stay non-UB (values may be inf).
-    if let Ok(chol) = SparseCholesky::factorize(&a, &FactorOpts::default()) {
-        let _ = chol.solve(&[1.0, 1.0]);
+    let header = "%%MatrixMarket matrix coordinate real symmetric\n";
+    let cases = [
+        ("3 3 3\n1 1 4\n2 2 4\n3 3 nan\n", (2, 2)),
+        ("3 3 4\n1 1 4\n2 2 4\n3 3 4\n3 1 nan\n", (2, 0)),
+        ("3 3 3\n1 1 inf\n2 2 4\n3 3 4\n", (0, 0)),
+        ("3 3 4\n1 1 4\n2 1 -inf\n2 2 4\n3 3 4\n", (1, 0)),
+    ];
+    let engines = [
+        Engine::Sequential,
+        Engine::Smp(SmpOpts {
+            threads: 2,
+            big_front: 8,
+        }),
+        dist_engine(2),
+    ];
+    for (body, (row, col)) in cases {
+        let a = io::parse_sym_lower(&format!("{header}{body}")).unwrap();
+        for engine in &engines {
+            for kind in [FactorKind::Llt, FactorKind::Ldlt] {
+                let opts = FactorOpts::new().engine(engine.clone()).kind(kind);
+                let r = SparseCholesky::factorize(&a, &opts);
+                assert_eq!(
+                    r.err(),
+                    Some(FactorError::NonFinite { row, col }),
+                    "{body:?} on {} {kind:?}",
+                    engine.name()
+                );
+            }
+        }
+    }
+    // `refactorize` refuses the same input and keeps the stored factor.
+    let good = gen::tridiagonal(6);
+    let mut bad = good.clone();
+    let k = bad.colptr()[1] + 1;
+    assert_eq!(bad.rowind()[k], 2);
+    bad.values_mut()[k] = f64::NAN; // entry (2, 1)
+    for engine in engines {
+        let mut chol =
+            SparseCholesky::factorize(&good, &FactorOpts::new().engine(engine.clone())).unwrap();
+        let before = chol.solve(&[1.0; 6]);
+        let r = chol.refactorize(&bad, engine.clone());
+        assert_eq!(
+            r,
+            Err(FactorError::NonFinite { row: 2, col: 1 }),
+            "{}",
+            engine.name()
+        );
+        assert_eq!(chol.solve(&[1.0; 6]), before, "{}", engine.name());
     }
 }
 
@@ -251,8 +288,9 @@ fn dist_rejects_nan_and_survives_inf_at_2_4_8_ranks() {
     }
     for p in [2, 4, 8] {
         let r = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist_engine(p)));
-        assert!(
-            matches!(r, Err(FactorError::NotPositiveDefinite { .. })),
+        assert_eq!(
+            r.err(),
+            Some(FactorError::NonFinite { row: 11, col: 11 }),
             "p={p}: NaN diagonal must be rejected"
         );
     }
@@ -264,10 +302,52 @@ fn dist_rejects_nan_and_survives_inf_at_2_4_8_ranks() {
         vals[colptr[5]] = f64::INFINITY;
     }
     for p in [2, 4, 8] {
-        // An infinite pivot is "positive": the run may accept it but must
-        // terminate with either a factor or a typed error — never hang.
-        let _ = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist_engine(p)));
+        // An infinite pivot ends in the same typed error — never a hang.
+        let r = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist_engine(p)));
+        assert_eq!(
+            r.err(),
+            Some(FactorError::NonFinite { row: 5, col: 5 }),
+            "p={p}"
+        );
     }
+}
+
+/// A fault plan naming a rank the machine does not have, or a link from a
+/// rank to itself, cannot be applied: it is an option error before the
+/// machine starts, not a run reported as if the plan had fired.
+#[test]
+fn dist_rejects_fault_plans_outside_the_machine() {
+    let a = gen::laplace2d(8, 8, gen::Stencil2d::FivePoint);
+    for spec in [
+        "crash:9@t=0",
+        "crash:4@send=1",
+        "dup:7-1",
+        "delay:1-4:5",
+        "delay:0-0:5",
+        "delay:0-1:5,dup:3-3",
+    ] {
+        let plan = FaultPlan::parse(spec).unwrap();
+        let misfit = format!("{:?}", plan.faults.last().unwrap());
+        let opts = DistOpts {
+            ranks: 4,
+            faults: plan,
+            ..DistOpts::default()
+        };
+        match SparseCholesky::factorize(&a, &FactorOpts::new().engine(Engine::Dist(opts))) {
+            // The message names the fault that does not fit.
+            Err(FactorError::Unsupported(why)) => {
+                assert!(why.contains(&misfit), "{spec}: {why}")
+            }
+            other => panic!("{spec}: expected Unsupported, got ok={}", other.is_ok()),
+        }
+    }
+    // The same faults inside the machine run.
+    let opts = DistOpts {
+        ranks: 4,
+        faults: FaultPlan::parse("delay:0-3:5,dup:3-1").unwrap(),
+        ..DistOpts::default()
+    };
+    assert!(SparseCholesky::factorize(&a, &FactorOpts::new().engine(Engine::Dist(opts))).is_ok());
 }
 
 #[test]

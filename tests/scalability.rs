@@ -13,7 +13,7 @@ use parfact::mpsim::{FaultPlan, Machine};
 use parfact::order::Method;
 use parfact::sparse::gen;
 use parfact::symbolic::AmalgOpts;
-use parfact::trace::Registry;
+use parfact::trace::{CommMatrixReport, Registry};
 use parfact::TraceLevel;
 use proptest::prelude::*;
 
@@ -230,6 +230,21 @@ fn make_plan(p: usize, seed: u64, nmsgs: usize) -> Vec<Msg> {
         .collect()
 }
 
+/// `(bytes, msgs)` summed over the links of `m` that `on_link(src, dst)`
+/// selects: a row (`src == r`) or a column (`dst == r`).
+fn link_sum(m: &CommMatrixReport, on_link: impl Fn(usize, usize) -> bool) -> (u64, u64) {
+    let mut sum = (0, 0);
+    for src in 0..m.nranks {
+        for dst in (0..m.nranks).filter(|&dst| on_link(src, dst)) {
+            for class in 0..m.nclasses() {
+                let (b, k) = m.at(src, dst, class);
+                sum = (sum.0 + b, sum.1 + k);
+            }
+        }
+    }
+    sum
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -267,10 +282,11 @@ proptest! {
         let mut total_bytes = 0u64;
         let mut total_msgs = 0u64;
         for r in 0..p {
-            prop_assert_eq!(m.sent_bytes(r), report.stats[r].bytes_sent, "row {}", r);
-            prop_assert_eq!(m.sent_msgs(r), report.stats[r].msgs_sent, "row {}", r);
-            prop_assert_eq!(m.posted_bytes(r), report.stats[r].bytes_recv, "col {}", r);
-            prop_assert_eq!(m.posted_msgs(r), report.stats[r].msgs_recv, "col {}", r);
+            let s = &report.stats[r];
+            prop_assert_eq!(link_sum(m, |src, _| src == r), (s.bytes_sent, s.msgs_sent), "row {}", r);
+            prop_assert_eq!(link_sum(m, |_, dst| dst == r), (s.bytes_recv, s.msgs_recv), "col {}", r);
+            prop_assert_eq!(m.sent_bytes(r), s.bytes_sent, "row {}", r);
+            prop_assert_eq!(m.posted_bytes(r), s.bytes_recv, "col {}", r);
             total_bytes += report.stats[r].bytes_sent;
             total_msgs += report.stats[r].msgs_sent;
         }
