@@ -130,12 +130,12 @@ pub fn solve_rank(
             continue;
         };
         let mut ybelow = vec![0.0f64; sw.below_len(s)];
+        let mut kids = Vec::with_capacity(sw.children_len(s));
         for &c in &sym.tree.children[s] {
             let tag = front::tag(c, PH_FWD_CONTRIB);
-            let contrib = take(rank, &mut stash, map.leader(c), tag);
-            sw.fold_child(s, c, &contrib, &mut x[sw.pivot_range(s)], &mut ybelow);
+            kids.extend(take(rank, &mut stash, map.leader(c), tag));
         }
-        sw.forward(s, &panel, &mut x[sw.pivot_range(s)], &mut ybelow);
+        sw.up(s, &panel, &mut x[sw.pivot_range(s)], &mut ybelow, &kids);
         let (trsm, gemm) = solve_flops(s);
         rank.compute_as(trsm, Phase::Solve, Some(s));
         if let Some(gemm) = gemm {
@@ -162,16 +162,19 @@ pub fn solve_rank(
             NONE => Vec::new(),
             _ => take(rank, &mut stash, map.leader(parent), tag),
         };
-        sw.backward(s, &panel, &mut x[sw.pivot_range(s)], &xbelow);
+        let mut kids = Vec::new();
+        sw.down(s, &panel, &mut x[sw.pivot_range(s)], &xbelow, &mut kids);
         let (trsm, gemm) = solve_flops(s);
         if let Some(gemm) = gemm {
             rank.compute_as(gemm, Phase::Solve, Some(s));
         }
         rank.compute_as(trsm, Phase::Solve, Some(s));
+        let mut rest = &kids[..];
         for &c in &sym.tree.children[s] {
-            let vals = sw.cut_child(s, c, &x[sw.pivot_range(s)], &xbelow);
+            let (xrows, tail) = rest.split_at(sw.below_len(c));
             let tag = front::tag(c, PH_BWD_XROWS);
-            give(rank, &mut stash, map.leader(c), tag, vals);
+            give(rank, &mut stash, map.leader(c), tag, xrows.to_vec());
+            rest = tail;
         }
         release(rank, panel);
     }

@@ -96,16 +96,9 @@ impl Factor {
     /// forward/backward supernodal sweeps, un-permutes).
     ///
     /// **Panics** if `b.len() != n` — kept for ergonomic call sites; use
-    /// [`Factor::try_solve`] for a checked variant.
+    /// [`Factor::try_solve_many`] with `nrhs = 1` for a checked variant.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        self.try_solve(b).expect("Factor::solve")
-    }
-
-    /// Checked single-RHS solve: returns
-    /// [`FactorError::DimensionMismatch`] instead of panicking on a wrong
-    /// `b.len()`.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
-        self.try_solve_many(b, 1)
+        self.try_solve_many(b, 1).expect("Factor::solve")
     }
 
     /// Solve `A X = B` for multiple right-hand sides stored column-major in
@@ -127,73 +120,40 @@ impl Factor {
                 got: b.len(),
             });
         }
-        let mut xi = sweep::permute_in(&self.perm, b, nrhs);
-        self.sweep_interleaved(&mut xi, nrhs);
-        Ok(sweep::permute_out(&self.perm, &xi, nrhs))
+        let mut x = sweep::permute_in(&self.perm, b, nrhs);
+        self.solve_permuted(&mut x, nrhs);
+        Ok(sweep::permute_out(&self.perm, &x, nrhs))
     }
 
-    /// Multi-RHS sweeps in the permuted space, blocked: per supernode the
-    /// `f x w` panel is streamed once through `trsm` + block-`gemm` applied
-    /// to all `nrhs` columns (the BLAS-3 shape of the solve phase). The
-    /// block is transposed into an interleaved layout for the sweep so the
-    /// kernels can run SIMD across the RHS columns; per column the op
-    /// order is fixed and independent of `nrhs`, so a blocked solve is
-    /// bitwise equal to per-column solves through this same path.
-    pub fn solve_many_permuted_in_place(&self, x: &mut [f64], nrhs: usize) {
-        let n = self.sym.n;
-        if nrhs == 1 {
-            // A single column is already "interleaved".
-            self.sweep_interleaved(x, 1);
-            return;
-        }
-        let mut xi = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            for i in 0..n {
-                xi[i * nrhs + r] = x[r * n + i];
-            }
-        }
-        self.sweep_interleaved(&mut xi, nrhs);
-        for r in 0..nrhs {
-            for i in 0..n {
-                x[r * n + i] = xi[i * nrhs + r];
-            }
-        }
-    }
-
-    /// The blocked triangular sweep on an interleaved `n x nrhs` block
-    /// (`xi[i*nrhs + r]`): the supernode steps in postorder, with the
-    /// scattered ancestor rows gathered into a contiguous `m x nrhs`
-    /// scratch block around each one — whole-row copies in this layout,
-    /// exact by construction.
-    fn sweep_interleaved(&self, xi: &mut [f64], nrhs: usize) {
+    /// The blocked sweeps on an interleaved `n x nrhs` block in the
+    /// permuted space (`x[i*nrhs + r]`), in postorder. The blocks below the
+    /// pivot rows live on one stack, like the factorization's update stack:
+    /// a supernode's children's blocks are its top, in child order. One
+    /// stack and one scratch block per solve, grown as needed; nothing is
+    /// allocated per supernode.
+    pub(crate) fn solve_permuted(&self, x: &mut [f64], nrhs: usize) {
         if nrhs == 0 {
             return;
         }
-        let sym = &self.sym;
-        let sw = Sweep::new(sym, nrhs, self.kind == FactorKind::Ldlt);
-        let nsuper = sym.nsuper();
-        let maxm = (0..nsuper).map(|s| sw.below_len(s)).max().unwrap_or(0);
-        let mut scratch = vec![0.0f64; maxm];
-        let gather = |xi: &[f64], s: usize, below: &mut [f64]| {
-            for (dst, &row) in below.chunks_exact_mut(nrhs).zip(&sym.sn_rows[s]) {
-                dst.copy_from_slice(&xi[row * nrhs..(row + 1) * nrhs]);
-            }
-        };
-        // Forward: L Y = B.
+        let sw = Sweep::new(&self.sym, nrhs, self.kind == FactorKind::Ldlt);
+        let (nsuper, mut stack, mut xb) = (self.sym.nsuper(), Vec::new(), Vec::new());
+        // Forward, L Y = B: the block of `s` is folded in a zeroed slot
+        // above its children's, then takes their place.
         for s in 0..nsuper {
-            let below = &mut scratch[..sw.below_len(s)];
-            gather(xi, s, below);
-            sw.forward(s, self.panel(s), &mut xi[sw.pivot_range(s)], below);
-            for (src, &row) in below.chunks_exact(nrhs).zip(&sym.sn_rows[s]) {
-                xi[row * nrhs..(row + 1) * nrhs].copy_from_slice(src);
-            }
+            let (base, top) = (stack.len() - sw.children_len(s), stack.len());
+            stack.resize(top + sw.below_len(s), 0.0);
+            let (kids, ybelow) = stack[base..].split_at_mut(top - base);
+            sw.up(s, self.panel(s), &mut x[sw.pivot_range(s)], ybelow, kids);
+            stack.copy_within(top.., base);
+            stack.truncate(base + sw.below_len(s));
         }
-        sw.diag_scale(&self.d, xi);
-        // Backward: Lᵀ Z = Y.
+        sw.diag_scale(&self.d, x);
+        // Backward, Lᵀ X = Y: the block of `s` moves off the stack and its
+        // children's go on, the last child's (the next supernode's) on top.
         for s in (0..nsuper).rev() {
-            let below = &mut scratch[..sw.below_len(s)];
-            gather(xi, s, below);
-            sw.backward(s, self.panel(s), &mut xi[sw.pivot_range(s)], below);
+            xb.clear();
+            xb.extend(stack.drain(stack.len() - sw.below_len(s)..));
+            sw.down(s, self.panel(s), &mut x[sw.pivot_range(s)], &xb, &mut stack);
         }
     }
 

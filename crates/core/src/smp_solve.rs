@@ -12,11 +12,12 @@
 //! factorizations (cf. EXP-F4 on the distributed engine).
 //!
 //! All right-hand sides move as one interleaved block: the per-supernode
-//! step is `sweep::Sweep`'s, shared with the other two solve paths, and
-//! this module only schedules it over the `tree_pool`. Contributions are
-//! folded into a parent in the fixed order of `tree.children`, so the
-//! solution does not depend on the thread count or the run, and is
-//! bit-equal to the distributed solve's at any rank count.
+//! steps are `sweep::Sweep::{up, down}`, shared with the other two solve
+//! paths, and this module only schedules them over the `tree_pool`.
+//! Contributions are folded into a parent in the fixed order of
+//! `tree.children`, so the solution does not depend on the thread count or
+//! the run, and is bit-equal to the sequential solve's and to the
+//! distributed solve's at any rank count.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
@@ -25,13 +26,13 @@ use crate::sweep::{self, Sweep};
 use crate::tree_pool::{walk_tree, Walk};
 use parfact_trace::{Collector, LocalRecorder, Phase};
 use parking_lot::Mutex;
+use std::mem::take;
 
 /// Multi-RHS tree-parallel solve of `A X = B` on `threads` OS threads
 /// (0 = available parallelism): `b` is `n x nrhs` column-major. Results
-/// match [`Factor::try_solve_many`] to floating-point roundoff (the
-/// parent-side accumulation order of child contributions differs from the
-/// sequential sweep's global-vector order). Checked: a wrong `b.len()`
-/// returns [`FactorError::DimensionMismatch`].
+/// equal [`Factor::try_solve_many`]'s bit for bit: both fold child blocks
+/// in `tree.children` order through the same supernode steps. Checked: a
+/// wrong `b.len()` returns [`FactorError::DimensionMismatch`].
 pub fn solve_smp_many(
     factor: &Factor,
     b: &[f64],
@@ -60,8 +61,7 @@ pub fn solve_smp_many_traced(
     }
     let nthreads = resolve_threads(threads);
     if nthreads <= 1 || sym.nsuper() <= 1 || nrhs == 0 {
-        // Literally the sequential blocked path — the fallback is bitwise
-        // identical to `Factor::try_solve_many`.
+        // The sequential schedule of the same steps: same bits, no pool.
         return factor.try_solve_many(b, nrhs);
     }
     let sw = Sweep::new(sym, nrhs, factor.kind == FactorKind::Ldlt);
@@ -74,34 +74,36 @@ pub fn solve_smp_many_traced(
         let mut rest = x.as_mut_slice();
         let pivots: Vec<Mutex<&mut [f64]>> = (0..sym.nsuper())
             .map(|s| {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(sw.pivot_range(s).len());
+                let (head, tail) = take(&mut rest).split_at_mut(sw.pivot_range(s).len());
                 rest = tail;
                 Mutex::new(head)
             })
             .collect();
-        let step = |s: usize, _: &mut usize, rec: &mut LocalRecorder<'_>| {
+        // Each worker keeps one buffer for the children's blocks of its task.
+        let step = |s: usize, kids: &mut Vec<f64>, rec: &mut LocalRecorder<'_>| {
             let tick = rec.start();
             let mut xpiv = pivots[s].lock();
             let children = &sym.tree.children[s];
+            kids.clear();
             if dir == Walk::Up {
                 let mut ybelow = vec![0.0f64; sw.below_len(s)];
                 for &c in children {
-                    let contrib = std::mem::take(&mut *edge[c].lock());
-                    sw.fold_child(s, c, &contrib, &mut xpiv, &mut ybelow);
+                    kids.extend(take(&mut *edge[c].lock()));
                 }
-                sw.forward(s, factor.panel(s), &mut xpiv, &mut ybelow);
+                sw.up(s, factor.panel(s), &mut xpiv, &mut ybelow, kids);
                 *edge[s].lock() = ybelow;
             } else {
-                let xbelow = std::mem::take(&mut *edge[s].lock());
-                sw.backward(s, factor.panel(s), &mut xpiv, &xbelow);
-                for &c in children {
-                    *edge[c].lock() = sw.cut_child(s, c, &xpiv, &xbelow);
+                let xbelow = take(&mut *edge[s].lock());
+                sw.down(s, factor.panel(s), &mut xpiv, &xbelow, kids);
+                for &c in children.iter().rev() {
+                    *edge[c].lock() = kids.split_off(kids.len() - sw.below_len(c));
                 }
             }
             rec.stop(tick, Phase::Solve, Some(s));
             Ok::<(), FactorError>(())
         };
-        walk_tree(&sym.tree, dir, |_| true, 0..nthreads, tr, step)?;
+        let scratch = (0..nthreads).map(|_| Vec::new());
+        walk_tree(&sym.tree, dir, |_| true, scratch, tr, step)?;
         if dir == Walk::Up {
             sw.diag_scale(&factor.d, &mut x);
         }
@@ -115,14 +117,8 @@ mod tests {
     use crate::solver::{FactorOpts, SparseCholesky};
     use parfact_sparse::{gen, ops};
 
-    fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs() / y.abs().max(1.0)))
-    }
-
     #[test]
-    fn smp_solve_matches_sequential_solve() {
+    fn smp_solve_equals_sequential_solve_bitwise() {
         for a in [
             gen::laplace2d(17, 15, gen::Stencil2d::FivePoint),
             gen::laplace3d(6, 6, 6, gen::Stencil3d::SevenPoint),
@@ -133,10 +129,9 @@ mod tests {
             let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
             let x_seq = chol.solve(&b);
             let x_par = solve_smp_many(chol.factor(), &b, 1, 4).unwrap();
-            assert!(
-                max_rel_diff(&x_par, &x_seq) < 1e-12,
-                "parallel solve diverged"
-            );
+            for (p, q) in x_par.iter().zip(&x_seq) {
+                assert_eq!(p.to_bits(), q.to_bits(), "parallel solve diverged");
+            }
             assert!(ops::sym_residual_inf(&a, &x_par, &b) < 1e-12);
         }
     }
@@ -172,6 +167,7 @@ mod tests {
         let chol =
             SparseCholesky::factorize(&a, &FactorOpts::new().kind(FactorKind::Ldlt)).unwrap();
         let x_par = solve_smp_many(chol.factor(), &b, 1, 3).unwrap();
+        assert_eq!(x_par, chol.solve(&b));
         assert!(ops::sym_residual_inf(&a, &x_par, &b) < 1e-10);
     }
 
@@ -182,7 +178,7 @@ mod tests {
         let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
         let x1 = solve_smp_many(chol.factor(), &b, 1, 1).unwrap();
         let x2 = chol.solve(&b);
-        assert_eq!(x1, x2); // fallback is literally the sequential path
+        assert_eq!(x1, x2); // the fallback is the sequential schedule
     }
 
     #[test]

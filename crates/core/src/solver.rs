@@ -13,6 +13,7 @@ use parfact_mpsim::model::CostModel;
 use parfact_mpsim::FaultPlan;
 use parfact_order::Method;
 use parfact_sparse::csc::CscMatrix;
+use parfact_sparse::ops::norm_inf;
 use parfact_sparse::SparseError;
 use parfact_symbolic::{analyze_with, AmalgOpts, Symbolic};
 use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanEvent, TraceLevel};
@@ -200,20 +201,15 @@ impl FactorOpts {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveEngine {
-    /// Let the solver pick. Currently the blocked sequential sweep: its
-    /// results are bitwise reproducible across runs and thread counts,
-    /// which is the right default for a direct solver.
+    /// Let the solver pick. Currently the blocked sequential sweep, which
+    /// needs no thread pool.
     #[default]
     Auto,
-    /// The blocked sequential sweep, explicitly.
-    Sequential,
     /// Tree-parallel shared-memory sweep over the assembly tree.
     /// `threads: 0` sizes the pool from the machine; a pool of one falls
-    /// back to the sequential sweep. Deterministic — contributions fold in
-    /// assembly-tree child order regardless of scheduling, so repeated
-    /// runs and different thread counts (≥ 2) agree bitwise — but the fold
-    /// order differs from `Sequential`'s direct scatter, so the two
-    /// engines agree to rounding, not bit for bit.
+    /// back to the sequential sweep. Contributions fold in assembly-tree
+    /// child order regardless of scheduling, as in the sequential sweep,
+    /// so every thread count gives the same bits as `Auto`.
     Smp {
         /// Worker threads (0 = auto).
         threads: usize,
@@ -614,7 +610,7 @@ impl SparseCholesky {
         }
         let tr = Collector::new(self.trace);
         let mut x = match opts.engine {
-            SolveEngine::Auto | SolveEngine::Sequential => self.factor.try_solve_many(&bs, nrhs)?,
+            SolveEngine::Auto => self.factor.try_solve_many(&bs, nrhs)?,
             SolveEngine::Smp { threads } => {
                 crate::smp_solve::solve_smp_many_traced(&self.factor, &bs, nrhs, threads, &tr)?
             }
@@ -624,41 +620,39 @@ impl SparseCholesky {
         let mut residual = None;
         if opts.refine > 0 || opts.residual {
             let perm = &self.factor.perm;
-            let mut worst = 0.0f64;
+            let mut worst = Vec::with_capacity(nrhs);
             for col in 0..nrhs {
                 let bp = perm.apply_vec(&bs[col * n..(col + 1) * n]);
                 let mut xp = perm.apply_vec(&x[col * n..(col + 1) * n]);
                 for _ in 0..opts.refine {
                     let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
-                    if parfact_sparse::ops::norm_inf(&rp) == 0.0 {
+                    if norm_inf(&rp) == 0.0 {
                         break;
                     }
-                    self.factor.solve_many_permuted_in_place(&mut rp, 1);
+                    self.factor.solve_permuted(&mut rp, 1);
                     for (xi, di) in xp.iter_mut().zip(&rp) {
                         *xi += di;
                     }
                 }
-                let rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
+                let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
                 // The factored matrix is D·A·D under equilibration, so
                 // `rp` is the scaled residual r̂ = D(b − A x); the caller's
                 // residual is D⁻¹ r̂ (entry k sits at original row
                 // `old_of_new(k)`). Reporting r̂ itself was a bug: D
                 // shrinks exactly the rows equilibration targets, making
                 // ill-scaled systems look better converged than they are.
-                let col_worst = match &opts.scale {
-                    Some(d) => rp
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &v)| (v / d[perm.old_of_new(k)]).abs())
-                        .fold(0.0f64, f64::max),
-                    None => parfact_sparse::ops::norm_inf(&rp),
-                };
-                worst = worst.max(col_worst);
+                if let Some(d) = &opts.scale {
+                    for (k, v) in rp.iter_mut().enumerate() {
+                        *v /= d[perm.old_of_new(k)];
+                    }
+                }
+                worst.push(norm_inf(&rp));
                 if opts.refine > 0 {
                     x[col * n..(col + 1) * n].copy_from_slice(&perm.apply_inv_vec(&xp));
                 }
             }
-            residual = Some(worst);
+            // `norm_inf`, not `f64::max`: a NaN column is never hidden.
+            residual = Some(norm_inf(&worst));
         }
         if let Some(d) = &opts.scale {
             for col in x.chunks_mut(n.max(1)) {
@@ -687,6 +681,7 @@ impl SparseCholesky {
             opts,
             capacity: 32,
             pending: Vec::new(),
+            columns: 0,
             solved: Vec::new(),
         }
     }
@@ -774,6 +769,9 @@ pub struct SolveSession<'a> {
     capacity: usize,
     /// Buffered columns, column-major.
     pending: Vec<f64>,
+    /// How many columns `pending` holds (counted: on an order-0 system
+    /// every column is empty).
+    columns: usize,
     /// Solved columns in push order.
     solved: Vec<Vec<f64>>,
 }
@@ -797,7 +795,8 @@ impl SolveSession<'_> {
             });
         }
         self.pending.extend_from_slice(b);
-        if self.pending.len() >= self.capacity * n.max(1) {
+        self.columns += 1;
+        if self.columns >= self.capacity {
             self.flush()?;
         }
         Ok(())
@@ -805,17 +804,16 @@ impl SolveSession<'_> {
 
     /// Columns buffered but not yet solved.
     pub fn pending(&self) -> usize {
-        let n = self.chol.factor.sym.n;
-        self.pending.len() / n.max(1)
+        self.columns
     }
 
     /// Solve everything buffered (no-op when empty).
     pub fn flush(&mut self) -> Result<(), FactorError> {
-        if self.pending.is_empty() {
+        if self.columns == 0 {
             return Ok(());
         }
         let n = self.chol.factor.sym.n;
-        let nrhs = self.pending.len() / n.max(1);
+        let nrhs = self.columns;
         let out = self
             .chol
             .solve_with(RhsBlock::new(&self.pending, nrhs), &self.opts)?;
@@ -823,6 +821,7 @@ impl SolveSession<'_> {
             self.solved.push(out.x[col * n..(col + 1) * n].to_vec());
         }
         self.pending.clear();
+        self.columns = 0;
         Ok(())
     }
 
@@ -1594,8 +1593,8 @@ mod tests {
         let seq = chol
             .solve_with(RhsBlock::new(&b, nrhs), &SolveOpts::new())
             .unwrap();
-        // SMP folds contributions front-by-front (seq scatters directly),
-        // so engines agree to rounding; thread counts agree bitwise.
+        // Both engines fold child contributions in the same order, so they
+        // agree bitwise at every thread count.
         let smp2 = chol
             .solve_with(
                 RhsBlock::new(&b, nrhs),
@@ -1608,11 +1607,9 @@ mod tests {
                 &SolveOpts::new().engine(SolveEngine::Smp { threads: 4 }),
             )
             .unwrap();
-        for (s, p) in seq.x.iter().zip(&smp2.x) {
-            assert!((s - p).abs() / s.abs().max(1.0) < 1e-12);
-        }
-        for (p2, p4) in smp2.x.iter().zip(&smp4.x) {
-            assert_eq!(p2.to_bits(), p4.to_bits());
+        for ((s, p2), p4) in seq.x.iter().zip(&smp2.x).zip(&smp4.x) {
+            assert_eq!(s.to_bits(), p2.to_bits());
+            assert_eq!(s.to_bits(), p4.to_bits());
         }
         // Batched == one-at-a-time, bitwise, per engine.
         for col in 0..nrhs {
@@ -1666,6 +1663,34 @@ mod tests {
         assert!(solve.solves >= 3);
         assert!(solve.seconds > 0.0);
         assert!(solve.flops > 0.0);
+        // An order-0 system keeps every (empty) column it is given.
+        let empty = parfact_sparse::coo::CooMatrix::new(0, 0).to_csc();
+        let chol = SparseCholesky::factorize(&empty, &FactorOpts::default()).unwrap();
+        let mut sess = chol.solve_session(SolveOpts::new()).capacity(2);
+        for _ in 0..3 {
+            sess.push(&[]).unwrap();
+        }
+        assert_eq!(sess.pending(), 1);
+        let xs = sess.finish().unwrap();
+        assert_eq!(xs, vec![Vec::<f64>::new(); 3]);
+    }
+
+    #[test]
+    fn a_nan_right_hand_side_reports_a_nan_residual() {
+        let a = gen::laplace2d(4, 4, gen::Stencil2d::FivePoint);
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+        let mut b = vec![1.0; 16];
+        b[5] = f64::NAN;
+        let d = vec![0.5; 16];
+        for opts in [
+            SolveOpts::new().residual(true),
+            SolveOpts::new().refine(2),
+            SolveOpts::new().refine(1).equilibrate(d),
+        ] {
+            let out = chol.solve_with(RhsBlock::single(&b), &opts).unwrap();
+            assert!(out.x.iter().all(|v| v.is_nan()), "{opts:?}");
+            assert!(out.residual.unwrap().is_nan(), "{opts:?}");
+        }
     }
 
     #[test]

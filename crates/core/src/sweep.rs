@@ -4,21 +4,21 @@
 //! module is to the triangular sweeps: the per-supernode arithmetic and the
 //! row bookkeeping around it, on **interleaved** blocks (`v[i*nrhs + r]`:
 //! row `i`'s `nrhs` values are contiguous, so a supernode's pivot rows are
-//! one slice of the whole block). The solve paths only schedule it:
+//! one slice of the whole block). A supernode's step is [`Sweep::up`] on
+//! the way to the roots and [`Sweep::down`] on the way back; the solve paths
+//! only schedule them and move the blocks in between:
 //!
-//! - [`crate::factor`] walks the supernodes in postorder and keeps every
-//!   below-pivot row in the global block, gathered and scattered around
-//!   each step;
+//! - [`crate::factor`] walks the supernodes in postorder and keeps the
+//!   blocks on a stack, like the factorization's update stack;
 //! - [`crate::smp_solve`] walks the tree with the [`crate::tree_pool`] and
-//!   hands contribution / x-row blocks from task to task;
+//!   hands the blocks from task to task;
 //! - [`crate::dist::solve`] runs each step on the supernode's leader rank
 //!   and ships the same blocks as messages.
 //!
-//! The last two fold a child's block into the parent's front
-//! ([`Sweep::fold_child`]) and cut it back out ([`Sweep::cut_child`]) in the
-//! order of `tree.children`, so their solutions are bit-equal to each other
-//! at any thread or rank count; the sequential sweep accumulates in global
-//! row order instead and agrees with them to rounding.
+//! Every path folds a child's block into the parent's front
+//! ([`Sweep::fold_child`]) and cuts it back out ([`Sweep::cut_child`]) in
+//! the order of `tree.children`, so the sequential, SMP (any thread count)
+//! and distributed (any rank count) solutions are bit-equal.
 
 use parfact_dense::solve as dsolve;
 use parfact_sparse::perm::Perm;
@@ -49,25 +49,6 @@ impl<'a> Sweep<'a> {
         self.sym.sn_rows[s].len() * self.nrhs
     }
 
-    /// Forward step with the `f x w` panel of supernode `s`:
-    /// `ypiv <- L11^-1 ypiv`, then `ybelow -= L21 ypiv`.
-    pub(crate) fn forward(&self, s: usize, panel: &[f64], ypiv: &mut [f64], ybelow: &mut [f64]) {
-        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
-        dsolve::trsm_ln_rm(w, self.nrhs, panel, f, ypiv, self.unit);
-        if f > w {
-            dsolve::gemm_block_sub_rm(f - w, w, self.nrhs, &panel[w..], f, ypiv, ybelow);
-        }
-    }
-
-    /// Backward step: `xpiv -= L21' xbelow`, then `xpiv <- L11^-T xpiv`.
-    pub(crate) fn backward(&self, s: usize, panel: &[f64], xpiv: &mut [f64], xbelow: &[f64]) {
-        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
-        if f > w {
-            dsolve::gemm_block_t_sub_rm(f - w, w, self.nrhs, &panel[w..], f, xbelow, xpiv);
-        }
-        dsolve::trsm_lt_rm(w, self.nrhs, panel, f, xpiv, self.unit);
-    }
-
     /// `LDLᵀ` diagonal solve between the sweeps: row `i` of `v` over `d[i]`
     /// (`d` is empty for `LLᵀ`).
     pub(crate) fn diag_scale(&self, d: &[f64], v: &mut [f64]) {
@@ -78,17 +59,61 @@ impl<'a> Sweep<'a> {
         }
     }
 
+    /// Length of the blocks of all children of `s` together.
+    pub(crate) fn children_len(&self, s: usize) -> usize {
+        let kids = &self.sym.tree.children[s];
+        kids.iter().map(|&c| self.below_len(c)).sum()
+    }
+
+    /// Forward step of supernode `s` with its `f x w` panel: fold the
+    /// children's blocks (`kids`, back to back in `tree.children` order)
+    /// into `ypiv` and the zeroed `ybelow`, then `ypiv <- L11^-1 ypiv`,
+    /// `ybelow -= L21 ypiv`.
+    pub(crate) fn up(
+        &self,
+        s: usize,
+        panel: &[f64],
+        ypiv: &mut [f64],
+        ybelow: &mut [f64],
+        mut kids: &[f64],
+    ) {
+        for &c in &self.sym.tree.children[s] {
+            let (blk, rest) = kids.split_at(self.below_len(c));
+            self.fold_child(s, c, blk, ypiv, ybelow);
+            kids = rest;
+        }
+        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
+        dsolve::trsm_ln_rm(w, self.nrhs, panel, f, ypiv, self.unit);
+        if f > w {
+            dsolve::gemm_block_sub_rm(f - w, w, self.nrhs, &panel[w..], f, ypiv, ybelow);
+        }
+    }
+
+    /// Backward step: `xpiv -= L21' xbelow`, `xpiv <- L11^-T xpiv`, then
+    /// the children's x-below blocks appended to `kids`, in
+    /// `tree.children` order.
+    pub(crate) fn down(
+        &self,
+        s: usize,
+        panel: &[f64],
+        xpiv: &mut [f64],
+        xbelow: &[f64],
+        kids: &mut Vec<f64>,
+    ) {
+        let (w, f) = (self.sym.sn_width(s), self.sym.front_order(s));
+        if f > w {
+            dsolve::gemm_block_t_sub_rm(f - w, w, self.nrhs, &panel[w..], f, xbelow, xpiv);
+        }
+        dsolve::trsm_lt_rm(w, self.nrhs, panel, f, xpiv, self.unit);
+        for &c in &self.sym.tree.children[s] {
+            self.cut_child(s, c, xpiv, xbelow, kids);
+        }
+    }
+
     /// Add child `c`'s forward contribution block into the front of `s`: the
     /// block's row `k` goes to front position `sn_rel[c][k]`, a pivot row of
     /// `s` below `w` and a below row of `s` from `w` on.
-    pub(crate) fn fold_child(
-        &self,
-        s: usize,
-        c: usize,
-        contrib: &[f64],
-        ypiv: &mut [f64],
-        ybelow: &mut [f64],
-    ) {
+    fn fold_child(&self, s: usize, c: usize, blk: &[f64], ypiv: &mut [f64], ybelow: &mut [f64]) {
         let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
         for (k, &pos) in self.sym.sn_rel[c].iter().enumerate() {
             let pos = pos as usize;
@@ -96,25 +121,23 @@ impl<'a> Sweep<'a> {
                 None => &mut ypiv[pos * nrhs..(pos + 1) * nrhs],
                 Some(q) => &mut ybelow[q * nrhs..(q + 1) * nrhs],
             };
-            for (d, v) in dst.iter_mut().zip(&contrib[k * nrhs..(k + 1) * nrhs]) {
+            for (d, v) in dst.iter_mut().zip(&blk[k * nrhs..(k + 1) * nrhs]) {
                 *d += v;
             }
         }
     }
 
-    /// The solved x at child `c`'s below-pivot rows, cut out of the front
-    /// of `s` once its backward step is done.
-    pub(crate) fn cut_child(&self, s: usize, c: usize, xpiv: &[f64], xbelow: &[f64]) -> Vec<f64> {
+    /// Append the solved x at child `c`'s below-pivot rows, cut out of the
+    /// front of `s`, to the caller's `out`.
+    fn cut_child(&self, s: usize, c: usize, xpiv: &[f64], xbelow: &[f64], out: &mut Vec<f64>) {
         let (nrhs, w) = (self.nrhs, self.sym.sn_width(s));
-        let mut vals = Vec::with_capacity(self.below_len(c));
         for &pos in &self.sym.sn_rel[c] {
             let pos = pos as usize;
-            vals.extend_from_slice(match pos.checked_sub(w) {
+            out.extend_from_slice(match pos.checked_sub(w) {
                 None => &xpiv[pos * nrhs..(pos + 1) * nrhs],
                 Some(q) => &xbelow[q * nrhs..(q + 1) * nrhs],
             });
         }
-        vals
     }
 }
 
@@ -180,7 +203,9 @@ mod tests {
                 let mut piv = vec![0.0; sw.pivot_range(s).len()];
                 let mut below = vec![0.0; sw.below_len(s)];
                 sw.fold_child(s, c, &ones, &mut piv, &mut below);
-                assert_eq!(sw.cut_child(s, c, &piv, &below), ones);
+                let mut cut = Vec::new();
+                sw.cut_child(s, c, &piv, &below, &mut cut);
+                assert_eq!(cut, ones);
                 let touched: f64 = piv.iter().chain(&below).sum();
                 assert_eq!(touched, ones.len() as f64);
                 checked += 1;

@@ -3,8 +3,12 @@
 
 use crate::csc::CscMatrix;
 
-/// Infinity norm of a vector.
+/// Infinity norm of a vector; NaN when any entry is NaN (`f64::max`
+/// alone would drop it).
 pub fn norm_inf(x: &[f64]) -> f64 {
+    if x.iter().any(|v| v.is_nan()) {
+        return f64::NAN;
+    }
     x.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
@@ -131,6 +135,17 @@ mod tests {
         assert_eq!(norm_inf(&[1.0, -3.0, 2.0]), 3.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+    }
+
+    #[test]
+    fn norms_never_hide_a_nan() {
+        assert!(norm_inf(&[1.0, f64::NAN, 2.0]).is_nan());
+        assert!(norm_inf(&[f64::NAN, 1.0]).is_nan());
+        assert_eq!(norm_inf(&[]), 0.0);
+        let a = spd_lower();
+        let b = vec![1.0, 2.0, 3.0];
+        assert!(sym_residual_inf(&a, &[f64::NAN; 3], &b).is_nan());
+        assert!(sym_residual_inf(&a, &[0.0; 3], &[1.0, f64::NAN, 0.0]).is_nan());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //!   --gen <spec>        lap2d:NX[xNY] | lap3d:NX[xNYxNZ] | elast3d:NX[xNYxNZ]
 //!   --ranks <p>         simulated ranks                  (default 4)
-//!   --threads <t>       profile the SMP engine instead (t host threads)
+//!   --threads <t>       profile the SMP engine instead (t host threads;
+//!                       not with --ranks, --sync or --inject)
 //!   --ordering <m>      nd | amd | rcm | natural         (default nd)
 //!   --analysis-threads <t>  worker threads for the analysis phase
 //!                       (default: inherit; result is bitwise identical)
@@ -43,7 +44,7 @@ use std::process::ExitCode;
 struct Args {
     matrix: String,
     gen: Option<String>,
-    ranks: usize,
+    ranks: Option<usize>,
     threads: usize,
     ordering: Method,
     analysis_threads: usize,
@@ -58,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         matrix: String::new(),
         gen: None,
-        ranks: 4,
+        ranks: None,
         threads: 0,
         ordering: Method::default(),
         analysis_threads: 0,
@@ -73,11 +74,12 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--gen" => args.gen = Some(it.next().ok_or("--gen needs a spec")?),
             "--ranks" => {
-                args.ranks = it
-                    .next()
-                    .ok_or("--ranks needs a count")?
-                    .parse()
-                    .map_err(|_| "--ranks needs an integer")?
+                args.ranks = Some(
+                    it.next()
+                        .ok_or("--ranks needs a count")?
+                        .parse()
+                        .map_err(|_| "--ranks needs an integer")?,
+                )
             }
             "--threads" => {
                 args.threads = it
@@ -128,11 +130,11 @@ fn parse_args() -> Result<Args, String> {
     if args.matrix.is_empty() && args.gen.is_none() {
         return Err("no matrix file or --gen spec given".into());
     }
-    if args.ranks == 0 && args.threads == 0 {
-        return Err("--ranks must be positive".into());
+    if args.threads > 0 && (args.ranks.is_some() || args.sync || !args.inject.is_empty()) {
+        return Err("--ranks, --sync and --inject need the distributed engine".into());
     }
-    if !args.inject.is_empty() && args.threads > 0 {
-        return Err("--inject only applies to the distributed engine".into());
+    if args.ranks == Some(0) {
+        return Err("--ranks must be positive".into());
     }
     Ok(args)
 }
@@ -166,6 +168,7 @@ fn main() -> ExitCode {
         },
     };
 
+    let ranks = args.ranks.unwrap_or(4);
     let (engine, label) = if args.threads > 0 {
         (
             Engine::Smp(SmpOpts {
@@ -177,7 +180,7 @@ fn main() -> ExitCode {
     } else {
         (
             Engine::Dist(DistOpts {
-                ranks: args.ranks,
+                ranks,
                 sync_schedule: args.sync,
                 faults: args.inject.clone(),
                 checkpoint: !args.inject.is_empty(),
@@ -192,7 +195,7 @@ fn main() -> ExitCode {
         a.nnz(),
         match &engine {
             Engine::Smp(s) => format!("smp x{}", s.threads),
-            _ => format!("dist x{}", args.ranks),
+            _ => format!("dist x{ranks}"),
         },
         if args.sync { " (sync schedule)" } else { "" }
     );

@@ -90,47 +90,49 @@ fn golden_matrix(name: &str) -> CscMatrix {
     }
 }
 
-/// Golden factor and solve bits: `(matrix, kind, pin, value)`. The lap3d-6
-/// sequential-solve rows were captured before the three solve paths were
-/// collapsed onto one supernode step; the rest before front assembly moved
-/// onto the analysis' relative indices. Both changes left every row alone:
-/// the factor's per-entry assembly order and the sweeps' data flow and
-/// kernel call order are part of the contract. A change that means to move
-/// them re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test
-/// solve_batched sequential_solve_bits -- --nocapture`.
+/// Golden factor and solve bits: `(matrix, kind, pin, value)`. The factor
+/// rows were captured before front assembly moved onto the analysis'
+/// relative indices, the SMP rows before the three solve paths were
+/// collapsed onto one supernode step; both changes left them alone. The
+/// sequential rows were re-captured when the sequential sweep moved onto
+/// the SMP solve's child fold order: each now equals its SMP row. The
+/// factor's per-entry assembly order and the sweeps' fold order and kernel
+/// call order are part of the contract. A change that means to move them
+/// re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test solve_batched
+/// sequential_solve_bits -- --nocapture`.
 const GOLDEN: &[(&str, FactorKind, Pin, u64)] = &[
-    ("lap3d-6", Llt, Pin::Seq(1), 0x505f489b6892f0b7),
-    ("lap3d-6", Llt, Pin::Seq(5), 0x3ac4c7231db2ed9e),
+    ("lap3d-6", Llt, Pin::Seq(1), 0x0b5d35a704fae23c),
+    ("lap3d-6", Llt, Pin::Seq(5), 0x2453165d45a9e8db),
     ("lap3d-6", Llt, Pin::Smp(1), 0x0b5d35a704fae23c),
     ("lap3d-6", Llt, Pin::Smp(5), 0x2453165d45a9e8db),
     ("lap3d-6", Llt, Pin::Panels, 0x238356cd8af01599),
     ("lap3d-6", Llt, Pin::BytesAssembled, 41384),
-    ("lap3d-6", Ldlt, Pin::Seq(1), 0xf56528bbc810936e),
-    ("lap3d-6", Ldlt, Pin::Seq(5), 0x64073e34545d5d42),
+    ("lap3d-6", Ldlt, Pin::Seq(1), 0xac7f7f0de71be505),
+    ("lap3d-6", Ldlt, Pin::Seq(5), 0x20adec1c4f19eb91),
     ("lap3d-6", Ldlt, Pin::Smp(1), 0xac7f7f0de71be505),
     ("lap3d-6", Ldlt, Pin::Smp(5), 0x20adec1c4f19eb91),
     ("lap3d-6", Ldlt, Pin::Panels, 0x66ab6cadb1c6dd45),
     ("lap3d-6", Ldlt, Pin::BytesAssembled, 41384),
-    ("lap2d-40", Llt, Pin::Seq(1), 0x20cf112b7b9e3b5a),
-    ("lap2d-40", Llt, Pin::Seq(5), 0x955883ca4d808471),
+    ("lap2d-40", Llt, Pin::Seq(1), 0xbc3c51c54df37f9a),
+    ("lap2d-40", Llt, Pin::Seq(5), 0x24ef84b72ec12d02),
     ("lap2d-40", Llt, Pin::Smp(1), 0xbc3c51c54df37f9a),
     ("lap2d-40", Llt, Pin::Smp(5), 0x24ef84b72ec12d02),
     ("lap2d-40", Llt, Pin::Panels, 0x0ce33525e3a0d6fb),
     ("lap2d-40", Llt, Pin::BytesAssembled, 293360),
-    ("lap2d-40", Ldlt, Pin::Seq(1), 0xe134df888d0b979f),
-    ("lap2d-40", Ldlt, Pin::Seq(5), 0xe908afe775dbbebe),
+    ("lap2d-40", Ldlt, Pin::Seq(1), 0x315c0c4348be7964),
+    ("lap2d-40", Ldlt, Pin::Seq(5), 0xb3fa0e4c9a78799f),
     ("lap2d-40", Ldlt, Pin::Smp(1), 0x315c0c4348be7964),
     ("lap2d-40", Ldlt, Pin::Smp(5), 0xb3fa0e4c9a78799f),
     ("lap2d-40", Ldlt, Pin::Panels, 0xc7e025dc9fddd934),
     ("lap2d-40", Ldlt, Pin::BytesAssembled, 293360),
-    ("elas-5", Llt, Pin::Seq(1), 0xd501a461ca39c3ad),
-    ("elas-5", Llt, Pin::Seq(5), 0x6052bcef91d8d739),
+    ("elas-5", Llt, Pin::Seq(1), 0x7832b2175b4c2369),
+    ("elas-5", Llt, Pin::Seq(5), 0x193ba44ca8e2618f),
     ("elas-5", Llt, Pin::Smp(1), 0x7832b2175b4c2369),
     ("elas-5", Llt, Pin::Smp(5), 0x193ba44ca8e2618f),
     ("elas-5", Llt, Pin::Panels, 0xc9dba9dd469c95c6),
     ("elas-5", Llt, Pin::BytesAssembled, 413200),
-    ("elas-5", Ldlt, Pin::Seq(1), 0x7b49d8957c687cc8),
-    ("elas-5", Ldlt, Pin::Seq(5), 0xd3cdf777f61765bd),
+    ("elas-5", Ldlt, Pin::Seq(1), 0xaa67045a88409d57),
+    ("elas-5", Ldlt, Pin::Seq(5), 0xec8ed537ed47cdb2),
     ("elas-5", Ldlt, Pin::Smp(1), 0xaa67045a88409d57),
     ("elas-5", Ldlt, Pin::Smp(5), 0xec8ed537ed47cdb2),
     ("elas-5", Ldlt, Pin::Panels, 0xe6304fcfd94c5d83),
@@ -197,13 +199,35 @@ proptest! {
             }
         }
     }
+
+    /// Random shapes and both factor kinds: the sequential sweep and the
+    /// SMP solve at 2 and 3 threads give the same bits, empty blocks
+    /// included.
+    #[test]
+    fn sequential_solve_equals_smp_solve_bitwise(
+        n in 5usize..40, deg in 1usize..4, seed in any::<u64>(),
+        ldlt in any::<bool>(), nrhs in (0usize..3).prop_map(|k| [0, 1, 5][k])
+    ) {
+        let a = gen::random_spd(n, deg, seed % 1000);
+        let kind = if ldlt { Ldlt } else { Llt };
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::new().kind(kind)).unwrap();
+        let b = rhs_block(n, nrhs, seed | 1);
+        let seq = chol.factor().try_solve_many(&b, nrhs).unwrap();
+        for threads in [2usize, 3] {
+            let smp = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, threads).unwrap();
+            prop_assert_eq!(bits(&seq), bits(&smp), "threads={}", threads);
+        }
+    }
 }
 
-/// Multi-RHS parity across all three engines. SMP and dist run the same
-/// supernode step and fold child blocks in the same order, so they are
-/// bit-equal to each other at every thread and rank count; the sequential
-/// sweep accumulates in global row order, so against it the comparison is
-/// a tolerance, not bits.
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Multi-RHS parity across all three engines: they run the same supernode
+/// steps and fold child blocks in the same order, so the sequential, SMP
+/// (any thread count) and distributed (any rank count) solutions are
+/// bit-equal.
 #[test]
 fn seq_smp_dist_multi_rhs_parity() {
     let a = gen::laplace3d(5, 5, 4, gen::Stencil3d::SevenPoint);
@@ -222,14 +246,13 @@ fn seq_smp_dist_multi_rhs_parity() {
         );
         assert!(r < 1e-11, "seq col={col}: residual {r}");
     }
-    let smp = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, 2).unwrap();
-    for (s, p) in seq.x.iter().zip(&smp) {
-        assert!((s - p).abs() / s.abs().max(1.0) < 1e-12);
-    }
-    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for threads in [3usize, 4, 8] {
-        let again = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, threads).unwrap();
-        assert_eq!(bits(&again), bits(&smp), "threads={threads}: smp moved");
+    for threads in [2usize, 3, 4, 8] {
+        let smp = smp_solve::solve_smp_many(chol.factor(), &b, nrhs, threads).unwrap();
+        assert_eq!(
+            bits(&smp),
+            bits(&seq.x),
+            "threads={threads}: smp differs from seq"
+        );
     }
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
@@ -241,8 +264,32 @@ fn seq_smp_dist_multi_rhs_parity() {
         let xd = xd.expect("rank 0 gathers the solution block");
         assert_eq!(
             bits(&xd),
-            bits(&smp),
-            "ranks={ranks}: dist differs from smp"
+            bits(&seq.x),
+            "ranks={ranks}: dist differs from seq"
+        );
+    }
+}
+
+/// Refinement runs its corrections through the sequential sweep whatever
+/// the engine, so with the base solves bit-equal the refined ones are too.
+#[test]
+fn refined_solve_bits_do_not_depend_on_the_engine() {
+    let a = gen::laplace2d(12, 11, gen::Stencil2d::FivePoint);
+    let n = a.nrows();
+    let nrhs = 3;
+    let b = rhs_block(n, nrhs, 0xface);
+    for kind in [Llt, Ldlt] {
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::new().kind(kind)).unwrap();
+        let solve = |engine| {
+            let opts = SolveOpts::new().refine(2).engine(engine);
+            chol.solve_with(RhsBlock::new(&b, nrhs), &opts).unwrap()
+        };
+        let auto = solve(SolveEngine::Auto);
+        let smp = solve(SolveEngine::Smp { threads: 2 });
+        assert_eq!(bits(&auto.x), bits(&smp.x), "{kind:?}");
+        assert_eq!(
+            auto.residual.map(f64::to_bits),
+            smp.residual.map(f64::to_bits)
         );
     }
 }
