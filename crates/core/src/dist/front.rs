@@ -35,8 +35,8 @@ use crate::frontal::flops_partial;
 //   * within one `(src, dst, s, phase)` stream, messages are consumed in
 //     the order they were sent (mpsim queues are FIFO per `(src, tag)`).
 //
-// All tags — factorization broadcasts, extend-adds, the factor gather and
-// the five solve phases — MUST go through [`tag`] so the namespace stays
+// All tags — factorization broadcasts, extend-adds and the five solve
+// phases — MUST go through [`tag`] so the namespace stays
 // collision-free as phases are added; `tag` debug-asserts the bound.
 // ---------------------------------------------------------------------------
 
@@ -44,8 +44,6 @@ use crate::frontal::flops_partial;
 pub const PHASE_L11: u64 = 1;
 pub const PHASE_ROWCAST: u64 = 2;
 pub const PHASE_COLCAST: u64 = 3;
-/// Factor gather to rank 0 after factorization.
-pub const PHASE_GATHER: u64 = 6;
 /// Extend-add contribution of child supernode `s` into its parent.
 pub const PHASE_EXTADD: u64 = 7;
 /// Triangular-solve phases.
@@ -438,11 +436,11 @@ impl DistFront {
     }
 }
 
-/// A factored front travels whole to whoever assembles the supernode's
-/// panel — rank 0 in the factor gather, the group leader in a solve — and is
-/// read there with [`DistFront::scatter_pivots`]. On the modelled wire it is
-/// its pivot entries as `(li, lj, value)` triplets, two `u32` and an `f64`
-/// each, whatever the host moves.
+/// A factored front travels whole to the group leader that assembles the
+/// supernode's panel in a solve, and is read there with
+/// [`DistFront::scatter_pivots`]. On the modelled wire it is its pivot
+/// entries as `(li, lj, value)` triplets, two `u32` and an `f64` each,
+/// whatever the host moves.
 impl Payload for DistFront {
     fn nbytes(&self) -> usize {
         let mut entries = 0;
@@ -492,21 +490,21 @@ pub fn tag(s: usize, phase: u64) -> u64 {
     (s as u64) * PHASE_LIMIT + phase
 }
 
-/// Names for the four traffic classes of [`comm_class`], in index order.
+/// Names for the three traffic classes of [`comm_class`], in index order.
 /// The simulator's comm matrix uses these as its class axis.
-pub const COMM_CLASSES: [&str; 4] = ["extadd", "panel", "solve", "control"];
+pub const COMM_CLASSES: [&str; 3] = ["extadd", "panel", "solve"];
 
 /// Classify a message tag into a traffic class for the comm matrix:
-/// extend-add contributions (0), factorization panel broadcasts (1),
-/// triangular-solve traffic (2), and everything else — gathers and other
-/// control flow (3). Pure arithmetic on the phase field of the tag, so it
-/// is safe to call from the simulator's recording path.
+/// extend-add contributions (0), factorization panel broadcasts (1) and
+/// triangular-solve traffic (2) — every phase the engine sends on. Pure
+/// arithmetic on the phase field of the tag, so it is safe to call from
+/// the simulator's recording path.
 pub fn comm_class(t: u64) -> usize {
     match t % PHASE_LIMIT {
         PHASE_EXTADD => 0,
         PHASE_L11 | PHASE_ROWCAST | PHASE_COLCAST => 1,
         PHASE_FWD_PANEL | PHASE_FWD_CONTRIB | PHASE_BWD_PANEL | PHASE_BWD_XROWS
         | PHASE_GATHER_X => 2,
-        _ => 3,
+        phase => unreachable!("message phase {phase} has no traffic class"),
     }
 }

@@ -14,6 +14,12 @@
 //! across ranks — in a production code `A` would be distributed, but that
 //! affects none of the algorithms under study; fronts and factor blocks,
 //! which dominate memory, are fully distributed and tracked per rank.
+//!
+//! The factor stays distributed on the machine: each rank's program
+//! returns its share ([`RankFactor`]), and after a completed run the driver
+//! ([`DistRun::run`]) copies the shares into a host [`Factor`], the way the
+//! host engines hand theirs back. That copy is host work, not a simulated
+//! step, so no virtual clock, statistic or trace includes it.
 
 pub mod front;
 pub mod solve;
@@ -27,7 +33,7 @@ use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
 use parfact_dense::chol;
 use parfact_mpsim::model::CostModel;
-use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
+use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict, VerdictReport};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::{Symbolic, NONE};
@@ -44,7 +50,7 @@ fn ext_tag(child: usize) -> u64 {
 
 /// Per-rank factor state after a distributed factorization.
 ///
-/// `BTreeMap` rather than `HashMap`: the gather path and the memory
+/// `BTreeMap` rather than `HashMap`: the host assembly and the memory
 /// accounting iterate these maps, and the determinism contract (enforced
 /// by the R2 lint) keeps every iterated container in the engine ordered.
 #[derive(Clone)]
@@ -687,61 +693,10 @@ impl ExtMap {
     }
 }
 
-/// Gather a distributed factor onto machine rank 0 as an ordinary
-/// [`Factor`] (verification and solve-on-root). Returns `Some` on rank 0.
-pub fn gather_factor(
-    rank: &mut Rank,
-    sym: &Arc<Symbolic>,
-    map: &Mapping,
-    mut rf: RankFactor,
-    perm: Perm,
-) -> Option<Factor> {
-    const TAG_GATHER: u64 = front::PHASE_GATHER;
-    let me = rank.rank();
-    let nsuper = sym.nsuper();
-    if me != 0 {
-        for s in (0..nsuper).filter(|&s| map.participates(s, me)) {
-            let tag = front::tag(s, TAG_GATHER);
-            match map.layout[s] {
-                Layout::Local => {
-                    let panel = rf.local_panels.remove(&s).expect("local panel");
-                    rank.send(0, tag, panel)
-                }
-                Layout::Grid { .. } => {
-                    let share = rf.dist_blocks.remove(&s).expect("distributed share");
-                    rank.send(0, tag, share)
-                }
-            }
-        }
-        return None;
-    }
-    // Rank 0: assemble every panel straight into the factor slab.
-    let mut factor = Factor::allocate(sym, FactorKind::Llt, perm);
-    for s in 0..nsuper {
-        let tag = front::tag(s, TAG_GATHER);
-        let panel = factor.panel_mut(s);
-        match map.layout[s] {
-            Layout::Local => match map.group[s].0 {
-                0 => panel.copy_from_slice(&rf.local_panels[&s]),
-                owner => panel.copy_from_slice(&rank.recv::<Vec<f64>>(owner, tag)),
-            },
-            Layout::Grid { .. } => {
-                let (lo, hi) = map.group[s];
-                for q in lo..hi {
-                    match q {
-                        0 => rf.dist_blocks[&s].scatter_pivots(panel),
-                        _ => rank.recv::<DistFront>(q, tag).scatter_pivots(panel),
-                    }
-                }
-            }
-        }
-    }
-    Some(factor)
-}
-
 /// Everything a distributed run produces, with per-phase *simulated* times.
 pub struct DistOutcome {
-    /// The factor gathered to rank 0 (verification / host-side solve).
+    /// The factor, assembled on the host from the ranks' shares
+    /// (verification / host-side solve).
     pub factor: Factor,
     /// Solution of `A X = B` in the original index space (when `b` given):
     /// `n x nrhs` column-major, matching the right-hand-side block.
@@ -750,20 +705,17 @@ pub struct DistOutcome {
     pub factor_time_s: f64,
     /// Simulated triangular-solve makespan (seconds).
     pub solve_time_s: f64,
-    /// Per-rank statistics snapshotted after the solve (gather traffic for
-    /// verification is excluded).
+    /// Per-rank statistics at the end of the run (factorization and solve).
     pub stats: Vec<parfact_mpsim::RankStats>,
-    /// The src x dst x tag-class communication matrix, snapshotted with
-    /// `stats` (gather excluded). `Some` iff the run recorded it — see
-    /// [`DistRun::comm`].
+    /// The src x dst x tag-class communication matrix of the run. `Some`
+    /// iff the run recorded it — see [`DistRun::comm`].
     pub comm: Option<parfact_trace::CommMatrixReport>,
     /// Max per-rank factor bytes held at the end.
     pub max_factor_bytes: usize,
     /// Total flops across ranks during factorization.
     pub total_flops: f64,
     /// Per-rank recorded events, virtual timestamps (empty unless the run
-    /// was traced — see [`DistRun::timeline`]). Like `stats`, the
-    /// verification gather is excluded.
+    /// was traced — see [`DistRun::timeline`]).
     pub events: Vec<Vec<SpanEvent>>,
 }
 
@@ -860,12 +812,12 @@ pub fn run_distributed_prepared(
     sync_schedule: bool,
     b: Option<&[f64]>,
 ) -> Result<DistOutcome, FactorError> {
-    let run = DistRun {
-        strategy,
-        sync_schedule,
+    let mut run = DistRun {
         b,
         ..DistRun::new(p, model, ap, sym, total_perm)
     };
+    run.opts.strategy = strategy;
+    run.opts.sync_schedule = sync_schedule;
     Ok(run.run()?.outcome)
 }
 
@@ -886,30 +838,20 @@ pub fn run_distributed_prepared(
 /// assert!(out.comm.is_some());
 /// ```
 pub struct DistRun<'a> {
-    /// Number of simulated ranks.
-    pub ranks: usize,
-    /// Machine cost model for the virtual clocks.
-    pub model: CostModel,
     /// The permuted matrix, its symbolic analysis and the total
     /// permutation (see [`prepare`]), replicated on every rank.
     pub ap: &'a CscMatrix,
     pub sym: &'a Arc<Symbolic>,
     pub total_perm: &'a Perm,
-    /// Assembly-tree-to-rank mapping strategy.
-    pub strategy: MapStrategy,
-    /// Strict-postorder blocking schedule (the EXP-A7 ablation baseline)
-    /// instead of the event-driven one; factors are bitwise identical
-    /// either way. Incompatible with `checkpoint` (deferred sends need the
-    /// event-driven loop): the combination is [`FactorError::Unsupported`].
-    pub sync_schedule: bool,
+    /// The machine, mapping, schedule and fault plan.
+    pub opts: DistOpts,
     /// Right-hand sides to solve for after factoring: an `n x nrhs`
     /// column-major block in the original index space (any `nrhs >= 1`).
     pub b: Option<&'a [f64]>,
     /// Record per-rank compute spans (attributed to supernodes and phases)
     /// and communication/wait spans with virtual timestamps into
     /// [`DistOutcome::events`]; the trace covers the factorization *and*
-    /// the solve (per-rank solve lanes), excluding only the verification
-    /// gather.
+    /// the solve (per-rank solve lanes).
     pub timeline: bool,
     /// Record the src x dst x tag-class communication matrix
     /// ([`DistOutcome::comm`]). Like span tracing, the recording is pure
@@ -917,21 +859,51 @@ pub struct DistRun<'a> {
     /// virtual clock, so factors and makespans stay bitwise identical with
     /// it on or off (pinned by the scalability test suite).
     pub comm: bool,
-    /// Deterministic fault plan; empty for a fault-free run.
+}
+
+/// How the distributed engine runs: the simulated machine, the mapping,
+/// the schedule and the fault plan. The façade's `Engine::Dist` carries one
+/// and hands it to [`DistRun`] whole.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistOpts {
+    /// Number of simulated ranks.
+    pub ranks: usize,
+    /// Machine cost model for the virtual clocks.
+    pub model: CostModel,
+    /// Assembly-tree-to-rank mapping strategy.
+    pub strategy: MapStrategy,
+    /// Run the strict-postorder blocking schedule instead of the default
+    /// event-driven one (the EXP-A7 ablation baseline). The factor is
+    /// bitwise identical either way; only the simulated clocks differ.
+    /// A fault plan's checkpoints defer sends, which needs the event-driven
+    /// schedule, so this with a non-empty `faults` is
+    /// [`FactorError::Unsupported`].
+    pub sync_schedule: bool,
+    /// Deterministic fault-injection plan (see [`FaultPlan::parse`] for the
+    /// `crash:`/`delay:`/`dup:` grammar). A non-empty plan turns recovery
+    /// on: every rank snapshots itself after each distributed front, so a
+    /// restart resumes from the [`CheckpointStore`]'s consistent cut, and
+    /// receives get a deadline derived from the cost model, so a lost
+    /// message surfaces as [`FactorError::TimedOut`] with full `(rank, src,
+    /// tag, waited)` context. Empty by default: the fault machinery is
+    /// bypassed.
     pub faults: FaultPlan,
-    /// Machine-wide receive deadline in virtual seconds. `None` derives a
-    /// generous one from the cost model when the plan injects faults (a
-    /// lost message then surfaces as [`FactorError::TimedOut`] with full
-    /// `(rank, src, tag, waited)` context), and leaves timeouts off
-    /// otherwise.
-    pub recv_timeout_s: Option<f64>,
-    /// Snapshot every rank after each distributed front so a restart
-    /// resumes from the [`CheckpointStore`]'s consistent cut instead of
-    /// from scratch.
-    pub checkpoint: bool,
     /// Restarts allowed after a fault verdict before it surfaces as the
-    /// typed [`FactorError`].
+    /// typed [`FactorError`] (`RankFailed` / `TimedOut` / `Deadlock`).
     pub max_restarts: usize,
+}
+
+impl Default for DistOpts {
+    fn default() -> Self {
+        DistOpts {
+            ranks: 4,
+            model: CostModel::bluegene_p(),
+            strategy: MapStrategy::default(),
+            sync_schedule: false,
+            faults: FaultPlan::new(),
+            max_restarts: 2,
+        }
+    }
 }
 
 /// What a distributed run reports on top of its [`DistOutcome`]: the
@@ -945,12 +917,14 @@ pub struct FaultRun {
     pub restarts: u64,
     /// Sum of every attempt's virtual makespan — the end-to-end cost of the
     /// run *including* the crashed attempts, for recovery-overhead studies.
+    /// A run that never restarted reports its own makespan.
     pub total_makespan_s: f64,
 }
 
 impl<'a> DistRun<'a> {
-    /// An untraced, fault-free, event-driven, factor-only run with the
-    /// default mapping.
+    /// An untraced, factor-only run under the default [`DistOpts`] (no
+    /// faults, event-driven schedule, default mapping) on `ranks` ranks of
+    /// `model`.
     pub fn new(
         ranks: usize,
         model: CostModel,
@@ -959,27 +933,27 @@ impl<'a> DistRun<'a> {
         total_perm: &'a Perm,
     ) -> Self {
         DistRun {
-            ranks,
-            model,
             ap,
             sym,
             total_perm,
-            strategy: MapStrategy::default(),
-            sync_schedule: false,
+            opts: DistOpts {
+                ranks,
+                model,
+                ..DistOpts::default()
+            },
             b: None,
             timeline: false,
             comm: false,
-            faults: FaultPlan::new(),
-            recv_timeout_s: None,
-            checkpoint: false,
-            max_restarts: 0,
         }
     }
 
-    /// Run the machine, restarting after fault verdicts. Each attempt runs
-    /// under [`Machine::run_verdict`]:
+    /// Run the machine, restarting after fault verdicts. Recovery follows
+    /// the plan: a non-empty [`DistOpts::faults`] checkpoints and arms the
+    /// receive deadline, an empty one does neither. Each attempt runs under
+    /// [`Machine::run_verdict`]:
     ///
-    /// - **Completed** — per-rank results are folded into the outcome.
+    /// - **Completed** — the rank clocks give the makespans, and every
+    ///   rank's factor share is copied into the host [`Factor`].
     /// - A rank returning a numeric error ([`FactorError`], e.g. a non-SPD
     ///   pivot) ends the run with the lowest such rank's error immediately
     ///   — its peers are unwound by the simulator, no panic, no hang —
@@ -987,23 +961,25 @@ impl<'a> DistRun<'a> {
     /// - **RankFailed / TimedOut / Deadlocked** — the machine restarts with
     ///   the crash faults removed from the plan
     ///   ([`FaultPlan::without_crashes`]; link delay/duplication faults
-    ///   persist), from the checkpoint store's consistent cut when
-    ///   checkpointing. After `max_restarts` restarts the verdict surfaces
-    ///   as the typed [`FactorError`] — never a hang, never a panic.
+    ///   persist), from the checkpoint store's consistent cut. After
+    ///   `max_restarts` restarts the verdict surfaces as the typed
+    ///   [`FactorError`] — never a hang, never a panic.
     ///
     /// Tracing never touches the virtual clocks and the recovered factor is
     /// **bitwise identical** to a fault-free run's — the properties the
     /// timeline and fault-recovery test suites pin down.
     pub fn run(&self) -> Result<FaultRun, FactorError> {
-        let (p, sym) = (self.ranks, self.sym);
-        if self.sync_schedule && self.checkpoint {
+        let (o, sym) = (&self.opts, self.sym);
+        let p = o.ranks;
+        let recover = !o.faults.is_empty();
+        if o.sync_schedule && recover {
             return Err(FactorError::Unsupported(
-                "checkpointing defers sends, which needs the event-driven schedule; \
-                 drop sync_schedule or checkpoint"
+                "a fault plan checkpoints by deferring sends, which needs the event-driven \
+                 schedule; drop sync_schedule or the plan"
                     .to_string(),
             ));
         }
-        let (MapStrategy::Proportional { nb, .. } | MapStrategy::Flat { nb, .. }) = self.strategy;
+        let (MapStrategy::Proportional { nb, .. } | MapStrategy::Flat { nb, .. }) = o.strategy;
         // One rank never tiles a front, so only there is `nb` free.
         if p == 0 || (nb == 0 && p > 1) {
             return Err(FactorError::Unsupported(format!(
@@ -1012,7 +988,8 @@ impl<'a> DistRun<'a> {
             )));
         }
         // A fault the machine cannot apply would otherwise be ignored.
-        for fault in &self.faults.faults {
+        o.faults.validate().map_err(FactorError::Unsupported)?;
+        for fault in &o.faults.faults {
             let (src, dst) = match *fault {
                 Fault::CrashAt { rank, .. } | Fault::CrashOnSend { rank, .. } => (rank, None),
                 Fault::DelayLink { src, dst, .. } | Fault::DuplicateLink { src, dst } => {
@@ -1034,27 +1011,24 @@ impl<'a> DistRun<'a> {
                 got: b.len(),
             });
         }
-        let map = crate::mapping::map_tree(sym, p, self.strategy);
+        let map = crate::mapping::map_tree(sym, p, o.strategy);
         assert!(map.validate(sym), "invalid mapping");
         let bp = self.b.map(|b| sweep::permute_in(self.total_perm, b, nrhs));
-        let store = self.checkpoint.then(|| CheckpointStore::new(p));
-        let timeout = self.recv_timeout_s.or_else(|| {
-            (!self.faults.is_empty()).then(|| {
-                // Generous machine-wide deadline: the whole factorization's
-                // flops and a factor's worth of traffic, with the model's 4x
-                // margin. It costs nothing physically: the scanner fires it
-                // at quiescence, in no host time.
-                let flops = sym.factor_flops();
-                let bytes = 8.0 * sym.factor_nnz() as f64 * p as f64;
-                self.model.recv_timeout_for(flops, bytes)
-            })
+        let store = recover.then(|| CheckpointStore::new(p));
+        // Generous machine-wide deadline: the whole factorization's flops and
+        // a factor's worth of traffic, with the model's 4x margin. It costs
+        // nothing physically: the scanner fires it at quiescence, in no host
+        // time.
+        let timeout = recover.then(|| {
+            let bytes = 8.0 * sym.factor_nnz() as f64 * p as f64;
+            o.model.recv_timeout_for(sym.factor_flops(), bytes)
         });
-        let mut attempt_plan = self.faults.clone();
+        let mut attempt_plan = o.faults.clone();
         let mut counts = FaultCounts::default();
         let mut restarts = 0u64;
         let mut total_makespan_s = 0.0f64;
         loop {
-            let mut machine = Machine::new(p, self.model)
+            let mut machine = Machine::new(p, o.model)
                 .trace_events(self.timeline)
                 .fault_plan(attempt_plan.clone());
             if self.comm {
@@ -1064,9 +1038,23 @@ impl<'a> DistRun<'a> {
                 machine = machine.recv_timeout(t);
             }
             let vr = machine.run_verdict(|rank| -> Result<RankOut, FactorError> {
-                let rf =
-                    factorize_rank(rank, self.ap, sym, &map, self.sync_schedule, store.as_ref())?;
-                finish_rank(rank, sym, &map, self.total_perm, rf, bp.as_deref(), nrhs)
+                let factor =
+                    factorize_rank(rank, self.ap, sym, &map, o.sync_schedule, store.as_ref())?;
+                let t_factor = rank.clock();
+                // The solve is traced too (per-rank solve lanes): its compute
+                // spans carry `Phase::Solve`, which the critical-path profiler
+                // filters out — the profile models the factorization's
+                // child-before-parent dependencies, which the backward solve
+                // traverses in the opposite direction.
+                let xp = bp
+                    .as_deref()
+                    .and_then(|bp| solve::solve_rank(rank, sym, &map, &factor, bp, nrhs));
+                Ok(RankOut {
+                    t_factor,
+                    t_solve: rank.clock() - t_factor,
+                    x: xp.map(|xp| sweep::permute_out(self.total_perm, &xp, nrhs)),
+                    factor,
+                })
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;
@@ -1080,131 +1068,83 @@ impl<'a> DistRun<'a> {
             {
                 return Err(e);
             }
-            match vr.verdict {
-                RunVerdict::Completed => {
-                    let results = vr
-                        .results
-                        .into_iter()
-                        .map(|r| r.and_then(Result::ok))
-                        .collect::<Option<Vec<RankOut>>>()
-                        .ok_or(FactorError::Internal(
-                            "completed verdict with a missing rank result",
-                        ))?;
-                    return Ok(FaultRun {
-                        outcome: assemble_outcome(results, vr.events)?,
-                        counts,
-                        restarts,
-                        total_makespan_s,
-                    });
-                }
-                verdict => {
-                    if restarts >= self.max_restarts as u64 {
-                        return Err(verdict_error(verdict));
-                    }
-                    restarts += 1;
-                    // Crash faults fired; keep link faults (delay/dup) live so
-                    // the retry exercises the same wire conditions.
-                    attempt_plan = attempt_plan.without_crashes();
-                    if let Some(cs) = &store {
-                        cs.rewind_to_consistent_cut(sym, &map);
-                    }
-                }
+            if vr.verdict.is_completed() {
+                return Ok(FaultRun {
+                    outcome: assemble_outcome(sym, self.total_perm, vr)?,
+                    counts,
+                    restarts,
+                    total_makespan_s,
+                });
+            }
+            if restarts >= o.max_restarts as u64 {
+                return Err(verdict_error(vr.verdict));
+            }
+            restarts += 1;
+            // Crash faults fired; keep link faults (delay/dup) live so the
+            // retry exercises the same wire conditions.
+            attempt_plan = attempt_plan.without_crashes();
+            if let Some(cs) = &store {
+                cs.rewind_to_consistent_cut(sym, &map);
             }
         }
     }
 }
 
-/// Per-rank return value of the distributed programs: factor/solve
-/// makespans, statistics, factor bytes, the rank's comm-matrix row (when
-/// recording was on), plus rank 0's gathered factor and solution.
+/// What a rank's program returns: its factorization and solve makespans,
+/// its factor share, and (rank 0, when a right-hand side was given) the
+/// solution.
 struct RankOut {
     t_factor: f64,
     t_solve: f64,
-    stats: parfact_mpsim::RankStats,
-    fbytes: usize,
-    comm: Option<parfact_mpsim::CommRow>,
-    factor: Option<Factor>,
+    factor: RankFactor,
     x: Option<Vec<f64>>,
 }
 
-/// Epilogue of a rank's program after its factorization finished: solve
-/// (when a right-hand side was given), snapshot statistics, and gather the
-/// factor to rank 0.
-fn finish_rank(
-    rank: &mut Rank,
-    sym: &Arc<Symbolic>,
-    map: &Mapping,
-    total_perm: &Perm,
-    rf: RankFactor,
-    bp: Option<&[f64]>,
-    nrhs: usize,
-) -> Result<RankOut, FactorError> {
-    let t_factor = rank.clock();
-    // The solve is traced too (per-rank solve lanes): its compute spans
-    // carry `Phase::Solve`, which the critical-path profiler filters out —
-    // the profile models the factorization's child-before-parent
-    // dependencies, which the backward solve traverses in the opposite
-    // direction.
-    let xp = bp.and_then(|bp| solve::solve_rank(rank, sym, map, &rf, bp, nrhs));
-    let t_solve = rank.clock() - t_factor;
-    // The verification gather stays out of the trace, mirroring what the
-    // stats snapshot excludes. The comm-matrix row is snapshotted at the
-    // same point for the same reason, so row sums reconcile with
-    // `stats.bytes_sent`.
-    rank.set_trace_events(false);
-    let stats = rank.stats();
-    let comm = rank.comm_row();
-    let fbytes = rf.factor_bytes();
-    let factor = gather_factor(rank, sym, map, rf, total_perm.clone());
-    let x = xp.map(|xp| sweep::permute_out(total_perm, &xp, nrhs));
-    Ok(RankOut {
-        t_factor,
-        t_solve,
-        stats,
-        fbytes,
-        comm,
-        factor,
-        x,
-    })
-}
-
-/// Fold per-rank results into a [`DistOutcome`].
+/// Fold a completed run into a [`DistOutcome`]: the makespans from the rank
+/// clocks, the statistics, comm matrix and events from the machine, and the
+/// host factor from the ranks' shares — local panels copied, grid shares
+/// scattered, each share dropped once it is copied.
 fn assemble_outcome(
-    results: Vec<RankOut>,
-    events: Vec<Vec<SpanEvent>>,
+    sym: &Arc<Symbolic>,
+    perm: &Perm,
+    vr: VerdictReport<Result<RankOut, FactorError>>,
 ) -> Result<DistOutcome, FactorError> {
+    let results = vr
+        .results
+        .into_iter()
+        .map(|r| r.and_then(Result::ok))
+        .collect::<Option<Vec<RankOut>>>()
+        .ok_or(FactorError::Internal(
+            "completed verdict with a missing rank result",
+        ))?;
     let factor_time_s = results.iter().fold(0.0f64, |m, r| m.max(r.t_factor));
     let solve_time_s = results.iter().fold(0.0f64, |m, r| m.max(r.t_solve));
-    let stats: Vec<parfact_mpsim::RankStats> = results.iter().map(|r| r.stats).collect();
-    let max_factor_bytes = results.iter().map(|r| r.fbytes).max().unwrap_or(0);
-    let total_flops = stats.iter().map(|s| s.flops).sum();
-    // Assemble the comm matrix from the per-rank row snapshots (taken
-    // before the verification gather, consistent with `stats`).
-    let comm = results
+    let max_factor_bytes = results
         .iter()
-        .map(|r| r.comm.as_ref())
-        .collect::<Option<Vec<_>>>()
-        .map(|rows| parfact_mpsim::comm_report(&front::COMM_CLASSES, &rows));
-    let mut factor = None;
+        .map(|r| r.factor.factor_bytes())
+        .max()
+        .unwrap_or(0);
+    let mut factor = Factor::allocate(sym, FactorKind::Llt, perm.clone());
     let mut x = None;
     for r in results {
-        if r.factor.is_some() {
-            factor = r.factor;
+        x = x.or(r.x);
+        for (s, panel) in r.factor.local_panels {
+            factor.panel_mut(s).copy_from_slice(&panel);
         }
-        if r.x.is_some() {
-            x = r.x;
+        for (s, share) in r.factor.dist_blocks {
+            share.scatter_pivots(factor.panel_mut(s));
         }
     }
     Ok(DistOutcome {
-        factor: factor.ok_or(FactorError::Internal("rank 0 gathered no factor"))?,
+        factor,
         x,
         factor_time_s,
         solve_time_s,
-        stats,
-        comm,
+        total_flops: vr.stats.iter().map(|s| s.flops).sum(),
+        stats: vr.stats,
+        comm: vr.comm,
         max_factor_bytes,
-        total_flops,
-        events,
+        events: vr.events,
     })
 }
 
@@ -1429,8 +1369,7 @@ mod tests {
         assert!(merged
             .iter()
             .any(|e| e.phase == Phase::Solve && e.supernode.is_some()));
-        // Span timestamps stay within factor + solve virtual time (only
-        // the verification gather is excluded from the trace).
+        // Span timestamps stay within factor + solve virtual time.
         let end = merged
             .iter()
             .map(|e| e.start_s + e.dur_s)

@@ -25,8 +25,8 @@ pub enum FactorError {
     /// match the factored system (`expected = n * nrhs`). The checked solve
     /// API returns this; the legacy `solve`/`solve_many` shims panic.
     DimensionMismatch { expected: usize, got: usize },
-    /// An engine invariant broke (e.g. the distributed gather produced no
-    /// factor on the root rank). Always a bug, never a property of the
+    /// An engine invariant broke (e.g. a completed distributed run without
+    /// some rank's result). Always a bug, never a property of the
     /// input — reported as an error instead of a panic so a long-running
     /// host survives it.
     Internal(&'static str),

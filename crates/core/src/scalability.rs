@@ -39,9 +39,8 @@
 //! set of the largest front it participates in (`8·f²` local, `~8·f²/2g`
 //! for the lower block-triangle of a grid front).
 //!
-//! The solve phase and the verification gather are *not* modelled; the
-//! engine's measured statistics exclude the gather, and model-validation
-//! runs factor only.
+//! The solve phase is *not* modelled, and model-validation runs factor
+//! only.
 
 use crate::mapping::{Layout, Mapping};
 use parfact_symbolic::{Symbolic, NONE};

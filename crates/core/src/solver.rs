@@ -6,11 +6,8 @@
 use crate::dist;
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::mapping::MapStrategy;
 use crate::smp::SmpOpts;
 use crate::workspace::Workspace;
-use parfact_mpsim::model::CostModel;
-use parfact_mpsim::FaultPlan;
 use parfact_order::Method;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::ops::norm_inf;
@@ -20,52 +17,7 @@ use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanE
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Options for the simulator-backed distributed engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistOpts {
-    /// Number of simulated ranks.
-    pub ranks: usize,
-    /// Machine cost model for the simulated clocks.
-    pub model: CostModel,
-    /// Assembly-tree-to-rank mapping strategy.
-    pub strategy: MapStrategy,
-    /// Run the strict-postorder blocking schedule instead of the default
-    /// event-driven one (the EXP-A7 ablation baseline). The factor is
-    /// bitwise identical either way; only the simulated clocks differ.
-    /// Combined with `checkpoint` (whose deferred sends need the
-    /// event-driven loop) the run is [`FactorError::Unsupported`].
-    pub sync_schedule: bool,
-    /// Deterministic fault-injection plan for the simulated machine (see
-    /// [`FaultPlan::parse`] for the `crash:`/`delay:`/`dup:` grammar).
-    /// Empty by default: the fault machinery is entirely bypassed.
-    pub faults: FaultPlan,
-    /// Machine-wide receive deadline in virtual seconds. `None` derives a
-    /// generous one from the cost model when `faults` is non-empty, and
-    /// disables timeouts otherwise.
-    pub recv_timeout_s: Option<f64>,
-    /// Record per-rank checkpoints at distributed-front epochs so an
-    /// injected crash restarts from the last consistent epoch instead of
-    /// from scratch. The recovered factor is bitwise identical either way.
-    pub checkpoint: bool,
-    /// Restart attempts after a fault verdict before the typed error
-    /// ([`FactorError::RankFailed`] / [`FactorError::TimedOut`]) surfaces.
-    pub max_restarts: usize,
-}
-
-impl Default for DistOpts {
-    fn default() -> Self {
-        DistOpts {
-            ranks: 4,
-            model: CostModel::bluegene_p(),
-            strategy: MapStrategy::default(),
-            sync_schedule: false,
-            faults: FaultPlan::new(),
-            recv_timeout_s: None,
-            checkpoint: false,
-            max_restarts: 2,
-        }
-    }
-}
+pub use crate::dist::DistOpts;
 
 /// Engine selection for the factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +27,9 @@ pub enum Engine {
     /// Shared-memory parallel multifrontal.
     Smp(SmpOpts),
     /// Distributed multifrontal on the simulated message-passing machine.
-    /// `LLᵀ` only; the factor is gathered to the host, so `solve` works
-    /// like the other engines. Reports carry per-rank statistics.
+    /// `LLᵀ` only; the ranks' factor shares become a host factor after the
+    /// run, so `solve` works like the other engines. Reports carry per-rank
+    /// statistics.
     Dist(DistOpts),
 }
 
@@ -429,14 +382,7 @@ impl SparseCholesky {
         // recording follows the session level; below `Timeline` only the
         // per-stage second counters are kept.
         let analysis_threads = opts.resolved_analysis_threads();
-        let alevel = if opts.trace.timeline() {
-            TraceLevel::Timeline
-        } else if opts.trace != TraceLevel::Off {
-            TraceLevel::Counters
-        } else {
-            TraceLevel::Off
-        };
-        let atr = Collector::new(alevel);
+        let atr = Collector::new(opts.trace);
         // lint:allow(R1) phase timers: report wall time of real host work
         let t0 = Instant::now();
         let fill = parfact_order::order_matrix_with(a, opts.ordering, analysis_threads, &atr);
@@ -448,7 +394,7 @@ impl SparseCholesky {
         let sym = Arc::new(sym);
         // lint:allow(R1) phase timers: report wall time of real host work
         let t2 = Instant::now();
-        let analysis = (alevel != TraceLevel::Off).then(|| {
+        let analysis = opts.trace.enabled().then(|| {
             parfact_trace::AnalysisReport::from_counters(&atr.snapshot(), analysis_threads)
         });
         let mut report = FactorReport {
@@ -507,8 +453,8 @@ impl SparseCholesky {
     /// Host engines (`Sequential`, `Smp`) overwrite the stored factor **in
     /// place** through the solver's retained [`Workspace`] arenas, so a
     /// steady-state refactorization performs no per-supernode heap
-    /// allocation (the distributed engine gathers a fresh factor from the
-    /// simulated machine and replaces the stored one wholesale).
+    /// allocation (the distributed engine assembles a fresh factor from the
+    /// ranks' shares and replaces the stored one wholesale).
     /// Consequence of in-place operation: if the factorization itself fails
     /// (e.g. the new values are not positive definite), the stored factor is
     /// partially overwritten and numerically invalid — call `refactorize`
@@ -730,7 +676,7 @@ impl SparseCholesky {
 
     /// The full factorization record: phase times, counters, per-rank
     /// statistics (distributed engine), span events (at
-    /// [`TraceLevel::Full`]). Serializable via
+    /// [`TraceLevel::Timeline`]). Serializable via
     /// [`FactorReport::to_json_string`].
     pub fn report(&self) -> &FactorReport {
         &self.report
@@ -907,13 +853,13 @@ fn host_scalability(
 /// single dispatch and report-assembly path behind
 /// [`SparseCholesky::factorize`] and [`SparseCholesky::refactorize`].
 /// `engine`, `numeric_s`, `counters`, `ranks`, `spans` (the analysis-phase
-/// spans passed in, then this run's), `faults` (`Some` only for
-/// fault-injected distributed runs), `scalability` and `profile` describe
+/// spans passed in, then this run's), `faults` (`Some` exactly when a
+/// distributed run had a fault plan), `scalability` and `profile` describe
 /// this run; the rest of the report is left alone, and all of it on error.
 ///
 /// Host engines overwrite the factor's slab in place through the arenas in
-/// `ws`; the distributed engine gathers a fresh factor from the simulated
-/// machine and replaces `*factor` wholesale.
+/// `ws`; the distributed engine assembles a fresh factor from the ranks'
+/// shares and replaces `*factor` wholesale.
 fn numeric_phase(
     ap: &CscMatrix,
     engine: &Engine,
@@ -938,20 +884,17 @@ fn numeric_phase(
         // recorded only at `TraceLevel::Timeline`, the comm matrix whenever
         // tracing is on.
         let run = dist::DistRun {
-            strategy: d.strategy,
-            sync_schedule: d.sync_schedule,
+            ap,
+            sym: &sym,
+            total_perm: &factor.perm,
+            opts: d.clone(),
+            b: None,
             timeline: trace.timeline(),
             comm: trace.enabled(),
-            faults: d.faults.clone(),
-            recv_timeout_s: d.recv_timeout_s,
-            checkpoint: d.checkpoint,
-            max_restarts: d.max_restarts,
-            ..dist::DistRun::new(d.ranks, d.model, ap, &sym, &factor.perm)
         }
         .run()?;
         let out = run.outcome;
-        let faulty = !d.faults.is_empty() || d.checkpoint || d.recv_timeout_s.is_some();
-        report.faults = faulty.then_some(parfact_trace::FaultReport {
+        report.faults = (!d.faults.is_empty()).then_some(parfact_trace::FaultReport {
             crashes: run.counts.crashes,
             timeouts: run.counts.timeouts,
             delayed_msgs: run.counts.delayed_msgs,
@@ -1180,10 +1123,10 @@ mod tests {
     }
 
     #[test]
-    fn full_trace_produces_spans_and_json_round_trips() {
+    fn timeline_trace_produces_spans_and_json_round_trips() {
         let a = gen::laplace2d(12, 12, gen::Stencil2d::FivePoint);
         let chol =
-            SparseCholesky::factorize(&a, &FactorOpts::new().trace(TraceLevel::Full)).unwrap();
+            SparseCholesky::factorize(&a, &FactorOpts::new().trace(TraceLevel::Timeline)).unwrap();
         let r = chol.report();
         assert!(!r.spans.is_empty());
         // Every factored front produced a panel span.
@@ -1240,18 +1183,6 @@ mod tests {
         // And the whole report (profile included) round-trips as JSON.
         let back = FactorReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(&back, r);
-
-        // Full-level traces keep their pre-timeline behavior: host hooks
-        // only, no dist spans, no profile.
-        let full = SparseCholesky::factorize(
-            &a,
-            &FactorOpts::new()
-                .engine(Engine::Dist(DistOpts::default()))
-                .trace(TraceLevel::Full),
-        )
-        .unwrap();
-        assert!(full.report().spans.is_empty());
-        assert!(full.report().profile.is_none());
     }
 
     #[test]

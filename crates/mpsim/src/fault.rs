@@ -93,7 +93,8 @@ impl FaultPlan {
         }
     }
 
-    /// Parse the `--inject` spec grammar (see module docs).
+    /// Parse the `--inject` spec grammar (see module docs) into a plan that
+    /// passes [`FaultPlan::validate`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new();
         for part in spec.split(',') {
@@ -103,7 +104,29 @@ impl FaultPlan {
             }
             plan.faults.push(parse_fault(part)?);
         }
+        plan.validate()?;
         Ok(plan)
+    }
+
+    /// Reject a fault the machine would silently never apply: a crash time
+    /// or a delay factor that is not a finite non-negative number, or a 0th
+    /// send (sends count from 1). Rank bounds depend on the machine and are
+    /// its driver's to check.
+    pub fn validate(&self) -> Result<(), String> {
+        for fault in &self.faults {
+            let why = match *fault {
+                Fault::CrashAt { at_s, .. } if !at_s.is_finite() || at_s < 0.0 => {
+                    "the crash time must be finite and non-negative"
+                }
+                Fault::CrashOnSend { nth: 0, .. } => "sends count from 1; the 0th never fires",
+                Fault::DelayLink { alphas, .. } if !alphas.is_finite() || alphas < 0.0 => {
+                    "the delay factor must be finite and non-negative"
+                }
+                _ => continue,
+            };
+            return Err(format!("bad fault {fault:?}: {why}"));
+        }
+        Ok(())
     }
 }
 
@@ -116,15 +139,9 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
         let rank: usize = rank.parse().map_err(|_| bad("rank must be an integer"))?;
         if let Some(t) = cond.strip_prefix("t=") {
             let at_s: f64 = t.parse().map_err(|_| bad("t= needs seconds"))?;
-            if !at_s.is_finite() || at_s < 0.0 {
-                return Err(bad("t= must be finite and non-negative"));
-            }
             Ok(Fault::CrashAt { rank, at_s })
         } else if let Some(k) = cond.strip_prefix("send=") {
             let nth: u64 = k.parse().map_err(|_| bad("send= needs an integer"))?;
-            if nth == 0 {
-                return Err(bad("send= is 1-based; 0 never fires"));
-            }
             Ok(Fault::CrashOnSend { rank, nth })
         } else {
             Err(bad("condition must be t=<secs> or send=<k>"))
@@ -137,9 +154,6 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
         let alphas: f64 = alphas
             .parse()
             .map_err(|_| bad("delay factor must be a number"))?;
-        if !alphas.is_finite() || alphas < 0.0 {
-            return Err(bad("delay factor must be finite and non-negative"));
-        }
         Ok(Fault::DelayLink { src, dst, alphas })
     } else if let Some(link) = part.strip_prefix("dup:") {
         let (src, dst) = parse_link(link).ok_or_else(|| bad("link must be <src>-<dst>"))?;

@@ -419,7 +419,7 @@ struct CommSpec {
 /// reads or writes virtual clocks, so traced and untraced runs are bitwise
 /// identical (same discipline as span recording).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CommRow {
+struct CommRow {
     /// Number of ranks (row length).
     pub nranks: usize,
     /// Number of tag classes.
@@ -444,9 +444,8 @@ impl CommRow {
 
 /// The src×dst×class traffic matrix of a run, row `src` being `rows[src]`:
 /// what `src` sent, so a column sum counts what was *posted to* a rank
-/// (drained or not). The one place a matrix is built from [`CommRow`]s —
-/// the machine's whole-run matrix and a program's own snapshot alike.
-pub fn comm_report(class_names: &[impl AsRef<str>], rows: &[&CommRow]) -> CommMatrixReport {
+/// (drained or not).
+fn comm_report(class_names: &[impl AsRef<str>], rows: &[&CommRow]) -> CommMatrixReport {
     let (nranks, nclasses) = (rows.len(), class_names.len());
     let mut m = CommMatrixReport {
         nranks,
@@ -591,14 +590,6 @@ impl Rank {
         let t0 = self.clock;
         self.compute(flops);
         self.push_span(phase, supernode, t0, self.clock - t0);
-    }
-
-    /// Toggle event recording. Off by default; [`Machine::trace_events`]
-    /// turns it on for every rank. Programs switch it off to exclude
-    /// epilogue traffic (e.g. factor gather) from the timeline, mirroring
-    /// what their stats snapshots exclude.
-    pub fn set_trace_events(&mut self, on: bool) {
-        self.trace = on;
     }
 
     /// Drain the recorded events (chronological for this rank).
@@ -1048,14 +1039,6 @@ impl Rank {
             msgs_recv: self.msgs_recv,
             mem_peak: self.mem_peak,
         }
-    }
-
-    /// Snapshot of this rank's communication-matrix row (`None` unless the
-    /// machine installed [`Machine::comm_matrix`]). Programs snapshot it
-    /// alongside [`Rank::stats`] to exclude epilogue traffic (e.g. factor
-    /// gather) from a report while the machine-level matrix keeps counting.
-    pub fn comm_row(&self) -> Option<CommRow> {
-        self.comm.as_ref().map(|(_, row)| row.clone())
     }
 }
 
@@ -2010,28 +1993,6 @@ mod tests {
             .map(|e| (e.start_s, e.dur_s))
             .collect();
         assert_eq!(waits, vec![(0.0, 7.0), (7.0, 5.0)]);
-    }
-
-    #[test]
-    fn set_trace_events_excludes_epilogue() {
-        let r = Machine::new(2, CostModel::bluegene_p())
-            .trace_events(true)
-            .run(|rank| {
-                if rank.rank() == 0 {
-                    rank.send(1, 1, 1u64);
-                    rank.set_trace_events(false);
-                    rank.send(1, 2, 2u64); // epilogue: not recorded
-                } else {
-                    let _: u64 = rank.recv(0, 1);
-                    let _: u64 = rank.recv(0, 2);
-                }
-                0
-            });
-        let comm0 = r.events[0]
-            .iter()
-            .filter(|e| e.phase == Phase::Comm)
-            .count();
-        assert_eq!(comm0, 1);
     }
 
     #[test]

@@ -34,13 +34,12 @@ pub enum TraceLevel {
     Off,
     /// Aggregate counters and per-phase times.
     Counters,
-    /// Counters plus one [`SpanEvent`] per (front, phase) — the raw
-    /// material for timelines and per-supernode attribution.
-    Full,
-    /// Everything `Full` records plus simulator communication events
-    /// (send/wait spans with virtual timestamps) and a post-run profile:
-    /// per-lane timelines, Chrome-trace export, and critical-path analysis
-    /// (see [`crate::timeline`] and [`crate::profile`]).
+    /// Counters plus span events — one [`SpanEvent`] per (front, phase)
+    /// from every engine, the analysis stages, and the simulator's
+    /// communication events (send/wait spans with virtual timestamps) —
+    /// and a post-run profile: per-lane timelines, Chrome-trace export,
+    /// and critical-path analysis (see [`crate::timeline`] and
+    /// [`crate::profile`]).
     Timeline,
 }
 
@@ -50,12 +49,8 @@ impl TraceLevel {
         self != TraceLevel::Off
     }
 
-    /// Are individual span events recorded?
-    pub fn spans(self) -> bool {
-        matches!(self, TraceLevel::Full | TraceLevel::Timeline)
-    }
-
-    /// Are communication events and the timeline profile recorded?
+    /// Are span events, communication events and the timeline profile
+    /// recorded?
     pub fn timeline(self) -> bool {
         self == TraceLevel::Timeline
     }
@@ -431,13 +426,13 @@ impl LocalRecorder<'_> {
     }
 
     /// Finish a timing: accumulate into the phase counter and, at
-    /// [`TraceLevel::Full`], record a span event.
+    /// [`TraceLevel::Timeline`], record a span event.
     #[inline]
     pub fn stop(&mut self, tick: Tick, phase: Phase, supernode: Option<usize>) {
         let Some(t0) = tick.0 else { return };
         let dur_s = t0.elapsed().as_secs_f64();
         self.c.add_phase(phase, dur_s);
-        if self.tr.level.spans() {
+        if self.tr.level.timeline() {
             let end_s = self.tr.now_s();
             self.spans.push(SpanEvent {
                 phase,
@@ -604,12 +599,8 @@ mod tests {
     }
 
     #[test]
-    fn spans_recorded_only_at_full_level() {
-        for (level, expect) in [
-            (TraceLevel::Counters, 0usize),
-            (TraceLevel::Full, 2),
-            (TraceLevel::Timeline, 2),
-        ] {
+    fn spans_recorded_only_at_timeline_level() {
+        for (level, expect) in [(TraceLevel::Counters, 0usize), (TraceLevel::Timeline, 2)] {
             let tr = Collector::new(level);
             {
                 let mut rec = tr.local(7);
@@ -634,7 +625,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let tr = Collector::new(TraceLevel::Full);
+        let tr = Collector::new(TraceLevel::Timeline);
         {
             let mut rec = tr.local(0);
             rec.add_flops(5.0);
@@ -793,7 +784,7 @@ mod tests {
 
     #[test]
     fn take_spans_returns_start_order_with_stable_ties() {
-        let tr = Collector::new(TraceLevel::Full);
+        let tr = Collector::new(TraceLevel::Timeline);
         let span = |who: usize, start_s: f64| SpanEvent {
             phase: Phase::Panel,
             supernode: None,

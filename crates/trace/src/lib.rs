@@ -14,8 +14,8 @@
 //! - [`LocalRecorder`] — a per-thread / per-rank buffer that records with
 //!   plain field updates and merges into the collector once, on drop.
 //! - [`TraceLevel`] — `Off` (default; every hook is a single branch),
-//!   `Counters`, `Full` (counters + [`SpanEvent`]s), or `Timeline` (spans
-//!   + simulator communication events + the post-run profile).
+//!   `Counters`, or `Timeline` (counters + [`SpanEvent`]s + simulator
+//!   communication events + the post-run profile).
 //! - [`FactorReport`] / [`RankReport`] — the serializable run record,
 //!   with JSON round-tripping via the dependency-free [`json`] module.
 //!   Each report type is one field table (`fields.rs`) that generates the

@@ -3,7 +3,7 @@
 //! A [`FactorReport`] combines problem shape (n, nnz, supernode count),
 //! phase wall-clock times, the counter snapshot from the [`crate::Collector`],
 //! per-rank statistics for distributed runs, and (at
-//! [`crate::TraceLevel::Full`]) the recorded span events. It converts to and
+//! [`crate::TraceLevel::Timeline`]) the recorded span events. It converts to and
 //! from the JSON tree in [`crate::json`], so reports can be written to disk
 //! by experiment harnesses and read back by analysis tooling.
 
@@ -139,8 +139,8 @@ impl AnalysisReport {
 
 record! {
     /// Injected-fault and recovery activity of a distributed run. Only present
-    /// when a run executed under a fault plan, a receive deadline, or
-    /// checkpointed recovery; a fault-free run omits the section entirely.
+    /// when a run executed under a fault plan (which is what turns
+    /// checkpointed recovery on); a fault-free run omits the section entirely.
     /// Every field defaults: the section only ever grows.
     #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct FaultReport {
@@ -162,8 +162,8 @@ record! {
 }
 
 /// Src×dst traffic matrix of a distributed run, broken down by tag class
-/// (`extadd` / `panel` / `solve` / `control` for the multifrontal engine).
-/// The simulator builds it from per-rank rows (`parfact_mpsim::comm_report`);
+/// (`extadd` / `panel` / `solve` for the multifrontal engine).
+/// The simulator builds it from its per-rank rows;
 /// serialized sparsely (only nonzero links) so large rank counts stay compact.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommMatrixReport {
@@ -434,7 +434,7 @@ record! {
         counters: Counters;
         /// Per-rank breakdown (distributed engine only; empty otherwise).
         ranks: Vec<RankReport>;
-        /// Span events (only at `TraceLevel::Full` and above; empty otherwise).
+        /// Span events (only at `TraceLevel::Timeline`; empty otherwise).
         spans: Vec<SpanEvent>;
         /// Timeline profile: critical path, per-rank idle breakdown, blocking
         /// edges (only at `TraceLevel::Timeline`; `None` otherwise).
@@ -445,8 +445,8 @@ record! {
         /// Analysis-phase breakdown (only when analysis tracing was on;
         /// `None` otherwise).
         analysis: Option<AnalysisReport>;
-        /// Injected-fault / recovery activity (only when the run used fault
-        /// injection or checkpointed recovery; `None` otherwise).
+        /// Injected-fault / recovery activity (only when the run had a
+        /// fault plan; `None` otherwise).
         faults: Option<FaultReport>;
         /// Predicted-vs-measured comm volume and peak memory (only when the
         /// run recorded them, i.e. tracing on; `None` otherwise).

@@ -183,7 +183,6 @@ fn main() -> ExitCode {
                 ranks,
                 sync_schedule: args.sync,
                 faults: args.inject.clone(),
-                checkpoint: !args.inject.is_empty(),
                 ..DistOpts::default()
             }),
             "rank",

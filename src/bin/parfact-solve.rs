@@ -263,13 +263,11 @@ fn main() -> ExitCode {
             FactorKind::Llt
         })
         .engine(if args.ranks > 0 {
-            // Under injection, checkpointed recovery is on: crashes restart
+            // A fault plan turns checkpointed recovery on: crashes restart
             // from the last consistent cut instead of failing the run.
-            let checkpoint = !args.inject.is_empty();
             Engine::Dist(DistOpts {
                 ranks: args.ranks,
                 faults: args.inject.clone(),
-                checkpoint,
                 ..DistOpts::default()
             })
         } else if args.threads > 1 {

@@ -8,6 +8,7 @@ use parfact::core::mapping::MapStrategy;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
 use parfact::core::FactorError;
 use parfact::mpsim::model::CostModel;
+use parfact::mpsim::FaultPlan;
 use parfact::order::Method;
 use parfact::sparse::gen;
 use parfact::symbolic::AmalgOpts;
@@ -57,7 +58,8 @@ fn facade_dist_engine_propagates_indefinite() {
 }
 
 /// The sync-schedule ablation toggle and checkpoint mode (deferred sends,
-/// no faults) change only simulated clocks: all three produce factors
+/// under a plan whose fault never fires) change only simulated clocks: all
+/// three produce factors
 /// bitwise equal to each other and to the sequential engine, across rank
 /// counts that exercise local subtrees, 1-D groups, and 2-D grids.
 #[test]
@@ -81,10 +83,8 @@ fn schedules_agree_bitwise_across_rank_counts() {
         };
         let evd = run(false);
         let sync = run(true);
-        let ckpt = DistRun {
-            checkpoint: true,
-            ..DistRun::new(p, CostModel::bluegene_p(), &ap, &sym, &perm)
-        };
+        let mut ckpt = DistRun::new(p, CostModel::bluegene_p(), &ap, &sym, &perm);
+        ckpt.opts.faults = FaultPlan::parse("crash:0@t=1e30").unwrap();
         let ckpt = ckpt.run().expect("SPD").outcome;
         assert_eq!(
             evd.factor.max_abs_diff(&sync.factor),
@@ -105,25 +105,24 @@ fn schedules_agree_bitwise_across_rank_counts() {
 }
 
 /// The façade toggle is wired through: `sync_schedule: true` still solves,
-/// is honoured next to the fault options too, and the one combination that
-/// cannot run (checkpointing defers sends, which needs the event-driven
-/// loop) is a typed error instead of a silent fallback.
+/// and with any fault plan — every plan checkpoints, and checkpoints defer
+/// sends, which needs the event-driven loop — it is a typed error instead
+/// of a silent fallback.
 #[test]
 fn facade_sync_schedule_solves() {
     let a = gen::laplace2d(24, 24, gen::Stencil2d::FivePoint);
-    let factor = |sync_schedule, recv_timeout_s, checkpoint| {
+    let factor = |sync_schedule, faults: &str| {
         SparseCholesky::factorize(
             &a,
             &FactorOpts::new().engine(Engine::Dist(DistOpts {
                 ranks: 4,
                 sync_schedule,
-                recv_timeout_s,
-                checkpoint,
+                faults: FaultPlan::parse(faults).unwrap(),
                 ..DistOpts::default()
             })),
         )
     };
-    let chol = factor(true, None, false).unwrap();
+    let chol = factor(true, "").unwrap();
     let xstar: Vec<f64> = (0..a.nrows()).map(|i| (i % 11) as f64 - 5.0).collect();
     let mut b = vec![0.0; a.nrows()];
     a.sym_spmv(&xstar, &mut b);
@@ -131,20 +130,11 @@ fn facade_sync_schedule_solves() {
     for (xi, xs) in x.iter().zip(&xstar) {
         assert!((xi - xs).abs() < 1e-8);
     }
-    // Arming a (never-hit) receive deadline leaves the schedule alone: the
-    // virtual clocks are the blocking schedule's, not the event-driven one's.
-    let clocks = |c: &SparseCholesky| -> Vec<u64> {
-        let ranks = &c.report().ranks;
-        ranks.iter().map(|r| r.clock_s.to_bits()).collect()
-    };
-    let armed = factor(true, Some(1e3), false).unwrap();
-    assert_eq!(clocks(&armed), clocks(&chol));
-    assert_ne!(
-        clocks(&armed),
-        clocks(&factor(false, Some(1e3), false).unwrap())
-    );
-    assert!(matches!(
-        factor(true, None, true),
-        Err(FactorError::Unsupported(_))
-    ));
+    for plan in ["crash:0@t=1e30", "delay:0-1:5", "dup:1-0"] {
+        assert!(
+            matches!(factor(true, plan), Err(FactorError::Unsupported(_))),
+            "{plan}"
+        );
+        assert!(factor(false, plan).is_ok(), "{plan}");
+    }
 }

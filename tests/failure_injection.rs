@@ -8,7 +8,7 @@ use parfact::core::smp::SmpOpts;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
 use parfact::core::{FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
-use parfact::mpsim::FaultPlan;
+use parfact::mpsim::{Fault, FaultPlan};
 use parfact::order::Method;
 use parfact::sparse::coo::CooMatrix;
 use parfact::sparse::{gen, io};
@@ -312,21 +312,43 @@ fn dist_rejects_nan_and_survives_inf_at_2_4_8_ranks() {
     }
 }
 
-/// A fault plan naming a rank the machine does not have, or a link from a
-/// rank to itself, cannot be applied: it is an option error before the
-/// machine starts, not a run reported as if the plan had fired.
+/// A fault plan naming a rank the machine does not have, a link from a
+/// rank to itself, or a fault that can never fire cannot be applied: it is
+/// an option error before the machine starts, not a run reported as if the
+/// plan had fired. A plan built in code gets the parser's checks too.
 #[test]
 fn dist_rejects_fault_plans_outside_the_machine() {
     let a = gen::laplace2d(8, 8, gen::Stencil2d::FivePoint);
-    for spec in [
+    let parsed = [
         "crash:9@t=0",
         "crash:4@send=1",
         "dup:7-1",
         "delay:1-4:5",
         "delay:0-0:5",
         "delay:0-1:5,dup:3-3",
-    ] {
-        let plan = FaultPlan::parse(spec).unwrap();
+    ]
+    .map(|spec| FaultPlan::parse(spec).unwrap());
+    let built = [
+        Fault::DelayLink {
+            src: 0,
+            dst: 1,
+            alphas: f64::NAN,
+        },
+        Fault::DelayLink {
+            src: 0,
+            dst: 1,
+            alphas: -1e9,
+        },
+        Fault::CrashAt {
+            rank: 1,
+            at_s: f64::NAN,
+        },
+        Fault::CrashOnSend { rank: 1, nth: 0 },
+    ]
+    .map(|fault| FaultPlan {
+        faults: vec![fault],
+    });
+    for plan in parsed.into_iter().chain(built) {
         let misfit = format!("{:?}", plan.faults.last().unwrap());
         let opts = DistOpts {
             ranks: 4,
@@ -336,9 +358,9 @@ fn dist_rejects_fault_plans_outside_the_machine() {
         match SparseCholesky::factorize(&a, &FactorOpts::new().engine(Engine::Dist(opts))) {
             // The message names the fault that does not fit.
             Err(FactorError::Unsupported(why)) => {
-                assert!(why.contains(&misfit), "{spec}: {why}")
+                assert!(why.contains(&misfit), "{misfit}: {why}")
             }
-            other => panic!("{spec}: expected Unsupported, got ok={}", other.is_ok()),
+            other => panic!("{misfit}: expected Unsupported, got ok={}", other.is_ok()),
         }
     }
     // The same faults inside the machine run.

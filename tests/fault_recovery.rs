@@ -59,35 +59,57 @@ fn fault_free(p: usize, pr: &Prepared) -> DistOutcome {
 }
 
 /// The fault-injected run of `plan` on `p` ranks, two restarts allowed.
-fn faulty(p: usize, pr: &Prepared, plan: FaultPlan, checkpoint: bool) -> DistRun<'_> {
-    DistRun {
-        faults: plan,
-        checkpoint,
-        max_restarts: 2,
-        ..DistRun::new(p, CostModel::bluegene_p(), &pr.ap, &pr.sym, &pr.perm)
-    }
+fn faulty(p: usize, pr: &Prepared, plan: FaultPlan) -> DistRun<'_> {
+    let mut run = DistRun::new(p, CostModel::bluegene_p(), &pr.ap, &pr.sym, &pr.perm);
+    run.opts.faults = plan;
+    run
 }
 
-fn recover(p: usize, pr: &Prepared, plan: FaultPlan, checkpoint: bool) -> FaultRun {
-    faulty(p, pr, plan, checkpoint).run().unwrap()
+fn recover(p: usize, pr: &Prepared, plan: FaultPlan) -> FaultRun {
+    faulty(p, pr, plan).run().unwrap()
+}
+
+/// A plan whose only fault never fires: it turns recovery on (checkpoints,
+/// the receive deadline) and injects nothing.
+fn never_fires() -> FaultPlan {
+    FaultPlan::parse("crash:0@t=1e30").unwrap()
 }
 
 #[test]
 fn checkpoint_mode_without_faults_is_bitwise_identical() {
     // The deferred-send schedule changes when messages travel, never what
-    // they carry: a checkpointing run with an empty plan must reproduce the
-    // plain factor bit for bit.
+    // they carry: a checkpointing run whose fault never fires must
+    // reproduce the plain factor bit for bit.
     let a = problem();
     let pr = prep(&a);
     for p in [1usize, 2, 4, 8] {
         let plain = fault_free(p, &pr);
-        let ck = recover(p, &pr, FaultPlan::new(), true);
+        let ck = recover(p, &pr, never_fires());
         assert_eq!(ck.restarts, 0, "p={p}");
         assert!(ck.counts.is_zero(), "p={p}");
         assert_eq!(
             ck.outcome.factor.max_abs_diff(&plain.factor),
             0.0,
             "p={p}: checkpoint-mode factor must equal plain factor bitwise"
+        );
+    }
+}
+
+#[test]
+fn total_makespan_is_the_makespan_when_nothing_restarts() {
+    // Nothing runs on the machine after a factor-only run's factorization,
+    // so a run that never restarts costs exactly its factor makespan.
+    let a = problem();
+    let pr = prep(&a);
+    for p in [2usize, 4, 8] {
+        let run = recover(p, &pr, never_fires());
+        assert_eq!(run.restarts, 0, "p={p}");
+        assert_eq!(
+            run.total_makespan_s.to_bits(),
+            run.outcome.factor_time_s.to_bits(),
+            "p={p}: total {} vs factor {}",
+            run.total_makespan_s,
+            run.outcome.factor_time_s
         );
     }
 }
@@ -106,7 +128,7 @@ fn crash_time_sweep_recovers_bitwise_at_2_4_8_ranks() {
         for victim in [p - 1, p / 2] {
             for k in 0..10 {
                 let t = t_end * (0.03 + 0.105 * k as f64);
-                let run = recover(p, &pr, FaultPlan::new().crash_at(victim, t), true);
+                let run = recover(p, &pr, FaultPlan::new().crash_at(victim, t));
                 crashes_fired += run.counts.crashes;
                 assert_eq!(
                     run.outcome.factor.max_abs_diff(&plain.factor),
@@ -132,7 +154,7 @@ fn crash_on_send_sweep_recovers_bitwise() {
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
         for k in [1usize, 2, 3, 5, 8, 13, 21, 34] {
-            let run = recover(p, &pr, FaultPlan::new().crash_on_send(1, k as u64), true);
+            let run = recover(p, &pr, FaultPlan::new().crash_on_send(1, k as u64));
             assert_eq!(
                 run.outcome.factor.max_abs_diff(&plain.factor),
                 0.0,
@@ -150,7 +172,7 @@ fn crash_early_recovers_from_scratch() {
     let pr = prep(&a);
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
-        let run = recover(p, &pr, FaultPlan::new().crash_at(0, 1e-9), true);
+        let run = recover(p, &pr, FaultPlan::new().crash_at(0, 1e-9));
         assert_eq!(run.counts.crashes, 1, "p={p}");
         assert_eq!(run.restarts, 1, "p={p}");
         assert_eq!(run.outcome.factor.max_abs_diff(&plain.factor), 0.0, "p={p}");
@@ -170,7 +192,6 @@ fn crash_late_restarts_from_checkpoint_not_scratch() {
             p,
             &pr,
             FaultPlan::new().crash_at(p - 1, plain.factor_time_s * 0.85),
-            true,
         );
         assert_eq!(run.counts.crashes, 1, "p={p}: late crash must fire");
         assert_eq!(run.restarts, 1, "p={p}");
@@ -199,7 +220,7 @@ fn delay_storm_and_duplicates_do_not_change_the_bits() {
             plan = plan.delay_link(0, q, 40.0).delay_link(q, 0, 40.0);
         }
         plan = plan.duplicate_link(1 % p, 0);
-        let run = recover(p, &pr, plan, true);
+        let run = recover(p, &pr, plan);
         assert_eq!(
             run.outcome.factor.max_abs_diff(&plain.factor),
             0.0,
@@ -217,13 +238,9 @@ fn unrecovered_crash_is_a_typed_rank_failure_not_a_hang() {
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
         let plan = FaultPlan::new().crash_at(1, plain.factor_time_s * 0.3);
-        let err = DistRun {
-            max_restarts: 0,
-            ..faulty(p, &pr, plan, true)
-        }
-        .run()
-        .err()
-        .expect("run must fail");
+        let mut run = faulty(p, &pr, plan);
+        run.opts.max_restarts = 0;
+        let err = run.run().err().expect("run must fail");
         match err {
             FactorError::RankFailed { ranks, detail } => {
                 assert_eq!(ranks, vec![1], "p={p}");
@@ -243,19 +260,13 @@ fn lost_messages_surface_as_typed_timeouts_never_spurious_deadlock() {
     let a = problem();
     let pr = prep(&a);
     for p in [2usize, 4] {
-        let plain = fault_free(p, &pr);
         let mut plan = FaultPlan::new();
         for q in 1..p {
             plan = plan.delay_link(q, 0, 1e12);
         }
-        let err = DistRun {
-            recv_timeout_s: Some(plain.factor_time_s * 4.0),
-            max_restarts: 1,
-            ..faulty(p, &pr, plan, false)
-        }
-        .run()
-        .err()
-        .expect("run must fail");
+        let mut run = faulty(p, &pr, plan);
+        run.opts.max_restarts = 1;
+        let err = run.run().err().expect("run must fail");
         match err {
             FactorError::TimedOut {
                 rank,
@@ -281,13 +292,9 @@ fn numeric_errors_outrank_fault_verdicts_and_are_not_retried() {
     // numeric error, not as a fault verdict or a retry loop.
     let a = gen::indefinite(60, 7);
     let pr = prep(&a);
-    let err = DistRun {
-        model: CostModel::zero_cost(),
-        ..faulty(4, &pr, FaultPlan::new().crash_at(3, 1e30), true)
-    }
-    .run()
-    .err()
-    .expect("run must fail");
+    let mut run = faulty(4, &pr, FaultPlan::new().crash_at(3, 1e30));
+    run.opts.model = CostModel::zero_cost();
+    let err = run.run().err().expect("run must fail");
     assert!(
         matches!(err, FactorError::NotPositiveDefinite { .. }),
         "got {err}"
@@ -314,7 +321,7 @@ fn solve_after_recovery_matches_fault_free_solution_bitwise() {
     let t = plain.factor_time_s;
     let run = DistRun {
         b: Some(&b),
-        ..faulty(4, &pr, FaultPlan::new().crash_at(2, t * 0.5), true)
+        ..faulty(4, &pr, FaultPlan::new().crash_at(2, t * 0.5))
     }
     .run()
     .unwrap();
@@ -335,7 +342,6 @@ fn facade_runs_fault_plans_and_reports_them() {
         &a,
         &FactorOpts::new().engine(Engine::Dist(DistOpts {
             faults: FaultPlan::parse("crash:1@t=0,delay:0-1:10").unwrap(),
-            checkpoint: true,
             ..DistOpts::default()
         })),
     )
@@ -363,8 +369,8 @@ fn repeated_recovery_runs_are_bitwise_reproducible() {
         .crash_at(2, 0.002)
         .delay_link(0, 3, 15.0)
         .duplicate_link(3, 0);
-    let r1 = recover(4, &pr, plan.clone(), true);
-    let r2 = recover(4, &pr, plan, true);
+    let r1 = recover(4, &pr, plan.clone());
+    let r2 = recover(4, &pr, plan);
     assert_eq!(r1.outcome.factor.max_abs_diff(&r2.outcome.factor), 0.0);
     assert_eq!(
         r1.outcome.factor_time_s.to_bits(),
