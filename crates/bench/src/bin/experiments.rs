@@ -15,6 +15,7 @@
 use parfact_bench::{fmt_bytes, fmt_time, scaling_matrices, suite, Problem, Table};
 use parfact_core::baseline::fanout;
 use parfact_core::dist::{prepare, run_distributed_prepared, DistRun};
+use parfact_core::factor::{Factor, FactorKind};
 use parfact_core::mapping::MapStrategy;
 use parfact_core::smp::{resolve_threads, SmpOpts};
 use parfact_core::solver::{Engine, FactorOpts, SparseCholesky};
@@ -69,7 +70,8 @@ impl Ctx {
     }
 
     /// The shared strong-scaling sweep behind EXP-F1..F4: each
-    /// (matrix, ranks) point is factored + solved once and reused.
+    /// (matrix, ranks) point is factored once and solved once over that
+    /// factor, each a machine run of its own, and reused.
     fn sweep(&self) -> std::rc::Rc<Vec<ScalPoint>> {
         if let Some(rc) = self.sweep.borrow().as_ref() {
             return rc.clone();
@@ -80,15 +82,18 @@ impl Ctx {
             let total = (sym.factor_nnz() * 8) as u64;
             let b = vec![1.0; p.a.nrows()];
             for &r in &self.ranks() {
-                // Traced run: event recording never touches the virtual
-                // clocks, so timings are identical to an untraced run.
+                // Traced runs: event recording never touches the virtual
+                // clocks, so timings are identical to untraced runs.
                 let run = DistRun {
-                    b: Some(&b),
                     timeline: true,
                     comm: true,
-                    ..DistRun::new(r, CostModel::bluegene_p(), &ap, &sym, &perm)
+                    ..DistRun::new(r, CostModel::bluegene_p(), &ap)
                 };
-                let out = run.run().expect("SPD").outcome;
+                let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+                let out = run.run(&mut factor).expect("SPD").outcome;
+                let solve = run.solve(&factor, &out.map, &b, 1).expect("solve");
+                // Every column but `solve_s` and `queue_peak` (the mailbox
+                // backlog over both runs) describes the factorization.
                 let profile = parfact_trace::profile::analyze(
                     &sym.tree.parent,
                     &out.merged_events(),
@@ -99,7 +104,7 @@ impl Ctx {
                     matrix: p.name,
                     ranks: r,
                     factor_s: out.factor_time_s,
-                    solve_s: out.solve_time_s,
+                    solve_s: solve.time_s,
                     gflops: out.factor_gflops(),
                     msgs: out.stats.iter().map(|s| s.msgs_sent).sum(),
                     bytes: out.stats.iter().map(|s| s.bytes_sent).sum(),
@@ -108,7 +113,10 @@ impl Ctx {
                     factor_total_bytes: total,
                     hidden_s: out.stats.iter().map(|s| s.comm_hidden_s).sum(),
                     exposed_s: out.stats.iter().map(|s| s.comm_s).sum(),
-                    queue_peak: out.stats.iter().map(|s| s.queue_peak).max().unwrap_or(0),
+                    queue_peak: (out.stats.iter().chain(&solve.stats))
+                        .map(|s| s.queue_peak)
+                        .max()
+                        .unwrap_or(0),
                     crit_s: profile.critical_path_s,
                     idle_max: profile.max_idle_frac(),
                 });
@@ -285,7 +293,7 @@ fn exp_t2(ctx: &Ctx) {
                 fmt_time(t_ord),
                 fmt_time(t_sym),
                 fmt_time(out.factor_time_s),
-                fmt_time(out.solve_time_s),
+                fmt_time(out.solve.expect("solved").time_s),
             ]);
         }
     }
@@ -941,9 +949,10 @@ fn exp_a7(ctx: &Ctx) {
             .expect("SPD");
             let evd = DistRun {
                 timeline: true,
-                ..DistRun::new(r, CostModel::bluegene_p(), &ap, &sym, &perm)
+                ..DistRun::new(r, CostModel::bluegene_p(), &ap)
             };
-            let evd = evd.run().expect("SPD").outcome;
+            let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+            let evd = evd.run(&mut factor).expect("SPD").outcome;
             let profile = parfact_trace::profile::analyze(
                 &sym.tree.parent,
                 &evd.merged_events(),
@@ -951,7 +960,7 @@ fn exp_a7(ctx: &Ctx) {
                 8,
             );
             let hidden: f64 = evd.stats.iter().map(|s| s.comm_hidden_s).sum();
-            let identical = evd.factor.max_abs_diff(&sync.factor) == 0.0;
+            let identical = factor.max_abs_diff(&sync.factor) == 0.0;
             t.row(vec![
                 p.name.into(),
                 r.to_string(),

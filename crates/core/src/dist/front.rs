@@ -16,11 +16,11 @@
 use parfact_dense::blas::{gemm_nt, gemm_nt_ln, trsm_right_lt};
 use parfact_dense::chol;
 use parfact_mpsim::collective::{bcast, ibcast, Group};
-use parfact_mpsim::payload::Payload;
 use parfact_mpsim::Rank;
 use parfact_trace::Phase;
 
 use crate::error::FactorError;
+use crate::factor::FactorWriter;
 use crate::frontal::flops_partial;
 
 // ---------------------------------------------------------------------------
@@ -71,6 +71,24 @@ fn stacked_len(f: usize, nb: usize, first: usize, step: usize) -> usize {
     blocks.map(|b| nb.min(f - b * nb)).sum()
 }
 
+/// The lower-triangle pivot entries grid position `my` of a `pr x pc` grid
+/// holds of an order-`f` front with `w` pivots in `nb` blocks, as column
+/// segments `cb(lj, rows)`: one per owned pivot column and block row.
+pub fn pivot_segments(
+    f: usize,
+    w: usize,
+    nb: usize,
+    (pr, pc): (usize, usize),
+    my: (usize, usize),
+    mut cb: impl FnMut(usize, std::ops::Range<usize>),
+) {
+    for lj in (0..w).filter(|lj| (lj / nb) % pc == my.1) {
+        for bi in (lj / nb..f.div_ceil(nb)).filter(|bi| bi % pr == my.0) {
+            cb(lj, lj.max(bi * nb)..f.min((bi + 1) * nb));
+        }
+    }
+}
+
 /// A front distributed block-cyclically over a process grid.
 ///
 /// A rank's share is stored the way ScaLAPACK stores a local array, lower
@@ -79,7 +97,6 @@ fn stacked_len(f: usize, nb: usize, first: usize, step: usize) -> usize {
 /// at or below that column's diagonal. A block is a window of its strip
 /// (same leading dimension), so the dense kernels run on a whole strip at a
 /// time and an extend-add addresses an entry as `strip column + local row`.
-#[derive(Clone)]
 pub struct DistFront {
     /// Supernode id (tag namespace).
     pub s: usize,
@@ -153,11 +170,6 @@ impl DistFront {
         self.lo + gr * self.pc + gc
     }
 
-    /// Machine rank owning block `(bi, bj)`.
-    pub fn owner(&self, bi: usize, bj: usize) -> usize {
-        self.rank_at(bi % self.pr, bj % self.pc)
-    }
-
     /// Total bytes currently held in owned blocks.
     pub fn bytes(&self) -> usize {
         self.strips.iter().map(|s| s.len() * 8).sum()
@@ -210,26 +222,32 @@ impl DistFront {
     }
 
     /// The lower-triangle entries this rank holds in the pivot columns, as
-    /// column segments `cb(lj, rows, values)` — one per owned pivot column
-    /// and block row.
+    /// the [`pivot_segments`] of its grid position with their values.
     fn for_each_pivot_segment(&self, mut cb: impl FnMut(usize, std::ops::Range<usize>, &[f64])) {
-        let (nb, pr) = (self.nb, self.pr);
-        for lj in (0..self.w).filter(|lj| (lj / nb) % self.pc == self.my.1) {
-            let (r0, col) = self.col(cyclic(lj, nb, self.pc).1);
-            for bi in (lj / nb..self.nblk()).filter(|bi| bi % pr == self.my.0) {
-                let rows = lj.max(bi * nb)..bi * nb + self.mrows(bi);
-                let lr = cyclic(rows.start, nb, pr).1 - r0;
-                cb(lj, rows.clone(), &col[lr..lr + rows.len()]);
-            }
-        }
+        let grid = (self.pr, self.pc);
+        pivot_segments(self.f, self.w, self.nb, grid, self.my, |lj, rows| {
+            let (r0, col) = self.col(cyclic(lj, self.nb, self.pc).1);
+            let lr = cyclic(rows.start, self.nb, self.pr).1 - r0;
+            cb(lj, rows.clone(), &col[lr..lr + rows.len()]);
+        });
     }
 
-    /// Write this rank's share of the factor panel into the `f x w`
-    /// column-major `panel` of the supernode.
-    pub fn scatter_pivots(&self, panel: &mut [f64]) {
-        let f = self.f;
+    /// Write this rank's share of the factor into panel `s` of the slab:
+    /// its pivot segments and, above a diagonal block's segment, zeros. The
+    /// grid's ranks so overwrite each entry of the `f x w` panel once.
+    ///
+    /// # Safety
+    /// Only the ranks of this front's grid write panel `s` meanwhile.
+    pub(crate) unsafe fn write_pivots(&self, out: &FactorWriter<'_>) {
         self.for_each_pivot_segment(|lj, rows, vals| {
-            panel[lj * f + rows.start..lj * f + rows.end].copy_from_slice(vals);
+            // `rows` starts at the diagonal exactly in the diagonal block.
+            let top = if rows.start == lj { 0 } else { rows.start };
+            // SAFETY: grid position `my` alone holds these rows of column
+            // `lj` (the diagonal block's owner alone the rows above it).
+            let col = unsafe { out.panel_mut(self.s, lj * self.f + top..lj * self.f + rows.end) };
+            let (upper, lower) = col.split_at_mut(rows.start - top);
+            upper.fill(0.0);
+            lower.copy_from_slice(vals);
         });
     }
 
@@ -433,19 +451,6 @@ impl DistFront {
             }
         }
         rank.compute_as(flops as f64, Phase::Gemm, Some(self.s));
-    }
-}
-
-/// A factored front travels whole to the group leader that assembles the
-/// supernode's panel in a solve, and is read there with
-/// [`DistFront::scatter_pivots`]. On the modelled wire it is its pivot
-/// entries as `(li, lj, value)` triplets, two `u32` and an `f64` each,
-/// whatever the host moves.
-impl Payload for DistFront {
-    fn nbytes(&self) -> usize {
-        let mut entries = 0;
-        self.for_each_pivot_segment(|_, rows, _| entries += rows.len());
-        16 * entries
     }
 }
 

@@ -1,6 +1,6 @@
 //! Distributed-memory multifrontal factorization on the machine simulator.
 //!
-//! Every rank runs [`factorize_rank`] (SPMD). Supernodes mapped to a single
+//! Every rank runs `factorize_rank` (SPMD). Supernodes mapped to a single
 //! rank (the local subtrees produced by subtree-to-subcube mapping) go
 //! through the engines' shared front kernel
 //! ([`crate::frontal::factor_front`]), charged to the rank's virtual clock;
@@ -15,17 +15,18 @@
 //! affects none of the algorithms under study; fronts and factor blocks,
 //! which dominate memory, are fully distributed and tracked per rank.
 //!
-//! The factor stays distributed on the machine: each rank's program
-//! returns its share ([`RankFactor`]), and after a completed run the driver
-//! ([`DistRun::run`]) copies the shares into a host [`Factor`], the way the
-//! host engines hand theirs back. That copy is host work, not a simulated
-//! step, so no virtual clock, statistic or trace includes it.
+//! [`DistRun::run`] writes the factor into the caller's [`Factor`] slab in
+//! place, like the host engines: each rank writes the panels of its local
+//! fronts and its pivot segments of its grid fronts. That is host work, so
+//! no virtual clock, statistic or trace includes it; the ranks' tracked
+//! memory still holds their share. The triangular solve is a machine run of
+//! its own over the slab and the run's [`Mapping`] ([`DistRun::solve`]).
 
 pub mod front;
 pub mod solve;
 
 use crate::error::FactorError;
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{Factor, FactorKind, FactorWriter};
 use crate::frontal::{factor_front, flops_partial, Buf, FrontMeter, UpdateMatrix};
 use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
 use crate::sweep;
@@ -33,7 +34,7 @@ use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
 use parfact_dense::chol;
 use parfact_mpsim::model::CostModel;
-use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict, VerdictReport};
+use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::{Symbolic, NONE};
@@ -46,30 +47,6 @@ use std::sync::{Arc, Mutex};
 /// single [`front::tag`] constructor like every other tag in the engine.
 fn ext_tag(child: usize) -> u64 {
     front::tag(child, front::PHASE_EXTADD)
-}
-
-/// Per-rank factor state after a distributed factorization.
-///
-/// `BTreeMap` rather than `HashMap`: the host assembly and the memory
-/// accounting iterate these maps, and the determinism contract (enforced
-/// by the R2 lint) keeps every iterated container in the engine ordered.
-#[derive(Clone)]
-pub struct RankFactor {
-    /// Panels of locally-factored supernodes (`f x w`, same layout as a
-    /// [`Factor`] slab panel).
-    pub local_panels: BTreeMap<usize, Vec<f64>>,
-    /// Owned blocks of distributed supernodes (pivot columns retained).
-    pub dist_blocks: BTreeMap<usize, DistFront>,
-}
-
-impl RankFactor {
-    /// Bytes of factor data held by this rank (a distributed supernode
-    /// retains its pivot columns only).
-    pub fn factor_bytes(&self) -> usize {
-        let local: usize = self.local_panels.values().map(|p| p.len() * 8).sum();
-        let dist: usize = self.dist_blocks.values().map(DistFront::bytes).sum();
-        local + dist
-    }
 }
 
 /// One extend-add contribution list headed to a single rank: **values
@@ -102,7 +79,9 @@ enum Sends {
 /// instead, outside the snapshot.
 #[derive(Clone)]
 struct RankState {
-    out: RankFactor,
+    /// Bytes of factor data this rank holds: whole panels of its local
+    /// fronts, the pivot strips of its grid shares.
+    factor_bytes: usize,
     /// Updates of locally-factored supernodes awaiting a local parent.
     local_updates: HashMap<usize, UpdateMatrix>,
     /// Extend-add contributions this rank stashed for itself (dest == self).
@@ -120,14 +99,16 @@ struct RankRun<'a> {
     ap: &'a CscMatrix,
     sym: &'a Symbolic,
     map: &'a Mapping,
+    out: &'a FactorWriter<'a>,
     st: RankState,
     wst: FrontWorkspace,
 }
 
 /// The SPMD factorization program. All ranks call this with identical
-/// (replicated) `ap`, `sym`, `map`. Only `FactorKind::Llt` is supported
-/// distributed (the paper's SPD scaling study); use the SMP/seq engines for
-/// LDLᵀ.
+/// (replicated) `ap`, `sym`, `map` and one writer over the factor slab,
+/// which each rank fills with its share; it returns the bytes of factor the
+/// rank holds. Only `FactorKind::Llt` is supported distributed (the paper's
+/// SPD scaling study); use the SMP/seq engines for LDLᵀ.
 ///
 /// With `sync` set, every rank walks its supernodes in strict postorder
 /// over blocking sends/receives — the ablation baseline (EXP-A7).
@@ -147,20 +128,22 @@ struct RankRun<'a> {
 /// rank restores the latest snapshot the store holds for it (the driver has
 /// already rewound the store to a consistent cut) and resumes from the
 /// epoch after it — so a restarted machine re-executes only the epochs past
-/// the cut.
+/// the cut, and rewrites the slab panels of every front past it with the
+/// same bits.
 ///
 /// Factors are **bitwise identical** in every mode: message matching stays
 /// `(src, tag)` and extend-add contributions are accumulated in canonical
 /// (child ascending, source-rank ascending) order no matter when they
 /// travelled or arrived.
-pub fn factorize_rank(
+fn factorize_rank(
     rank: &mut Rank,
     ap: &CscMatrix,
     sym: &Symbolic,
     map: &Mapping,
+    out: &FactorWriter<'_>,
     sync: bool,
     store: Option<&CheckpointStore>,
-) -> Result<RankFactor, FactorError> {
+) -> Result<usize, FactorError> {
     debug_assert!(
         !(sync && store.is_some()),
         "checkpoints need deferred sends"
@@ -176,11 +159,9 @@ pub fn factorize_rank(
         ap,
         sym,
         map,
+        out,
         st: RankState {
-            out: RankFactor {
-                local_panels: BTreeMap::new(),
-                dist_blocks: BTreeMap::new(),
-            },
+            factor_bytes: 0,
             local_updates: HashMap::new(),
             self_stash: HashMap::new(),
             pending: HashMap::new(),
@@ -196,7 +177,7 @@ pub fn factorize_rank(
                 Layout::Grid { .. } => run.do_grid(s, None)?,
             }
         }
-        return Ok(run.st.out);
+        return Ok(run.st.factor_bytes);
     }
 
     let sched = map.rank_schedule(sym, me);
@@ -257,7 +238,7 @@ pub fn factorize_rank(
         run.do_local(sched.local[next].1)?;
         next += 1;
     }
-    Ok(run.st.out)
+    Ok(run.st.factor_bytes)
 }
 
 /// One rank's restartable frontier: the full mutable state after a
@@ -274,7 +255,7 @@ struct RankSnapshot {
 ///
 /// An **epoch** is the global postorder index of a distributed (grid)
 /// front. Under the deferred-send discipline of a checkpointing
-/// [`factorize_rank`], a rank that has completed front `g` has consumed
+/// `factorize_rank`, a rank that has completed front `g` has consumed
 /// every message any front `<= g` needed and has *sent nothing* any front
 /// `> g` consumes (those sends sit in `RankState::pending`, inside the
 /// snapshot). A cut at the minimum completed epoch across ranks is
@@ -384,17 +365,22 @@ impl RankRun<'_> {
                 .iter()
                 .map(|c| updates.remove(c).expect("local child update")),
         );
-        let mut panel = vec![0.0; sym.front_order(s) * sym.sn_width(s)];
+        // SAFETY: a local front is factored by its one rank, once per
+        // attempt, and attempts never overlap.
+        let panel = unsafe {
+            self.out
+                .panel_mut(s, 0..sym.front_order(s) * sym.sn_width(s))
+        };
+        self.st.factor_bytes += panel.len() * 8;
         let update = factor_front(
             self.ap,
             sym,
             s,
             &mut self.wst,
             self.rank,
-            &mut panel,
+            panel,
             |_, f, w, panel, schur| chol::partial_potrf_split(f, w, panel, f, schur, f - w),
         )?;
-        self.st.out.local_panels.insert(s, panel);
         if let Some(upd) = update {
             self.route_update(s, upd);
         }
@@ -492,10 +478,14 @@ impl RankRun<'_> {
                 &col[lr - r0..lr - r0 + rows.len()]
             });
         }
-        // Retain pivot blocks; release pure-Schur blocks.
+        // Retain pivot blocks (their values go to the slab); release
+        // pure-Schur blocks.
         let released = df.release_schur();
         self.rank.free(released);
-        self.st.out.dist_blocks.insert(s, df);
+        self.st.factor_bytes += df.bytes();
+        // SAFETY: every rank of the grid writes its own segments of panel
+        // `s` here, and no other rank touches that panel.
+        unsafe { df.write_pivots(self.out) };
         Ok(())
     }
 
@@ -693,19 +683,18 @@ impl ExtMap {
     }
 }
 
-/// Everything a distributed run produces, with per-phase *simulated* times.
-pub struct DistOutcome {
-    /// The factor, assembled on the host from the ranks' shares
-    /// (verification / host-side solve).
-    pub factor: Factor,
-    /// Solution of `A X = B` in the original index space (when `b` given):
-    /// `n x nrhs` column-major, matching the right-hand-side block.
-    pub x: Option<Vec<f64>>,
+/// What a distributed factorization produces, with *simulated* times. `F`
+/// is the factor: [`run_distributed_prepared`] allocates one and hands it
+/// back here, [`DistRun::run`] writes the caller's slab and reports `()`.
+pub struct DistOutcome<F = Factor> {
+    /// The factor the run wrote.
+    pub factor: F,
+    /// The tree-to-rank mapping the run factored under: where each panel
+    /// lives, for the distributed solve and the scalability model.
+    pub map: Mapping,
     /// Simulated numeric-factorization makespan (seconds).
     pub factor_time_s: f64,
-    /// Simulated triangular-solve makespan (seconds).
-    pub solve_time_s: f64,
-    /// Per-rank statistics at the end of the run (factorization and solve).
+    /// Per-rank statistics at the end of the factorization.
     pub stats: Vec<parfact_mpsim::RankStats>,
     /// The src x dst x tag-class communication matrix of the run. `Some`
     /// iff the run recorded it — see [`DistRun::comm`].
@@ -717,9 +706,12 @@ pub struct DistOutcome {
     /// Per-rank recorded events, virtual timestamps (empty unless the run
     /// was traced — see [`DistRun::timeline`]).
     pub events: Vec<Vec<SpanEvent>>,
+    /// The solve [`run_distributed_prepared`] chains when it is given a
+    /// right-hand side (`None` otherwise).
+    pub solve: Option<DistSolve>,
 }
 
-impl DistOutcome {
+impl<F> DistOutcome<F> {
     /// Modelled factorization Gflop/s over the makespan.
     pub fn factor_gflops(&self) -> f64 {
         if self.factor_time_s > 0.0 {
@@ -743,21 +735,6 @@ impl DistOutcome {
             .collect()
     }
 
-    /// Fold the rank statistics into aggregate counters (traffic summed,
-    /// memory peak maxed). Per-phase seconds stay zero — the distributed
-    /// engine attributes time per rank (see [`DistOutcome::rank_reports`]),
-    /// not per phase; `fronts_factored` is set by the caller, which knows
-    /// the supernode count.
-    pub fn fold_counters(&self) -> parfact_trace::Counters {
-        parfact_trace::Counters {
-            flops: self.total_flops,
-            bytes_sent: self.stats.iter().map(|s| s.bytes_sent).sum(),
-            msgs_sent: self.stats.iter().map(|s| s.msgs_sent).sum(),
-            mem_peak_bytes: self.max_mem_peak(),
-            ..parfact_trace::Counters::default()
-        }
-    }
-
     /// The recorded events of every rank, merged and sorted into the
     /// canonical span order.
     pub fn merged_events(&self) -> Vec<SpanEvent> {
@@ -765,6 +742,38 @@ impl DistOutcome {
         parfact_trace::sort_spans(&mut all);
         all
     }
+
+    /// The same outcome around another factor.
+    fn with_factor<G>(self, factor: G, solve: Option<DistSolve>) -> DistOutcome<G> {
+        DistOutcome {
+            factor,
+            map: self.map,
+            factor_time_s: self.factor_time_s,
+            stats: self.stats,
+            comm: self.comm,
+            max_factor_bytes: self.max_factor_bytes,
+            total_flops: self.total_flops,
+            events: self.events,
+            solve,
+        }
+    }
+}
+
+/// What a distributed solve ([`DistRun::solve`]) produces: the solution
+/// and the *simulated* statistics of its own machine run.
+pub struct DistSolve {
+    /// `X` of `A X = B` in the original index space: `n x nrhs`
+    /// column-major, like the right-hand-side block.
+    pub x: Vec<f64>,
+    /// Simulated triangular-solve makespan (seconds).
+    pub time_s: f64,
+    /// Per-rank statistics at the end of the solve.
+    pub stats: Vec<parfact_mpsim::RankStats>,
+    /// The solve's communication matrix (see [`DistRun::comm`]).
+    pub comm: Option<parfact_trace::CommMatrixReport>,
+    /// Per-rank solve lanes, virtual timestamps from the solve's start
+    /// (empty unless traced — see [`DistRun::timeline`]).
+    pub events: Vec<Vec<SpanEvent>>,
 }
 
 /// Run ordering + analysis on the host, then factor (and optionally solve)
@@ -800,7 +809,9 @@ pub fn prepare(
 
 /// Factor (and optionally solve for the single right-hand side `b`) a
 /// prepared problem on a simulated `p`-rank machine: the positional
-/// shorthand for an untraced, fault-free [`DistRun`].
+/// shorthand for an untraced, fault-free [`DistRun`]. It allocates the
+/// factor, runs [`DistRun::run`] into it and, given `b`, chains
+/// [`DistRun::solve`] over the result.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_prepared(
     p: usize,
@@ -812,46 +823,46 @@ pub fn run_distributed_prepared(
     sync_schedule: bool,
     b: Option<&[f64]>,
 ) -> Result<DistOutcome, FactorError> {
-    let mut run = DistRun {
-        b,
-        ..DistRun::new(p, model, ap, sym, total_perm)
-    };
+    let mut run = DistRun::new(p, model, ap);
     run.opts.strategy = strategy;
     run.opts.sync_schedule = sync_schedule;
-    Ok(run.run()?.outcome)
+    let mut factor = Factor::allocate(sym, FactorKind::Llt, total_perm.clone());
+    let out = run.run(&mut factor)?.outcome;
+    let solve = b.map(|b| run.solve(&factor, &out.map, b, 1)).transpose()?;
+    Ok(out.with_factor(factor, solve))
 }
 
-/// One factorization (and optional solve) of a prepared problem on the
-/// simulated machine — the single driver behind every distributed entry
-/// point. Build with [`DistRun::new`] and override fields by name:
+/// How to run a prepared problem on the simulated machine — the single
+/// driver behind every distributed entry point: [`DistRun::run`] factors
+/// into a [`Factor`] slab, [`DistRun::solve`] solves over it in a run of
+/// its own. Build with [`DistRun::new`] and override fields by name:
 ///
 /// ```
 /// # use parfact_core::dist::{prepare, DistRun};
+/// # use parfact_core::factor::{Factor, FactorKind};
 /// # use parfact_mpsim::model::CostModel;
 /// # let a = parfact_sparse::gen::laplace2d(8, 8, parfact_sparse::gen::Stencil2d::FivePoint);
 /// let (sym, ap, perm) = prepare(&a, Default::default(), &Default::default());
+/// let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm);
 /// let run = DistRun {
 ///     comm: true,
-///     ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+///     ..DistRun::new(4, CostModel::bluegene_p(), &ap)
 /// };
-/// let out = run.run().unwrap().outcome;
+/// let out = run.run(&mut factor).unwrap().outcome;
 /// assert!(out.comm.is_some());
+/// let x = run.solve(&factor, &out.map, &vec![1.0; a.nrows()], 1).unwrap().x;
+/// assert_eq!(x.len(), a.nrows());
 /// ```
 pub struct DistRun<'a> {
-    /// The permuted matrix, its symbolic analysis and the total
-    /// permutation (see [`prepare`]), replicated on every rank.
+    /// The permuted matrix (see [`prepare`]), replicated on every rank; the
+    /// factor a run writes carries the symbolic analysis and permutation.
     pub ap: &'a CscMatrix,
-    pub sym: &'a Arc<Symbolic>,
-    pub total_perm: &'a Perm,
     /// The machine, mapping, schedule and fault plan.
     pub opts: DistOpts,
-    /// Right-hand sides to solve for after factoring: an `n x nrhs`
-    /// column-major block in the original index space (any `nrhs >= 1`).
-    pub b: Option<&'a [f64]>,
     /// Record per-rank compute spans (attributed to supernodes and phases)
     /// and communication/wait spans with virtual timestamps into
-    /// [`DistOutcome::events`]; the trace covers the factorization *and*
-    /// the solve (per-rank solve lanes).
+    /// [`DistOutcome::events`], and the solve's lanes into
+    /// [`DistSolve::events`].
     pub timeline: bool,
     /// Record the src x dst x tag-class communication matrix
     /// ([`DistOutcome::comm`]). Like span tracing, the recording is pure
@@ -906,11 +917,12 @@ impl Default for DistOpts {
     }
 }
 
-/// What a distributed run reports on top of its [`DistOutcome`]: the
-/// fault-injection and recovery record (all zero for a fault-free run).
+/// What a distributed factorization reports on top of its [`DistOutcome`]:
+/// the fault-injection and recovery record (all zero for a fault-free run).
 pub struct FaultRun {
-    /// The successful attempt's outcome (factor, solution, per-rank stats).
-    pub outcome: DistOutcome,
+    /// The successful attempt's outcome (mapping, per-rank stats); its
+    /// factor is in the caller's slab.
+    pub outcome: DistOutcome<()>,
     /// Injected-fault activity accumulated over every attempt.
     pub counts: FaultCounts,
     /// Restarts performed before the run completed.
@@ -922,38 +934,30 @@ pub struct FaultRun {
 }
 
 impl<'a> DistRun<'a> {
-    /// An untraced, factor-only run under the default [`DistOpts`] (no
-    /// faults, event-driven schedule, default mapping) on `ranks` ranks of
-    /// `model`.
-    pub fn new(
-        ranks: usize,
-        model: CostModel,
-        ap: &'a CscMatrix,
-        sym: &'a Arc<Symbolic>,
-        total_perm: &'a Perm,
-    ) -> Self {
+    /// An untraced run under the default [`DistOpts`] (no faults,
+    /// event-driven schedule, default mapping) on `ranks` ranks of `model`.
+    pub fn new(ranks: usize, model: CostModel, ap: &'a CscMatrix) -> Self {
         DistRun {
             ap,
-            sym,
-            total_perm,
             opts: DistOpts {
                 ranks,
                 model,
                 ..DistOpts::default()
             },
-            b: None,
             timeline: false,
             comm: false,
         }
     }
 
-    /// Run the machine, restarting after fault verdicts. Recovery follows
-    /// the plan: a non-empty [`DistOpts::faults`] checkpoints and arms the
-    /// receive deadline, an empty one does neither. Each attempt runs under
+    /// Factor into `factor`'s slab in place (an LLᵀ factor allocated under
+    /// the symbolic analysis of `ap`), running the machine and restarting
+    /// after fault verdicts. Recovery follows the plan: a non-empty
+    /// [`DistOpts::faults`] checkpoints and arms the receive deadline, an
+    /// empty one does neither. Each attempt runs under
     /// [`Machine::run_verdict`]:
     ///
-    /// - **Completed** — the rank clocks give the makespans, and every
-    ///   rank's factor share is copied into the host [`Factor`].
+    /// - **Completed** — every panel of the slab has been overwritten by the
+    ///   ranks that factored it; the rank clocks give the makespan.
     /// - A rank returning a numeric error ([`FactorError`], e.g. a non-SPD
     ///   pivot) ends the run with the lowest such rank's error immediately
     ///   — its peers are unwound by the simulator, no panic, no hang —
@@ -967,10 +971,17 @@ impl<'a> DistRun<'a> {
     ///
     /// Tracing never touches the virtual clocks and the recovered factor is
     /// **bitwise identical** to a fault-free run's — the properties the
-    /// timeline and fault-recovery test suites pin down.
-    pub fn run(&self) -> Result<FaultRun, FactorError> {
-        let (o, sym) = (&self.opts, self.sym);
+    /// timeline and fault-recovery test suites pin down. On an error the
+    /// slab may be partly overwritten, as with the host engines.
+    pub fn run(&self, factor: &mut Factor) -> Result<FaultRun, FactorError> {
+        let (o, sym) = (&self.opts, Arc::clone(&factor.sym));
         let p = o.ranks;
+        if factor.kind != FactorKind::Llt {
+            return Err(FactorError::Unsupported(
+                "the distributed engine factors LLt only; use Sequential or Smp for LDLt"
+                    .to_string(),
+            ));
+        }
         let recover = !o.faults.is_empty();
         if o.sync_schedule && recover {
             return Err(FactorError::Unsupported(
@@ -1002,18 +1013,8 @@ impl<'a> DistRun<'a> {
                 )));
             }
         }
-        // A right-hand-side block is whole columns of length n.
-        let n = sym.n;
-        let nrhs = self.b.map_or(0, |b| b.len().checked_div(n).unwrap_or(0));
-        if let Some(b) = self.b.filter(|b| b.len() != n * nrhs) {
-            return Err(FactorError::DimensionMismatch {
-                expected: n * b.len().div_ceil(n.max(1)),
-                got: b.len(),
-            });
-        }
-        let map = crate::mapping::map_tree(sym, p, o.strategy);
-        assert!(map.validate(sym), "invalid mapping");
-        let bp = self.b.map(|b| sweep::permute_in(self.total_perm, b, nrhs));
+        let map = crate::mapping::map_tree(&sym, p, o.strategy);
+        assert!(map.validate(&sym), "invalid mapping");
         let store = recover.then(|| CheckpointStore::new(p));
         // Generous machine-wide deadline: the whole factorization's flops and
         // a factor's worth of traffic, with the model's 4x margin. It costs
@@ -1027,6 +1028,7 @@ impl<'a> DistRun<'a> {
         let mut counts = FaultCounts::default();
         let mut restarts = 0u64;
         let mut total_makespan_s = 0.0f64;
+        let out = FactorWriter::new(factor);
         loop {
             let mut machine = Machine::new(p, o.model)
                 .trace_events(self.timeline)
@@ -1037,24 +1039,9 @@ impl<'a> DistRun<'a> {
             if let Some(t) = timeout {
                 machine = machine.recv_timeout(t);
             }
-            let vr = machine.run_verdict(|rank| -> Result<RankOut, FactorError> {
-                let factor =
-                    factorize_rank(rank, self.ap, sym, &map, o.sync_schedule, store.as_ref())?;
-                let t_factor = rank.clock();
-                // The solve is traced too (per-rank solve lanes): its compute
-                // spans carry `Phase::Solve`, which the critical-path profiler
-                // filters out — the profile models the factorization's
-                // child-before-parent dependencies, which the backward solve
-                // traverses in the opposite direction.
-                let xp = bp
-                    .as_deref()
-                    .and_then(|bp| solve::solve_rank(rank, sym, &map, &factor, bp, nrhs));
-                Ok(RankOut {
-                    t_factor,
-                    t_solve: rank.clock() - t_factor,
-                    x: xp.map(|xp| sweep::permute_out(self.total_perm, &xp, nrhs)),
-                    factor,
-                })
+            let vr = machine.run_verdict(|rank| {
+                let sync = o.sync_schedule;
+                factorize_rank(rank, self.ap, &sym, &map, &out, sync, store.as_ref())
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;
@@ -1069,8 +1056,21 @@ impl<'a> DistRun<'a> {
                 return Err(e);
             }
             if vr.verdict.is_completed() {
+                // Every rank returned its factor bytes: errors ended the run.
+                let bytes = vr.results.iter().flatten().flatten().max().copied();
+                let outcome = DistOutcome {
+                    factor: (),
+                    map,
+                    factor_time_s: vr.makespan_s,
+                    max_factor_bytes: bytes.unwrap_or(0),
+                    total_flops: vr.stats.iter().map(|s| s.flops).sum(),
+                    stats: vr.stats,
+                    comm: vr.comm,
+                    events: vr.events,
+                    solve: None,
+                };
                 return Ok(FaultRun {
-                    outcome: assemble_outcome(sym, self.total_perm, vr)?,
+                    outcome,
                     counts,
                     restarts,
                     total_makespan_s,
@@ -1084,68 +1084,46 @@ impl<'a> DistRun<'a> {
             // retry exercises the same wire conditions.
             attempt_plan = attempt_plan.without_crashes();
             if let Some(cs) = &store {
-                cs.rewind_to_consistent_cut(sym, &map);
+                cs.rewind_to_consistent_cut(&sym, &map);
             }
         }
     }
-}
 
-/// What a rank's program returns: its factorization and solve makespans,
-/// its factor share, and (rank 0, when a right-hand side was given) the
-/// solution.
-struct RankOut {
-    t_factor: f64,
-    t_solve: f64,
-    factor: RankFactor,
-    x: Option<Vec<f64>>,
-}
-
-/// Fold a completed run into a [`DistOutcome`]: the makespans from the rank
-/// clocks, the statistics, comm matrix and events from the machine, and the
-/// host factor from the ranks' shares — local panels copied, grid shares
-/// scattered, each share dropped once it is copied.
-fn assemble_outcome(
-    sym: &Arc<Symbolic>,
-    perm: &Perm,
-    vr: VerdictReport<Result<RankOut, FactorError>>,
-) -> Result<DistOutcome, FactorError> {
-    let results = vr
-        .results
-        .into_iter()
-        .map(|r| r.and_then(Result::ok))
-        .collect::<Option<Vec<RankOut>>>()
-        .ok_or(FactorError::Internal(
-            "completed verdict with a missing rank result",
-        ))?;
-    let factor_time_s = results.iter().fold(0.0f64, |m, r| m.max(r.t_factor));
-    let solve_time_s = results.iter().fold(0.0f64, |m, r| m.max(r.t_solve));
-    let max_factor_bytes = results
-        .iter()
-        .map(|r| r.factor.factor_bytes())
-        .max()
-        .unwrap_or(0);
-    let mut factor = Factor::allocate(sym, FactorKind::Llt, perm.clone());
-    let mut x = None;
-    for r in results {
-        x = x.or(r.x);
-        for (s, panel) in r.factor.local_panels {
-            factor.panel_mut(s).copy_from_slice(&panel);
+    /// Solve `A X = B` on the machine, as a run of its own over `factor`,
+    /// the slab a [`DistRun::run`] wrote under `map`: `b` is an `n x nrhs`
+    /// column-major block in the original index space. Each rank reads only
+    /// the panels `map` gives it (see [`mod@solve`]); the run's own clocks start
+    /// at zero, and no fault plan applies to it.
+    pub fn solve(
+        &self,
+        factor: &Factor,
+        map: &Mapping,
+        b: &[f64],
+        nrhs: usize,
+    ) -> Result<DistSolve, FactorError> {
+        let n = factor.sym.n;
+        if b.len() != n * nrhs {
+            return Err(FactorError::DimensionMismatch {
+                expected: n * nrhs,
+                got: b.len(),
+            });
         }
-        for (s, share) in r.factor.dist_blocks {
-            share.scatter_pivots(factor.panel_mut(s));
+        let bp = sweep::permute_in(&factor.perm, b, nrhs);
+        let mut machine = Machine::new(map.nranks, self.opts.model).trace_events(self.timeline);
+        if self.comm {
+            machine = machine.comm_matrix(&front::COMM_CLASSES, front::comm_class);
         }
+        let rep = machine.run(|rank| solve::solve_rank(rank, map, factor, &bp, nrhs));
+        let xp = rep.results.into_iter().flatten().next();
+        let xp = xp.ok_or(FactorError::Internal("rank 0 returned no solution"))?;
+        Ok(DistSolve {
+            x: sweep::permute_out(&factor.perm, &xp, nrhs),
+            time_s: rep.makespan_s,
+            stats: rep.stats,
+            comm: rep.comm,
+            events: rep.events,
+        })
     }
-    Ok(DistOutcome {
-        factor,
-        x,
-        factor_time_s,
-        solve_time_s,
-        total_flops: vr.stats.iter().map(|s| s.flops).sum(),
-        stats: vr.stats,
-        comm: vr.comm,
-        max_factor_bytes,
-        events: vr.events,
-    })
 }
 
 /// Map a terminal machine verdict onto the factorization error taxonomy.
@@ -1207,6 +1185,27 @@ mod tests {
                 "p={p}: distributed factor must equal sequential bitwise"
             );
             assert!(reconstruction_error(&out.factor, &ap) < 1e-10);
+        }
+    }
+
+    #[test]
+    fn run_overwrites_every_entry_of_the_slab() {
+        // The ranks write the caller's slab in place: whatever it held
+        // before, every entry ends up as a run into a zeroed slab leaves it.
+        let a = gen::laplace3d(6, 5, 4, gen::Stencil3d::SevenPoint);
+        let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+        let bits = |f: &Factor| f.panels.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [1usize, 2, 4, 8] {
+            let run = DistRun::new(p, CostModel::bluegene_p(), &ap);
+            let mut fresh = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+            run.run(&mut fresh).unwrap();
+            let mut stale = fresh.clone();
+            stale.panels.fill(-1.0);
+            run.run(&mut stale).unwrap();
+            assert!(
+                bits(&stale) == bits(&fresh),
+                "p={p}: a stale entry survived"
+            );
         }
     }
 
@@ -1276,12 +1275,12 @@ mod tests {
         a.sym_spmv(&xstar, &mut b);
         for p in [1usize, 3, 4] {
             let out = bgp(p, &a, MapStrategy::default(), Some(&b));
-            let x = out.x.expect("solution requested");
+            let solve = out.solve.expect("solution requested");
             assert!(
-                ops::sym_residual_inf(&a, &x, &b) < 1e-12,
+                ops::sym_residual_inf(&a, &solve.x, &b) < 1e-12,
                 "p={p} residual too large"
             );
-            assert!(out.solve_time_s > 0.0);
+            assert!(solve.time_s > 0.0);
         }
     }
 
@@ -1334,12 +1333,14 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let run = |timeline| {
             let run = DistRun {
-                b: Some(&b),
                 timeline,
                 comm: timeline,
-                ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+                ..DistRun::new(4, CostModel::bluegene_p(), &ap)
             };
-            run.run().unwrap().outcome
+            let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+            let out = run.run(&mut factor).unwrap().outcome;
+            let solve = run.solve(&factor, &out.map, &b, 1).unwrap();
+            out.with_factor(factor, Some(solve))
         };
         let plain = run(false);
         assert!(plain.events.iter().all(Vec::is_empty));
@@ -1364,17 +1365,23 @@ mod tests {
         }
         assert!(merged.iter().any(|e| e.phase == Phase::Comm));
         assert!(merged.iter().any(|e| e.phase == Phase::Wait));
-        // The solve is traced too: attributed solve-lane spans exist and
-        // start after the factorization makespan begins.
-        assert!(merged
+        // The solve run is traced too, on its own clocks: attributed
+        // solve-lane spans exist, and each run's spans end by its makespan.
+        let solve = traced.solve.as_ref().unwrap();
+        let mut solve_spans: Vec<SpanEvent> = solve.events.concat();
+        parfact_trace::sort_spans(&mut solve_spans);
+        parfact_trace::Timeline::from_spans(&solve_spans)
+            .validate(0.0)
+            .unwrap();
+        assert!(solve_spans
             .iter()
             .any(|e| e.phase == Phase::Solve && e.supernode.is_some()));
-        // Span timestamps stay within factor + solve virtual time.
-        let end = merged
-            .iter()
-            .map(|e| e.start_s + e.dur_s)
-            .fold(0.0f64, f64::max);
-        assert!(end <= traced.factor_time_s + traced.solve_time_s + 1e-12);
+        let end = |spans: &[SpanEvent]| {
+            let ends = spans.iter().map(|e| e.start_s + e.dur_s);
+            ends.fold(0.0f64, f64::max)
+        };
+        assert!(end(&merged) <= traced.factor_time_s + 1e-12);
+        assert!(end(&solve_spans) <= solve.time_s + 1e-12);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Distributed triangular solves.
 //!
+//! The solve is a machine run of its own over the factor slab and the
+//! mapping of a distributed factorization: each rank reads only what the
+//! mapping gives it, the distribution the factorization left behind.
 //! The solve follows the assembly tree like the factorization, but the
 //! per-front work is tiny (O(front²·nrhs) flops against O(front³) for the
 //! factorization), so the panel of each distributed supernode is gathered
@@ -17,12 +20,12 @@
 //! front is `sweep::Sweep`'s, the step the host solves run; this module
 //! places it on leaders, moves its blocks and charges the virtual clock.
 
-use crate::dist::front::{self, DistFront};
-use crate::dist::RankFactor;
+use crate::dist::front::{self, pivot_segments};
+use crate::factor::Factor;
 use crate::mapping::{Layout, Mapping};
 use crate::sweep::Sweep;
 use parfact_mpsim::Rank;
-use parfact_symbolic::{Symbolic, NONE};
+use parfact_symbolic::NONE;
 use parfact_trace::Phase;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -33,15 +36,19 @@ use front::{
     PHASE_GATHER_X as PH_GATHER_X,
 };
 
+/// A rank's pivot entries of one grid panel as `(li, lj, value)`
+/// triplets — on the modelled wire two `u32` and an `f64` each.
+type Share = Vec<(u32, u32, f64)>;
+
 /// The full `f x w` panel of supernode `s` if this rank is its leader
-/// (`None` otherwise). A distributed front's pivot pieces are gathered
-/// under `phase`: every other group member sends its share, the leader
+/// (`None` otherwise): a local panel read from the slab in place, or a
+/// grid panel gathered under `phase` — each member reads its own
+/// [`pivot_segments`] out of the slab and sends them, and the leader
 /// assembles an owned panel (tracked until the caller [`release`]s it).
 fn leader_panel<'a>(
     rank: &mut Rank,
-    sym: &Symbolic,
     map: &Mapping,
-    rf: &'a RankFactor,
+    factor: &'a Factor,
     s: usize,
     phase: u64,
 ) -> Option<Cow<'a, [f64]>> {
@@ -49,24 +56,28 @@ fn leader_panel<'a>(
     if !map.participates(s, me) {
         return None;
     }
-    let lead = map.leader(s);
-    if !matches!(map.layout[s], Layout::Grid { .. }) {
-        return (me == lead).then(|| Cow::Borrowed(&rf.local_panels[&s][..]));
-    }
+    let (lead, slab) = (map.leader(s), factor.panel(s));
+    let Layout::Grid { pr, pc, nb } = map.layout[s] else {
+        return (me == lead).then_some(Cow::Borrowed(slab));
+    };
+    let (f, w) = (factor.sym.front_order(s), factor.sym.sn_width(s));
+    let ((lo, hi), tag) = (map.group[s], front::tag(s, phase));
+    let mut mine = Share::new();
+    let pos = ((me - lo) / pc, (me - lo) % pc);
+    pivot_segments(f, w, nb, (pr, pc), pos, |lj, rows| {
+        mine.extend(rows.map(|li| (li as u32, lj as u32, slab[lj * f + li])));
+    });
     if me != lead {
-        rank.send(lead, front::tag(s, phase), rf.dist_blocks[&s].clone());
+        rank.send(lead, tag, mine);
         return None;
     }
-    let (lo, hi) = map.group[s];
-    let mut panel = vec![0.0f64; sym.front_order(s) * sym.sn_width(s)];
+    let mut panel = vec![0.0f64; f * w];
     rank.alloc(panel.len() * 8);
-    for q in lo..hi {
-        if q == me {
-            rf.dist_blocks[&s].scatter_pivots(&mut panel);
-        } else {
-            let share = rank.recv::<DistFront>(q, front::tag(s, phase));
-            share.scatter_pivots(&mut panel);
-        }
+    let others = (lo..hi)
+        .filter(|&q| q != me)
+        .map(|q| rank.recv::<Share>(q, tag));
+    for (li, lj, v) in mine.into_iter().chain(others.flatten()) {
+        panel[lj as usize * f + li as usize] = v;
     }
     Some(Cow::Owned(panel))
 }
@@ -100,18 +111,18 @@ fn take(rank: &mut Rank, stash: &mut Stash, from: usize, tag: u64) -> Vec<f64> {
     }
 }
 
-/// SPMD distributed solve (`L Lᵀ X = B`, permuted space). Every rank calls
-/// this with the (replicated) permuted right-hand-side block (`n x nrhs`
-/// interleaved); rank 0 returns the full solution block in the same layout.
+/// SPMD distributed solve (`L Lᵀ X = B`, permuted space) over the factor
+/// slab written under `map`. Every rank calls this with the (replicated)
+/// permuted right-hand-side block (`n x nrhs` interleaved); rank 0 returns
+/// the full solution block in the same layout.
 pub fn solve_rank(
     rank: &mut Rank,
-    sym: &Symbolic,
     map: &Mapping,
-    rf: &RankFactor,
+    factor: &Factor,
     bp: &[f64],
     nrhs: usize,
 ) -> Option<Vec<f64>> {
-    let me = rank.rank();
+    let (me, sym) = (rank.rank(), &*factor.sym);
     debug_assert_eq!(bp.len(), sym.n * nrhs);
     let nsuper = sym.nsuper();
     let sw = Sweep::new(sym, nrhs, false);
@@ -126,7 +137,7 @@ pub fn solve_rank(
 
     // ---- Forward sweep. ----
     for s in 0..nsuper {
-        let Some(panel) = leader_panel(rank, sym, map, rf, s, PH_FWD_PANEL) else {
+        let Some(panel) = leader_panel(rank, map, factor, s, PH_FWD_PANEL) else {
             continue;
         };
         let mut ybelow = vec![0.0f64; sw.below_len(s)];
@@ -151,7 +162,7 @@ pub fn solve_rank(
 
     // ---- Backward sweep. ----
     for s in (0..nsuper).rev() {
-        let Some(panel) = leader_panel(rank, sym, map, rf, s, PH_BWD_PANEL) else {
+        let Some(panel) = leader_panel(rank, map, factor, s, PH_BWD_PANEL) else {
             continue;
         };
         // x at this supernode's below rows, provided by the parent's

@@ -12,6 +12,7 @@ use crate::sweep::{self, Sweep};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which factorization the blocks hold.
@@ -230,6 +231,63 @@ impl Factor {
             m = m.max((x - y).abs());
         }
         m
+    }
+}
+
+/// Raw-pointer view of a [`Factor`]'s output arrays for disjoint
+/// cross-thread writes: SMP workers and simulated ranks write the slab in
+/// place through it, each range by one thread; the scope join (of the
+/// worker pool or the machine) publishes the writes.
+pub(crate) struct FactorWriter<'a> {
+    panels: *mut f64,
+    panel_ptr: &'a [usize],
+    d: *mut f64,
+    d_len: usize,
+}
+
+// SAFETY: FactorWriter holds raw pointers into one Factor's slabs; the
+// schedulers hand each range of them to exactly one thread, and the scope
+// join publishes the writes before the Factor is read again.
+unsafe impl Send for FactorWriter<'_> {}
+// SAFETY: see Send above — shared access is only through `panel_mut` /
+// `d_mut`, whose contracts require a unique writer per disjoint range.
+unsafe impl Sync for FactorWriter<'_> {}
+
+impl<'a> FactorWriter<'a> {
+    pub(crate) fn new(factor: &'a mut Factor) -> Self {
+        FactorWriter {
+            panels: factor.panels.as_mut_ptr(),
+            panel_ptr: &factor.panel_ptr,
+            d: factor.d.as_mut_ptr(),
+            d_len: factor.d.len(),
+        }
+    }
+
+    /// Entries `part` of panel `s`.
+    ///
+    /// # Safety
+    /// The caller must be the unique writer of those entries while the
+    /// returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn panel_mut(&self, s: usize, part: Range<usize>) -> &mut [f64] {
+        let p0 = self.panel_ptr[s];
+        assert!(part.start <= part.end && p0 + part.end <= self.panel_ptr[s + 1]);
+        // SAFETY: the assert keeps `part` inside panel `s`, whose bounds
+        // come from the Factor this writer was built over; uniqueness of
+        // the `&mut` is the caller's contract (see `# Safety`).
+        unsafe { std::slice::from_raw_parts_mut(self.panels.add(p0 + part.start), part.len()) }
+    }
+
+    /// # Safety
+    /// The caller must be the unique writer of `d[c0..c0+w]` while the
+    /// returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn d_mut(&self, c0: usize, w: usize) -> &mut [f64] {
+        debug_assert!(c0 + w <= self.d_len);
+        // SAFETY: `c0 + w <= d_len` keeps the slice in-bounds (supernode
+        // column ranges never overlap); uniqueness of the `&mut` is the
+        // caller's contract (see `# Safety`).
+        unsafe { std::slice::from_raw_parts_mut(self.d.add(c0), w) }
     }
 }
 

@@ -21,7 +21,7 @@
 //! [`crate::backoff::Backoff`] instead of burning a core on `yield_now`.
 
 use crate::error::FactorError;
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{Factor, FactorKind, FactorWriter};
 use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
 use crate::tree_pool::{walk_tree, Walk};
 use crate::workspace::{FrontWorkspace, Workspace};
@@ -165,7 +165,10 @@ impl Fronts<'_> {
         }));
         // SAFETY: the schedule hands supernode `s` to exactly one worker,
         // and panels / `d` segments of distinct supernodes are disjoint.
-        let panel = unsafe { self.writer.panel_mut(s) };
+        let panel = unsafe {
+            self.writer
+                .panel_mut(s, 0..sym.front_order(s) * sym.sn_width(s))
+        };
         let d = match kind {
             FactorKind::Llt => &mut [][..],
             // SAFETY: as above.
@@ -188,60 +191,6 @@ impl Fronts<'_> {
         )?;
         *self.updates[s].lock() = update;
         Ok(())
-    }
-}
-
-/// Raw-pointer view of a [`Factor`]'s output arrays for disjoint
-/// cross-thread writes. Each supernode's panel (and `d` segment) is written
-/// by exactly one worker; the thread-scope join publishes the writes.
-struct FactorWriter<'a> {
-    panels: *mut f64,
-    panel_ptr: &'a [usize],
-    d: *mut f64,
-    d_len: usize,
-}
-
-// SAFETY: FactorWriter holds raw pointers into one Factor's slabs; the
-// scheduler hands each supernode's panel / `d` segment to exactly one
-// worker (disjoint ranges), and the thread-scope join publishes the
-// writes before the Factor is read again.
-unsafe impl Send for FactorWriter<'_> {}
-// SAFETY: see Send above — shared access is only through `panel_mut` /
-// `d_mut`, whose contracts require a unique writer per disjoint range.
-unsafe impl Sync for FactorWriter<'_> {}
-
-impl<'a> FactorWriter<'a> {
-    fn new(factor: &'a mut Factor) -> Self {
-        FactorWriter {
-            panels: factor.panels.as_mut_ptr(),
-            panel_ptr: &factor.panel_ptr,
-            d: factor.d.as_mut_ptr(),
-            d_len: factor.d.len(),
-        }
-    }
-
-    /// # Safety
-    /// The caller must be the unique writer of panel `s` while the
-    /// returned slice lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn panel_mut(&self, s: usize) -> &mut [f64] {
-        let (p0, p1) = (self.panel_ptr[s], self.panel_ptr[s + 1]);
-        // SAFETY: `panel_ptr` bounds come from the Factor this writer was
-        // built over, so the range is in-bounds; uniqueness of the `&mut`
-        // is the caller's contract (see `# Safety`).
-        unsafe { std::slice::from_raw_parts_mut(self.panels.add(p0), p1 - p0) }
-    }
-
-    /// # Safety
-    /// The caller must be the unique writer of `d[c0..c0+w]` while the
-    /// returned slice lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn d_mut(&self, c0: usize, w: usize) -> &mut [f64] {
-        debug_assert!(c0 + w <= self.d_len);
-        // SAFETY: `c0 + w <= d_len` keeps the slice in-bounds (supernode
-        // column ranges never overlap); uniqueness of the `&mut` is the
-        // caller's contract (see `# Safety`).
-        unsafe { std::slice::from_raw_parts_mut(self.d.add(c0), w) }
     }
 }
 

@@ -450,11 +450,11 @@ impl SparseCholesky {
     /// is [`FactorError::NonFinite`]; one with another pattern is
     /// [`FactorError::Unsupported`] (call [`SparseCholesky::factorize`]).
     ///
-    /// Host engines (`Sequential`, `Smp`) overwrite the stored factor **in
-    /// place** through the solver's retained [`Workspace`] arenas, so a
-    /// steady-state refactorization performs no per-supernode heap
-    /// allocation (the distributed engine assembles a fresh factor from the
-    /// ranks' shares and replaces the stored one wholesale).
+    /// Every engine overwrites the stored factor **in place**: the host
+    /// engines (`Sequential`, `Smp`) through the solver's retained
+    /// [`Workspace`] arenas, so a steady-state refactorization performs no
+    /// per-supernode heap allocation, and `Dist` through its simulated
+    /// ranks, each writing its share of the slab.
     /// Consequence of in-place operation: if the factorization itself fails
     /// (e.g. the new values are not positive definite), the stored factor is
     /// partially overwritten and numerically invalid — call `refactorize`
@@ -857,9 +857,9 @@ fn host_scalability(
 /// distributed run had a fault plan), `scalability` and `profile` describe
 /// this run; the rest of the report is left alone, and all of it on error.
 ///
-/// Host engines overwrite the factor's slab in place through the arenas in
-/// `ws`; the distributed engine assembles a fresh factor from the ranks'
-/// shares and replaces `*factor` wholesale.
+/// Every engine overwrites the factor's slab in place: the host engines
+/// through the arenas in `ws`, the distributed engine's simulated ranks
+/// each writing their share. On error the slab may be partly overwritten.
 fn numeric_phase(
     ap: &CscMatrix,
     engine: &Engine,
@@ -873,26 +873,17 @@ fn numeric_phase(
     // lint:allow(R1) numeric-phase timer: reports wall time of real host work
     let t0 = Instant::now();
     if let Engine::Dist(d) = engine {
-        if factor.kind != FactorKind::Llt {
-            return Err(FactorError::Unsupported(
-                "the distributed engine factors LLt only; use Sequential or Smp for LDLt"
-                    .to_string(),
-            ));
-        }
         // Rank statistics come from the simulator and are always collected;
         // span events (compute, comm, wait lanes in virtual time) are
         // recorded only at `TraceLevel::Timeline`, the comm matrix whenever
         // tracing is on.
         let run = dist::DistRun {
             ap,
-            sym: &sym,
-            total_perm: &factor.perm,
             opts: d.clone(),
-            b: None,
             timeline: trace.timeline(),
             comm: trace.enabled(),
         }
-        .run()?;
+        .run(factor)?;
         let out = run.outcome;
         report.faults = (!d.faults.is_empty()).then_some(parfact_trace::FaultReport {
             crashes: run.counts.crashes,
@@ -902,18 +893,23 @@ fn numeric_phase(
             restarts: run.restarts,
             total_makespan_s: run.total_makespan_s,
         });
-        report.counters = out.fold_counters();
-        // The simulator counts traffic per rank, not fronts; every
-        // supernode is factored exactly once across the machine.
-        report.counters.fronts_factored = sym.nsuper() as u64;
+        // Traffic summed, memory peak maxed over the ranks; per-phase
+        // seconds stay zero (the simulator attributes time per rank, see
+        // `report.ranks`). Every supernode is factored once on the machine.
+        report.counters = parfact_trace::Counters {
+            flops: out.total_flops,
+            bytes_sent: out.stats.iter().map(|s| s.bytes_sent).sum(),
+            msgs_sent: out.stats.iter().map(|s| s.msgs_sent).sum(),
+            mem_peak_bytes: out.max_mem_peak(),
+            fronts_factored: sym.nsuper() as u64,
+            ..parfact_trace::Counters::default()
+        };
         report.ranks = out.rank_reports();
         spans.extend(out.merged_events());
         // Predicted-vs-measured per rank: the model needs only the symbolic
-        // structure and the mapping (recomputed here — it is deterministic
-        // and cheap relative to the factorization).
+        // structure and the mapping the run factored under.
         report.scalability = trace.enabled().then(|| {
-            let map = crate::mapping::map_tree(&sym, d.ranks, d.strategy);
-            let pred = crate::scalability::predict(&sym, &map);
+            let pred = crate::scalability::predict(&sym, &out.map);
             let row = |(r, s): (usize, &parfact_mpsim::RankStats)| parfact_trace::RankScalability {
                 rank: r,
                 measured_bytes: s.bytes_sent,
@@ -927,7 +923,6 @@ fn numeric_phase(
                 comm: out.comm,
             }
         });
-        *factor = out.factor;
     } else {
         let tr = Collector::new(trace);
         match engine {

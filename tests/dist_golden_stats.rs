@@ -12,8 +12,9 @@
 //! run with `PARFACT_PRINT_GOLDEN=1 cargo test --test dist_golden_stats --
 //! --nocapture` and paste the block it prints.
 
-use parfact::core::dist::{prepare, run_distributed_prepared};
+use parfact::core::dist::{prepare, run_distributed_prepared, DistRun};
 use parfact::core::mapping::MapStrategy;
+use parfact::core::{Factor, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::order::Method;
 use parfact::sparse::gen;
@@ -134,14 +135,16 @@ fn lap3d10_virtual_statistics_are_pinned() {
     }
 }
 
-/// Solve-inclusive rows: `(p, solve_time_s bits, Σ bytes_sent, Σ msgs_sent)`
-/// of factor + solve with a 3-column right-hand side. The solve's charges
-/// are formulas too (`w²·nrhs` and `2·m·w·nrhs` flops per front, one
-/// `rows x nrhs` payload per tree edge), so which host kernel runs the
-/// supernode step must not move them.
+/// Solve rows: `(p, solve time_s bits, Σ bytes_sent, Σ msgs_sent)` of the
+/// solve's own machine run, with a 3-column right-hand side, over the
+/// factor of the event-driven row above. The solve's charges are formulas
+/// too (`w²·nrhs` and `2·m·w·nrhs` flops per front, one `rows x nrhs`
+/// payload per tree edge, 16 bytes per pivot entry a grid rank sends its
+/// leader), so which host kernel runs the supernode step must not move
+/// them.
 const GOLDEN_SOLVE: &[(usize, u64, u64, u64)] = &[
-    (4, 0x3f446dd329f0d209, 679600, 197),
-    (8, 0x3f3f81ac59562408, 1302208, 365),
+    (4, 0x3f4238ea2edfe9ee, 241008, 156),
+    (8, 0x3f3debd2d0f75874, 356352, 214),
 ];
 
 #[test]
@@ -154,31 +157,24 @@ fn lap3d10_solve_statistics_are_pinned() {
         .collect();
     let print = std::env::var_os("PARFACT_PRINT_GOLDEN").is_some();
     for &(p, solve_time_bits, want_bytes, want_msgs) in GOLDEN_SOLVE {
-        let out = run_distributed_prepared(
-            p,
-            CostModel::bluegene_p(),
-            &ap,
-            &sym,
-            &perm,
-            MapStrategy::default(),
-            false,
-            Some(&b),
-        )
-        .expect("SPD");
+        let run = DistRun::new(p, CostModel::bluegene_p(), &ap);
+        let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+        let map = run.run(&mut factor).expect("SPD").outcome.map;
+        let out = run.solve(&factor, &map, &b, nrhs).expect("solve");
         let bytes_sent: u64 = out.stats.iter().map(|s| s.bytes_sent).sum();
         let msgs_sent: u64 = out.stats.iter().map(|s| s.msgs_sent).sum();
         if print {
             println!(
                 "    ({p}, {:#018x}, {bytes_sent}, {msgs_sent}),",
-                out.solve_time_s.to_bits()
+                out.time_s.to_bits()
             );
             continue;
         }
         assert_eq!(
-            out.solve_time_s.to_bits(),
+            out.time_s.to_bits(),
             solve_time_bits,
             "p={p}: solve makespan {} moved",
-            out.solve_time_s
+            out.time_s
         );
         assert_eq!(bytes_sent, want_bytes, "p={p}: bytes sent");
         assert_eq!(msgs_sent, want_msgs, "p={p}: messages sent");

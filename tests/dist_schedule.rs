@@ -6,7 +6,7 @@
 use parfact::core::dist::{prepare, run_distributed, run_distributed_prepared, DistRun};
 use parfact::core::mapping::MapStrategy;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
-use parfact::core::FactorError;
+use parfact::core::{Factor, FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::mpsim::FaultPlan;
 use parfact::order::Method;
@@ -83,16 +83,17 @@ fn schedules_agree_bitwise_across_rank_counts() {
         };
         let evd = run(false);
         let sync = run(true);
-        let mut ckpt = DistRun::new(p, CostModel::bluegene_p(), &ap, &sym, &perm);
-        ckpt.opts.faults = FaultPlan::parse("crash:0@t=1e30").unwrap();
-        let ckpt = ckpt.run().expect("SPD").outcome;
+        let mut run = DistRun::new(p, CostModel::bluegene_p(), &ap);
+        run.opts.faults = FaultPlan::parse("crash:0@t=1e30").unwrap();
+        let mut ckpt = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+        run.run(&mut ckpt).expect("SPD");
         assert_eq!(
             evd.factor.max_abs_diff(&sync.factor),
             0.0,
             "p={p}: event-driven vs sync schedule"
         );
         assert_eq!(
-            evd.factor.max_abs_diff(&ckpt.factor),
+            evd.factor.max_abs_diff(&ckpt),
             0.0,
             "p={p}: event-driven vs checkpointing schedule"
         );
@@ -136,5 +137,54 @@ fn facade_sync_schedule_solves() {
             "{plan}"
         );
         assert!(factor(false, plan).is_ok(), "{plan}");
+    }
+}
+
+/// `refactorize` with `Engine::Dist` writes the stored slab in place, and
+/// leaves exactly the bits a fresh distributed factorization of the new
+/// values has — whichever engine wrote the previous factor. Every entry the
+/// ranks never wrote (the strict upper triangle of a pivot block, say)
+/// would keep the previous factor's value and show here.
+#[test]
+fn dist_refactorize_overwrites_any_engines_factor_in_place() {
+    let a = gen::laplace3d(7, 6, 5, gen::Stencil3d::SevenPoint);
+    // `D A D`: the analyzed pattern with new values, still SPD.
+    let mut scaled = a.clone();
+    let d = |i: usize| 1.0 + (i % 7) as f64 * 0.125;
+    let entries = (0..a.ncols()).flat_map(|c| a.col(c).0.iter().map(move |&r| (r, c)));
+    for (v, (r, c)) in scaled.values_mut().iter_mut().zip(entries) {
+        *v *= d(r) * d(c);
+    }
+    let bits = |chol: &SparseCholesky| {
+        let panels = &chol.factor().panels;
+        panels.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    for ranks in [1usize, 3, 4, 8] {
+        let dist = Engine::Dist(DistOpts {
+            ranks,
+            ..DistOpts::default()
+        });
+        let fresh = SparseCholesky::factorize(&scaled, &FactorOpts::new().engine(dist.clone()));
+        let fresh = bits(&fresh.unwrap());
+        let smp = Engine::Smp(parfact::core::smp::SmpOpts {
+            threads: 2,
+            big_front: 16,
+        });
+        for previous in [Engine::Sequential, smp, dist.clone()] {
+            let name = previous.name();
+            let opts = FactorOpts::new().engine(previous);
+            let mut chol = SparseCholesky::factorize(&a, &opts).unwrap();
+            let slab = chol.factor().panels.as_ptr();
+            chol.refactorize(&scaled, dist.clone()).unwrap();
+            assert_eq!(
+                chol.factor().panels.as_ptr(),
+                slab,
+                "ranks={ranks} after {name}: the slab was reallocated"
+            );
+            assert!(
+                bits(&chol) == fresh,
+                "ranks={ranks} after {name}: bits differ from a fresh factorization"
+            );
+        }
     }
 }

@@ -171,7 +171,7 @@ fn forest_matrix_disconnected_components() {
         Some(&b),
     )
     .expect("SPD");
-    let x = out.x.unwrap();
+    let x = out.solve.unwrap().x;
     for (xi, xs) in x.iter().zip(&xstar) {
         assert!((xi - xs).abs() < 1e-10);
     }

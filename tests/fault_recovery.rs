@@ -17,7 +17,7 @@
 use parfact::core::dist::{prepare, run_distributed_prepared, DistOutcome, DistRun, FaultRun};
 use parfact::core::mapping::MapStrategy;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
-use parfact::core::FactorError;
+use parfact::core::{Factor, FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::mpsim::FaultPlan;
 use parfact::order::Method;
@@ -44,6 +44,13 @@ fn prep(a: &CscMatrix) -> Prepared {
     Prepared { sym, ap, perm }
 }
 
+impl Prepared {
+    /// A fresh (zeroed) slab for a distributed run to write.
+    fn slab(&self) -> Factor {
+        Factor::allocate(&self.sym, FactorKind::Llt, self.perm.clone())
+    }
+}
+
 fn fault_free(p: usize, pr: &Prepared) -> DistOutcome {
     run_distributed_prepared(
         p,
@@ -60,13 +67,16 @@ fn fault_free(p: usize, pr: &Prepared) -> DistOutcome {
 
 /// The fault-injected run of `plan` on `p` ranks, two restarts allowed.
 fn faulty(p: usize, pr: &Prepared, plan: FaultPlan) -> DistRun<'_> {
-    let mut run = DistRun::new(p, CostModel::bluegene_p(), &pr.ap, &pr.sym, &pr.perm);
+    let mut run = DistRun::new(p, CostModel::bluegene_p(), &pr.ap);
     run.opts.faults = plan;
     run
 }
 
-fn recover(p: usize, pr: &Prepared, plan: FaultPlan) -> FaultRun {
-    faulty(p, pr, plan).run().unwrap()
+/// The recovered run of `plan` and the factor it wrote.
+fn recover(p: usize, pr: &Prepared, plan: FaultPlan) -> (FaultRun, Factor) {
+    let mut factor = pr.slab();
+    let run = faulty(p, pr, plan).run(&mut factor).unwrap();
+    (run, factor)
 }
 
 /// A plan whose only fault never fires: it turns recovery on (checkpoints,
@@ -84,11 +94,11 @@ fn checkpoint_mode_without_faults_is_bitwise_identical() {
     let pr = prep(&a);
     for p in [1usize, 2, 4, 8] {
         let plain = fault_free(p, &pr);
-        let ck = recover(p, &pr, never_fires());
+        let (ck, factor) = recover(p, &pr, never_fires());
         assert_eq!(ck.restarts, 0, "p={p}");
         assert!(ck.counts.is_zero(), "p={p}");
         assert_eq!(
-            ck.outcome.factor.max_abs_diff(&plain.factor),
+            factor.max_abs_diff(&plain.factor),
             0.0,
             "p={p}: checkpoint-mode factor must equal plain factor bitwise"
         );
@@ -102,7 +112,7 @@ fn total_makespan_is_the_makespan_when_nothing_restarts() {
     let a = problem();
     let pr = prep(&a);
     for p in [2usize, 4, 8] {
-        let run = recover(p, &pr, never_fires());
+        let (run, _) = recover(p, &pr, never_fires());
         assert_eq!(run.restarts, 0, "p={p}");
         assert_eq!(
             run.total_makespan_s.to_bits(),
@@ -128,10 +138,10 @@ fn crash_time_sweep_recovers_bitwise_at_2_4_8_ranks() {
         for victim in [p - 1, p / 2] {
             for k in 0..10 {
                 let t = t_end * (0.03 + 0.105 * k as f64);
-                let run = recover(p, &pr, FaultPlan::new().crash_at(victim, t));
+                let (run, factor) = recover(p, &pr, FaultPlan::new().crash_at(victim, t));
                 crashes_fired += run.counts.crashes;
                 assert_eq!(
-                    run.outcome.factor.max_abs_diff(&plain.factor),
+                    factor.max_abs_diff(&plain.factor),
                     0.0,
                     "p={p} victim={victim} t={t:.6}: recovered factor differs"
                 );
@@ -154,9 +164,9 @@ fn crash_on_send_sweep_recovers_bitwise() {
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
         for k in [1usize, 2, 3, 5, 8, 13, 21, 34] {
-            let run = recover(p, &pr, FaultPlan::new().crash_on_send(1, k as u64));
+            let (_, factor) = recover(p, &pr, FaultPlan::new().crash_on_send(1, k as u64));
             assert_eq!(
-                run.outcome.factor.max_abs_diff(&plain.factor),
+                factor.max_abs_diff(&plain.factor),
                 0.0,
                 "p={p} send={k}: recovered factor differs"
             );
@@ -172,10 +182,10 @@ fn crash_early_recovers_from_scratch() {
     let pr = prep(&a);
     for p in [2usize, 4, 8] {
         let plain = fault_free(p, &pr);
-        let run = recover(p, &pr, FaultPlan::new().crash_at(0, 1e-9));
+        let (run, factor) = recover(p, &pr, FaultPlan::new().crash_at(0, 1e-9));
         assert_eq!(run.counts.crashes, 1, "p={p}");
         assert_eq!(run.restarts, 1, "p={p}");
-        assert_eq!(run.outcome.factor.max_abs_diff(&plain.factor), 0.0, "p={p}");
+        assert_eq!(factor.max_abs_diff(&plain.factor), 0.0, "p={p}");
     }
 }
 
@@ -188,14 +198,14 @@ fn crash_late_restarts_from_checkpoint_not_scratch() {
     let pr = prep(&a);
     for p in [4usize, 8] {
         let plain = fault_free(p, &pr);
-        let run = recover(
+        let (run, factor) = recover(
             p,
             &pr,
             FaultPlan::new().crash_at(p - 1, plain.factor_time_s * 0.85),
         );
         assert_eq!(run.counts.crashes, 1, "p={p}: late crash must fire");
         assert_eq!(run.restarts, 1, "p={p}");
-        assert_eq!(run.outcome.factor.max_abs_diff(&plain.factor), 0.0, "p={p}");
+        assert_eq!(factor.max_abs_diff(&plain.factor), 0.0, "p={p}");
         assert!(
             run.outcome.total_flops < 0.9 * plain.total_flops,
             "p={p}: restart redid {:.3e} of {:.3e} flops — checkpoint restore \
@@ -220,9 +230,9 @@ fn delay_storm_and_duplicates_do_not_change_the_bits() {
             plan = plan.delay_link(0, q, 40.0).delay_link(q, 0, 40.0);
         }
         plan = plan.duplicate_link(1 % p, 0);
-        let run = recover(p, &pr, plan);
+        let (run, factor) = recover(p, &pr, plan);
         assert_eq!(
-            run.outcome.factor.max_abs_diff(&plain.factor),
+            factor.max_abs_diff(&plain.factor),
             0.0,
             "p={p}: delay storm changed the factor"
         );
@@ -240,7 +250,7 @@ fn unrecovered_crash_is_a_typed_rank_failure_not_a_hang() {
         let plan = FaultPlan::new().crash_at(1, plain.factor_time_s * 0.3);
         let mut run = faulty(p, &pr, plan);
         run.opts.max_restarts = 0;
-        let err = run.run().err().expect("run must fail");
+        let err = run.run(&mut pr.slab()).err().expect("run must fail");
         match err {
             FactorError::RankFailed { ranks, detail } => {
                 assert_eq!(ranks, vec![1], "p={p}");
@@ -266,7 +276,7 @@ fn lost_messages_surface_as_typed_timeouts_never_spurious_deadlock() {
         }
         let mut run = faulty(p, &pr, plan);
         run.opts.max_restarts = 1;
-        let err = run.run().err().expect("run must fail");
+        let err = run.run(&mut pr.slab()).err().expect("run must fail");
         match err {
             FactorError::TimedOut {
                 rank,
@@ -294,7 +304,7 @@ fn numeric_errors_outrank_fault_verdicts_and_are_not_retried() {
     let pr = prep(&a);
     let mut run = faulty(4, &pr, FaultPlan::new().crash_at(3, 1e30));
     run.opts.model = CostModel::zero_cost();
-    let err = run.run().err().expect("run must fail");
+    let err = run.run(&mut pr.slab()).err().expect("run must fail");
     assert!(
         matches!(err, FactorError::NotPositiveDefinite { .. }),
         "got {err}"
@@ -319,14 +329,15 @@ fn solve_after_recovery_matches_fault_free_solution_bitwise() {
     )
     .unwrap();
     let t = plain.factor_time_s;
-    let run = DistRun {
-        b: Some(&b),
-        ..faulty(4, &pr, FaultPlan::new().crash_at(2, t * 0.5))
-    }
-    .run()
-    .unwrap();
-    let xf = plain.x.unwrap();
-    let xr = run.outcome.x.expect("recovered run solves too");
+    let run = faulty(4, &pr, FaultPlan::new().crash_at(2, t * 0.5));
+    let mut factor = pr.slab();
+    let out = run.run(&mut factor).unwrap();
+    assert_eq!(
+        out.counts.crashes, 1,
+        "the crash fires inside the factorization"
+    );
+    let xr = run.solve(&factor, &out.outcome.map, &b, 1).unwrap().x;
+    let xf = plain.solve.unwrap().x;
     for (i, (pv, rv)) in xf.iter().zip(&xr).enumerate() {
         assert_eq!(pv.to_bits(), rv.to_bits(), "x[{i}] differs after recovery");
     }
@@ -359,6 +370,61 @@ fn facade_runs_fault_plans_and_reports_them() {
     assert_eq!(&back, chol.report());
 }
 
+/// A restart writes the caller's slab in place: a refactorization with
+/// new values, crashed mid-run, must leave exactly the factor of the new
+/// values — a front the restart skipped would keep the previous factor's
+/// values and show here.
+#[test]
+fn crashed_refactorization_rewrites_the_slab_in_place() {
+    let a = problem();
+    // `D A D`: the same pattern with new values, still SPD.
+    let mut scaled = a.clone();
+    let d = |i: usize| 1.0 + (i % 5) as f64 * 0.25;
+    let entries = (0..a.ncols()).flat_map(|c| a.col(c).0.iter().map(move |&r| (r, c)));
+    for (v, (r, c)) in scaled.values_mut().iter_mut().zip(entries) {
+        *v *= d(r) * d(c);
+    }
+    let bits = |f: &Factor| f.panels.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for p in [2usize, 4, 8] {
+        let dist = |faults| {
+            Engine::Dist(DistOpts {
+                ranks: p,
+                faults,
+                ..DistOpts::default()
+            })
+        };
+        let fresh =
+            SparseCholesky::factorize(&scaled, &FactorOpts::new().engine(dist(FaultPlan::new())))
+                .unwrap();
+        let pr = prep(&scaled);
+        let t_end = fault_free(p, &pr).factor_time_s;
+        for (victim, k) in [p - 1, p / 2]
+            .into_iter()
+            .flat_map(|v| (1..10).map(move |k| (v, k)))
+        {
+            let mut chol =
+                SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist(FaultPlan::new())))
+                    .unwrap();
+            let slab = chol.factor().panels.as_ptr();
+            let t = t_end * 0.1 * k as f64;
+            chol.refactorize(&scaled, dist(FaultPlan::new().crash_at(victim, t)))
+                .unwrap();
+            let tag = format!("p={p}: rank {victim} crashed at {t:.6}");
+            let faults = chol.report().faults.expect("fault section");
+            assert_eq!(faults.crashes, 1, "{tag}: the crash must fire");
+            assert_eq!(
+                chol.factor().panels.as_ptr(),
+                slab,
+                "{tag}: slab reallocated"
+            );
+            assert!(
+                bits(chol.factor()) == bits(fresh.factor()),
+                "{tag}: the restarted refactorization left other bits"
+            );
+        }
+    }
+}
+
 #[test]
 fn repeated_recovery_runs_are_bitwise_reproducible() {
     // Determinism of the whole recovery pipeline: same plan, same machine,
@@ -369,9 +435,9 @@ fn repeated_recovery_runs_are_bitwise_reproducible() {
         .crash_at(2, 0.002)
         .delay_link(0, 3, 15.0)
         .duplicate_link(3, 0);
-    let r1 = recover(4, &pr, plan.clone());
-    let r2 = recover(4, &pr, plan);
-    assert_eq!(r1.outcome.factor.max_abs_diff(&r2.outcome.factor), 0.0);
+    let (r1, f1) = recover(4, &pr, plan.clone());
+    let (r2, f2) = recover(4, &pr, plan);
+    assert_eq!(f1.max_abs_diff(&f2), 0.0);
     assert_eq!(
         r1.outcome.factor_time_s.to_bits(),
         r2.outcome.factor_time_s.to_bits()

@@ -117,7 +117,7 @@ fn distributed_equals_sequential_and_solves() {
             0.0,
             "p={p}: distributed factor differs from sequential"
         );
-        let x = out.x.unwrap();
+        let x = out.solve.unwrap().x;
         for (xi, xs) in x.iter().zip(&xstar) {
             assert!((xi - xs).abs() < 1e-6, "p={p}");
         }

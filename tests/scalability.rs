@@ -8,6 +8,7 @@ use parfact::core::dist::{prepare, DistRun};
 use parfact::core::mapping::{map_tree, MapStrategy};
 use parfact::core::scalability::predict;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
+use parfact::core::{Factor, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::mpsim::{FaultPlan, Machine};
 use parfact::order::Method;
@@ -18,7 +19,8 @@ use parfact::TraceLevel;
 use proptest::prelude::*;
 
 /// Acceptance criterion: turning the comm matrix on changes *nothing* —
-/// not a factor bit, not a virtual clock tick — at 2, 4, and 8 ranks.
+/// not a factor bit, not a virtual clock tick, of the factorization or of
+/// the solve run over it — at 2, 4, and 8 ranks.
 #[test]
 fn comm_matrix_recording_is_bitwise_non_perturbing() {
     let a = gen::laplace3d(6, 5, 4, gen::Stencil3d::SevenPoint);
@@ -27,18 +29,19 @@ fn comm_matrix_recording_is_bitwise_non_perturbing() {
     for ranks in [2usize, 4, 8] {
         let run = |comm: bool| {
             let run = DistRun {
-                b: Some(&b),
                 comm,
-                ..DistRun::new(ranks, CostModel::bluegene_p(), &ap, &sym, &perm)
+                ..DistRun::new(ranks, CostModel::bluegene_p(), &ap)
             };
-            run.run().unwrap().outcome
+            let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm.clone());
+            let out = run.run(&mut factor).unwrap().outcome;
+            let solve = run.solve(&factor, &out.map, &b, 1).unwrap();
+            (factor, out, solve)
         };
-        let plain = run(false);
-        let recorded = run(true);
-        assert!(plain.comm.is_none());
-        let m = recorded.comm.as_ref().expect("matrix recorded");
+        let (plain_factor, plain, plain_solve) = run(false);
+        let (recorded_factor, recorded, recorded_solve) = run(true);
+        assert!(plain.comm.is_none() && plain_solve.comm.is_none());
         assert_eq!(
-            recorded.factor.max_abs_diff(&plain.factor),
+            recorded_factor.max_abs_diff(&plain_factor),
             0.0,
             "ranks={ranks}: recording perturbed the factor"
         );
@@ -48,45 +51,56 @@ fn comm_matrix_recording_is_bitwise_non_perturbing() {
             "ranks={ranks}: recording perturbed the factor makespan"
         );
         assert_eq!(
-            recorded.solve_time_s.to_bits(),
-            plain.solve_time_s.to_bits(),
+            recorded_solve.time_s.to_bits(),
+            plain_solve.time_s.to_bits(),
             "ranks={ranks}: recording perturbed the solve makespan"
         );
-        // Every deterministic stat agrees (`queue_peak` is a physical
-        // high-water diagnostic and legitimately varies run to run).
-        for (r, (a, b)) in recorded.stats.iter().zip(&plain.stats).enumerate() {
-            let det = |s: &parfact::mpsim::RankStats| {
-                (
-                    s.clock_s.to_bits(),
-                    s.compute_s.to_bits(),
-                    s.comm_s.to_bits(),
-                    s.comm_hidden_s.to_bits(),
-                    s.flops.to_bits(),
-                    (s.bytes_sent, s.msgs_sent, s.bytes_recv, s.msgs_recv),
-                    s.mem_peak,
-                )
-            };
-            assert_eq!(det(a), det(b), "ranks={ranks}: rank {r} stats differ");
-        }
-        // The matrix agrees with the independent per-rank counters.
-        assert_eq!(m.nranks, ranks);
-        for r in 0..ranks {
-            assert_eq!(
-                m.sent_bytes(r),
-                recorded.stats[r].bytes_sent,
-                "ranks={ranks}: row {r} sum != bytes_sent"
-            );
-            assert_eq!(
-                m.posted_bytes(r),
-                recorded.stats[r].bytes_recv,
-                "ranks={ranks}: column {r} sum != bytes_recv"
-            );
-        }
-        assert!(m.total_bytes() > 0, "ranks={ranks}: no traffic recorded");
-        // No traffic on the diagonal: ranks never message themselves.
-        for r in 0..ranks {
-            for c in 0..m.nclasses() {
-                assert_eq!(m.at(r, r, c), (0, 0), "ranks={ranks}: self-send");
+        let runs = [
+            (&recorded.stats, &plain.stats, &recorded.comm),
+            (
+                &recorded_solve.stats,
+                &plain_solve.stats,
+                &recorded_solve.comm,
+            ),
+        ];
+        for (recorded, plain, m) in runs {
+            // Every deterministic stat agrees (`queue_peak` is a physical
+            // high-water diagnostic and legitimately varies run to run).
+            for (r, (a, b)) in recorded.iter().zip(plain).enumerate() {
+                let det = |s: &parfact::mpsim::RankStats| {
+                    (
+                        s.clock_s.to_bits(),
+                        s.compute_s.to_bits(),
+                        s.comm_s.to_bits(),
+                        s.comm_hidden_s.to_bits(),
+                        s.flops.to_bits(),
+                        (s.bytes_sent, s.msgs_sent, s.bytes_recv, s.msgs_recv),
+                        s.mem_peak,
+                    )
+                };
+                assert_eq!(det(a), det(b), "ranks={ranks}: rank {r} stats differ");
+            }
+            // The matrix agrees with the independent per-rank counters.
+            let m = m.as_ref().expect("matrix recorded");
+            assert_eq!(m.nranks, ranks);
+            for (r, stats) in recorded.iter().enumerate() {
+                assert_eq!(
+                    m.sent_bytes(r),
+                    stats.bytes_sent,
+                    "ranks={ranks}: row {r} sum != bytes_sent"
+                );
+                assert_eq!(
+                    m.posted_bytes(r),
+                    stats.bytes_recv,
+                    "ranks={ranks}: column {r} sum != bytes_recv"
+                );
+            }
+            assert!(m.total_bytes() > 0, "ranks={ranks}: no traffic recorded");
+            // No traffic on the diagonal: ranks never message themselves.
+            for r in 0..ranks {
+                for c in 0..m.nclasses() {
+                    assert_eq!(m.at(r, r, c), (0, 0), "ranks={ranks}: self-send");
+                }
             }
         }
     }

@@ -7,7 +7,7 @@ use parfact::core::dist::{prepare, DistRun};
 use parfact::core::smp_solve;
 use parfact::core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
 use parfact::core::FactorKind::{Ldlt, Llt};
-use parfact::core::{FactorError, FactorKind};
+use parfact::core::{Factor, FactorError, FactorKind};
 use parfact::mpsim::model::CostModel;
 use parfact::order::Method;
 use parfact::sparse::csc::CscMatrix;
@@ -256,17 +256,41 @@ fn seq_smp_dist_multi_rhs_parity() {
     }
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
-        let run = DistRun {
-            b: Some(&b),
-            ..DistRun::new(ranks, CostModel::bluegene_p(), &ap, &sym, &perm)
-        };
-        let xd = run.run().unwrap().outcome.x;
-        let xd = xd.expect("rank 0 gathers the solution block");
+        let run = DistRun::new(ranks, CostModel::bluegene_p(), &ap);
+        let mut factor = Factor::allocate(&sym, Llt, perm.clone());
+        let map = run.run(&mut factor).unwrap().outcome.map;
+        let xd = run.solve(&factor, &map, &b, nrhs).unwrap().x;
         assert_eq!(
             bits(&xd),
             bits(&seq.x),
             "ranks={ranks}: dist differs from seq"
         );
+    }
+}
+
+/// The distributed solve is a machine run of its own over the factor slab:
+/// solving twice on one factor gives the same solution bits and the same
+/// virtual solve time, since nothing of the first solve (or of the
+/// factorization's clocks) carries into the second.
+#[test]
+fn dist_solve_twice_on_one_factor_is_identical() {
+    let a = gen::laplace3d(5, 5, 4, gen::Stencil3d::SevenPoint);
+    let nrhs = 3;
+    let b = rhs_block(a.nrows(), nrhs, 9);
+    let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+    for ranks in [1usize, 3, 4, 8] {
+        let run = DistRun::new(ranks, CostModel::bluegene_p(), &ap);
+        let mut factor = Factor::allocate(&sym, Llt, perm.clone());
+        let map = run.run(&mut factor).unwrap().outcome.map;
+        let first = run.solve(&factor, &map, &b, nrhs).unwrap();
+        let second = run.solve(&factor, &map, &b, nrhs).unwrap();
+        assert_eq!(bits(&first.x), bits(&second.x), "ranks={ranks}");
+        assert_eq!(
+            first.time_s.to_bits(),
+            second.time_s.to_bits(),
+            "ranks={ranks}: virtual solve time"
+        );
+        assert!(first.time_s > 0.0);
     }
 }
 
@@ -314,26 +338,23 @@ fn wrong_lengths_are_typed_errors_not_panics() {
         smp_solve::solve_smp_many(chol.factor(), &b, 2, 4),
         Err(FactorError::DimensionMismatch { .. })
     ));
-    // The distributed driver rejects a ragged block before the machine
+    // The distributed solve rejects a ragged block before its machine
     // starts, and a non-empty one for an empty system.
-    let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
-    let ragged = vec![1.0; 2 * n - 1];
-    let run = DistRun {
-        b: Some(&ragged),
-        ..DistRun::new(4, CostModel::bluegene_p(), &ap, &sym, &perm)
+    let dist_solve = |a: &CscMatrix, b: &[f64], nrhs| {
+        let (sym, ap, perm) = prepare(a, Method::default(), &AmalgOpts::default());
+        let run = DistRun::new(4, CostModel::bluegene_p(), &ap);
+        let mut factor = Factor::allocate(&sym, Llt, perm);
+        let map = run.run(&mut factor).unwrap().outcome.map;
+        run.solve(&factor, &map, b, nrhs).map(|_| ())
     };
+    let ragged = vec![1.0; 2 * n - 1];
     assert!(matches!(
-        run.run().map(|_| ()),
+        dist_solve(&a, &ragged, 2),
         Err(FactorError::DimensionMismatch { expected, got }) if expected == 2 * n && got == 2 * n - 1
     ));
     let empty = parfact::sparse::coo::CooMatrix::new(0, 0).to_csc();
-    let (sym, ap, perm) = prepare(&empty, Method::default(), &AmalgOpts::default());
-    let run = DistRun {
-        b: Some(&b),
-        ..DistRun::new(2, CostModel::bluegene_p(), &ap, &sym, &perm)
-    };
     assert!(matches!(
-        run.run().map(|_| ()),
+        dist_solve(&empty, &b, 1),
         Err(FactorError::DimensionMismatch { expected: 0, got }) if got == n
     ));
 }
