@@ -104,15 +104,8 @@ impl Factor {
 
     /// Solve `A X = B` for multiple right-hand sides stored column-major in
     /// `b` (`n x nrhs`). Sweeps run per supernode across all columns, so the
-    /// factor panels are traversed once regardless of `nrhs`.
-    ///
-    /// **Panics** if `b.len() != n * nrhs`; use [`Factor::try_solve_many`]
-    /// for the checked variant.
-    pub fn solve_many(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        self.try_solve_many(b, nrhs).expect("Factor::solve_many")
-    }
-
-    /// Checked multi-RHS solve (see [`Factor::solve_many`]).
+    /// factor panels are traversed once regardless of `nrhs`. A `b` whose
+    /// length is not `n * nrhs` is [`FactorError::DimensionMismatch`].
     pub fn try_solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, FactorError> {
         let n = self.sym.n;
         if b.len() != n * nrhs {

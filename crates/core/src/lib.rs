@@ -58,7 +58,6 @@ pub mod factor;
 pub mod frontal;
 pub mod mapping;
 pub mod scalability;
-pub mod schur;
 pub mod seq;
 pub mod smp;
 pub mod smp_solve;

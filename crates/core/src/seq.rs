@@ -224,7 +224,7 @@ mod tests {
                 b[r * n + i] = ((i * (r + 2)) % 13) as f64 - 6.0;
             }
         }
-        let xm = f.solve_many(&b, nrhs);
+        let xm = f.try_solve_many(&b, nrhs).unwrap();
         for r in 0..nrhs {
             let x1 = f.solve(&b[r * n..(r + 1) * n]);
             for (a_, b_) in xm[r * n..(r + 1) * n].iter().zip(&x1) {
@@ -239,7 +239,7 @@ mod tests {
         let n = a.nrows();
         let (f, _) = pipeline(&a, FactorKind::Ldlt);
         let b: Vec<f64> = (0..2 * n).map(|i| (i % 9) as f64 - 4.0).collect();
-        let xm = f.solve_many(&b, 2);
+        let xm = f.try_solve_many(&b, 2).unwrap();
         for r in 0..2 {
             let x1 = f.solve(&b[r * n..(r + 1) * n]);
             for (a_, b_) in xm[r * n..(r + 1) * n].iter().zip(&x1) {

@@ -3,283 +3,26 @@
 //! uniform observability surface ([`FactorReport`]) across all three
 //! engines.
 
-use crate::dist;
+mod numeric;
+mod opts;
+
 use crate::error::FactorError;
-use crate::factor::{Factor, FactorKind};
-use crate::smp::SmpOpts;
+use crate::factor::Factor;
 use crate::workspace::Workspace;
-use parfact_order::Method;
+use numeric::numeric_phase;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::ops::norm_inf;
 use parfact_sparse::SparseError;
-use parfact_symbolic::{analyze_with, AmalgOpts, Symbolic};
+use parfact_symbolic::{analyze_with, Symbolic};
 use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanEvent, TraceLevel};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use crate::dist::DistOpts;
+pub use opts::{Engine, FactorOpts, RhsBlock, SolveEngine, SolveOpts, Solved};
 
-/// Engine selection for the factorization.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Engine {
-    /// Single-threaded multifrontal.
-    Sequential,
-    /// Shared-memory parallel multifrontal.
-    Smp(SmpOpts),
-    /// Distributed multifrontal on the simulated message-passing machine.
-    /// `LLᵀ` only; the ranks' factor shares become a host factor after the
-    /// run, so `solve` works like the other engines. Reports carry per-rank
-    /// statistics.
-    Dist(DistOpts),
-}
-
-impl Engine {
-    /// Stable engine name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Sequential => "sequential",
-            Engine::Smp(_) => "smp",
-            Engine::Dist(_) => "dist",
-        }
-    }
-}
-
-/// Options for [`SparseCholesky::factorize`].
-///
-/// Construct with the builder and override what you need:
-///
-/// ```
-/// use parfact_core::solver::{Engine, FactorOpts};
-/// use parfact_core::smp::SmpOpts;
-///
-/// let opts = FactorOpts::new()
-///     .ordering(parfact_order::Method::default())
-///     .engine(Engine::Smp(SmpOpts::default()));
-/// ```
-///
-/// The struct is `#[non_exhaustive]`: fields stay readable, but new options
-/// (like `trace`) can be added without breaking downstream code.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq)]
-pub struct FactorOpts {
-    /// Fill-reducing ordering.
-    pub ordering: Method,
-    /// Supernode amalgamation.
-    pub amalg: AmalgOpts,
-    /// `LLᵀ` or `LDLᵀ`.
-    pub kind: FactorKind,
-    /// Execution engine.
-    pub engine: Engine,
-    /// Instrumentation level ([`TraceLevel::Off`] by default: every hook in
-    /// the engines reduces to a single branch).
-    pub trace: TraceLevel,
-    /// Worker threads for the analysis phase (ordering + symbolic).
-    /// `0` (the default) inherits the numeric engine's parallelism: the SMP
-    /// engine's thread count, or the machine's available parallelism
-    /// otherwise. The analysis result is bitwise identical at every thread
-    /// count — this knob trades wall-clock only.
-    pub analysis_threads: usize,
-}
-
-impl Default for FactorOpts {
-    fn default() -> Self {
-        FactorOpts {
-            ordering: Method::default(),
-            amalg: AmalgOpts::default(),
-            kind: FactorKind::Llt,
-            engine: Engine::Sequential,
-            trace: TraceLevel::Off,
-            analysis_threads: 0,
-        }
-    }
-}
-
-impl FactorOpts {
-    /// Default options (alias of `Default`, reads better in builder chains).
-    pub fn new() -> Self {
-        FactorOpts::default()
-    }
-
-    /// Set the fill-reducing ordering.
-    pub fn ordering(mut self, ordering: Method) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Set the supernode amalgamation options.
-    pub fn amalg(mut self, amalg: AmalgOpts) -> Self {
-        self.amalg = amalg;
-        self
-    }
-
-    /// Choose `LLᵀ` or `LDLᵀ`.
-    pub fn kind(mut self, kind: FactorKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Choose the execution engine.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Set the analysis-phase worker count (`0` = inherit from the engine).
-    pub fn analysis_threads(mut self, threads: usize) -> Self {
-        self.analysis_threads = threads;
-        self
-    }
-
-    /// Set the instrumentation level.
-    pub fn trace(mut self, trace: TraceLevel) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// The analysis-phase worker count this option set resolves to.
-    pub fn resolved_analysis_threads(&self) -> usize {
-        if self.analysis_threads > 0 {
-            return self.analysis_threads;
-        }
-        match &self.engine {
-            Engine::Smp(smp) => crate::smp::resolve_threads(smp.threads),
-            _ => crate::smp::resolve_threads(0),
-        }
-    }
-}
-
-/// Engine selection for the solve phase, independent of the engine that
-/// produced the factor (the factor is host-resident under every
-/// [`Engine`], so any solve engine applies to any factor).
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveEngine {
-    /// Let the solver pick. Currently the blocked sequential sweep, which
-    /// needs no thread pool.
-    #[default]
-    Auto,
-    /// Tree-parallel shared-memory sweep over the assembly tree.
-    /// `threads: 0` sizes the pool from the machine; a pool of one falls
-    /// back to the sequential sweep. Contributions fold in assembly-tree
-    /// child order regardless of scheduling, as in the sequential sweep,
-    /// so every thread count gives the same bits as `Auto`.
-    Smp {
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
-}
-
-/// Options for [`SparseCholesky::solve_with`], mirroring the
-/// [`FactorOpts`] builder. `#[non_exhaustive]`: construct with
-/// [`SolveOpts::new`] and override what you need.
-///
-/// ```
-/// use parfact_core::solver::{SolveEngine, SolveOpts};
-///
-/// let opts = SolveOpts::new()
-///     .refine(2)
-///     .engine(SolveEngine::Smp { threads: 4 });
-/// ```
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SolveOpts {
-    /// Iterative-refinement correction steps (`x += A⁻¹ (b − A x)`),
-    /// applied per column against the factored (permuted, possibly
-    /// equilibrated) matrix. `0` by default.
-    pub refine: usize,
-    /// Execution engine for the triangular sweeps.
-    pub engine: SolveEngine,
-    /// Symmetric equilibration scale `d`: set when the factor was computed
-    /// from `D·A·D` (see [`crate::analysis::equilibrate`]); the solve then
-    /// returns `x = D · (DAD)⁻¹ · D b`, the solution of the original
-    /// system.
-    pub scale: Option<Vec<f64>>,
-    /// Compute [`Solved::residual`] even when no refinement runs. Off by
-    /// default: the extra matrix-vector product per column is pure
-    /// diagnostics cost.
-    pub residual: bool,
-}
-
-impl SolveOpts {
-    /// Default options (alias of `Default`, reads better in builder chains).
-    pub fn new() -> Self {
-        SolveOpts::default()
-    }
-
-    /// Set the number of iterative-refinement steps.
-    pub fn refine(mut self, iters: usize) -> Self {
-        self.refine = iters;
-        self
-    }
-
-    /// Choose the solve engine.
-    pub fn engine(mut self, engine: SolveEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Declare the factor equilibrated with scale `d` (from
-    /// [`crate::analysis::equilibrate`]); right-hand sides are scaled by
-    /// `D` on the way in and solutions by `D` on the way out.
-    pub fn equilibrate(mut self, d: Vec<f64>) -> Self {
-        self.scale = Some(d);
-        self
-    }
-
-    /// Request the final residual in [`Solved::residual`] even without
-    /// refinement steps.
-    pub fn residual(mut self, compute: bool) -> Self {
-        self.residual = compute;
-        self
-    }
-}
-
-/// A borrowed right-hand-side block: `nrhs` vectors of length `n` stored
-/// column-major in one flat slice. The typed view keeps `solve_with` from
-/// guessing how a flat slice splits into columns.
-#[derive(Debug, Clone, Copy)]
-pub struct RhsBlock<'a> {
-    data: &'a [f64],
-    nrhs: usize,
-}
-
-impl<'a> RhsBlock<'a> {
-    /// View `data` as `nrhs` columns (validated against the factored
-    /// system's order inside [`SparseCholesky::solve_with`]).
-    pub fn new(data: &'a [f64], nrhs: usize) -> Self {
-        RhsBlock { data, nrhs }
-    }
-
-    /// A single right-hand side.
-    pub fn single(b: &'a [f64]) -> Self {
-        RhsBlock { data: b, nrhs: 1 }
-    }
-
-    /// The flat column-major storage.
-    pub fn data(&self) -> &'a [f64] {
-        self.data
-    }
-
-    /// Number of right-hand-side columns.
-    pub fn ncols(&self) -> usize {
-        self.nrhs
-    }
-}
-
-/// Result of [`SparseCholesky::solve_with`].
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq)]
-pub struct Solved {
-    /// Solution block, `n x nrhs` column-major (same layout as the input
-    /// [`RhsBlock`]).
-    pub x: Vec<f64>,
-    /// Final residual ∞-norm over all columns, reported in the caller's
-    /// (original) system: permutation leaves the ∞-norm alone, and under
-    /// equilibration the scaled-space residual `r̂ = D(b − A x)` is
-    /// unscaled by `D⁻¹` before the norm. `Some` when refinement ran
-    /// (`SolveOpts::refine > 0`) or `SolveOpts::residual` asked for it.
-    pub residual: Option<f64>,
-}
+#[cfg(doc)]
+use crate::factor::FactorKind;
 
 /// Interior-mutable solve-phase accumulator: `solve_with` takes `&self`,
 /// but every solve feeds counts, wall-clock, flops, and (when the session
@@ -527,11 +270,11 @@ impl SparseCholesky {
     /// ```
     pub fn solve_with(&self, b: RhsBlock<'_>, opts: &SolveOpts) -> Result<Solved, FactorError> {
         let n = self.factor.sym.n;
-        let nrhs = b.nrhs;
-        if b.data.len() != n * nrhs {
+        let nrhs = b.ncols();
+        if b.data().len() != n * nrhs {
             return Err(FactorError::DimensionMismatch {
                 expected: n * nrhs,
-                got: b.data.len(),
+                got: b.data().len(),
             });
         }
         if let Some(d) = &opts.scale {
@@ -546,7 +289,7 @@ impl SparseCholesky {
         let t0 = Instant::now();
         // Equilibrated systems: the factor holds D·A·D, so solve against
         // the scaled right-hand side and unscale the solution.
-        let mut bs = b.data.to_vec();
+        let mut bs = b.data().to_vec();
         if let Some(d) = &opts.scale {
             for col in bs.chunks_mut(n.max(1)) {
                 for (v, &di) in col.iter_mut().zip(d) {
@@ -618,23 +361,9 @@ impl SparseCholesky {
         Ok(Solved { x, residual })
     }
 
-    /// Start a [`SolveSession`] that accumulates right-hand sides and
-    /// flushes them through [`SparseCholesky::solve_with`] in
-    /// kernel-friendly blocks (default 32 columns).
-    pub fn solve_session(&self, opts: SolveOpts) -> SolveSession<'_> {
-        SolveSession {
-            chol: self,
-            opts,
-            capacity: 32,
-            pending: Vec::new(),
-            columns: 0,
-            solved: Vec::new(),
-        }
-    }
-
     /// The factorization record enriched with the solve phase: a
     /// [`FactorReport`] whose `solve` section aggregates every
-    /// [`SparseCholesky::solve_with`]/[`SolveSession`] call so far, and —
+    /// [`SparseCholesky::solve_with`] call so far, and —
     /// at [`TraceLevel::Timeline`] — whose span stream gains the solve
     /// spans, laid out after the factorization spans so Chrome-trace
     /// exports show both phases on one time axis.
@@ -700,255 +429,13 @@ impl SparseCholesky {
     }
 }
 
-/// Accumulates right-hand sides and solves them in blocks.
-///
-/// Callers that receive right-hand sides one at a time (time steppers,
-/// request loops) would otherwise pay a full factor-panel traversal per
-/// vector; the session buffers up to `capacity` columns and runs each
-/// flush as one blocked [`SparseCholesky::solve_with`] call. Results come
-/// back in push order from [`SolveSession::finish`]. Batching never
-/// changes the answers: the blocked sweeps are bitwise identical per
-/// column regardless of block size.
-pub struct SolveSession<'a> {
-    chol: &'a SparseCholesky,
-    opts: SolveOpts,
-    capacity: usize,
-    /// Buffered columns, column-major.
-    pending: Vec<f64>,
-    /// How many columns `pending` holds (counted: on an order-0 system
-    /// every column is empty).
-    columns: usize,
-    /// Solved columns in push order.
-    solved: Vec<Vec<f64>>,
-}
-
-impl SolveSession<'_> {
-    /// Override the flush threshold (columns per blocked solve; min 1,
-    /// default 32).
-    pub fn capacity(mut self, cols: usize) -> Self {
-        self.capacity = cols.max(1);
-        self
-    }
-
-    /// Queue one right-hand side; flushes automatically when `capacity`
-    /// columns have accumulated.
-    pub fn push(&mut self, b: &[f64]) -> Result<(), FactorError> {
-        let n = self.chol.factor.sym.n;
-        if b.len() != n {
-            return Err(FactorError::DimensionMismatch {
-                expected: n,
-                got: b.len(),
-            });
-        }
-        self.pending.extend_from_slice(b);
-        self.columns += 1;
-        if self.columns >= self.capacity {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Columns buffered but not yet solved.
-    pub fn pending(&self) -> usize {
-        self.columns
-    }
-
-    /// Solve everything buffered (no-op when empty).
-    pub fn flush(&mut self) -> Result<(), FactorError> {
-        if self.columns == 0 {
-            return Ok(());
-        }
-        let n = self.chol.factor.sym.n;
-        let nrhs = self.columns;
-        let out = self
-            .chol
-            .solve_with(RhsBlock::new(&self.pending, nrhs), &self.opts)?;
-        for col in 0..nrhs {
-            self.solved.push(out.x[col * n..(col + 1) * n].to_vec());
-        }
-        self.pending.clear();
-        self.columns = 0;
-        Ok(())
-    }
-
-    /// Flush the tail and return every solution, in push order.
-    pub fn finish(mut self) -> Result<Vec<Vec<f64>>, FactorError> {
-        self.flush()?;
-        Ok(self.solved)
-    }
-}
-
-/// How many blocking edges the timeline profile keeps in the report.
-const PROFILE_TOP_K: usize = 8;
-
-/// Critical-path / idle analysis of a timeline-traced run. `None` unless
-/// the run was traced at [`TraceLevel::Timeline`] and produced spans.
-fn timeline_profile(
-    sym: &Symbolic,
-    trace: TraceLevel,
-    spans: &[parfact_trace::SpanEvent],
-    ranks: &[parfact_trace::RankReport],
-) -> Option<parfact_trace::ProfileReport> {
-    if !trace.timeline() || spans.is_empty() {
-        return None;
-    }
-    Some(parfact_trace::profile::analyze(
-        &sym.tree.parent,
-        spans,
-        ranks,
-        PROFILE_TOP_K,
-    ))
-}
-
-/// Per-worker rows for the host engines, in the shared rank-report schema:
-/// `rank` is the worker id, `clock_s` stays zero (host workers have no
-/// virtual clock — [`parfact_trace::FactorReport::sim_makespan_s`] treats
-/// all-zero clocks as "no simulated makespan"), and `mem_peak_bytes` is
-/// the worker's own allocation high-water mark.
-fn worker_ranks(tr: &Collector) -> Vec<parfact_trace::RankReport> {
-    tr.worker_summaries()
-        .into_iter()
-        .map(|w| parfact_trace::RankReport {
-            rank: w.who,
-            compute_s: w.compute_s,
-            flops: w.flops,
-            mem_peak_bytes: w.mem_peak_bytes,
-            ..parfact_trace::RankReport::default()
-        })
-        .collect()
-}
-
-/// Predicted-vs-measured scalability rows for a host engine: the model at
-/// `p = 1` (all-local mapping: zero traffic, factor + largest front
-/// memory) against the workers' measured peaks.
-fn host_scalability(
-    sym: &Symbolic,
-    ranks: &[parfact_trace::RankReport],
-) -> Option<parfact_trace::ScalabilityReport> {
-    if ranks.is_empty() {
-        return None;
-    }
-    let map = crate::mapping::map_tree(sym, 1, crate::mapping::MapStrategy::default());
-    let pred = crate::scalability::predict(sym, &map);
-    Some(parfact_trace::ScalabilityReport {
-        nranks: ranks.len(),
-        ranks: ranks
-            .iter()
-            .map(|r| parfact_trace::RankScalability {
-                rank: r.rank,
-                measured_bytes: r.bytes_sent,
-                predicted_bytes: 0.0,
-                measured_mem_peak: r.mem_peak_bytes,
-                // Every worker shares one address space; the single-rank
-                // model bounds the whole process.
-                predicted_mem_peak: pred.mem[0],
-            })
-            .collect(),
-        comm: None,
-    })
-}
-
-/// One numeric factorization of `ap` into `factor` (allocated under the
-/// symbolic analysis it carries), timed and recorded into `report` — the
-/// single dispatch and report-assembly path behind
-/// [`SparseCholesky::factorize`] and [`SparseCholesky::refactorize`].
-/// `engine`, `numeric_s`, `counters`, `ranks`, `spans` (the analysis-phase
-/// spans passed in, then this run's), `faults` (`Some` exactly when a
-/// distributed run had a fault plan), `scalability` and `profile` describe
-/// this run; the rest of the report is left alone, and all of it on error.
-///
-/// Every engine overwrites the factor's slab in place: the host engines
-/// through the arenas in `ws`, the distributed engine's simulated ranks
-/// each writing their share. On error the slab may be partly overwritten.
-fn numeric_phase(
-    ap: &CscMatrix,
-    engine: &Engine,
-    trace: TraceLevel,
-    mut spans: Vec<SpanEvent>,
-    ws: &mut Workspace,
-    factor: &mut Factor,
-    report: &mut FactorReport,
-) -> Result<(), FactorError> {
-    let sym = Arc::clone(&factor.sym);
-    // lint:allow(R1) numeric-phase timer: reports wall time of real host work
-    let t0 = Instant::now();
-    if let Engine::Dist(d) = engine {
-        // Rank statistics come from the simulator and are always collected;
-        // span events (compute, comm, wait lanes in virtual time) are
-        // recorded only at `TraceLevel::Timeline`, the comm matrix whenever
-        // tracing is on.
-        let run = dist::DistRun {
-            ap,
-            opts: d.clone(),
-            timeline: trace.timeline(),
-            comm: trace.enabled(),
-        }
-        .run(factor)?;
-        let out = run.outcome;
-        report.faults = (!d.faults.is_empty()).then_some(parfact_trace::FaultReport {
-            crashes: run.counts.crashes,
-            timeouts: run.counts.timeouts,
-            delayed_msgs: run.counts.delayed_msgs,
-            duplicated_msgs: run.counts.duplicated_msgs,
-            restarts: run.restarts,
-            total_makespan_s: run.total_makespan_s,
-        });
-        // Traffic summed, memory peak maxed over the ranks; per-phase
-        // seconds stay zero (the simulator attributes time per rank, see
-        // `report.ranks`). Every supernode is factored once on the machine.
-        report.counters = parfact_trace::Counters {
-            flops: out.total_flops,
-            bytes_sent: out.stats.iter().map(|s| s.bytes_sent).sum(),
-            msgs_sent: out.stats.iter().map(|s| s.msgs_sent).sum(),
-            mem_peak_bytes: out.max_mem_peak(),
-            fronts_factored: sym.nsuper() as u64,
-            ..parfact_trace::Counters::default()
-        };
-        report.ranks = out.rank_reports();
-        spans.extend(out.merged_events());
-        // Predicted-vs-measured per rank: the model needs only the symbolic
-        // structure and the mapping the run factored under.
-        report.scalability = trace.enabled().then(|| {
-            let pred = crate::scalability::predict(&sym, &out.map);
-            let row = |(r, s): (usize, &parfact_mpsim::RankStats)| parfact_trace::RankScalability {
-                rank: r,
-                measured_bytes: s.bytes_sent,
-                predicted_bytes: pred.bytes[r],
-                measured_mem_peak: s.mem_peak,
-                predicted_mem_peak: pred.mem[r],
-            };
-            parfact_trace::ScalabilityReport {
-                nranks: d.ranks,
-                ranks: out.stats.iter().enumerate().map(row).collect(),
-                comm: out.comm,
-            }
-        });
-    } else {
-        let tr = Collector::new(trace);
-        match engine {
-            Engine::Smp(smp) => crate::smp::factorize_smp_into(ap, &sym, smp, &tr, ws, factor)?,
-            _ => crate::seq::factorize_seq_into(ap, &sym, &tr, ws, factor)?,
-        }
-        report.faults = None;
-        report.counters = tr.snapshot();
-        report.ranks = worker_ranks(&tr);
-        spans.extend(tr.take_spans());
-        report.scalability = host_scalability(&sym, &report.ranks);
-    }
-    report.numeric_s = t0.elapsed().as_secs_f64();
-    report.engine = engine.name().to_string();
-    // Analysis spans lead the numeric stream unshifted: they render in
-    // their own timeline lane (`LaneKind::Analysis`), and each phase keeps
-    // its own clock origin — shifting virtual-clock dist spans by a
-    // wall-clock offset would break their exact adjacency.
-    report.spans = spans;
-    report.profile = timeline_profile(&sym, trace, &report.spans, &report.ranks);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
+    use super::numeric::PROFILE_TOP_K;
     use super::*;
+    use crate::factor::FactorKind;
+    use crate::smp::SmpOpts;
+    use parfact_order::Method;
     use parfact_sparse::{gen, ops};
 
     #[test]
@@ -1549,56 +1036,6 @@ mod tests {
                 assert_eq!(s.to_bits(), p.to_bits(), "col={col}");
             }
         }
-    }
-
-    #[test]
-    fn solve_session_batches_and_matches_direct_solves() {
-        let a = gen::laplace2d(9, 8, gen::Stencil2d::FivePoint);
-        let n = a.nrows();
-        let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..7)
-            .map(|k| (0..n).map(|i| ((i + k) % 5) as f64 - 2.0).collect())
-            .collect();
-        let mut sess = chol.solve_session(SolveOpts::new()).capacity(3);
-        for b in &rhs {
-            sess.push(b).unwrap();
-        }
-        // 7 pushes at capacity 3: two auto-flushes happened, one column
-        // still buffered until finish().
-        assert_eq!(sess.pending(), 1);
-        let xs = sess.finish().unwrap();
-        assert_eq!(xs.len(), rhs.len());
-        for (b, x) in rhs.iter().zip(&xs) {
-            let direct = chol
-                .solve_with(RhsBlock::single(b), &SolveOpts::new())
-                .unwrap();
-            for (d, s) in direct.x.iter().zip(x) {
-                assert_eq!(d.to_bits(), s.to_bits());
-            }
-        }
-        // A session rejects wrong-length pushes.
-        let mut sess = chol.solve_session(SolveOpts::new());
-        assert!(matches!(
-            sess.push(&[1.0]),
-            Err(FactorError::DimensionMismatch { .. })
-        ));
-        // Aggregate stats saw every column exactly once.
-        let r = chol.report_with_solve();
-        let solve = r.solve.expect("solve section");
-        assert!(solve.rhs >= rhs.len() as u64);
-        assert!(solve.solves >= 3);
-        assert!(solve.seconds > 0.0);
-        assert!(solve.flops > 0.0);
-        // An order-0 system keeps every (empty) column it is given.
-        let empty = parfact_sparse::coo::CooMatrix::new(0, 0).to_csc();
-        let chol = SparseCholesky::factorize(&empty, &FactorOpts::default()).unwrap();
-        let mut sess = chol.solve_session(SolveOpts::new()).capacity(2);
-        for _ in 0..3 {
-            sess.push(&[]).unwrap();
-        }
-        assert_eq!(sess.pending(), 1);
-        let xs = sess.finish().unwrap();
-        assert_eq!(xs, vec![Vec::<f64>::new(); 3]);
     }
 
     #[test]

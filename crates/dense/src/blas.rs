@@ -9,17 +9,17 @@
 //! - [`gemm_nt_ln`] — lower `C ← C + α A Bᵀ`, triangle or tall trapezoid
 //!   (the pivot columns right of a panel; LDLᵀ trailing updates, where
 //!   the two operands differ by the `D` scaling);
-//! - [`trsm_right_lt`] — `X Lᵀ = B` (panel scaling below a factored block);
-//! - [`trsm_left_ln`] / [`trsm_left_lt`] — forward/backward block solves.
+//! - [`trsm_right_lt`] — `X Lᵀ = B` (panel scaling below a factored block).
+//!
+//! The solve phase's left-side block solves live in [`crate::solve`].
 //!
 //! The rank-k updates are backed by the packed register-blocked core in
 //! [`crate::pack`]; see that module for the blocking scheme and the
 //! per-entry determinism contract the engines rely on. The triangular
-//! solves stay unpacked (their `n` is a panel width, at most
-//! [`crate::chol::NB`], in the factorization): the right-solve sweeps a
-//! strip of rows at a time with the strip held in registers, and blocks
-//! its column sweep through [`gemm_nt`] when callers hand it a wide
-//! triangle.
+//! solve stays unpacked (its `n` is a panel width, at most
+//! [`crate::chol::NB`], in the factorization): it sweeps a strip of rows
+//! at a time with the strip held in registers, and blocks its column
+//! sweep through [`gemm_nt`] when callers hand it a wide triangle.
 
 use crate::pack::{self, Isa};
 use std::cell::RefCell;
@@ -254,61 +254,6 @@ fn trsm_strips(
                 Ok(full) => *full = x[j],
                 Err(_) => bj.copy_from_slice(&x[j][..rows]),
             }
-        }
-    }
-}
-
-/// Solve `L X = B` in place (`B ← L⁻¹ B`), `L` lower `n x n`, `B` `n x nrhs`.
-/// If `unit` is true the diagonal of `L` is taken as 1 (LDLᵀ convention).
-pub fn trsm_left_ln(
-    n: usize,
-    nrhs: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-    unit: bool,
-) {
-    debug_assert!(ldl >= n.max(1) && ldb >= n.max(1));
-    for r in 0..nrhs {
-        let col = &mut b[r * ldb..r * ldb + n];
-        for j in 0..n {
-            let mut xj = col[j];
-            if !unit {
-                xj /= l[at(ldl, j, j)];
-            }
-            col[j] = xj;
-            if xj != 0.0 {
-                let lc = &l[at(ldl, j + 1, j)..at(ldl, n, j)];
-                let (_, below) = col.split_at_mut(j + 1);
-                for (bv, &lv) in below.iter_mut().zip(lc) {
-                    *bv -= lv * xj;
-                }
-            }
-        }
-    }
-}
-
-/// Solve `Lᵀ X = B` in place (`B ← L⁻ᵀ B`), `L` lower `n x n`, `B` `n x nrhs`.
-pub fn trsm_left_lt(
-    n: usize,
-    nrhs: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-    unit: bool,
-) {
-    debug_assert!(ldl >= n.max(1) && ldb >= n.max(1));
-    for r in 0..nrhs {
-        let col = &mut b[r * ldb..r * ldb + n];
-        for j in (0..n).rev() {
-            let lc = &l[at(ldl, j + 1, j)..at(ldl, n, j)];
-            let mut acc = col[j];
-            for (&lv, &xv) in lc.iter().zip(&col[j + 1..n]) {
-                acc -= lv * xv;
-            }
-            col[j] = if unit { acc } else { acc / l[at(ldl, j, j)] };
         }
     }
 }
@@ -628,55 +573,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trsm_left_ln_and_lt_roundtrip() {
-        let mut r = det_rng(5);
-        let n = 7;
-        let nrhs = 3;
-        let l = DMat::from_fn(n, n, |i, j| {
-            if i > j {
-                r() * 0.4
-            } else if i == j {
-                1.5 + r().abs()
-            } else {
-                0.0
-            }
-        });
-        let x = DMat::from_fn(n, nrhs, |_, _| r());
-        let mut b = l.matmul(&x);
-        trsm_left_ln(n, nrhs, l.as_slice(), n, b.as_mut_slice(), n, false);
-        assert!(b.max_abs_diff(&x) < 1e-12);
-
-        let mut b2 = l.transpose().matmul(&x);
-        trsm_left_lt(n, nrhs, l.as_slice(), n, b2.as_mut_slice(), n, false);
-        assert!(b2.max_abs_diff(&x) < 1e-12);
-    }
-
-    #[test]
-    fn trsm_unit_diagonal_variants() {
-        let mut r = det_rng(6);
-        let n = 5;
-        // Unit lower triangular.
-        let l = DMat::from_fn(n, n, |i, j| {
-            if i > j {
-                r() * 0.5
-            } else if i == j {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let x = DMat::from_fn(n, 2, |_, _| r());
-        let mut b = l.matmul(&x);
-        // Pass garbage on the diagonal to prove `unit = true` ignores it.
-        let mut lg = l.clone();
-        for i in 0..n {
-            lg[(i, i)] = 123.0;
-        }
-        trsm_left_ln(n, 2, lg.as_slice(), n, b.as_mut_slice(), n, true);
-        assert!(b.max_abs_diff(&x) < 1e-12);
     }
 
     #[test]

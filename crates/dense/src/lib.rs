@@ -6,7 +6,7 @@
 //! would get from a vendor library:
 //!
 //! - [`blas`] — `gemm` (`C += A Bᵀ`), `syrk` (lower `C += A Aᵀ`), and the
-//!   `trsm` variants the factorization needs, built on the packed
+//!   right-side panel `trsm` the factorization needs, built on the packed
 //!   register-blocked core in [`pack`];
 //! - [`pack`] — BLIS-style packing + microkernel layer (MC/KC/NC cache
 //!   blocks, one driver over per-instruction-set `MR x NR` register tiles
@@ -22,8 +22,8 @@
 //!   general symmetric indefinite systems, with inertia computation;
 //! - [`solve`] — the blocked multi-right-hand-side `trsm`/`gemm` kernels
 //!   of the sparse solve phase (one interleaved layout);
-//! - [`trsv`] — scalar single-vector triangular sweeps (small dense
-//!   solves, and the reference [`solve`] is tested against);
+//! - [`trsv`] — scalar single-vector triangular sweeps, the reference
+//!   [`solve`] is tested against;
 //! - [`matrix`] — a small column-major matrix type for assembling fronts.
 //!
 //! All kernels work on **column-major** storage with an explicit leading

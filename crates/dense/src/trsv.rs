@@ -1,6 +1,6 @@
-//! Dense triangular solves on one vector: the scalar column sweeps behind
-//! the small dense solves of `schur`, and the independent per-column
-//! reference the blocked [`crate::solve`] kernels are tested against.
+//! Dense triangular solves on one vector: the scalar column sweeps that
+//! serve as the independent per-column reference the blocked
+//! [`crate::solve`] kernels are tested against.
 
 #[inline]
 fn at(ld: usize, i: usize, j: usize) -> usize {

@@ -7,7 +7,6 @@
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
-use crate::error::SparseError;
 
 /// Sparse matrix in coordinate (triplet) form.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,35 +41,6 @@ impl CooMatrix {
         }
     }
 
-    /// Build from parallel triplet arrays, validating every index.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: Vec<usize>,
-        cols: Vec<usize>,
-        vals: Vec<f64>,
-    ) -> Result<Self, SparseError> {
-        assert_eq!(rows.len(), cols.len(), "triplet arrays must match");
-        assert_eq!(rows.len(), vals.len(), "triplet arrays must match");
-        for (&r, &c) in rows.iter().zip(&cols) {
-            if r >= nrows || c >= ncols {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: r,
-                    col: c,
-                    nrows,
-                    ncols,
-                });
-            }
-        }
-        Ok(CooMatrix {
-            nrows,
-            ncols,
-            rows,
-            cols,
-            vals,
-        })
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -98,14 +68,6 @@ impl CooMatrix {
         self.rows.push(row);
         self.cols.push(col);
         self.vals.push(val);
-    }
-
-    /// Append `val` at `(row, col)` and, if off-diagonal, also at `(col, row)`.
-    pub fn push_sym(&mut self, row: usize, col: usize, val: f64) {
-        self.push(row, col, val);
-        if row != col {
-            self.push(col, row, val);
-        }
     }
 
     /// Iterate over the stored triplets.
@@ -219,15 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn from_triplets_validates() {
-        let err = CooMatrix::from_triplets(2, 2, vec![0, 3], vec![0, 1], vec![1.0, 2.0]);
-        assert!(matches!(
-            err,
-            Err(SparseError::IndexOutOfBounds { row: 3, .. })
-        ));
-    }
-
-    #[test]
     fn duplicates_are_summed_in_csr() {
         let mut a = CooMatrix::new(2, 2);
         a.push(0, 1, 1.0);
@@ -241,21 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn push_sym_mirrors_offdiagonal() {
-        let mut a = CooMatrix::new(3, 3);
-        a.push_sym(1, 0, 4.0);
-        a.push_sym(2, 2, 7.0);
-        let csr = a.to_csr();
-        assert_eq!(csr.get(1, 0), Some(4.0));
-        assert_eq!(csr.get(0, 1), Some(4.0));
-        assert_eq!(csr.get(2, 2), Some(7.0));
-        assert_eq!(csr.nnz(), 3);
-    }
-
-    #[test]
     fn lower_triangle_drops_upper() {
         let mut a = CooMatrix::new(3, 3);
-        a.push_sym(1, 0, 4.0);
+        a.push(1, 0, 4.0);
+        a.push(0, 1, 4.0);
         a.push(2, 2, 1.0);
         let l = a.lower_triangle();
         assert_eq!(l.nnz(), 2);

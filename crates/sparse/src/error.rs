@@ -5,13 +5,6 @@ use std::fmt;
 /// Errors produced while building, converting or reading sparse matrices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseError {
-    /// An entry's row or column index lies outside the declared shape.
-    IndexOutOfBounds {
-        row: usize,
-        col: usize,
-        nrows: usize,
-        ncols: usize,
-    },
     /// Operation requires a square matrix.
     NotSquare { nrows: usize, ncols: usize },
     /// Operation requires a symmetric-lower matrix but an upper entry was found.
@@ -30,15 +23,6 @@ pub enum SparseError {
 impl fmt::Display for SparseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SparseError::IndexOutOfBounds {
-                row,
-                col,
-                nrows,
-                ncols,
-            } => write!(
-                f,
-                "entry ({row}, {col}) out of bounds for {nrows}x{ncols} matrix"
-            ),
             SparseError::NotSquare { nrows, ncols } => {
                 write!(f, "matrix must be square, got {nrows}x{ncols}")
             }

@@ -120,31 +120,6 @@ impl AdjGraph {
         }
         true
     }
-
-    /// Connected components; returns `(component id per vertex, count)`.
-    pub fn connected_components(&self) -> (Vec<usize>, usize) {
-        let n = self.nvert();
-        let mut comp = vec![usize::MAX; n];
-        let mut ncomp = 0;
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            comp[s] = ncomp;
-            stack.push(s);
-            while let Some(v) = stack.pop() {
-                for &u in self.neighbors(v) {
-                    if comp[u] == usize::MAX {
-                        comp[u] = ncomp;
-                        stack.push(u);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        (comp, ncomp)
-    }
 }
 
 #[cfg(test)]
@@ -184,23 +159,6 @@ mod tests {
         let g = AdjGraph::from_sym_lower(&a.to_csc());
         assert_eq!(g.nedges(), 0);
         assert!(g.validate());
-    }
-
-    #[test]
-    fn components_of_disconnected_graph() {
-        // Two disjoint edges: {0,1}, {2,3}.
-        let mut a = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            a.push(i, i, 1.0);
-        }
-        a.push(1, 0, -1.0);
-        a.push(3, 2, -1.0);
-        let g = AdjGraph::from_sym_lower(&a.to_csc());
-        let (comp, ncomp) = g.connected_components();
-        assert_eq!(ncomp, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
     }
 
     #[test]

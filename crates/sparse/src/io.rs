@@ -184,12 +184,6 @@ pub fn write_sym_lower(a: &CscMatrix) -> String {
     out
 }
 
-/// Write a symmetric-lower CSC matrix to a file.
-pub fn save_sym_lower(a: &CscMatrix, path: &Path) -> Result<(), SparseError> {
-    fs::write(path, write_sym_lower(a))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +236,7 @@ mod tests {
         let a = gen::random_spd(20, 3, 5);
         let dir = std::env::temp_dir();
         let path = dir.join("parfact_io_test.mtx");
-        save_sym_lower(&a, &path).unwrap();
+        std::fs::write(&path, write_sym_lower(&a)).unwrap();
         let b = read_sym_lower(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(a, b);

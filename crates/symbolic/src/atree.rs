@@ -69,28 +69,6 @@ impl AssemblyTree {
         acc
     }
 
-    /// Depth of each supernode (roots at 0).
-    pub fn depths(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut d = vec![0usize; n];
-        for s in (0..n).rev() {
-            if self.parent[s] != NONE {
-                d[s] = d[self.parent[s]] + 1;
-            }
-        }
-        d
-    }
-
-    /// Height of the tree (max depth + 1; 0 for an empty tree).
-    pub fn height(&self) -> usize {
-        self.depths().iter().max().map_or(0, |&d| d + 1)
-    }
-
-    /// Number of leaves.
-    pub fn nleaves(&self) -> usize {
-        self.children.iter().filter(|c| c.is_empty()).count()
-    }
-
     /// The critical path length under a weight function: the maximum over
     /// leaves of the summed weight along the root path. This lower-bounds
     /// parallel factorization time and upper-bounds achievable speedup as
@@ -171,14 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn depths_and_height() {
-        let t = sample();
-        assert_eq!(t.depths(), vec![2, 2, 1, 1, 0]);
-        assert_eq!(t.height(), 3);
-        assert_eq!(t.nleaves(), 3);
-    }
-
-    #[test]
     fn critical_path_with_uniform_weights() {
         let t = sample();
         // Longest root path: 0 -> 2 -> 4 = 3 nodes.
@@ -196,7 +166,6 @@ mod tests {
         let t = AssemblyTree::build(&sn_ptr, &sn_of, &sn_rows);
         assert_eq!(t.roots, vec![1, 3]);
         assert!(t.validate());
-        assert_eq!(t.height(), 2);
     }
 
     #[test]

@@ -113,20 +113,6 @@ pub fn subtree_sizes(parent: &[usize]) -> Vec<usize> {
     size
 }
 
-/// Depth of each node (roots have depth 0; requires postordered parents).
-pub fn depths(parent: &[usize]) -> Vec<usize> {
-    debug_assert!(is_postordered(parent));
-    let n = parent.len();
-    let mut depth = vec![0usize; n];
-    for j in (0..n).rev() {
-        let p = parent[j];
-        if p != NONE {
-            depth[j] = depth[p] + 1;
-        }
-    }
-    depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,10 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sizes_and_depths() {
+    fn subtree_sizes_of_postordered_tree() {
         // Postordered tree: 0->2, 1->2, 2->4, 3->4, root 4.
         let parent = vec![2, 2, 4, 4, NONE];
         assert_eq!(subtree_sizes(&parent), vec![1, 1, 3, 1, 5]);
-        assert_eq!(depths(&parent), vec![2, 2, 1, 1, 0]);
     }
 }

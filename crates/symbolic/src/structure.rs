@@ -309,46 +309,6 @@ pub fn supernode_rows_par(
     rows
 }
 
-/// Factor statistics derived from a supernode partition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FactorStats {
-    /// Nonzeros of `L` (diagonal included, amalgamation padding included).
-    pub nnz: usize,
-    /// Factorization flops (multiply-adds counted once each).
-    pub flops: f64,
-    /// Largest frontal-matrix order.
-    pub max_front: usize,
-    /// Total frontal-matrix workspace if fronts were all live at once.
-    pub total_front_elems: usize,
-}
-
-/// Compute [`FactorStats`] for a partition.
-pub fn factor_stats(sn_ptr: &[usize], sn_rows: &[Vec<usize>]) -> FactorStats {
-    let nsuper = sn_ptr.len() - 1;
-    let mut nnz = 0usize;
-    let mut flops = 0.0f64;
-    let mut max_front = 0usize;
-    let mut total = 0usize;
-    for s in 0..nsuper {
-        let w = sn_ptr[s + 1] - sn_ptr[s];
-        let r = sn_rows[s].len();
-        nnz += w * (w + 1) / 2 + w * r;
-        for k in 0..w {
-            let len = (w - k) + r;
-            flops += (len * len) as f64;
-        }
-        let f = w + r;
-        max_front = max_front.max(f);
-        total += f * f;
-    }
-    FactorStats {
-        nnz,
-        flops,
-        max_front,
-        total_front_elems: total,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,17 +389,6 @@ mod tests {
                 assert_eq!(rows[s], expect, "supernode {s} cols {c0}..{c1}");
             }
         }
-    }
-
-    #[test]
-    fn factor_stats_consistency() {
-        let a = gen::laplace2d(10, 10, gen::Stencil2d::FivePoint);
-        let (ptr, _, rows, _) = full_pipeline(&a);
-        let st = factor_stats(&ptr, &rows);
-        assert!(st.nnz >= a.nnz());
-        assert!(st.flops > 0.0);
-        assert!(st.max_front >= 1);
-        assert!(st.total_front_elems >= st.max_front * st.max_front);
     }
 
     #[test]

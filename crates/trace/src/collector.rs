@@ -468,15 +468,6 @@ impl LocalRecorder<'_> {
         }
     }
 
-    /// Count rank-to-rank traffic (distributed engine).
-    #[inline]
-    pub fn add_sent(&mut self, bytes: u64, msgs: u64) {
-        if self.enabled() {
-            self.c.bytes_sent += bytes;
-            self.c.msgs_sent += msgs;
-        }
-    }
-
     /// Tracked allocation — updates both the global high-water mark and
     /// this worker's own.
     #[inline]
@@ -560,7 +551,6 @@ mod tests {
                         rec.front_done();
                         rec.add_flops(2.0);
                         rec.add_assembled_entries(3);
-                        rec.add_sent(16, 1);
                     }
                 });
             }
@@ -570,8 +560,6 @@ mod tests {
         assert_eq!(c.fronts_factored, total);
         assert_eq!(c.flops, 2.0 * total as f64);
         assert_eq!(c.bytes_assembled, 3 * 8 * total);
-        assert_eq!(c.bytes_sent, 16 * total);
-        assert_eq!(c.msgs_sent, total);
     }
 
     #[test]

@@ -49,9 +49,9 @@ record! {
 
 record! {
     /// Aggregated record of the triangular solves performed against a factor.
-    /// Accumulated across calls (a `SolveSession` flush and an explicit
-    /// `solve_with` both add to it), so `rhs` counts right-hand-side *columns*,
-    /// not calls.
+    /// Accumulated across `solve_with` calls (a one-column call and a
+    /// batched block both add to it), so `rhs` counts right-hand-side
+    /// *columns*, not calls.
     #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct SolveReport {
         /// Solve invocations (one blocked sweep each, any nrhs).

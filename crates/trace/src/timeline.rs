@@ -93,19 +93,6 @@ impl Lane {
         self.spans.iter().map(|s| s.dur_s).sum()
     }
 
-    /// Total gap time between consecutive spans (first span start to last
-    /// span end). Zero for lanes with fewer than two spans.
-    pub fn idle_gap_s(&self) -> f64 {
-        let mut idle = 0.0;
-        for w in self.spans.windows(2) {
-            let gap = w[1].start_s - (w[0].start_s + w[0].dur_s);
-            if gap > 0.0 {
-                idle += gap;
-            }
-        }
-        idle
-    }
-
     /// Earliest span start (None for an empty lane).
     pub fn start_s(&self) -> Option<f64> {
         self.spans.first().map(|s| s.start_s)
@@ -320,7 +307,6 @@ mod tests {
         assert_eq!((compute0.who, compute0.kind), (0, LaneKind::Compute));
         assert_eq!(compute0.spans.len(), 2);
         assert_eq!(compute0.busy_s(), 2.0);
-        assert_eq!(compute0.idle_gap_s(), 1.0);
         assert_eq!(tl.end_s(), 3.0);
         tl.validate(0.0).unwrap();
     }

@@ -148,7 +148,10 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .ok_or("--ranks needs a count")?
                     .parse()
-                    .map_err(|_| "--ranks needs an integer")?
+                    .map_err(|_| "--ranks needs an integer")?;
+                if args.ranks == 0 {
+                    return Err("--ranks must be positive".into());
+                }
             }
             "--inject" => {
                 let spec = it.next().ok_or("--inject needs a fault spec")?;

@@ -61,8 +61,7 @@ pub use parfact_trace as trace;
 // `parfact::SparseCholesky` and inspect the run via `parfact::FactorReport`
 // without spelling out the workspace layout.
 pub use parfact_core::solver::{
-    DistOpts, Engine, FactorOpts, RhsBlock, SolveEngine, SolveOpts, SolveSession, Solved,
-    SparseCholesky,
+    DistOpts, Engine, FactorOpts, RhsBlock, SolveEngine, SolveOpts, Solved, SparseCholesky,
 };
 pub use parfact_core::FactorKind;
 pub use parfact_order::Method;
@@ -71,8 +70,7 @@ pub use parfact_trace::{FactorReport, TraceLevel};
 /// Convenience re-exports for the common workflow.
 pub mod prelude {
     pub use parfact_core::solver::{
-        DistOpts, Engine, FactorOpts, RhsBlock, SolveEngine, SolveOpts, SolveSession, Solved,
-        SparseCholesky,
+        DistOpts, Engine, FactorOpts, RhsBlock, SolveEngine, SolveOpts, Solved, SparseCholesky,
     };
     pub use parfact_core::{FactorKind, OrderingChoice};
     pub use parfact_order::Method;

@@ -1,7 +1,8 @@
 //! Batched-solve contracts across the three engines: the blocked
 //! multi-RHS sweeps are bitwise identical to one-at-a-time solves for any
 //! block size, all engines agree on the same block, dimension errors are
-//! typed (never panics), and sessions batch without changing answers.
+//! typed (never panics), and streaming columns through in blocks changes
+//! no answer.
 
 use parfact::core::dist::{prepare, DistRun};
 use parfact::core::smp_solve;
@@ -357,22 +358,29 @@ fn wrong_lengths_are_typed_errors_not_panics() {
         dist_solve(&empty, &b, 1),
         Err(FactorError::DimensionMismatch { expected: 0, got }) if got == n
     ));
+    // An order-0 system takes a block of any number of (empty) columns.
+    let chol = SparseCholesky::factorize(&empty, &FactorOpts::default()).unwrap();
+    let out = chol.solve_with(RhsBlock::new(&[], 3), &SolveOpts::new());
+    assert!(out.unwrap().x.is_empty());
 }
 
-/// A session fed one vector at a time returns exactly what direct blocked
-/// solves return, and the solve report aggregates across flushes.
+/// Columns streamed through in blocks return exactly what per-column
+/// solves return, and the solve report aggregates across the blocks.
 #[test]
-fn solve_session_accumulates_and_reports() {
+fn solve_report_accumulates_across_blocks() {
     let a = gen::laplace2d(10, 9, gen::Stencil2d::FivePoint);
     let n = a.nrows();
     let chol =
         SparseCholesky::factorize(&a, &FactorOpts::new().trace(TraceLevel::Timeline)).unwrap();
     let columns: Vec<Vec<f64>> = (0..9).map(|k| rhs_block(n, 1, 7 + k as u64)).collect();
-    let mut sess = chol.solve_session(SolveOpts::new()).capacity(4);
-    for c in &columns {
-        sess.push(c).unwrap();
+    let mut xs = Vec::new();
+    for block in columns.chunks(4) {
+        let b = block.concat();
+        let out = chol
+            .solve_with(RhsBlock::new(&b, block.len()), &SolveOpts::new())
+            .unwrap();
+        xs.extend(out.x.chunks(n).map(<[f64]>::to_vec));
     }
-    let xs = sess.finish().unwrap();
     assert_eq!(xs.len(), columns.len());
     for (c, x) in columns.iter().zip(&xs) {
         let direct = chol.solve(c);
@@ -382,10 +390,9 @@ fn solve_session_accumulates_and_reports() {
     }
     let r = chol.report_with_solve();
     let s = r.solve.expect("solve section");
-    // 9 pushes at capacity 4 = flushes of 4, 4, 1 — plus the per-column
-    // reference solves above.
-    assert!(s.rhs >= 9);
-    assert!(s.solves >= 3);
+    // Blocks of 4, 4, 1 — plus the per-column reference solves above.
+    assert_eq!(s.rhs, 2 * 9);
+    assert_eq!(s.solves, 3 + 9);
     // Timeline tracing put solve spans in the enriched stream.
     assert!(r
         .spans
