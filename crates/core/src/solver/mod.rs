@@ -15,6 +15,7 @@ use parfact_sparse::ops::norm_inf;
 use parfact_sparse::SparseError;
 use parfact_symbolic::{analyze_with, Symbolic};
 use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanEvent, TraceLevel};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -288,15 +289,20 @@ impl SparseCholesky {
         // lint:allow(R1) solve-phase timer: reports wall time of real host work
         let t0 = Instant::now();
         // Equilibrated systems: the factor holds D·A·D, so solve against
-        // the scaled right-hand side and unscale the solution.
-        let mut bs = b.data().to_vec();
-        if let Some(d) = &opts.scale {
-            for col in bs.chunks_mut(n.max(1)) {
-                for (v, &di) in col.iter_mut().zip(d) {
-                    *v *= di;
+        // the scaled right-hand side and unscale the solution. Without
+        // scaling the caller's block is solved where it lies.
+        let bs: Cow<'_, [f64]> = match &opts.scale {
+            None => Cow::Borrowed(b.data()),
+            Some(d) => {
+                let mut bs = b.data().to_vec();
+                for col in bs.chunks_mut(n.max(1)) {
+                    for (v, &di) in col.iter_mut().zip(d) {
+                        *v *= di;
+                    }
                 }
+                Cow::Owned(bs)
             }
-        }
+        };
         let tr = Collector::new(self.trace);
         let mut x = match opts.engine {
             SolveEngine::Auto => self.factor.try_solve_many(&bs, nrhs)?,
@@ -306,6 +312,10 @@ impl SparseCholesky {
         };
         // Iterative refinement, per column, in the permuted space of the
         // matrix actually factored (no original-matrix argument needed).
+        // `sweeps` counts the column sweep pairs and `products` the
+        // residual products that actually ran: refinement stops early on
+        // an exactly-zero residual.
+        let (mut sweeps, mut products) = (nrhs, 0usize);
         let mut residual = None;
         if opts.refine > 0 || opts.residual {
             let perm = &self.factor.perm;
@@ -315,15 +325,18 @@ impl SparseCholesky {
                 let mut xp = perm.apply_vec(&x[col * n..(col + 1) * n]);
                 for _ in 0..opts.refine {
                     let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
+                    products += 1;
                     if norm_inf(&rp) == 0.0 {
                         break;
                     }
                     self.factor.solve_permuted(&mut rp, 1);
+                    sweeps += 1;
                     for (xi, di) in xp.iter_mut().zip(&rp) {
                         *xi += di;
                     }
                 }
                 let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
+                products += 1;
                 // The factored matrix is D·A·D under equilibration, so
                 // `rp` is the scaled residual r̂ = D(b − A x); the caller's
                 // residual is D⁻¹ r̂ (entry k sits at original row
@@ -351,11 +364,10 @@ impl SparseCholesky {
             }
         }
         let seconds = t0.elapsed().as_secs_f64();
-        // 4·nnz(L) flops per column per sweep pair, once for the base solve
-        // and once per refinement step (the spmv residuals add 4·nnz(A)).
-        let per_col = 4.0 * self.factor.nnz() as f64;
-        let flops = per_col * nrhs as f64 * (1.0 + opts.refine as f64)
-            + 4.0 * self.ap.nnz() as f64 * nrhs as f64 * opts.refine as f64;
+        // 4·nnz(L) flops per column sweep pair, 4·nnz(A) per residual
+        // product.
+        let flops = 4.0 * self.factor.nnz() as f64 * sweeps as f64
+            + 4.0 * self.ap.nnz() as f64 * products as f64;
         self.solve_stats
             .accumulate(nrhs, seconds, flops, tr.take_spans(), self.trace.timeline());
         Ok(Solved { x, residual })
@@ -956,6 +968,32 @@ mod tests {
             .unwrap();
         assert!(out.residual.unwrap() < 1e-12);
         assert!(ops::sym_residual_inf(&a, &out.x, &b) < 1e-13);
+    }
+
+    #[test]
+    fn solve_flops_count_the_sweeps_and_residuals_that_ran() {
+        // 4·I factors to L = 2·I, so every first solve is exact and
+        // `refine(3)` stops at its first, zero, residual: one sweep pair
+        // and two residual products (that one and the final) per column.
+        let n = 6;
+        let diag: Vec<usize> = (0..n).collect();
+        let a = CscMatrix::from_parts(n, n, (0..=n).collect(), diag, vec![4.0; n]);
+        let b: Vec<f64> = (0..2 * n).map(|i| i as f64 - 5.0).collect();
+        for (opts, sweeps, products) in [
+            (SolveOpts::new().refine(3), 2.0, 4.0),
+            (SolveOpts::new().residual(true), 2.0, 2.0),
+            (SolveOpts::new(), 2.0, 0.0),
+        ] {
+            let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+            let out = chol.solve_with(RhsBlock::new(&b, 2), &opts).unwrap();
+            assert_eq!(out.residual.unwrap_or(0.0), 0.0, "{opts:?}");
+            let x4: Vec<f64> = out.x.iter().map(|x| 4.0 * x).collect();
+            assert_eq!(x4, b, "{opts:?}");
+            let flops = chol.report_with_solve().solve.expect("one solve").flops;
+            // nnz(A) = n.
+            let want = 4.0 * chol.factor_nnz() as f64 * sweeps + 4.0 * n as f64 * products;
+            assert_eq!(flops, want, "{opts:?}");
+        }
     }
 
     #[test]

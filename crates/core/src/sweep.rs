@@ -142,25 +142,28 @@ impl<'a> Sweep<'a> {
 }
 
 /// Permute and interleave in one pass: the `n x nrhs` column-major block
-/// `b` in the original index space becomes `v[new*nrhs + r]`.
+/// `b` in the original index space becomes `v[new*nrhs + r]`. The walk
+/// goes down the original rows, so `b` is read as `nrhs` sequential
+/// streams and each write fills one whole interleaved row of `v`.
 pub(crate) fn permute_in(perm: &Perm, b: &[f64], nrhs: usize) -> Vec<f64> {
     let n = perm.len();
     let mut v = vec![0.0f64; n * nrhs];
-    for (new, &old) in perm.perm().iter().enumerate() {
-        for r in 0..nrhs {
-            v[new * nrhs + r] = b[r * n + old];
+    for (old, &new) in perm.inv().iter().enumerate() {
+        for (r, x) in v[new * nrhs..(new + 1) * nrhs].iter_mut().enumerate() {
+            *x = b[r * n + old];
         }
     }
     v
 }
 
-/// Inverse of [`permute_in`]: de-interleave and un-permute in one pass.
+/// Inverse of [`permute_in`]: de-interleave and un-permute in one pass,
+/// reading whole interleaved rows and writing `nrhs` sequential streams.
 pub(crate) fn permute_out(perm: &Perm, v: &[f64], nrhs: usize) -> Vec<f64> {
     let n = perm.len();
     let mut out = vec![0.0f64; n * nrhs];
-    for (new, &old) in perm.perm().iter().enumerate() {
-        for r in 0..nrhs {
-            out[r * n + old] = v[new * nrhs + r];
+    for (old, &new) in perm.inv().iter().enumerate() {
+        for (r, &x) in v[new * nrhs..(new + 1) * nrhs].iter().enumerate() {
+            out[r * n + old] = x;
         }
     }
     out

@@ -21,7 +21,8 @@
 //! - [`bunch_kaufman`] — fully pivoted dense `LDLᵀ` (1×1/2×2 blocks) for
 //!   general symmetric indefinite systems, with inertia computation;
 //! - [`solve`] — the blocked multi-right-hand-side `trsm`/`gemm` kernels
-//!   of the sparse solve phase (one interleaved layout);
+//!   of the sparse solve phase (one interleaved layout, one body per
+//!   instruction set picked by the same CPU detection);
 //! - [`trsv`] — scalar single-vector triangular sweeps, the reference
 //!   [`solve`] is tested against;
 //! - [`matrix`] — a small column-major matrix type for assembling fronts.

@@ -27,12 +27,36 @@
 //! per-column [`crate::trsv`] sweeps order the updates differently (pure
 //! column sweeps vs 4-column panels); they are the independent reference
 //! the tests below hold this family against, to rounding.
+//!
+//! ## Instruction sets
+//!
+//! Like the packed `gemm` tile ([`crate::pack`]), the four kernels are
+//! compiled once per instruction set — 8 lanes per `zmm` vector with
+//! AVX-512, 4 per `ymm` vector with AVX, 4 lanes left to the
+//! auto-vectorizer elsewhere — and CPU detection picks the copy on every
+//! call; there is no option, environment variable or cargo feature. Each
+//! copy is the same generic body ([`Kernel::run`]) over fixed-width lane
+//! chunks. With `nrhs >= 2` the lanes are RHS columns: whole vectors, then
+//! the remainder in chunks of 4, 2 and 1 lanes through the same body. With
+//! `nrhs = 1` the forward update runs its lanes down the rows instead, each
+//! row keeping its own ascending-`j` chain; the dot products of the
+//! backward update have nothing to run across and stay one lane wide.
+//! **The lane width is a property of the instruction set; the chain is
+//! not**: every lane performs the scalar chain documented on each kernel,
+//! as separate multiply and add or subtract — never FMA, which rounds once
+//! and would fork the bits by host (lint R4) — in the same [`COL_UNROLL`]
+//! panels, so AVX-512, AVX and portable hosts produce the same solution
+//! bits.
+
+use crate::pack::{self, Isa};
 
 /// How many `L21` columns the micro-kernels chain per row visit. Chained
 /// updates stay in ascending-`j` order per RHS column (subtraction is not
 /// reassociated), so the bitwise contract holds; the payoff is that each
 /// `Y` element is loaded and stored once per group of four `L` columns
-/// instead of once per column.
+/// instead of once per column. [`trsm_lt_rm`]'s bits depend on this width:
+/// inside a panel it subtracts term by term, across panels it subtracts
+/// accumulated dot products.
 const COL_UNROLL: usize = 4;
 
 /// Forward apply, interleaved layout: `Y <- Y - L21 * X` where `X` holds
@@ -50,40 +74,15 @@ pub fn gemm_block_sub_rm(
     y: &mut [f64],
 ) {
     debug_assert!(ldl >= m.max(1) && x.len() >= k * nrhs && y.len() >= m * nrhs);
-    let mut j = 0;
-    while j + COL_UNROLL <= k {
-        let ca = &l21[j * ldl..j * ldl + m];
-        let cb = &l21[(j + 1) * ldl..(j + 1) * ldl + m];
-        let cc = &l21[(j + 2) * ldl..(j + 2) * ldl + m];
-        let cd = &l21[(j + 3) * ldl..(j + 3) * ldl + m];
-        let xa = &x[j * nrhs..(j + 1) * nrhs];
-        let xb = &x[(j + 1) * nrhs..(j + 2) * nrhs];
-        let xc = &x[(j + 2) * nrhs..(j + 3) * nrhs];
-        let xd = &x[(j + 3) * nrhs..(j + 4) * nrhs];
-        for i in 0..m {
-            let (a, b, c, d) = (ca[i], cb[i], cc[i], cd[i]);
-            let row = &mut y[i * nrhs..(i + 1) * nrhs];
-            for (r, yv) in row.iter_mut().enumerate() {
-                *yv = (((*yv - a * xa[r]) - b * xb[r]) - c * xc[r]) - d * xd[r];
-            }
-        }
-        j += COL_UNROLL;
-    }
-    for j in j..k {
-        let col = &l21[j * ldl..j * ldl + m];
-        let xj = &x[j * nrhs..(j + 1) * nrhs];
-        for (i, &lv) in col.iter().enumerate() {
-            let row = &mut y[i * nrhs..(i + 1) * nrhs];
-            for (r, yv) in row.iter_mut().enumerate() {
-                *yv -= lv * xj[r];
-            }
-        }
-    }
+    let a = Apply {
+        m,
+        k,
+        nrhs,
+        l21,
+        ldl,
+    };
+    Kernel::Sub(a, x, y).run_on(pack::isa());
 }
-
-/// Lanes per accumulator group in the transposed interleaved kernels:
-/// small enough that the per-group partial sums stay in vector registers.
-const LANE_GROUP: usize = 4;
 
 /// Backward apply, interleaved layout: `X <- X - L21' * Y` (shapes as in
 /// [`gemm_block_sub_rm`]). Per lane each dot product accumulates from zero
@@ -99,76 +98,14 @@ pub fn gemm_block_t_sub_rm(
     x: &mut [f64],
 ) {
     debug_assert!(ldl >= m.max(1) && y.len() >= m * nrhs && x.len() >= k * nrhs);
-    let mut j = 0;
-    while j + COL_UNROLL <= k {
-        let ca = &l21[j * ldl..j * ldl + m];
-        let cb = &l21[(j + 1) * ldl..(j + 1) * ldl + m];
-        let cc = &l21[(j + 2) * ldl..(j + 2) * ldl + m];
-        let cd = &l21[(j + 3) * ldl..(j + 3) * ldl + m];
-        let mut g = 0;
-        while g + LANE_GROUP <= nrhs {
-            let mut aa = [0.0f64; LANE_GROUP];
-            let mut ab = [0.0f64; LANE_GROUP];
-            let mut ac = [0.0f64; LANE_GROUP];
-            let mut ad = [0.0f64; LANE_GROUP];
-            for i in 0..m {
-                let yv = &y[i * nrhs + g..i * nrhs + g + LANE_GROUP];
-                let (a, b, c, d) = (ca[i], cb[i], cc[i], cd[i]);
-                for t in 0..LANE_GROUP {
-                    aa[t] += a * yv[t];
-                    ab[t] += b * yv[t];
-                    ac[t] += c * yv[t];
-                    ad[t] += d * yv[t];
-                }
-            }
-            for t in 0..LANE_GROUP {
-                x[j * nrhs + g + t] -= aa[t];
-                x[(j + 1) * nrhs + g + t] -= ab[t];
-                x[(j + 2) * nrhs + g + t] -= ac[t];
-                x[(j + 3) * nrhs + g + t] -= ad[t];
-            }
-            g += LANE_GROUP;
-        }
-        for r in g..nrhs {
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for i in 0..m {
-                let v = y[i * nrhs + r];
-                a0 += ca[i] * v;
-                a1 += cb[i] * v;
-                a2 += cc[i] * v;
-                a3 += cd[i] * v;
-            }
-            x[j * nrhs + r] -= a0;
-            x[(j + 1) * nrhs + r] -= a1;
-            x[(j + 2) * nrhs + r] -= a2;
-            x[(j + 3) * nrhs + r] -= a3;
-        }
-        j += COL_UNROLL;
-    }
-    for j in j..k {
-        let col = &l21[j * ldl..j * ldl + m];
-        let mut g = 0;
-        while g + LANE_GROUP <= nrhs {
-            let mut acc = [0.0f64; LANE_GROUP];
-            for (i, &lv) in col.iter().enumerate() {
-                let yv = &y[i * nrhs + g..i * nrhs + g + LANE_GROUP];
-                for t in 0..LANE_GROUP {
-                    acc[t] += lv * yv[t];
-                }
-            }
-            for t in 0..LANE_GROUP {
-                x[j * nrhs + g + t] -= acc[t];
-            }
-            g += LANE_GROUP;
-        }
-        for r in g..nrhs {
-            let mut acc = 0.0f64;
-            for (i, &lv) in col.iter().enumerate() {
-                acc += lv * y[i * nrhs + r];
-            }
-            x[j * nrhs + r] -= acc;
-        }
-    }
+    let a = Apply {
+        m,
+        k,
+        nrhs,
+        l21,
+        ldl,
+    };
+    Kernel::SubT(a, y, x).run_on(pack::isa());
 }
 
 /// Solve `L X = B` in place, interleaved layout (`b[i*nrhs + r]`). The
@@ -178,57 +115,14 @@ pub fn gemm_block_t_sub_rm(
 /// `nrhs`; there is no zero-skip (unlike the scalar [`crate::trsv::trsv_ln`]).
 pub fn trsm_ln_rm(n: usize, nrhs: usize, l: &[f64], ldl: usize, b: &mut [f64], unit: bool) {
     debug_assert!(ldl >= n.max(1) && b.len() >= n * nrhs);
-    let at = |i: usize, j: usize| j * ldl + i;
-    let mut jp = 0;
-    while jp + COL_UNROLL <= n {
-        for jj in jp..jp + COL_UNROLL {
-            let (head, tail) = b.split_at_mut((jj + 1) * nrhs);
-            let rowj = &mut head[jj * nrhs..];
-            if !unit {
-                let d = l[at(jj, jj)];
-                for v in rowj.iter_mut() {
-                    *v /= d;
-                }
-            }
-            for i in jj + 1..jp + COL_UNROLL {
-                let lv = l[at(i, jj)];
-                let row = &mut tail[(i - jj - 1) * nrhs..(i - jj) * nrhs];
-                for (r, yv) in row.iter_mut().enumerate() {
-                    *yv -= lv * rowj[r];
-                }
-            }
-        }
-        if jp + COL_UNROLL < n {
-            let (x, y) = b.split_at_mut((jp + COL_UNROLL) * nrhs);
-            gemm_block_sub_rm(
-                n - jp - COL_UNROLL,
-                COL_UNROLL,
-                nrhs,
-                &l[at(jp + COL_UNROLL, jp)..],
-                ldl,
-                &x[jp * nrhs..],
-                y,
-            );
-        }
-        jp += COL_UNROLL;
-    }
-    for jj in jp..n {
-        let (head, tail) = b.split_at_mut((jj + 1) * nrhs);
-        let rowj = &mut head[jj * nrhs..];
-        if !unit {
-            let d = l[at(jj, jj)];
-            for v in rowj.iter_mut() {
-                *v /= d;
-            }
-        }
-        for i in jj + 1..n {
-            let lv = l[at(i, jj)];
-            let row = &mut tail[(i - jj - 1) * nrhs..(i - jj) * nrhs];
-            for (r, yv) in row.iter_mut().enumerate() {
-                *yv -= lv * rowj[r];
-            }
-        }
-    }
+    let t = Tri {
+        n,
+        nrhs,
+        l,
+        ldl,
+        unit,
+    };
+    Kernel::Ln(t, b).run_on(pack::isa());
 }
 
 /// Solve `L' X = B` in place, interleaved layout. Mirrors [`trsm_ln_rm`]:
@@ -238,71 +132,413 @@ pub fn trsm_ln_rm(n: usize, nrhs: usize, l: &[f64], ldl: usize, b: &mut [f64], u
 /// independent of `nrhs`.
 pub fn trsm_lt_rm(n: usize, nrhs: usize, l: &[f64], ldl: usize, b: &mut [f64], unit: bool) {
     debug_assert!(ldl >= n.max(1) && b.len() >= n * nrhs);
-    let at = |i: usize, j: usize| j * ldl + i;
-    let tail_start = n - n % COL_UNROLL;
-    for jj in (tail_start..n).rev() {
-        let (head, below) = b.split_at_mut((jj + 1) * nrhs);
-        let rowj = &mut head[jj * nrhs..];
-        let col = &l[at(jj + 1, jj)..at(n, jj)];
-        let mut g = 0;
-        while g + LANE_GROUP <= nrhs {
-            let mut acc = [0.0f64; LANE_GROUP];
-            for (i, &lv) in col.iter().enumerate() {
-                let yv = &below[i * nrhs + g..i * nrhs + g + LANE_GROUP];
-                for t in 0..LANE_GROUP {
-                    acc[t] += lv * yv[t];
+    let t = Tri {
+        n,
+        nrhs,
+        l,
+        ldl,
+        unit,
+    };
+    Kernel::Lt(t, b).run_on(pack::isa());
+}
+
+/// The `m x k` block `L21` (column-major, leading dimension `ldl`) a
+/// rectangular apply multiplies `nrhs` lanes by.
+#[derive(Clone, Copy)]
+struct Apply<'a> {
+    m: usize,
+    k: usize,
+    nrhs: usize,
+    l21: &'a [f64],
+    ldl: usize,
+}
+
+impl<'a> Apply<'a> {
+    /// Columns `j..j + C` of `L21`.
+    #[inline(always)]
+    fn cols<const C: usize>(&self, j: usize) -> [&'a [f64]; C] {
+        let mut cols = [&self.l21[..0]; C];
+        for (q, c) in cols.iter_mut().enumerate() {
+            *c = &self.l21[(j + q) * self.ldl..][..self.m];
+        }
+        cols
+    }
+}
+
+/// The `n x n` lower triangle a triangular solve runs against.
+#[derive(Clone, Copy)]
+struct Tri<'a> {
+    n: usize,
+    nrhs: usize,
+    l: &'a [f64],
+    ldl: usize,
+    unit: bool,
+}
+
+impl<'a> Tri<'a> {
+    /// The rows below the panel of columns `jp..jp + c`: the `L21` of
+    /// that panel.
+    #[inline(always)]
+    fn below(&self, jp: usize, c: usize) -> Apply<'a> {
+        Apply {
+            m: self.n - jp - c,
+            k: c,
+            nrhs: self.nrhs,
+            l21: &self.l[jp * self.ldl + jp + c..],
+            ldl: self.ldl,
+        }
+    }
+}
+
+/// One call of a kernel of this module, so that a single dispatcher
+/// enters the copy compiled for the host's instruction set.
+enum Kernel<'a> {
+    /// [`gemm_block_sub_rm`]: `L21`, then `X`, then the updated `Y`.
+    Sub(Apply<'a>, &'a [f64], &'a mut [f64]),
+    /// [`gemm_block_t_sub_rm`]: `L21`, then `Y`, then the updated `X`.
+    SubT(Apply<'a>, &'a [f64], &'a mut [f64]),
+    /// [`trsm_ln_rm`] on the block.
+    Ln(Tri<'a>, &'a mut [f64]),
+    /// [`trsm_lt_rm`] on the block.
+    Lt(Tri<'a>, &'a mut [f64]),
+}
+
+impl Kernel<'_> {
+    /// Run on the instruction set `isa`, which the host must support
+    /// ([`pack::isa`] returns the widest such).
+    fn run_on(self, isa: Isa) {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        fn avx512(k: Kernel<'_>) {
+            k.run::<8>()
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx")]
+        fn avx(k: Kernel<'_>) {
+            k.run::<4>()
+        }
+        debug_assert!(isa <= pack::isa());
+        match isa {
+            // SAFETY: the caller only names instruction sets the host has.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { avx512(self) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx => unsafe { avx(self) },
+            _ => self.run::<4>(),
+        }
+    }
+
+    /// The one body of every copy, `L` lanes to the vector. Inlined into
+    /// each entry point so that everything below is compiled at its width.
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        match self {
+            Kernel::Sub(a, x, y) => sub::<L>(a, x, y),
+            Kernel::SubT(a, y, x) => sub_t::<L>(a, y, x),
+            Kernel::Ln(t, b) => trsm_ln::<L>(t, b),
+            Kernel::Lt(t, b) => trsm_lt::<L>(t, b),
+        }
+    }
+}
+
+/// A kernel's work on the `W` lanes from lane `g` on.
+trait Lanes {
+    fn chunk<const W: usize>(&mut self, g: usize);
+}
+
+/// Run `op` over the lanes `0..n`: whole `L`-lane vectors, then what is
+/// left in chunks of 4, 2 and 1 lanes — the same body at every width.
+#[inline(always)]
+fn for_chunks<const L: usize>(n: usize, op: &mut impl Lanes) {
+    let mut g = 0;
+    while g + L <= n {
+        op.chunk::<L>(g);
+        g += L;
+    }
+    if g + 4 <= n {
+        op.chunk::<4>(g);
+        g += 4;
+    }
+    if g + 2 <= n {
+        op.chunk::<2>(g);
+        g += 2;
+    }
+    if g < n {
+        op.chunk::<1>(g);
+    }
+}
+
+/// The `W` values at the front of `s`, as a register array.
+#[inline(always)]
+fn lanes<const W: usize>(s: &[f64]) -> [f64; W] {
+    s[..W].try_into().expect("W lanes")
+}
+
+/// [`gemm_block_sub_rm`] at `L` lanes: `COL_UNROLL`-column panels in
+/// ascending `j`, then the tail columns one at a time.
+#[inline(always)]
+fn sub<const L: usize>(a: Apply<'_>, x: &[f64], y: &mut [f64]) {
+    let mut j = 0;
+    while j + COL_UNROLL <= a.k {
+        sub_panel::<L, COL_UNROLL>(a, j, x, y);
+        j += COL_UNROLL;
+    }
+    for j in j..a.k {
+        sub_panel::<L, 1>(a, j, x, y);
+    }
+}
+
+/// `Y -= L21[:, j..j+C] X[j..j+C, :]`, chained in ascending column order
+/// per element: across RHS columns, or down the rows for a single one.
+#[inline(always)]
+fn sub_panel<const L: usize, const C: usize>(a: Apply<'_>, j: usize, x: &[f64], y: &mut [f64]) {
+    let (cols, nrhs) = (a.cols::<C>(j), a.nrhs);
+    let y = &mut y[..a.m * nrhs];
+    if nrhs == 1 {
+        let mut xs = [0.0; C];
+        xs.copy_from_slice(&x[j..j + C]);
+        for_chunks::<L>(a.m, &mut SubRows { cols, xs, y });
+    } else {
+        let x = &x[j * nrhs..(j + C) * nrhs];
+        for_chunks::<L>(nrhs, &mut SubCols { cols, x, y, nrhs });
+    }
+}
+
+/// One forward panel with the lanes across RHS columns: the panel's `X`
+/// rows stay in registers while the `Y` rows stream past.
+struct SubCols<'a, const C: usize> {
+    cols: [&'a [f64]; C],
+    x: &'a [f64],
+    y: &'a mut [f64],
+    nrhs: usize,
+}
+
+impl<const C: usize> Lanes for SubCols<'_, C> {
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, g: usize) {
+        let mut xs = [[0.0; W]; C];
+        for (xq, row) in xs.iter_mut().zip(self.x.chunks_exact(self.nrhs)) {
+            *xq = lanes(&row[g..]);
+        }
+        let rows = self.y.chunks_exact_mut(self.nrhs);
+        let mut cols = self.cols;
+        for c in &mut cols {
+            *c = &c[..rows.len()];
+        }
+        for (i, yi) in rows.enumerate() {
+            let yi = &mut yi[g..g + W];
+            let mut v: [f64; W] = lanes(yi);
+            for q in 0..C {
+                let lv = cols[q][i];
+                for t in 0..W {
+                    v[t] -= lv * xs[q][t];
                 }
             }
-            for t in 0..LANE_GROUP {
-                rowj[g + t] -= acc[t];
-            }
-            g += LANE_GROUP;
+            yi.copy_from_slice(&v);
         }
-        for r in g..nrhs {
-            let mut acc = 0.0f64;
-            for (i, &lv) in col.iter().enumerate() {
-                acc += lv * below[i * nrhs + r];
+    }
+}
+
+/// One forward panel of a single right-hand side, the lanes down the rows:
+/// row `i` keeps its own chain over the panel's columns.
+struct SubRows<'a, const C: usize> {
+    cols: [&'a [f64]; C],
+    xs: [f64; C],
+    y: &'a mut [f64],
+}
+
+impl<const C: usize> Lanes for SubRows<'_, C> {
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, i0: usize) {
+        let yi = &mut self.y[i0..i0 + W];
+        let mut v: [f64; W] = lanes(yi);
+        for q in 0..C {
+            let lv: [f64; W] = lanes(&self.cols[q][i0..]);
+            for t in 0..W {
+                v[t] -= lv[t] * self.xs[q];
             }
-            rowj[r] -= acc;
         }
-        if !unit {
-            let d = l[at(jj, jj)];
-            for v in rowj.iter_mut() {
-                *v /= d;
+        yi.copy_from_slice(&v);
+    }
+}
+
+/// [`gemm_block_t_sub_rm`] at `L` lanes, panels as in [`sub`].
+#[inline(always)]
+fn sub_t<const L: usize>(a: Apply<'_>, y: &[f64], x: &mut [f64]) {
+    let mut j = 0;
+    while j + COL_UNROLL <= a.k {
+        sub_t_panel::<L, COL_UNROLL>(a, j, y, x);
+        j += COL_UNROLL;
+    }
+    for j in j..a.k {
+        sub_t_panel::<L, 1>(a, j, y, x);
+    }
+}
+
+/// `X[j..j+C, :] -= L21[:, j..j+C]' Y`: per element a dot product from
+/// zero, `i` ascending, subtracted once.
+#[inline(always)]
+fn sub_t_panel<const L: usize, const C: usize>(a: Apply<'_>, j: usize, y: &[f64], x: &mut [f64]) {
+    let (cols, nrhs) = (a.cols::<C>(j), a.nrhs);
+    let xs = &mut x[j * nrhs..(j + C) * nrhs];
+    let y = &y[..a.m * nrhs];
+    for_chunks::<L>(nrhs, &mut SubTCols { cols, y, xs, nrhs });
+}
+
+/// One backward panel: `C` accumulator vectors per lane chunk.
+struct SubTCols<'a, const C: usize> {
+    cols: [&'a [f64]; C],
+    y: &'a [f64],
+    xs: &'a mut [f64],
+    nrhs: usize,
+}
+
+impl<const C: usize> Lanes for SubTCols<'_, C> {
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, g: usize) {
+        let mut acc = [[0.0f64; W]; C];
+        let rows = self.y.chunks_exact(self.nrhs);
+        let mut cols = self.cols;
+        for c in &mut cols {
+            *c = &c[..rows.len()];
+        }
+        for (i, yi) in rows.enumerate() {
+            let v: [f64; W] = lanes(&yi[g..]);
+            for q in 0..C {
+                let lv = cols[q][i];
+                for t in 0..W {
+                    acc[q][t] += lv * v[t];
+                }
+            }
+        }
+        for (q, xq) in self.xs.chunks_exact_mut(self.nrhs).enumerate() {
+            for t in 0..W {
+                xq[g + t] -= acc[q][t];
             }
         }
     }
-    let mut jp = tail_start;
-    while jp >= COL_UNROLL {
-        jp -= COL_UNROLL;
-        if jp + COL_UNROLL < n {
-            let (x, y) = b.split_at_mut((jp + COL_UNROLL) * nrhs);
-            gemm_block_t_sub_rm(
-                n - jp - COL_UNROLL,
-                COL_UNROLL,
-                nrhs,
-                &l[at(jp + COL_UNROLL, jp)..],
-                ldl,
-                y,
-                &mut x[jp * nrhs..],
-            );
+}
+
+/// [`trsm_ln_rm`] at `L` lanes: per panel (the last one may be narrower)
+/// the diagonal triangle, then the rows below through [`sub`].
+#[inline(always)]
+fn trsm_ln<const L: usize>(t: Tri<'_>, b: &mut [f64]) {
+    let (n, nrhs) = (t.n, t.nrhs);
+    for jp in (0..n).step_by(COL_UNROLL) {
+        let c = COL_UNROLL.min(n - jp);
+        for_chunks::<L>(
+            nrhs,
+            &mut TriLn {
+                t,
+                jp,
+                c,
+                b: &mut *b,
+            },
+        );
+        if jp + c < n {
+            let (x, y) = b.split_at_mut((jp + c) * nrhs);
+            sub::<L>(t.below(jp, c), &x[jp * nrhs..], y);
         }
-        for jj in (jp..jp + COL_UNROLL).rev() {
-            let (head, below) = b.split_at_mut((jj + 1) * nrhs);
-            let rowj = &mut head[jj * nrhs..];
-            for i in jj + 1..jp + COL_UNROLL {
-                let lv = l[at(i, jj)];
-                let row = &below[(i - jj - 1) * nrhs..(i - jj) * nrhs];
-                for (r, v) in rowj.iter_mut().enumerate() {
-                    *v -= lv * row[r];
+    }
+}
+
+/// The diagonal triangle of one forward panel, columns `jp..jp + c`:
+/// divide row `jj` by its pivot, then subtract it from the rows below it
+/// in the panel.
+struct TriLn<'a> {
+    t: Tri<'a>,
+    jp: usize,
+    c: usize,
+    b: &'a mut [f64],
+}
+
+impl Lanes for TriLn<'_> {
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, g: usize) {
+        let Tri {
+            nrhs, l, ldl, unit, ..
+        } = self.t;
+        for jj in self.jp..self.jp + self.c {
+            let mut xj: [f64; W] = lanes(&self.b[jj * nrhs + g..]);
+            if !unit {
+                let d = l[jj * ldl + jj];
+                for v in &mut xj {
+                    *v /= d;
+                }
+                self.b[jj * nrhs + g..jj * nrhs + g + W].copy_from_slice(&xj);
+            }
+            for i in jj + 1..self.jp + self.c {
+                let lv = l[jj * ldl + i];
+                let yi = &mut self.b[i * nrhs + g..i * nrhs + g + W];
+                for t in 0..W {
+                    yi[t] -= lv * xj[t];
+                }
+            }
+        }
+    }
+}
+
+/// [`trsm_lt_rm`] at `L` lanes: the tail columns one at a time
+/// (descending), each a dot product over everything below it, then the
+/// panels descending — the rows below through [`sub_t`], then the
+/// panel's own triangle term by term.
+#[inline(always)]
+fn trsm_lt<const L: usize>(t: Tri<'_>, b: &mut [f64]) {
+    let (n, nrhs) = (t.n, t.nrhs);
+    let tail_start = n - n % COL_UNROLL;
+    let tail = (tail_start..n).rev().map(|jj| (jj, 1));
+    let panels = (0..tail_start).step_by(COL_UNROLL).rev();
+    for (jp, c) in tail.chain(panels.map(|jp| (jp, COL_UNROLL))) {
+        // A tail column takes its dot product even with no row below it.
+        if jp + c < n || c == 1 {
+            let (x, y) = b.split_at_mut((jp + c) * nrhs);
+            sub_t::<L>(t.below(jp, c), y, &mut x[jp * nrhs..]);
+        }
+        for_chunks::<L>(
+            nrhs,
+            &mut TriLt {
+                t,
+                jp,
+                c,
+                b: &mut *b,
+            },
+        );
+    }
+}
+
+/// The diagonal triangle of one backward panel, columns `jp..jp + c`
+/// descending: subtract the solved rows below `jj` in the panel one term
+/// at a time, then divide by the pivot.
+struct TriLt<'a> {
+    t: Tri<'a>,
+    jp: usize,
+    c: usize,
+    b: &'a mut [f64],
+}
+
+impl Lanes for TriLt<'_> {
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, g: usize) {
+        let Tri {
+            nrhs, l, ldl, unit, ..
+        } = self.t;
+        for jj in (self.jp..self.jp + self.c).rev() {
+            let mut v: [f64; W] = lanes(&self.b[jj * nrhs + g..]);
+            for i in jj + 1..self.jp + self.c {
+                let lv = l[jj * ldl + i];
+                let xi: [f64; W] = lanes(&self.b[i * nrhs + g..]);
+                for t in 0..W {
+                    v[t] -= lv * xi[t];
                 }
             }
             if !unit {
-                let d = l[at(jj, jj)];
-                for v in rowj.iter_mut() {
-                    *v /= d;
+                let d = l[jj * ldl + jj];
+                for x in &mut v {
+                    *x /= d;
                 }
             }
+            self.b[jj * nrhs + g..jj * nrhs + g + W].copy_from_slice(&v);
         }
     }
 }
@@ -484,6 +720,76 @@ mod tests {
                             (u - v).abs() <= 1e-12 * v.abs().max(1.0),
                             "n={n} unit={unit} col {c}: {u} vs {v}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every instruction set the host supports, all four kernels, against
+    /// the portable copy: `nrhs` below, at and across every lane width and
+    /// chunk remainder (1 takes the row-lane forward update), shapes around
+    /// the panel width and the lane widths, 0 included, unit and non-unit.
+    /// Prints what it exercised, so a CI log shows a runner without
+    /// `avx512f` instead of passing silently.
+    #[test]
+    // Miri runs neither AVX nor AVX-512 code (detection reports the
+    // portable copy there, which the other tests cover).
+    #[cfg_attr(miri, ignore)]
+    fn solve_lane_kernels_match_the_portable_copy_bit_for_bit() {
+        let isas = Isa::supported();
+        println!("solve kernels exercised on this host: {isas:?}");
+        let mut r = det_rng(41);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dims = [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 17];
+        for nrhs in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
+            for (m, k) in dims.iter().flat_map(|&m| dims.map(|k| (m, k))) {
+                let ldl = m + 2;
+                let l21: Vec<f64> = (0..ldl * k).map(|_| r()).collect();
+                let x: Vec<f64> = (0..k * nrhs).map(|_| r()).collect();
+                let y: Vec<f64> = (0..m * nrhs).map(|_| r()).collect();
+                let a = Apply {
+                    m,
+                    k,
+                    nrhs,
+                    l21: &l21,
+                    ldl,
+                };
+                let run = |isa: Isa| {
+                    let (mut yo, mut xo) = (y.clone(), x.clone());
+                    Kernel::Sub(a, &x, &mut yo).run_on(isa);
+                    Kernel::SubT(a, &y, &mut xo).run_on(isa);
+                    (bits(&yo), bits(&xo))
+                };
+                let want = run(Isa::Portable);
+                for &isa in &isas[1..] {
+                    assert_eq!(run(isa), want, "{isa:?} m={m} k={k} nrhs={nrhs}");
+                }
+            }
+            for n in dims {
+                let ldl = n + 1;
+                let mut l: Vec<f64> = (0..ldl * n).map(|_| r()).collect();
+                for j in 0..n {
+                    l[j * ldl + j] = 2.0 + r().abs();
+                }
+                let b: Vec<f64> = (0..n * nrhs).map(|_| r()).collect();
+                for unit in [false, true] {
+                    let t = Tri {
+                        n,
+                        nrhs,
+                        l: &l,
+                        ldl,
+                        unit,
+                    };
+                    let run = |isa: Isa| {
+                        let (mut fwd, mut bwd) = (b.clone(), b.clone());
+                        Kernel::Ln(t, &mut fwd).run_on(isa);
+                        Kernel::Lt(t, &mut bwd).run_on(isa);
+                        (bits(&fwd), bits(&bwd))
+                    };
+                    let want = run(Isa::Portable);
+                    for &isa in &isas[1..] {
+                        assert_eq!(run(isa), want, "{isa:?} n={n} nrhs={nrhs} unit={unit}");
                     }
                 }
             }

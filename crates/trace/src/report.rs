@@ -60,7 +60,9 @@ record! {
         rhs: u64 = required;
         /// Wall-clock seconds across all solves (including refinement sweeps).
         seconds: f64 = required;
-        /// Triangular-solve flops: `4 * nnz(L) * rhs` plus refinement work.
+        /// Solve flops that ran: `4 * nnz(L)` per column sweep pair (the
+        /// base solve and each refinement step taken) plus `4 * nnz(A)`
+        /// per residual product.
         flops: f64 = required;
     }
 }

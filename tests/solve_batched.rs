@@ -97,6 +97,9 @@ fn golden_matrix(name: &str) -> CscMatrix {
 /// collapsed onto one supernode step; both changes left them alone. The
 /// sequential rows were re-captured when the sequential sweep moved onto
 /// the SMP solve's child fold order: each now equals its SMP row. The
+/// `nrhs` 9 and 16 rows (one full 8-lane chunk plus a remainder, two full
+/// chunks) were captured on the scalar solve kernels, before those were
+/// compiled per instruction set; every copy reproduces them. The
 /// factor's per-entry assembly order and the sweeps' fold order and kernel
 /// call order are part of the contract. A change that means to move them
 /// re-captures with `PARFACT_PRINT_GOLDEN=1 cargo test --test solve_batched
@@ -106,36 +109,60 @@ const GOLDEN: &[(&str, FactorKind, Pin, u64)] = &[
     ("lap3d-6", Llt, Pin::Seq(5), 0x2453165d45a9e8db),
     ("lap3d-6", Llt, Pin::Smp(1), 0x0b5d35a704fae23c),
     ("lap3d-6", Llt, Pin::Smp(5), 0x2453165d45a9e8db),
+    ("lap3d-6", Llt, Pin::Seq(9), 0x47c4da749eee7183),
+    ("lap3d-6", Llt, Pin::Seq(16), 0xc42ad49723552113),
+    ("lap3d-6", Llt, Pin::Smp(9), 0x47c4da749eee7183),
+    ("lap3d-6", Llt, Pin::Smp(16), 0xc42ad49723552113),
     ("lap3d-6", Llt, Pin::Panels, 0x238356cd8af01599),
     ("lap3d-6", Llt, Pin::BytesAssembled, 41384),
     ("lap3d-6", Ldlt, Pin::Seq(1), 0xac7f7f0de71be505),
     ("lap3d-6", Ldlt, Pin::Seq(5), 0x20adec1c4f19eb91),
     ("lap3d-6", Ldlt, Pin::Smp(1), 0xac7f7f0de71be505),
     ("lap3d-6", Ldlt, Pin::Smp(5), 0x20adec1c4f19eb91),
+    ("lap3d-6", Ldlt, Pin::Seq(9), 0xe5d0004d67e541ac),
+    ("lap3d-6", Ldlt, Pin::Seq(16), 0x67e10029dd3c9f9e),
+    ("lap3d-6", Ldlt, Pin::Smp(9), 0xe5d0004d67e541ac),
+    ("lap3d-6", Ldlt, Pin::Smp(16), 0x67e10029dd3c9f9e),
     ("lap3d-6", Ldlt, Pin::Panels, 0x66ab6cadb1c6dd45),
     ("lap3d-6", Ldlt, Pin::BytesAssembled, 41384),
     ("lap2d-40", Llt, Pin::Seq(1), 0xbc3c51c54df37f9a),
     ("lap2d-40", Llt, Pin::Seq(5), 0x24ef84b72ec12d02),
     ("lap2d-40", Llt, Pin::Smp(1), 0xbc3c51c54df37f9a),
     ("lap2d-40", Llt, Pin::Smp(5), 0x24ef84b72ec12d02),
+    ("lap2d-40", Llt, Pin::Seq(9), 0x238701fb42e73abf),
+    ("lap2d-40", Llt, Pin::Seq(16), 0x41b722238cb69c60),
+    ("lap2d-40", Llt, Pin::Smp(9), 0x238701fb42e73abf),
+    ("lap2d-40", Llt, Pin::Smp(16), 0x41b722238cb69c60),
     ("lap2d-40", Llt, Pin::Panels, 0x0ce33525e3a0d6fb),
     ("lap2d-40", Llt, Pin::BytesAssembled, 293360),
     ("lap2d-40", Ldlt, Pin::Seq(1), 0x315c0c4348be7964),
     ("lap2d-40", Ldlt, Pin::Seq(5), 0xb3fa0e4c9a78799f),
     ("lap2d-40", Ldlt, Pin::Smp(1), 0x315c0c4348be7964),
     ("lap2d-40", Ldlt, Pin::Smp(5), 0xb3fa0e4c9a78799f),
+    ("lap2d-40", Ldlt, Pin::Seq(9), 0xfffe6ea00eb32e76),
+    ("lap2d-40", Ldlt, Pin::Seq(16), 0x0282f1cce32ed2ce),
+    ("lap2d-40", Ldlt, Pin::Smp(9), 0xfffe6ea00eb32e76),
+    ("lap2d-40", Ldlt, Pin::Smp(16), 0x0282f1cce32ed2ce),
     ("lap2d-40", Ldlt, Pin::Panels, 0xc7e025dc9fddd934),
     ("lap2d-40", Ldlt, Pin::BytesAssembled, 293360),
     ("elas-5", Llt, Pin::Seq(1), 0x7832b2175b4c2369),
     ("elas-5", Llt, Pin::Seq(5), 0x193ba44ca8e2618f),
     ("elas-5", Llt, Pin::Smp(1), 0x7832b2175b4c2369),
     ("elas-5", Llt, Pin::Smp(5), 0x193ba44ca8e2618f),
+    ("elas-5", Llt, Pin::Seq(9), 0x9d32d0998563cf14),
+    ("elas-5", Llt, Pin::Seq(16), 0x23d32ec3c8937cd7),
+    ("elas-5", Llt, Pin::Smp(9), 0x9d32d0998563cf14),
+    ("elas-5", Llt, Pin::Smp(16), 0x23d32ec3c8937cd7),
     ("elas-5", Llt, Pin::Panels, 0xc9dba9dd469c95c6),
     ("elas-5", Llt, Pin::BytesAssembled, 413200),
     ("elas-5", Ldlt, Pin::Seq(1), 0xaa67045a88409d57),
     ("elas-5", Ldlt, Pin::Seq(5), 0xec8ed537ed47cdb2),
     ("elas-5", Ldlt, Pin::Smp(1), 0xaa67045a88409d57),
     ("elas-5", Ldlt, Pin::Smp(5), 0xec8ed537ed47cdb2),
+    ("elas-5", Ldlt, Pin::Seq(9), 0xc1a6669882984d1e),
+    ("elas-5", Ldlt, Pin::Seq(16), 0xa5cbecf15cbf8b12),
+    ("elas-5", Ldlt, Pin::Smp(9), 0xc1a6669882984d1e),
+    ("elas-5", Ldlt, Pin::Smp(16), 0xa5cbecf15cbf8b12),
     ("elas-5", Ldlt, Pin::Panels, 0xe6304fcfd94c5d83),
     ("elas-5", Ldlt, Pin::BytesAssembled, 413200),
 ];
