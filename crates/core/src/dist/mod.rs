@@ -219,15 +219,15 @@ fn factorize_rank(
             run.do_local(s)?;
             next += 1;
         }
-        // Drain the messages in virtual-arrival order, then let `do_grid`
-        // fold the buffers in canonical order (bitwise determinism).
-        let mut bufs: HashMap<(usize, u64), ExtBuf> = HashMap::new();
-        let mut keys = expected;
-        while !keys.is_empty() {
-            let (i, buf) = run.rank.wait_any::<ExtBuf>(&keys);
-            bufs.insert(keys[i], buf);
-            keys.swap_remove(i);
-        }
+        // Receive the messages in virtual-arrival order, ties broken by
+        // `(src, tag)`, then let `do_grid` fold the buffers in canonical
+        // order (bitwise determinism).
+        let mut order: Vec<(f64, (usize, u64))> = arrivals.into_iter().zip(expected).collect();
+        order.sort_by(|a, b| a.partial_cmp(b).expect("NaN arrival"));
+        let bufs: HashMap<(usize, u64), ExtBuf> = order
+            .into_iter()
+            .map(|(_, (src, tag))| ((src, tag), run.rank.recv(src, tag)))
+            .collect();
         run.do_grid(g, Some(bufs))?;
         if let Some(cs) = store {
             cs.record(me, g, &run.st, next);

@@ -16,8 +16,8 @@
 //! # Communication primitives
 //!
 //! The surface is what the distributed factorization uses: two sends, a
-//! blocking receive, a probe and a wait-any, plus the binomial-tree
-//! broadcasts in [`collective`].
+//! blocking receive and a probe, plus the binomial-tree broadcasts in
+//! [`collective`].
 //!
 //! [`Rank::send`] models an eager blocking send: the sender is occupied for
 //! the full `α + bytes·β`. [`Rank::isend`] models a nonblocking send whose
@@ -25,19 +25,21 @@
 //! `bytes·β` transfer proceeds in the background (counted in
 //! `comm_hidden_s`), and the message arrives at the receiver at
 //! `clock_after_α + bytes·β`. On the receive side, [`Rank::recv`] takes one
-//! `(source, tag)` message; [`Rank::probe_all`] reports the virtual arrival
-//! times of several without consuming them, and [`Rank::wait_any`] takes
-//! the earliest, so a schedule can react to what has *virtually* arrived.
+//! `(source, tag)` message, and [`Rank::probe_all`] reports the virtual
+//! arrival times of several without consuming them, so a schedule can pick
+//! its receive order from what has *virtually* arrived.
 //!
 //! Determinism is preserved by a strict rule: every nonblocking decision is
 //! a function of **virtual** arrival times, never of host-thread timing.
 //! An operation that needs to know an arrival time physically blocks the OS
 //! thread (without advancing the virtual clock) until the message is
-//! posted, then decides. This is safe for SPMD programs in which every
-//! expected message is eventually sent without further action from the
-//! waiter; genuine protocol errors are caught by all-ranks-blocked deadlock
-//! detection, which aborts the run with a per-rank diagnostic instead of
-//! hanging.
+//! posted, then decides. A blocked rank parks on exactly one `(source,
+//! tag)` key — the first of its keys with nothing queued — and only a post
+//! of that key, an abort, or its election to fire a receive deadline wakes
+//! it. This is safe for SPMD programs in which every expected message is
+//! eventually sent without further action from the waiter; genuine
+//! protocol errors are caught once every rank is finished or parked, and
+//! the run aborts with a per-rank diagnostic instead of hanging.
 //!
 //! # Runs and verdicts
 //!

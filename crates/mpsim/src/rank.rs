@@ -2,17 +2,12 @@
 
 use crate::model::CostModel;
 use crate::payload::Payload;
-use crate::world::{
-    AbortReason, Blocked, DeadlockAbort, Msg, PeerAborted, RankCrashed, Shared, StalledOnCrash,
-    TimeoutAbort,
-};
+use crate::world::{End, Msg, RankCrashed, Shared, TimeoutAbort};
 use crate::{Fault, FaultPlan};
 use parfact_trace::{Phase, SpanEvent};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// This rank's view of the machine's [`FaultPlan`], compiled once at rank
 /// start so the per-operation checks are cheap.
@@ -172,7 +167,7 @@ pub struct Rank {
     pub(crate) faults: RankFaults,
     /// Machine-wide default receive deadline (virtual seconds), applied by
     /// every blocking receive/wait; `None` leaves lost-message detection to
-    /// the deadlock scanner alone.
+    /// the scan alone.
     pub(crate) recv_timeout: Option<f64>,
 }
 
@@ -265,22 +260,13 @@ impl Rank {
         }
     }
 
-    /// Execute an injected crash: mark the rank dead in the wait registry
-    /// (so the blockage scanner can attribute stalls to it), wake every
-    /// parked peer, and unwind with the crash sentinel. The rank's already
-    /// posted messages stay deliverable — a crash loses future sends only.
+    /// Execute an injected crash: mark the rank dead (so the scan can
+    /// attribute stalls to it) and unwind with the crash sentinel. The
+    /// rank's already posted messages stay deliverable — a crash loses
+    /// future sends only.
     fn crash_now(&mut self) -> ! {
-        self.shared.faults.crashes.fetch_add(1, Ordering::Relaxed);
         self.push_span(Phase::Fault, None, self.clock, 0.0);
-        {
-            let mut w = self.shared.waiting.lock();
-            w.crashed[self.rank] = true;
-            w.blocked[self.rank] = None;
-            self.shared.deadlock_scan(&mut w);
-        }
-        for b in &self.shared.boxes {
-            b.signal.notify_all();
-        }
+        self.shared.retire(self.rank, End::Crashed);
         std::panic::panic_any(RankCrashed { at_s: self.clock });
     }
 
@@ -293,21 +279,6 @@ impl Rank {
     /// Report a tracked deallocation.
     pub fn free(&mut self, bytes: usize) {
         self.mem_cur = self.mem_cur.saturating_sub(bytes as u64);
-    }
-
-    fn post(&self, dst: usize, tag: u64, data: Box<dyn Any + Send>, arrival: f64, bytes: usize) {
-        let mbox = &self.shared.boxes[dst];
-        {
-            let mut q = mbox.queues.lock();
-            q.map.entry((self.rank, tag)).or_default().push_back(Msg {
-                data,
-                arrival,
-                bytes,
-            });
-            q.depth += 1;
-            q.depth_peak = q.depth_peak.max(q.depth);
-        }
-        mbox.signal.notify_all();
     }
 
     /// Post `payload` applying this rank's outgoing link faults: per-link
@@ -325,27 +296,26 @@ impl Rank {
         arrival: f64,
         bytes: usize,
     ) -> u64 {
-        let mut arrival = arrival;
-        if let Some(&extra) = self.faults.delay_out.get(&dst) {
-            if extra > 0.0 {
-                arrival += extra;
-                self.shared
-                    .faults
-                    .delayed_msgs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let delay = self
+            .faults
+            .delay_out
+            .get(&dst)
+            .filter(|&&extra| extra > 0.0);
+        let arrival = delay.map_or(arrival, |extra| arrival + extra);
+        let msg = |data: Box<dyn Any + Send>| Msg {
+            data,
+            arrival,
+            bytes,
+        };
         let dup = self.faults.dup_out.contains(&dst);
-        let copies = if dup { 2 } else { 1 };
+        let mut copies = Vec::with_capacity(2);
         if dup {
-            self.post(dst, tag, Box::new(payload.clone()), arrival, bytes);
-            self.shared
-                .faults
-                .duplicated_msgs
-                .fetch_add(1, Ordering::Relaxed);
+            copies.push(msg(Box::new(payload.clone())));
         }
-        self.post(dst, tag, Box::new(payload), arrival, bytes);
-        copies
+        copies.push(msg(Box::new(payload)));
+        self.shared
+            .post(self.rank, dst, tag, copies, delay.is_some());
+        1 + u64::from(dup)
     }
 
     /// Account `copies` posted copies of a `bytes`-byte message to `dst`
@@ -415,120 +385,17 @@ impl Rank {
     /// deterministic.
     ///
     /// Past the machine-wide receive deadline (the head arrives later, or
-    /// the scanner fires this rank's deadline) the rank has waited until
+    /// the scan fires this rank's deadline) the rank has waited until
     /// the deadline — its clock advances there — and the run aborts with
     /// [`RunVerdict::TimedOut`](crate::RunVerdict::TimedOut).
     pub fn recv<T: Payload>(&mut self, src: usize, tag: u64) -> T {
         self.maybe_crash();
         let deadline = self.deadline();
-        let late = match self.wait_heads(&[(src, tag)], deadline) {
-            Ok(arrivals) => deadline.filter(|&d| arrivals[0] > d).map(|d| TimeoutAbort {
-                src,
-                tag,
-                waited_s: d - self.clock,
-            }),
-            Err(t) => Some(t),
-        };
-        if let Some(t) = late {
-            self.wait_until(deadline.expect("a timeout needs a deadline"));
-            self.timeout_abort(t);
-        }
-        self.take(src, tag)
-    }
-
-    /// Block (physically, without advancing the virtual clock) until every
-    /// key in `keys` has a message at the head of its queue; return the head
-    /// arrival times in `keys` order, consuming nothing. This is the
-    /// primitive that event-driven schedulers use to make decisions from
-    /// virtual time only.
-    pub fn probe_all(&mut self, keys: &[(usize, u64)]) -> Vec<f64> {
-        self.maybe_crash();
-        let arrivals = self
-            .wait_heads(keys, self.deadline())
-            .unwrap_or_else(|t| self.timeout_abort(t));
-        if let Some(next) = arrivals.iter().copied().reduce(f64::min) {
-            // One marker per poll, at the nearest head arrival (the
-            // scheduler's event horizon).
-            self.push_span(Phase::Wait, None, next, 0.0);
-        }
-        arrivals
-    }
-
-    /// Wait until the earliest (in virtual time) of the pending messages in
-    /// `keys`, receive it, and return `(index_into_keys, value)`. Ties on
-    /// arrival time break by `(src, tag)`, keeping the choice deterministic.
-    /// The clock advances to the chosen message's arrival if it lies in the
-    /// future.
-    pub fn wait_any<T: Payload>(&mut self, keys: &[(usize, u64)]) -> (usize, T) {
-        assert!(!keys.is_empty(), "wait_any on an empty key set");
-        self.maybe_crash();
-        let deadline = self.deadline();
-        let arrivals = self
-            .wait_heads(keys, deadline)
-            .unwrap_or_else(|t| self.timeout_abort(t));
-        let mut best = 0usize;
-        for i in 1..keys.len() {
-            let better =
-                (arrivals[i], keys[i].0, keys[i].1) < (arrivals[best], keys[best].0, keys[best].1);
-            if better {
-                best = i;
-            }
-        }
-        let (src, tag) = keys[best];
-        if let Some(d) = deadline.filter(|&d| arrivals[best] > d) {
-            self.timeout_abort(TimeoutAbort {
-                src,
-                tag,
-                waited_s: d - self.clock,
-            });
-        }
-        (best, self.take(src, tag))
-    }
-
-    /// The machine-wide deadline of a receive that starts now, if any.
-    fn deadline(&self) -> Option<f64> {
-        self.recv_timeout.map(|t| self.clock + t)
-    }
-
-    /// Abort the run on the machine-wide receive deadline: tally it, mark
-    /// the timeline, and unwind with the sentinel.
-    fn timeout_abort(&mut self, t: TimeoutAbort) -> ! {
-        self.shared.faults.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.push_span(Phase::Fault, None, self.clock, 0.0);
-        std::panic::panic_any(t)
-    }
-
-    /// Advance the clock to `t` if it lies in the future, as a recorded
-    /// wait.
-    fn wait_until(&mut self, t: f64) {
-        if t > self.clock {
-            self.push_span(Phase::Wait, None, self.clock, t - self.clock);
-            self.comm_s += t - self.clock;
-            self.clock = t;
-        }
-    }
-
-    /// Consume the head message of `(src, tag)`, which [`Rank::wait_heads`]
-    /// saw posted, and wait until its arrival.
-    fn take<T: Payload>(&mut self, src: usize, tag: u64) -> T {
-        let msg = {
-            use std::collections::hash_map::Entry;
-            let mut q = self.shared.boxes[self.rank].queues.lock();
-            let Entry::Occupied(mut queue) = q.map.entry((src, tag)) else {
-                panic!("message head vanished between wait and pop");
-            };
-            let msg = queue
-                .get_mut()
-                .pop_front()
-                .expect("queued keys are never empty");
-            // An empty queue means what an absent one does; dropping it keeps
-            // the table the size of what is queued, not of every `(src,
-            // tag)` ever received (the dist engine uses each tag once).
-            if queue.get().is_empty() {
-                queue.remove();
-            }
-            q.depth -= 1;
-            msg
+        let Some(msg) = self.shared.recv(self.rank, (src, tag), deadline) else {
+            let d = deadline.expect("a timeout needs a deadline");
+            let waited_s = d - self.clock;
+            self.wait_until(d);
+            self.timeout_abort(src, tag, waited_s);
         };
         // Receive counters are bumped here, on the deterministic consume
         // path — never read back from mailbox state at snapshot time, which
@@ -546,110 +413,56 @@ impl Rank {
         }
     }
 
-    /// Abort this rank because the run failed elsewhere: re-raise the
-    /// recorded abort diagnostic (deadlock or crash-induced stall) as the
-    /// matching sentinel, otherwise unwind with `PeerAborted` (filtered out
-    /// by the machine).
-    fn check_failed(&self) {
-        if self.shared.failed.load(Ordering::SeqCst) {
-            match &*self.shared.abort_reason.lock() {
-                Some(AbortReason::Deadlock(_)) => std::panic::panic_any(DeadlockAbort),
-                Some(AbortReason::RankFailure(_)) => std::panic::panic_any(StalledOnCrash),
-                None => std::panic::panic_any(PeerAborted),
-            }
+    /// Block (physically, without advancing the virtual clock) until every
+    /// key in `keys` has a message at the head of its queue; return the head
+    /// arrival times in `keys` order, consuming nothing. This is the
+    /// primitive that event-driven schedulers use to make decisions from
+    /// virtual time only.
+    pub fn probe_all(&mut self, keys: &[(usize, u64)]) -> Vec<f64> {
+        self.maybe_crash();
+        let deadline = self.deadline();
+        let arrivals = self
+            .shared
+            .probe(self.rank, keys, deadline)
+            .unwrap_or_else(|(src, tag)| {
+                let d = deadline.expect("only a deadline elects");
+                self.timeout_abort(src, tag, d - self.clock)
+            });
+        if let Some(next) = arrivals.iter().copied().reduce(f64::min) {
+            // One marker per poll, at the nearest head arrival (the
+            // scheduler's event horizon).
+            self.push_span(Phase::Wait, None, next, 0.0);
         }
+        arrivals
     }
 
-    /// Park until every key in `keys` has a queue head; return the head
-    /// arrivals in `keys` order. Blocks the OS thread only — the virtual
-    /// clock is untouched. All blocking receives funnel through here so the
-    /// deadlock detector sees every parked rank.
-    ///
-    /// A deadline never resolves on this thread: the rank parks and the
-    /// deadlock scanner decides at quiescence, when every parked clock is
-    /// frozen — otherwise the abort would race still-running peers and the
-    /// failed attempt's clocks (and makespan) would depend on host timing.
-    /// A rank elected by the scanner returns the timeout on its smallest
-    /// missing `(src, tag)` key.
-    fn wait_heads(
-        &self,
-        keys: &[(usize, u64)],
-        deadline: Option<f64>,
-    ) -> Result<Vec<f64>, TimeoutAbort> {
-        for &(src, _) in keys {
-            assert!(src < self.nranks, "recv from rank {src} of {}", self.nranks);
-        }
-        let mbox = &self.shared.boxes[self.rank];
-        loop {
-            let missing: Vec<(usize, u64)> = {
-                let q = mbox.queues.lock();
-                let missing: Vec<(usize, u64)> = keys
-                    .iter()
-                    .copied()
-                    .filter(|k| q.head_arrival(k).is_none())
-                    .collect();
-                if missing.is_empty() {
-                    return Ok(keys
-                        .iter()
-                        .map(|k| q.head_arrival(k).expect("head present"))
-                        .collect());
-                }
-                missing
-            };
-            self.check_failed();
-            if let Some(d) = deadline {
-                let elected = {
-                    let mut w = self.shared.waiting.lock();
-                    let e = w.elected == Some(self.rank);
-                    if e {
-                        w.elected = None;
-                    }
-                    e
-                };
-                if elected {
-                    let &(src, tag) = missing.iter().min().expect("elected with no missing key");
-                    return Err(TimeoutAbort {
-                        src,
-                        tag,
-                        waited_s: d - self.clock,
-                    });
-                }
-            }
-            self.register_blocked(&missing, deadline);
-            {
-                let mut q = mbox.queues.lock();
-                let still_missing = missing.iter().any(|k| q.head_arrival(k).is_none());
-                if still_missing && !self.shared.failed.load(Ordering::SeqCst) {
-                    mbox.signal.wait_for(&mut q, Duration::from_millis(50));
-                }
-            }
-            self.unregister_blocked();
-            self.check_failed();
-        }
+    /// The machine-wide deadline of a receive that starts now, if any.
+    fn deadline(&self) -> Option<f64> {
+        self.recv_timeout.map(|t| self.clock + t)
     }
 
-    /// Record this rank as parked on `missing`. The rank that completes the
-    /// "everyone is finished or parked" condition verifies the deadlock: no
-    /// registered key anywhere has a posted message. Between registering
-    /// and unregistering a rank sends nothing, so if the scan finds no
-    /// satisfying message the blockage cannot resolve — fail the run with a
-    /// per-rank diagnostic instead of hanging.
-    fn register_blocked(&self, missing: &[(usize, u64)], deadline: Option<f64>) {
-        let mut w = self.shared.waiting.lock();
-        w.blocked[self.rank] = Some(Blocked {
-            keys: missing.to_vec(),
-            deadline,
-        });
-        self.shared.deadlock_scan(&mut w);
+    /// Abort the run on the machine-wide receive deadline, having waited
+    /// `waited_s` on `(src, tag)`: tally it, mark the timeline, and unwind
+    /// with the sentinel.
+    fn timeout_abort(&mut self, src: usize, tag: u64, waited_s: f64) -> ! {
+        self.shared.world.lock().faults.timeouts += 1;
+        self.push_span(Phase::Fault, None, self.clock, 0.0);
+        std::panic::panic_any(TimeoutAbort { src, tag, waited_s })
     }
 
-    fn unregister_blocked(&self) {
-        self.shared.waiting.lock().blocked[self.rank] = None;
+    /// Advance the clock to `t` if it lies in the future, as a recorded
+    /// wait.
+    fn wait_until(&mut self, t: f64) {
+        if t > self.clock {
+            self.push_span(Phase::Wait, None, self.clock, t - self.clock);
+            self.comm_s += t - self.clock;
+            self.clock = t;
+        }
     }
 
     /// Snapshot of this rank's statistics.
     pub fn stats(&self) -> RankStats {
-        let queue_peak = self.shared.boxes[self.rank].queues.lock().depth_peak as u64;
+        let queue_peak = self.shared.world.lock().boxes[self.rank].depth_peak as u64;
         RankStats {
             clock_s: self.clock,
             compute_s: self.compute_s,

@@ -2,15 +2,10 @@
 
 use crate::model::CostModel;
 use crate::rank::{CommRow, CommSpec, Rank, RankFaults, RankStats};
-use crate::world::{
-    AbortReason, DeadlockAbort, FaultTallies, Mailbox, PeerAborted, RankCrashed, Shared,
-    StalledOnCrash, TimeoutAbort, WaitState,
-};
+use crate::world::{Abort, Aborted, End, RankCrashed, Shared, TimeoutAbort};
 use crate::{FaultCounts, FaultPlan};
 use parfact_trace::{CommMatrixReport, SpanEvent};
-use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Install (once, process-wide) a panic hook that silences the machine's
@@ -25,11 +20,7 @@ fn install_sentinel_panic_filter() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            let sentinel = p.is::<PeerAborted>()
-                || p.is::<DeadlockAbort>()
-                || p.is::<StalledOnCrash>()
-                || p.is::<RankCrashed>()
-                || p.is::<TimeoutAbort>();
+            let sentinel = p.is::<Aborted>() || p.is::<RankCrashed>() || p.is::<TimeoutAbort>();
             if !sentinel {
                 prev(info);
             }
@@ -197,7 +188,8 @@ enum RankEnd<R> {
         tag: u64,
         waited_s: f64,
     },
-    /// Unwound by a peer abort, deadlock, or crash-induced stall.
+    /// Unwound by an abort: a peer's panic or timeout, a deadlock, or a
+    /// crash-induced stall.
     Stalled,
 }
 
@@ -331,25 +323,7 @@ impl Machine {
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
         install_sentinel_panic_filter();
-        let shared = Arc::new(Shared {
-            boxes: (0..self.nranks).map(|_| Mailbox::default()).collect(),
-            failed: AtomicBool::new(false),
-            waiting: Mutex::new(WaitState {
-                blocked: (0..self.nranks).map(|_| None).collect(),
-                done: vec![false; self.nranks],
-                crashed: vec![false; self.nranks],
-                elected: None,
-            }),
-            abort_reason: Mutex::new(None),
-            faults: FaultTallies::default(),
-            model: self.model,
-        });
-        let abort = |shared: &Shared| {
-            shared.failed.store(true, Ordering::SeqCst);
-            for b in &shared.boxes {
-                b.signal.notify_all();
-            }
-        };
+        let shared = Arc::new(Shared::new(self.nranks, self.model));
         let mut slots: Vec<Option<RankSlot<R>>> = (0..self.nranks).map(|_| None).collect();
         let fref = &f;
         let mut first_panic: Option<Box<dyn Any + Send>> = None;
@@ -365,7 +339,7 @@ impl Machine {
                         .spawn_scoped(scope, move || {
                             let mut rank = Rank {
                                 rank: r,
-                                nranks: shared.boxes.len(),
+                                nranks: self.nranks,
                                 shared: Arc::clone(&shared),
                                 clock: 0.0,
                                 compute_s: 0.0,
@@ -395,31 +369,26 @@ impl Machine {
                                     // This rank will never send again; peers
                                     // blocked on it may now be provably
                                     // deadlocked.
-                                    shared.mark_done(r);
+                                    shared.retire(r, End::Done);
                                     RankEnd::Done(v)
                                 }
                                 Err(p) => {
                                     if let Some(c) = p.downcast_ref::<RankCrashed>() {
-                                        // The crash registry was updated in
-                                        // `crash_now`; peers keep running
-                                        // (or time out / stall on us).
+                                        // `crash_now` retired the rank; peers
+                                        // keep running (or time out / stall
+                                        // on us).
                                         RankEnd::Crashed { at_s: c.at_s }
                                     } else if let Some(t) = p.downcast_ref::<TimeoutAbort>() {
-                                        abort(&shared);
-                                        shared.mark_done(r);
+                                        shared.retire(r, End::Failed);
                                         RankEnd::TimedOut {
                                             src: t.src,
                                             tag: t.tag,
                                             waited_s: t.waited_s,
                                         }
-                                    } else if p.is::<PeerAborted>()
-                                        || p.is::<DeadlockAbort>()
-                                        || p.is::<StalledOnCrash>()
-                                    {
+                                    } else if p.is::<Aborted>() {
                                         RankEnd::Stalled
                                     } else {
-                                        abort(&shared);
-                                        shared.mark_done(r);
+                                        shared.retire(r, End::Failed);
                                         return Err(p);
                                     }
                                 }
@@ -439,9 +408,7 @@ impl Machine {
                 match h.join() {
                     Ok(Ok(())) => {}
                     Ok(Err(p)) | Err(p) => {
-                        if p.downcast_ref::<PeerAborted>().is_none() {
-                            first_panic.get_or_insert(p);
-                        }
+                        first_panic.get_or_insert(p);
                     }
                 }
             }
@@ -465,7 +432,10 @@ impl Machine {
             }
             m
         });
-        let abort_reason = shared.abort_reason.lock().clone();
+        let (abort, fault_counts) = {
+            let mut w = shared.world.lock();
+            (w.abort.take(), w.faults)
+        };
         let mut results = Vec::with_capacity(self.nranks);
         let mut stats = Vec::with_capacity(self.nranks);
         let mut events = Vec::with_capacity(self.nranks);
@@ -493,7 +463,7 @@ impl Machine {
             }
         }
         let verdict = if !crashed.is_empty() {
-            if let Some(AbortReason::RankFailure(diag)) = &abort_reason {
+            if let Some(Abort::RankFailure(diag)) = &abort {
                 crash_detail.push_str(diag);
             }
             RunVerdict::RankFailed {
@@ -507,7 +477,7 @@ impl Machine {
                 tag,
                 waited_s,
             }
-        } else if let Some(AbortReason::Deadlock(detail)) = abort_reason {
+        } else if let Some(Abort::Deadlock(detail)) = abort {
             RunVerdict::Deadlocked { detail }
         } else {
             RunVerdict::Completed
@@ -518,7 +488,7 @@ impl Machine {
             results,
             stats,
             events,
-            fault_counts: shared.faults.snapshot(),
+            fault_counts,
             makespan_s: makespan,
             comm,
         }
@@ -531,6 +501,7 @@ impl Machine {
 /// mailbox (crashed receivers and fault-injected duplicates leave messages
 /// behind).
 fn reconcile<R>(m: &CommMatrixReport, slots: &[RankSlot<R>], shared: &Shared) {
+    let world = shared.world.lock();
     let (n, nc) = (m.nranks, m.nclasses());
     let (mut sent, mut posted) = (vec![(0u64, 0u64); n], vec![(0u64, 0u64); n]);
     for (i, (&b, &k)) in m.bytes.iter().zip(&m.msgs).enumerate() {
@@ -546,7 +517,7 @@ fn reconcile<R>(m: &CommMatrixReport, slots: &[RankSlot<R>], shared: &Shared) {
             (s.bytes_sent, s.msgs_sent),
             "rank {r}: comm-matrix row disagrees with (bytes_sent, msgs_sent)"
         );
-        let q = shared.boxes[r].queues.lock();
+        let q = &world.boxes[r];
         // lint:allow(R2) commutative u64 sums over undrained queues — order-free, debug accounting only
         let leftover_bytes: u64 = q
             .map
@@ -603,7 +574,8 @@ mod tests {
             }
             // Everything addressed to this rank has been consumed, so no
             // peer can add to its mailbox any more.
-            let mailbox = rank.shared.boxes[me].queues.lock();
+            let world = rank.shared.world.lock();
+            let mailbox = &world.boxes[me];
             (mailbox.map.len(), mailbox.depth)
         });
         assert_eq!(r.results, vec![(0, 0); p]);
@@ -820,49 +792,13 @@ mod tests {
                 assert_eq!(rank.clock(), 0.5); // probing never advances time
                 rank.advance(1.0);
                 assert!(rank.probe_all(&[(0, 4)])[0] <= rank.clock());
-                let got: (usize, u64) = rank.wait_any(&[(0, 4)]);
-                assert_eq!(got, (0, 9));
+                let got: u64 = rank.recv(0, 4);
+                assert_eq!(got, 9);
                 assert_eq!(rank.clock(), 1.5); // already arrived: no wait
                 1
             }
         });
         assert_eq!(r.results, vec![0, 1]);
-    }
-
-    #[test]
-    fn wait_any_picks_earliest_virtual_arrival() {
-        let m = CostModel {
-            alpha_s: 1.0,
-            beta_s_per_byte: 0.0,
-            flop_time_s: 1.0,
-        };
-        let r = Machine::new(3, m).run(|rank| {
-            match rank.rank() {
-                0 => {
-                    // Arrives at t = 1.
-                    rank.send(2, 5, 100u64);
-                    0
-                }
-                1 => {
-                    // Same tag, later virtual arrival (t = 4) — but often
-                    // physically posted first.
-                    rank.compute(3.0);
-                    rank.send(2, 5, 200u64);
-                    0
-                }
-                _ => {
-                    let keys = [(1usize, 5u64), (0usize, 5u64)];
-                    let (i1, v1): (usize, u64) = rank.wait_any(&keys);
-                    assert_eq!((i1, v1), (1, 100)); // rank 0's message first
-                                                    // Only one pending key remains: drop the consumed one.
-                    let (i2, v2): (usize, u64) = rank.wait_any(&keys[..1]);
-                    assert_eq!((i2, v2), (0, 200));
-                    assert_eq!(rank.clock(), 4.0);
-                    1
-                }
-            }
-        });
-        assert_eq!(r.results, vec![0, 0, 1]);
     }
 
     #[test]
@@ -887,8 +823,8 @@ mod tests {
                 let x: u64 = rank.recv(0, 6);
                 assert_eq!(x, 5);
                 assert_eq!(rank.clock(), 2.0);
-                let (i, y): (usize, u64) = rank.wait_any(&keys[..1]);
-                assert_eq!((i, y), (0, 6));
+                let y: u64 = rank.recv(0, 7);
+                assert_eq!(y, 6);
                 assert_eq!(rank.clock(), 4.0);
                 1
             }
@@ -900,7 +836,7 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected_with_diagnostic() {
         // Both ranks receive from each other without anyone sending: a
-        // protocol bug that used to hang forever in 50 ms condvar waits.
+        // protocol bug that would otherwise park both ranks forever.
         Machine::new(2, CostModel::zero_cost()).run(|rank| {
             let peer = 1 - rank.rank();
             let _: u64 = rank.recv(peer, 42);
@@ -982,7 +918,7 @@ mod tests {
                 let t = rank.probe_all(&[(0, 1)]); // marker at arrival 7
                 assert_eq!(t, vec![7.0]);
                 let _: u64 = rank.recv(0, 1); // wait [0, 7]
-                let _: (usize, u64) = rank.wait_any(&[(0, 2)]); // wait [7, 12]
+                let _: u64 = rank.recv(0, 2); // wait [7, 12]
             }
             0
         });

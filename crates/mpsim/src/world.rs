@@ -1,13 +1,19 @@
-//! The machine's shared state: the mailboxes, the registry of parked,
-//! finished and crashed ranks, and the deadlock scan that decides a run no
-//! rank can advance.
+//! The machine's shared state, behind one lock: the mailboxes, the ranks
+//! parked on a message, the finished and crashed marks, and the scan that
+//! decides a run no rank can advance.
+//!
+//! A parked rank waits on exactly one `(src, tag)` key. Three things wake
+//! it: a post of that key, an abort, or its election to fire its receive
+//! deadline.
 
 use crate::model::CostModel;
 use crate::FaultCounts;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
+
+/// What a receive matches on: `(source rank, tag)`.
+pub(crate) type Key = (usize, u64);
 
 /// A message in flight.
 pub(crate) struct Msg {
@@ -20,9 +26,10 @@ pub(crate) struct Msg {
     pub(crate) bytes: usize,
 }
 
+/// One rank's incoming messages, queued per key.
 #[derive(Default)]
-pub(crate) struct Queues {
-    pub(crate) map: HashMap<(usize, u64), std::collections::VecDeque<Msg>>,
+pub(crate) struct Mailbox {
+    pub(crate) map: HashMap<Key, VecDeque<Msg>>,
     /// Messages currently queued (all keys).
     pub(crate) depth: usize,
     /// High-water mark of `depth`. A physical diagnostic of buffering
@@ -31,164 +38,288 @@ pub(crate) struct Queues {
     pub(crate) depth_peak: usize,
 }
 
-impl Queues {
-    pub(crate) fn head_arrival(&self, key: &(usize, u64)) -> Option<f64> {
+impl Mailbox {
+    fn head(&self, key: &Key) -> Option<f64> {
         self.map.get(key).and_then(|q| q.front()).map(|m| m.arrival)
     }
 }
 
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    pub(crate) queues: Mutex<Queues>,
-    pub(crate) signal: Condvar,
+/// A parked rank's one missing key, and the absolute virtual deadline of
+/// its wait (wait-start clock + the machine-wide receive timeout), if the
+/// machine has one.
+struct Parked {
+    key: Key,
+    deadline: Option<f64>,
 }
 
-/// One parked rank's registration: what it waits for, and the absolute
-/// virtual deadline of the wait (if any). Deadline-bearing waits are
-/// resolved *at quiescence* by the scanner, which elects the earliest
-/// deadline to fire — never by rank threads racing each other on host time.
-pub(crate) struct Blocked {
-    pub(crate) keys: Vec<(usize, u64)>,
-    /// Absolute virtual deadline (wait-start clock + the machine-wide
-    /// receive timeout), if the machine has one.
-    pub(crate) deadline: Option<f64>,
-}
-
-/// Deadlock-detection registry: which ranks are parked in a blocking
-/// receive (and on which keys), which have finished their program, and
-/// which have crashed under an injected fault — finished and crashed ranks
-/// can never send again.
-pub(crate) struct WaitState {
-    pub(crate) blocked: Vec<Option<Blocked>>,
-    pub(crate) done: Vec<bool>,
-    pub(crate) crashed: Vec<bool>,
-    /// Rank elected by the scanner to fire its timeout. Set only at
-    /// quiescence (every rank finished, crashed, or parked), consumed by
-    /// the elected rank on its next poll. While an election is pending the
-    /// scanner makes no further decisions.
-    pub(crate) elected: Option<usize>,
-}
-
-/// Why a blocked run was aborted: a genuine protocol deadlock, or a
-/// blockage caused by a crashed rank holding undelivered sends. The two get
-/// different verdicts — conflating them (the old detector's behaviour)
-/// mis-diagnoses an injected rank failure as a protocol bug.
-#[derive(Clone)]
-pub(crate) enum AbortReason {
+/// Why a run was aborted. A blockage caused by a crashed rank holding
+/// undelivered sends is a rank failure, never a protocol deadlock.
+pub(crate) enum Abort {
+    /// A rank panicked or timed out; its own end names the verdict.
+    Failed,
+    /// Protocol deadlock, with a per-rank diagnostic.
     Deadlock(String),
+    /// Every surviving rank is finished or blocked on a crashed rank's
+    /// undelivered sends, with a per-rank diagnostic.
     RankFailure(String),
 }
 
-/// Machine-wide tallies of injected-fault activity (lock-free: bumped from
-/// rank threads, snapshotted after the run).
-#[derive(Default)]
-pub(crate) struct FaultTallies {
-    pub(crate) crashes: AtomicU64,
-    pub(crate) delayed_msgs: AtomicU64,
-    pub(crate) duplicated_msgs: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-}
-
-impl FaultTallies {
-    pub(crate) fn snapshot(&self) -> FaultCounts {
-        FaultCounts {
-            crashes: self.crashes.load(Ordering::Relaxed),
-            delayed_msgs: self.delayed_msgs.load(Ordering::Relaxed),
-            duplicated_msgs: self.duplicated_msgs.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-        }
-    }
-}
-
-pub(crate) struct Shared {
+/// Everything the ranks share, behind [`Shared::world`].
+pub(crate) struct World {
     pub(crate) boxes: Vec<Mailbox>,
-    pub(crate) failed: AtomicBool,
-    /// Registry used only for deadlock detection — see `register_blocked`.
-    pub(crate) waiting: Mutex<WaitState>,
-    /// Diagnostic set by the rank that detects an unresolvable blockage;
-    /// every parked rank re-raises it.
-    pub(crate) abort_reason: Mutex<Option<AbortReason>>,
-    pub(crate) faults: FaultTallies,
+    parked: Vec<Option<Parked>>,
+    done: Vec<bool>,
+    crashed: Vec<bool>,
+    /// Ranks neither finished, crashed nor parked: the scan runs only when
+    /// this reaches zero.
+    running: usize,
+    /// Rank elected by the scan to fire its receive deadline. While an
+    /// election is pending the scan makes no further decision.
+    elected: Option<usize>,
+    pub(crate) abort: Option<Abort>,
+    /// Injected-fault activity, bumped by the ranks it happens to.
+    pub(crate) faults: FaultCounts,
+}
+
+/// The machine's shared state: the world behind its one lock, and the
+/// condition variable each rank parks on.
+pub(crate) struct Shared {
+    pub(crate) world: Mutex<World>,
+    wake: Vec<Condvar>,
     pub(crate) model: CostModel,
 }
 
+/// How a rank's program ended, as far as the others are concerned.
+pub(crate) enum End {
+    Done,
+    Crashed,
+    /// A panic or a timeout: the run aborts.
+    Failed,
+}
+
+/// Panic payload unwinding every rank once the run is aborted. Which
+/// verdict that is comes from [`World::abort`].
+pub(crate) struct Aborted;
+
+/// Panic payload raised by a rank the fault plan crashes. Caught by the
+/// machine and turned into a rank-failure verdict.
+pub(crate) struct RankCrashed {
+    pub(crate) at_s: f64,
+}
+
+/// Panic payload raised by a blocking receive that exceeded the
+/// machine-wide receive deadline, on the `(src, tag)` it was matching and
+/// the virtual seconds it waited. Caught by the machine and turned into a
+/// timeout verdict.
+pub(crate) struct TimeoutAbort {
+    pub(crate) src: usize,
+    pub(crate) tag: u64,
+    pub(crate) waited_s: f64,
+}
+
 impl Shared {
-    /// With the `waiting` lock held: if every rank is either finished or
-    /// parked, and no parked rank's keys have a posted message anywhere,
-    /// the blockage can never resolve by itself. Resolution is decided
-    /// *here*, at quiescence, where every parked clock is frozen and the
-    /// state is a deterministic function of the program and fault plan:
-    ///
-    /// 1. with a crashed rank in the picture, abort as a rank failure — the
-    ///    precise verdict, without burning receive deadlines;
-    /// 2. else elect the earliest receive deadline to fire (the rank aborts
-    ///    the run with a typed timeout);
-    /// 3. else record a protocol deadlock.
-    ///
-    /// Rank threads never resolve machine-wide deadlines on their own —
-    /// that would race the abort against still-running peers and make
-    /// failed-attempt clocks (and the makespan) host-timing-dependent.
-    ///
-    /// Lock order: `waiting` before any mailbox `queues`; waiters never
-    /// hold their own `queues` lock while taking `waiting`.
-    pub(crate) fn deadlock_scan(&self, w: &mut WaitState) {
-        // A run that already failed (peer panic or timeout) aborts through
-        // the failure flag; a deadlock verdict now would be spurious and
-        // could mask the real panic.
-        if self.failed.load(Ordering::SeqCst) {
-            return;
+    pub(crate) fn new(nranks: usize, model: CostModel) -> Self {
+        Shared {
+            world: Mutex::new(World {
+                boxes: (0..nranks).map(|_| Mailbox::default()).collect(),
+                parked: (0..nranks).map(|_| None).collect(),
+                done: vec![false; nranks],
+                crashed: vec![false; nranks],
+                running: nranks,
+                elected: None,
+                abort: None,
+                faults: FaultCounts::default(),
+            }),
+            wake: (0..nranks).map(|_| Condvar::new()).collect(),
+            model,
         }
-        // A pending election will wake its rank and change the state;
-        // nothing further is decidable until it is consumed.
-        if w.elected.is_some() {
-            return;
+    }
+
+    /// Queue `copies` of one message at `dst` under `(src, tag)` (two on a
+    /// duplicated link, `delayed` on a slowed one), and wake `dst` if it is
+    /// parked on exactly that key.
+    pub(crate) fn post(&self, src: usize, dst: usize, tag: u64, copies: Vec<Msg>, delayed: bool) {
+        let mut w = self.world.lock();
+        w.faults.delayed_msgs += u64::from(delayed);
+        w.faults.duplicated_msgs += copies.len() as u64 - 1;
+        let mbox = &mut w.boxes[dst];
+        mbox.depth += copies.len();
+        mbox.depth_peak = mbox.depth_peak.max(mbox.depth);
+        mbox.map.entry((src, tag)).or_default().extend(copies);
+        let wake = w.parked[dst].as_ref().is_some_and(|p| p.key == (src, tag));
+        drop(w);
+        if wake {
+            self.wake[dst].notify_one();
         }
-        let any_blocked = w.blocked.iter().any(Option::is_some);
-        let all_stuck = any_blocked
-            && w.done
-                .iter()
-                .zip(&w.crashed)
-                .zip(&w.blocked)
-                .all(|((&done, &crashed), blocked)| done || crashed || blocked.is_some());
-        if !all_stuck {
-            return;
-        }
-        let live = w.blocked.iter().enumerate().any(|(r, entry)| match entry {
-            Some(b) => {
-                let q = self.boxes[r].queues.lock();
-                b.keys.iter().any(|k| q.head_arrival(k).is_some())
-            }
-            None => false,
-        });
-        if live {
-            return;
-        }
-        let any_crashed = w.crashed.iter().any(|&c| c);
-        // A crashed rank explains the blockage outright: abort with the
-        // rank-failure verdict instead of electing a timeout that would burn
-        // the full deadline first. Otherwise the earliest deadline fires;
-        // deadlines are virtual, so the choice is deterministic, and ties
-        // break by rank number.
-        let winner = if any_crashed {
-            None
-        } else {
-            w.blocked
-                .iter()
-                .enumerate()
-                .filter_map(|(r, e)| e.as_ref().and_then(|b| b.deadline).map(|d| (d, r)))
-                .min_by(|a, b| a.partial_cmp(b).expect("NaN deadline"))
-                .map(|(_, r)| r)
+    }
+
+    /// The head arrivals of `keys` at rank `me`, in `keys` order, consuming
+    /// nothing; parks until every key has a head. An elected rank gets its
+    /// smallest missing key back as the error.
+    pub(crate) fn probe(
+        &self,
+        me: usize,
+        keys: &[Key],
+        deadline: Option<f64>,
+    ) -> Result<Vec<f64>, Key> {
+        let mut w = self.world.lock();
+        self.park(&mut w, me, keys, deadline)?;
+        let mbox = &w.boxes[me];
+        Ok(keys
+            .iter()
+            .map(|k| mbox.head(k).expect("a seen head stays until taken"))
+            .collect())
+    }
+
+    /// Take the head of `key` at rank `me`, parking until it is posted.
+    /// `None` once the wait passes `deadline`: the head arrives after it,
+    /// or the scan fired it.
+    pub(crate) fn recv(&self, me: usize, key: Key, deadline: Option<f64>) -> Option<Msg> {
+        use std::collections::hash_map::Entry;
+        let mut w = self.world.lock();
+        self.park(&mut w, me, &[key], deadline).ok()?;
+        let mbox = &mut w.boxes[me];
+        let Entry::Occupied(mut queue) = mbox.map.entry(key) else {
+            unreachable!("parking returned without a head");
         };
-        if let Some(r) = winner {
-            w.elected = Some(r);
-            self.boxes[r].signal.notify_all();
+        if deadline.is_some_and(|d| queue.get()[0].arrival > d) {
+            return None;
+        }
+        let msg = queue
+            .get_mut()
+            .pop_front()
+            .expect("queued keys are never empty");
+        // An empty queue means what an absent one does; dropping it keeps
+        // the table the size of what is queued, not of every `(src, tag)`
+        // ever received (the dist engine uses each tag once).
+        if queue.get().is_empty() {
+            queue.remove();
+        }
+        mbox.depth -= 1;
+        Some(msg)
+    }
+
+    /// Park rank `me` until every key in `keys` has a queue head. Blocks
+    /// the OS thread only — no virtual clock moves. Only `me` consumes its
+    /// mailbox, so a head once seen stays: a cursor walks `keys` once, and
+    /// the rank parks on the first missing key alone.
+    ///
+    /// A deadline never resolves on this thread: the scan decides at
+    /// quiescence, when every parked clock is frozen — otherwise the abort
+    /// would race still-running peers and the failed attempt's clocks (and
+    /// makespan) would depend on host timing. An elected rank returns its
+    /// smallest missing key.
+    fn park(
+        &self,
+        w: &mut MutexGuard<'_, World>,
+        me: usize,
+        keys: &[Key],
+        deadline: Option<f64>,
+    ) -> Result<(), Key> {
+        for &(src, _) in keys {
+            assert!(
+                src < self.wake.len(),
+                "recv from rank {src} of {}",
+                self.wake.len()
+            );
+        }
+        let mut cursor = 0;
+        loop {
+            if w.abort.is_some() {
+                std::panic::panic_any(Aborted);
+            }
+            let mbox = &w.boxes[me];
+            while cursor < keys.len() && mbox.head(&keys[cursor]).is_some() {
+                cursor += 1;
+            }
+            let Some(&key) = keys.get(cursor) else {
+                return Ok(());
+            };
+            if w.elected == Some(me) {
+                let missing = keys[cursor..].iter().filter(|k| mbox.head(k).is_none());
+                let smallest = *missing.min().expect("the cursor's key is missing");
+                w.elected = None;
+                return Err(smallest);
+            }
+            w.parked[me] = Some(Parked { key, deadline });
+            w.running -= 1;
+            // The scan may have decided for this very rank already.
+            self.scan(w);
+            while w.boxes[me].head(&key).is_none() && w.abort.is_none() && w.elected != Some(me) {
+                self.wake[me].wait(w);
+            }
+            w.parked[me] = None;
+            w.running += 1;
+        }
+    }
+
+    /// Rank `r`'s program ended: it will never send again. A failed end
+    /// aborts the run; any other may leave the rest provably stuck.
+    pub(crate) fn retire(&self, r: usize, end: End) {
+        let mut w = self.world.lock();
+        w.running -= 1;
+        match end {
+            End::Done => w.done[r] = true,
+            End::Crashed => {
+                w.crashed[r] = true;
+                w.faults.crashes += 1;
+            }
+            End::Failed => {
+                w.done[r] = true;
+                self.abort(&mut w, Abort::Failed);
+            }
+        }
+        self.scan(&mut w);
+    }
+
+    fn abort(&self, w: &mut World, why: Abort) {
+        if w.abort.is_none() {
+            w.abort = Some(why);
+            for c in &self.wake {
+                c.notify_one();
+            }
+        }
+    }
+
+    /// With the lock held: once no rank is running, decide whether the
+    /// parked ranks can ever advance. Every parked clock is frozen here, so
+    /// the decision is a deterministic function of the program and fault
+    /// plan:
+    ///
+    /// 1. a parked rank whose key has a head was woken and has not run yet:
+    ///    nothing is decided;
+    /// 2. with a crashed rank in the picture, abort as a rank failure — the
+    ///    precise verdict, without burning receive deadlines;
+    /// 3. else elect the earliest receive deadline to fire (the rank aborts
+    ///    the run with a typed timeout), ties broken by rank;
+    /// 4. else abort as a protocol deadlock.
+    fn scan(&self, w: &mut World) {
+        if w.running > 0 || w.abort.is_some() || w.elected.is_some() {
             return;
         }
-        // Classify *before* declaring deadlock: when a crashed rank is in
-        // the picture, every live rank being blocked is the expected
-        // consequence of the rank failure (the dead rank holds undelivered
-        // sends), not a protocol bug — the verdict must be a rank failure,
-        // never a spurious deadlock.
+        let parked: Vec<(usize, &Parked)> = w
+            .parked
+            .iter()
+            .enumerate()
+            .filter_map(|(r, p)| Some((r, p.as_ref()?)))
+            .collect();
+        let live = parked
+            .iter()
+            .any(|&(r, p)| w.boxes[r].head(&p.key).is_some());
+        if parked.is_empty() || live {
+            return;
+        }
+        let any_crashed = w.crashed.contains(&true);
+        let winner = parked
+            .iter()
+            .filter(|_| !any_crashed)
+            .filter_map(|&(r, p)| Some((p.deadline?, r)))
+            .min_by(|a, b| a.partial_cmp(b).expect("NaN deadline"));
+        if let Some((_, r)) = winner {
+            w.elected = Some(r);
+            self.wake[r].notify_one();
+            return;
+        }
         use std::fmt::Write;
         let mut diag = if any_crashed {
             String::from(
@@ -201,71 +332,20 @@ impl Shared {
                  with no matching message in flight\n",
             )
         };
-        for (r, entry) in w.blocked.iter().enumerate() {
-            if w.crashed[r] {
-                let _ = writeln!(diag, "  rank {r} crashed");
-                continue;
-            }
-            match entry {
-                Some(b) => {
-                    let list = b
-                        .keys
-                        .iter()
-                        .map(|(s, t)| format!("(src={s}, tag={t})"))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    let _ = writeln!(diag, "  rank {r} waiting on: {list}");
+        for (r, p) in w.parked.iter().enumerate() {
+            let _ = match p {
+                _ if w.crashed[r] => writeln!(diag, "  rank {r} crashed"),
+                Some(Parked { key: (s, t), .. }) => {
+                    writeln!(diag, "  rank {r} waiting on: (src={s}, tag={t})")
                 }
-                None => {
-                    let _ = writeln!(diag, "  rank {r} finished");
-                }
-            }
+                None => writeln!(diag, "  rank {r} finished"),
+            };
         }
-        *self.abort_reason.lock() = Some(if any_crashed {
-            AbortReason::RankFailure(diag)
+        let why = if any_crashed {
+            Abort::RankFailure(diag)
         } else {
-            AbortReason::Deadlock(diag)
-        });
-        self.failed.store(true, Ordering::SeqCst);
-        for b in &self.boxes {
-            b.signal.notify_all();
-        }
+            Abort::Deadlock(diag)
+        };
+        self.abort(w, why);
     }
-
-    /// Mark rank `r`'s program as completed: it can never send again, so a
-    /// deadlock among the remaining ranks may now be decidable.
-    pub(crate) fn mark_done(&self, r: usize) {
-        let mut w = self.waiting.lock();
-        w.done[r] = true;
-        self.deadlock_scan(&mut w);
-    }
-}
-
-/// Panic payload used to abort ranks once a peer panicked or timed out.
-/// Filtered out when the machine picks which panic to propagate.
-pub(crate) struct PeerAborted;
-
-/// Panic payload used to unwind ranks parked in a genuine deadlock; the
-/// machine reports the run as [`RunVerdict::Deadlocked`].
-pub(crate) struct DeadlockAbort;
-
-/// Panic payload used to unwind ranks that are provably blocked on a
-/// crashed rank's undelivered sends. The machine reports the run as
-/// [`RunVerdict::RankFailed`], never as a deadlock.
-pub(crate) struct StalledOnCrash;
-
-/// Panic payload raised by a rank the fault plan crashes. Caught by the
-/// machine and turned into a [`RunVerdict::RankFailed`].
-pub(crate) struct RankCrashed {
-    pub(crate) at_s: f64,
-}
-
-/// Panic payload raised by a blocking receive that exceeded the
-/// machine-wide [`Machine::recv_timeout`], on the `(src, tag)` it was
-/// matching and the virtual seconds it waited. Caught by the machine and
-/// turned into a [`RunVerdict::TimedOut`].
-pub(crate) struct TimeoutAbort {
-    pub(crate) src: usize,
-    pub(crate) tag: u64,
-    pub(crate) waited_s: f64,
 }
