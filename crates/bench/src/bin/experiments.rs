@@ -508,7 +508,7 @@ fn exp_f6(ctx: &Ctx) {
     let points: Vec<(usize, usize)> = if ctx.quick {
         vec![(12, 1), (15, 4)]
     } else {
-        vec![(16, 1), (20, 4), (25, 16), (32, 64)]
+        vec![(16, 1), (20, 4), (25, 16), (32, 64), (40, 256), (50, 1024)]
     };
     let mut t1 = 0.0;
     for (m, p) in points {

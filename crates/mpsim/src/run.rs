@@ -713,8 +713,8 @@ mod tests {
             if rank.rank() == 0 {
                 panic!("boom");
             }
-            // Peers block on a message that will never come; the failure
-            // flag must wake and abort them rather than hang the test.
+            // Peers block on a message that will never come; the abort
+            // must wake and unwind them rather than hang the test.
             let _: u64 = rank.recv(0, 9);
         });
     }

@@ -1,6 +1,6 @@
 //! The machine's shared state, behind one lock: the mailboxes, the ranks
-//! parked on a message, the finished and crashed marks, and the scan that
-//! decides a run no rank can advance.
+//! parked on a message, the crashed marks, the count of running ranks, and
+//! the scan that decides a run no rank can advance.
 //!
 //! A parked rank waits on exactly one `(src, tag)` key. Three things wake
 //! it: a post of that key, an abort, or its election to fire its receive
@@ -68,7 +68,6 @@ pub(crate) enum Abort {
 pub(crate) struct World {
     pub(crate) boxes: Vec<Mailbox>,
     parked: Vec<Option<Parked>>,
-    done: Vec<bool>,
     crashed: Vec<bool>,
     /// Ranks neither finished, crashed nor parked: the scan runs only when
     /// this reaches zero.
@@ -123,7 +122,6 @@ impl Shared {
             world: Mutex::new(World {
                 boxes: (0..nranks).map(|_| Mailbox::default()).collect(),
                 parked: (0..nranks).map(|_| None).collect(),
-                done: vec![false; nranks],
                 crashed: vec![false; nranks],
                 running: nranks,
                 elected: None,
@@ -259,15 +257,12 @@ impl Shared {
         let mut w = self.world.lock();
         w.running -= 1;
         match end {
-            End::Done => w.done[r] = true,
+            End::Done => {}
             End::Crashed => {
                 w.crashed[r] = true;
                 w.faults.crashes += 1;
             }
-            End::Failed => {
-                w.done[r] = true;
-                self.abort(&mut w, Abort::Failed);
-            }
+            End::Failed => self.abort(&mut w, Abort::Failed),
         }
         self.scan(&mut w);
     }

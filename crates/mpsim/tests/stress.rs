@@ -147,12 +147,16 @@ fn report_aggregates() {
 fn within_30s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     use std::sync::mpsc::{channel, RecvTimeoutError};
     let (tx, rx) = channel();
-    std::thread::spawn(move || tx.send(f()));
-    match rx.recv_timeout(std::time::Duration::from_secs(30)) {
-        Ok(v) => v,
-        Err(RecvTimeoutError::Timeout) => panic!("the run did not return within 30 s"),
-        Err(RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+    let run = std::thread::spawn(move || {
+        let v = f();
+        let _ = tx.send(());
+        v
+    });
+    if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        panic!("the run did not return within 30 s");
     }
+    // Returned or panicked (the sender dropped): join, re-raising a panic.
+    run.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
 fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
