@@ -166,8 +166,8 @@ pub fn sort_spans(spans: &mut [SpanEvent]) {
 
 record! {
     /// A plain snapshot of every counter. This is both the merge unit (what a
-    /// [`LocalRecorder`] accumulates) and the report payload. The per-phase
-    /// times from `solve_s` on postdate the first schema revision.
+    /// [`LocalRecorder`] accumulates) and the report payload. The analysis
+    /// times postdate the first schema revision.
     #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct Counters {
         /// Frontal matrices factored.
@@ -188,8 +188,6 @@ record! {
         panel_s: f64 = required, sum <- Panel;
         /// Seconds spent in distinct trailing-update (GEMM-like) stages.
         gemm_s: f64 = required, sum <- Gemm;
-        /// Seconds spent in triangular solves.
-        solve_s: f64 = default, sum <- Solve;
         /// Analysis seconds: multilevel coarsening.
         coarsen_s: f64 = default, sum <- Coarsen;
         /// Analysis seconds: initial partition + projection + separator.
@@ -219,8 +217,8 @@ record! {
 pub struct WorkerSummary {
     /// Recorder id (`who` passed to [`Collector::local`]).
     pub who: usize,
-    /// Seconds attributed to numeric kernels (extend-add + panel + gemm +
-    /// solve) on this worker.
+    /// Seconds attributed to numeric kernels (extend-add + panel + gemm) on
+    /// this worker.
     pub compute_s: f64,
     /// Factorization flops performed by this worker.
     pub flops: f64,
@@ -501,7 +499,7 @@ impl LocalRecorder<'_> {
         }
         let summary = WorkerSummary {
             who: self.who,
-            compute_s: self.c.extend_add_s + self.c.panel_s + self.c.gemm_s + self.c.solve_s,
+            compute_s: self.c.extend_add_s + self.c.panel_s + self.c.gemm_s,
             flops: self.c.flops,
             mem_peak_bytes: self.mem_peak.get(),
         };
@@ -660,14 +658,9 @@ mod tests {
         assert_eq!(a.msgs_sent, 4);
 
         let mut c = Counters::default();
-        for (phase, field) in [
-            (Phase::ExtendAdd, 0),
-            (Phase::Panel, 1),
-            (Phase::Gemm, 2),
-            (Phase::Solve, 3),
-        ] {
+        for (phase, field) in [(Phase::ExtendAdd, 0), (Phase::Panel, 1), (Phase::Gemm, 2)] {
             c.add_phase(phase, 1.0);
-            let vals = [c.extend_add_s, c.panel_s, c.gemm_s, c.solve_s];
+            let vals = [c.extend_add_s, c.panel_s, c.gemm_s];
             assert_eq!(vals[field], 1.0);
         }
     }

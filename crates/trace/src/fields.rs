@@ -2,9 +2,10 @@
 //!
 //! [`record!`] takes the field list of a report struct — one row per field:
 //! the Rust name (which is the wire name), the type, and how the decoder
-//! treats the field — and generates the struct with those fields public,
-//! its JSON encoder and decoder, and the `(name, value)` list the metrics
-//! export walks. A report field is added by adding its row.
+//! treats the field — and generates the struct with those fields public
+//! and its JSON encoder and decoder. The Prometheus export flattens that
+//! JSON (`metrics.rs`), so a report field is added to both encodings by
+//! adding its row.
 //!
 //! Decode modes:
 //!
@@ -33,10 +34,6 @@ use crate::json::Json;
 pub(crate) trait Wire: Sized {
     fn to_json(&self) -> Json;
     fn from_json(j: &Json) -> Option<Self>;
-    /// The value as a metrics sample, for the types that have one.
-    fn gauge(&self) -> Option<f64> {
-        None
-    }
 }
 
 impl Wire for f64 {
@@ -45,9 +42,6 @@ impl Wire for f64 {
     }
     fn from_json(j: &Json) -> Option<f64> {
         j.as_f64()
-    }
-    fn gauge(&self) -> Option<f64> {
-        Some(*self)
     }
 }
 
@@ -58,9 +52,6 @@ impl Wire for u64 {
     fn from_json(j: &Json) -> Option<u64> {
         j.as_u64()
     }
-    fn gauge(&self) -> Option<f64> {
-        Some(*self as f64)
-    }
 }
 
 impl Wire for usize {
@@ -69,9 +60,6 @@ impl Wire for usize {
     }
     fn from_json(j: &Json) -> Option<usize> {
         j.as_usize()
-    }
-    fn gauge(&self) -> Option<f64> {
-        Some(*self as f64)
     }
 }
 
@@ -197,16 +185,6 @@ macro_rules! record {
                     $( $x: Default::default(), )*
                 })
             }
-
-            /// `(wire name, value)` of each numeric tabled field, in table
-            /// order — the list the metrics export walks.
-            #[allow(dead_code)]
-            pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> {
-                use $crate::fields::Wire;
-                [$( (stringify!($f), self.$f.gauge()) ),*]
-                    .into_iter()
-                    .filter_map(|(name, v)| Some((name, v?)))
-            }
         }
     };
 
@@ -231,18 +209,14 @@ macro_rules! record {
 
             /// Add `dur_s` to the field `phase` feeds. Phases without a
             /// field (communication time is accounted by the simulator's
-            /// per-rank statistics, fault markers are instants) are span
-            /// events only.
+            /// per-rank statistics, the solve's time by the report's
+            /// `solve.seconds`, fault markers are instants) are span events
+            /// only.
             pub(crate) fn add_phase(&mut self, phase: $crate::collector::Phase, dur_s: f64) {
                 match phase {
                     $($( $crate::collector::Phase::$phase => self.$f += dur_s, )?)*
                     _ => {}
                 }
-            }
-
-            /// `(phase, seconds)` of each phase-fed field, in table order.
-            pub(crate) fn phase_seconds(&self) -> Vec<($crate::collector::Phase, f64)> {
-                vec![$($( ($crate::collector::Phase::$phase, self.$f), )?)*]
             }
         }
     };

@@ -208,13 +208,6 @@ pub fn json_escape(s: &str, out: &mut String) {
     }
 }
 
-/// Convenience form of [`json_escape`] returning a fresh `String`.
-pub fn json_escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    json_escape(s, &mut out);
-    out
-}
-
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
     json_escape(s, out);
@@ -475,7 +468,9 @@ ctrl"#,
                 r#"mix \"q\" \\ and\nctrl"#,
             ),
         ] {
-            assert_eq!(json_escaped(raw), want, "escaping {raw:?}");
+            let mut escaped = String::new();
+            json_escape(raw, &mut escaped);
+            assert_eq!(escaped, want, "escaping {raw:?}");
             // And the full document containing it must parse back to the
             // original string.
             let doc = Json::Obj(vec![("name".into(), Json::str(raw))]);

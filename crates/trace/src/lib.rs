@@ -19,7 +19,9 @@
 //! - [`FactorReport`] / [`RankReport`] — the serializable run record,
 //!   with JSON round-tripping via the dependency-free [`json`] module.
 //!   Each report type is one field table (`fields.rs`) that generates the
-//!   struct, its encoder and its decoder.
+//!   struct, its encoder and its decoder. The one other encoding,
+//!   [`FactorReport::to_prometheus`], is a flattening of that JSON into
+//!   Prometheus text exposition, so both carry the same values.
 //! - [`timeline`] — per-rank/per-worker lanes (compute/comm/wait) built
 //!   from the merged span stream, with Chrome Trace Event Format export
 //!   for Perfetto / `chrome://tracing`.
@@ -34,7 +36,7 @@
 pub mod collector;
 mod fields;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod profile;
 pub mod report;
 pub mod timeline;
@@ -43,8 +45,6 @@ pub use collector::{
     sort_spans, Collector, Counters, LocalRecorder, Phase, SpanEvent, Tick, TraceLevel,
     WorkerSummary,
 };
-pub use json::{json_escape, json_escaped};
-pub use metrics::Registry;
 pub use profile::{BlockingEdge, ProfileReport, RankActivity};
 pub use report::{
     AnalysisReport, CommMatrixReport, FactorReport, FaultReport, RankReport, RankScalability,

@@ -388,6 +388,7 @@ impl Wire for ScalabilityReport {
             ("volume_model_ratio", self.volume_model_ratio()),
             ("volume_balance", self.volume_balance()),
             ("memory_balance", self.memory_balance()),
+            ("memory_efficiency", self.memory_efficiency()),
         ] {
             fields.extend(ratio.map(|r| (name.to_string(), r.to_json())));
         }
@@ -527,12 +528,18 @@ impl FactorReport {
     pub fn to_json(&self) -> Json {
         let mut fields = self.fields_to_json();
         let mut put = |name: &str, v: Json| fields.push((name.to_string(), v));
-        // Derived rates, written for downstream tooling but never read
+        // Derived values, written for downstream tooling but never read
         // back (from_json ignores them), so round-trips stay exact.
         put("factor_gflops", self.factor_gflops().to_json());
         put("counters", self.counters.to_json());
-        if let Some(kg) = self.kernel_gflops() {
-            put("kernel_gflops", kg.to_json());
+        for (name, v) in [
+            ("kernel_gflops", self.kernel_gflops()),
+            ("sim_makespan_s", self.sim_makespan_s()),
+            ("load_imbalance", self.load_imbalance()),
+        ] {
+            if let Some(v) = v {
+                put(name, v.to_json());
+            }
         }
         if !self.ranks.is_empty() {
             put("ranks", self.ranks.to_json());
@@ -627,7 +634,6 @@ mod tests {
                 extend_add_s: 0.04,
                 panel_s: 0.15,
                 gemm_s: 0.01,
-                solve_s: 0.002,
                 coarsen_s: 0.004,
                 bisect_s: 0.003,
                 refine_s: 0.002,
@@ -882,6 +888,8 @@ mod tests {
         let text = sample_report().to_json_string();
         assert!(text.contains("\"factor_gflops\""));
         assert!(text.contains("\"kernel_gflops\""));
+        assert!(text.contains("\"sim_makespan_s\""));
+        assert!(text.contains("\"load_imbalance\""));
         // ...without disturbing the round trip.
         let back = FactorReport::from_json_str(&text).unwrap();
         assert_eq!(back, sample_report());
@@ -961,6 +969,7 @@ mod tests {
         assert!(text.contains("\"volume_model_ratio\""));
         assert!(text.contains("\"volume_balance\""));
         assert!(text.contains("\"memory_balance\""));
+        assert!(text.contains("\"memory_efficiency\""));
         // ...but ignored on read, so the round trip is exact.
         let back = FactorReport::from_json_str(&text).unwrap();
         assert_eq!(back, r);

@@ -234,14 +234,14 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &args.metrics_out {
-        let reg = parfact::trace::Registry::from_report(r);
-        if let Err(e) = std::fs::write(path, reg.to_prometheus()) {
+        let text = r.to_prometheus();
+        if let Err(e) = std::fs::write(path, &text) {
             eprintln!("error writing {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!(
-            "metrics: {} families written to {path} (Prometheus text exposition)",
-            reg.families().len()
+            "metrics: {} samples written to {path} (Prometheus text exposition)",
+            text.lines().filter(|l| !l.starts_with('#')).count()
         );
     }
 
