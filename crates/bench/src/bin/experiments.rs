@@ -98,7 +98,6 @@ impl Ctx {
                     &sym.tree.parent,
                     &out.merged_events(),
                     &out.rank_reports(),
-                    8,
                 );
                 points.push(ScalPoint {
                     matrix: p.name,
@@ -957,7 +956,6 @@ fn exp_a7(ctx: &Ctx) {
                 &sym.tree.parent,
                 &evd.merged_events(),
                 &evd.rank_reports(),
-                8,
             );
             let hidden: f64 = evd.stats.iter().map(|s| s.comm_hidden_s).sum();
             let identical = factor.max_abs_diff(&sync.factor) == 0.0;

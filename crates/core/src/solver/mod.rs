@@ -443,7 +443,6 @@ impl SparseCholesky {
 
 #[cfg(test)]
 mod tests {
-    use super::numeric::PROFILE_TOP_K;
     use super::*;
     use crate::factor::FactorKind;
     use crate::smp::SmpOpts;
@@ -733,7 +732,7 @@ mod tests {
         )
         .unwrap();
         // Untraced runs carry no analysis section; traced runs do, with the
-        // resolved thread count and the per-stage seconds summing sanely.
+        // resolved thread count and the per-stage seconds.
         assert!(SparseCholesky::factorize(&a, &FactorOpts::default())
             .unwrap()
             .report()
@@ -741,7 +740,6 @@ mod tests {
             .is_none());
         let ar = base.report().analysis.as_ref().expect("analysis section");
         assert_eq!(ar.threads, 1);
-        assert!(ar.total_s() > 0.0);
         // The default ND ordering exercises coarsening/bisection/refinement
         // plus the symbolic stages.
         assert!(ar.coarsen_s > 0.0);
@@ -1132,12 +1130,7 @@ mod tests {
         assert_eq!(back, r);
         // The profile ignores solve spans: recomputing it over the
         // enriched stream changes nothing.
-        let p = parfact_trace::profile::analyze(
-            &chol.symbolic().tree.parent,
-            &r.spans,
-            &r.ranks,
-            PROFILE_TOP_K,
-        );
+        let p = parfact_trace::profile::analyze(&chol.symbolic().tree.parent, &r.spans, &r.ranks);
         assert_eq!(Some(p), r.profile);
     }
 }

@@ -15,9 +15,6 @@ use std::time::Instant;
 #[cfg(doc)]
 use super::SparseCholesky;
 
-/// How many blocking edges the timeline profile keeps in the report.
-pub(super) const PROFILE_TOP_K: usize = 8;
-
 /// Critical-path / idle analysis of a timeline-traced run. `None` unless
 /// the run was traced at [`TraceLevel::Timeline`] and produced spans.
 fn timeline_profile(
@@ -33,7 +30,6 @@ fn timeline_profile(
         &sym.tree.parent,
         spans,
         ranks,
-        PROFILE_TOP_K,
     ))
 }
 

@@ -84,7 +84,7 @@ record! {
         makespan_s: f64 = default;
         /// Per-rank/per-worker breakdown, ascending by `who`.
         ranks: Vec<RankActivity> = default;
-        /// Largest waits, descending (at most the requested top-k).
+        /// Largest waits, descending (at most [`TOP_BLOCKING_EDGES`]).
         blocking_edges: Vec<BlockingEdge> = default;
         /// Rank with the deepest receive-queue high-water mark, when per-rank
         /// simulator stats are available and any queueing happened.
@@ -98,6 +98,9 @@ impl ProfileReport {
         self.ranks.iter().map(|r| r.idle_frac).fold(0.0, f64::max)
     }
 }
+
+/// How many blocking edges [`analyze`] keeps, largest wait first.
+pub const TOP_BLOCKING_EDGES: usize = 8;
 
 /// Per-supernode span aggregate.
 #[derive(Clone, Copy)]
@@ -113,13 +116,9 @@ struct Node {
 /// ids are assumed postordered (children numbered before parents), which
 /// every engine in this codebase guarantees. `rank_stats` supplies the
 /// simulator's per-rank queue depths for congestion flagging (pass `[]`
-/// for host engines). `top_k` bounds the blocking-edge list.
-pub fn analyze(
-    parent: &[usize],
-    spans: &[SpanEvent],
-    rank_stats: &[RankReport],
-    top_k: usize,
-) -> ProfileReport {
+/// for host engines). At most [`TOP_BLOCKING_EDGES`] blocking edges are
+/// kept.
+pub fn analyze(parent: &[usize], spans: &[SpanEvent], rank_stats: &[RankReport]) -> ProfileReport {
     let nsuper = parent.len();
     // Solve and analysis spans are excluded up front: the readiness model
     // (a supernode is ready when its children finish) describes the
@@ -190,7 +189,7 @@ pub fn analyze(
         cursor = last_child[s];
     }
 
-    // Top-k blocking edges by wait, over every supernode with spans.
+    // The largest blocking edges by wait, over every supernode with spans.
     let mut edges: Vec<BlockingEdge> = (0..nsuper)
         .filter_map(|s| {
             let node = nodes[s]?;
@@ -207,18 +206,19 @@ pub fn analyze(
             .partial_cmp(&a.wait_s)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    edges.truncate(top_k);
+    edges.truncate(TOP_BLOCKING_EDGES);
 
     // Per-rank activity from the lanes.
     let mut ranks: Vec<RankActivity> = Vec::new();
     for who in timeline.whos() {
+        // Folded from +0.0: `Iterator::sum` over no lanes gives -0.0.
         let lane_busy = |kind: LaneKind| -> f64 {
             timeline
                 .lanes
                 .iter()
                 .filter(|l| l.who == who && l.kind == kind)
                 .map(|l| l.busy_s())
-                .sum()
+                .fold(0.0, |acc, s| acc + s)
         };
         let busy_s = lane_busy(LaneKind::Compute);
         let comm_s = lane_busy(LaneKind::Comm);
@@ -345,20 +345,20 @@ mod tests {
     #[test]
     fn solve_spans_do_not_distort_the_profile() {
         let (parent, mut spans) = chain_spans();
-        let base = analyze(&parent, &spans, &[], 8);
+        let base = analyze(&parent, &spans, &[]);
         // Backward-solve spans visit the tree root-to-leaf after the
         // factorization; the profile must come out identical with them.
         spans.push(span(Phase::Solve, 2, 1, 3.5, 0.3));
         spans.push(span(Phase::Solve, 1, 0, 3.9, 0.3));
         spans.push(span(Phase::Solve, 0, 0, 4.3, 0.3));
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         assert_eq!(p, base);
     }
 
     #[test]
     fn chain_critical_path_and_waits() {
         let (parent, spans) = chain_spans();
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         assert_eq!(p.critical_path_len, 3);
         assert!((p.critical_path_s - 3.0).abs() < 1e-12);
         assert!((p.critical_path_wait_s - 0.5).abs() < 1e-12);
@@ -382,7 +382,7 @@ mod tests {
             span(Phase::Panel, 1, 1, 0.0, 2.0),
             span(Phase::Panel, 2, 0, 2.25, 1.0),
         ];
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         assert_eq!(p.critical_path_len, 2);
         assert!((p.critical_path_s - 3.0).abs() < 1e-12);
         assert!((p.critical_path_wait_s - 0.25).abs() < 1e-12);
@@ -398,7 +398,7 @@ mod tests {
             span(Phase::Panel, 0, 0, 0.0, 1.0),
             span(Phase::Gemm, 0, 1, 0.25, 1.0),
         ];
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         assert!((p.critical_path_s - 1.25).abs() < 1e-12);
     }
 
@@ -414,7 +414,7 @@ mod tests {
             span(Phase::ExtendAdd, 1, 0, 1.0, 0.5), // parent starts at 1.0 < 2.0
             span(Phase::Panel, 1, 0, 2.5, 1.0),     // parent envelope [1.0, 3.5]
         ];
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         assert_eq!(p.critical_path_len, 2);
         // Child contributes 2.0, parent contributes [2.0, 3.5] = 1.5 only.
         assert!((p.critical_path_s - 3.5).abs() < 1e-12);
@@ -430,9 +430,9 @@ mod tests {
             ..RankReport::default()
         };
         let (parent, spans) = chain_spans();
-        let p = analyze(&parent, &spans, &[mk(0, 0), mk(1, 0)], 8);
+        let p = analyze(&parent, &spans, &[mk(0, 0), mk(1, 0)]);
         assert_eq!(p.congested_rank, None);
-        let p = analyze(&parent, &spans, &[mk(0, 2), mk(1, 7)], 8);
+        let p = analyze(&parent, &spans, &[mk(0, 2), mk(1, 7)]);
         assert_eq!(p.congested_rank, Some(1));
     }
 
@@ -454,7 +454,7 @@ mod tests {
             start_s: 0.0,
             dur_s: 1.5,
         });
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         let r0 = p.ranks.iter().find(|r| r.who == 0).unwrap();
         assert_eq!((r0.busy_s, r0.comm_s, r0.wait_s), (2.0, 0.5, 0.0));
         assert!(r0.idle_frac.abs() < 1e-12);
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let (parent, spans) = chain_spans();
-        let p = analyze(&parent, &spans, &[], 8);
+        let p = analyze(&parent, &spans, &[]);
         let j = p.to_json();
         let back = ProfileReport::from_json(&j).unwrap();
         assert_eq!(p, back);

@@ -104,8 +104,8 @@ record! {
 }
 
 impl AnalysisReport {
-    /// Stage rows as `(stage name, seconds)`, in pipeline order. Shared by
-    /// the CLI tools that print the analysis breakdown.
+    /// Stage rows as `(stage name, seconds)`, in pipeline order, as
+    /// `parfact-solve` prints them on its `analysis:` line.
     pub fn stages(&self) -> [(&'static str, f64); 7] {
         [
             ("coarsen", self.coarsen_s),
@@ -116,12 +116,6 @@ impl AnalysisReport {
             ("colcount", self.colcount_s),
             ("structure", self.structure_s),
         ]
-    }
-
-    /// Total attributed analysis seconds (sum over stages; CPU time across
-    /// workers, not wall clock).
-    pub fn total_s(&self) -> f64 {
-        self.stages().iter().map(|(_, s)| s).sum()
     }
 
     /// Lift the analysis stage counters out of a merged counter snapshot.
@@ -742,7 +736,8 @@ mod tests {
         assert_eq!(back, r);
         let a = r.analysis.unwrap();
         assert_eq!(a.stages().len(), 7);
-        assert!((a.total_s() - 0.0118).abs() < 1e-12);
+        let total: f64 = a.stages().iter().map(|(_, s)| s).sum();
+        assert!((total - 0.0118).abs() < 1e-12);
         // Reports without the section parse to None.
         let plain = sample_report();
         let back = FactorReport::from_json_str(&plain.to_json_string()).unwrap();

@@ -88,9 +88,13 @@ pub struct Lane {
 }
 
 impl Lane {
-    /// Total time covered by spans.
+    /// Total time covered by spans (+0.0 for none: `Iterator::sum` over
+    /// no `f64`s gives -0.0).
     pub fn busy_s(&self) -> f64 {
-        self.spans.iter().map(|s| s.dur_s).sum()
+        self.spans
+            .iter()
+            .map(|s| s.dur_s)
+            .fold(0.0, |acc, d| acc + d)
     }
 
     /// Earliest span start (None for an empty lane).

@@ -19,6 +19,10 @@
 //!   --threads <t>       SMP engine with t threads (default: sequential);
 //!                       the solve phase uses the same thread pool
 //!   --ranks <p>         distributed engine on p simulated ranks
+//!   --sync              strict-postorder blocking schedule for the
+//!                       distributed run (needs --ranks; not with
+//!                       --inject, whose checkpoints need the
+//!                       event-driven schedule)
 //!   --inject <spec>     fault plan for the distributed run (needs --ranks);
 //!                       comma-separated: crash:<r>@t=<s> | crash:<r>@send=<k>
 //!                       | delay:<src>-<dst>:<alphas> | dup:<src>-<dst>.
@@ -33,8 +37,9 @@
 //!   --report <file>     write the factorization report (counters traced,
 //!                       solve section included) as JSON
 //!   --metrics-out <f>   export the same report as Prometheus text
-//!                       exposition (counters, gauges, histograms); implies
-//!                       counter tracing like --report
+//!                       exposition (counters and gauges, one sample per
+//!                       number of the --report JSON); implies counter
+//!                       tracing like --report
 //!   --trace-out <file>  record a timeline trace and write it as Chrome
 //!                       Trace Event JSON (open in Perfetto), solve spans
 //!                       included; also prints the critical-path profile
@@ -66,6 +71,7 @@ struct Args {
     ldlt: bool,
     threads: usize,
     ranks: usize,
+    sync: bool,
     inject: parfact::mpsim::FaultPlan,
     refine: usize,
     nrhs: usize,
@@ -87,6 +93,7 @@ fn parse_args() -> Result<Args, String> {
         ldlt: false,
         threads: 0,
         ranks: 0,
+        sync: false,
         inject: parfact::mpsim::FaultPlan::new(),
         refine: 1,
         nrhs: 1,
@@ -153,6 +160,7 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--ranks must be positive".into());
                 }
             }
+            "--sync" => args.sync = true,
             "--inject" => {
                 let spec = it.next().ok_or("--inject needs a fault spec")?;
                 args.inject = parfact::mpsim::FaultPlan::parse(&spec)?;
@@ -192,6 +200,9 @@ fn parse_args() -> Result<Args, String> {
     if !args.inject.is_empty() && args.ranks == 0 {
         return Err("--inject needs the distributed engine (--ranks)".into());
     }
+    if args.sync && args.ranks == 0 {
+        return Err("--sync needs the distributed engine (--ranks)".into());
+    }
     if let Some(c) = args.nd_cutoff {
         match args.ordering {
             Method::NestedDissection(ref mut nd) => nd.cutoff = c,
@@ -218,7 +229,7 @@ fn main() -> ExitCode {
             if msg != "usage" {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!("usage: parfact-solve <matrix.mtx | --gen spec> [--rhs f] [--out f] [--ordering nd|amd|rcm|natural] [--nd-cutoff n] [--analysis-threads t] [--ldlt] [--threads t] [--ranks p] [--inject spec] [--refine k] [--nrhs k] [--stats] [--report f] [--metrics-out f] [--trace-out f]");
+            eprintln!("usage: parfact-solve <matrix.mtx | --gen spec> [--rhs f] [--out f] [--ordering nd|amd|rcm|natural] [--nd-cutoff n] [--analysis-threads t] [--ldlt] [--threads t] [--ranks p] [--sync] [--inject spec] [--refine k] [--nrhs k] [--stats] [--report f] [--metrics-out f] [--trace-out f]");
             return ExitCode::from(2);
         }
     };
@@ -270,6 +281,7 @@ fn main() -> ExitCode {
             // from the last consistent cut instead of failing the run.
             Engine::Dist(DistOpts {
                 ranks: args.ranks,
+                sync_schedule: args.sync,
                 faults: args.inject.clone(),
                 ..DistOpts::default()
             })

@@ -1,9 +1,11 @@
 //! Timeline-profiler integration tests: lane invariants on arbitrary
 //! systems (proptest) and the structure of the exported Chrome trace.
 
+use parfact::core::smp::SmpOpts;
 use parfact::core::solver::{DistOpts, Engine, FactorOpts, SparseCholesky};
 use parfact::sparse::gen;
-use parfact::trace::{json, LaneKind, Timeline};
+use parfact::trace::json::{self, Json};
+use parfact::trace::{LaneKind, Timeline};
 use parfact::TraceLevel;
 use proptest::prelude::*;
 
@@ -194,4 +196,57 @@ fn timeline_trace_is_pure_observation() {
     assert_eq!(traced.factor().max_abs_diff(plain.factor()), 0.0);
     assert!(plain.report().spans.is_empty());
     assert!(!traced.report().spans.is_empty());
+}
+
+/// Paths of the number leaves under `j` that read as negative zero.
+fn negative_zeros(j: &Json, path: &str, out: &mut Vec<String>) {
+    match j {
+        Json::Num(text) => {
+            if text
+                .parse::<f64>()
+                .is_ok_and(|v| v == 0.0 && v.is_sign_negative())
+            {
+                out.push(format!("{path} = {text}"));
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                negative_zeros(item, &format!("{path}[{i}]"), out);
+            }
+        }
+        Json::Obj(fields) => {
+            for (key, value) in fields {
+                negative_zeros(value, &format!("{path}.{key}"), out);
+            }
+        }
+        Json::Null | Json::Bool(_) | Json::Str(_) => {}
+    }
+}
+
+/// A rank with no comm or wait lane reports +0.0 seconds there, not
+/// -0.0: the sequential and SMP engines record no such lanes at all, and
+/// the JSON, the Prometheus export and the printed profile all show the
+/// sign.
+#[test]
+fn timeline_reports_hold_no_negative_zero() {
+    let a = gen::laplace2d(20, 20, gen::Stencil2d::FivePoint);
+    for engine in [
+        Engine::Sequential,
+        Engine::Smp(SmpOpts {
+            threads: 2,
+            ..SmpOpts::default()
+        }),
+        Engine::Dist(DistOpts {
+            ranks: 4,
+            ..DistOpts::default()
+        }),
+    ] {
+        let opts = FactorOpts::new().engine(engine).trace(TraceLevel::Timeline);
+        let chol = SparseCholesky::factorize(&a, &opts).unwrap();
+        let r = chol.report();
+        assert!(r.profile.is_some());
+        let mut found = Vec::new();
+        negative_zeros(&r.to_json(), "report", &mut found);
+        assert!(found.is_empty(), "{}: {found:?}", r.engine);
+    }
 }
