@@ -410,10 +410,10 @@ impl DistFront {
     /// block column only updates its columns beyond the pivot part, and its
     /// diagonal block was already updated inside its `partial_potrf`.
     ///
-    /// `k = jb <= nb <= pack::KC`, so every entry is one ascending dot over
-    /// the panel's pivots subtracted once — the packed microkernel's
-    /// accumulation contract (see `parfact_dense::pack`), which keeps
-    /// distributed results bitwise equal to sequential. The flops charged
+    /// `k = jb <= nb`; with `nb = chol::NB` every entry takes the panel's
+    /// pivots as one ascending dot subtracted once — the packed kernels'
+    /// one-chain-per-segment contract (see `parfact_dense::pack`), which
+    /// keeps distributed results bitwise equal to sequential. The flops charged
     /// are the entries updated times `2 jb` (a diagonal block only counts
     /// its lower triangle), by formula — not whatever the kernel's tiles
     /// happen to compute.

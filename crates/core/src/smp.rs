@@ -198,10 +198,13 @@ impl Fronts<'_> {
 /// across `nthreads` threads, on a front stored as
 /// [`chol::partial_potrf_split`] takes it: the `nf x npiv` pivot columns
 /// in `panel` (leading dimension `nf`), the trailing block in `schur`
-/// (leading dimension `lds`). Arithmetic is identical to the sequential
-/// kernel (same panels, same per-entry accumulation order — see the
-/// determinism contract in `parfact_dense::pack`), so results match it
-/// bitwise.
+/// (leading dimension `lds`). Right-looking: after each panel, everything
+/// right of it takes that panel's update. The sequential kernel is
+/// left-looking and updates the Schur block once from all panels, but
+/// the packed kernels round a `k`-long update as one update per
+/// `chol::NB`-wide panel in ascending order (the determinism contract in
+/// `parfact_dense::pack`), so every entry sees the same operations in the
+/// same order and the results match it bitwise.
 ///
 /// Phase timing: the panel section (diagonal factor + TRSM) accumulates as
 /// [`Phase::Panel`], the threaded trailing update as [`Phase::Gemm`].
@@ -232,8 +235,8 @@ pub fn parallel_partial_potrf_traced(
         // they write the trailing columns `col0..nf`, which lie past it in
         // `panel` and in `schur`. Those are split into chunks, each
         // updated with the packed kernels: per the determinism contract
-        // every entry accumulates as one ascending-k chain regardless of
-        // chunking, so this matches the sequential trailing update bitwise.
+        // every entry takes the panel as one ascending-k chain regardless
+        // of chunking, as in the sequential kernel's updates.
         let (done, ahead) = panel.split_at_mut((col0 * nf).min(panel.len()));
         let l21 = &done[j * nf + col0..];
         let trailing = Trailing {

@@ -198,7 +198,11 @@ impl SparseCholesky {
     /// engines (`Sequential`, `Smp`) through the solver's retained
     /// [`Workspace`] arenas, so a steady-state refactorization performs no
     /// per-supernode heap allocation, and `Dist` through its simulated
-    /// ranks, each writing its share of the slab.
+    /// ranks, each writing its share of the slab. The ranks keep buffers of
+    /// their own, so a `Dist` run leaves the arenas as they were: the first
+    /// host-engine call after a `Dist` factorize grows every update buffer
+    /// it uses (see [`SparseCholesky::workspace_growth_events`]) and is
+    /// slower than the next by that much.
     /// Consequence of in-place operation: if the factorization itself fails
     /// (e.g. the new values are not positive definite), the stored factor is
     /// partially overwritten and numerically invalid — call `refactorize`
@@ -941,6 +945,30 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let x = chol.solve(&b);
         assert!(ops::sym_residual_inf(&a2, &x, &b) < 1e-12);
+    }
+
+    #[test]
+    fn a_dist_factorize_leaves_the_host_workspace_to_the_first_host_run() {
+        // The simulated ranks factor in buffers of their own, so after a
+        // `Dist` factorize the solver's workspace is still empty: the first
+        // host-engine refactorize grows every update buffer it uses (the
+        // time a first sequential refactorize loses after a dist factor),
+        // and the second grows none.
+        let a = gen::laplace3d(8, 8, 8, gen::Stencil3d::SevenPoint);
+        let dist = Engine::Dist(DistOpts {
+            ranks: 4,
+            ..DistOpts::default()
+        });
+        let mut chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist)).unwrap();
+        assert_eq!(chol.workspace_growth_events(), 0);
+        chol.refactorize(&a, Engine::Sequential).unwrap();
+        let first = chol.workspace_growth_events();
+        assert!(
+            first > 0,
+            "the first host run starts from an empty workspace"
+        );
+        chol.refactorize(&a, Engine::Sequential).unwrap();
+        assert_eq!(chol.workspace_growth_events(), first);
     }
 
     #[test]

@@ -139,10 +139,16 @@ pub fn partial_potrf(nf: usize, npiv: usize, f: &mut [f64], ldf: usize) -> Resul
 /// trailing `(nf-npiv)`-order lower block in `schur` (leading dimension
 /// `lds`), anywhere in memory. The multifrontal engines hand it the factor
 /// slab and the update buffer, so a front is factored in place and never
-/// copied. Every entry sees the arithmetic of the contiguous form — the
-/// trailing update of a panel is cut at the pivot boundary, and the packed
-/// kernels' entry chain does not depend on how a block is cut — so the two
-/// forms agree bit for bit.
+/// copied.
+///
+/// Left-looking: [`potrf_panel`] factors the pivot columns, then the
+/// Schur block takes one update from all of them, `A22 -= L21 L21ᵀ` as a
+/// single [`syrk_ln`] with `k = npiv`. The packed kernels round a
+/// `k`-long update as one update per [`NB`]-wide panel, in ascending
+/// order (the determinism contract in [`crate::pack`]), so every entry
+/// gets the bits of a right-looking sweep, which updates everything right
+/// of each panel in turn. [`partial_potrf`] runs this on the two halves of
+/// one buffer, so the contiguous and split forms agree bit for bit.
 pub fn partial_potrf_split(
     nf: usize,
     npiv: usize,
@@ -154,34 +160,45 @@ pub fn partial_potrf_split(
     assert!(npiv <= nf);
     let r = nf - npiv;
     assert!(ldp >= nf.max(1) && lds >= r);
-    for j in (0..npiv).step_by(NB) {
-        let jb = NB.min(npiv - j);
-        let j1 = j + jb;
-        let rest = nf - j1;
-        potrf_panel(nf - j, jb, &mut panel[at(ldp, j, j)..], ldp, j)?;
-        if rest == 0 {
-            break;
-        }
-        // Trailing update A22 -= L21 L21^T (lower): the pivot columns
-        // still to come run down the whole front, the rest is the Schur
-        // block.
-        let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
-        let l21 = &done[at(ldp, j1, j)..];
-        gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp);
-        if r > 0 {
-            syrk_ln(r, jb, -1.0, &l21[npiv - j1..], ldp, 1.0, schur, lds);
-        }
+    potrf_panel(nf, npiv, panel, ldp, 0)?;
+    if r > 0 {
+        syrk_ln(r, npiv, -1.0, &panel[npiv..], ldp, 1.0, schur, lds);
     }
     Ok(())
 }
 
-/// The panel step of the blocked algorithm on an `m x jb` block of columns
-/// (`jb <= NB`, leading dimension `ld`, starting at its diagonal entry):
-/// factor the `jb x jb` diagonal block, then scale the `m - jb` rows below
-/// it, `L21 = A21 L11⁻ᵀ`. What is left of a partial factorization after
-/// this is the trailing update, which callers may cut up as they like.
+/// Factor the `n` pivot columns of a front: the `m x n` block of columns
+/// `cols` (leading dimension `ld`, starting at its diagonal entry) becomes
+/// `L11` over `L21 = A21 L11⁻ᵀ`. What is left of a partial factorization
+/// after this is the Schur update, which callers may cut up as they like.
 /// `base` is added to pivot indices in errors.
+///
+/// Left-looking over [`NB`]-wide panels: panel `j` takes every panel left
+/// of it in one [`gemm_nt_ln`] (`k = j`), then factors its diagonal block
+/// and scales the rows below. With `n <= NB` that is one panel step and
+/// no update.
 pub fn potrf_panel(
+    m: usize,
+    n: usize,
+    cols: &mut [f64],
+    ld: usize,
+    base: usize,
+) -> Result<(), DenseError> {
+    assert!(n <= m && ld >= m.max(1));
+    for j in (0..n).step_by(NB) {
+        let jb = NB.min(n - j);
+        let (left, cur) = cols.split_at_mut(at(ld, 0, j));
+        let l = &left[j..];
+        gemm_nt_ln(m - j, jb, j, -1.0, l, ld, l, ld, &mut cur[j..], ld);
+        panel_step(m - j, jb, &mut cur[j..], ld, base + j)?;
+    }
+    Ok(())
+}
+
+/// One panel of [`potrf_panel`] on an `m x jb` block of up-to-date
+/// columns (`jb <= NB`, starting at its diagonal entry): factor the
+/// `jb x jb` diagonal block, then scale the `m - jb` rows below it.
+fn panel_step(
     m: usize,
     jb: usize,
     cols: &mut [f64],
@@ -324,6 +341,7 @@ mod tests {
     use super::*;
     use crate::det_rng;
     use crate::matrix::DMat;
+    use proptest::prelude::*;
 
     fn reconstruct_lower(l: &DMat) -> DMat {
         let mut ll = l.clone();
@@ -653,6 +671,126 @@ mod tests {
             (5, 0),
         ] {
             assert_split_equals_contiguous(nf, npiv);
+        }
+    }
+
+    /// [`partial_potrf_split`] as it stood before the left-looking
+    /// kernel, verbatim: after each panel, everything right of it takes
+    /// that panel's update. The oracle the new kernel must reproduce bit
+    /// for bit.
+    fn partial_potrf_split_right_looking(
+        nf: usize,
+        npiv: usize,
+        panel: &mut [f64],
+        ldp: usize,
+        schur: &mut [f64],
+        lds: usize,
+    ) -> Result<(), DenseError> {
+        assert!(npiv <= nf);
+        let r = nf - npiv;
+        assert!(ldp >= nf.max(1) && lds >= r);
+        for j in (0..npiv).step_by(NB) {
+            let jb = NB.min(npiv - j);
+            let j1 = j + jb;
+            let rest = nf - j1;
+            potrf_panel(nf - j, jb, &mut panel[at(ldp, j, j)..], ldp, j)?;
+            if rest == 0 {
+                break;
+            }
+            // Trailing update A22 -= L21 L21^T (lower): the pivot columns
+            // still to come run down the whole front, the rest is the Schur
+            // block.
+            let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
+            let l21 = &done[at(ldp, j1, j)..];
+            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp);
+            if r > 0 {
+                syrk_ln(r, jb, -1.0, &l21[npiv - j1..], ldp, 1.0, schur, lds);
+            }
+        }
+        Ok(())
+    }
+
+    /// Factor an `(npiv + r)`-order front, stored split as the engines
+    /// keep it (leading dimensions padded by `pad`), with the right-looking
+    /// oracle on the portable kernels and with [`partial_potrf_split`] on
+    /// every instruction set the host has; all must leave the same bits
+    /// everywhere in both buffers.
+    fn assert_left_equals_right_looking(npiv: usize, r: usize, pad: (usize, usize), seed: u64) {
+        let nf = npiv + r;
+        let (ldp, lds) = (nf.max(1) + pad.0, r.max(1) + pad.1);
+        // Diagonally dominant, so positive definite; about one
+        // off-diagonal entry in eight is an exact zero of either sign.
+        let mut rng = det_rng(seed);
+        let mut entry = |i: usize, j: usize| {
+            let u = rng();
+            if i == j {
+                nf as f64 + u
+            } else if u >= 0.875 {
+                0.0
+            } else if u < -0.875 {
+                -0.0
+            } else {
+                rng()
+            }
+        };
+        // Everything outside the lower front holds a marker that must come
+        // through untouched.
+        let marker = f64::from_bits(0x7ff8_0000_dead_beef);
+        let mut panel = vec![marker; ldp * npiv];
+        let mut schur = vec![marker; lds * r];
+        for j in 0..nf {
+            for i in j..nf {
+                if j < npiv {
+                    panel[at(ldp, i, j)] = entry(i, j);
+                } else {
+                    schur[at(lds, i - npiv, j - npiv)] = entry(i, j);
+                }
+            }
+        }
+        let (mut want_p, mut want_s) = (panel.clone(), schur.clone());
+        pack::on_isa(Isa::Portable, || {
+            partial_potrf_split_right_looking(nf, npiv, &mut want_p, ldp, &mut want_s, lds)
+        })
+        .expect("diagonally dominant");
+        for isa in Isa::supported() {
+            let (mut got_p, mut got_s) = (panel.clone(), schur.clone());
+            pack::on_isa(isa, || {
+                partial_potrf_split(nf, npiv, &mut got_p, ldp, &mut got_s, lds)
+            })
+            .expect("diagonally dominant");
+            for (what, want, got) in [
+                ("pivot columns", &want_p, &got_p),
+                ("Schur block", &want_s, &got_s),
+            ] {
+                let diff = want
+                    .iter()
+                    .zip(got)
+                    .position(|(w, g)| w.to_bits() != g.to_bits());
+                assert_eq!(
+                    diff, None,
+                    "{isa:?} npiv={npiv} r={r} pad={pad:?}: {what} differ"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The left-looking kernel leaves the right-looking sweep's bits
+        /// across panel (`NB`) and cache-block (`KC`) edges: every pivot
+        /// count and trailing order below, on random fronts and padding.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn left_looking_kernel_equals_the_right_looking_sweep_bit_for_bit(
+            pad in (0usize..3, 0usize..3),
+            seed in any::<u64>(),
+        ) {
+            for npiv in [0, 1, 47, 48, 49, 96, 97, 241] {
+                for r in [0, 1, 17, 300] {
+                    assert_left_equals_right_looking(npiv, r, pad, seed);
+                }
+            }
         }
     }
 

@@ -8,6 +8,9 @@
 //!   `16 x 8` in `zmm` registers with AVX-512, `8 x 4` in `ymm` registers
 //!   with AVX, `8 x 4` left to the auto-vectorizer elsewhere — always as
 //!   separate multiply and add, never FMA (see the determinism contract).
+//!   A SIMD microkernel writes a whole tile of `C` back itself, from the
+//!   registers it accumulated in; tiles cut by the edge of `C` or, under
+//!   `lower`, by its diagonal go through the masked scalar `store_tile`.
 //! - **packing** — `A` is repacked into `MR`-row panels, the `B` operand of
 //!   `C ← A Bᵀ` into `NR`-row panels (`pack_panels`). Panels are
 //!   zero-padded in the `m`/`n` direction only, never in `k`, so padded
@@ -31,27 +34,33 @@
 //! # Determinism contract
 //!
 //! The engines' bitwise parity tests (Sequential vs Smp vs Dist) rely on a
-//! per-entry rounding contract: for each output entry `C[i][j]`, one
-//! `k`-block contributes
+//! per-entry rounding contract: **one chain per [`NB`]-aligned
+//! `k`-segment**. The shared dimension is cut at every multiple of
+//! [`NB`] (`chol::NB`, the factorization's panel width), and for each
+//! output entry `C[i][j]` the segments contribute in ascending order, each
+//! as
 //!
 //! ```text
-//! acc = Σ_{l ascending} A[i][l] * B[j][l]   (single sequential chain)
+//! acc = Σ_{l in the segment, ascending} A[i][l] * B[j][l]   (one chain from +0.0)
 //! C[i][j] = C[i][j] + alpha * acc
 //! ```
 //!
-//! The accumulator chain for an entry never crosses entries, so the result
-//! is independent of which tile the entry lands in and of how callers
-//! slice the output into row/column chunks. **The tile shape is a property
-//! of the instruction set; the chain is not**: every microkernel runs the
-//! scalar chain above in each lane, so AVX-512, AVX and portable hosts
-//! produce the same bits and a factor computed on one can be compared
-//! with a golden file captured on another. That is also why the wider
-//! kernels still round the product before adding it — a fused
-//! multiply-add rounds once and would fork the bits by host (lint R4).
-//! With `k <= KC` there is a single `k`-block and the whole operation
-//! satisfies the contract; the factorization path always has `k` equal to
-//! a panel width `<= chol::NB <= KC`. Changing [`KC`], the accumulation
-//! order, or the writeback formula breaks cross-engine bitwise parity.
+//! So one call with `k = q·NB + t` leaves exactly the bits of its `q + 1`
+//! calls on consecutive `NB`-column slices of `A` and `B`: the blocked
+//! Cholesky updates a panel with every panel left of it, and the Schur
+//! block with every pivot column, in one call each, and gets the bits of
+//! a panel-by-panel sweep. The chain for an entry never crosses entries,
+//! so the result is independent of which tile the entry lands in and of
+//! how callers slice the output into row/column chunks. **The tile shape
+//! is a property of the instruction set; the chain is not**: every
+//! microkernel runs the scalar chain above in each lane, so AVX-512, AVX
+//! and portable hosts produce the same bits and a factor computed on one
+//! can be compared with a golden file captured on another. That is also
+//! why the wider kernels still round the product before adding it — a
+//! fused multiply-add rounds once and would fork the bits by host (lint
+//! R4). [`KC`] is a multiple of [`NB`], so a cache block never cuts a
+//! segment. Changing [`NB`], the accumulation order or the writeback
+//! formula breaks cross-engine bitwise parity.
 //!
 //! A 512-bit tile is not always the faster one: an `m x n` update is
 //! rounded up to whole tiles, so fronts much smaller than `16 x 8` pay
@@ -61,12 +70,15 @@
 //! is left to detection rather than a knob because a knob would have to
 //! be tuned per host and would not change a single bit of the result.
 
+use crate::chol::NB;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::cell::RefCell;
 
-/// Cache-block size along the shared `k` dimension. Must stay `>=`
-/// `chol::NB` to keep factorization-path calls in a single `k`-block
-/// (see the determinism contract above).
-pub const KC: usize = 256;
+/// Cache-block size along the shared `k` dimension: a multiple of
+/// [`NB`], so a block holds whole `k`-segments (see the determinism
+/// contract above).
+pub const KC: usize = 5 * NB;
 /// Cache-block rows of packed `A` (a multiple of every tile's `MR`).
 pub const MC: usize = 64;
 /// Cache-block columns of packed `B` (a multiple of every tile's `NR`).
@@ -87,13 +99,46 @@ impl Isa {
     #[cfg(test)]
     pub(crate) fn supported() -> Vec<Isa> {
         let all = [Isa::Portable, Isa::Avx, Isa::Avx512];
-        all.into_iter().filter(|&i| i <= isa()).collect()
+        all.into_iter().filter(|&i| i <= detect()).collect()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    // The instruction set a test pins this thread's kernels to (`on_isa`).
+    static PINNED: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+}
+
+/// Run `f` with every kernel of this crate on `isa` (which the host must
+/// support) on this thread, so a test can hold a whole factorization on
+/// one instruction set against another.
+#[cfg(test)]
+pub(crate) fn on_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+    struct Unpin;
+    impl Drop for Unpin {
+        fn drop(&mut self) {
+            PINNED.with(|p| p.set(None));
+        }
+    }
+    assert!(isa <= detect(), "{isa:?} is not on this host");
+    PINNED.with(|p| p.set(Some(isa)));
+    let _unpin = Unpin;
+    f()
+}
+
+/// The instruction set the kernels run on: the widest the host supports
+/// (or, in tests, the one [`on_isa`] pinned).
+pub(crate) fn isa() -> Isa {
+    #[cfg(test)]
+    if let Some(isa) = PINNED.with(|p| p.get()) {
+        return isa;
+    }
+    detect()
 }
 
 /// The widest instruction set the host supports (`std` caches the CPUID
 /// probe, so this is a couple of atomic loads).
-pub(crate) fn isa() -> Isa {
+fn detect() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -203,8 +248,18 @@ fn pack_panels<const R: usize>(
     }
 }
 
+/// The packed `A` and `B` panels of a tile cut into their [`NB`]-long
+/// `k`-segments, paired, ascending (the last pair may be shorter).
+#[inline(always)]
+fn segments<'a, const MR: usize, const NR: usize>(
+    ap: &'a [f64],
+    bp: &'a [f64],
+) -> impl Iterator<Item = (&'a [f64], &'a [f64])> {
+    ap.chunks(MR * NB).zip(bp.chunks(NR * NB))
+}
+
 /// Portable microkernel: `acc[q][p] = Σ_l ap[l][p] * bp[l][q]` over one
-/// packed `k`-slice, ascending `l`. Both loads are unit-stride; the `p`
+/// packed `k`-segment, ascending `l`. Both loads are unit-stride; the `p`
 /// loop is the vector lane for the auto-vectorizer.
 #[inline(always)]
 fn microkernel_portable<const MR: usize, const NR: usize>(
@@ -224,8 +279,27 @@ fn microkernel_portable<const MR: usize, const NR: usize>(
     }
 }
 
-/// AVX microkernel: the 8 rows of the tile live in two 4-lane vectors per
-/// column, so one `l` step is a broadcast plus 8 `vmulpd`/`vaddpd` pairs.
+/// Portable whole-tile update (`c` starts at the tile's first entry):
+/// each `k`-segment accumulated by [`microkernel_portable`], then added
+/// by [`store_tile`].
+#[inline(always)]
+fn tile_portable<const MR: usize, const NR: usize>(
+    ap: &[f64],
+    bp: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    alpha: f64,
+) {
+    let mut acc = [[0.0; MR]; NR];
+    for (a, b) in segments::<MR, NR>(ap, bp) {
+        microkernel_portable(a, b, &mut acc);
+        store_tile(c, ldc, 0, 0, MR, NR, alpha, &acc, false);
+    }
+}
+
+/// The AVX chain over one packed `k`-segment: the 8 rows of the tile live
+/// in two 4-lane vectors per column, so one `l` step is a broadcast plus
+/// 8 `vmulpd`/`vaddpd` pairs.
 ///
 /// Arithmetic is deliberately separate multiply-then-add, **not** FMA:
 /// each accumulator lane performs exactly the scalar chain of
@@ -233,8 +307,8 @@ fn microkernel_portable<const MR: usize, const NR: usize>(
 /// bitwise identical and the determinism contract above is preserved.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn microkernel_avx(ap: &[f64], bp: &[f64], acc: &mut [[f64; 8]; 4]) {
-    use std::arch::x86_64::*;
+#[inline]
+fn chain_avx(ap: &[f64], bp: &[f64]) -> ([__m256d; 4], [__m256d; 4]) {
     let mut lo = [_mm256_setzero_pd(); 4];
     let mut hi = [_mm256_setzero_pd(); 4];
     for (av, bv) in ap.chunks_exact(8).zip(bp.chunks_exact(4)) {
@@ -251,6 +325,14 @@ fn microkernel_avx(ap: &[f64], bp: &[f64], acc: &mut [[f64; 8]; 4]) {
             hi[q] = _mm256_add_pd(hi[q], _mm256_mul_pd(a1, bq));
         }
     }
+    (lo, hi)
+}
+
+/// AVX microkernel: one segment's [`chain_avx`], stored into `acc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn microkernel_avx(ap: &[f64], bp: &[f64], acc: &mut [[f64; 8]; 4]) {
+    let (lo, hi) = chain_avx(ap, bp);
     for q in 0..4 {
         let p = acc[q].as_mut_ptr();
         // SAFETY: a column of `acc` is 8 values, room for both halves.
@@ -261,19 +343,43 @@ fn microkernel_avx(ap: &[f64], bp: &[f64], acc: &mut [[f64; 8]; 4]) {
     }
 }
 
-/// AVX-512 microkernel: a `16 x 8` tile, two 8-lane vectors per column —
-/// 16 of the 32 `zmm` registers hold accumulators, one `l` step is two
-/// loads of `A`, eight broadcasts of `B` and 16 `vmulpd`/`vaddpd` pairs.
-/// Four times the entries of the AVX tile per step, hence half the packed
-/// loads per flop.
+/// AVX whole-tile update (`c` starts at the tile's first entry): each
+/// `k`-segment's [`chain_avx`] goes from the registers into the tile as
+/// `C + alpha * acc`, a separate multiply and add per lane — the
+/// arithmetic of [`store_tile`], without the trip through memory.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn tile_avx(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, alpha: f64) {
+    assert!(c.len() >= 3 * ldc + 8, "a whole 8 x 4 tile");
+    let alpha = _mm256_set1_pd(alpha);
+    for (a, b) in segments::<8, 4>(ap, bp) {
+        let (lo, hi) = chain_avx(a, b);
+        for q in 0..4 {
+            // SAFETY: column `q` of the tile is `c[q * ldc..q * ldc + 8]`,
+            // inside `c` by the assert above.
+            unsafe {
+                let p = c.as_mut_ptr().add(q * ldc);
+                let (c0, c1) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+                _mm256_storeu_pd(p, _mm256_add_pd(c0, _mm256_mul_pd(alpha, lo[q])));
+                _mm256_storeu_pd(p.add(4), _mm256_add_pd(c1, _mm256_mul_pd(alpha, hi[q])));
+            }
+        }
+    }
+}
+
+/// The AVX-512 chain over one packed `k`-segment: a `16 x 8` tile, two
+/// 8-lane vectors per column — 16 of the 32 `zmm` registers hold
+/// accumulators, one `l` step is two loads of `A`, eight broadcasts of
+/// `B` and 16 `vmulpd`/`vaddpd` pairs. Four times the entries of the AVX
+/// tile per step, hence half the packed loads per flop.
 ///
-/// Same separate multiply-then-add as [`microkernel_avx`], for the same
+/// Same separate multiply-then-add as [`chain_avx`], for the same
 /// reason: the lane chain is the scalar chain, the bits do not depend on
 /// the host.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; 16]; 8]) {
-    use std::arch::x86_64::*;
+#[inline]
+fn chain_avx512(ap: &[f64], bp: &[f64]) -> ([__m512d; 8], [__m512d; 8]) {
     let mut lo = [_mm512_setzero_pd(); 8];
     let mut hi = [_mm512_setzero_pd(); 8];
     for (av, bv) in ap.chunks_exact(16).zip(bp.chunks_exact(8)) {
@@ -290,6 +396,14 @@ fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; 16]; 8]) {
             hi[q] = _mm512_add_pd(hi[q], _mm512_mul_pd(a1, bq));
         }
     }
+    (lo, hi)
+}
+
+/// AVX-512 microkernel: one segment's [`chain_avx512`], stored into `acc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; 16]; 8]) {
+    let (lo, hi) = chain_avx512(ap, bp);
     for q in 0..8 {
         let p = acc[q].as_mut_ptr();
         // SAFETY: a column of `acc` is 16 values, room for both halves.
@@ -300,11 +414,34 @@ fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; 16]; 8]) {
     }
 }
 
+/// AVX-512 whole-tile update, as [`tile_avx`] on the `16 x 8` tile: the
+/// accumulators never leave the registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, alpha: f64) {
+    assert!(c.len() >= 7 * ldc + 16, "a whole 16 x 8 tile");
+    let alpha = _mm512_set1_pd(alpha);
+    for (a, b) in segments::<16, 8>(ap, bp) {
+        let (lo, hi) = chain_avx512(a, b);
+        for q in 0..8 {
+            // SAFETY: column `q` of the tile is `c[q * ldc..q * ldc + 16]`,
+            // inside `c` by the assert above.
+            unsafe {
+                let p = c.as_mut_ptr().add(q * ldc);
+                let (c0, c1) = (_mm512_loadu_pd(p), _mm512_loadu_pd(p.add(8)));
+                _mm512_storeu_pd(p, _mm512_add_pd(c0, _mm512_mul_pd(alpha, lo[q])));
+                _mm512_storeu_pd(p.add(8), _mm512_add_pd(c1, _mm512_mul_pd(alpha, hi[q])));
+            }
+        }
+    }
+}
+
 /// Write an accumulated tile back: `C[i][j] += alpha * acc` for the
 /// `mr_eff x nr_eff` valid corner, masking out strictly-upper entries
-/// (`row < col`) when `lower` is set. This is the only place packed
-/// results touch `C`, so full and remainder tiles share one rounding
-/// behaviour.
+/// (`row < col`) when `lower` is set. Tiles the SIMD microkernels cannot
+/// write back whole — cut by the edge of `C` or by the diagonal — come
+/// here, as does every tile of the portable kernel; the SIMD writeback
+/// rounds exactly as this loop does.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn store_tile<const MR: usize, const NR: usize>(
@@ -348,19 +485,24 @@ struct Gemm<'a> {
 }
 
 /// The packed driver, generic over the register tile: cache-block, pack,
-/// and sweep `kernel` over the `MR x NR` tile grid of `C`. Inlined into
-/// one entry point per instruction set so that everything around the
-/// microkernel is compiled at that width too.
+/// and sweep the `MR x NR` tile grid of `C`. A tile that lies whole in
+/// `C` — and, under `lower`, on or below the diagonal — goes to `tile`,
+/// which writes it back itself; any other runs `kernel` and
+/// [`store_tile`] once per `k`-segment. Inlined into one entry point per
+/// instruction set so that everything around the microkernel is compiled
+/// at that width too.
 #[inline(always)]
 fn gemm_tiled<const MR: usize, const NR: usize>(
     g: Gemm<'_>,
     kernel: impl Fn(&[f64], &[f64], &mut [[f64; MR]; NR]),
+    tile: impl Fn(&[f64], &[f64], &mut [f64], usize, f64),
 ) {
     const {
         assert!(
             MC.is_multiple_of(MR) && NC.is_multiple_of(NR),
             "cache blocks hold whole tiles"
         );
+        assert!(KC.is_multiple_of(NB), "cache blocks hold whole k-segments");
     }
     let Gemm {
         m,
@@ -405,8 +547,17 @@ fn gemm_tiled<const MR: usize, const NR: usize>(
                             if lower && gi + mre <= gj {
                                 continue;
                             }
-                            kernel(ap, bp, &mut acc);
-                            store_tile(c, ldc, gi, gj, mre, nre, alpha, &acc, lower);
+                            // Under `lower` a whole tile has an upper entry
+                            // iff its top-right one, (gi, gj + NR - 1), is.
+                            if mre == MR && nre == NR && !(lower && gi + 1 < gj + NR) {
+                                let t = at(ldc, gi, gj);
+                                tile(ap, bp, &mut c[t..t + (NR - 1) * ldc + MR], ldc, alpha);
+                                continue;
+                            }
+                            for (a, b) in segments::<MR, NR>(ap, bp) {
+                                kernel(a, b, &mut acc);
+                                store_tile(c, ldc, gi, gj, mre, nre, alpha, &acc, lower);
+                            }
                         }
                     }
                 }
@@ -419,14 +570,22 @@ fn gemm_tiled<const MR: usize, const NR: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn gemm_avx(g: Gemm<'_>) {
-    gemm_tiled::<8, 4>(g, |ap, bp, acc| microkernel_avx(ap, bp, acc));
+    gemm_tiled::<8, 4>(
+        g,
+        |ap, bp, acc| microkernel_avx(ap, bp, acc),
+        |ap, bp, c, ldc, alpha| tile_avx(ap, bp, c, ldc, alpha),
+    );
 }
 
 /// [`gemm_tiled`] compiled for AVX-512: the `16 x 8` `zmm` tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn gemm_avx512(g: Gemm<'_>) {
-    gemm_tiled::<16, 8>(g, |ap, bp, acc| microkernel_avx512(ap, bp, acc));
+    gemm_tiled::<16, 8>(
+        g,
+        |ap, bp, acc| microkernel_avx512(ap, bp, acc),
+        |ap, bp, c, ldc, alpha| tile_avx512(ap, bp, c, ldc, alpha),
+    );
 }
 
 /// Run the packed driver on the tile of `isa`, which the host must
@@ -440,7 +599,7 @@ fn gemm_on(isa: Isa, g: Gemm<'_>) {
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx => unsafe { gemm_avx(g) },
-        _ => gemm_tiled::<8, 4>(g, microkernel_portable),
+        _ => gemm_tiled::<8, 4>(g, microkernel_portable, tile_portable::<8, 4>),
     }
 }
 
@@ -551,6 +710,12 @@ mod tests {
             (40, 40, KC + 1),
             (150, 150, 48),
             (NC + 25, NC + 25, 3),
+            // k across segment and cache-block edges.
+            (MC + 17, 23, 96),
+            (33, 17, 239),
+            (2 * MC, 40, KC),
+            (70, 36, 500),
+            (150, 150, NB + 1),
         ];
         for (case, &(m, n, k)) in shapes.iter().enumerate() {
             for lower in [false, true] {
@@ -601,6 +766,62 @@ mod tests {
                         if i >= m || (lower && i < j) {
                             assert_eq!(want[j * ldc + i].to_bits(), c0[j * ldc + i].to_bits());
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One call whose `k` crosses segment ([`NB`]) and cache-block
+    /// ([`KC`]) edges leaves exactly the bits of its per-segment calls —
+    /// one per `NB` columns of `A` and `B`, in ascending order — on every
+    /// microkernel the host has, over interior, edge and diagonal tiles,
+    /// `lower` on and off. Prints what it exercised, like the test above.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn one_call_equals_its_per_segment_calls_bit_for_bit() {
+        let isas = Isa::supported();
+        println!("k-segment writeback exercised on this host: {isas:?}");
+        // Rows past one MC block and an edge tile; columns with an edge.
+        let (m, n) = (MC + 21, 37);
+        let (lda, ldb, ldc) = (m + 2, n + 3, m + 1);
+        for (case, k) in [49usize, 96, 239, 240, 241, 500].into_iter().enumerate() {
+            let mut r = det_rng(case as u64 + 70);
+            let a: Vec<f64> = (0..lda * k).map(|_| r()).collect();
+            let b: Vec<f64> = (0..ldb * k).map(|_| r()).collect();
+            let c0: Vec<f64> = (0..ldc * n).map(|_| r()).collect();
+            for lower in [false, true] {
+                for &isa in &isas {
+                    let call = |c: &mut [f64], l0: usize, k: usize| {
+                        let g = Gemm {
+                            m,
+                            n,
+                            k,
+                            alpha: -1.0,
+                            a: &a[l0 * lda..],
+                            lda,
+                            b: &b[l0 * ldb..],
+                            ldb,
+                            c,
+                            ldc,
+                            lower,
+                        };
+                        gemm_on(isa, g);
+                    };
+                    let mut whole = c0.clone();
+                    call(&mut whole, 0, k);
+                    let mut parts = c0.clone();
+                    for l0 in (0..k).step_by(NB) {
+                        call(&mut parts, l0, NB.min(k - l0));
+                    }
+                    for (idx, (w, p)) in whole.iter().zip(&parts).enumerate() {
+                        assert_eq!(
+                            w.to_bits(),
+                            p.to_bits(),
+                            "{isa:?} k={k} lower={lower} at ({}, {})",
+                            idx % ldc,
+                            idx / ldc
+                        );
                     }
                 }
             }
