@@ -10,7 +10,7 @@
 //!
 //! Timed parks (rather than an unpark-based handshake) keep the producers
 //! wait-free — nobody has to know who is waiting — at the cost of up to
-//! [`PARK_US`] microseconds of extra latency once a worker has fully
+//! `PARK_US` microseconds of extra latency once a worker has fully
 //! backed off, which is noise next to the dense kernel time of the fronts
 //! that cause long waits.
 

@@ -3,7 +3,7 @@
 //! Every rank runs `factorize_rank` (SPMD). Supernodes mapped to a single
 //! rank (the local subtrees produced by subtree-to-subcube mapping) go
 //! through the engines' shared front kernel
-//! ([`crate::frontal::factor_front`]), charged to the rank's virtual clock;
+//! (`crate::frontal::factor_front`), charged to the rank's virtual clock;
 //! supernodes mapped to a rank group are factored as block-cyclic
 //! [`front::DistFront`]s. Between fronts, the
 //! **parallel extend-add** routes every Schur-complement entry from the

@@ -14,11 +14,11 @@
 //! dimension `f`), its trailing block in the buffer that then travels to
 //! the parent as the update matrix (leading dimension `f - width`).
 //!
-//! That life-cycle is spelled out exactly once, in [`factor_front`]. The
+//! That life-cycle is spelled out exactly once, in `factor_front`. The
 //! engines (`seq`, both `smp` phases, the local subtrees of `dist`) are
 //! schedulers around it: they decide which supernode runs next, where its
 //! children's updates come from and where its own update goes. What a
-//! front costs is charged through a [`FrontMeter`] — wall-clock ticks and
+//! front costs is charged through a `FrontMeter` — wall-clock ticks and
 //! tracked bytes on the host engines, virtual compute time and rank memory
 //! on the simulated machine.
 
@@ -75,8 +75,8 @@ pub(crate) fn assemble_front(
     let w = c1 - c0;
     let f = w + sym.sn_rows[s].len();
     panel.fill(0.0);
-    // clear + resize zeroes the whole buffer (even a recycled one) while
-    // keeping its capacity.
+    // clear + resize zeroes exactly the `r x r` block (a recycled buffer
+    // may be larger) while keeping the buffer's capacity.
     schur.clear();
     schur.resize((f - w) * (f - w), 0.0);
     let mut entries = 0u64;
@@ -99,7 +99,7 @@ pub(crate) fn assemble_front(
 /// lower triangle valid) into a front of order `f` with `w` pivots, where
 /// `rel[i]` is the front position of the update's row `i`: a column at a
 /// position below `w` lands in `panel`, one at or beyond it in `schur` (both
-/// as [`assemble_front`] lays them out). The positions are increasing (both
+/// as `assemble_front` lays them out). The positions are increasing (both
 /// index lists are sorted), so the child's lower triangle lands in the
 /// parent's lower triangle. Returns the number of (nonzero) entries added.
 pub fn extend_add(

@@ -5,7 +5,7 @@
 //! One front kernel, three schedulers. The life of a front — assemble it
 //! from the matrix and the children's update matrices, partially factor
 //! it, keep the panel, hand the Schur complement up — is
-//! [`frontal::factor_front`], and the engines only decide which supernode
+//! `frontal::factor_front`, and the engines only decide which supernode
 //! runs next, where its children's updates come from and where its own
 //! goes:
 //!

@@ -1,5 +1,5 @@
 //! Sequential supernodal multifrontal factorization: the postorder
-//! scheduler over [`factor_front`], and the correctness oracle for the
+//! scheduler over `factor_front`, and the correctness oracle for the
 //! parallel engines.
 
 use crate::error::FactorError;

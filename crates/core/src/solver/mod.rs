@@ -200,9 +200,10 @@ impl SparseCholesky {
     /// per-supernode heap allocation, and `Dist` through its simulated
     /// ranks, each writing its share of the slab. The ranks keep buffers of
     /// their own, so a `Dist` run leaves the arenas as they were: the first
-    /// host-engine call after a `Dist` factorize grows every update buffer
-    /// it uses (see [`SparseCholesky::workspace_growth_events`]) and is
-    /// slower than the next by that much.
+    /// host-engine call after a `Dist` factorize grows the update buffers
+    /// of one live front stack (37 on lap3d-32; see
+    /// [`SparseCholesky::workspace_growth_events`]) and is slower than the
+    /// next by that much.
     /// Consequence of in-place operation: if the factorization itself fails
     /// (e.g. the new values are not positive definite), the stored factor is
     /// partially overwritten and numerically invalid — call `refactorize`
@@ -948,12 +949,51 @@ mod tests {
     }
 
     #[test]
+    fn the_update_pool_stays_near_the_live_front_stack() {
+        // Best-fit pooling keeps the sequential arena close to the largest
+        // set of update matrices alive at once, not one buffer per distinct
+        // update size (which is 3.2–3.4x that set on these matrices).
+        for a in [
+            gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint),
+            gen::laplace2d(40, 40, gen::Stencil2d::FivePoint),
+        ] {
+            let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+            let sym = chol.symbolic();
+            let entries = |s: usize| sym.sn_rows[s].len().pow(2);
+            // Walk the postorder: when front `s` draws its buffer, its
+            // children's updates and every other update still waiting for
+            // its parent are alive next to it.
+            let (mut live, mut most) = (0usize, 0usize);
+            for s in 0..sym.nsuper() {
+                live += entries(s);
+                most = most.max(live);
+                live -= sym.tree.children[s]
+                    .iter()
+                    .map(|&c| entries(c))
+                    .sum::<usize>();
+            }
+            let pooled: usize = chol.ws.threads[0].pool.iter().map(Vec::capacity).sum();
+            assert!(
+                pooled as f64 <= 2.5 * most as f64,
+                "pool holds {pooled} entries for a live stack of at most {most}"
+            );
+            let grown = chol.workspace_growth_events();
+            chol.refactorize(&a, Engine::Sequential).unwrap();
+            assert_eq!(
+                chol.workspace_growth_events(),
+                grown,
+                "a second factorization grew the pool"
+            );
+        }
+    }
+
+    #[test]
     fn a_dist_factorize_leaves_the_host_workspace_to_the_first_host_run() {
         // The simulated ranks factor in buffers of their own, so after a
         // `Dist` factorize the solver's workspace is still empty: the first
-        // host-engine refactorize grows every update buffer it uses (the
-        // time a first sequential refactorize loses after a dist factor),
-        // and the second grows none.
+        // host-engine refactorize grows the update buffers of one live
+        // front stack (37 on lap3d-32; the time a first sequential
+        // refactorize loses after a dist factor), and the second grows none.
         let a = gen::laplace3d(8, 8, 8, gen::Stencil3d::SevenPoint);
         let dist = Engine::Dist(DistOpts {
             ranks: 4,

@@ -7,17 +7,22 @@
 //! assembly map, `Symbolic::sn_rel` and `Symbolic::a_pos`, which needs no
 //! per-worker state). A [`FrontWorkspace`] owns every buffer a
 //! worker needs to process a supernode; a [`Workspace`] holds one per
-//! worker thread plus the engine-level update hand-off slots. Buffers only
-//! ever grow, so after the first factorization of a given structure every
-//! subsequent run reuses warm memory — [`Workspace::growth_events`] counts
-//! how often a buffer had to grow, which the arena-reuse tests pin to zero
-//! for repeat factorizations.
+//! worker thread plus the engine-level update hand-off slots.
+//!
+//! The update buffers are pooled best-fit by capacity: a request takes the
+//! smallest pooled buffer that holds it, so an arena holds about as many
+//! buffers as there are updates alive at once on the front stack (children
+//! waiting for their parent, plus the one being built), not one per
+//! distinct update size. Buffers are kept until the workspace is dropped,
+//! so after the first factorization of a given structure every subsequent
+//! run in the same order is served from warm memory —
+//! [`Workspace::growth_events`] counts how often no pooled buffer fit,
+//! which the arena-reuse tests pin to zero for repeat factorizations.
 //!
 //! (The packing buffers of the dense microkernels are thread-local inside
 //! `parfact-dense` and follow the same grow-once discipline.)
 
 use crate::frontal::UpdateMatrix;
-use std::collections::HashMap;
 
 /// Per-worker arena: child-update staging and a pool of recycled
 /// update-matrix buffers (a front's trailing block is assembled and
@@ -28,12 +33,13 @@ pub struct FrontWorkspace {
     /// ([`FrontWorkspace::stage`]); drained back into `pool` after each
     /// front.
     pub(crate) children: Vec<UpdateMatrix>,
-    /// Recycled update-matrix buffers, keyed by length. Update sizes are a
-    /// function of the symbolic structure, so in steady state every request
-    /// is matched by a buffer recycled at exactly that size — a plain LIFO
-    /// stack would pair requests with arbitrary capacities and keep
-    /// growing.
-    pub(crate) pool: HashMap<usize, Vec<Vec<f64>>>,
+    /// Recycled update-matrix buffers, sorted by capacity (ascending); a
+    /// request takes the smallest one that fits. Update sizes are a
+    /// function of the symbolic structure and a run visits the fronts in a
+    /// fixed order, so a repeat run meets the same requests and finds each
+    /// of them a fit. Insertion and removal shift the vector in place, so
+    /// they never allocate once it has reached its steady length.
+    pub(crate) pool: Vec<Vec<f64>>,
     /// How many times a buffer request outgrew what the arena had.
     pub(crate) growth_events: u64,
 }
@@ -50,20 +56,23 @@ impl FrontWorkspace {
         self.children.extend(updates);
     }
 
-    /// Grab a buffer for an update matrix of `len` entries; counts a growth
-    /// event when the pool cannot satisfy the request from warm memory.
+    /// Grab a buffer that can hold an update matrix of `len` entries: the
+    /// smallest pooled one whose capacity is at least `len`. Counts a
+    /// growth event (and allocates) only when no pooled buffer fits. The
+    /// caller sizes it (`clear` + `resize`), so its contents do not matter.
     pub(crate) fn take_buf(&mut self, len: usize) -> Vec<f64> {
-        if let Some(b) = self.pool.get_mut(&len).and_then(|stack| stack.pop()) {
-            return b;
+        let i = self.pool.partition_point(|b| b.capacity() < len);
+        if i < self.pool.len() {
+            return self.pool.remove(i);
         }
         self.growth_events += 1;
         Vec::with_capacity(len)
     }
 
-    /// Return an update-matrix buffer to the pool (its current length is
-    /// its size class).
+    /// Return an update-matrix buffer to the pool, filed by its capacity.
     pub(crate) fn recycle(&mut self, buf: Vec<f64>) {
-        self.pool.entry(buf.len()).or_default().push(buf);
+        let i = self.pool.partition_point(|b| b.capacity() < buf.capacity());
+        self.pool.insert(i, buf);
     }
 }
 

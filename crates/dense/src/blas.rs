@@ -147,10 +147,10 @@ pub fn gemm_nt_ln(
 /// This is the panel operation of Cholesky: given the factored diagonal
 /// block `L11`, the subdiagonal panel becomes `L21 = A21 L11⁻ᵀ`.
 ///
-/// Columns are swept in [`TRSM_NB`] blocks: contributions of previously
+/// Columns are swept in `TRSM_NB` blocks: contributions of previously
 /// solved column blocks are folded in with one [`gemm_nt`] per block, then
 /// the block itself is solved against its diagonal triangle by
-/// [`trsm_block`]. For `n <= TRSM_NB` (every factorization-path call)
+/// `trsm_block`. For `n <= TRSM_NB` (every factorization-path call)
 /// that is the whole operation.
 pub fn trsm_right_lt(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
     debug_assert!(ldl >= n.max(1) && ldb >= m.max(1));

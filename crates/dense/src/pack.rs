@@ -20,7 +20,7 @@
 //!   blocks of packed `A` keep the working set resident while the macro
 //!   loops sweep the `C` tile grid.
 //!
-//! One driver (`gemm_tiled`) is generic over the tile; [`gemm_packed`]
+//! One driver (`gemm_tiled`) is generic over the tile; `gemm_packed`
 //! detects the CPU once per call and enters the copy of the driver
 //! compiled for that instruction set, so packing, microkernel and
 //! writeback all run at the host's vector width. Detection is the only

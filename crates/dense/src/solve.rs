@@ -35,7 +35,7 @@
 //! AVX-512, 4 per `ymm` vector with AVX, 4 lanes left to the
 //! auto-vectorizer elsewhere — and CPU detection picks the copy on every
 //! call; there is no option, environment variable or cargo feature. Each
-//! copy is the same generic body ([`Kernel::run`]) over fixed-width lane
+//! copy is the same generic body (`Kernel::run`) over fixed-width lane
 //! chunks. With `nrhs >= 2` the lanes are RHS columns: whole vectors, then
 //! the remainder in chunks of 4, 2 and 1 lanes through the same body. With
 //! `nrhs = 1` the forward update runs its lanes down the rows instead, each
@@ -44,7 +44,7 @@
 //! **The lane width is a property of the instruction set; the chain is
 //! not**: every lane performs the scalar chain documented on each kernel,
 //! as separate multiply and add or subtract — never FMA, which rounds once
-//! and would fork the bits by host (lint R4) — in the same [`COL_UNROLL`]
+//! and would fork the bits by host (lint R4) — in the same `COL_UNROLL`
 //! panels, so AVX-512, AVX and portable hosts produce the same solution
 //! bits.
 

@@ -249,7 +249,7 @@ pub fn nested_dissection(g: &AdjGraph, opts: &NdOpts) -> Perm {
 /// bisection both halves become independent tasks whose block positions in
 /// the final order are computed immediately (left half at the parent's
 /// offset, right half after it, separator last), and every subproblem's RNG
-/// is seeded by [`subgraph_seed`] from its own content. Min-degree leaf
+/// is seeded by `subgraph_seed` from its own content. Min-degree leaf
 /// subgraphs are just more tasks, so they batch across the same workers.
 pub fn nested_dissection_with(g: &AdjGraph, opts: &NdOpts, threads: usize, tr: &Collector) -> Perm {
     let n = g.nvert();

@@ -11,7 +11,7 @@
 //! Vertices carry weights (they represent contracted sets), edges carry
 //! multiplicities; balance is measured in vertex weight.
 //!
-//! Refinement keeps its gains and boundary incrementally ([`Refine`]).
+//! Refinement keeps its gains and boundary incrementally (`Refine`).
 
 use parfact_sparse::graph::AdjGraph;
 use parfact_trace::{Collector, LocalRecorder, Phase};

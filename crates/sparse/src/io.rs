@@ -7,6 +7,7 @@
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
+use std::fmt::Write;
 use std::fs;
 use std::path::Path;
 
@@ -98,7 +99,10 @@ pub fn parse_matrix_market(text: &str) -> Result<(CooMatrix, MmSymmetry), Sparse
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
+    // Reserve no more than the text can hold (an entry line takes at least
+    // 4 bytes): a wrong count must end in the count error below, not in an
+    // allocation the file never needed.
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz.min(text.len() / 4));
     let mut seen = 0usize;
     for line in lines {
         let t = line.trim();
@@ -170,15 +174,16 @@ pub fn parse_sym_lower(text: &str) -> Result<CscMatrix, SparseError> {
 }
 
 /// Serialize a symmetric-lower CSC matrix as a `symmetric real` Matrix
-/// Market string.
+/// Market string. Values are written in the shortest form that parses back
+/// to the same bits.
 pub fn write_sym_lower(a: &CscMatrix) -> String {
-    let mut out = String::with_capacity(32 + a.nnz() * 24);
+    let mut out = String::with_capacity(64 + a.nnz() * 16);
     out.push_str("%%MatrixMarket matrix coordinate real symmetric\n");
-    out.push_str(&format!("{} {} {}\n", a.nrows(), a.ncols(), a.nnz()));
+    let _ = writeln!(out, "{} {} {}", a.nrows(), a.ncols(), a.nnz());
     for c in 0..a.ncols() {
         let (rows, vals) = a.col(c);
         for (&r, &v) in rows.iter().zip(vals) {
-            out.push_str(&format!("{} {} {:.17e}\n", r + 1, c + 1, v));
+            let _ = writeln!(out, "{} {} {v:e}", r + 1, c + 1);
         }
     }
     out
@@ -240,6 +245,57 @@ mod tests {
         let b = read_sym_lower(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn roundtrip_keeps_every_bit() {
+        // Values that need all 17 significant digits, subnormals, both
+        // zeros and the extremes.
+        let vals = [
+            0.1 + 0.2,
+            1.0 / 3.0,
+            std::f64::consts::PI,
+            -2.0f64.sqrt(),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            f64::MAX,
+            -f64::MAX,
+            f64::EPSILON,
+            1e22,
+            123456789012345680.0,
+        ];
+        let mut coo = CooMatrix::new(vals.len(), vals.len());
+        for (i, &v) in vals.iter().enumerate() {
+            coo.push(i, i, v);
+            if i > 0 {
+                coo.push(i, 0, -v);
+            }
+        }
+        let a = coo.to_csc();
+        let b = parse_sym_lower(&write_sym_lower(&a)).unwrap();
+        assert_eq!(a.colptr(), b.colptr());
+        assert_eq!(a.rowind(), b.rowind());
+        let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    #[test]
+    fn a_huge_declared_count_is_the_count_error() {
+        // Neither count may reach the allocator: the reservation is capped
+        // by the text, and the mismatch is the typed error.
+        for nnz in ["2000000000000000000", "1000000000000000"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real symmetric\n1 1 {nnz}\n1 1 1.0\n");
+            match parse_matrix_market(&text) {
+                Err(SparseError::BadMatrixMarket(msg)) => {
+                    assert_eq!(msg, format!("declared {nnz} entries but found 1"))
+                }
+                other => panic!("expected the count error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
