@@ -12,6 +12,7 @@ use crate::sweep::{self, Sweep};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
+use parfact_trace::{Collector, LocalRecorder, Phase};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -120,34 +121,87 @@ impl Factor {
     }
 
     /// The blocked sweeps on an interleaved `n x nrhs` block in the
-    /// permuted space (`x[i*nrhs + r]`), in postorder. The blocks below the
-    /// pivot rows live on one stack, like the factorization's update stack:
-    /// a supernode's children's blocks are its top, in child order. One
-    /// stack and one scratch block per solve, grown as needed; nothing is
-    /// allocated per supernode.
+    /// permuted space (`x[i*nrhs + r]`), in postorder: [`Factor::sweep_up`]
+    /// and [`Factor::sweep_down`] over every supernode, with one stack for
+    /// the blocks below the pivot rows. One stack and one scratch block per
+    /// solve, grown as needed; nothing is allocated per supernode.
     pub(crate) fn solve_permuted(&self, x: &mut [f64], nrhs: usize) {
         if nrhs == 0 {
             return;
         }
         let sw = Sweep::new(&self.sym, nrhs, self.kind == FactorKind::Ldlt);
-        let (nsuper, mut stack, mut xb) = (self.sym.nsuper(), Vec::new(), Vec::new());
-        // Forward, L Y = B: the block of `s` is folded in a zeroed slot
-        // above its children's, then takes their place.
-        for s in 0..nsuper {
-            let (base, top) = (stack.len() - sw.children_len(s), stack.len());
-            stack.resize(top + sw.below_len(s), 0.0);
-            let (kids, ybelow) = stack[base..].split_at_mut(top - base);
-            sw.up(s, self.panel(s), &mut x[sw.pivot_range(s)], ybelow, kids);
-            stack.copy_within(top.., base);
-            stack.truncate(base + sw.below_len(s));
-        }
+        let (all, mut stack) = (0..self.sym.nsuper(), Vec::new());
+        let tr = Collector::disabled();
+        let mut rec = tr.local(0);
+        self.sweep_up(&sw, all.clone(), x, &mut stack, &mut rec);
         sw.diag_scale(&self.d, x);
-        // Backward, Lᵀ X = Y: the block of `s` moves off the stack and its
-        // children's go on, the last child's (the next supernode's) on top.
-        for s in (0..nsuper).rev() {
+        self.sweep_down(&sw, all, x, &mut stack, &mut rec);
+    }
+
+    /// Forward steps (`L Y = B`) of the supernodes `sns`, in postorder, on
+    /// their pivot rows `x` (the interleaved rows from `sn_ptr[sns.start]`
+    /// on). The blocks below the pivot rows live on `stack`, like the
+    /// factorization's update stack: a supernode's children's blocks are
+    /// its top, in child order, and its own block is folded in a zeroed
+    /// slot above them, then takes their place. A run that holds whole
+    /// subtrees leaves the blocks of their roots pushed, in order. Each step
+    /// is one `Phase::Solve` span on `rec`.
+    pub(crate) fn sweep_up(
+        &self,
+        sw: &Sweep<'_>,
+        sns: Range<usize>,
+        x: &mut [f64],
+        stack: &mut Vec<f64>,
+        rec: &mut LocalRecorder<'_>,
+    ) {
+        let base = sw.pivot_rows(&sns).start;
+        for s in sns {
+            let tick = rec.start();
+            let piv = sw.pivot_range(s);
+            let (kbase, top) = (stack.len() - sw.children_len(s), stack.len());
+            stack.resize(top + sw.below_len(s), 0.0);
+            let (kids, ybelow) = stack[kbase..].split_at_mut(top - kbase);
+            sw.up(
+                s,
+                self.panel(s),
+                &mut x[piv.start - base..piv.end - base],
+                ybelow,
+                kids,
+            );
+            stack.copy_within(top.., kbase);
+            stack.truncate(kbase + sw.below_len(s));
+            rec.stop(tick, Phase::Solve, Some(s));
+        }
+    }
+
+    /// Backward steps (`Lᵀ X = Y`) of the supernodes `sns`, in reverse
+    /// postorder, on their pivot rows `x`: the inverse of
+    /// [`Factor::sweep_up`]. A supernode's block moves off the top of
+    /// `stack` and its children's go on, the last child's (the next
+    /// supernode's) on top.
+    pub(crate) fn sweep_down(
+        &self,
+        sw: &Sweep<'_>,
+        sns: Range<usize>,
+        x: &mut [f64],
+        stack: &mut Vec<f64>,
+        rec: &mut LocalRecorder<'_>,
+    ) {
+        let base = sw.pivot_rows(&sns).start;
+        let mut xb = Vec::new();
+        for s in sns.rev() {
+            let tick = rec.start();
+            let piv = sw.pivot_range(s);
             xb.clear();
             xb.extend(stack.drain(stack.len() - sw.below_len(s)..));
-            sw.down(s, self.panel(s), &mut x[sw.pivot_range(s)], &xb, &mut stack);
+            sw.down(
+                s,
+                self.panel(s),
+                &mut x[piv.start - base..piv.end - base],
+                &xb,
+                stack,
+            );
+            rec.stop(tick, Phase::Solve, Some(s));
         }
     }
 

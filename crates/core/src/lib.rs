@@ -24,9 +24,9 @@
 //! `sweep` module: forward and backward `trsm` + block `gemm` on
 //! interleaved right-hand-side blocks, the child-row bookkeeping, the fused
 //! permute-and-interleave) and three schedulers over it: the postorder
-//! sweep in [`factor`], the tree-parallel [`smp_solve`] (on the private
-//! `tree_pool`, the work-stealing tree walk it shares with [`smp`]) and the
-//! leader-per-front `dist::solve`.
+//! sweep in [`factor`], the subtree-mapped [`smp_solve`] (each thread
+//! sweeps its local subtrees of the proportional [`mapping`], one thread
+//! the top of the tree) and the leader-per-front `dist::solve`.
 //!
 //! Baselines the paper's method is measured against live in [`baseline`]:
 //! the classic *fan-out* distributed column-Cholesky and a left-looking

@@ -5,7 +5,7 @@
 //! 1. **Tree parallelism** at the bottom: disjoint subtrees are independent,
 //!    so small fronts are processed by a work-stealing pool over the
 //!    assembly tree (one task per supernode, released when its children
-//!    finish).
+//!    finish; the worker that releases a parent runs it next).
 //! 2. **Kernel parallelism** at the top: near the root the tree is too
 //!    narrow to feed the cores, but the fronts are large — those are
 //!    processed in postorder with the trailing (Schur) update of each panel
@@ -16,14 +16,17 @@
 //!
 //! Workers assemble and factor panels straight in the [`Factor`] slab
 //! (disjoint per supernode) and draw update buffers from their
-//! [`FrontWorkspace`] arenas, so the steady state allocates nothing per
-//! supernode; idle workers wait with a spin-then-park
+//! [`FrontWorkspace`] arenas, each about one live front stack deep. Which
+//! worker builds a front changes from run to run, and a consumed buffer
+//! goes to the consumer's arena, so a warm run still grows a few buffers
+//! (tens to a couple of hundred on lap2d-400's 33 048 fronts, where the
+//! sequential engine grows none); idle workers wait with a spin-then-park
 //! [`crate::backoff::Backoff`] instead of burning a core on `yield_now`.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind, FactorWriter};
 use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
-use crate::tree_pool::{walk_tree, Walk};
+use crate::tree_pool::walk_tree;
 use crate::workspace::{FrontWorkspace, Workspace};
 use parfact_dense::blas::{gemm_nt, syrk_ln};
 use parfact_dense::chol;
@@ -119,7 +122,6 @@ pub(crate) fn factorize_smp_into(
     let arenas = &mut ws.threads[..nthreads];
     walk_tree(
         &sym.tree,
-        Walk::Up,
         |s| !big[s],
         arenas.iter_mut(),
         tr,

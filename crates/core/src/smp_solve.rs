@@ -1,57 +1,78 @@
-//! Shared-memory parallel triangular solves: the solve phase parallelized
-//! over the assembly tree with real threads, mirroring the factorization's
-//! tree parallelism.
+//! Shared-memory parallel triangular solves on the paper's subtree
+//! mapping: the solve runs over the same tree and data distribution as the
+//! factorization.
 //!
-//! The forward sweep runs leaves-to-roots (a supernode is ready when its
-//! children finished; its contribution block travels to the parent like an
-//! update matrix), the backward sweep roots-to-leaves (a supernode is
-//! ready when its parent finished and has published the x values at the
-//! child's below-pivot rows). Both sweeps therefore expose exactly the
-//! tree parallelism of the factorization — and inherit its limitation, the
-//! serial top of the tree, which is why parallel solves gain less than
-//! factorizations (cf. EXP-F4 on the distributed engine).
+//! [`crate::mapping::map_tree`], with one "rank" per thread, cuts the
+//! assembly tree into **local subtrees** (groups of one thread) under a
+//! **top**. Going forward, every thread sweeps its own subtrees in
+//! postorder on one stack of its own, exactly as the sequential sweep does
+//! over the whole tree, and leaves each local root's block on that stack;
+//! after the join, one thread sweeps the top in postorder and takes those
+//! blocks off where the sequential sweep would have found them. Going
+//! backward, the top runs first and puts each local root's x-below block
+//! back on its thread's stack, then the threads sweep their subtrees. A
+//! subtree is consecutive in postorder, so its pivot rows are one run of
+//! `x`, split off with `split_at_mut`: no queue, no locks, and nothing is
+//! shared but the stacks handed over at the joins.
 //!
-//! All right-hand sides move as one interleaved block: the per-supernode
-//! steps are `sweep::Sweep::{up, down}`, shared with the other two solve
-//! paths, and this module only schedules them over the `tree_pool`.
-//! Contributions are folded into a parent in the fixed order of
-//! `tree.children`, so the solution does not depend on the thread count or
-//! the run, and is bit-equal to the sequential solve's and to the
-//! distributed solve's at any rank count.
+//! Every supernode runs the same step (`sweep::Sweep::{up, down}`) on the
+//! same child blocks in `tree.children` order as in the sequential sweep
+//! and the distributed solve, so the solution is bit-equal to both at any
+//! thread count. As in the factorization, only the work below the top is
+//! spread over threads (cf. EXP-F4 on the distributed engine).
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
+use crate::mapping::{map_tree, MapStrategy};
 use crate::smp::resolve_threads;
 use crate::sweep::{self, Sweep};
-use crate::tree_pool::{walk_tree, Walk};
-use parfact_trace::{Collector, LocalRecorder, Phase};
-use parking_lot::Mutex;
+use parfact_symbolic::{Symbolic, NONE};
+use parfact_trace::{Collector, LocalRecorder};
 use std::mem::take;
+use std::ops::Range;
 
-/// Multi-RHS tree-parallel solve of `A X = B` on `threads` OS threads
-/// (0 = available parallelism): `b` is `n x nrhs` column-major. Results
-/// equal [`Factor::try_solve_many`]'s bit for bit: both fold child blocks
-/// in `tree.children` order through the same supernode steps. Checked: a
-/// wrong `b.len()` returns [`FactorError::DimensionMismatch`].
+/// Smallest solve `SolveEngine::Auto` spreads over threads, in units of
+/// [`solve_work`]. Below it, starting the two thread scopes (about 50 µs on
+/// two cores) costs more than the second thread saves, and Auto runs the
+/// sequential sweep. Measured with two threads on 2-D and 3-D Laplacians
+/// and 3-D elasticity, 1 to 16 right-hand sides: every solve below 0.8 M
+/// ran slower mapped, every one above 1.6 M faster (0.95 × the sequential
+/// time at worst); 2 M leaves a margin.
+pub const AUTO_MIN_WORK: usize = 1 << 21;
+
+/// The size of a solve: `nnz(L) · (nrhs + 8)`. A sweep streams every factor
+/// entry once whatever `nrhs` is, and that costs about as much per entry
+/// as eight right-hand sides' arithmetic.
+pub fn solve_work(factor: &Factor, nrhs: usize) -> usize {
+    factor.nnz().saturating_mul(nrhs.saturating_add(8))
+}
+
+/// Multi-RHS solve of `A X = B` on the subtree mapping with `threads` OS
+/// threads (0 = available parallelism): `b` is `n x nrhs` column-major.
+/// Results equal [`Factor::try_solve_many`]'s bit for bit: both fold child
+/// blocks in `tree.children` order through the same supernode steps. One
+/// thread, an empty block or a single supernode run the sequential sweep.
+/// Checked: a wrong `b.len()` returns [`FactorError::DimensionMismatch`].
 pub fn solve_smp_many(
     factor: &Factor,
     b: &[f64],
     nrhs: usize,
     threads: usize,
 ) -> Result<Vec<f64>, FactorError> {
-    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::disabled())
+    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::disabled()).map(|(x, _)| x)
 }
 
-/// [`solve_smp_many`] with instrumentation: per-worker `Phase::Solve`
-/// spans (one per supernode per sweep) land in `tr` when its level records
-/// spans, giving the timeline per-worker solve lanes.
-pub fn solve_smp_many_traced(
+/// [`solve_smp_many`] with instrumentation: one `Phase::Solve` span per
+/// supernode per sweep lands on the lane of the thread that ran it (the
+/// top on lane 0) when `tr` records spans. Also returns how many threads
+/// swept: the threads that own a local subtree, at least one.
+pub(crate) fn solve_smp_many_traced(
     factor: &Factor,
     b: &[f64],
     nrhs: usize,
     threads: usize,
     tr: &Collector,
-) -> Result<Vec<f64>, FactorError> {
+) -> Result<(Vec<f64>, usize), FactorError> {
     let sym = &factor.sym;
     if b.len() != sym.n * nrhs {
         return Err(FactorError::DimensionMismatch {
@@ -61,54 +82,165 @@ pub fn solve_smp_many_traced(
     }
     let nthreads = resolve_threads(threads);
     if nthreads <= 1 || sym.nsuper() <= 1 || nrhs == 0 {
-        // The sequential schedule of the same steps: same bits, no pool.
-        return factor.try_solve_many(b, nrhs);
+        return Ok((factor.try_solve_many(b, nrhs)?, 1));
     }
-    let sw = Sweep::new(sym, nrhs, factor.kind == FactorKind::Ldlt);
+    let plan = Plan::new(sym, nthreads);
     let mut x = sweep::permute_in(&factor.perm, b, nrhs);
-    // What travels along a tree edge: the child's contribution block going
-    // up, the x at the child's below-pivot rows coming back down.
-    let edge: Vec<Mutex<Vec<f64>>> = (0..sym.nsuper()).map(|_| Mutex::new(Vec::new())).collect();
-    for dir in [Walk::Up, Walk::Down] {
-        // Each task owns its supernode's pivot rows of `x`.
-        let mut rest = x.as_mut_slice();
-        let pivots: Vec<Mutex<&mut [f64]>> = (0..sym.nsuper())
-            .map(|s| {
-                let (head, tail) = take(&mut rest).split_at_mut(sw.pivot_range(s).len());
-                rest = tail;
-                Mutex::new(head)
-            })
-            .collect();
-        // Each worker keeps one buffer for the children's blocks of its task.
-        let step = |s: usize, kids: &mut Vec<f64>, rec: &mut LocalRecorder<'_>| {
-            let tick = rec.start();
-            let mut xpiv = pivots[s].lock();
-            let children = &sym.tree.children[s];
-            kids.clear();
-            if dir == Walk::Up {
-                let mut ybelow = vec![0.0f64; sw.below_len(s)];
-                for &c in children {
-                    kids.extend(take(&mut *edge[c].lock()));
-                }
-                sw.up(s, factor.panel(s), &mut xpiv, &mut ybelow, kids);
-                *edge[s].lock() = ybelow;
-            } else {
-                let xbelow = take(&mut *edge[s].lock());
-                sw.down(s, factor.panel(s), &mut xpiv, &xbelow, kids);
-                for &c in children.iter().rev() {
-                    *edge[c].lock() = kids.split_off(kids.len() - sw.below_len(c));
-                }
+    plan.solve(factor, &mut x, nrhs, tr);
+    Ok((sweep::permute_out(&factor.perm, &x, nrhs), plan.workers()))
+}
+
+/// A run of supernodes, consecutive in postorder: a whole local subtree
+/// (`sns` ends at its root) owned by thread `owner`, or one top supernode
+/// (`owner == None`).
+struct Run {
+    sns: Range<usize>,
+    owner: Option<usize>,
+}
+
+/// The subtree mapping read as a solve schedule: the runs partition the
+/// supernodes and follow postorder.
+struct Plan {
+    runs: Vec<Run>,
+    threads: usize,
+}
+
+impl Plan {
+    fn new(sym: &Symbolic, threads: usize) -> Plan {
+        let map = map_tree(sym, threads, MapStrategy::default());
+        let tree = &sym.tree;
+        let local = |s: usize| map.group_size(s) == 1;
+        // The first supernode of the subtree rooted at `s`, in postorder.
+        let mut first = vec![0usize; sym.nsuper()];
+        let mut runs = Vec::new();
+        for s in 0..sym.nsuper() {
+            first[s] = tree.children[s]
+                .iter()
+                .map(|&c| first[c])
+                .min()
+                .unwrap_or(s);
+            let p = tree.parent[s];
+            if !local(s) {
+                runs.push(Run {
+                    sns: s..s + 1,
+                    owner: None,
+                });
+            } else if p == NONE || !local(p) {
+                runs.push(Run {
+                    sns: first[s]..s + 1,
+                    owner: Some(map.leader(s)),
+                });
             }
-            rec.stop(tick, Phase::Solve, Some(s));
-            Ok::<(), FactorError>(())
-        };
-        let scratch = (0..nthreads).map(|_| Vec::new());
-        walk_tree(&sym.tree, dir, |_| true, scratch, tr, step)?;
-        if dir == Walk::Up {
-            sw.diag_scale(&factor.d, &mut x);
         }
+        Plan { runs, threads }
     }
-    Ok(sweep::permute_out(&factor.perm, &x, nrhs))
+
+    /// Threads that own at least one local subtree (at least one: the top
+    /// runs on the calling thread).
+    fn workers(&self) -> usize {
+        let mut owns = vec![false; self.threads];
+        for t in self.runs.iter().filter_map(|r| r.owner) {
+            owns[t] = true;
+        }
+        owns.iter().filter(|&&o| o).count().max(1)
+    }
+
+    /// Both sweeps and the diagonal scaling on the interleaved block `x`.
+    fn solve(&self, factor: &Factor, x: &mut [f64], nrhs: usize, tr: &Collector) {
+        let sw = Sweep::new(&factor.sym, nrhs, factor.kind == FactorKind::Ldlt);
+        // One stack per thread. After the forward subtrees it holds the
+        // blocks of the thread's local roots in ascending order; before the
+        // backward ones, their x-below blocks, the lowest root's on top.
+        let mut stacks: Vec<Vec<f64>> = vec![Vec::new(); self.threads];
+        self.on_threads(&sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
+            factor.sweep_up(&sw, sns, rows, stack, rec)
+        });
+        let mut rec = tr.local(0);
+        let mut stack = Vec::new();
+        let mut taken = vec![0usize; self.threads];
+        for run in &self.runs {
+            let root = run.sns.end - 1;
+            match run.owner {
+                Some(t) => {
+                    let at = taken[t];
+                    taken[t] += sw.below_len(root);
+                    stack.extend_from_slice(&stacks[t][at..taken[t]]);
+                }
+                None => factor.sweep_up(
+                    &sw,
+                    run.sns.clone(),
+                    &mut x[sw.pivot_rows(&run.sns)],
+                    &mut stack,
+                    &mut rec,
+                ),
+            }
+        }
+        sw.diag_scale(&factor.d, x);
+        stacks.iter_mut().for_each(Vec::clear);
+        for run in self.runs.iter().rev() {
+            let root = run.sns.end - 1;
+            match run.owner {
+                Some(t) => {
+                    let from = stack.len() - sw.below_len(root);
+                    stacks[t].extend(stack.drain(from..));
+                }
+                None => factor.sweep_down(
+                    &sw,
+                    run.sns.clone(),
+                    &mut x[sw.pivot_rows(&run.sns)],
+                    &mut stack,
+                    &mut rec,
+                ),
+            }
+        }
+        self.on_threads(&sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
+            factor.sweep_down(&sw, sns, rows, stack, rec)
+        });
+    }
+
+    /// Run `sweep(sns, rows, stack, rec)` over every local subtree, each
+    /// thread over its own in ascending order, on its own stack and lane;
+    /// the first thread with work is the calling one.
+    fn on_threads(
+        &self,
+        sw: &Sweep<'_>,
+        x: &mut [f64],
+        stacks: &mut [Vec<f64>],
+        tr: &Collector,
+        sweep: impl Fn(Range<usize>, &mut [f64], &mut Vec<f64>, &mut LocalRecorder<'_>) + Sync,
+    ) {
+        let mut mine: Vec<Vec<(Range<usize>, &mut [f64])>> =
+            (0..self.threads).map(|_| Vec::new()).collect();
+        let mut rest = x;
+        for run in &self.runs {
+            let (head, tail) = take(&mut rest).split_at_mut(sw.pivot_rows(&run.sns).len());
+            rest = tail;
+            if let Some(t) = run.owner {
+                mine[t].push((run.sns.clone(), head));
+            }
+        }
+        let job = |t: usize, subtrees: Vec<(Range<usize>, &mut [f64])>, stack: &mut Vec<f64>| {
+            let mut rec = tr.local(t);
+            for (sns, rows) in subtrees {
+                sweep(sns, rows, stack, &mut rec);
+            }
+        };
+        let mut work = mine
+            .into_iter()
+            .zip(stacks)
+            .enumerate()
+            .filter(|(_, (subtrees, _))| !subtrees.is_empty());
+        let here = work.next();
+        std::thread::scope(|scope| {
+            for (t, (subtrees, stack)) in work {
+                let job = &job;
+                scope.spawn(move || job(t, subtrees, stack));
+            }
+            if let Some((t, (subtrees, stack))) = here {
+                job(t, subtrees, stack);
+            }
+        });
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ mod opts;
 
 use crate::error::FactorError;
 use crate::factor::Factor;
+use crate::smp_solve;
 use crate::workspace::Workspace;
 use numeric::numeric_phase;
 use parfact_sparse::csc::CscMatrix;
@@ -35,6 +36,7 @@ struct SolveStats(Mutex<SolveStatsInner>);
 struct SolveStatsInner {
     solves: u64,
     rhs: u64,
+    threads: usize,
     seconds: f64,
     flops: f64,
     /// Solve spans in solve-local time: consecutive solves are laid
@@ -48,6 +50,7 @@ impl SolveStats {
     fn accumulate(
         &self,
         nrhs: usize,
+        threads: usize,
         seconds: f64,
         flops: f64,
         mut spans: Vec<SpanEvent>,
@@ -56,6 +59,7 @@ impl SolveStats {
         let mut g = self.0.lock().unwrap();
         g.solves += 1;
         g.rhs += nrhs as u64;
+        g.threads = g.threads.max(threads);
         g.seconds += seconds;
         g.flops += flops;
         if timeline {
@@ -102,7 +106,8 @@ pub struct SparseCholesky {
     /// The permuted matrix actually factored (kept for refinement).
     ap: CscMatrix,
     /// Numeric-factorization arenas, reused across `refactorize` calls so
-    /// the steady state allocates nothing per supernode.
+    /// the sequential steady state allocates nothing per supernode (see
+    /// [`Workspace`] for the SMP engine's).
     ws: Workspace,
     /// Solve-phase accumulator (counts, time, flops, spans). Interior
     /// mutability keeps `solve_with` callable through `&self`.
@@ -309,12 +314,15 @@ impl SparseCholesky {
             }
         };
         let tr = Collector::new(self.trace);
-        let mut x = match opts.engine {
-            SolveEngine::Auto => self.factor.try_solve_many(&bs, nrhs)?,
-            SolveEngine::Smp { threads } => {
-                crate::smp_solve::solve_smp_many_traced(&self.factor, &bs, nrhs, threads, &tr)?
-            }
+        let work = smp_solve::solve_work(&self.factor, nrhs);
+        let threads = match opts.engine {
+            // One thread (the sequential sweep) where threads do not pay.
+            SolveEngine::Auto if work < smp_solve::AUTO_MIN_WORK => 1,
+            SolveEngine::Auto => 0,
+            SolveEngine::Smp { threads } => threads,
         };
+        let (mut x, threads) =
+            smp_solve::solve_smp_many_traced(&self.factor, &bs, nrhs, threads, &tr)?;
         // Iterative refinement, per column, in the permuted space of the
         // matrix actually factored (no original-matrix argument needed).
         // `sweeps` counts the column sweep pairs and `products` the
@@ -373,8 +381,14 @@ impl SparseCholesky {
         // product.
         let flops = 4.0 * self.factor.nnz() as f64 * sweeps as f64
             + 4.0 * self.ap.nnz() as f64 * products as f64;
-        self.solve_stats
-            .accumulate(nrhs, seconds, flops, tr.take_spans(), self.trace.timeline());
+        self.solve_stats.accumulate(
+            nrhs,
+            threads,
+            seconds,
+            flops,
+            tr.take_spans(),
+            self.trace.timeline(),
+        );
         Ok(Solved { x, residual })
     }
 
@@ -391,6 +405,7 @@ impl SparseCholesky {
             r.solve = Some(SolveReport {
                 solves: g.solves,
                 rhs: g.rhs,
+                threads: g.threads,
                 seconds: g.seconds,
                 flops: g.flops,
             });
@@ -988,6 +1003,30 @@ mod tests {
     }
 
     #[test]
+    fn an_smp_refactorize_after_a_sequential_one_grows_few_buffers() {
+        // The SMP tree walk runs a released parent on the worker that
+        // released it, so each worker holds about one live front stack of
+        // updates. A walk that queued every leaf before any parent kept
+        // nearly every leaf's update alive at once and grew a buffer for
+        // about 90 % of the fronts.
+        let a = gen::laplace2d(80, 80, gen::Stencil2d::FivePoint);
+        let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+        let nsuper = chol.symbolic().nsuper();
+        assert!(nsuper >= 1000, "{nsuper} fronts");
+        let before = chol.workspace_growth_events();
+        let smp = Engine::Smp(SmpOpts {
+            threads: 2,
+            ..SmpOpts::default()
+        });
+        chol.refactorize(&a, smp).unwrap();
+        let grown = chol.workspace_growth_events() - before;
+        assert!(
+            grown < nsuper as u64 / 10,
+            "a 2-thread refactorize grew {grown} buffers for {nsuper} fronts"
+        );
+    }
+
+    #[test]
     fn a_dist_factorize_leaves_the_host_workspace_to_the_first_host_run() {
         // The simulated ranks factor in buffers of their own, so after a
         // `Dist` factorize the solver's workspace is still empty: the first
@@ -1139,6 +1178,37 @@ mod tests {
             for (s, p) in seq.x[col * n..(col + 1) * n].iter().zip(&one.x) {
                 assert_eq!(s.to_bits(), p.to_bits(), "col={col}");
             }
+        }
+    }
+
+    #[test]
+    fn auto_solve_runs_threaded_from_the_size_constant_on() {
+        // Below `AUTO_MIN_WORK` Auto is the sequential sweep, from it on the
+        // subtree-mapped one on every core, with the same bits.
+        for (a, big) in [
+            (gen::laplace3d(5, 4, 4, gen::Stencil3d::SevenPoint), false),
+            (gen::laplace2d(100, 100, gen::Stencil2d::FivePoint), true),
+        ] {
+            let nrhs = 3;
+            let b: Vec<f64> = (0..a.nrows() * nrhs)
+                .map(|i| ((i % 11) as f64) - 5.0)
+                .collect();
+            let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+            let auto = chol
+                .solve_with(RhsBlock::new(&b, nrhs), &SolveOpts::new())
+                .unwrap();
+            let seq = chol.factor().try_solve_many(&b, nrhs).unwrap();
+            assert!(auto
+                .x
+                .iter()
+                .zip(&seq)
+                .all(|(p, s)| p.to_bits() == s.to_bits()));
+            let work = smp_solve::solve_work(chol.factor(), nrhs);
+            assert_eq!(work >= smp_solve::AUTO_MIN_WORK, big, "work {work}");
+            let threads = chol.report_with_solve().solve.unwrap().threads;
+            let cores = crate::smp::resolve_threads(0);
+            assert_eq!(threads > 1, big && cores > 1, "n = {}", a.nrows());
+            assert!(threads <= cores);
         }
     }
 

@@ -146,14 +146,21 @@ impl FactorOpts {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveEngine {
-    /// Let the solver pick. Currently the blocked sequential sweep, which
-    /// needs no thread pool.
+    /// Let the solver pick. Currently the subtree-mapped sweep of
+    /// [`SolveEngine::Smp`] on every available core when the machine has
+    /// more than one and the solve is at least
+    /// [`crate::smp_solve::AUTO_MIN_WORK`] in size
+    /// ([`crate::smp_solve::solve_work`]), else the blocked sequential
+    /// sweep, which needs no threads. Both give the same bits;
+    /// [`SparseCholesky::report_with_solve`] records the thread count
+    /// (`SolveReport::threads`).
     #[default]
     Auto,
-    /// Tree-parallel shared-memory sweep over the assembly tree.
-    /// `threads: 0` sizes the pool from the machine; a pool of one falls
-    /// back to the sequential sweep. Contributions fold in assembly-tree
-    /// child order regardless of scheduling, as in the sequential sweep,
+    /// The sweeps on the paper's subtree mapping: each of `threads` threads
+    /// sweeps its own local subtrees of the proportional mapping, one
+    /// thread the top of the tree. `threads: 0` sizes it from the machine;
+    /// one thread runs the sequential sweep. Every supernode folds its
+    /// children in assembly-tree child order, as in the sequential sweep,
     /// so every thread count gives the same bits as `Auto`.
     Smp {
         /// Worker threads (0 = auto).

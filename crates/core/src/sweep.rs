@@ -10,8 +10,9 @@
 //!
 //! - [`crate::factor`] walks the supernodes in postorder and keeps the
 //!   blocks on a stack, like the factorization's update stack;
-//! - [`crate::smp_solve`] walks the tree with the [`crate::tree_pool`] and
-//!   hands the blocks from task to task;
+//! - [`crate::smp_solve`] runs that postorder walk per local subtree of the
+//!   proportional mapping, one stack per thread, and the top of the tree on
+//!   one thread, taking the local roots' blocks off the threads' stacks;
 //! - [`crate::dist::solve`] runs each step on the supernode's leader rank
 //!   and ships the same blocks as messages.
 //!
@@ -41,7 +42,13 @@ impl<'a> Sweep<'a> {
     /// Where the pivot rows of supernode `s` sit in an interleaved
     /// `n x nrhs` block.
     pub(crate) fn pivot_range(&self, s: usize) -> Range<usize> {
-        self.sym.sn_ptr[s] * self.nrhs..self.sym.sn_ptr[s + 1] * self.nrhs
+        self.pivot_rows(&(s..s + 1))
+    }
+
+    /// Where the pivot rows of the consecutive supernodes `sns` sit in an
+    /// interleaved `n x nrhs` block (empty for an empty range).
+    pub(crate) fn pivot_rows(&self, sns: &Range<usize>) -> Range<usize> {
+        self.sym.sn_ptr[sns.start] * self.nrhs..self.sym.sn_ptr[sns.end] * self.nrhs
     }
 
     /// Length of the below-pivot block of supernode `s`.

@@ -1,11 +1,16 @@
 //! The work-stealing walk over the assembly tree.
 //!
-//! The SMP factorization's tree phase and both SMP solve sweeps schedule
-//! the same way: one task per supernode, released when the tasks it depends
-//! on are done (its children going [`Walk::Up`], its parent going
-//! [`Walk::Down`]), pulled by scoped worker threads from one shared queue.
-//! This module is that protocol (the dependency counters, the queue, the
-//! termination and failure flags) once; callers supply what a task does.
+//! The SMP factorization's tree phase schedules one task per supernode,
+//! released when its children are done, pulled by scoped worker threads
+//! from one shared queue. This module is that protocol (the dependency
+//! counters, the queue, the termination and failure flags); the caller
+//! supplies what a task does.
+//!
+//! The walk is depth-first where it can be: the worker whose task releases
+//! a parent runs that parent next, while its children's updates are still
+//! in its cache, and only the leaves go through the queue. So each worker
+//! holds about one live front stack of updates, as the sequential engine
+//! does, instead of every leaf's at once.
 
 use crate::backoff::Backoff;
 use crossbeam_deque::{Injector, Steal};
@@ -15,28 +20,18 @@ use parfact_trace::{Collector, LocalRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Direction of a tree walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Walk {
-    /// Leaves to roots: a supernode runs after all its children.
-    Up,
-    /// Roots to leaves: a supernode runs after its parent.
-    Down,
-}
-
 /// Run `task(s, state, rec)` once for every supernode `s` with `member(s)`,
-/// respecting `dir`'s dependencies among members, on one scoped thread per
-/// item of `workers` (each thread owns its item as `state` and a
-/// [`LocalRecorder`] of `tr` keyed by its index). Dependencies on
-/// non-members count as already met.
+/// leaves to roots: a member runs after all its member children. One
+/// scoped thread runs per item of `workers` (each thread owns its item as
+/// `state` and a [`LocalRecorder`] of `tr` keyed by its index).
+/// Dependencies on non-members count as already met.
 ///
-/// A task's writes are visible to the tasks it releases (the queue hands
-/// supernodes over with release/acquire ordering). The first `Err` stops
-/// the walk: no new task starts, and the error is returned once the
-/// running ones finish.
+/// A task's writes are visible to the tasks it releases (the last child's
+/// worker runs the parent after an acquire-release countdown). The first
+/// `Err` stops the walk: no new task starts, and the error is returned
+/// once the running ones finish.
 pub(crate) fn walk_tree<S: Send, E: Send>(
     tree: &AssemblyTree,
-    dir: Walk,
     member: impl Fn(usize) -> bool + Sync,
     workers: impl IntoIterator<Item = S>,
     tr: &Collector,
@@ -44,7 +39,7 @@ pub(crate) fn walk_tree<S: Send, E: Send>(
 ) -> Result<(), E> {
     let nsuper = tree.parent.len();
     let member_parent = |s: usize| Some(tree.parent[s]).filter(|&p| p != NONE && member(p));
-    // Going up, the member children a supernode still waits for.
+    // The member children a supernode still waits for.
     let pending: Vec<AtomicUsize> = (0..nsuper)
         .map(|s| AtomicUsize::new(tree.children[s].iter().filter(|&&c| member(c)).count()))
         .collect();
@@ -52,11 +47,7 @@ pub(crate) fn walk_tree<S: Send, E: Send>(
     let mut total = 0;
     for s in (0..nsuper).filter(|&s| member(s)) {
         total += 1;
-        let ready = match dir {
-            Walk::Up => pending[s].load(Ordering::Relaxed) == 0,
-            Walk::Down => member_parent(s).is_none(),
-        };
-        if ready {
+        if pending[s].load(Ordering::Relaxed) == 0 {
             injector.push(s);
         }
     }
@@ -65,20 +56,25 @@ pub(crate) fn walk_tree<S: Send, E: Send>(
     let error: Mutex<Option<E>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for (wid, mut state) in workers.into_iter().enumerate() {
-            let (member, task, member_parent) = (&member, &task, &member_parent);
+            let (task, member_parent) = (&task, &member_parent);
             let (pending, injector, done, failed, error) =
                 (&pending, &injector, &done, &failed, &error);
             scope.spawn(move || {
                 let mut rec = tr.local(wid);
                 let mut backoff = Backoff::new();
+                // The parent this worker's last task released, if any.
+                let mut next = None;
                 while !failed.load(Ordering::Relaxed) && done.load(Ordering::Relaxed) < total {
-                    let s = match injector.steal() {
-                        Steal::Success(s) => s,
-                        Steal::Retry => continue,
-                        Steal::Empty => {
-                            backoff.snooze();
-                            continue;
-                        }
+                    let s = match next.take() {
+                        Some(s) => s,
+                        None => match injector.steal() {
+                            Steal::Success(s) => s,
+                            Steal::Retry => continue,
+                            Steal::Empty => {
+                                backoff.snooze();
+                                continue;
+                            }
+                        },
                     };
                     backoff.reset();
                     if let Err(e) = task(s, &mut state, &mut rec) {
@@ -87,18 +83,9 @@ pub(crate) fn walk_tree<S: Send, E: Send>(
                         break;
                     }
                     done.fetch_add(1, Ordering::SeqCst);
-                    match dir {
-                        Walk::Up => {
-                            if let Some(p) = member_parent(s) {
-                                if pending[p].fetch_sub(1, Ordering::SeqCst) == 1 {
-                                    injector.push(p);
-                                }
-                            }
-                        }
-                        Walk::Down => {
-                            for &c in tree.children[s].iter().filter(|&&c| member(c)) {
-                                injector.push(c);
-                            }
+                    if let Some(p) = member_parent(s) {
+                        if pending[p].fetch_sub(1, Ordering::SeqCst) == 1 {
+                            next = Some(p);
                         }
                     }
                 }
@@ -129,11 +116,10 @@ mod tests {
     }
 
     /// Walk with 4 workers and return the order the tasks ran in.
-    fn order_of(dir: Walk, member: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
+    fn order_of(member: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
         let order = Mutex::new(Vec::new());
         walk_tree(
             &forest(),
-            dir,
             member,
             0..4,
             &Collector::disabled(),
@@ -151,36 +137,47 @@ mod tests {
     }
 
     #[test]
-    fn every_supernode_runs_once_after_its_dependencies() {
+    fn every_supernode_runs_once_after_its_children() {
         let tree = forest();
         for _ in 0..50 {
-            for dir in [Walk::Up, Walk::Down] {
-                let order = order_of(dir, |_| true);
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..9).collect::<Vec<_>>(), "{dir:?}");
-                for (s, &p) in tree.parent.iter().enumerate().filter(|(_, &p)| p != NONE) {
-                    let (first, second) = if dir == Walk::Up { (s, p) } else { (p, s) };
-                    assert!(
-                        position(&order, first) < position(&order, second),
-                        "{dir:?}: {second} ran before {first}"
-                    );
-                }
+            let order = order_of(|_| true);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..9).collect::<Vec<_>>());
+            for (s, &p) in tree.parent.iter().enumerate().filter(|(_, &p)| p != NONE) {
+                assert!(
+                    position(&order, s) < position(&order, p),
+                    "{p} ran before {s}"
+                );
             }
         }
     }
 
     #[test]
     fn only_members_run_and_outside_dependencies_count_as_met() {
-        // Up over the bottom of the tree (the factorization's small set).
-        let mut up = order_of(Walk::Up, |s| s < 6 && s != 4);
+        // The bottom of the tree (the factorization's small set).
+        let mut up = order_of(|s| s < 6 && s != 4);
         up.sort_unstable();
         assert_eq!(up, vec![0, 1, 2, 3, 5]);
-        // Down below a cut: 4 and 5 start although their parent never runs.
-        let down = order_of(Walk::Down, |s| s < 6);
-        assert_eq!(down.len(), 6);
-        assert!(position(&down, 4) < position(&down, 0));
-        assert!(position(&down, 5) < position(&down, 3));
+    }
+
+    #[test]
+    fn the_worker_that_releases_a_parent_runs_it_next() {
+        // One worker: the queue holds the leaves 0, 1, 2, 3, 7 in order,
+        // and each released parent runs before the next leaf is taken.
+        let order = Mutex::new(Vec::new());
+        walk_tree(
+            &forest(),
+            |_| true,
+            [()],
+            &Collector::disabled(),
+            |s, _, _| -> Result<(), ()> {
+                order.lock().push(s);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(order.into_inner(), vec![0, 1, 4, 2, 3, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -188,7 +185,6 @@ mod tests {
         let ran = Mutex::new(Vec::new());
         let r = walk_tree(
             &forest(),
-            Walk::Up,
             |_| true,
             0..3,
             &Collector::disabled(),

@@ -17,7 +17,11 @@
 //! so after the first factorization of a given structure every subsequent
 //! run in the same order is served from warm memory —
 //! [`Workspace::growth_events`] counts how often no pooled buffer fit,
-//! which the arena-reuse tests pin to zero for repeat factorizations.
+//! which the arena-reuse tests pin to zero for repeat sequential
+//! factorizations. The SMP engine's workers do not build the same fronts
+//! every run, and a buffer is recycled into the arena of the worker that
+//! consumed it, so its arenas drift: a warm SMP run grows a few buffers,
+//! and the arenas' pooled buffers slowly outgrow one live stack each.
 //!
 //! (The packing buffers of the dense microkernels are thread-local inside
 //! `parfact-dense` and follow the same grow-once discipline.)

@@ -157,6 +157,12 @@ pub fn read_sym_lower(path: &Path) -> Result<CscMatrix, SparseError> {
 }
 
 /// As [`read_sym_lower`], from an in-memory string.
+///
+/// An order above twice the entry count is [`SparseError::BadMatrixMarket`]:
+/// every row and column of a nonsingular symmetric matrix holds an entry,
+/// and one stored entry covers at most two of them, so such a matrix could
+/// not be factored (and its column pointers alone would be sized by the
+/// declared order, not by the text).
 pub fn parse_sym_lower(text: &str) -> Result<CscMatrix, SparseError> {
     let (coo, sym) = parse_matrix_market(text)?;
     if coo.nrows() != coo.ncols() {
@@ -164,6 +170,13 @@ pub fn parse_sym_lower(text: &str) -> Result<CscMatrix, SparseError> {
             nrows: coo.nrows(),
             ncols: coo.ncols(),
         });
+    }
+    if coo.nrows() > coo.nnz().saturating_mul(2) {
+        return Err(SparseError::BadMatrixMarket(format!(
+            "order {} is more than twice the {} stored entries: the matrix is singular",
+            coo.nrows(),
+            coo.nnz()
+        )));
     }
     let csc = match sym {
         MmSymmetry::Symmetric => coo.to_csc(),
@@ -296,6 +309,33 @@ mod tests {
                 other => panic!("expected the count error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn an_order_past_twice_the_entries_is_rejected_before_any_allocation() {
+        let header = "%%MatrixMarket matrix coordinate real symmetric\n";
+        for order in ["2000000000000000000", "1000000000000"] {
+            let text = format!("{header}{order} {order} 0\n");
+            match parse_sym_lower(&text) {
+                Err(SparseError::BadMatrixMarket(msg)) => assert_eq!(
+                    msg,
+                    format!("order {order} is more than twice the 0 stored entries: the matrix is singular")
+                ),
+                other => panic!("expected the order error, got {other:?}"),
+            }
+        }
+        // At the bound the matrix goes on to the structure checks, and the
+        // empty matrix parses.
+        assert!(matches!(
+            parse_sym_lower(&format!("{header}2 2 1\n2 1 1.0\n")),
+            Err(SparseError::MissingDiagonal { col: 0 })
+        ));
+        let empty = parse_sym_lower(&format!("{header}0 0 0\n")).unwrap();
+        assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
+        assert!(matches!(
+            parse_sym_lower(&format!("{header}3 3 1\n1 1 1.0\n")),
+            Err(SparseError::BadMatrixMarket(_))
+        ));
     }
 
     #[test]

@@ -58,6 +58,9 @@ record! {
         solves: u64 = required;
         /// Total right-hand-side columns processed.
         rhs: u64 = required;
+        /// The most threads any of the solves swept on (1: the sequential
+        /// sweep). Reports written before the field existed read 0.
+        threads: usize = default;
         /// Wall-clock seconds across all solves (including refinement sweeps).
         seconds: f64 = required;
         /// Solve flops that ran: `4 * nnz(L)` per column sweep pair (the
@@ -765,6 +768,7 @@ mod tests {
         r.solve = Some(SolveReport {
             solves: 3,
             rhs: 40,
+            threads: 2,
             seconds: 0.004,
             flops: 5.0e7,
         });

@@ -119,6 +119,7 @@ fn full_report() -> FactorReport {
         solve: Some(SolveReport {
             solves: 3,
             rhs: 40,
+            threads: 6,
             seconds: 0.004,
             flops: 5.0e7,
         }),

@@ -366,7 +366,13 @@ fn main() -> ExitCode {
     let x = out.x[..n].to_vec();
     let rsolve = chol.report_with_solve();
     let solve_line = match &rsolve.solve {
-        Some(s) => format!(" | {:.1} ms, {:.2} GF/s", s.seconds * 1e3, s.gflops()),
+        Some(s) => format!(
+            " | {:.1} ms, {:.2} GF/s, {} thread{}",
+            s.seconds * 1e3,
+            s.gflops(),
+            s.threads,
+            if s.threads == 1 { "" } else { "s" }
+        ),
         None => String::new(),
     };
     println!(

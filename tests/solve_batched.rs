@@ -426,3 +426,87 @@ fn solve_report_accumulates_across_blocks() {
         .iter()
         .any(|sp| sp.phase == parfact::trace::Phase::Solve));
 }
+
+/// `a` and `b` side by side on the diagonal: a two-block forest.
+fn two_blocks(a: &CscMatrix, b: &CscMatrix) -> CscMatrix {
+    let n = a.nrows() + b.nrows();
+    let mut coo = parfact::sparse::coo::CooMatrix::new(n, n);
+    for (m, off) in [(a, 0), (b, a.nrows())] {
+        for c in 0..m.ncols() {
+            let (rows, vals) = m.col(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                coo.push(r + off, c + off, v);
+            }
+        }
+    }
+    coo.to_csc()
+}
+
+/// Every facade solve engine gives the sequential sweep's bits: `Auto`
+/// (threaded above `AUTO_MIN_WORK`, sequential below), `Smp` at 1–4
+/// threads and `Factor::try_solve_many`, on a two-block forest above the
+/// size constant, a matrix below it and one with fewer local subtrees
+/// than threads, for both factor kinds, nrhs 0, 1 and 5, traced at
+/// `Timeline` and untraced. The traced mapped solves put their spans on
+/// more than one worker lane.
+#[test]
+fn every_solve_engine_gives_the_sequential_bits() {
+    use parfact::core::smp_solve::{solve_work, AUTO_MIN_WORK};
+    let lap2d = |nx, ny| gen::laplace2d(nx, ny, gen::Stencil2d::FivePoint);
+    let cases = [
+        ("forest", two_blocks(&lap2d(75, 75), &lap2d(70, 72))),
+        ("small", gen::laplace3d(6, 5, 4, gen::Stencil3d::SevenPoint)),
+        ("narrow", lap2d(12, 2)),
+    ];
+    let engines = [
+        SolveEngine::Auto,
+        SolveEngine::Smp { threads: 1 },
+        SolveEngine::Smp { threads: 2 },
+        SolveEngine::Smp { threads: 3 },
+        SolveEngine::Smp { threads: 4 },
+    ];
+    for (name, a) in &cases {
+        let n = a.nrows();
+        for kind in [Llt, Ldlt] {
+            for trace in [TraceLevel::Off, TraceLevel::Timeline] {
+                let opts = FactorOpts::new().kind(kind).trace(trace);
+                let chol = SparseCholesky::factorize(a, &opts).unwrap();
+                let f = chol.factor();
+                match *name {
+                    "forest" => assert!(solve_work(f, 1) >= AUTO_MIN_WORK),
+                    _ => assert!(solve_work(f, 5) < AUTO_MIN_WORK),
+                }
+                for nrhs in [0usize, 1, 5] {
+                    let b = rhs_block(n, nrhs, 0xb17 + nrhs as u64);
+                    let want = bits(&f.try_solve_many(&b, nrhs).unwrap());
+                    for engine in engines {
+                        let opts = SolveOpts::new().engine(engine);
+                        let got = chol.solve_with(RhsBlock::new(&b, nrhs), &opts).unwrap();
+                        let at = format!("{name} {kind:?} {trace:?} nrhs={nrhs} {engine:?}");
+                        assert_eq!(bits(&got.x), want, "{at}");
+                    }
+                }
+                let r = chol.report_with_solve();
+                let threads = r.solve.expect("solve section").threads;
+                match *name {
+                    "forest" => assert!(threads >= 2, "{name}: {threads} threads"),
+                    "narrow" => assert!(threads < 4, "{name}: {threads} threads"),
+                    _ => {}
+                }
+                let mut lanes: Vec<usize> = r
+                    .spans
+                    .iter()
+                    .filter(|sp| sp.phase == parfact::trace::Phase::Solve)
+                    .map(|sp| sp.who)
+                    .collect();
+                lanes.sort_unstable();
+                lanes.dedup();
+                if trace == TraceLevel::Timeline {
+                    assert!(lanes.len() > 1, "{name} {kind:?}: solve lanes {lanes:?}");
+                } else {
+                    assert!(lanes.is_empty());
+                }
+            }
+        }
+    }
+}
