@@ -471,10 +471,7 @@ fn exp_f5(ctx: &Ctx) {
             let engine = if th == 1 {
                 Engine::Sequential
             } else {
-                Engine::Smp(SmpOpts {
-                    threads: th,
-                    ..SmpOpts::default()
-                })
+                Engine::Smp(SmpOpts { threads: th })
             };
             let opts = FactorOpts::new().engine(engine);
             let chol = SparseCholesky::factorize(&p.a, &opts).expect("SPD");

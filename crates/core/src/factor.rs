@@ -281,23 +281,20 @@ impl Factor {
     }
 }
 
-/// Raw-pointer view of a [`Factor`]'s output arrays for disjoint
-/// cross-thread writes: SMP workers and simulated ranks write the slab in
-/// place through it, each range by one thread; the scope join (of the
-/// worker pool or the machine) publishes the writes.
+/// Raw-pointer view of a [`Factor`]'s panel slab for disjoint cross-thread
+/// writes: the simulated ranks write the slab in place through it, each
+/// range by one rank; the machine's join publishes the writes.
 pub(crate) struct FactorWriter<'a> {
     panels: *mut f64,
     panel_ptr: &'a [usize],
-    d: *mut f64,
-    d_len: usize,
 }
 
-// SAFETY: FactorWriter holds raw pointers into one Factor's slabs; the
-// schedulers hand each range of them to exactly one thread, and the scope
-// join publishes the writes before the Factor is read again.
+// SAFETY: FactorWriter holds a raw pointer into one Factor's slab; the
+// scheduler hands each range of it to exactly one thread, and the join
+// publishes the writes before the Factor is read again.
 unsafe impl Send for FactorWriter<'_> {}
-// SAFETY: see Send above — shared access is only through `panel_mut` /
-// `d_mut`, whose contracts require a unique writer per disjoint range.
+// SAFETY: see Send above — shared access is only through `panel_mut`,
+// whose contract requires a unique writer per disjoint range.
 unsafe impl Sync for FactorWriter<'_> {}
 
 impl<'a> FactorWriter<'a> {
@@ -305,8 +302,6 @@ impl<'a> FactorWriter<'a> {
         FactorWriter {
             panels: factor.panels.as_mut_ptr(),
             panel_ptr: &factor.panel_ptr,
-            d: factor.d.as_mut_ptr(),
-            d_len: factor.d.len(),
         }
     }
 
@@ -323,18 +318,6 @@ impl<'a> FactorWriter<'a> {
         // come from the Factor this writer was built over; uniqueness of
         // the `&mut` is the caller's contract (see `# Safety`).
         unsafe { std::slice::from_raw_parts_mut(self.panels.add(p0 + part.start), part.len()) }
-    }
-
-    /// # Safety
-    /// The caller must be the unique writer of `d[c0..c0+w]` while the
-    /// returned slice lives.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn d_mut(&self, c0: usize, w: usize) -> &mut [f64] {
-        debug_assert!(c0 + w <= self.d_len);
-        // SAFETY: `c0 + w <= d_len` keeps the slice in-bounds (supernode
-        // column ranges never overlap); uniqueness of the `&mut` is the
-        // caller's contract (see `# Safety`).
-        unsafe { std::slice::from_raw_parts_mut(self.d.add(c0), w) }
     }
 }
 

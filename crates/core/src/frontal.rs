@@ -15,12 +15,12 @@
 //! the parent as the update matrix (leading dimension `f - width`).
 //!
 //! That life-cycle is spelled out exactly once, in `factor_front`. The
-//! engines (`seq`, both `smp` phases, the local subtrees of `dist`) are
-//! schedulers around it: they decide which supernode runs next, where its
-//! children's updates come from and where its own update goes. What a
-//! front costs is charged through a `FrontMeter` — wall-clock ticks and
-//! tracked bytes on the host engines, virtual compute time and rank memory
-//! on the simulated machine.
+//! engines (`seq`, the `smp` subtrees and top, the local subtrees of
+//! `dist`) are schedulers around it: they decide which supernode runs
+//! next, where its children's updates come from and where its own update
+//! goes. What a front costs is charged through a `FrontMeter` — wall-clock
+//! ticks and tracked bytes on the host engines, virtual compute time and
+//! rank memory on the simulated machine.
 
 use crate::error::FactorError;
 use crate::factor::FactorKind;
@@ -249,8 +249,10 @@ pub(crate) fn panel_kernel(
 /// arena's pool, runs `kernel(meter, f, w, panel, schur)` on them
 /// in place — the caller's choice of dense partial factorization, which
 /// also writes any LDLᵀ pivots — and returns the update matrix (`None` for
-/// a root) after recycling the children's buffers. With a warm `wst`
-/// nothing here touches the heap, and no entry of the front is copied.
+/// a root). The children's buffers stay staged until the next
+/// [`FrontWorkspace::stage`] recycles them, so a caller may first hand a
+/// buffer back to the arena that built it. With a warm `wst` nothing here
+/// touches the heap, and no entry of the front is copied.
 pub(crate) fn factor_front<M: FrontMeter>(
     ap: &CscMatrix,
     sym: &Symbolic,
@@ -282,10 +284,6 @@ pub(crate) fn factor_front<M: FrontMeter>(
     meter.factored(s, flops_partial(f, w));
     meter.hold(Buf::Panel, f * w * 8);
     meter.release(Buf::Front, f * f * 8);
-    // Children are assembled; recycle their buffers for later fronts.
-    while let Some(u) = wst.children.pop() {
-        wst.recycle(u.data);
-    }
     Ok((r > 0).then_some(UpdateMatrix { src: s, data }))
 }
 

@@ -10,8 +10,10 @@
 //! goes:
 //!
 //! - [`seq`] — postorder on one thread; the correctness oracle;
-//! - [`smp`] — shared-memory parallel: work-stealing over the assembly
-//!   tree with real threads (real wall-clock speedups on this machine);
+//! - [`smp`] — shared-memory parallel: each thread factors its local
+//!   subtrees of the proportional [`mapping`], and the top of the tree
+//!   runs with its trailing updates split over the threads (real
+//!   wall-clock speedups on this machine);
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
 //!   [`parfact_mpsim::Machine`]. Each rank runs its local subtrees through
@@ -50,7 +52,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod analysis;
-pub mod backoff;
 pub mod baseline;
 pub mod dist;
 pub mod error;
@@ -63,7 +64,6 @@ pub mod smp;
 pub mod smp_solve;
 pub mod solver;
 mod sweep;
-mod tree_pool;
 pub mod workspace;
 
 pub use error::FactorError;

@@ -7,8 +7,12 @@
 //! on that rank with zero communication — the property that makes the
 //! multifrontal method scale: communication only happens in the thin top of
 //! the tree, over geometrically shrinking rank groups.
+//!
+//! On a shared-memory host the same mapping, with one "rank" per thread,
+//! is the schedule of the SMP factorization and solve (`Plan`).
 
 use parfact_symbolic::{Symbolic, NONE};
+use std::ops::Range;
 
 /// How a supernode's front is laid out over its rank range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,6 +262,123 @@ impl Mapping {
             }
         }
         true
+    }
+}
+
+/// The subtree mapping on `threads` host threads read as a schedule, the
+/// one the SMP factorization and solve share: the supernodes split into
+/// runs, each a whole local subtree (group size 1) owned by one thread or
+/// one supernode of the top (group size > 1).
+pub(crate) struct Plan {
+    /// The runs in postorder; they partition the supernodes.
+    pub(crate) runs: Vec<Run>,
+    /// The thread count the mapping was built for.
+    pub(crate) threads: usize,
+}
+
+/// A run of supernodes, consecutive in postorder: a whole local subtree
+/// (`sns` ends at its root) owned by thread `owner`, or one top supernode
+/// (`owner == None`).
+pub(crate) struct Run {
+    pub(crate) sns: Range<usize>,
+    pub(crate) owner: Option<usize>,
+}
+
+impl Plan {
+    pub(crate) fn new(sym: &Symbolic, threads: usize) -> Plan {
+        let map = map_tree(sym, threads, MapStrategy::default());
+        let tree = &sym.tree;
+        let local = |s: usize| map.group_size(s) == 1;
+        // The first supernode of the subtree rooted at `s`, in postorder.
+        let mut first = vec![0usize; sym.nsuper()];
+        let mut runs = Vec::new();
+        for s in 0..sym.nsuper() {
+            first[s] = tree.children[s]
+                .iter()
+                .map(|&c| first[c])
+                .min()
+                .unwrap_or(s);
+            let p = tree.parent[s];
+            if !local(s) {
+                runs.push(Run {
+                    sns: s..s + 1,
+                    owner: None,
+                });
+            } else if p == NONE || !local(p) {
+                runs.push(Run {
+                    sns: first[s]..s + 1,
+                    owner: Some(map.leader(s)),
+                });
+            }
+        }
+        Plan { runs, threads }
+    }
+
+    /// Threads that own at least one local subtree (at least one: the top
+    /// runs on the calling thread).
+    pub(crate) fn workers(&self) -> usize {
+        let mut owns = vec![false; self.threads];
+        for t in self.runs.iter().filter_map(|r| r.owner) {
+            owns[t] = true;
+        }
+        owns.iter().filter(|&&o| o).count().max(1)
+    }
+
+    /// The top supernodes, ascending.
+    pub(crate) fn top(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs
+            .iter()
+            .filter(|r| r.owner.is_none())
+            .map(|r| r.sns.start)
+    }
+
+    /// The thread that runs supernode `s`: its subtree's owner, or thread
+    /// 0 (the calling one) for the top.
+    pub(crate) fn runner(&self, s: usize) -> usize {
+        let i = self.runs.partition_point(|r| r.sns.end <= s);
+        self.runs[i].owner.unwrap_or(0)
+    }
+
+    /// Run `job(t, subtrees, state)` once for every thread `t` that owns a
+    /// local subtree, each on an OS thread of its own (the first on the
+    /// calling one), with the `t`-th item of `states` and its subtrees in
+    /// ascending order, each paired with what `cut` split off for it.
+    /// `cut` sees every run in postorder, the top ones included (their
+    /// parts are dropped), so it can split a slice laid out in supernode
+    /// order run by run. Returns the jobs' results by thread.
+    pub(crate) fn on_threads<C: Send, S: Send, R: Send>(
+        &self,
+        mut cut: impl FnMut(&Range<usize>) -> C,
+        states: impl IntoIterator<Item = S>,
+        job: impl Fn(usize, Vec<(Range<usize>, C)>, S) -> R + Sync,
+    ) -> Vec<R> {
+        let mut mine: Vec<Vec<(Range<usize>, C)>> = (0..self.threads).map(|_| Vec::new()).collect();
+        for run in &self.runs {
+            let part = cut(&run.sns);
+            if let Some(t) = run.owner {
+                mine[t].push((run.sns.clone(), part));
+            }
+        }
+        let mut work = mine
+            .into_iter()
+            .zip(states)
+            .enumerate()
+            .filter(|(_, (subtrees, _))| !subtrees.is_empty());
+        let here = work.next();
+        std::thread::scope(|scope| {
+            let job = &job;
+            let spawned: Vec<_> = work
+                .map(|(t, (subtrees, state))| scope.spawn(move || job(t, subtrees, state)))
+                .collect();
+            let mut out: Vec<R> = here
+                .map(|(t, (subtrees, state))| job(t, subtrees, state))
+                .into_iter()
+                .collect();
+            for h in spawned {
+                out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            out
+        })
     }
 }
 

@@ -1,15 +1,18 @@
 //! Sequential supernodal multifrontal factorization: the postorder
 //! scheduler over `factor_front`, and the correctness oracle for the
-//! parallel engines.
+//! parallel engines. Its loop (`factor_run`) also runs each SMP
+//! thread's subtrees and the SMP top.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{factor_front, panel_kernel};
-use crate::workspace::Workspace;
+use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
+use crate::smp::parallel_partial_potrf_traced;
+use crate::workspace::{FrontWorkspace, Workspace};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
-use parfact_trace::Collector;
+use parfact_trace::{Collector, LocalRecorder};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Factor an already-permuted matrix (the output of
@@ -48,37 +51,109 @@ pub(crate) fn factorize_seq_into(
     factor: &mut Factor,
 ) -> Result<(), FactorError> {
     debug_assert_eq!(factor.sym.sn_ptr, sym.sn_ptr, "factor/symbolic mismatch");
-    let kind = factor.kind;
-    let nsuper = sym.nsuper();
     ws.ensure_threads(1);
-    ws.slots.clear();
-    ws.slots.resize_with(nsuper, || None);
-    let Workspace { threads, slots } = ws;
-    let wst = &mut threads[0];
+    ws.reset_slots(sym.nsuper());
+    let mut out = Slab::new(factor, &mut ws.slots);
     let mut rec = tr.local(0);
+    factor_run(
+        ap,
+        sym,
+        0..sym.nsuper(),
+        &mut out,
+        &mut ws.threads[0],
+        &mut rec,
+        1,
+    )
+    .map_err(|(_, e)| e)
+}
 
-    for s in 0..nsuper {
+/// What the fronts of supernodes `first..` write: their panels and LDLᵀ
+/// pivots, and the slots their updates wait in for the parent. Each array
+/// starts at supernode `first`'s entries.
+pub(crate) struct Slab<'a> {
+    first: usize,
+    kind: FactorKind,
+    panel_ptr: &'a [usize],
+    panels: &'a mut [f64],
+    /// Empty for LLᵀ.
+    d: &'a mut [f64],
+    slots: &'a mut [Option<UpdateMatrix>],
+}
+
+impl<'a> Slab<'a> {
+    /// The whole of `factor` and `slots` (one per supernode).
+    pub(crate) fn new(factor: &'a mut Factor, slots: &'a mut [Option<UpdateMatrix>]) -> Self {
+        Slab {
+            first: 0,
+            kind: factor.kind,
+            panel_ptr: &factor.panel_ptr,
+            panels: &mut factor.panels,
+            d: &mut factor.d,
+            slots,
+        }
+    }
+
+    /// Split off supernodes `first..end`, leaving `end..` here.
+    pub(crate) fn cut(&mut self, sym: &Symbolic, end: usize) -> Slab<'a> {
+        let (first, pp, cp) = (self.first, self.panel_ptr, &sym.sn_ptr);
+        let nd = match self.kind {
+            FactorKind::Llt => 0,
+            FactorKind::Ldlt => cp[end] - cp[first],
+        };
+        self.first = end;
+        let whole = "a cut ends inside the slab";
+        Slab {
+            first,
+            kind: self.kind,
+            panel_ptr: pp,
+            panels: self
+                .panels
+                .split_off_mut(..pp[end] - pp[first])
+                .expect(whole),
+            d: self.d.split_off_mut(..nd).expect(whole),
+            slots: self.slots.split_off_mut(..end - first).expect(whole),
+        }
+    }
+}
+
+/// The sequential engine's loop: factor the supernodes `sns` in order into
+/// `out` from the arena `wst`. Every child of a supernode in `sns` comes
+/// before it, in `sns` or with its update already in `out`'s slots.
+/// `threads > 1` splits the trailing update of an LLᵀ front over that
+/// many threads ([`crate::smp::parallel_partial_potrf_traced`]); LDLᵀ
+/// fronts always take the sequential kernel. Stops at the first failure
+/// and returns it with its supernode.
+pub(crate) fn factor_run(
+    ap: &CscMatrix,
+    sym: &Symbolic,
+    sns: Range<usize>,
+    out: &mut Slab<'_>,
+    wst: &mut FrontWorkspace,
+    rec: &mut LocalRecorder<'_>,
+    threads: usize,
+) -> Result<(), (usize, FactorError)> {
+    let (first, kind, pp, cp) = (out.first, out.kind, out.panel_ptr, &sym.sn_ptr);
+    for s in sns {
         // Children precede parents (postorder), so their updates are ready.
-        let children = &sym.tree.children[s];
+        let slots = &mut out.slots;
         wst.stage(
-            children
+            sym.tree.children[s]
                 .iter()
-                .map(|&c| slots[c].take().expect("child update missing")),
+                .map(|&c| slots[c - first].take().expect("child update missing")),
         );
-        let panel = &mut factor.panels[factor.panel_ptr[s]..factor.panel_ptr[s + 1]];
+        let panel = &mut out.panels[pp[s] - pp[first]..pp[s + 1] - pp[first]];
         let d = match kind {
             FactorKind::Llt => &mut [][..],
-            FactorKind::Ldlt => &mut factor.d[sym.sn_ptr[s]..sym.sn_ptr[s + 1]],
+            FactorKind::Ldlt => &mut out.d[cp[s] - cp[first]..cp[s + 1] - cp[first]],
         };
-        slots[s] = factor_front(
-            ap,
-            sym,
-            s,
-            wst,
-            &mut rec,
-            panel,
-            |rec, f, w, panel, schur| panel_kernel(kind, s, rec, f, w, panel, schur, d),
-        )?;
+        let update = factor_front(ap, sym, s, wst, rec, panel, |rec, f, w, panel, schur| {
+            if threads > 1 && kind == FactorKind::Llt {
+                parallel_partial_potrf_traced(f, w, panel, schur, f - w, threads, rec, Some(s))
+            } else {
+                panel_kernel(kind, s, rec, f, w, panel, schur, d)
+            }
+        });
+        out.slots[s - first] = update.map_err(|e| (s, e))?;
     }
     Ok(())
 }

@@ -1,59 +1,49 @@
-//! Shared-memory parallel multifrontal factorization.
+//! Shared-memory parallel multifrontal factorization on the paper's
+//! subtree mapping.
 //!
-//! The parallelization mirrors the paper's two regimes:
+//! [`crate::mapping::map_tree`], with one "rank" per thread, splits the
+//! assembly tree into the two regimes of the paper:
 //!
-//! 1. **Tree parallelism** at the bottom: disjoint subtrees are independent,
-//!    so small fronts are processed by a work-stealing pool over the
-//!    assembly tree (one task per supernode, released when its children
-//!    finish; the worker that releases a parent runs it next).
-//! 2. **Kernel parallelism** at the top: near the root the tree is too
-//!    narrow to feed the cores, but the fronts are large — those are
-//!    processed in postorder with the trailing (Schur) update of each panel
-//!    split across all threads.
+//! 1. **Local subtrees** (groups of one thread): disjoint subtrees are
+//!    independent, so every thread factors its own in postorder with the
+//!    sequential engine's loop, from its own
+//!    [`crate::workspace::FrontWorkspace`] arena. A subtree is consecutive
+//!    in postorder, so its panels, pivots and update slots are one run of
+//!    each array, split off as a safe `&mut` slice: no queue, no locks, and
+//!    each thread writes only what it owns.
+//! 2. **The top** (groups of several threads): near the root the tree is
+//!    too narrow to feed the cores, but the fronts are large. After the
+//!    join the calling thread runs them in postorder, with the trailing
+//!    (Schur) update of each panel split across all threads
+//!    ([`parallel_partial_potrf_traced`]).
 //!
-//! The boundary between regimes is the `big_front` threshold, closed upward
-//! (a parent of a big front is big) so phase 2 never waits on phase 1.
-//!
-//! Workers assemble and factor panels straight in the [`Factor`] slab
-//! (disjoint per supernode) and draw update buffers from their
-//! [`FrontWorkspace`] arenas, each about one live front stack deep. Which
-//! worker builds a front changes from run to run, and a consumed buffer
-//! goes to the consumer's arena, so a warm run still grows a few buffers
-//! (tens to a couple of hundred on lap2d-400's 33 048 fronts, where the
-//! sequential engine grows none); idle workers wait with a spin-then-park
-//! [`crate::backoff::Backoff`] instead of burning a core on `yield_now`.
+//! The schedule is built once per analysis and thread count and kept in
+//! the [`Workspace`], next to the arenas it schedules. The same thread
+//! builds the same fronts every run, and the top hands each local root's
+//! update buffer back to the arena that built it, so a warm run grows no
+//! buffer, as on the sequential engine. A failing run returns the
+//! sequential engine's error: each thread stops at its own first failure,
+//! the top runs every front below the lowest one, and the lowest failure
+//! in postorder is returned.
 
 use crate::error::FactorError;
-use crate::factor::{Factor, FactorKind, FactorWriter};
-use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
-use crate::tree_pool::walk_tree;
-use crate::workspace::{FrontWorkspace, Workspace};
+use crate::factor::{Factor, FactorKind};
+use crate::seq::{factor_run, Slab};
+use crate::workspace::Workspace;
 use parfact_dense::blas::{gemm_nt, syrk_ln};
 use parfact_dense::chol;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder, Phase};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Options for the SMP engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SmpOpts {
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Fronts at least this large switch to kernel parallelism.
-    pub big_front: usize,
-}
-
-impl Default for SmpOpts {
-    fn default() -> Self {
-        SmpOpts {
-            threads: 0,
-            big_front: 384,
-        }
-    }
 }
 
 /// Resolve `threads = 0` to the machine's available parallelism.
@@ -82,10 +72,9 @@ pub fn factorize_smp(
 }
 
 /// The in-place SMP engine: overwrite `factor`'s slab (allocated with the
-/// same `sym`) using the per-worker arenas in `ws`. Each phase-1 worker
-/// accumulates into a private recorder of `tr` (keyed by worker id) that
-/// merges into the collector when the worker exits; phase 2 records as
-/// worker 0. See [`crate::seq::factorize_seq_into`] for the error-state
+/// same `sym`) using the per-thread arenas in `ws`. Each thread records
+/// into a private recorder of `tr` keyed by its index; the top records as
+/// thread 0. See [`crate::seq::factorize_seq_into`] for the error-state
 /// contract.
 pub(crate) fn factorize_smp_into(
     ap: &CscMatrix,
@@ -100,100 +89,46 @@ pub(crate) fn factorize_smp_into(
     if nthreads <= 1 || nsuper <= 1 {
         return crate::seq::factorize_seq_into(ap, sym, tr, ws, factor);
     }
+    let (plan, arenas, slots) = ws.for_smp(sym, nthreads);
 
-    // Upward-closed "big" set.
-    let mut big = vec![false; nsuper];
-    for s in 0..nsuper {
-        if sym.front_order(s) >= opts.big_front || sym.tree.children[s].iter().any(|&c| big[c]) {
-            big[s] = true;
+    // The local subtrees, each thread over its own.
+    let mut rest = Slab::new(factor, slots);
+    let failed = plan
+        .on_threads(
+            |sns| rest.cut(sym, sns.end),
+            arenas.iter_mut(),
+            |t, subtrees, wst| {
+                let mut rec = tr.local(t);
+                subtrees.into_iter().find_map(|(sns, mut out)| {
+                    factor_run(ap, sym, sns, &mut out, wst, &mut rec, 1).err()
+                })
+            },
+        )
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(s, _)| s);
+
+    // The top, on this thread: every front below the lowest failure.
+    let stop = failed.as_ref().map_or(nsuper, |&(s, _)| s);
+    let mut out = Slab::new(factor, slots);
+    let mut rec = tr.local(0);
+    for s in plan.top().take_while(|&s| s < stop) {
+        factor_run(
+            ap,
+            sym,
+            s..s + 1,
+            &mut out,
+            &mut arenas[0],
+            &mut rec,
+            nthreads,
+        )
+        .map_err(|(_, e)| e)?;
+        // Hand each child's buffer back to the arena that built it.
+        while let Some(u) = arenas[0].children.pop() {
+            arenas[plan.runner(u.src)].recycle(u.data);
         }
     }
-
-    let fronts = Fronts {
-        ap,
-        sym,
-        kind: factor.kind,
-        updates: (0..nsuper).map(|_| Mutex::new(None)).collect(),
-        writer: FactorWriter::new(factor),
-    };
-
-    // ---- Phase 1: tree-parallel over small supernodes. ----
-    ws.ensure_threads(nthreads);
-    let arenas = &mut ws.threads[..nthreads];
-    walk_tree(
-        &sym.tree,
-        |s| !big[s],
-        arenas.iter_mut(),
-        tr,
-        |s, wst, rec| fronts.run(s, wst, rec, 1),
-    )?;
-
-    // ---- Phase 2: kernel-parallel over big supernodes, in postorder. ----
-    let wst = &mut ws.threads[0];
-    let mut rec = tr.local(0);
-    for s in (0..nsuper).filter(|&s| big[s]) {
-        fronts.run(s, wst, &mut rec, nthreads)?;
-    }
-    Ok(())
-}
-
-/// What every worker shares: the problem, the factor being written and the
-/// per-supernode update hand-off slots (mutexes for the cross-thread
-/// hand-off; each is locked once by the producer and once by the parent).
-struct Fronts<'a> {
-    ap: &'a CscMatrix,
-    sym: &'a Symbolic,
-    kind: FactorKind,
-    updates: Vec<Mutex<Option<UpdateMatrix>>>,
-    writer: FactorWriter<'a>,
-}
-
-impl Fronts<'_> {
-    /// Run supernode `s` on the calling worker. `threads > 1` splits the
-    /// trailing update of an LLᵀ front across that many threads (phase 2);
-    /// LDLᵀ fronts keep the sequential kernel (they only arise in
-    /// quasi-definite runs where the SPD fast path is off anyway).
-    fn run(
-        &self,
-        s: usize,
-        wst: &mut FrontWorkspace,
-        rec: &mut LocalRecorder<'_>,
-        threads: usize,
-    ) -> Result<(), FactorError> {
-        let (sym, kind) = (self.sym, self.kind);
-        wst.stage(sym.tree.children[s].iter().map(|&c| {
-            let update = self.updates[c].lock().take();
-            update.expect("child update missing")
-        }));
-        // SAFETY: the schedule hands supernode `s` to exactly one worker,
-        // and panels / `d` segments of distinct supernodes are disjoint.
-        let panel = unsafe {
-            self.writer
-                .panel_mut(s, 0..sym.front_order(s) * sym.sn_width(s))
-        };
-        let d = match kind {
-            FactorKind::Llt => &mut [][..],
-            // SAFETY: as above.
-            FactorKind::Ldlt => unsafe { self.writer.d_mut(sym.sn_ptr[s], sym.sn_width(s)) },
-        };
-        let update = factor_front(
-            self.ap,
-            sym,
-            s,
-            wst,
-            rec,
-            panel,
-            |rec, f, w, panel, schur| {
-                if threads > 1 && kind == FactorKind::Llt {
-                    parallel_partial_potrf_traced(f, w, panel, schur, f - w, threads, rec, Some(s))
-                } else {
-                    panel_kernel(kind, s, rec, f, w, panel, schur, d)
-                }
-            },
-        )?;
-        *self.updates[s].lock() = update;
-        Ok(())
-    }
+    failed.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Partial blocked Cholesky with the trailing update of each panel split
@@ -343,8 +278,12 @@ impl Trailing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::prepare;
     use crate::factor::reconstruction_error;
+    use crate::mapping::Plan;
     use crate::seq::factorize_seq;
+    use crate::workspace::FrontWorkspace;
+    use parfact_order::Method;
     use parfact_sparse::gen;
     use parfact_symbolic::{analyze, AmalgOpts};
 
@@ -410,10 +349,7 @@ mod tests {
     #[test]
     fn smp_matches_seq_on_2d_grid() {
         let a = gen::laplace2d(20, 20, gen::Stencil2d::FivePoint);
-        let opts = SmpOpts {
-            threads: 4,
-            big_front: 64,
-        };
+        let opts = SmpOpts { threads: 4 };
         let (fs, fp, ap) = both_engines(&a, FactorKind::Llt, &opts);
         assert_eq!(fp.max_abs_diff(&fs), 0.0, "engines must agree bitwise");
         assert!(reconstruction_error(&fp, &ap) < 1e-10);
@@ -422,10 +358,7 @@ mod tests {
     #[test]
     fn smp_matches_seq_on_3d_grid() {
         let a = gen::laplace3d(6, 6, 6, gen::Stencil3d::SevenPoint);
-        let opts = SmpOpts {
-            threads: 3,
-            big_front: 128,
-        };
+        let opts = SmpOpts { threads: 3 };
         let (fs, fp, _) = both_engines(&a, FactorKind::Llt, &opts);
         assert_eq!(fp.max_abs_diff(&fs), 0.0);
     }
@@ -433,10 +366,7 @@ mod tests {
     #[test]
     fn smp_ldlt_matches_seq() {
         let a = gen::indefinite(60, 4);
-        let opts = SmpOpts {
-            threads: 3,
-            big_front: 24,
-        };
+        let opts = SmpOpts { threads: 3 };
         let (fs, fp, ap) = both_engines(&a, FactorKind::Ldlt, &opts);
         assert_eq!(fp.max_abs_diff(&fs), 0.0);
         assert!(reconstruction_error(&fp, &ap) < 1e-9);
@@ -449,16 +379,7 @@ mod tests {
         let (sym, ap) = analyze(&a, &AmalgOpts::default());
         let perm = sym.post.clone();
         let sym = Arc::new(sym);
-        let r = factorize_smp(
-            &ap,
-            &sym,
-            FactorKind::Llt,
-            perm,
-            &SmpOpts {
-                threads: 4,
-                big_front: 32,
-            },
-        );
+        let r = factorize_smp(&ap, &sym, FactorKind::Llt, perm, &SmpOpts { threads: 4 });
         assert!(matches!(r, Err(FactorError::NotPositiveDefinite { .. })));
     }
 
@@ -469,10 +390,7 @@ mod tests {
         let xstar: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut b = vec![0.0; n];
         a.sym_spmv(&xstar, &mut b);
-        let opts = SmpOpts {
-            threads: 4,
-            big_front: 96,
-        };
+        let opts = SmpOpts { threads: 4 };
         let (_, fp, _) = both_engines(&a, FactorKind::Llt, &opts);
         let x = fp.solve(&b);
         for (xi, xs) in x.iter().zip(&xstar) {
@@ -483,10 +401,7 @@ mod tests {
     #[test]
     fn single_thread_falls_back_to_seq() {
         let a = gen::laplace2d(6, 6, gen::Stencil2d::FivePoint);
-        let opts = SmpOpts {
-            threads: 1,
-            big_front: 64,
-        };
+        let opts = SmpOpts { threads: 1 };
         let (fs, fp, _) = both_engines(&a, FactorKind::Llt, &opts);
         assert_eq!(fp.max_abs_diff(&fs), 0.0);
     }
@@ -500,23 +415,89 @@ mod tests {
         let sym = Arc::new(sym);
         let mut factor = Factor::allocate(&sym, FactorKind::Llt, perm);
         let mut ws = Workspace::new();
-        let opts = SmpOpts {
-            threads: 2,
-            big_front: 64,
-        };
+        let opts = SmpOpts { threads: 2 };
         let tr = Collector::disabled();
         factorize_smp_into(&ap, &sym, &opts, &tr, &mut ws, &mut factor).unwrap();
         let first = ws.growth_events();
         assert!(first > 0, "cold start must grow buffers");
         factorize_smp_into(&ap, &sym, &opts, &tr, &mut ws, &mut factor).unwrap();
-        // Work stealing makes the supernode-to-worker assignment
-        // nondeterministic, so a warm run may still grow a pool buffer —
-        // but the per-worker arenas are stable, so growth must at least
-        // taper off rather than repeat per supernode.
-        let second = ws.growth_events() - first;
-        assert!(
-            second <= first,
-            "warm run grew more than cold ({second} > {first})"
-        );
+        // Every run gives each thread the same fronts and hands each
+        // buffer back to the arena that built it.
+        assert_eq!(ws.growth_events(), first, "a warm run grew a buffer");
+    }
+
+    #[test]
+    fn the_top_kernel_runs_fronts_of_several_panels() {
+        // Under nested dissection, three threads share the two top fronts
+        // of lap3d-12 (69 and 204 pivots: two and five `chol::NB`-column
+        // panels) and split the trailing update of each panel between
+        // them, to the sequential engine's bits.
+        let a = gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint);
+        let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+        let opts = SmpOpts { threads: 3 };
+        let widest = Plan::new(&sym, opts.threads)
+            .top()
+            .map(|s| sym.sn_width(s))
+            .max();
+        assert!(widest > Some(chol::NB), "widest top front: {widest:?}");
+        let fs = factorize_seq(&ap, &sym, FactorKind::Llt, perm.clone()).unwrap();
+        let fp = factorize_smp(&ap, &sym, FactorKind::Llt, perm, &opts).unwrap();
+        assert_eq!(fp.max_abs_diff(&fs), 0.0);
+    }
+
+    #[test]
+    fn a_failing_run_returns_the_sequential_engines_error() {
+        // A shifted Laplacian fails in many subtrees at once. At shift 1
+        // every thread's subtrees fail near the leaves; at 0.05 several
+        // threads fail, and with four threads the lowest failure is a top
+        // front below two failed subtrees; at 0.02 only the root fails.
+        // Every thread stops at its own first failure, the top runs below
+        // the lowest one, and the lowest wins: the sequential engine's
+        // error, pivot bits included, whichever thread failed first.
+        for shift in [1.0, 0.05, 0.02] {
+            let a = gen::helmholtz2d(40, 40, shift);
+            let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+            let seq = factorize_seq(&ap, &sym, FactorKind::Llt, perm.clone()).unwrap_err();
+            let FactorError::NotPositiveDefinite { col, value } = seq else {
+                panic!("shift {shift}: {seq:?}");
+            };
+            for threads in 2..=4 {
+                let owners = failing_owners(&ap, &sym, threads);
+                assert!(
+                    shift < 0.05 || owners.len() >= 2,
+                    "{threads} threads: {owners:?}"
+                );
+                for _ in 0..20 {
+                    let opts = SmpOpts { threads };
+                    let smp = factorize_smp(&ap, &sym, FactorKind::Llt, perm.clone(), &opts);
+                    let Err(FactorError::NotPositiveDefinite { col: c, value: v }) = smp else {
+                        panic!("shift {shift}, {threads} threads: {smp:?}");
+                    };
+                    assert_eq!((c, v.to_bits()), (col, value.to_bits()), "shift {shift}");
+                }
+            }
+        }
+    }
+
+    /// The threads that own a local subtree which fails when factored on
+    /// its own.
+    fn failing_owners(ap: &CscMatrix, sym: &Arc<Symbolic>, threads: usize) -> Vec<usize> {
+        let plan = Plan::new(sym, threads);
+        let mut factor = Factor::allocate(sym, FactorKind::Llt, sym.post.clone());
+        let mut slots = vec![None; sym.nsuper()];
+        let mut out = Slab::new(&mut factor, &mut slots);
+        let tr = Collector::disabled();
+        let mut owners: Vec<usize> = (plan.runs.iter())
+            .filter_map(|run| {
+                let mut wst = FrontWorkspace::new();
+                let mut rec = tr.local(0);
+                let owner = run.owner?;
+                let r = factor_run(ap, sym, run.sns.clone(), &mut out, &mut wst, &mut rec, 1);
+                r.is_err().then_some(owner)
+            })
+            .collect();
+        owners.sort_unstable();
+        owners.dedup();
+        owners
     }
 }

@@ -2,6 +2,7 @@
 //! mapping: the solve runs over the same tree and data distribution as the
 //! factorization.
 //!
+//! The schedule is the SMP factorization's (`mapping::Plan`):
 //! [`crate::mapping::map_tree`], with one "rank" per thread, cuts the
 //! assembly tree into **local subtrees** (groups of one thread) under a
 //! **top**. Going forward, every thread sweeps its own subtrees in
@@ -12,23 +13,23 @@
 //! backward, the top runs first and puts each local root's x-below block
 //! back on its thread's stack, then the threads sweep their subtrees. A
 //! subtree is consecutive in postorder, so its pivot rows are one run of
-//! `x`, split off with `split_at_mut`: no queue, no locks, and nothing is
-//! shared but the stacks handed over at the joins.
+//! `x`, split off as a `&mut` slice of its own: no queue, no locks, and
+//! nothing is shared but the stacks handed over at the joins.
 //!
 //! Every supernode runs the same step (`sweep::Sweep::{up, down}`) on the
 //! same child blocks in `tree.children` order as in the sequential sweep
 //! and the distributed solve, so the solution is bit-equal to both at any
-//! thread count. As in the factorization, only the work below the top is
-//! spread over threads (cf. EXP-F4 on the distributed engine).
+//! thread count. The solve spreads only the work below the top over
+//! threads and sweeps the top on one, where the factorization also splits
+//! each top front's trailing updates (cf. EXP-F4 on the distributed
+//! engine).
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::mapping::{map_tree, MapStrategy};
+use crate::mapping::Plan;
 use crate::smp::resolve_threads;
 use crate::sweep::{self, Sweep};
-use parfact_symbolic::{Symbolic, NONE};
 use parfact_trace::{Collector, LocalRecorder};
-use std::mem::take;
 use std::ops::Range;
 
 /// Smallest solve `SolveEngine::Auto` spreads over threads, in units of
@@ -86,161 +87,86 @@ pub(crate) fn solve_smp_many_traced(
     }
     let plan = Plan::new(sym, nthreads);
     let mut x = sweep::permute_in(&factor.perm, b, nrhs);
-    plan.solve(factor, &mut x, nrhs, tr);
+    solve(&plan, factor, &mut x, nrhs, tr);
     Ok((sweep::permute_out(&factor.perm, &x, nrhs), plan.workers()))
 }
 
-/// A run of supernodes, consecutive in postorder: a whole local subtree
-/// (`sns` ends at its root) owned by thread `owner`, or one top supernode
-/// (`owner == None`).
-struct Run {
-    sns: Range<usize>,
-    owner: Option<usize>,
+/// Both sweeps and the diagonal scaling on the interleaved block `x`.
+fn solve(plan: &Plan, factor: &Factor, x: &mut [f64], nrhs: usize, tr: &Collector) {
+    let sw = Sweep::new(&factor.sym, nrhs, factor.kind == FactorKind::Ldlt);
+    // One stack per thread. After the forward subtrees it holds the blocks
+    // of the thread's local roots in ascending order; before the backward
+    // ones, their x-below blocks, the lowest root's on top.
+    let mut stacks: Vec<Vec<f64>> = vec![Vec::new(); plan.threads];
+    on_threads(plan, &sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
+        factor.sweep_up(&sw, sns, rows, stack, rec)
+    });
+    let mut rec = tr.local(0);
+    let mut stack = Vec::new();
+    let mut taken = vec![0usize; plan.threads];
+    for run in &plan.runs {
+        let root = run.sns.end - 1;
+        match run.owner {
+            Some(t) => {
+                let at = taken[t];
+                taken[t] += sw.below_len(root);
+                stack.extend_from_slice(&stacks[t][at..taken[t]]);
+            }
+            None => factor.sweep_up(
+                &sw,
+                run.sns.clone(),
+                &mut x[sw.pivot_rows(&run.sns)],
+                &mut stack,
+                &mut rec,
+            ),
+        }
+    }
+    sw.diag_scale(&factor.d, x);
+    stacks.iter_mut().for_each(Vec::clear);
+    for run in plan.runs.iter().rev() {
+        let root = run.sns.end - 1;
+        match run.owner {
+            Some(t) => {
+                let from = stack.len() - sw.below_len(root);
+                stacks[t].extend(stack.drain(from..));
+            }
+            None => factor.sweep_down(
+                &sw,
+                run.sns.clone(),
+                &mut x[sw.pivot_rows(&run.sns)],
+                &mut stack,
+                &mut rec,
+            ),
+        }
+    }
+    on_threads(plan, &sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
+        factor.sweep_down(&sw, sns, rows, stack, rec)
+    });
 }
 
-/// The subtree mapping read as a solve schedule: the runs partition the
-/// supernodes and follow postorder.
-struct Plan {
-    runs: Vec<Run>,
-    threads: usize,
-}
-
-impl Plan {
-    fn new(sym: &Symbolic, threads: usize) -> Plan {
-        let map = map_tree(sym, threads, MapStrategy::default());
-        let tree = &sym.tree;
-        let local = |s: usize| map.group_size(s) == 1;
-        // The first supernode of the subtree rooted at `s`, in postorder.
-        let mut first = vec![0usize; sym.nsuper()];
-        let mut runs = Vec::new();
-        for s in 0..sym.nsuper() {
-            first[s] = tree.children[s]
-                .iter()
-                .map(|&c| first[c])
-                .min()
-                .unwrap_or(s);
-            let p = tree.parent[s];
-            if !local(s) {
-                runs.push(Run {
-                    sns: s..s + 1,
-                    owner: None,
-                });
-            } else if p == NONE || !local(p) {
-                runs.push(Run {
-                    sns: first[s]..s + 1,
-                    owner: Some(map.leader(s)),
-                });
-            }
-        }
-        Plan { runs, threads }
-    }
-
-    /// Threads that own at least one local subtree (at least one: the top
-    /// runs on the calling thread).
-    fn workers(&self) -> usize {
-        let mut owns = vec![false; self.threads];
-        for t in self.runs.iter().filter_map(|r| r.owner) {
-            owns[t] = true;
-        }
-        owns.iter().filter(|&&o| o).count().max(1)
-    }
-
-    /// Both sweeps and the diagonal scaling on the interleaved block `x`.
-    fn solve(&self, factor: &Factor, x: &mut [f64], nrhs: usize, tr: &Collector) {
-        let sw = Sweep::new(&factor.sym, nrhs, factor.kind == FactorKind::Ldlt);
-        // One stack per thread. After the forward subtrees it holds the
-        // blocks of the thread's local roots in ascending order; before the
-        // backward ones, their x-below blocks, the lowest root's on top.
-        let mut stacks: Vec<Vec<f64>> = vec![Vec::new(); self.threads];
-        self.on_threads(&sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
-            factor.sweep_up(&sw, sns, rows, stack, rec)
-        });
-        let mut rec = tr.local(0);
-        let mut stack = Vec::new();
-        let mut taken = vec![0usize; self.threads];
-        for run in &self.runs {
-            let root = run.sns.end - 1;
-            match run.owner {
-                Some(t) => {
-                    let at = taken[t];
-                    taken[t] += sw.below_len(root);
-                    stack.extend_from_slice(&stacks[t][at..taken[t]]);
-                }
-                None => factor.sweep_up(
-                    &sw,
-                    run.sns.clone(),
-                    &mut x[sw.pivot_rows(&run.sns)],
-                    &mut stack,
-                    &mut rec,
-                ),
-            }
-        }
-        sw.diag_scale(&factor.d, x);
-        stacks.iter_mut().for_each(Vec::clear);
-        for run in self.runs.iter().rev() {
-            let root = run.sns.end - 1;
-            match run.owner {
-                Some(t) => {
-                    let from = stack.len() - sw.below_len(root);
-                    stacks[t].extend(stack.drain(from..));
-                }
-                None => factor.sweep_down(
-                    &sw,
-                    run.sns.clone(),
-                    &mut x[sw.pivot_rows(&run.sns)],
-                    &mut stack,
-                    &mut rec,
-                ),
-            }
-        }
-        self.on_threads(&sw, x, &mut stacks, tr, |sns, rows, stack, rec| {
-            factor.sweep_down(&sw, sns, rows, stack, rec)
-        });
-    }
-
-    /// Run `sweep(sns, rows, stack, rec)` over every local subtree, each
-    /// thread over its own in ascending order, on its own stack and lane;
-    /// the first thread with work is the calling one.
-    fn on_threads(
-        &self,
-        sw: &Sweep<'_>,
-        x: &mut [f64],
-        stacks: &mut [Vec<f64>],
-        tr: &Collector,
-        sweep: impl Fn(Range<usize>, &mut [f64], &mut Vec<f64>, &mut LocalRecorder<'_>) + Sync,
-    ) {
-        let mut mine: Vec<Vec<(Range<usize>, &mut [f64])>> =
-            (0..self.threads).map(|_| Vec::new()).collect();
-        let mut rest = x;
-        for run in &self.runs {
-            let (head, tail) = take(&mut rest).split_at_mut(sw.pivot_rows(&run.sns).len());
-            rest = tail;
-            if let Some(t) = run.owner {
-                mine[t].push((run.sns.clone(), head));
-            }
-        }
-        let job = |t: usize, subtrees: Vec<(Range<usize>, &mut [f64])>, stack: &mut Vec<f64>| {
+/// Run `sweep(sns, rows, stack, rec)` over every local subtree, each
+/// thread over its own in ascending order, on its own stack and lane.
+fn on_threads(
+    plan: &Plan,
+    sw: &Sweep<'_>,
+    mut x: &mut [f64],
+    stacks: &mut [Vec<f64>],
+    tr: &Collector,
+    sweep: impl Fn(Range<usize>, &mut [f64], &mut Vec<f64>, &mut LocalRecorder<'_>) + Sync,
+) {
+    plan.on_threads(
+        |sns| {
+            let rows = x.split_off_mut(..sw.pivot_rows(sns).len());
+            rows.expect("the runs partition the pivot rows")
+        },
+        stacks,
+        |t, subtrees, stack| {
             let mut rec = tr.local(t);
             for (sns, rows) in subtrees {
                 sweep(sns, rows, stack, &mut rec);
             }
-        };
-        let mut work = mine
-            .into_iter()
-            .zip(stacks)
-            .enumerate()
-            .filter(|(_, (subtrees, _))| !subtrees.is_empty());
-        let here = work.next();
-        std::thread::scope(|scope| {
-            for (t, (subtrees, stack)) in work {
-                let job = &job;
-                scope.spawn(move || job(t, subtrees, stack));
-            }
-            if let Some((t, (subtrees, stack))) = here {
-                job(t, subtrees, stack);
-            }
-        });
-    }
+        },
+    );
 }
 
 #[cfg(test)]

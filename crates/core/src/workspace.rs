@@ -7,7 +7,8 @@
 //! assembly map, `Symbolic::sn_rel` and `Symbolic::a_pos`, which needs no
 //! per-worker state). A [`FrontWorkspace`] owns every buffer a
 //! worker needs to process a supernode; a [`Workspace`] holds one per
-//! worker thread plus the engine-level update hand-off slots.
+//! worker thread plus the engine-level update hand-off slots and the SMP
+//! engine's schedule.
 //!
 //! The update buffers are pooled best-fit by capacity: a request takes the
 //! smallest pooled buffer that holds it, so an arena holds about as many
@@ -17,16 +18,21 @@
 //! so after the first factorization of a given structure every subsequent
 //! run in the same order is served from warm memory —
 //! [`Workspace::growth_events`] counts how often no pooled buffer fit,
-//! which the arena-reuse tests pin to zero for repeat sequential
-//! factorizations. The SMP engine's workers do not build the same fronts
-//! every run, and a buffer is recycled into the arena of the worker that
-//! consumed it, so its arenas drift: a warm SMP run grows a few buffers,
-//! and the arenas' pooled buffers slowly outgrow one live stack each.
+//! which the arena-reuse tests pin to zero for repeat sequential and SMP
+//! factorizations. The SMP engine's schedule is fixed by the subtree
+//! mapping (kept here next to the arenas): every run, each thread builds
+//! the same fronts from its own arena, and the top hands each local
+//! root's buffer back to the arena that built it, so no buffer migrates
+//! between arenas, and each arena stays near one live stack (the tests
+//! bound it by 2.5× the sequential engine's).
 //!
 //! (The packing buffers of the dense microkernels are thread-local inside
 //! `parfact-dense` and follow the same grow-once discipline.)
 
 use crate::frontal::UpdateMatrix;
+use crate::mapping::Plan;
+use parfact_symbolic::Symbolic;
+use std::sync::Arc;
 
 /// Per-worker arena: child-update staging and a pool of recycled
 /// update-matrix buffers (a front's trailing block is assembled and
@@ -34,8 +40,8 @@ use crate::frontal::UpdateMatrix;
 #[derive(Default)]
 pub struct FrontWorkspace {
     /// Child updates staged for assembly by the engine
-    /// ([`FrontWorkspace::stage`]); drained back into `pool` after each
-    /// front.
+    /// ([`FrontWorkspace::stage`]); drained back into `pool` when the next
+    /// front is staged.
     pub(crate) children: Vec<UpdateMatrix>,
     /// Recycled update-matrix buffers, sorted by capacity (ascending); a
     /// request takes the smallest one that fits. Update sizes are a
@@ -53,10 +59,12 @@ impl FrontWorkspace {
         FrontWorkspace::default()
     }
 
-    /// Stage the child updates the next front assembles (dropping any a
-    /// front that failed mid-way left behind).
+    /// Stage the child updates the next front assembles, recycling the
+    /// buffers of the ones staged before.
     pub(crate) fn stage(&mut self, updates: impl Iterator<Item = UpdateMatrix>) {
-        self.children.clear();
+        while let Some(u) = self.children.pop() {
+            self.recycle(u.data);
+        }
         self.children.extend(updates);
     }
 
@@ -80,17 +88,21 @@ impl FrontWorkspace {
     }
 }
 
-/// Engine-level workspace: one [`FrontWorkspace`] per worker thread plus
-/// the per-supernode update hand-off slots. Owned by
-/// [`crate::solver::SparseCholesky`] so `refactorize` reuses all of it.
+/// Engine-level workspace: one [`FrontWorkspace`] per worker thread, the
+/// per-supernode update hand-off slots and the SMP engine's schedule.
+/// Owned by [`crate::solver::SparseCholesky`] so `refactorize` reuses all
+/// of it.
 #[derive(Default)]
 pub struct Workspace {
     /// Worker arenas (index = worker id; sequential engines use slot 0).
     pub(crate) threads: Vec<FrontWorkspace>,
     /// `slots[s]` holds supernode `s`'s update matrix until its parent
-    /// assembles (sequential engine; the SMP engine wraps its own slots in
-    /// mutexes for cross-thread hand-off).
+    /// assembles. The SMP engine cuts it by subtree like the factor slab,
+    /// so each thread owns the slots of its own subtrees.
     pub(crate) slots: Vec<Option<UpdateMatrix>>,
+    /// The SMP schedule, built for one analysis and thread count on first
+    /// use.
+    plan: Option<(Arc<Symbolic>, Plan)>,
 }
 
 impl Workspace {
@@ -104,6 +116,30 @@ impl Workspace {
         while self.threads.len() < k {
             self.threads.push(FrontWorkspace::new());
         }
+    }
+
+    /// Empty the slots for a run over `nsuper` supernodes.
+    pub(crate) fn reset_slots(&mut self, nsuper: usize) {
+        self.slots.clear();
+        self.slots.resize_with(nsuper, || None);
+    }
+
+    /// What an SMP run on `threads` threads uses: the schedule for `sym`
+    /// (built unless the one kept here is it), the arenas `0..threads` and
+    /// the emptied slots.
+    pub(crate) fn for_smp(
+        &mut self,
+        sym: &Arc<Symbolic>,
+        threads: usize,
+    ) -> (&Plan, &mut [FrontWorkspace], &mut [Option<UpdateMatrix>]) {
+        let kept = |(s, p): &(Arc<Symbolic>, Plan)| Arc::ptr_eq(s, sym) && p.threads == threads;
+        if !self.plan.as_ref().is_some_and(kept) {
+            self.plan = Some((Arc::clone(sym), Plan::new(sym, threads)));
+        }
+        self.ensure_threads(threads);
+        self.reset_slots(sym.nsuper());
+        let plan = &self.plan.as_ref().expect("built above").1;
+        (plan, &mut self.threads[..threads], &mut self.slots)
     }
 
     /// Total buffer-growth events across all worker arenas. Zero for a

@@ -3,8 +3,9 @@
 //! Each node is a supernode; the edge `s → parent(s)` says "the update
 //! matrix produced by front `s` is assembled (extend-added) into front
 //! `parent(s)`". Disjoint subtrees are independent — all parallelism in the
-//! factorization, from work-stealing threads to subtree-to-subcube rank
-//! mapping, is parallelism over this tree.
+//! factorization, from SMP threads to simulated ranks, each given whole
+//! subtrees by the subtree-to-subcube mapping, is parallelism over this
+//! tree.
 
 use crate::NONE;
 

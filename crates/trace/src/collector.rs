@@ -223,8 +223,8 @@ pub struct WorkerSummary {
     /// Factorization flops performed by this worker.
     pub flops: f64,
     /// High-water mark of tracked memory *allocated by* this worker, bytes.
-    /// (A front freed by a different worker under work stealing is debited
-    /// there; per-worker peaks attribute allocation pressure, the global
+    /// (An update freed by a different worker, as an SMP local root's by
+    /// the top, is debited there; per-worker peaks attribute allocation pressure, the global
     /// [`Counters::mem_peak_bytes`] remains the true concurrent peak.)
     pub mem_peak_bytes: u64,
 }
@@ -479,8 +479,8 @@ impl LocalRecorder<'_> {
         self.mem_peak.set(self.mem_peak.get().max(cur));
     }
 
-    /// Tracked release (saturating locally: a front allocated on another
-    /// worker may be freed here under work stealing).
+    /// Tracked release (saturating locally: an update allocated on another
+    /// worker, as an SMP local root's, may be freed here).
     #[inline]
     pub fn mem_free(&self, bytes: usize) {
         if !self.enabled() {

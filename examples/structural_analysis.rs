@@ -35,10 +35,7 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
-    let opts = FactorOpts::new().engine(Engine::Smp(SmpOpts {
-        threads,
-        ..SmpOpts::default()
-    }));
+    let opts = FactorOpts::new().engine(Engine::Smp(SmpOpts { threads }));
     let t0 = Instant::now();
     let mut chol = SparseCholesky::factorize(&a, &opts).expect("stiffness matrix must be SPD");
     println!(
@@ -71,14 +68,8 @@ fn main() {
             *v *= 1.15;
         }
         let t = Instant::now();
-        chol.refactorize(
-            &a_step,
-            Engine::Smp(SmpOpts {
-                threads,
-                ..SmpOpts::default()
-            }),
-        )
-        .expect("refactorization");
+        chol.refactorize(&a_step, Engine::Smp(SmpOpts { threads }))
+            .expect("refactorization");
         let x = chol.solve(&b);
         println!(
             "load step {step}: refactor {:.0} ms (symbolic reused), residual {:.3e}",

@@ -288,7 +288,6 @@ fn main() -> ExitCode {
         } else if args.threads > 1 {
             Engine::Smp(SmpOpts {
                 threads: args.threads,
-                ..SmpOpts::default()
             })
         } else {
             Engine::Sequential

@@ -115,17 +115,15 @@ fn elas6_multi_block_fronts_are_bitwise() {
 }
 
 /// One front kernel, three schedulers, and the front is factored where it
-/// is stored: the sequential postorder loop, both SMP phases (tree pool
-/// below `big_front`, threaded trailing update above) and the local path
-/// of the distributed engine on one rank must leave the same bits in the
-/// factor slab — and so must a refactorization, which assembles into a
-/// slab still holding the previous factor.
+/// is stored: the sequential postorder loop, both SMP regimes (each
+/// thread's local subtrees, and the top with its trailing updates split
+/// over the threads) and the local path of the distributed engine on one
+/// rank must leave the same bits in the factor slab — and so must a
+/// refactorization, which assembles into a slab still holding the
+/// previous factor.
 #[test]
 fn seq_smp_and_one_rank_dist_share_every_factor_bit() {
-    let smp_opts = SmpOpts {
-        threads: 3,
-        big_front: 96,
-    };
+    let smp_opts = SmpOpts { threads: 3 };
     let matrices = [
         (
             "lap3d-12",
@@ -168,11 +166,7 @@ fn seq_smp_and_one_rank_dist_share_every_factor_bit() {
         seq.d.iter().any(|&d| d < 0.0),
         "the case must be indefinite"
     );
-    let small_fronts = SmpOpts {
-        threads: 3,
-        big_front: 24,
-    };
-    let smp = factorize_smp(&ap, &sym, FactorKind::Ldlt, perm, &small_fronts);
+    let smp = factorize_smp(&ap, &sym, FactorKind::Ldlt, perm, &smp_opts);
     assert_bitwise(&smp.expect("quasi-definite"), &seq, "ldlt: smp vs seq");
 }
 

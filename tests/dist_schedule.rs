@@ -166,10 +166,7 @@ fn dist_refactorize_overwrites_any_engines_factor_in_place() {
         });
         let fresh = SparseCholesky::factorize(&scaled, &FactorOpts::new().engine(dist.clone()));
         let fresh = bits(&fresh.unwrap());
-        let smp = Engine::Smp(parfact::core::smp::SmpOpts {
-            threads: 2,
-            big_front: 16,
-        });
+        let smp = Engine::Smp(parfact::core::smp::SmpOpts { threads: 2 });
         for previous in [Engine::Sequential, smp, dist.clone()] {
             let name = previous.name();
             let opts = FactorOpts::new().engine(previous);

@@ -16,13 +16,7 @@ use parfact::sparse::{gen, io};
 #[test]
 fn indefinite_rejected_by_every_llt_engine() {
     let a = gen::indefinite(60, 21);
-    for engine in [
-        Engine::Sequential,
-        Engine::Smp(SmpOpts {
-            threads: 3,
-            big_front: 32,
-        }),
-    ] {
+    for engine in [Engine::Sequential, Engine::Smp(SmpOpts { threads: 3 })] {
         let r = SparseCholesky::factorize(&a, &FactorOpts::new().engine(engine));
         match r {
             Err(FactorError::NotPositiveDefinite { value, .. }) => assert!(value <= 0.0),
@@ -61,10 +55,7 @@ fn nan_and_inf_inputs_are_rejected() {
     ];
     let engines = [
         Engine::Sequential,
-        Engine::Smp(SmpOpts {
-            threads: 2,
-            big_front: 8,
-        }),
+        Engine::Smp(SmpOpts { threads: 2 }),
         dist_engine(2),
     ];
     for (body, (row, col)) in cases {
@@ -147,13 +138,7 @@ fn forest_matrix_disconnected_components() {
     let xstar: Vec<f64> = (0..30).map(|i| (i % 4) as f64).collect();
     let mut b = vec![0.0; 30];
     a.sym_spmv(&xstar, &mut b);
-    for engine in [
-        Engine::Sequential,
-        Engine::Smp(SmpOpts {
-            threads: 2,
-            big_front: 8,
-        }),
-    ] {
+    for engine in [Engine::Sequential, Engine::Smp(SmpOpts { threads: 2 })] {
         let chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(engine)).unwrap();
         let x = chol.solve(&b);
         for (xi, xs) in x.iter().zip(&xstar) {

@@ -44,10 +44,7 @@ fn end_to_end_all_engines_agree_on_solution() {
         let seq = SparseCholesky::factorize(a, &FactorOpts::default()).unwrap();
         let smp = SparseCholesky::factorize(
             a,
-            &FactorOpts::new().engine(Engine::Smp(SmpOpts {
-                threads: 4,
-                big_front: 96,
-            })),
+            &FactorOpts::new().engine(Engine::Smp(SmpOpts { threads: 4 })),
         )
         .unwrap();
         let xs = seq.solve(&b);

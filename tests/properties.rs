@@ -46,7 +46,7 @@ proptest! {
         let seq = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
         let smp = SparseCholesky::factorize(
             &a,
-            &FactorOpts::new().engine(Engine::Smp(SmpOpts { threads: 3, big_front: 16 })),
+            &FactorOpts::new().engine(Engine::Smp(SmpOpts { threads: 3 })),
         ).unwrap();
         prop_assert_eq!(seq.factor().max_abs_diff(smp.factor()), 0.0);
     }

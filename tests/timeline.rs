@@ -232,10 +232,7 @@ fn timeline_reports_hold_no_negative_zero() {
     let a = gen::laplace2d(20, 20, gen::Stencil2d::FivePoint);
     for engine in [
         Engine::Sequential,
-        Engine::Smp(SmpOpts {
-            threads: 2,
-            ..SmpOpts::default()
-        }),
+        Engine::Smp(SmpOpts { threads: 2 }),
         Engine::Dist(DistOpts {
             ranks: 4,
             ..DistOpts::default()
