@@ -437,7 +437,7 @@ impl DistFront {
             if bj % pr == my.0 {
                 if bj != bk {
                     let aop = &p.a[r0 - a_r0..];
-                    gemm_nt_ln(n_bj, n_bj, jb, -1.0, aop, lda, bop, n_bj, strip, ld);
+                    gemm_nt_ln(n_bj, n_bj, jb, -1.0, aop, lda, bop, n_bj, strip, ld, 1);
                     flops += jb * n_bj * (n_bj + 1);
                 }
                 below += n_bj;

@@ -379,7 +379,7 @@ impl RankRun<'_> {
             &mut self.wst,
             self.rank,
             panel,
-            |_, f, w, panel, schur| chol::partial_potrf_split(f, w, panel, f, schur, f - w),
+            |_, f, w, panel, schur| chol::partial_potrf_split(f, w, panel, f, schur, f - w, 1),
         )?;
         if let Some(upd) = update {
             self.route_update(s, upd);

@@ -25,7 +25,7 @@
 use crate::error::FactorError;
 use crate::factor::FactorKind;
 use crate::workspace::FrontWorkspace;
-use parfact_dense::blas::syrk_ln;
+use parfact_dense::blas::gemm_nt_ln;
 use parfact_dense::{chol, DenseError};
 use parfact_sparse::csc::CscMatrix;
 use parfact_symbolic::Symbolic;
@@ -207,12 +207,14 @@ impl FrontMeter for LocalRecorder<'_> {
     }
 }
 
-/// The sequential dense kernel of `kind` on an assembled front of order
-/// `f` with `w` pivots, stored as [`assemble_front`] leaves it. `d`
-/// receives the LDLᵀ pivots (unused for LLᵀ). LLᵀ runs the two steps of
-/// [`chol::partial_potrf_split`] here so that each gets its own timer:
-/// the pivot columns as [`Phase::Panel`], the one Schur update from all
-/// of them as [`Phase::Gemm`]. LDLᵀ is timed whole as [`Phase::Panel`].
+/// The dense kernel of `kind` on an assembled front of order `f` with `w`
+/// pivots, stored as [`assemble_front`] leaves it, with each of its
+/// updates shared by `threads` threads (the bits do not depend on
+/// `threads`). `d` receives the LDLᵀ pivots (unused for LLᵀ). LLᵀ runs
+/// the two steps of [`chol::partial_potrf_split`] here so that each gets
+/// its own timer: the pivot columns as [`Phase::Panel`], the one Schur
+/// update from all of them as [`Phase::Gemm`]. LDLᵀ is timed whole as
+/// [`Phase::Panel`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn panel_kernel(
     kind: FactorKind,
@@ -223,20 +225,22 @@ pub(crate) fn panel_kernel(
     panel: &mut [f64],
     schur: &mut [f64],
     d: &mut [f64],
+    threads: usize,
 ) -> Result<(), DenseError> {
     let tick = rec.start();
     match kind {
         FactorKind::Llt => {
-            chol::potrf_panel(f, w, panel, f, 0)?;
+            chol::potrf_panel(f, w, panel, f, 0, threads)?;
             rec.stop(tick, Phase::Panel, Some(s));
             if f > w {
                 let tick = rec.start();
-                syrk_ln(f - w, w, -1.0, &panel[w..], f, 1.0, schur, f - w);
+                let (r, l21) = (f - w, &panel[w..]);
+                gemm_nt_ln(r, r, w, -1.0, l21, f, l21, f, schur, r, threads);
                 rec.stop(tick, Phase::Gemm, Some(s));
             }
         }
         FactorKind::Ldlt => {
-            chol::partial_ldlt_split(f, w, panel, f, schur, f - w, d)?;
+            chol::partial_ldlt_split(f, w, panel, f, schur, f - w, d, threads)?;
             rec.stop(tick, Phase::Panel, Some(s));
         }
     }

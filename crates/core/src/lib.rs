@@ -12,8 +12,8 @@
 //! - [`seq`] — postorder on one thread; the correctness oracle;
 //! - [`smp`] — shared-memory parallel: each thread factors its local
 //!   subtrees of the proportional [`mapping`], and the top of the tree
-//!   runs with its trailing updates split over the threads (real
-//!   wall-clock speedups on this machine);
+//!   runs the same dense kernel with each of its updates split over the
+//!   threads (real wall-clock speedups on this machine);
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
 //!   [`parfact_mpsim::Machine`]. Each rank runs its local subtrees through

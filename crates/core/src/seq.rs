@@ -1,12 +1,11 @@
 //! Sequential supernodal multifrontal factorization: the postorder
 //! scheduler over `factor_front`, and the correctness oracle for the
 //! parallel engines. Its loop (`factor_run`) also runs each SMP
-//! thread's subtrees and the SMP top.
+//! thread's subtrees and, with the dense kernel threaded, the SMP top.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
 use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
-use crate::smp::parallel_partial_potrf_traced;
 use crate::workspace::{FrontWorkspace, Workspace};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
@@ -119,10 +118,9 @@ impl<'a> Slab<'a> {
 /// The sequential engine's loop: factor the supernodes `sns` in order into
 /// `out` from the arena `wst`. Every child of a supernode in `sns` comes
 /// before it, in `sns` or with its update already in `out`'s slots.
-/// `threads > 1` splits the trailing update of an LLᵀ front over that
-/// many threads ([`crate::smp::parallel_partial_potrf_traced`]); LDLᵀ
-/// fronts always take the sequential kernel. Stops at the first failure
-/// and returns it with its supernode.
+/// Every front runs [`panel_kernel`], whose updates `threads` threads
+/// share, for both kinds, to the same bits at every thread count. Stops
+/// at the first failure and returns it with its supernode.
 pub(crate) fn factor_run(
     ap: &CscMatrix,
     sym: &Symbolic,
@@ -147,11 +145,7 @@ pub(crate) fn factor_run(
             FactorKind::Ldlt => &mut out.d[cp[s] - cp[first]..cp[s + 1] - cp[first]],
         };
         let update = factor_front(ap, sym, s, wst, rec, panel, |rec, f, w, panel, schur| {
-            if threads > 1 && kind == FactorKind::Llt {
-                parallel_partial_potrf_traced(f, w, panel, schur, f - w, threads, rec, Some(s))
-            } else {
-                panel_kernel(kind, s, rec, f, w, panel, schur, d)
-            }
+            panel_kernel(kind, s, rec, f, w, panel, schur, d, threads)
         });
         out.slots[s - first] = update.map_err(|e| (s, e))?;
     }

@@ -13,9 +13,11 @@
 //!    each thread writes only what it owns.
 //! 2. **The top** (groups of several threads): near the root the tree is
 //!    too narrow to feed the cores, but the fronts are large. After the
-//!    join the calling thread runs them in postorder, with the trailing
-//!    (Schur) update of each panel split across all threads
-//!    ([`parallel_partial_potrf_traced`]).
+//!    join the calling thread runs them in postorder with the sequential
+//!    engine's loop and dense kernel, whose updates (each panel's update
+//!    from the panels left of it, the Schur update, the LDLᵀ trailing
+//!    updates) are split by columns across all threads
+//!    ([`parfact_dense::blas::gemm_nt_ln`]), to the same bits.
 //!
 //! The schedule is built once per analysis and thread count and kept in
 //! the [`Workspace`], next to the arenas it schedules. The same thread
@@ -30,13 +32,10 @@ use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
 use crate::seq::{factor_run, Slab};
 use crate::workspace::Workspace;
-use parfact_dense::blas::{gemm_nt, syrk_ln};
-use parfact_dense::chol;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
-use parfact_trace::{Collector, LocalRecorder, Phase};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parfact_trace::Collector;
 use std::sync::Arc;
 
 /// Options for the SMP engine.
@@ -131,150 +130,6 @@ pub(crate) fn factorize_smp_into(
     failed.map_or(Ok(()), |(_, e)| Err(e))
 }
 
-/// Partial blocked Cholesky with the trailing update of each panel split
-/// across `nthreads` threads, on a front stored as
-/// [`chol::partial_potrf_split`] takes it: the `nf x npiv` pivot columns
-/// in `panel` (leading dimension `nf`), the trailing block in `schur`
-/// (leading dimension `lds`). Right-looking: after each panel, everything
-/// right of it takes that panel's update. The sequential kernel is
-/// left-looking and updates the Schur block once from all panels, but
-/// the packed kernels round a `k`-long update as one update per
-/// `chol::NB`-wide panel in ascending order (the determinism contract in
-/// `parfact_dense::pack`), so every entry sees the same operations in the
-/// same order and the results match it bitwise.
-///
-/// Phase timing: the panel section (diagonal factor + TRSM) accumulates as
-/// [`Phase::Panel`], the threaded trailing update as [`Phase::Gemm`].
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_partial_potrf_traced(
-    nf: usize,
-    npiv: usize,
-    panel: &mut [f64],
-    schur: &mut [f64],
-    lds: usize,
-    nthreads: usize,
-    rec: &mut LocalRecorder<'_>,
-    supernode: Option<usize>,
-) -> Result<(), parfact_dense::DenseError> {
-    for j in (0..npiv).step_by(chol::NB) {
-        let jb = chol::NB.min(npiv - j);
-        let col0 = j + jb;
-        let rest = nf - col0;
-        let tick = rec.start();
-        // Panel: factor the diagonal block and scale the rows below it.
-        chol::potrf_panel(nf - j, jb, &mut panel[j * nf + j..], nf, j)?;
-        rec.stop(tick, Phase::Panel, supernode);
-        if rest == 0 {
-            break;
-        }
-        let tick = rec.start();
-        // The workers read L21 (rows col0.. of the panel's columns) while
-        // they write the trailing columns `col0..nf`, which lie past it in
-        // `panel` and in `schur`. Those are split into chunks, each
-        // updated with the packed kernels: per the determinism contract
-        // every entry takes the panel as one ascending-k chain regardless
-        // of chunking, as in the sequential kernel's updates.
-        let (done, ahead) = panel.split_at_mut((col0 * nf).min(panel.len()));
-        let l21 = &done[j * nf + col0..];
-        let trailing = Trailing {
-            ahead: ahead.as_mut_ptr(),
-            schur: schur.as_mut_ptr(),
-            col0,
-            nf,
-            npiv,
-            lds,
-        };
-        let nchunks = (nthreads * 4).min(rest);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..nthreads.min(nchunks) {
-                scope.spawn(|| {
-                    let trailing = &trailing;
-                    loop {
-                        let c = counter.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks {
-                            break;
-                        }
-                        // Chunk c owns trailing columns [a, b); where it
-                        // straddles the pivot boundary its two halves live
-                        // in different buffers.
-                        let (a, b) = (col0 + c * rest / nchunks, col0 + (c + 1) * rest / nchunks);
-                        for (a, b) in [(a, b.min(npiv)), (a.max(npiv), b)] {
-                            if a >= b {
-                                continue;
-                            }
-                            let cw = b - a;
-                            // SAFETY: each trailing column is written by
-                            // exactly one chunk, and the views are used
-                            // strictly one after the other.
-                            let (tri, ld) = unsafe { trailing.cols(a, cw, a) };
-                            // Diagonal part: rows [a, b) — a cw x cw syrk
-                            // on the lower triangle.
-                            let la = &l21[a - col0..];
-                            syrk_ln(cw, jb, -1.0, la, nf, 1.0, tri, ld);
-                            // Below-diagonal part: rows [b, nf) — a gemm.
-                            if b < nf {
-                                // SAFETY: as above; `tri` is dead by now.
-                                let (rect, ld) = unsafe { trailing.cols(a, cw, b) };
-                                let lb = &l21[b - col0..];
-                                gemm_nt(nf - b, cw, jb, -1.0, lb, nf, la, nf, 1.0, rect, ld);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        rec.stop(tick, Phase::Gemm, supernode);
-    }
-    Ok(())
-}
-
-/// Raw view of the trailing columns `col0..nf` of a split front — those
-/// still in the panel (`ahead`, from column `col0` on) and the Schur block
-/// — for the disjoint column chunks of the threaded trailing update.
-struct Trailing {
-    ahead: *mut f64,
-    schur: *mut f64,
-    col0: usize,
-    nf: usize,
-    npiv: usize,
-    lds: usize,
-}
-
-// SAFETY: Trailing only ferries the two base pointers into the worker
-// closures above; each worker carves disjoint column chunks out of them
-// (see the SAFETY notes at the `cols` calls), so sharing the addresses
-// across threads is sound.
-unsafe impl Sync for Trailing {}
-
-impl Trailing {
-    /// Rows `row0..nf` of front columns `col..col + ncols` as `(view,
-    /// leading dimension)`; the columns lie on one side of the pivot
-    /// boundary and `col0 <= col <= row0`.
-    ///
-    /// # Safety
-    /// The caller must be the unique user of those columns while the view
-    /// lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn cols(&self, col: usize, ncols: usize, row0: usize) -> (&mut [f64], usize) {
-        let (nf, npiv) = (self.nf, self.npiv);
-        debug_assert!(self.col0 <= col && col <= row0 && row0 < nf);
-        debug_assert!(col + ncols <= npiv || col >= npiv);
-        let (base, ld, start) = if col < npiv {
-            (self.ahead, nf, (col - self.col0) * nf + row0)
-        } else {
-            (self.schur, self.lds, (col - npiv) * self.lds + row0 - npiv)
-        };
-        let len = (ncols - 1) * ld + nf - row0;
-        // SAFETY: the view ends at the last row of its last column, inside
-        // the buffer; uniqueness is the caller's contract (see `# Safety`).
-        (
-            unsafe { std::slice::from_raw_parts_mut(base.add(start), len) },
-            ld,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,67 +138,24 @@ mod tests {
     use crate::mapping::Plan;
     use crate::seq::factorize_seq;
     use crate::workspace::FrontWorkspace;
+    use parfact_dense::chol;
     use parfact_order::Method;
     use parfact_sparse::gen;
     use parfact_symbolic::{analyze, AmalgOpts};
 
+    /// Both engines on `a` after nested dissection, whose tree gives the
+    /// SMP engine's threads local subtrees below a top (asserted).
     fn both_engines(
         a: &CscMatrix,
         kind: FactorKind,
         opts: &SmpOpts,
     ) -> (Factor, Factor, CscMatrix) {
-        let (sym, ap) = analyze(a, &AmalgOpts::default());
-        let perm = sym.post.clone();
-        let sym = Arc::new(sym);
+        let (sym, ap, perm) = prepare(a, Method::default(), &AmalgOpts::default());
+        let plan = Plan::new(&sym, resolve_threads(opts.threads));
+        assert!(plan.runs.iter().any(|run| run.owner.is_some()));
         let fs = factorize_seq(&ap, &sym, kind, perm.clone()).unwrap();
         let fp = factorize_smp(&ap, &sym, kind, perm, opts).unwrap();
         (fs, fp, ap)
-    }
-
-    #[test]
-    fn parallel_partial_potrf_matches_sequential_kernel() {
-        use parfact_dense::DMat;
-        for (n, npiv) in [(60usize, 25usize), (130, 130), (97, 40)] {
-            let mut state = n as u64 * 31 + 7;
-            let a = DMat::random_spd(n, move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % 2000) as f64 / 1000.0 - 1.0
-            });
-            let mut f1 = a.clone();
-            chol::partial_potrf(n, npiv, f1.as_mut_slice(), n).unwrap();
-            // The front as the engines store it: pivot columns and the
-            // trailing block in separate, tightly packed buffers.
-            let r = n - npiv;
-            let mut panel = a.as_slice()[..n * npiv].to_vec();
-            let mut schur = vec![0.0; r * r];
-            for j in 0..r {
-                for i in j..r {
-                    schur[j * r + i] = a[(npiv + i, npiv + j)];
-                }
-            }
-            let tr = Collector::disabled();
-            let mut rec = tr.local(0);
-            parallel_partial_potrf_traced(n, npiv, &mut panel, &mut schur, r, 4, &mut rec, None)
-                .unwrap();
-            // Same panel boundaries and accumulation order: bitwise equal
-            // on the lower triangle.
-            for j in 0..n {
-                for i in j..n {
-                    let got = if j < npiv {
-                        panel[j * n + i]
-                    } else {
-                        schur[(j - npiv) * r + i - npiv]
-                    };
-                    assert_eq!(
-                        f1[(i, j)].to_bits(),
-                        got.to_bits(),
-                        "mismatch at ({i},{j}) n={n} npiv={npiv}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -353,6 +165,15 @@ mod tests {
         let (fs, fp, ap) = both_engines(&a, FactorKind::Llt, &opts);
         assert_eq!(fp.max_abs_diff(&fs), 0.0, "engines must agree bitwise");
         assert!(reconstruction_error(&fp, &ap) < 1e-10);
+        // Without a fill-reducing ordering the tree is too narrow for any
+        // local subtree: every front is a top front.
+        let (sym, ap) = analyze(&a, &AmalgOpts::default());
+        let sym = Arc::new(sym);
+        let plan = Plan::new(&sym, opts.threads);
+        assert!(plan.runs.iter().all(|run| run.owner.is_none()));
+        let fs = factorize_seq(&ap, &sym, FactorKind::Llt, sym.post.clone()).unwrap();
+        let fp = factorize_smp(&ap, &sym, FactorKind::Llt, sym.post.clone(), &opts).unwrap();
+        assert_eq!(fp.max_abs_diff(&fs), 0.0);
     }
 
     #[test]
@@ -430,8 +251,8 @@ mod tests {
     fn the_top_kernel_runs_fronts_of_several_panels() {
         // Under nested dissection, three threads share the two top fronts
         // of lap3d-12 (69 and 204 pivots: two and five `chol::NB`-column
-        // panels) and split the trailing update of each panel between
-        // them, to the sequential engine's bits.
+        // panels) and split each update of the dense kernel between them,
+        // to the sequential engine's bits, for both kinds.
         let a = gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint);
         let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
         let opts = SmpOpts { threads: 3 };
@@ -440,9 +261,18 @@ mod tests {
             .map(|s| sym.sn_width(s))
             .max();
         assert!(widest > Some(chol::NB), "widest top front: {widest:?}");
-        let fs = factorize_seq(&ap, &sym, FactorKind::Llt, perm.clone()).unwrap();
-        let fp = factorize_smp(&ap, &sym, FactorKind::Llt, perm, &opts).unwrap();
-        assert_eq!(fp.max_abs_diff(&fs), 0.0);
+        for kind in [FactorKind::Llt, FactorKind::Ldlt] {
+            let fs = factorize_seq(&ap, &sym, kind, perm.clone()).unwrap();
+            let fp = factorize_smp(&ap, &sym, kind, perm.clone(), &opts).unwrap();
+            let bits = |f: &Factor| {
+                f.panels
+                    .iter()
+                    .chain(&f.d)
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert!(bits(&fp) == bits(&fs), "{kind:?}");
+        }
     }
 
     #[test]

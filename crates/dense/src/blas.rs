@@ -124,6 +124,13 @@ pub fn syrk_ln(
 /// With `A != B` this is the LDLᵀ trailing-update shape
 /// (`C ← C − L₂₁ (L₂₁ D)ᵀ`), where the operands differ by a diagonal
 /// scaling so `syrk_ln` does not apply.
+///
+/// With `threads > 1` the columns of `C` are cut into up to `threads`
+/// runs of about equal area, each a lower trapezoid of its own, and each
+/// run is updated on its own thread (the last on the calling one). The
+/// packed kernels give every entry one chain whatever the tiling (the
+/// determinism contract in [`crate::pack`]), so the bits do not depend on
+/// `threads`. With `threads <= 1` this is one packed call on this thread.
 #[allow(clippy::too_many_arguments)] // BLAS calling convention
 pub fn gemm_nt_ln(
     m: usize,
@@ -136,9 +143,41 @@ pub fn gemm_nt_ln(
     ldb: usize,
     c: &mut [f64],
     ldc: usize,
+    threads: usize,
 ) {
     debug_assert!(m >= n && lda >= m.max(1) && ldb >= n.max(1) && ldc >= m.max(1));
-    pack::gemm_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc, true);
+    if threads <= 1 || k == 0 || n < 2 {
+        pack::gemm_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc, true);
+        return;
+    }
+    let runs = threads.min(n);
+    // Entries of `C` in its columns `0..j`: column `t` holds `m - t`.
+    let area = |j: usize| j * m - j * j.saturating_sub(1) / 2;
+    std::thread::scope(|scope| {
+        let (mut c, mut j0) = (c, 0);
+        for t in 1..=runs {
+            // The first cut at or past `t / runs` of the area.
+            let mut j1 = j0;
+            while j1 < n && area(j1) * runs < t * area(n) {
+                j1 += 1;
+            }
+            if j1 == j0 {
+                continue;
+            }
+            let cols = c.len().min(at(ldc, 0, j1 - j0));
+            let run = &mut c.split_off_mut(..cols).expect("a run ends inside C")[j0..];
+            let (a, b) = (&a[j0..], &b[j0..]);
+            let mut update = move || {
+                pack::gemm_packed(m - j0, j1 - j0, k, alpha, a, lda, b, ldb, run, ldc, true)
+            };
+            if j1 < n {
+                scope.spawn(update);
+            } else {
+                update();
+            }
+            j0 = j1;
+        }
+    });
 }
 
 /// Solve `X Lᵀ = B` in place (`B ← B L⁻ᵀ`), where `L` is `n x n` lower
@@ -426,6 +465,7 @@ mod tests {
             n,
             c.as_mut_slice(),
             n,
+            1,
         );
         let full = a.matmul(&b.transpose());
         for j in 0..n {
@@ -452,6 +492,7 @@ mod tests {
             n,
             tall.as_mut_slice(),
             n,
+            1,
         );
         for j in 0..nn {
             for i in 0..n {
@@ -580,7 +621,7 @@ mod tests {
         let mut c = [1.0; 1];
         gemm_nt(0, 0, 0, 1.0, &[], 1, &[], 1, 1.0, &mut c, 1);
         syrk_ln(0, 0, 1.0, &[], 1, 1.0, &mut c, 1);
-        gemm_nt_ln(0, 0, 0, 1.0, &[], 1, &[], 1, &mut c, 1);
+        gemm_nt_ln(0, 0, 0, 1.0, &[], 1, &[], 1, &mut c, 1, 1);
         trsm_right_lt(0, 0, &[], 1, &mut c, 1);
         assert_eq!(c[0], 1.0);
     }

@@ -8,7 +8,7 @@
 //! one contiguous block or split into its pivot columns and its trailing
 //! block, wherever the caller keeps the two.
 
-use crate::blas::{gemm_nt_ln, syrk_ln, trsm_right_lt};
+use crate::blas::{gemm_nt_ln, trsm_right_lt};
 use crate::error::DenseError;
 use crate::pack::{self, Isa};
 use std::cell::RefCell;
@@ -131,7 +131,7 @@ pub fn partial_potrf(nf: usize, npiv: usize, f: &mut [f64], ldf: usize) -> Resul
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
     let (panel, schur) = split_front(f, ldf, npiv);
-    partial_potrf_split(nf, npiv, panel, ldf, schur, ldf)
+    partial_potrf_split(nf, npiv, panel, ldf, schur, ldf, 1)
 }
 
 /// [`partial_potrf`] on a front stored where its two halves are kept: the
@@ -143,12 +143,15 @@ pub fn partial_potrf(nf: usize, npiv: usize, f: &mut [f64], ldf: usize) -> Resul
 ///
 /// Left-looking: [`potrf_panel`] factors the pivot columns, then the
 /// Schur block takes one update from all of them, `A22 -= L21 L21ᵀ` as a
-/// single [`syrk_ln`] with `k = npiv`. The packed kernels round a
+/// single [`gemm_nt_ln`] with `k = npiv`. The packed kernels round a
 /// `k`-long update as one update per [`NB`]-wide panel, in ascending
 /// order (the determinism contract in [`crate::pack`]), so every entry
 /// gets the bits of a right-looking sweep, which updates everything right
 /// of each panel in turn. [`partial_potrf`] runs this on the two halves of
 /// one buffer, so the contiguous and split forms agree bit for bit.
+///
+/// `threads` is how many threads share each of those updates (see
+/// [`gemm_nt_ln`]); the bits do not depend on it.
 pub fn partial_potrf_split(
     nf: usize,
     npiv: usize,
@@ -156,13 +159,15 @@ pub fn partial_potrf_split(
     ldp: usize,
     schur: &mut [f64],
     lds: usize,
+    threads: usize,
 ) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     let r = nf - npiv;
     assert!(ldp >= nf.max(1) && lds >= r);
-    potrf_panel(nf, npiv, panel, ldp, 0)?;
+    potrf_panel(nf, npiv, panel, ldp, 0, threads)?;
     if r > 0 {
-        syrk_ln(r, npiv, -1.0, &panel[npiv..], ldp, 1.0, schur, lds);
+        let l21 = &panel[npiv..];
+        gemm_nt_ln(r, r, npiv, -1.0, l21, ldp, l21, ldp, schur, lds, threads);
     }
     Ok(())
 }
@@ -173,24 +178,39 @@ pub fn partial_potrf_split(
 /// after this is the Schur update, which callers may cut up as they like.
 /// `base` is added to pivot indices in errors.
 ///
-/// Left-looking over [`NB`]-wide panels: panel `j` takes every panel left
-/// of it in one [`gemm_nt_ln`] (`k = j`), then factors its diagonal block
-/// and scales the rows below. With `n <= NB` that is one panel step and
-/// no update.
+/// Left-looking over groups of `threads` [`NB`]-wide panels: a group
+/// takes every panel left of it in one [`gemm_nt_ln`] (`k` = the group's
+/// first column) whose columns the threads share, a panel's width each;
+/// then each of its panels takes the group's panels left of it (another
+/// `gemm_nt_ln`, shared the same way), factors its diagonal block and
+/// scales the rows below. Every entry thus takes the panels left of it in
+/// ascending order, whatever `threads`, and the packed kernels round that
+/// the same however it is grouped (the determinism contract in
+/// [`crate::pack`]): the bits do not depend on `threads`. A group of one
+/// panel is the plain left-looking sweep; with `n <= NB` that is one
+/// panel step and no update.
 pub fn potrf_panel(
     m: usize,
     n: usize,
     cols: &mut [f64],
     ld: usize,
     base: usize,
+    threads: usize,
 ) -> Result<(), DenseError> {
     assert!(n <= m && ld >= m.max(1));
-    for j in (0..n).step_by(NB) {
-        let jb = NB.min(n - j);
-        let (left, cur) = cols.split_at_mut(at(ld, 0, j));
-        let l = &left[j..];
-        gemm_nt_ln(m - j, jb, j, -1.0, l, ld, l, ld, &mut cur[j..], ld);
-        panel_step(m - j, jb, &mut cur[j..], ld, base + j)?;
+    let group = NB * threads.max(1);
+    for g in (0..n).step_by(group) {
+        let end = n.min(g + group);
+        for j in (g..end).step_by(NB) {
+            let jb = NB.min(n - j);
+            // Columns `j..to` take the panels `from..j`: the whole group the
+            // panels left of it, each later panel the group's before it.
+            let (from, to) = if j == g { (0, end) } else { (g, j + jb) };
+            let (left, cur) = cols.split_at_mut(at(ld, 0, j));
+            let (l, c) = (&left[at(ld, j, from)..], &mut cur[j..]);
+            gemm_nt_ln(m - j, to - j, j - from, -1.0, l, ld, l, ld, c, ld, threads);
+            panel_step(m - j, jb, c, ld, base + j)?;
+        }
     }
     Ok(())
 }
@@ -251,7 +271,7 @@ pub fn partial_ldlt(
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
     let (panel, schur) = split_front(f, ldf, npiv);
-    partial_ldlt_split(nf, npiv, panel, ldf, schur, ldf, d)
+    partial_ldlt_split(nf, npiv, panel, ldf, schur, ldf, d, 1)
 }
 
 /// [`partial_ldlt`] on a front split into its pivot columns and its
@@ -262,7 +282,9 @@ pub fn partial_ldlt(
 /// unblocked sweep whose rank-1 updates stay inside the panel, then
 /// everything right of it absorbs the whole panel at once as
 /// `C ← C − L₂₁ (L₂₁ D)ᵀ` through the packed [`gemm_nt_ln`] kernel (with
-/// `W = L₂₁ D` staged in thread-local scratch).
+/// `W = L₂₁ D` staged in thread-local scratch), shared by `threads`
+/// threads; the bits do not depend on `threads`.
+#[allow(clippy::too_many_arguments)]
 pub fn partial_ldlt_split(
     nf: usize,
     npiv: usize,
@@ -271,6 +293,7 @@ pub fn partial_ldlt_split(
     schur: &mut [f64],
     lds: usize,
     d: &mut [f64],
+    threads: usize,
 ) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     let r = nf - npiv;
@@ -320,11 +343,11 @@ pub fn partial_ldlt_split(
                 }
             }
             let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
-            let l21 = &done[at(ldp, j1, j0)..];
-            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, w, rest, ahead, ldp);
+            let (l21, n1) = (&done[at(ldp, j1, j0)..], npiv - j1);
+            gemm_nt_ln(rest, n1, jb, -1.0, l21, ldp, w, rest, ahead, ldp, threads);
             if r > 0 {
                 let (l22, w2) = (&l21[npiv - j1..], &w[npiv - j1..]);
-                gemm_nt_ln(r, r, jb, -1.0, l22, ldp, w2, rest, schur, lds);
+                gemm_nt_ln(r, r, jb, -1.0, l22, ldp, w2, rest, schur, lds, threads);
             }
         });
     }
@@ -339,6 +362,7 @@ pub fn ldlt(n: usize, a: &mut [f64], lda: usize, d: &mut [f64]) -> Result<(), De
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas::syrk_ln;
     use crate::det_rng;
     use crate::matrix::DMat;
     use proptest::prelude::*;
@@ -607,6 +631,21 @@ mod tests {
         }
     }
 
+    /// The `npiv` pivot columns of the square `a` and its trailing lower
+    /// block, in separate, tightly packed buffers, as the engines store a
+    /// front.
+    fn split_of(a: &DMat, npiv: usize) -> (Vec<f64>, Vec<f64>) {
+        let (nf, rr) = (a.nrows(), a.nrows() - npiv);
+        let panel = a.as_slice()[..nf * npiv].to_vec();
+        let mut schur = vec![0.0; rr * rr];
+        for j in 0..rr {
+            for i in j..rr {
+                schur[j * rr + i] = a[(npiv + i, npiv + j)];
+            }
+        }
+        (panel, schur)
+    }
+
     /// Factor `a` (order `nf`, `npiv` pivots) once contiguously and once
     /// with the pivot columns and the trailing block in separate, tightly
     /// packed buffers; every lower entry must agree bit for bit.
@@ -614,16 +653,6 @@ mod tests {
         let mut r = det_rng((nf * 1000 + npiv) as u64);
         let a = DMat::random_spd(nf, &mut r);
         let rr = nf - npiv;
-        let split_of = |a: &DMat| {
-            let panel: Vec<f64> = a.as_slice()[..nf * npiv].to_vec();
-            let mut schur = vec![0.0; rr * rr];
-            for j in 0..rr {
-                for i in j..rr {
-                    schur[j * rr + i] = a[(npiv + i, npiv + j)];
-                }
-            }
-            (panel, schur)
-        };
         let check = |what: &str, f: &DMat, panel: &[f64], schur: &[f64]| {
             for j in 0..nf {
                 for i in j..nf {
@@ -642,15 +671,15 @@ mod tests {
         };
         let mut f = a.clone();
         partial_potrf(nf, npiv, f.as_mut_slice(), nf).unwrap();
-        let (mut panel, mut schur) = split_of(&a);
-        partial_potrf_split(nf, npiv, &mut panel, nf, &mut schur, rr).unwrap();
+        let (mut panel, mut schur) = split_of(&a, npiv);
+        partial_potrf_split(nf, npiv, &mut panel, nf, &mut schur, rr, 1).unwrap();
         check("llt", &f, &panel, &schur);
         let mut f = a.clone();
         let mut d = vec![0.0; npiv];
         partial_ldlt(nf, npiv, f.as_mut_slice(), nf, &mut d).unwrap();
-        let (mut panel, mut schur) = split_of(&a);
+        let (mut panel, mut schur) = split_of(&a, npiv);
         let mut d2 = vec![0.0; npiv];
-        partial_ldlt_split(nf, npiv, &mut panel, nf, &mut schur, rr, &mut d2).unwrap();
+        partial_ldlt_split(nf, npiv, &mut panel, nf, &mut schur, rr, &mut d2, 1).unwrap();
         check("ldlt", &f, &panel, &schur);
         assert_eq!(d, d2);
     }
@@ -674,6 +703,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_thread_count_leaves_the_bits_of_one_thread() {
+        // (nf, npiv): fewer columns than threads in every update, no
+        // pivots, one and several panels with a Schur block, none, and a
+        // Schur update with `k > KC`. The last four are too many
+        // interpreted flops for Miri; the first two walk the same code.
+        let shapes = [
+            (5usize, 3usize),
+            (6, 0),
+            (60, 25),
+            (97, 40),
+            (130, 130),
+            (300, pack::KC + 20),
+        ];
+        let shapes = &shapes[..if cfg!(miri) { 2 } else { shapes.len() }];
+        for &(nf, npiv) in shapes {
+            let mut r = det_rng((nf * 1000 + npiv) as u64 + 3);
+            let a = DMat::random_spd(nf, &mut r);
+            let b = DMat::from_fn(nf, nf, |_, _| r());
+            let rr = nf - npiv;
+            let (panel, schur) = split_of(&a, npiv);
+            let run = |threads| {
+                let (mut lp, mut ls) = (panel.clone(), schur.clone());
+                partial_potrf_split(nf, npiv, &mut lp, nf, &mut ls, rr, threads).unwrap();
+                let (mut dp, mut ds, mut d) = (panel.clone(), schur.clone(), vec![0.0; npiv]);
+                partial_ldlt_split(nf, npiv, &mut dp, nf, &mut ds, rr, &mut d, threads).unwrap();
+                // The update helper alone, on a tall trapezoid with `k = nf`
+                // and two different operands.
+                let mut c = panel.clone();
+                let (a, b) = (a.as_slice(), b.as_slice());
+                gemm_nt_ln(nf, npiv, nf, -1.0, a, nf, b, nf, &mut c, nf, threads);
+                [lp, ls, dp, ds, d, c]
+            };
+            let want = run(1);
+            for threads in 2..=4 {
+                for (what, (w, g)) in want.iter().zip(run(threads)).enumerate() {
+                    let diff = w
+                        .iter()
+                        .zip(&g)
+                        .position(|(w, g)| w.to_bits() != g.to_bits());
+                    assert_eq!(
+                        diff, None,
+                        "nf={nf} npiv={npiv} threads={threads} output {what}"
+                    );
+                }
+            }
+        }
+    }
+
     /// [`partial_potrf_split`] as it stood before the left-looking
     /// kernel, verbatim: after each panel, everything right of it takes
     /// that panel's update. The oracle the new kernel must reproduce bit
@@ -693,7 +771,7 @@ mod tests {
             let jb = NB.min(npiv - j);
             let j1 = j + jb;
             let rest = nf - j1;
-            potrf_panel(nf - j, jb, &mut panel[at(ldp, j, j)..], ldp, j)?;
+            potrf_panel(nf - j, jb, &mut panel[at(ldp, j, j)..], ldp, j, 1)?;
             if rest == 0 {
                 break;
             }
@@ -702,7 +780,7 @@ mod tests {
             // block.
             let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
             let l21 = &done[at(ldp, j1, j)..];
-            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp);
+            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp, 1);
             if r > 0 {
                 syrk_ln(r, jb, -1.0, &l21[npiv - j1..], ldp, 1.0, schur, lds);
             }
@@ -755,7 +833,7 @@ mod tests {
         for isa in Isa::supported() {
             let (mut got_p, mut got_s) = (panel.clone(), schur.clone());
             pack::on_isa(isa, || {
-                partial_potrf_split(nf, npiv, &mut got_p, ldp, &mut got_s, lds)
+                partial_potrf_split(nf, npiv, &mut got_p, ldp, &mut got_s, lds, 1)
             })
             .expect("diagonally dominant");
             for (what, want, got) in [
@@ -798,6 +876,6 @@ mod tests {
     fn empty_matrix_is_fine() {
         potrf(0, &mut [], 1).unwrap();
         partial_potrf(0, 0, &mut [], 1).unwrap();
-        partial_potrf_split(0, 0, &mut [], 1, &mut [], 1).unwrap();
+        partial_potrf_split(0, 0, &mut [], 1, &mut [], 1, 1).unwrap();
     }
 }

@@ -60,10 +60,10 @@ wire_enum! {
     /// Instrumented phases of the numeric factorization, each with its
     /// stable wire name.
     ///
-    /// `Panel` covers the partial dense factorization of a front; for engines
-    /// whose kernel fuses the trailing update into the panel loop (the
-    /// sequential path) it includes that update, while the SMP big-front path
-    /// reports the threaded trailing update separately as `Gemm`.
+    /// On the host engines (sequential, SMP subtrees and top) an LLᵀ front
+    /// times its pivot columns, with each panel's update from the panels
+    /// left of it, as `Panel` and its one Schur update as `Gemm`, at any
+    /// thread count; an LDLᵀ front is timed whole as `Panel`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Phase {
         /// Front assembly: scatter of original-matrix entries plus extend-add
