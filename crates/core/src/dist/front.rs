@@ -18,6 +18,7 @@ use parfact_dense::chol;
 use parfact_mpsim::collective::{bcast, ibcast, Group};
 use parfact_mpsim::Rank;
 use parfact_trace::Phase;
+use std::sync::Arc;
 
 use crate::error::FactorError;
 use crate::factor::FactorWriter;
@@ -287,10 +288,12 @@ impl DistFront {
         let t_l11 = tag(s, PHASE_L11);
         let t_row = tag(s, PHASE_ROWCAST);
         let t_col = tag(s, PHASE_COLCAST);
-        // Broadcast a `len`-value piece. The three streams reuse one tag
-        // per supernode, so a message duplicated by an injected link fault
-        // puts a stream out of step: a typed error, not an index panic.
-        let cast = |rank: &mut Rank, group: &Group, root, v: Option<Vec<f64>>, t, len| {
+        // Broadcast a `len`-value piece. The pieces travel shared: every
+        // rank of a tree gets the root's buffer, and the wire size is the
+        // vector's. The three streams reuse one tag per supernode, so a
+        // message duplicated by an injected link fault puts a stream out
+        // of step: a typed error, not an index panic.
+        let cast = |rank: &mut Rank, group: &Group, root, v: Option<Piece>, t, len| {
             let piece = if overlap {
                 ibcast(rank, group, root, v, t)
             } else {
@@ -306,6 +309,8 @@ impl DistFront {
         let my_col_group = Group::new((0..pr).map(|gr| self.rank_at(gr, my.1)).collect());
         // The not-yet-drained previous panel (lookahead window of 1).
         let mut pending: Option<PanelPieces> = None;
+        // The operand buffer of the last panel drained, for the next one.
+        let mut spare = Vec::new();
         for bk in 0..npanels {
             let k0 = bk * nb;
             let jb = nb.min(w - k0);
@@ -322,17 +327,18 @@ impl DistFront {
             // --- B1. Diagonal block (it heads its strip): factor its
             // leading jb columns, then broadcast L11 down the panel's grid
             // column. ---
-            let mut l11: Vec<f64> = Vec::new();
+            let mut l11 = Piece::default();
             if my == (br, bc) {
                 let (_, ld, blk) = self.strip_mut(bk);
                 chol::partial_potrf(m_bk, jb, blk, ld)
                     .map_err(|e| FactorError::from_dense(e, col_base + k0))?;
                 rank.compute_as(flops_partial(m_bk, jb), Phase::Panel, Some(s));
                 // Compact copy of the jb x jb lower L11.
-                l11 = vec![0.0; jb * jb];
+                let mut lower = vec![0.0; jb * jb];
                 for t in 0..jb {
-                    l11[t * jb + t..(t + 1) * jb].copy_from_slice(&blk[t * ld + t..t * ld + jb]);
+                    lower[t * jb + t..(t + 1) * jb].copy_from_slice(&blk[t * ld + t..t * ld + jb]);
                 }
+                l11 = Arc::new(lower);
             }
             if my.1 == bc && pr > 1 {
                 let root = if my == (br, bc) { Some(l11) } else { None };
@@ -351,30 +357,44 @@ impl DistFront {
 
             // --- B3. Row-wise broadcast of panel pieces (binomial within
             // each grid row): the first jb columns of block (bi, bk), for
-            // every block row bi congruent to my grid row, land stacked in
-            // `a` — my local rows from block row bk down, by jb. ---
+            // every block row bi congruent to my grid row, my local rows
+            // from block row bk down. ---
             let a_r0 = self.row_start(bk);
             let lda = self.mloc - a_r0;
-            let mut a = vec![0.0f64; lda * jb];
+            let mut rows: Vec<Piece> = Vec::new();
             for bi in (bk..nblk).filter(|bi| bi % pr == my.0) {
                 let (m, off) = (mrows(bi), (bi / pr) * nb - a_r0);
                 // On grid column bc the strip of bk starts at a_r0 too.
-                let mine = (my.1 == bc).then(|| rows_of(&self.strips[bk / pc], lda, off, m, jb));
-                let piece = match mine {
+                let mine =
+                    (my.1 == bc).then(|| Arc::new(rows_of(&self.strips[bk / pc], lda, off, m, jb)));
+                rows.push(match mine {
                     Some(piece) if pc == 1 => piece,
                     root => cast(rank, &my_row_group, bc, root, t_row, m * jb)?,
-                };
-                set_rows(&mut a, lda, off, m, &piece);
+                });
             }
+            // The pieces tile my rows from block row bk down, so stacking
+            // them column by column writes all of `a`.
+            let mut a = std::mem::take(&mut spare);
+            a.clear();
+            for j in 0..jb {
+                for piece in &rows {
+                    let m = piece.len() / jb;
+                    a.extend_from_slice(&piece[j * m..(j + 1) * m]);
+                }
+            }
+            debug_assert_eq!(a.len(), lda * jb);
 
             // --- B4. Column-wise broadcast of transposed operands (binomial
             // within each grid column): the panel piece of block row bj, for
             // every block column bj congruent to my grid column, is one
-            // entry of `b`: each strip multiplies by its own piece only. ---
+            // entry of `b`: each strip multiplies by its own piece only. The
+            // root of each cast is the rank of block row bj, which forwards
+            // the row piece B3 gave it (`rows` holds my block rows from bk
+            // on, every pr-th). ---
             let mut b = Vec::new();
             for bj in (bk..nblk).filter(|bj| bj % pc == my.1) {
                 let (m, sr) = (mrows(bj), bj % pr);
-                let mine = (my.0 == sr).then(|| rows_of(&a, lda, (bj / pr) * nb - a_r0, m, jb));
+                let mine = (my.0 == sr).then(|| Arc::clone(&rows[(bj - bk) / pr]));
                 b.push(match mine {
                     Some(piece) if pr == 1 => piece,
                     root => cast(rank, &my_col_group, sr, root, t_col, m * jb)?,
@@ -390,11 +410,12 @@ impl DistFront {
             if overlap {
                 if let Some(p) = pending.take() {
                     self.apply_panel(&p, rank, |bj| bj != bk);
+                    spare = p.a;
                 }
                 pending = Some(current);
             } else {
                 self.apply_panel(&current, rank, |_| true);
-                pending = None;
+                spare = current.a;
             }
         }
         if let Some(p) = pending.take() {
@@ -463,8 +484,12 @@ struct PanelPieces {
     bk: usize,
     jb: usize,
     a: Vec<f64>,
-    b: Vec<Vec<f64>>,
+    b: Vec<Piece>,
 }
+
+/// A broadcast panel piece: compact, column-major, shared by every rank
+/// that received it.
+type Piece = Arc<Vec<f64>>;
 
 /// Rows `off..off + m` of the first `n` columns of a column-major matrix
 /// with leading dimension `ld`, compacted to `m x n`.
@@ -474,13 +499,6 @@ fn rows_of(src: &[f64], ld: usize, off: usize, m: usize, n: usize) -> Vec<f64> {
         piece.extend_from_slice(&src[j * ld + off..j * ld + off + m]);
     }
     piece
-}
-
-/// Inverse of [`rows_of`]: write the compact `m`-row `piece` back.
-fn set_rows(dst: &mut [f64], ld: usize, off: usize, m: usize, piece: &[f64]) {
-    for (j, col) in piece.chunks_exact(m).enumerate() {
-        dst[j * ld + off..j * ld + off + m].copy_from_slice(col);
-    }
 }
 
 /// Tag for `(supernode, phase)` — phases within a supernode are disjoint,

@@ -29,8 +29,10 @@ use crate::factor::{Factor, FactorKind};
 use crate::mapping::Plan;
 use crate::smp::resolve_threads;
 use crate::sweep::{self, Sweep};
+use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder};
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// Smallest solve `SolveEngine::Auto` spreads over threads, in units of
 /// [`solve_work`]. Below it, starting the two thread scopes (about 50 µs on
@@ -60,18 +62,46 @@ pub fn solve_smp_many(
     nrhs: usize,
     threads: usize,
 ) -> Result<Vec<f64>, FactorError> {
-    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::disabled()).map(|(x, _)| x)
+    let plans = Plans::default();
+    solve_smp_many_traced(factor, b, nrhs, threads, &plans, &Collector::disabled()).map(|(x, _)| x)
+}
+
+/// The subtree plans of one analysis, one per thread count, each built on
+/// first use. A plan depends only on the analysis, so a solver keeps them
+/// across its solves and refactorizations.
+#[derive(Default)]
+pub(crate) struct Plans(Mutex<Vec<Arc<Plan>>>);
+
+impl Plans {
+    /// The plan of `sym` on `threads` threads.
+    pub(crate) fn get(&self, sym: &Symbolic, threads: usize) -> Arc<Plan> {
+        let mut plans = self.0.lock().expect("a solve panicked building a plan");
+        if let Some(p) = plans.iter().find(|p| p.threads == threads) {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(Plan::new(sym, threads));
+        plans.push(Arc::clone(&p));
+        p
+    }
+
+    /// How many plans are kept.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
 }
 
 /// [`solve_smp_many`] with instrumentation: one `Phase::Solve` span per
 /// supernode per sweep lands on the lane of the thread that ran it (the
-/// top on lane 0) when `tr` records spans. Also returns how many threads
-/// swept: the threads that own a local subtree, at least one.
+/// top on lane 0) when `tr` records spans. The schedule comes from
+/// `plans`. Also returns how many threads swept: the threads that own a
+/// local subtree, at least one.
 pub(crate) fn solve_smp_many_traced(
     factor: &Factor,
     b: &[f64],
     nrhs: usize,
     threads: usize,
+    plans: &Plans,
     tr: &Collector,
 ) -> Result<(Vec<f64>, usize), FactorError> {
     let sym = &factor.sym;
@@ -85,7 +115,7 @@ pub(crate) fn solve_smp_many_traced(
     if nthreads <= 1 || sym.nsuper() <= 1 || nrhs == 0 {
         return Ok((factor.try_solve_many(b, nrhs)?, 1));
     }
-    let plan = Plan::new(sym, nthreads);
+    let plan = plans.get(sym, nthreads);
     let mut x = sweep::permute_in(&factor.perm, b, nrhs);
     solve(&plan, factor, &mut x, nrhs, tr);
     Ok((sweep::permute_out(&factor.perm, &x, nrhs), plan.workers()))

@@ -112,6 +112,9 @@ pub struct SparseCholesky {
     /// Solve-phase accumulator (counts, time, flops, spans). Interior
     /// mutability keeps `solve_with` callable through `&self`.
     solve_stats: SolveStats,
+    /// The mapped solve's subtree plans, one per thread count: they depend
+    /// only on the analysis, so every solve and refactorization reuses them.
+    solve_plans: smp_solve::Plans,
 }
 
 impl SparseCholesky {
@@ -184,6 +187,7 @@ impl SparseCholesky {
             ap,
             ws,
             solve_stats: SolveStats::default(),
+            solve_plans: smp_solve::Plans::default(),
         })
     }
 
@@ -321,8 +325,14 @@ impl SparseCholesky {
             SolveEngine::Auto => 0,
             SolveEngine::Smp { threads } => threads,
         };
-        let (mut x, threads) =
-            smp_solve::solve_smp_many_traced(&self.factor, &bs, nrhs, threads, &tr)?;
+        let (mut x, threads) = smp_solve::solve_smp_many_traced(
+            &self.factor,
+            &bs,
+            nrhs,
+            threads,
+            &self.solve_plans,
+            &tr,
+        )?;
         // Iterative refinement, per column, in the permuted space of the
         // matrix actually factored (no original-matrix argument needed).
         // `sweeps` counts the column sweep pairs and `products` the
@@ -1183,6 +1193,35 @@ mod tests {
                 assert_eq!(s.to_bits(), p.to_bits(), "col={col}");
             }
         }
+    }
+
+    #[test]
+    fn mapped_solves_reuse_one_plan_per_thread_count() {
+        let a = gen::laplace2d(12, 12, gen::Stencil2d::FivePoint);
+        let b = vec![1.0; a.nrows()];
+        let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+        let solve = |chol: &SparseCholesky, threads| {
+            let opts = SolveOpts::new().engine(SolveEngine::Smp { threads });
+            chol.solve_with(RhsBlock::single(&b), &opts).unwrap().x
+        };
+        let first = solve(&chol, 2);
+        assert_eq!(chol.solve_plans.len(), 1, "the mapped solve keeps its plan");
+        let plan = chol.solve_plans.get(&chol.factor.sym, 2);
+        solve(&chol, 3);
+        assert_eq!(chol.solve_plans.len(), 2, "one plan per thread count");
+        chol.refactorize(&a, Engine::Sequential).unwrap();
+        chol.refactorize(&a, Engine::Smp(SmpOpts { threads: 2 }))
+            .unwrap();
+        let again = solve(&chol, 2);
+        assert!(
+            Arc::ptr_eq(&plan, &chol.solve_plans.get(&chol.factor.sym, 2)),
+            "refactorization and solves keep the 2-thread plan"
+        );
+        assert_eq!(chol.solve_plans.len(), 2);
+        assert!(first
+            .iter()
+            .zip(&again)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -211,6 +211,52 @@ mod tests {
     }
 
     #[test]
+    fn ibcast_of_an_arc_shares_the_root_buffer_at_the_vecs_cost() {
+        use crate::{FaultPlan, RankStats};
+        use std::sync::Arc;
+        // Every member of a 6-rank tree ends up holding the root's one
+        // allocation, and the machine charges exactly what it charges for
+        // the same broadcast of a plain vector — also when an injected
+        // duplicate puts a second copy on a link.
+        for (dups, plan) in [
+            (0, FaultPlan::new()),
+            (1, FaultPlan::new().duplicate_link(0, 1)),
+        ] {
+            let run = |shared: bool| {
+                let r = Machine::new(6, CostModel::bluegene_p())
+                    .fault_plan(plan.clone())
+                    .run(move |rank| {
+                        let g = Group::new((0..rank.nranks()).collect());
+                        let value = (rank.rank() == 0).then(|| vec![0.5f64; 100]);
+                        if shared {
+                            ibcast(rank, &g, 0, value.map(Arc::new), 3)
+                        } else {
+                            Arc::new(ibcast(rank, &g, 0, value, 3))
+                        }
+                    });
+                // The mailbox high-water mark is physical, not modelled.
+                let stats: Vec<RankStats> = r
+                    .stats
+                    .iter()
+                    .map(|s| RankStats {
+                        queue_peak: 0,
+                        ..*s
+                    })
+                    .collect();
+                (r.results, stats)
+            };
+            let (shared, shared_stats) = run(true);
+            let (copied, copied_stats) = run(false);
+            assert!(shared.iter().all(|x| Arc::ptr_eq(x, &shared[0])));
+            assert!(copied.iter().all(|x| x == &shared[0]));
+            assert_eq!(shared_stats, copied_stats);
+            // Five tree edges, plus the injected copy.
+            let sent: u64 = shared_stats.iter().map(|s| s.msgs_sent).sum();
+            assert_eq!(sent, 5 + dups);
+        }
+    }
+
+    #[test]
     fn bcast_cost_scales_logarithmically() {
         // With pipelining-free binomial trees, bcast time ~ ceil(log2 p)
         // sequential hops for small messages.

@@ -4,6 +4,15 @@
 //! values — no serialization. What the cost model needs is the *wire size*,
 //! which each payload type reports via [`Payload::nbytes`] (payload bytes
 //! only; the per-message envelope is folded into α).
+//!
+//! **Shared payloads.** An `Arc<T>` is a payload whose wire size is its
+//! `T`'s: the model charges it exactly as the value itself, while the host
+//! hands every receiver the sender's allocation. A broadcast of an
+//! `Arc<Vec<f64>>` therefore costs one buffer however many ranks it
+//! reaches, where a `Vec` is copied once per tree edge (and once more per
+//! injected duplicate) — same virtual statistics, less host work.
+
+use std::sync::Arc;
 
 /// A value that can be sent between ranks.
 ///
@@ -39,6 +48,12 @@ impl<T: Send + 'static + Copy> Payload for Vec<T> {
     }
 }
 
+impl<T: Payload + Sync> Payload for Arc<T> {
+    fn nbytes(&self) -> usize {
+        (**self).nbytes()
+    }
+}
+
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn nbytes(&self) -> usize {
         self.0.nbytes() + self.1.nbytes()
@@ -68,6 +83,12 @@ mod tests {
         assert_eq!(vec![0f64; 10].nbytes(), 80);
         assert_eq!(vec![0u32; 3].nbytes(), 12);
         assert_eq!(Vec::<f64>::new().nbytes(), 0);
+    }
+
+    #[test]
+    fn shared_sizes_are_the_values() {
+        assert_eq!(Arc::new(vec![0f64; 10]).nbytes(), 80);
+        assert_eq!(Arc::new(7u32).nbytes(), 4);
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //! to minimum degree below a size cutoff. The separator hierarchy is what
 //! gives the assembly tree its balanced binary shape — the property the
 //! subtree-to-subcube mapping in `parfact-core` exploits.
+//!
+//! Each subproblem is a task on a pool of workers. A task owns only its
+//! subgraph (`u32` arrays, unit weights implied) and its global ids; every
+//! worker keeps one `Worker` workspace — the bisection's level graphs and
+//! refinement state, the minimum-degree arrays, the separator marks — and
+//! reuses it for every task it runs. The separator is read off the
+//! refinement's boundary list, and both halves are cut out in one pass.
 
-use crate::mindeg::min_degree;
-use crate::partition::{bisect_side, PartOpts, WGraph};
+use crate::mindeg::MinDegree;
+use crate::partition::{narrow, Bisector, Graph, PartOpts};
 use parfact_sparse::graph::AdjGraph;
 use parfact_sparse::perm::Perm;
 use parfact_trace::{Collector, LocalRecorder, Phase};
@@ -35,27 +42,29 @@ impl Default for NdOpts {
 /// boundary of whichever side has the smaller boundary. Removing it leaves
 /// no edge between the remaining parts of side 0 and side 1.
 pub fn vertex_separator(g: &AdjGraph, side: &[u8]) -> Vec<bool> {
-    separator(g.xadj(), g.adjncy(), side)
+    let n = g.nvert();
+    let boundary: Vec<u32> = (0..n)
+        .filter(|&v| g.neighbors(v).iter().any(|&u| side[u] != side[v]))
+        .map(|v| v as u32)
+        .collect();
+    let mut in_sep = Vec::new();
+    separator(&boundary, side, &mut in_sep);
+    in_sep
 }
 
-/// [`vertex_separator`] of the graph `(xadj, adjncy)`.
-fn separator(xadj: &[usize], adjncy: &[usize], side: &[u8]) -> Vec<bool> {
-    let n = xadj.len() - 1;
-    let mut b: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-    for v in 0..n {
-        if adjncy[xadj[v]..xadj[v + 1]]
-            .iter()
-            .any(|&u| side[u] != side[v])
-        {
-            b[side[v] as usize].push(v);
+/// Mark in `in_sep` (one entry per vertex of `side`) the vertices of
+/// `boundary` — those with a neighbour across the cut — on the side with
+/// fewer of them (side 0 on a tie).
+fn separator(boundary: &[u32], side: &[u8], in_sep: &mut Vec<bool>) {
+    let on1 = boundary.iter().filter(|&&v| side[v as usize] == 1).count();
+    let pick = u8::from(boundary.len() - on1 > on1);
+    in_sep.clear();
+    in_sep.resize(side.len(), false);
+    for &v in boundary {
+        if side[v as usize] == pick {
+            in_sep[v as usize] = true;
         }
     }
-    let pick = if b[0].len() <= b[1].len() { 0 } else { 1 };
-    let mut in_sep = vec![false; n];
-    for &v in &b[pick] {
-        in_sep[v] = true;
-    }
-    in_sep
 }
 
 /// Stable content hash seeding each subproblem's RNG: FNV-1a over the
@@ -65,7 +74,7 @@ fn separator(xadj: &[usize], adjncy: &[usize], side: &[u8]) -> Vec<bool> {
 /// before it — the prerequisite for thread-count-independent output (and a
 /// reproducibility fix in its own right: repeated calls on the same
 /// subgraph now reproduce the same stream).
-fn subgraph_seed(base: u64, depth: usize, ids: &[usize]) -> u64 {
+fn subgraph_seed(base: u64, depth: usize, ids: &[u32]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     fn eat(h: &mut u64, x: u64) {
         for b in x.to_le_bytes() {
@@ -92,96 +101,150 @@ struct Task {
     /// the parent's bisection time, independent of completion order.
     offset: usize,
     /// Unit-weight subgraph with sorted adjacency lists.
-    sub: WGraph,
-    /// Global vertex ids, parallel to `sub`'s local numbering.
-    ids: Vec<usize>,
+    xadj: Vec<u32>,
+    adjncy: Vec<u32>,
+    /// Global vertex ids, parallel to the subgraph's local numbering.
+    ids: Vec<u32>,
     depth: usize,
 }
 
-/// Process one task: order it outright (leaf / degenerate split) or bisect
-/// and hand both halves to `spawn`. Finished blocks land in `done` as
-/// `(offset, ordered global ids)`.
-fn run_task(
-    task: Task,
-    opts: &NdOpts,
-    rec: &mut LocalRecorder<'_>,
-    done: &mut Vec<(usize, Vec<usize>)>,
-    spawn: &mut dyn FnMut(Task),
-) {
-    let Task {
-        path,
-        offset,
-        sub,
-        ids,
-        depth,
-    } = task;
-    let sn = sub.nvert();
-    let mindeg_leaf = |sub: WGraph, rec: &mut LocalRecorder<'_>, done: &mut Vec<_>| {
-        let t = rec.start();
-        let p = min_degree(&AdjGraph::from_parts(sub.xadj, sub.adjncy));
-        rec.stop(t, Phase::Mindeg, Some(path));
-        done.push((offset, p.perm().iter().map(|&l| ids[l]).collect()));
-    };
-    if sn <= opts.cutoff || depth > 64 {
-        mindeg_leaf(sub, rec, done);
-        return;
+/// Ordered blocks of one worker: block `(offset, len)` puts the next `len`
+/// ids of `ids` at positions `offset..offset + len` of the final order.
+#[derive(Default)]
+struct Done {
+    blocks: Vec<(usize, usize)>,
+    ids: Vec<u32>,
+}
+
+impl Done {
+    fn push(&mut self, offset: usize, ids: impl Iterator<Item = u32>) {
+        let start = self.ids.len();
+        self.ids.extend(ids);
+        self.blocks.push((offset, self.ids.len() - start));
     }
-    let mut popts = opts.part;
-    popts.seed = subgraph_seed(opts.part.seed, depth, &ids);
-    let side = bisect_side(&sub, &popts, rec, Some(path));
-    let t = rec.start();
-    let in_sep = separator(&sub.xadj, &sub.adjncy, &side);
-    // Index of each non-separator vertex within its half.
-    let mut local = vec![usize::MAX; sn];
-    let mut size = [0usize; 2];
-    for v in (0..sn).filter(|&v| !in_sep[v]) {
-        let h = side[v] as usize;
-        local[v] = size[h];
-        size[h] += 1;
-    }
-    // Degenerate split (e.g. a clique): separator swallowed a side. Fall
-    // back to minimum degree to guarantee progress.
-    if size[0] == 0 || size[1] == 0 {
-        rec.stop(t, Phase::Bisect, Some(path));
-        mindeg_leaf(sub, rec, done);
-        return;
-    }
-    // Children are ordered before their separator; their block positions
-    // follow from the split sizes alone.
-    let sep_globals = (0..sn).filter(|&v| in_sep[v]).map(|v| ids[v]).collect();
-    done.push((offset + size[0] + size[1], sep_globals));
-    for (half, child_offset) in [(0u8, offset), (1, offset + size[0])] {
-        // A non-separator vertex has all its non-separator neighbours on
-        // its own side, and `local` increases with `v` within a side, so
-        // the rows come out sorted.
-        let len = size[half as usize];
-        let verts = (0..sn).filter(|&v| side[v] == half && !in_sep[v]);
-        let mut xadj = Vec::with_capacity(len + 1);
-        xadj.push(0);
-        let mut adjncy =
-            Vec::with_capacity(verts.clone().map(|v| sub.xadj[v + 1] - sub.xadj[v]).sum());
-        let mut ids_h = Vec::with_capacity(len);
-        for v in verts {
-            let nbrs = &sub.adjncy[sub.xadj[v]..sub.xadj[v + 1]];
-            adjncy.extend(nbrs.iter().filter(|&&u| !in_sep[u]).map(|&u| local[u]));
-            xadj.push(adjncy.len());
-            ids_h.push(ids[v]);
+}
+
+/// The workspace of one nested-dissection worker, reused by every task it
+/// runs.
+#[derive(Default)]
+struct Worker {
+    bisector: Bisector,
+    mindeg: MinDegree,
+    /// All ones: the vertex and edge weights of every task's subgraph.
+    unit: Vec<i32>,
+    /// The task's vertex degrees, its weighted degrees under unit weights.
+    wdeg: Vec<i32>,
+    /// Index of each vertex within its half.
+    local: Vec<u32>,
+    in_sep: Vec<bool>,
+    /// A leaf's order in local numbering.
+    leaf: Vec<u32>,
+    done: Done,
+}
+
+impl Worker {
+    /// Process one task: order it outright (leaf / degenerate split) or
+    /// bisect and hand both halves to `spawn`.
+    fn run(
+        &mut self,
+        task: Task,
+        opts: &NdOpts,
+        rec: &mut LocalRecorder<'_>,
+        spawn: &mut dyn FnMut(Task),
+    ) {
+        let Task {
+            path,
+            offset,
+            xadj,
+            adjncy,
+            ids,
+            depth,
+        } = task;
+        let sn = ids.len();
+        if sn > opts.cutoff && depth <= 64 {
+            let mut popts = opts.part;
+            popts.seed = subgraph_seed(opts.part.seed, depth, &ids);
+            if self.unit.len() < sn.max(adjncy.len()) {
+                self.unit.resize(sn.max(adjncy.len()), 1);
+            }
+            let g = Graph {
+                xadj: &xadj,
+                adjncy: &adjncy,
+                adjwgt: &self.unit[..adjncy.len()],
+                vwgt: &self.unit[..sn],
+            };
+            self.wdeg.clear();
+            self.wdeg
+                .extend(xadj.windows(2).map(|w| (w[1] - w[0]) as i32));
+            let (side, boundary) = self.bisector.bisect(g, &self.wdeg, &popts, rec, Some(path));
+            let t = rec.start();
+            separator(boundary, side, &mut self.in_sep);
+            // Index of each non-separator vertex within its half.
+            self.local.clear();
+            let (mut size, mut nnz) = ([0usize; 2], [0usize; 2]);
+            for v in 0..sn {
+                let h = side[v] as usize;
+                self.local.push(size[h] as u32);
+                if !self.in_sep[v] {
+                    size[h] += 1;
+                    nnz[h] += (xadj[v + 1] - xadj[v]) as usize;
+                }
+            }
+            // A degenerate split (e.g. a clique), where the separator
+            // swallowed a side, falls through to minimum degree to
+            // guarantee progress.
+            if size[0] > 0 && size[1] > 0 {
+                // Children are ordered before their separator; their block
+                // positions follow from the split sizes alone.
+                let in_sep = &self.in_sep;
+                self.done.push(
+                    offset + size[0] + size[1],
+                    (0..sn).filter(|&v| in_sep[v]).map(|v| ids[v]),
+                );
+                let mut halves = [0, 1].map(|h| {
+                    let mut xadj = Vec::with_capacity(size[h] + 1);
+                    xadj.push(0);
+                    Task {
+                        path: path.wrapping_mul(2).wrapping_add(h),
+                        offset: offset + h * size[0],
+                        xadj,
+                        adjncy: Vec::with_capacity(nnz[h]),
+                        ids: Vec::with_capacity(size[h]),
+                        depth: depth + 1,
+                    }
+                });
+                // A non-separator vertex has all its non-separator
+                // neighbours on its own side, and `local` increases with
+                // `v` within a side, so the rows come out sorted.
+                for v in 0..sn {
+                    if self.in_sep[v] {
+                        continue;
+                    }
+                    let half = &mut halves[side[v] as usize];
+                    let row = &adjncy[xadj[v] as usize..xadj[v + 1] as usize];
+                    half.adjncy.extend(
+                        row.iter()
+                            .filter(|&&u| !in_sep[u as usize])
+                            .map(|&u| self.local[u as usize]),
+                    );
+                    half.xadj.push(half.adjncy.len() as u32);
+                    half.ids.push(ids[v]);
+                }
+                rec.stop(t, Phase::Bisect, Some(path));
+                for half in halves {
+                    spawn(half);
+                }
+                return;
+            }
+            rec.stop(t, Phase::Bisect, Some(path));
         }
-        let adjwgt = vec![1; adjncy.len()];
-        spawn(Task {
-            path: path.wrapping_mul(2).wrapping_add(half as usize),
-            offset: child_offset,
-            sub: WGraph {
-                xadj,
-                adjncy,
-                adjwgt,
-                vwgt: vec![1; len],
-            },
-            ids: ids_h,
-            depth: depth + 1,
-        });
+        let t = rec.start();
+        self.leaf.clear();
+        self.mindeg.order(&xadj, &adjncy, &mut self.leaf);
+        self.done
+            .push(offset, self.leaf.iter().map(|&l| ids[l as usize]));
+        rec.stop(t, Phase::Mindeg, Some(path));
     }
-    rec.stop(t, Phase::Bisect, Some(path));
 }
 
 /// Why a pool lock can fail: another worker panicked holding it.
@@ -251,22 +314,30 @@ pub fn nested_dissection(g: &AdjGraph, opts: &NdOpts) -> Perm {
 /// offset, right half after it, separator last), and every subproblem's RNG
 /// is seeded by `subgraph_seed` from its own content. Min-degree leaf
 /// subgraphs are just more tasks, so they batch across the same workers.
+///
+/// # Panics
+/// If `g` has more than [`crate::partition::MAX_GRAPH`] vertices or
+/// adjacency entries: the multilevel graphs are `u32`/`i32` throughout.
 pub fn nested_dissection_with(g: &AdjGraph, opts: &NdOpts, threads: usize, tr: &Collector) -> Perm {
     let n = g.nvert();
+    let (xadj, adjncy) = narrow(g);
     let root = Task {
         path: 1,
         offset: 0,
-        sub: WGraph::from_adj(g),
-        ids: (0..n).collect(),
+        xadj,
+        adjncy,
+        ids: (0..n as u32).collect(),
         depth: 0,
     };
-    let mut chunks: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut done: Vec<Done> = Vec::new();
     if threads <= 1 {
         let mut rec = tr.local(0);
+        let mut worker = Worker::default();
         let mut stack = vec![root];
         while let Some(task) = stack.pop() {
-            run_task(task, opts, &mut rec, &mut chunks, &mut |t| stack.push(t));
+            worker.run(task, opts, &mut rec, &mut |t| stack.push(t));
         }
+        done.push(worker.done);
     } else {
         let pool = Pool {
             state: Mutex::new(PoolState {
@@ -275,29 +346,34 @@ pub fn nested_dissection_with(g: &AdjGraph, opts: &NdOpts, threads: usize, tr: &
             }),
             wake: Condvar::new(),
         };
-        let results: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
+        let results: Mutex<Vec<Done>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for w in 0..threads {
                 let (pool, results) = (&pool, &results);
                 scope.spawn(move || {
                     let mut rec = tr.local(w);
-                    let mut done: Vec<(usize, Vec<usize>)> = Vec::new();
+                    let mut worker = Worker::default();
                     let mut created = Vec::new();
                     while let Some(task) = pool.next() {
-                        run_task(task, opts, &mut rec, &mut done, &mut |t| created.push(t));
+                        worker.run(task, opts, &mut rec, &mut |t| created.push(t));
                         pool.retire(&mut created);
                     }
-                    results.lock().unwrap().append(&mut done);
+                    results.lock().expect(POISONED).push(worker.done);
                 });
             }
         });
-        chunks = results.into_inner().unwrap();
+        done = results.into_inner().expect(POISONED);
     }
     // Blocks carry their own offsets and tile [0, n) exactly, so assembly
     // order is irrelevant; `from_vec` re-validates permutation-ness.
     let mut order = vec![0usize; n];
-    for (offset, block) in &chunks {
-        order[*offset..offset + block.len()].copy_from_slice(block);
+    for d in &done {
+        let mut ids = d.ids.iter();
+        for &(offset, len) in &d.blocks {
+            for (slot, &id) in order[offset..offset + len].iter_mut().zip(ids.by_ref()) {
+                *slot = id as usize;
+            }
+        }
     }
     Perm::from_vec(order)
 }
@@ -431,7 +507,7 @@ mod tests {
 
     #[test]
     fn subgraph_seed_depends_on_content_only() {
-        let ids: Vec<usize> = (10..40).collect();
+        let ids: Vec<u32> = (10..40).collect();
         let a = subgraph_seed(7, 3, &ids);
         assert_eq!(a, subgraph_seed(7, 3, &ids.clone()));
         assert_ne!(a, subgraph_seed(8, 3, &ids));
@@ -464,5 +540,5 @@ mod tests {
         assert_eq!(p.len(), 8);
     }
 
-    use crate::partition::bisect;
+    use crate::partition::{bisect, WGraph};
 }

@@ -11,32 +11,79 @@
 //! Vertices carry weights (they represent contracted sets), edges carry
 //! multiplicities; balance is measured in vertex weight.
 //!
-//! Refinement keeps its gains and boundary incrementally (`Refine`).
+//! The bookkeeping is what costs, not the decisions, so it is kept lean:
+//!
+//! - **Narrow graphs.** Every level stores `u32` indices and `i32`
+//!   weights. The bound that makes this safe ([`MAX_GRAPH`]) is checked
+//!   once, where a graph enters (`WGraph::from_adj`, [`bisect_with`], the
+//!   nested-dissection root); no sum formed below it can overflow.
+//! - **One workspace per worker.** A `Bisector` owns the level graphs,
+//!   the matching and contraction arrays, the sides and the refinement
+//!   state, and reuses them across levels and calls. A buffer that is
+//!   fully overwritten is cleared and refilled, never zero-filled first.
+//! - **Incremental refinement** (`Refine`). The coarsest level is scanned
+//!   once; every finer one inherits its state by projection: a fine
+//!   vertex can only have an edge across the cut if its coarse vertex did,
+//!   so only those vertices' edges are read. The weighted degrees come out
+//!   of the contraction as a per-level array.
 
 use parfact_sparse::graph::AdjGraph;
 use parfact_trace::{Collector, LocalRecorder, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// Weighted undirected graph in compressed adjacency form.
-#[derive(Debug, Clone)]
+/// Largest vertex count, adjacency length (twice the edge count) and total
+/// vertex or edge weight a multilevel graph may have: `i32::MAX / 2`, about
+/// 1.07 · 10⁹. Contraction only merges weight, so a gain `2·ext − wdeg`
+/// and every per-vertex sum of any level fit an `i32`, and vertex ids and
+/// offsets fit a `u32` with one value to spare as the empty mark.
+pub const MAX_GRAPH: usize = i32::MAX as usize / 2;
+
+/// Empty slot of the index arrays below.
+const NONE: u32 = u32::MAX;
+
+/// Narrow an adjacency graph to `u32` arrays, checking [`MAX_GRAPH`].
+///
+/// # Panics
+/// If the graph has more than [`MAX_GRAPH`] vertices or adjacency entries.
+pub(crate) fn narrow(g: &AdjGraph) -> (Vec<u32>, Vec<u32>) {
+    assert!(
+        g.nvert() <= MAX_GRAPH && g.adjncy().len() <= MAX_GRAPH,
+        "graph too large to order: {} vertices, {} adjacency entries (at most {MAX_GRAPH})",
+        g.nvert(),
+        g.adjncy().len()
+    );
+    (
+        g.xadj().iter().map(|&x| x as u32).collect(),
+        g.adjncy().iter().map(|&u| u as u32).collect(),
+    )
+}
+
+/// Weighted undirected graph in compressed adjacency form, within the
+/// bounds of [`MAX_GRAPH`].
+#[derive(Debug, Clone, Default)]
 pub struct WGraph {
-    pub xadj: Vec<usize>,
-    pub adjncy: Vec<usize>,
-    /// Edge weights, parallel to `adjncy`.
-    pub adjwgt: Vec<i64>,
-    /// Vertex weights.
-    pub vwgt: Vec<i64>,
+    pub xadj: Vec<u32>,
+    pub adjncy: Vec<u32>,
+    /// Edge weights, parallel to `adjncy`; positive.
+    pub adjwgt: Vec<i32>,
+    /// Vertex weights; positive.
+    pub vwgt: Vec<i32>,
 }
 
 impl WGraph {
     /// Unit-weight graph from an adjacency graph.
+    ///
+    /// # Panics
+    /// If `g` exceeds [`MAX_GRAPH`].
     pub fn from_adj(g: &AdjGraph) -> Self {
+        let (xadj, adjncy) = narrow(g);
         WGraph {
-            xadj: g.xadj().to_vec(),
-            adjncy: g.adjncy().to_vec(),
-            adjwgt: vec![1; g.adjncy().len()],
+            adjwgt: vec![1; adjncy.len()],
             vwgt: vec![1; g.nvert()],
+            xadj,
+            adjncy,
         }
     }
 
@@ -44,25 +91,51 @@ impl WGraph {
         self.vwgt.len()
     }
 
-    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
-        let (lo, hi) = (self.xadj[v], self.xadj[v + 1]);
-        self.adjncy[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[lo..hi].iter().copied())
-    }
-
     pub fn total_vwgt(&self) -> i64 {
-        self.vwgt.iter().sum()
+        self.vwgt.iter().map(|&w| w as i64).sum()
     }
 
     /// Sum of edge weights crossing the bipartition.
     pub fn cut(&self, side: &[u8]) -> i64 {
-        let mut cut = 0;
+        self.view().cut(side)
+    }
+
+    fn view(&self) -> Graph<'_> {
+        Graph {
+            xadj: &self.xadj,
+            adjncy: &self.adjncy,
+            adjwgt: &self.adjwgt,
+            vwgt: &self.vwgt,
+        }
+    }
+}
+
+/// A borrowed [`WGraph`]: one level of the V-cycle, or a nested-dissection
+/// subgraph with unit weights that it does not own.
+#[derive(Clone, Copy)]
+pub(crate) struct Graph<'a> {
+    pub xadj: &'a [u32],
+    pub adjncy: &'a [u32],
+    pub adjwgt: &'a [i32],
+    pub vwgt: &'a [i32],
+}
+
+impl Graph<'_> {
+    fn nvert(&self) -> usize {
+        self.vwgt.len()
+    }
+
+    /// The adjacency positions of `v`.
+    fn row(&self, v: usize) -> Range<usize> {
+        self.xadj[v] as usize..self.xadj[v + 1] as usize
+    }
+
+    fn cut(&self, side: &[u8]) -> i64 {
+        let mut cut = 0i64;
         for v in 0..self.nvert() {
-            for (u, w) in self.neighbors(v) {
-                if side[u] != side[v] {
-                    cut += w;
+            for e in self.row(v) {
+                if side[self.adjncy[e] as usize] != side[v] {
+                    cut += self.adjwgt[e] as i64;
                 }
             }
         }
@@ -103,190 +176,223 @@ impl Default for PartOpts {
     }
 }
 
-/// Empty slot of the index arrays below.
-const NONE: usize = usize::MAX;
-
-/// Heavy-edge matching: unmatched vertices map to themselves, so a vertex
-/// is matched iff its mate is another vertex.
-fn heavy_edge_matching(g: &WGraph, rng: &mut StdRng) -> Vec<usize> {
+/// Heavy-edge matching into `mate` (unmatched vertices map to themselves,
+/// so a vertex is matched iff its mate is another vertex); `order` is
+/// scratch for the random visit order. Returns the number of coarse
+/// vertices, pairs and singletons.
+fn heavy_edge_matching(
+    g: Graph<'_>,
+    rng: &mut StdRng,
+    mate: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) -> usize {
     let n = g.nvert();
-    let mut mate: Vec<usize> = (0..n).collect();
-    let mut order: Vec<usize> = (0..n).collect();
+    mate.clear();
+    mate.extend(0..n as u32);
+    order.clear();
+    order.extend(0..n as u32);
     // Random visit order avoids systematic bias on meshes.
     for i in (1..n).rev() {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
     }
-    for &v in &order {
-        if mate[v] != v {
+    let mut pairs = 0;
+    for &v in order.iter() {
+        if mate[v as usize] != v {
             continue;
         }
         let mut best = NONE;
-        let mut bestw = i64::MIN;
-        for (u, w) in g.neighbors(v) {
-            if mate[u] == u && u != v && w > bestw {
+        let mut bestw = i32::MIN;
+        for e in g.row(v as usize) {
+            let (u, w) = (g.adjncy[e], g.adjwgt[e]);
+            if mate[u as usize] == u && u != v && w > bestw {
                 bestw = w;
                 best = u;
             }
         }
         if best != NONE {
-            mate[v] = best;
-            mate[best] = v;
+            mate[v as usize] = best;
+            mate[best as usize] = v;
+            pairs += 1;
         }
     }
-    mate
+    n - pairs
 }
 
-/// Contract matched pairs into a coarser graph. Returns the coarse graph
-/// and the fine→coarse vertex map. Coarse vertex `c` is the `c`-th pair
-/// `(v, mate[v])` with `v <= mate[v]`, so one walk over the pairs builds
-/// the graph row by row.
-fn contract(g: &WGraph, mate: &[usize]) -> (WGraph, Vec<usize>) {
+/// One level below the input graph.
+#[derive(Default)]
+struct Level {
+    g: WGraph,
+    /// Weighted degree of every vertex of `g`, summed by the contraction.
+    wdeg: Vec<i32>,
+    /// Map from the level above into `g`.
+    cmap: Vec<u32>,
+}
+
+/// Contract matched pairs of `g` into `out`. Coarse vertex `c` is the
+/// `c`-th pair `(v, mate[v])` with `v <= mate[v]`, so one walk over the
+/// pairs builds the graph row by row; `pos` is scratch.
+fn contract(g: Graph<'_>, mate: &[u32], pos: &mut Vec<u32>, out: &mut Level) {
     let n = g.nvert();
-    let mut cmap = vec![NONE; n];
-    let mut nc = 0usize;
+    let cmap = &mut out.cmap;
+    cmap.clear();
+    let mut nc = 0u32;
     for v in 0..n {
-        let m = mate[v];
-        debug_assert_eq!(mate[m], v, "matching must be symmetric");
+        let m = mate[v] as usize;
+        debug_assert_eq!(mate[m] as usize, v, "matching must be symmetric");
         if m >= v {
-            cmap[v] = nc;
-            cmap[m] = nc;
+            cmap.push(nc);
             nc += 1;
+        } else {
+            cmap.push(cmap[m]);
         }
     }
-    // Contraction never adds edges, so the fine count bounds the coarse one.
-    let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy = Vec::with_capacity(g.adjncy.len());
-    let mut adjwgt = Vec::with_capacity(g.adjncy.len());
-    let mut vwgt = Vec::with_capacity(nc);
+    let WGraph {
+        xadj,
+        adjncy,
+        adjwgt,
+        vwgt,
+    } = &mut out.g;
+    xadj.clear();
+    adjncy.clear();
+    adjwgt.clear();
+    vwgt.clear();
+    out.wdeg.clear();
     xadj.push(0);
-    let mut pos = vec![NONE; nc]; // coarse neighbor -> index in current row
+    // Coarse neighbour -> one past its index in `adjncy`; it is in the row
+    // being built iff that is past the row's start.
+    pos.clear();
+    pos.resize(nc as usize, 0);
     for v in 0..n {
-        let m = mate[v];
+        let m = mate[v] as usize;
         if m < v {
             continue;
         }
-        let c = vwgt.len();
-        let row_start = adjncy.len();
+        let c = vwgt.len() as u32;
+        let row_start = adjncy.len() as u32;
+        let mut wdeg = 0;
         let pair = [v, m];
-        let pair = &pair[..1 + usize::from(m != v)];
-        for &x in pair {
-            for (u, w) in g.neighbors(x) {
-                let cu = cmap[u];
+        for &x in &pair[..1 + usize::from(m != v)] {
+            for e in g.row(x) {
+                let cu = cmap[g.adjncy[e] as usize];
                 if cu == c {
                     continue;
                 }
-                if pos[cu] == NONE || pos[cu] < row_start {
-                    pos[cu] = adjncy.len();
+                let w = g.adjwgt[e];
+                wdeg += w;
+                let p = pos[cu as usize];
+                if p <= row_start {
                     adjncy.push(cu);
                     adjwgt.push(w);
+                    pos[cu as usize] = adjncy.len() as u32;
                 } else {
-                    adjwgt[pos[cu]] += w;
+                    adjwgt[p as usize - 1] += w;
                 }
             }
         }
-        vwgt.push(pair.iter().map(|&x| g.vwgt[x]).sum());
-        xadj.push(adjncy.len());
+        vwgt.push(g.vwgt[v] + if m != v { g.vwgt[m] } else { 0 });
+        out.wdeg.push(wdeg);
+        xadj.push(adjncy.len() as u32);
     }
-    (
-        WGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        },
-        cmap,
-    )
-}
-
-/// BFS from `start`, returning the last vertex reached (an approximation of
-/// a peripheral vertex) and marking order.
-fn bfs_far_vertex(g: &WGraph, start: usize) -> usize {
-    let n = g.nvert();
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    let mut last = start;
-    while let Some(v) = queue.pop_front() {
-        last = v;
-        for (u, _) in g.neighbors(v) {
-            if !seen[u] {
-                seen[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    last
 }
 
 /// Greedy graph growing from a pseudo-peripheral vertex: grow region 0
 /// until it holds half the vertex weight. Disconnected remainders are
-/// swept into whichever side is lighter.
-fn grow_partition(g: &WGraph, rng: &mut StdRng) -> Vec<u8> {
+/// swept into side 0 until it does. `seen` and `queue` are scratch.
+fn grow_partition(
+    g: Graph<'_>,
+    rng: &mut StdRng,
+    side: &mut Vec<u8>,
+    seen: &mut Vec<bool>,
+    queue: &mut Vec<u32>,
+) {
     let n = g.nvert();
-    let total = g.total_vwgt();
+    let total: i64 = g.vwgt.iter().map(|&w| w as i64).sum();
     let start0 = rng.gen_range(0..n);
-    let start = bfs_far_vertex(g, start0);
-    let mut side = vec![1u8; n];
-    let mut w0 = 0i64;
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    'grow: while let Some(v) = queue.pop_front() {
-        side[v] = 0;
-        w0 += g.vwgt[v];
-        if 2 * w0 >= total {
-            break 'grow;
-        }
-        for (u, _) in g.neighbors(v) {
-            if !seen[u] {
-                seen[u] = true;
-                queue.push_back(u);
+    // Breadth-first search from `start` until `stop` returns true for a
+    // dequeued vertex; returns the last vertex dequeued.
+    let mut bfs = |start: usize, stop: &mut dyn FnMut(usize) -> bool| {
+        seen.clear();
+        seen.resize(n, false);
+        queue.clear();
+        seen[start] = true;
+        queue.push(start as u32);
+        let (mut head, mut last) = (0, start);
+        while head < queue.len() {
+            let v = queue[head] as usize;
+            head += 1;
+            last = v;
+            if stop(v) {
+                break;
+            }
+            for e in g.row(v) {
+                let u = g.adjncy[e] as usize;
+                if !seen[u] {
+                    seen[u] = true;
+                    queue.push(u as u32);
+                }
             }
         }
-    }
+        last
+    };
+    // The last vertex reached approximates a peripheral vertex.
+    let start = bfs(start0, &mut |_| false);
+    side.clear();
+    side.resize(n, 1);
+    let mut w0 = 0i64;
+    bfs(start, &mut |v| {
+        side[v] = 0;
+        w0 += g.vwgt[v] as i64;
+        2 * w0 >= total
+    });
     // If the BFS exhausted a small component before reaching half weight,
     // keep growing from any unvisited vertex.
     if 2 * w0 < total {
         for v in 0..n {
             if side[v] == 1 && 2 * w0 < total {
                 side[v] = 0;
-                w0 += g.vwgt[v];
+                w0 += g.vwgt[v] as i64;
             }
         }
     }
-    side
 }
 
 /// Indexed binary max-heap of vertices keyed `(gain, vertex)`; the vertex
-/// breaks ties the way the pair compares.
+/// breaks ties the way the pair compares. Each entry packs the pair into
+/// one `u64` that orders the same way: the gain with its sign bit flipped
+/// above the vertex.
 ///
 /// A key is stored with its entry when [`GainQueue::set`] is called, never
 /// read from the live gains: a move changes every neighbour's gain before
 /// the loop that repairs their entries has reached them, and sifting one
 /// entry against live values of the others would compare keys the heap is
-/// not yet ordered by.
+/// not yet ordered by. Keys are distinct, so the order of `set` calls never
+/// changes what [`GainQueue::pop`] returns.
 #[derive(Default)]
 struct GainQueue {
-    heap: Vec<(i64, usize)>,
+    heap: Vec<u64>,
     /// Index of each vertex's entry in `heap`, or [`NONE`].
-    slot: Vec<usize>,
+    slot: Vec<u32>,
 }
 
 impl GainQueue {
+    fn key(gain: i32, v: u32) -> u64 {
+        (((gain as u32) ^ (1 << 31)) as u64) << 32 | v as u64
+    }
+
     /// Insert `v` with key `gain`, or re-key its entry.
-    fn set(&mut self, v: usize, gain: i64) {
-        match self.slot[v] {
+    fn set(&mut self, v: u32, gain: i32) {
+        let key = Self::key(gain, v);
+        match self.slot[v as usize] {
             NONE => {
-                self.heap.push((gain, v));
+                self.heap.push(key);
                 self.sift_up(self.heap.len() - 1);
             }
             i => {
-                let old = self.heap[i].0;
-                self.heap[i].0 = gain;
-                if gain > old {
+                let i = i as usize;
+                let old = self.heap[i];
+                self.heap[i] = key;
+                if key > old {
                     self.sift_up(i);
                 } else {
                     self.sift_down(i);
@@ -295,8 +401,8 @@ impl GainQueue {
         }
     }
 
-    /// Remove and return the entry with the largest key.
-    fn pop(&mut self) -> Option<(i64, usize)> {
+    /// Remove and return the entry with the largest key as `(gain, v)`.
+    fn pop(&mut self) -> Option<(i32, u32)> {
         let last = self.heap.pop()?;
         let top = match self.heap.first() {
             None => last,
@@ -306,13 +412,14 @@ impl GainQueue {
                 top
             }
         };
-        self.slot[top.1] = NONE;
-        Some(top)
+        let v = top as u32;
+        self.slot[v as usize] = NONE;
+        Some((((top >> 32) as u32 ^ (1 << 31)) as i32, v))
     }
 
     fn clear(&mut self) {
-        for &(_, v) in &self.heap {
-            self.slot[v] = NONE;
+        for &key in &self.heap {
+            self.slot[key as u32 as usize] = NONE;
         }
         self.heap.clear();
     }
@@ -325,11 +432,11 @@ impl GainQueue {
                 break;
             }
             self.heap[i] = self.heap[p];
-            self.slot[self.heap[i].1] = i;
+            self.slot[self.heap[i] as u32 as usize] = i as u32;
             i = p;
         }
         self.heap[i] = e;
-        self.slot[e.1] = i;
+        self.slot[e as u32 as usize] = i as u32;
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -347,72 +454,107 @@ impl GainQueue {
                 break;
             }
             self.heap[i] = self.heap[c];
-            self.slot[self.heap[i].1] = i;
+            self.slot[self.heap[i] as u32 as usize] = i as u32;
             i = c;
         }
         self.heap[i] = e;
-        self.slot[e.1] = i;
+        self.slot[e as u32 as usize] = i as u32;
     }
 }
 
 /// Boundary Fiduccia–Mattheyses state of one level, kept incrementally.
 ///
 /// `ext[v]` is the weight of `v`'s edges to the other side and `wdeg[v]`
-/// that of all its edges, so moving `v` lowers the cut by
-/// `gain = 2·ext − wdeg`. `bnd` lists the vertices with `ext > 0` in no
-/// particular order and `bpos` places them in it; with positive edge
-/// weights these are exactly the vertices with a neighbour across the cut.
-/// [`Refine::build`] sets it all up once per level, [`Refine::flip`] keeps
-/// it current in O(deg) per move or rollback.
+/// (the level's, passed in) that of all its edges, so moving `v` lowers the
+/// cut by `gain = 2·ext − wdeg`. `bnd` lists the vertices with `ext > 0`
+/// and `bpos` places them in it; with positive edge weights these are
+/// exactly the vertices with a neighbour across the cut. [`Refine::build`]
+/// sets it up by scanning a level, [`Refine::project`] carries it down to
+/// the next finer one, [`Refine::flip`] keeps it current in O(deg) per move
+/// or rollback.
 #[derive(Default)]
 struct Refine {
-    ext: Vec<i64>,
-    wdeg: Vec<i64>,
-    bnd: Vec<usize>,
-    bpos: Vec<usize>,
+    ext: Vec<i32>,
+    /// The other level's `ext` while [`Refine::project`] writes this one.
+    spare: Vec<i32>,
+    bnd: Vec<u32>,
+    bpos: Vec<u32>,
     /// Vertex weight on each side.
     wgt: [i64; 2],
     /// `locked[v] == pass` once `v` left the queue in the current pass.
-    locked: Vec<usize>,
-    pass: usize,
-    moves: Vec<usize>,
+    locked: Vec<u32>,
+    pass: u32,
+    moves: Vec<u32>,
     queue: GainQueue,
 }
 
 impl Refine {
-    fn build(&mut self, g: &WGraph, side: &[u8]) {
+    /// Set the state up for `g` under `side` from scratch.
+    fn build(&mut self, g: Graph<'_>, side: &[u8]) {
         let n = g.nvert();
         self.ext.clear();
-        self.wdeg.clear();
         self.bnd.clear();
         self.bpos.clear();
-        self.bpos.resize(n, NONE);
         self.wgt = [0; 2];
         for v in 0..n {
-            let (mut ext, mut wdeg) = (0, 0);
-            for (u, w) in g.neighbors(v) {
-                wdeg += w;
-                if side[u] != side[v] {
-                    ext += w;
+            let mut ext = 0;
+            for e in g.row(v) {
+                if side[g.adjncy[e] as usize] != side[v] {
+                    ext += g.adjwgt[e];
                 }
             }
             self.ext.push(ext);
-            self.wdeg.push(wdeg);
-            self.wgt[side[v] as usize] += g.vwgt[v];
-            if ext > 0 {
-                self.bpos[v] = self.bnd.len();
-                self.bnd.push(v);
-            }
+            let at = if ext > 0 { self.enter(v) } else { NONE };
+            self.bpos.push(at);
+            self.wgt[side[v] as usize] += g.vwgt[v] as i64;
         }
-        // Stamps only grow, so stale entries from other levels never match.
+        self.size_for(n);
+    }
+
+    /// Carry the state from the coarse level it describes to the finer
+    /// level `fine`, whose vertex `v` lies in coarse vertex `cmap[v]` and
+    /// on `side[v]`. A vertex whose coarse vertex had no edge across the
+    /// cut has none either, so only the others are scanned; the side
+    /// weights carry over unchanged.
+    fn project(&mut self, fine: Graph<'_>, cmap: &[u32], side: &[u8]) {
+        let n = fine.nvert();
+        std::mem::swap(&mut self.ext, &mut self.spare);
+        self.ext.clear();
+        self.bnd.clear();
+        self.bpos.clear();
+        for v in 0..n {
+            let mut ext = 0;
+            if self.spare[cmap[v] as usize] > 0 {
+                for e in fine.row(v) {
+                    if side[fine.adjncy[e] as usize] != side[v] {
+                        ext += fine.adjwgt[e];
+                    }
+                }
+            }
+            self.ext.push(ext);
+            let at = if ext > 0 { self.enter(v) } else { NONE };
+            self.bpos.push(at);
+        }
+        self.size_for(n);
+    }
+
+    /// Append `v` to the boundary list; returns its position.
+    fn enter(&mut self, v: usize) -> u32 {
+        self.bnd.push(v as u32);
+        self.bnd.len() as u32 - 1
+    }
+
+    /// Grow the per-vertex pass state to `n` vertices. Stamps only grow,
+    /// so stale entries from other levels and calls never match.
+    fn size_for(&mut self, n: usize) {
         if self.locked.len() < n {
             self.locked.resize(n, 0);
             self.queue.slot.resize(n, NONE);
         }
     }
 
-    fn gain(&self, v: usize) -> i64 {
-        2 * self.ext[v] - self.wdeg[v]
+    fn gain(&self, wdeg: &[i32], v: usize) -> i32 {
+        2 * self.ext[v] - wdeg[v]
     }
 
     /// Put `v` on the boundary list iff `ext[v] > 0`.
@@ -420,27 +562,29 @@ impl Refine {
         let at = self.bpos[v];
         if self.ext[v] > 0 {
             if at == NONE {
-                self.bpos[v] = self.bnd.len();
-                self.bnd.push(v);
+                self.bpos[v] = self.enter(v);
             }
         } else if at != NONE {
-            self.bnd.swap_remove(at);
-            if let Some(&moved) = self.bnd.get(at) {
-                self.bpos[moved] = at;
+            self.bnd.swap_remove(at as usize);
+            if let Some(&moved) = self.bnd.get(at as usize) {
+                self.bpos[moved as usize] = at;
             }
             self.bpos[v] = NONE;
         }
     }
 
     /// Move `v` to the other side, updating side weights, the gains of `v`
-    /// and its neighbours, and their boundary membership.
-    fn flip(&mut self, g: &WGraph, side: &mut [u8], v: usize) {
+    /// and its neighbours, and their boundary membership. With `requeue`
+    /// (the level's weighted degrees), each neighbour not locked in this
+    /// pass is re-keyed in the queue with its new gain.
+    fn flip(&mut self, g: Graph<'_>, side: &mut [u8], v: usize, requeue: Option<&[i32]>) {
         let to = side[v] ^ 1;
         side[v] = to;
-        self.wgt[to as usize] += g.vwgt[v];
-        self.wgt[(to ^ 1) as usize] -= g.vwgt[v];
+        self.wgt[to as usize] += g.vwgt[v] as i64;
+        self.wgt[(to ^ 1) as usize] -= g.vwgt[v] as i64;
         let mut ext = 0;
-        for (u, w) in g.neighbors(v) {
+        for e in g.row(v) {
+            let (u, w) = (g.adjncy[e] as usize, g.adjwgt[e]);
             if side[u] == to {
                 self.ext[u] -= w;
             } else {
@@ -448,40 +592,58 @@ impl Refine {
                 ext += w;
             }
             self.sync(u);
+            if let Some(wdeg) = requeue {
+                if self.locked[u] != self.pass {
+                    self.queue.set(u as u32, self.gain(wdeg, u));
+                }
+            }
         }
         self.ext[v] = ext;
         self.sync(v);
     }
 
+    /// Up to `opts.fm_passes` passes, stopping at the first that does not
+    /// lower the cut.
+    fn run(&mut self, g: Graph<'_>, wdeg: &[i32], side: &mut [u8], opts: &PartOpts) {
+        let total = self.wgt[0] + self.wgt[1];
+        let maxside = ((1.0 + opts.eps) * (total as f64) / 2.0) as i64;
+        for _ in 0..opts.fm_passes {
+            if self.pass(g, wdeg, side, maxside) <= 0 {
+                break;
+            }
+        }
+    }
+
     /// One boundary-FM sweep: tentatively move vertices in `(gain, vertex)`
     /// order while the receiving side stays within `maxside`, then roll back
     /// to the best prefix. Returns the cut reduction kept.
-    fn pass(&mut self, g: &WGraph, side: &mut [u8], maxside: i64) -> i64 {
+    fn pass(&mut self, g: Graph<'_>, wdeg: &[i32], side: &mut [u8], maxside: i64) -> i64 {
+        if self.pass == u32::MAX {
+            self.locked.fill(0);
+            self.pass = 0;
+        }
         self.pass += 1;
-        for &v in &self.bnd {
-            self.queue.set(v, self.gain(v));
+        for i in 0..self.bnd.len() {
+            let v = self.bnd[i];
+            self.queue.set(v, self.gain(wdeg, v as usize));
         }
         self.moves.clear();
         let mut cur_delta = 0i64;
         let mut best_delta = 0i64;
         let mut best_len = 0usize;
         while let Some((gv, v)) = self.queue.pop() {
+            let v = v as usize;
             self.locked[v] = self.pass;
             let to = (side[v] ^ 1) as usize;
-            if self.wgt[to] + g.vwgt[v] > maxside {
+            if self.wgt[to] + g.vwgt[v] as i64 > maxside {
                 continue; // would break balance; lock in place
             }
-            self.flip(g, side, v);
-            self.moves.push(v);
-            cur_delta += gv;
+            self.flip(g, side, v, Some(wdeg));
+            self.moves.push(v as u32);
+            cur_delta += gv as i64;
             if cur_delta > best_delta {
                 best_delta = cur_delta;
                 best_len = self.moves.len();
-            }
-            for (u, _) in g.neighbors(v) {
-                if self.locked[u] != self.pass {
-                    self.queue.set(u, self.gain(u));
-                }
             }
             // Bail out of hopeless tails.
             if self.moves.len() > best_len + 64 {
@@ -491,35 +653,116 @@ impl Refine {
         self.queue.clear();
         // Roll back moves beyond the best prefix.
         for i in best_len..self.moves.len() {
-            let v = self.moves[i];
-            self.flip(g, side, v);
+            let v = self.moves[i] as usize;
+            self.flip(g, side, v, None);
         }
         best_delta
     }
 }
 
-/// Run up to `opts.fm_passes` refinement passes on one level, stopping at
-/// the first that does not lower the cut.
-fn refine(
-    g: &WGraph,
-    side: &mut [u8],
-    opts: &PartOpts,
-    r: &mut Refine,
-    rec: &mut LocalRecorder<'_>,
-    tag: Option<usize>,
-) {
-    let t = rec.start();
-    if opts.fm_passes > 0 {
-        r.build(g, side);
-        let total = r.wgt[0] + r.wgt[1];
-        let maxside = ((1.0 + opts.eps) * (total as f64) / 2.0) as i64;
-        for _ in 0..opts.fm_passes {
-            if r.pass(g, side, maxside) <= 0 {
+/// The workspace of multilevel bisection: every level graph, array and
+/// refinement state of one V-cycle, reused by the next. One per
+/// nested-dissection worker; a bisection allocates only where a level
+/// outgrows what an earlier one left behind.
+#[derive(Default)]
+pub(crate) struct Bisector {
+    /// `levels[k]` is the graph `k + 1` contractions below the input; only
+    /// the first levels of the current V-cycle are live.
+    levels: Vec<Level>,
+    mate: Vec<u32>,
+    order: Vec<u32>,
+    pos: Vec<u32>,
+    side: Vec<u8>,
+    spare: Vec<u8>,
+    seen: Vec<bool>,
+    queue: Vec<u32>,
+    refine: Refine,
+}
+
+impl Bisector {
+    /// Bisect `g`, whose vertices have the weighted degrees `wdeg`:
+    /// coarsening (matching + contraction) is recorded as
+    /// [`Phase::Coarsen`], the initial partition and each projection of the
+    /// sides as [`Phase::Bisect`], each level's refinement (with its state
+    /// set-up) as [`Phase::Refine`], all tagged `tag`. Returns the side of
+    /// every vertex and the vertices with a neighbour across, in no
+    /// particular order.
+    pub(crate) fn bisect(
+        &mut self,
+        g: Graph<'_>,
+        wdeg: &[i32],
+        opts: &PartOpts,
+        rec: &mut LocalRecorder<'_>,
+        tag: Option<usize>,
+    ) -> (&[u8], &[u32]) {
+        if g.nvert() == 0 {
+            self.side.clear();
+            self.refine.build(g, &self.side);
+            return (&self.side, &self.refine.bnd);
+        }
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut depth = 0;
+        loop {
+            if self.levels.len() == depth {
+                self.levels.push(Level::default());
+            }
+            let (above, below) = self.levels.split_at_mut(depth);
+            let cur = above.last().map_or(g, |l| l.g.view());
+            if cur.nvert() <= opts.coarsen_to || depth > 60 {
                 break;
             }
+            let t = rec.start();
+            let nc = heavy_edge_matching(cur, &mut rng, &mut self.mate, &mut self.order);
+            // Coarsening stalled (e.g. star graphs): partition this level.
+            let stalled = nc as f64 > 0.95 * cur.nvert() as f64;
+            if !stalled {
+                contract(cur, &self.mate, &mut self.pos, &mut below[0]);
+            }
+            rec.stop(t, Phase::Coarsen, tag);
+            if stalled {
+                break;
+            }
+            depth += 1;
         }
+        let (coarsest, cwdeg) = match depth {
+            0 => (g, wdeg),
+            _ => (
+                self.levels[depth - 1].g.view(),
+                &self.levels[depth - 1].wdeg[..],
+            ),
+        };
+        let t = rec.start();
+        grow_partition(
+            coarsest,
+            &mut rng,
+            &mut self.side,
+            &mut self.seen,
+            &mut self.queue,
+        );
+        rec.stop(t, Phase::Bisect, tag);
+        let t = rec.start();
+        self.refine.build(coarsest, &self.side);
+        self.refine.run(coarsest, cwdeg, &mut self.side, opts);
+        rec.stop(t, Phase::Refine, tag);
+        for k in (0..depth).rev() {
+            let (fine, wdeg) = match k {
+                0 => (g, wdeg),
+                _ => (self.levels[k - 1].g.view(), &self.levels[k - 1].wdeg[..]),
+            };
+            let cmap = &self.levels[k].cmap;
+            let t = rec.start();
+            self.spare.clear();
+            self.spare
+                .extend(cmap.iter().map(|&c| self.side[c as usize]));
+            std::mem::swap(&mut self.side, &mut self.spare);
+            rec.stop(t, Phase::Bisect, tag);
+            let t = rec.start();
+            self.refine.project(fine, cmap, &self.side);
+            self.refine.run(fine, wdeg, &mut self.side, opts);
+            rec.stop(t, Phase::Refine, tag);
+        }
+        (&self.side, &self.refine.bnd)
     }
-    rec.stop(t, Phase::Refine, tag);
 }
 
 /// Multilevel bisection of a weighted graph.
@@ -534,69 +777,39 @@ pub fn bisect(g: &WGraph, opts: &PartOpts) -> Bisection {
 /// projection as [`Phase::Bisect`], FM sweeps as [`Phase::Refine`]. Spans
 /// are tagged with `tag` so callers can attribute them to a recursion-tree
 /// task. The partition computed is identical to [`bisect`].
+///
+/// # Panics
+/// If `g`'s vertex count, adjacency length, total vertex weight or total
+/// edge weight exceeds [`MAX_GRAPH`].
 pub fn bisect_with(
     g: &WGraph,
     opts: &PartOpts,
     rec: &mut LocalRecorder<'_>,
     tag: Option<usize>,
 ) -> Bisection {
-    let side = bisect_side(g, opts, rec, tag);
+    let sum = |w: &[i32]| w.iter().map(|&x| x as i64).sum::<i64>();
+    assert!(
+        g.nvert().max(g.adjncy.len()) as i64 <= MAX_GRAPH as i64
+            && sum(&g.vwgt).max(sum(&g.adjwgt)) <= MAX_GRAPH as i64,
+        "graph too large to bisect (bound {MAX_GRAPH})"
+    );
+    let view = g.view();
+    let wdeg: Vec<i32> = (0..g.nvert())
+        .map(|v| view.adjwgt[view.row(v)].iter().sum())
+        .collect();
+    let side = Bisector::default()
+        .bisect(view, &wdeg, opts, rec, tag)
+        .0
+        .to_vec();
     let mut wgt = [0i64; 2];
     for v in 0..g.nvert() {
-        wgt[side[v] as usize] += g.vwgt[v];
+        wgt[side[v] as usize] += g.vwgt[v] as i64;
     }
     Bisection {
         cut: g.cut(&side),
         side,
         wgt,
     }
-}
-
-/// [`bisect_with`] without the cut and side weights: the side of every
-/// vertex of `g` (empty for an empty graph).
-pub(crate) fn bisect_side(
-    g: &WGraph,
-    opts: &PartOpts,
-    rec: &mut LocalRecorder<'_>,
-    tag: Option<usize>,
-) -> Vec<u8> {
-    if g.nvert() == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    // `levels[k]` is the graph `k + 1` contractions below `g`, with the
-    // map into it from the level above.
-    let mut levels: Vec<(WGraph, Vec<usize>)> = Vec::new();
-    loop {
-        let cur = levels.last().map_or(g, |(cg, _)| cg);
-        if cur.nvert() <= opts.coarsen_to || levels.len() > 60 {
-            break;
-        }
-        let t = rec.start();
-        let mate = heavy_edge_matching(cur, &mut rng);
-        let (cg, cmap) = contract(cur, &mate);
-        rec.stop(t, Phase::Coarsen, tag);
-        // Coarsening stalled (e.g. star graphs): partition this level.
-        if cg.nvert() as f64 > 0.95 * cur.nvert() as f64 {
-            break;
-        }
-        levels.push((cg, cmap));
-    }
-    let coarsest = levels.last().map_or(g, |(cg, _)| cg);
-    let t = rec.start();
-    let mut side = grow_partition(coarsest, &mut rng);
-    rec.stop(t, Phase::Bisect, tag);
-    // One refinement state serves every level of this bisection.
-    let mut r = Refine::default();
-    refine(coarsest, &mut side, opts, &mut r, rec, tag);
-    for k in (0..levels.len()).rev() {
-        let fine = levels[..k].last().map_or(g, |(cg, _)| cg);
-        let t = rec.start();
-        side = levels[k].1.iter().map(|&c| side[c]).collect();
-        rec.stop(t, Phase::Bisect, tag);
-        refine(fine, &mut side, opts, &mut r, rec, tag);
-    }
-    side
 }
 
 #[cfg(test)]
@@ -611,12 +824,29 @@ mod tests {
         WGraph::from_adj(&AdjGraph::from_sym_lower(&a))
     }
 
-    fn matching(g: &WGraph, seed: u64) -> Vec<usize> {
-        heavy_edge_matching(g, &mut StdRng::seed_from_u64(seed))
+    fn matching(g: &WGraph, seed: u64) -> Vec<u32> {
+        let (mut mate, mut order) = (Vec::new(), Vec::new());
+        heavy_edge_matching(
+            g.view(),
+            &mut StdRng::seed_from_u64(seed),
+            &mut mate,
+            &mut order,
+        );
+        mate
     }
 
-    fn contracted(g: &WGraph, seed: u64) -> (WGraph, Vec<usize>) {
-        contract(g, &matching(g, seed))
+    fn contracted(g: &WGraph, seed: u64) -> Level {
+        let mut level = Level::default();
+        contract(g.view(), &matching(g, seed), &mut Vec::new(), &mut level);
+        level
+    }
+
+    /// Every vertex's edge weight, summed from scratch.
+    fn recount_wdeg(g: &WGraph) -> Vec<i32> {
+        let g = g.view();
+        (0..g.nvert())
+            .map(|v| g.adjwgt[g.row(v)].iter().sum())
+            .collect()
     }
 
     #[test]
@@ -632,26 +862,28 @@ mod tests {
         let g = grid_graph(6, 6);
         let mate = matching(&g, 1);
         for v in 0..g.nvert() {
-            assert_eq!(mate[mate[v]], v);
+            assert_eq!(mate[mate[v] as usize] as usize, v);
         }
     }
 
     #[test]
     fn contract_preserves_total_weight_and_edges() {
         let g = grid_graph(6, 6);
-        let (cg, cmap) = contracted(&g, 2);
+        let Level { g: cg, wdeg, cmap } = contracted(&g, 2);
         assert_eq!(cg.total_vwgt(), g.total_vwgt());
         assert!(cg.nvert() < g.nvert());
         // Every fine edge is either internal to a coarse vertex or present
         // with accumulated weight.
-        let total_fine: i64 = g.adjwgt.iter().sum();
-        let total_coarse: i64 = cg.adjwgt.iter().sum();
-        let internal: i64 = (0..g.nvert())
-            .flat_map(|v| g.neighbors(v).map(move |(u, w)| (v, u, w)))
-            .filter(|&(v, u, _)| cmap[v] == cmap[u])
-            .map(|(_, _, w)| w)
+        let total_fine: i32 = g.adjwgt.iter().sum();
+        let total_coarse: i32 = cg.adjwgt.iter().sum();
+        let v = g.view();
+        let internal: i32 = (0..g.nvert())
+            .flat_map(|x| v.row(x).map(move |e| (x, e)))
+            .filter(|&(x, e)| cmap[x] == cmap[g.adjncy[e] as usize])
+            .map(|(_, e)| g.adjwgt[e])
             .sum();
         assert_eq!(total_coarse, total_fine - internal);
+        assert_eq!(wdeg, recount_wdeg(&cg));
     }
 
     #[test]
@@ -692,9 +924,7 @@ mod tests {
     fn bisect_empty_graph() {
         let g = WGraph {
             xadj: vec![0],
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::new(),
+            ..WGraph::default()
         };
         let b = bisect(&g, &PartOpts::default());
         assert!(b.side.is_empty());
@@ -705,19 +935,18 @@ mod tests {
     #[test]
     fn bisect_disconnected_graph() {
         // Two disjoint 4x4 grids glued into one vertex set.
-        let a = gen::laplace2d(4, 4, gen::Stencil2d::FivePoint);
-        let g1 = AdjGraph::from_sym_lower(&a);
-        let n = g1.nvert();
-        let mut xadj = g1.xadj().to_vec();
+        let g1 = grid_graph(4, 4);
+        let n = g1.nvert() as u32;
+        let mut xadj = g1.xadj.clone();
         let base = *xadj.last().unwrap();
-        xadj.extend(g1.xadj()[1..].iter().map(|&x| x + base));
-        let mut adjncy = g1.adjncy().to_vec();
-        adjncy.extend(g1.adjncy().iter().map(|&u| u + n));
+        xadj.extend(g1.xadj[1..].iter().map(|&x| x + base));
+        let mut adjncy = g1.adjncy.clone();
+        adjncy.extend(g1.adjncy.iter().map(|&u| u + n));
         let g = WGraph {
             xadj,
-            adjncy: adjncy.clone(),
             adjwgt: vec![1; adjncy.len()],
-            vwgt: vec![1; 2 * n],
+            adjncy,
+            vwgt: vec![1; 2 * n as usize],
         };
         let b = bisect(&g, &PartOpts::default());
         // Perfect split exists with zero cut; accept near-perfect.
@@ -732,16 +961,21 @@ mod tests {
         let n = g.nvert();
         let total = g.total_vwgt();
         let maxside = ((1.0 + eps) * (total as f64) / 2.0) as i64;
+        let view = g.view();
+        let neighbors = |v: usize| {
+            view.row(v)
+                .map(move |e| (view.adjncy[e] as usize, view.adjwgt[e] as i64))
+        };
 
         let mut wgt = [0i64; 2];
         for v in 0..n {
-            wgt[side[v] as usize] += g.vwgt[v];
+            wgt[side[v] as usize] += g.vwgt[v] as i64;
         }
         // gain(v) = external - internal edge weight.
-        let gain = |g: &WGraph, side: &[u8], v: usize| -> i64 {
+        let gain = |side: &[u8], v: usize| -> i64 {
             let mut ext = 0;
             let mut int = 0;
-            for (u, w) in g.neighbors(v) {
+            for (u, w) in neighbors(v) {
                 if side[u] != side[v] {
                     ext += w;
                 } else {
@@ -752,9 +986,9 @@ mod tests {
         };
         let mut heap: BinaryHeap<(i64, usize)> = BinaryHeap::new();
         for v in 0..n {
-            let is_boundary = g.neighbors(v).any(|(u, _)| side[u] != side[v]);
+            let is_boundary = neighbors(v).any(|(u, _)| side[u] != side[v]);
             if is_boundary {
-                heap.push((gain(g, side, v), v));
+                heap.push((gain(side, v), v));
             }
         }
         let mut locked = vec![false; n];
@@ -766,21 +1000,21 @@ mod tests {
             if locked[v] {
                 continue;
             }
-            let g_now = gain(g, side, v);
+            let g_now = gain(side, v);
             if g_now != gv {
                 heap.push((g_now, v)); // stale entry: reinsert with fresh gain
                 continue;
             }
             let from = side[v] as usize;
             let to = 1 - from;
-            if wgt[to] + g.vwgt[v] > maxside {
+            if wgt[to] + g.vwgt[v] as i64 > maxside {
                 locked[v] = true; // would break balance; lock in place
                 continue;
             }
             // Commit the tentative move.
             side[v] = to as u8;
-            wgt[from] -= g.vwgt[v];
-            wgt[to] += g.vwgt[v];
+            wgt[from] -= g.vwgt[v] as i64;
+            wgt[to] += g.vwgt[v] as i64;
             locked[v] = true;
             moves.push(v);
             cur_delta += g_now;
@@ -788,9 +1022,9 @@ mod tests {
                 best_delta = cur_delta;
                 best_len = moves.len();
             }
-            for (u, _) in g.neighbors(v) {
+            for (u, _) in neighbors(v) {
                 if !locked[u] {
-                    heap.push((gain(g, side, u), u));
+                    heap.push((gain(side, u), u));
                 }
             }
             // Bail out of hopeless tails.
@@ -824,14 +1058,14 @@ mod tests {
         let mut g = WGraph::from_adj(&AdjGraph::from_sym_lower(&a));
         if weighted {
             for v in 0..g.nvert() {
-                g.vwgt[v] = 1 + ((v as u64 * 7 + seed % 5) % 3) as i64;
-                for e in g.xadj[v]..g.xadj[v + 1] {
-                    g.adjwgt[e] = 1 + ((v ^ g.adjncy[e]) % 4) as i64;
+                g.vwgt[v] = 1 + ((v as u64 * 7 + seed % 5) % 3) as i32;
+                for e in g.xadj[v] as usize..g.xadj[v + 1] as usize {
+                    g.adjwgt[e] = 1 + ((v ^ g.adjncy[e] as usize) % 4) as i32;
                 }
             }
         }
         for l in 0..levels {
-            g = contracted(&g, seed ^ l as u64).0;
+            g = contracted(&g, seed ^ l as u64).g;
         }
         g
     }
@@ -839,6 +1073,32 @@ mod tests {
     fn random_side(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0..2u32) as u8).collect()
+    }
+
+    /// `r` describes `g` under `side` exactly as a fresh
+    /// [`Refine::build`] would: the same `ext`, the same boundary list in
+    /// the same order with matching positions, and the same side weights.
+    fn assert_matches_a_fresh_build(
+        r: &Refine,
+        g: &WGraph,
+        side: &[u8],
+        sorted: bool,
+    ) -> Result<(), String> {
+        let mut fresh = Refine::default();
+        fresh.build(g.view(), side);
+        prop_assert_eq!(&r.ext, &fresh.ext);
+        prop_assert_eq!(r.wgt, fresh.wgt);
+        let mut bnd = r.bnd.clone();
+        if sorted {
+            bnd.sort_unstable();
+        }
+        prop_assert_eq!(&bnd, &fresh.bnd);
+        for (i, &v) in r.bnd.iter().enumerate() {
+            prop_assert_eq!(r.bpos[v as usize] as usize, i);
+        }
+        prop_assert_eq!(r.bpos.len(), g.nvert());
+        prop_assert_eq!(r.bpos.iter().filter(|&&p| p != NONE).count(), r.bnd.len());
+        Ok(())
     }
 
     proptest! {
@@ -861,17 +1121,26 @@ mod tests {
             let g = test_graph(grid, n, k, seed, weighted, levels);
             let eps = [0.0, 0.03, 0.15, 0.5][eps_i];
             let mut side = if grown {
-                grow_partition(&g, &mut StdRng::seed_from_u64(seed))
+                let mut side = Vec::new();
+                grow_partition(
+                    g.view(),
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut side,
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                );
+                side
             } else {
                 random_side(g.nvert(), seed)
             };
             let mut oracle = side.clone();
+            let wdeg = recount_wdeg(&g);
             let mut r = Refine::default();
-            r.build(&g, &side);
+            r.build(g.view(), &side);
             let maxside = ((1.0 + eps) * (g.total_vwgt() as f64) / 2.0) as i64;
             for pass in 0..6 {
                 let want = fm_pass(&g, &mut oracle, eps);
-                let got = r.pass(&g, &mut side, maxside);
+                let got = r.pass(g.view(), &wdeg, &mut side, maxside);
                 prop_assert_eq!(got, want, "pass {}", pass);
                 prop_assert_eq!(&side, &oracle, "pass {}", pass);
             }
@@ -892,23 +1161,65 @@ mod tests {
             let g = test_graph(grid, n, k, seed, weighted, levels);
             let mut side = random_side(g.nvert(), seed);
             let mut r = Refine::default();
-            r.build(&g, &side);
+            r.build(g.view(), &side);
             let mut rng = StdRng::seed_from_u64(!seed);
             for _ in 0..nflips {
-                r.flip(&g, &mut side, rng.gen_range(0..g.nvert()));
+                r.flip(g.view(), &mut side, rng.gen_range(0..g.nvert()), None);
             }
-            let mut fresh = Refine::default();
-            fresh.build(&g, &side);
-            prop_assert_eq!(&r.ext, &fresh.ext);
-            prop_assert_eq!(&r.wdeg, &fresh.wdeg);
-            prop_assert_eq!(r.wgt, fresh.wgt);
-            let mut bnd = r.bnd.clone();
-            bnd.sort_unstable();
-            prop_assert_eq!(&bnd, &fresh.bnd);
-            for (i, &v) in r.bnd.iter().enumerate() {
-                prop_assert_eq!(r.bpos[v], i);
+            assert_matches_a_fresh_build(&r, &g, &side, true)?;
+        }
+
+        /// Through a whole V-cycle, the state projected onto every finer
+        /// level — before that level's passes — equals a fresh build on it,
+        /// and the weighted degrees the contraction summed equal a recount.
+        #[test]
+        fn projection_matches_a_rebuild_on_every_level(
+            grid in any::<bool>(),
+            n in 60usize..400,
+            k in 1usize..6,
+            seed in any::<u64>(),
+            weighted in any::<bool>(),
+            eps_i in 0usize..3,
+        ) {
+            let g = test_graph(grid, n, k, seed, weighted, 0);
+            let opts = PartOpts {
+                coarsen_to: 8,
+                eps: [0.0, 0.15, 0.5][eps_i],
+                seed,
+                ..PartOpts::default()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut mate, mut order) = (Vec::new(), Vec::new());
+            let mut levels: Vec<Level> = Vec::new();
+            loop {
+                let cur = levels.last().map_or(&g, |l| &l.g);
+                if cur.nvert() <= opts.coarsen_to {
+                    break;
+                }
+                let nc = heavy_edge_matching(cur.view(), &mut rng, &mut mate, &mut order);
+                let mut next = Level::default();
+                contract(cur.view(), &mate, &mut Vec::new(), &mut next);
+                prop_assert_eq!(next.g.nvert(), nc);
+                prop_assert_eq!(&next.wdeg, &recount_wdeg(&next.g));
+                if nc as f64 > 0.95 * cur.nvert() as f64 {
+                    break;
+                }
+                levels.push(next);
             }
-            prop_assert_eq!(r.bpos.iter().filter(|&&p| p != NONE).count(), r.bnd.len());
+            let coarsest = levels.last().map_or(&g, |l| &l.g);
+            let mut side = Vec::new();
+            grow_partition(coarsest.view(), &mut rng, &mut side, &mut Vec::new(), &mut Vec::new());
+            let mut r = Refine::default();
+            r.build(coarsest.view(), &side);
+            r.run(coarsest.view(), &recount_wdeg(coarsest), &mut side, &opts);
+            for k in (0..levels.len()).rev() {
+                let fine = levels[..k].last().map_or(&g, |l| &l.g);
+                let cmap = &levels[k].cmap;
+                side = cmap.iter().map(|&c| side[c as usize]).collect();
+                r.project(fine.view(), cmap, &side);
+                assert_matches_a_fresh_build(&r, fine, &side, false)?;
+                r.run(fine.view(), &recount_wdeg(fine), &mut side, &opts);
+            }
         }
     }
 }

@@ -4,12 +4,16 @@
 //! coarsening buffers) may be rewritten for speed, but the permutation it
 //! yields is part of the contract: `order.factor_nnz`, every symbolic
 //! statistic and every factor bit downstream depend on it. Each case pins
-//! an FNV-1a fingerprint of `perm()` at one and two threads. A change that
+//! an FNV-1a fingerprint of `perm()` at one and two threads; the
+//! `mindeg_*` cases pin the standalone minimum-degree ordering, which the
+//! dissection's leaves share. A change that
 //! *means* to move an ordering re-captures with
 //! `PARFACT_PRINT_GOLDEN=1 cargo test --release -p parfact-order --test
 //! nd_golden -- --include-ignored --nocapture`.
 
 use parfact_order::nd::{nested_dissection_with, NdOpts};
+use parfact_order::{order_graph, Method};
+use parfact_sparse::coo::CooMatrix;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::gen;
 use parfact_sparse::graph::AdjGraph;
@@ -47,6 +51,45 @@ fn check(name: &str, a: &CscMatrix, golden: &[(usize, u64)]) {
             assert_eq!(t1, want, "{name} cutoff={cutoff}: permutation moved");
         }
     }
+}
+
+/// The standalone minimum-degree ordering of `a` against its pinned
+/// fingerprint.
+fn check_mindeg(name: &str, a: &CscMatrix, want: u64) {
+    let g = AdjGraph::from_sym_lower(a);
+    let got = fingerprint(order_graph(&g, Method::MinDegree).perm());
+    if std::env::var_os("PARFACT_PRINT_GOLDEN").is_some() {
+        println!("{name} mindeg: {got:#018x}");
+    } else {
+        assert_eq!(got, want, "{name}: minimum-degree permutation moved");
+    }
+}
+
+/// The complete graph on `n` vertices (symmetric lower, SPD).
+fn clique(n: usize) -> CscMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            coo.push(i, j, if i == j { n as f64 } else { -0.5 });
+        }
+    }
+    coo.to_csc()
+}
+
+/// `a` and `b` side by side on the diagonal: two components, no edge
+/// between them.
+fn disjoint(a: &CscMatrix, b: &CscMatrix) -> CscMatrix {
+    let (na, nb) = (a.ncols(), b.ncols());
+    let mut coo = CooMatrix::new(na + nb, na + nb);
+    for (m, base) in [(a, 0), (b, na)] {
+        for c in 0..m.ncols() {
+            let (rows, vals) = m.col(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                coo.push(r + base, c + base, v);
+            }
+        }
+    }
+    coo.to_csc()
 }
 
 #[test]
@@ -98,6 +141,76 @@ fn random_spd_300() {
             (16, 0x2a9d7e9b2ebd8d6d),
             (96, 0xd1df9fc39f2550bd),
         ],
+    );
+}
+
+/// A star: heavy-edge matching pairs the hub with one leaf per level, so
+/// coarsening stalls at once and the finest level is partitioned directly.
+#[test]
+fn star_300() {
+    check(
+        "star-300",
+        &gen::arrowhead(300),
+        &[
+            (4, 0xaebca995e5362505),
+            (16, 0xfe0489c8666405f9),
+            (96, 0xe738412871a8b5b9),
+        ],
+    );
+}
+
+/// A clique: every bisection's separator swallows a side, so each task
+/// falls back to minimum degree.
+#[test]
+fn clique_120() {
+    check(
+        "clique-120",
+        &clique(120),
+        &[
+            (4, 0xee7a3237395937a5),
+            (16, 0xee7a3237395937a5),
+            (96, 0xee7a3237395937a5),
+        ],
+    );
+}
+
+/// Two grids of different sizes with no edge between them.
+#[test]
+fn two_grids() {
+    check(
+        "two-grids",
+        &disjoint(
+            &gen::laplace2d(23, 17, gen::Stencil2d::FivePoint),
+            &gen::laplace2d(19, 19, gen::Stencil2d::NinePoint),
+        ),
+        &[
+            (4, 0x0d1174e570f347d9),
+            (16, 0x541dac409800b1b9),
+            (96, 0x657995b6efeacb95),
+        ],
+    );
+}
+
+#[test]
+fn mindeg_lap2d_40() {
+    check_mindeg(
+        "lap2d-40",
+        &gen::laplace2d(40, 40, gen::Stencil2d::FivePoint),
+        0x301367953ba00555,
+    );
+}
+
+#[test]
+fn mindeg_elas_5() {
+    check_mindeg("elas-5", &gen::elasticity3d(5, 5, 5), 0xddddb341497f9cc5);
+}
+
+#[test]
+fn mindeg_random_spd_300() {
+    check_mindeg(
+        "random-spd-300",
+        &gen::random_spd(300, 5, 7),
+        0x2e101d49005caf81,
     );
 }
 
