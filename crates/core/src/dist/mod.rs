@@ -1,9 +1,9 @@
 //! Distributed-memory multifrontal factorization on the machine simulator.
 //!
 //! Every rank runs `factorize_rank` (SPMD). Supernodes mapped to a single
-//! rank (the local subtrees produced by subtree-to-subcube mapping) go
-//! through the engines' shared front kernel
-//! (`crate::frontal::factor_front`), charged to the rank's virtual clock;
+//! rank (the local subtrees produced by subtree-to-subcube mapping) run
+//! the front loop of all three engines (`crate::seq::factor_run`) on the
+//! slab parts of the rank's runs, charged to the rank's virtual clock;
 //! supernodes mapped to a rank group are factored as block-cyclic
 //! [`front::DistFront`]s. Between fronts, the
 //! **parallel extend-add** routes every Schur-complement entry from the
@@ -27,12 +27,12 @@ pub mod solve;
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind, FactorWriter};
-use crate::frontal::{factor_front, flops_partial, Buf, FrontMeter, UpdateMatrix};
-use crate::mapping::{Layout, MapStrategy, Mapping, RankSchedule};
+use crate::frontal::{flops_partial, Buf, FrontMeter, UpdateMatrix};
+use crate::mapping::{Layout, MapStrategy, Mapping, Plan, RankSchedule, Runs};
+use crate::seq::{factor_run, Slab};
 use crate::sweep;
 use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
-use parfact_dense::chol;
 use parfact_mpsim::model::CostModel;
 use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
 use parfact_sparse::csc::CscMatrix;
@@ -40,7 +40,7 @@ use parfact_sparse::perm::Perm;
 use parfact_symbolic::{Symbolic, NONE};
 use parfact_trace::{Phase, SpanEvent};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Extend-add message tag: the namespace is per *child* (sender side), so
 /// concurrent children of one parent cannot collide. Goes through the
@@ -73,17 +73,15 @@ enum Sends {
 /// The restartable per-rank state.
 ///
 /// `Clone` is the checkpoint mechanism: a snapshot of this struct (plus the
-/// local-schedule cursor) after a completed distributed front is everything
-/// a rank needs to resume from that epoch. Scratch that carries nothing
-/// from one front to the next (the front arena) lives in [`RankRun`]
-/// instead, outside the snapshot.
+/// local-schedule cursor and the filled update slots) after a completed
+/// distributed front is everything a rank needs to resume from that epoch.
+/// Scratch that carries nothing from one front to the next (the front
+/// arena) lives in [`RankRun`] instead, outside the snapshot.
 #[derive(Clone)]
 struct RankState {
     /// Bytes of factor data this rank holds: whole panels of its local
     /// fronts, the pivot strips of its grid shares.
     factor_bytes: usize,
-    /// Updates of locally-factored supernodes awaiting a local parent.
-    local_updates: HashMap<usize, UpdateMatrix>,
     /// Extend-add contributions this rank stashed for itself (dest == self).
     self_stash: HashMap<u64, ExtBuf>,
     /// Deferred sends `(dst, tag, values)` by consuming front
@@ -93,22 +91,23 @@ struct RankState {
 }
 
 /// One rank's run of the SPMD program: the machine handle, the replicated
-/// problem, the restartable state and the front arena.
-struct RankRun<'a> {
+/// problem, its local runs, the restartable state and the front arena.
+struct RankRun<'a, 's> {
     rank: &'a mut Rank,
     ap: &'a CscMatrix,
     sym: &'a Symbolic,
     map: &'a Mapping,
+    runs: &'a mut Runs<Slab<'s>>,
     out: &'a FactorWriter<'a>,
     st: RankState,
     wst: FrontWorkspace,
 }
 
 /// The SPMD factorization program. All ranks call this with identical
-/// (replicated) `ap`, `sym`, `map` and one writer over the factor slab,
-/// which each rank fills with its share; it returns the bytes of factor the
-/// rank holds. Only `FactorKind::Llt` is supported distributed (the paper's
-/// SPD scaling study); use the SMP/seq engines for LDLᵀ.
+/// (replicated) `ap`, `sym`, `map`, one writer over the grid fronts' panels
+/// and their own local `runs`, and fill their share of the slab; it returns
+/// the bytes of factor the rank holds. Only `FactorKind::Llt` is supported
+/// distributed (the paper's SPD scaling study); use SMP/seq for LDLᵀ.
 ///
 /// With `sync` set, every rank walks its supernodes in strict postorder
 /// over blocking sends/receives — the ablation baseline (EXP-A7).
@@ -125,21 +124,23 @@ struct RankRun<'a> {
 /// to distributed parents are deferred until the sender itself reaches the
 /// consuming front ([`Sends::Deferred`]) and the rank state is snapshotted
 /// into the store after every completed distributed front. On entry the
-/// rank restores the latest snapshot the store holds for it (the driver has
-/// already rewound the store to a consistent cut) and resumes from the
-/// epoch after it — so a restarted machine re-executes only the epochs past
-/// the cut, and rewrites the slab panels of every front past it with the
-/// same bits.
+/// rank empties its update slots, restores the latest snapshot the store
+/// holds for it (the driver has already rewound the store to a consistent
+/// cut) and resumes from the epoch after it — so a restarted machine
+/// re-executes only the epochs past the cut, and rewrites the slab panels
+/// of every front past it with the same bits.
 ///
 /// Factors are **bitwise identical** in every mode: message matching stays
 /// `(src, tag)` and extend-add contributions are accumulated in canonical
 /// (child ascending, source-rank ascending) order no matter when they
 /// travelled or arrived.
+#[allow(clippy::too_many_arguments)]
 fn factorize_rank(
     rank: &mut Rank,
     ap: &CscMatrix,
     sym: &Symbolic,
     map: &Mapping,
+    runs: &mut Runs<Slab<'_>>,
     out: &FactorWriter<'_>,
     sync: bool,
     store: Option<&CheckpointStore>,
@@ -159,10 +160,10 @@ fn factorize_rank(
         ap,
         sym,
         map,
+        runs,
         out,
         st: RankState {
             factor_bytes: 0,
-            local_updates: HashMap::new(),
             self_stash: HashMap::new(),
             pending: HashMap::new(),
             sends,
@@ -180,10 +181,17 @@ fn factorize_rank(
         return Ok(run.st.factor_bytes);
     }
 
-    let sched = map.rank_schedule(sym, me);
+    let sched = map.rank_schedule(sym, me, run.runs.iter().map(|(sns, _)| sns));
+    // A failed attempt may have left updates in the slots.
+    run.runs.iter_mut().for_each(|(_, p)| p.slots.fill(None));
     let mut next = 0usize; // next unprocessed entry of sched.local
     let mut start = 0usize; // first unprocessed entry of sched.grid
     if let Some((pos, snap)) = store.and_then(|cs| cs.restore(me, &sched)) {
+        for upd in snap.updates {
+            let i = run.runs.partition_point(|(sns, _)| sns.end <= upd.src);
+            let (sns, part) = &mut run.runs[i];
+            part.slots[upd.src - sns.start].replace(upd);
+        }
         (run.st, next, start) = (snap.st, snap.next_local, pos + 1);
     }
     for (gi, &g) in sched.grid.iter().enumerate().skip(start) {
@@ -230,7 +238,7 @@ fn factorize_rank(
             .collect();
         run.do_grid(g, Some(bufs))?;
         if let Some(cs) = store {
-            cs.record(me, g, &run.st, next);
+            cs.record(g, &run, next);
         }
     }
     // Local subtrees nothing distributed ever consumes (they end at roots).
@@ -242,12 +250,13 @@ fn factorize_rank(
 }
 
 /// One rank's restartable frontier: the full mutable state after a
-/// completed distributed front, plus how far through the local schedule the
-/// rank had advanced. Everything downstream of this point can be replayed.
+/// completed distributed front, how far through its local schedule and
+/// its updates then in the slots. Everything after can be replayed.
 #[derive(Clone)]
 struct RankSnapshot {
     st: RankState,
     next_local: usize,
+    updates: Vec<UpdateMatrix>,
 }
 
 /// Per-rank checkpoint snapshots, shared across simulator runs so a
@@ -274,12 +283,14 @@ impl CheckpointStore {
         }
     }
 
-    fn record(&self, me: usize, g: usize, st: &RankState, next_local: usize) {
-        self.slots[me].lock().unwrap().insert(
+    fn record(&self, g: usize, run: &RankRun<'_, '_>, next_local: usize) {
+        let updates = run.runs.iter().flat_map(|(_, p)| p.slots.iter().flatten());
+        self.slots[run.rank.rank()].lock().unwrap().insert(
             g,
             RankSnapshot {
-                st: st.clone(),
+                st: run.st.clone(),
                 next_local,
+                updates: updates.cloned().collect(),
             },
         );
     }
@@ -305,13 +316,13 @@ impl CheckpointStore {
     pub fn rewind_to_consistent_cut(&self, sym: &Symbolic, map: &Mapping) -> usize {
         let mut cut = usize::MAX;
         for (r, slot) in self.slots.iter().enumerate() {
-            let sched = map.rank_schedule(sym, r);
+            let grid = map.rank_schedule(sym, r, []).grid;
             let last = slot.lock().unwrap().keys().next_back().copied();
             // First own front this rank has *not* completed: everything
             // strictly below it is done from r's perspective.
             let next_own = match last {
-                None => sched.grid.first().copied(),
-                Some(l) => sched.grid.iter().copied().find(|&g| g > l),
+                None => grid.first().copied(),
+                Some(l) => grid.iter().copied().find(|&g| g > l),
             };
             cut = cut.min(next_own.unwrap_or(usize::MAX));
         }
@@ -325,8 +336,8 @@ impl CheckpointStore {
 /// What a simulated rank is charged for a locally-factored front: the
 /// front and the panel are tracked rank memory, assembly and the partial
 /// factorization advance the virtual clock by their modelled flops
-/// ([`assembly_flops`], [`flops_partial`]). Update matrices in
-/// flight between local fronts are not tracked.
+/// ([`assembly_flops`], [`flops_partial`], not per kernel step). Update
+/// matrices in flight between local fronts are not tracked.
 impl FrontMeter for Rank {
     type Tick = ();
 
@@ -335,6 +346,8 @@ impl FrontMeter for Rank {
     fn assembled(&mut self, (): (), sym: &Symbolic, s: usize, _: u64) {
         self.compute_as(assembly_flops(sym, s), Phase::ExtendAdd, Some(s));
     }
+
+    fn step(&mut self, (): (), _: Phase, _: usize) {}
 
     fn factored(&mut self, s: usize, flops: f64) {
         self.compute_as(flops, Phase::Panel, Some(s));
@@ -353,36 +366,19 @@ impl FrontMeter for Rank {
     }
 }
 
-impl RankRun<'_> {
-    /// Factor one single-rank supernode (sequential kernel) and route its
-    /// update toward the parent.
+impl RankRun<'_, '_> {
+    /// Factor one single-rank supernode with the engines' front loop on its
+    /// run's slab part; a run's root ships its update to the parent.
     fn do_local(&mut self, s: usize) -> Result<(), FactorError> {
-        let sym = self.sym;
-        // Children of a local supernode are local on this rank.
-        let updates = &mut self.st.local_updates;
-        self.wst.stage(
-            sym.tree.children[s]
-                .iter()
-                .map(|c| updates.remove(c).expect("local child update")),
-        );
-        // SAFETY: a local front is factored by its one rank, once per
-        // attempt, and attempts never overlap.
-        let panel = unsafe {
-            self.out
-                .panel_mut(s, 0..sym.front_order(s) * sym.sn_width(s))
-        };
-        self.st.factor_bytes += panel.len() * 8;
-        let update = factor_front(
-            self.ap,
-            sym,
-            s,
-            &mut self.wst,
-            self.rank,
-            panel,
-            |_, f, w, panel, schur| chol::partial_potrf_split(f, w, panel, f, schur, f - w, 1),
-        )?;
-        if let Some(upd) = update {
-            self.route_update(s, upd);
+        let (ap, sym) = (self.ap, self.sym);
+        let i = self.runs.partition_point(|(sns, _)| sns.end <= s);
+        let (sns, out) = &mut self.runs[i];
+        factor_run(ap, sym, s..s + 1, out, &mut self.wst, self.rank, 1).map_err(|(_, e)| e)?;
+        self.st.factor_bytes += sym.front_order(s) * sym.sn_width(s) * 8;
+        let root = (s + 1 == sns.end).then(|| out.slots[s - sns.start].take());
+        if let Some(upd) = root.flatten() {
+            let r = upd.order(sym);
+            self.send_update(s, |j, rows| &upd.data[j * r + rows.start..j * r + rows.end]);
         }
         Ok(())
     }
@@ -487,22 +483,6 @@ impl RankRun<'_> {
         // `s` here, and no other rank touches that panel.
         unsafe { df.write_pivots(self.out) };
         Ok(())
-    }
-
-    /// Route a locally-computed update matrix toward the parent supernode.
-    fn route_update(&mut self, s: usize, upd: UpdateMatrix) {
-        let parent = self.sym.tree.parent[s];
-        debug_assert_ne!(parent, NONE);
-        match self.map.layout[parent] {
-            Layout::Local => {
-                // Parent runs on this same rank (nested ranges).
-                self.st.local_updates.insert(s, upd);
-            }
-            Layout::Grid { .. } => {
-                let r = upd.order(self.sym);
-                self.send_update(s, |j, rows| &upd.data[j * r + rows.start..j * r + rows.end]);
-            }
-        }
     }
 
     /// Split child `s`'s update among the owners of its distributed parent
@@ -974,6 +954,16 @@ impl<'a> DistRun<'a> {
     /// timeline and fault-recovery test suites pin down. On an error the
     /// slab may be partly overwritten, as with the host engines.
     pub fn run(&self, factor: &mut Factor) -> Result<FaultRun, FactorError> {
+        self.run_with(factor, &CheckpointStore::new(self.opts.ranks))
+    }
+
+    /// [`DistRun::run`], checkpointing into `store` (an empty store for
+    /// `opts.ranks` ranks) when the fault plan turns recovery on.
+    pub(crate) fn run_with(
+        &self,
+        factor: &mut Factor,
+        store: &CheckpointStore,
+    ) -> Result<FaultRun, FactorError> {
         let (o, sym) = (&self.opts, Arc::clone(&factor.sym));
         let p = o.ranks;
         if factor.kind != FactorKind::Llt {
@@ -1015,7 +1005,7 @@ impl<'a> DistRun<'a> {
         }
         let map = crate::mapping::map_tree(&sym, p, o.strategy);
         assert!(map.validate(&sym), "invalid mapping");
-        let store = recover.then(|| CheckpointStore::new(p));
+        let store = recover.then_some(store);
         // Generous machine-wide deadline: the whole factorization's flops and
         // a factor's worth of traffic, with the model's 4x margin. It costs
         // nothing physically: the scanner fires it at quiescence, in no host
@@ -1028,7 +1018,13 @@ impl<'a> DistRun<'a> {
         let mut counts = FaultCounts::default();
         let mut restarts = 0u64;
         let mut total_makespan_s = 0.0f64;
-        let out = FactorWriter::new(factor);
+        // Each rank's local runs behind a lock of its own, which it holds
+        // for an attempt; the grid fronts' panels behind the writer.
+        let mut slots = vec![None; sym.nsuper()];
+        let mut rest = Slab::new(factor, &mut slots);
+        let (runs, top) = Plan::new(&sym, &map).deal(|sns| rest.cut(&sym, sns.end));
+        let runs: Vec<Mutex<Runs<Slab>>> = runs.into_iter().map(Mutex::new).collect();
+        let out = FactorWriter::new(top.into_iter().map(|(s, part)| (s, part.panels)));
         loop {
             let mut machine = Machine::new(p, o.model)
                 .trace_events(self.timeline)
@@ -1040,8 +1036,12 @@ impl<'a> DistRun<'a> {
                 machine = machine.recv_timeout(t);
             }
             let vr = machine.run_verdict(|rank| {
+                // A crashed attempt unwound with the lock held; this one
+                // empties the slots and redoes every front past its snapshot.
+                let lock = runs[rank.rank()].lock();
+                let mut runs = lock.unwrap_or_else(PoisonError::into_inner);
                 let sync = o.sync_schedule;
-                factorize_rank(rank, self.ap, &sym, &map, &out, sync, store.as_ref())
+                factorize_rank(rank, self.ap, &sym, &map, &mut runs, &out, sync, store)
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;
@@ -1083,7 +1083,7 @@ impl<'a> DistRun<'a> {
             // Crash faults fired; keep link faults (delay/dup) live so the
             // retry exercises the same wire conditions.
             attempt_plan = attempt_plan.without_crashes();
-            if let Some(cs) = &store {
+            if let Some(cs) = store {
                 cs.rewind_to_consistent_cut(&sym, &map);
             }
         }
@@ -1382,6 +1382,55 @@ mod tests {
         };
         assert!(end(&merged) <= traced.factor_time_s + 1e-12);
         assert!(end(&solve_spans) <= solve.time_s + 1e-12);
+    }
+
+    /// Rank `r`'s latest snapshot in `store`: the distributed front it was
+    /// taken after, and how many local updates it holds for a local parent
+    /// still to come.
+    fn latest_snapshot(store: &CheckpointStore, r: usize) -> Option<(usize, usize)> {
+        let snaps = store.slots[r].lock().unwrap();
+        let (&g, snap) = snaps.iter().next_back()?;
+        Some((g, snap.updates.len()))
+    }
+
+    #[test]
+    fn a_restart_restores_a_half_finished_local_subtree() {
+        // lap3d-16 on 16 ranks: rank 11 finishes distributed front 782
+        // (virtual clock 0.58 ms) with three updates of a local subtree
+        // waiting for their parent, and front 783 at 1.50 ms. Crashing it
+        // at 1 ms puts the consistent cut at 783, so the restart restores
+        // that snapshot and finishes the subtree from it. `parfact-solve
+        // --gen lap3d:16 --ranks 16 --inject crash:11@t=0.001` runs the
+        // same restart.
+        let a = gen::laplace3d(16, 16, 16, gen::Stencil3d::SevenPoint);
+        let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
+        let (p, fresh) = (16, || Factor::allocate(&sym, FactorKind::Llt, perm.clone()));
+        let bits = |f: &Factor| f.panels.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut reference = fresh();
+        DistRun::new(p, CostModel::bluegene_p(), &ap)
+            .run(&mut reference)
+            .unwrap();
+        let crashing = |max_restarts| DistRun {
+            opts: DistOpts {
+                ranks: p,
+                faults: FaultPlan::parse("crash:11@t=0.001").unwrap(),
+                max_restarts,
+                ..DistOpts::default()
+            },
+            ..DistRun::new(p, CostModel::bluegene_p(), &ap)
+        };
+        // The crashed attempt alone, and the cut a restart resumes from.
+        let store = CheckpointStore::new(p);
+        let failed = crashing(0).run_with(&mut fresh(), &store);
+        assert!(matches!(failed, Err(FactorError::RankFailed { .. })));
+        let map = crate::mapping::map_tree(&sym, p, MapStrategy::default());
+        assert_eq!(store.rewind_to_consistent_cut(&sym, &map), 783);
+        assert_eq!(latest_snapshot(&store, 11), Some((782, 3)));
+        // The whole recovery: one crash, one restart, the fault-free bits.
+        let mut recovered = fresh();
+        let run = crashing(1).run(&mut recovered).unwrap();
+        assert_eq!((run.counts.crashes, run.restarts), (1, 1));
+        assert!(bits(&recovered) == bits(&reference));
     }
 
     #[test]

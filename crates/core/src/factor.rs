@@ -13,6 +13,8 @@ use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder, Phase};
+use std::cmp::max_by;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -266,58 +268,61 @@ impl Factor {
     }
 
     /// Max `|L(i,j)|` difference against another factor with the identical
-    /// symbolic structure (cross-engine equivalence checks).
+    /// symbolic structure (cross-engine equivalence checks); NaN where a
+    /// difference is (a NaN in either factor, or one infinity in both).
     pub fn max_abs_diff(&self, other: &Factor) -> f64 {
         assert_eq!(self.sym.sn_ptr, other.sym.sn_ptr);
         assert_eq!(self.panels.len(), other.panels.len());
-        let mut m: f64 = 0.0;
-        for (x, y) in self.panels.iter().zip(&other.panels) {
-            m = m.max((x - y).abs());
-        }
-        for (x, y) in self.d.iter().zip(&other.d) {
-            m = m.max((x - y).abs());
-        }
-        m
+        let panels = self.panels.iter().zip(&other.panels);
+        let pivots = self.d.iter().zip(&other.d);
+        // `f64::max` drops a NaN; in `total_cmp` order a NaN `abs` tops all.
+        let diffs = panels.chain(pivots).map(|(x, y)| (x - y).abs());
+        diffs.fold(0.0, |m, d| max_by(m, d, f64::total_cmp))
     }
 }
 
-/// Raw-pointer view of a [`Factor`]'s panel slab for disjoint cross-thread
-/// writes: the simulated ranks write the slab in place through it, each
-/// range by one rank; the machine's join publishes the writes.
+/// Raw-pointer view of the panels of a [`Factor`]'s grid (distributed)
+/// fronts for disjoint cross-thread writes: the simulated ranks write their
+/// pivot segments through it, each by one rank; the machine's join
+/// publishes the writes. Local fronts write their own slab parts.
 pub(crate) struct FactorWriter<'a> {
-    panels: *mut f64,
-    panel_ptr: &'a [usize],
+    /// `(s, start, len)` of every panel it covers, ascending in `s`.
+    panels: Vec<(usize, *mut f64, usize)>,
+    slab: PhantomData<&'a mut [f64]>,
 }
 
-// SAFETY: FactorWriter holds a raw pointer into one Factor's slab; the
-// scheduler hands each range of it to exactly one thread, and the join
-// publishes the writes before the Factor is read again.
+// SAFETY: FactorWriter holds raw pointers into panels it borrows mutably;
+// the scheduler hands each range of them to exactly one thread, and the
+// join publishes the writes before the Factor is read again.
 unsafe impl Send for FactorWriter<'_> {}
 // SAFETY: see Send above — shared access is only through `panel_mut`,
 // whose contract requires a unique writer per disjoint range.
 unsafe impl Sync for FactorWriter<'_> {}
 
 impl<'a> FactorWriter<'a> {
-    pub(crate) fn new(factor: &'a mut Factor) -> Self {
+    /// A writer over the panels of the supernodes `(s, panel)`, ascending.
+    pub(crate) fn new(panels: impl IntoIterator<Item = (usize, &'a mut [f64])>) -> Self {
+        let panels = panels.into_iter();
         FactorWriter {
-            panels: factor.panels.as_mut_ptr(),
-            panel_ptr: &factor.panel_ptr,
+            panels: panels.map(|(s, p)| (s, p.as_mut_ptr(), p.len())).collect(),
+            slab: PhantomData,
         }
     }
 
-    /// Entries `part` of panel `s`.
+    /// Entries `part` of panel `s`, which the writer must cover.
     ///
     /// # Safety
     /// The caller must be the unique writer of those entries while the
     /// returned slice lives.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn panel_mut(&self, s: usize, part: Range<usize>) -> &mut [f64] {
-        let p0 = self.panel_ptr[s];
-        assert!(part.start <= part.end && p0 + part.end <= self.panel_ptr[s + 1]);
-        // SAFETY: the assert keeps `part` inside panel `s`, whose bounds
-        // come from the Factor this writer was built over; uniqueness of
-        // the `&mut` is the caller's contract (see `# Safety`).
-        unsafe { std::slice::from_raw_parts_mut(self.panels.add(p0 + part.start), part.len()) }
+        let i = self.panels.binary_search_by_key(&s, |&(t, ..)| t);
+        let (_, p0, len) = self.panels[i.expect("a panel the writer covers")];
+        assert!(part.start <= part.end && part.end <= len);
+        // SAFETY: the assert keeps `part` inside panel `s`, a slice this
+        // writer borrows mutably; uniqueness of the `&mut` is the caller's
+        // contract (see `# Safety`).
+        unsafe { std::slice::from_raw_parts_mut(p0.add(part.start), part.len()) }
     }
 }
 
@@ -369,8 +374,46 @@ pub fn reconstruction_error(factor: &Factor, ap: &CscMatrix) -> f64 {
     let mut err: f64 = 0.0;
     for j in 0..n {
         for i in j..n {
-            err = err.max((rec[j * n + i] - ad[j * n + i]).abs());
+            err = max_by(err, (rec[j * n + i] - ad[j * n + i]).abs(), f64::total_cmp);
         }
     }
     err
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parfact_sparse::gen;
+    use parfact_symbolic::{analyze, AmalgOpts};
+
+    fn grid_factor() -> (Factor, CscMatrix) {
+        let a = gen::laplace2d(6, 5, gen::Stencil2d::FivePoint);
+        let (sym, ap) = analyze(&a, &AmalgOpts::default());
+        let perm = sym.post.clone();
+        let f = crate::seq::factorize_seq(&ap, &Arc::new(sym), FactorKind::Llt, perm);
+        (f.unwrap(), ap)
+    }
+
+    #[test]
+    fn max_abs_diff_sees_a_nan_entry() {
+        let (f, _) = grid_factor();
+        let mut g = f.clone();
+        assert_eq!(f.max_abs_diff(&g), 0.0);
+        // A NaN after a larger difference, then before one: both orders.
+        g.panels[0] += 1.0;
+        g.panels[1] = f64::NAN;
+        assert!(f.max_abs_diff(&g).is_nan());
+        assert!(g.max_abs_diff(&f).is_nan());
+        g.panels[2] += 2.0;
+        assert!(f.max_abs_diff(&g).is_nan());
+    }
+
+    #[test]
+    fn reconstruction_error_sees_a_nan_entry() {
+        let (mut f, ap) = grid_factor();
+        assert!(reconstruction_error(&f, &ap) < 1e-12);
+        let last = f.panels.len() - 1;
+        f.panels[last] = f64::NAN;
+        assert!(reconstruction_error(&f, &ap).is_nan());
+    }
 }

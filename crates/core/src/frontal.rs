@@ -14,13 +14,13 @@
 //! dimension `f`), its trailing block in the buffer that then travels to
 //! the parent as the update matrix (leading dimension `f - width`).
 //!
-//! That life-cycle is spelled out exactly once, in `factor_front`. The
-//! engines (`seq`, the `smp` subtrees and top, the local subtrees of
-//! `dist`) are schedulers around it: they decide which supernode runs
-//! next, where its children's updates come from and where its own update
-//! goes. What a front costs is charged through a `FrontMeter` — wall-clock
-//! ticks and tracked bytes on the host engines, virtual compute time and
-//! rank memory on the simulated machine.
+//! That life-cycle is spelled out exactly once, in `factor_front`, and run
+//! by one loop, `seq::factor_run`, for the local fronts of all engines
+//! (`seq`, the `smp` subtrees and top, the local subtrees of `dist`): they
+//! are schedulers around it, picking the next supernodes and the slab part
+//! whose slots hold their children's updates. What a front costs is charged
+//! through a `FrontMeter` — wall-clock ticks and tracked bytes on the host
+//! engines, virtual compute time and rank memory on the simulated machine.
 
 use crate::error::FactorError;
 use crate::factor::FactorKind;
@@ -155,9 +155,9 @@ pub(crate) enum Buf {
 
 /// Where [`factor_front`] charges the time, flops and memory of a front.
 /// The hooks fire in a fixed order — `hold(Front)`, `hold(Update)`,
-/// `start`, `assembled`, `release(Update)` per child, (dense kernel),
-/// `factored`, `hold(Panel)`, `release(Front)` — which is what keeps
-/// memory high-water marks and virtual clocks reproducible.
+/// `start`, `assembled`, `release(Update)` per child, (kernel: `start`,
+/// `step`, ...), `factored`, `hold(Panel)`, `release(Front)` — which is
+/// what keeps memory high-water marks and virtual clocks reproducible.
 pub(crate) trait FrontMeter {
     /// An in-flight assembly timing.
     type Tick;
@@ -166,6 +166,8 @@ pub(crate) trait FrontMeter {
     /// Supernode `s` is assembled from the matrix and all its children's
     /// updates: `entries` values were scattered or added into its front.
     fn assembled(&mut self, tick: Self::Tick, sym: &Symbolic, s: usize, entries: u64);
+    /// Step `phase` of supernode `s`'s dense kernel, begun at `tick`, ended.
+    fn step(&mut self, tick: Self::Tick, phase: Phase, s: usize);
     /// The dense partial factorization of supernode `s` took `flops`.
     fn factored(&mut self, s: usize, flops: f64);
     /// `bytes` of `buf` became live.
@@ -174,9 +176,8 @@ pub(crate) trait FrontMeter {
     fn release(&mut self, buf: Buf, bytes: usize);
 }
 
-/// Host engines: assembly is wall-timed as [`Phase::ExtendAdd`] (the dense
-/// kernel times itself, see [`panel_kernel`]), every buffer that exists is
-/// tracked.
+/// Host engines: assembly and each step of the dense kernel are wall-timed
+/// in their phase, every buffer that exists is tracked.
 impl FrontMeter for LocalRecorder<'_> {
     type Tick = Tick;
 
@@ -187,6 +188,10 @@ impl FrontMeter for LocalRecorder<'_> {
     fn assembled(&mut self, tick: Tick, _: &Symbolic, s: usize, entries: u64) {
         self.stop(tick, Phase::ExtendAdd, Some(s));
         self.add_assembled_entries(entries);
+    }
+
+    fn step(&mut self, tick: Tick, phase: Phase, s: usize) {
+        self.stop(tick, phase, Some(s));
     }
 
     fn factored(&mut self, _: usize, flops: f64) {
@@ -211,15 +216,15 @@ impl FrontMeter for LocalRecorder<'_> {
 /// pivots, stored as [`assemble_front`] leaves it, with each of its
 /// updates shared by `threads` threads (the bits do not depend on
 /// `threads`). `d` receives the LDLᵀ pivots (unused for LLᵀ). LLᵀ runs
-/// the two steps of [`chol::partial_potrf_split`] here so that each gets
-/// its own timer: the pivot columns as [`Phase::Panel`], the one Schur
-/// update from all of them as [`Phase::Gemm`]. LDLᵀ is timed whole as
-/// [`Phase::Panel`].
+/// the two steps of [`chol::partial_potrf_split`] here so that each is a
+/// [`FrontMeter::step`] of its own: the pivot columns as [`Phase::Panel`],
+/// the one Schur update from all of them as [`Phase::Gemm`]. LDLᵀ is one
+/// [`Phase::Panel`] step.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn panel_kernel(
+pub(crate) fn panel_kernel<M: FrontMeter>(
     kind: FactorKind,
     s: usize,
-    rec: &mut LocalRecorder<'_>,
+    meter: &mut M,
     f: usize,
     w: usize,
     panel: &mut [f64],
@@ -227,21 +232,21 @@ pub(crate) fn panel_kernel(
     d: &mut [f64],
     threads: usize,
 ) -> Result<(), DenseError> {
-    let tick = rec.start();
+    let tick = meter.start();
     match kind {
         FactorKind::Llt => {
             chol::potrf_panel(f, w, panel, f, 0, threads)?;
-            rec.stop(tick, Phase::Panel, Some(s));
+            meter.step(tick, Phase::Panel, s);
             if f > w {
-                let tick = rec.start();
+                let tick = meter.start();
                 let (r, l21) = (f - w, &panel[w..]);
                 gemm_nt_ln(r, r, w, -1.0, l21, f, l21, f, schur, r, threads);
-                rec.stop(tick, Phase::Gemm, Some(s));
+                meter.step(tick, Phase::Gemm, s);
             }
         }
         FactorKind::Ldlt => {
             chol::partial_ldlt_split(f, w, panel, f, schur, f - w, d, threads)?;
-            rec.stop(tick, Phase::Panel, Some(s));
+            meter.step(tick, Phase::Panel, s);
         }
     }
     Ok(())

@@ -2,12 +2,12 @@
 //! the system of *"Sparse matrix factorization on massively parallel
 //! computers"* (SC 2009), rebuilt in Rust.
 //!
-//! One front kernel, three schedulers. The life of a front — assemble it
+//! One front loop, three schedulers. The life of a front — assemble it
 //! from the matrix and the children's update matrices, partially factor
 //! it, keep the panel, hand the Schur complement up — is
-//! `frontal::factor_front`, and the engines only decide which supernode
-//! runs next, where its children's updates come from and where its own
-//! goes:
+//! `frontal::factor_front`, run by one loop (`seq::factor_run`) for every
+//! engine's local fronts; the engines only decide which supernodes run
+//! next and on which part of the factor slab:
 //!
 //! - [`seq`] — postorder on one thread; the correctness oracle;
 //! - [`smp`] — shared-memory parallel: each thread factors its local
@@ -17,7 +17,7 @@
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
 //!   [`parfact_mpsim::Machine`]. Each rank runs its local subtrees through
-//!   the same front kernel, charged to its virtual clock; the fronts above
+//!   the same front loop, charged to its virtual clock; the fronts above
 //!   them are block-cyclic 1-D/2-D distributed fronts with pipelined panel
 //!   broadcasts, fed by the parallel extend-add. This is the paper's
 //!   contribution.

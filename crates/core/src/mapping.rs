@@ -8,8 +8,8 @@
 //! multifrontal method scale: communication only happens in the thin top of
 //! the tree, over geometrically shrinking rank groups.
 //!
-//! On a shared-memory host the same mapping, with one "rank" per thread,
-//! is the schedule of the SMP factorization and solve (`Plan`).
+//! Read as runs of supernodes (`Plan`), it is the schedule of the dist
+//! engine and, with one "rank" per thread, of the SMP factor and solve.
 
 use parfact_symbolic::{Symbolic, NONE};
 use std::ops::Range;
@@ -178,13 +178,13 @@ pub fn map_tree(sym: &Symbolic, p: usize, strategy: MapStrategy) -> Mapping {
 /// subtree's update. Every supernode of one local subtree shares its root's
 /// deadline, so sorting by `(deadline, supernode)` groups subtrees by due
 /// date while keeping each subtree internally postordered.
-pub struct RankSchedule {
+pub(crate) struct RankSchedule {
     /// Distributed supernodes of this rank, ascending (postorder).
-    pub grid: Vec<usize>,
+    pub(crate) grid: Vec<usize>,
     /// `(deadline, supernode)` for every local supernode, sorted. The
     /// deadline indexes into `grid`; `usize::MAX` means nothing distributed
     /// ever consumes the subtree (it ends at a root).
-    pub local: Vec<(usize, usize)>,
+    pub(crate) local: Vec<(usize, usize)>,
 }
 
 impl Mapping {
@@ -193,39 +193,26 @@ impl Mapping {
         self.group[s].0
     }
 
-    /// Build rank `me`'s schedule. Deadlines propagate root-to-leaf inside
-    /// local subtrees: a local supernode with a distributed parent is due
-    /// when that parent runs, and everything below it is due no later
-    /// (postorder stores parents after children, so a descending sweep sees
-    /// parents first).
-    pub fn rank_schedule(&self, sym: &Symbolic, me: usize) -> RankSchedule {
-        let nsuper = sym.nsuper();
-        let grid: Vec<usize> = (0..nsuper)
-            .filter(|&s| self.participates(s, me) && matches!(self.layout[s], Layout::Grid { .. }))
+    /// Rank `me`'s schedule, given the local runs it owns (see [`Plan`]):
+    /// a run is due when the distributed parent of its root runs, and all
+    /// its supernodes with it.
+    pub(crate) fn rank_schedule<'r>(
+        &self,
+        sym: &Symbolic,
+        me: usize,
+        runs: impl IntoIterator<Item = &'r Range<usize>>,
+    ) -> RankSchedule {
+        let grid: Vec<usize> = (0..sym.nsuper())
+            .filter(|&s| self.participates(s, me) && self.layout[s] != Layout::Local)
             .collect();
-        let mut grid_pos = vec![usize::MAX; nsuper];
-        for (i, &g) in grid.iter().enumerate() {
-            grid_pos[g] = i;
-        }
-        let mut deadline = vec![usize::MAX; nsuper];
-        let mut local: Vec<(usize, usize)> = Vec::new();
-        for s in (0..nsuper).rev() {
-            if !self.participates(s, me) || self.layout[s] != Layout::Local {
-                continue;
-            }
-            let p = sym.tree.parent[s];
-            deadline[s] = if p == NONE {
-                usize::MAX
-            } else {
-                match self.layout[p] {
-                    // Nesting puts `me` in the parent's group, so the
-                    // parent is in `grid`.
-                    Layout::Grid { .. } => grid_pos[p],
-                    // A local parent of a local child shares its rank.
-                    Layout::Local => deadline[p],
-                }
+        let mut local = Vec::new();
+        for sns in runs {
+            // Nesting puts `me` in the parent's group, so it is in `grid`.
+            let due = match sym.tree.parent[sns.end - 1] {
+                NONE => usize::MAX,
+                p => grid.binary_search(&p).expect("a local run's parent"),
             };
-            local.push((deadline[s], s));
+            local.extend(sns.clone().map(|s| (due, s)));
         }
         local.sort_unstable();
         RankSchedule { grid, local }
@@ -265,29 +252,32 @@ impl Mapping {
     }
 }
 
-/// The subtree mapping on `threads` host threads read as a schedule, the
-/// one the SMP factorization and solve share: the supernodes split into
-/// runs, each a whole local subtree (group size 1) owned by one thread or
-/// one supernode of the top (group size > 1).
+/// A mapping read as a schedule, the one the engines share: the
+/// supernodes split into runs, each a whole local subtree (group size 1)
+/// owned by one thread or rank, or one supernode of the top (group size >
+/// 1).
 pub(crate) struct Plan {
     /// The runs in postorder; they partition the supernodes.
     pub(crate) runs: Vec<Run>,
-    /// The thread count the mapping was built for.
+    /// The thread or rank count the mapping was built for.
     pub(crate) threads: usize,
 }
 
+/// What [`Plan::deal`] cut off for each run of one owner, in ascending
+/// order, with the run's supernodes.
+pub(crate) type Runs<C> = Vec<(Range<usize>, C)>;
+
 /// A run of supernodes, consecutive in postorder: a whole local subtree
-/// (`sns` ends at its root) owned by thread `owner`, or one top supernode
-/// (`owner == None`).
+/// (`sns` ends at its root) owned by thread or rank `owner`, or one top
+/// supernode (`owner == None`).
 pub(crate) struct Run {
     pub(crate) sns: Range<usize>,
     pub(crate) owner: Option<usize>,
 }
 
 impl Plan {
-    pub(crate) fn new(sym: &Symbolic, threads: usize) -> Plan {
-        let map = map_tree(sym, threads, MapStrategy::default());
-        let tree = &sym.tree;
+    pub(crate) fn new(sym: &Symbolic, map: &Mapping) -> Plan {
+        let (tree, threads) = (&sym.tree, map.nranks);
         let local = |s: usize| map.group_size(s) == 1;
         // The first supernode of the subtree rooted at `s`, in postorder.
         let mut first = vec![0usize; sym.nsuper()];
@@ -339,27 +329,41 @@ impl Plan {
         self.runs[i].owner.unwrap_or(0)
     }
 
+    /// Split something laid out in supernode order run by run: `cut` sees
+    /// every run in postorder and splits off its part. Returns the parts of
+    /// each owner's runs, by owner, in ascending order, and the top
+    /// supernodes' parts.
+    pub(crate) fn deal<C>(
+        &self,
+        mut cut: impl FnMut(&Range<usize>) -> C,
+    ) -> (Vec<Runs<C>>, Vec<(usize, C)>) {
+        let mut mine: Vec<Runs<C>> = (0..self.threads).map(|_| Vec::new()).collect();
+        let mut top = Vec::new();
+        for run in &self.runs {
+            let part = cut(&run.sns);
+            match run.owner {
+                Some(t) => mine[t].push((run.sns.clone(), part)),
+                None => top.push((run.sns.start, part)),
+            }
+        }
+        (mine, top)
+    }
+
     /// Run `job(t, subtrees, state)` once for every thread `t` that owns a
     /// local subtree, each on an OS thread of its own (the first on the
     /// calling one), with the `t`-th item of `states` and its subtrees in
-    /// ascending order, each paired with what `cut` split off for it.
-    /// `cut` sees every run in postorder, the top ones included (their
-    /// parts are dropped), so it can split a slice laid out in supernode
-    /// order run by run. Returns the jobs' results by thread.
+    /// ascending order, each paired with what `cut` split off for it (see
+    /// [`Plan::deal`]; the top's parts are dropped). Returns the jobs'
+    /// results by thread.
     pub(crate) fn on_threads<C: Send, S: Send, R: Send>(
         &self,
-        mut cut: impl FnMut(&Range<usize>) -> C,
+        cut: impl FnMut(&Range<usize>) -> C,
         states: impl IntoIterator<Item = S>,
-        job: impl Fn(usize, Vec<(Range<usize>, C)>, S) -> R + Sync,
+        job: impl Fn(usize, Runs<C>, S) -> R + Sync,
     ) -> Vec<R> {
-        let mut mine: Vec<Vec<(Range<usize>, C)>> = (0..self.threads).map(|_| Vec::new()).collect();
-        for run in &self.runs {
-            let part = cut(&run.sns);
-            if let Some(t) = run.owner {
-                mine[t].push((run.sns.clone(), part));
-            }
-        }
-        let mut work = mine
+        let mut work = self
+            .deal(cut)
+            .0
             .into_iter()
             .zip(states)
             .enumerate()
@@ -467,8 +471,10 @@ mod tests {
         let sym = sym_for_grid();
         let p = 8;
         let m = map_tree(&sym, p, MapStrategy::default());
+        let plan = Plan::new(&sym, &m);
         for me in 0..p {
-            let sched = m.rank_schedule(&sym, me);
+            let runs = plan.runs.iter().filter(|r| r.owner == Some(me));
+            let sched = m.rank_schedule(&sym, me, runs.map(|r| &r.sns));
             assert!(sched.grid.windows(2).all(|w| w[0] < w[1]), "postorder");
             assert!(sched.local.windows(2).all(|w| w[0] < w[1]), "sorted");
             for &(d, s) in &sched.local {

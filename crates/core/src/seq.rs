@@ -1,16 +1,16 @@
 //! Sequential supernodal multifrontal factorization: the postorder
 //! scheduler over `factor_front`, and the correctness oracle for the
-//! parallel engines. Its loop (`factor_run`) also runs each SMP
-//! thread's subtrees and, with the dense kernel threaded, the SMP top.
+//! parallel engines. Its loop (`factor_run`) runs every engine's local
+//! fronts: SMP subtrees and top, and each simulated rank's subtrees.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{factor_front, panel_kernel, UpdateMatrix};
+use crate::frontal::{factor_front, panel_kernel, FrontMeter, UpdateMatrix};
 use crate::workspace::{FrontWorkspace, Workspace};
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
-use parfact_trace::{Collector, LocalRecorder};
+use parfact_trace::Collector;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,10 +73,10 @@ pub(crate) struct Slab<'a> {
     first: usize,
     kind: FactorKind,
     panel_ptr: &'a [usize],
-    panels: &'a mut [f64],
+    pub(crate) panels: &'a mut [f64],
     /// Empty for LLᵀ.
     d: &'a mut [f64],
-    slots: &'a mut [Option<UpdateMatrix>],
+    pub(crate) slots: &'a mut [Option<UpdateMatrix>],
 }
 
 impl<'a> Slab<'a> {
@@ -119,15 +119,15 @@ impl<'a> Slab<'a> {
 /// `out` from the arena `wst`. Every child of a supernode in `sns` comes
 /// before it, in `sns` or with its update already in `out`'s slots.
 /// Every front runs [`panel_kernel`], whose updates `threads` threads
-/// share, for both kinds, to the same bits at every thread count. Stops
-/// at the first failure and returns it with its supernode.
-pub(crate) fn factor_run(
+/// share, for both kinds, to the same bits at every thread count, charged
+/// to `meter`. Stops at the first failure and returns it with its node.
+pub(crate) fn factor_run<M: FrontMeter>(
     ap: &CscMatrix,
     sym: &Symbolic,
     sns: Range<usize>,
     out: &mut Slab<'_>,
     wst: &mut FrontWorkspace,
-    rec: &mut LocalRecorder<'_>,
+    meter: &mut M,
     threads: usize,
 ) -> Result<(), (usize, FactorError)> {
     let (first, kind, pp, cp) = (out.first, out.kind, out.panel_ptr, &sym.sn_ptr);
@@ -144,8 +144,8 @@ pub(crate) fn factor_run(
             FactorKind::Llt => &mut [][..],
             FactorKind::Ldlt => &mut out.d[cp[s] - cp[first]..cp[s + 1] - cp[first]],
         };
-        let update = factor_front(ap, sym, s, wst, rec, panel, |rec, f, w, panel, schur| {
-            panel_kernel(kind, s, rec, f, w, panel, schur, d, threads)
+        let update = factor_front(ap, sym, s, wst, meter, panel, |m, f, w, panel, schur| {
+            panel_kernel(kind, s, m, f, w, panel, schur, d, threads)
         });
         out.slots[s - first] = update.map_err(|e| (s, e))?;
     }

@@ -20,7 +20,8 @@
 //!    ([`parfact_dense::blas::gemm_nt_ln`]), to the same bits.
 //!
 //! The schedule is built once per analysis and thread count and kept in
-//! the [`Workspace`], next to the arenas it schedules. The same thread
+//! the [`Workspace`], next to the arenas it schedules, for the mapped
+//! solves as well. The same thread
 //! builds the same fronts every run, and the top hands each local root's
 //! update buffer back to the arena that built it, so a warm run grows no
 //! buffer, as on the sequential engine. A failing run returns the
@@ -88,7 +89,9 @@ pub(crate) fn factorize_smp_into(
     if nthreads <= 1 || nsuper <= 1 {
         return crate::seq::factorize_seq_into(ap, sym, tr, ws, factor);
     }
-    let (plan, arenas, slots) = ws.for_smp(sym, nthreads);
+    ws.ensure_threads(nthreads);
+    ws.reset_slots(nsuper);
+    let (plan, arenas, slots) = (ws.plans.get(sym, nthreads), &mut ws.threads, &mut ws.slots);
 
     // The local subtrees, each thread over its own.
     let mut rest = Slab::new(factor, slots);
@@ -135,13 +138,18 @@ mod tests {
     use super::*;
     use crate::dist::prepare;
     use crate::factor::reconstruction_error;
-    use crate::mapping::Plan;
+    use crate::mapping::{map_tree, MapStrategy, Plan};
     use crate::seq::factorize_seq;
     use crate::workspace::FrontWorkspace;
     use parfact_dense::chol;
     use parfact_order::Method;
     use parfact_sparse::gen;
     use parfact_symbolic::{analyze, AmalgOpts};
+
+    /// The SMP engine's plan of `sym` on `threads` threads.
+    fn smp_plan(sym: &Symbolic, threads: usize) -> Plan {
+        Plan::new(sym, &map_tree(sym, threads, MapStrategy::default()))
+    }
 
     /// Both engines on `a` after nested dissection, whose tree gives the
     /// SMP engine's threads local subtrees below a top (asserted).
@@ -151,7 +159,7 @@ mod tests {
         opts: &SmpOpts,
     ) -> (Factor, Factor, CscMatrix) {
         let (sym, ap, perm) = prepare(a, Method::default(), &AmalgOpts::default());
-        let plan = Plan::new(&sym, resolve_threads(opts.threads));
+        let plan = smp_plan(&sym, resolve_threads(opts.threads));
         assert!(plan.runs.iter().any(|run| run.owner.is_some()));
         let fs = factorize_seq(&ap, &sym, kind, perm.clone()).unwrap();
         let fp = factorize_smp(&ap, &sym, kind, perm, opts).unwrap();
@@ -169,7 +177,7 @@ mod tests {
         // local subtree: every front is a top front.
         let (sym, ap) = analyze(&a, &AmalgOpts::default());
         let sym = Arc::new(sym);
-        let plan = Plan::new(&sym, opts.threads);
+        let plan = smp_plan(&sym, opts.threads);
         assert!(plan.runs.iter().all(|run| run.owner.is_none()));
         let fs = factorize_seq(&ap, &sym, FactorKind::Llt, sym.post.clone()).unwrap();
         let fp = factorize_smp(&ap, &sym, FactorKind::Llt, sym.post.clone(), &opts).unwrap();
@@ -256,7 +264,7 @@ mod tests {
         let a = gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint);
         let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
         let opts = SmpOpts { threads: 3 };
-        let widest = Plan::new(&sym, opts.threads)
+        let widest = smp_plan(&sym, opts.threads)
             .top()
             .map(|s| sym.sn_width(s))
             .max();
@@ -312,7 +320,7 @@ mod tests {
     /// The threads that own a local subtree which fails when factored on
     /// its own.
     fn failing_owners(ap: &CscMatrix, sym: &Arc<Symbolic>, threads: usize) -> Vec<usize> {
-        let plan = Plan::new(sym, threads);
+        let plan = smp_plan(sym, threads);
         let mut factor = Factor::allocate(sym, FactorKind::Llt, sym.post.clone());
         let mut slots = vec![None; sym.nsuper()];
         let mut out = Slab::new(&mut factor, &mut slots);

@@ -26,7 +26,7 @@
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::mapping::Plan;
+use crate::mapping::{map_tree, MapStrategy, Plan};
 use crate::smp::resolve_threads;
 use crate::sweep::{self, Sweep};
 use parfact_symbolic::Symbolic;
@@ -67,8 +67,8 @@ pub fn solve_smp_many(
 }
 
 /// The subtree plans of one analysis, one per thread count, each built on
-/// first use. A plan depends only on the analysis, so a solver keeps them
-/// across its solves and refactorizations.
+/// first use. A plan depends only on the analysis, so a solver's workspace
+/// keeps them for its SMP factorizations and mapped solves.
 #[derive(Default)]
 pub(crate) struct Plans(Mutex<Vec<Arc<Plan>>>);
 
@@ -79,7 +79,8 @@ impl Plans {
         if let Some(p) = plans.iter().find(|p| p.threads == threads) {
             return Arc::clone(p);
         }
-        let p = Arc::new(Plan::new(sym, threads));
+        let map = map_tree(sym, threads, MapStrategy::default());
+        let p = Arc::new(Plan::new(sym, &map));
         plans.push(Arc::clone(&p));
         p
     }

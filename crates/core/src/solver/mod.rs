@@ -107,14 +107,12 @@ pub struct SparseCholesky {
     ap: CscMatrix,
     /// Numeric-factorization arenas, reused across `refactorize` calls so
     /// the sequential steady state allocates nothing per supernode (see
-    /// [`Workspace`] for the SMP engine's).
+    /// [`Workspace`] for the SMP engine's), and the subtree plans the SMP
+    /// factorization and the mapped solves share.
     ws: Workspace,
     /// Solve-phase accumulator (counts, time, flops, spans). Interior
     /// mutability keeps `solve_with` callable through `&self`.
     solve_stats: SolveStats,
-    /// The mapped solve's subtree plans, one per thread count: they depend
-    /// only on the analysis, so every solve and refactorization reuses them.
-    solve_plans: smp_solve::Plans,
 }
 
 impl SparseCholesky {
@@ -187,7 +185,6 @@ impl SparseCholesky {
             ap,
             ws,
             solve_stats: SolveStats::default(),
-            solve_plans: smp_solve::Plans::default(),
         })
     }
 
@@ -330,7 +327,7 @@ impl SparseCholesky {
             &bs,
             nrhs,
             threads,
-            &self.solve_plans,
+            &self.ws.plans,
             &tr,
         )?;
         // Iterative refinement, per column, in the permuted space of the
@@ -1205,19 +1202,19 @@ mod tests {
             chol.solve_with(RhsBlock::single(&b), &opts).unwrap().x
         };
         let first = solve(&chol, 2);
-        assert_eq!(chol.solve_plans.len(), 1, "the mapped solve keeps its plan");
-        let plan = chol.solve_plans.get(&chol.factor.sym, 2);
+        assert_eq!(chol.ws.plans.len(), 1, "the mapped solve keeps its plan");
+        let plan = chol.ws.plans.get(&chol.factor.sym, 2);
         solve(&chol, 3);
-        assert_eq!(chol.solve_plans.len(), 2, "one plan per thread count");
+        assert_eq!(chol.ws.plans.len(), 2, "one plan per thread count");
         chol.refactorize(&a, Engine::Sequential).unwrap();
         chol.refactorize(&a, Engine::Smp(SmpOpts { threads: 2 }))
             .unwrap();
         let again = solve(&chol, 2);
         assert!(
-            Arc::ptr_eq(&plan, &chol.solve_plans.get(&chol.factor.sym, 2)),
+            Arc::ptr_eq(&plan, &chol.ws.plans.get(&chol.factor.sym, 2)),
             "refactorization and solves keep the 2-thread plan"
         );
-        assert_eq!(chol.solve_plans.len(), 2);
+        assert_eq!(chol.ws.plans.len(), 2);
         assert!(first
             .iter()
             .zip(&again)

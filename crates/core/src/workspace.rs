@@ -20,7 +20,8 @@
 //! [`Workspace::growth_events`] counts how often no pooled buffer fit,
 //! which the arena-reuse tests pin to zero for repeat sequential and SMP
 //! factorizations. The SMP engine's schedule is fixed by the subtree
-//! mapping (kept here next to the arenas): every run, each thread builds
+//! mapping (its plans are kept here next to the arenas, and the mapped
+//! solves use them too): every run, each thread builds
 //! the same fronts from its own arena, and the top hands each local
 //! root's buffer back to the arena that built it, so no buffer migrates
 //! between arenas, and each arena stays near one live stack (the tests
@@ -30,9 +31,7 @@
 //! `parfact-dense` and follow the same grow-once discipline.)
 
 use crate::frontal::UpdateMatrix;
-use crate::mapping::Plan;
-use parfact_symbolic::Symbolic;
-use std::sync::Arc;
+use crate::smp_solve::Plans;
 
 /// Per-worker arena: child-update staging and a pool of recycled
 /// update-matrix buffers (a front's trailing block is assembled and
@@ -88,10 +87,10 @@ impl FrontWorkspace {
     }
 }
 
-/// Engine-level workspace: one [`FrontWorkspace`] per worker thread, the
-/// per-supernode update hand-off slots and the SMP engine's schedule.
-/// Owned by [`crate::solver::SparseCholesky`] so `refactorize` reuses all
-/// of it.
+/// Engine-level workspace of one analysis: one [`FrontWorkspace`] per
+/// worker thread, the per-supernode update hand-off slots and the SMP
+/// schedules. Owned by [`crate::solver::SparseCholesky`] so `refactorize`
+/// and the solves reuse all of it.
 #[derive(Default)]
 pub struct Workspace {
     /// Worker arenas (index = worker id; sequential engines use slot 0).
@@ -100,9 +99,8 @@ pub struct Workspace {
     /// assembles. The SMP engine cuts it by subtree like the factor slab,
     /// so each thread owns the slots of its own subtrees.
     pub(crate) slots: Vec<Option<UpdateMatrix>>,
-    /// The SMP schedule, built for one analysis and thread count on first
-    /// use.
-    plan: Option<(Arc<Symbolic>, Plan)>,
+    /// The SMP schedules, one per thread count, each built on first use.
+    pub(crate) plans: Plans,
 }
 
 impl Workspace {
@@ -122,24 +120,6 @@ impl Workspace {
     pub(crate) fn reset_slots(&mut self, nsuper: usize) {
         self.slots.clear();
         self.slots.resize_with(nsuper, || None);
-    }
-
-    /// What an SMP run on `threads` threads uses: the schedule for `sym`
-    /// (built unless the one kept here is it), the arenas `0..threads` and
-    /// the emptied slots.
-    pub(crate) fn for_smp(
-        &mut self,
-        sym: &Arc<Symbolic>,
-        threads: usize,
-    ) -> (&Plan, &mut [FrontWorkspace], &mut [Option<UpdateMatrix>]) {
-        let kept = |(s, p): &(Arc<Symbolic>, Plan)| Arc::ptr_eq(s, sym) && p.threads == threads;
-        if !self.plan.as_ref().is_some_and(kept) {
-            self.plan = Some((Arc::clone(sym), Plan::new(sym, threads)));
-        }
-        self.ensure_threads(threads);
-        self.reset_slots(sym.nsuper());
-        let plan = &self.plan.as_ref().expect("built above").1;
-        (plan, &mut self.threads[..threads], &mut self.slots)
     }
 
     /// Total buffer-growth events across all worker arenas. Zero for a

@@ -1,6 +1,6 @@
 //! Acceptance check: a steady-state `refactorize` on a host engine
 //! performs no per-supernode heap allocation — both engines run every front
-//! through the shared front kernel on warm arenas. A counting global
+//! through the shared front loop on warm arenas. A counting global
 //! allocator measures one warm refactorization; the bound is a small
 //! constant (permuting the new values, the trace plumbing and, for SMP, the
 //! worker threads and the scheduler's per-run arrays allocate O(1) buffers

@@ -94,14 +94,18 @@ impl DMat {
         DMat::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
-    /// Maximum absolute entrywise difference.
+    /// Maximum absolute entrywise difference; NaN if an entry differs by
+    /// NaN (either one is NaN).
     pub fn max_abs_diff(&self, other: &DMat) -> f64 {
         assert_eq!(self.nrows, other.nrows);
         assert_eq!(self.ncols, other.ncols);
-        self.data
+        let diffs = self
+            .data
             .iter()
             .zip(&other.data)
-            .fold(0.0, |m, (&a, &b)| m.max((a - b).abs()))
+            .map(|(a, b)| (a - b).abs());
+        // `f64::max` drops a NaN; in `total_cmp` order a NaN `abs` tops all.
+        diffs.fold(0.0, |m, d| std::cmp::max_by(m, d, f64::total_cmp))
     }
 
     /// Zero out the strict upper triangle (factor kernels leave garbage there).
@@ -230,5 +234,15 @@ mod tests {
         b[(1, 0)] = -3.0;
         b[(0, 1)] = 2.0;
         assert_eq!(a.max_abs_diff(&b), 3.0);
+    }
+
+    #[test]
+    fn max_abs_diff_sees_a_nan_entry() {
+        let a = DMat::zeros(2, 2);
+        let mut b = DMat::zeros(2, 2);
+        b[(0, 0)] = f64::NAN;
+        b[(1, 1)] = 5.0;
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(b.max_abs_diff(&a).is_nan());
     }
 }
