@@ -27,11 +27,10 @@ pub mod solve;
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind, FactorWriter};
-use crate::frontal::{flops_partial, Buf, FrontMeter, UpdateMatrix};
+use crate::frontal::{flops_partial, Buf, FrontMeter};
 use crate::mapping::{Layout, MapStrategy, Mapping, Plan, RankSchedule, Runs};
 use crate::seq::{factor_run, Slab};
 use crate::sweep;
-use crate::workspace::FrontWorkspace;
 use front::{cyclic, DistFront};
 use parfact_mpsim::model::CostModel;
 use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
@@ -73,10 +72,10 @@ enum Sends {
 /// The restartable per-rank state.
 ///
 /// `Clone` is the checkpoint mechanism: a snapshot of this struct (plus the
-/// local-schedule cursor and the filled update slots) after a completed
-/// distributed front is everything a rank needs to resume from that epoch.
-/// Scratch that carries nothing from one front to the next (the front
-/// arena) lives in [`RankRun`] instead, outside the snapshot.
+/// local-schedule cursor and the updates then live in the rank's arena)
+/// after a completed distributed front is everything a rank needs to
+/// resume from that epoch. The arena itself lives in [`RankRun`], outside
+/// the snapshot.
 #[derive(Clone)]
 struct RankState {
     /// Bytes of factor data this rank holds: whole panels of its local
@@ -91,23 +90,25 @@ struct RankState {
 }
 
 /// One rank's run of the SPMD program: the machine handle, the replicated
-/// problem, its local runs, the restartable state and the front arena.
+/// problem and plan, its local runs, the restartable state and its arena.
 struct RankRun<'a, 's> {
     rank: &'a mut Rank,
     ap: &'a CscMatrix,
     sym: &'a Symbolic,
     map: &'a Mapping,
+    plan: &'a Plan,
     runs: &'a mut Runs<Slab<'s>>,
     out: &'a FactorWriter<'a>,
     st: RankState,
-    wst: FrontWorkspace,
+    arena: Vec<f64>,
 }
 
 /// The SPMD factorization program. All ranks call this with identical
-/// (replicated) `ap`, `sym`, `map`, one writer over the grid fronts' panels
-/// and their own local `runs`, and fill their share of the slab; it returns
-/// the bytes of factor the rank holds. Only `FactorKind::Llt` is supported
-/// distributed (the paper's SPD scaling study); use SMP/seq for LDLᵀ.
+/// (replicated) `ap`, `sym`, `map` and its `plan`, one writer over the grid
+/// fronts' panels and their own local `runs`, and fill their share of the
+/// slab; it returns the bytes of factor the rank holds. Only
+/// `FactorKind::Llt` is supported distributed (the paper's SPD scaling
+/// study); use SMP/seq for LDLᵀ.
 ///
 /// With `sync` set, every rank walks its supernodes in strict postorder
 /// over blocking sends/receives — the ablation baseline (EXP-A7).
@@ -124,11 +125,11 @@ struct RankRun<'a, 's> {
 /// to distributed parents are deferred until the sender itself reaches the
 /// consuming front ([`Sends::Deferred`]) and the rank state is snapshotted
 /// into the store after every completed distributed front. On entry the
-/// rank empties its update slots, restores the latest snapshot the store
-/// holds for it (the driver has already rewound the store to a consistent
-/// cut) and resumes from the epoch after it — so a restarted machine
-/// re-executes only the epochs past the cut, and rewrites the slab panels
-/// of every front past it with the same bits.
+/// rank restores the latest snapshot the store holds for it (the driver
+/// has already rewound the store to a consistent cut) into a fresh arena
+/// and resumes from the epoch after it — so a restarted machine re-executes
+/// only the epochs past the cut, and rewrites the slab panels of every
+/// front past it with the same bits.
 ///
 /// Factors are **bitwise identical** in every mode: message matching stays
 /// `(src, tag)` and extend-add contributions are accumulated in canonical
@@ -140,6 +141,7 @@ fn factorize_rank(
     ap: &CscMatrix,
     sym: &Symbolic,
     map: &Mapping,
+    plan: &Plan,
     runs: &mut Runs<Slab<'_>>,
     out: &FactorWriter<'_>,
     sync: bool,
@@ -160,6 +162,7 @@ fn factorize_rank(
         ap,
         sym,
         map,
+        plan,
         runs,
         out,
         st: RankState {
@@ -168,7 +171,7 @@ fn factorize_rank(
             pending: HashMap::new(),
             sends,
         },
-        wst: FrontWorkspace::new(),
+        arena: vec![0.0; plan.arena[me]],
     };
 
     if sync {
@@ -182,15 +185,11 @@ fn factorize_rank(
     }
 
     let sched = map.rank_schedule(sym, me, run.runs.iter().map(|(sns, _)| sns));
-    // A failed attempt may have left updates in the slots.
-    run.runs.iter_mut().for_each(|(_, p)| p.slots.fill(None));
     let mut next = 0usize; // next unprocessed entry of sched.local
     let mut start = 0usize; // first unprocessed entry of sched.grid
     if let Some((pos, snap)) = store.and_then(|cs| cs.restore(me, &sched)) {
-        for upd in snap.updates {
-            let i = run.runs.partition_point(|(sns, _)| sns.end <= upd.src);
-            let (sns, part) = &mut run.runs[i];
-            part.slots[upd.src - sns.start].replace(upd);
+        for (s, data) in snap.updates {
+            run.arena[plan.at[s]..][..data.len()].copy_from_slice(&data);
         }
         (run.st, next, start) = (snap.st, snap.next_local, pos + 1);
     }
@@ -238,7 +237,7 @@ fn factorize_rank(
             .collect();
         run.do_grid(g, Some(bufs))?;
         if let Some(cs) = store {
-            cs.record(g, &run, next);
+            cs.record(g, &run, &sched.local[..next]);
         }
     }
     // Local subtrees nothing distributed ever consumes (they end at roots).
@@ -250,13 +249,13 @@ fn factorize_rank(
 }
 
 /// One rank's restartable frontier: the full mutable state after a
-/// completed distributed front, how far through its local schedule and
-/// its updates then in the slots. Everything after can be replayed.
+/// completed distributed front, how far through its local schedule and a
+/// copy of each update then live. Everything after can be replayed.
 #[derive(Clone)]
 struct RankSnapshot {
     st: RankState,
     next_local: usize,
-    updates: Vec<UpdateMatrix>,
+    updates: Vec<(usize, Vec<f64>)>,
 }
 
 /// Per-rank checkpoint snapshots, shared across simulator runs so a
@@ -283,14 +282,25 @@ impl CheckpointStore {
         }
     }
 
-    fn record(&self, g: usize, run: &RankRun<'_, '_>, next_local: usize) {
-        let updates = run.runs.iter().flat_map(|(_, p)| p.slots.iter().flatten());
+    /// Snapshot `run` after distributed front `g`, with `done` the entries
+    /// of its local schedule run so far. Their live updates wait for a
+    /// local parent not run yet (a run's root was shipped).
+    fn record(&self, g: usize, run: &RankRun<'_, '_>, done: &[(usize, usize)]) {
+        let (sym, map) = (run.sym, run.map);
+        let live = done.iter().filter(|&&(due, s)| {
+            let p = sym.tree.parent[s];
+            p != NONE && map.layout[p] == Layout::Local && done.binary_search(&(due, p)).is_err()
+        });
+        let updates = live.map(|&(_, s)| {
+            let n = sym.sn_rows[s].len().pow(2);
+            (s, run.arena[run.plan.at[s]..][..n].to_vec())
+        });
         self.slots[run.rank.rank()].lock().unwrap().insert(
             g,
             RankSnapshot {
                 st: run.st.clone(),
-                next_local,
-                updates: updates.cloned().collect(),
+                next_local: done.len(),
+                updates: updates.collect(),
             },
         );
     }
@@ -368,17 +378,23 @@ impl FrontMeter for Rank {
 
 impl RankRun<'_, '_> {
     /// Factor one single-rank supernode with the engines' front loop on its
-    /// run's slab part; a run's root ships its update to the parent.
+    /// run's slab part and the rank's arena; a run's root ships its update
+    /// to the parent at once.
     fn do_local(&mut self, s: usize) -> Result<(), FactorError> {
-        let (ap, sym) = (self.ap, self.sym);
+        let (ap, sym, plan) = (self.ap, self.sym, self.plan);
         let i = self.runs.partition_point(|(sns, _)| sns.end <= s);
         let (sns, out) = &mut self.runs[i];
-        factor_run(ap, sym, s..s + 1, out, &mut self.wst, self.rank, 1).map_err(|(_, e)| e)?;
+        let root = s + 1 == sns.end;
+        let (arena, rank) = (&mut self.arena, &mut *self.rank);
+        factor_run(ap, sym, plan, s..s + 1, out, arena, &[], rank, 1).map_err(|(_, e)| e)?;
         self.st.factor_bytes += sym.front_order(s) * sym.sn_width(s) * 8;
-        let root = (s + 1 == sns.end).then(|| out.slots[s - sns.start].take());
-        if let Some(upd) = root.flatten() {
-            let r = upd.order(sym);
-            self.send_update(s, |j, rows| &upd.data[j * r + rows.start..j * r + rows.end]);
+        let r = sym.sn_rows[s].len();
+        if root && r > 0 {
+            // Out of `self` while `send_update` borrows it.
+            let arena = std::mem::take(&mut self.arena);
+            let upd = &arena[plan.at[s]..][..r * r];
+            self.send_update(s, |j, rows| &upd[j * r + rows.start..j * r + rows.end]);
+            self.arena = arena;
         }
         Ok(())
     }
@@ -1020,9 +1036,9 @@ impl<'a> DistRun<'a> {
         let mut total_makespan_s = 0.0f64;
         // Each rank's local runs behind a lock of its own, which it holds
         // for an attempt; the grid fronts' panels behind the writer.
-        let mut slots = vec![None; sym.nsuper()];
-        let mut rest = Slab::new(factor, &mut slots);
-        let (runs, top) = Plan::new(&sym, &map).deal(|sns| rest.cut(&sym, sns.end));
+        let plan = Plan::new(&sym, &map);
+        let mut rest = Slab::new(factor);
+        let (runs, top) = plan.deal(|sns| rest.cut(&sym, sns.end));
         let runs: Vec<Mutex<Runs<Slab>>> = runs.into_iter().map(Mutex::new).collect();
         let out = FactorWriter::new(top.into_iter().map(|(s, part)| (s, part.panels)));
         loop {
@@ -1037,11 +1053,13 @@ impl<'a> DistRun<'a> {
             }
             let vr = machine.run_verdict(|rank| {
                 // A crashed attempt unwound with the lock held; this one
-                // empties the slots and redoes every front past its snapshot.
+                // redoes every front past its snapshot.
                 let lock = runs[rank.rank()].lock();
                 let mut runs = lock.unwrap_or_else(PoisonError::into_inner);
-                let sync = o.sync_schedule;
-                factorize_rank(rank, self.ap, &sym, &map, &mut runs, &out, sync, store)
+                let (sync, plan) = (o.sync_schedule, &plan);
+                factorize_rank(
+                    rank, self.ap, &sym, &map, plan, &mut runs, &out, sync, store,
+                )
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;

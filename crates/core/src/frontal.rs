@@ -11,74 +11,50 @@
 //!
 //! A front is never stored as one `f x f` matrix: its pivot columns are
 //! assembled and factored in the factor panel they stay in (leading
-//! dimension `f`), its trailing block in the buffer that then travels to
-//! the parent as the update matrix (leading dimension `f - width`).
+//! dimension `f`), its trailing block where the run plan put its update in
+//! its worker's arena (`mapping::Plan::at`; leading dimension `f - width`),
+//! where the parent reads it: rows `sym.sn_rows[s]`, landing at
+//! `sym.sn_rel[s]`.
 //!
 //! That life-cycle is spelled out exactly once, in `factor_front`, and run
 //! by one loop, `seq::factor_run`, for the local fronts of all engines
 //! (`seq`, the `smp` subtrees and top, the local subtrees of `dist`): they
-//! are schedulers around it, picking the next supernodes and the slab part
-//! whose slots hold their children's updates. What a front costs is charged
-//! through a `FrontMeter` — wall-clock ticks and tracked bytes on the host
-//! engines, virtual compute time and rank memory on the simulated machine.
+//! are schedulers around it, picking the next supernodes, the slab part
+//! they write and the arena their updates live in. What a front costs is
+//! charged through a `FrontMeter` — wall-clock ticks and tracked bytes on
+//! the host engines, virtual compute time and rank memory on the simulated
+//! machine.
 
 use crate::error::FactorError;
 use crate::factor::FactorKind;
-use crate::workspace::FrontWorkspace;
 use parfact_dense::blas::gemm_nt_ln;
 use parfact_dense::{chol, DenseError};
 use parfact_sparse::csc::CscMatrix;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{LocalRecorder, Phase, Tick};
 
-/// A child's contribution to its parent: the Schur complement over the
-/// child's below-pivot rows (dense lower storage).
-///
-/// The global row indices it spans are not stored — they are exactly
-/// `sym.sn_rows[src]`, and where they land in the parent's front is
-/// `sym.sn_rel[src]`. Dropping the owned index vector lets the workspace
-/// arenas recycle update buffers without cloning row lists per supernode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UpdateMatrix {
-    /// Supernode whose elimination produced this update.
-    pub src: usize,
-    /// Column-major `r x r` buffer (`r = sym.sn_rows[src].len()`); lower
-    /// triangle valid.
-    pub data: Vec<f64>,
-}
-
-impl UpdateMatrix {
-    /// Order of the update matrix.
-    #[inline]
-    pub fn order(&self, sym: &Symbolic) -> usize {
-        sym.sn_rows[self.src].len()
-    }
-}
-
 /// Assemble the front of supernode `s` where it will be factored: zero
-/// `panel` (the `f x w` pivot columns) and `schur` (resized to the `r x r`
-/// trailing block, `r = f - w`), place the pivot columns of `ap` at their
-/// A positions (`sym.a_pos`), then extend-add every child update.
+/// `panel` (the `f x w` pivot columns) and `schur` (the `r x r` trailing
+/// block, `r = f - w`), place the pivot columns of `ap` at their A
+/// positions (`sym.a_pos`), then extend-add every child update `(src,
+/// data)`, `data` holding the `|sn_rows[src]|²` entries of `src`'s update.
 ///
 /// Returns the number of entries placed or added into the front
 /// (original-matrix entries plus applied extend-add contributions), which
 /// instrumentation converts to assembly byte counts.
-pub(crate) fn assemble_front(
+pub(crate) fn assemble_front<'u>(
     ap: &CscMatrix,
     sym: &Symbolic,
     s: usize,
-    children: &[UpdateMatrix],
+    children: impl IntoIterator<Item = (usize, &'u [f64])>,
     panel: &mut [f64],
-    schur: &mut Vec<f64>,
+    schur: &mut [f64],
 ) -> u64 {
     let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
     let w = c1 - c0;
     let f = w + sym.sn_rows[s].len();
     panel.fill(0.0);
-    // clear + resize zeroes exactly the `r x r` block (a recycled buffer
-    // may be larger) while keeping the buffer's capacity.
-    schur.clear();
-    schur.resize((f - w) * (f - w), 0.0);
+    schur.fill(0.0);
     let mut entries = 0u64;
     // Original matrix entries of the pivot columns (lower part only).
     for (c, col) in (c0..c1).zip(panel.chunks_exact_mut(f)) {
@@ -88,9 +64,8 @@ pub(crate) fn assemble_front(
             col[p as usize] = v;
         }
     }
-    for upd in children {
-        let rel = &sym.sn_rel[upd.src];
-        entries += extend_add(rel, &upd.data, panel, schur, f, w);
+    for (src, data) in children {
+        entries += extend_add(&sym.sn_rel[src], data, panel, schur, f, w);
     }
     entries
 }
@@ -252,48 +227,44 @@ pub(crate) fn panel_kernel<M: FrontMeter>(
     Ok(())
 }
 
-/// The life of one front. The caller has staged the children's updates in
-/// `wst.children`; this assembles the front of supernode `s` into `panel`
-/// (its `f x w` slice of the factor) and an update buffer drawn from the
-/// arena's pool, runs `kernel(meter, f, w, panel, schur)` on them
-/// in place — the caller's choice of dense partial factorization, which
-/// also writes any LDLᵀ pivots — and returns the update matrix (`None` for
-/// a root). The children's buffers stay staged until the next
-/// [`FrontWorkspace::stage`] recycles them, so a caller may first hand a
-/// buffer back to the arena that built it. With a warm `wst` nothing here
+/// The life of one front: assemble the front of supernode `s` from
+/// `children` (each child's update, see [`assemble_front`]) into `panel`
+/// (its `f x w` slice of the factor) and `schur` (the `r x r` range of the
+/// arena its update lives in, empty for a root), and run `kernel(meter, f,
+/// w, panel, schur)` on them in place — the caller's choice of dense
+/// partial factorization, which also writes any LDLᵀ pivots. The trailing
+/// block left in `schur` is the update the parent reads. Nothing here
 /// touches the heap, and no entry of the front is copied.
-pub(crate) fn factor_front<M: FrontMeter>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn factor_front<'u, M: FrontMeter>(
     ap: &CscMatrix,
     sym: &Symbolic,
     s: usize,
-    wst: &mut FrontWorkspace,
+    children: impl IntoIterator<Item = (usize, &'u [f64])>,
     meter: &mut M,
     panel: &mut [f64],
+    schur: &mut [f64],
     kernel: impl FnOnce(&mut M, usize, usize, &mut [f64], &mut [f64]) -> Result<(), DenseError>,
-) -> Result<Option<UpdateMatrix>, FactorError> {
+) -> Result<(), FactorError> {
     let c0 = sym.sn_ptr[s];
     let w = sym.sn_width(s);
     let f = sym.front_order(s);
     let r = f - w;
     meter.hold(Buf::Front, f * f * 8);
-    // The trailing block is born in the buffer that carries it upward.
-    let mut data = if r > 0 {
+    if r > 0 {
         meter.hold(Buf::Update, r * r * 8);
-        wst.take_buf(r * r)
-    } else {
-        Vec::new()
-    };
-    let tick = meter.start();
-    let entries = assemble_front(ap, sym, s, &wst.children, panel, &mut data);
-    meter.assembled(tick, sym, s, entries);
-    for u in &wst.children {
-        meter.release(Buf::Update, u.data.len() * 8);
     }
-    kernel(meter, f, w, panel, &mut data).map_err(|e| FactorError::from_dense(e, c0))?;
+    let tick = meter.start();
+    let entries = assemble_front(ap, sym, s, children, panel, schur);
+    meter.assembled(tick, sym, s, entries);
+    for &c in &sym.tree.children[s] {
+        meter.release(Buf::Update, sym.sn_rows[c].len().pow(2) * 8);
+    }
+    kernel(meter, f, w, panel, schur).map_err(|e| FactorError::from_dense(e, c0))?;
     meter.factored(s, flops_partial(f, w));
     meter.hold(Buf::Panel, f * w * 8);
     meter.release(Buf::Front, f * f * 8);
-    Ok((r > 0).then_some(UpdateMatrix { src: s, data }))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -311,8 +282,8 @@ mod tests {
     /// contents (assembly must overwrite every entry).
     fn assemble_alone(ap: &CscMatrix, sym: &Symbolic, s: usize) -> (Vec<f64>, Vec<f64>, u64) {
         let mut panel = vec![f64::NAN; sym.front_order(s) * sym.sn_width(s)];
-        let mut schur = vec![f64::NAN; 3];
-        let entries = assemble_front(ap, sym, s, &[], &mut panel, &mut schur);
+        let mut schur = vec![f64::NAN; sym.sn_rows[s].len().pow(2)];
+        let entries = assemble_front(ap, sym, s, [], &mut panel, &mut schur);
         (panel, schur, entries)
     }
 

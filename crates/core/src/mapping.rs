@@ -10,6 +10,9 @@
 //!
 //! Read as runs of supernodes (`Plan`), it is the schedule of the dist
 //! engine and, with one "rank" per thread, of the SMP factor and solve.
+//! The plan also places each update in its owner's arena by first fit over
+//! the order the owner runs its fronts (`Plan::new` says why the dist
+//! engine's deadline order keeps the postorder layout).
 
 use parfact_symbolic::{Symbolic, NONE};
 use std::ops::Range;
@@ -255,12 +258,18 @@ impl Mapping {
 /// A mapping read as a schedule, the one the engines share: the
 /// supernodes split into runs, each a whole local subtree (group size 1)
 /// owned by one thread or rank, or one supernode of the top (group size >
-/// 1).
+/// 1); and where each update lives while it waits for its parent.
 pub(crate) struct Plan {
     /// The runs in postorder; they partition the supernodes.
     pub(crate) runs: Vec<Run>,
     /// The thread or rank count the mapping was built for.
     pub(crate) threads: usize,
+    /// Where the update of supernode `s` (`|sn_rows[s]|²` entries) starts in
+    /// the arena of its runner ([`Plan::runner`]). Grid fronts of the dist
+    /// engine, and updates of no entries, have no place (0).
+    pub(crate) at: Vec<usize>,
+    /// Each owner's arena length in entries, by owner.
+    pub(crate) arena: Vec<usize>,
 }
 
 /// What [`Plan::deal`] cut off for each run of one owner, in ascending
@@ -276,7 +285,29 @@ pub(crate) struct Run {
 }
 
 impl Plan {
+    /// The dist engine's plan of `map`: a rank's arena holds the updates of
+    /// its local runs only (grid fronts run on `DistFront`).
+    ///
+    /// The postorder layout also holds in the order the rank runs them (by
+    /// deadline, `Mapping::rank_schedule`): every run is whole and
+    /// postordered inside in it, and a run's root is shipped as soon as it
+    /// is factored. So the updates live at a front are those of its own run
+    /// that were live at it in postorder, which the layout kept apart
+    /// (`tests::layouts_are_conflict_free_in_every_engines_order`).
     pub(crate) fn new(sym: &Symbolic, map: &Mapping) -> Plan {
+        Plan::laid_out(sym, map, false)
+    }
+
+    /// The host engines' plan on `threads` threads: thread 0 (the calling
+    /// one) runs the top after its own runs, in the same arena.
+    pub(crate) fn host(sym: &Symbolic, threads: usize) -> Plan {
+        Plan::laid_out(sym, &map_tree(sym, threads, MapStrategy::default()), true)
+    }
+
+    /// Cut `map` into runs and lay out each owner's updates by
+    /// [`first_fit`] over its local runs in postorder, for owner 0
+    /// followed by the top supernodes when `top` is set.
+    fn laid_out(sym: &Symbolic, map: &Mapping, top: bool) -> Plan {
         let (tree, threads) = (&sym.tree, map.nranks);
         let local = |s: usize| map.group_size(s) == 1;
         // The first supernode of the subtree rooted at `s`, in postorder.
@@ -301,7 +332,21 @@ impl Plan {
                 });
             }
         }
-        Plan { runs, threads }
+        let mut at = vec![0; sym.nsuper()];
+        let arena = (0..threads)
+            .map(|t| {
+                let local = runs.iter().filter(|r| r.owner == Some(t));
+                let tops = runs.iter().filter(|r| top && t == 0 && r.owner.is_none());
+                let seq = local.chain(tops).flat_map(|r| r.sns.clone());
+                first_fit(sym, seq, &mut at)
+            })
+            .collect();
+        Plan {
+            runs,
+            threads,
+            at,
+            arena,
+        }
     }
 
     /// Threads that own at least one local subtree (at least one: the top
@@ -384,6 +429,31 @@ impl Plan {
             out
         })
     }
+}
+
+/// Lay out the updates of `seq`, one owner's fronts in the order it runs
+/// them, in one arena by first fit: the update of `s` (`|sn_rows[s]|²`
+/// entries) takes the lowest place `at[s]` where it overlaps no live
+/// update. It lives from the start of its front until its parent is
+/// assembled, or to the end of `seq` when the parent is not in it. Returns
+/// the arena's length: the highest entry an update reaches.
+fn first_fit(sym: &Symbolic, seq: impl Iterator<Item = usize>, at: &mut [usize]) -> usize {
+    // The live updates as `(start, end, supernode)`, by start.
+    let mut live: Vec<(usize, usize, usize)> = Vec::new();
+    let mut len = 0;
+    for s in seq {
+        let n = sym.sn_rows[s].len().pow(2);
+        if n > 0 {
+            let (mut start, mut i) = (0, 0);
+            while i < live.len() && live[i].0 < start + n {
+                (start, i) = (live[i].1, i + 1);
+            }
+            live.insert(i, (start, start + n, s));
+            (at[s], len) = (start, len.max(start + n));
+        }
+        live.retain(|&(_, _, x)| sym.tree.parent[x] != s);
+    }
+    len
 }
 
 #[cfg(test)]
@@ -489,6 +559,152 @@ mod tests {
             }
             let expect = (0..sym.nsuper()).filter(|&s| m.participates(s, me)).count();
             assert_eq!(sched.grid.len() + sched.local.len(), expect);
+        }
+    }
+
+    /// The most update entries alive at once in a sequential run: when
+    /// front `s` starts (postorder), its children's updates and every
+    /// other update still waiting for its parent are alive next to its own.
+    fn live_stack(sym: &Symbolic) -> usize {
+        let entries = |s: usize| sym.sn_rows[s].len().pow(2);
+        let (mut live, mut most) = (0usize, 0usize);
+        for s in 0..sym.nsuper() {
+            live += entries(s);
+            most = most.max(live);
+            live -= sym.tree.children[s]
+                .iter()
+                .map(|&c| entries(c))
+                .sum::<usize>();
+        }
+        most
+    }
+
+    /// Run the fronts of `order` as an engine does, on the arenas `plan`
+    /// lays out, and assert that no update is written over one still live
+    /// in the same arena. An update lives from the start of its front until
+    /// its parent is assembled; with `ships`, a run's root is shipped (and
+    /// dead) as soon as it is factored. Returns the highest entry written
+    /// in each arena.
+    fn replay(
+        sym: &Symbolic,
+        plan: &Plan,
+        order: impl IntoIterator<Item = usize>,
+        ships: bool,
+    ) -> Vec<usize> {
+        let mut live: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); plan.threads];
+        let mut peak = vec![0; plan.threads];
+        for s in order {
+            let (w, a, n) = (plan.runner(s), plan.at[s], sym.sn_rows[s].len().pow(2));
+            if n > 0 {
+                for &(b, e, x) in &live[w] {
+                    assert!(a + n <= b || e <= a, "{s} is written over {x} in arena {w}");
+                }
+                live[w].push((a, a + n, s));
+                peak[w] = peak[w].max(a + n);
+            }
+            for &c in &sym.tree.children[s] {
+                live.iter_mut().for_each(|l| l.retain(|&(_, _, x)| x != c));
+            }
+            let run = &plan.runs[plan.runs.partition_point(|r| r.sns.end <= s)];
+            if ships && run.sns.end == s + 1 {
+                live[w].retain(|&(_, _, x)| x != s);
+            }
+        }
+        peak
+    }
+
+    /// A small matrix of each family the benchmark runs, after nested
+    /// dissection.
+    fn small_problems() -> Vec<Symbolic> {
+        [
+            gen::laplace3d(10, 10, 10, gen::Stencil3d::SevenPoint),
+            gen::laplace2d(40, 40, gen::Stencil2d::FivePoint),
+            gen::elasticity3d(5, 5, 5),
+        ]
+        .iter()
+        .map(|a| {
+            let fill = parfact_order::order_matrix(a, parfact_order::Method::default());
+            analyze(&fill.apply_sym_lower(a), &AmalgOpts::default()).0
+        })
+        .collect()
+    }
+
+    #[test]
+    fn layouts_are_conflict_free_in_every_engines_order() {
+        for sym in small_problems() {
+            // Sequential: postorder, one arena.
+            let plan = Plan::host(&sym, 1);
+            assert_eq!(replay(&sym, &plan, 0..sym.nsuper(), false), plan.arena);
+            assert!(plan.arena[0] >= live_stack(&sym));
+            // SMP: each thread's runs, then the top on thread 0's arena.
+            for t in [2, 3, 4] {
+                let plan = Plan::host(&sym, t);
+                let runs = |o| plan.runs.iter().filter(move |r| r.owner == o);
+                let order = (0..t).flat_map(|w| runs(Some(w))).chain(runs(None));
+                let order = order.flat_map(|r| r.sns.clone());
+                assert_eq!(replay(&sym, &plan, order, false), plan.arena, "t = {t}");
+            }
+            // Dist: every rank's local fronts in the order of either
+            // schedule; a run's root is shipped at once.
+            for p in [2, 8, 64] {
+                let map = map_tree(&sym, p, MapStrategy::default());
+                let plan = Plan::new(&sym, &map);
+                for me in 0..p {
+                    let runs = plan.runs.iter().filter(|r| r.owner == Some(me));
+                    let sched = map.rank_schedule(&sym, me, runs.map(|r| &r.sns));
+                    let by_deadline = sched.local.iter().map(|&(_, s)| s);
+                    let sync = (0..sym.nsuper())
+                        .filter(|&s| map.participates(s, me) && map.layout[s] == Layout::Local);
+                    for order in [by_deadline.collect::<Vec<_>>(), sync.collect()] {
+                        let peak = replay(&sym, &plan, order, true);
+                        assert_eq!(peak[me], plan.arena[me], "p = {p}, rank {me}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "benchmark-sized matrices: run in release"]
+    fn host_arenas_stay_within_half_again_the_live_stack() {
+        // The benchmark's lap3d-32, lap2d-400 and elas-16: every host arena
+        // at 1 to 4 threads holds at most 1.5 times the largest set of
+        // updates alive at once in a sequential run. Prints the arenas in
+        // MB, and the dist arenas' total over 64 ranks.
+        let mb = |entries: usize| entries as f64 * 8.0 / 1e6;
+        for (name, a) in [
+            (
+                "lap3d-32",
+                gen::laplace3d(32, 32, 32, gen::Stencil3d::SevenPoint),
+            ),
+            (
+                "lap2d-400",
+                gen::laplace2d(400, 400, gen::Stencil2d::FivePoint),
+            ),
+            ("elas-16", gen::elasticity3d(16, 16, 16)),
+        ] {
+            let fill = parfact_order::order_matrix(&a, parfact_order::Method::default());
+            let sym = analyze(&fill.apply_sym_lower(&a), &AmalgOpts::default()).0;
+            let most = live_stack(&sym);
+            let mut line = format!("{name}: live stack {:.1} MB", mb(most));
+            for t in 1..=4 {
+                let plan = Plan::host(&sym, t);
+                for (w, &len) in plan.arena.iter().enumerate() {
+                    assert!(
+                        len as f64 <= 1.5 * most as f64,
+                        "{name}, {t} threads: arena {w} holds {len} entries for {most}"
+                    );
+                }
+                let arenas: Vec<String> = plan
+                    .arena
+                    .iter()
+                    .map(|&l| format!("{:.1}", mb(l)))
+                    .collect();
+                line += &format!(", t = {t}: {}", arenas.join(" / "));
+            }
+            let plan = Plan::new(&sym, &map_tree(&sym, 64, MapStrategy::default()));
+            let total: usize = plan.arena.iter().sum();
+            println!("{line}, dist p = 64: {:.1} MB over the ranks", mb(total));
         }
     }
 

@@ -1,12 +1,14 @@
 //! Sequential supernodal multifrontal factorization: the postorder
 //! scheduler over `factor_front`, and the correctness oracle for the
 //! parallel engines. Its loop (`factor_run`) runs every engine's local
-//! fronts: SMP subtrees and top, and each simulated rank's subtrees.
+//! fronts: SMP subtrees and top, and each simulated rank's subtrees. This
+//! engine runs the one-thread plan: one arena, laid out over postorder.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{factor_front, panel_kernel, FrontMeter, UpdateMatrix};
-use crate::workspace::{FrontWorkspace, Workspace};
+use crate::frontal::{factor_front, panel_kernel, FrontMeter};
+use crate::mapping::Plan;
+use crate::workspace::Workspace;
 use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
@@ -32,12 +34,12 @@ pub fn factorize_seq(
 }
 
 /// The in-place sequential engine: overwrite `factor`'s slab (allocated
-/// with the same `sym`) using the arenas in `ws`, recording into `tr` (with
+/// with the same `sym`) using the arena in `ws`, recording into `tr` (with
 /// a disabled collector every hook is a single branch, so this *is* the
 /// uninstrumented engine). With a warm workspace the steady state performs
-/// **no per-supernode heap allocation** — update matrices come from reused
-/// buffers, and a front's pivot columns are assembled and factored in
-/// `factor`'s own slab.
+/// **no per-supernode heap allocation** — every update lives at its planned
+/// place in the arena, and a front's pivot columns are assembled and
+/// factored in `factor`'s own slab.
 ///
 /// On error the panels written so far are left behind; callers that reuse
 /// factors across calls (refactorize) must treat a failed factor as
@@ -50,25 +52,15 @@ pub(crate) fn factorize_seq_into(
     factor: &mut Factor,
 ) -> Result<(), FactorError> {
     debug_assert_eq!(factor.sym.sn_ptr, sym.sn_ptr, "factor/symbolic mismatch");
-    ws.ensure_threads(1);
-    ws.reset_slots(sym.nsuper());
-    let mut out = Slab::new(factor, &mut ws.slots);
-    let mut rec = tr.local(0);
-    factor_run(
-        ap,
-        sym,
-        0..sym.nsuper(),
-        &mut out,
-        &mut ws.threads[0],
-        &mut rec,
-        1,
-    )
-    .map_err(|(_, e)| e)
+    let plan = ws.plans.get(sym, 1);
+    let (arena, out) = (&mut ws.arenas_for(&plan)[0], &mut Slab::new(factor));
+    let (sns, mut rec) = (0..sym.nsuper(), tr.local(0));
+    factor_run(ap, sym, &plan, sns, out, arena, &[], &mut rec, 1).map_err(|(_, e)| e)
 }
 
-/// What the fronts of supernodes `first..` write: their panels and LDLᵀ
-/// pivots, and the slots their updates wait in for the parent. Each array
-/// starts at supernode `first`'s entries.
+/// What the fronts of supernodes `first..` write to the factor: their
+/// panels and LDLᵀ pivots. Each array starts at supernode `first`'s
+/// entries.
 pub(crate) struct Slab<'a> {
     first: usize,
     kind: FactorKind,
@@ -76,19 +68,17 @@ pub(crate) struct Slab<'a> {
     pub(crate) panels: &'a mut [f64],
     /// Empty for LLᵀ.
     d: &'a mut [f64],
-    pub(crate) slots: &'a mut [Option<UpdateMatrix>],
 }
 
 impl<'a> Slab<'a> {
-    /// The whole of `factor` and `slots` (one per supernode).
-    pub(crate) fn new(factor: &'a mut Factor, slots: &'a mut [Option<UpdateMatrix>]) -> Self {
+    /// The whole of `factor`.
+    pub(crate) fn new(factor: &'a mut Factor) -> Self {
         Slab {
             first: 0,
             kind: factor.kind,
             panel_ptr: &factor.panel_ptr,
             panels: &mut factor.panels,
             d: &mut factor.d,
-            slots,
         }
     }
 
@@ -110,44 +100,56 @@ impl<'a> Slab<'a> {
                 .split_off_mut(..pp[end] - pp[first])
                 .expect(whole),
             d: self.d.split_off_mut(..nd).expect(whole),
-            slots: self.slots.split_off_mut(..end - first).expect(whole),
         }
     }
 }
 
 /// The sequential engine's loop: factor the supernodes `sns` in order into
-/// `out` from the arena `wst`. Every child of a supernode in `sns` comes
-/// before it, in `sns` or with its update already in `out`'s slots.
+/// `out` and their updates into `arena` at their places in `plan`. A child
+/// another worker `w` ran is read from its arena, `theirs[w - 1]` (only
+/// the SMP top, worker 0, has such children: local roots). Every child of
+/// a supernode in `sns` comes before it, in `sns` or already factored.
 /// Every front runs [`panel_kernel`], whose updates `threads` threads
 /// share, for both kinds, to the same bits at every thread count, charged
 /// to `meter`. Stops at the first failure and returns it with its node.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn factor_run<M: FrontMeter>(
     ap: &CscMatrix,
     sym: &Symbolic,
+    plan: &Plan,
     sns: Range<usize>,
     out: &mut Slab<'_>,
-    wst: &mut FrontWorkspace,
+    arena: &mut [f64],
+    theirs: &[Vec<f64>],
     meter: &mut M,
     threads: usize,
 ) -> Result<(), (usize, FactorError)> {
     let (first, kind, pp, cp) = (out.first, out.kind, out.panel_ptr, &sym.sn_ptr);
+    let len = |s: usize| sym.sn_rows[s].len().pow(2);
     for s in sns {
-        // Children precede parents (postorder), so their updates are ready.
-        let slots = &mut out.slots;
-        wst.stage(
-            sym.tree.children[s]
-                .iter()
-                .map(|&c| slots[c - first].take().expect("child update missing")),
-        );
+        // The live updates, its children's among them, lie around that of `s`.
+        let (at, me) = (plan.at[s], plan.runner(s));
+        let (below, rest) = arena.split_at_mut(at);
+        let (schur, above) = rest.split_at_mut(len(s));
+        let (below, above) = (&*below, &*above);
+        let children = sym.tree.children[s].iter().map(|&c| {
+            let (a, n) = (plan.at[c], len(c));
+            let data = match plan.runner(c) {
+                w if w != me => &theirs[w - 1][a..a + n],
+                _ if a < at => &below[a..a + n],
+                _ => &above[a - at - len(s)..][..n],
+            };
+            (c, data)
+        });
         let panel = &mut out.panels[pp[s] - pp[first]..pp[s + 1] - pp[first]];
         let d = match kind {
             FactorKind::Llt => &mut [][..],
             FactorKind::Ldlt => &mut out.d[cp[s] - cp[first]..cp[s + 1] - cp[first]],
         };
-        let update = factor_front(ap, sym, s, wst, meter, panel, |m, f, w, panel, schur| {
-            panel_kernel(kind, s, m, f, w, panel, schur, d, threads)
-        });
-        out.slots[s - first] = update.map_err(|e| (s, e))?;
+        let kernel = |m: &mut M, f, w, p: &mut [f64], schur: &mut [f64]| {
+            panel_kernel(kind, s, m, f, w, p, schur, d, threads)
+        };
+        factor_front(ap, sym, s, children, meter, panel, schur, kernel).map_err(|e| (s, e))?;
     }
     Ok(())
 }

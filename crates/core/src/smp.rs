@@ -6,11 +6,10 @@
 //!
 //! 1. **Local subtrees** (groups of one thread): disjoint subtrees are
 //!    independent, so every thread factors its own in postorder with the
-//!    sequential engine's loop, from its own
-//!    [`crate::workspace::FrontWorkspace`] arena. A subtree is consecutive
-//!    in postorder, so its panels, pivots and update slots are one run of
-//!    each array, split off as a safe `&mut` slice: no queue, no locks, and
-//!    each thread writes only what it owns.
+//!    sequential engine's loop, its updates in its own arena of the
+//!    [`Workspace`]. A subtree is consecutive in postorder, so its panels
+//!    and pivots are one run of each array, split off as a safe `&mut`
+//!    slice: no queue, no locks, and each thread writes only what it owns.
 //! 2. **The top** (groups of several threads): near the root the tree is
 //!    too narrow to feed the cores, but the fronts are large. After the
 //!    join the calling thread runs them in postorder with the sequential
@@ -20,14 +19,13 @@
 //!    ([`parfact_dense::blas::gemm_nt_ln`]), to the same bits.
 //!
 //! The schedule is built once per analysis and thread count and kept in
-//! the [`Workspace`], next to the arenas it schedules, for the mapped
-//! solves as well. The same thread
-//! builds the same fronts every run, and the top hands each local root's
-//! update buffer back to the arena that built it, so a warm run grows no
-//! buffer, as on the sequential engine. A failing run returns the
-//! sequential engine's error: each thread stops at its own first failure,
-//! the top runs every front below the lowest one, and the lowest failure
-//! in postorder is returned.
+//! the [`Workspace`], for the mapped solves as well. It gives every update
+//! a fixed place in the arena of the thread that runs its front (the top
+//! on thread 0's); the top reads each local root's update where its
+//! thread left it, so nothing is handed back, and a warm run grows no
+//! arena. A failing run returns the sequential engine's error: each thread
+//! stops at its own first failure, the top runs every front below the
+//! lowest one, and the lowest failure in postorder is returned.
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
@@ -89,20 +87,19 @@ pub(crate) fn factorize_smp_into(
     if nthreads <= 1 || nsuper <= 1 {
         return crate::seq::factorize_seq_into(ap, sym, tr, ws, factor);
     }
-    ws.ensure_threads(nthreads);
-    ws.reset_slots(nsuper);
-    let (plan, arenas, slots) = (ws.plans.get(sym, nthreads), &mut ws.threads, &mut ws.slots);
+    let plan = ws.plans.get(sym, nthreads);
+    let arenas = ws.arenas_for(&plan);
 
     // The local subtrees, each thread over its own.
-    let mut rest = Slab::new(factor, slots);
+    let mut rest = Slab::new(factor);
     let failed = plan
         .on_threads(
             |sns| rest.cut(sym, sns.end),
             arenas.iter_mut(),
-            |t, subtrees, wst| {
+            |t, subtrees, arena| {
                 let mut rec = tr.local(t);
                 subtrees.into_iter().find_map(|(sns, mut out)| {
-                    factor_run(ap, sym, sns, &mut out, wst, &mut rec, 1).err()
+                    factor_run(ap, sym, &plan, sns, &mut out, arena, &[], &mut rec, 1).err()
                 })
             },
         )
@@ -112,23 +109,15 @@ pub(crate) fn factorize_smp_into(
 
     // The top, on this thread: every front below the lowest failure.
     let stop = failed.as_ref().map_or(nsuper, |&(s, _)| s);
-    let mut out = Slab::new(factor, slots);
+    let mut out = Slab::new(factor);
     let mut rec = tr.local(0);
+    let (mine, theirs) = arenas.split_first_mut().expect("a plan has a thread");
     for s in plan.top().take_while(|&s| s < stop) {
+        let sns = s..s + 1;
         factor_run(
-            ap,
-            sym,
-            s..s + 1,
-            &mut out,
-            &mut arenas[0],
-            &mut rec,
-            nthreads,
+            ap, sym, &plan, sns, &mut out, mine, theirs, &mut rec, nthreads,
         )
         .map_err(|(_, e)| e)?;
-        // Hand each child's buffer back to the arena that built it.
-        while let Some(u) = arenas[0].children.pop() {
-            arenas[plan.runner(u.src)].recycle(u.data);
-        }
     }
     failed.map_or(Ok(()), |(_, e)| Err(e))
 }
@@ -138,9 +127,8 @@ mod tests {
     use super::*;
     use crate::dist::prepare;
     use crate::factor::reconstruction_error;
-    use crate::mapping::{map_tree, MapStrategy, Plan};
+    use crate::mapping::Plan;
     use crate::seq::factorize_seq;
-    use crate::workspace::FrontWorkspace;
     use parfact_dense::chol;
     use parfact_order::Method;
     use parfact_sparse::gen;
@@ -148,7 +136,7 @@ mod tests {
 
     /// The SMP engine's plan of `sym` on `threads` threads.
     fn smp_plan(sym: &Symbolic, threads: usize) -> Plan {
-        Plan::new(sym, &map_tree(sym, threads, MapStrategy::default()))
+        Plan::host(sym, threads)
     }
 
     /// Both engines on `a` after nested dissection, whose tree gives the
@@ -237,7 +225,7 @@ mod tests {
 
     #[test]
     fn smp_reuses_workspace_across_refactorizations() {
-        // Second run through the same workspace must stay in warm buffers.
+        // Second run through the same workspace must stay in warm arenas.
         let a = gen::laplace2d(15, 15, gen::Stencil2d::FivePoint);
         let (sym, ap) = analyze(&a, &AmalgOpts::default());
         let perm = sym.post.clone();
@@ -248,11 +236,10 @@ mod tests {
         let tr = Collector::disabled();
         factorize_smp_into(&ap, &sym, &opts, &tr, &mut ws, &mut factor).unwrap();
         let first = ws.growth_events();
-        assert!(first > 0, "cold start must grow buffers");
+        assert!(first > 0, "cold start must grow an arena");
         factorize_smp_into(&ap, &sym, &opts, &tr, &mut ws, &mut factor).unwrap();
-        // Every run gives each thread the same fronts and hands each
-        // buffer back to the arena that built it.
-        assert_eq!(ws.growth_events(), first, "a warm run grew a buffer");
+        // Every run lays each update at the same place of the same arena.
+        assert_eq!(ws.growth_events(), first, "a warm run grew an arena");
     }
 
     #[test]
@@ -322,15 +309,15 @@ mod tests {
     fn failing_owners(ap: &CscMatrix, sym: &Arc<Symbolic>, threads: usize) -> Vec<usize> {
         let plan = smp_plan(sym, threads);
         let mut factor = Factor::allocate(sym, FactorKind::Llt, sym.post.clone());
-        let mut slots = vec![None; sym.nsuper()];
-        let mut out = Slab::new(&mut factor, &mut slots);
+        let mut out = Slab::new(&mut factor);
         let tr = Collector::disabled();
         let mut owners: Vec<usize> = (plan.runs.iter())
             .filter_map(|run| {
-                let mut wst = FrontWorkspace::new();
-                let mut rec = tr.local(0);
                 let owner = run.owner?;
-                let r = factor_run(ap, sym, run.sns.clone(), &mut out, &mut wst, &mut rec, 1);
+                let mut arena = vec![0.0; plan.arena[owner]];
+                let mut rec = tr.local(0);
+                let sns = run.sns.clone();
+                let r = factor_run(ap, sym, &plan, sns, &mut out, &mut arena, &[], &mut rec, 1);
                 r.is_err().then_some(owner)
             })
             .collect();

@@ -26,7 +26,7 @@
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::mapping::{map_tree, MapStrategy, Plan};
+use crate::mapping::Plan;
 use crate::smp::resolve_threads;
 use crate::sweep::{self, Sweep};
 use parfact_symbolic::Symbolic;
@@ -66,9 +66,9 @@ pub fn solve_smp_many(
     solve_smp_many_traced(factor, b, nrhs, threads, &plans, &Collector::disabled()).map(|(x, _)| x)
 }
 
-/// The subtree plans of one analysis, one per thread count, each built on
+/// The run plans of one analysis, one per thread count, each built on
 /// first use. A plan depends only on the analysis, so a solver's workspace
-/// keeps them for its SMP factorizations and mapped solves.
+/// keeps them for its factorizations (one thread: sequential) and solves.
 #[derive(Default)]
 pub(crate) struct Plans(Mutex<Vec<Arc<Plan>>>);
 
@@ -79,8 +79,7 @@ impl Plans {
         if let Some(p) = plans.iter().find(|p| p.threads == threads) {
             return Arc::clone(p);
         }
-        let map = map_tree(sym, threads, MapStrategy::default());
-        let p = Arc::new(Plan::new(sym, &map));
+        let p = Arc::new(Plan::host(sym, threads));
         plans.push(Arc::clone(&p));
         p
     }

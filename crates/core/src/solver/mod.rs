@@ -204,10 +204,10 @@ impl SparseCholesky {
     /// engines (`Sequential`, `Smp`) through the solver's retained
     /// [`Workspace`] arenas, so a steady-state refactorization performs no
     /// per-supernode heap allocation, and `Dist` through its simulated
-    /// ranks, each writing its share of the slab. The ranks keep buffers of
-    /// their own, so a `Dist` run leaves the arenas as they were: the first
-    /// host-engine call after a `Dist` factorize grows the update buffers
-    /// of one live front stack (37 on lap3d-32; see
+    /// ranks, each writing its share of the slab. The ranks keep arenas of
+    /// their own, so a `Dist` run leaves the host arenas as they were: the
+    /// first host-engine call after a `Dist` factorize grows the arenas of
+    /// its run plan (one for `Sequential`; see
     /// [`SparseCholesky::workspace_growth_events`]) and is slower than the
     /// next by that much.
     /// Consequence of in-place operation: if the factorization itself fails
@@ -460,7 +460,7 @@ impl SparseCholesky {
         self.factor.sym.factor_flops()
     }
 
-    /// How many times the retained numeric workspace had to grow a buffer
+    /// How many times the retained numeric workspace had to grow an arena
     /// (see [`Workspace::growth_events`]). Stays flat across steady-state
     /// host-engine refactorizations — the arena-reuse guarantee.
     pub fn workspace_growth_events(&self) -> u64 {
@@ -933,7 +933,7 @@ mod tests {
     fn refactorize_runs_in_warm_arenas() {
         // The arena-reuse assertion of the acceptance criteria: after the
         // first sequential refactorize has warmed the workspace, further
-        // steady-state refactorizations must not grow a single buffer.
+        // steady-state refactorizations must not grow an arena.
         let a = gen::laplace2d(20, 20, gen::Stencil2d::FivePoint);
         let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
         let mut a2 = a.clone();
@@ -947,7 +947,7 @@ mod tests {
             assert_eq!(
                 chol.workspace_growth_events(),
                 warm,
-                "steady-state refactorize grew a workspace buffer"
+                "steady-state refactorize grew an arena"
             );
         }
         let b = vec![1.0; a.nrows()];
@@ -955,95 +955,50 @@ mod tests {
         assert!(ops::sym_residual_inf(&a2, &x, &b) < 1e-12);
     }
 
-    /// The most update entries alive at once in a sequential run: when
-    /// front `s` draws its buffer (postorder), its children's updates and
-    /// every other update still waiting for its parent are alive next to
-    /// it.
-    fn live_stack(sym: &Symbolic) -> usize {
-        let entries = |s: usize| sym.sn_rows[s].len().pow(2);
-        let (mut live, mut most) = (0usize, 0usize);
-        for s in 0..sym.nsuper() {
-            live += entries(s);
-            most = most.max(live);
-            live -= sym.tree.children[s]
-                .iter()
-                .map(|&c| entries(c))
-                .sum::<usize>();
-        }
-        most
-    }
-
-    /// Update entries an arena holds: its pool and the buffers still
-    /// staged from its last front.
-    fn held(wst: &crate::workspace::FrontWorkspace) -> usize {
-        let staged = wst.children.iter().map(|u| &u.data);
-        wst.pool.iter().chain(staged).map(Vec::capacity).sum()
-    }
-
     #[test]
-    fn the_update_pool_stays_near_the_live_front_stack() {
-        // Best-fit pooling keeps the sequential arena close to the largest
-        // set of update matrices alive at once, not one buffer per distinct
-        // update size (which is 3.2–3.4x that set on these matrices).
-        for a in [
-            gen::laplace3d(12, 12, 12, gen::Stencil3d::SevenPoint),
-            gen::laplace2d(40, 40, gen::Stencil2d::FivePoint),
-        ] {
-            let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
-            let most = live_stack(chol.symbolic());
-            let pooled = held(&chol.ws.threads[0]);
-            assert!(
-                pooled as f64 <= 2.5 * most as f64,
-                "pool holds {pooled} entries for a live stack of at most {most}"
-            );
-            let grown = chol.workspace_growth_events();
-            chol.refactorize(&a, Engine::Sequential).unwrap();
-            assert_eq!(
-                chol.workspace_growth_events(),
-                grown,
-                "a second factorization grew the pool"
-            );
-        }
-    }
-
-    #[test]
-    fn smp_arenas_stay_near_the_live_front_stack() {
-        // Each SMP thread builds the same fronts every run from its own
-        // arena, and the top hands each local root's buffer back to the
-        // arena that built it. So after a sequential factorize, the first
-        // 2-thread refactorize grows a few buffers, later ones none, and
-        // every arena stays within the sequential arena's bound. Buffers
-        // that stay in the arena of whichever worker consumed them make
-        // warm runs grow and the arenas drift past that bound.
+    fn every_engine_sequence_keeps_each_arena_at_its_largest_plan() {
+        // Each arena is as long as the largest plan it has served, whatever
+        // ran before (a `Dist` run serves none), and a repeat of a step
+        // grows nothing: where each update lives is fixed by the plan.
         let a = gen::laplace2d(80, 80, gen::Stencil2d::FivePoint);
         let mut chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
-        let nsuper = chol.symbolic().nsuper();
-        assert!(nsuper >= 1000, "{nsuper} fronts");
-        let most = live_stack(chol.symbolic());
-        for run in 1..=3 {
-            let before = chol.workspace_growth_events();
-            chol.refactorize(&a, Engine::Smp(SmpOpts { threads: 2 }))
-                .unwrap();
-            let grown = chol.workspace_growth_events() - before;
-            let bound = if run == 1 { nsuper as u64 / 10 } else { 0 };
-            assert!(grown <= bound, "run {run} grew {grown} buffers");
-            for (t, wst) in chol.ws.threads.iter().enumerate() {
-                let pooled = held(wst);
-                assert!(
-                    pooled as f64 <= 2.5 * most as f64,
-                    "run {run}: arena {t} holds {pooled} entries for a live stack of {most}"
-                );
+        assert!(chol.symbolic().nsuper() >= 1000);
+        let smp = |threads| Engine::Smp(SmpOpts { threads });
+        let dist = Engine::Dist(DistOpts {
+            ranks: 4,
+            ..DistOpts::default()
+        });
+        let steps = [(Engine::Sequential, 1), (smp(2), 2), (smp(3), 3), (dist, 0)];
+        let mut served: Vec<usize> = Vec::new();
+        for (engine, threads) in steps.into_iter().chain([(Engine::Sequential, 1)]) {
+            if threads > 0 {
+                let plan = chol.ws.plans.get(chol.symbolic(), threads);
+                served.resize(served.len().max(plan.arena.len()), 0);
+                for (most, &len) in served.iter_mut().zip(&plan.arena) {
+                    *most = (*most).max(len);
+                }
+            }
+            for repeat in [false, true] {
+                let before = chol.workspace_growth_events();
+                chol.refactorize(&a, engine.clone()).unwrap();
+                let lens: Vec<usize> = chol.ws.arenas.iter().map(Vec::len).collect();
+                assert_eq!(lens, served, "{} arenas", engine.name());
+                if repeat {
+                    let grown = chol.workspace_growth_events() - before;
+                    assert_eq!(grown, 0, "a repeat {} run grew", engine.name());
+                }
             }
         }
+        assert!(served.iter().all(|&len| len > 0), "{served:?}");
     }
 
     #[test]
     fn a_dist_factorize_leaves_the_host_workspace_to_the_first_host_run() {
-        // The simulated ranks factor in buffers of their own, so after a
+        // The simulated ranks factor in arenas of their own, so after a
         // `Dist` factorize the solver's workspace is still empty: the first
-        // host-engine refactorize grows the update buffers of one live
-        // front stack (37 on lap3d-32; the time a first sequential
-        // refactorize loses after a dist factor), and the second grows none.
+        // host-engine refactorize grows its one arena (the time a first
+        // sequential refactorize loses after a dist factor), and the second
+        // grows none.
         let a = gen::laplace3d(8, 8, 8, gen::Stencil3d::SevenPoint);
         let dist = Engine::Dist(DistOpts {
             ranks: 4,
@@ -1052,13 +1007,9 @@ mod tests {
         let mut chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist)).unwrap();
         assert_eq!(chol.workspace_growth_events(), 0);
         chol.refactorize(&a, Engine::Sequential).unwrap();
-        let first = chol.workspace_growth_events();
-        assert!(
-            first > 0,
-            "the first host run starts from an empty workspace"
-        );
+        assert_eq!(chol.workspace_growth_events(), 1);
         chol.refactorize(&a, Engine::Sequential).unwrap();
-        assert_eq!(chol.workspace_growth_events(), first);
+        assert_eq!(chol.workspace_growth_events(), 1);
     }
 
     #[test]
@@ -1201,11 +1152,13 @@ mod tests {
             let opts = SolveOpts::new().engine(SolveEngine::Smp { threads });
             chol.solve_with(RhsBlock::single(&b), &opts).unwrap().x
         };
+        // The sequential factorize keeps the one-thread plan.
+        assert_eq!(chol.ws.plans.len(), 1);
         let first = solve(&chol, 2);
-        assert_eq!(chol.ws.plans.len(), 1, "the mapped solve keeps its plan");
+        assert_eq!(chol.ws.plans.len(), 2, "the mapped solve keeps its plan");
         let plan = chol.ws.plans.get(&chol.factor.sym, 2);
         solve(&chol, 3);
-        assert_eq!(chol.ws.plans.len(), 2, "one plan per thread count");
+        assert_eq!(chol.ws.plans.len(), 3, "one plan per thread count");
         chol.refactorize(&a, Engine::Sequential).unwrap();
         chol.refactorize(&a, Engine::Smp(SmpOpts { threads: 2 }))
             .unwrap();
@@ -1214,7 +1167,7 @@ mod tests {
             Arc::ptr_eq(&plan, &chol.ws.plans.get(&chol.factor.sym, 2)),
             "refactorization and solves keep the 2-thread plan"
         );
-        assert_eq!(chol.ws.plans.len(), 2);
+        assert_eq!(chol.ws.plans.len(), 3);
         assert!(first
             .iter()
             .zip(&again)
