@@ -15,6 +15,7 @@
 
 use parfact_dense::blas::{gemm_nt, gemm_nt_ln, trsm_right_lt};
 use parfact_dense::chol;
+use parfact_dense::pack::CLayout;
 use parfact_mpsim::collective::{bcast, ibcast, Group};
 use parfact_mpsim::Rank;
 use parfact_trace::Phase;
@@ -458,7 +459,8 @@ impl DistFront {
             if bj % pr == my.0 {
                 if bj != bk {
                     let aop = &p.a[r0 - a_r0..];
-                    gemm_nt_ln(n_bj, n_bj, jb, -1.0, aop, lda, bop, n_bj, strip, ld, 1);
+                    let ldc = CLayout::Plain(ld);
+                    gemm_nt_ln(n_bj, n_bj, jb, -1.0, aop, lda, bop, n_bj, strip, ldc, 1);
                     flops += jb * n_bj * (n_bj + 1);
                 }
                 below += n_bj;

@@ -27,7 +27,7 @@ pub mod solve;
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind, FactorWriter};
-use crate::frontal::{flops_partial, Buf, FrontMeter};
+use crate::frontal::{flops_partial, update_column, update_len, Buf, FrontMeter};
 use crate::mapping::{Layout, MapStrategy, Mapping, Plan, RankSchedule, Runs};
 use crate::seq::{factor_run, Slab};
 use crate::sweep;
@@ -292,7 +292,7 @@ impl CheckpointStore {
             p != NONE && map.layout[p] == Layout::Local && done.binary_search(&(due, p)).is_err()
         });
         let updates = live.map(|&(_, s)| {
-            let n = sym.sn_rows[s].len().pow(2);
+            let n = update_len(sym.sn_rows[s].len());
             (s, run.arena[run.plan.at[s]..][..n].to_vec())
         });
         self.slots[run.rank.rank()].lock().unwrap().insert(
@@ -392,8 +392,10 @@ impl RankRun<'_, '_> {
         if root && r > 0 {
             // Out of `self` while `send_update` borrows it.
             let arena = std::mem::take(&mut self.arena);
-            let upd = &arena[plan.at[s]..][..r * r];
-            self.send_update(s, |j, rows| &upd[j * r + rows.start..j * r + rows.end]);
+            let upd = &arena[plan.at[s]..][..update_len(r)];
+            self.send_update(s, |j, rows| {
+                &upd[update_column(r, j)][rows.start - j..rows.end - j]
+            });
             self.arena = arena;
         }
         Ok(())

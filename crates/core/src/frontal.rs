@@ -12,9 +12,14 @@
 //! A front is never stored as one `f x f` matrix: its pivot columns are
 //! assembled and factored in the factor panel they stay in (leading
 //! dimension `f`), its trailing block where the run plan put its update in
-//! its worker's arena (`mapping::Plan::at`; leading dimension `f - width`),
-//! where the parent reads it: rows `sym.sn_rows[s]`, landing at
-//! `sym.sn_rel[s]`.
+//! its worker's arena (`mapping::Plan::at`), where the parent reads it:
+//! rows `sym.sn_rows[s]`, landing at `sym.sn_rel[s]`. An update of order
+//! `r = f - width` keeps only its lower triangle, in the dense kernels'
+//! strips of `chol::NB` columns (`CLayout::Strips`: strip `b` holds rows
+//! `48b..r` of columns `48b..48b + 48`, leading dimension `r - 48b`), so
+//! it takes `update_len(r)` entries, about `r²/2 + 24r`, not `r²`. The
+//! packed kernel writes the strips in place, and extend-add reads each
+//! child column below its diagonal as one contiguous run of its strip.
 //!
 //! That life-cycle is spelled out exactly once, in `factor_front`, and run
 //! by one loop, `seq::factor_run`, for the local fronts of all engines
@@ -28,16 +33,33 @@
 use crate::error::FactorError;
 use crate::factor::FactorKind;
 use parfact_dense::blas::gemm_nt_ln;
+use parfact_dense::pack::{strips_len, CLayout};
 use parfact_dense::{chol, DenseError};
 use parfact_sparse::csc::CscMatrix;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{LocalRecorder, Phase, Tick};
+use std::ops::Range;
+
+/// Entries an update of order `r` takes: its lower triangle in strips
+/// ([`CLayout::Strips`]). Every engine, the run plan and the memory
+/// meters measure updates with this.
+pub(crate) fn update_len(r: usize) -> usize {
+    strips_len(r, r)
+}
+
+/// Where column `j` of an update of order `r` lies from its diagonal
+/// down: one contiguous run of its strip.
+pub(crate) fn update_column(r: usize, j: usize) -> Range<usize> {
+    let d = CLayout::Strips.at(r, j, j).0;
+    d..d + r - j
+}
 
 /// Assemble the front of supernode `s` where it will be factored: zero
-/// `panel` (the `f x w` pivot columns) and `schur` (the `r x r` trailing
-/// block, `r = f - w`), place the pivot columns of `ap` at their A
-/// positions (`sym.a_pos`), then extend-add every child update `(src,
-/// data)`, `data` holding the `|sn_rows[src]|²` entries of `src`'s update.
+/// `panel` (the `f x w` pivot columns) and `schur` (the trailing block of
+/// order `r = f - w` in strips, [`update_len`]`(r)` entries), place the
+/// pivot columns of `ap` at their A positions (`sym.a_pos`), then
+/// extend-add every child update `(src, data)`, `data` holding the
+/// [`update_len`]`(|sn_rows[src]|)` entries of `src`'s update.
 ///
 /// Returns the number of entries placed or added into the front
 /// (original-matrix entries plus applied extend-add contributions), which
@@ -70,14 +92,16 @@ pub(crate) fn assemble_front<'u>(
     entries
 }
 
-/// Add one update matrix (`rel.len() x rel.len()` column-major `data`,
-/// lower triangle valid) into a front of order `f` with `w` pivots, where
-/// `rel[i]` is the front position of the update's row `i`: a column at a
-/// position below `w` lands in `panel`, one at or beyond it in `schur` (both
-/// as `assemble_front` lays them out). The positions are increasing (both
+/// Add one update matrix (order `rel.len()`, its lower triangle in strips
+/// in `data`) into a front of order `f` with `w` pivots, where `rel[i]` is
+/// the front position of the update's row `i`: a column at a position
+/// below `w` lands in `panel`, one at or beyond it in `schur` (both as
+/// `assemble_front` lays them out). The positions are increasing (both
 /// index lists are sorted), so the child's lower triangle lands in the
-/// parent's lower triangle. Returns the number of (nonzero) entries added.
-pub fn extend_add(
+/// parent's lower triangle: child column `j`, rows `j..`, is one run of its
+/// strip, added into front column `rel[j]` from its diagonal down. Returns
+/// the number of (nonzero) entries added.
+pub(crate) fn extend_add(
     rel: &[u32],
     data: &[f64],
     panel: &mut [f64],
@@ -85,21 +109,19 @@ pub fn extend_add(
     f: usize,
     w: usize,
 ) -> u64 {
-    let r = rel.len();
-    let rs = f - w;
+    let (r, rs) = (rel.len(), f - w);
     let mut added = 0u64;
     for j in 0..r {
         let lj = rel[j] as usize;
-        // The front column's rows, and the front row its first entry is.
-        let (col, top) = if lj < w {
-            (&mut panel[lj * f..(lj + 1) * f], 0)
+        // The front column from its diagonal (front row `lj`) down.
+        let col = if lj < w {
+            &mut panel[lj * f + lj..(lj + 1) * f]
         } else {
-            (&mut schur[(lj - w) * rs..(lj - w + 1) * rs], w)
+            &mut schur[update_column(rs, lj - w)]
         };
-        let src = &data[j * r..j * r + r];
-        for (i, &v) in src.iter().enumerate().skip(j) {
+        for (&v, &i) in data[update_column(r, j)].iter().zip(&rel[j..]) {
             if v != 0.0 {
-                col[rel[i] as usize - top] += v;
+                col[i as usize - lj] += v;
                 added += 1;
             }
         }
@@ -124,7 +146,8 @@ pub(crate) enum Buf {
     Front,
     /// The `f x w` factor panel kept for the solves.
     Panel,
-    /// An update matrix travelling from a child to its parent.
+    /// An update matrix travelling from a child to its parent (its lower
+    /// triangle in strips, [`update_len`] entries).
     Update,
 }
 
@@ -214,13 +237,13 @@ pub(crate) fn panel_kernel<M: FrontMeter>(
             meter.step(tick, Phase::Panel, s);
             if f > w {
                 let tick = meter.start();
-                let (r, l21) = (f - w, &panel[w..]);
-                gemm_nt_ln(r, r, w, -1.0, l21, f, l21, f, schur, r, threads);
+                let (r, l21, ls) = (f - w, &panel[w..], CLayout::Strips);
+                gemm_nt_ln(r, r, w, -1.0, l21, f, l21, f, schur, ls, threads);
                 meter.step(tick, Phase::Gemm, s);
             }
         }
         FactorKind::Ldlt => {
-            chol::partial_ldlt_split(f, w, panel, f, schur, f - w, d, threads)?;
+            chol::partial_ldlt_split(f, w, panel, f, schur, CLayout::Strips, d, threads)?;
             meter.step(tick, Phase::Panel, s);
         }
     }
@@ -229,10 +252,11 @@ pub(crate) fn panel_kernel<M: FrontMeter>(
 
 /// The life of one front: assemble the front of supernode `s` from
 /// `children` (each child's update, see [`assemble_front`]) into `panel`
-/// (its `f x w` slice of the factor) and `schur` (the `r x r` range of the
-/// arena its update lives in, empty for a root), and run `kernel(meter, f,
-/// w, panel, schur)` on them in place — the caller's choice of dense
-/// partial factorization, which also writes any LDLᵀ pivots. The trailing
+/// (its `f x w` slice of the factor) and `schur` (the [`update_len`]`(r)`
+/// range of the arena its update lives in, empty for a root), and run
+/// `kernel(meter, f, w, panel, schur)` on them in place — the caller's
+/// choice of dense partial factorization, which also writes any LDLᵀ
+/// pivots. The trailing
 /// block left in `schur` is the update the parent reads. Nothing here
 /// touches the heap, and no entry of the front is copied.
 #[allow(clippy::too_many_arguments)]
@@ -252,13 +276,13 @@ pub(crate) fn factor_front<'u, M: FrontMeter>(
     let r = f - w;
     meter.hold(Buf::Front, f * f * 8);
     if r > 0 {
-        meter.hold(Buf::Update, r * r * 8);
+        meter.hold(Buf::Update, update_len(r) * 8);
     }
     let tick = meter.start();
     let entries = assemble_front(ap, sym, s, children, panel, schur);
     meter.assembled(tick, sym, s, entries);
     for &c in &sym.tree.children[s] {
-        meter.release(Buf::Update, sym.sn_rows[c].len().pow(2) * 8);
+        meter.release(Buf::Update, update_len(sym.sn_rows[c].len()) * 8);
     }
     kernel(meter, f, w, panel, schur).map_err(|e| FactorError::from_dense(e, c0))?;
     meter.factored(s, flops_partial(f, w));
@@ -279,12 +303,40 @@ mod tests {
     }
 
     /// Assemble supernode `s` without children into buffers with stale
-    /// contents (assembly must overwrite every entry).
+    /// contents (assembly must overwrite every entry): the update range of
+    /// exactly `update_len(r)` entries sits between NaN neighbours that
+    /// assembly must leave alone.
     fn assemble_alone(ap: &CscMatrix, sym: &Symbolic, s: usize) -> (Vec<f64>, Vec<f64>, u64) {
         let mut panel = vec![f64::NAN; sym.front_order(s) * sym.sn_width(s)];
-        let mut schur = vec![f64::NAN; sym.sn_rows[s].len().pow(2)];
-        let entries = assemble_front(ap, sym, s, [], &mut panel, &mut schur);
-        (panel, schur, entries)
+        let len = update_len(sym.sn_rows[s].len());
+        let mut arena = vec![f64::NAN; len + 2];
+        let entries = assemble_front(ap, sym, s, [], &mut panel, &mut arena[1..=len]);
+        assert!(
+            arena[0].is_nan() && arena[len + 1].is_nan(),
+            "a neighbour was written"
+        );
+        (panel, arena[1..=len].to_vec(), entries)
+    }
+
+    #[test]
+    fn assembly_zeroes_exactly_the_update_layout() {
+        // Nested dissection of a 3-D grid gives separator fronts whose
+        // updates span several strips.
+        let a = gen::laplace3d(8, 8, 8, gen::Stencil3d::SevenPoint);
+        let fill = parfact_order::order_matrix(&a, parfact_order::Method::default());
+        let (sym, ap) = analyze(&fill.apply_sym_lower(&a), &AmalgOpts::default());
+        let mut wide = 0;
+        for s in 0..sym.nsuper() {
+            let r = sym.sn_rows[s].len();
+            let (panel, schur, _) = assemble_alone(&ap, &sym, s);
+            assert!(panel.iter().all(|v| v.is_finite()), "supernode {s}");
+            assert!(schur.iter().all(|&v| v == 0.0), "supernode {s}");
+            if r > chol::NB {
+                assert!(schur.len() < r * r);
+                wide += 1;
+            }
+        }
+        assert!(wide > 0, "no update spans two strips");
     }
 
     #[test]
@@ -298,7 +350,7 @@ mod tests {
         let nnz: usize = (c0..c1).map(|c| ap.col(c).0.len()).sum();
         assert_eq!(entries, nnz as u64);
         let r = sym.sn_rows[s].len();
-        assert_eq!(schur, vec![0.0; r * r]);
+        assert_eq!(schur, vec![0.0; update_len(r)]);
         // Diagonal of the first pivot column must be the matrix diagonal.
         assert_eq!(panel[0], ap.get(c0, c0).unwrap());
         assert!(panel.iter().all(|v| v.is_finite()));
@@ -340,8 +392,58 @@ mod tests {
         want_panel[lc * f + w + 1] += 3.0;
         assert_eq!(panel, want_panel);
         let mut want_schur = schur0;
-        want_schur[0] += 4.0;
-        want_schur[r + 1] += 6.0;
+        want_schur[CLayout::Strips.at(r, 0, 0).0] += 4.0;
+        want_schur[CLayout::Strips.at(r, 1, 1).0] += 6.0;
         assert_eq!(schur, want_schur);
+    }
+
+    #[test]
+    fn extend_add_reads_and_writes_columns_across_strip_boundaries() {
+        // A child of order 60 (two strips) into a front of order 130 with
+        // 10 pivots (a trailing block of three strips): its first three
+        // columns land in the panel, the rest on every other front column,
+        // so child and front columns cross strip boundaries at different
+        // places.
+        let (f, w) = (130usize, 10usize);
+        let rel: Vec<u32> = (7..10).chain((0..57).map(|i| 10 + 2 * i)).collect();
+        let r = rel.len();
+        // Child entry (i, j), every seventh an exact zero.
+        let value = |i: usize, j: usize| match (i * r + j) % 7 {
+            0 => 0.0,
+            v => (i + 2 * j) as f64 + v as f64 / 8.0,
+        };
+        let mut data = vec![f64::NAN; update_len(r)];
+        for j in 0..r {
+            for i in j..r {
+                data[CLayout::Strips.at(r, i, j).0] = value(i, j);
+            }
+        }
+        let (rs, base) = (f - w, 0.5);
+        let mut panel = vec![base; f * w];
+        let mut schur = vec![base; update_len(rs)];
+        let added = extend_add(&rel, &data, &mut panel, &mut schur, f, w);
+        // The front as a plain lower matrix, then the same sums by entry.
+        let mut want = vec![base; f * f];
+        let mut nonzero = 0;
+        for j in 0..r {
+            for i in j..r {
+                let (fi, fj) = (rel[i] as usize, rel[j] as usize);
+                if value(i, j) != 0.0 {
+                    want[fj * f + fi] += value(i, j);
+                    nonzero += 1;
+                }
+            }
+        }
+        assert_eq!(added, nonzero);
+        for fj in 0..f {
+            for fi in fj..f {
+                let got = if fj < w {
+                    panel[fj * f + fi]
+                } else {
+                    schur[CLayout::Strips.at(rs, fi - w, fj - w).0]
+                };
+                assert_eq!(got, want[fj * f + fi], "front entry ({fi}, {fj})");
+            }
+        }
     }
 }

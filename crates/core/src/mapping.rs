@@ -14,6 +14,7 @@
 //! the order the owner runs its fronts (`Plan::new` says why the dist
 //! engine's deadline order keeps the postorder layout).
 
+use crate::frontal::update_len;
 use parfact_symbolic::{Symbolic, NONE};
 use std::ops::Range;
 
@@ -264,9 +265,10 @@ pub(crate) struct Plan {
     pub(crate) runs: Vec<Run>,
     /// The thread or rank count the mapping was built for.
     pub(crate) threads: usize,
-    /// Where the update of supernode `s` (`|sn_rows[s]|²` entries) starts in
-    /// the arena of its runner ([`Plan::runner`]). Grid fronts of the dist
-    /// engine, and updates of no entries, have no place (0).
+    /// Where the update of supernode `s` (`update_len(|sn_rows[s]|)`
+    /// entries: its lower triangle in strips) starts in the arena of its
+    /// runner ([`Plan::runner`]). Grid fronts of the dist engine, and
+    /// updates of no entries, have no place (0).
     pub(crate) at: Vec<usize>,
     /// Each owner's arena length in entries, by owner.
     pub(crate) arena: Vec<usize>,
@@ -347,6 +349,11 @@ impl Plan {
             at,
             arena,
         }
+    }
+
+    /// Bytes of update arena this plan lays out, summed over its owners.
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.arena.iter().sum::<usize>() * std::mem::size_of::<f64>()
     }
 
     /// Threads that own at least one local subtree (at least one: the top
@@ -432,9 +439,9 @@ impl Plan {
 }
 
 /// Lay out the updates of `seq`, one owner's fronts in the order it runs
-/// them, in one arena by first fit: the update of `s` (`|sn_rows[s]|²`
-/// entries) takes the lowest place `at[s]` where it overlaps no live
-/// update. It lives from the start of its front until its parent is
+/// them, in one arena by first fit: the update of `s`
+/// (`update_len(|sn_rows[s]|)` entries) takes the lowest place `at[s]`
+/// where it overlaps no live update. It lives from the start of its front until its parent is
 /// assembled, or to the end of `seq` when the parent is not in it. Returns
 /// the arena's length: the highest entry an update reaches.
 fn first_fit(sym: &Symbolic, seq: impl Iterator<Item = usize>, at: &mut [usize]) -> usize {
@@ -442,7 +449,7 @@ fn first_fit(sym: &Symbolic, seq: impl Iterator<Item = usize>, at: &mut [usize])
     let mut live: Vec<(usize, usize, usize)> = Vec::new();
     let mut len = 0;
     for s in seq {
-        let n = sym.sn_rows[s].len().pow(2);
+        let n = update_len(sym.sn_rows[s].len());
         if n > 0 {
             let (mut start, mut i) = (0, 0);
             while i < live.len() && live[i].0 < start + n {
@@ -565,8 +572,9 @@ mod tests {
     /// The most update entries alive at once in a sequential run: when
     /// front `s` starts (postorder), its children's updates and every
     /// other update still waiting for its parent are alive next to its own.
+    /// Counted in the layout's entries (`update_len`), as the arenas are.
     fn live_stack(sym: &Symbolic) -> usize {
-        let entries = |s: usize| sym.sn_rows[s].len().pow(2);
+        let entries = |s: usize| update_len(sym.sn_rows[s].len());
         let (mut live, mut most) = (0usize, 0usize);
         for s in 0..sym.nsuper() {
             live += entries(s);
@@ -594,7 +602,7 @@ mod tests {
         let mut live: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); plan.threads];
         let mut peak = vec![0; plan.threads];
         for s in order {
-            let (w, a, n) = (plan.runner(s), plan.at[s], sym.sn_rows[s].len().pow(2));
+            let (w, a, n) = (plan.runner(s), plan.at[s], update_len(sym.sn_rows[s].len()));
             if n > 0 {
                 for &(b, e, x) in &live[w] {
                     assert!(a + n <= b || e <= a, "{s} is written over {x} in arena {w}");

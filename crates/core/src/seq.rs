@@ -6,7 +6,7 @@
 
 use crate::error::FactorError;
 use crate::factor::{Factor, FactorKind};
-use crate::frontal::{factor_front, panel_kernel, FrontMeter};
+use crate::frontal::{factor_front, panel_kernel, update_len, FrontMeter};
 use crate::mapping::Plan;
 use crate::workspace::Workspace;
 use parfact_sparse::csc::CscMatrix;
@@ -41,6 +41,9 @@ pub fn factorize_seq(
 /// place in the arena, and a front's pivot columns are assembled and
 /// factored in `factor`'s own slab.
 ///
+/// Returns the bytes of update arena the plan laid out
+/// ([`Plan::arena_bytes`]).
+///
 /// On error the panels written so far are left behind; callers that reuse
 /// factors across calls (refactorize) must treat a failed factor as
 /// invalid.
@@ -50,12 +53,13 @@ pub(crate) fn factorize_seq_into(
     tr: &Collector,
     ws: &mut Workspace,
     factor: &mut Factor,
-) -> Result<(), FactorError> {
+) -> Result<usize, FactorError> {
     debug_assert_eq!(factor.sym.sn_ptr, sym.sn_ptr, "factor/symbolic mismatch");
     let plan = ws.plans.get(sym, 1);
     let (arena, out) = (&mut ws.arenas_for(&plan)[0], &mut Slab::new(factor));
     let (sns, mut rec) = (0..sym.nsuper(), tr.local(0));
-    factor_run(ap, sym, &plan, sns, out, arena, &[], &mut rec, 1).map_err(|(_, e)| e)
+    factor_run(ap, sym, &plan, sns, out, arena, &[], &mut rec, 1).map_err(|(_, e)| e)?;
+    Ok(plan.arena_bytes())
 }
 
 /// What the fronts of supernodes `first..` write to the factor: their
@@ -125,7 +129,7 @@ pub(crate) fn factor_run<M: FrontMeter>(
     threads: usize,
 ) -> Result<(), (usize, FactorError)> {
     let (first, kind, pp, cp) = (out.first, out.kind, out.panel_ptr, &sym.sn_ptr);
-    let len = |s: usize| sym.sn_rows[s].len().pow(2);
+    let len = |s: usize| update_len(sym.sn_rows[s].len());
     for s in sns {
         // The live updates, its children's among them, lie around that of `s`.
         let (at, me) = (plan.at[s], plan.runner(s));

@@ -72,8 +72,8 @@ pub fn factorize_smp(
 /// The in-place SMP engine: overwrite `factor`'s slab (allocated with the
 /// same `sym`) using the per-thread arenas in `ws`. Each thread records
 /// into a private recorder of `tr` keyed by its index; the top records as
-/// thread 0. See [`crate::seq::factorize_seq_into`] for the error-state
-/// contract.
+/// thread 0. See [`crate::seq::factorize_seq_into`] for what it returns
+/// and the error-state contract.
 pub(crate) fn factorize_smp_into(
     ap: &CscMatrix,
     sym: &Arc<Symbolic>,
@@ -81,7 +81,7 @@ pub(crate) fn factorize_smp_into(
     tr: &Collector,
     ws: &mut Workspace,
     factor: &mut Factor,
-) -> Result<(), FactorError> {
+) -> Result<usize, FactorError> {
     let nthreads = resolve_threads(opts.threads);
     let nsuper = sym.nsuper();
     if nthreads <= 1 || nsuper <= 1 {
@@ -119,7 +119,7 @@ pub(crate) fn factorize_smp_into(
         )
         .map_err(|(_, e)| e)?;
     }
-    failed.map_or(Ok(()), |(_, e)| Err(e))
+    failed.map_or(Ok(plan.arena_bytes()), |(_, e)| Err(e))
 }
 
 #[cfg(test)]

@@ -158,6 +158,7 @@ impl SparseCholesky {
             ordering_s: (t1 - t0).as_secs_f64(),
             symbolic_s: (t2 - t1).as_secs_f64(),
             numeric_s: 0.0,
+            update_arena_bytes: 0,
             counters: Counters::default(),
             ranks: Vec::new(),
             spans: Vec::new(),
@@ -990,6 +991,28 @@ mod tests {
             }
         }
         assert!(served.iter().all(|&len| len > 0), "{served:?}");
+    }
+
+    #[test]
+    fn the_report_carries_the_update_arena_bytes_the_plan_laid_out() {
+        // On a fresh solver every arena is as long as the plan laid it out,
+        // so the reported bytes are the arenas' lengths; the simulated
+        // ranks' arenas are not the host run's.
+        let a = gen::laplace3d(10, 10, 10, gen::Stencil3d::SevenPoint);
+        for engine in [Engine::Sequential, Engine::Smp(SmpOpts { threads: 2 })] {
+            let opts = FactorOpts::new().engine(engine.clone());
+            let chol = SparseCholesky::factorize(&a, &opts).unwrap();
+            let entries: usize = chol.ws.arenas.iter().map(Vec::len).sum();
+            assert!(entries > 0, "{}", engine.name());
+            let bytes = chol.report().update_arena_bytes;
+            assert_eq!(bytes, entries * 8, "{}", engine.name());
+        }
+        let dist = Engine::Dist(DistOpts {
+            ranks: 4,
+            ..DistOpts::default()
+        });
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist)).unwrap();
+        assert_eq!(chol.report().update_arena_bytes, 0);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn host_scalability(
 /// symbolic analysis it carries), timed and recorded into `report` — the
 /// single dispatch and report-assembly path behind
 /// [`SparseCholesky::factorize`] and [`SparseCholesky::refactorize`].
-/// `engine`, `numeric_s`, `counters`, `ranks`, `spans` (the analysis-phase
+/// `engine`, `numeric_s`, `update_arena_bytes`, `counters`, `ranks`, `spans` (the analysis-phase
 /// spans passed in, then this run's), `faults` (`Some` exactly when a
 /// distributed run had a fault plan), `scalability` and `profile` describe
 /// this run; the rest of the report is left alone, and all of it on error.
@@ -129,6 +129,7 @@ pub(super) fn numeric_phase(
         // Traffic summed, memory peak maxed over the ranks; per-phase
         // seconds stay zero (the simulator attributes time per rank, see
         // `report.ranks`). Every supernode is factored once on the machine.
+        report.update_arena_bytes = 0;
         report.counters = parfact_trace::Counters {
             flops: out.total_flops,
             bytes_sent: out.stats.iter().map(|s| s.bytes_sent).sum(),
@@ -158,10 +159,10 @@ pub(super) fn numeric_phase(
         });
     } else {
         let tr = Collector::new(trace);
-        match engine {
+        report.update_arena_bytes = match engine {
             Engine::Smp(smp) => crate::smp::factorize_smp_into(ap, &sym, smp, &tr, ws, factor)?,
             _ => crate::seq::factorize_seq_into(ap, &sym, &tr, ws, factor)?,
-        }
+        };
         report.faults = None;
         report.counters = tr.snapshot();
         report.ranks = worker_ranks(&tr);

@@ -13,11 +13,25 @@
 //!
 //! An arena is one `Vec<f64>`, grown to the largest plan it has served and
 //! kept until the workspace is dropped; [`Workspace::growth_events`] counts
-//! the growths. (The packing buffers of the dense microkernels are
-//! thread-local inside `parfact-dense` and also grow once.)
+//! the growths. Each reserves at least 33 MiB of address space
+//! (`ARENA_RESERVE`), of which only its length is ever touched. (The
+//! packing buffers of the dense microkernels are thread-local inside
+//! `parfact-dense` and also grow once.)
 
 use crate::mapping::Plan;
 use crate::smp_solve::Plans;
+
+/// Entries of address space an arena reserves at least: 33 MiB. glibc's
+/// malloc maps a request this large on its own and leaves its pages
+/// untouched until an update is written there, so the resident memory is
+/// the arena's length; and unmapping it leaves malloc's dynamic mmap
+/// threshold alone, which only follows freed mappings of up to 32 MiB. A
+/// smaller arena, once freed, raises that threshold to its size, and every
+/// later allocation below it (a simulated machine's fronts and messages
+/// among them) comes from heaps that keep freed pages resident: with the
+/// 27 MB sequential arena of lap3d-32 the benchmark's `dist_scale` peak
+/// RSS rose 312 → 363 MB, and with this reserve fell to 284 MB.
+const ARENA_RESERVE: usize = (33 << 20) / std::mem::size_of::<f64>();
 
 /// Engine-level workspace of one analysis: one update arena per worker
 /// thread and the run plans. Owned by [`crate::solver::SparseCholesky`] so
@@ -45,7 +59,10 @@ impl Workspace {
         self.arenas.resize_with(n, Vec::new);
         for (arena, &len) in self.arenas.iter_mut().zip(&plan.arena) {
             if arena.len() < len {
-                *arena = vec![0.0; len];
+                // Zeroed pages of a fresh mapping: cutting it to `len`
+                // touches none of the reserve.
+                *arena = vec![0.0; len.max(ARENA_RESERVE)];
+                arena.truncate(len);
                 self.growth_events += 1;
             }
         }

@@ -5,11 +5,16 @@
 //! in the exact variants it needs them:
 //!
 //! - [`gemm_nt`] — `C ← α A Bᵀ + β C` (the outer-product update shape);
-//! - [`syrk_ln`] — lower-triangle `C ← α A Aᵀ + β C` (Schur complements);
 //! - [`gemm_nt_ln`] — lower `C ← C + α A Bᵀ`, triangle or tall trapezoid
-//!   (the pivot columns right of a panel; LDLᵀ trailing updates, where
-//!   the two operands differ by the `D` scaling);
+//!   (Schur complements with `A = B`; the pivot columns right of a panel;
+//!   LDLᵀ trailing updates, where the two operands differ by the `D`
+//!   scaling);
 //! - [`trsm_right_lt`] — `X Lᵀ = B` (panel scaling below a factored block).
+//!
+//! `C` is column-major with a leading dimension, except that
+//! [`gemm_nt_ln`] takes its lower block as a [`CLayout`]: plain, or the
+//! [`NB`]-column strips the multifrontal engines store
+//! every update in (no entry above the diagonal is kept).
 //!
 //! The solve phase's left-side block solves live in [`crate::solve`].
 //!
@@ -21,13 +26,14 @@
 //! at a time with the strip held in registers, and blocks its column
 //! sweep through [`gemm_nt`] when callers hand it a wide triangle.
 
-use crate::pack::{self, Isa};
+use crate::chol::NB;
+use crate::pack::{self, strips_len, CLayout, Isa};
 use std::cell::RefCell;
 
 /// Column block size for the blocked [`trsm_right_lt`] sweep. Matches the
 /// factorization panel width (`chol::NB`) so factorization-path calls are
 /// a single block.
-const TRSM_NB: usize = crate::chol::NB;
+const TRSM_NB: usize = NB;
 
 /// Rows [`trsm_right_lt`] solves at a time: four 8-lane vectors, enough
 /// independent subtract chains to cover the add latency.
@@ -83,54 +89,29 @@ pub fn gemm_nt(
 ) {
     debug_assert!(lda >= m.max(1) && ldb >= n.max(1) && ldc >= m.max(1));
     scale_full(m, n, beta, c, ldc);
-    pack::gemm_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc, false);
-}
-
-/// Lower-triangle symmetric rank-k update: `C ← α A Aᵀ + β C`, touching only
-/// `C[i][j]` with `i >= j`. `A` is `n x k`, `C` is `n x n`.
-#[allow(clippy::too_many_arguments)] // BLAS calling convention
-pub fn syrk_ln(
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    debug_assert!(lda >= n.max(1) && ldc >= n.max(1));
-    if beta != 1.0 {
-        for j in 0..n {
-            let cj = &mut c[at(ldc, j, j)..at(ldc, n, j)];
-            if beta == 0.0 {
-                cj.fill(0.0);
-            } else {
-                for v in cj {
-                    *v *= beta;
-                }
-            }
-        }
-    }
-    pack::gemm_packed(n, n, k, alpha, a, lda, a, lda, c, ldc, true);
+    let ldc = CLayout::Plain(ldc);
+    pack::gemm_packed(pack::isa(), m, n, k, alpha, a, lda, b, ldb, c, ldc, false);
 }
 
 /// Lower general rank-k update: `C ← C + α A Bᵀ`, touching only `C[i][j]`
 /// with `i >= j`. `A` is `m x k`, `B` is `n x k`, `C` is `m x n` with
-/// `m >= n` — the lower triangle of a square block or, with `m > n`, the
-/// lower trapezoid of a tall one (the pivot columns right of a panel,
-/// which run all the way down the front).
+/// `m >= n`, laid out as `ldc` says — the lower triangle of a square block
+/// or, with `m > n`, the lower trapezoid of a tall one (the pivot columns
+/// right of a panel, which run all the way down the front).
 ///
-/// With `A != B` this is the LDLᵀ trailing-update shape
-/// (`C ← C − L₂₁ (L₂₁ D)ᵀ`), where the operands differ by a diagonal
-/// scaling so `syrk_ln` does not apply.
+/// With `A = B` this is the Schur update `C ← C − L₂₁ L₂₁ᵀ`; with
+/// `A != B` the LDLᵀ trailing-update shape `C ← C − L₂₁ (L₂₁ D)ᵀ`, where
+/// the operands differ by a diagonal scaling.
 ///
 /// With `threads > 1` the columns of `C` are cut into up to `threads`
 /// runs of about equal area, each a lower trapezoid of its own, and each
-/// run is updated on its own thread (the last on the calling one). The
-/// packed kernels give every entry one chain whatever the tiling (the
-/// determinism contract in [`crate::pack`]), so the bits do not depend on
-/// `threads`. With `threads <= 1` this is one packed call on this thread.
+/// run is updated on its own thread (the last on the calling one). Under
+/// [`CLayout::Strips`] the cuts are rounded to strip boundaries, so each
+/// run is a strip layout of its own. The packed kernels give every entry
+/// one chain whatever the tiling (the determinism contract in
+/// [`crate::pack`]), so the bits do not depend on `threads` or the layout;
+/// every run works on the instruction set of the calling thread. With
+/// `threads <= 1` this is one packed call on this thread.
 #[allow(clippy::too_many_arguments)] // BLAS calling convention
 pub fn gemm_nt_ln(
     m: usize,
@@ -142,12 +123,13 @@ pub fn gemm_nt_ln(
     b: &[f64],
     ldb: usize,
     c: &mut [f64],
-    ldc: usize,
+    ldc: CLayout,
     threads: usize,
 ) {
-    debug_assert!(m >= n && lda >= m.max(1) && ldb >= n.max(1) && ldc >= m.max(1));
+    debug_assert!(m >= n && lda >= m.max(1) && ldb >= n.max(1));
+    let isa = pack::isa();
     if threads <= 1 || k == 0 || n < 2 {
-        pack::gemm_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc, true);
+        pack::gemm_packed(isa, m, n, k, alpha, a, lda, b, ldb, c, ldc, true);
         return;
     }
     let runs = threads.min(n);
@@ -156,19 +138,42 @@ pub fn gemm_nt_ln(
     std::thread::scope(|scope| {
         let (mut c, mut j0) = (c, 0);
         for t in 1..=runs {
-            // The first cut at or past `t / runs` of the area.
+            // The first cut at or past `t / runs` of the area, or the
+            // strip boundary nearest to it.
             let mut j1 = j0;
             while j1 < n && area(j1) * runs < t * area(n) {
                 j1 += 1;
             }
-            if j1 == j0 {
+            if ldc == CLayout::Strips && j1 < n {
+                j1 = ((j1 + NB / 2) / NB * NB).min(n);
+            }
+            if j1 <= j0 {
                 continue;
             }
-            let cols = c.len().min(at(ldc, 0, j1 - j0));
-            let run = &mut c.split_off_mut(..cols).expect("a run ends inside C")[j0..];
+            // The run's own `C`, from its entry `(j0, j0)` on.
+            let (len, top) = match ldc {
+                CLayout::Plain(ld) => (at(ld, 0, j1 - j0), j0),
+                CLayout::Strips => (strips_len(m - j0, j1 - j0), 0),
+            };
+            let run = &mut c
+                .split_off_mut(..len.min(c.len()))
+                .expect("a run ends inside C")[top..];
             let (a, b) = (&a[j0..], &b[j0..]);
             let mut update = move || {
-                pack::gemm_packed(m - j0, j1 - j0, k, alpha, a, lda, b, ldb, run, ldc, true)
+                pack::gemm_packed(
+                    isa,
+                    m - j0,
+                    j1 - j0,
+                    k,
+                    alpha,
+                    a,
+                    lda,
+                    b,
+                    ldb,
+                    run,
+                    ldc,
+                    true,
+                )
             };
             if j1 < n {
                 scope.spawn(update);
@@ -429,12 +434,13 @@ mod tests {
     }
 
     #[test]
-    fn syrk_ln_matches_gemm_on_lower() {
+    fn gemm_nt_ln_of_a_with_itself_is_the_lower_gram_update() {
         let mut r = det_rng(3);
         let (n, k) = (9, 6);
         let a = DMat::from_fn(n, k, |_, _| r());
         let mut c = DMat::zeros(n, n);
-        syrk_ln(n, k, -1.0, a.as_slice(), n, 1.0, c.as_mut_slice(), n);
+        let (s, ldc) = (a.as_slice(), CLayout::Plain(n));
+        gemm_nt_ln(n, n, k, -1.0, s, n, s, n, c.as_mut_slice(), ldc, 1);
         let full = a.matmul(&a.transpose());
         for j in 0..n {
             for i in 0..n {
@@ -464,7 +470,7 @@ mod tests {
             b.as_slice(),
             n,
             c.as_mut_slice(),
-            n,
+            CLayout::Plain(n),
             1,
         );
         let full = a.matmul(&b.transpose());
@@ -491,7 +497,7 @@ mod tests {
             b.as_slice(),
             n,
             tall.as_mut_slice(),
-            n,
+            CLayout::Plain(n),
             1,
         );
         for j in 0..nn {
@@ -616,12 +622,72 @@ mod tests {
         }
     }
 
+    /// `gemm_nt_ln` into the strip layout leaves the bits the plain layout
+    /// gets, on every instruction set the host has and 1 to 4 threads, and
+    /// writes nothing outside the strips.
+    fn assert_strip_update_equals_plain(isas: &[Isa], m: usize, n: usize, k: usize, seed: u64) {
+        let mut r = det_rng(seed);
+        let (lda, ldb, pad) = (m + 1, n + 2, 3);
+        let a: Vec<f64> = (0..lda * k).map(|_| r()).collect();
+        let b: Vec<f64> = (0..ldb * k).map(|_| r()).collect();
+        let c0: Vec<f64> = (0..m * n).map(|_| r()).collect();
+        let mut want = c0.clone();
+        pack::on_isa(Isa::Portable, || {
+            let ldc = CLayout::Plain(m);
+            gemm_nt_ln(m, n, k, -1.0, &a, lda, &b, ldb, &mut want, ldc, 1)
+        });
+        for &isa in isas {
+            for threads in 1..=4 {
+                let mut got = pack::to_strips(m, n, &c0, pad);
+                let c = &mut got[pad..pad + strips_len(m, n)];
+                pack::on_isa(isa, || {
+                    gemm_nt_ln(m, n, k, -1.0, &a, lda, &b, ldb, c, CLayout::Strips, threads)
+                });
+                let what = format!("{isa:?} m={m} n={n} k={k} threads={threads}");
+                pack::assert_strips_equal(m, n, &want, &got, pad, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn strip_layout_update_keeps_the_plain_bits_on_small_blocks() {
+        // Small enough for Miri: one and two strips, a tall trapezoid,
+        // `k` across a segment edge.
+        let isas = Isa::supported();
+        for (m, n, k) in [(1, 1, 1), (7, 5, 3), (53, 53, 50), (61, 13, 9)] {
+            assert_strip_update_equals_plain(&isas, m, n, k, (m * 100 + k) as u64);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Orders and `k` off every multiple of the tile, strip and cache
+        /// block sizes (odd or 2 mod 4), up to several strips and past a
+        /// `KC` block; one block crosses `NC`. Prints what it exercised.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn strip_layout_update_keeps_the_plain_bits(
+            m in 1usize..=210, tall in proptest::prelude::any::<bool>(), k in 1usize..=260,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let isas = Isa::supported();
+            println!("strip layout updates exercised on this host: {isas:?}");
+            let off = |x: usize| if x.is_multiple_of(4) { x - 1 } else { x };
+            let (m, k) = (off(m.max(2)), off(k.max(2)));
+            let n = if tall { off((m / 2).max(2)).min(m) } else { m };
+            assert_strip_update_equals_plain(&isas, m, n, k, seed);
+            let nc = pack::NC + 5;
+            assert_strip_update_equals_plain(&isas, nc, nc, 7, seed);
+        }
+    }
+
     #[test]
     fn degenerate_sizes_are_noops() {
         let mut c = [1.0; 1];
         gemm_nt(0, 0, 0, 1.0, &[], 1, &[], 1, 1.0, &mut c, 1);
-        syrk_ln(0, 0, 1.0, &[], 1, 1.0, &mut c, 1);
-        gemm_nt_ln(0, 0, 0, 1.0, &[], 1, &[], 1, &mut c, 1, 1);
+        gemm_nt_ln(0, 0, 0, 1.0, &[], 1, &[], 1, &mut c, CLayout::Plain(1), 1);
+        gemm_nt_ln(0, 0, 0, 1.0, &[], 1, &[], 1, &mut c, CLayout::Strips, 1);
         trsm_right_lt(0, 0, &[], 1, &mut c, 1);
         assert_eq!(c[0], 1.0);
     }

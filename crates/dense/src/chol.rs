@@ -6,10 +6,13 @@
 //! Storage is column-major lower triangle; the strict upper triangle is
 //! never read or written. Each partial kernel takes the front either as
 //! one contiguous block or split into its pivot columns and its trailing
-//! block, wherever the caller keeps the two.
+//! block, wherever the caller keeps the two; the split kernels take the
+//! trailing block as a [`CLayout`], plain or in the [`NB`]-column strips
+//! that store no upper entry at all.
 
 use crate::blas::{gemm_nt_ln, trsm_right_lt};
 use crate::error::DenseError;
+use crate::pack::CLayout;
 use crate::pack::{self, Isa};
 use std::cell::RefCell;
 
@@ -131,15 +134,15 @@ pub fn partial_potrf(nf: usize, npiv: usize, f: &mut [f64], ldf: usize) -> Resul
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
     let (panel, schur) = split_front(f, ldf, npiv);
-    partial_potrf_split(nf, npiv, panel, ldf, schur, ldf, 1)
+    partial_potrf_split(nf, npiv, panel, ldf, schur, CLayout::Plain(ldf), 1)
 }
 
 /// [`partial_potrf`] on a front stored where its two halves are kept: the
 /// `nf x npiv` pivot columns in `panel` (leading dimension `ldp`) and the
-/// trailing `(nf-npiv)`-order lower block in `schur` (leading dimension
-/// `lds`), anywhere in memory. The multifrontal engines hand it the factor
-/// slab and the update buffer, so a front is factored in place and never
-/// copied.
+/// trailing `(nf-npiv)`-order lower block in `schur` (laid out as `lds`
+/// says), anywhere in memory. The multifrontal engines hand it the factor
+/// slab and the update buffer (in strips), so a front is factored in place
+/// and never copied; the bits do not depend on the layout.
 ///
 /// Left-looking: [`potrf_panel`] factors the pivot columns, then the
 /// Schur block takes one update from all of them, `A22 -= L21 L21ᵀ` as a
@@ -158,12 +161,12 @@ pub fn partial_potrf_split(
     panel: &mut [f64],
     ldp: usize,
     schur: &mut [f64],
-    lds: usize,
+    lds: CLayout,
     threads: usize,
 ) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     let r = nf - npiv;
-    assert!(ldp >= nf.max(1) && lds >= r);
+    assert!(ldp >= nf.max(1) && lds.at(r, 0, 0).1 >= r);
     potrf_panel(nf, npiv, panel, ldp, 0, threads)?;
     if r > 0 {
         let l21 = &panel[npiv..];
@@ -208,7 +211,8 @@ pub fn potrf_panel(
             let (from, to) = if j == g { (0, end) } else { (g, j + jb) };
             let (left, cur) = cols.split_at_mut(at(ld, 0, j));
             let (l, c) = (&left[at(ld, j, from)..], &mut cur[j..]);
-            gemm_nt_ln(m - j, to - j, j - from, -1.0, l, ld, l, ld, c, ld, threads);
+            let ldc = CLayout::Plain(ld);
+            gemm_nt_ln(m - j, to - j, j - from, -1.0, l, ld, l, ld, c, ldc, threads);
             panel_step(m - j, jb, c, ld, base + j)?;
         }
     }
@@ -271,12 +275,12 @@ pub fn partial_ldlt(
     assert!(npiv <= nf);
     assert!(ldf >= nf.max(1));
     let (panel, schur) = split_front(f, ldf, npiv);
-    partial_ldlt_split(nf, npiv, panel, ldf, schur, ldf, d, 1)
+    partial_ldlt_split(nf, npiv, panel, ldf, schur, CLayout::Plain(ldf), d, 1)
 }
 
 /// [`partial_ldlt`] on a front split into its pivot columns and its
-/// trailing block, as [`partial_potrf_split`] — same storage, same bits as
-/// the contiguous form.
+/// trailing block, as [`partial_potrf_split`] — same storage (the trailing
+/// block plain or in strips), same bits as the contiguous form.
 ///
 /// Blocked right-looking: each [`NB`]-wide panel is factored with an
 /// unblocked sweep whose rank-1 updates stay inside the panel, then
@@ -291,13 +295,13 @@ pub fn partial_ldlt_split(
     panel: &mut [f64],
     ldp: usize,
     schur: &mut [f64],
-    lds: usize,
+    lds: CLayout,
     d: &mut [f64],
     threads: usize,
 ) -> Result<(), DenseError> {
     assert!(npiv <= nf);
     let r = nf - npiv;
-    assert!(ldp >= nf.max(1) && lds >= r);
+    assert!(ldp >= nf.max(1) && lds.at(r, 0, 0).1 >= r);
     assert!(d.len() >= npiv);
     for j0 in (0..npiv).step_by(NB) {
         let jb = NB.min(npiv - j0);
@@ -344,7 +348,10 @@ pub fn partial_ldlt_split(
             }
             let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
             let (l21, n1) = (&done[at(ldp, j1, j0)..], npiv - j1);
-            gemm_nt_ln(rest, n1, jb, -1.0, l21, ldp, w, rest, ahead, ldp, threads);
+            let ahead_ld = CLayout::Plain(ldp);
+            gemm_nt_ln(
+                rest, n1, jb, -1.0, l21, ldp, w, rest, ahead, ahead_ld, threads,
+            );
             if r > 0 {
                 let (l22, w2) = (&l21[npiv - j1..], &w[npiv - j1..]);
                 gemm_nt_ln(r, r, jb, -1.0, l22, ldp, w2, rest, schur, lds, threads);
@@ -362,7 +369,6 @@ pub fn ldlt(n: usize, a: &mut [f64], lda: usize, d: &mut [f64]) -> Result<(), De
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas::syrk_ln;
     use crate::det_rng;
     use crate::matrix::DMat;
     use proptest::prelude::*;
@@ -672,14 +678,15 @@ mod tests {
         let mut f = a.clone();
         partial_potrf(nf, npiv, f.as_mut_slice(), nf).unwrap();
         let (mut panel, mut schur) = split_of(&a, npiv);
-        partial_potrf_split(nf, npiv, &mut panel, nf, &mut schur, rr, 1).unwrap();
+        let ls = CLayout::Plain(rr);
+        partial_potrf_split(nf, npiv, &mut panel, nf, &mut schur, ls, 1).unwrap();
         check("llt", &f, &panel, &schur);
         let mut f = a.clone();
         let mut d = vec![0.0; npiv];
         partial_ldlt(nf, npiv, f.as_mut_slice(), nf, &mut d).unwrap();
         let (mut panel, mut schur) = split_of(&a, npiv);
         let mut d2 = vec![0.0; npiv];
-        partial_ldlt_split(nf, npiv, &mut panel, nf, &mut schur, rr, &mut d2, 1).unwrap();
+        partial_ldlt_split(nf, npiv, &mut panel, nf, &mut schur, ls, &mut d2, 1).unwrap();
         check("ldlt", &f, &panel, &schur);
         assert_eq!(d, d2);
     }
@@ -725,15 +732,15 @@ mod tests {
             let rr = nf - npiv;
             let (panel, schur) = split_of(&a, npiv);
             let run = |threads| {
-                let (mut lp, mut ls) = (panel.clone(), schur.clone());
-                partial_potrf_split(nf, npiv, &mut lp, nf, &mut ls, rr, threads).unwrap();
+                let (mut lp, mut ls, plain) = (panel.clone(), schur.clone(), CLayout::Plain(rr));
+                partial_potrf_split(nf, npiv, &mut lp, nf, &mut ls, plain, threads).unwrap();
                 let (mut dp, mut ds, mut d) = (panel.clone(), schur.clone(), vec![0.0; npiv]);
-                partial_ldlt_split(nf, npiv, &mut dp, nf, &mut ds, rr, &mut d, threads).unwrap();
+                partial_ldlt_split(nf, npiv, &mut dp, nf, &mut ds, plain, &mut d, threads).unwrap();
                 // The update helper alone, on a tall trapezoid with `k = nf`
                 // and two different operands.
                 let mut c = panel.clone();
-                let (a, b) = (a.as_slice(), b.as_slice());
-                gemm_nt_ln(nf, npiv, nf, -1.0, a, nf, b, nf, &mut c, nf, threads);
+                let (a, b, ldc) = (a.as_slice(), b.as_slice(), CLayout::Plain(nf));
+                gemm_nt_ln(nf, npiv, nf, -1.0, a, nf, b, nf, &mut c, ldc, threads);
                 [lp, ls, dp, ds, d, c]
             };
             let want = run(1);
@@ -780,9 +787,24 @@ mod tests {
             // block.
             let (done, ahead) = panel.split_at_mut(at(ldp, j1, j1).min(panel.len()));
             let l21 = &done[at(ldp, j1, j)..];
-            gemm_nt_ln(rest, npiv - j1, jb, -1.0, l21, ldp, l21, ldp, ahead, ldp, 1);
+            let (ahead_ld, ls) = (CLayout::Plain(ldp), CLayout::Plain(lds));
+            gemm_nt_ln(
+                rest,
+                npiv - j1,
+                jb,
+                -1.0,
+                l21,
+                ldp,
+                l21,
+                ldp,
+                ahead,
+                ahead_ld,
+                1,
+            );
             if r > 0 {
-                syrk_ln(r, jb, -1.0, &l21[npiv - j1..], ldp, 1.0, schur, lds);
+                // The lower Gram update of the rows below the pivots.
+                let l22 = &l21[npiv - j1..];
+                gemm_nt_ln(r, r, jb, -1.0, l22, ldp, l22, ldp, schur, ls, 1);
             }
         }
         Ok(())
@@ -833,7 +855,8 @@ mod tests {
         for isa in Isa::supported() {
             let (mut got_p, mut got_s) = (panel.clone(), schur.clone());
             pack::on_isa(isa, || {
-                partial_potrf_split(nf, npiv, &mut got_p, ldp, &mut got_s, lds, 1)
+                let ls = CLayout::Plain(lds);
+                partial_potrf_split(nf, npiv, &mut got_p, ldp, &mut got_s, ls, 1)
             })
             .expect("diagonally dominant");
             for (what, want, got) in [
@@ -872,10 +895,83 @@ mod tests {
         }
     }
 
+    /// Both split kernels with the Schur block in strips leave the bits of
+    /// the plain layout — pivot columns, pivots and every Schur entry — on
+    /// every instruction set the host has and 1 to 4 threads, and write
+    /// nothing outside the strips.
+    fn assert_strip_schur_equals_plain(isas: &[Isa], nf: usize, npiv: usize, seed: u64) {
+        let mut rng = det_rng(seed);
+        let a = DMat::random_spd(nf, &mut rng);
+        let (rr, pad) = (nf - npiv, 2);
+        let (panel, schur) = split_of(&a, npiv);
+        let plain = CLayout::Plain(rr.max(1));
+        // (pivot columns, Schur buffer, pivots) of LLᵀ and of LDLᵀ; the
+        // kernels see the buffer less `skip` entries at either end.
+        let run = |isa, threads, ls, schur: &[f64], skip: usize| {
+            pack::on_isa(isa, || {
+                let inner = skip..schur.len() - skip;
+                let (mut lp, mut ls_buf) = (panel.clone(), schur.to_vec());
+                let l = &mut ls_buf[inner.clone()];
+                partial_potrf_split(nf, npiv, &mut lp, nf, l, ls, threads).unwrap();
+                let (mut dp, mut ds_buf, mut d) = (panel.clone(), schur.to_vec(), vec![0.0; npiv]);
+                let ds = &mut ds_buf[inner];
+                partial_ldlt_split(nf, npiv, &mut dp, nf, ds, ls, &mut d, threads).unwrap();
+                [(lp, ls_buf, vec![]), (dp, ds_buf, d)]
+            })
+        };
+        let want = run(Isa::Portable, 1, plain, &schur, 0);
+        for &isa in isas {
+            for threads in 1..=4 {
+                let strips = pack::to_strips(rr, rr, &schur, pad);
+                let got = run(isa, threads, CLayout::Strips, &strips, pad);
+                for (kind, (w, g)) in ["llt", "ldlt"].iter().zip(want.iter().zip(&got)) {
+                    let what = format!("{kind} {isa:?} nf={nf} npiv={npiv} threads={threads}");
+                    let same = |x: &[f64], y: &[f64]| {
+                        x.iter()
+                            .map(|v| v.to_bits())
+                            .eq(y.iter().map(|v| v.to_bits()))
+                    };
+                    assert!(same(&w.0, &g.0), "{what}: pivot columns differ");
+                    assert!(same(&w.2, &g.2), "{what}: pivots differ");
+                    pack::assert_strips_equal(rr, rr, &w.1, &g.1, pad, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strip_layout_schur_keeps_the_plain_bits_on_small_fronts() {
+        // Small enough for Miri: no Schur block, one strip, two strips.
+        let isas = Isa::supported();
+        for (nf, npiv) in [(3, 3), (9, 3), (60, 7)] {
+            assert_strip_schur_equals_plain(&isas, nf, npiv, (nf * 100 + npiv) as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Pivot counts (the update's `k`) and Schur orders off every
+        /// multiple of the tile, strip and cache-block sizes, up to several
+        /// strips and past a `KC` block. Prints what it exercised.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn strip_layout_schur_keeps_the_plain_bits(
+            npiv in 1usize..=250, r in 1usize..=170, seed in any::<u64>(),
+        ) {
+            let isas = Isa::supported();
+            println!("strip layout Schur blocks exercised on this host: {isas:?}");
+            let off = |x: usize| if x.is_multiple_of(4) { x - 1 } else { x };
+            let (npiv, r) = (off(npiv.max(2)), off(r.max(2)));
+            assert_strip_schur_equals_plain(&isas, npiv + r, npiv, seed);
+        }
+    }
+
     #[test]
     fn empty_matrix_is_fine() {
         potrf(0, &mut [], 1).unwrap();
         partial_potrf(0, 0, &mut [], 1).unwrap();
-        partial_potrf_split(0, 0, &mut [], 1, &mut [], 1, 1).unwrap();
+        partial_potrf_split(0, 0, &mut [], 1, &mut [], CLayout::Plain(1), 1).unwrap();
+        partial_potrf_split(0, 0, &mut [], 1, &mut [], CLayout::Strips, 1).unwrap();
     }
 }

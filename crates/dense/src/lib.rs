@@ -5,9 +5,10 @@
 //! pure Rust, mirroring the BLAS-3/LAPACK operations a production solver
 //! would get from a vendor library:
 //!
-//! - [`blas`] — `gemm` (`C += A Bᵀ`), `syrk` (lower `C += A Aᵀ`), and the
-//!   right-side panel `trsm` the factorization needs, built on the packed
-//!   register-blocked core in [`pack`];
+//! - [`blas`] — `gemm` (`C += A Bᵀ`), its lower-triangle form (the Schur
+//!   update, into a plain block or into the column strips the engines keep
+//!   updates in), and the right-side panel `trsm` the factorization needs,
+//!   built on the packed register-blocked core in [`pack`];
 //! - [`pack`] — BLIS-style packing + microkernel layer (MC/KC/NC cache
 //!   blocks, one driver over per-instruction-set `MR x NR` register tiles
 //!   picked by CPU detection — [`kernel_name`] says which — and

@@ -19,10 +19,18 @@
 //! - **cache blocking** — `KC x NC` blocks of packed `B` and `MC x KC`
 //!   blocks of packed `A` keep the working set resident while the macro
 //!   loops sweep the `C` tile grid.
+//! - **writeback layout** — the driver addresses `C` through a
+//!   [`CLayout`]: column-major with one leading dimension, or, for a lower
+//!   triangle or trapezoid, [`NB`]-column strips that store no entry above
+//!   the diagonal (the multifrontal engines keep every update that way).
+//!   [`NB`] is a multiple of every tile's `MR` and `NR`, so a tile never
+//!   straddles two strips: its address and leading dimension are computed
+//!   once, and the microkernels write it exactly as in a plain block.
 //!
-//! One driver (`gemm_tiled`) is generic over the tile; `gemm_packed`
-//! detects the CPU once per call and enters the copy of the driver
-//! compiled for that instruction set, so packing, microkernel and
+//! One driver (`gemm_tiled`) is generic over the tile; each `blas` call
+//! detects the CPU once and `gemm_packed` enters the copy of the driver
+//! compiled for that instruction set (every column run of a threaded
+//! update on the same one), so packing, microkernel and
 //! writeback all run at the host's vector width. Detection is the only
 //! selector: there is no option, environment variable or cargo feature,
 //! and [`kernel_name`] says which tile a run used.
@@ -83,6 +91,45 @@ pub const KC: usize = 5 * NB;
 pub const MC: usize = 64;
 /// Cache-block columns of packed `B` (a multiple of every tile's `NR`).
 pub const NC: usize = 512;
+
+/// How a kernel addresses its `m`-row output block `C`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CLayout {
+    /// Column-major with this leading dimension (`>= m`).
+    Plain(usize),
+    /// The lower part only, cut into strips of [`NB`] columns stored one
+    /// after another: strip `b` holds columns `NB·b..NB·b + NB` over rows
+    /// `NB·b..m`, column-major with leading dimension `m - NB·b`. An
+    /// `m`-order triangle takes [`strips_len`]`(m, m)` entries instead of
+    /// `m²`. The columns from a strip boundary on are themselves the strip
+    /// layout of the `m - NB·b` rows below it.
+    Strips,
+}
+
+impl CLayout {
+    /// Where entry `(i, j)` of an `m`-row block lies, and the leading
+    /// dimension of its column. Under [`CLayout::Strips`] the entry must
+    /// be stored: `i` at or below the first row of `j`'s strip.
+    #[inline]
+    pub fn at(self, m: usize, i: usize, j: usize) -> (usize, usize) {
+        match self {
+            CLayout::Plain(ld) => (at(ld, i, j), ld),
+            CLayout::Strips => {
+                let top = j / NB * NB;
+                let ld = m - top;
+                (strips_len(m, top) + at(ld, i - top, j - top), ld)
+            }
+        }
+    }
+}
+
+/// Entries of the first `n` columns of an `m`-row [`CLayout::Strips`]
+/// block (`n <= m`): `m·n` less the triangles above the strips.
+pub fn strips_len(m: usize, n: usize) -> usize {
+    let (full, rest) = (n / NB, n % NB);
+    // Full strip `b` holds `NB · (m - NB·b)` entries.
+    NB * full * m - NB * NB * (full * full.saturating_sub(1) / 2) + rest * (m - NB * full)
+}
 
 /// The instruction sets the kernels of this crate are compiled for, in
 /// ascending vector width.
@@ -437,16 +484,17 @@ fn tile_avx512(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, alpha: f64) {
 }
 
 /// Write an accumulated tile back: `C[i][j] += alpha * acc` for the
-/// `mr_eff x nr_eff` valid corner, masking out strictly-upper entries
-/// (`row < col`) when `lower` is set. Tiles the SIMD microkernels cannot
-/// write back whole — cut by the edge of `C` or by the diagonal — come
-/// here, as does every tile of the portable kernel; the SIMD writeback
-/// rounds exactly as this loop does.
+/// `mr_eff x nr_eff` valid corner of the tile at rows `i0..`, columns
+/// `j0..` of `C` (`c` starts at its first entry, leading dimension `ld`),
+/// masking out strictly-upper entries (`row < col`) when `lower` is set.
+/// Tiles the SIMD microkernels cannot write back whole — cut by the edge
+/// of `C` or by the diagonal — come here, as does every tile of the
+/// portable kernel; the SIMD writeback rounds exactly as this loop does.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn store_tile<const MR: usize, const NR: usize>(
     c: &mut [f64],
-    ldc: usize,
+    ld: usize,
     i0: usize,
     j0: usize,
     mr_eff: usize,
@@ -461,8 +509,7 @@ fn store_tile<const MR: usize, const NR: usize>(
         if p0 >= mr_eff {
             continue;
         }
-        let base = at(ldc, i0, col);
-        let dst = &mut c[base + p0..base + mr_eff];
+        let dst = &mut c[at(ld, p0, q)..at(ld, mr_eff, q)];
         for (cv, &av) in dst.iter_mut().zip(&accq[p0..mr_eff]) {
             *cv += alpha * av;
         }
@@ -480,7 +527,7 @@ struct Gemm<'a> {
     b: &'a [f64],
     ldb: usize,
     c: &'a mut [f64],
-    ldc: usize,
+    ldc: CLayout,
     lower: bool,
 }
 
@@ -488,9 +535,10 @@ struct Gemm<'a> {
 /// and sweep the `MR x NR` tile grid of `C`. A tile that lies whole in
 /// `C` — and, under `lower`, on or below the diagonal — goes to `tile`,
 /// which writes it back itself; any other runs `kernel` and
-/// [`store_tile`] once per `k`-segment. Inlined into one entry point per
-/// instruction set so that everything around the microkernel is compiled
-/// at that width too.
+/// [`store_tile`] once per `k`-segment. Either way the tile is addressed
+/// at its first entry with the leading dimension of its columns
+/// ([`CLayout::at`]). Inlined into one entry point per instruction set so
+/// that everything around the microkernel is compiled at that width too.
 #[inline(always)]
 fn gemm_tiled<const MR: usize, const NR: usize>(
     g: Gemm<'_>,
@@ -503,6 +551,10 @@ fn gemm_tiled<const MR: usize, const NR: usize>(
             "cache blocks hold whole tiles"
         );
         assert!(KC.is_multiple_of(NB), "cache blocks hold whole k-segments");
+        assert!(
+            NB.is_multiple_of(MR) && NB.is_multiple_of(NR),
+            "a tile lies in one strip"
+        );
     }
     let Gemm {
         m,
@@ -517,6 +569,7 @@ fn gemm_tiled<const MR: usize, const NR: usize>(
         ldc,
         lower,
     } = g;
+    debug_assert!(lower || ldc != CLayout::Strips, "strips hold a lower block");
     PACK_BUFS.with(|cell| {
         let PackBufs { a: abuf, b: bbuf } = &mut *cell.borrow_mut();
         let mut acc = [[0.0f64; MR]; NR];
@@ -547,16 +600,16 @@ fn gemm_tiled<const MR: usize, const NR: usize>(
                             if lower && gi + mre <= gj {
                                 continue;
                             }
+                            let (t, ld) = ldc.at(m, gi, gj);
                             // Under `lower` a whole tile has an upper entry
                             // iff its top-right one, (gi, gj + NR - 1), is.
                             if mre == MR && nre == NR && !(lower && gi + 1 < gj + NR) {
-                                let t = at(ldc, gi, gj);
-                                tile(ap, bp, &mut c[t..t + (NR - 1) * ldc + MR], ldc, alpha);
+                                tile(ap, bp, &mut c[t..t + (NR - 1) * ld + MR], ld, alpha);
                                 continue;
                             }
                             for (a, b) in segments::<MR, NR>(ap, bp) {
                                 kernel(a, b, &mut acc);
-                                store_tile(c, ldc, gi, gj, mre, nre, alpha, &acc, lower);
+                                store_tile(&mut c[t..], ld, gi, gj, mre, nre, alpha, &acc, lower);
                             }
                         }
                     }
@@ -603,15 +656,17 @@ fn gemm_on(isa: Isa, g: Gemm<'_>) {
     }
 }
 
-/// Packed driver for `C ← C + alpha * A Bᵀ` (`A` is `m x k`, `B` is
-/// `n x k`, `C` is `m x n`, column-major). With `lower`, only entries
-/// `C[i][j]` with `i >= j` are written (`m >= n`: the lower triangle or,
-/// with `m > n`, the lower trapezoid of a tall block).
+/// Packed driver for `C ← C + alpha * A Bᵀ` on the tile of `isa` (`A` is
+/// `m x k`, `B` is `n x k`, column-major; `C` is `m x n`, laid out as
+/// `ldc` says). With `lower`, only entries `C[i][j]` with `i >= j` are
+/// written (`m >= n`: the lower triangle or, with `m > n`, the lower
+/// trapezoid of a tall block); [`CLayout::Strips`] needs it.
 ///
 /// `beta` scaling is the caller's job — the driver is purely accumulating
 /// so that the per-entry determinism contract holds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -621,13 +676,13 @@ pub(crate) fn gemm_packed(
     b: &[f64],
     ldb: usize,
     c: &mut [f64],
-    ldc: usize,
+    ldc: CLayout,
     lower: bool,
 ) {
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    debug_assert!(lda >= m && ldb >= n && ldc >= m);
+    debug_assert!(lda >= m && ldb >= n && ldc.at(m, 0, 0).1 >= m);
     let g = Gemm {
         m,
         n,
@@ -641,7 +696,52 @@ pub(crate) fn gemm_packed(
         ldc,
         lower,
     };
-    gemm_on(isa(), g);
+    gemm_on(isa, g);
+}
+
+/// A sentinel no kernel may write: a NaN with a payload of its own.
+#[cfg(test)]
+const SENTINEL: u64 = 0x7ff8_0000_5e17_1e15;
+
+/// The lower entries of the `m x n` block `plain` (leading dimension
+/// `m`) in the strip layout, with `pad` sentinels before and after.
+#[cfg(test)]
+pub(crate) fn to_strips(m: usize, n: usize, plain: &[f64], pad: usize) -> Vec<f64> {
+    let mut out = vec![f64::from_bits(SENTINEL); strips_len(m, n) + 2 * pad];
+    for j in 0..n {
+        for i in j..m {
+            out[pad + CLayout::Strips.at(m, i, j).0] = plain[at(m, i, j)];
+        }
+    }
+    out
+}
+
+/// Every lower entry of `plain` (leading dimension `m`) equals its
+/// strip entry in `strips` bit for bit, and the `pad` sentinels around
+/// the strips are untouched.
+#[cfg(test)]
+pub(crate) fn assert_strips_equal(
+    m: usize,
+    n: usize,
+    plain: &[f64],
+    strips: &[f64],
+    pad: usize,
+    what: &str,
+) {
+    let len = strips_len(m, n);
+    assert_eq!(strips.len(), len + 2 * pad, "{what}");
+    for (idx, v) in strips[..pad].iter().chain(&strips[pad + len..]).enumerate() {
+        assert_eq!(v.to_bits(), SENTINEL, "{what}: sentinel {idx} written");
+    }
+    for j in 0..n {
+        for i in j..m {
+            let (want, got) = (
+                plain[at(m, i, j)],
+                strips[pad + CLayout::Strips.at(m, i, j).0],
+            );
+            assert_eq!(want.to_bits(), got.to_bits(), "{what} at ({i}, {j})");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -740,7 +840,7 @@ mod tests {
                         b: &b,
                         ldb,
                         c: &mut c,
-                        ldc,
+                        ldc: CLayout::Plain(ldc),
                         lower,
                     };
                     gemm_on(isa, g);
@@ -803,7 +903,7 @@ mod tests {
                             b: &b[l0 * ldb..],
                             ldb,
                             c,
-                            ldc,
+                            ldc: CLayout::Plain(ldc),
                             lower,
                         };
                         gemm_on(isa, g);

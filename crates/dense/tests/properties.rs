@@ -1,6 +1,7 @@
 //! Property-based tests for the dense kernels: agreement with naive
 //! reference implementations on random shapes and values.
 
+use parfact_dense::pack::CLayout;
 use parfact_dense::{blas, chol, trsv, DMat};
 use proptest::prelude::*;
 
@@ -37,11 +38,12 @@ proptest! {
     }
 
     #[test]
-    fn syrk_matches_gemm_lower(n in 1usize..24, k in 0usize..24, seed in any::<u64>()) {
+    fn lower_gram_update_matches_gemm_lower(n in 1usize..24, k in 0usize..24, seed in any::<u64>()) {
         let mut r = fill(seed);
         let a = DMat::from_fn(n, k, |_, _| r());
         let mut c = DMat::zeros(n, n);
-        blas::syrk_ln(n, k, 1.0, a.as_slice(), n, 0.0, c.as_mut_slice(), n);
+        let (s, ldc) = (a.as_slice(), CLayout::Plain(n));
+        blas::gemm_nt_ln(n, n, k, 1.0, s, n, s, n, c.as_mut_slice(), ldc, 1);
         let full = a.matmul(&a.transpose());
         for j in 0..n {
             for i in j..n {
@@ -185,18 +187,18 @@ proptest! {
     }
 
     #[test]
-    fn packed_syrk_matches_naive_on_padded_lds(
+    fn packed_lower_gram_update_matches_naive_syrk_on_padded_lds(
         n in 1usize..70, k in 0usize..70, pa in 0usize..5, pc in 0usize..5,
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0, seed in any::<u64>(),
+        alpha in -2.0f64..2.0, seed in any::<u64>(),
     ) {
         let (lda, ldc) = (n + pa, n + pc);
         let mut r = fill(seed);
         let a = padded(n, k, lda, &mut r);
         let c0 = padded(n, n, ldc, &mut r);
         let mut c_packed = c0.clone();
-        blas::syrk_ln(n, k, alpha, &a, lda, beta, &mut c_packed, ldc);
+        blas::gemm_nt_ln(n, n, k, alpha, &a, lda, &a, lda, &mut c_packed, CLayout::Plain(ldc), 1);
         let mut c_naive = c0.clone();
-        parfact_dense::naive::syrk_ln(n, k, alpha, &a, lda, beta, &mut c_naive, ldc);
+        parfact_dense::naive::syrk_ln(n, k, alpha, &a, lda, 1.0, &mut c_naive, ldc);
         for j in 0..n {
             for i in j..n {
                 let (p, q) = (c_packed[j * ldc + i], c_naive[j * ldc + i]);

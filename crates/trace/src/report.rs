@@ -428,6 +428,12 @@ record! {
         symbolic_s: f64 = default;
         /// Wall-clock seconds of the most recent numeric factorization.
         numeric_s: f64 = default;
+        /// Bytes of update arena the most recent host-engine run's plan
+        /// laid out, summed over its workers: every update's lower
+        /// triangle at its planned place. A prediction the workspace's
+        /// arenas meet exactly on a fresh solver; 0 for the distributed
+        /// engine, whose ranks lay out arenas of their own.
+        update_arena_bytes: usize = default;
     } + {
         /// Aggregated counters from the collector (summed across threads or
         /// folded from ranks).
@@ -622,6 +628,7 @@ mod tests {
             ordering_s: 0.012,
             symbolic_s: 0.003,
             numeric_s: 0.207,
+            update_arena_bytes: 27_100_000,
             counters: Counters {
                 fronts_factored: 1_234,
                 flops: 3.3e8,

@@ -55,6 +55,7 @@ fn full_report() -> FactorReport {
         ordering_s: 0.012,
         symbolic_s: 0.003,
         numeric_s: 0.207,
+        update_arena_bytes: 27_100_000,
         counters: Counters {
             fronts_factored: 1_233,
             flops: 3.3e8,
