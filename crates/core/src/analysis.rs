@@ -1,6 +1,6 @@
 //! Post-factorization numerical analysis utilities: condition-number
-//! estimation (Hager–Higham), symmetric equilibration, and determinant
-//! helpers — the auxiliary toolkit production direct solvers ship with.
+//! estimation (Hager–Higham) and determinant helpers — the auxiliary
+//! toolkit production direct solvers ship with.
 
 use crate::factor::Factor;
 use parfact_sparse::csc::CscMatrix;
@@ -78,35 +78,6 @@ pub fn cond1_estimate(a: &CscMatrix, factor: &Factor, max_iter: usize) -> f64 {
     norm1_sym(a) * inv_norm1_estimate(factor, max_iter)
 }
 
-/// Symmetric (Jacobi) equilibration: returns `d` with
-/// `d[i] = 1 / sqrt(A[i][i])` and the scaled matrix `D A D` (unit
-/// diagonal), which typically tightens pivots for the no-pivot LDLᵀ path.
-/// Panics if a diagonal entry is non-positive — equilibration of symmetric
-/// matrices is only meaningful with a positive diagonal.
-pub fn equilibrate(a: &CscMatrix) -> (Vec<f64>, CscMatrix) {
-    let n = a.ncols();
-    let diag = ops::sym_diagonal(a);
-    let d: Vec<f64> = diag
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            assert!(v > 0.0, "equilibrate: non-positive diagonal at {i}");
-            1.0 / v.sqrt()
-        })
-        .collect();
-    let mut scaled = a.clone();
-    // Scale values in place: entry (r, c) -> d[r] * v * d[c].
-    let colptr = scaled.colptr().to_vec();
-    let rowind = scaled.rowind().to_vec();
-    let vals = scaled.values_mut();
-    for c in 0..n {
-        for k in colptr[c]..colptr[c + 1] {
-            vals[k] *= d[rowind[k]] * d[c];
-        }
-    }
-    (d, scaled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,39 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn equilibration_gives_unit_diagonal_and_same_solution() {
-        use crate::solver::{RhsBlock, SolveOpts};
-        let a = gen::random_spd(80, 5, 17);
-        let (d, scaled) = equilibrate(&a);
-        for i in 0..80 {
-            assert!((scaled.get(i, i).unwrap() - 1.0).abs() < 1e-14);
-        }
-        let b: Vec<f64> = (0..80).map(|i| (i % 7) as f64 - 3.0).collect();
-        let direct = SparseCholesky::factorize(&a, &FactorOpts::default())
-            .unwrap()
-            .solve(&b);
-        let chol_s = SparseCholesky::factorize(&scaled, &FactorOpts::default()).unwrap();
-        // `(D A D)(D⁻¹ x) = D b`: the equilibrated solve returns
-        // `x = D · solve(D b)`, the solution of the original system.
-        let via_eq = chol_s
-            .solve_with(
-                RhsBlock::single(&b),
-                &SolveOpts::new().equilibrate(d.clone()),
-            )
-            .unwrap()
-            .x;
-        for (x, y) in direct.iter().zip(&via_eq) {
-            assert!((x - y).abs() < 1e-9);
-        }
-        // Bitwise what scaling by hand around a plain solve gives.
-        let db: Vec<f64> = b.iter().zip(&d).map(|(bi, di)| bi * di).collect();
-        let by_hand = chol_s.solve(&db);
-        for ((x, y), di) in via_eq.iter().zip(&by_hand).zip(&d) {
-            assert_eq!(x.to_bits(), (y * di).to_bits());
-        }
-    }
-
-    #[test]
     fn log_det_matches_dense_reference() {
         // det of tridiag(-1,2,-1)_n is n+1.
         let n = 12;
@@ -216,12 +154,5 @@ mod tests {
             SparseCholesky::factorize(&a, &FactorOpts::new().kind(FactorKind::Ldlt)).unwrap();
         let (_, sign) = chol.factor().log_det();
         assert_eq!(sign, -1.0, "one negative pivot flips the determinant sign");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive diagonal")]
-    fn equilibrate_rejects_bad_diagonal() {
-        let a = gen::indefinite(10, 1); // has a negative diagonal entry
-        equilibrate(&a);
     }
 }

@@ -41,13 +41,6 @@ fn col_tag(j: usize) -> u64 {
     j as u64
 }
 
-/// Tag of the gather message for column `j` (above any column tag).
-#[inline]
-fn gather_tag(j: usize) -> u64 {
-    const TAG_BASE: u64 = 1 << 40;
-    TAG_BASE + j as u64
-}
-
 /// Per-rank result: the owned columns of `L` (global index, rows, values).
 pub struct FanoutColumns {
     pub cols: Vec<(usize, Vec<usize>, Vec<f64>)>,
@@ -164,36 +157,6 @@ pub fn factorize_rank(rank: &mut Rank, a: &CscMatrix) -> Result<FanoutColumns, F
     Ok(FanoutColumns { cols: mine })
 }
 
-/// Gather all ranks' columns to rank 0 and rebuild `L` (verification).
-pub fn gather_l(rank: &mut Rank, n: usize, mine: &FanoutColumns) -> Option<CscMatrix> {
-    let me = rank.rank();
-    let p = rank.nranks();
-    if me != 0 {
-        for (j, rows, vals) in &mine.cols {
-            rank.send(0, gather_tag(*j), (rows.clone(), vals.clone()));
-        }
-        return None;
-    }
-    let mut cols: Vec<(Vec<usize>, Vec<f64>)> = vec![Default::default(); n];
-    for (j, rows, vals) in &mine.cols {
-        cols[*j] = (rows.clone(), vals.clone());
-    }
-    for j in 0..n {
-        if owner(j, p) != 0 {
-            cols[j] = rank.recv::<(Vec<usize>, Vec<f64>)>(owner(j, p), gather_tag(j));
-        }
-    }
-    let mut colptr = vec![0usize; n + 1];
-    let mut rowind = Vec::new();
-    let mut vals = Vec::new();
-    for (j, (r, v)) in cols.into_iter().enumerate() {
-        rowind.extend_from_slice(&r);
-        vals.extend_from_slice(&v);
-        colptr[j + 1] = rowind.len();
-    }
-    Some(CscMatrix::from_parts(n, n, colptr, rowind, vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,22 +164,24 @@ mod tests {
     use parfact_mpsim::{model::CostModel, Machine};
     use parfact_sparse::gen;
 
-    fn run_fanout(a: &CscMatrix, p: usize) -> (CscMatrix, parfact_mpsim::RunReport<bool>) {
+    /// `L` from every rank's columns, and the messages the ranks sent.
+    fn run_fanout(a: &CscMatrix, p: usize) -> (CscMatrix, u64) {
         let n = a.ncols();
-        let mut gathered: Option<CscMatrix> = None;
-        let report = {
-            let gathered = parking_lot::Mutex::new(&mut gathered);
-            Machine::new(p, CostModel::bluegene_p()).run(|rank| {
-                let cols = factorize_rank(rank, a).expect("fan-out factorization failed");
-                if let Some(l) = gather_l(rank, n, &cols) {
-                    **gathered.lock() = Some(l);
-                    true
-                } else {
-                    false
-                }
-            })
-        };
-        (gathered.expect("rank 0 must gather"), report)
+        let report = Machine::new(p, CostModel::bluegene_p()).run(|rank| {
+            factorize_rank(rank, a)
+                .expect("fan-out factorization failed")
+                .cols
+        });
+        let msgs = report.stats.iter().map(|s| s.msgs_sent).sum();
+        let mut cols: Vec<_> = report.results.into_iter().flatten().collect();
+        cols.sort_unstable_by_key(|&(j, _, _)| j);
+        let (mut colptr, mut rowind, mut vals) = (vec![0], Vec::new(), Vec::new());
+        for (_, r, v) in cols {
+            rowind.extend(r);
+            vals.extend(v);
+            colptr.push(rowind.len());
+        }
+        (CscMatrix::from_parts(n, n, colptr, rowind, vals), msgs)
     }
 
     #[test]
@@ -242,13 +207,11 @@ mod tests {
     #[test]
     fn fanout_message_count_grows_with_ranks() {
         let a = gen::laplace2d(12, 12, gen::Stencil2d::FivePoint);
-        let (_, r2) = run_fanout(&a, 2);
-        let (_, r8) = run_fanout(&a, 8);
+        let (_, m2) = run_fanout(&a, 2);
+        let (_, m8) = run_fanout(&a, 8);
         assert!(
-            r8.total_msgs() > r2.total_msgs(),
-            "fan-out must send more messages at higher rank counts: {} vs {}",
-            r8.total_msgs(),
-            r2.total_msgs()
+            m8 > m2,
+            "fan-out must send more messages at higher rank counts: {m8} vs {m2}"
         );
     }
 }

@@ -50,6 +50,7 @@ pub fn symbolic_l(a: &CscMatrix, parent: &[usize]) -> Vec<Vec<usize>> {
 
 /// Left-looking simplicial Cholesky of a symmetric-lower matrix (already
 /// permuted by the caller's fill ordering, or not — any order works).
+// lint:allow(R7) reference factorization: the bitwise oracle of `fanout_matches_leftlooking_bitwise` and `multifrontal_matches_leftlooking_oracle`
 pub fn factorize_leftlooking(a: &CscMatrix) -> Result<SimplicialFactor, FactorError> {
     a.check_sym_lower()?;
     let n = a.ncols();

@@ -9,7 +9,6 @@
 
 use crate::error::FactorError;
 use crate::sweep::{self, Sweep};
-use parfact_sparse::csc::CscMatrix;
 use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder, Phase};
@@ -236,37 +235,6 @@ impl Factor {
         }
     }
 
-    /// Reconstruct the factor as an explicit sparse lower-triangular matrix
-    /// in the permuted index space (validation/debug; includes padding
-    /// zeros as explicit entries).
-    pub fn to_sparse_l(&self) -> CscMatrix {
-        let sym = &self.sym;
-        let n = sym.n;
-        let mut colptr = vec![0usize; n + 1];
-        let mut rowind = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for s in 0..sym.nsuper() {
-            let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
-            let w = c1 - c0;
-            let f = sym.front_order(s);
-            let blk = self.panel(s);
-            for j in 0..w {
-                let c = c0 + j;
-                // Pivot-block part (rows j..w map to c0+j..c1).
-                for i in j..w {
-                    rowind.push(c0 + i);
-                    vals.push(blk[j * f + i]);
-                }
-                for (k, &r) in sym.sn_rows[s].iter().enumerate() {
-                    rowind.push(r);
-                    vals.push(blk[j * f + w + k]);
-                }
-                colptr[c + 1] = rowind.len();
-            }
-        }
-        CscMatrix::from_parts(n, n, colptr, rowind, vals)
-    }
-
     /// Max `|L(i,j)|` difference against another factor with the identical
     /// symbolic structure (cross-engine equivalence checks); NaN where a
     /// difference is (a NaN in either factor, or one infinity in both).
@@ -326,18 +294,29 @@ impl<'a> FactorWriter<'a> {
     }
 }
 
-/// Validate that a factor reproduces `P A Pᵀ` (test helper used across the
-/// workspace): returns the max abs entry of `L Lᵀ − P A Pᵀ` (or the LDLᵀ
-/// equivalent) over the lower triangle.
-pub fn reconstruction_error(factor: &Factor, ap: &CscMatrix) -> f64 {
-    let n = factor.sym.n;
-    let l = factor.to_sparse_l();
+/// Validate that a factor reproduces `P A Pᵀ` (the unit tests' check):
+/// returns the max abs entry of `L Lᵀ − P A Pᵀ` (or the LDLᵀ equivalent)
+/// over the lower triangle.
+#[cfg(test)]
+pub(crate) fn reconstruction_error(factor: &Factor, ap: &parfact_sparse::csc::CscMatrix) -> f64 {
+    let sym = &factor.sym;
+    let n = sym.n;
     // Dense reconstruction — test sizes only.
     assert!(
         n <= 3000,
         "reconstruction_error is a small-matrix test helper"
     );
-    let ld = l.to_dense_colmajor();
+    let mut ld = vec![0.0; n * n];
+    for s in 0..sym.nsuper() {
+        let (c0, w, f) = (sym.sn_ptr[s], sym.sn_width(s), sym.front_order(s));
+        let rows: Vec<usize> = (c0..c0 + w).chain(sym.sn_rows[s].iter().copied()).collect();
+        let panel = factor.panel(s);
+        for j in 0..w {
+            for (i, &r) in rows.iter().enumerate().skip(j) {
+                ld[(c0 + j) * n + r] = panel[j * f + i];
+            }
+        }
+    }
     let mut rec = vec![0.0; n * n];
     match factor.kind {
         FactorKind::Llt => {
@@ -370,7 +349,13 @@ pub fn reconstruction_error(factor: &Factor, ap: &CscMatrix) -> f64 {
             }
         }
     }
-    let ad = ap.to_dense_colmajor();
+    let mut ad = vec![0.0; n * n];
+    for c in 0..n {
+        let (rows, vals) = ap.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            ad[c * n + r] = v;
+        }
+    }
     let mut err: f64 = 0.0;
     for j in 0..n {
         for i in j..n {
@@ -383,6 +368,7 @@ pub fn reconstruction_error(factor: &Factor, ap: &CscMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfact_sparse::csc::CscMatrix;
     use parfact_sparse::gen;
     use parfact_symbolic::{analyze, AmalgOpts};
 

@@ -16,7 +16,6 @@ use parfact_sparse::ops::norm_inf;
 use parfact_sparse::SparseError;
 use parfact_symbolic::{analyze_with, Symbolic};
 use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanEvent, TraceLevel};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -208,9 +207,8 @@ impl SparseCholesky {
     /// ranks, each writing its share of the slab. The ranks keep arenas of
     /// their own, so a `Dist` run leaves the host arenas as they were: the
     /// first host-engine call after a `Dist` factorize grows the arenas of
-    /// its run plan (one for `Sequential`; see
-    /// [`SparseCholesky::workspace_growth_events`]) and is slower than the
-    /// next by that much.
+    /// its run plan (one for `Sequential`) and is slower than the next by
+    /// that much.
     /// Consequence of in-place operation: if the factorization itself fails
     /// (e.g. the new values are not positive definite), the stored factor is
     /// partially overwritten and numerically invalid — call `refactorize`
@@ -265,7 +263,7 @@ impl SparseCholesky {
     }
 
     /// Solve `A X = B` for a right-hand-side block under [`SolveOpts`]:
-    /// the unified entry point (batching, refinement, equilibration).
+    /// the unified entry point (batching, refinement).
     ///
     /// All `nrhs` columns stream through the factor panels together
     /// (BLAS-3 blocked sweeps), and every column's floating-point operation
@@ -290,31 +288,9 @@ impl SparseCholesky {
                 got: b.data().len(),
             });
         }
-        if let Some(d) = &opts.scale {
-            if d.len() != n {
-                return Err(FactorError::DimensionMismatch {
-                    expected: n,
-                    got: d.len(),
-                });
-            }
-        }
         // lint:allow(R1) solve-phase timer: reports wall time of real host work
         let t0 = Instant::now();
-        // Equilibrated systems: the factor holds D·A·D, so solve against
-        // the scaled right-hand side and unscale the solution. Without
-        // scaling the caller's block is solved where it lies.
-        let bs: Cow<'_, [f64]> = match &opts.scale {
-            None => Cow::Borrowed(b.data()),
-            Some(d) => {
-                let mut bs = b.data().to_vec();
-                for col in bs.chunks_mut(n.max(1)) {
-                    for (v, &di) in col.iter_mut().zip(d) {
-                        *v *= di;
-                    }
-                }
-                Cow::Owned(bs)
-            }
-        };
+        let bs = b.data();
         let tr = Collector::new(self.trace);
         let work = smp_solve::solve_work(&self.factor, nrhs);
         let threads = match opts.engine {
@@ -323,14 +299,8 @@ impl SparseCholesky {
             SolveEngine::Auto => 0,
             SolveEngine::Smp { threads } => threads,
         };
-        let (mut x, threads) = smp_solve::solve_smp_many_traced(
-            &self.factor,
-            &bs,
-            nrhs,
-            threads,
-            &self.ws.plans,
-            &tr,
-        )?;
+        let (mut x, threads) =
+            smp_solve::solve_smp_many_traced(&self.factor, bs, nrhs, threads, &self.ws.plans, &tr)?;
         // Iterative refinement, per column, in the permuted space of the
         // matrix actually factored (no original-matrix argument needed).
         // `sweeps` counts the column sweep pairs and `products` the
@@ -356,19 +326,8 @@ impl SparseCholesky {
                         *xi += di;
                     }
                 }
-                let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
+                let rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
                 products += 1;
-                // The factored matrix is D·A·D under equilibration, so
-                // `rp` is the scaled residual r̂ = D(b − A x); the caller's
-                // residual is D⁻¹ r̂ (entry k sits at original row
-                // `old_of_new(k)`). Reporting r̂ itself was a bug: D
-                // shrinks exactly the rows equilibration targets, making
-                // ill-scaled systems look better converged than they are.
-                if let Some(d) = &opts.scale {
-                    for (k, v) in rp.iter_mut().enumerate() {
-                        *v /= d[perm.old_of_new(k)];
-                    }
-                }
                 worst.push(norm_inf(&rp));
                 if opts.refine > 0 {
                     x[col * n..(col + 1) * n].copy_from_slice(&perm.apply_inv_vec(&xp));
@@ -376,13 +335,6 @@ impl SparseCholesky {
             }
             // `norm_inf`, not `f64::max`: a NaN column is never hidden.
             residual = Some(norm_inf(&worst));
-        }
-        if let Some(d) = &opts.scale {
-            for col in x.chunks_mut(n.max(1)) {
-                for (v, &di) in col.iter_mut().zip(d) {
-                    *v *= di;
-                }
-            }
         }
         let seconds = t0.elapsed().as_secs_f64();
         // 4·nnz(L) flops per column sweep pair, 4·nnz(A) per residual
@@ -459,13 +411,6 @@ impl SparseCholesky {
     /// Predicted factorization flops.
     pub fn factor_flops(&self) -> f64 {
         self.factor.sym.factor_flops()
-    }
-
-    /// How many times the retained numeric workspace had to grow an arena
-    /// (see [`Workspace::growth_events`]). Stays flat across steady-state
-    /// host-engine refactorizations — the arena-reuse guarantee.
-    pub fn workspace_growth_events(&self) -> u64 {
-        self.ws.growth_events()
     }
 }
 
@@ -942,11 +887,11 @@ mod tests {
             *v *= 1.5;
         }
         chol.refactorize(&a2, Engine::Sequential).unwrap();
-        let warm = chol.workspace_growth_events();
+        let warm = chol.ws.arena_addrs();
         for _ in 0..3 {
             chol.refactorize(&a2, Engine::Sequential).unwrap();
             assert_eq!(
-                chol.workspace_growth_events(),
+                chol.ws.arena_addrs(),
                 warm,
                 "steady-state refactorize grew an arena"
             );
@@ -980,13 +925,13 @@ mod tests {
                 }
             }
             for repeat in [false, true] {
-                let before = chol.workspace_growth_events();
+                let before = chol.ws.arena_addrs();
                 chol.refactorize(&a, engine.clone()).unwrap();
                 let lens: Vec<usize> = chol.ws.arenas.iter().map(Vec::len).collect();
                 assert_eq!(lens, served, "{} arenas", engine.name());
                 if repeat {
-                    let grown = chol.workspace_growth_events() - before;
-                    assert_eq!(grown, 0, "a repeat {} run grew", engine.name());
+                    let after = chol.ws.arena_addrs();
+                    assert_eq!(after, before, "a repeat {} run grew", engine.name());
                 }
             }
         }
@@ -1028,11 +973,13 @@ mod tests {
             ..DistOpts::default()
         });
         let mut chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist)).unwrap();
-        assert_eq!(chol.workspace_growth_events(), 0);
+        let grown = |chol: &SparseCholesky| chol.ws.arenas.iter().filter(|a| !a.is_empty()).count();
+        assert_eq!(grown(&chol), 0);
         chol.refactorize(&a, Engine::Sequential).unwrap();
-        assert_eq!(chol.workspace_growth_events(), 1);
+        assert_eq!(grown(&chol), 1);
+        let first = chol.ws.arena_addrs();
         chol.refactorize(&a, Engine::Sequential).unwrap();
-        assert_eq!(chol.workspace_growth_events(), 1);
+        assert_eq!(chol.ws.arena_addrs(), first);
     }
 
     #[test]
@@ -1108,18 +1055,6 @@ mod tests {
             Err(FactorError::DimensionMismatch {
                 expected: 72,
                 got: 36
-            })
-        ));
-        // Bad equilibration scale length is caught too.
-        let bad_scale = vec![1.0; 10];
-        assert!(matches!(
-            chol.solve_with(
-                RhsBlock::single(&b),
-                &SolveOpts::new().equilibrate(bad_scale)
-            ),
-            Err(FactorError::DimensionMismatch {
-                expected: 36,
-                got: 10
             })
         ));
     }
@@ -1234,12 +1169,7 @@ mod tests {
         let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
         let mut b = vec![1.0; 16];
         b[5] = f64::NAN;
-        let d = vec![0.5; 16];
-        for opts in [
-            SolveOpts::new().residual(true),
-            SolveOpts::new().refine(2),
-            SolveOpts::new().refine(1).equilibrate(d),
-        ] {
+        for opts in [SolveOpts::new().residual(true), SolveOpts::new().refine(2)] {
             let out = chol.solve_with(RhsBlock::single(&b), &opts).unwrap();
             assert!(out.x.iter().all(|v| v.is_nan()), "{opts:?}");
             assert!(out.residual.unwrap().is_nan(), "{opts:?}");

@@ -183,16 +183,11 @@ pub enum SolveEngine {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveOpts {
     /// Iterative-refinement correction steps (`x += A⁻¹ (b − A x)`),
-    /// applied per column against the factored (permuted, possibly
-    /// equilibrated) matrix. `0` by default.
+    /// applied per column against the factored (permuted) matrix. `0` by
+    /// default.
     pub refine: usize,
     /// Execution engine for the triangular sweeps.
     pub engine: SolveEngine,
-    /// Symmetric equilibration scale `d`: set when the factor was computed
-    /// from `D·A·D` (see [`crate::analysis::equilibrate`]); the solve then
-    /// returns `x = D · (DAD)⁻¹ · D b`, the solution of the original
-    /// system.
-    pub scale: Option<Vec<f64>>,
     /// Compute [`Solved::residual`] even when no refinement runs. Off by
     /// default: the extra matrix-vector product per column is pure
     /// diagnostics cost.
@@ -214,14 +209,6 @@ impl SolveOpts {
     /// Choose the solve engine.
     pub fn engine(mut self, engine: SolveEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Declare the factor equilibrated with scale `d` (from
-    /// [`crate::analysis::equilibrate`]); right-hand sides are scaled by
-    /// `D` on the way in and solutions by `D` on the way out.
-    pub fn equilibrate(mut self, d: Vec<f64>) -> Self {
-        self.scale = Some(d);
         self
     }
 
@@ -273,9 +260,8 @@ pub struct Solved {
     /// [`RhsBlock`]).
     pub x: Vec<f64>,
     /// Final residual ∞-norm over all columns, reported in the caller's
-    /// (original) system: permutation leaves the ∞-norm alone, and under
-    /// equilibration the scaled-space residual `r̂ = D(b − A x)` is
-    /// unscaled by `D⁻¹` before the norm. `Some` when refinement ran
+    /// (original) system: permutation leaves the ∞-norm alone. `Some` when
+    /// refinement ran
     /// (`SolveOpts::refine > 0`) or `SolveOpts::residual` asked for it.
     pub residual: Option<f64>,
 }

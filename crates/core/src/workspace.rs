@@ -12,8 +12,8 @@
 //! the SMP top reads each local root's update where its thread left it.
 //!
 //! An arena is one `Vec<f64>`, grown to the largest plan it has served and
-//! kept until the workspace is dropped; [`Workspace::growth_events`] counts
-//! the growths. Each reserves at least 33 MiB of address space
+//! kept until the workspace is dropped. Each reserves at least 33 MiB of
+//! address space
 //! (`ARENA_RESERVE`), of which only its length is ever touched. (The
 //! packing buffers of the dense microkernels are thread-local inside
 //! `parfact-dense` and also grow once.)
@@ -42,8 +42,6 @@ pub struct Workspace {
     pub(crate) arenas: Vec<Vec<f64>>,
     /// The run plans, one per thread count, each built on first use.
     pub(crate) plans: Plans,
-    /// How many times an arena had to grow.
-    growth_events: u64,
 }
 
 impl Workspace {
@@ -53,7 +51,7 @@ impl Workspace {
     }
 
     /// The arenas of `plan`'s workers, each grown to the plan's length
-    /// where it is shorter (one growth event per arena that grows).
+    /// where it is shorter.
     pub(crate) fn arenas_for(&mut self, plan: &Plan) -> &mut [Vec<f64>] {
         let n = self.arenas.len().max(plan.arena.len());
         self.arenas.resize_with(n, Vec::new);
@@ -63,15 +61,15 @@ impl Workspace {
                 // touches none of the reserve.
                 *arena = vec![0.0; len.max(ARENA_RESERVE)];
                 arena.truncate(len);
-                self.growth_events += 1;
             }
         }
         &mut self.arenas
     }
 
-    /// Total arena-growth events. Zero for a factorization that ran
-    /// entirely in warm arenas (the steady-state `refactorize` guarantee).
-    pub fn growth_events(&self) -> u64 {
-        self.growth_events
+    /// Where each arena's storage starts: a grown arena is a new
+    /// allocation, so a run that grew none leaves this as it was.
+    #[cfg(test)]
+    pub(crate) fn arena_addrs(&self) -> Vec<*const f64> {
+        self.arenas.iter().map(|a| a.as_ptr()).collect()
     }
 }

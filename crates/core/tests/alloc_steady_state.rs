@@ -70,8 +70,6 @@ fn steady_state_refactorize_makes_no_per_supernode_allocations() {
         for _ in 0..8 {
             chol.refactorize(&a2, engine.clone()).unwrap();
         }
-        let growth_before = chol.workspace_growth_events();
-
         ALLOC_COUNT.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
         chol.refactorize(&a2, engine.clone()).unwrap();
@@ -79,9 +77,8 @@ fn steady_state_refactorize_makes_no_per_supernode_allocations() {
         let count = ALLOC_COUNT.load(Ordering::SeqCst);
 
         // Both engines give every update the same place on every run, so
-        // neither grows an arena once warm.
-        let grew = chol.workspace_growth_events() - growth_before;
-        assert_eq!(grew, 0, "warm {} refactorize grew an arena", engine.name());
+        // neither grows an arena once warm (pinned by the solver's unit
+        // test `every_engine_sequence_keeps_each_arena_at_its_largest_plan`).
         // Permuting the new values into the factorization order, report
         // bookkeeping and (SMP) the worker threads and the scheduler's
         // per-run arrays allocate a handful of buffers per call — but

@@ -248,39 +248,20 @@ fn panel_step(
     })
 }
 
-/// Full blocked Cholesky (`LLᵀ`) of an `n x n` lower-stored matrix.
-pub fn potrf(n: usize, a: &mut [f64], lda: usize) -> Result<(), DenseError> {
-    partial_potrf(n, n, a, lda)
-}
-
 /// Relative threshold under which an LDLᵀ pivot counts as zero.
 pub const LDLT_PIVOT_TOL: f64 = 1e-300;
 
 /// Partial `LDLᵀ` factorization (no pivoting): factor the first `npiv`
-/// columns of the `nf x nf` lower-stored front. On return the unit-lower
-/// `L` occupies the strictly-lower part of the leading `npiv` columns,
-/// `d[0..npiv]` holds the (possibly negative) pivots, and the trailing
-/// block holds the Schur complement.
+/// columns of the `nf x nf` lower-stored front, split into its pivot
+/// columns and its trailing block as in [`partial_potrf_split`] (the
+/// trailing block plain or in strips). On return the unit-lower `L`
+/// occupies the strictly-lower part of the pivot columns, `d[0..npiv]`
+/// holds the (possibly negative) pivots, and the trailing block holds the
+/// Schur complement.
 ///
 /// Without pivoting this is only numerically safe for quasi-definite or
 /// diagonally dominant symmetric matrices; a vanishing pivot is reported
 /// as [`DenseError::ZeroPivot`] rather than silently producing infinities.
-pub fn partial_ldlt(
-    nf: usize,
-    npiv: usize,
-    f: &mut [f64],
-    ldf: usize,
-    d: &mut [f64],
-) -> Result<(), DenseError> {
-    assert!(npiv <= nf);
-    assert!(ldf >= nf.max(1));
-    let (panel, schur) = split_front(f, ldf, npiv);
-    partial_ldlt_split(nf, npiv, panel, ldf, schur, CLayout::Plain(ldf), d, 1)
-}
-
-/// [`partial_ldlt`] on a front split into its pivot columns and its
-/// trailing block, as [`partial_potrf_split`] — same storage (the trailing
-/// block plain or in strips), same bits as the contiguous form.
 ///
 /// Blocked right-looking: each [`NB`]-wide panel is factored with an
 /// unblocked sweep whose rank-1 updates stay inside the panel, then
@@ -361,17 +342,25 @@ pub fn partial_ldlt_split(
     Ok(())
 }
 
-/// Full `LDLᵀ` of an `n x n` lower-stored matrix.
-pub fn ldlt(n: usize, a: &mut [f64], lda: usize, d: &mut [f64]) -> Result<(), DenseError> {
-    partial_ldlt(n, n, a, lda, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::det_rng;
     use crate::matrix::DMat;
     use proptest::prelude::*;
+
+    /// [`partial_ldlt_split`] on a contiguous front: the trailing block
+    /// in place, leading dimension `ldf`.
+    fn partial_ldlt(
+        nf: usize,
+        npiv: usize,
+        f: &mut [f64],
+        ldf: usize,
+        d: &mut [f64],
+    ) -> Result<(), DenseError> {
+        let (panel, schur) = split_front(f, ldf, npiv);
+        partial_ldlt_split(nf, npiv, panel, ldf, schur, CLayout::Plain(ldf), d, 1)
+    }
 
     fn reconstruct_lower(l: &DMat) -> DMat {
         let mut ll = l.clone();
@@ -386,7 +375,7 @@ mod tests {
         a[(0, 0)] = 4.0;
         a[(1, 0)] = 2.0;
         a[(1, 1)] = 5.0;
-        potrf(2, a.as_mut_slice(), 2).unwrap();
+        partial_potrf(2, 2, a.as_mut_slice(), 2).unwrap();
         assert!((a[(0, 0)] - 2.0).abs() < 1e-15);
         assert!((a[(1, 0)] - 1.0).abs() < 1e-15);
         assert!((a[(1, 1)] - 2.0).abs() < 1e-15);
@@ -398,7 +387,7 @@ mod tests {
             let mut r = det_rng(n as u64);
             let a = DMat::random_spd(n, &mut r);
             let mut l = a.clone();
-            potrf(n, l.as_mut_slice(), n).unwrap();
+            partial_potrf(n, n, l.as_mut_slice(), n).unwrap();
             let back = reconstruct_lower(&l);
             // Compare lower triangles.
             let mut err: f64 = 0.0;
@@ -415,7 +404,7 @@ mod tests {
     fn potrf_rejects_indefinite() {
         let mut a = DMat::identity(3);
         a[(1, 1)] = -1.0;
-        let e = potrf(3, a.as_mut_slice(), 3).unwrap_err();
+        let e = partial_potrf(3, 3, a.as_mut_slice(), 3).unwrap_err();
         assert_eq!(
             e,
             DenseError::NotPositiveDefinite {
@@ -434,7 +423,7 @@ mod tests {
         let mut a = DMat::random_spd(n, &mut r);
         let bad = NB + 5;
         a[(bad, bad)] = -1e6;
-        let e = potrf(n, a.as_mut_slice(), n).unwrap_err();
+        let e = partial_potrf(n, n, a.as_mut_slice(), n).unwrap_err();
         match e {
             DenseError::NotPositiveDefinite { index, .. } => assert_eq!(index, bad),
             other => panic!("unexpected error {other:?}"),
@@ -455,7 +444,7 @@ mod tests {
         // Compute via the factored pieces: S = A22 - L21 L21^T where the
         // L-pieces come from a *full* factorization truncated at npiv.
         let mut lfull = a.clone();
-        potrf(n, lfull.as_mut_slice(), n).unwrap();
+        partial_potrf(n, n, lfull.as_mut_slice(), n).unwrap();
         // L11/L21 of the full factor equal those of the partial factor.
         for j in 0..npiv {
             for i in j..n {
@@ -474,7 +463,7 @@ mod tests {
                 s[(i, j)] = f[(npiv + i, npiv + j)];
             }
         }
-        potrf(rest, s.as_mut_slice(), rest).unwrap();
+        partial_potrf(rest, rest, s.as_mut_slice(), rest).unwrap();
         for j in 0..rest {
             for i in j..rest {
                 assert!((s[(i, j)] - lfull[(npiv + i, npiv + j)]).abs() < 1e-9);
@@ -498,7 +487,7 @@ mod tests {
         let a = DMat::random_spd(n, &mut r);
         let mut l = a.clone();
         let mut d = vec![0.0; n];
-        ldlt(n, l.as_mut_slice(), n, &mut d).unwrap();
+        partial_ldlt(n, n, l.as_mut_slice(), n, &mut d).unwrap();
         // Reconstruct L D L^T over the lower triangle.
         for j in 0..n {
             for i in j..n {
@@ -524,7 +513,7 @@ mod tests {
         a[(1, 0)] = 0.5;
         a[(1, 1)] = -3.0;
         let mut d = vec![0.0; 2];
-        ldlt(2, a.as_mut_slice(), 2, &mut d).unwrap();
+        partial_ldlt(2, 2, a.as_mut_slice(), 2, &mut d).unwrap();
         assert!(d[0] > 0.0 && d[1] < 0.0);
         // Reconstruct entry (1,1): d0*l10^2 + d1 = -3.
         let l10 = a[(1, 0)];
@@ -537,7 +526,7 @@ mod tests {
         a[(1, 0)] = 1.0; // zero diagonal
         let mut d = vec![0.0; 2];
         assert_eq!(
-            ldlt(2, a.as_mut_slice(), 2, &mut d),
+            partial_ldlt(2, 2, a.as_mut_slice(), 2, &mut d),
             Err(DenseError::ZeroPivot { index: 0 })
         );
     }
@@ -550,7 +539,7 @@ mod tests {
         let a = DMat::random_spd(n, &mut r);
         let mut l = a.clone();
         let mut d = vec![0.0; n];
-        ldlt(n, l.as_mut_slice(), n, &mut d).unwrap();
+        partial_ldlt(n, n, l.as_mut_slice(), n, &mut d).unwrap();
         for j in 0..n {
             for i in j..n {
                 let mut acc = 0.0;
@@ -969,7 +958,6 @@ mod tests {
 
     #[test]
     fn empty_matrix_is_fine() {
-        potrf(0, &mut [], 1).unwrap();
         partial_potrf(0, 0, &mut [], 1).unwrap();
         partial_potrf_split(0, 0, &mut [], 1, &mut [], CLayout::Plain(1), 1).unwrap();
         partial_potrf_split(0, 0, &mut [], 1, &mut [], CLayout::Strips, 1).unwrap();

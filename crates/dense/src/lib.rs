@@ -19,14 +19,11 @@
 //!   factorizations of a front: factor the first `npiv` columns, form the
 //!   Schur complement of the rest — contiguous, or split into the pivot
 //!   columns and the trailing block wherever the caller keeps them;
-//! - [`bunch_kaufman`] — fully pivoted dense `LDLᵀ` (1×1/2×2 blocks) for
-//!   general symmetric indefinite systems, with inertia computation;
 //! - [`solve`] — the blocked multi-right-hand-side `trsm`/`gemm` kernels
 //!   of the sparse solve phase (one interleaved layout, one body per
 //!   instruction set picked by the same CPU detection);
 //! - [`trsv`] — scalar single-vector triangular sweeps, the reference
-//!   [`solve`] is tested against;
-//! - [`matrix`] — a small column-major matrix type for assembling fronts.
+//!   [`solve`] is tested against.
 //!
 //! All kernels work on **column-major** storage with an explicit leading
 //! dimension, so they apply directly to sub-blocks of larger fronts.
@@ -36,18 +33,20 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod blas;
-pub mod bunch_kaufman;
 pub mod chol;
 pub mod error;
-pub mod matrix;
 pub mod naive;
 pub mod pack;
 pub mod solve;
 pub mod trsv;
 
 pub use error::DenseError;
-pub use matrix::DMat;
 pub use pack::kernel_name;
+
+/// The tests' dense matrix type (`tests/common/dmat.rs`).
+#[cfg(test)]
+#[path = "../tests/common/dmat.rs"]
+mod matrix;
 
 /// Deterministic xorshift stream in `[-1, 1)` for the unit tests.
 #[cfg(test)]

@@ -79,7 +79,9 @@ pub fn gemm_nt(
 
 /// Reference lower-triangle rank-k update: `C ← α A Aᵀ + β C`, touching
 /// only `C[i][j]` with `i >= j`. `A` is `n x k`, `C` is `n x n`.
-#[allow(clippy::too_many_arguments)] // BLAS calling convention
+// BLAS calling convention.
+#[allow(clippy::too_many_arguments)]
+// lint:allow(R7) reference kernel: the oracle `tests/properties.rs` holds the packed `gemm_nt_ln` to
 pub fn syrk_ln(
     n: usize,
     k: usize,

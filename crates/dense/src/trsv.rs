@@ -9,6 +9,7 @@ fn at(ld: usize, i: usize, j: usize) -> usize {
 
 /// Forward solve `L x = b` in place, `L` lower `n x n` with leading
 /// dimension `ldl`. With `unit`, the diagonal is implicitly 1.
+// lint:allow(R7) reference sweep: the per-column oracle of the blocked `solve` kernels
 pub fn trsv_ln(n: usize, l: &[f64], ldl: usize, x: &mut [f64], unit: bool) {
     debug_assert!(x.len() >= n);
     for j in 0..n {
@@ -27,6 +28,7 @@ pub fn trsv_ln(n: usize, l: &[f64], ldl: usize, x: &mut [f64], unit: bool) {
 }
 
 /// Backward solve `Lᵀ x = b` in place.
+// lint:allow(R7) reference sweep: the per-column oracle of the blocked `solve` kernels
 pub fn trsv_lt(n: usize, l: &[f64], ldl: usize, x: &mut [f64], unit: bool) {
     debug_assert!(x.len() >= n);
     for j in (0..n).rev() {
@@ -69,7 +71,7 @@ mod tests {
         let l = lower(n, 3);
         let x0: Vec<f64> = (0..n).map(|i| (i as f64) - 4.0).collect();
         // b = L x0.
-        let xm = DMat::from_colmajor(n, 1, x0.clone());
+        let xm = DMat::from_fn(n, 1, |i, _| x0[i]);
         let mut b: Vec<f64> = l.matmul(&xm).as_slice().to_vec();
         trsv_ln(n, l.as_slice(), n, &mut b, false);
         for (a, e) in b.iter().zip(&x0) {
@@ -94,7 +96,7 @@ mod tests {
             lu[(i, i)] = 1.0;
         }
         let mut b: Vec<f64> = lu
-            .matmul(&DMat::from_colmajor(n, 1, x0.clone()))
+            .matmul(&DMat::from_fn(n, 1, |i, _| x0[i]))
             .as_slice()
             .to_vec();
         for i in 0..n {

@@ -1,4 +1,8 @@
-//! Column-major dense matrix used for fronts and tests.
+//! The column-major dense matrix the dense-kernel tests build their
+//! operands and references in. Shared by the unit tests (`src/lib.rs`
+//! includes it under `cfg(test)`) and `tests/properties.rs`; each uses a
+//! part of it.
+#![allow(dead_code)]
 
 use std::fmt;
 
@@ -37,12 +41,6 @@ impl DMat {
                 data.push(f(i, j));
             }
         }
-        DMat { nrows, ncols, data }
-    }
-
-    /// Wrap an existing column-major buffer.
-    pub fn from_colmajor(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), nrows * ncols);
         DMat { nrows, ncols, data }
     }
 
@@ -113,17 +111,6 @@ impl DMat {
         for j in 1..self.ncols {
             for i in 0..j.min(self.nrows) {
                 self[(i, j)] = 0.0;
-            }
-        }
-    }
-
-    /// Symmetrize from the lower triangle: copy `(i, j), i > j` into `(j, i)`.
-    pub fn mirror_lower(&mut self) {
-        assert_eq!(self.nrows, self.ncols);
-        for j in 0..self.ncols {
-            for i in j + 1..self.nrows {
-                let v = self[(i, j)];
-                self[(j, i)] = v;
             }
         }
     }
@@ -200,12 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn mirror_and_zero_upper() {
+    fn zero_upper_keeps_the_lower_triangle() {
         let mut a = DMat::from_fn(3, 3, |i, j| if i >= j { (i + 1) as f64 } else { 99.0 });
         a.zero_upper();
         assert_eq!(a[(0, 2)], 0.0);
-        a.mirror_lower();
-        assert_eq!(a[(0, 2)], 3.0);
         assert_eq!(a[(2, 0)], 3.0);
     }
 

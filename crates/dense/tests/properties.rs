@@ -1,8 +1,12 @@
 //! Property-based tests for the dense kernels: agreement with naive
 //! reference implementations on random shapes and values.
 
+#[path = "common/dmat.rs"]
+mod dmat;
+
+use dmat::DMat;
 use parfact_dense::pack::CLayout;
-use parfact_dense::{blas, chol, trsv, DMat};
+use parfact_dense::{blas, chol, trsv};
 use proptest::prelude::*;
 
 /// Deterministic value stream from a seed (keeps shrinking meaningful).
@@ -60,7 +64,7 @@ proptest! {
         let mut r = fill(seed);
         let a = DMat::random_spd(n, &mut r);
         let mut l = a.clone();
-        chol::potrf(n, l.as_mut_slice(), n).unwrap();
+        chol::partial_potrf(n, n, l.as_mut_slice(), n).unwrap();
         l.zero_upper();
         let back = l.matmul(&l.transpose());
         for j in 0..n {
@@ -77,7 +81,7 @@ proptest! {
         let a = DMat::random_spd(n, &mut r);
         // Reference full factor.
         let mut lfull = a.clone();
-        chol::potrf(n, lfull.as_mut_slice(), n).unwrap();
+        chol::partial_potrf(n, n, lfull.as_mut_slice(), n).unwrap();
         // Partial, then factor the Schur complement with fresh panel
         // boundaries; the *panel columns* must agree exactly.
         let mut f = a.clone();
@@ -95,7 +99,8 @@ proptest! {
         let a = DMat::random_spd(n, &mut r);
         let mut l = a.clone();
         let mut d = vec![0.0; n];
-        chol::ldlt(n, l.as_mut_slice(), n, &mut d).unwrap();
+        chol::partial_ldlt_split(n, n, l.as_mut_slice(), n, &mut [], CLayout::Plain(1), &mut d, 1)
+            .unwrap();
         for j in 0..n {
             for i in j..n {
                 let mut acc = 0.0;

@@ -30,6 +30,14 @@
 //! * **R6 `entropy-rng`** — no `thread_rng`/`from_entropy`/`OsRng`/
 //!   `rand::random`: every RNG must be seeded from the input so repeated
 //!   runs are reproducible.
+//! * **R7 `test-only-item`** — a `pub`/`pub(crate)` `fn` whose name
+//!   appears on no other non-test line of the workspace: code that only
+//!   tests call either earns a production caller or is deleted. Test code
+//!   is every file under a `tests/` directory, every `#[cfg(test)]` item
+//!   (up to its closing brace or `;`, the rule `scripts/loc.sh` counts
+//!   by), comments and doc examples; examples, binaries and the benchmark
+//!   are callers. Unlike R1–R6 it needs the whole tree, so it runs in
+//!   [`crate::lint_tree`] after the per-file rules.
 //!
 //! Suppression: `// lint:allow(R1) <reason>` on the offending line, or on
 //! a comment line directly above it, moves the finding to the report's
@@ -37,6 +45,7 @@
 //! reason, or naming an unknown rule, is itself a finding (**P0**).
 
 use crate::lex::{is_ident, lex, FileView};
+use std::collections::BTreeMap;
 
 /// `(id, short name)` for every rule, in report order.
 pub const RULES: &[(&str, &str)] = &[
@@ -46,6 +55,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("R4", "fma-contraction"),
     ("R5", "raw-message-tag"),
     ("R6", "entropy-rng"),
+    ("R7", "test-only-item"),
     ("P0", "bad-pragma"),
 ];
 
@@ -61,7 +71,7 @@ pub fn rule_name(id: &str) -> &'static str {
 /// One violation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
-    /// Rule id (`R1`…`R6`, `P0`).
+    /// Rule id (`R1`…`R7`, `P0`).
     pub rule: &'static str,
     /// 1-based line number.
     pub line: usize,
@@ -94,22 +104,51 @@ struct Pragma {
     reason: String,
 }
 
-/// Lint one file's source text. `relpath` is the workspace-relative path
-/// (`/`-separated); it selects which path-scoped rules apply.
+/// Lint one file's source text with the per-file rules (R1–R6).
+/// `relpath` is the workspace-relative path (`/`-separated); it selects
+/// which path-scoped rules apply.
 pub fn lint_text(relpath: &str, text: &str) -> FileReport {
     let view = lex(text);
-    let mut raw: Vec<Finding> = Vec::new();
-    let (pragmas, mut pragma_findings) = collect_pragmas(&view);
-    raw.append(&mut pragma_findings);
+    let (pragmas, raw) = file_findings(relpath, &view);
+    partition(relpath, &pragmas, raw)
+}
 
-    rule_r1(relpath, &view, &mut raw);
-    rule_r2(&view, &mut raw);
-    rule_r3(&view, &mut raw);
-    rule_r4(relpath, &view, &mut raw);
-    rule_r5(relpath, &view, &mut raw);
-    rule_r6(&view, &mut raw);
+/// Lint a whole tree, given as `(workspace-relative path, source text)`
+/// per file: the per-file rules on each file, then R7 over all of them.
+/// One report per file, in the order given.
+pub(crate) fn lint_files(files: &[(String, String)]) -> Vec<FileReport> {
+    let views: Vec<FileView> = files.iter().map(|(_, text)| lex(text)).collect();
+    let mut raw: Vec<(Vec<Pragma>, Vec<Finding>)> = files
+        .iter()
+        .zip(&views)
+        .map(|((rel, _), view)| file_findings(rel, view))
+        .collect();
+    let paths: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
+    for (file, finding) in rule_r7(&paths, &views) {
+        raw[file].1.push(finding);
+    }
+    paths
+        .iter()
+        .zip(raw)
+        .map(|(rel, (pragmas, found))| partition(rel, &pragmas, found))
+        .collect()
+}
 
-    // Partition through the pragma layer.
+/// The file's pragmas, and the findings of its malformed pragmas and of
+/// the per-file rules.
+fn file_findings(relpath: &str, view: &FileView) -> (Vec<Pragma>, Vec<Finding>) {
+    let (pragmas, mut raw) = collect_pragmas(view);
+    rule_r1(relpath, view, &mut raw);
+    rule_r2(view, &mut raw);
+    rule_r3(view, &mut raw);
+    rule_r4(relpath, view, &mut raw);
+    rule_r5(relpath, view, &mut raw);
+    rule_r6(view, &mut raw);
+    (pragmas, raw)
+}
+
+/// Split one file's findings into those a pragma silences and the rest.
+fn partition(relpath: &str, pragmas: &[Pragma], raw: Vec<Finding>) -> FileReport {
     let mut report = FileReport {
         path: relpath.to_string(),
         ..Default::default()
@@ -609,6 +648,126 @@ fn rule_r6(view: &FileView, out: &mut Vec<Finding>) {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------- R7
+
+/// R7 over the whole tree: `(file index, finding)` for every `pub` fn
+/// whose name no other non-test line mentions. A mention is any
+/// identifier token except the name right after `fn` (a definition, so
+/// two unused methods of one name do not keep each other alive).
+fn rule_r7(paths: &[&str], views: &[FileView]) -> Vec<(usize, Finding)> {
+    let code: Vec<Vec<&str>> = paths
+        .iter()
+        .zip(views)
+        .map(|(rel, view)| non_test_lines(rel, view))
+        .collect();
+    let mut defs: Vec<(usize, usize, &str)> = Vec::new();
+    for (f, lines) in code.iter().enumerate() {
+        for (i, line) in lines.iter().enumerate() {
+            if let Some(name) = pub_fn_name(line) {
+                defs.push((f, i, name));
+            }
+        }
+    }
+    let mut mentions: BTreeMap<&str, Vec<(usize, usize)>> = defs
+        .iter()
+        .map(|&(_, _, name)| (name, Vec::new()))
+        .collect();
+    for (f, lines) in code.iter().enumerate() {
+        for (i, line) in lines.iter().enumerate() {
+            let mut after_fn = false;
+            for word in line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()) {
+                if !after_fn {
+                    if let Some(at) = mentions.get_mut(word) {
+                        at.push((f, i));
+                    }
+                }
+                after_fn = word == "fn";
+            }
+        }
+    }
+    defs.into_iter()
+        .filter(|&(f, i, name)| mentions[name].iter().all(|&at| at == (f, i)))
+        .map(|(f, i, name)| {
+            let finding = Finding {
+                rule: "R7",
+                line: i + 1,
+                message: format!(
+                    "`{name}` has no caller outside test code — give it a production \
+                     caller, delete it, or justify with `// lint:allow(R7) <reason>`"
+                ),
+            };
+            (f, finding)
+        })
+        .collect()
+}
+
+/// The code of each line outside test code; `""` for a line of a file
+/// under `tests/` or of a `#[cfg(test)]` item.
+fn non_test_lines<'a>(relpath: &str, view: &'a FileView) -> Vec<&'a str> {
+    if relpath.split('/').any(|dir| dir == "tests") {
+        return vec![""; view.nlines()];
+    }
+    let mut lines: Vec<&str> = view.code.iter().map(String::as_str).collect();
+    let mut i = 0;
+    while i < lines.len() {
+        let Some(col) = lines[i].find("#[cfg(test)]") else {
+            i += 1;
+            continue;
+        };
+        let end = item_end(&view.code, i, col + "#[cfg(test)]".len());
+        lines[i..=end].fill("");
+        i = end + 1;
+    }
+    lines
+}
+
+/// The line on which the item that starts at (`line`, `col`) ends: its
+/// first `;` outside any bracket, or the `}` that closes its body.
+fn item_end(code: &[String], line: usize, col: usize) -> usize {
+    let mut depth = 0i32;
+    for (l, text) in code.iter().enumerate().skip(line) {
+        let from = if l == line { col } else { 0 };
+        for b in text.bytes().skip(from) {
+            match b {
+                b'(' | b'[' | b'{' => depth += 1,
+                b')' | b']' => depth -= 1,
+                b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return l;
+                    }
+                }
+                b';' if depth == 0 => return l,
+                _ => {}
+            }
+        }
+    }
+    code.len() - 1
+}
+
+/// The name a `pub fn` / `pub(crate) fn` line defines (`const`, `async`,
+/// `unsafe` and `extern "…"` qualifiers allowed).
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub")?;
+    let rest = match rest.strip_prefix('(') {
+        Some(restricted) => &restricted[restricted.find(')')? + 1..],
+        None if rest.starts_with(char::is_whitespace) => rest,
+        None => return None,
+    };
+    let mut words = rest.split_whitespace();
+    loop {
+        match words.next()? {
+            "fn" => break,
+            "const" | "async" | "unsafe" | "extern" => {}
+            w if w.starts_with('"') => {}
+            _ => return None,
+        }
+    }
+    let word = words.next()?;
+    let name = &word[..word.find(|c: char| !is_ident(c)).unwrap_or(word.len())];
+    (!name.is_empty()).then_some(name)
 }
 
 #[cfg(test)]

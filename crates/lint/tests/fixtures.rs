@@ -5,7 +5,8 @@
 //! path-scoped rules (R1's bench allowlist, R4's dense scope, R5's dist
 //! scope) see the fixture where a real violation would live. `*_fires.rs`
 //! must produce at least one finding for its rule; `*_clean.rs` must
-//! produce none.
+//! produce none. R7 needs a whole tree, so its fixture is one:
+//! `fixtures/r7/` is a small virtual workspace linted from its root.
 
 use parfact_lint::{lint_text, Report};
 use std::path::Path;
@@ -120,6 +121,88 @@ fn path_scoping_gates_rules() {
     );
 }
 
+/// The R7 fixture tree's findings: `(rule, file, message)` unsuppressed,
+/// and `(file, message)` suppressed.
+type R7Tree = (Vec<(&'static str, String, String)>, Vec<(String, String)>);
+
+fn r7_tree() -> R7Tree {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("r7");
+    let report = parfact_lint::lint_tree(&root).expect("scan the R7 fixture tree");
+    let mut found = Vec::new();
+    let mut suppressed = Vec::new();
+    for file in &report.files {
+        for f in &file.findings {
+            found.push((f.rule, file.path.clone(), f.message.clone()));
+        }
+        for s in &file.suppressed {
+            suppressed.push((file.path.clone(), s.finding.message.clone()));
+        }
+    }
+    (found, suppressed)
+}
+
+/// Whether an R7 finding names `` `name` ``.
+fn r7_names(found: &[(&str, String, String)], name: &str) -> bool {
+    let tick = format!("`{name}`");
+    found
+        .iter()
+        .any(|(rule, _, msg)| *rule == "R7" && msg.contains(&tick))
+}
+
+#[test]
+fn r7_fires_on_a_fn_only_a_tests_file_calls() {
+    let (found, _) = r7_tree();
+    assert!(r7_names(&found, "only_tested"), "{found:?}");
+    // What a `tests/` file defines is test code, never a finding.
+    assert!(
+        found.iter().all(|(_, path, _)| !path.contains("/tests/")),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn r7_counts_a_caller_in_another_crates_src() {
+    let (found, _) = r7_tree();
+    assert!(!r7_names(&found, "used_by_b"), "{found:?}");
+    assert!(!r7_names(&found, "after_helper"), "{found:?}");
+}
+
+#[test]
+fn r7_skips_only_the_cfg_test_item_in_the_middle_of_a_file() {
+    let (found, _) = r7_tree();
+    // Called only from the `#[cfg(test)]` helper: fires.
+    assert!(r7_names(&found, "only_from_test_helper"), "{found:?}");
+    // Called from the non-test code after the helper: clean.
+    assert!(!r7_names(&found, "used_after_helper"), "{found:?}");
+    assert!(!r7_names(&found, "pinned"), "{found:?}");
+}
+
+#[test]
+fn r7_pragma_with_a_reason_suppresses() {
+    let (found, suppressed) = r7_tree();
+    assert!(!r7_names(&found, "oracle"), "{found:?}");
+    assert!(
+        suppressed.iter().any(|(_, msg)| msg.contains("`oracle`")),
+        "{suppressed:?}"
+    );
+}
+
+#[test]
+fn r7_pragma_without_a_reason_is_p0() {
+    let (found, _) = r7_tree();
+    assert!(
+        found
+            .iter()
+            .any(|(rule, path, _)| *rule == "P0" && path == "crates/a/src/lib.rs"),
+        "{found:?}"
+    );
+    // A malformed pragma suppresses nothing.
+    assert!(r7_names(&found, "unexplained"), "{found:?}");
+    assert_eq!(found.len(), 4, "{found:?}");
+}
+
 /// Golden structure test for the JSON report: the machine-readable output
 /// must round-trip through the workspace JSON parser and carry the keys
 /// CI consumers rely on.
@@ -142,7 +225,7 @@ fn json_report_structure() {
         .get("rules")
         .and_then(|r| r.as_arr())
         .expect("rules array");
-    assert_eq!(rules.len(), 7, "R1..R6 plus P0");
+    assert_eq!(rules.len(), 8, "R1..R7 plus P0");
     for r in rules {
         assert!(r.get("id").is_some() && r.get("name").is_some());
     }

@@ -68,12 +68,14 @@ impl FaultPlan {
     }
 
     /// Add a [`Fault::DelayLink`].
+    // lint:allow(R7) builder the recovery matrix of tests/fault_recovery.rs writes its plans with; `parse` is the CLI's route to the same fault
     pub fn delay_link(mut self, src: usize, dst: usize, alphas: f64) -> Self {
         self.faults.push(Fault::DelayLink { src, dst, alphas });
         self
     }
 
     /// Add a [`Fault::DuplicateLink`].
+    // lint:allow(R7) builder the recovery matrix of tests/fault_recovery.rs writes its plans with; `parse` is the CLI's route to the same fault
     pub fn duplicate_link(mut self, src: usize, dst: usize) -> Self {
         self.faults.push(Fault::DuplicateLink { src, dst });
         self
@@ -184,6 +186,7 @@ pub struct FaultCounts {
 
 impl FaultCounts {
     /// True when nothing fired.
+    // lint:allow(R7) the fault-free check of the recovery matrix in tests/fault_recovery.rs
     pub fn is_zero(&self) -> bool {
         *self == FaultCounts::default()
     }

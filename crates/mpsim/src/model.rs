@@ -48,6 +48,7 @@ impl CostModel {
     }
 
     /// Free communication and computation — semantics tests only.
+    // lint:allow(R7) test fake: a machine with free communication and computation, for semantics tests
     pub fn zero_cost() -> Self {
         CostModel {
             alpha_s: 0.0,

@@ -82,11 +82,6 @@ impl<R> RunReport<R> {
         self.stats.iter().map(|s| s.bytes_sent).sum()
     }
 
-    /// Total messages sent across ranks.
-    pub fn total_msgs(&self) -> u64 {
-        self.stats.iter().map(|s| s.msgs_sent).sum()
-    }
-
     /// Modelled aggregate Gflop/s achieved over the makespan.
     pub fn gflops(&self) -> f64 {
         if self.makespan_s > 0.0 {
@@ -658,7 +653,7 @@ mod tests {
         assert_eq!(r.results[1], 6.0);
         // 24 payload bytes tracked.
         assert_eq!(r.total_bytes(), 24);
-        assert_eq!(r.total_msgs(), 1);
+        assert_eq!(r.stats.iter().map(|s| s.msgs_sent).sum::<u64>(), 1);
     }
 
     #[test]
@@ -1238,6 +1233,11 @@ mod tests {
         (tag % 2) as usize
     }
 
+    /// Bytes the matrix holds on the `src → dst` link, over all classes.
+    fn link_bytes(m: &CommMatrixReport, src: usize, dst: usize) -> u64 {
+        (0..m.nclasses()).map(|c| m.at(src, dst, c).0).sum()
+    }
+
     #[test]
     fn comm_matrix_counts_per_link_and_class() {
         let r = Machine::new(3, CostModel::zero_cost())
@@ -1260,11 +1260,11 @@ mod tests {
         assert_eq!(m.at(0, 1, 0), (32, 1));
         assert_eq!(m.at(0, 2, 1), (16 + 8, 2));
         assert_eq!(m.at(0, 2, 0), (0, 0));
-        assert_eq!(m.sent_bytes(0), 56);
-        assert_eq!(m.posted_bytes(2), 24);
-        assert_eq!(m.class_bytes(1), 24);
+        assert_eq!((0..3).map(|d| link_bytes(&m, 0, d)).sum::<u64>(), 56);
+        assert_eq!((0..3).map(|s| link_bytes(&m, s, 2)).sum::<u64>(), 24);
+        assert_eq!(m.bytes.iter().skip(1).step_by(2).sum::<u64>(), 24);
         assert_eq!(m.total_bytes(), 56);
-        assert_eq!(m.total_msgs(), 3);
+        assert_eq!(m.msgs.iter().sum::<u64>(), 3);
         // Row/column sums reconcile with the per-rank counters.
         assert_eq!(r.stats[0].bytes_sent, 56);
         assert_eq!(r.stats[2].bytes_recv, 24);
@@ -1294,7 +1294,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(plain.makespan_s.to_bits(), traced.makespan_s.to_bits());
-        assert_eq!(traced.comm.unwrap().total_msgs(), 2);
+        assert_eq!(traced.comm.unwrap().msgs.iter().sum::<u64>(), 2);
     }
 
     /// Fault-injected duplicates are posted into the network, so the sender
@@ -1342,7 +1342,8 @@ mod tests {
         assert!(v.verdict.is_completed());
         assert_eq!(v.stats[0].bytes_sent, 16);
         assert_eq!(v.stats[1].bytes_recv, 8);
-        assert_eq!(v.comm.unwrap().posted_bytes(1), 16);
+        let m = v.comm.unwrap();
+        assert_eq!((0..2).map(|s| link_bytes(&m, s, 1)).sum::<u64>(), 16);
     }
 
     #[test]
@@ -1364,11 +1365,15 @@ mod tests {
         let m = r.comm.expect("matrix requested");
         // Every non-root rank received both payloads exactly once.
         for dst in 1..4 {
-            assert_eq!(m.posted_bytes(dst), 16 * 8 + 8 * 8);
+            let posted: u64 = (0..4).map(|s| link_bytes(&m, s, dst)).sum();
+            assert_eq!(posted, 16 * 8 + 8 * 8);
         }
         // Forwarding ranks sent some of that traffic (root did not send to
         // every rank directly in a 4-rank binomial tree).
-        let forwarded: u64 = (1..4).map(|s| m.sent_bytes(s)).sum();
+        let forwarded: u64 = (1..4)
+            .flat_map(|s| (0..4).map(move |d| (s, d)))
+            .map(|(s, d)| link_bytes(&m, s, d))
+            .sum();
         assert!(forwarded > 0, "no forwards recorded");
         assert_eq!(
             m.total_bytes(),

@@ -132,7 +132,7 @@ fn report_aggregates() {
         rank.compute(1000.0);
         rank.alloc(123);
     });
-    assert_eq!(r.total_msgs(), 1);
+    assert_eq!(r.stats.iter().map(|s| s.msgs_sent).sum::<u64>(), 1);
     assert_eq!(r.total_bytes(), 1000);
     assert_eq!(r.total_flops(), 4000.0);
     assert_eq!(r.max_mem_peak(), 123);

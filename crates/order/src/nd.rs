@@ -41,7 +41,8 @@ impl Default for NdOpts {
 /// Extract a vertex separator from an edge-cut bipartition: take the
 /// boundary of whichever side has the smaller boundary. Removing it leaves
 /// no edge between the remaining parts of side 0 and side 1.
-pub fn vertex_separator(g: &AdjGraph, side: &[u8]) -> Vec<bool> {
+#[cfg(test)]
+fn vertex_separator(g: &AdjGraph, side: &[u8]) -> Vec<bool> {
     let n = g.nvert();
     let boundary: Vec<u32> = (0..n)
         .filter(|&v| g.neighbors(v).iter().any(|&u| side[u] != side[v]))
@@ -299,12 +300,6 @@ impl Pool {
     }
 }
 
-/// Nested-dissection ordering of a graph.
-pub fn nested_dissection(g: &AdjGraph, opts: &NdOpts) -> Perm {
-    let tr = Collector::disabled();
-    nested_dissection_with(g, opts, 1, &tr)
-}
-
 /// Nested dissection on `threads` workers, recording per-stage spans
 /// (coarsen / bisect / refine / mindeg) into `tr`.
 ///
@@ -384,6 +379,37 @@ mod tests {
     use crate::fill_in;
     use parfact_sparse::gen;
     use parfact_sparse::perm::Perm;
+    use proptest::prelude::*;
+
+    /// Nested dissection on one thread, untraced.
+    fn nested_dissection(g: &AdjGraph, opts: &NdOpts) -> Perm {
+        nested_dissection_with(g, opts, 1, &Collector::disabled())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn vertex_separator_always_separates(
+            n in 5usize..=60,
+            k in 1usize..=5,
+            seed in any::<u64>(),
+        ) {
+            let g = AdjGraph::from_sym_lower(&gen::random_spd(n, k, seed));
+            let b = bisect(&WGraph::from_adj(&g), &PartOpts::default());
+            let in_sep = vertex_separator(&g, &b.side);
+            for v in 0..g.nvert() {
+                if in_sep[v] {
+                    continue;
+                }
+                for &u in g.neighbors(v) {
+                    if !in_sep[u] {
+                        prop_assert_eq!(b.side[u], b.side[v], "uncovered edge {}-{}", u, v);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn separator_separates() {

@@ -15,7 +15,7 @@
 //!
 //! - **Narrow graphs.** Every level stores `u32` indices and `i32`
 //!   weights. The bound that makes this safe ([`MAX_GRAPH`]) is checked
-//!   once, where a graph enters (`WGraph::from_adj`, [`bisect_with`], the
+//!   once, where a graph enters ([`bisect_with`], the
 //!   nested-dissection root); no sum formed below it can overflow.
 //! - **One workspace per worker.** A `Bisector` owns the level graphs,
 //!   the matching and contraction arrays, the sides and the refinement
@@ -77,7 +77,8 @@ impl WGraph {
     ///
     /// # Panics
     /// If `g` exceeds [`MAX_GRAPH`].
-    pub fn from_adj(g: &AdjGraph) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_adj(g: &AdjGraph) -> Self {
         let (xadj, adjncy) = narrow(g);
         WGraph {
             adjwgt: vec![1; adjncy.len()],
@@ -91,7 +92,8 @@ impl WGraph {
         self.vwgt.len()
     }
 
-    pub fn total_vwgt(&self) -> i64 {
+    #[cfg(test)]
+    fn total_vwgt(&self) -> i64 {
         self.vwgt.iter().map(|&w| w as i64).sum()
     }
 
@@ -1099,6 +1101,26 @@ mod tests {
         prop_assert_eq!(r.bpos.len(), g.nvert());
         prop_assert_eq!(r.bpos.iter().filter(|&&p| p != NONE).count(), r.bnd.len());
         Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bisection_is_balanced_two_sided(
+            n in 5usize..=60,
+            k in 1usize..=5,
+            seed in any::<u64>(),
+        ) {
+            let g = AdjGraph::from_sym_lower(&gen::random_spd(n, k, seed));
+            let w = WGraph::from_adj(&g);
+            let b = bisect(&w, &PartOpts::default());
+            prop_assert_eq!(b.wgt[0] + b.wgt[1], g.nvert() as i64);
+            // Never everything on one side for n >= 2.
+            prop_assert!(b.wgt[0] > 0 && b.wgt[1] > 0, "degenerate split {:?}", b.wgt);
+            // Cut must match a recount.
+            prop_assert_eq!(b.cut, w.cut(&b.side));
+        }
     }
 
     proptest! {

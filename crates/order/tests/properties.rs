@@ -1,6 +1,6 @@
 //! Property-based tests for the ordering algorithms on random graphs.
 
-use parfact_order::{fill_in, mindeg, nd, order_graph, partition, Method};
+use parfact_order::{fill_in, mindeg, order_graph, Method};
 use parfact_sparse::gen;
 use parfact_sparse::graph::AdjGraph;
 use parfact_sparse::perm::Perm;
@@ -35,37 +35,6 @@ proptest! {
         let f_md = fill_in(&g, &mindeg::min_degree(&g));
         let f_nat = fill_in(&g, &Perm::identity(g.nvert()));
         prop_assert!(f_md <= f_nat.max(8) * 2, "md {f_md} vs natural {f_nat}");
-    }
-
-    #[test]
-    fn bisection_is_balanced_two_sided(g in random_graph()) {
-        let w = partition::WGraph::from_adj(&g);
-        let b = partition::bisect(&w, &partition::PartOpts::default());
-        let total = g.nvert() as i64;
-        prop_assert_eq!(b.wgt[0] + b.wgt[1], total);
-        // Never everything on one side for n >= 2.
-        if g.nvert() >= 2 {
-            prop_assert!(b.wgt[0] > 0 && b.wgt[1] > 0, "degenerate split {:?}", b.wgt);
-        }
-        // Cut must match a recount.
-        prop_assert_eq!(b.cut, w.cut(&b.side));
-    }
-
-    #[test]
-    fn vertex_separator_always_separates(g in random_graph()) {
-        let w = partition::WGraph::from_adj(&g);
-        let b = partition::bisect(&w, &partition::PartOpts::default());
-        let in_sep = nd::vertex_separator(&g, &b.side);
-        for v in 0..g.nvert() {
-            if in_sep[v] {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                if !in_sep[u] {
-                    prop_assert_eq!(b.side[u], b.side[v], "uncovered edge {}-{}", u, v);
-                }
-            }
-        }
     }
 
     #[test]

@@ -104,20 +104,6 @@ impl CscMatrix {
         rows.binary_search(&r).ok().map(|k| vals[k])
     }
 
-    /// `y = A x` (general, non-symmetric interpretation).
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        y.fill(0.0);
-        for c in 0..self.ncols {
-            let (rows, vals) = self.col(c);
-            let xc = x[c];
-            for (&r, &v) in rows.iter().zip(vals) {
-                y[r] += v * xc;
-            }
-        }
-    }
-
     /// `y = A x` where `self` stores the **lower triangle of a symmetric**
     /// matrix (diagonal included). The implicit upper triangle is applied
     /// on the fly.
@@ -192,6 +178,7 @@ impl CscMatrix {
     }
 
     /// Expand a symmetric-lower matrix into its full (both-triangles) form.
+    // lint:allow(R7) reference expansion of symmetric-lower storage: the oracle the `sym_spmv`, `lower_triangle` and `apply_sym_lower` tests compare against
     pub fn sym_to_full(&self) -> CscMatrix {
         assert_eq!(self.nrows, self.ncols);
         let n = self.ncols;
@@ -262,19 +249,6 @@ impl CscMatrix {
         }
         CscMatrix::from_parts(n, n, colptr, rowind, vals)
     }
-
-    /// Dense column-major copy (test/debug helper; refuses huge matrices via
-    /// the caller's judgment).
-    pub fn to_dense_colmajor(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.nrows * self.ncols];
-        for c in 0..self.ncols {
-            let (rows, vals) = self.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                d[c * self.nrows + r] = v;
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -305,15 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn sym_spmv_matches_full_spmv() {
+    fn sym_spmv_matches_the_full_matrix() {
         let a = sym_lower_3x3();
         let full = a.sym_to_full();
         let x = vec![1.0, 2.0, 3.0];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        a.sym_spmv(&x, &mut y1);
-        full.spmv(&x, &mut y2);
-        assert_eq!(y1, y2);
+        let mut y = vec![0.0; 3];
+        a.sym_spmv(&x, &mut y);
+        let want: Vec<f64> = (0..3)
+            .map(|r| (0..3).map(|c| full.get(r, c).unwrap_or(0.0) * x[c]).sum())
+            .collect();
+        assert_eq!(y, want);
     }
 
     #[test]
@@ -380,15 +355,5 @@ mod tests {
         let a = sym_lower_3x3();
         let back = a.to_csr().to_csc();
         assert_eq!(a, back);
-    }
-
-    #[test]
-    fn to_dense_colmajor_layout() {
-        let a = sym_lower_3x3();
-        let d = a.to_dense_colmajor();
-        assert_eq!(d[0], 4.0); // (0,0)
-        assert_eq!(d[1], -1.0); // (1,0)
-        assert_eq!(d[3 + 1], 4.0); // (1,1)
-        assert_eq!(d[3 + 2], -2.0); // (2,1)
     }
 }

@@ -9,15 +9,13 @@
 //!   standard model problems for sparse direct-solver scaling studies;
 //! - [`elasticity3d`] — a 3-D hexahedral-mesh, 3-dof-per-node, block-coupled
 //!   SPD matrix shaped like a linear-elasticity stiffness matrix;
-//! - [`random_spd`] — randomized diagonally-dominant SPD matrices;
-//! - [`rmat_graph`] — power-law graphs for stress-testing orderings.
+//! - [`random_spd`] — randomized diagonally-dominant SPD matrices.
 //!
 //! All generators return the solver's symmetric-lower CSC convention and are
 //! deterministic (seeded where randomized).
 
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
-use crate::graph::AdjGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,6 +38,7 @@ pub enum Stencil3d {
 }
 
 /// Tridiagonal `[-1, 2, -1]` matrix of order `n` (1-D Laplacian).
+// lint:allow(R7) user-facing generator: the 1-D model problem
 pub fn tridiagonal(n: usize) -> CscMatrix {
     let mut a = CooMatrix::with_capacity(n, n, 2 * n);
     for i in 0..n {
@@ -54,6 +53,7 @@ pub fn tridiagonal(n: usize) -> CscMatrix {
 /// Arrowhead matrix: dense first row/column plus diagonal. A classic
 /// ordering stress test — eliminating the hub first causes total fill,
 /// eliminating it last causes none.
+// lint:allow(R7) user-facing generator: the all-or-nothing fill stress case for orderings
 pub fn arrowhead(n: usize) -> CscMatrix {
     let mut a = CooMatrix::with_capacity(n, n, 2 * n);
     a.push(0, 0, n as f64);
@@ -246,6 +246,7 @@ pub fn elasticity3d(nx: usize, ny: usize, nz: usize) -> CscMatrix {
 /// `-eps` in y (diagonal `2 + 2 eps`). Strong anisotropy stretches the
 /// graph's geometry and stresses partitioners/orderings — separators want
 /// to cut the weak direction.
+// lint:allow(R7) user-facing generator: the anisotropic model problem
 pub fn laplace2d_aniso(nx: usize, ny: usize, eps: f64) -> CscMatrix {
     assert!(nx > 0 && ny > 0);
     assert!(eps > 0.0);
@@ -271,6 +272,7 @@ pub fn laplace2d_aniso(nx: usize, ny: usize, eps: f64) -> CscMatrix {
 /// symmetric **indefinite** model problem. For `0 < shift < 8` (interior
 /// eigenvalues of the 5-point stencil lie in `(0, 8)`), some eigenvalues
 /// go negative: the classic stress test for indefinite factorizations.
+// lint:allow(R7) user-facing generator: the symmetric indefinite model problem
 pub fn helmholtz2d(nx: usize, ny: usize, shift: f64) -> CscMatrix {
     let mut a = laplace2d(nx, ny, Stencil2d::FivePoint);
     let colptr = a.colptr().to_vec();
@@ -322,6 +324,7 @@ pub fn random_spd(n: usize, k: usize, seed: u64) -> CscMatrix {
 /// A symmetric matrix that is **not** positive definite (one negative
 /// eigenvalue introduced by a large negative diagonal entry). Used for
 /// failure-injection tests: Cholesky must reject it, LDLᵀ must handle it.
+// lint:allow(R7) user-facing generator: a seeded matrix no LLᵀ engine may accept
 pub fn indefinite(n: usize, seed: u64) -> CscMatrix {
     let mut a = random_spd(n, 3, seed);
     let colptr = a.colptr().to_vec();
@@ -329,61 +332,6 @@ pub fn indefinite(n: usize, seed: u64) -> CscMatrix {
     let c = n / 2;
     vals[colptr[c]] = -5.0; // break positive definiteness
     a
-}
-
-/// R-MAT power-law random graph with `2^scale` vertices and about
-/// `edge_factor * 2^scale` undirected edges (self-loops and duplicates
-/// removed). Returned as an adjacency graph for ordering stress tests.
-pub fn rmat_graph(scale: u32, edge_factor: usize, seed: u64) -> AdjGraph {
-    let n = 1usize << scale;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (pa, pb, pc) = (0.57, 0.19, 0.19);
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n * edge_factor);
-    for _ in 0..n * edge_factor {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.gen();
-            if r < pa {
-                // quadrant (0,0)
-            } else if r < pa + pb {
-                v |= 1;
-            } else if r < pa + pb + pc {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
-        }
-        if u != v {
-            edges.push((u.max(v), u.min(v)));
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    // Build symmetric adjacency.
-    let mut deg = vec![0usize; n];
-    for &(u, v) in &edges {
-        deg[u] += 1;
-        deg[v] += 1;
-    }
-    let mut xadj = vec![0usize; n + 1];
-    for v in 0..n {
-        xadj[v + 1] = xadj[v] + deg[v];
-    }
-    let mut adjncy = vec![0usize; xadj[n]];
-    let mut next = xadj.clone();
-    for &(u, v) in &edges {
-        adjncy[next[u]] = v;
-        next[u] += 1;
-        adjncy[next[v]] = u;
-        next[v] += 1;
-    }
-    for v in 0..n {
-        adjncy[xadj[v]..xadj[v + 1]].sort_unstable();
-    }
-    AdjGraph::from_parts(xadj, adjncy)
 }
 
 /// Build a generator problem from a compact textual spec — the shared
@@ -591,17 +539,6 @@ mod tests {
         ] {
             assert!(by_spec(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn rmat_is_valid_graph() {
-        let g = rmat_graph(6, 4, 99);
-        assert_eq!(g.nvert(), 64);
-        assert!(g.nedges() > 0);
-        assert!(g.validate());
-        // Deterministic.
-        let g2 = rmat_graph(6, 4, 99);
-        assert_eq!(g, g2);
     }
 
     #[test]

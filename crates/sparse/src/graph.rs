@@ -72,11 +72,6 @@ impl AdjGraph {
         self.xadj.len() - 1
     }
 
-    /// Number of undirected edges.
-    pub fn nedges(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
     /// Neighbors of `v`, sorted ascending.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adjncy[self.xadj[v]..self.xadj[v + 1]]
@@ -143,7 +138,7 @@ mod tests {
     fn path_graph_structure() {
         let g = path_graph(5);
         assert_eq!(g.nvert(), 5);
-        assert_eq!(g.nedges(), 4);
+        assert_eq!(g.adjncy().len(), 2 * 4);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(2), &[1, 3]);
         assert_eq!(g.degree(4), 1);
@@ -157,7 +152,7 @@ mod tests {
             a.push(i, i, 1.0);
         }
         let g = AdjGraph::from_sym_lower(&a.to_csc());
-        assert_eq!(g.nedges(), 0);
+        assert!(g.adjncy().is_empty());
         assert!(g.validate());
     }
 

@@ -44,19 +44,16 @@ fn one_by_one_matrix() {
     assert_eq!(y, vec![15.0]);
     let g = AdjGraph::from_sym_lower(&a);
     assert_eq!(g.nvert(), 1);
-    assert_eq!(g.nedges(), 0);
+    assert!(g.adjncy().is_empty());
 }
 
 #[test]
-fn rectangular_spmv_and_transpose() {
+fn rectangular_transpose() {
     // 2x5 matrix through CSR.
     let mut coo = CooMatrix::new(2, 5);
     coo.push(0, 4, 1.0);
     coo.push(1, 0, 2.0);
     let csr = coo.to_csr();
-    let mut y = vec![0.0; 2];
-    csr.spmv(&[1.0, 0.0, 0.0, 0.0, 10.0], &mut y);
-    assert_eq!(y, vec![10.0, 2.0]);
     let t = csr.transpose();
     assert_eq!((t.nrows(), t.ncols()), (5, 2));
     assert_eq!(t.get(4, 0), Some(1.0));
@@ -77,7 +74,6 @@ fn sym_norms_on_diagonal_matrix() {
     }
     let a = coo.to_csc();
     assert_eq!(ops::sym_norm_inf(&a), 3.0);
-    assert_eq!(ops::sym_diagonal(&a), vec![-1.0, -2.0, -3.0]);
 }
 
 #[test]

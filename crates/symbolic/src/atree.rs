@@ -70,23 +70,6 @@ impl AssemblyTree {
         acc
     }
 
-    /// The critical path length under a weight function: the maximum over
-    /// leaves of the summed weight along the root path. This lower-bounds
-    /// parallel factorization time and upper-bounds achievable speedup as
-    /// `total / critical`.
-    pub fn critical_path(&self, weight: impl Fn(usize) -> f64) -> f64 {
-        let n = self.len();
-        let mut up: Vec<f64> = (0..n).map(&weight).collect();
-        let mut best: f64 = 0.0;
-        for s in (0..n).rev() {
-            if self.parent[s] != NONE {
-                up[s] += up[self.parent[s]];
-            }
-            best = best.max(up[s]);
-        }
-        best
-    }
-
     /// Validate structural invariants (postorder, mutual parent/child
     /// consistency, every non-root reachable from a root).
     pub fn validate(&self) -> bool {
@@ -147,16 +130,6 @@ mod tests {
         let t = sample();
         let acc = t.subtree_sum(|_| 1.0);
         assert_eq!(acc, vec![1.0, 1.0, 3.0, 1.0, 5.0]);
-    }
-
-    #[test]
-    fn critical_path_with_uniform_weights() {
-        let t = sample();
-        // Longest root path: 0 -> 2 -> 4 = 3 nodes.
-        assert_eq!(t.critical_path(|_| 1.0), 3.0);
-        // Weighted: make node 3 heavy; path 3 -> 4 dominates.
-        let w = [1.0, 1.0, 1.0, 10.0, 1.0];
-        assert_eq!(t.critical_path(|s| w[s]), 11.0);
     }
 
     #[test]

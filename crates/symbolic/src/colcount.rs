@@ -339,6 +339,7 @@ pub fn col_counts_par(
 
 /// Reference column counts via explicit symbolic factorization — `O(|L|)`,
 /// used to validate [`col_counts`] in tests and small runs.
+// lint:allow(R7) reference column counts: the oracle of the near-linear `col_counts` in the symbolic tests
 pub fn col_counts_naive(a: &CscMatrix, parent: &[usize]) -> Vec<usize> {
     let n = a.ncols();
     // Structure of L row by row: row i of L = path union in etree from each

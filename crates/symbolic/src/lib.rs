@@ -98,11 +98,6 @@ impl Symbolic {
         self.sn_ptr.len() - 1
     }
 
-    /// Columns of supernode `s`.
-    pub fn sn_cols(&self, s: usize) -> std::ops::Range<usize> {
-        self.sn_ptr[s]..self.sn_ptr[s + 1]
-    }
-
     /// Width (number of pivot columns) of supernode `s`.
     pub fn sn_width(&self, s: usize) -> usize {
         self.sn_ptr[s + 1] - self.sn_ptr[s]
@@ -282,7 +277,7 @@ mod tests {
         assert_eq!(*sym.sn_ptr.last().unwrap(), 64);
         assert!(sym.sn_ptr.windows(2).all(|w| w[0] < w[1]));
         for s in 0..sym.nsuper() {
-            for c in sym.sn_cols(s) {
+            for c in sym.sn_ptr[s]..sym.sn_ptr[s + 1] {
                 assert_eq!(sym.sn_of[c], s);
             }
         }

@@ -17,6 +17,7 @@ use parfact_trace::{Collector, Phase};
 
 /// Compute the below-pivot row structure of every supernode (sorted,
 /// global row indices).
+// lint:allow(R7) sequential reference: the oracle `supernode_rows_par` is tested against
 pub fn supernode_rows(a: &CscMatrix, sn_ptr: &[usize], sn_of: &[usize]) -> Vec<Vec<usize>> {
     let n = a.ncols();
     let nsuper = sn_ptr.len() - 1;

@@ -369,16 +369,6 @@ impl Collector {
         spans
     }
 
-    /// Zero every counter and drop recorded spans (refactorize reuses the
-    /// collector; the new numeric run starts from a clean slate).
-    pub fn reset(&self) {
-        *self.counters.lock().unwrap() = Counters::default();
-        self.mem_cur.store(0, Ordering::Relaxed);
-        self.mem_peak.store(0, Ordering::Relaxed);
-        self.spans.lock().unwrap().clear();
-        self.workers.lock().unwrap().clear();
-    }
-
     /// Seconds since the collector was created (span timestamps base).
     fn now_s(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
@@ -610,23 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let tr = Collector::new(TraceLevel::Timeline);
-        {
-            let mut rec = tr.local(0);
-            rec.add_flops(5.0);
-            rec.front_done();
-            let t = rec.start();
-            rec.stop(t, Phase::Gemm, Some(1));
-        }
-        tr.mem_alloc(64);
-        assert_ne!(tr.snapshot(), Counters::default());
-        tr.reset();
-        assert_eq!(tr.snapshot(), Counters::default());
-        assert!(tr.take_spans().is_empty());
-    }
-
-    #[test]
     fn flush_is_idempotent_with_drop() {
         let tr = Collector::new(TraceLevel::Counters);
         {
@@ -748,8 +721,6 @@ mod tests {
         let ws = tr.worker_summaries();
         assert_eq!(ws[1].flops, 201.0);
         assert_eq!(ws[1].mem_peak_bytes, 2000);
-        tr.reset();
-        assert!(tr.worker_summaries().is_empty());
     }
 
     #[test]

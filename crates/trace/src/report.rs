@@ -188,37 +188,9 @@ impl CommMatrixReport {
         (self.bytes[i], self.msgs[i])
     }
 
-    /// Bytes sent by `src` (row sum).
-    pub fn sent_bytes(&self, src: usize) -> u64 {
-        let nc = self.nclasses();
-        let row = src * self.nranks * nc;
-        self.bytes[row..row + self.nranks * nc].iter().sum()
-    }
-
-    /// Bytes posted to `dst` (column sum).
-    pub fn posted_bytes(&self, dst: usize) -> u64 {
-        (0..self.nranks)
-            .flat_map(|s| (0..self.nclasses()).map(move |c| self.at(s, dst, c).0))
-            .sum()
-    }
-
-    /// Total bytes in tag class `class` across all links.
-    pub fn class_bytes(&self, class: usize) -> u64 {
-        self.bytes
-            .iter()
-            .skip(class)
-            .step_by(self.nclasses().max(1))
-            .sum()
-    }
-
     /// Total bytes across all links and classes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
-    }
-
-    /// Total messages across all links and classes.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
     }
 }
 
@@ -606,6 +578,7 @@ impl FactorReport {
     }
 
     /// Deserialize from JSON text.
+    // lint:allow(R7) the reader of the report round-trip tests (tests/fault_recovery.rs among them); `to_json_string` is its writer
     pub fn from_json_str(text: &str) -> Result<FactorReport, JsonError> {
         FactorReport::from_json(&crate::json::parse(text)?)
     }
@@ -997,13 +970,8 @@ mod tests {
         assert!(mb > 1.0 && mb < 1.1, "mb={mb}");
         let me = s.memory_efficiency().unwrap();
         assert!(me > 0.9 && me <= 1.0, "me={me}");
-        // Comm-matrix accessors agree with the per-rank measured bytes.
         let m = s.comm.as_ref().unwrap();
-        assert_eq!(m.sent_bytes(0), 500);
-        assert_eq!(m.sent_bytes(1), 700);
-        assert_eq!(m.posted_bytes(0), 700);
         assert_eq!(m.at(0, 1, 0), (400, 4));
-        assert_eq!(m.class_bytes(1), 200);
         assert_eq!(m.total_bytes(), 1200);
     }
 

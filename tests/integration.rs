@@ -74,21 +74,33 @@ fn multifrontal_matches_leftlooking_oracle() {
             }),
     )
     .unwrap();
-    // Compare column by column in the permuted space of the solver.
-    let l_mf = chol.factor().to_sparse_l();
+    // Compare column by column in the permuted space of the solver: column
+    // `c0 + j` of supernode `s` is column `j` of its panel from row `j` on,
+    // over the pivot rows and then the supernode's row structure.
+    let f = chol.factor();
+    let sym = &f.sym;
     // chol applied its own postorder on top; map oracle columns through it.
-    let post = &chol.factor().perm;
-    for newc in 0..a.ncols() {
-        let oldc = post.old_of_new(newc);
-        let (rows_mf, vals_mf) = l_mf.col(newc);
-        let (rows_or, vals_or) = oracle.l.col(oldc);
-        assert_eq!(rows_mf.len(), rows_or.len(), "col {newc} nnz");
-        for ((rm, vm), (ro, vo)) in rows_mf.iter().zip(vals_mf).zip(rows_or.iter().zip(vals_or)) {
-            assert_eq!(post.old_of_new(*rm), *ro, "row index mismatch");
-            assert!(
-                (vm - vo).abs() <= 1e-12 * vo.abs().max(1.0),
-                "value mismatch at col {newc}: {vm} vs {vo}"
-            );
+    let post = &f.perm;
+    for s in 0..sym.nsuper() {
+        let (c0, w, order) = (sym.sn_ptr[s], sym.sn_width(s), sym.front_order(s));
+        let rows_mf: Vec<usize> = (c0..c0 + w).chain(sym.sn_rows[s].iter().copied()).collect();
+        let panel = f.panel(s);
+        for j in 0..w {
+            let newc = c0 + j;
+            let (rows_or, vals_or) = oracle.l.col(post.old_of_new(newc));
+            let vals_mf = &panel[j * order + j..(j + 1) * order];
+            assert_eq!(rows_mf.len() - j, rows_or.len(), "col {newc} nnz");
+            for ((rm, vm), (ro, vo)) in rows_mf[j..]
+                .iter()
+                .zip(vals_mf)
+                .zip(rows_or.iter().zip(vals_or))
+            {
+                assert_eq!(post.old_of_new(*rm), *ro, "row index mismatch");
+                assert!(
+                    (vm - vo).abs() <= 1e-12 * vo.abs().max(1.0),
+                    "value mismatch at col {newc}: {vm} vs {vo}"
+                );
+            }
         }
     }
 }
@@ -127,19 +139,16 @@ fn fanout_baseline_solves_same_system() {
     let fill = parfact::order::order_matrix(&a0, Method::default());
     let a = fill.apply_sym_lower(&a0);
     let n = a.ncols();
-    let gathered = std::sync::Mutex::new(None);
-    Machine::new(4, CostModel::bluegene_p()).run(|rank| {
-        let cols = fanout::factorize_rank(rank, &a).unwrap();
-        if let Some(l) = fanout::gather_l(rank, n, &cols) {
-            *gathered.lock().unwrap() = Some(l);
-        }
-    });
-    let l = gathered.into_inner().unwrap().expect("gathered L");
-    // Forward/backward solve with the gathered sparse factor.
+    let report = Machine::new(4, CostModel::bluegene_p())
+        .run(|rank| fanout::factorize_rank(rank, &a).unwrap().cols);
+    // Every rank's columns of L, in column order.
+    let mut l: Vec<_> = report.results.into_iter().flatten().collect();
+    l.sort_unstable_by_key(|&(j, _, _)| j);
+    // Forward/backward solve with the sparse factor.
     let (xstar, b) = rhs_for(&a, 5);
     let mut x = b.clone();
     for j in 0..n {
-        let (rows, vals) = l.col(j);
+        let (_, rows, vals) = &l[j];
         let xj = x[j] / vals[0];
         x[j] = xj;
         for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
@@ -147,7 +156,7 @@ fn fanout_baseline_solves_same_system() {
         }
     }
     for j in (0..n).rev() {
-        let (rows, vals) = l.col(j);
+        let (_, rows, vals) = &l[j];
         let mut acc = x[j];
         for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
             acc -= v * x[r];

@@ -27,6 +27,14 @@ fn sym_pattern() -> impl Strategy<Value = CscMatrix> {
     (4usize..=50, 0usize..=5, any::<u64>()).prop_map(|(n, k, seed)| gen::random_spd(n, k, seed))
 }
 
+/// A random permutation of `0..n`.
+fn shuffled(n: usize, rng: &mut rand::rngs::StdRng) -> Perm {
+    use rand::Rng;
+    let mut p: Vec<usize> = (0..n).collect();
+    p.sort_by_cached_key(|_| rng.gen::<u64>());
+    Perm::from_vec(p)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -65,10 +73,10 @@ proptest! {
     fn permutation_roundtrip(n in 1usize..200, seed in any::<u64>()) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let p = Perm::random(n, &mut rng);
+        let p = shuffled(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
         prop_assert_eq!(p.apply_inv_vec(&p.apply_vec(&x)), x);
-        prop_assert_eq!(p.compose(&p.inverse()), Perm::identity(n));
+        prop_assert_eq!(p.compose(&Perm::from_vec(p.inv().to_vec())), Perm::identity(n));
     }
 
     #[test]
@@ -76,7 +84,7 @@ proptest! {
         use rand::SeedableRng;
         let n = a.nrows();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let p = Perm::random(n, &mut rng);
+        let p = shuffled(n, &mut rng);
         let pa = p.apply_sym_lower(&a);
         pa.check_sym_lower().unwrap();
         // Solve both systems; solutions must match after unpermuting.
@@ -163,17 +171,17 @@ proptest! {
     ) {
         // The *sum* assembled into a parent front must not depend on which
         // engine computed it; amalgamation settings shuffle the tree shape,
-        // and the reconstruction must stay correct under all of them.
+        // and the factor must stay correct under all of them.
         let a = gen::random_spd(n, k, seed);
+        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
         for amalg in [
             AmalgOpts { min_width: 0, relax_frac: 0.0 },
             AmalgOpts { min_width: 4, relax_frac: 0.1 },
             AmalgOpts { min_width: 16, relax_frac: 0.5 },
         ] {
             let chol = SparseCholesky::factorize(&a, &FactorOpts::new().amalg(amalg)).unwrap();
-            let ap = chol.factor().perm.apply_sym_lower(&a);
-            let err = parfact::core::factor::reconstruction_error(chol.factor(), &ap);
-            prop_assert!(err < 1e-9, "amalg {:?}: err {err}", amalg);
+            let err = ops::sym_residual_inf(&a, &chol.solve(&b), &b);
+            prop_assert!(err < 1e-14, "amalg {:?}: residual {err}", amalg);
         }
     }
 

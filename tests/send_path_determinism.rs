@@ -54,22 +54,20 @@ fn dist_factor_is_bitwise_repeatable_at_2_4_8_ranks() {
     }
 }
 
-/// One fan-out baseline run: gathered factor plus per-rank virtual clocks
-/// and message counters — everything the send order can perturb.
-fn fanout_run(a: &CscMatrix, p: usize) -> (CscMatrix, Vec<(f64, u64, u64)>) {
-    let n = a.ncols();
-    let gathered = std::sync::Mutex::new(None);
-    let stats = std::sync::Mutex::new(vec![(0.0f64, 0u64, 0u64); p]);
-    Machine::new(p, CostModel::bluegene_p()).run(|rank| {
-        let cols = fanout::factorize_rank(rank, a).unwrap();
-        if let Some(l) = fanout::gather_l(rank, n, &cols) {
-            *gathered.lock().unwrap() = Some(l);
-        }
-        let s = rank.stats();
-        stats.lock().unwrap()[rank.rank()] = (rank.clock(), s.msgs_sent, s.bytes_sent);
-    });
-    let l = gathered.into_inner().unwrap().expect("rank 0 gathers L");
-    (l, stats.into_inner().unwrap())
+/// The columns of `L` one rank factored.
+type Columns = Vec<(usize, Vec<usize>, Vec<f64>)>;
+
+/// One fan-out baseline run: each rank's columns of the factor plus its
+/// virtual clock and message counters — everything the send order can
+/// perturb.
+fn fanout_run(a: &CscMatrix, p: usize) -> Vec<(Columns, (f64, u64, u64))> {
+    Machine::new(p, CostModel::bluegene_p())
+        .run(|rank| {
+            let cols = fanout::factorize_rank(rank, a).unwrap().cols;
+            let s = rank.stats();
+            (cols, (rank.clock(), s.msgs_sent, s.bytes_sent))
+        })
+        .results
 }
 
 /// The fan-out baseline must be bitwise repeatable in factor values AND in
@@ -83,8 +81,8 @@ fn fanout_baseline_is_bitwise_repeatable_at_2_4_8_ranks() {
     let fill = parfact::order::order_matrix(&a0, Method::default());
     let a = fill.apply_sym_lower(&a0);
     for p in [2usize, 4, 8] {
-        let (l1, s1) = fanout_run(&a, p);
-        let (l2, s2) = fanout_run(&a, p);
+        let (l1, s1): (Vec<_>, Vec<_>) = fanout_run(&a, p).into_iter().unzip();
+        let (l2, s2): (Vec<_>, Vec<_>) = fanout_run(&a, p).into_iter().unzip();
         assert_eq!(l1, l2, "p={p}: repeated fan-out runs disagree on L");
         assert_eq!(
             s1, s2,
