@@ -55,6 +55,9 @@ pub struct Factor {
 impl Factor {
     /// Allocate a zeroed factor with the slab layout implied by `sym`.
     /// Engines fill it in via [`Factor::panel_mut`] (and `d` for LDLᵀ).
+    /// The slab is a fresh mapping of its own on transparent huge pages
+    /// where the kernel has them (`workspace::zeroed`), so a cold
+    /// factorization faults it in 2 MiB at a time, not 4 KiB.
     pub fn allocate(sym: &Arc<Symbolic>, kind: FactorKind, perm: Perm) -> Factor {
         let nsuper = sym.nsuper();
         let mut panel_ptr = Vec::with_capacity(nsuper + 1);
@@ -71,7 +74,7 @@ impl Factor {
         Factor {
             sym: Arc::clone(sym),
             kind,
-            panels: vec![0.0; total],
+            panels: crate::workspace::zeroed(total),
             panel_ptr,
             d,
             perm,

@@ -346,15 +346,17 @@ fn main() -> ExitCode {
     for j in 0..args.nrhs {
         block.extend((0..n).map(|i| b[(i + j) % n.max(1)]));
     }
+    let engine = if args.threads > 1 {
+        SolveEngine::Smp {
+            threads: args.threads,
+        }
+    } else {
+        SolveEngine::Auto
+    };
     let solve_opts = SolveOpts::new()
         .refine(args.refine)
-        .engine(if args.threads > 1 {
-            SolveEngine::Smp {
-                threads: args.threads,
-            }
-        } else {
-            SolveEngine::Auto
-        });
+        .residual(true)
+        .engine(engine);
     let out = match chol.solve_with(RhsBlock::new(&block, args.nrhs), &solve_opts) {
         Ok(out) => out,
         Err(e) => {
