@@ -19,10 +19,10 @@ use parfact_dense::pack::CLayout;
 use parfact_mpsim::collective::{bcast, ibcast, Group};
 use parfact_mpsim::Rank;
 use parfact_trace::Phase;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::FactorError;
-use crate::factor::FactorWriter;
 use crate::frontal::flops_partial;
 
 // ---------------------------------------------------------------------------
@@ -73,6 +73,34 @@ fn stacked_len(f: usize, nb: usize, first: usize, step: usize) -> usize {
     blocks.map(|b| nb.min(f - b * nb)).sum()
 }
 
+/// Entries of the first `k` strips of the share of grid position `my`
+/// (see [`DistFront`]), whose block rows stack to `mloc` local rows.
+fn strips_len(
+    f: usize,
+    nb: usize,
+    (pr, pc): (usize, usize),
+    my: (usize, usize),
+    mloc: usize,
+    k: usize,
+) -> usize {
+    let cols = (my.1..f.div_ceil(nb)).step_by(pc).take(k);
+    cols.map(|bj| (mloc - first_row(bj, nb, pr, my.0, mloc)) * nb.min(f - bj * nb))
+        .sum()
+}
+
+/// First local row of grid row `my0` belonging to a block row at or below
+/// `b` (`mloc` when it has none).
+fn first_row(b: usize, nb: usize, pr: usize, my0: usize, mloc: usize) -> usize {
+    (b.saturating_sub(my0).div_ceil(pr) * nb).min(mloc)
+}
+
+/// Entries of the share grid position `my` of a `pr x pc` grid holds of
+/// an order-`f` front in `nb` blocks: all of its strips.
+pub(crate) fn share_len(f: usize, nb: usize, grid: (usize, usize), my: (usize, usize)) -> usize {
+    let mloc = stacked_len(f, nb, my.0, grid.0);
+    strips_len(f, nb, grid, my, mloc, usize::MAX)
+}
+
 /// The lower-triangle pivot entries grid position `my` of a `pr x pc` grid
 /// holds of an order-`f` front with `w` pivots in `nb` blocks, as column
 /// segments `cb(lj, rows)`: one per owned pivot column and block row.
@@ -82,13 +110,41 @@ pub fn pivot_segments(
     nb: usize,
     (pr, pc): (usize, usize),
     my: (usize, usize),
-    mut cb: impl FnMut(usize, std::ops::Range<usize>),
+    mut cb: impl FnMut(usize, Range<usize>),
 ) {
     for lj in (0..w).filter(|lj| (lj / nb) % pc == my.1) {
         for bi in (lj / nb..f.div_ceil(nb)).filter(|bi| bi % pr == my.0) {
             cb(lj, lj.max(bi * nb)..f.min((bi + 1) * nb));
         }
     }
+}
+
+/// Cut the `f x w` column-major factor panel of a grid front into the
+/// pieces its grid positions write, handing each to `give(position,
+/// piece)`. Column `lj` of block `bj` is cut at the block-row boundaries
+/// from the end of its diagonal block on: its head, down to that end, goes
+/// to `(bj mod pr, bj mod pc)`, and the rows of each block row `bi` below
+/// to `(bi mod pr, bj mod pc)`. So each position gets one piece per
+/// [`pivot_segments`] segment of its own, in that order, each as long as
+/// its segment, the head's rows above the diagonal included; and the
+/// pieces tile the panel.
+pub(crate) fn cut_pivots<'p>(
+    panel: &'p mut [f64],
+    (f, w, nb): (usize, usize, usize),
+    (pr, pc): (usize, usize),
+    mut give: impl FnMut((usize, usize), &'p mut [f64]),
+) {
+    let mut rest = panel;
+    for lj in 0..w {
+        let (bj, mut top) = (lj / nb, 0);
+        for bi in bj..f.div_ceil(nb) {
+            let end = f.min((bi + 1) * nb);
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(end - top);
+            give((bi % pr, bj % pc), piece);
+            (rest, top) = (tail, end);
+        }
+    }
+    debug_assert!(rest.is_empty(), "a panel of f x w entries");
 }
 
 /// A front distributed block-cyclically over a process grid.
@@ -99,7 +155,9 @@ pub fn pivot_segments(
 /// at or below that column's diagonal. A block is a window of its strip
 /// (same leading dimension), so the dense kernels run on a whole strip at a
 /// time and an extend-add addresses an entry as `strip column + local row`.
-pub struct DistFront {
+/// The strips lie one after another in a region of the rank's arena that
+/// the run plan makes room for (`mapping::Plan::new`).
+pub struct DistFront<'a> {
     /// Supernode id (tag namespace).
     pub s: usize,
     /// Front order and pivot count.
@@ -114,14 +172,15 @@ pub struct DistFront {
     pub my: (usize, usize),
     /// Front rows in this rank's block rows.
     mloc: usize,
-    /// `strips[k]` is block column `my.1 + k * pc`: local rows
-    /// `row_start(bj)..mloc` by the block's columns, column-major.
-    strips: Vec<Vec<f64>>,
+    /// The strips held, one after another: strip `k` is block column
+    /// `my.1 + k * pc`, local rows `row_start(bj)..mloc` by the block's
+    /// columns, column-major.
+    share: &'a mut [f64],
 }
 
-impl DistFront {
-    /// Create the (zeroed) owned blocks of this rank, reporting the
-    /// allocation to the cost model.
+impl<'a> DistFront<'a> {
+    /// Lay out this rank's owned blocks, zeroed, at the start of `region`,
+    /// reporting them to the cost model.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         s: usize,
@@ -131,13 +190,16 @@ impl DistFront {
         pc: usize,
         nb: usize,
         lo: usize,
+        region: &'a mut [f64],
         rank: &mut Rank,
     ) -> Self {
         let me = rank.rank();
         debug_assert!(me >= lo && me < lo + pr * pc);
         let rel = me - lo;
         let my = (rel / pc, rel % pc);
-        let mut df = DistFront {
+        let share = &mut region[..share_len(f, nb, (pr, pc), my)];
+        share.fill(0.0);
+        let df = DistFront {
             s,
             f,
             w,
@@ -147,12 +209,8 @@ impl DistFront {
             lo,
             my,
             mloc: stacked_len(f, nb, my.0, pr),
-            strips: Vec::new(),
+            share,
         };
-        let owned_cols = (my.1..df.nblk()).step_by(pc);
-        df.strips = owned_cols
-            .map(|bj| vec![0.0f64; (df.mloc - df.row_start(bj)) * df.mrows(bj)])
-            .collect();
         rank.alloc(df.bytes());
         df
     }
@@ -174,44 +232,55 @@ impl DistFront {
 
     /// Total bytes currently held in owned blocks.
     pub fn bytes(&self) -> usize {
-        self.strips.iter().map(|s| s.len() * 8).sum()
+        self.share.len() * 8
+    }
+
+    /// Entries of the first `k` strips.
+    fn strips_len(&self, k: usize) -> usize {
+        strips_len(self.f, self.nb, (self.pr, self.pc), self.my, self.mloc, k)
     }
 
     /// First local row belonging to a block row at or below `b` (`mloc`
     /// when this rank has none).
     fn row_start(&self, b: usize) -> usize {
-        (b.saturating_sub(self.my.0).div_ceil(self.pr) * self.nb).min(self.mloc)
+        first_row(b, self.nb, self.pr, self.my.0, self.mloc)
     }
 
     /// The strip of owned block column `bj`: `(first local row, leading
-    /// dimension, data)`.
-    fn strip_mut(&mut self, bj: usize) -> (usize, usize, &mut [f64]) {
+    /// dimension, its span in the share)`.
+    fn strip(&self, bj: usize) -> (usize, usize, Range<usize>) {
         debug_assert_eq!(bj % self.pc, self.my.1, "strip of an unowned block column");
         let r0 = self.row_start(bj);
-        (r0, self.mloc - r0, &mut self.strips[bj / self.pc])
+        let (ld, start) = (self.mloc - r0, self.strips_len(bj / self.pc));
+        (r0, ld, start..start + ld * self.mrows(bj))
     }
 
-    /// Where local column `lc` lives: `(strip, first local row the strip
-    /// stores, the column's span within the strip)`.
-    fn locate_col(&self, lc: usize) -> (usize, usize, std::ops::Range<usize>) {
+    /// Mutable [`DistFront::strip`], with the strip itself.
+    fn strip_mut(&mut self, bj: usize) -> (usize, usize, &mut [f64]) {
+        let (r0, ld, span) = self.strip(bj);
+        (r0, ld, &mut self.share[span])
+    }
+
+    /// Where local column `lc` lives: `(first local row its strip stores,
+    /// the column's span in the share)`.
+    fn locate_col(&self, lc: usize) -> (usize, Range<usize>) {
         let (k, jc) = (lc / self.nb, lc % self.nb);
-        let r0 = self.row_start(self.my.1 + k * self.pc);
-        let ld = self.mloc - r0;
-        (k, r0, jc * ld..(jc + 1) * ld)
+        let (r0, ld, strip) = self.strip(self.my.1 + k * self.pc);
+        (r0, strip.start + jc * ld..strip.start + (jc + 1) * ld)
     }
 
     /// Local column `lc` (the second half of [`cyclic`] along the grid
     /// columns) as `(first local row it stores, the column)`: local row `lr`
     /// of the front sits at `column[lr - first]`.
     pub fn col(&self, lc: usize) -> (usize, &[f64]) {
-        let (k, r0, span) = self.locate_col(lc);
-        (r0, &self.strips[k][span])
+        let (r0, span) = self.locate_col(lc);
+        (r0, &self.share[span])
     }
 
     /// Mutable [`DistFront::col`].
     pub fn col_mut(&mut self, lc: usize) -> (usize, &mut [f64]) {
-        let (k, r0, span) = self.locate_col(lc);
-        (r0, &mut self.strips[k][span])
+        let (r0, span) = self.locate_col(lc);
+        (r0, &mut self.share[span])
     }
 
     /// Drop the strips that hold no pivot column (pure Schur blocks) once
@@ -219,38 +288,28 @@ impl DistFront {
     pub fn release_schur(&mut self) -> usize {
         let before = self.bytes();
         let pivot_cols = (self.my.1..self.w.div_ceil(self.nb)).step_by(self.pc);
-        self.strips.truncate(pivot_cols.len());
+        let keep = self.strips_len(pivot_cols.len());
+        self.share = &mut std::mem::take(&mut self.share)[..keep];
         before - self.bytes()
     }
 
-    /// The lower-triangle entries this rank holds in the pivot columns, as
-    /// the [`pivot_segments`] of its grid position with their values.
-    fn for_each_pivot_segment(&self, mut cb: impl FnMut(usize, std::ops::Range<usize>, &[f64])) {
-        let grid = (self.pr, self.pc);
+    /// Write this rank's share of the factor into its pieces of panel `s`
+    /// (what [`cut_pivots`] gave its grid position, in order): each the
+    /// values of its [`pivot_segments`] segment and, above a diagonal
+    /// block's segment, zeros. The grid's ranks so overwrite each entry of
+    /// the `f x w` panel once.
+    pub(crate) fn write_pivots<'p>(&self, pieces: impl IntoIterator<Item = &'p mut [f64]>) {
+        let (grid, mut pieces) = ((self.pr, self.pc), pieces.into_iter());
         pivot_segments(self.f, self.w, self.nb, grid, self.my, |lj, rows| {
             let (r0, col) = self.col(cyclic(lj, self.nb, self.pc).1);
             let lr = cyclic(rows.start, self.nb, self.pr).1 - r0;
-            cb(lj, rows.clone(), &col[lr..lr + rows.len()]);
-        });
-    }
-
-    /// Write this rank's share of the factor into panel `s` of the slab:
-    /// its pivot segments and, above a diagonal block's segment, zeros. The
-    /// grid's ranks so overwrite each entry of the `f x w` panel once.
-    ///
-    /// # Safety
-    /// Only the ranks of this front's grid write panel `s` meanwhile.
-    pub(crate) unsafe fn write_pivots(&self, out: &FactorWriter<'_>) {
-        self.for_each_pivot_segment(|lj, rows, vals| {
-            // `rows` starts at the diagonal exactly in the diagonal block.
-            let top = if rows.start == lj { 0 } else { rows.start };
-            // SAFETY: grid position `my` alone holds these rows of column
-            // `lj` (the diagonal block's owner alone the rows above it).
-            let col = unsafe { out.panel_mut(self.s, lj * self.f + top..lj * self.f + rows.end) };
-            let (upper, lower) = col.split_at_mut(rows.start - top);
+            let vals = &col[lr..lr + rows.len()];
+            let piece = pieces.next().expect("a piece for every pivot segment");
+            let (upper, lower) = piece.split_at_mut(piece.len() - vals.len());
             upper.fill(0.0);
             lower.copy_from_slice(vals);
         });
+        debug_assert!(pieces.next().is_none(), "a pivot segment for every piece");
     }
 
     /// Distributed right-looking partial Cholesky of the leading `w`
@@ -366,8 +425,10 @@ impl DistFront {
             for bi in (bk..nblk).filter(|bi| bi % pr == my.0) {
                 let (m, off) = (mrows(bi), (bi / pr) * nb - a_r0);
                 // On grid column bc the strip of bk starts at a_r0 too.
-                let mine =
-                    (my.1 == bc).then(|| Arc::new(rows_of(&self.strips[bk / pc], lda, off, m, jb)));
+                let mine = (my.1 == bc).then(|| {
+                    let strip = &self.share[self.strip(bk).2];
+                    Arc::new(rows_of(strip, lda, off, m, jb))
+                });
                 rows.push(match mine {
                     Some(piece) if pc == 1 => piece,
                     root => cast(rank, &my_row_group, bc, root, t_row, m * jb)?,
@@ -531,5 +592,53 @@ pub fn comm_class(t: u64) -> usize {
         PHASE_FWD_PANEL | PHASE_FWD_CONTRIB | PHASE_BWD_PANEL | PHASE_BWD_XROWS
         | PHASE_GATHER_X => 2,
         phase => unreachable!("message phase {phase} has no traffic class"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_pivot_cut_tiles_each_panel_once_in_segment_order() {
+        // (f, w, nb, pr, pc): one grid row, one grid column, a last block
+        // short of nb, fewer pivots than a block, a front of pivots only.
+        let cases = [
+            (10, 7, 3, 1, 3),
+            (10, 7, 3, 3, 1),
+            (11, 8, 4, 2, 3),
+            (9, 2, 4, 2, 2),
+            (12, 12, 5, 3, 2),
+            (7, 7, 3, 1, 1),
+        ];
+        for (f, w, nb, pr, pc) in cases {
+            // Each entry holds its own index, so a piece names what it covers.
+            let mut panel: Vec<f64> = (0..f * w).map(|i| i as f64).collect();
+            let mut pieces: Vec<Vec<&mut [f64]>> = (0..pr * pc).map(|_| Vec::new()).collect();
+            cut_pivots(&mut panel, (f, w, nb), (pr, pc), |(gr, gc), piece| {
+                pieces[gr * pc + gc].push(piece)
+            });
+            let mut covered = vec![0; f * w];
+            for (rel, mine) in pieces.iter().enumerate() {
+                // Where each segment's piece starts, and its length: from
+                // the top of the column for a diagonal block's segment.
+                let mut want = Vec::new();
+                pivot_segments(f, w, nb, (pr, pc), (rel / pc, rel % pc), |lj, rows| {
+                    let top = if rows.start == lj { 0 } else { rows.start };
+                    want.push((lj * f + top, rows.end - top));
+                });
+                let got: Vec<_> = mine.iter().map(|p| (p[0] as usize, p.len())).collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "(f, w, nb, pr, pc) = {:?}, rank {rel}",
+                    (f, w, nb, pr, pc)
+                );
+                for &v in mine.iter().flat_map(|p| p.iter()) {
+                    covered[v as usize] += 1;
+                }
+            }
+            assert!(covered.iter().all(|&n| n == 1), "{:?}", (f, w, nb, pr, pc));
+        }
     }
 }

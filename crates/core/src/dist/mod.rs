@@ -16,21 +16,26 @@
 //! which dominate memory, are fully distributed and tracked per rank.
 //!
 //! [`DistRun::run`] writes the factor into the caller's [`Factor`] slab in
-//! place, like the host engines: each rank writes the panels of its local
-//! fronts and its pivot segments of its grid fronts. That is host work, so
-//! no virtual clock, statistic or trace includes it; the ranks' tracked
-//! memory still holds their share. The triangular solve is a machine run of
-//! its own over the slab and the run's [`Mapping`] ([`DistRun::solve`]).
+//! place, like the host engines. Before the machine starts it deals each
+//! rank, along the run plan (`mapping::Plan`), the panels of its local
+//! runs, the pieces of the grid fronts' panels its grid positions own
+//! (`front::cut_pivots`) and one arena for the run, restarts included:
+//! its local updates, and room for its share of a grid front. Every write
+//! is through `&mut`. That is host work, so no virtual clock, statistic or
+//! trace includes it; the ranks' tracked memory still charges their fronts
+//! and share of the factor. The triangular solve is a machine run of its
+//! own over the slab and the run's [`Mapping`] ([`DistRun::solve`]).
 
 pub mod front;
 pub mod solve;
 
 use crate::error::FactorError;
-use crate::factor::{Factor, FactorKind, FactorWriter};
+use crate::factor::{Factor, FactorKind};
 use crate::frontal::{flops_partial, update_column, update_len, Buf, FrontMeter};
 use crate::mapping::{Layout, MapStrategy, Mapping, Plan, RankSchedule, Runs};
 use crate::seq::{factor_run, Slab};
 use crate::sweep;
+use crate::workspace::zeroed;
 use front::{cyclic, DistFront};
 use parfact_mpsim::model::CostModel;
 use parfact_mpsim::{Fault, FaultCounts, FaultPlan, Machine, Rank, RunVerdict};
@@ -74,7 +79,7 @@ enum Sends {
 /// `Clone` is the checkpoint mechanism: a snapshot of this struct (plus the
 /// local-schedule cursor and the updates then live in the rank's arena)
 /// after a completed distributed front is everything a rank needs to
-/// resume from that epoch. The arena itself lives in [`RankRun`], outside
+/// resume from that epoch. The arena itself lives in [`RankMem`], outside
 /// the snapshot.
 #[derive(Clone)]
 struct RankState {
@@ -89,8 +94,20 @@ struct RankState {
     sends: Sends,
 }
 
+/// What one rank works in over every attempt of a run: the parts of the
+/// factor slab it writes, as the run plan deals them (its local runs, and
+/// the pieces of the grid fronts' panels [`front::cut_pivots`] gives its
+/// grid positions, tagged with their supernode, ascending), and its arena
+/// of the plan's length (`Plan::arena`). A restarted attempt overwrites
+/// what it redoes.
+struct RankMem<'s> {
+    runs: Runs<Slab<'s>>,
+    pieces: Vec<(usize, &'s mut [f64])>,
+    arena: Vec<f64>,
+}
+
 /// One rank's run of the SPMD program: the machine handle, the replicated
-/// problem and plan, its local runs, the restartable state and its arena.
+/// problem and plan, its [`RankMem`] and the restartable state.
 struct RankRun<'a, 's> {
     rank: &'a mut Rank,
     ap: &'a CscMatrix,
@@ -98,17 +115,16 @@ struct RankRun<'a, 's> {
     map: &'a Mapping,
     plan: &'a Plan,
     runs: &'a mut Runs<Slab<'s>>,
-    out: &'a FactorWriter<'a>,
+    pieces: &'a mut [(usize, &'s mut [f64])],
     st: RankState,
-    arena: Vec<f64>,
+    arena: &'a mut [f64],
 }
 
 /// The SPMD factorization program. All ranks call this with identical
-/// (replicated) `ap`, `sym`, `map` and its `plan`, one writer over the grid
-/// fronts' panels and their own local `runs`, and fill their share of the
-/// slab; it returns the bytes of factor the rank holds. Only
-/// `FactorKind::Llt` is supported distributed (the paper's SPD scaling
-/// study); use SMP/seq for LDLᵀ.
+/// (replicated) `ap`, `sym`, `map` and its `plan`, and their own `mem`, and
+/// fill their share of the slab; it returns the bytes of factor the rank
+/// holds. Only `FactorKind::Llt` is supported distributed (the paper's SPD
+/// scaling study); use SMP/seq for LDLᵀ.
 ///
 /// With `sync` set, every rank walks its supernodes in strict postorder
 /// over blocking sends/receives — the ablation baseline (EXP-A7).
@@ -126,8 +142,8 @@ struct RankRun<'a, 's> {
 /// consuming front ([`Sends::Deferred`]) and the rank state is snapshotted
 /// into the store after every completed distributed front. On entry the
 /// rank restores the latest snapshot the store holds for it (the driver
-/// has already rewound the store to a consistent cut) into a fresh arena
-/// and resumes from the epoch after it — so a restarted machine re-executes
+/// has already rewound the store to a consistent cut) into its arena and
+/// resumes from the epoch after it — so a restarted machine re-executes
 /// only the epochs past the cut, and rewrites the slab panels of every
 /// front past it with the same bits.
 ///
@@ -142,8 +158,7 @@ fn factorize_rank(
     sym: &Symbolic,
     map: &Mapping,
     plan: &Plan,
-    runs: &mut Runs<Slab<'_>>,
-    out: &FactorWriter<'_>,
+    mem: &mut RankMem<'_>,
     sync: bool,
     store: Option<&CheckpointStore>,
 ) -> Result<usize, FactorError> {
@@ -163,22 +178,22 @@ fn factorize_rank(
         sym,
         map,
         plan,
-        runs,
-        out,
+        runs: &mut mem.runs,
+        pieces: &mut mem.pieces,
         st: RankState {
             factor_bytes: 0,
             self_stash: HashMap::new(),
             pending: HashMap::new(),
             sends,
         },
-        arena: vec![0.0; plan.arena[me]],
+        arena: &mut mem.arena,
     };
 
     if sync {
         for s in (0..sym.nsuper()).filter(|&s| map.participates(s, me)) {
             match map.layout[s] {
                 Layout::Local => run.do_local(s)?,
-                Layout::Grid { .. } => run.do_grid(s, None)?,
+                Layout::Grid { .. } => run.do_grid(s, None, 0)?,
             }
         }
         return Ok(run.st.factor_bytes);
@@ -235,7 +250,10 @@ fn factorize_rank(
             .into_iter()
             .map(|(_, (src, tag))| ((src, tag), run.rank.recv(src, tag)))
             .collect();
-        run.do_grid(g, Some(bufs))?;
+        // The share goes past the updates of a half-finished local run.
+        let live = live_updates(sym, map, &sched.local[..next]);
+        let floor = live.map(|s| plan.at[s] + update_len(sym.sn_rows[s].len()));
+        run.do_grid(g, Some(bufs), floor.max().unwrap_or(0))?;
         if let Some(cs) = store {
             cs.record(g, &run, &sched.local[..next]);
         }
@@ -286,12 +304,8 @@ impl CheckpointStore {
     /// of its local schedule run so far. Their live updates wait for a
     /// local parent not run yet (a run's root was shipped).
     fn record(&self, g: usize, run: &RankRun<'_, '_>, done: &[(usize, usize)]) {
-        let (sym, map) = (run.sym, run.map);
-        let live = done.iter().filter(|&&(due, s)| {
-            let p = sym.tree.parent[s];
-            p != NONE && map.layout[p] == Layout::Local && done.binary_search(&(due, p)).is_err()
-        });
-        let updates = live.map(|&(_, s)| {
+        let sym = run.sym;
+        let updates = live_updates(sym, run.map, done).map(|s| {
             let n = update_len(sym.sn_rows[s].len());
             (s, run.arena[run.plan.at[s]..][..n].to_vec())
         });
@@ -343,6 +357,21 @@ impl CheckpointStore {
     }
 }
 
+/// The local fronts of `done`, the entries of a rank's local schedule run
+/// so far, whose updates are live: their local parent has not run yet (a
+/// run's root was shipped). Only the run in progress can have any.
+fn live_updates<'d>(
+    sym: &'d Symbolic,
+    map: &'d Mapping,
+    done: &'d [(usize, usize)],
+) -> impl Iterator<Item = usize> + 'd {
+    let live = done.iter().filter(|&&(due, s)| {
+        let p = sym.tree.parent[s];
+        p != NONE && map.layout[p] == Layout::Local && done.binary_search(&(due, p)).is_err()
+    });
+    live.map(|&(_, s)| s)
+}
+
 /// What a simulated rank is charged for a locally-factored front: the
 /// front and the panel are tracked rank memory, assembly and the partial
 /// factorization advance the virtual clock by their modelled flops
@@ -385,7 +414,7 @@ impl RankRun<'_, '_> {
         let i = self.runs.partition_point(|(sns, _)| sns.end <= s);
         let (sns, out) = &mut self.runs[i];
         let root = s + 1 == sns.end;
-        let (arena, rank) = (&mut self.arena, &mut *self.rank);
+        let (arena, rank) = (&mut *self.arena, &mut *self.rank);
         factor_run(ap, sym, plan, s..s + 1, out, arena, &[], rank, 1).map_err(|(_, e)| e)?;
         self.st.factor_bytes += sym.front_order(s) * sym.sn_width(s) * 8;
         let r = sym.sn_rows[s].len();
@@ -401,15 +430,17 @@ impl RankRun<'_, '_> {
         Ok(())
     }
 
-    /// Factor one distributed supernode: assemble A entries and extend-add
-    /// contributions (from `bufs` when the event-driven scheduler
-    /// pre-drained them, from blocking receives otherwise), run the
-    /// block-cyclic partial factorization, and ship the Schur complement to
-    /// the parent.
+    /// Factor one distributed supernode with its share in the rank's arena
+    /// from `floor` on, past every live local update: assemble A entries
+    /// and extend-add contributions (from `bufs` when the event-driven
+    /// scheduler pre-drained them, from blocking receives otherwise), run
+    /// the block-cyclic partial factorization, ship the Schur complement to
+    /// the parent and write the pivots into the rank's pieces of the panel.
     fn do_grid(
         &mut self,
         s: usize,
         mut bufs: Option<HashMap<(usize, u64), ExtBuf>>,
+        floor: usize,
     ) -> Result<(), FactorError> {
         let (sym, map) = (self.sym, self.map);
         let me = self.rank.rank();
@@ -420,7 +451,10 @@ impl RankRun<'_, '_> {
             unreachable!("do_grid on a local supernode");
         };
         let lo = map.group[s].0;
-        let mut df = DistFront::new(s, f, w, pr, pc, nb, lo, self.rank);
+        // Out of `self` while `send_update` borrows it.
+        let arena = std::mem::take(&mut self.arena);
+        let region = &mut arena[floor..];
+        let mut df = DistFront::new(s, f, w, pr, pc, nb, lo, region, self.rank);
         let my = df.my;
         // Assemble my share of the original-matrix entries: my columns only,
         // and of those the rows in my block rows.
@@ -497,9 +531,10 @@ impl RankRun<'_, '_> {
         let released = df.release_schur();
         self.rank.free(released);
         self.st.factor_bytes += df.bytes();
-        // SAFETY: every rank of the grid writes its own segments of panel
-        // `s` here, and no other rank touches that panel.
-        unsafe { df.write_pivots(self.out) };
+        let first = self.pieces.partition_point(|&(t, _)| t < s);
+        let mine = self.pieces[first..].iter_mut().take_while(|(t, _)| *t == s);
+        df.write_pivots(mine.map(|(_, piece)| &mut **piece));
+        self.arena = arena;
         Ok(())
     }
 
@@ -929,6 +964,8 @@ pub struct FaultRun {
     /// run *including* the crashed attempts, for recovery-overhead studies.
     /// A run that never restarted reports its own makespan.
     pub total_makespan_s: f64,
+    /// Bytes of the ranks' arenas, summed (`Plan::arena_bytes`).
+    pub(crate) arena_bytes: usize,
 }
 
 impl<'a> DistRun<'a> {
@@ -1036,13 +1073,28 @@ impl<'a> DistRun<'a> {
         let mut counts = FaultCounts::default();
         let mut restarts = 0u64;
         let mut total_makespan_s = 0.0f64;
-        // Each rank's local runs behind a lock of its own, which it holds
-        // for an attempt; the grid fronts' panels behind the writer.
+        // Each rank's slab parts and arena behind a lock of its own, which
+        // it holds for an attempt.
         let plan = Plan::new(&sym, &map);
         let mut rest = Slab::new(factor);
         let (runs, top) = plan.deal(|sns| rest.cut(&sym, sns.end));
-        let runs: Vec<Mutex<Runs<Slab>>> = runs.into_iter().map(Mutex::new).collect();
-        let out = FactorWriter::new(top.into_iter().map(|(s, part)| (s, part.panels)));
+        let mut mem: Vec<RankMem> = (runs.into_iter().zip(&plan.arena))
+            .map(|(runs, &len)| RankMem {
+                runs,
+                pieces: Vec::new(),
+                arena: zeroed(len),
+            })
+            .collect();
+        for (s, part) in top {
+            let Layout::Grid { pr, pc, nb } = map.layout[s] else {
+                unreachable!("a top supernode of the dist plan is a grid front");
+            };
+            let (lo, fw) = (map.group[s].0, (sym.front_order(s), sym.sn_width(s), nb));
+            front::cut_pivots(part.panels, fw, (pr, pc), |(gr, gc), piece| {
+                mem[lo + gr * pc + gc].pieces.push((s, piece));
+            });
+        }
+        let mem: Vec<Mutex<RankMem>> = mem.into_iter().map(Mutex::new).collect();
         loop {
             let mut machine = Machine::new(p, o.model)
                 .trace_events(self.timeline)
@@ -1056,12 +1108,10 @@ impl<'a> DistRun<'a> {
             let vr = machine.run_verdict(|rank| {
                 // A crashed attempt unwound with the lock held; this one
                 // redoes every front past its snapshot.
-                let lock = runs[rank.rank()].lock();
-                let mut runs = lock.unwrap_or_else(PoisonError::into_inner);
+                let lock = mem[rank.rank()].lock();
+                let mut mem = lock.unwrap_or_else(PoisonError::into_inner);
                 let (sync, plan) = (o.sync_schedule, &plan);
-                factorize_rank(
-                    rank, self.ap, &sym, &map, plan, &mut runs, &out, sync, store,
-                )
+                factorize_rank(rank, self.ap, &sym, &map, plan, &mut mem, sync, store)
             });
             counts.merge(&vr.fault_counts);
             total_makespan_s += vr.makespan_s;
@@ -1094,6 +1144,7 @@ impl<'a> DistRun<'a> {
                     counts,
                     restarts,
                     total_makespan_s,
+                    arena_bytes: plan.arena_bytes(),
                 });
             }
             if restarts >= o.max_restarts as u64 {

@@ -13,7 +13,6 @@ use parfact_sparse::perm::Perm;
 use parfact_symbolic::Symbolic;
 use parfact_trace::{Collector, LocalRecorder, Phase};
 use std::cmp::max_by;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -54,7 +53,8 @@ pub struct Factor {
 
 impl Factor {
     /// Allocate a zeroed factor with the slab layout implied by `sym`.
-    /// Engines fill it in via [`Factor::panel_mut`] (and `d` for LDLᵀ).
+    /// Engines overwrite its slab (and `d` for LDLᵀ) in place, each
+    /// front's panel where the run plan deals it.
     /// The slab is a fresh mapping of its own on transparent huge pages
     /// where the kernel has them (`workspace::zeroed`), so a cold
     /// factorization faults it in 2 MiB at a time, not 4 KiB.
@@ -85,12 +85,6 @@ impl Factor {
     #[inline]
     pub fn panel(&self, s: usize) -> &[f64] {
         &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]]
-    }
-
-    /// Mutable view of supernode `s`'s panel.
-    #[inline]
-    pub fn panel_mut(&mut self, s: usize) -> &mut [f64] {
-        &mut self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]]
     }
 
     /// Nonzeros stored in the factor (padding included).
@@ -249,51 +243,6 @@ impl Factor {
         // `f64::max` drops a NaN; in `total_cmp` order a NaN `abs` tops all.
         let diffs = panels.chain(pivots).map(|(x, y)| (x - y).abs());
         diffs.fold(0.0, |m, d| max_by(m, d, f64::total_cmp))
-    }
-}
-
-/// Raw-pointer view of the panels of a [`Factor`]'s grid (distributed)
-/// fronts for disjoint cross-thread writes: the simulated ranks write their
-/// pivot segments through it, each by one rank; the machine's join
-/// publishes the writes. Local fronts write their own slab parts.
-pub(crate) struct FactorWriter<'a> {
-    /// `(s, start, len)` of every panel it covers, ascending in `s`.
-    panels: Vec<(usize, *mut f64, usize)>,
-    slab: PhantomData<&'a mut [f64]>,
-}
-
-// SAFETY: FactorWriter holds raw pointers into panels it borrows mutably;
-// the scheduler hands each range of them to exactly one thread, and the
-// join publishes the writes before the Factor is read again.
-unsafe impl Send for FactorWriter<'_> {}
-// SAFETY: see Send above — shared access is only through `panel_mut`,
-// whose contract requires a unique writer per disjoint range.
-unsafe impl Sync for FactorWriter<'_> {}
-
-impl<'a> FactorWriter<'a> {
-    /// A writer over the panels of the supernodes `(s, panel)`, ascending.
-    pub(crate) fn new(panels: impl IntoIterator<Item = (usize, &'a mut [f64])>) -> Self {
-        let panels = panels.into_iter();
-        FactorWriter {
-            panels: panels.map(|(s, p)| (s, p.as_mut_ptr(), p.len())).collect(),
-            slab: PhantomData,
-        }
-    }
-
-    /// Entries `part` of panel `s`, which the writer must cover.
-    ///
-    /// # Safety
-    /// The caller must be the unique writer of those entries while the
-    /// returned slice lives.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn panel_mut(&self, s: usize, part: Range<usize>) -> &mut [f64] {
-        let i = self.panels.binary_search_by_key(&s, |&(t, ..)| t);
-        let (_, p0, len) = self.panels[i.expect("a panel the writer covers")];
-        assert!(part.start <= part.end && part.end <= len);
-        // SAFETY: the assert keeps `part` inside panel `s`, a slice this
-        // writer borrows mutably; uniqueness of the `&mut` is the caller's
-        // contract (see `# Safety`).
-        unsafe { std::slice::from_raw_parts_mut(p0.add(part.start), part.len()) }
     }
 }
 

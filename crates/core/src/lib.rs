@@ -50,6 +50,9 @@
 // slices) are the deliberate idiom of this numerical code; clippy's
 // iterator rewrites obscure the subscript math.
 #![allow(clippy::needless_range_loop)]
+// The one `unsafe` block is the `madvise` call in `workspace::zeroed`,
+// allowed where it stands.
+#![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod baseline;

@@ -14,6 +14,7 @@
 //! the order the owner runs its fronts (`Plan::new` says why the dist
 //! engine's deadline order keeps the postorder layout).
 
+use crate::dist::front;
 use crate::frontal::update_len;
 use parfact_symbolic::{Symbolic, NONE};
 use std::ops::Range;
@@ -288,7 +289,12 @@ pub(crate) struct Run {
 
 impl Plan {
     /// The dist engine's plan of `map`: a rank's arena holds the updates of
-    /// its local runs only (grid fronts run on `DistFront`).
+    /// its local runs and, past them, room for its largest share of a grid
+    /// front (`front::share_len`, the strips of a `DistFront`). A rank runs
+    /// one grid front at a time, between its local fronts, so its shares
+    /// take turns in one region. The region starts past the updates still
+    /// live when the front runs (`dist::factorize_rank`): mostly none, so it
+    /// mostly starts at 0, on pages the updates already touched.
     ///
     /// The postorder layout also holds in the order the rank runs them (by
     /// deadline, `Mapping::rank_schedule`): every run is whole and
@@ -297,7 +303,22 @@ impl Plan {
     /// that were live at it in postorder, which the layout kept apart
     /// (`tests::layouts_are_conflict_free_in_every_engines_order`).
     pub(crate) fn new(sym: &Symbolic, map: &Mapping) -> Plan {
-        Plan::laid_out(sym, map, false)
+        let mut plan = Plan::laid_out(sym, map, false);
+        let mut share = vec![0; map.nranks];
+        for s in plan.top() {
+            let Layout::Grid { pr, pc, nb } = map.layout[s] else {
+                unreachable!("a top supernode of the dist plan is a grid front");
+            };
+            let (lo, hi) = map.group[s];
+            for (rel, most) in share[lo..hi].iter_mut().enumerate() {
+                let mine = front::share_len(sym.front_order(s), nb, (pr, pc), (rel / pc, rel % pc));
+                *most = mine.max(*most);
+            }
+        }
+        for (len, share) in plan.arena.iter_mut().zip(share) {
+            *len += share;
+        }
+        plan
     }
 
     /// The host engines' plan on `threads` threads: thread 0 (the calling
@@ -351,7 +372,7 @@ impl Plan {
         }
     }
 
-    /// Bytes of update arena this plan lays out, summed over its owners.
+    /// Bytes of arena this plan lays out, summed over its owners.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.arena.iter().sum::<usize>() * std::mem::size_of::<f64>()
     }
@@ -621,6 +642,23 @@ mod tests {
         peak
     }
 
+    /// The entries of rank `me`'s largest share of a grid front: the
+    /// blocks on or below the diagonal at its grid position, whole.
+    fn largest_share(sym: &Symbolic, map: &Mapping, me: usize) -> usize {
+        let share = |s: usize| {
+            let Layout::Grid { pr, pc, nb } = map.layout[s] else {
+                return 0;
+            };
+            let (f, rel) = (sym.front_order(s), me - map.group[s].0);
+            let (n, len) = (f.div_ceil(nb), |b: usize| nb.min(f - b * nb));
+            let blocks = (0..n).flat_map(|bj| (bj..n).map(move |bi| (bi, bj)));
+            let mine = blocks.filter(|&(bi, bj)| (bi % pr, bj % pc) == (rel / pc, rel % pc));
+            mine.map(|(bi, bj)| len(bi) * len(bj)).sum()
+        };
+        let groups = (0..sym.nsuper()).filter(|&s| map.participates(s, me));
+        groups.map(share).max().unwrap_or(0)
+    }
+
     /// A small matrix of each family the benchmark runs, after nested
     /// dissection.
     fn small_problems() -> Vec<Symbolic> {
@@ -653,7 +691,9 @@ mod tests {
                 assert_eq!(replay(&sym, &plan, order, false), plan.arena, "t = {t}");
             }
             // Dist: every rank's local fronts in the order of either
-            // schedule; a run's root is shipped at once.
+            // schedule; a run's root is shipped at once. The largest grid
+            // share fits past every update written, so a share fits past
+            // the live ones wherever they end (`dist::factorize_rank`).
             for p in [2, 8, 64] {
                 let map = map_tree(&sym, p, MapStrategy::default());
                 let plan = Plan::new(&sym, &map);
@@ -665,7 +705,8 @@ mod tests {
                         .filter(|&s| map.participates(s, me) && map.layout[s] == Layout::Local);
                     for order in [by_deadline.collect::<Vec<_>>(), sync.collect()] {
                         let peak = replay(&sym, &plan, order, true);
-                        assert_eq!(peak[me], plan.arena[me], "p = {p}, rank {me}");
+                        let share = largest_share(&sym, &map, me);
+                        assert_eq!(plan.arena[me], peak[me] + share, "p = {p}, rank {me}");
                     }
                 }
             }
@@ -711,8 +752,12 @@ mod tests {
                 line += &format!(", t = {t}: {}", arenas.join(" / "));
             }
             let plan = Plan::new(&sym, &map_tree(&sym, 64, MapStrategy::default()));
-            let total: usize = plan.arena.iter().sum();
-            println!("{line}, dist p = 64: {:.1} MB over the ranks", mb(total));
+            let (total, most) = (plan.arena.iter().sum(), plan.arena.iter().max());
+            let most = mb(*most.unwrap_or(&0));
+            println!(
+                "{line}, dist p = 64: {:.1} MB over the ranks, {most:.1} the largest",
+                mb(total)
+            );
         }
     }
 

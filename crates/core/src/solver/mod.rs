@@ -941,8 +941,8 @@ mod tests {
     #[test]
     fn the_report_carries_the_update_arena_bytes_the_plan_laid_out() {
         // On a fresh solver every arena is as long as the plan laid it out,
-        // so the reported bytes are the arenas' lengths; the simulated
-        // ranks' arenas are not the host run's.
+        // so the reported bytes are the arenas' lengths; a dist run reports
+        // its simulated ranks' arenas, summed.
         let a = gen::laplace3d(10, 10, 10, gen::Stencil3d::SevenPoint);
         for engine in [Engine::Sequential, Engine::Smp(SmpOpts { threads: 2 })] {
             let opts = FactorOpts::new().engine(engine.clone());
@@ -957,7 +957,11 @@ mod tests {
             ..DistOpts::default()
         });
         let chol = SparseCholesky::factorize(&a, &FactorOpts::new().engine(dist)).unwrap();
-        assert_eq!(chol.report().update_arena_bytes, 0);
+        let sym = &chol.factor.sym;
+        let map = crate::mapping::map_tree(sym, 4, Default::default());
+        let ranks = crate::mapping::Plan::new(sym, &map).arena_bytes();
+        assert!(ranks > 0);
+        assert_eq!(chol.report().update_arena_bytes, ranks);
     }
 
     #[test]

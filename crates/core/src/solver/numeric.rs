@@ -129,7 +129,7 @@ pub(super) fn numeric_phase(
         // Traffic summed, memory peak maxed over the ranks; per-phase
         // seconds stay zero (the simulator attributes time per rank, see
         // `report.ranks`). Every supernode is factored once on the machine.
-        report.update_arena_bytes = 0;
+        report.update_arena_bytes = run.arena_bytes;
         report.counters = parfact_trace::Counters {
             flops: out.total_flops,
             bytes_sent: out.stats.iter().map(|s| s.bytes_sent).sum(),

@@ -14,7 +14,8 @@
 //!
 //! An arena is one `Vec<f64>`, grown to the largest plan it has served and
 //! kept until the workspace is dropped. The factor slab
-//! (`Factor::allocate`) and every arena come from `zeroed`: a mapping
+//! (`Factor::allocate`), every arena and each simulated rank's arena of a
+//! distributed run (`dist::DistRun::run`) come from `zeroed`: a mapping
 //! of their own, of which only their length is ever touched, on
 //! transparent huge pages where the kernel has them. (The packing buffers
 //! of the dense microkernels are thread-local inside `parfact-dense` and
@@ -55,6 +56,8 @@ pub(crate) fn zeroed(len: usize) -> Vec<f64> {
     buf.truncate(len);
     let pages = huge_pages(buf.as_ptr() as usize, len * std::mem::size_of::<f64>());
     #[cfg(all(target_os = "linux", not(miri)))]
+    // The crate's one `unsafe`: a system call std does not wrap.
+    #[allow(unsafe_code)]
     if !pages.is_empty() {
         use std::ffi::{c_int, c_void};
         extern "C" {

@@ -4,7 +4,7 @@
 
 fn write_cell(p: *mut f64) {
     // SAFETY: caller guarantees `p` points at a live, exclusively-owned
-    // f64 (see the FactorWriter contract).
+    // f64 (see the fixture's own contract on `write_raw`).
     unsafe {
         *p = 1.0;
     }

@@ -400,11 +400,12 @@ record! {
         symbolic_s: f64 = default;
         /// Wall-clock seconds of the most recent numeric factorization.
         numeric_s: f64 = default;
-        /// Bytes of update arena the most recent host-engine run's plan
-        /// laid out, summed over its workers: every update's lower
-        /// triangle at its planned place. A prediction the workspace's
-        /// arenas meet exactly on a fresh solver; 0 for the distributed
-        /// engine, whose ranks lay out arenas of their own.
+        /// Bytes of update arena the most recent run's plan laid out,
+        /// summed over its workers: every update's lower triangle at its
+        /// planned place. On the host engines a prediction the workspace's
+        /// arenas meet exactly on a fresh solver; for the distributed
+        /// engine the simulated ranks' arenas, each also holding one
+        /// region for its largest share of a grid front.
         update_arena_bytes: usize = default;
     } + {
         /// Aggregated counters from the collector (summed across threads or
